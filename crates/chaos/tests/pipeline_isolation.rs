@@ -10,7 +10,10 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use rfp_chaos::{install, FaultPlan, InjectorSinks, Restart};
-use rfp_core::{connect, serve_loop, IntegrityConfig, RfpClient, RfpConfig, RfpServerConn};
+use rfp_core::{
+    connect, serve_loop, CallPolicy, IntegrityConfig, OverloadConfig, RecoveryConfig, RespStatus,
+    RfpClient, RfpConfig, RfpServerConn,
+};
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 
@@ -23,7 +26,9 @@ struct Rig {
 }
 
 /// One client machine (0), one server machine (1), a `window`-slot
-/// connection with the integrity layer on, and an echo serve loop.
+/// connection with the integrity layer and overload control on (the
+/// admission queue wide enough that a full window of plain calls is
+/// never turned away), and an echo serve loop.
 fn rig(seed: u64, window: usize) -> Rig {
     let mut sim = Simulation::new(seed);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
@@ -34,6 +39,11 @@ fn rig(seed: u64, window: usize) -> Rig {
         integrity: IntegrityConfig {
             enabled: true,
             ..IntegrityConfig::default()
+        },
+        overload: OverloadConfig {
+            enabled: true,
+            queue_limit: 64,
+            ..OverloadConfig::default()
         },
         ..RfpConfig::default()
     };
@@ -150,5 +160,103 @@ fn pipelined_batches_survive_a_warm_server_crash() {
     assert!(
         after > before_crash,
         "no batch completed across the crash window: {before_crash} -> {after}"
+    );
+}
+
+/// Everything at once on one connection: a W = 4 ring, overload
+/// admission, integrity verification and crash recovery, driven through
+/// the call engine's public entry while a loss burst, torn DMA, bit
+/// flips and a warm server crash hit the same run. Every call settles —
+/// a byte-exact echo, an explicit `Busy`/`Shed`, or an `RpcError` —
+/// batches keep completing after the restart, and the server NIC never
+/// issues anything out-bound.
+#[test]
+fn pipelined_overload_integrity_recovery_compose_under_faults() {
+    const BATCH: usize = 8;
+    let seed = 33;
+    let mut r = rig(seed, 4);
+    let conn = Rc::clone(&r.conn);
+    let sinks = InjectorSinks {
+        on_restart: Some(Rc::new(move |_r: &Restart| conn.recover_after_restart())),
+        ..InjectorSinks::default()
+    };
+    let us = |n: u64| SimTime::from_nanos(n * 1_000);
+    let plan = FaultPlan::new(seed)
+        .loss_burst(us(20), SimSpan::micros(150), 1, 0.3)
+        .torn_dma(us(10), SimSpan::micros(700), 1, 0.15)
+        .bit_flip(us(60), SimSpan::micros(700), 1, 0.15)
+        .crash(us(200), SimSpan::micros(80), 1, true);
+    install(&mut r.sim, &r.cluster, &plan, sinks);
+
+    // (batches, echoes, rejections, errors)
+    let tally = Rc::new(Cell::new((0u64, 0u64, 0u64, 0u64)));
+    // (fetches discarded by verification, longest echo latency)
+    let stress = Rc::new(Cell::new((0u64, SimSpan::ZERO)));
+    let (seen, felt, client, ct) = (
+        Rc::clone(&tally),
+        Rc::clone(&stress),
+        Rc::clone(&r.client),
+        Rc::clone(&r.client_thread),
+    );
+    r.sim.spawn(async move {
+        let rec = RecoveryConfig::default();
+        let policy = CallPolicy {
+            admission: Some(None),
+            recovery: Some(&rec),
+        };
+        for round in 0u64.. {
+            let reqs: Vec<Vec<u8>> = (0..BATCH)
+                .map(|i| vec![(round as u8) ^ (i as u8).wrapping_mul(29); 16 + 40 * i])
+                .collect();
+            let mut settled = 0;
+            let (_, mut echoes, mut rejections, mut errors) = seen.get();
+            client
+                .run(&ct, &reqs, policy, |i, out| {
+                    settled += 1;
+                    match out {
+                        Ok(out) if out.info.status == RespStatus::Ok => {
+                            assert_eq!(out.data, reqs[i], "round {round}: foreign or corrupt echo");
+                            let (discarded, longest) = felt.get();
+                            felt.set((
+                                discarded + out.info.integrity_retries as u64,
+                                longest.max(out.info.latency),
+                            ));
+                            echoes += 1;
+                        }
+                        Ok(out) => {
+                            let verdict = out.info.status;
+                            assert!(matches!(verdict, RespStatus::Busy | RespStatus::Shed));
+                            assert!(out.data.is_empty());
+                            rejections += 1;
+                        }
+                        Err(_) => errors += 1,
+                    }
+                })
+                .await;
+            assert_eq!(settled, BATCH, "round {round}: a call never settled");
+            seen.set((round + 1, echoes, rejections, errors));
+        }
+    });
+    r.sim.run_for(SimSpan::micros(300));
+    let (after_restart, ..) = tally.get();
+    r.sim.run_for(SimSpan::micros(1_200));
+    let (batches, echoes, rejections, errors) = tally.get();
+    assert!(
+        batches > after_restart + 5,
+        "batches stopped completing after the restart: {after_restart} -> {batches}"
+    );
+    assert!(
+        echoes > rejections + errors,
+        "the rig mostly failed: {echoes} echoes, {rejections} rejections, {errors} errors"
+    );
+    // The faults really bit: corrupt fetches were discarded, and some
+    // call rode out the whole 80 µs outage before its echo came back.
+    let (discarded, longest) = stress.get();
+    assert!(discarded > 0, "no fetch was ever discarded");
+    assert!(longest >= SimSpan::micros(80), "no call spanned the outage");
+    assert_eq!(
+        r.cluster.machine(1).nic().counters().outbound_ops,
+        0,
+        "the server NIC issued out-bound ops"
     );
 }

@@ -1,26 +1,23 @@
-//! The client endpoint: remote fetching, hybrid mode switching, stats.
+//! The client endpoint: connection state, statistics, telemetry notes,
+//! and the public call entry points — each a thin wrapper over the one
+//! call engine in [`engine`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use rfp_rnic::{Qp, ThreadCtx};
-use rfp_simnet::{
-    derive_seed, retry_with_deadline, timeout, ConnHealth, Counter, Gauge, Histogram, RequestTrace,
-    RetryPolicy, Severity, SimSpan, SimTime,
-};
+use rfp_simnet::{ConnHealth, Counter, Gauge, Histogram, Severity, SimSpan, SimTime};
 
-use crate::conn::{Mode, RfpTelemetry, Shared, MODE_REMOTE_FETCH, MODE_SERVER_REPLY};
-use crate::header::{
-    ReqHeader, RespHeader, RespStatus, REQ_HDR, REQ_HDR_EXT, REQ_HDR_TENANT, RESP_HDR,
-    RESP_HDR_EXT, RESP_TRAILER,
-};
-use crate::integrity::{verify_response, IntegrityFault};
+use crate::conn::{Mode, RfpTelemetry, Shared};
+use crate::header::{RespHeader, RespStatus, RESP_HDR_EXT};
 use crate::overload::OverloadConfig;
-use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
+use crate::recovery::{RecoveryConfig, RpcError};
+
+mod engine;
+
+pub use engine::CallPolicy;
+use engine::Scratch;
 
 /// Registry-backed instruments of one connection, created when the
 /// config carries an [`RfpTelemetry`].
@@ -77,6 +74,27 @@ pub struct CallResult {
     pub info: CallInfo,
 }
 
+impl CallResult {
+    /// A call nobody executed: the engine giving up after repeated
+    /// `Busy`/`Shed` verdicts, or a pool/mux shedding locally (zero wire
+    /// traffic) because the deadline budget ran out while the call
+    /// queued for a connection.
+    pub(crate) fn rejected(status: RespStatus, latency: SimSpan) -> Self {
+        CallResult {
+            data: Vec::new(),
+            info: CallInfo {
+                attempts: 0,
+                extra_read: false,
+                completed_in: Mode::RemoteFetch,
+                latency,
+                server_time_us: 0,
+                status,
+                integrity_retries: 0,
+            },
+        }
+    }
+}
+
 /// Per-call diagnostics (feeds Table 3 and the round-trip accounting of
 /// §4.3).
 #[derive(Copy, Clone, Debug)]
@@ -103,25 +121,6 @@ pub struct CallInfo {
     /// integrity verification (torn DMA, bit flips). Always 0 with the
     /// integrity layer off.
     pub integrity_retries: u32,
-}
-
-/// One in-flight hedge leg: a request deposited by
-/// [`RfpClient::hedge_deposit`] and polled by
-/// [`RfpClient::hedge_poll`]. The replica router holds one ticket per
-/// leg of a hedged call and races them; a ticket abandoned mid-flight
-/// is harmless — the next call on its connection allocates a fresh
-/// sequence number, so a late response to the abandoned seq fails the
-/// acceptance check and is never surfaced.
-pub(crate) struct HedgeTicket {
-    slot: usize,
-    seq: u32,
-    /// Fetch READs issued against this leg so far.
-    pub(crate) fetches: u32,
-    /// When this leg's deposit was issued. The router books the
-    /// winning leg's health with the latency since *its own* deposit —
-    /// attributing time the racing loop spent blocked on the other
-    /// (possibly gray) leg would poison the healthy replica's score.
-    pub(crate) deposited_at: SimTime,
 }
 
 /// Aggregated client statistics.
@@ -253,74 +252,99 @@ impl ClientStats {
 /// errored one (see [`RfpClient::set_reconnect`]).
 pub type QpFactory = Box<dyn Fn() -> Rc<Qp>>;
 
-/// Mutable state shared by the attempts of one recovered call.
-struct AttemptState<'a> {
-    req: &'a [u8],
-    /// Absolute deadline stamped into the wire header (overload only).
-    stamp: Option<SimTime>,
-    /// Stage the request under a fresh sequence number before the next
-    /// submission: set initially and after a `Busy`/`Shed` rejection
-    /// (whose request was never executed, so a new seq cannot
-    /// double-execute — while reusing the rejected seq would match the
-    /// stale verdict response forever).
-    refresh: Cell<bool>,
-    /// Fetch READs issued across all attempts.
-    fetches: Cell<u32>,
-    /// Fetches discarded by integrity verification across all attempts.
-    integrity_retries: Cell<u32>,
-    /// Escalation marker set when an attempt exhausted its
-    /// verify-and-refetch budget ([`FailureCause::Corrupt`]): the next
-    /// attempt re-establishes the QP even though it reports no error
-    /// state — persistent corruption on a "healthy" QP is the one fault
-    /// the transport cannot see.
-    force_reconnect: Cell<bool>,
+/// Why unwrapping a call's `Result` is sound when its policy carries no
+/// recovery stage: verb errors are absorbed and a final rejection is a
+/// status, so nothing can produce an [`RpcError`].
+pub(crate) const NO_RECOVERY: &str = "a call without a recovery stage cannot fail";
+
+/// Anything requests can be run through: a connection
+/// ([`RfpClient::run`]), or a pool or mux lease wrapped around one. The
+/// single-call and ordered-batch forms every public entry point is made
+/// of come for free.
+pub(crate) trait CallEngine {
+    /// Runs `reqs` under `policy`, handing `sink` one `(request index,
+    /// outcome)` per request as each settles.
+    async fn run<R: AsRef<[u8]>>(
+        &self,
+        thread: &ThreadCtx,
+        reqs: &[R],
+        policy: CallPolicy<'_>,
+        sink: impl FnMut(usize, Result<CallResult, RpcError>),
+    );
+
+    /// One call.
+    async fn one(
+        &self,
+        thread: &ThreadCtx,
+        req: &[u8],
+        policy: CallPolicy<'_>,
+    ) -> Result<CallResult, RpcError> {
+        let mut out = None;
+        self.run(thread, &[req], policy, |_, r| out = Some(r)).await;
+        out.expect("the engine settles every call")
+    }
+
+    /// A plain batch, results in request order.
+    async fn in_order(&self, thread: &ThreadCtx, reqs: &[Vec<u8>]) -> Vec<CallResult> {
+        let mut results: Vec<Option<CallResult>> = reqs.iter().map(|_| None).collect();
+        let plain = CallPolicy::default();
+        self.run(thread, reqs, plain, |i, r| {
+            results[i] = Some(r.expect(NO_RECOVERY))
+        })
+        .await;
+        let settled = results.into_iter();
+        settled.map(|r| r.expect("every call settles")).collect()
+    }
 }
 
-/// One outstanding call of the pipelined driver
-/// ([`RfpClient::call_pipelined`]).
-struct Flight {
-    /// Index into the caller's request batch (and the result vector).
-    idx: usize,
-    /// Ring slot carrying this call.
-    slot: usize,
+impl CallEngine for RfpClient {
+    async fn run<R: AsRef<[u8]>>(
+        &self,
+        thread: &ThreadCtx,
+        reqs: &[R],
+        policy: CallPolicy<'_>,
+        sink: impl FnMut(usize, Result<CallResult, RpcError>),
+    ) {
+        RfpClient::run(self, thread, reqs, policy, sink).await
+    }
+}
+
+/// Position of a call in the flight recorder: the sequence number its
+/// events are tagged with, and the id of its most recent event — the
+/// cause link of the next one, so a call's events chain (deadline →
+/// resubmit → reconnect). Each [`engine::Flight`] owns one, starting
+/// with no cause at call entry.
+#[derive(Copy, Clone, Debug, Default)]
+struct Chain {
     seq: u32,
-    /// Staged request bytes on the wire (header + payload).
-    wire_len: usize,
-    /// When the call was staged (latency epoch, like `sent_at`).
-    t0: SimTime,
-    /// Fetch READs that actually sampled the slot (the paper's `N`).
-    attempts: u32,
-    integrity_retries: u32,
-    /// Whether this call already counted toward the consecutive-overrun
-    /// guard (at most once per call, like the sequential path).
-    counted_over: bool,
-    /// The request WRITE has not (successfully) deposited yet.
-    needs_send: bool,
+    cause: Option<u64>,
 }
 
 /// Client endpoint of one RFP connection, bound to one simulated thread.
 ///
-/// Implements the paper's `client_send` / `client_recv` (Table 2) plus
-/// the [`call`](RfpClient::call) convenience wrapper, the hybrid
-/// remote-fetch ↔ server-reply switch, and the two-segment fetch.
+/// Implements the paper's `client_send` / `client_recv` (Table 2), the
+/// hybrid remote-fetch ↔ server-reply switch, the two-segment fetch,
+/// and the policy stages layered on them (pipelining window, overload
+/// admission, integrity verification, crash recovery) — all as one
+/// call engine, [`run`](RfpClient::run); every other entry point is a
+/// wrapper that picks a [`CallPolicy`].
 pub struct RfpClient {
     shared: Rc<Shared>,
     qp: RefCell<Rc<Qp>>,
     /// Factory minting a fresh QP to the server, installed by fault-
     /// tolerant deployments; used to re-establish an errored QP.
     reconnect: RefCell<Option<QpFactory>>,
-    /// Last allocated sequence number (mirrors the winning slot counter;
-    /// drives the sequential paths and trace/diagnostic text).
-    seq: Cell<u32>,
     /// Per-ring-slot sequence counters: slot `s` carries seqs
     /// `s+1, s+1+W, s+1+2W, …` so `seq ≡ slot+1 (mod W)` always holds
     /// (see [`slot_of`](crate::header::slot_of)). With `W = 1` this
     /// degenerates to the single `+1` counter.
     slot_seq: Vec<Cell<u32>>,
-    /// Round-robin slot cursor for the sequential (one-at-a-time) paths.
-    next_slot: Cell<usize>,
-    /// When the current call's request WRITE was issued (latency epoch).
-    sent_at: Cell<rfp_simnet::SimTime>,
+    /// The engine's reusable working set (flights, free ring slots,
+    /// batch buffers), so a call allocates none of it. Taken out for
+    /// the duration of a run; between `send` and `recv`, and between a
+    /// hedge leg's submit and its polls, it holds the outstanding
+    /// flight.
+    scratch: RefCell<Scratch>,
     mode: Cell<Mode>,
     /// Consecutive calls whose failed retries exceeded `R`.
     consec_over: Cell<u32>,
@@ -336,10 +360,10 @@ pub struct RfpClient {
     /// This connection's rolling health window, when the config carries
     /// a [`HealthHub`](rfp_simnet::HealthHub).
     health: Option<Rc<ConnHealth>>,
-    /// Id of the most recent flight-recorder event of the *current*
-    /// call — the cause link of the next one, so a call's events chain
-    /// (deadline → resubmit → reconnect). Reset at call entry.
-    last_flight: Cell<Option<u64>>,
+    /// Chain of the last settled call: what the layers above (replica
+    /// routing, failover) attach their events to once the call itself
+    /// is over.
+    tail: Cell<Chain>,
     /// Tenant id stamped into every request header while set (the mux
     /// layer re-stamps it on each lease handoff). `None` — the default
     /// everywhere outside a mux — keeps requests byte-identical to the
@@ -375,13 +399,11 @@ impl RfpClient {
             shared,
             qp: RefCell::new(qp),
             reconnect: RefCell::new(None),
-            seq: Cell::new(0),
             // Slot `s` starts one allocation (`+W`) short of `s + 1`.
             slot_seq: (0..window)
                 .map(|s| Cell::new((s as u32 + 1).wrapping_sub(window as u32)))
                 .collect(),
-            next_slot: Cell::new(0),
-            sent_at: Cell::new(rfp_simnet::SimTime::ZERO),
+            scratch: RefCell::new(Scratch::default()),
             mode: Cell::new(initial_mode),
             consec_over: Cell::new(0),
             retry_threshold,
@@ -390,7 +412,7 @@ impl RfpClient {
             stats: ClientStats::default(),
             instruments,
             health,
-            last_flight: Cell::new(None),
+            tail: Cell::new(Chain::default()),
             tenant: Cell::new(None),
             epoch: Cell::new(0),
         }
@@ -449,38 +471,6 @@ impl RfpClient {
         self.tenant.get()
     }
 
-    /// Payload headroom of one ring slot for the next request, given
-    /// the tenant stamp and whether a deadline rides along.
-    fn req_headroom(&self, deadline: bool) -> usize {
-        if self.tenant.get().is_some() {
-            self.shared.cfg.req_capacity - REQ_HDR_TENANT
-        } else if deadline {
-            self.shared.cfg.max_req_payload_with_deadline()
-        } else {
-            self.shared.cfg.max_req_payload()
-        }
-    }
-
-    /// Appends a flight-recorder event tagged with this connection and
-    /// `seq`, chained onto the current call's previous event, and
-    /// remembers it as the next link's cause. Pure bookkeeping: no
-    /// simulated time, no wire bytes — a `None` recorder run is
-    /// event-identical to one with recording on.
-    fn flight(&self, thread: &ThreadCtx, severity: Severity, kind: &'static str, detail: String) {
-        if let Some(rec) = &self.shared.cfg.recorder {
-            let id = rec.record_caused(
-                thread.now(),
-                Some(self.shared.cfg.conn_id),
-                self.seq.get() as u64,
-                severity,
-                kind,
-                detail,
-                self.last_flight.get(),
-            );
-            self.last_flight.set(Some(id));
-        }
-    }
-
     /// The QP currently carrying this connection's verbs.
     pub(crate) fn qp(&self) -> Rc<Qp> {
         Rc::clone(&self.qp.borrow())
@@ -489,25 +479,15 @@ impl RfpClient {
     /// Allocates the next sequence number of ring `slot` (counters of
     /// one slot advance by `W`, preserving `seq ≡ slot+1 (mod W)`).
     fn alloc_seq_in(&self, slot: usize) -> u32 {
-        let w = self.shared.cfg.window as u32;
-        let seq = self.slot_seq[slot].get().wrapping_add(w);
+        let seq = self.peek_seq_in(slot);
         self.slot_seq[slot].set(seq);
-        self.seq.set(seq);
         seq
     }
 
-    /// Allocates a `(slot, seq)` pair at the sequential paths' rotating
-    /// cursor. With `W = 1` this is slot 0 and `seq + 1`, always.
-    fn alloc_next_seq(&self) -> (usize, u32) {
-        let slot = self.next_slot.get();
-        self.next_slot.set((slot + 1) % self.shared.cfg.window);
-        (slot, self.alloc_seq_in(slot))
-    }
-
-    /// The sequence number the next sequential allocation will return,
+    /// The sequence number `slot`'s next allocation will return,
     /// without allocating (jitter-seed derivation).
-    fn peek_next_seq(&self) -> u32 {
-        self.slot_seq[self.next_slot.get()]
+    fn peek_seq_in(&self, slot: usize) -> u32 {
+        self.slot_seq[slot]
             .get()
             .wrapping_add(self.shared.cfg.window as u32)
     }
@@ -575,458 +555,6 @@ impl RfpClient {
         self.fetch_size.set(f);
     }
 
-    /// `client_send`: deposits a request into server memory via
-    /// one-sided WRITE.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `req` exceeds the request capacity.
-    pub async fn send(&self, thread: &ThreadCtx, req: &[u8]) {
-        self.send_with_deadline(thread, req, None).await
-    }
-
-    /// [`send`](RfpClient::send) with an absolute deadline stamped into
-    /// the (extended) request header, for servers running admission
-    /// control. Without a deadline the wire bytes are identical to the
-    /// legacy 8-byte header.
-    pub async fn send_with_deadline(
-        &self,
-        thread: &ThreadCtx,
-        req: &[u8],
-        deadline: Option<SimTime>,
-    ) {
-        let max = self.req_headroom(deadline.is_some());
-        assert!(req.len() <= max, "request exceeds buffer capacity");
-        let (slot, seq) = self.alloc_next_seq();
-        self.sent_at.set(thread.now());
-        if let Some(ins) = &self.instruments {
-            *self.shared.span_mut(slot) = Some(RequestTrace::begin(
-                seq as u64,
-                ins.telemetry.track,
-                thread.now(),
-                "issue",
-            ));
-        }
-        let hdr = ReqHeader {
-            valid: true,
-            size: req.len() as u32,
-            seq,
-            deadline,
-            tenant: self.tenant.get(),
-            epoch: self.epoch.get(),
-        };
-        let hdr_len = hdr.wire_len();
-        let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-        hdr.encode(&mut hdr_bytes[..hdr_len]);
-        let base = self.shared.req_off(slot);
-        self.shared
-            .client_req
-            .write_local(base, &hdr_bytes[..hdr_len]);
-        self.shared.client_req.write_local(base + hdr_len, req);
-        self.qp()
-            .write(
-                thread,
-                &self.shared.client_req,
-                base,
-                &self.shared.req,
-                base,
-                hdr_len + req.len(),
-            )
-            .await;
-        self.span_mark(thread, slot, "request_written");
-    }
-
-    /// `client_recv`: obtains the response for the last
-    /// [`send`](RfpClient::send), via repeated remote fetching or
-    /// server-reply depending on the connection mode.
-    ///
-    /// The reported latency spans from the matching `send` (end-to-end
-    /// call time).
-    pub async fn recv(&self, thread: &ThreadCtx) -> CallResult {
-        let t0 = self.sent_at.get();
-        let seq = self.seq.get();
-        let out = match self.mode.get() {
-            Mode::RemoteFetch => self.recv_remote_fetch(thread, seq, t0).await,
-            Mode::ServerReply => self.recv_server_reply(thread, seq, t0, 0).await,
-        };
-        self.record_completion(thread, self.shared.slot_of(seq), &out);
-        out
-    }
-
-    /// Books one finished call against the stats/instruments and closes
-    /// `slot`'s span — shared verbatim by the sequential and pipelined
-    /// drivers so their per-call telemetry is identical.
-    fn record_completion(&self, thread: &ThreadCtx, slot: usize, out: &CallResult) {
-        self.stats.record(&out.info);
-        // Every attempt but a successful final fetch was a retry.
-        let successes = match out.info.completed_in {
-            Mode::RemoteFetch => 1,
-            Mode::ServerReply => 0,
-        };
-        let retries = out.info.attempts.saturating_sub(successes) as u64;
-        if let Some(h) = &self.health {
-            h.record_call(
-                thread.now(),
-                out.info.latency,
-                retries,
-                out.data.len(),
-                out.info.server_time_us,
-            );
-        }
-        if let Some(ins) = &self.instruments {
-            ins.calls.incr();
-            ins.latency.record(out.info.latency);
-            ins.retries.add(retries);
-            if out.info.extra_read {
-                ins.extra_reads.incr();
-            }
-            if let Some(mut span) = self.shared.span_mut(slot).take() {
-                span.mark_unordered(thread.now(), "completed");
-                ins.telemetry.spans.record(span);
-            }
-        }
-    }
-
-    /// Adds a milestone to `slot`'s in-flight span, if one exists.
-    fn span_mark(&self, thread: &ThreadCtx, slot: usize, label: &'static str) {
-        if let Some(span) = self.shared.span_mut(slot).as_mut() {
-            span.mark_unordered(thread.now(), label);
-        }
-    }
-
-    /// One full RPC: send, then receive.
-    pub async fn call(&self, thread: &ThreadCtx, req: &[u8]) -> CallResult {
-        self.send(thread, req).await;
-        self.recv(thread).await
-    }
-
-    /// Pipelined multi-call driver: runs every request in `reqs` on this
-    /// connection, keeping up to `W` (the configured
-    /// [`window`](crate::RfpConfig::window)) calls outstanding in the
-    /// ring and polling all of their fetches with **one doorbell ring
-    /// per round** ([`Qp::post_read_batch`]) — the client-side issue
-    /// cost the paper charges per READ (§2.2) is paid once per round
-    /// instead of once per outstanding call.
-    ///
-    /// With `W = 1` (or a single request) every round degenerates to the
-    /// sequential `send`/`recv` verbs — same WRITEs, same READs, same
-    /// CPU charges, same telemetry — so the legacy path is exactly the
-    /// `W = 1` instance of this driver.
-    ///
-    /// The driver runs in remote-fetch terms only and does not engage
-    /// the hybrid mode switch mid-batch (it still feeds the
-    /// consecutive-overrun guard, so a subsequent sequential call can
-    /// switch). Verb errors from injected faults are absorbed: failed
-    /// request WRITEs are re-deposited and errored fetch polls simply
-    /// don't count as attempts, so the batch rides out a server restart
-    /// the same way [`call_with_recovery`] rides one out per call.
-    ///
-    /// Returns one [`CallResult`] per request, in request order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the connection is in server-reply mode or any request
-    /// exceeds the per-slot capacity.
-    ///
-    /// [`call_with_recovery`]: RfpClient::call_with_recovery
-    pub async fn call_pipelined(&self, thread: &ThreadCtx, reqs: &[Vec<u8>]) -> Vec<CallResult> {
-        assert_eq!(
-            self.mode.get(),
-            Mode::RemoteFetch,
-            "call_pipelined drives remote fetching only"
-        );
-        let window = self.shared.cfg.window;
-        let r = self.retry_threshold.get();
-        let max = self.req_headroom(false);
-        for req in reqs {
-            assert!(req.len() <= max, "request exceeds buffer capacity");
-        }
-        let mut results: Vec<Option<CallResult>> = reqs.iter().map(|_| None).collect();
-        // Free ring slots, lowest on top so W=1 always stages slot 0.
-        let mut free: Vec<usize> = (0..window).rev().collect();
-        let mut flights: Vec<Flight> = Vec::new();
-        let mut next_req = 0usize;
-        while next_req < reqs.len() || !flights.is_empty() {
-            // Refill: stage fresh calls into free slots (bytes + span;
-            // the deposit WRITE happens in the submit step below).
-            while next_req < reqs.len() {
-                let Some(slot) = free.pop() else { break };
-                let req = &reqs[next_req];
-                let seq = self.alloc_seq_in(slot);
-                if let Some(ins) = &self.instruments {
-                    *self.shared.span_mut(slot) = Some(RequestTrace::begin(
-                        seq as u64,
-                        ins.telemetry.track,
-                        thread.now(),
-                        "issue",
-                    ));
-                }
-                let hdr = ReqHeader {
-                    valid: true,
-                    size: req.len() as u32,
-                    seq,
-                    deadline: None,
-                    tenant: self.tenant.get(),
-                    epoch: self.epoch.get(),
-                };
-                let hdr_len = hdr.wire_len();
-                let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-                hdr.encode(&mut hdr_bytes[..hdr_len]);
-                let base = self.shared.req_off(slot);
-                self.shared
-                    .client_req
-                    .write_local(base, &hdr_bytes[..hdr_len]);
-                self.shared.client_req.write_local(base + hdr_len, req);
-                flights.push(Flight {
-                    idx: next_req,
-                    slot,
-                    seq,
-                    wire_len: hdr_len + req.len(),
-                    t0: thread.now(),
-                    attempts: 0,
-                    integrity_retries: 0,
-                    counted_over: false,
-                    needs_send: true,
-                });
-                next_req += 1;
-            }
-            if let Some(h) = &self.health {
-                h.set_inflight(thread.now(), flights.len() as u32);
-            }
-            // Submit: deposit staged requests. A single deposit uses the
-            // synchronous WRITE (identical to `send`); two or more are
-            // posted so their round trips overlap. A WRITE that
-            // completes with a verb error stays pending and is retried
-            // next round (the NACK round trip advanced time).
-            let to_send: Vec<usize> = flights
-                .iter()
-                .enumerate()
-                .filter_map(|(i, fl)| fl.needs_send.then_some(i))
-                .collect();
-            if to_send.len() == 1 {
-                let i = to_send[0];
-                let (slot, wire_len) = (flights[i].slot, flights[i].wire_len);
-                let base = self.shared.req_off(slot);
-                if self
-                    .qp()
-                    .try_write(
-                        thread,
-                        &self.shared.client_req,
-                        base,
-                        &self.shared.req,
-                        base,
-                        wire_len,
-                    )
-                    .await
-                    .is_ok()
-                {
-                    flights[i].needs_send = false;
-                    self.span_mark(thread, slot, "request_written");
-                }
-            } else if to_send.len() >= 2 {
-                let qp = self.qp();
-                let mut posted = Vec::with_capacity(to_send.len());
-                for &i in &to_send {
-                    let (slot, wire_len) = (flights[i].slot, flights[i].wire_len);
-                    let base = self.shared.req_off(slot);
-                    posted.push((
-                        i,
-                        qp.write_post(
-                            thread,
-                            &self.shared.client_req,
-                            base,
-                            &self.shared.req,
-                            base,
-                            wire_len,
-                        )
-                        .await,
-                    ));
-                }
-                for (i, c) in posted {
-                    c.wait(thread).await;
-                    if c.error().is_none() {
-                        flights[i].needs_send = false;
-                        self.span_mark(thread, flights[i].slot, "request_written");
-                    }
-                }
-            }
-            // Poll: one fetch READ per deposited flight. A lone flight
-            // fetches synchronously (identical to the sequential READ);
-            // k ≥ 2 flights share one doorbell ring.
-            let f = self.fetch_size.get();
-            let pollable: Vec<usize> = flights
-                .iter()
-                .enumerate()
-                .filter_map(|(i, fl)| (!fl.needs_send).then_some(i))
-                .collect();
-            let mut landed = vec![false; flights.len()];
-            if pollable.len() == 1 {
-                let i = pollable[0];
-                let slot = flights[i].slot;
-                let base = self.shared.resp_off(slot);
-                if self
-                    .qp()
-                    .try_read(
-                        thread,
-                        &self.shared.client_resp,
-                        base,
-                        &self.shared.resp,
-                        base,
-                        f,
-                    )
-                    .await
-                    .is_ok()
-                {
-                    landed[i] = true;
-                    flights[i].attempts += 1;
-                    self.span_mark(thread, slot, "fetch_read");
-                    if let Some(ins) = &self.instruments {
-                        ins.fetch_bytes.add(f as u64);
-                    }
-                    self.stats
-                        .single_reads
-                        .set(self.stats.single_reads.get() + 1);
-                }
-            } else if pollable.len() >= 2 {
-                let qp = self.qp();
-                let entries: Vec<_> = pollable
-                    .iter()
-                    .map(|&i| {
-                        let base = self.shared.resp_off(flights[i].slot);
-                        (
-                            Rc::clone(&self.shared.client_resp),
-                            base,
-                            Rc::clone(&self.shared.resp),
-                            base,
-                            f,
-                        )
-                    })
-                    .collect();
-                let completions = qp.post_read_batch(thread, &entries).await;
-                self.stats.doorbells.set(self.stats.doorbells.get() + 1);
-                self.stats
-                    .doorbell_reads
-                    .set(self.stats.doorbell_reads.get() + completions.len() as u64);
-                for (&i, c) in pollable.iter().zip(&completions) {
-                    c.wait(thread).await;
-                    if c.error().is_none() {
-                        landed[i] = true;
-                        flights[i].attempts += 1;
-                        self.span_mark(thread, flights[i].slot, "fetch_read");
-                        if let Some(ins) = &self.instruments {
-                            ins.fetch_bytes.add(f as u64);
-                        }
-                    }
-                }
-            }
-            // Check: decode every landed fetch; completed flights free
-            // their slot for the next refill, the rest poll again.
-            let mut kept = Vec::with_capacity(flights.len());
-            for (i, mut fl) in flights.into_iter().enumerate() {
-                if !landed[i] {
-                    kept.push(fl);
-                    continue;
-                }
-                thread.busy(self.shared.cfg.check_cpu).await;
-                let hdr = self.resp_hdr_at(fl.slot);
-                if !self.accept_resp(&hdr, fl.seq) {
-                    // Missed poll: replicate the sequential overrun
-                    // bookkeeping (never switching modes mid-batch).
-                    if fl.attempts > r && !fl.counted_over {
-                        fl.counted_over = true;
-                        if self.shared.cfg.enable_mode_switch {
-                            self.consec_over.set(self.consec_over.get() + 1);
-                        }
-                        if let Some(rec) = &self.shared.cfg.recorder {
-                            rec.record(
-                                thread.now(),
-                                Some(self.shared.cfg.conn_id),
-                                fl.seq as u64,
-                                Severity::Warn,
-                                "pipeline.slot_stall",
-                                format!(
-                                    "slot {} overran R={r} after {} fetches",
-                                    fl.slot, fl.attempts
-                                ),
-                            );
-                        }
-                        if let Some(h) = &self.health {
-                            h.record_stall(thread.now());
-                        }
-                    }
-                    kept.push(fl);
-                    continue;
-                }
-                let total = self.resp_total_len(&hdr);
-                if !self.resp_len_plausible(total) {
-                    self.note_integrity_failure(thread, IntegrityFault::Torn);
-                    fl.integrity_retries += 1;
-                    kept.push(fl);
-                    continue;
-                }
-                let base = self.shared.resp_off(fl.slot);
-                let size = hdr.size as usize;
-                let mut extra_read = false;
-                if total > f {
-                    let rest = total - f;
-                    if self
-                        .qp()
-                        .try_read(
-                            thread,
-                            &self.shared.client_resp,
-                            base + f,
-                            &self.shared.resp,
-                            base + f,
-                            rest,
-                        )
-                        .await
-                        .is_err()
-                    {
-                        kept.push(fl);
-                        continue;
-                    }
-                    self.span_mark(thread, fl.slot, "extra_fetch_read");
-                    if let Some(ins) = &self.instruments {
-                        ins.fetch_bytes.add(rest as u64);
-                    }
-                    extra_read = true;
-                }
-                if self.verify_fetched(thread, fl.slot, &hdr).is_err() {
-                    fl.integrity_retries += 1;
-                    kept.push(fl);
-                    continue;
-                }
-                if !fl.counted_over {
-                    self.consec_over.set(0);
-                }
-                self.note_accepted(&hdr);
-                let out = CallResult {
-                    data: self
-                        .shared
-                        .client_resp
-                        .read_local(base + hdr.wire_len(), size),
-                    info: CallInfo {
-                        attempts: fl.attempts,
-                        extra_read,
-                        completed_in: Mode::RemoteFetch,
-                        latency: thread.now() - fl.t0,
-                        server_time_us: hdr.time_us,
-                        status: hdr.status,
-                        integrity_retries: fl.integrity_retries,
-                    },
-                };
-                self.record_completion(thread, fl.slot, &out);
-                free.push(fl.slot);
-                results[fl.idx] = Some(out);
-            }
-            flights = kept;
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every pipelined call completes"))
-            .collect()
-    }
-
     /// The connection's overload-control knobs.
     pub fn overload_config(&self) -> &OverloadConfig {
         &self.shared.cfg.overload
@@ -1037,18 +565,73 @@ impl RfpClient {
         self.credits.get()
     }
 
-    /// One overload-aware RPC (requires [`OverloadConfig::enabled`]).
+    /// This connection's rolling health window, when the config wired
+    /// one in. The replica router's scorer reads it.
+    pub(crate) fn conn_health(&self) -> Option<&Rc<ConnHealth>> {
+        self.health.as_ref()
+    }
+
+    /// `client_send`: deposits a request into server memory via
+    /// one-sided WRITE — the engine's stage + submit steps for one
+    /// flight, which the matching [`recv`](RfpClient::recv) then drives
+    /// to completion.
     ///
-    /// Submission is gated on the server's advertised credits (a zero
-    /// level inserts a jittered pause), every submission stamps a
-    /// deadline into the request header, and the response fetch stops
-    /// tight-polling once that deadline passes, degrading to jittered
-    /// verdict probes. A `Busy`/`Shed` verdict re-admits the call under
-    /// the config's retry schedule **with a fresh sequence number** (a
-    /// rejected request was provably never executed, so resubmission
-    /// cannot double-execute) until the schedule — or the explicit
-    /// `deadline` — is exhausted, at which point the call returns the
-    /// rejection status with empty data instead of an error: under
+    /// # Panics
+    ///
+    /// Panics if `req` exceeds the request capacity.
+    pub async fn send(&self, thread: &ThreadCtx, req: &[u8]) {
+        self.submit_one(thread, req, &CallPolicy::default()).await;
+    }
+
+    /// `client_recv`: obtains the response for the last
+    /// [`send`](RfpClient::send), via repeated remote fetching or
+    /// server-reply depending on the connection mode.
+    ///
+    /// The reported latency spans from the matching `send` (end-to-end
+    /// call time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no `send` is outstanding.
+    pub async fn recv(&self, thread: &ThreadCtx) -> CallResult {
+        let mut out = None;
+        self.resume(thread, |_, r| out = Some(r)).await;
+        out.expect("recv without an outstanding send")
+            .expect(NO_RECOVERY)
+    }
+
+    /// One full RPC: the engine at one flight with every policy stage
+    /// off.
+    pub async fn call(&self, thread: &ThreadCtx, req: &[u8]) -> CallResult {
+        self.one(thread, req, CallPolicy::default())
+            .await
+            .expect(NO_RECOVERY)
+    }
+
+    /// Pipelined multi-call driver: [`run`](RfpClient::run) with no
+    /// policy stage, results collected in request order. Up to `W` (the
+    /// configured [`window`](crate::RfpConfig::window)) calls ride the
+    /// ring at once and their fetch polls share **one doorbell ring per
+    /// round** ([`Qp::post_read_batch`]) — the client-side issue cost
+    /// the paper charges per READ (§2.2) is paid once per round instead
+    /// of once per outstanding call. With `W = 1` this is
+    /// [`call`](RfpClient::call) in a loop, event for event.
+    ///
+    /// Verb errors from injected faults are absorbed, so the batch
+    /// rides out a server restart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any request exceeds the per-slot capacity.
+    pub async fn call_pipelined(&self, thread: &ThreadCtx, reqs: &[Vec<u8>]) -> Vec<CallResult> {
+        self.in_order(thread, reqs).await
+    }
+
+    /// One overload-aware RPC (requires [`OverloadConfig::enabled`]):
+    /// [`run`](RfpClient::run) with the admission stage of
+    /// [`CallPolicy`] on. A call still rejected when the retry schedule
+    /// — or the explicit `deadline` — is exhausted returns the
+    /// `Busy`/`Shed` status with empty data instead of an error: under
     /// overload a rejected call is an expected outcome, not a fault.
     ///
     /// `deadline` semantics: `Some(d)` is a hard absolute bound for the
@@ -1061,569 +644,9 @@ impl RfpClient {
         req: &[u8],
         deadline: Option<SimTime>,
     ) -> CallResult {
-        let ov = &self.shared.cfg.overload;
-        assert!(ov.enabled, "call_overload requires overload control");
-        assert!(
-            req.len() <= self.req_headroom(true),
-            "request exceeds buffer capacity"
-        );
-        let t0 = thread.now();
-        self.last_flight.set(None);
-        let first_seq = self.peek_next_seq();
-        // Jitter stream: deterministic per (config seed, call seq), and
-        // constructed without touching the simulation's shared RNG.
-        let jitter = RefCell::new(StdRng::seed_from_u64(derive_seed(
-            ov.seed,
-            first_seq as u64,
-        )));
-        let handle = thread.handle().clone();
-        let fetches = Cell::new(0u32);
-        let extra = Cell::new(false);
-        let integrity_retries = Cell::new(0u32);
-        let outcome = retry_with_deadline(
-            &handle,
-            &ov.retry,
-            deadline,
-            || jitter.borrow_mut().gen::<f64>(),
-            |_attempt| {
-                self.attempt_overload(
-                    thread,
-                    req,
-                    deadline,
-                    &fetches,
-                    &extra,
-                    &integrity_retries,
-                    &jitter,
-                )
-            },
-        )
-        .await;
-        let (data, status, server_time_us) = match outcome {
-            Ok((data, time_us)) => (data, RespStatus::Ok, time_us),
-            Err(exhausted) => {
-                self.note_overload(
-                    thread,
-                    "overload.give_ups",
-                    "call gave up after repeated rejections",
-                );
-                (Vec::new(), exhausted.last, 0)
-            }
-        };
-        let info = CallInfo {
-            attempts: fetches.get(),
-            extra_read: extra.get(),
-            completed_in: Mode::RemoteFetch,
-            latency: thread.now() - t0,
-            server_time_us,
-            status,
-            integrity_retries: integrity_retries.get(),
-        };
-        if status == RespStatus::Ok {
-            // Only executed calls feed the throughput/latency stats;
-            // rejections are accounted by the overload counters.
-            self.stats.record(&info);
-            if let Some(h) = &self.health {
-                h.record_call(
-                    thread.now(),
-                    info.latency,
-                    info.attempts.saturating_sub(1) as u64,
-                    data.len(),
-                    info.server_time_us,
-                );
-            }
-            if let Some(ins) = &self.instruments {
-                ins.calls.incr();
-                ins.latency.record(info.latency);
-                ins.retries.add(info.attempts.saturating_sub(1) as u64);
-                if info.extra_read {
-                    ins.extra_reads.incr();
-                }
-            }
-        }
-        if let Some(ins) = &self.instruments {
-            let slot = self.shared.slot_of(self.seq.get());
-            if let Some(mut span) = self.shared.span_mut(slot).take() {
-                span.mark_unordered(
-                    thread.now(),
-                    if status == RespStatus::Ok {
-                        "completed"
-                    } else {
-                        "gave_up"
-                    },
-                );
-                ins.telemetry.spans.record(span);
-            }
-        }
-        CallResult { data, info }
-    }
-
-    /// One overload admission attempt: credit gate, deadline-stamped
-    /// submission, deadline-bounded fetch. `Err` carries the rejection
-    /// verdict (from the server, or locally synthesised when the probes
-    /// for a verdict ran out).
-    #[allow(clippy::too_many_arguments)]
-    async fn attempt_overload(
-        &self,
-        thread: &ThreadCtx,
-        req: &[u8],
-        call_deadline: Option<SimTime>,
-        fetches: &Cell<u32>,
-        extra: &Cell<bool>,
-        integrity_retries: &Cell<u32>,
-        jitter: &RefCell<StdRng>,
-    ) -> Result<(Vec<u8>, u16), RespStatus> {
-        let ov = &self.shared.cfg.overload;
-        // Credit gate: a zero advertisement means the server's queue was
-        // full — pause (jittered, so clients desynchronise) instead of
-        // submitting work that will bounce.
-        if self.credits.get() == 0 {
-            self.note_overload(
-                thread,
-                "overload.credit_waits",
-                "zero credits: pausing before submit",
-            );
-            let unit: f64 = jitter.borrow_mut().gen();
-            let mut pause =
-                SimSpan::from_nanos_f64(ov.credit_wait.as_nanos() as f64 * (0.5 + unit));
-            if let Some(d) = call_deadline {
-                if thread.now() >= d {
-                    return Err(RespStatus::Busy);
-                }
-                pause = pause.min(d.since(thread.now()));
-            }
-            if !pause.is_zero() {
-                thread.idle_wait(thread.handle().sleep(pause)).await;
-            }
-            // The pause expires the gate: submit optimistically — the
-            // worst case is one cheap Busy verdict refreshing the level.
-            self.credits.set(1);
-        }
-        let deadline = call_deadline.unwrap_or_else(|| thread.now() + ov.deadline);
-        self.send_with_deadline(thread, req, Some(deadline)).await;
-        let seq = self.seq.get();
-        let slot = self.shared.slot_of(seq);
-        let base = self.shared.resp_off(slot);
-        let probe_policy = RetryPolicy::exponential(
-            ov.max_probes,
-            ov.probe_pause,
-            SimSpan::nanos(ov.probe_pause.as_nanos().saturating_mul(8)),
-            0.25,
-        );
-        let mut probes = 0u32;
-        loop {
-            if thread.now() > deadline {
-                // Past the deadline the verdict is (or shortly will be)
-                // `Shed`: stop burning the in-bound engine on tight
-                // polling and probe at a widening, jittered pace.
-                if probes >= ov.max_probes.max(1) {
-                    self.note_overload(
-                        thread,
-                        "overload.local_sheds",
-                        "gave up probing for a verdict",
-                    );
-                    return Err(RespStatus::Shed);
-                }
-                probes += 1;
-                let unit: f64 = jitter.borrow_mut().gen();
-                let pause = probe_policy.backoff_for(probes, unit);
-                if !pause.is_zero() {
-                    thread.idle_wait(thread.handle().sleep(pause)).await;
-                }
-            }
-            let f = self.fetch_size.get();
-            self.qp()
-                .read(
-                    thread,
-                    &self.shared.client_resp,
-                    base,
-                    &self.shared.resp,
-                    base,
-                    f,
-                )
-                .await;
-            fetches.set(fetches.get() + 1);
-            self.span_mark(thread, slot, "fetch_read");
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(f as u64);
-            }
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            if !self.accept_resp(&hdr, seq) {
-                continue;
-            }
-            let total = self.resp_total_len(&hdr);
-            if !self.resp_len_plausible(total) {
-                self.note_integrity_failure(thread, IntegrityFault::Torn);
-                integrity_retries.set(integrity_retries.get() + 1);
-                continue;
-            }
-            let size = hdr.size as usize;
-            if total > f {
-                let rest = total - f;
-                self.qp()
-                    .read(
-                        thread,
-                        &self.shared.client_resp,
-                        base + f,
-                        &self.shared.resp,
-                        base + f,
-                        rest,
-                    )
-                    .await;
-                self.span_mark(thread, slot, "extra_fetch_read");
-                if let Some(ins) = &self.instruments {
-                    ins.fetch_bytes.add(rest as u64);
-                }
-                extra.set(true);
-            }
-            if self.verify_fetched(thread, slot, &hdr).is_err() {
-                // Verdicts are verified too: a corrupt fetch must not
-                // surface a spurious rejection (or a bogus payload).
-                integrity_retries.set(integrity_retries.get() + 1);
-                continue;
-            }
-            self.note_accepted(&hdr);
-            match hdr.status {
-                RespStatus::Ok => {
-                    return Ok((
-                        self.shared
-                            .client_resp
-                            .read_local(base + hdr.wire_len(), size),
-                        hdr.time_us,
-                    ));
-                }
-                RespStatus::Busy => {
-                    self.note_overload(thread, "overload.busy_seen", "server answered Busy");
-                    return Err(RespStatus::Busy);
-                }
-                RespStatus::Shed => {
-                    self.note_overload(thread, "overload.sheds_seen", "server shed the request");
-                    return Err(RespStatus::Shed);
-                }
-                RespStatus::Fenced => {
-                    self.note_overload(
-                        thread,
-                        "recovery.fenced_seen",
-                        "server fenced a stale-epoch request",
-                    );
-                    return Err(RespStatus::Fenced);
-                }
-            }
-        }
-    }
-
-    /// Records one discarded-and-retried fetch against the integrity
-    /// instruments (`fetch.torn` / `fetch.crc_fail` plus the shared
-    /// `fetch.integrity_retries`). Lazy like the recovery counters: a
-    /// run that never sees a corrupt fetch materialises no instrument.
-    fn note_integrity_failure(&self, thread: &ThreadCtx, fault: IntegrityFault) {
-        let counter = match fault {
-            IntegrityFault::Torn => "fetch.torn",
-            IntegrityFault::CrcMismatch => "fetch.crc_fail",
-        };
-        if let Some(ins) = &self.instruments {
-            ins.telemetry.registry.counter(counter).incr();
-            ins.telemetry
-                .registry
-                .counter("fetch.integrity_retries")
-                .incr();
-        }
-        if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(
-                thread.now(),
-                "rfp.integrity",
-                format!(
-                    "seq {}: {fault:?} fetch discarded — refetching",
-                    self.seq.get()
-                ),
-            );
-        }
-        self.flight(
-            thread,
-            Severity::Error,
-            counter,
-            format!("{fault:?} fetch discarded — refetching"),
-        );
-        if let Some(h) = &self.health {
-            h.record_corrupt(thread.now());
-        }
-    }
-
-    /// Verifies one fully fetched response image in the landing zone
-    /// (header from the first segment, payload + trailing canary as
-    /// currently fetched). `Err` carries the failure class; the caller
-    /// discards the fetch and retries. No-op `Ok` with the layer off.
-    fn verify_fetched(
-        &self,
-        thread: &ThreadCtx,
-        slot: usize,
-        hdr: &RespHeader,
-    ) -> Result<(), IntegrityFault> {
-        if !self.shared.cfg.integrity.enabled {
-            return Ok(());
-        }
-        let wire_hdr = hdr.wire_len();
-        let size = hdr.size as usize;
-        let outcome = if wire_hdr + size + RESP_TRAILER > self.shared.cfg.resp_capacity {
-            // A flipped size bit can claim more payload than the buffer
-            // holds; classify it as torn instead of reading past the MR.
-            Err(IntegrityFault::Torn)
-        } else {
-            let base = self.shared.resp_off(slot);
-            self.shared.client_resp.with_bytes(|bytes| {
-                verify_response(
-                    hdr,
-                    &bytes[base + wire_hdr..base + wire_hdr + size],
-                    &bytes[base + wire_hdr + size..base + wire_hdr + size + RESP_TRAILER],
-                )
-            })
-        };
-        if let Err(fault) = outcome {
-            self.note_integrity_failure(thread, fault);
-        }
-        outcome
-    }
-
-    /// Whether a fetched header's claimed footprint fits the response
-    /// buffer. Always true with integrity off (the server is trusted);
-    /// with it on, a flipped size bit must not drive the second READ
-    /// past the registered region.
-    fn resp_len_plausible(&self, total: usize) -> bool {
-        !self.shared.cfg.integrity.enabled || total <= self.shared.cfg.resp_capacity
-    }
-
-    /// Total fetched footprint of a response: wire header + payload +
-    /// (with integrity on) the trailing canary. The two-segment fetch
-    /// must cover all of it before the response can be verified.
-    fn resp_total_len(&self, hdr: &RespHeader) -> usize {
-        let trailer = if self.shared.cfg.integrity.enabled {
-            RESP_TRAILER
-        } else {
-            0
-        };
-        hdr.wire_len() + hdr.size as usize + trailer
-    }
-
-    /// Bumps an `overload.*` counter and trace entry. Lazy like the
-    /// recovery counters: a run that never hits the overload machinery
-    /// materialises no instrument.
-    fn note_overload(&self, thread: &ThreadCtx, counter: &'static str, what: &str) {
-        if let Some(ins) = &self.instruments {
-            ins.telemetry.registry.counter(counter).incr();
-        }
-        if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(
-                thread.now(),
-                "rfp.overload",
-                format!("seq {}: {what}", self.seq.get()),
-            );
-        }
-        self.flight(thread, Severity::Warn, counter, what.to_string());
-        if let Some(h) = &self.health {
-            match counter {
-                "overload.credit_waits" => h.record_credit_wait(thread.now()),
-                "overload.busy_seen" => h.record_busy(thread.now()),
-                "overload.sheds_seen" | "overload.local_sheds" => h.record_shed(thread.now()),
-                _ => {}
-            }
-        }
-    }
-
-    async fn recv_remote_fetch(
-        &self,
-        thread: &ThreadCtx,
-        seq: u32,
-        t0: rfp_simnet::SimTime,
-    ) -> CallResult {
-        let r = self.retry_threshold.get();
-        let slot = self.shared.slot_of(seq);
-        let base = self.shared.resp_off(slot);
-        let mut attempts = 0u32;
-        let mut integrity_retries = 0u32;
-        let mut counted_over = false;
-        loop {
-            attempts += 1;
-            let f = self.fetch_size.get();
-            self.qp()
-                .read(
-                    thread,
-                    &self.shared.client_resp,
-                    base,
-                    &self.shared.resp,
-                    base,
-                    f,
-                )
-                .await;
-            self.span_mark(thread, slot, "fetch_read");
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(f as u64);
-            }
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            if self.accept_resp(&hdr, seq) {
-                let total = self.resp_total_len(&hdr);
-                if !self.resp_len_plausible(total) {
-                    self.note_integrity_failure(thread, IntegrityFault::Torn);
-                    integrity_retries += 1;
-                    continue;
-                }
-                let size = hdr.size as usize;
-                let mut extra_read = false;
-                if total > f {
-                    // Second fetch for the remainder (paper §3.2: only if
-                    // the real result exceeds the default fetch size).
-                    let rest = total - f;
-                    self.qp()
-                        .read(
-                            thread,
-                            &self.shared.client_resp,
-                            base + f,
-                            &self.shared.resp,
-                            base + f,
-                            rest,
-                        )
-                        .await;
-                    self.span_mark(thread, slot, "extra_fetch_read");
-                    if let Some(ins) = &self.instruments {
-                        ins.fetch_bytes.add(rest as u64);
-                    }
-                    extra_read = true;
-                }
-                if self.verify_fetched(thread, slot, &hdr).is_err() {
-                    // Discard the fetched image and refetch: the next READ
-                    // samples the buffer afresh.
-                    integrity_retries += 1;
-                    continue;
-                }
-                if !counted_over {
-                    self.consec_over.set(0);
-                }
-                self.note_accepted(&hdr);
-                return CallResult {
-                    data: self
-                        .shared
-                        .client_resp
-                        .read_local(base + hdr.wire_len(), size),
-                    info: CallInfo {
-                        attempts,
-                        extra_read,
-                        completed_in: Mode::RemoteFetch,
-                        latency: thread.now() - t0,
-                        server_time_us: hdr.time_us,
-                        status: hdr.status,
-                        integrity_retries,
-                    },
-                };
-            }
-            // Failed attempt. Past R failed retries this call counts
-            // toward the consecutive-overrun guard exactly once.
-            if attempts > r && !counted_over {
-                counted_over = true;
-                if self.shared.cfg.enable_mode_switch {
-                    let over = self.consec_over.get() + 1;
-                    self.consec_over.set(over);
-                    if over >= self.shared.cfg.consecutive_before_switch {
-                        self.switch_mode(thread, Mode::ServerReply).await;
-                        return self.recv_server_reply(thread, seq, t0, attempts).await;
-                    }
-                }
-            }
-        }
-    }
-
-    async fn recv_server_reply(
-        &self,
-        thread: &ThreadCtx,
-        seq: u32,
-        t0: rfp_simnet::SimTime,
-        prior_attempts: u32,
-    ) -> CallResult {
-        let slot = self.shared.slot_of(seq);
-        let base = self.shared.resp_off(slot);
-        let mut attempts = prior_attempts;
-        let mut integrity_retries = 0u32;
-        loop {
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            // In reply mode the server pushes (and the fallback fetch
-            // reads) the whole image, so verification needs no second
-            // READ; a corrupt image falls through to the wait/fallback
-            // below, which refreshes the landing zone.
-            if self.accept_resp(&hdr, seq) && self.verify_fetched(thread, slot, &hdr).is_ok() {
-                self.span_mark(thread, slot, "reply_received");
-                let size = hdr.size as usize;
-                let data = self
-                    .shared
-                    .client_resp
-                    .read_local(base + hdr.wire_len(), size);
-                // §3.2: record the server's response time; if it got
-                // short again, remote fetching is profitable — switch
-                // back.
-                if self.shared.cfg.enable_mode_switch
-                    && SimSpan::micros(hdr.time_us as u64) < self.shared.cfg.switch_back_below
-                    && self.mode.get() == Mode::ServerReply
-                {
-                    self.switch_mode(thread, Mode::RemoteFetch).await;
-                }
-                self.note_accepted(&hdr);
-                return CallResult {
-                    data,
-                    info: CallInfo {
-                        attempts,
-                        extra_read: false,
-                        completed_in: Mode::ServerReply,
-                        latency: thread.now() - t0,
-                        server_time_us: hdr.time_us,
-                        status: hdr.status,
-                        integrity_retries,
-                    },
-                };
-            }
-            if self.accept_resp(&hdr, seq) {
-                // Matching but corrupt (verify_fetched noted it above).
-                integrity_retries += 1;
-            }
-            // Block (idle — no busy polling in reply mode, which is the
-            // whole CPU saving of Figure 15) until a reply lands, with a
-            // fallback fetch covering the post-before-flag race.
-            let landed = thread
-                .idle_wait(timeout(
-                    thread.handle(),
-                    self.shared.cfg.reply_fallback_poll,
-                    self.shared
-                        .client_resp
-                        .wait_remote_write(base..base + RESP_HDR),
-                ))
-                .await;
-            if landed.is_none() {
-                // Safety fetch: the server may have posted the response
-                // locally before it saw the mode flag.
-                if let Some(trace) = &self.shared.cfg.trace {
-                    trace.record(
-                        thread.now(),
-                        "rfp.fallback",
-                        format!("seq {seq}: fallback fetch after reply-wait timeout"),
-                    );
-                }
-                attempts += 1;
-                let f = self.fetch_size.get().max(self.shared.cfg.resp_capacity);
-                self.qp()
-                    .read(
-                        thread,
-                        &self.shared.client_resp,
-                        base,
-                        &self.shared.resp,
-                        base,
-                        f,
-                    )
-                    .await;
-                self.span_mark(thread, slot, "fallback_fetch_read");
-                if let Some(ins) = &self.instruments {
-                    ins.fallback_fetches.incr();
-                    ins.fetch_bytes.add(f as u64);
-                }
-            }
-        }
+        self.one(thread, req, CallPolicy::admitted(deadline))
+            .await
+            .expect(NO_RECOVERY)
     }
 
     /// One fault-tolerant RPC: deposits the request, fetches the
@@ -1632,506 +655,115 @@ impl RfpClient {
     /// resubmits under the **same** sequence number so a restarted
     /// server dedups the replay. See [`RecoveryConfig`].
     ///
-    /// Always runs in remote-fetch terms (the recovery path does not
-    /// interact with the hybrid mode switch). On a healthy cluster the
-    /// first attempt succeeds and this behaves exactly like
-    /// [`call`](RfpClient::call) in remote-fetch mode: no recovery
-    /// instrument is created, no extra event is scheduled.
+    /// On a healthy cluster the first attempt succeeds and this behaves
+    /// exactly like [`call`](RfpClient::call) in remote-fetch mode: no
+    /// recovery instrument is created, no extra event is scheduled.
     pub async fn call_with_recovery(
         &self,
         thread: &ThreadCtx,
         req: &[u8],
         rec: &RecoveryConfig,
     ) -> Result<CallResult, RpcError> {
-        let ov = &self.shared.cfg.overload;
-        let max = self.req_headroom(ov.enabled);
-        assert!(req.len() <= max, "request exceeds buffer capacity");
-        let t0 = thread.now();
-        self.sent_at.set(t0);
-        self.last_flight.set(None);
-        // Wire stamp (overload only) and the client-side clamp bounding
-        // retry backoffs and per-attempt fetch deadlines: the tighter of
-        // the overload deadline and the recovery call deadline.
-        let stamp = if ov.enabled {
-            Some(t0 + ov.deadline)
-        } else {
-            None
-        };
-        let clamp = match (rec.call_deadline, stamp) {
-            (Some(d), Some(s)) => Some(s.min(t0 + d)),
-            (Some(d), None) => Some(t0 + d),
-            (None, s) => s,
-        };
-        let first_seq = self.peek_next_seq();
-        let state = AttemptState {
-            req,
-            stamp,
-            refresh: Cell::new(true),
-            fetches: Cell::new(0),
-            integrity_retries: Cell::new(0),
-            force_reconnect: Cell::new(false),
-        };
+        self.one(thread, req, CallPolicy::recovered(rec)).await
+    }
 
-        // Jitter stream: deterministic per (config seed, call seq), and
-        // constructed without touching the simulation's shared RNG.
-        let mut jitter_rng = StdRng::seed_from_u64(derive_seed(rec.seed, first_seq as u64));
-        let handle = thread.handle().clone();
-        let outcome = retry_with_deadline(
-            &handle,
-            &rec.retry,
-            clamp,
-            || jitter_rng.gen::<f64>(),
-            |attempt| self.attempt_call(thread, attempt, rec, clamp, &state),
-        )
-        .await;
-        let fetches = &state.fetches;
-        match outcome {
-            Ok(mut out) => {
-                // Latency spans the whole recovered call, backoffs
-                // included.
-                out.info.latency = thread.now() - t0;
-                out.info.attempts = fetches.get();
-                self.stats.record(&out.info);
-                if let Some(h) = &self.health {
-                    h.record_call(
-                        thread.now(),
-                        out.info.latency,
-                        out.info.attempts.saturating_sub(1) as u64,
-                        out.data.len(),
-                        out.info.server_time_us,
-                    );
-                }
-                if let Some(ins) = &self.instruments {
-                    ins.calls.incr();
-                    ins.latency.record(out.info.latency);
-                    ins.retries.add(out.info.attempts.saturating_sub(1) as u64);
-                }
-                Ok(out)
-            }
-            Err(exhausted) => {
-                self.note_recovery(thread, "recovery.failed_calls", "call exhausted its budget");
-                Err(RpcError {
-                    attempts: exhausted.attempts,
-                    last: exhausted.last,
-                })
-            }
+    /// Adds a milestone to `slot`'s in-flight span, if one exists.
+    fn span_mark(&self, thread: &ThreadCtx, slot: usize, label: &'static str) {
+        if let Some(span) = self.shared.span_mut(slot).as_mut() {
+            span.mark_unordered(thread.now(), label);
         }
     }
 
-    /// Deposits one hedge leg: stages `req` under a fresh sequence
-    /// number and WRITEs it to the server, without entering the fetch
-    /// loop. The replica router races legs on different replicas and
-    /// polls each with [`hedge_poll`](RfpClient::hedge_poll). Uses the
-    /// same staging, header layout, and overload stamp as
-    /// [`call_with_recovery`](RfpClient::call_with_recovery)'s first
-    /// attempt, so the server cannot tell a hedge leg from an ordinary
-    /// call.
-    pub(crate) async fn hedge_deposit(
-        &self,
-        thread: &ThreadCtx,
-        req: &[u8],
-    ) -> Result<HedgeTicket, FailureCause> {
-        let ov = &self.shared.cfg.overload;
-        let max = self.req_headroom(ov.enabled);
-        assert!(req.len() <= max, "request exceeds buffer capacity");
-        self.sent_at.set(thread.now());
-        self.last_flight.set(None);
-        let stamp = if ov.enabled {
-            Some(thread.now() + ov.deadline)
-        } else {
-            None
-        };
-        let (slot, seq) = self.alloc_next_seq();
-        let hdr = ReqHeader {
-            valid: true,
-            size: req.len() as u32,
-            seq,
-            deadline: stamp,
-            tenant: self.tenant.get(),
-            epoch: self.epoch.get(),
-        };
-        let hdr_len = hdr.wire_len();
-        let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-        hdr.encode(&mut hdr_bytes[..hdr_len]);
-        let base = self.shared.req_off(slot);
-        self.shared
-            .client_req
-            .write_local(base, &hdr_bytes[..hdr_len]);
-        self.shared.client_req.write_local(base + hdr_len, req);
-        self.qp()
-            .try_write(
-                thread,
-                &self.shared.client_req,
-                base,
-                &self.shared.req,
-                base,
-                hdr_len + req.len(),
-            )
-            .await
-            .map_err(|e| self.verb_failure(thread, e))?;
-        Ok(HedgeTicket {
-            slot,
-            seq,
-            fetches: 0,
-            deposited_at: self.sent_at.get(),
-        })
-    }
-
-    /// One fetch round of a hedge leg: a single READ of the landing
-    /// zone, returning `Ok(Some(_))` when the response landed and
-    /// verified, `Ok(None)` when the slot still holds nothing for this
-    /// leg (poll again later), and `Err(_)` when the leg is dead — a
-    /// verb error, a server rejection, or unrecoverable corruption.
-    /// Mirrors one iteration of `attempt_call`'s fetch loop, minus the
-    /// retry machinery: the router, not this leg, decides what happens
-    /// next.
-    pub(crate) async fn hedge_poll(
-        &self,
-        thread: &ThreadCtx,
-        ticket: &mut HedgeTicket,
-    ) -> Result<Option<CallResult>, FailureCause> {
-        let slot = ticket.slot;
-        let resp_base = self.shared.resp_off(slot);
-        let f = self.fetch_size.get();
-        let qp = self.qp();
-        qp.try_read(
-            thread,
-            &self.shared.client_resp,
-            resp_base,
-            &self.shared.resp,
-            resp_base,
-            f,
-        )
-        .await
-        .map_err(|e| self.verb_failure(thread, e))?;
-        ticket.fetches += 1;
+    /// Closes `slot`'s span with a final milestone and hands it to the
+    /// recorder.
+    fn close_span(&self, thread: &ThreadCtx, slot: usize, label: &'static str) {
         if let Some(ins) = &self.instruments {
-            ins.fetch_bytes.add(f as u64);
-        }
-        thread.busy(self.shared.cfg.check_cpu).await;
-        let hdr = self.resp_hdr_at(slot);
-        if !self.accept_resp(&hdr, ticket.seq) {
-            return Ok(None);
-        }
-        let total = self.resp_total_len(&hdr);
-        if !self.resp_len_plausible(total) {
-            self.note_integrity_failure(thread, IntegrityFault::Torn);
-            return Ok(None);
-        }
-        let size = hdr.size as usize;
-        let mut extra_read = false;
-        if total > f {
-            let rest = total - f;
-            qp.try_read(
-                thread,
-                &self.shared.client_resp,
-                resp_base + f,
-                &self.shared.resp,
-                resp_base + f,
-                rest,
-            )
-            .await
-            .map_err(|e| self.verb_failure(thread, e))?;
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(rest as u64);
+            if let Some(mut span) = self.shared.span_mut(slot).take() {
+                span.mark_unordered(thread.now(), label);
+                ins.telemetry.spans.record(span);
             }
-            extra_read = true;
         }
-        if self.verify_fetched(thread, slot, &hdr).is_err() {
-            return Ok(None);
-        }
-        self.note_accepted(&hdr);
-        if hdr.status != RespStatus::Ok {
-            let counter = match hdr.status {
-                RespStatus::Busy => "overload.busy_seen",
-                RespStatus::Fenced => "recovery.fenced_seen",
-                _ => "overload.sheds_seen",
-            };
-            self.note_overload(thread, counter, "server rejected the hedge leg");
-            return Err(FailureCause::Rejected(hdr.status));
-        }
-        Ok(Some(CallResult {
-            data: self
-                .shared
-                .client_resp
-                .read_local(resp_base + hdr.wire_len(), size),
-            info: CallInfo {
-                attempts: ticket.fetches,
-                extra_read,
-                completed_in: Mode::RemoteFetch,
-                latency: SimSpan::ZERO, // patched by the router
-                server_time_us: hdr.time_us,
-                status: hdr.status,
-                integrity_retries: 0,
-            },
-        }))
     }
 
-    /// Books a call the replica router completed through the hedge
-    /// primitives against this connection's stats, health window, and
-    /// instruments — the same accounting
-    /// [`call_with_recovery`](RfpClient::call_with_recovery) performs
-    /// on its success path. `out.info.latency` and `out.info.attempts`
-    /// must already carry the values to attribute to *this* connection
-    /// (a hedged race books each leg with its own latency and fetch
-    /// count, not the end-to-end race figures).
-    pub(crate) fn book_routed_call(&self, thread: &ThreadCtx, out: &CallResult) {
-        self.stats.record(&out.info);
-        if let Some(h) = &self.health {
-            h.record_call(
+    /// Appends a flight-recorder event tagged with this connection and
+    /// the chain's seq, linked onto the chain's previous event, and
+    /// makes it the next link's cause. Pure bookkeeping: no simulated
+    /// time, no wire bytes — a `None` recorder run is event-identical
+    /// to one with recording on.
+    fn flight_event(
+        &self,
+        thread: &ThreadCtx,
+        chain: &mut Chain,
+        severity: Severity,
+        kind: &'static str,
+        detail: &str,
+    ) {
+        if let Some(rec) = &self.shared.cfg.recorder {
+            chain.cause = Some(rec.record_caused(
                 thread.now(),
-                out.info.latency,
-                out.info.attempts.saturating_sub(1) as u64,
-                out.data.len(),
-                out.info.server_time_us,
-            );
-        }
-        if let Some(ins) = &self.instruments {
-            ins.calls.incr();
-            ins.latency.record(out.info.latency);
-            ins.retries.add(out.info.attempts.saturating_sub(1) as u64);
+                Some(self.shared.cfg.conn_id),
+                chain.seq as u64,
+                severity,
+                kind,
+                detail,
+                chain.cause,
+            ));
         }
     }
 
-    /// This connection's rolling health window, when the config wired
-    /// one in. The replica router's scorer reads it.
-    pub(crate) fn conn_health(&self) -> Option<&Rc<ConnHealth>> {
-        self.health.as_ref()
-    }
-
-    /// One recovery attempt: (re)submit the request, then fetch until
-    /// the per-attempt deadline.
-    ///
-    /// Submissions reuse the staged bytes — and the staged sequence —
-    /// so a restarted server dedups the replay. The exception is an
-    /// attempt following a `Busy`/`Shed` rejection: the rejected
-    /// request was provably never executed, so the resubmission is
-    /// staged fresh under a **new** sequence (reusing the rejected one
-    /// would match the stale verdict response forever).
-    async fn attempt_call(
-        &self,
-        thread: &ThreadCtx,
-        attempt: u32,
-        rec: &RecoveryConfig,
-        clamp: Option<rfp_simnet::SimTime>,
-        state: &AttemptState<'_>,
-    ) -> Result<CallResult, FailureCause> {
-        if attempt > 0 {
-            let what = if state.refresh.get() {
-                "resubmitting rejected request under a fresh seq"
-            } else {
-                "resubmitting request under the same seq"
-            };
-            self.note_recovery(thread, "recovery.resubmits", what);
-            // A corrupt-exhausted attempt escalates to reconnection even
-            // though the QP reports no error: persistent corruption on a
-            // "healthy" QP is invisible to the transport.
-            if state.force_reconnect.take() || self.qp().error_state().is_some() {
-                self.reestablish_qp(thread, rec).await;
-            }
-        }
-        if state.refresh.take() {
-            let (slot, seq) = self.alloc_next_seq();
-            let hdr = ReqHeader {
-                valid: true,
-                size: state.req.len() as u32,
-                seq,
-                deadline: state.stamp,
-                tenant: self.tenant.get(),
-                epoch: self.epoch.get(),
-            };
-            let hdr_len = hdr.wire_len();
-            let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-            hdr.encode(&mut hdr_bytes[..hdr_len]);
-            let base = self.shared.req_off(slot);
-            self.shared
-                .client_req
-                .write_local(base, &hdr_bytes[..hdr_len]);
-            self.shared
-                .client_req
-                .write_local(base + hdr_len, state.req);
-        }
-        let seq = self.seq.get();
-        let slot = self.shared.slot_of(seq);
-        let req_base = self.shared.req_off(slot);
-        let resp_base = self.shared.resp_off(slot);
-        // Must mirror `ReqHeader::wire_len` for the header deposited in
-        // this slot — a nonzero epoch forces the 24-byte layout even
-        // without a tenant (an epoch adopted mid-call always re-deposits:
-        // `Fenced` sets the refresh flag).
-        let hdr_len = if self.tenant.get().is_some() || self.epoch.get() != 0 {
-            REQ_HDR_TENANT
-        } else if state.stamp.is_some() {
-            REQ_HDR_EXT
-        } else {
-            REQ_HDR
+    /// Books one protocol incident on every telemetry plane at once:
+    /// the lazily created `counter` (a run that never hits the
+    /// incident materialises no instrument, keeping fault-free metric
+    /// output byte-equal), a trace entry, a chained flight-recorder
+    /// event, and the matching health-window signal.
+    fn note(&self, thread: &ThreadCtx, chain: &mut Chain, counter: &'static str, what: &str) {
+        // The counter's family picks the trace category and severity.
+        let (category, severity) = match counter {
+            c if c.starts_with("overload.") => ("rfp.overload", Severity::Warn),
+            c if c.starts_with("fetch.") => ("rfp.integrity", Severity::Error),
+            "recovery.failed_calls" => ("rfp.recovery", Severity::Error),
+            _ => ("rfp.recovery", Severity::Warn),
         };
-        let wire_len = hdr_len + state.req.len();
-        let fetches = &state.fetches;
-        let qp = self.qp();
-        qp.try_write(
-            thread,
-            &self.shared.client_req,
-            req_base,
-            &self.shared.req,
-            req_base,
-            wire_len,
-        )
-        .await
-        .map_err(|e| self.verb_failure(thread, e))?;
-
-        let mut deadline = thread.now() + rec.fetch_deadline;
-        if let Some(c) = clamp {
-            deadline = deadline.min(c);
-        }
-        // Consecutive corrupt fetches within *this* attempt; at the
-        // configured budget the attempt fails with `Corrupt` and the
-        // next one escalates to reconnection.
-        let mut corrupt_streak = 0u32;
-        loop {
-            let f = self.fetch_size.get();
-            qp.try_read(
-                thread,
-                &self.shared.client_resp,
-                resp_base,
-                &self.shared.resp,
-                resp_base,
-                f,
-            )
-            .await
-            .map_err(|e| self.verb_failure(thread, e))?;
-            fetches.set(fetches.get() + 1);
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(f as u64);
-            }
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            let mut corrupt = false;
-            if self.accept_resp(&hdr, seq) {
-                let total = self.resp_total_len(&hdr);
-                if !self.resp_len_plausible(total) {
-                    self.note_integrity_failure(thread, IntegrityFault::Torn);
-                    corrupt = true;
-                } else {
-                    let size = hdr.size as usize;
-                    let mut extra_read = false;
-                    if total > f {
-                        let rest = total - f;
-                        qp.try_read(
-                            thread,
-                            &self.shared.client_resp,
-                            resp_base + f,
-                            &self.shared.resp,
-                            resp_base + f,
-                            rest,
-                        )
-                        .await
-                        .map_err(|e| self.verb_failure(thread, e))?;
-                        if let Some(ins) = &self.instruments {
-                            ins.fetch_bytes.add(rest as u64);
-                        }
-                        extra_read = true;
-                    }
-                    if self.verify_fetched(thread, slot, &hdr).is_ok() {
-                        self.note_accepted(&hdr);
-                        if hdr.status != RespStatus::Ok {
-                            let counter = match hdr.status {
-                                RespStatus::Busy => "overload.busy_seen",
-                                RespStatus::Fenced => "recovery.fenced_seen",
-                                _ => "overload.sheds_seen",
-                            };
-                            self.note_overload(thread, counter, "server rejected the request");
-                            state.refresh.set(true);
-                            return Err(FailureCause::Rejected(hdr.status));
-                        }
-                        return Ok(CallResult {
-                            data: self
-                                .shared
-                                .client_resp
-                                .read_local(resp_base + hdr.wire_len(), size),
-                            info: CallInfo {
-                                attempts: fetches.get(),
-                                extra_read,
-                                completed_in: Mode::RemoteFetch,
-                                latency: SimSpan::ZERO, // patched by the caller
-                                server_time_us: hdr.time_us,
-                                status: hdr.status,
-                                integrity_retries: state.integrity_retries.get(),
-                            },
-                        });
-                    }
-                    corrupt = true;
-                }
-            }
-            if corrupt {
-                state
-                    .integrity_retries
-                    .set(state.integrity_retries.get() + 1);
-                corrupt_streak += 1;
-                if corrupt_streak >= self.shared.cfg.integrity.verify_retries {
-                    self.note_recovery(
-                        thread,
-                        "recovery.corrupt_attempts",
-                        "verify-and-refetch budget exhausted",
-                    );
-                    state.force_reconnect.set(true);
-                    return Err(FailureCause::Corrupt);
-                }
-            }
-            if thread.now() >= deadline {
-                self.note_recovery(thread, "recovery.deadlines", "attempt deadline expired");
-                return Err(FailureCause::Deadline);
-            }
-        }
-    }
-
-    /// Re-establishes the QP via the installed factory (charging the
-    /// reconnect CPU cost). Without a factory the old QP stays in place.
-    async fn reestablish_qp(&self, thread: &ThreadCtx, rec: &RecoveryConfig) {
-        let fresh = {
-            let factory = self.reconnect.borrow();
-            factory.as_ref().map(|f| f())
-        };
-        let Some(fresh) = fresh else { return };
-        // Connection handshake + MR re-registration.
-        thread.busy(rec.reconnect_cpu).await;
-        *self.qp.borrow_mut() = fresh;
-        self.note_recovery(thread, "recovery.reconnects", "QP re-established");
-        if let Some(h) = &self.health {
-            h.record_reconnect(thread.now());
-        }
-    }
-
-    /// Records a verb error completion against the recovery instruments.
-    fn verb_failure(&self, thread: &ThreadCtx, e: rfp_rnic::VerbError) -> FailureCause {
-        self.note_recovery(thread, "recovery.verb_errors", "verb completed with error");
-        if let Some(h) = &self.health {
-            h.record_verb_error(thread.now());
-        }
-        FailureCause::Verb(e)
-    }
-
-    /// Bumps a `recovery.*` counter and trace entry. Instruments are
-    /// created lazily at the first event, so a run without faults never
-    /// materialises them — keeping fault-free metric output byte-equal
-    /// to a build without recovery wired in.
-    pub(crate) fn note_recovery(&self, thread: &ThreadCtx, counter: &'static str, what: &str) {
         if let Some(ins) = &self.instruments {
-            ins.telemetry.registry.counter(counter).incr();
+            let registry = &ins.telemetry.registry;
+            registry.counter(counter).incr();
+            if category == "rfp.integrity" {
+                registry.counter("fetch.integrity_retries").incr();
+            }
         }
         if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(
-                thread.now(),
-                "rfp.recovery",
-                format!("seq {}: {what}", self.seq.get()),
-            );
+            trace.record(thread.now(), category, format!("seq {}: {what}", chain.seq));
         }
-        let severity = if counter == "recovery.failed_calls" {
-            Severity::Error
-        } else {
-            Severity::Warn
-        };
-        self.flight(thread, severity, counter, what.to_string());
+        self.flight_event(thread, chain, severity, counter, what);
+        if let Some(h) = &self.health {
+            let now = thread.now();
+            match counter {
+                "overload.credit_waits" => h.record_credit_wait(now),
+                "overload.busy_seen" => h.record_busy(now),
+                "overload.sheds_seen" | "overload.local_sheds" => h.record_shed(now),
+                "fetch.torn" | "fetch.crc_fail" => h.record_corrupt(now),
+                "recovery.verb_errors" => h.record_verb_error(now),
+                "recovery.reconnects" => h.record_reconnect(now),
+                _ => {}
+            }
+        }
+    }
+
+    /// Runs `f` on the chain an event from *outside* the engine belongs
+    /// to: a live hedge leg's, else the last settled call's.
+    fn with_outer_chain(&self, f: impl FnOnce(&mut Chain)) {
+        if let Some(fl) = self.scratch.borrow_mut().flights.first_mut() {
+            return f(&mut fl.chain);
+        }
+        let mut chain = self.tail.get();
+        f(&mut chain);
+        self.tail.set(chain);
+    }
+
+    /// A `recovery.*` / `routing.*` [`note`](RfpClient::note) from the
+    /// replica router, chained onto the call it concerns.
+    pub(crate) fn note_recovery(&self, thread: &ThreadCtx, counter: &'static str, what: &str) {
+        self.with_outer_chain(|chain| self.note(thread, chain, counter, what));
     }
 
     /// Books the replica router abandoning this connection: the
@@ -2143,52 +775,14 @@ impl RfpClient {
         if let Some(ins) = &self.instruments {
             ins.telemetry.registry.counter("recovery.failovers").incr();
         }
-        if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(thread.now(), "rfp.recovery", detail.clone());
-        }
         if let Some(h) = &self.health {
             h.record_failover(thread.now());
         }
-        self.flight(thread, Severity::Warn, "recovery.failover", detail);
-    }
-
-    async fn switch_mode(&self, thread: &ThreadCtx, to: Mode) {
-        let byte = match to {
-            Mode::RemoteFetch => MODE_REMOTE_FETCH,
-            Mode::ServerReply => MODE_SERVER_REPLY,
-        };
-        self.shared.client_mode.write_local(0, &[byte]);
-        self.qp()
-            .write(thread, &self.shared.client_mode, 0, &self.shared.mode, 0, 1)
-            .await;
-        self.mode.set(to);
-        self.consec_over.set(0);
-        self.span_mark(thread, self.shared.slot_of(self.seq.get()), "mode_switched");
+        self.with_outer_chain(|chain| {
+            self.flight_event(thread, chain, Severity::Warn, "recovery.failover", &detail)
+        });
         if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(thread.now(), "rfp.mode", format!("switched to {to:?}"));
-        }
-        self.flight(
-            thread,
-            Severity::Info,
-            "rfp.mode_switch",
-            format!("switched to {to:?}"),
-        );
-        if let Some(ins) = &self.instruments {
-            ins.mode.set(mode_level(to));
-            match to {
-                Mode::ServerReply => ins.switches_to_reply.incr(),
-                Mode::RemoteFetch => ins.switches_to_fetch.incr(),
-            }
-        }
-        match to {
-            Mode::ServerReply => self
-                .stats
-                .switches_to_reply
-                .set(self.stats.switches_to_reply.get() + 1),
-            Mode::RemoteFetch => self
-                .stats
-                .switches_to_fetch
-                .set(self.stats.switches_to_fetch.get() + 1),
+            trace.record(thread.now(), "rfp.recovery", detail);
         }
     }
 }

@@ -32,7 +32,7 @@ use rfp_rnic::{Machine, MemRegion, Qp, ThreadCtx};
 use rfp_simnet::{MetricsRegistry, RequestTrace, SimSpan, SimTime, SpanRecorder};
 
 use crate::header::{
-    resp_canary, slot_of, ReqHeader, RespHeader, RespIntegrity, RespStatus, REQ_HDR, REQ_HDR_EXT,
+    resp_canary, ReqHeader, RespHeader, RespIntegrity, RespStatus, REQ_HDR, REQ_HDR_EXT,
     REQ_HDR_TENANT, RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
 };
 use crate::integrity::IntegrityConfig;
@@ -99,7 +99,7 @@ pub struct RfpConfig {
     /// the paper's one-call-at-a-time layout, byte-identical to the
     /// pre-windowed format; larger powers of two tile `W` independent
     /// request/response slots into the registered buffers, each call's
-    /// slot carried by its seq (see [`slot_of`]).
+    /// slot carried by its seq (see [`slot_of`](crate::header::slot_of)).
     pub window: usize,
     /// Server CPU cost to post a response into its local buffer.
     pub post_cpu: SimSpan,
@@ -239,12 +239,6 @@ impl Shared {
         slot * self.cfg.resp_capacity
     }
 
-    /// Ring slot of a call sequence number under this connection's
-    /// window.
-    pub(crate) fn slot_of(&self, seq: u32) -> usize {
-        slot_of(seq, self.cfg.window)
-    }
-
     /// Mutable access to `slot`'s in-flight span.
     pub(crate) fn span_mut(&self, slot: usize) -> std::cell::RefMut<'_, Option<RequestTrace>> {
         std::cell::RefMut::map(self.spans.borrow_mut(), |v| &mut v[slot])
@@ -259,7 +253,8 @@ impl Shared {
 /// # Panics
 ///
 /// Panics if the QPs do not connect the same two machines in opposite
-/// directions, or if `fetch_size` is smaller than the response header.
+/// directions, if `fetch_size` is smaller than the response header, or
+/// if a multi-slot ring is asked to start in server-reply mode.
 pub fn connect(
     client_machine: &Rc<Machine>,
     server_machine: &Rc<Machine>,
@@ -308,6 +303,10 @@ pub fn connect(
     assert!(
         cfg.window >= 1 && cfg.window.is_power_of_two(),
         "window must be a power of two (slot mapping must survive seq wraparound)"
+    );
+    assert!(
+        cfg.window == 1 || cfg.initial_mode == Mode::RemoteFetch,
+        "server-reply needs a one-slot ring (it has one request outstanding per connection)"
     );
 
     let window = cfg.window;

@@ -69,7 +69,7 @@ use rand::{Rng, SeedableRng};
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::SimSpan;
 
-use crate::client::{CallResult, HedgeTicket, RfpClient};
+use crate::client::{CallPolicy, CallResult, RfpClient};
 use crate::gray::{GrayConfig, ReplicaScorer, RetryBudget};
 use crate::header::RespStatus;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
@@ -79,6 +79,15 @@ use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
 /// replica cannot re-poison the routed tail (worst case 0.5% of reads
 /// at a score just under the default threshold).
 const DEPREF_KEEP_PER_SCORE: f64 = 0.01;
+
+/// Overload is not failure: a `Busy`/`Shed` verdict means the replica
+/// is alive and pushing back.
+fn overloaded(err: &RpcError) -> bool {
+    matches!(
+        err.last,
+        FailureCause::Rejected(RespStatus::Busy | RespStatus::Shed)
+    )
+}
 
 /// Tunables of the replica router.
 #[derive(Clone, Debug)]
@@ -224,6 +233,18 @@ impl ReplicaClient {
         self.fail_streak.get()
     }
 
+    /// Replica `idx`'s connection, seeded with the fleet-wide epoch: a
+    /// replica learns of a promotion it slept through the moment the
+    /// router returns to it.
+    fn seeded(&self, idx: usize) -> &Rc<RfpClient> {
+        let client = &self.replicas[idx];
+        let epoch = self.known_epoch();
+        if client.known_epoch() < epoch {
+            client.set_epoch(epoch);
+        }
+        client
+    }
+
     /// One call attempt on replica `idx` under the (budget-capped,
     /// streak-scaled) recovery policy, with the budget and streak
     /// bookkeeping on both outcomes. With gray mode off this is
@@ -235,14 +256,7 @@ impl ReplicaClient {
         req: &[u8],
         idx: usize,
     ) -> Result<CallResult, RpcError> {
-        let client = &self.replicas[idx];
-        // Seed the connection with the fleet-wide epoch before every
-        // attempt: a replica learns of a promotion it slept through the
-        // moment the router returns to it.
-        let epoch = self.known_epoch();
-        if client.known_epoch() < epoch {
-            client.set_epoch(epoch);
-        }
+        let client = self.seeded(idx);
         if !self.cfg.gray.enabled {
             return client
                 .call_with_recovery(thread, req, &self.cfg.recovery)
@@ -311,11 +325,7 @@ impl ReplicaClient {
             match self.attempt_on(thread, req, idx).await {
                 Ok(out) => return Ok(out),
                 Err(err) => {
-                    let overloaded = matches!(
-                        err.last,
-                        FailureCause::Rejected(RespStatus::Busy | RespStatus::Shed)
-                    );
-                    if overloaded || switches >= self.cfg.max_failovers {
+                    if overloaded(&err) || switches >= self.cfg.max_failovers {
                         return Err(err);
                     }
                     // A failover switch resubmits elsewhere — it draws
@@ -510,11 +520,7 @@ impl ReplicaClient {
             match self.attempt_on(thread, req, first).await {
                 Ok(out) => return Ok(out),
                 Err(err) => {
-                    let overloaded = matches!(
-                        err.last,
-                        FailureCause::Rejected(RespStatus::Busy | RespStatus::Shed)
-                    );
-                    if overloaded && first == self.active.get() {
+                    if overloaded(&err) && first == self.active.get() {
                         return Err(err);
                     }
                     self.replicas[first].note_recovery(
@@ -527,42 +533,30 @@ impl ReplicaClient {
             }
         }
         let t0 = thread.now();
-        let epoch = self.known_epoch();
-        let a = &self.replicas[first];
-        if a.known_epoch() < epoch {
-            a.set_epoch(epoch);
-        }
         let deadline = t0 + g.hedge_deadline;
         let hedge_at = t0 + self.hedge_delay(thread, first);
-        let b_client = &self.replicas[second];
+        let policy = CallPolicy::recovered(&self.cfg.recovery);
+        // Leg 0 is the routed read, leg 1 the hedge; each is one flight
+        // on its replica's connection.
+        let legs = [first, second].map(|i| &self.replicas[i]);
+        let mut live = [false; 2];
         let mut last = FailureCause::Deadline;
         let mut fetches = 0u32;
-        let mut leg_a: Option<HedgeTicket> = match a.hedge_deposit(thread, req).await {
-            Ok(t) => Some(t),
-            Err(c) => {
-                last = c;
-                None
-            }
-        };
-        let mut leg_b: Option<HedgeTicket> = None;
-        let mut b_dead = false;
-        let mut hedge_denied = false;
+        // The hedge leg is never (re)issued once it died or was denied.
+        let mut hedge_closed = false;
+        match self.seeded(first).leg_submit(thread, req, &policy).await {
+            Ok(()) => live[0] = true,
+            Err(c) => last = c,
+        }
         loop {
             // Issue the hedge leg once its delay elapses (or at once if
             // the primary leg died at deposit).
-            if leg_b.is_none()
-                && !b_dead
-                && !hedge_denied
-                && (thread.now() >= hedge_at || leg_a.is_none())
-            {
+            if !live[1] && !hedge_closed && (thread.now() >= hedge_at || !live[0]) {
                 if self.budget.reserve(1) == 1 {
-                    if b_client.known_epoch() < epoch {
-                        b_client.set_epoch(epoch);
-                    }
-                    match b_client.hedge_deposit(thread, req).await {
-                        Ok(t) => {
+                    match self.seeded(second).leg_submit(thread, req, &policy).await {
+                        Ok(()) => {
                             self.hedges_issued.set(self.hedges_issued.get() + 1);
-                            b_client.note_recovery(
+                            legs[1].note_recovery(
                                 thread,
                                 "recovery.hedge.issued",
                                 &format!(
@@ -570,40 +564,45 @@ impl ReplicaClient {
                                     thread.now() - t0
                                 ),
                             );
-                            leg_b = Some(t);
+                            live[1] = true;
                         }
                         Err(c) => {
                             last = c;
-                            b_dead = true;
+                            hedge_closed = true;
                         }
                     }
                 } else {
-                    b_client.note_recovery(
+                    legs[1].note_recovery(
                         thread,
                         "recovery.hedge.denied",
                         "retry budget dry; hedge leg not issued",
                     );
-                    hedge_denied = true;
+                    hedge_closed = true;
                 }
             }
-            if let Some(mut t) = leg_a.take() {
-                match a.hedge_poll(thread, &mut t).await {
+            for (i, leg) in legs.iter().enumerate() {
+                if !live[i] {
+                    continue;
+                }
+                match leg.leg_poll(thread, &policy).await {
                     Ok(Some(mut out)) => {
-                        fetches += t.fetches;
-                        // Book this leg's health with *its own* latency
-                        // and fetch count; charging it for time the
-                        // race spent blocked on the other (possibly
+                        // The connection booked this leg with *its own*
+                        // latency and fetch count — charging it for time
+                        // the race spent blocked on the other (possibly
                         // gray) leg would poison a healthy replica's
-                        // score. The caller still sees the end-to-end
-                        // race latency.
-                        out.info.latency = thread.now() - t.deposited_at;
-                        out.info.attempts = t.fetches;
-                        a.book_routed_call(thread, &out);
+                        // score. The caller sees the end-to-end race.
                         out.info.latency = thread.now() - t0;
-                        out.info.attempts = fetches;
-                        if leg_b.is_some() {
+                        out.info.attempts += fetches;
+                        if i == 1 {
+                            self.hedges_won.set(self.hedges_won.get() + 1);
+                            leg.note_recovery(
+                                thread,
+                                "recovery.hedge.won",
+                                &format!("hedge leg on replica {second} beat replica {first}"),
+                            );
+                        } else if live[1] {
                             self.hedges_wasted.set(self.hedges_wasted.get() + 1);
-                            a.note_recovery(
+                            leg.note_recovery(
                                 thread,
                                 "recovery.hedge.wasted",
                                 "primary leg won after the hedge was issued",
@@ -613,44 +612,16 @@ impl ReplicaClient {
                         self.fail_streak.set(0);
                         return Ok(out);
                     }
-                    Ok(None) => leg_a = Some(t),
+                    Ok(None) => {}
                     Err(c) => {
                         last = c;
-                        fetches += t.fetches;
+                        fetches += leg.leg_fetches();
+                        live[i] = false;
+                        hedge_closed |= i == 1;
                     }
                 }
             }
-            if let Some(mut t) = leg_b.take() {
-                match b_client.hedge_poll(thread, &mut t).await {
-                    Ok(Some(mut out)) => {
-                        fetches += t.fetches;
-                        // Leg-local booking, as on the primary leg: the
-                        // hedge leg's health must not absorb the gray
-                        // leg's stall.
-                        out.info.latency = thread.now() - t.deposited_at;
-                        out.info.attempts = t.fetches;
-                        b_client.book_routed_call(thread, &out);
-                        out.info.latency = thread.now() - t0;
-                        out.info.attempts = fetches;
-                        self.hedges_won.set(self.hedges_won.get() + 1);
-                        b_client.note_recovery(
-                            thread,
-                            "recovery.hedge.won",
-                            &format!("hedge leg on replica {second} beat replica {first}"),
-                        );
-                        self.budget.on_success();
-                        self.fail_streak.set(0);
-                        return Ok(out);
-                    }
-                    Ok(None) => leg_b = Some(t),
-                    Err(c) => {
-                        last = c;
-                        fetches += t.fetches;
-                        b_dead = true;
-                    }
-                }
-            }
-            let stuck = leg_a.is_none() && leg_b.is_none() && (b_dead || hedge_denied);
+            let stuck = !live[0] && !live[1] && hedge_closed;
             if stuck || thread.now() >= deadline {
                 break;
             }

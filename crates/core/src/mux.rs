@@ -42,8 +42,8 @@ use rfp_simnet::{
     Counter, Gauge, HealthHub, Histogram, MetricsRegistry, Semaphore, SemaphoreGuard,
 };
 
-use crate::client::{CallInfo, CallResult, RfpClient};
-use crate::conn::{Mode, RfpServerConn};
+use crate::client::{CallEngine, CallPolicy, CallResult, RfpClient, NO_RECOVERY};
+use crate::conn::RfpServerConn;
 use crate::header::RespStatus;
 use crate::reactor::{CoreSpec, Reactor, ReactorConfig, ReactorPolicy};
 use crate::recovery::{RecoveryConfig, RpcError};
@@ -401,11 +401,8 @@ impl LogicalClient {
     /// Issues one call ([`RfpClient::call`]) through the leased
     /// connection, waiting FIFO-fair when all are busy.
     pub async fn call(&self, thread: &ThreadCtx, req: &[u8]) -> CallResult {
-        let (_permit, idx) = self.mux.acquire(thread, self).await;
-        let out = self.mux.clients[idx].call(thread, req).await;
-        self.mux.release(idx);
-        self.book(thread, &out);
-        out
+        let plain = CallPolicy::default();
+        self.one(thread, req, plain).await.expect(NO_RECOVERY)
     }
 
     /// Overload-aware call: the deadline budget starts at *arrival*
@@ -418,49 +415,17 @@ impl LogicalClient {
     /// Panics if the mux'd connections do not have overload control
     /// enabled.
     pub async fn call_overload(&self, thread: &ThreadCtx, req: &[u8]) -> CallResult {
-        let t0 = thread.now();
-        let deadline = {
-            let ov = self.mux.clients[0].overload_config();
-            assert!(ov.enabled, "call_overload requires overload control");
-            t0 + ov.deadline
-        };
-        let (_permit, idx) = self.mux.acquire(thread, self).await;
-        if thread.now() >= deadline {
-            self.mux.release(idx);
-            let out = CallResult {
-                data: Vec::new(),
-                info: CallInfo {
-                    attempts: 0,
-                    extra_read: false,
-                    completed_in: Mode::RemoteFetch,
-                    latency: thread.now() - t0,
-                    server_time_us: 0,
-                    status: RespStatus::Shed,
-                    integrity_retries: 0,
-                },
-            };
-            self.book(thread, &out);
-            return out;
-        }
-        let out = self.mux.clients[idx]
-            .call_overload(thread, req, Some(deadline))
-            .await;
-        self.mux.release(idx);
-        self.book(thread, &out);
-        out
+        let ov = self.mux.clients[0].overload_config();
+        assert!(ov.enabled, "call_overload requires overload control");
+        let by_arrival = CallPolicy::admitted(Some(thread.now() + ov.deadline));
+        self.one(thread, req, by_arrival).await.expect(NO_RECOVERY)
     }
 
     /// Pipelined batch over the leased connection
     /// ([`RfpClient::call_pipelined`]): the physical ring's window
     /// bounds in-flight calls, doorbell batching and all.
     pub async fn call_pipelined(&self, thread: &ThreadCtx, reqs: &[Vec<u8>]) -> Vec<CallResult> {
-        let (_permit, idx) = self.mux.acquire(thread, self).await;
-        let out = self.mux.clients[idx].call_pipelined(thread, reqs).await;
-        self.mux.release(idx);
-        for call in &out {
-            self.book(thread, call);
-        }
-        out
+        self.in_order(thread, reqs).await
     }
 
     /// Fault-tolerant call ([`RfpClient::call_with_recovery`]) through
@@ -471,15 +436,7 @@ impl LogicalClient {
         req: &[u8],
         rec: &RecoveryConfig,
     ) -> Result<CallResult, RpcError> {
-        let (_permit, idx) = self.mux.acquire(thread, self).await;
-        let out = self.mux.clients[idx]
-            .call_with_recovery(thread, req, rec)
-            .await;
-        self.mux.release(idx);
-        if let Ok(call) = &out {
-            self.book(thread, call);
-        }
-        out
+        self.one(thread, req, CallPolicy::recovered(rec)).await
     }
 
     /// Books one finished call into the tenant's health window, when a
@@ -503,6 +460,47 @@ impl LogicalClient {
             // shed accounting is the closest rejection bucket.
             RespStatus::Shed | RespStatus::Fenced => h.record_shed(thread.now()),
         }
+    }
+}
+
+/// The one path behind every entry point of a logical client: wait
+/// FIFO-fair for a lease, run `reqs` on the leased connection through
+/// the call engine, and book each result into the tenant's health
+/// window. A hard admission deadline already spent while queueing sheds
+/// the calls locally, like [`RfpPool`](crate::RfpPool).
+impl CallEngine for LogicalClient {
+    async fn run<R: AsRef<[u8]>>(
+        &self,
+        thread: &ThreadCtx,
+        reqs: &[R],
+        policy: CallPolicy<'_>,
+        mut sink: impl FnMut(usize, Result<CallResult, RpcError>),
+    ) {
+        let t0 = thread.now();
+        let (_permit, idx) = self.mux.acquire(thread, self).await;
+        let mut booked = |i: usize, out: Result<CallResult, RpcError>| {
+            if let Ok(call) = &out {
+                self.book(thread, call);
+            }
+            sink(i, out)
+        };
+        if policy
+            .admission
+            .flatten()
+            .is_some_and(|d| thread.now() >= d)
+        {
+            self.mux.release(idx);
+            for i in 0..reqs.len() {
+                booked(
+                    i,
+                    Ok(CallResult::rejected(RespStatus::Shed, thread.now() - t0)),
+                );
+            }
+            return;
+        }
+        let conn = &self.mux.clients[idx];
+        conn.run(thread, reqs, policy, booked).await;
+        self.mux.release(idx);
     }
 }
 

@@ -20,9 +20,9 @@ use std::rc::Rc;
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::{Counter, Gauge, Histogram, MetricsRegistry, Semaphore, SemaphoreGuard};
 
-use crate::client::{CallInfo, CallResult, RfpClient};
-use crate::conn::Mode;
+use crate::client::{CallEngine, CallPolicy, CallResult, RfpClient, NO_RECOVERY};
 use crate::header::RespStatus;
+use crate::recovery::RpcError;
 
 /// Registry-backed pool instruments (see
 /// [`attach_telemetry`](RfpPool::attach_telemetry)).
@@ -135,13 +135,8 @@ impl RfpPool {
     /// Issues one call on the next idle connection, waiting FIFO-fair
     /// when all are busy.
     pub async fn call(&self, thread: &ThreadCtx, req: &[u8]) -> CallResult {
-        let (_permit, idx) = self.acquire(thread).await;
-        let out = self.clients[idx].call(thread, req).await;
-        self.free.borrow_mut().push(idx);
-        if let Some(ins) = &*self.instruments.borrow() {
-            ins.note_integrity(out.info.integrity_retries);
-        }
-        out
+        let plain = CallPolicy::default();
+        self.one(thread, req, plain).await.expect(NO_RECOVERY)
     }
 
     /// Issues a whole batch of calls pipelined over **one** connection
@@ -151,15 +146,7 @@ impl RfpPool {
     /// [`call`](RfpPool::call); returns one result per request, in
     /// order.
     pub async fn call_pipelined(&self, thread: &ThreadCtx, reqs: &[Vec<u8>]) -> Vec<CallResult> {
-        let (_permit, idx) = self.acquire(thread).await;
-        let out = self.clients[idx].call_pipelined(thread, reqs).await;
-        self.free.borrow_mut().push(idx);
-        if let Some(ins) = &*self.instruments.borrow() {
-            for call in &out {
-                ins.note_integrity(call.info.integrity_retries);
-            }
-        }
-        out
+        self.in_order(thread, reqs).await
     }
 
     /// Overload-aware [`call`](RfpPool::call): the call's deadline
@@ -174,44 +161,57 @@ impl RfpPool {
     /// Panics if the pooled connections do not have overload control
     /// enabled.
     pub async fn call_overload(&self, thread: &ThreadCtx, req: &[u8]) -> CallResult {
-        let t0 = thread.now();
-        let deadline = {
-            let ov = self.clients[0].overload_config();
-            assert!(ov.enabled, "call_overload requires overload control");
-            t0 + ov.deadline
-        };
-        let (_permit, idx) = self.acquire(thread).await;
-        if thread.now() >= deadline {
-            self.free.borrow_mut().push(idx);
-            if let Some(ins) = &*self.instruments.borrow() {
-                ins.local_sheds.incr();
-            }
-            return CallResult {
-                data: Vec::new(),
-                info: CallInfo {
-                    attempts: 0,
-                    extra_read: false,
-                    completed_in: Mode::RemoteFetch,
-                    latency: thread.now() - t0,
-                    server_time_us: 0,
-                    status: RespStatus::Shed,
-                    integrity_retries: 0,
-                },
-            };
-        }
-        let out = self.clients[idx]
-            .call_overload(thread, req, Some(deadline))
-            .await;
-        self.free.borrow_mut().push(idx);
-        if let Some(ins) = &*self.instruments.borrow() {
-            ins.note_integrity(out.info.integrity_retries);
-        }
-        out
+        let ov = self.clients[0].overload_config();
+        assert!(ov.enabled, "call_overload requires overload control");
+        let by_arrival = CallPolicy::admitted(Some(thread.now() + ov.deadline));
+        self.one(thread, req, by_arrival).await.expect(NO_RECOVERY)
     }
 
     /// Total completed calls across the pool.
     pub fn total_calls(&self) -> u64 {
         self.clients.iter().map(|c| c.stats().calls()).sum()
+    }
+}
+
+/// The one path behind every pool entry point: wait FIFO-fair for a
+/// connection, run `reqs` on it through the call engine, and fold
+/// discarded fetches into the pool counter. A hard admission deadline
+/// already spent while queueing sheds the calls right here.
+impl CallEngine for RfpPool {
+    async fn run<R: AsRef<[u8]>>(
+        &self,
+        thread: &ThreadCtx,
+        reqs: &[R],
+        policy: CallPolicy<'_>,
+        mut sink: impl FnMut(usize, Result<CallResult, RpcError>),
+    ) {
+        let t0 = thread.now();
+        let (_permit, idx) = self.acquire(thread).await;
+        if policy
+            .admission
+            .flatten()
+            .is_some_and(|d| thread.now() >= d)
+        {
+            self.free.borrow_mut().push(idx);
+            for i in 0..reqs.len() {
+                if let Some(ins) = &*self.instruments.borrow() {
+                    ins.local_sheds.incr();
+                }
+                sink(
+                    i,
+                    Ok(CallResult::rejected(RespStatus::Shed, thread.now() - t0)),
+                );
+            }
+            return;
+        }
+        let booked = |i: usize, out: Result<CallResult, RpcError>| {
+            if let (Some(ins), Ok(call)) = (&*self.instruments.borrow(), &out) {
+                ins.note_integrity(call.info.integrity_retries);
+            }
+            sink(i, out)
+        };
+        self.clients[idx].run(thread, reqs, policy, booked).await;
+        self.free.borrow_mut().push(idx);
     }
 }
 

@@ -24,12 +24,34 @@ struct Observed {
     spans: String,
     stats: String,
     doorbells: u64,
+    switches_to_reply: u64,
 }
+
+/// How the echo server and the hybrid switch behave in one run: the
+/// first `slow_calls` requests take 10 µs to process (enough to overrun
+/// `R` and, with the switch enabled, flip the connection to server-reply
+/// on the second one); the rest are instant, which flips it back.
+#[derive(Clone, Copy)]
+struct Behaviour {
+    mode_switch: bool,
+    slow_calls: u32,
+}
+
+const HEALTHY: Behaviour = Behaviour {
+    mode_switch: true,
+    slow_calls: 0,
+};
 
 /// Runs `reqs` through an echo server on a fresh deterministic sim —
 /// sequentially (`call` per request) or through `call_pipelined` — and
 /// captures every telemetry surface the connection exposes.
-fn run_echo(seed: u64, window: usize, reqs: &[Vec<u8>], pipelined: bool) -> Observed {
+fn run_echo(
+    seed: u64,
+    window: usize,
+    reqs: &[Vec<u8>],
+    pipelined: bool,
+    behaviour: Behaviour,
+) -> Observed {
     let mut sim = Simulation::new(seed);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
@@ -37,6 +59,7 @@ fn run_echo(seed: u64, window: usize, reqs: &[Vec<u8>], pipelined: bool) -> Obse
     let spans = SpanRecorder::new(256);
     let cfg = RfpConfig {
         window,
+        enable_mode_switch: behaviour.mode_switch,
         telemetry: Some(RfpTelemetry {
             registry: registry.clone(),
             spans: spans.clone(),
@@ -48,10 +71,19 @@ fn run_echo(seed: u64, window: usize, reqs: &[Vec<u8>], pipelined: bool) -> Obse
     let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
     let client = Rc::new(client);
     let st = sm.thread("server");
+    let mut served = 0u32;
     sim.spawn(serve_loop(
         st,
         vec![Rc::new(conn)],
-        |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
+        move |req: &[u8]| {
+            served += 1;
+            let process = if served <= behaviour.slow_calls {
+                SimSpan::micros(10)
+            } else {
+                SimSpan::ZERO
+            };
+            (req.to_vec(), process)
+        },
         SimSpan::nanos(100),
     ));
     let ct = cm.thread("client");
@@ -93,14 +125,19 @@ fn run_echo(seed: u64, window: usize, reqs: &[Vec<u8>], pipelined: bool) -> Obse
         registry_json: String::from_utf8(registry_json).expect("utf8 json"),
         spans: format!("{:?}", spans.snapshot()),
         stats: format!(
-            "calls={} mean_attempts={} extra_reads={} hist={:?} max_attempts={}",
+            "calls={} mean_attempts={} extra_reads={} hist={:?} max_attempts={} \
+             to_reply={} to_fetch={} mode={:?}",
             st.calls(),
             st.mean_attempts(),
             st.extra_reads(),
             st.attempts_histogram(),
             st.max_attempts(),
+            st.switches_to_reply(),
+            st.switches_to_fetch(),
+            client.mode(),
         ),
         doorbells: st.doorbells(),
+        switches_to_reply: st.switches_to_reply(),
     }
 }
 
@@ -120,14 +157,21 @@ proptest! {
     /// pipelined driver produces byte-identical payloads, per-call
     /// diagnostics (including latencies — i.e. the same simulated event
     /// schedule), registry instruments, and lifecycle spans as issuing
-    /// the same requests one `call` at a time.
+    /// the same requests one `call` at a time — including on a
+    /// connection that switches to server-reply and back mid-batch.
     #[test]
     fn w1_pipelined_is_identical_to_sequential_calls(
         seed in 0u64..200,
         reqs in vec(vec(any::<u8>(), 0..700), 1..8),
+        mode_switch in any::<bool>(),
+        slow_calls in 0u32..6,
     ) {
-        let seq = run_echo(seed, 1, &reqs, false);
-        let pipe = run_echo(seed, 1, &reqs, true);
+        let behaviour = Behaviour { mode_switch, slow_calls };
+        let seq = run_echo(seed, 1, &reqs, false, behaviour);
+        let pipe = run_echo(seed, 1, &reqs, true, behaviour);
+        if mode_switch && slow_calls >= 3 && reqs.len() >= 3 {
+            prop_assert!(seq.switches_to_reply >= 1, "the draw never switched");
+        }
         prop_assert_eq!(&seq.datas, &pipe.datas);
         prop_assert_eq!(&seq.infos, &pipe.infos);
         prop_assert_eq!(&seq.registry_json, &pipe.registry_json);
@@ -156,7 +200,7 @@ proptest! {
                 (0..len).map(|j| (i as u8) ^ (j as u8).wrapping_mul(31)).collect()
             })
             .collect();
-        let out = run_echo(seed, window, &reqs, true);
+        let out = run_echo(seed, window, &reqs, true, HEALTHY);
         prop_assert_eq!(&out.datas, &reqs);
     }
 }

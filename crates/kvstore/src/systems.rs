@@ -18,8 +18,8 @@
 use std::rc::Rc;
 
 use rfp_core::{
-    connect, serve_loop, serve_loop_tenant, shard_conns, MuxConfig, RespStatus, RfpClient,
-    RfpConfig, RfpMux, RfpServerConn, RfpTelemetry, TenantId, RESP_HDR,
+    connect, serve_loop, serve_loop_tenant, shard_conns, CallPolicy, MuxConfig, RespStatus,
+    RfpClient, RfpConfig, RfpMux, RfpServerConn, RfpTelemetry, TenantId, RESP_HDR,
 };
 use rfp_paradigms::{sr_connect, BypassClient};
 use rfp_rnic::{Cluster, ClusterProfile, Machine, ThreadCtx};
@@ -531,10 +531,13 @@ fn spawn_routed_kv(sim: &mut Simulation, cfg: &SystemConfig, server_reply: bool)
             let nthreads = cfg.server_threads;
             let think = cfg.think_time;
             let window = rfp_cfg.window;
-            // Pipelining rides the plain remote-fetch transport only:
-            // the overload path is deadline-per-call and the
-            // server-reply comparator has no fetch to batch.
-            let pipelined = window > 1 && !overload && !server_reply;
+            // The one thing that differs between client flavours: which
+            // policy stages each call carries.
+            let policy = if overload {
+                CallPolicy::admitted(None)
+            } else {
+                CallPolicy::default()
+            };
             let h = sim.handle();
             sim.spawn(async move {
                 use rand::{Rng, SeedableRng};
@@ -543,6 +546,10 @@ fn spawn_routed_kv(sim: &mut Simulation, cfg: &SystemConfig, server_reply: bool)
                     seed,
                     0x0074_6869_6E6B,
                 ));
+                // Reused across rounds: a call allocates only its bytes.
+                let mut ops: Vec<Op> = Vec::with_capacity(window);
+                let mut buckets: Vec<Vec<usize>> = (0..nthreads).map(|_| Vec::new()).collect();
+                let mut reqs: Vec<Vec<u8>> = Vec::new();
                 loop {
                     if !think.is_zero() {
                         // Exponential think time ⇒ Poisson-ish offered
@@ -551,69 +558,53 @@ fn spawn_routed_kv(sim: &mut Simulation, cfg: &SystemConfig, server_reply: bool)
                         let pause = think.as_nanos() as f64 * -u.ln();
                         h.sleep(SimSpan::from_nanos_f64(pause)).await;
                     }
-                    if pipelined {
-                        // Multi-get pattern: draw one ring window's
-                        // worth of ops, bucket them by partition owner,
-                        // and drive each bucket through the pipelined
-                        // driver — up to `W` calls ride one connection
-                        // concurrently, their fetch polls sharing
-                        // doorbells.
-                        let ops: Vec<Op> = (0..window).map(|_| gen.next_op()).collect();
-                        let mut buckets: Vec<Vec<usize>> =
-                            (0..nthreads).map(|_| Vec::new()).collect();
-                        for (i, op) in ops.iter().enumerate() {
-                            buckets[partition_of(op.key(), nthreads)].push(i);
+                    // Multi-get pattern: draw one ring window's worth of
+                    // ops (one op on the paper's one-slot ring), bucket
+                    // them by partition owner, and run each bucket
+                    // through the call engine — up to `W` calls ride one
+                    // connection concurrently, their fetch polls sharing
+                    // doorbells.
+                    ops.clear();
+                    ops.extend((0..window).map(|_| gen.next_op()));
+                    for (i, op) in ops.iter().enumerate() {
+                        buckets[partition_of(op.key(), nthreads)].push(i);
+                    }
+                    for (p, bucket) in buckets.iter_mut().enumerate() {
+                        if bucket.is_empty() {
+                            continue;
                         }
-                        for (p, bucket) in buckets.iter().enumerate() {
-                            if bucket.is_empty() {
-                                continue;
-                            }
-                            let reqs: Vec<Vec<u8>> = bucket
-                                .iter()
-                                .map(|&i| match &ops[i] {
-                                    Op::Get { key } => KvRequest::Get { key }.encode(),
-                                    Op::Put { key, value } => {
-                                        KvRequest::Put { key, value }.encode()
-                                    }
-                                })
-                                .collect();
-                            let outs = conns[p].call_pipelined(&thread, &reqs).await;
-                            for (&i, out) in bucket.iter().zip(&outs) {
+                        reqs.clear();
+                        reqs.extend(bucket.iter().map(|&i| match &ops[i] {
+                            Op::Get { key } => KvRequest::Get { key }.encode(),
+                            Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
+                        }));
+                        conns[p]
+                            .run(&thread, &reqs, policy, |i, out| {
+                                let out = out.expect("no recovery stage, so no RpcError");
                                 if out.info.integrity_retries > 0 {
                                     st.integrity_retries.add(out.info.integrity_retries as u64);
                                 }
-                                let resp = KvResponse::decode(&out.data).expect("server response");
-                                record_outcome(&st, &ops[i], &resp, out.info.latency);
-                            }
-                        }
-                        continue;
+                                match out.info.status {
+                                    RespStatus::Ok => {
+                                        let resp =
+                                            KvResponse::decode(&out.data).expect("server response");
+                                        record_outcome(
+                                            &st,
+                                            &ops[bucket[i]],
+                                            &resp,
+                                            out.info.latency,
+                                        );
+                                    }
+                                    // Rejected under overload: no payload
+                                    // to decode, and rejections never
+                                    // count as goodput.
+                                    RespStatus::Busy => st.rejected_busy.incr(),
+                                    _ => st.rejected_shed.incr(),
+                                }
+                            })
+                            .await;
+                        bucket.clear();
                     }
-                    let op = gen.next_op();
-                    let conn = &conns[partition_of(op.key(), nthreads)];
-                    let req = match &op {
-                        Op::Get { key } => KvRequest::Get { key }.encode(),
-                        Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
-                    };
-                    let t0 = h.now();
-                    let out = if overload {
-                        conn.call_overload(&thread, &req, None).await
-                    } else {
-                        conn.call(&thread, &req).await
-                    };
-                    if out.info.integrity_retries > 0 {
-                        st.integrity_retries.add(out.info.integrity_retries as u64);
-                    }
-                    if out.info.status != RespStatus::Ok {
-                        // Rejected under overload: no payload to decode,
-                        // and rejections never count as goodput.
-                        match out.info.status {
-                            RespStatus::Busy => st.rejected_busy.incr(),
-                            _ => st.rejected_shed.incr(),
-                        }
-                        continue;
-                    }
-                    let resp = KvResponse::decode(&out.data).expect("server response");
-                    record_outcome(&st, &op, &resp, h.now() - t0);
                 }
             });
         }
