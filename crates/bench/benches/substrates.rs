@@ -10,10 +10,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rfp_kvstore::{
-    crc64, hash_bytes, CompactPartition, KvRequest, KvResponse, LruCache, Partition, PilafStore,
+    hash_bytes, CompactPartition, KvRequest, KvResponse, LruCache, Partition, PilafStore,
 };
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::Simulation;
+use rfp_simnet::{crc64, Simulation};
 use rfp_workload::Zipf;
 
 fn bench_crc64(c: &mut Criterion) {

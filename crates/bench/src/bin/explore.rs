@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Systems: `jakiro`, `server-reply`, `memcached`, `pilaf`, `herd`,
-//! `jakiro-shared`, `sharded` (uses `--shards`).
+//! `jakiro-shared`, `sharded` (Jakiro over `--shards` server machines;
+//! server NIC figures are summed over them).
 //!
 //! `--telemetry <dir>` additionally writes the full telemetry bundle —
 //! `metrics.csv`, `metrics.json`, `timeseries.csv` (fixed-interval
@@ -24,7 +25,7 @@ use std::path::PathBuf;
 use rfp_bench::kvrun::{run_kv, run_kv_telemetry, KvRun};
 use rfp_kvstore::{
     spawn_herd, spawn_jakiro, spawn_jakiro_shared, spawn_memcached, spawn_pilaf,
-    spawn_server_reply_kv, spawn_sharded_jakiro, SystemConfig,
+    spawn_server_reply_kv, spawn_sharded_jakiro, KvSystem, SystemConfig,
 };
 use rfp_simnet::{SimSpan, Simulation};
 use rfp_workload::{KeyDist, OpMix, ValueSize, WorkloadSpec};
@@ -186,9 +187,23 @@ fn main() {
     let window = SimSpan::millis(args.window_ms);
 
     println!("# system={} {args:?}", args.system);
-    let measure = |spawn: fn(&mut Simulation, &SystemConfig) -> rfp_kvstore::KvSystem| match &args
-        .telemetry
-    {
+    let shards = args.shards;
+    let sharded =
+        move |sim: &mut Simulation, cfg: &SystemConfig| spawn_sharded_jakiro(sim, cfg, shards);
+    let spawn: &dyn Fn(&mut Simulation, &SystemConfig) -> KvSystem = match args.system.as_str() {
+        "jakiro" => &spawn_jakiro,
+        "server-reply" => &spawn_server_reply_kv,
+        "memcached" => &spawn_memcached,
+        "pilaf" => &spawn_pilaf,
+        "herd" => &spawn_herd,
+        "jakiro-shared" => &spawn_jakiro_shared,
+        "sharded" => &sharded,
+        other => {
+            eprintln!("error: unknown system {other}");
+            std::process::exit(2);
+        }
+    };
+    let run = match &args.telemetry {
         Some(dir) => {
             let run =
                 run_kv_telemetry(spawn, &cfg, warmup, window, dir).expect("write telemetry bundle");
@@ -196,39 +211,6 @@ fn main() {
             run
         }
         None => run_kv(spawn, &cfg, warmup, window),
-    };
-    let run = match args.system.as_str() {
-        "jakiro" => measure(spawn_jakiro),
-        "server-reply" => measure(spawn_server_reply_kv),
-        "memcached" => measure(spawn_memcached),
-        "pilaf" => measure(spawn_pilaf),
-        "herd" => measure(spawn_herd),
-        "jakiro-shared" => measure(spawn_jakiro_shared),
-        "sharded" => {
-            if args.telemetry.is_some() {
-                eprintln!("note: --telemetry is not supported for the sharded deployment");
-            }
-            // The sharded deployment has its own measurement path.
-            let mut sim = Simulation::new(cfg.seed);
-            let sys = spawn_sharded_jakiro(&mut sim, &cfg, args.shards);
-            sim.run_for(warmup);
-            sys.reset_measurements();
-            let t0 = sim.now();
-            sim.run_for(window);
-            let secs = (sim.now() - t0).as_secs_f64();
-            println!(
-                "throughput          : {:.3} MOPS across {} shards",
-                sys.stats.completed.get() as f64 / secs / 1e6,
-                args.shards
-            );
-            println!("server in-bound/req : {:.3}", sys.inbound_ops_per_request());
-            println!("server out-bound ops: {}", sys.server_outbound_ops());
-            return;
-        }
-        other => {
-            eprintln!("error: unknown system {other}");
-            std::process::exit(2);
-        }
     };
     report(&run);
 }

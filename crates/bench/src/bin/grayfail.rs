@@ -27,7 +27,7 @@
 //! ```
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_chaos::{spawn_grayfail_kv, FaultPlan, GrayChaosConfig};
+use rfp_chaos::{spawn_grayfail_kv, FailoverChaosConfig, FaultPlan};
 use rfp_core::GrayConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -91,7 +91,7 @@ fn gray_for(mode: &str) -> (GrayConfig, bool) {
 fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
     let (gray, hedged_reads) = gray_for(mode);
     let mut sim = Simulation::new(seed);
-    let cfg = GrayChaosConfig {
+    let cfg = FailoverChaosConfig {
         clients: 4,
         // 1200 ops over 16 keys keeps every key under the
         // linearizability checker's 128-op search cap.
@@ -100,10 +100,10 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
         hedged_reads,
         failover: rfp_core::FailoverConfig {
             gray,
-            ..GrayChaosConfig::default().failover
+            ..FailoverChaosConfig::grayfail().failover
         },
         seed,
-        ..GrayChaosConfig::default()
+        ..FailoverChaosConfig::grayfail()
     };
     let plan = plan_for(seed, scenario);
     let rig = spawn_grayfail_kv(&mut sim, &cfg, plan.as_ref());

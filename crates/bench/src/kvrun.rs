@@ -123,7 +123,8 @@ pub fn run_kv_telemetry(
 fn collect_run(sys: &KvSystem, secs: f64) -> KvRun {
     let stats = &sys.stats;
     let completed = stats.completed.get().max(1);
-    let counters = sys.server_machine.nic().counters();
+    // Summed over the server machines (one, except when sharded).
+    let counters = sys.server_nic_counters();
     let us = |s: Option<SimSpan>| s.map(|v| v.as_micros_f64()).unwrap_or(0.0);
 
     let (mut attempts_sum, mut attempts_gt1, mut retries_gt1, mut calls) = (0.0, 0.0, 0.0, 0u64);

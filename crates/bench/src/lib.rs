@@ -3,14 +3,14 @@
 //!
 //! Each experiment is a library function in [`figures`] writing
 //! `figure,series,x,y`-style CSV rows (comment lines start with `#`),
-//! wrapped by a binary of the same name in `src/bin/`. Run one with e.g.
+//! registered by name in [`figures::EXPERIMENTS`]. Run one with e.g.
 //!
 //! ```text
-//! cargo run --release -p rfp-bench --bin fig12_server_threads
+//! cargo run --release -p rfp-bench --bin all_figures -- fig12_server_threads
 //! ```
 //!
-//! or everything via `--bin all_figures` (which writes
-//! `EXPERIMENTS-data/` files when given a directory argument).
+//! or everything by naming none (`--csv <dir>` additionally writes one
+//! `<dir>/<name>.csv` per experiment).
 //!
 //! The per-experiment index mapping figures to modules lives in
 //! `DESIGN.md`; paper-vs-measured numbers are recorded in
@@ -21,26 +21,6 @@ pub mod figures;
 pub mod kvrun;
 pub mod micro;
 pub mod telemetry;
-
-/// Runs the registered experiment `name` (see
-/// [`figures::EXPERIMENTS`]) to stdout, then exports the accumulated
-/// process-wide bench registry as `BENCH_<name>.json`.
-///
-/// # Panics
-///
-/// Panics on an unknown experiment name or an I/O failure — these are
-/// terminal for a figure binary.
-pub fn run_experiment(name: &str) {
-    let (_, f) = figures::EXPERIMENTS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("unknown experiment {name}"));
-    let mut out = std::io::stdout().lock();
-    f(&mut out).expect("write to stdout");
-    drop(out);
-    let path = telemetry::emit_bench_json(name).expect("write bench json");
-    eprintln!("# bench registry exported to {}", path.display());
-}
 
 /// Simulated-time measurement window used by most experiments. Long
 /// enough that queueing transients vanish, short enough that a full

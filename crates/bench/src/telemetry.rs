@@ -1,9 +1,8 @@
 //! Process-wide benchmark telemetry.
 //!
 //! Every [`run_kv`](crate::kvrun::run_kv) measurement folds its headline
-//! numbers into one process-wide [`MetricsRegistry`]; a figure binary
-//! finishes by calling [`emit_bench_json`] (usually through
-//! [`run_experiment`](crate::run_experiment)), leaving a machine-readable
+//! numbers into one process-wide [`MetricsRegistry`]; a bench binary
+//! finishes by calling [`emit_bench_json`], leaving a machine-readable
 //! `BENCH_<name>.json` next to the CSV it printed.
 
 use std::fs::File;

@@ -23,6 +23,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -32,8 +33,7 @@ use rfp_core::{
     connect, serve_loop, CoreSpec, FailureCause, IntegrityConfig, OverloadConfig, Reactor,
     ReactorConfig, ReactorPolicy, RecoveryConfig, RfpConfig, RfpServerConn, RfpTelemetry,
 };
-use rfp_kvstore::systems::apply_to_partition;
-use rfp_kvstore::{partition_of, KvRequest, KvResponse, Partition};
+use rfp_kvstore::{kv_handler, partition_of, preload_partitions, KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{
     derive_seed, FlightRecorder, HealthHub, MetricsRegistry, SimSpan, SimTime, Simulation,
@@ -94,7 +94,146 @@ impl Default for ChaosConfig {
     }
 }
 
+/// The online outcome counters every chaos rig keeps; each rig's state
+/// derefs to one.
+#[derive(Default)]
+pub struct Tally {
+    /// Completed calls (all kinds).
+    pub completed: Cell<u64>,
+    /// Acknowledged PUTs.
+    pub acked_puts: Cell<u64>,
+    /// Calls that exhausted their recovery (or failover) budget.
+    pub failed_calls: Cell<u64>,
+    /// Acked-write losses observed: a GET returned `NotFound` or an
+    /// older version for a key with an acknowledged newer PUT.
+    pub lost_acked: Cell<u64>,
+    /// Stale reads observed: a GET surfaced a version older than the
+    /// rig's staleness floor for that key (a pre-wipe version after a
+    /// cold restart; a version older than one an earlier-completed read
+    /// had already seen).
+    pub stale_reads: Cell<u64>,
+    /// GETs answered `NotFound`.
+    pub not_found: Cell<u64>,
+}
+
+pub(crate) fn bump(cell: &Cell<u64>) {
+    cell.set(cell.get() + 1);
+}
+
+impl Tally {
+    /// Books the verdict on a completed GET that observed `got`
+    /// against the key's floors: the last PUT acknowledged before the
+    /// verdict's reference instant, and the rig's staleness floor.
+    pub(crate) fn judge_read(
+        &self,
+        acked_floor: Option<u64>,
+        stale_floor: Option<u64>,
+        got: Option<u64>,
+    ) {
+        match got {
+            Some(v) => {
+                if acked_floor.is_some_and(|floor| v < floor) {
+                    bump(&self.lost_acked);
+                }
+                if stale_floor.is_some_and(|floor| v < floor) {
+                    bump(&self.stale_reads);
+                }
+            }
+            None => {
+                bump(&self.not_found);
+                if acked_floor.is_some() {
+                    bump(&self.lost_acked);
+                }
+            }
+        }
+    }
+}
+
+/// The 8-byte little-endian version a rig's PUT values carry.
+pub(crate) fn version_of(value: &[u8]) -> u64 {
+    u64::from_le_bytes(value.try_into().expect("8-byte version value"))
+}
+
+/// The telemetry sinks every chaos rig wires up: one registry (NIC
+/// engines attached up front), a shared trace, request spans, an
+/// always-on flight recorder the NICs report into, and the
+/// per-connection health hub.
+pub(crate) struct Sinks {
+    pub registry: MetricsRegistry,
+    pub trace: TraceLog,
+    pub spans: SpanRecorder,
+    pub recorder: FlightRecorder,
+    pub health: HealthHub,
+}
+
+impl Sinks {
+    pub(crate) fn attach(cluster: &Cluster) -> Sinks {
+        let registry = MetricsRegistry::new();
+        cluster.attach_metrics(&registry);
+        let recorder = FlightRecorder::new(64 * 1024);
+        cluster.attach_recorder(&recorder);
+        Sinks {
+            registry,
+            trace: TraceLog::new(64 * 1024),
+            spans: SpanRecorder::new(1024),
+            recorder,
+            health: HealthHub::default(),
+        }
+    }
+
+    /// The RFP tuning of client connection `idx`: remote fetch only
+    /// (the recovery path does not interact with the hybrid switch),
+    /// wired to every sink.
+    pub(crate) fn rfp_cfg(
+        &self,
+        overload: &OverloadConfig,
+        integrity: &IntegrityConfig,
+        idx: usize,
+    ) -> RfpConfig {
+        RfpConfig {
+            enable_mode_switch: false,
+            overload: OverloadConfig {
+                // Decorrelate the per-connection backoff jitter streams.
+                seed: derive_seed(overload.seed, idx as u64),
+                ..overload.clone()
+            },
+            integrity: integrity.clone(),
+            trace: Some(self.trace.clone()),
+            telemetry: Some(RfpTelemetry {
+                registry: self.registry.clone(),
+                spans: self.spans.clone(),
+                prefix: format!("rfp.client.{idx}"),
+                track: idx as u32,
+            }),
+            recorder: Some(self.recorder.clone()),
+            health: Some(self.health.clone()),
+            conn_id: idx as u32,
+            ..RfpConfig::default()
+        }
+    }
+
+    /// Installs `plan`'s injector. Call it last, so a plan that never
+    /// fires leaves the already-spawned workload tasks' scheduling
+    /// untouched.
+    pub(crate) fn install(
+        &self,
+        sim: &mut Simulation,
+        cluster: &Cluster,
+        plan: &FaultPlan,
+        on_restart: impl Fn(&Restart) + 'static,
+    ) {
+        let sinks = InjectorSinks {
+            registry: Some(self.registry.clone()),
+            trace: Some(self.trace.clone()),
+            on_restart: Some(Rc::new(on_restart)),
+            recorder: Some(self.recorder.clone()),
+        };
+        install(sim, cluster, plan, sinks);
+    }
+}
+
 /// Per-client recovery bookkeeping.
+#[derive(Default)]
 struct Ledger {
     /// key → version of the last *acknowledged* PUT.
     acked: RefCell<HashMap<Vec<u8>, u64>>,
@@ -107,26 +246,14 @@ struct Ledger {
     recovering: Cell<Option<SimTime>>,
 }
 
-/// Shared outcome counters, updated online by every client loop.
+/// Shared outcome counters, updated online by every client loop
+/// (derefs to the rig-independent [`Tally`]).
 pub struct ChaosState {
-    /// Completed calls (all kinds).
-    pub completed: Cell<u64>,
-    /// Acknowledged PUTs.
-    pub acked_puts: Cell<u64>,
-    /// Calls that exhausted their recovery budget.
-    pub failed_calls: Cell<u64>,
+    tally: Tally,
     /// Calls whose final failure was an overload rejection
     /// (`Busy`/`Shed`) rather than a fault — a subset of
-    /// [`failed_calls`](ChaosState::failed_calls).
+    /// [`failed_calls`](Tally::failed_calls).
     pub rejected_calls: Cell<u64>,
-    /// Acked-write losses observed: a GET returned `NotFound` or an
-    /// older version for a key with an acknowledged newer PUT.
-    pub lost_acked: Cell<u64>,
-    /// Stale reads observed: a GET surfaced a version from before a
-    /// cold wipe.
-    pub stale_reads: Cell<u64>,
-    /// GETs answered `NotFound` (legitimate after a cold restart).
-    pub not_found: Cell<u64>,
     /// Crash/restart cycles delivered to the rig.
     pub restarts: Cell<u64>,
     ledgers: Vec<Rc<Ledger>>,
@@ -135,13 +262,21 @@ pub struct ChaosState {
     server_conns: RefCell<Vec<Rc<RfpServerConn>>>,
 }
 
+impl Deref for ChaosState {
+    type Target = Tally;
+
+    fn deref(&self) -> &Tally {
+        &self.tally
+    }
+}
+
 impl ChaosState {
     /// Applies the restart protocol for a server restart: rebuild each
     /// connection's process state from whatever survived in its buffers,
     /// and on a cold restart also reset the application store and the
     /// clients' expectations (the data is legitimately gone).
     fn on_server_restart(&self, restart: &Restart) {
-        self.restarts.set(self.restarts.get() + 1);
+        bump(&self.restarts);
         if !restart.warm {
             // The store lived in registered memory: wiped with it.
             for p in &self.partitions {
@@ -183,9 +318,9 @@ pub struct ChaosKv {
     /// events, and the clients' `recovery.*` / `overload.*` /
     /// `integrity.*` reaction chains.
     pub recorder: FlightRecorder,
-    /// Rolling per-connection health (one [`ConnHealth`]
-    /// (rfp_simnet::ConnHealth) per client connection, keyed
-    /// `client * server_threads + server_thread`).
+    /// Rolling per-connection health (one
+    /// [`ConnHealth`](rfp_simnet::ConnHealth) per client connection,
+    /// keyed `client * server_threads + server_thread`).
     pub health: HealthHub,
     /// Shared outcome counters.
     pub state: Rc<ChaosState>,
@@ -195,51 +330,20 @@ pub struct ChaosKv {
     pub reactor: Option<Reactor>,
 }
 
+/// Maximum of the `name` histogram, if the run ever recorded into it.
+pub(crate) fn histogram_max(registry: &MetricsRegistry, name: &str) -> Option<SimSpan> {
+    // Existence check first: reading through `histogram()` would
+    // *create* the instrument on a fault-free run.
+    if !registry.names().iter().any(|n| n == name) {
+        return None;
+    }
+    registry.histogram(name).max()
+}
+
 impl ChaosKv {
     /// Maximum observed client recovery time, if any crash was timed.
     pub fn max_recovery_time(&self) -> Option<SimSpan> {
-        // Existence check first: reading through `histogram()` would
-        // *create* the instrument on a fault-free run.
-        if !self.registry.names().iter().any(|n| n == "recovery.time") {
-            return None;
-        }
-        self.registry.histogram("recovery.time").max()
-    }
-}
-
-/// The RFP tuning the rig runs with: remote fetch only (the recovery
-/// path does not interact with the hybrid switch), wired to the rig's
-/// shared trace and registry.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rig_rfp_cfg(
-    registry: &MetricsRegistry,
-    spans: &SpanRecorder,
-    trace: &TraceLog,
-    recorder: &FlightRecorder,
-    health: &HealthHub,
-    overload: &OverloadConfig,
-    integrity: &IntegrityConfig,
-    idx: usize,
-) -> RfpConfig {
-    RfpConfig {
-        enable_mode_switch: false,
-        overload: OverloadConfig {
-            // Decorrelate the per-connection backoff jitter streams.
-            seed: derive_seed(overload.seed, idx as u64),
-            ..overload.clone()
-        },
-        integrity: integrity.clone(),
-        trace: Some(trace.clone()),
-        telemetry: Some(RfpTelemetry {
-            registry: registry.clone(),
-            spans: spans.clone(),
-            prefix: format!("rfp.client.{idx}"),
-            track: idx as u32,
-        }),
-        recorder: Some(recorder.clone()),
-        health: Some(health.clone()),
-        conn_id: idx as u32,
-        ..RfpConfig::default()
+        histogram_max(&self.registry, "recovery.time")
     }
 }
 
@@ -260,47 +364,25 @@ pub fn spawn_chaos_kv(
     );
     let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
     let server_m = cluster.machine(0);
-    let registry = MetricsRegistry::new();
-    cluster.attach_metrics(&registry);
-    let trace = TraceLog::new(64 * 1024);
-    let spans = SpanRecorder::new(1024);
-    let recorder = FlightRecorder::new(64 * 1024);
-    let health = HealthHub::default();
-    cluster.attach_recorder(&recorder);
+    let sinks = Sinks::attach(&cluster);
 
     let partition_cap =
         (cfg.client_machines * cfg.keys_per_client * 2 / cfg.server_threads).max(64);
-    let partitions: Vec<Rc<RefCell<Partition>>> = (0..cfg.server_threads)
-        .map(|_| Rc::new(RefCell::new(Partition::new(partition_cap))))
-        .collect();
+    let nothing = std::iter::empty::<(&[u8], &[u8])>();
+    let partitions = preload_partitions(nothing, cfg.server_threads, partition_cap);
 
     let state = Rc::new(ChaosState {
-        completed: Cell::new(0),
-        acked_puts: Cell::new(0),
-        failed_calls: Cell::new(0),
+        tally: Tally::default(),
         rejected_calls: Cell::new(0),
-        lost_acked: Cell::new(0),
-        stale_reads: Cell::new(0),
-        not_found: Cell::new(0),
         restarts: Cell::new(0),
-        ledgers: (0..cfg.client_machines)
-            .map(|_| {
-                Rc::new(Ledger {
-                    acked: RefCell::new(HashMap::new()),
-                    epoch_floor: Cell::new(0),
-                    next_version: Cell::new(0),
-                    recovering: Cell::new(None),
-                })
-            })
-            .collect(),
+        ledgers: (0..cfg.client_machines).map(|_| Rc::default()).collect(),
         partitions: partitions.clone(),
         partition_cap,
         server_conns: RefCell::new(Vec::new()),
     });
 
     // Per server thread: the connections it polls.
-    let mut server_conns: Vec<Vec<Rc<RfpServerConn>>> =
-        (0..cfg.server_threads).map(|_| Vec::new()).collect();
+    let mut server_conns: Vec<Vec<Rc<RfpServerConn>>> = vec![Vec::new(); cfg.server_threads];
 
     for c in 0..cfg.client_machines {
         let client_m = cluster.machine(1 + c);
@@ -314,16 +396,7 @@ pub fn spawn_chaos_kv(
                 &server_m,
                 cluster.qp(1 + c, 0),
                 cluster.qp(0, 1 + c),
-                rig_rfp_cfg(
-                    &registry,
-                    &spans,
-                    &trace,
-                    &recorder,
-                    &health,
-                    &cfg.overload,
-                    &cfg.integrity,
-                    c * cfg.server_threads + s,
-                ),
+                sinks.rfp_cfg(&cfg.overload, &cfg.integrity, c * cfg.server_threads + s),
             );
             cl.set_reconnect(cluster.qp_factory(1 + c, 0));
             let sc = Rc::new(sc);
@@ -334,7 +407,7 @@ pub fn spawn_chaos_kv(
 
         let ledger = Rc::clone(&state.ledgers[c]);
         let st = Rc::clone(&state);
-        let reg = registry.clone();
+        let reg = sinks.registry.clone();
         let recovery = RecoveryConfig {
             seed: derive_seed(cfg.seed, 0xC0DE + c as u64),
             ..cfg.recovery.clone()
@@ -347,65 +420,50 @@ pub fn spawn_chaos_kv(
             loop {
                 let k = rng.gen_range(0..keys);
                 let key = format!("c{c}.k{k}").into_bytes();
-                let is_put = rng.gen::<f64>() < put_ratio;
                 let conn = &conns[partition_of(&key, nthreads)];
-                let outcome = if is_put {
+                let (req, put_version) = if rng.gen::<f64>() < put_ratio {
                     let version = ledger.next_version.get() + 1;
                     ledger.next_version.set(version);
                     let value = version.to_le_bytes();
-                    let req = KvRequest::Put {
+                    let put = KvRequest::Put {
                         key: &key,
                         value: &value,
-                    }
-                    .encode();
-                    conn.call_with_recovery(&thread, &req, &recovery)
-                        .await
-                        .map(|out| (out, Some(version)))
+                    };
+                    (put.encode(), Some(version))
                 } else {
-                    let req = KvRequest::Get { key: &key }.encode();
-                    conn.call_with_recovery(&thread, &req, &recovery)
-                        .await
-                        .map(|out| (out, None))
+                    (KvRequest::Get { key: &key }.encode(), None)
                 };
-                match outcome {
-                    Ok((out, put_version)) => {
-                        st.completed.set(st.completed.get() + 1);
+                match conn.call_with_recovery(&thread, &req, &recovery).await {
+                    Ok(out) => {
+                        bump(&st.completed);
                         if let Some(crashed_at) = ledger.recovering.take() {
                             reg.histogram("recovery.time")
                                 .record(thread.now().since(crashed_at));
                         }
                         let resp = KvResponse::decode(&out.data).expect("server response");
+                        // Floors are read at completion: a cold wipe
+                        // during the call legitimately resets them.
+                        let acked_floor = ledger.acked.borrow().get(&key).copied();
+                        let stale_floor = Some(ledger.epoch_floor.get());
                         match (put_version, resp) {
                             (Some(version), KvResponse::Stored) => {
-                                st.acked_puts.set(st.acked_puts.get() + 1);
-                                ledger.acked.borrow_mut().insert(key.clone(), version);
+                                bump(&st.acked_puts);
+                                ledger.acked.borrow_mut().insert(key, version);
                             }
                             (None, KvResponse::Found(value)) => {
-                                let bytes: [u8; 8] =
-                                    value.as_slice().try_into().expect("8-byte version value");
-                                let version = u64::from_le_bytes(bytes);
-                                if version < ledger.epoch_floor.get() {
-                                    st.stale_reads.set(st.stale_reads.get() + 1);
-                                }
-                                if let Some(&acked) = ledger.acked.borrow().get(&key) {
-                                    if version < acked {
-                                        st.lost_acked.set(st.lost_acked.get() + 1);
-                                    }
-                                }
+                                let got = Some(version_of(&value));
+                                st.judge_read(acked_floor, stale_floor, got);
                             }
                             (None, KvResponse::NotFound) => {
-                                st.not_found.set(st.not_found.get() + 1);
-                                if ledger.acked.borrow().contains_key(&key) {
-                                    st.lost_acked.set(st.lost_acked.get() + 1);
-                                }
+                                st.judge_read(acked_floor, stale_floor, None);
                             }
                             (_, other) => panic!("unexpected response {other:?}"),
                         }
                     }
                     Err(e) => {
-                        st.failed_calls.set(st.failed_calls.get() + 1);
+                        bump(&st.failed_calls);
                         if matches!(e.last, FailureCause::Rejected(_)) {
-                            st.rejected_calls.set(st.rejected_calls.get() + 1);
+                            bump(&st.rejected_calls);
                         }
                     }
                 }
@@ -415,23 +473,17 @@ pub fn spawn_chaos_kv(
 
     // The server threads: either independent serve loops (the classic
     // shape) or one multi-core reactor with work stealing across them.
+    let cores = server_conns.into_iter().enumerate().map(|(s, conns)| {
+        let thread = server_m.thread(format!("chaos-s{s}"));
+        let handler = kv_handler(Rc::clone(&partitions[s]), || SimSpan::ZERO);
+        (thread, conns, handler)
+    });
     let reactor = if cfg.reactor_steal {
-        let specs = server_conns
-            .into_iter()
-            .enumerate()
-            .map(|(s, conns)| {
-                let thread = server_m.thread(format!("chaos-s{s}"));
-                let partition = Rc::clone(&partitions[s]);
-                let handler = move |req: &[u8]| {
-                    let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-                    let (resp, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-                    (resp.encode(), work)
-                };
-                CoreSpec {
-                    thread,
-                    conns,
-                    handler: Box::new(handler),
-                }
+        let specs = cores
+            .map(|(thread, conns, handler)| CoreSpec {
+                thread,
+                conns,
+                handler: Box::new(handler),
             })
             .collect();
         let policy = if cfg.overload.enabled {
@@ -442,8 +494,8 @@ pub fn spawn_chaos_kv(
         let reactor = Reactor::new(
             ReactorConfig {
                 steal: true,
-                registry: Some(registry.clone()),
-                recorder: Some(recorder.clone()),
+                registry: Some(sinks.registry.clone()),
+                recorder: Some(sinks.recorder.clone()),
                 ..ReactorConfig::default()
             },
             specs,
@@ -455,47 +507,28 @@ pub fn spawn_chaos_kv(
         }
         Some(reactor)
     } else {
-        for (s, conns) in server_conns.into_iter().enumerate() {
-            let thread = server_m.thread(format!("chaos-s{s}"));
-            let partition = Rc::clone(&partitions[s]);
-            let handler = move |req: &[u8]| {
-                let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-                let (resp, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-                (resp.encode(), work)
-            };
+        for (thread, conns, handler) in cores {
             sim.spawn(serve_loop(thread, conns, handler, SimSpan::nanos(100)));
         }
         None
     };
 
-    // The injector goes in last so a plan that never fires leaves the
-    // already-spawned workload tasks' scheduling untouched.
     if let Some(plan) = plan {
         let hook_state = Rc::clone(&state);
-        install(
-            sim,
-            &cluster,
-            plan,
-            InjectorSinks {
-                registry: Some(registry.clone()),
-                trace: Some(trace.clone()),
-                on_restart: Some(Rc::new(move |restart: &Restart| {
-                    if restart.machine == 0 {
-                        hook_state.on_server_restart(restart);
-                    }
-                })),
-                recorder: Some(recorder.clone()),
-            },
-        );
+        sinks.install(sim, &cluster, plan, move |restart: &Restart| {
+            if restart.machine == 0 {
+                hook_state.on_server_restart(restart);
+            }
+        });
     }
 
     ChaosKv {
         cluster,
-        registry,
-        trace,
-        spans,
-        recorder,
-        health,
+        registry: sinks.registry,
+        trace: sinks.trace,
+        spans: sinks.spans,
+        recorder: sinks.recorder,
+        health: sinks.health,
         state,
         reactor,
     }

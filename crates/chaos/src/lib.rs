@@ -10,22 +10,27 @@
 //! run is exactly reproducible from `(plan, seed)`: a recovery bug found
 //! under chaos replays under a debugger, fault for fault.
 //!
-//! The rig in [`harness`] drives a Jakiro-style KV store through
+//! Two rigs are bundled. [`spawn_chaos_kv`] drives a Jakiro-style KV
+//! store through
 //! [`RfpClient::call_with_recovery`](rfp_core::RfpClient::call_with_recovery)
 //! and checks the recovery invariants online (no acked write lost, no
 //! stale data after a cold wipe) — see `cargo run -p rfp-bench --bin
-//! chaos` for the scenario sweep.
+//! chaos` for the scenario sweep. The replicated rig puts a
+//! primary/backup pair behind [`rfp_core::ReplicaClient`] routers and
+//! records linearizability-checkable histories; its two presets,
+//! [`spawn_failover_kv`] and [`spawn_grayfail_kv`], carry the `failover`
+//! and `grayfail` sweeps. Both rigs share their telemetry sinks, store
+//! handler and read-verdict ledger ([`Tally`]).
 
-mod failover;
-mod grayfail;
 mod harness;
 mod inject;
 mod plan;
+mod replicated;
 
-pub use failover::{
-    spawn_failover_kv, FailoverChaosConfig, FailoverKv, FailoverState, PROMOTED_EPOCH,
-};
-pub use grayfail::{spawn_grayfail_kv, GrayChaosConfig, GrayKv, GrayState};
-pub use harness::{spawn_chaos_kv, ChaosConfig, ChaosKv, ChaosState};
+pub use harness::{spawn_chaos_kv, ChaosConfig, ChaosKv, ChaosState, Tally};
 pub use inject::{install, InjectorSinks, Restart, RestartHook};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
+pub use replicated::{
+    spawn_failover_kv, spawn_grayfail_kv, FailoverChaosConfig, FailoverKv, FailoverState,
+    PROMOTED_EPOCH,
+};

@@ -94,3 +94,85 @@ fn crash_runs_are_deterministic_per_seed() {
     };
     assert_eq!(run(), run());
 }
+
+/// The features the replicated rig can carry, all on in one run: sync
+/// replication, fetch integrity, gray routing with hedged own-key
+/// reads — under bit flips and torn DMA on both replicas for the whole
+/// run, plus a permanent primary crash with scheduled promotion.
+#[test]
+fn integrity_hedging_and_promotion_compose_under_corruption_and_crash() {
+    use rfp_core::{FailoverConfig, GrayConfig, IntegrityConfig, Mode};
+
+    let seed = 45;
+    let cfg = FailoverChaosConfig {
+        keys_per_client: 8,
+        ops_per_client: 200,
+        own_key_reads: true,
+        hedged_reads: true,
+        integrity: IntegrityConfig {
+            enabled: true,
+            ..IntegrityConfig::default()
+        },
+        failover: FailoverConfig {
+            gray: GrayConfig::all_on(),
+            ..FailoverChaosConfig::default().failover
+        },
+        seed,
+        ..FailoverChaosConfig::default()
+    };
+    // Corruption from the start; the crash lands mid-workload, so hedged
+    // reads run against both the live pair and the promoted survivor.
+    let (from, span) = (SimTime::from_nanos(5_000), SimSpan::millis(100));
+    let crash_at = SimTime::from_nanos(400_000);
+    let mut plan = FaultPlan::new(seed).crash(crash_at, span, 0, true);
+    for replica in 0..2 {
+        plan = plan
+            .torn_dma(from, span, replica, 0.1)
+            .bit_flip(from, span, replica, 0.1);
+    }
+    let mut sim = Simulation::new(seed);
+    let rig = spawn_failover_kv(&mut sim, &cfg, Some(&plan), Some(crash_at + DETECT));
+    sim.run_for(SimSpan::millis(40));
+
+    let st = &rig.state;
+    assert_eq!(
+        st.done_clients.get(),
+        cfg.clients,
+        "a client never finished"
+    );
+    assert!(st.promoted_at.get().is_some() && rig.total_failovers() >= 1);
+    assert!(rig.total_hedges().0 >= 1, "no read was ever hedged");
+    assert_eq!(st.lost_acked.get(), 0, "acked write lost");
+    assert_eq!(st.stale_reads.get(), 0, "a read ran backwards");
+    // No corrupt payload surfaced: a damaged value would have failed to
+    // parse (the client loop panics), tripped a counter above, or broken
+    // the history below — while corrupt fetches demonstrably happened.
+    let names = rig.registry.names();
+    for fired in [
+        "fault.torn_dma",
+        "fault.bit_flips",
+        "fetch.integrity_retries",
+    ] {
+        assert!(names.iter().any(|n| n == fired), "{fired} never fired");
+    }
+    // Hedges and failover retries never double-applied: the primary
+    // executed at most once per issued PUT (it stays down, so there is
+    // no restart to re-execute across).
+    let applied = rig.primary_role.applied_mutations.get();
+    assert!(
+        applied <= st.issued_puts.get(),
+        "{applied} applied, {} issued",
+        st.issued_puts.get()
+    );
+    assert!(st.max_ops_per_key() <= 128, "history over capacity");
+    check_history(&st.history()).expect("composed history must linearize");
+    // Serving stayed in-bound-only: no client ever left remote fetch,
+    // and the backup's NIC — standby reads, log applies, then every
+    // client after promotion — never issued an out-bound op. (The
+    // primary's out-bound ops are its own log shipments: on that link it
+    // is the RFP *client*.)
+    for router in &rig.routers {
+        assert_eq!(router.client().mode(), Mode::RemoteFetch);
+    }
+    assert_eq!(rig.cluster.machine(1).nic().counters().outbound_ops, 0);
+}

@@ -24,7 +24,7 @@
 
 use proptest::prelude::*;
 
-use rfp_chaos::{spawn_grayfail_kv, FaultPlan, GrayChaosConfig};
+use rfp_chaos::{spawn_grayfail_kv, FailoverChaosConfig, FaultPlan};
 use rfp_core::{FailoverConfig, GrayConfig, RetryBudgetConfig, ScorerConfig};
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -51,23 +51,23 @@ fn family_plan(family: usize, seed: u64, machine: usize) -> FaultPlan {
     }
 }
 
-fn small_cfg(seed: u64, gray: GrayConfig, hedged_reads: bool) -> GrayChaosConfig {
-    GrayChaosConfig {
+fn small_cfg(seed: u64, gray: GrayConfig, hedged_reads: bool) -> FailoverChaosConfig {
+    FailoverChaosConfig {
         clients: 2,
         keys_per_client: 4,
         ops_per_client: 300,
         hedged_reads,
         failover: FailoverConfig {
             gray,
-            ..GrayChaosConfig::default().failover
+            ..FailoverChaosConfig::grayfail().failover
         },
         seed,
-        ..GrayChaosConfig::default()
+        ..FailoverChaosConfig::grayfail()
     }
 }
 
 /// Runs the rig and returns `(metrics CSV, trace dump)`.
-fn run_fingerprint(cfg: &GrayChaosConfig, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
+fn run_fingerprint(cfg: &FailoverChaosConfig, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
     let mut sim = Simulation::new(cfg.seed);
     let rig = spawn_grayfail_kv(&mut sim, cfg, plan);
     sim.run_for(WINDOW);
@@ -197,7 +197,7 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
     let seed = 7;
     let mut gray = GrayConfig::all_on();
     gray.probe_every = 8; // fast recovery detection for the test
-    let cfg = GrayChaosConfig {
+    let cfg = FailoverChaosConfig {
         clients: 2,
         // 2_000 ops over 32 keys stays under the linearizability
         // checker's 128-op-per-key search cap.
@@ -206,10 +206,10 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         hedged_reads: true,
         failover: FailoverConfig {
             gray,
-            ..GrayChaosConfig::default().failover
+            ..FailoverChaosConfig::grayfail().failover
         },
         seed,
-        ..GrayChaosConfig::default()
+        ..FailoverChaosConfig::grayfail()
     };
     // The fault heals at 3ms, well before the 2_000-op workload
     // drains, so plenty of post-heal traffic reaches the probes.

@@ -20,25 +20,23 @@
 //!   starve — the worst case EREW admits.
 //!
 //! Clients are closed-loop and pipelined: each draws one ring window
-//! of GETs, buckets them by owning partition, and drives each bucket
-//! through [`RfpClient::call_pipelined`] on its per-core connection.
+//! of GETs per core, buckets them by owning partition, and drives each
+//! bucket through the call engine on its per-core connection.
 
-use std::cell::RefCell;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use rand::{Rng, SeedableRng};
 use rfp_core::{
-    connect, CoreSpec, Reactor, ReactorConfig, ReactorPolicy, RfpClient, RfpConfig, RfpServerConn,
-    REQ_HDR, RESP_HDR,
+    connect, CallPolicy, CoreSpec, Reactor, ReactorConfig, ReactorPolicy, RfpConfig, REQ_HDR,
+    RESP_HDR,
 };
-use rfp_rnic::{core_threads, Cluster, ClusterProfile, Machine, ThreadCtx};
-use rfp_simnet::{CoreSkewReport, MetricsRegistry, SimSpan, SimTime, Simulation};
+use rfp_rnic::{core_threads, ClusterProfile, ThreadCtx};
+use rfp_simnet::{CoreSkewReport, SimSpan, SimTime, Simulation};
 use rfp_workload::{Op, Zipf};
 
-use crate::bucket::Partition;
 use crate::hash::partition_of;
-use crate::proto::{KvRequest, KvResponse};
-use crate::systems::{apply_to_partition, record_outcome, KvStats};
+use crate::rig::{kv_handler, preload_partitions, KvSystem, Seating};
 
 /// Configuration of the multi-core scaling rig.
 #[derive(Clone)]
@@ -162,43 +160,32 @@ pub fn build_keyspace(cores: usize, keys_per_core: usize, hot_first: bool) -> Ve
 
 /// A running multi-core system: clients loop forever; warm up, call
 /// [`CoresKv::reset_measurements`], run the window, read the stats.
+/// Derefs to its [`KvSystem`] (cluster, stats, registry — additionally
+/// `serve.core.*` —, server machine, client threads and endpoints,
+/// server connections grouped by owning core).
 pub struct CoresKv {
-    /// The simulated cluster (machine 0 is the server).
-    pub cluster: Cluster,
-    /// Shared measurements.
-    pub stats: Rc<KvStats>,
-    /// Instrument registry (`nic.*`, `kv.*`, `serve.core.*`).
-    pub registry: MetricsRegistry,
+    /// The underlying system.
+    pub kv: KvSystem,
     /// The serve reactor (per-core accessors, skew report).
     pub reactor: Reactor,
-    /// The server machine.
-    pub server_machine: Rc<Machine>,
     /// The per-core server threads.
     pub core_threads: Vec<Rc<ThreadCtx>>,
-    /// All client threads.
-    pub client_threads: Vec<Rc<ThreadCtx>>,
-    /// All RFP client endpoints.
-    pub rfp_clients: Vec<Rc<RfpClient>>,
-    /// Server-side connections grouped by owning core.
-    pub server_conns: Vec<Vec<Rc<RfpServerConn>>>,
+}
+
+impl Deref for CoresKv {
+    type Target = KvSystem;
+
+    fn deref(&self) -> &KvSystem {
+        &self.kv
+    }
 }
 
 impl CoresKv {
-    /// Discards warm-up: stats, NIC counters, thread clocks, reactor
-    /// meters, and the registry diff baseline.
+    /// Discards warm-up: everything [`KvSystem::reset_measurements`]
+    /// clears, plus the reactor meters and core thread clocks.
     pub fn reset_measurements(&self) {
-        self.stats.reset();
-        for i in 0..self.cluster.len() {
-            self.cluster.machine(i).nic().reset_counters();
-        }
-        for t in &self.client_threads {
-            t.reset_utilization();
-        }
-        for c in &self.rfp_clients {
-            c.stats().reset();
-        }
+        self.kv.reset_measurements();
         self.reactor.reset_measurements();
-        self.registry.reset();
     }
 
     /// Requests executed per core (own plus stolen).
@@ -217,14 +204,19 @@ impl CoresKv {
 /// Spawns the multi-core system: one server machine running an
 /// N-core [`Reactor`] (plain policy) over an EREW-partitioned bucket
 /// store, plus closed-loop pipelined GET clients sampling the
-/// constructed keyspace.
+/// constructed keyspace. A preset of the [`rig`](crate::rig) skeleton:
+/// the windowed driver draws one ring window of GETs *per core* and
+/// routes each to the core owning its partition, so a draw costs ~one
+/// round trip per loaded partition rather than one per request.
 pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let registry = MetricsRegistry::new();
-    cluster.attach_metrics(&registry);
-    stats.register_into(&registry);
+    let seating = Seating {
+        servers: 1,
+        machines: cfg.client_machines,
+        per_machine: cfg.clients_per_machine,
+        seed: cfg.seed,
+        think: SimSpan::ZERO,
+    };
+    let mut sys = KvSystem::bed(sim, &cfg.profile, &seating, None);
     let rfp_cfg = cfg.rfp();
 
     // The constructed keyspace and its preloaded partitions.
@@ -234,101 +226,46 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
         cfg.skew.is_some(),
     ));
     let value = vec![0x56u8; cfg.value_len];
-    let partitions: Vec<Rc<RefCell<Partition>>> = (0..cfg.cores)
-        .map(|_| Rc::new(RefCell::new(Partition::new(cfg.keys_per_core.max(64) / 4))))
-        .collect();
-    for key in keys.iter() {
-        let p = partition_of(key, cfg.cores);
-        partitions[p].borrow_mut().put(key, &value);
-    }
+    let pairs = keys.iter().map(|key| (key, &value));
+    let partitions = preload_partitions(pairs, cfg.cores, cfg.keys_per_core.max(64) / 4);
 
     // Clients: one connection per (client thread, core); requests are
     // routed to the core owning the key's partition (EREW).
-    let mut server_conns: Vec<Vec<Rc<RfpServerConn>>> =
-        (0..cfg.cores).map(|_| Vec::new()).collect();
-    let mut rfp_clients = Vec::new();
-    let mut client_threads = Vec::new();
+    sys.server_conns = vec![Vec::new(); cfg.cores];
     let zipf = cfg.skew.map(|theta| Zipf::new(keys.len() as u64, theta));
-    for m in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + m);
-        for t in 0..cfg.clients_per_machine {
-            let thread = client_m.thread(format!("c{m}.{t}"));
-            client_threads.push(Rc::clone(&thread));
-            let mut conns: Vec<Rc<RfpClient>> = Vec::with_capacity(cfg.cores);
-            for core_conns in server_conns.iter_mut() {
-                let (cl, sc) = connect(
-                    &client_m,
-                    &server_m,
-                    cluster.qp(1 + m, 0),
-                    cluster.qp(0, 1 + m),
-                    rfp_cfg.clone(),
-                );
-                let cl = Rc::new(cl);
-                rfp_clients.push(Rc::clone(&cl));
-                conns.push(cl);
-                core_conns.push(Rc::new(sc));
-            }
-
-            let st = Rc::clone(&stats);
-            let keys = Rc::clone(&keys);
-            let zipf = zipf.clone();
-            let ncores = cfg.cores;
-            let window = cfg.window;
-            let seed = rfp_simnet::derive_seed(cfg.seed, (m * 64 + t) as u64 + 1);
-            sim.spawn(async move {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                loop {
-                    // One ring window of GETs *per core*, bucketed by
-                    // owner; each bucket streams through its
-                    // connection's W-slot ring in one pipelined call,
-                    // so a draw costs ~one round trip per loaded
-                    // partition rather than one per request.
-                    let picks: Vec<usize> = (0..window * ncores)
-                        .map(|_| match &zipf {
-                            Some(z) => z.sample(&mut rng) as usize,
-                            None => rng.gen_range(0..keys.len()),
-                        })
-                        .collect();
-                    let mut buckets: Vec<Vec<usize>> = (0..ncores).map(|_| Vec::new()).collect();
-                    for &k in &picks {
-                        buckets[partition_of(&keys[k], ncores)].push(k);
-                    }
-                    for (p, bucket) in buckets.iter().enumerate() {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        let reqs: Vec<Vec<u8>> = bucket
-                            .iter()
-                            .map(|&k| KvRequest::Get { key: &keys[k] }.encode())
-                            .collect();
-                        let outs = conns[p].call_pipelined(&thread, &reqs).await;
-                        for (&k, out) in bucket.iter().zip(&outs) {
-                            let resp = KvResponse::decode(&out.data).expect("server response");
-                            let op = Op::Get {
-                                key: keys[k].clone(),
-                            };
-                            record_outcome(&st, &op, &resp, out.info.latency);
-                        }
-                    }
-                }
-            });
-        }
+    for idx in 0..seating.clients() {
+        let seat = sys.seat(&seating, idx);
+        let conns = (0..cfg.cores)
+            .map(|core| sys.connect(&seat, 0, connect, rfp_cfg.clone(), core))
+            .collect();
+        let (keys, zipf, ncores) = (Rc::clone(&keys), zipf.clone(), cfg.cores);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seat.seed);
+        let next_op = move || {
+            let k = match &zipf {
+                Some(z) => z.sample(&mut rng) as usize,
+                None => rng.gen_range(0..keys.len()),
+            };
+            let key = keys[k].clone();
+            Op::Get { key }
+        };
+        sim.spawn(seat.windowed(
+            conns,
+            cfg.window * cfg.cores,
+            next_op,
+            move |key| partition_of(key, ncores),
+            CallPolicy::default(),
+        ));
     }
 
     // The reactor: one core per partition, stealing as configured.
-    let threads = core_threads(&server_m, "s", cfg.cores);
+    let threads = core_threads(&sys.server_machine, "s", cfg.cores);
     let specs: Vec<CoreSpec> = (0..cfg.cores)
         .map(|i| {
-            let part = Rc::clone(&partitions[i]);
             let extra = cfg.extra_process;
             CoreSpec {
                 thread: Rc::clone(&threads[i]),
-                conns: server_conns[i].clone(),
-                handler: Box::new(move |req: &[u8]| {
-                    let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-                    let (resp, work) = apply_to_partition(&mut part.borrow_mut(), &parsed);
-                    (resp.encode(), work + extra)
-                }),
+                conns: sys.server_conns[i].clone(),
+                handler: Box::new(kv_handler(Rc::clone(&partitions[i]), move || extra)),
             }
         })
         .collect();
@@ -337,7 +274,7 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
             steal: cfg.steal,
             handoff_cost: cfg.handoff_cost,
             steal_batch: cfg.steal_batch,
-            registry: Some(registry.clone()),
+            registry: Some(sys.registry.clone()),
             recorder: None,
         },
         specs,
@@ -349,15 +286,9 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
     }
 
     CoresKv {
-        cluster,
-        stats,
-        registry,
+        kv: sys,
         reactor,
-        server_machine: server_m,
         core_threads: threads,
-        client_threads,
-        rfp_clients,
-        server_conns,
     }
 }
 

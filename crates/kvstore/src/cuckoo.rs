@@ -26,8 +26,9 @@ use rfp_paradigms::BypassClient;
 use rfp_rnic::{Machine, MemRegion, ThreadCtx};
 use rfp_simnet::SimSpan;
 
-use crate::crc64::crc64;
 use crate::hash::hash_bytes;
+use crate::rig::BypassStore;
+use rfp_simnet::crc64;
 
 /// Bytes per slot in the table region.
 pub const SLOT_SIZE: usize = 40;
@@ -401,6 +402,35 @@ impl PilafStore {
         // displaced entries placed; only the last homeless one is lost),
         // but report the failure honestly.
         Err(CuckooError::TableFull)
+    }
+}
+
+impl BypassStore for PilafStore {
+    type View = PilafView;
+    type Error = CuckooError;
+
+    fn view(&self) -> PilafView {
+        PilafStore::view(self)
+    }
+    fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), CuckooError> {
+        PilafStore::insert_local(self, key, value)
+    }
+    fn lookup_local(&self, key: &[u8]) -> Option<Vec<u8>> {
+        PilafStore::lookup_local(self, key)
+    }
+    fn remove_local(&self, key: &[u8]) -> bool {
+        PilafStore::remove_local(self, key)
+    }
+    async fn put(&self, thread: &ThreadCtx, key: &[u8], value: &[u8]) -> Result<(), CuckooError> {
+        PilafStore::put(self, thread, key, value).await
+    }
+    async fn get(
+        client: &BypassClient,
+        thread: &ThreadCtx,
+        view: &PilafView,
+        key: &[u8],
+    ) -> BypassGet {
+        bypass_get(client, thread, view, key).await
     }
 }
 

@@ -26,8 +26,10 @@ use rfp_paradigms::BypassClient;
 use rfp_rnic::{Machine, MemRegion, ThreadCtx};
 use rfp_simnet::SimSpan;
 
-use crate::crc64::crc64;
+use crate::cuckoo::BypassGet;
 use crate::hash::hash_bytes;
+use crate::rig::BypassStore;
+use rfp_simnet::crc64;
 
 /// Neighborhood size (FaRM's `H`; the paper's `N > 6` fetch factor).
 pub const NEIGHBORHOOD: usize = 8;
@@ -296,6 +298,45 @@ impl FarmStore {
             free = j;
         }
         Ok(free)
+    }
+}
+
+impl BypassStore for FarmStore {
+    type View = FarmView;
+    type Error = HopscotchError;
+
+    fn view(&self) -> FarmView {
+        FarmStore::view(self)
+    }
+    fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), HopscotchError> {
+        FarmStore::insert_local(self, key, value)
+    }
+    fn lookup_local(&self, key: &[u8]) -> Option<Vec<u8>> {
+        FarmStore::lookup_local(self, key)
+    }
+    fn remove_local(&self, key: &[u8]) -> bool {
+        FarmStore::remove_local(self, key)
+    }
+    async fn put(
+        &self,
+        thread: &ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<(), HopscotchError> {
+        FarmStore::put(self, thread, key, value).await
+    }
+    async fn get(
+        client: &BypassClient,
+        thread: &ThreadCtx,
+        view: &FarmView,
+        key: &[u8],
+    ) -> BypassGet {
+        let got = farm_get(client, thread, view, key).await;
+        BypassGet {
+            value: got.value,
+            ops: got.ops,
+            crc_retries: got.crc_retries,
+        }
     }
 }
 

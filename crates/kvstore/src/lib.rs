@@ -10,19 +10,18 @@
 //! | Jakiro | RFP (remote fetching) | EREW bucketed 8-slot LRU table | [`bucket`], [`systems::spawn_jakiro`] |
 //! | ServerReply | server-reply | same table | [`systems::spawn_server_reply_kv`] |
 //! | RDMA-Memcached-like | server-reply | shared [`lru::LruCache`] behind a lock | [`mcd`], [`systems::spawn_memcached`] |
-//! | Pilaf-like | server-bypass GET / server-reply PUT | 3-way cuckoo + CRC64 ([`PilafStore`], [`crc64()`](crc64())) | [`systems::spawn_pilaf`] |
+//! | Pilaf-like | server-bypass GET / server-reply PUT | 3-way cuckoo + CRC64 ([`PilafStore`], [`rfp_simnet::crc64()`]) | [`systems::spawn_pilaf`] |
 
 pub mod bucket;
 pub mod bucket_compact;
 pub mod cores;
-pub mod crc64;
 pub mod hash;
 pub mod hopscotch;
 pub mod lru;
 pub mod mcd;
 pub mod proto;
 pub mod replica;
-pub mod sharded;
+pub mod rig;
 pub mod systems;
 
 mod cuckoo;
@@ -30,7 +29,6 @@ mod cuckoo;
 pub use bucket::{Partition, PutOutcome, SLOTS_PER_BUCKET};
 pub use bucket_compact::{CompactPartition, COMPACT_SLOTS};
 pub use cores::{build_keyspace, spawn_cores_kv, CoresConfig, CoresKv};
-pub use crc64::{crc64, Crc64};
 pub use cuckoo::{bypass_get, BypassGet, CuckooError, PilafStore, PilafView, SLOT_SIZE};
 pub use hash::{hash_bytes, partition_of};
 pub use hopscotch::{farm_get, FarmGet, FarmStore, FarmView, HopscotchError, NEIGHBORHOOD};
@@ -40,8 +38,8 @@ pub use proto::{KvRequest, KvResponse, ProtoError};
 pub use replica::{
     backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
 };
-pub use sharded::{spawn_sharded_jakiro, ShardedSystem};
+pub use rig::{kv_handler, preload_partitions, KvStats, KvSystem};
 pub use systems::{
     spawn_farm, spawn_fleet_kv, spawn_herd, spawn_jakiro, spawn_jakiro_shared, spawn_memcached,
-    spawn_pilaf, spawn_server_reply_kv, FleetConfig, FleetKv, KvStats, KvSystem, SystemConfig,
+    spawn_pilaf, spawn_server_reply_kv, spawn_sharded_jakiro, FleetConfig, FleetKv, SystemConfig,
 };

@@ -1,116 +1,58 @@
-//! Full-system assembly of the four key-value stores the paper
-//! evaluates, on a simulated cluster shaped like its testbed (one server
-//! machine plus client machines behind one switch, §4.2).
+//! Full-system assembly of the key-value stores the paper evaluates
+//! (and the §5 comparators), on a simulated cluster shaped like its
+//! testbed (server machines plus client machines behind one switch,
+//! §4.2). Every spawner is a *preset* of the one [`rig`](crate::rig)
+//! skeleton: it picks a store handler, a route, a transport and a
+//! driver, and the skeleton does the rest.
 //!
 //! * [`spawn_jakiro`] — Jakiro: RFP transport, EREW-partitioned bucket
 //!   table, requests routed to the owning server thread by key.
 //! * [`spawn_server_reply_kv`] — ServerReply: identical store and
 //!   routing, but the server pushes results with out-bound WRITE.
+//! * [`spawn_sharded_jakiro`] — Jakiro over `n` server machines: the
+//!   routed rig with a two-level (machine, thread) shard space.
 //! * [`spawn_memcached`] — RDMA-Memcached-like: server-reply transport,
 //!   shared LRU store behind a lock, per-thread hot-key caches.
-//! * [`spawn_pilaf`] — Pilaf-like: GETs are client-driven one-sided
-//!   reads over the cuckoo/CRC store, PUTs go through server-reply RPC.
+//! * [`spawn_jakiro_shared`] — the EREW ablation: one locked partition.
+//! * [`spawn_pilaf`] / [`spawn_farm`] — the bypass rig: GETs are
+//!   client-driven one-sided reads over the cuckoo/CRC or hopscotch
+//!   store, PUTs go through server-reply RPC.
+//! * [`spawn_herd`] — HERD-style UC-write / UD-send RPC.
+//! * [`spawn_fleet_kv`] — a multiplexed logical-client fleet.
 //!
-//! Every spawner returns a [`KvSystem`] whose client loops run forever;
-//! the caller warms up, calls [`KvSystem::reset_measurements`], runs the
-//! measurement window, and reads [`KvStats`].
+//! Every spawner returns a [`KvSystem`] (or a wrapper that derefs to
+//! one) whose client loops run forever; the caller warms up, calls
+//! [`KvSystem::reset_measurements`], runs the measurement window, and
+//! reads [`KvStats`](crate::KvStats).
 
+use std::cell::RefCell;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use rfp_core::{
     connect, serve_loop, serve_loop_tenant, shard_conns, CallPolicy, MuxConfig, RespStatus,
-    RfpClient, RfpConfig, RfpMux, RfpServerConn, RfpTelemetry, TenantId, RESP_HDR,
+    RfpConfig, RfpMux, TenantId, RESP_HDR,
 };
-use rfp_paradigms::{sr_connect, BypassClient};
-use rfp_rnic::{Cluster, ClusterProfile, Machine, ThreadCtx};
-use rfp_simnet::{
-    Counter, HealthHub, Histogram, MetricsRegistry, SimSpan, Simulation, SpanRecorder,
-};
+use rfp_paradigms::{herd_connect, sr_connect, BypassClient, HerdConfig};
+use rfp_rnic::{ClusterProfile, Machine, ThreadCtx, Transport};
+use rfp_simnet::{derive_seed, Counter, HealthHub, SimLock, SimSpan, Simulation};
 use rfp_workload::{Op, WorkloadSpec};
 
 use crate::bucket::Partition;
-use crate::cuckoo::{bypass_get, PilafStore};
+use crate::cuckoo::PilafStore;
 use crate::hash::partition_of;
+use crate::hopscotch::{FarmStore, NEIGHBORHOOD};
 use crate::mcd::{McdCosts, McdStore};
 use crate::proto::{KvRequest, KvResponse};
-
-use std::cell::RefCell;
+use crate::rig::{
+    decode_resp, encode_op, kv_handler, preload_partitions, spawn_pollers, BypassStore, Connect,
+    KvSystem, Pacer, Seat, Seating,
+};
 
 /// Simulated CPU cost of one Jakiro/ServerReply GET (hash + copy).
 pub const KV_GET_WORK: SimSpan = SimSpan::nanos(150);
 /// Simulated CPU cost of one Jakiro/ServerReply PUT.
 pub const KV_PUT_WORK: SimSpan = SimSpan::nanos(200);
-
-/// Shared measurement bundle, updated by every client loop.
-///
-/// The instruments are `Rc`-shared so a [`MetricsRegistry`] can export
-/// them under the `kv.*` namespace (see [`KvStats::register_into`]).
-#[derive(Default)]
-pub struct KvStats {
-    /// Completed requests.
-    pub completed: Rc<Counter>,
-    /// Completed GETs.
-    pub gets: Rc<Counter>,
-    /// Completed PUTs.
-    pub puts: Rc<Counter>,
-    /// GETs that found no value.
-    pub misses: Rc<Counter>,
-    /// End-to-end request latencies.
-    pub latency: Rc<Histogram>,
-    /// One-sided ops spent by bypass GETs (Pilaf only).
-    pub bypass_ops: Rc<Counter>,
-    /// Checksum-failure rereads observed by bypass GETs (Pilaf only).
-    pub crc_retries: Rc<Counter>,
-    /// Requests answered `Busy` by admission control (overload only).
-    pub rejected_busy: Rc<Counter>,
-    /// Requests shed for a missed deadline (overload only).
-    pub rejected_shed: Rc<Counter>,
-    /// Corrupt fetched images discarded and refetched by the RFP
-    /// integrity layer before the response surfaced (integrity only).
-    pub integrity_retries: Rc<Counter>,
-}
-
-impl KvStats {
-    /// Clears everything (discard warm-up).
-    pub fn reset(&self) {
-        self.completed.reset();
-        self.gets.reset();
-        self.puts.reset();
-        self.misses.reset();
-        self.latency.reset();
-        self.bypass_ops.reset();
-        self.crc_retries.reset();
-        self.rejected_busy.reset();
-        self.rejected_shed.reset();
-        self.integrity_retries.reset();
-    }
-
-    /// Exposes every instrument in `registry` under `kv.*`.
-    pub fn register_into(&self, registry: &MetricsRegistry) {
-        registry.register_counter("kv.completed", &self.completed);
-        registry.register_counter("kv.gets", &self.gets);
-        registry.register_counter("kv.puts", &self.puts);
-        registry.register_counter("kv.misses", &self.misses);
-        registry.register_histogram("kv.latency", &self.latency);
-        registry.register_counter("kv.bypass.ops", &self.bypass_ops);
-        registry.register_counter("kv.bypass.crc_retries", &self.crc_retries);
-    }
-
-    /// Additionally exposes the overload rejection counters. Called only
-    /// when the subsystem is on, so runs without it keep their exported
-    /// metric rows unchanged.
-    pub fn register_overload_into(&self, registry: &MetricsRegistry) {
-        registry.register_counter("kv.rejected.busy", &self.rejected_busy);
-        registry.register_counter("kv.rejected.shed", &self.rejected_shed);
-    }
-
-    /// Additionally exposes the fetch-integrity counter. Like the
-    /// overload registration, called only when the integrity layer is
-    /// on, so integrity-off runs export the same metric rows as before.
-    pub fn register_integrity_into(&self, registry: &MetricsRegistry) {
-        registry.register_counter("kv.integrity_retries", &self.integrity_retries);
-    }
-}
 
 /// Experiment configuration shared by all four systems.
 #[derive(Clone)]
@@ -194,10 +136,7 @@ impl OutlierGen {
     fn new(cfg: &SystemConfig, stream: u64) -> Self {
         use rand::SeedableRng;
         OutlierGen {
-            rng: rand::rngs::StdRng::seed_from_u64(rfp_simnet::derive_seed(
-                cfg.seed,
-                0xBAD0 + stream,
-            )),
+            rng: rand::rngs::StdRng::seed_from_u64(derive_seed(cfg.seed, 0xBAD0 + stream)),
             prob: cfg.outlier_prob,
             min_ns: cfg.outlier_extra.0.as_nanos(),
             max_ns: cfg
@@ -225,11 +164,23 @@ impl SystemConfig {
         self.client_machines * self.clients_per_machine
     }
 
-    /// Buffer capacities sized for this workload.
-    pub(crate) fn rfp_sized(&self) -> RfpConfig {
-        self.sized_rfp()
+    /// The client side of a bed with `servers` server machines.
+    fn seating(&self, servers: usize) -> Seating {
+        Seating {
+            servers,
+            machines: self.client_machines,
+            per_machine: self.clients_per_machine,
+            seed: self.seed,
+            think: self.think_time,
+        }
     }
 
+    /// The workload's preload pairs, in generator order.
+    fn preload(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.spec.generator(self.seed).preload(self.spec.key_count)
+    }
+
+    /// Buffer capacities sized for this workload.
     fn sized_rfp(&self) -> RfpConfig {
         let max_val = self.spec.values.max();
         // Integrity-stamped responses carry the 32-byte extended header
@@ -257,144 +208,6 @@ impl SystemConfig {
             req_capacity: req,
             ..self.rfp.clone()
         }
-    }
-}
-
-/// Retained finished request spans per system: enough to keep the tail
-/// of a measurement window without unbounded memory growth.
-const SPAN_CAPACITY: usize = 4096;
-
-/// One registry + span ring per system: NIC engines and the `kv.*`
-/// stats are registered up front; RFP connections add their own
-/// `rfp.client.<n>.*` instruments lazily. When the base RFP config
-/// carries a flight recorder, the cluster NICs report wire-level events
-/// into it as well.
-fn system_telemetry(
-    cluster: &Cluster,
-    stats: &KvStats,
-    rfp: &RfpConfig,
-) -> (MetricsRegistry, SpanRecorder) {
-    let registry = MetricsRegistry::new();
-    cluster.attach_metrics(&registry);
-    stats.register_into(&registry);
-    if let Some(recorder) = &rfp.recorder {
-        cluster.attach_recorder(recorder);
-    }
-    (registry, SpanRecorder::new(SPAN_CAPACITY))
-}
-
-/// `base` specialised for client `idx`: instruments land under
-/// `rfp.client.<idx>.*`, spans render on Chrome-trace row `idx`, and —
-/// when a [`HealthHub`](rfp_simnet::HealthHub) is configured — health
-/// samples land in the hub's connection `idx`.
-fn client_rfp_cfg(
-    base: &RfpConfig,
-    registry: &MetricsRegistry,
-    spans: &SpanRecorder,
-    idx: usize,
-) -> RfpConfig {
-    RfpConfig {
-        telemetry: Some(RfpTelemetry {
-            registry: registry.clone(),
-            spans: spans.clone(),
-            prefix: format!("rfp.client.{idx}"),
-            track: idx as u32,
-        }),
-        conn_id: idx as u32,
-        ..base.clone()
-    }
-}
-
-/// A running system: clients loop forever; sample the stats between
-/// `run_for` windows.
-pub struct KvSystem {
-    /// The simulated cluster (machine 0 is the server).
-    pub cluster: Cluster,
-    /// Shared measurements.
-    pub stats: Rc<KvStats>,
-    /// Unified instrument registry (`nic.*`, `kv.*`, `rfp.client.*`).
-    pub registry: MetricsRegistry,
-    /// Finished request-lifecycle spans (RFP transports only).
-    pub spans: SpanRecorder,
-    /// The server machine.
-    pub server_machine: Rc<Machine>,
-    /// All client threads (for utilisation readings).
-    pub client_threads: Vec<Rc<ThreadCtx>>,
-    /// All RFP client endpoints (for retry/switch stats); empty for the
-    /// bypass GET path.
-    pub rfp_clients: Vec<Rc<RfpClient>>,
-    /// Server-side connections grouped by owning server thread (empty
-    /// for systems without RFP server endpoints); feeds the per-thread
-    /// load-balance accounting of §4.4.3.
-    pub server_conns: Vec<Vec<Rc<RfpServerConn>>>,
-}
-
-impl KvSystem {
-    /// Discards warm-up: clears stats, NIC counters, utilisation
-    /// windows and per-connection client stats.
-    pub fn reset_measurements(&self) {
-        self.stats.reset();
-        for i in 0..self.cluster.len() {
-            self.cluster.machine(i).nic().reset_counters();
-        }
-        for t in &self.client_threads {
-            t.reset_utilization();
-        }
-        for c in &self.rfp_clients {
-            c.stats().reset();
-        }
-        // Registered instruments overlap the resets above (same Rc
-        // cells); this additionally clears client-connection counters
-        // and the diff baseline, and drops warm-up spans.
-        self.registry.reset();
-        self.spans.reset();
-    }
-
-    /// Mean client CPU utilisation (Figure 15's metric).
-    pub fn mean_client_utilization(&self) -> f64 {
-        if self.client_threads.is_empty() {
-            return 0.0;
-        }
-        self.client_threads
-            .iter()
-            .map(|t| t.utilization())
-            .sum::<f64>()
-            / self.client_threads.len() as f64
-    }
-
-    /// Requests served per server thread (for EREW load-balance checks:
-    /// the paper finds the most-loaded thread <25% above the least under
-    /// Zipf(.99), §4.4.3).
-    pub fn served_per_thread(&self) -> Vec<u64> {
-        self.server_conns
-            .iter()
-            .map(|conns| conns.iter().map(|c| c.served()).sum())
-            .collect()
-    }
-
-    /// Server in-bound ops per completed request (§4.3's round-trip
-    /// accounting; Jakiro measures 2.005).
-    pub fn inbound_ops_per_request(&self) -> f64 {
-        let ops = self.server_machine.nic().counters().inbound_ops;
-        let done = self.stats.completed.get();
-        if done == 0 {
-            return 0.0;
-        }
-        ops as f64 / done as f64
-    }
-}
-
-pub(crate) fn record_outcome(stats: &KvStats, op: &Op, resp: &KvResponse, latency: SimSpan) {
-    stats.completed.incr();
-    stats.latency.record(latency);
-    match op {
-        Op::Get { .. } => {
-            stats.gets.incr();
-            if matches!(resp, KvResponse::NotFound) {
-                stats.misses.incr();
-            }
-        }
-        Op::Put { .. } => stats.puts.incr(),
     }
 }
 
@@ -432,192 +245,81 @@ pub fn apply_to_partition(
     }
 }
 
-fn kv_handler(
-    partition: Rc<RefCell<Partition>>,
-    extra: SimSpan,
-    mut outliers: OutlierGen,
-) -> impl FnMut(&[u8]) -> (Vec<u8>, SimSpan) {
-    move |req: &[u8]| {
-        let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-        let jitter = outliers.draw();
-        let (resp, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-        (resp.encode(), work + extra + jitter)
-    }
+/// Extra process time of server thread `stream`'s next request: the
+/// configured constant plus the rare outlier.
+fn process_extra(cfg: &SystemConfig, stream: u64) -> impl FnMut() -> SimSpan {
+    let (extra, mut outliers) = (cfg.extra_process, OutlierGen::new(cfg, stream));
+    move || extra + outliers.draw()
 }
 
-/// Preloaded, EREW-partitioned bucket table (one partition per server
-/// thread).
-fn build_partitions(cfg: &SystemConfig) -> Vec<Rc<RefCell<Partition>>> {
-    let per_part = (cfg.spec.key_count as usize * 2 / cfg.server_threads / 8).max(64);
-    let parts: Vec<Rc<RefCell<Partition>>> = (0..cfg.server_threads)
-        .map(|_| Rc::new(RefCell::new(Partition::new(per_part))))
-        .collect();
-    let mut gen = cfg.spec.generator(cfg.seed);
-    for (key, value) in gen.preload(cfg.spec.key_count) {
-        let p = partition_of(&key, cfg.server_threads);
-        parts[p].borrow_mut().put(&key, &value);
-    }
-    parts
+/// The workload preloaded into `parts` EREW bucket-table partitions.
+fn preloaded(cfg: &SystemConfig, parts: usize) -> Vec<Rc<RefCell<Partition>>> {
+    let buckets = (cfg.spec.key_count as usize * 2 / parts / 8).max(64);
+    preload_partitions(cfg.preload(), parts, buckets)
 }
 
-/// Common wiring for Jakiro and ServerReply-KV (which differ only in
-/// transport pinning).
-fn spawn_routed_kv(sim: &mut Simulation, cfg: &SystemConfig, server_reply: bool) -> KvSystem {
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let (registry, spans) = system_telemetry(&cluster, &stats, &cfg.rfp);
-    let partitions = build_partitions(cfg);
+/// The routed rig (Jakiro, ServerReply, sharded Jakiro): keys are
+/// partitioned across `servers × server_threads` shards, machine-major
+/// (two-level EREW); every client holds one connection per shard and
+/// routes each request to its owner. `staged` says whether the
+/// transport runs RFP's client-side stages — overload admission and
+/// fetch integrity only guard the remote-fetch path; a server-reply
+/// comparator has no deadline-aware admission to stage.
+fn spawn_routed_kv(
+    sim: &mut Simulation,
+    cfg: &SystemConfig,
+    servers: usize,
+    connect: Connect,
+    staged: bool,
+) -> KvSystem {
+    let seating = cfg.seating(servers);
+    let mut sys = KvSystem::bed(sim, &cfg.profile, &seating, cfg.rfp.recorder.as_ref());
+    let shards = servers * cfg.server_threads;
+    let partitions = preloaded(cfg, shards);
     let rfp_cfg = cfg.sized_rfp();
-    // Overload control only guards the remote-fetch transport; the
-    // server-reply comparator has no deadline-aware admission path.
-    let overload = !server_reply && rfp_cfg.overload.enabled;
+    let overload = staged && rfp_cfg.overload.enabled;
     if overload {
-        stats.register_overload_into(&registry);
+        sys.stats.register_overload_into(&sys.registry);
     }
-    // Likewise integrity only guards the remote-fetch transport.
-    if !server_reply && rfp_cfg.integrity.enabled {
-        stats.register_integrity_into(&registry);
+    if staged && rfp_cfg.integrity.enabled {
+        sys.stats.register_integrity_into(&sys.registry);
     }
+    // Which policy stages each call carries.
+    let policy = if overload {
+        CallPolicy::admitted(None)
+    } else {
+        CallPolicy::default()
+    };
 
-    // Per server thread: the connections it polls.
-    let mut server_conns: Vec<Vec<Rc<RfpServerConn>>> =
-        (0..cfg.server_threads).map(|_| Vec::new()).collect();
-    let mut rfp_clients = Vec::new();
-    let mut client_threads = Vec::new();
-
-    for m in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + m);
-        for t in 0..cfg.clients_per_machine {
-            let thread = client_m.thread(format!("c{m}.{t}"));
-            client_threads.push(Rc::clone(&thread));
-            // One connection per server thread (requests are routed to
-            // the partition owner — EREW).
-            let idx = m * cfg.clients_per_machine + t;
-            let mut ccfg = client_rfp_cfg(&rfp_cfg, &registry, &spans, idx);
-            if overload {
-                // Decorrelate the per-client backoff jitter streams.
-                ccfg.overload.seed = rfp_simnet::derive_seed(rfp_cfg.overload.seed, idx as u64);
-            }
-            let mut conns = Vec::with_capacity(cfg.server_threads);
-            for sconns in server_conns.iter_mut() {
-                let (cl, sc) = if server_reply {
-                    sr_connect(
-                        &client_m,
-                        &server_m,
-                        cluster.qp(1 + m, 0),
-                        cluster.qp(0, 1 + m),
-                        ccfg.clone(),
-                    )
-                } else {
-                    connect(
-                        &client_m,
-                        &server_m,
-                        cluster.qp(1 + m, 0),
-                        cluster.qp(0, 1 + m),
-                        ccfg.clone(),
-                    )
-                };
-                let cl = Rc::new(cl);
-                rfp_clients.push(Rc::clone(&cl));
-                conns.push(cl);
-                sconns.push(Rc::new(sc));
-            }
-
-            // The client loop.
-            let spec = cfg.spec.clone();
-            let seed = rfp_simnet::derive_seed(cfg.seed, (m * 64 + t) as u64 + 1);
-            let st = stats.clone();
-            let nthreads = cfg.server_threads;
-            let think = cfg.think_time;
-            let window = rfp_cfg.window;
-            // The one thing that differs between client flavours: which
-            // policy stages each call carries.
-            let policy = if overload {
-                CallPolicy::admitted(None)
-            } else {
-                CallPolicy::default()
-            };
-            let h = sim.handle();
-            sim.spawn(async move {
-                use rand::{Rng, SeedableRng};
-                let mut gen = spec.generator(seed);
-                let mut pause_rng = rand::rngs::StdRng::seed_from_u64(rfp_simnet::derive_seed(
-                    seed,
-                    0x0074_6869_6E6B,
-                ));
-                // Reused across rounds: a call allocates only its bytes.
-                let mut ops: Vec<Op> = Vec::with_capacity(window);
-                let mut buckets: Vec<Vec<usize>> = (0..nthreads).map(|_| Vec::new()).collect();
-                let mut reqs: Vec<Vec<u8>> = Vec::new();
-                loop {
-                    if !think.is_zero() {
-                        // Exponential think time ⇒ Poisson-ish offered
-                        // load per client.
-                        let u: f64 = pause_rng.gen_range(1e-9..1.0);
-                        let pause = think.as_nanos() as f64 * -u.ln();
-                        h.sleep(SimSpan::from_nanos_f64(pause)).await;
-                    }
-                    // Multi-get pattern: draw one ring window's worth of
-                    // ops (one op on the paper's one-slot ring), bucket
-                    // them by partition owner, and run each bucket
-                    // through the call engine — up to `W` calls ride one
-                    // connection concurrently, their fetch polls sharing
-                    // doorbells.
-                    ops.clear();
-                    ops.extend((0..window).map(|_| gen.next_op()));
-                    for (i, op) in ops.iter().enumerate() {
-                        buckets[partition_of(op.key(), nthreads)].push(i);
-                    }
-                    for (p, bucket) in buckets.iter_mut().enumerate() {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        reqs.clear();
-                        reqs.extend(bucket.iter().map(|&i| match &ops[i] {
-                            Op::Get { key } => KvRequest::Get { key }.encode(),
-                            Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
-                        }));
-                        conns[p]
-                            .run(&thread, &reqs, policy, |i, out| {
-                                let out = out.expect("no recovery stage, so no RpcError");
-                                if out.info.integrity_retries > 0 {
-                                    st.integrity_retries.add(out.info.integrity_retries as u64);
-                                }
-                                match out.info.status {
-                                    RespStatus::Ok => {
-                                        let resp =
-                                            KvResponse::decode(&out.data).expect("server response");
-                                        record_outcome(
-                                            &st,
-                                            &ops[bucket[i]],
-                                            &resp,
-                                            out.info.latency,
-                                        );
-                                    }
-                                    // Rejected under overload: no payload
-                                    // to decode, and rejections never
-                                    // count as goodput.
-                                    RespStatus::Busy => st.rejected_busy.incr(),
-                                    _ => st.rejected_shed.incr(),
-                                }
-                            })
-                            .await;
-                        bucket.clear();
-                    }
-                }
-            });
+    sys.server_conns = vec![Vec::new(); shards];
+    for idx in 0..seating.clients() {
+        let seat = sys.seat(&seating, idx);
+        let mut ccfg = sys.client_cfg(&rfp_cfg, idx);
+        if overload {
+            // Decorrelate the per-client backoff jitter streams.
+            ccfg.overload.seed = derive_seed(rfp_cfg.overload.seed, idx as u64);
         }
+        let conns = (0..shards)
+            .map(|shard| {
+                let server = shard / cfg.server_threads;
+                sys.connect(&seat, server, connect, ccfg.clone(), shard)
+            })
+            .collect();
+        let mut gen = cfg.spec.generator(seat.seed);
+        sim.spawn(seat.windowed(
+            conns,
+            rfp_cfg.window,
+            move || gen.next_op(),
+            move |key| partition_of(key, shards),
+            policy,
+        ));
     }
 
-    // The server threads.
-    for (s, conns) in server_conns.iter().enumerate() {
-        let thread = server_m.thread(format!("s{s}"));
-        let handler = kv_handler(
-            Rc::clone(&partitions[s]),
-            cfg.extra_process,
-            OutlierGen::new(cfg, s as u64),
-        );
+    for (shard, conns) in sys.server_conns.iter().enumerate() {
+        let machine = sys.cluster.machine(shard / cfg.server_threads);
+        let thread = machine.thread(format!("s{}", shard % cfg.server_threads));
+        let partition = Rc::clone(&partitions[shard]);
+        let handler = kv_handler(partition, process_extra(cfg, shard as u64));
         sim.spawn(serve_loop(
             thread,
             conns.clone(),
@@ -625,407 +327,114 @@ fn spawn_routed_kv(sim: &mut Simulation, cfg: &SystemConfig, server_reply: bool)
             SimSpan::nanos(100),
         ));
     }
-
-    KvSystem {
-        server_machine: server_m,
-        cluster,
-        stats,
-        registry,
-        spans,
-        client_threads,
-        rfp_clients,
-        server_conns,
-    }
+    sys
 }
 
 /// Spawns Jakiro (RFP transport).
 pub fn spawn_jakiro(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
-    spawn_routed_kv(sim, cfg, false)
+    spawn_routed_kv(sim, cfg, 1, connect, true)
 }
 
 /// Spawns the ServerReply comparator (same store, out-bound replies).
 pub fn spawn_server_reply_kv(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
-    spawn_routed_kv(sim, cfg, true)
+    spawn_routed_kv(sim, cfg, 1, sr_connect, false)
+}
+
+/// Spawns Jakiro sharded over `servers` server machines.
+///
+/// The paper evaluates a single server (its bottleneck story is one
+/// NIC's in-bound rate); its conclusion argues RFP "can be integrated
+/// into many RPC-based systems", and its FaRM comparison cites a
+/// 20-machine deployment. This is that deployment shape:
+/// `cfg.client_machines` client machines follow the servers in the
+/// cluster, `cfg.server_threads` is per server machine, and aggregate
+/// throughput scales with server NICs until the clients' out-bound
+/// capacity binds. With one server it *is* [`spawn_jakiro`].
+///
+/// # Panics
+///
+/// Panics if `servers` is zero.
+pub fn spawn_sharded_jakiro(sim: &mut Simulation, cfg: &SystemConfig, servers: usize) -> KvSystem {
+    assert!(servers > 0, "need at least one server shard");
+    spawn_routed_kv(sim, cfg, servers, connect, true)
+}
+
+/// Seats every client with one connection, assigned to the server
+/// threads round-robin (any thread can serve any key), and drives it
+/// through the windowed driver with a constant route.
+fn spawn_single_conn_clients(
+    sim: &mut Simulation,
+    cfg: &SystemConfig,
+    sys: &mut KvSystem,
+    connect: Connect,
+) {
+    let (seating, rfp_cfg) = (cfg.seating(1), cfg.sized_rfp());
+    sys.server_conns = vec![Vec::new(); cfg.server_threads];
+    for idx in 0..seating.clients() {
+        let seat = sys.seat(&seating, idx);
+        let ccfg = sys.client_cfg(&rfp_cfg, idx);
+        let conn = sys.connect(&seat, 0, connect, ccfg, idx % cfg.server_threads);
+        let mut gen = cfg.spec.generator(seat.seed);
+        sim.spawn(seat.windowed(
+            vec![conn],
+            rfp_cfg.window,
+            move || gen.next_op(),
+            |_| 0,
+            CallPolicy::default(),
+        ));
+    }
 }
 
 /// Spawns the RDMA-Memcached comparator: server-reply transport, shared
 /// locked store, per-thread hot-key caches; clients are assigned to
 /// server threads round-robin (any thread can serve any key).
 pub fn spawn_memcached(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let (registry, spans) = system_telemetry(&cluster, &stats, &cfg.rfp);
-    let rfp_cfg = cfg.sized_rfp();
-
+    let mut sys = KvSystem::bed(
+        sim,
+        &cfg.profile,
+        &cfg.seating(1),
+        cfg.rfp.recorder.as_ref(),
+    );
     let store = McdStore::new(
         (cfg.spec.key_count as usize * 2).max(1024),
         cfg.mcd_costs.clone(),
     );
-    let mut gen = cfg.spec.generator(cfg.seed);
-    for (key, value) in gen.preload(cfg.spec.key_count) {
+    for (key, value) in cfg.preload() {
         store.preload(key, value);
     }
+    spawn_single_conn_clients(sim, cfg, &mut sys, sr_connect);
 
-    let mut server_conns: Vec<Vec<Rc<RfpServerConn>>> =
-        (0..cfg.server_threads).map(|_| Vec::new()).collect();
-    let mut rfp_clients = Vec::new();
-    let mut client_threads = Vec::new();
-    let mut client_idx = 0usize;
-
-    for m in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + m);
-        for t in 0..cfg.clients_per_machine {
-            let thread = client_m.thread(format!("c{m}.{t}"));
-            client_threads.push(Rc::clone(&thread));
-            let (cl, sc) = sr_connect(
-                &client_m,
-                &server_m,
-                cluster.qp(1 + m, 0),
-                cluster.qp(0, 1 + m),
-                client_rfp_cfg(&rfp_cfg, &registry, &spans, client_idx),
-            );
-            let cl = Rc::new(cl);
-            rfp_clients.push(Rc::clone(&cl));
-            server_conns[client_idx % cfg.server_threads].push(Rc::new(sc));
-            client_idx += 1;
-
-            let spec = cfg.spec.clone();
-            let seed = rfp_simnet::derive_seed(cfg.seed, (m * 64 + t) as u64 + 1);
-            let st = stats.clone();
-            let h = sim.handle();
-            sim.spawn(async move {
-                let mut gen = spec.generator(seed);
-                loop {
-                    let op = gen.next_op();
-                    let req = match &op {
-                        Op::Get { key } => KvRequest::Get { key }.encode(),
-                        Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
-                    };
-                    let t0 = h.now();
-                    let out = cl.call(&thread, &req).await;
-                    let resp = KvResponse::decode(&out.data).expect("server response");
-                    record_outcome(&st, &op, &resp, h.now() - t0);
-                }
-            });
-        }
-    }
-
-    for (s, conns) in server_conns.into_iter().enumerate() {
-        if conns.is_empty() {
-            continue;
-        }
-        let thread = server_m.thread(format!("s{s}"));
+    let groups = sys.server_conns.clone();
+    spawn_pollers(sim, &sys.server_machine, "s", groups, |s| {
         let view = store.thread_view();
-        let extra = cfg.extra_process;
-        let mut outliers = OutlierGen::new(cfg, s as u64);
-        sim.spawn(async move {
-            loop {
-                let mut served = false;
-                for conn in &conns {
-                    if let Some(req) = conn.try_recv(&thread).await {
-                        let parsed = KvRequest::decode(&req).expect("well-formed request");
-                        let jitter = outliers.draw();
-                        let resp = match parsed {
-                            KvRequest::Get { key } => match view.get(&thread, key).await {
-                                Some(v) => KvResponse::Found(v),
-                                None => KvResponse::NotFound,
-                            },
-                            KvRequest::Put { key, value } => {
-                                view.put(&thread, key, value.to_vec()).await;
-                                KvResponse::Stored
-                            }
-                            KvRequest::Delete { key } => {
-                                KvResponse::Deleted(view.delete(&thread, key).await)
-                            }
-                            KvRequest::MultiGet { keys } => {
-                                let mut values = Vec::with_capacity(keys.len());
-                                for key in keys {
-                                    values.push(view.get(&thread, key).await);
-                                }
-                                KvResponse::Values(values)
-                            }
-                        };
-                        if !(extra + jitter).is_zero() {
-                            thread.busy(extra + jitter).await;
-                        }
-                        conn.send(&thread, &resp.encode()).await;
-                        served = true;
+        let mut extra = process_extra(cfg, s as u64);
+        async move |thread: &ThreadCtx, req: &[u8]| {
+            let extra = extra();
+            let resp = match KvRequest::decode(req).expect("well-formed request") {
+                KvRequest::Get { key } => match view.get(thread, key).await {
+                    Some(v) => KvResponse::Found(v),
+                    None => KvResponse::NotFound,
+                },
+                KvRequest::Put { key, value } => {
+                    view.put(thread, key, value.to_vec()).await;
+                    KvResponse::Stored
+                }
+                KvRequest::Delete { key } => KvResponse::Deleted(view.delete(thread, key).await),
+                KvRequest::MultiGet { keys } => {
+                    let mut values = Vec::with_capacity(keys.len());
+                    for key in keys {
+                        values.push(view.get(thread, key).await);
                     }
+                    KvResponse::Values(values)
                 }
-                if !served {
-                    thread.busy(SimSpan::nanos(100)).await;
-                }
+            };
+            if !extra.is_zero() {
+                thread.busy(extra).await;
             }
-        });
-    }
-
-    KvSystem {
-        server_machine: server_m,
-        cluster,
-        stats,
-        registry,
-        spans,
-        client_threads,
-        rfp_clients,
-        server_conns: Vec::new(),
-    }
-}
-
-/// Spawns the Pilaf comparator: client-bypass GETs over the cuckoo/CRC
-/// store (75%-filled, as the paper quotes), server-reply PUTs.
-pub fn spawn_pilaf(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let (registry, spans) = system_telemetry(&cluster, &stats, &cfg.rfp);
-    let rfp_cfg = cfg.sized_rfp();
-
-    // 75% fill: buckets = keys / 0.75.
-    let buckets = (cfg.spec.key_count as usize * 4 / 3).max(64);
-    let cell_size = (6 + cfg.spec.key_len + cfg.spec.values.max() + 8)
-        .next_multiple_of(8)
-        .max(64);
-    let store = Rc::new(PilafStore::new(&server_m, buckets, buckets, cell_size));
-    {
-        // Preload via the server-local path (setup time, no simulation
-        // cost).
-        let mut gen = cfg.spec.generator(cfg.seed);
-        for (key, value) in gen.preload(cfg.spec.key_count) {
-            store
-                .insert_local(&key, &value)
-                .expect("preload fits the 75%-filled table");
+            resp.encode()
         }
-    }
-
-    let mut put_conns: Vec<Vec<Rc<RfpServerConn>>> =
-        (0..cfg.pilaf_put_threads).map(|_| Vec::new()).collect();
-    let mut rfp_clients = Vec::new();
-    let mut client_threads = Vec::new();
-    let mut client_idx = 0usize;
-
-    for m in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + m);
-        for t in 0..cfg.clients_per_machine {
-            let thread = client_m.thread(format!("c{m}.{t}"));
-            client_threads.push(Rc::clone(&thread));
-            let bypass = BypassClient::new(cluster.qp(1 + m, 0), cell_size.max(512));
-            let (put_cl, put_sc) = sr_connect(
-                &client_m,
-                &server_m,
-                cluster.qp(1 + m, 0),
-                cluster.qp(0, 1 + m),
-                client_rfp_cfg(&rfp_cfg, &registry, &spans, client_idx),
-            );
-            let put_cl = Rc::new(put_cl);
-            rfp_clients.push(Rc::clone(&put_cl));
-            put_conns[client_idx % cfg.pilaf_put_threads].push(Rc::new(put_sc));
-            client_idx += 1;
-
-            let spec = cfg.spec.clone();
-            let seed = rfp_simnet::derive_seed(cfg.seed, (m * 64 + t) as u64 + 1);
-            let st = stats.clone();
-            let view = store.view();
-            let h = sim.handle();
-            sim.spawn(async move {
-                let mut gen = spec.generator(seed);
-                loop {
-                    let op = gen.next_op();
-                    let t0 = h.now();
-                    match &op {
-                        Op::Get { key } => {
-                            let got = bypass_get(&bypass, &thread, &view, key).await;
-                            st.bypass_ops.add(got.ops as u64);
-                            st.crc_retries.add(got.crc_retries as u64);
-                            let resp = match got.value {
-                                Some(v) => KvResponse::Found(v),
-                                None => KvResponse::NotFound,
-                            };
-                            record_outcome(&st, &op, &resp, h.now() - t0);
-                        }
-                        Op::Put { key, value } => {
-                            let req = KvRequest::Put { key, value }.encode();
-                            let out = put_cl.call(&thread, &req).await;
-                            let resp = KvResponse::decode(&out.data).expect("server response");
-                            record_outcome(&st, &op, &resp, h.now() - t0);
-                        }
-                    }
-                }
-            });
-        }
-    }
-
-    for (s, conns) in put_conns.into_iter().enumerate() {
-        if conns.is_empty() {
-            continue;
-        }
-        let thread = server_m.thread(format!("put{s}"));
-        let store = Rc::clone(&store);
-        let extra = cfg.extra_process;
-        sim.spawn(async move {
-            loop {
-                let mut served = false;
-                for conn in &conns {
-                    if let Some(req) = conn.try_recv(&thread).await {
-                        let parsed = KvRequest::decode(&req).expect("well-formed request");
-                        let resp = match parsed {
-                            KvRequest::Put { key, value } => {
-                                // Torn-window PUT: racing bypass GETs
-                                // may observe it and must CRC-retry.
-                                match store.put(&thread, key, value).await {
-                                    Ok(()) => KvResponse::Stored,
-                                    Err(e) => panic!("pilaf put failed: {e}"),
-                                }
-                            }
-                            KvRequest::Get { key } => {
-                                // Fallback path (unused by the standard
-                                // workload driver, but kept honest).
-                                match store.lookup_local(key) {
-                                    Some(v) => KvResponse::Found(v),
-                                    None => KvResponse::NotFound,
-                                }
-                            }
-                            KvRequest::Delete { key } => {
-                                KvResponse::Deleted(store.remove_local(key))
-                            }
-                            KvRequest::MultiGet { keys } => KvResponse::Values(
-                                keys.iter().map(|k| store.lookup_local(k)).collect(),
-                            ),
-                        };
-                        if !extra.is_zero() {
-                            thread.busy(extra).await;
-                        }
-                        conn.send(&thread, &resp.encode()).await;
-                        served = true;
-                    }
-                }
-                if !served {
-                    thread.busy(SimSpan::nanos(100)).await;
-                }
-            }
-        });
-    }
-
-    KvSystem {
-        server_machine: server_m,
-        cluster,
-        stats,
-        registry,
-        spans,
-        client_threads,
-        rfp_clients,
-        server_conns: Vec::new(),
-    }
-}
-
-/// Spawns a HERD-style comparator (paper §5): same EREW bucket store as
-/// Jakiro, but requests arrive as **UC** writes and responses leave as
-/// **UD** sends — unreliable transports with client-side retransmission.
-/// Faster than RC server-reply on message rate; unlike RFP, the server
-/// burns out-bound ops and the application must tolerate loss.
-pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
-    use rfp_paradigms::{herd_connect, HerdConfig, HerdServerConn};
-    use rfp_rnic::Transport;
-
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let (registry, spans) = system_telemetry(&cluster, &stats, &cfg.rfp);
-    let partitions = build_partitions(cfg);
-    let herd_cfg = HerdConfig {
-        req_capacity: (rfp_core::REQ_HDR + 7 + cfg.spec.key_len + cfg.spec.values.max())
-            .next_multiple_of(64)
-            .max(256),
-        ..HerdConfig::default()
-    };
-
-    let mut server_conns: Vec<Vec<Rc<HerdServerConn>>> =
-        (0..cfg.server_threads).map(|_| Vec::new()).collect();
-    let mut client_threads = Vec::new();
-
-    for m in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + m);
-        for t in 0..cfg.clients_per_machine {
-            let thread = client_m.thread(format!("c{m}.{t}"));
-            client_threads.push(Rc::clone(&thread));
-            let mut conns = Vec::with_capacity(cfg.server_threads);
-            for sconns in server_conns.iter_mut() {
-                let (cl, sc) = herd_connect(
-                    &client_m,
-                    &server_m,
-                    cluster.qp_typed(1 + m, 0, Transport::Uc),
-                    cluster.qp_typed(0, 1 + m, Transport::Ud),
-                    herd_cfg.clone(),
-                );
-                conns.push(Rc::new(cl));
-                sconns.push(Rc::new(sc));
-            }
-
-            let spec = cfg.spec.clone();
-            let seed = rfp_simnet::derive_seed(cfg.seed, (m * 64 + t) as u64 + 1);
-            let st = stats.clone();
-            let nthreads = cfg.server_threads;
-            let h = sim.handle();
-            sim.spawn(async move {
-                let mut gen = spec.generator(seed);
-                loop {
-                    let op = gen.next_op();
-                    let conn = &conns[partition_of(op.key(), nthreads)];
-                    let req = match &op {
-                        Op::Get { key } => KvRequest::Get { key }.encode(),
-                        Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
-                    };
-                    let t0 = h.now();
-                    let Some(data) = conn.call(&thread, &req).await else {
-                        // Retransmit budget exhausted (extreme loss);
-                        // skip — an error RFP users never see.
-                        continue;
-                    };
-                    let resp = KvResponse::decode(&data).expect("server response");
-                    record_outcome(&st, &op, &resp, h.now() - t0);
-                }
-            });
-        }
-    }
-
-    for (s, conns) in server_conns.into_iter().enumerate() {
-        let thread = server_m.thread(format!("s{s}"));
-        let partition = Rc::clone(&partitions[s]);
-        let extra = cfg.extra_process;
-        let mut outliers = OutlierGen::new(cfg, s as u64);
-        sim.spawn(async move {
-            loop {
-                let mut served = false;
-                for conn in &conns {
-                    if let Some(req) = conn.try_recv(&thread).await {
-                        let parsed = KvRequest::decode(&req).expect("well-formed");
-                        let jitter = outliers.draw();
-                        let (resp, base) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-                        let work = base + extra + jitter;
-                        if !work.is_zero() {
-                            thread.busy(work).await;
-                        }
-                        conn.send(&thread, &resp.encode()).await;
-                        served = true;
-                    }
-                }
-                if !served {
-                    thread.busy(SimSpan::nanos(100)).await;
-                }
-            }
-        });
-    }
-
-    KvSystem {
-        server_machine: server_m,
-        cluster,
-        stats,
-        registry,
-        spans,
-        client_threads,
-        rfp_clients: Vec::new(),
-        server_conns: Vec::new(),
-    }
+    });
+    sys
 }
 
 /// Spawns the EREW-ablation variant of Jakiro: the same store behind a
@@ -1034,71 +443,6 @@ pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
 /// skew-insensitivity comes from the EREW design the paper adopts from
 /// MICA/CPHash (§4.1).
 pub fn spawn_jakiro_shared(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
-    use rfp_simnet::SimLock;
-
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let (registry, spans) = system_telemetry(&cluster, &stats, &cfg.rfp);
-    let rfp_cfg = cfg.sized_rfp();
-
-    // One shared partition, one global lock.
-    let per_part = (cfg.spec.key_count as usize * 2 / 8).max(64);
-    let store = Rc::new(RefCell::new(Partition::new(per_part)));
-    let lock = SimLock::new();
-    {
-        let mut gen = cfg.spec.generator(cfg.seed);
-        for (key, value) in gen.preload(cfg.spec.key_count) {
-            store.borrow_mut().put(&key, &value);
-        }
-    }
-
-    let mut server_conns: Vec<Vec<Rc<RfpServerConn>>> =
-        (0..cfg.server_threads).map(|_| Vec::new()).collect();
-    let mut rfp_clients = Vec::new();
-    let mut client_threads = Vec::new();
-    let mut client_idx = 0usize;
-
-    for m in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + m);
-        for t in 0..cfg.clients_per_machine {
-            let thread = client_m.thread(format!("c{m}.{t}"));
-            client_threads.push(Rc::clone(&thread));
-            // Any server thread can serve any key: one connection per
-            // client, assigned round-robin.
-            let (cl, sc) = connect(
-                &client_m,
-                &server_m,
-                cluster.qp(1 + m, 0),
-                cluster.qp(0, 1 + m),
-                client_rfp_cfg(&rfp_cfg, &registry, &spans, client_idx),
-            );
-            let cl = Rc::new(cl);
-            rfp_clients.push(Rc::clone(&cl));
-            server_conns[client_idx % cfg.server_threads].push(Rc::new(sc));
-            client_idx += 1;
-
-            let spec = cfg.spec.clone();
-            let seed = rfp_simnet::derive_seed(cfg.seed, (m * 64 + t) as u64 + 1);
-            let st = stats.clone();
-            let h = sim.handle();
-            sim.spawn(async move {
-                let mut gen = spec.generator(seed);
-                loop {
-                    let op = gen.next_op();
-                    let req = match &op {
-                        Op::Get { key } => KvRequest::Get { key }.encode(),
-                        Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
-                    };
-                    let t0 = h.now();
-                    let out = cl.call(&thread, &req).await;
-                    let resp = KvResponse::decode(&out.data).expect("server response");
-                    record_outcome(&st, &op, &resp, h.now() - t0);
-                }
-            });
-        }
-    }
-
     // The serialized hold approximates the lock-protected portion of a
     // shared-structure access: reads only touch a recency stamp, writes
     // reorder the structure (cf. the MemC3/Memcached scalability
@@ -1106,52 +450,135 @@ pub fn spawn_jakiro_shared(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem
     const SHARED_GET_HOLD: SimSpan = SimSpan::nanos(150);
     const SHARED_PUT_HOLD: SimSpan = SimSpan::nanos(400);
 
-    for (s, conns) in server_conns.into_iter().enumerate() {
-        if conns.is_empty() {
-            continue;
+    let mut sys = KvSystem::bed(
+        sim,
+        &cfg.profile,
+        &cfg.seating(1),
+        cfg.rfp.recorder.as_ref(),
+    );
+    // One shared partition, one global lock.
+    let store = preloaded(cfg, 1).remove(0);
+    let lock = SimLock::new();
+    spawn_single_conn_clients(sim, cfg, &mut sys, connect);
+
+    let groups = sys.server_conns.clone();
+    spawn_pollers(sim, &sys.server_machine, "s", groups, |s| {
+        let (store, lock) = (Rc::clone(&store), lock.clone());
+        let mut extra = process_extra(cfg, s as u64);
+        async move |thread: &ThreadCtx, req: &[u8]| {
+            let parsed = KvRequest::decode(req).expect("well-formed request");
+            let hold = match &parsed {
+                KvRequest::Get { .. } => SHARED_GET_HOLD,
+                KvRequest::MultiGet { keys } => SHARED_GET_HOLD * keys.len() as u64,
+                KvRequest::Put { .. } | KvRequest::Delete { .. } => SHARED_PUT_HOLD,
+            };
+            let extra = extra();
+            let guard = lock.lock().await;
+            let (resp, _work) = apply_to_partition(&mut store.borrow_mut(), &parsed);
+            thread.busy(hold + extra).await;
+            drop(guard);
+            resp.encode()
         }
-        let thread = server_m.thread(format!("s{s}"));
-        let store = Rc::clone(&store);
-        let lock = lock.clone();
-        let extra = cfg.extra_process;
-        let mut outliers = OutlierGen::new(cfg, s as u64);
-        sim.spawn(async move {
-            loop {
-                let mut served = false;
-                for conn in &conns {
-                    if let Some(req) = conn.try_recv(&thread).await {
-                        let parsed = KvRequest::decode(&req).expect("well-formed");
-                        let jitter = outliers.draw();
-                        let hold = match &parsed {
-                            KvRequest::Get { .. } => SHARED_GET_HOLD,
-                            KvRequest::MultiGet { keys } => SHARED_GET_HOLD * keys.len() as u64,
-                            KvRequest::Put { .. } | KvRequest::Delete { .. } => SHARED_PUT_HOLD,
-                        };
-                        let guard = lock.lock().await;
-                        let (resp, _work) = apply_to_partition(&mut store.borrow_mut(), &parsed);
-                        thread.busy(hold + extra + jitter).await;
-                        drop(guard);
-                        conn.send(&thread, &resp.encode()).await;
-                        served = true;
-                    }
-                }
-                if !served {
-                    thread.busy(SimSpan::nanos(100)).await;
-                }
-            }
-        });
+    });
+    sys
+}
+
+/// The bypass rig (Pilaf, FaRM): GETs are client-driven one-sided reads
+/// of the store's table (`scratch` bytes bound one fetch), PUTs go
+/// through server-reply RPC to `pilaf_put_threads` server threads.
+fn spawn_bypass_kv<S: BypassStore>(
+    sim: &mut Simulation,
+    cfg: &SystemConfig,
+    scratch: usize,
+    store: impl FnOnce(&Rc<Machine>) -> S,
+) -> KvSystem {
+    let seating = cfg.seating(1);
+    let mut sys = KvSystem::bed(sim, &cfg.profile, &seating, cfg.rfp.recorder.as_ref());
+    let rfp_cfg = cfg.sized_rfp();
+    let store = Rc::new(store(&sys.server_machine));
+    // Preload via the server-local path (setup time, no simulation
+    // cost).
+    for (key, value) in cfg.preload() {
+        let inserted = store.insert_local(&key, &value);
+        inserted.unwrap_or_else(|e| panic!("preload must fit the table: {e}"));
     }
 
-    KvSystem {
-        server_machine: server_m,
-        cluster,
-        stats,
-        registry,
-        spans,
-        client_threads,
-        rfp_clients,
-        server_conns: Vec::new(),
+    sys.server_conns = vec![Vec::new(); cfg.pilaf_put_threads];
+    for idx in 0..seating.clients() {
+        let seat = sys.seat(&seating, idx);
+        let bypass = BypassClient::new(sys.cluster.qp(seat.machine.id().0, 0), scratch);
+        let ccfg = sys.client_cfg(&rfp_cfg, idx);
+        let put_cl = sys.connect(&seat, 0, sr_connect, ccfg, idx % cfg.pilaf_put_threads);
+        let mut gen = cfg.spec.generator(seat.seed);
+        let (thread, st, view) = (
+            Rc::clone(&seat.thread),
+            Rc::clone(&seat.stats),
+            store.view(),
+        );
+        sim.spawn(seat.per_op(
+            move || gen.next_op(),
+            async move |op: &Op| match op {
+                Op::Get { key } => {
+                    let got = S::get(&bypass, &thread, &view, key).await;
+                    st.bypass_ops.add(got.ops as u64);
+                    st.crc_retries.add(got.crc_retries as u64);
+                    Some(got.value.map_or(KvResponse::NotFound, KvResponse::Found))
+                }
+                Op::Put { .. } => {
+                    let out = put_cl.call(&thread, &encode_op(op)).await;
+                    Some(decode_resp(&out.data))
+                }
+            },
+        ));
     }
+
+    let groups = sys.server_conns.clone();
+    spawn_pollers(sim, &sys.server_machine, "put", groups, |_| {
+        let (store, extra) = (Rc::clone(&store), cfg.extra_process);
+        async move |thread: &ThreadCtx, req: &[u8]| {
+            let resp = match KvRequest::decode(req).expect("well-formed request") {
+                // Torn-window PUT: racing bypass GETs may observe it
+                // and must CRC-retry.
+                KvRequest::Put { key, value } => match store.put(thread, key, value).await {
+                    Ok(()) => KvResponse::Stored,
+                    Err(e) => panic!("bypass-store put failed: {e}"),
+                },
+                // Fallback paths (unused by the standard workload
+                // driver, but kept honest).
+                KvRequest::Get { key } => match store.lookup_local(key) {
+                    Some(v) => KvResponse::Found(v),
+                    None => KvResponse::NotFound,
+                },
+                KvRequest::Delete { key } => KvResponse::Deleted(store.remove_local(key)),
+                KvRequest::MultiGet { keys } => {
+                    KvResponse::Values(keys.iter().map(|k| store.lookup_local(k)).collect())
+                }
+            };
+            if !extra.is_zero() {
+                thread.busy(extra).await;
+            }
+            resp.encode()
+        }
+    });
+    sys
+}
+
+/// Cell size of a bypass store holding this workload's largest entry.
+fn bypass_cell_size(cfg: &SystemConfig) -> usize {
+    (6 + cfg.spec.key_len + cfg.spec.values.max() + 8)
+        .next_multiple_of(8)
+        .max(64)
+}
+
+/// Spawns the Pilaf comparator: client-bypass GETs over the cuckoo/CRC
+/// store (75%-filled, as the paper quotes), server-reply PUTs.
+pub fn spawn_pilaf(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
+    let cell_size = bypass_cell_size(cfg);
+    // 75% fill: buckets = keys / 0.75.
+    let buckets = (cfg.spec.key_count as usize * 4 / 3).max(64);
+    spawn_bypass_kv(sim, cfg, cell_size.max(512), |server| {
+        PilafStore::new(server, buckets, buckets, cell_size)
+    })
 }
 
 /// Spawns a FaRM-style comparator (paper §5): hopscotch-hashed inline
@@ -1159,143 +586,73 @@ pub fn spawn_jakiro_shared(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem
 /// (fewer server ops than Pilaf, many more bytes than RFP); PUTs take
 /// the server-reply path, as in FaRM.
 pub fn spawn_farm(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
-    use crate::hopscotch::{farm_get, FarmStore};
-
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let (registry, spans) = system_telemetry(&cluster, &stats, &cfg.rfp);
-    let rfp_cfg = cfg.sized_rfp();
-
-    let cell_size = (6 + cfg.spec.key_len + cfg.spec.values.max() + 8)
-        .next_multiple_of(8)
-        .max(64);
+    let cell_size = bypass_cell_size(cfg);
     // Hopscotch with H=8 sustains ~50% load before displacement fails;
     // FaRM trades table head-room for its one-read GETs.
     let buckets = (cfg.spec.key_count as usize * 2).max(64);
-    let store = Rc::new(FarmStore::new(&server_m, buckets, cell_size));
-    {
-        let mut gen = cfg.spec.generator(cfg.seed);
-        for (key, value) in gen.preload(cfg.spec.key_count) {
-            store
-                .insert_local(&key, &value)
-                .expect("preload fits the 50%-loaded hopscotch table");
-        }
-    }
+    spawn_bypass_kv(sim, cfg, (NEIGHBORHOOD * cell_size).max(512), |server| {
+        FarmStore::new(server, buckets, cell_size)
+    })
+}
 
-    let mut put_conns: Vec<Vec<Rc<RfpServerConn>>> =
-        (0..cfg.pilaf_put_threads).map(|_| Vec::new()).collect();
-    let mut rfp_clients = Vec::new();
-    let mut client_threads = Vec::new();
-    let mut client_idx = 0usize;
+/// Spawns a HERD-style comparator (paper §5): same EREW bucket store as
+/// Jakiro, but requests arrive as **UC** writes and responses leave as
+/// **UD** sends — unreliable transports with client-side retransmission.
+/// Faster than RC server-reply on message rate; unlike RFP, the server
+/// burns out-bound ops and the application must tolerate loss.
+pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
+    let seating = cfg.seating(1);
+    let mut sys = KvSystem::bed(sim, &cfg.profile, &seating, cfg.rfp.recorder.as_ref());
+    let partitions = preloaded(cfg, cfg.server_threads);
+    let herd_cfg = HerdConfig {
+        req_capacity: (rfp_core::REQ_HDR + 7 + cfg.spec.key_len + cfg.spec.values.max())
+            .next_multiple_of(64)
+            .max(256),
+        ..HerdConfig::default()
+    };
 
-    for m in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + m);
-        for t in 0..cfg.clients_per_machine {
-            let thread = client_m.thread(format!("c{m}.{t}"));
-            client_threads.push(Rc::clone(&thread));
-            let scratch = (crate::hopscotch::NEIGHBORHOOD * cell_size).max(512);
-            let bypass = BypassClient::new(cluster.qp(1 + m, 0), scratch);
-            let (put_cl, put_sc) = sr_connect(
-                &client_m,
-                &server_m,
-                cluster.qp(1 + m, 0),
-                cluster.qp(0, 1 + m),
-                client_rfp_cfg(&rfp_cfg, &registry, &spans, client_idx),
+    let mut server_conns = vec![Vec::new(); cfg.server_threads];
+    for idx in 0..seating.clients() {
+        let seat = sys.seat(&seating, idx);
+        let me = seat.machine.id().0;
+        let mut conns = Vec::with_capacity(cfg.server_threads);
+        for sconns in server_conns.iter_mut() {
+            let (cl, sc) = herd_connect(
+                &seat.machine,
+                &sys.server_machine,
+                sys.cluster.qp_typed(me, 0, Transport::Uc),
+                sys.cluster.qp_typed(0, me, Transport::Ud),
+                herd_cfg.clone(),
             );
-            let put_cl = Rc::new(put_cl);
-            rfp_clients.push(Rc::clone(&put_cl));
-            put_conns[client_idx % cfg.pilaf_put_threads].push(Rc::new(put_sc));
-            client_idx += 1;
-
-            let spec = cfg.spec.clone();
-            let seed = rfp_simnet::derive_seed(cfg.seed, (m * 64 + t) as u64 + 1);
-            let st = stats.clone();
-            let view = store.view();
-            let h = sim.handle();
-            sim.spawn(async move {
-                let mut gen = spec.generator(seed);
-                loop {
-                    let op = gen.next_op();
-                    let t0 = h.now();
-                    match &op {
-                        Op::Get { key } => {
-                            let got = farm_get(&bypass, &thread, &view, key).await;
-                            st.bypass_ops.add(got.ops as u64);
-                            st.crc_retries.add(got.crc_retries as u64);
-                            let resp = match got.value {
-                                Some(v) => KvResponse::Found(v),
-                                None => KvResponse::NotFound,
-                            };
-                            record_outcome(&st, &op, &resp, h.now() - t0);
-                        }
-                        Op::Put { key, value } => {
-                            let req = KvRequest::Put { key, value }.encode();
-                            let out = put_cl.call(&thread, &req).await;
-                            let resp = KvResponse::decode(&out.data).expect("server response");
-                            record_outcome(&st, &op, &resp, h.now() - t0);
-                        }
-                    }
-                }
-            });
+            conns.push(cl);
+            sconns.push(Rc::new(sc));
         }
+        let mut gen = cfg.spec.generator(seat.seed);
+        let (thread, nthreads) = (Rc::clone(&seat.thread), cfg.server_threads);
+        sim.spawn(seat.per_op(
+            move || gen.next_op(),
+            async move |op: &Op| {
+                let conn = &conns[partition_of(op.key(), nthreads)];
+                // `None`: retransmit budget exhausted (extreme loss);
+                // skipped — an error RFP users never see.
+                let data = conn.call(&thread, &encode_op(op)).await?;
+                Some(decode_resp(&data))
+            },
+        ));
     }
 
-    for (s, conns) in put_conns.into_iter().enumerate() {
-        if conns.is_empty() {
-            continue;
-        }
-        let thread = server_m.thread(format!("put{s}"));
-        let store = Rc::clone(&store);
-        let extra = cfg.extra_process;
-        sim.spawn(async move {
-            loop {
-                let mut served = false;
-                for conn in &conns {
-                    if let Some(req) = conn.try_recv(&thread).await {
-                        let parsed = KvRequest::decode(&req).expect("well-formed request");
-                        let resp = match parsed {
-                            KvRequest::Put { key, value } => {
-                                match store.put(&thread, key, value).await {
-                                    Ok(()) => KvResponse::Stored,
-                                    Err(e) => panic!("farm put failed: {e}"),
-                                }
-                            }
-                            KvRequest::Delete { key } => {
-                                KvResponse::Deleted(store.remove_local(key))
-                            }
-                            KvRequest::Get { key } => match store.lookup_local(key) {
-                                Some(v) => KvResponse::Found(v),
-                                None => KvResponse::NotFound,
-                            },
-                            KvRequest::MultiGet { keys } => KvResponse::Values(
-                                keys.iter().map(|k| store.lookup_local(k)).collect(),
-                            ),
-                        };
-                        if !extra.is_zero() {
-                            thread.busy(extra).await;
-                        }
-                        conn.send(&thread, &resp.encode()).await;
-                        served = true;
-                    }
-                }
-                if !served {
-                    thread.busy(SimSpan::nanos(100)).await;
-                }
+    spawn_pollers(sim, &sys.server_machine, "s", server_conns, |s| {
+        let partition = Rc::clone(&partitions[s]);
+        let mut handle = kv_handler(partition, process_extra(cfg, s as u64));
+        async move |thread: &ThreadCtx, req: &[u8]| {
+            let (resp, work) = handle(req);
+            if !work.is_zero() {
+                thread.busy(work).await;
             }
-        });
-    }
-
-    KvSystem {
-        server_machine: server_m,
-        cluster,
-        stats,
-        registry,
-        spans,
-        client_threads,
-        rfp_clients,
-        server_conns: Vec::new(),
-    }
+            resp
+        }
+    });
+    sys
 }
 
 /// Shape of a multiplexed client fleet (see [`spawn_fleet_kv`]).
@@ -1337,55 +694,36 @@ impl Default for FleetConfig {
 
 /// A running multiplexed fleet: N logical clients over M physical
 /// connections over ≤ 2 QP pairs per client machine, served by sharded
-/// tenant-aware poller groups.
+/// tenant-aware poller groups. Derefs to its [`KvSystem`] (cluster,
+/// stats, registry — additionally `serve.scan.*` and
+/// `kv.tenant.<t>.goodput` — spans, server machine, driver threads;
+/// `rfp_clients` are the physical connections, `server_conns` the
+/// poller groups' shards), so
+/// [`reset_measurements`](KvSystem::reset_measurements) discards the
+/// fleet's warm-up too (mux lease counters keep running).
 pub struct FleetKv {
-    /// The simulated cluster (machine 0 is the server).
-    pub cluster: Cluster,
-    /// Shared measurements (goodput, latency, rejections).
-    pub stats: Rc<KvStats>,
-    /// Unified instrument registry (`nic.*`, `kv.*`, `rfp.client.*`,
-    /// `serve.scan.*`).
-    pub registry: MetricsRegistry,
-    /// Finished request-lifecycle spans.
-    pub spans: SpanRecorder,
-    /// The server machine.
-    pub server_machine: Rc<Machine>,
+    /// The underlying system.
+    pub kv: KvSystem,
     /// One mux per client machine.
     pub muxes: Vec<Rc<RfpMux>>,
     /// Per-tenant health windows (hub connection id = tenant id).
     pub tenant_health: HealthHub,
     /// Completed-Ok calls per tenant (index = tenant id).
-    pub tenant_goodput: Rc<Vec<Counter>>,
-    /// Every server-side connection (pre-sharding).
-    pub server_conns: Vec<Rc<RfpServerConn>>,
-    /// All driver threads (for utilisation readings).
-    pub client_threads: Vec<Rc<ThreadCtx>>,
+    pub tenant_goodput: Vec<Rc<Counter>>,
+}
+
+impl Deref for FleetKv {
+    type Target = KvSystem;
+
+    fn deref(&self) -> &KvSystem {
+        &self.kv
+    }
 }
 
 impl FleetKv {
-    /// Discards warm-up measurements (stats, NIC counters, registry,
-    /// spans, per-tenant goodput; mux lease counters keep running).
-    pub fn reset_measurements(&self) {
-        self.stats.reset();
-        for i in 0..self.cluster.len() {
-            self.cluster.machine(i).nic().reset_counters();
-        }
-        for t in &self.client_threads {
-            t.reset_utilization();
-        }
-        for c in self.muxes.iter().flat_map(|m| m.clients()) {
-            c.stats().reset();
-        }
-        for g in self.tenant_goodput.iter() {
-            g.reset();
-        }
-        self.registry.reset();
-        self.spans.reset();
-    }
-
     /// Per-tenant completed-Ok calls, in tenant order.
     pub fn tenant_goodput(&self) -> Vec<u64> {
-        self.tenant_goodput.iter().map(Counter::get).collect()
+        self.tenant_goodput.iter().map(|g| g.get()).collect()
     }
 }
 
@@ -1404,49 +742,42 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
     );
     assert!(fleet.tenants > 0 && fleet.drivers > 0 && fleet.physical_conns > 0);
     let machines = cfg.client_machines.min(fleet.physical_conns);
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + machines);
-    let server_m = cluster.machine(0);
-    let stats = Rc::new(KvStats::default());
-    let (registry, spans) = system_telemetry(&cluster, &stats, &cfg.rfp);
-    stats.register_overload_into(&registry);
-    let rfp_cfg = cfg.rfp_sized();
+    let seating = Seating {
+        machines,
+        ..cfg.seating(1)
+    };
+    let mut sys = KvSystem::bed(sim, &cfg.profile, &seating, cfg.rfp.recorder.as_ref());
+    sys.stats.register_overload_into(&sys.registry);
+    let rfp_cfg = cfg.sized_rfp();
 
     // One shared partition: any poller group can serve any key (the
     // mux may land a tenant on any connection). Synchronous borrows in
     // a single-threaded sim — no lock needed.
-    let part = {
-        let buckets = (cfg.spec.key_count as usize * 2 / 8).max(64);
-        let part = Rc::new(RefCell::new(Partition::new(buckets)));
-        let mut gen = cfg.spec.generator(cfg.seed);
-        for (key, value) in gen.preload(cfg.spec.key_count) {
-            part.borrow_mut().put(&key, &value);
-        }
-        part
-    };
+    let part = preloaded(cfg, 1).remove(0);
 
     // One QP pair per client machine, shared by every connection on it:
     // the whole fleet rides `2 * machines` QP endpoints per side.
-    let qp_pairs: Vec<(Rc<rfp_rnic::Qp>, Rc<rfp_rnic::Qp>)> = (0..machines)
-        .map(|m| (cluster.qp(1 + m, 0), cluster.qp(0, 1 + m)))
+    let qp_pairs: Vec<_> = (0..machines)
+        .map(|m| (sys.cluster.qp(1 + m, 0), sys.cluster.qp(0, 1 + m)))
         .collect();
 
     // Physical connections, round-robin across client machines.
-    let mut per_machine_clients: Vec<Vec<Rc<RfpClient>>> =
-        (0..machines).map(|_| Vec::new()).collect();
+    let mut per_machine_clients = vec![Vec::new(); machines];
     let mut server_conns = Vec::with_capacity(fleet.physical_conns);
     for k in 0..fleet.physical_conns {
         let m = k % machines;
-        let client_m = cluster.machine(1 + m);
-        let mut ccfg = client_rfp_cfg(&rfp_cfg, &registry, &spans, k);
-        ccfg.overload.seed = rfp_simnet::derive_seed(rfp_cfg.overload.seed, k as u64);
+        let mut ccfg = sys.client_cfg(&rfp_cfg, k);
+        ccfg.overload.seed = derive_seed(rfp_cfg.overload.seed, k as u64);
         let (cl, sc) = connect(
-            &client_m,
-            &server_m,
+            &sys.cluster.machine(1 + m),
+            &sys.server_machine,
             Rc::clone(&qp_pairs[m].0),
             Rc::clone(&qp_pairs[m].1),
             ccfg,
         );
-        per_machine_clients[m].push(Rc::new(cl));
+        let cl = Rc::new(cl);
+        sys.rfp_clients.push(Rc::clone(&cl));
+        per_machine_clients[m].push(cl);
         server_conns.push(Rc::new(sc));
     }
 
@@ -1465,13 +796,18 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
         })
         .collect();
 
-    let tenant_goodput: Rc<Vec<Counter>> =
-        Rc::new((0..fleet.tenants).map(|_| Counter::new()).collect());
+    let tenant_goodput: Vec<Rc<Counter>> = (0..fleet.tenants)
+        .map(|t| {
+            let goodput = Rc::new(Counter::new());
+            let name = format!("kv.tenant.{t}.goodput");
+            sys.registry.register_counter(&name, &goodput);
+            goodput
+        })
+        .collect();
 
     // Drivers: `fleet.drivers` baseline tasks cycling disjoint slices
     // of the logical fleet, plus `fleet.hot_drivers` flooding tasks
     // pinned to the hot tenant.
-    let mut client_threads = Vec::new();
     let total_drivers = fleet.drivers
         + if fleet.hot_tenant.is_some() {
             fleet.hot_drivers
@@ -1485,8 +821,7 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
         } else {
             d as u32 % fleet.tenants
         };
-        let m = d % machines;
-        let mux = Rc::clone(&muxes[m]);
+        let mux = &muxes[d % machines];
         // A baseline driver owns every logical client ≡ d (mod drivers);
         // a hot driver hammers through one dedicated logical client.
         let logicals: Vec<_> = if hot {
@@ -1500,78 +835,68 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
         if logicals.is_empty() {
             continue;
         }
-        let thread = cluster.machine(1 + m).thread(format!("drv{d}"));
-        client_threads.push(Rc::clone(&thread));
-        let spec = cfg.spec.clone();
-        let seed = rfp_simnet::derive_seed(cfg.seed, 0xF1EE_7000 + d as u64);
-        let st = Rc::clone(&stats);
-        let goodput = Rc::clone(&tenant_goodput);
-        let think = cfg.think_time;
-        let h = sim.handle();
-        sim.spawn(async move {
-            use rand::{Rng, SeedableRng};
-            let mut gen = spec.generator(seed);
-            let mut pause_rng =
-                rand::rngs::StdRng::seed_from_u64(rfp_simnet::derive_seed(seed, 0x0074_6869));
-            let mut next = 0usize;
-            loop {
-                if !hot && !think.is_zero() {
-                    let u: f64 = pause_rng.gen_range(1e-9..1.0);
-                    h.sleep(SimSpan::from_nanos_f64(think.as_nanos() as f64 * -u.ln()))
-                        .await;
-                }
+        let machine = sys.cluster.machine(1 + d % machines);
+        let thread = machine.thread(format!("drv{d}"));
+        sys.client_threads.push(Rc::clone(&thread));
+        let seed = derive_seed(cfg.seed, 0xF1EE_7000 + d as u64);
+        // Hot drivers flood: no think time.
+        let think = if hot { SimSpan::ZERO } else { cfg.think_time };
+        let seat = Seat {
+            machine,
+            thread: Rc::clone(&thread),
+            seed,
+            h: sim.handle(),
+            stats: Rc::clone(&sys.stats),
+            pacer: Pacer::new(derive_seed(seed, 0x0074_6869), think),
+        };
+        let mut gen = cfg.spec.generator(seed);
+        let (st, goodput) = (
+            Rc::clone(&sys.stats),
+            Rc::clone(&tenant_goodput[tenant as usize]),
+        );
+        let mut next = 0usize;
+        sim.spawn(seat.per_op(
+            move || gen.next_op(),
+            async move |op: &Op| {
                 // Cycle the slice so every logical client stays live.
                 let lc = &logicals[next % logicals.len()];
                 next += 1;
-                let op = gen.next_op();
-                let req = match &op {
-                    Op::Get { key } => KvRequest::Get { key }.encode(),
-                    Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
-                };
-                let t0 = h.now();
-                let out = lc.call_overload(&thread, &req).await;
+                let out = lc.call_overload(&thread, &encode_op(op)).await;
                 match out.info.status {
                     RespStatus::Ok => {
-                        let resp = KvResponse::decode(&out.data).expect("server response");
-                        record_outcome(&st, &op, &resp, h.now() - t0);
-                        goodput[tenant as usize].incr();
+                        goodput.incr();
+                        Some(decode_resp(&out.data))
                     }
-                    RespStatus::Busy => st.rejected_busy.incr(),
-                    _ => st.rejected_shed.incr(),
+                    RespStatus::Busy => {
+                        st.rejected_busy.incr();
+                        None
+                    }
+                    _ => {
+                        st.rejected_shed.incr();
+                        None
+                    }
                 }
-            }
-        });
+            },
+        ));
     }
 
     // Sharded tenant-aware poller groups, one server thread each.
-    for (g, group) in shard_conns(&server_conns, fleet.poller_groups)
-        .into_iter()
-        .enumerate()
-    {
-        let thread = server_m.thread(format!("pg{g}"));
-        let handler = kv_handler(
-            Rc::clone(&part),
-            cfg.extra_process,
-            OutlierGen::new(cfg, 0xF1EE + g as u64),
-        );
+    sys.server_conns = shard_conns(&server_conns, fleet.poller_groups);
+    for (g, group) in sys.server_conns.iter().enumerate() {
+        let thread = sys.server_machine.thread(format!("pg{g}"));
+        let handler = kv_handler(Rc::clone(&part), process_extra(cfg, 0xF1EE + g as u64));
         sim.spawn(serve_loop_tenant(
             thread,
-            group,
+            group.clone(),
             handler,
             SimSpan::nanos(100),
         ));
     }
 
     FleetKv {
-        cluster,
-        stats,
-        registry,
-        spans,
-        server_machine: server_m,
+        kv: sys,
         muxes,
         tenant_health,
         tenant_goodput,
-        server_conns,
-        client_threads,
     }
 }

@@ -8,11 +8,9 @@ use std::collections::HashMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use rfp_kvstore::{
-    crc64, CompactPartition, Crc64, KvRequest, KvResponse, LruCache, Partition, PilafStore,
-};
+use rfp_kvstore::{CompactPartition, KvRequest, KvResponse, LruCache, Partition, PilafStore};
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::Simulation;
+use rfp_simnet::{crc64, Crc64, Simulation};
 
 #[derive(Clone, Debug)]
 enum KvOp {

@@ -24,7 +24,7 @@ fn measure(servers: usize, client_machines: usize, clients_per: usize) -> (f64, 
     (
         mops,
         sys.inbound_ops_per_request(),
-        sys.server_outbound_ops(),
+        sys.server_nic_counters().outbound_ops,
     )
 }
 

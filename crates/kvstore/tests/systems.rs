@@ -447,3 +447,102 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
     let report = sys.tenant_health.report(sim.now());
     assert_eq!(report.conns.len(), 4, "one health window per tenant");
 }
+
+// ---- One rig skeleton: what every preset now inherits from the one
+// driver (each of these failed while the spawners were separate copies).
+
+#[test]
+fn every_system_honours_think_time() {
+    // 20 µs of mean think time dwarfs the few-µs call: the open-ish loop
+    // must complete far fewer calls in the same window. (The Pilaf and
+    // Memcached copies of the client loop used to ignore the setting.)
+    for (name, spawn) in [
+        (
+            "pilaf",
+            spawn_pilaf as fn(&mut Simulation, &SystemConfig) -> KvSystem,
+        ),
+        ("memcached", spawn_memcached),
+        ("jakiro", spawn_jakiro),
+    ] {
+        let closed = SystemConfig {
+            client_machines: 2,
+            clients_per_machine: 2,
+            ..small_cfg()
+        };
+        let paced = SystemConfig {
+            think_time: SimSpan::micros(20),
+            ..closed.clone()
+        };
+        let (closed_sys, _) = measure(spawn, &closed, SimSpan::millis(2));
+        let (paced_sys, _) = measure(spawn, &paced, SimSpan::millis(2));
+        let (closed, paced) = (
+            closed_sys.stats.completed.get(),
+            paced_sys.stats.completed.get(),
+        );
+        assert!(
+            paced * 2 < closed,
+            "{name}: {paced} calls at 20us think vs {closed} closed-loop"
+        );
+    }
+}
+
+#[test]
+fn served_per_thread_covers_round_robin_systems() {
+    use rfp_kvstore::spawn_jakiro_shared;
+    for (name, spawn) in [
+        (
+            "memcached",
+            spawn_memcached as fn(&mut Simulation, &SystemConfig) -> KvSystem,
+        ),
+        ("jakiro-shared", spawn_jakiro_shared),
+    ] {
+        let cfg = small_cfg();
+        let mut sim = Simulation::new(cfg.seed);
+        let sys = spawn(&mut sim, &cfg);
+        // No reset: the server-side `served` counts run from time zero.
+        sim.run_for(SimSpan::millis(2));
+        let served = sys.served_per_thread();
+        assert_eq!(served.len(), cfg.server_threads, "{name}");
+        assert!(served.iter().all(|&s| s > 0), "{name}: {served:?}");
+        // Every completed call was served by exactly one thread; at most
+        // one call per client is served but not yet booked.
+        let (served, done) = (served.iter().sum::<u64>(), sys.stats.completed.get());
+        let in_flight = cfg.total_clients() as u64;
+        assert!(
+            done <= served && served <= done + in_flight,
+            "{name}: {served} served vs {done} completed"
+        );
+    }
+}
+
+#[test]
+fn one_shard_is_jakiro_byte_for_byte() {
+    use rfp_kvstore::spawn_sharded_jakiro;
+    let registry_csv = |spawn: &dyn Fn(&mut Simulation, &SystemConfig) -> KvSystem| {
+        let (sys, _) = measure(spawn, &small_cfg(), SimSpan::millis(2));
+        let mut csv = Vec::new();
+        let snapshot = sys.registry.snapshot();
+        snapshot.write_csv(&mut csv).expect("write csv to vec");
+        csv
+    };
+    let jakiro = registry_csv(&spawn_jakiro);
+    let sharded = registry_csv(&|sim, cfg| spawn_sharded_jakiro(sim, cfg, 1));
+    assert!(!jakiro.is_empty());
+    assert_eq!(
+        String::from_utf8(jakiro).unwrap(),
+        String::from_utf8(sharded).unwrap()
+    );
+}
+
+#[test]
+#[should_panic(expected = "more than 64 clients per machine")]
+fn more_than_64_clients_per_machine_is_rejected() {
+    // Stream ids are `m * 64 + t`: `(0, 64)` would replay `(1, 0)`.
+    let cfg = SystemConfig {
+        client_machines: 2,
+        clients_per_machine: 65,
+        ..small_cfg()
+    };
+    let mut sim = Simulation::new(cfg.seed);
+    spawn_jakiro(&mut sim, &cfg);
+}

@@ -40,7 +40,7 @@ fn main() {
             "{servers:>6}  {:>7}  {mops:>7.2} MOPS  {:>13.3}  {:>13}",
             client_machines * 5,
             sys.inbound_ops_per_request(),
-            sys.server_outbound_ops(),
+            sys.server_nic_counters().outbound_ops,
         );
     }
     println!("\nEach shard contributes an independent in-bound pipe; the RFP");

@@ -10,6 +10,9 @@ cargo clippy -p rfp-chaos -- -D warnings
 cargo clippy -p rfp-core -p rfp-kvstore -p rfp-bench -p rfp-rnic -- -D warnings
 cargo clippy -p rfp-paradigms -p rfp-workload -p rfp-simnet -- -D warnings
 cargo fmt --check
+# The repo benchmark is a frozen caller of the rig API in its own
+# workspace: a change that breaks it must fail here, not in the pipeline.
+cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -43,8 +46,8 @@ trap 'rm -rf "$tmp"' EXIT
 #              without
 # Here each is additionally pinned to be deterministic run-to-run under
 # a fixed seed (CSV and exported registry byte-identical), and — where
-# a BENCH_<sweep>.json is committed — to keep its shape (same metric
-# names; values may move with the model).
+# a BENCH_<sweep>.json is committed — to reproduce its *values* byte for
+# byte: a PR that moves a committed number must commit the new file.
 for sweep in chaos overload integrity pipeline doctor fleet failover grayfail cores; do
   cargo run -q --release -p rfp-bench --bin "$sweep" 42 > "$tmp/${sweep}_a.csv"
   mv "BENCH_$sweep.json" "$tmp/${sweep}_a.json"
@@ -52,8 +55,7 @@ for sweep in chaos overload integrity pipeline doctor fleet failover grayfail co
   cmp "$tmp/${sweep}_a.csv" "$tmp/${sweep}_b.csv"
   cmp "$tmp/${sweep}_a.json" "BENCH_$sweep.json"
   if git cat-file -e "HEAD:BENCH_$sweep.json" 2>/dev/null; then
-    diff <(grep -o '"[^"]*":' "$tmp/${sweep}_a.json" | sort) \
-         <(git show "HEAD:BENCH_$sweep.json" | grep -o '"[^"]*":' | sort)
+    git show "HEAD:BENCH_$sweep.json" | cmp - "$tmp/${sweep}_a.json"
   fi
 done
 
@@ -61,10 +63,12 @@ done
 # committed experiments/*.csv byte for byte. (Run from the scratch
 # directory: the binaries drop a BENCH_<name>.json where they stand.)
 root=$PWD
-for bin in all_figures ablations; do
+golden() {
   (cd "$tmp" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
-    -p rfp-bench --bin "$bin" -- experiments > /dev/null)
-done
+    -p rfp-bench --bin "$@" > /dev/null)
+}
+golden all_figures -- --csv experiments
+golden ablations -- experiments
 for golden in experiments/*.csv; do
   cmp "$golden" "$tmp/$golden"
 done
