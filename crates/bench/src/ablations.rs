@@ -245,22 +245,24 @@ pub fn ablation_pipelining(w: &mut dyn Write) -> io::Result<()> {
             let thread = client.thread(format!("c{t}"));
             let r = Rc::clone(&remote);
             sim.spawn(async move {
+                let mut completions = Vec::new();
                 loop {
                     if batched {
                         let entries: Vec<_> = (0..depth)
                             .map(|i| (Rc::clone(&local), i * 64, Rc::clone(&r), i * 64, 32))
                             .collect();
-                        let completions = qp.post_read_batch(&thread, &entries).await;
-                        for c in completions {
+                        qp.post_read_batch(&thread, &entries, &mut completions)
+                            .await;
+                        for c in &completions {
                             c.wait(&thread).await;
                         }
                     } else {
-                        let mut completions = Vec::with_capacity(depth);
+                        completions.clear();
                         for i in 0..depth {
                             completions
                                 .push(qp.read_post(&thread, &local, i * 64, &r, i * 64, 32).await);
                         }
-                        for c in completions {
+                        for c in &completions {
                             c.wait(&thread).await;
                         }
                     }

@@ -27,6 +27,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
 use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, RESP_HDR};
@@ -53,6 +54,10 @@ struct Row {
     mops: f64,
     reads_per_doorbell: f64,
     issue_per_read_ns: f64,
+    /// Executor events (task polls + timer entries fired) of the
+    /// measurement window, and the host time they took.
+    events: u64,
+    host: Duration,
 }
 
 struct Rig {
@@ -116,7 +121,9 @@ fn run_point(seed: u64, w: usize, payload: usize, idle: IdlePolicy) -> Row {
     sim.run_for(WARMUP);
     r.client.stats().reset();
     let t0 = sim.now();
+    let (ex0, host0) = (sim.stats(), Instant::now());
     sim.run_for(WINDOW);
+    let (ex, host) = (sim.stats(), host0.elapsed());
     let secs = (sim.now() - t0).as_secs_f64();
 
     let st = r.client.stats();
@@ -132,6 +139,8 @@ fn run_point(seed: u64, w: usize, payload: usize, idle: IdlePolicy) -> Row {
             batched as f64 / doorbells as f64
         },
         issue_per_read_ns: ISSUE_CPU_NS * (doorbells + single) as f64 / reads.max(1) as f64,
+        events: (ex.polls - ex0.polls) + (ex.timers_fired - ex0.timers_fired),
+        host,
     }
 }
 
@@ -198,6 +207,16 @@ fn main() {
             rows.push(row);
         }
     }
+
+    // Host cost of the sweep, on stderr: stdout and the bench json hold
+    // only seed-determined values.
+    let events: u64 = rows.iter().map(|r| r.events).sum();
+    let host: Duration = rows.iter().map(|r| r.host).sum();
+    eprintln!(
+        "# executor: {events} events (polls + timers) in {:.3} s of measured windows = {:.2} Mevents/s",
+        host.as_secs_f64(),
+        events as f64 / host.as_secs_f64() / 1e6
+    );
 
     let at = |w: usize, payload: usize| {
         rows.iter()

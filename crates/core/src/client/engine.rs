@@ -196,6 +196,8 @@ pub(super) struct Scratch {
     /// Free ring slots, lowest on top so `W = 1` always stages slot 0.
     free: Vec<usize>,
     entries: Vec<ReadEntry>,
+    /// Completions of the round's posted deposits, then of its batched
+    /// fetch READs.
     posted: Vec<Completion>,
 }
 
@@ -701,11 +703,12 @@ impl Engine<'_> {
                     sc.entries.push(entry);
                 }
                 let qp = self.c.qp();
-                let completions = qp.post_read_batch(self.thread, &sc.entries).await;
+                qp.post_read_batch(self.thread, &sc.entries, &mut sc.posted)
+                    .await;
                 bump(&stats.doorbells, 1);
-                bump(&stats.doorbell_reads, completions.len() as u64);
+                bump(&stats.doorbell_reads, sc.posted.len() as u64);
                 let polled = sc.flights.iter_mut().filter(|fl| due(fl));
-                for (fl, c) in polled.zip(&completions) {
+                for (fl, c) in polled.zip(&sc.posted) {
                     c.wait(self.thread).await;
                     self.fetched(fl, c.error(), f, "fetch_read");
                 }

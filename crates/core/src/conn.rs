@@ -452,8 +452,10 @@ impl RfpServerConn {
                 scan.slots.incr();
             }
             let base = self.shared.req_off(slot);
-            let hdr_bytes = self.shared.req.read_local(base, hdr_window);
-            let hdr = ReqHeader::decode(&hdr_bytes);
+            let hdr = self
+                .shared
+                .req
+                .with_bytes(|ring| ReqHeader::decode(&ring[base..base + hdr_window]));
             let st = &self.slots[slot];
             if !hdr.valid || hdr.seq == st.last_seq.get() {
                 continue;
@@ -664,8 +666,7 @@ impl RfpServerConn {
             );
         }
 
-        let mode = self.shared.mode.read_local(0, 1)[0];
-        if mode == MODE_SERVER_REPLY {
+        if self.mode() == Mode::ServerReply {
             self.replied_out_of_band
                 .set(self.replied_out_of_band.get() + 1);
             let trailer = if integrity_on { RESP_TRAILER } else { 0 };
@@ -712,12 +713,12 @@ impl RfpServerConn {
     /// (correctly) executed against the empty store.
     pub fn recover_after_restart(&self) {
         for (slot, st) in self.slots.iter().enumerate() {
-            let hdr = RespHeader::decode(
-                &self
-                    .shared
-                    .resp
-                    .read_local(self.shared.resp_off(slot), self.shared.cfg.resp_wire_hdr()),
-            );
+            let base = self.shared.resp_off(slot);
+            let wire_hdr = self.shared.cfg.resp_wire_hdr();
+            let hdr = self
+                .shared
+                .resp
+                .with_bytes(|ring| RespHeader::decode(&ring[base..base + wire_hdr]));
             let recovered = if hdr.valid { hdr.seq } else { 0 };
             st.last_seq.set(recovered);
             st.cur_seq.set(recovered);
@@ -756,7 +757,7 @@ impl RfpServerConn {
 
     /// Current mode flag as last written by the client.
     pub fn mode(&self) -> Mode {
-        if self.shared.mode.read_local(0, 1)[0] == MODE_SERVER_REPLY {
+        if self.shared.mode.with_bytes(|flag| flag[0]) == MODE_SERVER_REPLY {
             Mode::ServerReply
         } else {
             Mode::RemoteFetch

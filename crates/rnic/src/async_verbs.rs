@@ -19,14 +19,26 @@
 //! the same instants as their synchronous counterparts.
 
 use std::cell::Cell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
-
-use rfp_simnet::Signal;
+use std::task::{Context, Poll, Waker};
 
 use crate::fault::VerbError;
 use crate::machine::ThreadCtx;
 use crate::mem::MemRegion;
-use crate::qp::{FlightReport, Qp};
+use crate::qp::Qp;
+
+/// State shared by a posted op's flight and its [`Completion`] handle:
+/// one heap cell per op.
+#[derive(Default)]
+struct CompletionCell {
+    done: Cell<bool>,
+    error: Cell<Option<VerbError>>,
+    /// The task awaiting the handle. One slot suffices: a `Completion`
+    /// is neither `Clone` nor shared, so one task waits on it at a time.
+    waiter: Cell<Option<Waker>>,
+}
 
 /// Handle to an in-flight posted operation.
 ///
@@ -34,26 +46,56 @@ use crate::qp::{FlightReport, Qp};
 /// [`Completion::wait_idle`]; dropping it without waiting is allowed
 /// (an unsignaled op whose completion is never consumed).
 pub struct Completion {
-    done: Signal,
-    error: Rc<Cell<Option<VerbError>>>,
+    cell: Rc<CompletionCell>,
+}
+
+/// Completion-reporting half of a posted flight (the other end of one
+/// [`Completion`] handle).
+pub(crate) struct FlightReport {
+    cell: Rc<CompletionCell>,
+}
+
+impl FlightReport {
+    /// Completes the op at completion-consumption time — with the error
+    /// a failed flight reports, if any — and wakes the waiting task.
+    pub(crate) fn finish(&self, error: Option<VerbError>) {
+        self.cell.error.set(error);
+        self.cell.done.set(true);
+        if let Some(w) = self.cell.waiter.take() {
+            w.wake();
+        }
+    }
+}
+
+/// Future behind [`Completion::wait`] / [`Completion::wait_idle`].
+struct CompletionWait<'a>(&'a CompletionCell);
+
+impl Future for CompletionWait<'_> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if self.0.done.get() {
+            return Poll::Ready(());
+        }
+        self.0.waiter.set(Some(cx.waker().clone()));
+        Poll::Pending
+    }
 }
 
 impl Completion {
     fn new() -> (Completion, FlightReport) {
-        let done = Signal::new();
-        let error = Rc::new(Cell::new(None));
+        let cell = Rc::new(CompletionCell::default());
         (
             Completion {
-                done: done.clone(),
-                error: Rc::clone(&error),
+                cell: Rc::clone(&cell),
             },
-            FlightReport { done, error },
+            FlightReport { cell },
         )
     }
 
     /// Whether the op has already completed.
     pub fn is_done(&self) -> bool {
-        self.done.is_fired()
+        self.cell.done.get()
     }
 
     /// The completion-with-error a real CQ would report, if the op
@@ -62,18 +104,18 @@ impl Completion {
     ///
     /// [`is_done`]: Completion::is_done
     pub fn error(&self) -> Option<VerbError> {
-        self.error.get()
+        self.cell.error.get()
     }
 
     /// Busy-polls until the op completes (CQ spinning: the wait is CPU
     /// time).
     pub async fn wait(&self, thread: &ThreadCtx) {
-        thread.busy_wait(self.done.wait()).await;
+        thread.busy_wait(CompletionWait(&self.cell)).await;
     }
 
     /// Blocks until the op completes without accruing CPU time.
     pub async fn wait_idle(&self, thread: &ThreadCtx) {
-        thread.idle_wait(self.done.wait()).await;
+        thread.idle_wait(CompletionWait(&self.cell)).await;
     }
 }
 
@@ -103,7 +145,9 @@ impl Qp {
     }
 
     /// Doorbell batching: posts `entries` READs paying the issue cost
-    /// **once**, returning one completion per entry.
+    /// **once**, and replaces the contents of `completions` with one
+    /// completion per entry (the caller owns the buffer, so a polling
+    /// loop reuses one across rounds).
     ///
     /// # Panics
     ///
@@ -114,7 +158,8 @@ impl Qp {
         self: &Rc<Self>,
         thread: &ThreadCtx,
         entries: &[(Rc<MemRegion>, usize, Rc<MemRegion>, usize, usize)],
-    ) -> Vec<Completion> {
+        completions: &mut Vec<Completion>,
+    ) {
         assert!(!entries.is_empty(), "empty doorbell batch");
         for (local, local_off, remote, remote_off, len) in entries {
             self.assert_read_allowed(thread, local, *local_off, remote, *remote_off, *len);
@@ -122,14 +167,12 @@ impl Qp {
         // One doorbell ring for the whole chain.
         let issue = self.local().nic().profile().issue_cpu;
         thread.busy(issue).await;
-        entries
-            .iter()
-            .map(|(local, local_off, remote, remote_off, len)| {
-                let (completion, report) = Completion::new();
-                self.spawn_read_flight(local, *local_off, remote, *remote_off, *len, report);
-                completion
-            })
-            .collect()
+        completions.clear();
+        for (local, local_off, remote, remote_off, len) in entries {
+            let (completion, report) = Completion::new();
+            self.spawn_read_flight(local, *local_off, remote, *remote_off, *len, report);
+            completions.push(completion);
+        }
     }
 
     /// Posts a one-sided WRITE; the [`Completion`] fires when the ACK
@@ -223,6 +266,39 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_pool_is_bounded_by_ops_in_flight_not_by_run_length() {
+        // 200 rounds of four overlapping posted READs plus one posted
+        // WRITE: however long the run, the QP ends up holding no more
+        // buffers than ops were in flight together (fewer here — the
+        // out-bound engine spaces the snapshots apart).
+        let mut sim = Simulation::new(0);
+        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+        let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+        let local = cm.alloc_mr(512);
+        let remote = sm.alloc_mr(512);
+        let qp = cluster.qp(0, 1);
+        let t = cm.thread("c");
+        let q = Rc::clone(&qp);
+        sim.spawn(async move {
+            let entries: Vec<_> = (0..4usize)
+                .map(|i| (Rc::clone(&local), i * 64, Rc::clone(&remote), i * 64, 32))
+                .collect();
+            let mut completions = Vec::new();
+            for _ in 0..200 {
+                let w = q.write_post(&t, &local, 256, &remote, 256, 48).await;
+                q.post_read_batch(&t, &entries, &mut completions).await;
+                for c in completions.iter().chain([&w]) {
+                    c.wait(&t).await;
+                    assert_eq!(c.error(), None);
+                }
+            }
+        });
+        sim.run();
+        assert_eq!(sim.live_tasks(), 0);
+        assert!((1..=5).contains(&qp.pooled_snapshots()));
+    }
+
+    #[test]
     fn doorbell_batch_pays_issue_once() {
         let mut sim = Simulation::new(0);
         let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
@@ -239,7 +315,8 @@ mod tests {
                 .map(|i| (Rc::clone(&local), i * 64, Rc::clone(&remote), i * 64, 32))
                 .collect();
             let t0 = h.now();
-            let completions = qp.post_read_batch(&t, &entries).await;
+            let mut completions = Vec::new();
+            qp.post_read_batch(&t, &entries, &mut completions).await;
             // Posting cost: exactly one issue_cpu (200ns).
             assert_eq!((h.now() - t0).as_nanos(), 200);
             for c in completions {

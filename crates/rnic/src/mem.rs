@@ -92,7 +92,12 @@ impl MemRegion {
     }
 
     /// Copies `len` bytes starting at `offset` out of the region (local
-    /// CPU load).
+    /// CPU load) into a freshly allocated `Vec` — for callers that keep
+    /// the bytes. A polling path that only inspects them (header decode,
+    /// flag byte, canary check) should borrow through
+    /// [`with_bytes`](MemRegion::with_bytes) or copy into its own buffer
+    /// with [`read_local_into`](MemRegion::read_local_into), neither of
+    /// which allocates.
     ///
     /// # Panics
     ///

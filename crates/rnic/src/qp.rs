@@ -29,11 +29,12 @@
 //!
 //! The whole interval counts as busy time for `T`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::Rng;
 
+use crate::async_verbs::FlightReport;
 use crate::fault::{FabricFaults, VerbError};
 use crate::machine::{Machine, ThreadCtx};
 use crate::mem::MemRegion;
@@ -69,14 +70,6 @@ impl Transport {
     }
 }
 
-/// Completion-reporting half of a posted flight: the signal fired at
-/// completion-consumption time plus the error cell a failed flight
-/// fills (the backing state of one `Completion` handle).
-pub(crate) struct FlightReport {
-    pub(crate) done: rfp_simnet::Signal,
-    pub(crate) error: Rc<Cell<Option<VerbError>>>,
-}
-
 /// A queue pair from a local machine to a remote machine.
 pub struct Qp {
     local: Rc<Machine>,
@@ -90,11 +83,13 @@ pub struct Qp {
     remote_epoch: u64,
     /// In-flight two-sided messages awaiting `recv`.
     rx: Channel<Vec<u8>>,
-    /// Connection-scoped scratch for synchronous READ snapshots, so the
-    /// fetch hot path recycles one allocation instead of a fresh `Vec`
-    /// per op. Taken/replaced around each use; a concurrent taker just
-    /// sees an empty vec and allocates its own.
-    read_scratch: RefCell<Vec<u8>>,
+    /// Recycled buffers for the payload snapshot every one-sided op
+    /// takes at its modelled instant (WRITE: at issue; READ: when the
+    /// in-bound engine finishes). An op pops one — or starts an empty
+    /// `Vec` when all are in flight — and pushes it back once the bytes
+    /// have landed, so the pool holds at most as many buffers as ops
+    /// were ever in flight together on this QP.
+    snapshots: RefCell<Vec<Vec<u8>>>,
 }
 
 impl Qp {
@@ -118,7 +113,7 @@ impl Qp {
             local_epoch,
             remote_epoch,
             rx: Channel::new(),
-            read_scratch: RefCell::new(Vec::new()),
+            snapshots: RefCell::new(Vec::new()),
         })
     }
 
@@ -269,6 +264,24 @@ impl Qp {
         }
     }
 
+    /// Copies `mr[off..off + len]` into a buffer from the recycled pool.
+    fn snapshot(&self, mr: &MemRegion, off: usize, len: usize) -> Vec<u8> {
+        let mut buf = self.snapshots.borrow_mut().pop().unwrap_or_default();
+        buf.resize(len, 0);
+        mr.read_local_into(off, &mut buf);
+        buf
+    }
+
+    /// Returns a landed [`snapshot`](Qp::snapshot) to the pool.
+    fn recycle(&self, snapshot: Vec<u8>) {
+        self.snapshots.borrow_mut().push(snapshot);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn pooled_snapshots(&self) -> usize {
+        self.snapshots.borrow().len()
+    }
+
     /// Applies the remote machine's memory-integrity faults to a READ
     /// snapshot. Torn DMA splices the snapshot's suffix from the remote
     /// region's pre-write image (the READ completed mid-write); a bit
@@ -404,21 +417,17 @@ impl Qp {
         }
         remote_nic.serve_inbound(len).await;
         // Data is sampled at the instant the serving NIC processes the op.
-        let mut snapshot = self.read_scratch.take();
-        snapshot.clear();
-        snapshot.resize(len, 0);
-        remote.read_local_into(remote_off, &mut snapshot);
+        let mut snapshot = self.snapshot(remote, remote_off, len);
         self.corrupt_in_flight(remote, remote_off, &mut snapshot);
         h.sleep(self.prop() + prof.read_turnaround).await;
         if self.reverse_cut() {
             // The returning data never reaches the initiator: the READ
             // errors out without touching local memory.
-            *self.read_scratch.borrow_mut() = snapshot;
             thread.note_busy(h.now() - t0);
             return Err(VerbError::QpError);
         }
         local.write_local(local_off, &snapshot);
-        *self.read_scratch.borrow_mut() = snapshot;
+        self.recycle(snapshot);
         thread.note_busy(h.now() - t0);
         Ok(())
     }
@@ -474,7 +483,7 @@ impl Qp {
 
         let _issuing = local_nic.begin_issue();
         h.sleep(prof.issue_cpu).await;
-        let payload = local.read_local(local_off, len);
+        let payload = self.snapshot(local, local_off, len);
         local_nic.serve_outbound(len).await;
         match self.transport {
             Transport::Rc => {
@@ -488,6 +497,7 @@ impl Qp {
                 }
                 remote_nic.serve_inbound(len).await;
                 remote.apply_remote_write(remote_off, &payload);
+                self.recycle(payload);
                 h.sleep(self.prop()).await;
                 if self.reverse_cut() {
                     // The ACK leg is cut: the payload landed, but the
@@ -634,16 +644,16 @@ impl Qp {
         self.check_one_sided(thread, local, local_off, remote, remote_off, len);
     }
 
-    /// Launches the NIC/wire portion of a posted READ; fires `done` at
-    /// completion-consumption time. Posted flights do not hold the
+    /// Launches the NIC/wire portion of a posted READ; finishes `report`
+    /// at completion-consumption time. Posted flights do not hold the
     /// issuing-thread contention guard — the thread is not spinning on
     /// this op.
     ///
     /// Fault handling matches [`Qp::try_read`]: a crashed/re-keyed
-    /// endpoint surfaces through `error` after the NACK round trip, and
-    /// in-flight corruption applies to the sampled snapshot. All gates
-    /// draw nothing while the fault layer is disarmed, so healthy runs
-    /// are bit-identical to the pre-fault flights.
+    /// endpoint surfaces as the report's error after the NACK round
+    /// trip, and in-flight corruption applies to the sampled snapshot.
+    /// All gates draw nothing while the fault layer is disarmed, so
+    /// healthy runs are bit-identical to the pre-fault flights.
     pub(crate) fn spawn_read_flight(
         self: &Rc<Self>,
         local: &Rc<MemRegion>,
@@ -653,7 +663,6 @@ impl Qp {
         len: usize,
         report: FlightReport,
     ) {
-        let FlightReport { done, error } = report;
         let h = self.local.handle().clone();
         let local_nic = Rc::clone(self.local.nic());
         let remote_nic = Rc::clone(self.remote.nic());
@@ -665,9 +674,7 @@ impl Qp {
         let h2 = h.clone();
         h.spawn(async move {
             if let Some(e) = qp.error_state() {
-                error.set(Some(e));
-                done.fire();
-                return;
+                return report.finish(Some(e));
             }
             local_nic.serve_outbound(len).await;
             qp.rc_burst_retransmit().await;
@@ -675,30 +682,27 @@ impl Qp {
             if let Err(e) = qp.remote_live() {
                 // NACK: the initiator learns after one more wire leg.
                 h2.sleep(prop).await;
-                error.set(Some(e));
-                done.fire();
-                return;
+                return report.finish(Some(e));
             }
             remote_nic.serve_inbound(len).await;
-            let mut snapshot = remote.read_local(remote_off, len);
+            let mut snapshot = qp.snapshot(&remote, remote_off, len);
             qp.corrupt_in_flight(&remote, remote_off, &mut snapshot);
             h2.sleep(prop + prof.read_turnaround).await;
             if qp.reverse_cut() {
-                error.set(Some(VerbError::QpError));
-                done.fire();
-                return;
+                return report.finish(Some(VerbError::QpError));
             }
             local.write_local(local_off, &snapshot);
-            done.fire();
+            qp.recycle(snapshot);
+            report.finish(None);
         });
     }
 
-    /// Launches the NIC/wire portion of a posted WRITE; fires `done` at
-    /// ACK time (RC) or once the op left the NIC (UC).
+    /// Launches the NIC/wire portion of a posted WRITE; finishes
+    /// `report` at ACK time (RC) or once the op left the NIC (UC).
     ///
-    /// RC flights report a crashed/re-keyed peer through `error` after
-    /// the NACK round trip, like [`Qp::try_write`]; UC flights to a
-    /// crashed peer are counted dropped at the sender. All gates draw
+    /// RC flights report a crashed/re-keyed peer as the report's error
+    /// after the NACK round trip, like [`Qp::try_write`]; UC flights to
+    /// a crashed peer are counted dropped at the sender. All gates draw
     /// nothing while the fault layer is disarmed.
     pub(crate) fn spawn_write_flight(
         self: &Rc<Self>,
@@ -709,7 +713,6 @@ impl Qp {
         len: usize,
         report: FlightReport,
     ) {
-        let FlightReport { done, error } = report;
         assert!(
             self.transport.supports_write(),
             "one-sided WRITE requires RC or UC (got {:?})",
@@ -727,15 +730,13 @@ impl Qp {
         let h2 = h.clone();
         h.spawn(async move {
             if let Some(e) = qp.error_state() {
-                error.set(Some(e));
-                done.fire();
-                return;
+                return report.finish(Some(e));
             }
-            let payload = local.read_local(local_off, len);
+            let payload = qp.snapshot(&local, local_off, len);
             local_nic.serve_outbound(len).await;
             if !reliable {
                 // Fire-and-forget: completion at NIC egress.
-                done.fire();
+                report.finish(None);
                 if lost {
                     return;
                 }
@@ -746,9 +747,7 @@ impl Qp {
             if reliable {
                 if let Err(e) = qp.remote_live() {
                     h2.sleep(prop).await;
-                    error.set(Some(e));
-                    done.fire();
-                    return;
+                    return report.finish(Some(e));
                 }
             } else if qp.remote.faults().is_crashed() || qp.forward_cut() {
                 local_nic.note_drop();
@@ -756,12 +755,11 @@ impl Qp {
             }
             remote_nic.serve_inbound(len).await;
             remote.apply_remote_write(remote_off, &payload);
+            qp.recycle(payload);
             if reliable {
                 h2.sleep(prop).await;
-                if qp.reverse_cut() {
-                    error.set(Some(VerbError::QpError));
-                }
-                done.fire();
+                let cut = qp.reverse_cut();
+                report.finish(cut.then_some(VerbError::QpError));
             }
         });
     }
@@ -882,8 +880,8 @@ mod tests {
 
     #[test]
     fn scratch_reuse_never_leaks_bytes_across_reads() {
-        // The sync READ snapshots through one recycled scratch buffer
-        // per QP; back-to-back reads of shrinking/growing lengths and
+        // The sync READ snapshots through a recycled buffer of the
+        // QP's pool; back-to-back reads of shrinking/growing lengths and
         // different sources must each surface exactly their own bytes
         // (a stale tail from the previous, longer snapshot would show
         // up here).

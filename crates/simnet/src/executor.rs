@@ -54,6 +54,18 @@ impl Ord for TimerEntry {
     }
 }
 
+/// Cumulative executor event counts of one [`Simulation`]: the
+/// denominator of every "host cost per event" figure.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct ExecutorStats {
+    /// Task polls, spurious ones (a wake for a finished task) included.
+    pub polls: u64,
+    /// Timer entries popped off the event heap and fired.
+    pub timers_fired: u64,
+    /// Futures handed to `spawn`.
+    pub spawned: u64,
+}
+
 /// Shared core of one simulation: clock, event heap, spawn queue, RNG.
 pub(crate) struct SimCore {
     now: Cell<SimTime>,
@@ -64,6 +76,9 @@ pub(crate) struct SimCore {
     /// Task ids whose wakers fired; drained by the driver.
     ready: Arc<SegQueue<TaskId>>,
     rng: RefCell<StdRng>,
+    polls: Cell<u64>,
+    timers_fired: Cell<u64>,
+    spawned: Cell<u64>,
 }
 
 impl SimCore {
@@ -75,6 +90,19 @@ impl SimCore {
         let s = self.seq.get();
         self.seq.set(s + 1);
         s
+    }
+
+    fn spawn(&self, fut: BoxFuture) {
+        self.spawned.set(self.spawned.get() + 1);
+        self.spawn_queue.borrow_mut().push(fut);
+    }
+
+    fn stats(&self) -> ExecutorStats {
+        ExecutorStats {
+            polls: self.polls.get(),
+            timers_fired: self.timers_fired.get(),
+            spawned: self.spawned.get(),
+        }
     }
 
     /// Registers `waker` to fire at instant `at`.
@@ -103,13 +131,16 @@ impl Wake for TaskWaker {
 }
 
 /// A slot in the task slab.
-enum Slot {
-    /// Task present and possibly runnable.
-    Occupied(BoxFuture),
-    /// Task currently taken out for polling (guards against re-entrancy).
-    Polling,
-    /// Free slot (future finished).
-    Vacant,
+///
+/// The waker carries only the slot id, so it is built once, when the
+/// slot is first created, and serves every poll of every task the slot
+/// ever holds. A wake registered by a finished occupant that fires
+/// after the slot was recycled costs the new occupant one spurious
+/// poll.
+struct Slot {
+    waker: Waker,
+    /// The task, or `None` once it finished (free slot).
+    task: Option<BoxFuture>,
 }
 
 /// Owner and driver of one simulation run.
@@ -122,6 +153,8 @@ pub struct Simulation {
     tasks: Vec<Slot>,
     free: Vec<TaskId>,
     live: usize,
+    /// Spawn-queue swap partner: keeps its capacity across drains.
+    admitting: Vec<BoxFuture>,
 }
 
 impl Simulation {
@@ -135,10 +168,14 @@ impl Simulation {
                 spawn_queue: RefCell::new(Vec::new()),
                 ready: Arc::new(SegQueue::new()),
                 rng: RefCell::new(StdRng::seed_from_u64(seed)),
+                polls: Cell::new(0),
+                timers_fired: Cell::new(0),
+                spawned: Cell::new(0),
             }),
             tasks: Vec::new(),
             free: Vec::new(),
             live: 0,
+            admitting: Vec::new(),
         }
     }
 
@@ -157,7 +194,7 @@ impl Simulation {
     /// Spawns a simulated process. It first runs when the executor next
     /// gets control.
     pub fn spawn(&mut self, fut: impl Future<Output = ()> + 'static) {
-        self.core.spawn_queue.borrow_mut().push(Box::pin(fut));
+        self.core.spawn(Box::pin(fut));
     }
 
     /// Number of live (unfinished) tasks.
@@ -165,17 +202,32 @@ impl Simulation {
         self.live + self.core.spawn_queue.borrow().len()
     }
 
+    /// Cumulative executor event counts.
+    pub fn stats(&self) -> ExecutorStats {
+        self.core.stats()
+    }
+
     fn admit_spawned(&mut self) {
-        let spawned: Vec<BoxFuture> = self.core.spawn_queue.borrow_mut().drain(..).collect();
-        for fut in spawned {
+        std::mem::swap(
+            &mut *self.core.spawn_queue.borrow_mut(),
+            &mut self.admitting,
+        );
+        for fut in self.admitting.drain(..) {
             let id = match self.free.pop() {
                 Some(id) => {
-                    self.tasks[id] = Slot::Occupied(fut);
+                    self.tasks[id].task = Some(fut);
                     id
                 }
                 None => {
-                    self.tasks.push(Slot::Occupied(fut));
-                    self.tasks.len() - 1
+                    let id = self.tasks.len();
+                    self.tasks.push(Slot {
+                        waker: Waker::from(Arc::new(TaskWaker {
+                            id,
+                            ready: Arc::clone(&self.core.ready),
+                        })),
+                        task: Some(fut),
+                    });
+                    id
                 }
             };
             self.live += 1;
@@ -184,28 +236,15 @@ impl Simulation {
     }
 
     fn poll_task(&mut self, id: TaskId) {
-        let mut fut = match std::mem::replace(&mut self.tasks[id], Slot::Polling) {
-            Slot::Occupied(f) => f,
-            // Spurious wake for a finished or already-running task.
-            other => {
-                self.tasks[id] = other;
-                return;
-            }
-        };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.core.ready),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                self.tasks[id] = Slot::Vacant;
-                self.free.push(id);
-                self.live -= 1;
-            }
-            Poll::Pending => {
-                self.tasks[id] = Slot::Occupied(fut);
-            }
+        self.core.polls.set(self.core.polls.get() + 1);
+        let slot = &mut self.tasks[id];
+        // Spurious wake for a finished task.
+        let Some(fut) = &mut slot.task else { return };
+        let mut cx = Context::from_waker(&slot.waker);
+        if fut.as_mut().poll(&mut cx).is_ready() {
+            slot.task = None;
+            self.free.push(id);
+            self.live -= 1;
         }
     }
 
@@ -235,13 +274,18 @@ impl Simulation {
         debug_assert!(at >= self.core.now());
         self.core.now.set(at);
         first.waker.wake();
+        let mut fired = 1;
         while let Some(Reverse(e)) = timers.peek() {
             if e.at != at {
                 break;
             }
             let Reverse(e) = timers.pop().expect("peeked entry exists");
             e.waker.wake();
+            fired += 1;
         }
+        self.core
+            .timers_fired
+            .set(self.core.timers_fired.get() + fired);
         true
     }
 
@@ -316,7 +360,12 @@ impl SimHandle {
 
     /// Spawns another simulated process.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
-        self.core.spawn_queue.borrow_mut().push(Box::pin(fut));
+        self.core.spawn(Box::pin(fut));
+    }
+
+    /// Cumulative executor event counts.
+    pub fn stats(&self) -> ExecutorStats {
+        self.core.stats()
     }
 
     /// Draws from the simulation's master RNG (deterministic per seed).
@@ -500,7 +549,83 @@ mod tests {
             sim.spawn(async {});
         }
         sim.run();
+        // Each slot owns its one waker, so the waker count is the slot
+        // count: neither grows when slots are recycled.
         assert!(sim.tasks.len() <= 100);
+    }
+
+    #[test]
+    fn recycled_slot_sees_one_spurious_poll_from_a_stale_timer() {
+        // Task A arms a timer through a detached waker clone and
+        // finishes at once; B is then admitted into A's slot. The slot's
+        // waker is shared by every occupant, so A's timer wakes B: one
+        // poll with nothing to do, and nothing else changes.
+        struct ArmAndFinish(SimHandle);
+        impl Future for ArmAndFinish {
+            type Output = ();
+            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                let at = self.0.now() + SimSpan::nanos(50);
+                self.0.schedule_wake(at, cx.waker().clone());
+                Poll::Ready(())
+            }
+        }
+        let mut sim = Simulation::new(0);
+        sim.spawn(ArmAndFinish(sim.handle()));
+        sim.run_until(SimTime::from_nanos(10));
+        assert_eq!(sim.live_tasks(), 0);
+
+        let h = sim.handle();
+        let woke_at = Rc::new(Cell::new(0u64));
+        let out = Rc::clone(&woke_at);
+        sim.spawn(async move {
+            h.sleep(SimSpan::nanos(100)).await;
+            out.set(h.now().as_nanos());
+        });
+        sim.run();
+        assert_eq!(sim.tasks.len(), 1, "B reuses A's slot");
+        assert_eq!(
+            woke_at.get(),
+            110,
+            "the stale wake does not cut B's sleep short"
+        );
+        // A's poll, B's first poll, the spurious poll at t=50, B's
+        // completion at t=110; both timers fired.
+        assert_eq!(
+            sim.stats(),
+            ExecutorStats {
+                polls: 4,
+                timers_fired: 2,
+                spawned: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn stats_count_every_poll_timer_and_spawn() {
+        // The ledger's `simnet.sleep_event` shape: one timer entry and
+        // one task poll per sleep, plus each task's first poll.
+        const TASKS: u64 = 100;
+        const SLEEPS: u64 = 10_000;
+        let mut sim = Simulation::new(1);
+        for i in 0..TASKS {
+            let h = sim.handle();
+            sim.spawn(async move {
+                for _ in 0..SLEEPS {
+                    h.sleep(SimSpan::nanos(100 + i)).await;
+                }
+            });
+        }
+        assert_eq!(sim.stats().spawned, TASKS);
+        assert_eq!(sim.stats().polls, 0);
+        sim.run();
+        assert_eq!(
+            sim.handle().stats(),
+            ExecutorStats {
+                polls: TASKS * SLEEPS + TASKS,
+                timers_fired: TASKS * SLEEPS,
+                spawned: TASKS,
+            }
+        );
     }
 
     #[test]

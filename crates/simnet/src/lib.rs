@@ -55,7 +55,7 @@ mod trace;
 
 pub use coord::{Barrier, Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
 pub use crc64::{crc64, crc64_pair, Crc64};
-pub use executor::{yield_now, SimHandle, Simulation, Sleep};
+pub use executor::{yield_now, ExecutorStats, SimHandle, Simulation, Sleep};
 pub use health::{
     Anomaly, AnomalyConfig, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad,
     CoreSkewReport, DumpBundle, HealthConfig, HealthHub, HealthReport, HealthRollup,

@@ -56,11 +56,12 @@ impl RequestTrace {
     /// Starts a trace for request `id` on display row `track`, with its
     /// first milestone `label` at instant `at`.
     pub fn begin(id: u64, track: u32, at: SimTime, label: &'static str) -> Self {
-        RequestTrace {
-            id,
-            track,
-            marks: vec![(at, label)],
-        }
+        // One reservation covers a whole ordinary call (issue, request
+        // written, server dequeue, response posted, a few fetch READs,
+        // completed) instead of growing 1 → 4 → 8 as marks arrive.
+        let mut marks = Vec::with_capacity(8);
+        marks.push((at, label));
+        RequestTrace { id, track, marks }
     }
 
     /// Records the next milestone.

@@ -71,7 +71,11 @@ impl Future for SignalWait {
         if st.fired {
             Poll::Ready(())
         } else {
-            st.waiters.push(cx.waker().clone());
+            // A task re-polled for another reason is already registered:
+            // a second entry would wake (and poll) it twice on `fire`.
+            if !st.waiters.iter().any(|w| w.will_wake(cx.waker())) {
+                st.waiters.push(cx.waker().clone());
+            }
             Poll::Pending
         }
     }
@@ -179,7 +183,12 @@ impl<T> Future for Recv<T> {
         if let Some(v) = st.items.pop_front() {
             Poll::Ready(v)
         } else {
-            st.waiters.push_back(cx.waker().clone());
+            // As in `SignalWait`: one entry per waiting task, or a `send`
+            // would spend its one wake on a duplicate while another
+            // receiver stays parked.
+            if !st.waiters.iter().any(|w| w.will_wake(cx.waker())) {
+                st.waiters.push_back(cx.waker().clone());
+            }
             Poll::Pending
         }
     }
@@ -347,6 +356,78 @@ mod tests {
         });
         sim.run();
         assert!(done.get());
+    }
+
+    /// Polls `inner` and wakes its own task again, until `spins` runs
+    /// out: a waiter that keeps being re-polled for another reason.
+    struct Repoll<F> {
+        inner: F,
+        spins: u32,
+        polls: Rc<Cell<u32>>,
+    }
+
+    impl<F: Future + Unpin> Future for Repoll<F> {
+        type Output = F::Output;
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            self.polls.set(self.polls.get() + 1);
+            let out = Pin::new(&mut self.inner).poll(cx);
+            if out.is_pending() && self.spins > 0 {
+                self.spins -= 1;
+                cx.waker().wake_by_ref();
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn repolled_signal_waiter_is_woken_exactly_once() {
+        let mut sim = Simulation::new(0);
+        let sig = Signal::new();
+        let polls = Rc::new(Cell::new(0u32));
+        sim.spawn(Repoll {
+            inner: sig.wait(),
+            spins: 5,
+            polls: Rc::clone(&polls),
+        });
+        sim.run();
+        assert_eq!(polls.get(), 6, "first poll + five self-inflicted re-polls");
+        let before = sim.stats().polls;
+        sig.fire();
+        sim.run();
+        assert_eq!(sim.stats().polls - before, 1, "six registrations, one wake");
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn repolled_receiver_does_not_absorb_another_receivers_wake() {
+        let mut sim = Simulation::new(0);
+        let ch: Channel<u32> = Channel::new();
+        let polls = Rc::new(Cell::new(0u32));
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let out = Rc::clone(&got);
+        let repolled = Repoll {
+            inner: ch.recv(),
+            spins: 3,
+            polls: Rc::clone(&polls),
+        };
+        sim.spawn(async move {
+            let v = repolled.await;
+            out.borrow_mut().push(v);
+        });
+        let (rx, out) = (ch.clone(), Rc::clone(&got));
+        sim.spawn(async move {
+            let v = rx.recv().await;
+            out.borrow_mut().push(v);
+        });
+        sim.run();
+        // Two sends, two parked receivers: each send must reach a
+        // different task.
+        ch.send(1);
+        ch.send(2);
+        sim.run();
+        assert_eq!(*got.borrow(), vec![1, 2]);
+        assert_eq!(polls.get(), 5, "four pending polls + the delivery");
     }
 
     #[test]

@@ -13,6 +13,13 @@ cargo fmt --check
 # The repo benchmark is a frozen caller of the rig API in its own
 # workspace: a change that breaks it must fail here, not in the pipeline.
 cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
+# ...and must still run: one short end-to-end pass whose result line
+# reports every output check as holding.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+  --workload echo_w16_32b --seed 42 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+# The allocation budget of the hot path, on the build that ships the
+# numbers (`cargo test -q` above ran it unoptimized).
+cargo test -q --release -p rfp-core --test alloc_budget
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
