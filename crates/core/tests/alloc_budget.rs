@@ -14,8 +14,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, RESP_HDR};
-use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{SimSpan, Simulation};
+use rfp_rnic::{Cluster, ClusterProfile, Qp};
+use rfp_simnet::{ExecutorStats, SimSpan, Simulation};
 
 struct CountingAlloc;
 
@@ -83,8 +83,9 @@ fn sleeping_tasks() -> (u64, u64) {
 }
 
 /// One client machine, one echoing server thread, one connection of
-/// `window` slots fetching the whole 32 B response in one READ.
-fn echo_rig(window: usize) -> (Simulation, Cluster, RfpClient) {
+/// `window` slots fetching the whole 32 B response in one READ. Also
+/// returns the client's QP.
+fn echo_rig(window: usize) -> (Simulation, Cluster, RfpClient, Rc<Qp>) {
     let mut sim = Simulation::new(7);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
     let (sm, cm) = (cluster.machine(0), cluster.machine(1));
@@ -94,20 +95,21 @@ fn echo_rig(window: usize) -> (Simulation, Cluster, RfpClient) {
         enable_mode_switch: false,
         ..RfpConfig::default()
     };
-    let (client, conn) = connect(&cm, &sm, cluster.qp(1, 0), cluster.qp(0, 1), cfg);
+    let qp = cluster.qp(1, 0);
+    let (client, conn) = connect(&cm, &sm, Rc::clone(&qp), cluster.qp(0, 1), cfg);
     sim.spawn(serve_loop(
         sm.thread("server"),
         vec![Rc::new(conn)],
         |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
         IdlePolicy::fixed(SimSpan::nanos(100)),
     ));
-    (sim, cluster, client)
+    (sim, cluster, client, qp)
 }
 
 /// An idle `serve_loop` over a W=16 ring: every scan inspects 16 slot
 /// headers and finds nothing. Returns (allocations, slots scanned).
 fn idle_scan() -> (u64, u64) {
-    let (mut sim, _cluster, _client) = echo_rig(16);
+    let (mut sim, _cluster, _client, _qp) = echo_rig(16);
     sim.run_for(SimSpan::micros(100));
     let span = SimSpan::millis(1);
     let allocs = allocs_during(&mut sim, span);
@@ -116,11 +118,26 @@ fn idle_scan() -> (u64, u64) {
     (allocs, scans * 16)
 }
 
+/// What one measured echo window cost.
+struct EchoCost {
+    calls: u64,
+    allocs: u64,
+    /// Executor events of the window.
+    events: ExecutorStats,
+    /// Work-request slots the client's QP ever held at once.
+    slots: usize,
+}
+
+impl EchoCost {
+    fn per_call(&self, count: u64) -> f64 {
+        count as f64 / self.calls as f64
+    }
+}
+
 /// Closed-loop 32 B echo: `pipelined` streams 64-call batches through
 /// `call_pipelined` on a W=16 ring, otherwise `call` on a W=1 ring.
-/// Returns (allocations, calls completed) of the measured window.
-fn echo_calls(pipelined: bool) -> (u64, u64) {
-    let (mut sim, cluster, client) = echo_rig(if pipelined { 16 } else { 1 });
+fn echo_calls(pipelined: bool) -> EchoCost {
+    let (mut sim, cluster, client, qp) = echo_rig(if pipelined { 16 } else { 1 });
     let thread = cluster.machine(1).thread("client");
     let calls = Rc::new(Cell::new(0u64));
     let done = Rc::clone(&calls);
@@ -139,24 +156,42 @@ fn echo_calls(pipelined: bool) -> (u64, u64) {
         }
     });
     sim.run_for(SimSpan::millis(2));
-    let before = calls.get();
+    let (calls0, events0) = (calls.get(), sim.stats());
     let allocs = allocs_during(&mut sim, SimSpan::millis(10));
-    (allocs, calls.get() - before)
+    let events1 = sim.stats();
+    EchoCost {
+        calls: calls.get() - calls0,
+        allocs,
+        events: ExecutorStats {
+            polls: events1.polls - events0.polls,
+            timers_fired: events1.timers_fired - events0.timers_fired,
+            spawned: events1.spawned - events0.spawned,
+        },
+        slots: qp.work_request_slots(),
+    }
 }
 
 #[test]
 fn steady_state_allocation_budget() {
     let (sleep_allocs, sleeps) = sleeping_tasks();
     let (scan_allocs, slots) = idle_scan();
-    let (w16_allocs, w16_calls) = echo_calls(true);
-    let (w1_allocs, w1_calls) = echo_calls(false);
-    let per_call = |allocs: u64, calls: u64| allocs as f64 / calls as f64;
+    let w16 = echo_calls(true);
+    let w1 = echo_calls(false);
     eprintln!(
         "allocations: {sleep_allocs} over {sleeps} sleep events, {scan_allocs} over {slots} \
-         idle slots, {:.2}/call W=16 pipelined, {:.2}/call W=1 sequential",
-        per_call(w16_allocs, w16_calls),
-        per_call(w1_allocs, w1_calls),
+         idle slots"
     );
+    for (name, cost) in [("W=16 call_pipelined", &w16), ("W=1 call", &w1)] {
+        eprintln!(
+            "{name}: per call {:.2} allocations, {:.2} polls, {:.2} timers, {:.2} spawns; \
+             {} work-request slots",
+            cost.per_call(cost.allocs),
+            cost.per_call(cost.events.polls),
+            cost.per_call(cost.events.timers_fired),
+            cost.per_call(cost.events.spawned),
+            cost.slots,
+        );
+    }
 
     assert!(sleeps > 100_000, "sleep window too short: {sleeps} events");
     assert_eq!(
@@ -168,15 +203,31 @@ fn steady_state_allocation_budget() {
         scan_allocs, 0,
         "{scan_allocs} allocations over {slots} idle slots"
     );
-    for (name, allocs, calls) in [
-        ("W=16 call_pipelined", w16_allocs, w16_calls),
-        ("W=1 call", w1_allocs, w1_calls),
+    // Per call: the three owned API payloads (request `Vec`, response
+    // `Vec`, `CallResult.data`) plus, pipelined, 1/64 of the batch's
+    // result `Vec`. No NIC operation is a task: nothing is spawned, a
+    // hop is a typed event rather than a poll, and the QP holds one
+    // work-request slot per operation in flight — at most the window.
+    for (name, cost, allocs, polls, window) in [
+        ("W=16 call_pipelined", &w16, 4.0, 26.0, 16),
+        ("W=1 call", &w1, 3.1, 46.0, 1),
     ] {
-        assert!(calls > 1_000, "{name}: window too short: {calls} calls");
+        assert!(cost.calls > 1_000, "{name}: window too short");
         assert!(
-            per_call(allocs, calls) <= 8.0,
-            "{name}: {:.2} allocations per call ({allocs} over {calls} calls), budget 8",
-            per_call(allocs, calls)
+            cost.per_call(cost.allocs) <= allocs,
+            "{name}: {:.2} allocations per call, budget {allocs}",
+            cost.per_call(cost.allocs)
+        );
+        assert_eq!(cost.events.spawned, 0, "{name}: a task per NIC op");
+        assert!(
+            cost.per_call(cost.events.polls) <= polls,
+            "{name}: {:.2} polls per call, budget {polls}",
+            cost.per_call(cost.events.polls)
+        );
+        assert!(
+            (1..=window).contains(&cost.slots),
+            "{name}: {} work-request slots for a window of {window}",
+            cost.slots
         );
     }
 }

@@ -14,112 +14,37 @@
 //! * [`Qp::post_read_batch`] — doorbell batching: `k` ops posted with a
 //!   *single* issue cost (one doorbell ring), as in Kalia et al.'s
 //!   guidelines.
+//! * [`Qp::send_nowait`] — an unsignaled SEND on an unreliable
+//!   transport.
 //!
 //! Posted ops still serialize on the NIC engines and move real bytes at
-//! the same instants as their synchronous counterparts.
+//! the same instants as their synchronous counterparts — the same
+//! [`crate::engine`] flies both. What differs is the issue side: the
+//! posting thread is not spinning on the op, so it is not among the
+//! NIC's active issuers and accrues only the (straggler-inflated) issue
+//! cost as busy time.
 
-use std::cell::Cell;
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
 
-use crate::fault::VerbError;
+pub use crate::engine::Completion;
+use crate::engine::{Op, WorkRequest};
 use crate::machine::ThreadCtx;
 use crate::mem::MemRegion;
 use crate::qp::Qp;
 
-/// State shared by a posted op's flight and its [`Completion`] handle:
-/// one heap cell per op.
-#[derive(Default)]
-struct CompletionCell {
-    done: Cell<bool>,
-    error: Cell<Option<VerbError>>,
-    /// The task awaiting the handle. One slot suffices: a `Completion`
-    /// is neither `Clone` nor shared, so one task waits on it at a time.
-    waiter: Cell<Option<Waker>>,
-}
-
-/// Handle to an in-flight posted operation.
-///
-/// Await it with [`Completion::wait`] (busy-polling, like a CQ spin) or
-/// [`Completion::wait_idle`]; dropping it without waiting is allowed
-/// (an unsignaled op whose completion is never consumed).
-pub struct Completion {
-    cell: Rc<CompletionCell>,
-}
-
-/// Completion-reporting half of a posted flight (the other end of one
-/// [`Completion`] handle).
-pub(crate) struct FlightReport {
-    cell: Rc<CompletionCell>,
-}
-
-impl FlightReport {
-    /// Completes the op at completion-consumption time — with the error
-    /// a failed flight reports, if any — and wakes the waiting task.
-    pub(crate) fn finish(&self, error: Option<VerbError>) {
-        self.cell.error.set(error);
-        self.cell.done.set(true);
-        if let Some(w) = self.cell.waiter.take() {
-            w.wake();
-        }
-    }
-}
-
-/// Future behind [`Completion::wait`] / [`Completion::wait_idle`].
-struct CompletionWait<'a>(&'a CompletionCell);
-
-impl Future for CompletionWait<'_> {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.0.done.get() {
-            return Poll::Ready(());
-        }
-        self.0.waiter.set(Some(cx.waker().clone()));
-        Poll::Pending
-    }
-}
-
-impl Completion {
-    fn new() -> (Completion, FlightReport) {
-        let cell = Rc::new(CompletionCell::default());
-        (
-            Completion {
-                cell: Rc::clone(&cell),
-            },
-            FlightReport { cell },
-        )
-    }
-
-    /// Whether the op has already completed.
-    pub fn is_done(&self) -> bool {
-        self.cell.done.get()
-    }
-
-    /// The completion-with-error a real CQ would report, if the op
-    /// failed under an injected fault. Meaningful once [`is_done`]
-    /// (healthy clusters always complete `None`).
-    ///
-    /// [`is_done`]: Completion::is_done
-    pub fn error(&self) -> Option<VerbError> {
-        self.cell.error.get()
-    }
-
-    /// Busy-polls until the op completes (CQ spinning: the wait is CPU
-    /// time).
-    pub async fn wait(&self, thread: &ThreadCtx) {
-        thread.busy_wait(CompletionWait(&self.cell)).await;
-    }
-
-    /// Blocks until the op completes without accruing CPU time.
-    pub async fn wait_idle(&self, thread: &ThreadCtx) {
-        thread.idle_wait(CompletionWait(&self.cell)).await;
-    }
-}
-
 impl Qp {
+    /// One doorbell ring: the software cost of posting, however many
+    /// work requests the ring covers.
+    async fn ring_doorbell(&self, thread: &ThreadCtx) {
+        thread.busy(self.local().nic().profile().issue_cpu).await;
+    }
+
+    /// Rings the doorbell for one work request and lets it go.
+    async fn post(self: &Rc<Self>, thread: &ThreadCtx, wr: WorkRequest) -> Completion {
+        self.ring_doorbell(thread).await;
+        self.launch(wr)
+    }
+
     /// Posts a one-sided READ and returns immediately after the software
     /// issue cost; the returned [`Completion`] fires when the data has
     /// landed locally.
@@ -136,12 +61,8 @@ impl Qp {
         remote_off: usize,
         len: usize,
     ) -> Completion {
-        self.assert_read_allowed(thread, local, local_off, remote, remote_off, len);
-        let issue = self.local().nic().profile().issue_cpu;
-        thread.busy(issue).await;
-        let (completion, report) = Completion::new();
-        self.spawn_read_flight(local, local_off, remote, remote_off, len, report);
-        completion
+        let wr = self.one_sided(Op::Read, thread, local, local_off, remote, remote_off, len);
+        self.post(thread, wr).await
     }
 
     /// Doorbell batching: posts `entries` READs paying the issue cost
@@ -161,18 +82,23 @@ impl Qp {
         completions: &mut Vec<Completion>,
     ) {
         assert!(!entries.is_empty(), "empty doorbell batch");
-        for (local, local_off, remote, remote_off, len) in entries {
-            self.assert_read_allowed(thread, local, *local_off, remote, *remote_off, *len);
-        }
+        let wr = |(local, local_off, remote, remote_off, len): &(_, _, _, _, _)| {
+            self.one_sided(
+                Op::Read,
+                thread,
+                local,
+                *local_off,
+                remote,
+                *remote_off,
+                *len,
+            )
+        };
+        // Every entry is rejected before the ring, not after it.
+        entries.iter().for_each(|entry| drop(wr(entry)));
         // One doorbell ring for the whole chain.
-        let issue = self.local().nic().profile().issue_cpu;
-        thread.busy(issue).await;
+        self.ring_doorbell(thread).await;
         completions.clear();
-        for (local, local_off, remote, remote_off, len) in entries {
-            let (completion, report) = Completion::new();
-            self.spawn_read_flight(local, *local_off, remote, *remote_off, *len, report);
-            completions.push(completion);
-        }
+        completions.extend(entries.iter().map(|entry| self.launch(wr(entry))));
     }
 
     /// Posts a one-sided WRITE; the [`Completion`] fires when the ACK
@@ -190,11 +116,31 @@ impl Qp {
         remote_off: usize,
         len: usize,
     ) -> Completion {
-        let issue = self.local().nic().profile().issue_cpu;
-        thread.busy(issue).await;
-        let (completion, report) = Completion::new();
-        self.spawn_write_flight(local, local_off, remote, remote_off, len, report);
-        completion
+        let wr = self.one_sided(Op::Write, thread, local, local_off, remote, remote_off, len);
+        self.post(thread, wr).await
+    }
+
+    /// Unsignaled SEND on an unreliable transport: the issuing thread
+    /// pays only the software issue cost and moves on; NIC engine time,
+    /// propagation and delivery (or loss) happen asynchronously. This is
+    /// the selective-signaling technique HERD-class systems use to keep
+    /// server threads off the completion path (paper §5's reference to
+    /// Kalia et al.'s guidelines).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a reliable QP (an RC completion must be consumed) or if
+    /// the thread is not on this QP's local machine.
+    pub async fn send_nowait(self: &Rc<Self>, thread: &ThreadCtx, payload: Vec<u8>) {
+        assert!(
+            !self.transport().is_reliable(),
+            "send_nowait requires an unreliable transport (UC/UD)"
+        );
+        self.assert_issuer(thread);
+        // The NIC still serializes the send on its out-bound engine;
+        // only the *thread* is off the hook: the completion is dropped
+        // unconsumed.
+        self.post(thread, WorkRequest::send(payload)).await;
     }
 }
 
@@ -202,6 +148,7 @@ impl Qp {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use crate::fault::VerbError;
     use crate::profile::ClusterProfile;
     use rfp_simnet::{SimSpan, Simulation};
     use std::cell::Cell;
@@ -270,7 +217,11 @@ mod tests {
         // 200 rounds of four overlapping posted READs plus one posted
         // WRITE: however long the run, the QP ends up holding no more
         // buffers than ops were in flight together (fewer here — the
-        // out-bound engine spaces the snapshots apart).
+        // out-bound engine spaces the snapshots apart). The error exits
+        // recycle too: rounds against a reverse partition (READ
+        // snapshots taken, WRITE payloads landed, completions cut) and a
+        // crashed peer (WRITE payloads NACKed) neither drain the pool —
+        // which would re-allocate on every faulted op — nor grow it.
         let mut sim = Simulation::new(0);
         let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
         let (cm, sm) = (cluster.machine(0), cluster.machine(1));
@@ -279,23 +230,40 @@ mod tests {
         let qp = cluster.qp(0, 1);
         let t = cm.thread("c");
         let q = Rc::clone(&qp);
+        let pooled = Rc::new(Cell::new([0usize; 3]));
+        let out = Rc::clone(&pooled);
         sim.spawn(async move {
             let entries: Vec<_> = (0..4usize)
                 .map(|i| (Rc::clone(&local), i * 64, Rc::clone(&remote), i * 64, 32))
                 .collect();
             let mut completions = Vec::new();
-            for _ in 0..200 {
-                let w = q.write_post(&t, &local, 256, &remote, 256, 48).await;
-                q.post_read_batch(&t, &entries, &mut completions).await;
-                for c in completions.iter().chain([&w]) {
-                    c.wait(&t).await;
-                    assert_eq!(c.error(), None);
+            let mut after = [0; 3];
+            let phases = [None, Some(VerbError::QpError), Some(VerbError::RemoteDown)];
+            for (phase, expect) in phases.into_iter().enumerate() {
+                match phase {
+                    1 => sm.faults().block_to(0),
+                    2 => sm.faults().set_crashed(true),
+                    _ => {}
                 }
+                for _ in 0..200 {
+                    let w = q.write_post(&t, &local, 256, &remote, 256, 48).await;
+                    q.post_read_batch(&t, &entries, &mut completions).await;
+                    for c in completions.iter().chain([&w]) {
+                        c.wait(&t).await;
+                        assert_eq!(c.error(), expect);
+                    }
+                }
+                after[phase] = q.pooled_snapshots();
             }
+            out.set(after);
         });
         sim.run();
         assert_eq!(sim.live_tasks(), 0);
-        assert!((1..=5).contains(&qp.pooled_snapshots()));
+        let [healthy, cut, crashed] = pooled.get();
+        assert!((1..=5).contains(&healthy), "{healthy} pooled buffers");
+        assert_eq!(cut, healthy, "reverse-partition exits recycle");
+        assert_eq!(crashed, healthy, "NACK exits recycle");
+        assert!(qp.work_request_slots() <= 5);
     }
 
     #[test]

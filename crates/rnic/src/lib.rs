@@ -26,6 +26,7 @@
 mod async_verbs;
 mod cluster;
 mod cores;
+mod engine;
 mod fault;
 mod machine;
 mod mem;

@@ -5,6 +5,7 @@ use std::rc::Rc;
 
 use rfp_simnet::{
     Counter, FifoServer, FlightRecorder, Gauge, MetricsRegistry, Severity, SimHandle, SimSpan,
+    SimTime,
 };
 
 use crate::profile::NicProfile;
@@ -26,6 +27,17 @@ pub struct NicCounters {
     /// Unreliable (UC/UD) packets this NIC put on the wire that never
     /// arrived — lost in transit or addressed to a crashed peer.
     pub dropped: u64,
+}
+
+/// The service-time table an op is charged at on either engine.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Cost {
+    /// One-sided READ/WRITE: the asymmetric in-/out-bound costs.
+    OneSided,
+    /// Two-sided SEND/RECV on a connection: symmetric (paper §2.2).
+    TwoSided,
+    /// UD datagram: cheaper than RC (no connection state, no ACKs).
+    Datagram,
 }
 
 /// Gauges kept current by the engines once a registry is attached.
@@ -103,8 +115,7 @@ impl Nic {
     fn refresh_gauges(&self) {
         if let Some(g) = self.gauges.borrow().as_ref() {
             let now = self.handle.now();
-            let backlog =
-                |next_free: rfp_simnet::SimTime| next_free.max(now).since(now).as_nanos() as i64;
+            let backlog = |next_free: SimTime| next_free.max(now).since(now).as_nanos() as i64;
             g.inbound_backlog_ns.set(backlog(self.inbound.next_free()));
             g.outbound_backlog_ns
                 .set(backlog(self.outbound.next_free()));
@@ -124,76 +135,40 @@ impl Nic {
         }
     }
 
-    /// Current out-bound service-time multiplier given concurrent
-    /// issuers.
-    pub(crate) fn contention_multiplier(&self) -> f64 {
-        self.profile
-            .contention_multiplier(self.active_issuers.get())
-    }
-
-    /// Occupies the out-bound engine for one op of `bytes`, inflated by
-    /// the current contention multiplier; resolves at service completion.
-    pub(crate) fn serve_outbound(&self, bytes: usize) -> rfp_simnet::Sleep {
-        let base = self.profile.outbound_service(bytes);
-        let service =
-            SimSpan::from_nanos_f64(base.as_nanos() as f64 * self.contention_multiplier());
+    /// Occupies the out-bound engine for one op of `bytes` at `cost`
+    /// (one-sided service is inflated by the contention multiplier of
+    /// the threads issuing right now); returns the instant service
+    /// completes.
+    pub(crate) fn serve_out(&self, cost: Cost, bytes: usize) -> SimTime {
+        let service = match cost {
+            Cost::OneSided => {
+                let base = self.profile.outbound_service(bytes).as_nanos() as f64;
+                let issuers = self.active_issuers.get();
+                SimSpan::from_nanos_f64(base * self.profile.contention_multiplier(issuers))
+            }
+            Cost::TwoSided => self.profile.twosided_service(bytes),
+            Cost::Datagram => self.profile.ud_service(bytes),
+        };
         self.outbound_ops.incr();
         self.outbound_bytes.add(bytes as u64);
-        let sleep = self.outbound.serve(service);
+        let done = self.outbound.reserve(service);
         self.refresh_gauges();
-        sleep
+        done
     }
 
-    /// Occupies the in-bound engine for one op of `bytes`; resolves at
-    /// service completion (the instant data lands / leaves).
-    pub(crate) fn serve_inbound(&self, bytes: usize) -> rfp_simnet::Sleep {
+    /// Occupies the in-bound engine for one op of `bytes` at `cost`;
+    /// returns the instant service completes (when data lands / leaves).
+    pub(crate) fn serve_in(&self, cost: Cost, bytes: usize) -> SimTime {
+        let service = match cost {
+            Cost::OneSided => self.profile.inbound_service(bytes),
+            Cost::TwoSided => self.profile.twosided_service(bytes),
+            Cost::Datagram => self.profile.ud_service(bytes),
+        };
         self.inbound_ops.incr();
         self.inbound_bytes.add(bytes as u64);
-        let sleep = self.inbound.serve(self.profile.inbound_service(bytes));
+        let done = self.inbound.reserve(service);
         self.refresh_gauges();
-        sleep
-    }
-
-    /// Occupies the out-bound engine for one two-sided SEND of `bytes`.
-    pub(crate) fn serve_twosided_tx(&self, bytes: usize) -> rfp_simnet::Sleep {
-        let service = self.profile.twosided_service(bytes);
-        self.outbound_ops.incr();
-        self.outbound_bytes.add(bytes as u64);
-        let sleep = self.outbound.serve(service);
-        self.refresh_gauges();
-        sleep
-    }
-
-    /// Occupies the in-bound engine for one two-sided RECV of `bytes`
-    /// at the two-sided (symmetric) cost.
-    pub(crate) fn serve_twosided_rx(&self, bytes: usize) -> rfp_simnet::Sleep {
-        let service = self.profile.twosided_service(bytes);
-        self.inbound_ops.incr();
-        self.inbound_bytes.add(bytes as u64);
-        let sleep = self.inbound.serve(service);
-        self.refresh_gauges();
-        sleep
-    }
-
-    /// Occupies the out-bound engine for one UD datagram SEND of
-    /// `bytes` (cheaper than RC: no connection state, no ACK handling).
-    pub(crate) fn serve_ud_tx(&self, bytes: usize) -> rfp_simnet::Sleep {
-        let service = self.profile.ud_service(bytes);
-        self.outbound_ops.incr();
-        self.outbound_bytes.add(bytes as u64);
-        let sleep = self.outbound.serve(service);
-        self.refresh_gauges();
-        sleep
-    }
-
-    /// Occupies the in-bound engine for one UD datagram RECV of `bytes`.
-    pub(crate) fn serve_ud_rx(&self, bytes: usize) -> rfp_simnet::Sleep {
-        let service = self.profile.ud_service(bytes);
-        self.inbound_ops.incr();
-        self.inbound_bytes.add(bytes as u64);
-        let sleep = self.inbound.serve(service);
-        self.refresh_gauges();
-        sleep
+        done
     }
 
     /// Attaches a flight recorder; wire-level loss and retransmit

@@ -13,10 +13,13 @@
 //!   message (no connection state, no ACKs — how HERD/FaSST push
 //!   message rates), lossy.
 //!
-//! Verbs are *synchronous*: the issuing thread busy-polls its completion
-//! queue until the op completes, matching the paper's measurement
-//! methodology ("we always wait for an RDMA operation's completion
-//! before starting the next operation", §2.2).
+//! The verbs in this file are *synchronous*: the issuing thread
+//! busy-polls its completion queue until the op completes, matching the
+//! paper's measurement methodology ("we always wait for an RDMA
+//! operation's completion before starting the next operation", §2.2).
+//! The posted forms are in [`crate::async_verbs`]. Either way a verb
+//! only validates its arguments, pays its issue cost and files a work
+//! request; [`crate::engine`] flies it.
 //!
 //! Timing of a one-sided op of `n` bytes issued by thread `T` on machine
 //! `A` against memory of machine `B`:
@@ -34,12 +37,12 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::async_verbs::FlightReport;
+use crate::engine::{Op, WorkRequest};
 use crate::fault::{FabricFaults, VerbError};
 use crate::machine::{Machine, ThreadCtx};
 use crate::mem::MemRegion;
 use crate::profile::LinkProfile;
-use rfp_simnet::{Channel, SimSpan};
+use rfp_simnet::{Channel, SimSpan, Slab};
 
 /// InfiniBand transport service type of a queue pair (paper §5).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -81,14 +84,17 @@ pub struct Qp {
     /// machine's generation advances, this QP is in the error state.
     local_epoch: u64,
     remote_epoch: u64,
-    /// In-flight two-sided messages awaiting `recv`.
-    rx: Channel<Vec<u8>>,
+    /// Delivered two-sided messages awaiting `recv`.
+    pub(crate) rx: Channel<Vec<u8>>,
+    /// Work requests in flight (or completed and not yet consumed);
+    /// never more slots than were occupied together.
+    pub(crate) requests: RefCell<Slab<WorkRequest>>,
     /// Recycled buffers for the payload snapshot every one-sided op
     /// takes at its modelled instant (WRITE: at issue; READ: when the
     /// in-bound engine finishes). An op pops one — or starts an empty
-    /// `Vec` when all are in flight — and pushes it back once the bytes
-    /// have landed, so the pool holds at most as many buffers as ops
-    /// were ever in flight together on this QP.
+    /// `Vec` when all are in flight — and the engine pushes it back when
+    /// the request retires, so the pool holds at most as many buffers
+    /// as ops were ever in flight together on this QP.
     snapshots: RefCell<Vec<Vec<u8>>>,
 }
 
@@ -113,6 +119,7 @@ impl Qp {
             local_epoch,
             remote_epoch,
             rx: Channel::new(),
+            requests: RefCell::default(),
             snapshots: RefCell::new(Vec::new()),
         })
     }
@@ -132,6 +139,12 @@ impl Qp {
         self.transport
     }
 
+    /// Work-request slots this QP ever needed at once: the high-water
+    /// mark of operations in flight plus completions not yet consumed.
+    pub fn work_request_slots(&self) -> usize {
+        self.requests.borrow().slots()
+    }
+
     /// Whether this QP is usable by its issuing side right now.
     ///
     /// Healthy clusters never fail this; under injected faults it is the
@@ -148,20 +161,12 @@ impl Qp {
         None
     }
 
-    /// Issue-time fault gate shared by the fallible verbs.
-    fn check_live(&self) -> Result<(), VerbError> {
-        match self.error_state() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Wire-arrival fault gate: the op reached the remote NIC; is the
     /// peer still there and is this QP still valid on it? A partition
     /// cutting the request leg means nothing ever arrived — the
     /// initiator sees the same retry-exhausted error, with no remote
     /// side effect.
-    fn remote_live(&self) -> Result<(), VerbError> {
+    pub(crate) fn remote_live(&self) -> Result<(), VerbError> {
         if self.forward_cut() {
             return Err(VerbError::QpError);
         }
@@ -176,7 +181,7 @@ impl Qp {
 
     /// Whether an asymmetric partition cuts the request leg (issuer →
     /// peer). One `Cell` load; draws nothing.
-    fn forward_cut(&self) -> bool {
+    pub(crate) fn forward_cut(&self) -> bool {
         self.local.faults().blocks_to(self.remote.id().0)
     }
 
@@ -184,15 +189,16 @@ impl Qp {
     /// issuer). Remote side effects may already have landed by the time
     /// this gate fires — that asymmetry is the point: a WRITE whose ACK
     /// is cut still delivered its payload.
-    fn reverse_cut(&self) -> bool {
+    pub(crate) fn reverse_cut(&self) -> bool {
         self.remote.faults().blocks_to(self.local.id().0)
     }
 
     /// One-way propagation delay, inflated by any fabric degradation
-    /// and by per-machine slow-link (gray fail-slow) lag. The lag draw
-    /// happens only while a slow-link window is armed, so healthy runs
-    /// are bit-identical with or without the fault layer.
-    fn prop(&self) -> SimSpan {
+    /// and by per-machine slow-link (gray fail-slow) lag; sampled once
+    /// per wire leg. The lag draw happens only while a slow-link window
+    /// is armed, so healthy runs are bit-identical with or without the
+    /// fault layer.
+    pub(crate) fn prop(&self) -> SimSpan {
         let factor = self.fabric.link_factor();
         let base = if factor == 1.0 {
             self.link.propagation
@@ -216,8 +222,14 @@ impl Qp {
         base + SimSpan::nanos(extra)
     }
 
+    /// One Bernoulli draw from the simulation's RNG — none at all when
+    /// `p` is zero, so a disarmed fault leaves the stream untouched.
+    pub(crate) fn chance(&self, p: f64) -> bool {
+        p > 0.0 && self.local.handle().with_rng(|rng| rng.gen::<f64>()) < p
+    }
+
     /// Loss-burst probability contributed by the endpoints' fault state.
-    fn burst_loss(&self) -> f64 {
+    pub(crate) fn burst_loss(&self) -> f64 {
         self.local
             .faults()
             .extra_loss()
@@ -227,7 +239,7 @@ impl Qp {
     /// Draws whether an unreliable op is lost in transit; a loss burst
     /// on either endpoint compounds with the profile's base loss rate.
     /// Losses are charged to the sender's NIC drop counter.
-    fn lost_in_transit(&self) -> bool {
+    pub(crate) fn lost_in_transit(&self) -> bool {
         let base = self.local.nic().profile().unreliable_loss;
         let burst = self.burst_loss();
         let p = if burst == 0.0 {
@@ -235,46 +247,28 @@ impl Qp {
         } else {
             1.0 - (1.0 - base) * (1.0 - burst)
         };
-        let lost = p > 0.0 && self.local.handle().with_rng(|rng| rng.gen::<f64>()) < p;
+        let lost = self.chance(p);
         if lost {
             self.local.nic().note_drop();
         }
         lost
     }
 
-    /// During a loss burst, reliable (RC) traffic does not drop but pays
-    /// hardware retransmissions; model each as one extra timeout-and-
-    /// resend round trip. Retransmitted packets ride the same lossy
-    /// link, so rounds repeat geometrically (capped — real RNICs raise a
-    /// retry-exceeded error rather than retransmitting forever). Draws
-    /// nothing outside bursts, so healthy runs are bit-identical with or
-    /// without the fault layer.
-    async fn rc_burst_retransmit(&self) {
-        const MAX_ROUNDS: u32 = 8;
-        let burst = self.burst_loss();
-        if burst <= 0.0 {
-            return;
-        }
-        for _ in 0..MAX_ROUNDS {
-            if self.local.handle().with_rng(|rng| rng.gen::<f64>()) >= burst {
-                break;
-            }
-            self.local.nic().note_rc_retransmit();
-            self.local.handle().sleep(self.prop() * 3).await;
-        }
-    }
-
     /// Copies `mr[off..off + len]` into a buffer from the recycled pool.
-    fn snapshot(&self, mr: &MemRegion, off: usize, len: usize) -> Vec<u8> {
+    pub(crate) fn snapshot(&self, mr: &MemRegion, off: usize, len: usize) -> Vec<u8> {
         let mut buf = self.snapshots.borrow_mut().pop().unwrap_or_default();
         buf.resize(len, 0);
         mr.read_local_into(off, &mut buf);
         buf
     }
 
-    /// Returns a landed [`snapshot`](Qp::snapshot) to the pool.
-    fn recycle(&self, snapshot: Vec<u8>) {
-        self.snapshots.borrow_mut().push(snapshot);
+    /// Returns a retired request's buffer to the pool (a SEND's message
+    /// went to the receiver and a NACKed READ never sampled: nothing to
+    /// keep).
+    pub(crate) fn recycle(&self, buf: Vec<u8>) {
+        if buf.capacity() > 0 {
+            self.snapshots.borrow_mut().push(buf);
+        }
     }
 
     #[cfg(test)]
@@ -288,13 +282,14 @@ impl Qp {
     /// flip corrupts one sampled bit. Draws nothing while both faults
     /// are disarmed, so healthy runs are bit-identical with or without
     /// the fault layer.
-    fn corrupt_in_flight(&self, remote: &MemRegion, remote_off: usize, snapshot: &mut [u8]) {
+    pub(crate) fn corrupt_in_flight(
+        &self,
+        remote: &MemRegion,
+        remote_off: usize,
+        snapshot: &mut [u8],
+    ) {
         let faults = self.remote.faults();
-        let torn = faults.torn_dma();
-        if torn > 0.0
-            && !snapshot.is_empty()
-            && self.local.handle().with_rng(|rng| rng.gen::<f64>()) < torn
-        {
+        if !snapshot.is_empty() && self.chance(faults.torn_dma()) {
             remote.with_history(|hist| {
                 if let Some(hist) = hist {
                     // Prefix from the new image, suffix from the old:
@@ -312,11 +307,7 @@ impl Qp {
                 }
             });
         }
-        let flip = faults.bitflip();
-        if flip > 0.0
-            && !snapshot.is_empty()
-            && self.local.handle().with_rng(|rng| rng.gen::<f64>()) < flip
-        {
+        if !snapshot.is_empty() && self.chance(faults.bitflip()) {
             let (byte, bit) = self
                 .local
                 .handle()
@@ -325,20 +316,33 @@ impl Qp {
         }
     }
 
-    fn check_one_sided(
-        &self,
-        thread: &ThreadCtx,
-        local: &MemRegion,
-        local_off: usize,
-        remote: &MemRegion,
-        remote_off: usize,
-        len: usize,
-    ) {
+    pub(crate) fn assert_issuer(&self, thread: &ThreadCtx) {
         assert_eq!(
             thread.machine().id(),
             self.local.id(),
             "thread must issue on the QP's local machine"
         );
+    }
+
+    /// Validates a one-sided verb — at the caller, for the synchronous
+    /// and the posted forms alike — and builds its work request.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn one_sided(
+        &self,
+        op: Op,
+        thread: &ThreadCtx,
+        local: &Rc<MemRegion>,
+        local_off: usize,
+        remote: &Rc<MemRegion>,
+        remote_off: usize,
+        len: usize,
+    ) -> WorkRequest {
+        let (supported, needs) = match op {
+            Op::Read => (self.transport.supports_read(), "READ requires RC"),
+            _ => (self.transport.supports_write(), "WRITE requires RC or UC"),
+        };
+        assert!(supported, "one-sided {needs} (got {:?})", self.transport);
+        self.assert_issuer(thread);
         assert_eq!(
             local.owner(),
             self.local.id(),
@@ -351,6 +355,26 @@ impl Qp {
         );
         assert!(local_off + len <= local.len(), "local range out of MR");
         assert!(remote_off + len <= remote.len(), "remote range out of MR");
+        WorkRequest::one_sided(op, (local, local_off), (remote, remote_off), len)
+    }
+
+    /// The synchronous issue path: the thread pays the software issue
+    /// cost, then spins on the completion — counted among the NIC's
+    /// active issuers (out-bound contention) and busy for the whole
+    /// verb. A QP already in the error state fails at once, at no cost.
+    async fn spin(self: &Rc<Self>, thread: &ThreadCtx, wr: WorkRequest) -> Result<(), VerbError> {
+        if let Some(e) = self.error_state() {
+            return Err(e);
+        }
+        let h = thread.handle();
+        let t0 = h.now();
+        let nic = self.local.nic();
+        let _issuing = nic.begin_issue();
+        h.sleep(nic.profile().issue_cpu).await;
+        let done = self.file_sync(wr);
+        done.done().await;
+        thread.note_busy(h.now() - t0);
+        done.error().map_or(Ok(()), Err)
     }
 
     /// One-sided RDMA READ: copies `len` bytes from the remote region
@@ -363,10 +387,10 @@ impl Qp {
     /// # Panics
     ///
     /// Panics if the thread or regions do not belong to this QP's
-    /// machines, if a range exceeds a region, or if an injected fault
-    /// errors the op (fault-aware callers use [`Qp::try_read`]).
+    /// machines, if a range exceeds a region, or — unlike
+    /// [`Qp::try_read`] — if an injected fault errors the op.
     pub async fn read(
-        &self,
+        self: &Rc<Self>,
         thread: &ThreadCtx,
         local: &Rc<MemRegion>,
         local_off: usize,
@@ -380,9 +404,11 @@ impl Qp {
     }
 
     /// Fallible [`Qp::read`]: completes with a [`VerbError`] instead of
-    /// panicking when an injected fault errors the op.
+    /// panicking when an injected fault errors the op — after the NACK
+    /// round trip for a dead or re-keyed peer, and without touching
+    /// local memory when the returning data is cut off.
     pub async fn try_read(
-        &self,
+        self: &Rc<Self>,
         thread: &ThreadCtx,
         local: &Rc<MemRegion>,
         local_off: usize,
@@ -390,46 +416,8 @@ impl Qp {
         remote_off: usize,
         len: usize,
     ) -> Result<(), VerbError> {
-        assert!(
-            self.transport.supports_read(),
-            "one-sided READ requires RC (got {:?})",
-            self.transport
-        );
-        self.check_one_sided(thread, local, local_off, remote, remote_off, len);
-        self.check_live()?;
-        let h = thread.handle().clone();
-        let t0 = h.now();
-        let local_nic = Rc::clone(self.local.nic());
-        let remote_nic = self.remote.nic();
-        let prof = local_nic.profile().clone();
-
-        let _issuing = local_nic.begin_issue();
-        h.sleep(prof.issue_cpu).await;
-        local_nic.serve_outbound(len).await;
-        self.rc_burst_retransmit().await;
-        h.sleep(self.prop()).await;
-        if let Err(e) = self.remote_live() {
-            // NACK / retry-exhausted completion: one wire round trip,
-            // then the CQ reports the error.
-            h.sleep(self.prop()).await;
-            thread.note_busy(h.now() - t0);
-            return Err(e);
-        }
-        remote_nic.serve_inbound(len).await;
-        // Data is sampled at the instant the serving NIC processes the op.
-        let mut snapshot = self.snapshot(remote, remote_off, len);
-        self.corrupt_in_flight(remote, remote_off, &mut snapshot);
-        h.sleep(self.prop() + prof.read_turnaround).await;
-        if self.reverse_cut() {
-            // The returning data never reaches the initiator: the READ
-            // errors out without touching local memory.
-            thread.note_busy(h.now() - t0);
-            return Err(VerbError::QpError);
-        }
-        local.write_local(local_off, &snapshot);
-        self.recycle(snapshot);
-        thread.note_busy(h.now() - t0);
-        Ok(())
+        let wr = self.one_sided(Op::Read, thread, local, local_off, remote, remote_off, len);
+        self.spin(thread, wr).await
     }
 
     /// One-sided RDMA WRITE: copies `len` bytes from the local region
@@ -442,7 +430,7 @@ impl Qp {
     /// Same conditions as [`Qp::read`] (fault-aware callers use
     /// [`Qp::try_write`]).
     pub async fn write(
-        &self,
+        self: &Rc<Self>,
         thread: &ThreadCtx,
         local: &Rc<MemRegion>,
         local_off: usize,
@@ -460,7 +448,7 @@ impl Qp {
     /// crashed peer still completes `Ok` (fire-and-forget) — the packet
     /// is counted dropped at the sender's NIC.
     pub async fn try_write(
-        &self,
+        self: &Rc<Self>,
         thread: &ThreadCtx,
         local: &Rc<MemRegion>,
         local_off: usize,
@@ -468,71 +456,8 @@ impl Qp {
         remote_off: usize,
         len: usize,
     ) -> Result<(), VerbError> {
-        assert!(
-            self.transport.supports_write(),
-            "one-sided WRITE requires RC or UC (got {:?})",
-            self.transport
-        );
-        self.check_one_sided(thread, local, local_off, remote, remote_off, len);
-        self.check_live()?;
-        let h = thread.handle().clone();
-        let t0 = h.now();
-        let local_nic = Rc::clone(self.local.nic());
-        let remote_nic = Rc::clone(self.remote.nic());
-        let prof = local_nic.profile().clone();
-
-        let _issuing = local_nic.begin_issue();
-        h.sleep(prof.issue_cpu).await;
-        let payload = self.snapshot(local, local_off, len);
-        local_nic.serve_outbound(len).await;
-        match self.transport {
-            Transport::Rc => {
-                // Reliable: the completion waits for the remote side.
-                self.rc_burst_retransmit().await;
-                h.sleep(self.prop()).await;
-                if let Err(e) = self.remote_live() {
-                    h.sleep(self.prop()).await;
-                    thread.note_busy(h.now() - t0);
-                    return Err(e);
-                }
-                remote_nic.serve_inbound(len).await;
-                remote.apply_remote_write(remote_off, &payload);
-                self.recycle(payload);
-                h.sleep(self.prop()).await;
-                if self.reverse_cut() {
-                    // The ACK leg is cut: the payload landed, but the
-                    // initiator only sees a retry-exhausted error.
-                    thread.note_busy(h.now() - t0);
-                    return Err(VerbError::QpError);
-                }
-            }
-            Transport::Uc => {
-                // Fire-and-forget: complete as soon as the op left the
-                // NIC; deliver (or lose) the packet asynchronously.
-                if !self.lost_in_transit() {
-                    let prop = self.prop();
-                    let local_m = Rc::clone(&self.local);
-                    let remote_m = Rc::clone(&self.remote);
-                    let remote = Rc::clone(remote);
-                    let local_nic2 = Rc::clone(&local_nic);
-                    let h2 = h.clone();
-                    h.spawn(async move {
-                        h2.sleep(prop).await;
-                        if remote_m.faults().is_crashed()
-                            || local_m.faults().blocks_to(remote_m.id().0)
-                        {
-                            local_nic2.note_drop();
-                            return;
-                        }
-                        remote_nic.serve_inbound(len).await;
-                        remote.apply_remote_write(remote_off, &payload);
-                    });
-                }
-            }
-            Transport::Ud => unreachable!("guarded by supports_write"),
-        }
-        thread.note_busy(h.now() - t0);
-        Ok(())
+        let wr = self.one_sided(Op::Write, thread, local, local_off, remote, remote_off, len);
+        self.spin(thread, wr).await
     }
 
     /// Two-sided SEND. On RC the completion is ACK-driven and two-sided
@@ -561,263 +486,8 @@ impl Qp {
         thread: &ThreadCtx,
         payload: Vec<u8>,
     ) -> Result<(), VerbError> {
-        assert_eq!(
-            thread.machine().id(),
-            self.local.id(),
-            "thread must issue on the QP's local machine"
-        );
-        self.check_live()?;
-        let h = thread.handle().clone();
-        let t0 = h.now();
-        let local_nic = Rc::clone(self.local.nic());
-        let remote_nic = Rc::clone(self.remote.nic());
-        let prof = local_nic.profile().clone();
-        let len = payload.len();
-
-        let _issuing = local_nic.begin_issue();
-        h.sleep(prof.issue_cpu).await;
-        match self.transport {
-            Transport::Rc => {
-                local_nic.serve_twosided_tx(len).await;
-                self.rc_burst_retransmit().await;
-                h.sleep(self.prop()).await;
-                if let Err(e) = self.remote_live() {
-                    h.sleep(self.prop()).await;
-                    thread.note_busy(h.now() - t0);
-                    return Err(e);
-                }
-                remote_nic.serve_twosided_rx(len).await;
-                self.rx.send(payload);
-                h.sleep(self.prop()).await;
-                if self.reverse_cut() {
-                    // The message was delivered; only the ACK is lost.
-                    thread.note_busy(h.now() - t0);
-                    return Err(VerbError::QpError);
-                }
-            }
-            Transport::Uc | Transport::Ud => {
-                let datagram = self.transport == Transport::Ud;
-                if datagram {
-                    local_nic.serve_ud_tx(len).await;
-                } else {
-                    local_nic.serve_twosided_tx(len).await;
-                }
-                if !self.lost_in_transit() {
-                    let prop = self.prop();
-                    let qp = Rc::clone(self);
-                    let h2 = h.clone();
-                    h.spawn(async move {
-                        h2.sleep(prop).await;
-                        if qp.remote.faults().is_crashed() || qp.forward_cut() {
-                            qp.local.nic().note_drop();
-                            return;
-                        }
-                        if datagram {
-                            remote_nic.serve_ud_rx(len).await;
-                        } else {
-                            remote_nic.serve_twosided_rx(len).await;
-                        }
-                        qp.rx.send(payload);
-                    });
-                }
-            }
-        }
-        thread.note_busy(h.now() - t0);
-        Ok(())
-    }
-
-    /// Validation shared by the posted (async) read paths.
-    pub(crate) fn assert_read_allowed(
-        &self,
-        thread: &ThreadCtx,
-        local: &MemRegion,
-        local_off: usize,
-        remote: &MemRegion,
-        remote_off: usize,
-        len: usize,
-    ) {
-        assert!(
-            self.transport.supports_read(),
-            "one-sided READ requires RC (got {:?})",
-            self.transport
-        );
-        self.check_one_sided(thread, local, local_off, remote, remote_off, len);
-    }
-
-    /// Launches the NIC/wire portion of a posted READ; finishes `report`
-    /// at completion-consumption time. Posted flights do not hold the
-    /// issuing-thread contention guard — the thread is not spinning on
-    /// this op.
-    ///
-    /// Fault handling matches [`Qp::try_read`]: a crashed/re-keyed
-    /// endpoint surfaces as the report's error after the NACK round
-    /// trip, and in-flight corruption applies to the sampled snapshot.
-    /// All gates draw nothing while the fault layer is disarmed, so
-    /// healthy runs are bit-identical to the pre-fault flights.
-    pub(crate) fn spawn_read_flight(
-        self: &Rc<Self>,
-        local: &Rc<MemRegion>,
-        local_off: usize,
-        remote: &Rc<MemRegion>,
-        remote_off: usize,
-        len: usize,
-        report: FlightReport,
-    ) {
-        let h = self.local.handle().clone();
-        let local_nic = Rc::clone(self.local.nic());
-        let remote_nic = Rc::clone(self.remote.nic());
-        let prof = local_nic.profile().clone();
-        let prop = self.prop();
-        let local = Rc::clone(local);
-        let remote = Rc::clone(remote);
-        let qp = Rc::clone(self);
-        let h2 = h.clone();
-        h.spawn(async move {
-            if let Some(e) = qp.error_state() {
-                return report.finish(Some(e));
-            }
-            local_nic.serve_outbound(len).await;
-            qp.rc_burst_retransmit().await;
-            h2.sleep(prop).await;
-            if let Err(e) = qp.remote_live() {
-                // NACK: the initiator learns after one more wire leg.
-                h2.sleep(prop).await;
-                return report.finish(Some(e));
-            }
-            remote_nic.serve_inbound(len).await;
-            let mut snapshot = qp.snapshot(&remote, remote_off, len);
-            qp.corrupt_in_flight(&remote, remote_off, &mut snapshot);
-            h2.sleep(prop + prof.read_turnaround).await;
-            if qp.reverse_cut() {
-                return report.finish(Some(VerbError::QpError));
-            }
-            local.write_local(local_off, &snapshot);
-            qp.recycle(snapshot);
-            report.finish(None);
-        });
-    }
-
-    /// Launches the NIC/wire portion of a posted WRITE; finishes
-    /// `report` at ACK time (RC) or once the op left the NIC (UC).
-    ///
-    /// RC flights report a crashed/re-keyed peer as the report's error
-    /// after the NACK round trip, like [`Qp::try_write`]; UC flights to
-    /// a crashed peer are counted dropped at the sender. All gates draw
-    /// nothing while the fault layer is disarmed.
-    pub(crate) fn spawn_write_flight(
-        self: &Rc<Self>,
-        local: &Rc<MemRegion>,
-        local_off: usize,
-        remote: &Rc<MemRegion>,
-        remote_off: usize,
-        len: usize,
-        report: FlightReport,
-    ) {
-        assert!(
-            self.transport.supports_write(),
-            "one-sided WRITE requires RC or UC (got {:?})",
-            self.transport
-        );
-        let h = self.local.handle().clone();
-        let local_nic = Rc::clone(self.local.nic());
-        let remote_nic = Rc::clone(self.remote.nic());
-        let prop = self.prop();
-        let reliable = self.transport.is_reliable();
-        let lost = !reliable && self.lost_in_transit();
-        let local = Rc::clone(local);
-        let remote = Rc::clone(remote);
-        let qp = Rc::clone(self);
-        let h2 = h.clone();
-        h.spawn(async move {
-            if let Some(e) = qp.error_state() {
-                return report.finish(Some(e));
-            }
-            let payload = qp.snapshot(&local, local_off, len);
-            local_nic.serve_outbound(len).await;
-            if !reliable {
-                // Fire-and-forget: completion at NIC egress.
-                report.finish(None);
-                if lost {
-                    return;
-                }
-            } else {
-                qp.rc_burst_retransmit().await;
-            }
-            h2.sleep(prop).await;
-            if reliable {
-                if let Err(e) = qp.remote_live() {
-                    h2.sleep(prop).await;
-                    return report.finish(Some(e));
-                }
-            } else if qp.remote.faults().is_crashed() || qp.forward_cut() {
-                local_nic.note_drop();
-                return;
-            }
-            remote_nic.serve_inbound(len).await;
-            remote.apply_remote_write(remote_off, &payload);
-            qp.recycle(payload);
-            if reliable {
-                h2.sleep(prop).await;
-                let cut = qp.reverse_cut();
-                report.finish(cut.then_some(VerbError::QpError));
-            }
-        });
-    }
-
-    /// Unsignaled SEND on an unreliable transport: the issuing thread
-    /// pays only the software issue cost and moves on; NIC engine time,
-    /// propagation and delivery (or loss) happen asynchronously. This is
-    /// the selective-signaling technique HERD-class systems use to keep
-    /// server threads off the completion path (paper §5's reference to
-    /// Kalia et al.'s guidelines).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a reliable QP (an RC completion must be consumed) or if
-    /// the thread is not on this QP's local machine.
-    pub async fn send_nowait(self: &Rc<Self>, thread: &ThreadCtx, payload: Vec<u8>) {
-        assert!(
-            !self.transport.is_reliable(),
-            "send_nowait requires an unreliable transport (UC/UD)"
-        );
-        assert_eq!(
-            thread.machine().id(),
-            self.local.id(),
-            "thread must issue on the QP's local machine"
-        );
-        let h = thread.handle().clone();
-        let local_nic = Rc::clone(self.local.nic());
-        let remote_nic = Rc::clone(self.remote.nic());
-        let prof = local_nic.profile().clone();
-        let len = payload.len();
-        thread.busy(prof.issue_cpu).await;
-        let lost = self.lost_in_transit();
-        let datagram = self.transport == Transport::Ud;
-        let prop = self.prop();
-        let qp = Rc::clone(self);
-        h.spawn(async move {
-            // The NIC still serializes the send on its out-bound engine;
-            // only the *thread* is off the hook.
-            if datagram {
-                local_nic.serve_ud_tx(len).await;
-            } else {
-                local_nic.serve_twosided_tx(len).await;
-            }
-            if lost {
-                return;
-            }
-            qp.local.handle().sleep(prop).await;
-            if qp.remote.faults().is_crashed() || qp.forward_cut() {
-                qp.local.nic().note_drop();
-                return;
-            }
-            if datagram {
-                remote_nic.serve_ud_rx(len).await;
-            } else {
-                remote_nic.serve_twosided_rx(len).await;
-            }
-            qp.rx.send(payload);
-        });
+        self.assert_issuer(thread);
+        self.spin(thread, WorkRequest::send(payload)).await
     }
 
     /// A raw receive future for the next message on this QP, without
@@ -1062,6 +732,35 @@ mod tests {
             qp.read(&t, &local, 0, &bogus, 0, 8).await;
         });
         sim.run();
+    }
+
+    /// Posts a WRITE of `len` bytes at `remote_off` into a region owned
+    /// by machine `owner` over the QP 0 → 1.
+    fn post_write_to(owner: usize, remote_off: usize, len: usize) {
+        let (mut sim, cluster) = two_machines();
+        let client = cluster.machine(0);
+        let local = client.alloc_mr(64);
+        let target = cluster.machine(owner).alloc_mr(64);
+        let qp = cluster.qp(0, 1);
+        let t = client.thread("c");
+        sim.spawn(async move {
+            drop(qp.write_post(&t, &local, 0, &target, remote_off, len).await);
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "bad rkey")]
+    fn write_post_rejects_foreign_mr() {
+        // The "remote" region is actually owned by the client machine.
+        post_write_to(0, 0, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "remote range out of MR")]
+    fn write_post_rejects_out_of_range() {
+        // Rejected at the caller, not later inside a detached flight.
+        post_write_to(1, 60, 8);
     }
 
     #[test]

@@ -9,10 +9,17 @@
 //!
 //! Events scheduled for the same instant fire in scheduling order, which
 //! makes runs fully deterministic.
+//!
+//! A timer need not wake a task: a state machine that only advances on
+//! the clock (a NIC engine moving a work request through its hops)
+//! implements [`EventSink`] and schedules *typed events* instead. An
+//! event takes the same place in the timer heap and in the ready FIFO a
+//! task wake would, but is delivered as one `fire(token)` call — no
+//! task slot, no boxed future, no poll.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -30,28 +37,87 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 /// Identifier of a task inside one [`Simulation`].
 type TaskId = usize;
 
-/// A timer entry in the event heap.
-struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    waker: Waker,
+/// Ready-FIFO entry standing for the event at the head of
+/// `SimCore::events` (wakers can only push plain task ids).
+const EVENT: TaskId = usize::MAX;
+
+/// A clock-driven state machine fed by typed events
+/// ([`SimHandle::schedule_event`] / [`SimHandle::post_event`]).
+pub trait EventSink {
+    /// Delivers one event. `token` is whatever the sink passed when it
+    /// scheduled the event — typically a [`SlabKey`](crate::SlabKey)
+    /// token, so an event outliving its subject finds a stale key.
+    fn fire(self: Rc<Self>, token: u64);
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// A pending event: the sink (kept alive until delivery) and its token.
+type Event = (Rc<dyn EventSink>, u64);
+
+/// A timer entry: fires `fire` at `at`, after every entry scheduled
+/// for that instant before it.
+struct TimerEntry<F> {
+    at: SimTime,
+    seq: u64,
+    fire: F,
+}
+
+impl<F> TimerEntry<F> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
+
+impl<F> PartialEq for TimerEntry<F> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<F> Eq for TimerEntry<F> {}
+impl<F> PartialOrd for TimerEntry<F> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for TimerEntry {
+impl<F> Ord for TimerEntry<F> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
+}
+
+type TimerHeap<F> = BinaryHeap<Reverse<TimerEntry<F>>>;
+
+/// The pending timers, earliest `(at, seq)` first. Task wakes and
+/// events share the one `seq` order but not one heap: an event entry is
+/// larger than a waker, and sifting the wider entries would tax every
+/// plain sleep for a feature it does not use.
+struct Timers {
+    wakes: TimerHeap<Waker>,
+    events: TimerHeap<Event>,
+}
+
+impl Timers {
+    /// Sequence number of `heap`'s earliest entry, if it fires at `at`.
+    fn due<F>(heap: &TimerHeap<F>, at: SimTime) -> Option<u64> {
+        heap.peek()
+            .filter(|Reverse(e)| e.at == at)
+            .map(|Reverse(e)| e.seq)
+    }
+
+    /// The instant of the earliest pending timer.
+    fn next_at(&self) -> Option<SimTime> {
+        let wake = self.wakes.peek().map(|Reverse(e)| e.at);
+        let event = self.events.peek().map(|Reverse(e)| e.at);
+        match (wake, event) {
+            (Some(w), Some(e)) => Some(w.min(e)),
+            (w, e) => w.or(e),
+        }
+    }
+}
+
+/// What enters the ready FIFO once the running task's poll returns.
+enum Admit {
+    Task(BoxFuture),
+    Event(Event),
 }
 
 /// Cumulative executor event counts of one [`Simulation`]: the
@@ -60,7 +126,8 @@ impl Ord for TimerEntry {
 pub struct ExecutorStats {
     /// Task polls, spurious ones (a wake for a finished task) included.
     pub polls: u64,
-    /// Timer entries popped off the event heap and fired.
+    /// Timer entries popped off the event heap and fired, task wakes
+    /// and typed events alike.
     pub timers_fired: u64,
     /// Futures handed to `spawn`.
     pub spawned: u64,
@@ -70,11 +137,15 @@ pub struct ExecutorStats {
 pub(crate) struct SimCore {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    /// Futures spawned while the executor is running; drained by the driver.
-    spawn_queue: RefCell<Vec<BoxFuture>>,
-    /// Task ids whose wakers fired; drained by the driver.
+    timers: RefCell<Timers>,
+    /// Futures spawned and events posted while the executor is running;
+    /// drained by the driver.
+    spawn_queue: RefCell<Vec<Admit>>,
+    /// Task ids whose wakers fired, plus one [`EVENT`] marker per entry
+    /// of `events`; drained by the driver.
     ready: Arc<SegQueue<TaskId>>,
+    /// Events due now, in the order of their markers in `ready`.
+    events: RefCell<VecDeque<Event>>,
     rng: RefCell<StdRng>,
     polls: Cell<u64>,
     timers_fired: Cell<u64>,
@@ -94,7 +165,13 @@ impl SimCore {
 
     fn spawn(&self, fut: BoxFuture) {
         self.spawned.set(self.spawned.get() + 1);
-        self.spawn_queue.borrow_mut().push(fut);
+        self.spawn_queue.borrow_mut().push(Admit::Task(fut));
+    }
+
+    /// Queues `event` for delivery behind everything already runnable.
+    fn make_ready(&self, event: Event) {
+        self.events.borrow_mut().push_back(event);
+        self.ready.push(EVENT);
     }
 
     fn stats(&self) -> ExecutorStats {
@@ -105,13 +182,22 @@ impl SimCore {
         }
     }
 
-    /// Registers `waker` to fire at instant `at`.
-    pub(crate) fn schedule_wake(&self, at: SimTime, waker: Waker) {
+    /// The next timer entry in scheduling order.
+    fn entry<F>(&self, at: SimTime, fire: F) -> Reverse<TimerEntry<F>> {
         debug_assert!(at >= self.now.get(), "cannot schedule in the past");
         let seq = self.next_seq();
-        self.timers
-            .borrow_mut()
-            .push(Reverse(TimerEntry { at, seq, waker }));
+        Reverse(TimerEntry { at, seq, fire })
+    }
+
+    /// Registers `waker` to fire at instant `at`.
+    pub(crate) fn schedule_wake(&self, at: SimTime, waker: Waker) {
+        let entry = self.entry(at, waker);
+        self.timers.borrow_mut().wakes.push(entry);
+    }
+
+    fn schedule_event(&self, at: SimTime, event: Event) {
+        let entry = self.entry(at, event);
+        self.timers.borrow_mut().events.push(entry);
     }
 }
 
@@ -154,7 +240,19 @@ pub struct Simulation {
     free: Vec<TaskId>,
     live: usize,
     /// Spawn-queue swap partner: keeps its capacity across drains.
-    admitting: Vec<BoxFuture>,
+    admitting: Vec<Admit>,
+}
+
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        // Pending events own their sinks and unadmitted futures their
+        // captures, either of which may hold a `SimHandle` back into
+        // the core; the core must not keep them (and so itself) alive.
+        let timers = std::mem::take(&mut self.core.timers.borrow_mut().events);
+        let events = std::mem::take(&mut *self.core.events.borrow_mut());
+        let queued = std::mem::take(&mut *self.core.spawn_queue.borrow_mut());
+        drop((timers, events, queued));
+    }
 }
 
 impl Simulation {
@@ -164,9 +262,13 @@ impl Simulation {
             core: Rc::new(SimCore {
                 now: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
-                timers: RefCell::new(BinaryHeap::new()),
+                timers: RefCell::new(Timers {
+                    wakes: BinaryHeap::new(),
+                    events: BinaryHeap::new(),
+                }),
                 spawn_queue: RefCell::new(Vec::new()),
                 ready: Arc::new(SegQueue::new()),
+                events: RefCell::new(VecDeque::new()),
                 rng: RefCell::new(StdRng::seed_from_u64(seed)),
                 polls: Cell::new(0),
                 timers_fired: Cell::new(0),
@@ -199,7 +301,8 @@ impl Simulation {
 
     /// Number of live (unfinished) tasks.
     pub fn live_tasks(&self) -> usize {
-        self.live + self.core.spawn_queue.borrow().len()
+        let queue = self.core.spawn_queue.borrow();
+        self.live + queue.iter().filter(|a| matches!(a, Admit::Task(_))).count()
     }
 
     /// Cumulative executor event counts.
@@ -208,11 +311,21 @@ impl Simulation {
     }
 
     fn admit_spawned(&mut self) {
+        if self.core.spawn_queue.borrow().is_empty() {
+            return;
+        }
         std::mem::swap(
             &mut *self.core.spawn_queue.borrow_mut(),
             &mut self.admitting,
         );
-        for fut in self.admitting.drain(..) {
+        for admitted in self.admitting.drain(..) {
+            let fut = match admitted {
+                Admit::Task(fut) => fut,
+                Admit::Event(event) => {
+                    self.core.make_ready(event);
+                    continue;
+                }
+            };
             let id = match self.free.pop() {
                 Some(id) => {
                     self.tasks[id].task = Some(fut);
@@ -259,7 +372,13 @@ impl Simulation {
                 }
                 continue;
             };
-            self.poll_task(id);
+            if id == EVENT {
+                let event = self.core.events.borrow_mut().pop_front();
+                let (sink, token) = event.expect("one queued event per marker");
+                sink.fire(token);
+            } else {
+                self.poll_task(id);
+            }
         }
     }
 
@@ -267,20 +386,39 @@ impl Simulation {
     /// for that instant. Returns `false` when no timers remain.
     fn advance(&mut self) -> bool {
         let mut timers = self.core.timers.borrow_mut();
-        let Some(Reverse(first)) = timers.pop() else {
+        let Some(at) = timers.next_at() else {
             return false;
         };
-        let at = first.at;
         debug_assert!(at >= self.core.now());
         self.core.now.set(at);
-        first.waker.wake();
-        let mut fired = 1;
-        while let Some(Reverse(e)) = timers.peek() {
-            if e.at != at {
-                break;
+        let mut fired = 0;
+        loop {
+            let wake = Timers::due(&timers.wakes, at);
+            let event = Timers::due(&timers.events, at);
+            match (wake, event) {
+                (None, None) => break,
+                (Some(w), e) if e.is_none_or(|e| w < e) => {
+                    let Reverse(entry) = timers.wakes.pop().expect("peeked entry exists");
+                    entry.fire.wake();
+                }
+                _ => {
+                    let Reverse(entry) = timers.events.pop().expect("peeked entry exists");
+                    let alone =
+                        fired == 0 && wake.is_none() && Timers::due(&timers.events, at).is_none();
+                    if alone {
+                        // Nothing else fires at this instant (the common
+                        // case at nanosecond resolution), so there is
+                        // nothing to order the event against: deliver it
+                        // without a round trip through the ready FIFO.
+                        drop(timers);
+                        let (sink, token) = entry.fire;
+                        sink.fire(token);
+                        fired = 1;
+                        break;
+                    }
+                    self.core.make_ready(entry.fire);
+                }
             }
-            let Reverse(e) = timers.pop().expect("peeked entry exists");
-            e.waker.wake();
             fired += 1;
         }
         self.core
@@ -307,7 +445,7 @@ impl Simulation {
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
             self.drain_runnable();
-            let next = self.core.timers.borrow().peek().map(|Reverse(e)| e.at);
+            let next = self.core.timers.borrow().next_at();
             match next {
                 Some(at) if at <= deadline => {
                     self.advance();
@@ -377,6 +515,21 @@ impl SimHandle {
     /// (resources, timeouts) built on top of the executor.
     pub fn schedule_wake(&self, at: SimTime, waker: Waker) {
         self.core.schedule_wake(at, waker);
+    }
+
+    /// Delivers `sink.fire(token)` at instant `at`, ordered among the
+    /// task wakes and events of that instant by scheduling order —
+    /// exactly where a task that slept until `at` would be polled.
+    pub fn schedule_event(&self, at: SimTime, sink: Rc<dyn EventSink>, token: u64) {
+        self.core.schedule_event(at, (sink, token));
+    }
+
+    /// Delivers `sink.fire(token)` at the current instant, once the
+    /// running task's poll has returned — exactly where a task spawned
+    /// now would first be polled.
+    pub fn post_event(&self, sink: Rc<dyn EventSink>, token: u64) {
+        let event = Admit::Event((sink, token));
+        self.core.spawn_queue.borrow_mut().push(event);
     }
 }
 
@@ -626,6 +779,160 @@ mod tests {
                 spawned: TASKS,
             }
         );
+    }
+
+    /// `(tag, token, now)` per event or task step, in execution order.
+    type Log = Rc<RefCell<Vec<(&'static str, u64, u64)>>>;
+
+    /// Appends to a shared log on every event.
+    struct LogSink {
+        tag: &'static str,
+        h: SimHandle,
+        log: Log,
+    }
+
+    impl EventSink for LogSink {
+        fn fire(self: Rc<Self>, token: u64) {
+            let now = self.h.now().as_nanos();
+            self.log.borrow_mut().push((self.tag, token, now));
+        }
+    }
+
+    #[test]
+    fn events_and_wakes_of_one_instant_fire_in_scheduling_order() {
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        let sink = Rc::new(LogSink {
+            tag: "event",
+            h: sim.handle(),
+            log: Rc::clone(&log),
+        });
+        let at = SimTime::from_nanos(10);
+        // Scheduling order at t=10: event 0, task a, event 1, task b,
+        // event 2 — and one event alone at t=20.
+        sim.handle().schedule_event(at, Rc::clone(&sink) as _, 0);
+        for (tag, token) in [("a", 1), ("b", 2)] {
+            let (h, log) = (sim.handle(), Rc::clone(&log));
+            let sink = Rc::clone(&sink);
+            sim.spawn(async move {
+                h.sleep(SimSpan::nanos(10)).await;
+                log.borrow_mut().push((tag, 0, h.now().as_nanos()));
+            });
+            // Let the task register its sleep before the next event.
+            sim.run_until(SimTime::ZERO);
+            sim.handle().schedule_event(at, sink as _, token);
+        }
+        sim.handle()
+            .schedule_event(SimTime::from_nanos(20), sink as _, 3);
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                ("event", 0, 10),
+                ("a", 0, 10),
+                ("event", 1, 10),
+                ("b", 0, 10),
+                ("event", 2, 10),
+                ("event", 3, 20),
+            ]
+        );
+        // Four events and two sleeps fired as timers; only the two
+        // tasks were ever polled (first poll + wake each).
+        assert_eq!(
+            sim.stats(),
+            ExecutorStats {
+                polls: 4,
+                timers_fired: 6,
+                spawned: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn posted_event_runs_where_a_spawned_task_would_first_be_polled() {
+        // Task p wakes task w, posts an event, spawns task s, then keeps
+        // going: w was already runnable, so it goes first; the event and
+        // s follow in posting order, after p's poll has returned.
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        let sink = Rc::new(LogSink {
+            tag: "event",
+            h: sim.handle(),
+            log: Rc::clone(&log),
+        });
+        let signal = Rc::new(crate::Signal::new());
+        let (l, sig) = (Rc::clone(&log), Rc::clone(&signal));
+        sim.spawn(async move {
+            sig.wait().await;
+            l.borrow_mut().push(("w", 0, 0));
+        });
+        let (h, l) = (sim.handle(), Rc::clone(&log));
+        sim.spawn(async move {
+            signal.fire();
+            h.post_event(sink as _, 7);
+            let l2 = Rc::clone(&l);
+            h.spawn(async move { l2.borrow_mut().push(("s", 0, 0)) });
+            l.borrow_mut().push(("p", 0, 0));
+        });
+        sim.run();
+        let order: Vec<_> = log.borrow().iter().map(|&(tag, ..)| tag).collect();
+        assert_eq!(order, vec!["p", "w", "event", "s"]);
+        assert_eq!(log.borrow()[2], ("event", 7, 0));
+    }
+
+    #[test]
+    fn stale_event_token_never_reaches_a_recycled_slot() {
+        // The sink's subjects live in a generation-stamped slab and
+        // events name them by key token. A subject removed while its
+        // event is pending leaves a stale token: the slot's next
+        // occupant must not see that event.
+        struct Subjects {
+            slab: RefCell<crate::Slab<&'static str>>,
+            seen: RefCell<Vec<&'static str>>,
+        }
+        impl EventSink for Subjects {
+            fn fire(self: Rc<Self>, token: u64) {
+                let key = crate::SlabKey::from_token(token);
+                if let Some(name) = self.slab.borrow().get(key) {
+                    self.seen.borrow_mut().push(name);
+                }
+            }
+        }
+        let mut sim = Simulation::new(0);
+        let sink = Rc::new(Subjects {
+            slab: RefCell::default(),
+            seen: RefCell::default(),
+        });
+        let h = sim.handle();
+        let old = sink.slab.borrow_mut().insert("old");
+        h.schedule_event(SimTime::from_nanos(5), Rc::clone(&sink) as _, old.token());
+        // Cancelled: the slot is recycled before the event fires.
+        sink.slab.borrow_mut().remove(old);
+        let new = sink.slab.borrow_mut().insert("new");
+        assert_eq!(sink.slab.borrow().slots(), 1, "same slot, new generation");
+        h.schedule_event(SimTime::from_nanos(9), Rc::clone(&sink) as _, new.token());
+        sim.run();
+        assert_eq!(*sink.seen.borrow(), vec!["new"]);
+    }
+
+    #[test]
+    fn dropping_the_simulation_releases_pending_events() {
+        let mut sim = Simulation::new(0);
+        let sink = Rc::new(LogSink {
+            tag: "never",
+            h: sim.handle(),
+            log: Rc::default(),
+        });
+        let h = sim.handle();
+        h.schedule_event(SimTime::from_nanos(50), Rc::clone(&sink) as _, 0);
+        h.post_event(Rc::clone(&sink) as _, 1);
+        sim.run_until(SimTime::from_nanos(10));
+        assert_eq!(sink.log.borrow().len(), 1, "the posted event ran");
+        assert_eq!(Rc::strong_count(&sink), 2, "the timer keeps its sink alive");
+        drop(sim);
+        // The sink holds a handle into the core; the core must not hold
+        // the sink in turn once its owner is gone.
+        assert_eq!(Rc::strong_count(&sink), 1);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * a virtual clock measured in nanoseconds ([`SimTime`] / [`SimSpan`]),
 //! * a single-threaded cooperative executor for simulated processes
 //!   written as ordinary `async` functions ([`Simulation`] / [`SimHandle`]),
-//! * timer futures ([`SimHandle::sleep`], [`yield_now`]),
+//! * timer futures ([`SimHandle::sleep`], [`yield_now`]) and typed timer
+//!   events for clock-driven state machines that are not tasks
+//!   ([`EventSink`], keyed by a generation-stamped [`Slab`]),
 //! * queueing resources with FIFO discipline ([`FifoServer`],
 //!   [`MultiServer`]) used to model NIC engines and serialized critical
 //!   sections ([`SimLock`]),
@@ -46,6 +48,7 @@ mod recorder;
 mod resource;
 mod retry;
 mod sampler;
+mod slab;
 mod span;
 mod stats;
 mod sync;
@@ -55,7 +58,7 @@ mod trace;
 
 pub use coord::{Barrier, Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
 pub use crc64::{crc64, crc64_pair, Crc64};
-pub use executor::{yield_now, ExecutorStats, SimHandle, Simulation, Sleep};
+pub use executor::{yield_now, EventSink, ExecutorStats, SimHandle, Simulation, Sleep};
 pub use health::{
     Anomaly, AnomalyConfig, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad,
     CoreSkewReport, DumpBundle, HealthConfig, HealthHub, HealthReport, HealthRollup,
@@ -65,6 +68,7 @@ pub use recorder::{FlightEvent, FlightRecorder};
 pub use resource::{FifoServer, MultiServer};
 pub use retry::{retry, retry_with_deadline, RetryExhausted, RetryPolicy};
 pub use sampler::{SampleRow, TimeSeriesSampler};
+pub use slab::{Slab, SlabKey};
 pub use span::{Phase, RequestTrace, SpanRecorder};
 pub use stats::{BusyClock, Counter, Histogram};
 pub use sync::{Channel, Recv, Signal, SimLock, SimLockGuard};

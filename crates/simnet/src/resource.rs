@@ -61,6 +61,12 @@ impl FifoServer {
     /// Enqueues a request needing `demand` of service time and returns a
     /// future that completes when the server has finished it.
     pub fn serve(&self, demand: SimSpan) -> Sleep {
+        self.handle.sleep_until(self.reserve(demand))
+    }
+
+    /// [`FifoServer::serve`] for callers that are not tasks: enqueues
+    /// the request and returns the instant the server finishes it.
+    pub fn reserve(&self, demand: SimSpan) -> SimTime {
         let now = self.handle.now();
         let start = self.next_free.get().max(now);
         let finish = start + demand;
@@ -68,7 +74,7 @@ impl FifoServer {
         self.busy.set(self.busy.get() + demand);
         self.completed.set(self.completed.get() + 1);
         self.queue_wait.set(self.queue_wait.get() + (start - now));
-        self.handle.sleep_until(finish)
+        finish
     }
 
     /// Instant at which all currently queued work finishes.

@@ -14,9 +14,14 @@ cargo fmt --check
 # workspace: a change that breaks it must fail here, not in the pipeline.
 cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 # ...and must still run: one short end-to-end pass whose result line
-# reports every output check as holding.
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-  --workload echo_w16_32b --seed 42 --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+# reports every output check as holding — and whose allocation count
+# (exact per seed) stays at the floor: the three owned API payloads per
+# call plus the per-batch result Vec. A value gate, not a shape gate.
+ledger=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+  --workload echo_w16_32b --seed 42 --seconds 1 --trace 0)
+tail -n 1 <<<"$ledger" | grep -q '"correct": true'
+awk '$1 == "host_allocs_per_call" { seen = 1; if ($3 > 3.1) { print "host_allocs_per_call " $3 " > 3.1"; exit 1 } }
+     END { if (!seen) { print "host_allocs_per_call not printed"; exit 1 } }' <<<"$ledger"
 # The allocation budget of the hot path, on the build that ships the
 # numbers (`cargo test -q` above ran it unoptimized).
 cargo test -q --release -p rfp-core --test alloc_budget
