@@ -37,7 +37,7 @@ use rfp_kvstore::{kv_handler, partition_of, preload_partitions, KvRequest, KvRes
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{
     derive_seed, FlightRecorder, HealthHub, MetricsRegistry, SimSpan, SimTime, Simulation,
-    SpanRecorder, TraceLog,
+    SpanRecorder,
 };
 
 use crate::inject::{install, InjectorSinks, Restart};
@@ -155,12 +155,10 @@ pub(crate) fn version_of(value: &[u8]) -> u64 {
 }
 
 /// The telemetry sinks every chaos rig wires up: one registry (NIC
-/// engines attached up front), a shared trace, request spans, an
-/// always-on flight recorder the NICs report into, and the
-/// per-connection health hub.
+/// engines attached up front), request spans, an always-on flight
+/// recorder the NICs report into, and the per-connection health hub.
 pub(crate) struct Sinks {
     pub registry: MetricsRegistry,
-    pub trace: TraceLog,
     pub spans: SpanRecorder,
     pub recorder: FlightRecorder,
     pub health: HealthHub,
@@ -174,7 +172,6 @@ impl Sinks {
         cluster.attach_recorder(&recorder);
         Sinks {
             registry,
-            trace: TraceLog::new(64 * 1024),
             spans: SpanRecorder::new(1024),
             recorder,
             health: HealthHub::default(),
@@ -198,7 +195,6 @@ impl Sinks {
                 ..overload.clone()
             },
             integrity: integrity.clone(),
-            trace: Some(self.trace.clone()),
             telemetry: Some(RfpTelemetry {
                 registry: self.registry.clone(),
                 spans: self.spans.clone(),
@@ -224,7 +220,6 @@ impl Sinks {
     ) {
         let sinks = InjectorSinks {
             registry: Some(self.registry.clone()),
-            trace: Some(self.trace.clone()),
             on_restart: Some(Rc::new(on_restart)),
             recorder: Some(self.recorder.clone()),
         };
@@ -310,13 +305,11 @@ pub struct ChaosKv {
     /// Unified instruments: `nic.*`, `rfp.client.*`, and — only once
     /// faults actually fire — `fault.*` / `recovery.*`.
     pub registry: MetricsRegistry,
-    /// Shared trace (`chaos.fault`, `rfp.recovery`, …).
-    pub trace: TraceLog,
     /// Request-lifecycle spans of the RFP connections.
     pub spans: SpanRecorder,
-    /// Always-on flight recorder: `chaos.*` fault roots, `nic.*` wire
-    /// events, and the clients' `recovery.*` / `overload.*` /
-    /// `integrity.*` reaction chains.
+    /// Always-on flight recorder, the rig's one event log: `chaos.*`
+    /// fault roots and window ends, `nic.*` wire events, and the
+    /// clients' `recovery.*` / `overload.*` / `fetch.*` reaction chains.
     pub recorder: FlightRecorder,
     /// Rolling per-connection health (one
     /// [`ConnHealth`](rfp_simnet::ConnHealth) per client connection,
@@ -525,7 +518,6 @@ pub fn spawn_chaos_kv(
     ChaosKv {
         cluster,
         registry: sinks.registry,
-        trace: sinks.trace,
         spans: sinks.spans,
         recorder: sinks.recorder,
         health: sinks.health,

@@ -12,15 +12,15 @@
 //! (rfp_core::RfpServerConn::recover_after_restart)) before the machine
 //! comes back.
 //!
-//! All `fault.*` instruments and trace entries are created lazily at
-//! fire time, so a plan whose events never fire inside the run window —
-//! or an empty plan — leaves metrics and trace output byte-identical to
-//! a run with no injector at all.
+//! All `fault.*` instruments and `chaos.*` flight events are created
+//! lazily at fire time, so a plan whose events never fire inside the
+//! run window — or an empty plan — leaves metrics and the event log
+//! byte-identical to a run with no injector at all.
 
 use std::rc::Rc;
 
 use rfp_rnic::Cluster;
-use rfp_simnet::{FlightRecorder, MetricsRegistry, Severity, SimTime, Simulation, TraceLog};
+use rfp_simnet::{FlightRecorder, MetricsRegistry, Severity, SimTime, Simulation};
 
 use crate::plan::{FaultKind, FaultPlan};
 
@@ -48,12 +48,11 @@ pub type RestartHook = Rc<dyn Fn(&Restart)>;
 pub struct InjectorSinks {
     /// Receives `fault.*` counters (created lazily at fire time).
     pub registry: Option<MetricsRegistry>,
-    /// Receives `chaos.fault` entries (one per state change).
-    pub trace: Option<TraceLog>,
     /// Runs at each restart instant, before the machine is unmarked.
     pub on_restart: Option<RestartHook>,
     /// Receives one `chaos.*` root event per injected fault window —
-    /// the cause-chain anchor a dump-on-anomaly bundle points back to.
+    /// the cause-chain anchor a dump-on-anomaly bundle points back to —
+    /// and one `chaos.fault_end` event when the window closes.
     pub recorder: Option<FlightRecorder>,
 }
 
@@ -61,7 +60,6 @@ impl std::fmt::Debug for InjectorSinks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InjectorSinks")
             .field("registry", &self.registry.is_some())
-            .field("trace", &self.trace.is_some())
             .field("on_restart", &self.on_restart.is_some())
             .field("recorder", &self.recorder.is_some())
             .finish()
@@ -75,15 +73,18 @@ impl InjectorSinks {
         }
     }
 
-    fn note(&self, at: SimTime, message: String) {
-        if let Some(trace) = &self.trace {
-            trace.record(at, "chaos.fault", message);
-        }
-    }
-
+    /// The root event of a fault window opening at `at`.
     fn flight(&self, at: SimTime, kind: &'static str, detail: String) {
         if let Some(rec) = &self.recorder {
             rec.record(at, None, 0, Severity::Warn, kind, detail);
+        }
+    }
+
+    /// The fault window that opened is over (reverted, healed,
+    /// restarted) at `at`.
+    fn ended(&self, at: SimTime, detail: String) {
+        if let Some(rec) = &self.recorder {
+            rec.record(at, None, 0, Severity::Info, "chaos.fault_end", detail);
         }
     }
 }
@@ -159,10 +160,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.loss_burst",
                         format!("machine {machine}: loss burst {loss:.3}"),
                     );
-                    sinks.note(at, format!("machine {machine}: loss burst {loss:.3}"));
                     handle.sleep(event.duration).await;
                     m.faults().set_extra_loss(0.0);
-                    sinks.note(handle.now(), format!("machine {machine}: loss burst over"));
+                    sinks.ended(handle.now(), format!("machine {machine}: loss burst over"));
                 }
                 FaultKind::LinkDegrade { factor } => {
                     fabric.set_link_factor(factor);
@@ -172,10 +172,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.link_degrade",
                         format!("fabric: link degraded {factor:.2}x"),
                     );
-                    sinks.note(at, format!("fabric: link degraded {factor:.2}x"));
                     handle.sleep(event.duration).await;
                     fabric.set_link_factor(1.0);
-                    sinks.note(handle.now(), "fabric: link restored".to_string());
+                    sinks.ended(handle.now(), "fabric: link restored".to_string());
                 }
                 FaultKind::Straggler { machine, factor } => {
                     let m = target.expect("straggler has a target");
@@ -186,10 +185,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.straggler",
                         format!("machine {machine}: straggling {factor:.2}x"),
                     );
-                    sinks.note(at, format!("machine {machine}: straggling {factor:.2}x"));
                     handle.sleep(event.duration).await;
                     m.faults().set_cpu_factor(1.0);
-                    sinks.note(handle.now(), format!("machine {machine}: straggler over"));
+                    sinks.ended(handle.now(), format!("machine {machine}: straggler over"));
                 }
                 FaultKind::TornDma { machine, p } => {
                     let m = target.expect("torn dma has a target");
@@ -200,10 +198,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.torn_dma",
                         format!("machine {machine}: torn-DMA window p={p:.3}"),
                     );
-                    sinks.note(at, format!("machine {machine}: torn-DMA window p={p:.3}"));
                     handle.sleep(event.duration).await;
                     m.faults().set_torn_dma(0.0);
-                    sinks.note(handle.now(), format!("machine {machine}: torn-DMA over"));
+                    sinks.ended(handle.now(), format!("machine {machine}: torn-DMA over"));
                 }
                 FaultKind::BitFlip { machine, p } => {
                     let m = target.expect("bit flip has a target");
@@ -214,10 +211,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.bit_flip",
                         format!("machine {machine}: bit-flip window p={p:.3}"),
                     );
-                    sinks.note(at, format!("machine {machine}: bit-flip window p={p:.3}"));
                     handle.sleep(event.duration).await;
                     m.faults().set_bitflip(0.0);
-                    sinks.note(handle.now(), format!("machine {machine}: bit-flip over"));
+                    sinks.ended(handle.now(), format!("machine {machine}: bit-flip over"));
                 }
                 FaultKind::SlowLink { machine, lag_ns } => {
                     let m = target.expect("slow link has a target");
@@ -228,10 +224,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.slow_link",
                         format!("machine {machine}: slow link +{lag_ns}ns/leg"),
                     );
-                    sinks.note(at, format!("machine {machine}: slow link +{lag_ns}ns/leg"));
                     handle.sleep(event.duration).await;
                     m.faults().set_wire_lag(0);
-                    sinks.note(handle.now(), format!("machine {machine}: slow link over"));
+                    sinks.ended(handle.now(), format!("machine {machine}: slow link over"));
                 }
                 FaultKind::FlakyLink { machine, loss } => {
                     let m = target.expect("flaky link has a target");
@@ -242,10 +237,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.flaky_link",
                         format!("machine {machine}: flaky link loss {loss:.3}"),
                     );
-                    sinks.note(at, format!("machine {machine}: flaky link loss {loss:.3}"));
                     handle.sleep(event.duration).await;
                     m.faults().set_extra_loss(0.0);
-                    sinks.note(handle.now(), format!("machine {machine}: flaky link over"));
+                    sinks.ended(handle.now(), format!("machine {machine}: flaky link over"));
                 }
                 FaultKind::SlowServer { machine, factor } => {
                     let m = target.expect("slow server has a target");
@@ -256,13 +250,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.slow_server",
                         format!("machine {machine}: serve loop slowed {factor:.2}x"),
                     );
-                    sinks.note(
-                        at,
-                        format!("machine {machine}: serve loop slowed {factor:.2}x"),
-                    );
                     handle.sleep(event.duration).await;
                     m.faults().set_cpu_factor(1.0);
-                    sinks.note(handle.now(), format!("machine {machine}: slow server over"));
+                    sinks.ended(handle.now(), format!("machine {machine}: slow server over"));
                 }
                 FaultKind::Partition { from, to } => {
                     let m = target.expect("partition has a source");
@@ -273,10 +263,9 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.partition",
                         format!("partition: {from} -> {to} cut (one direction)"),
                     );
-                    sinks.note(at, format!("partition: {from} -> {to} cut"));
                     handle.sleep(event.duration).await;
                     m.faults().unblock_to(to);
-                    sinks.note(handle.now(), format!("partition: {from} -> {to} healed"));
+                    sinks.ended(handle.now(), format!("partition: {from} -> {to} healed"));
                 }
                 FaultKind::QpError { machine } => {
                     let m = target.expect("qp error has a target");
@@ -287,7 +276,6 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         "chaos.qp_error",
                         format!("machine {machine}: QPs transitioned to error"),
                     );
-                    sinks.note(at, format!("machine {machine}: QPs transitioned to error"));
                 }
                 FaultKind::Crash { machine, warm } => {
                     let m = target.expect("crash has a target");
@@ -297,13 +285,6 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                     } else {
                         "fault.crashes_cold"
                     });
-                    sinks.note(
-                        at,
-                        format!(
-                            "machine {machine}: crashed ({})",
-                            if warm { "warm" } else { "cold" }
-                        ),
-                    );
                     sinks.flight(
                         at,
                         "chaos.crash",
@@ -328,7 +309,7 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                         hook(&restart);
                     }
                     m.faults().set_crashed(false);
-                    sinks.note(
+                    sinks.ended(
                         restart.restored_at,
                         format!(
                             "machine {machine}: restarted ({})",

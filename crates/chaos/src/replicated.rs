@@ -86,8 +86,8 @@ use rfp_kvstore::replica::{
 use rfp_kvstore::{KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{
-    derive_seed, FlightRecorder, HealthHub, MetricsRegistry, RetryPolicy, SimSpan, SimTime,
-    Simulation, SpanRecorder, TraceLog,
+    derive_seed, FlightRecorder, HealthHub, MetricsRegistry, RetryPolicy, Severity, SimSpan,
+    SimTime, Simulation, SpanRecorder,
 };
 use rfp_workload::{HistEntry, RegOp};
 
@@ -272,13 +272,12 @@ pub struct FailoverKv {
     /// Unified instruments (`rfp.client.*`, `fault.*`, `recovery.*`,
     /// `routing.*`, `failover.time`).
     pub registry: MetricsRegistry,
-    /// Shared trace.
-    pub trace: TraceLog,
     /// Request-lifecycle spans.
     pub spans: SpanRecorder,
-    /// Flight recorder: `chaos.*` fault roots and the clients'
-    /// `recovery.*` (`recovery.failover`, `recovery.hedge.*`) and
-    /// `routing.demote` reaction chains.
+    /// Flight recorder: `chaos.*` fault roots and window ends, the
+    /// backup's `replica.promote`, and the clients' `recovery.*`
+    /// (`recovery.failover`, `recovery.hedge.*`) and `routing.demote`
+    /// reaction chains.
     pub recorder: FlightRecorder,
     /// Rolling per-connection health (keyed `client * 2 + replica`).
     pub health: HealthHub,
@@ -601,7 +600,7 @@ fn spawn_replicated_kv(
         let role = Rc::clone(&backup_role);
         let conns = backup_conns.clone();
         let st = Rc::clone(&state);
-        let tr = sinks.trace.clone();
+        let rec = sinks.recorder.clone();
         sim.spawn(async move {
             let now = handle.now();
             if at > now {
@@ -609,10 +608,14 @@ fn spawn_replicated_kv(
             }
             role.promote(&conns, PROMOTED_EPOCH);
             st.promoted_at.set(Some(handle.now()));
-            tr.record(
+            let what = format!("backup promoted to epoch {PROMOTED_EPOCH}");
+            rec.record(
                 handle.now(),
-                "chaos.fault",
-                format!("backup promoted to epoch {PROMOTED_EPOCH}"),
+                None,
+                0,
+                Severity::Info,
+                "replica.promote",
+                what,
             );
         });
     }
@@ -653,7 +656,6 @@ fn spawn_replicated_kv(
     FailoverKv {
         cluster,
         registry: sinks.registry,
-        trace: sinks.trace,
         spans: sinks.spans,
         recorder: sinks.recorder,
         health: sinks.health,

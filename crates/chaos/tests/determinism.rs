@@ -2,7 +2,7 @@
 //! *indistinguishable* — not just statistically, byte for byte.
 //!
 //! Property (ISSUE satellite): a run with an empty or never-firing
-//! `FaultPlan` produces metrics CSV and trace output identical to a run
+//! `FaultPlan` produces metrics CSV and an event log identical to a run
 //! with no injector installed at all. This pins the design rule that
 //! fault hooks are plain state reads and every `fault.*`/`recovery.*`
 //! instrument is created lazily at event-fire time.
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 
-/// Runs the rig for `window` and returns `(metrics CSV, trace dump)`.
+/// Runs the rig for `window` and returns `(metrics CSV, event-log dump)`.
 fn run_fingerprint(seed: u64, window: SimSpan, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
     let mut sim = Simulation::new(seed);
     let cfg = ChaosConfig {
@@ -30,7 +30,7 @@ fn run_fingerprint(seed: u64, window: SimSpan, plan: Option<&FaultPlan>) -> (Vec
         .write_csv(&mut csv)
         .expect("write csv to vec");
     let mut trace = Vec::new();
-    rig.trace.dump(&mut trace).expect("dump trace to vec");
+    rig.recorder.dump(&mut trace).expect("dump events to vec");
     assert!(
         rig.state.completed.get() > 0,
         "fingerprint run must do real work"

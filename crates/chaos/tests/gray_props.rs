@@ -66,7 +66,7 @@ fn small_cfg(seed: u64, gray: GrayConfig, hedged_reads: bool) -> FailoverChaosCo
     }
 }
 
-/// Runs the rig and returns `(metrics CSV, trace dump)`.
+/// Runs the rig and returns `(metrics CSV, event-log dump)`.
 fn run_fingerprint(cfg: &FailoverChaosConfig, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
     let mut sim = Simulation::new(cfg.seed);
     let rig = spawn_grayfail_kv(&mut sim, cfg, plan);
@@ -77,7 +77,7 @@ fn run_fingerprint(cfg: &FailoverChaosConfig, plan: Option<&FaultPlan>) -> (Vec<
         .write_csv(&mut csv)
         .expect("write csv to vec");
     let mut trace = Vec::new();
-    rig.trace.dump(&mut trace).expect("dump trace to vec");
+    rig.recorder.dump(&mut trace).expect("dump events to vec");
     assert!(
         rig.state.completed.get() > 0,
         "fingerprint run must do real work"

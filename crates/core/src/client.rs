@@ -4,13 +4,15 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 
 use rfp_rnic::{Qp, ThreadCtx};
-use rfp_simnet::{ConnHealth, Counter, Gauge, Histogram, Severity, SimSpan, SimTime};
+use rfp_simnet::{Counter, Histogram, MetricsRegistry, SimSpan, SimTime};
 
-use crate::conn::{Mode, RfpTelemetry, Shared};
-use crate::header::{RespHeader, RespStatus, RESP_HDR_EXT};
+use crate::conn::{Mode, Shared};
+use crate::header::{ReqHeader, RespHeader, RespStatus, RESP_HDR_EXT};
+use crate::observe::{Chain, Incident, Observer};
 use crate::overload::OverloadConfig;
 use crate::recovery::{RecoveryConfig, RpcError};
 
@@ -18,52 +20,6 @@ mod engine;
 
 pub use engine::CallPolicy;
 use engine::Scratch;
-
-/// Registry-backed instruments of one connection, created when the
-/// config carries an [`RfpTelemetry`].
-struct Instruments {
-    telemetry: RfpTelemetry,
-    calls: Rc<Counter>,
-    /// Failed remote-fetch attempts (READs that found no valid header).
-    retries: Rc<Counter>,
-    extra_reads: Rc<Counter>,
-    fallback_fetches: Rc<Counter>,
-    switches_to_reply: Rc<Counter>,
-    switches_to_fetch: Rc<Counter>,
-    /// Bytes moved by remote-fetch READs (tracks the effective `F`).
-    fetch_bytes: Rc<Counter>,
-    latency: Rc<Histogram>,
-    /// 0 = remote fetch, 1 = server reply.
-    mode: Rc<Gauge>,
-}
-
-impl Instruments {
-    fn new(telemetry: RfpTelemetry, initial_mode: Mode) -> Self {
-        let reg = &telemetry.registry;
-        let p = telemetry.prefix.clone();
-        let this = Instruments {
-            calls: reg.counter(&format!("{p}.calls")),
-            retries: reg.counter(&format!("{p}.retries")),
-            extra_reads: reg.counter(&format!("{p}.extra_reads")),
-            fallback_fetches: reg.counter(&format!("{p}.fallback_fetches")),
-            switches_to_reply: reg.counter(&format!("{p}.switches.to_reply")),
-            switches_to_fetch: reg.counter(&format!("{p}.switches.to_fetch")),
-            fetch_bytes: reg.counter(&format!("{p}.fetch.bytes")),
-            latency: reg.histogram(&format!("{p}.latency")),
-            mode: reg.gauge(&format!("{p}.mode")),
-            telemetry,
-        };
-        this.mode.set(mode_level(initial_mode));
-        this
-    }
-}
-
-fn mode_level(mode: Mode) -> i64 {
-    match mode {
-        Mode::RemoteFetch => 0,
-        Mode::ServerReply => 1,
-    }
-}
 
 /// Outcome of one RPC call.
 #[derive(Clone, Debug)]
@@ -123,34 +79,33 @@ pub struct CallInfo {
     pub integrity_retries: u32,
 }
 
-/// Aggregated client statistics.
+/// Aggregated client statistics. The shared cells are also what a
+/// configured [`RfpTelemetry`](crate::RfpTelemetry) registry exports
+/// under the connection's prefix, so a call is booked once.
 #[derive(Default)]
 pub struct ClientStats {
-    calls: Cell<u64>,
-    fetch_attempts: Cell<u64>,
-    extra_reads: Cell<u64>,
-    switches_to_reply: Cell<u64>,
-    switches_to_fetch: Cell<u64>,
+    calls: Rc<Counter>,
+    extra_reads: Rc<Counter>,
+    switches_to_reply: Rc<Counter>,
+    switches_to_fetch: Rc<Counter>,
     attempts_hist: RefCell<BTreeMap<u32, u64>>,
     /// Doorbell rings paid by the pipelined driver's batched fetch
     /// rounds (each covers ≥ 2 READs).
-    doorbells: Cell<u64>,
+    doorbells: Counter,
     /// Fetch READs issued inside doorbell batches.
-    doorbell_reads: Cell<u64>,
+    doorbell_reads: Counter,
     /// Pipelined fetch READs issued individually (paying their own
     /// doorbell, like the sequential path).
-    single_reads: Cell<u64>,
+    single_reads: Counter,
     /// End-to-end call latencies.
-    pub latency: Histogram,
+    pub latency: Rc<Histogram>,
 }
 
 impl ClientStats {
-    fn record(&self, info: &CallInfo) {
-        self.calls.set(self.calls.get() + 1);
-        self.fetch_attempts
-            .set(self.fetch_attempts.get() + info.attempts as u64);
+    pub(crate) fn record(&self, info: &CallInfo) {
+        self.calls.incr();
         if info.extra_read {
-            self.extra_reads.set(self.extra_reads.get() + 1);
+            self.extra_reads.incr();
         }
         *self
             .attempts_hist
@@ -160,6 +115,25 @@ impl ClientStats {
         self.latency.record(info.latency);
     }
 
+    /// Exposes the shared cells in `registry` as `{prefix}.calls`,
+    /// `.extra_reads`, `.switches.to_reply`, `.switches.to_fetch` and
+    /// `.latency` (connections sharing a prefix export their sum).
+    pub(crate) fn register_into(&self, registry: &MetricsRegistry, prefix: &str) {
+        let counter = |name, cell| registry.register_counter(&format!("{prefix}.{name}"), cell);
+        counter("calls", &self.calls);
+        counter("extra_reads", &self.extra_reads);
+        counter("switches.to_reply", &self.switches_to_reply);
+        counter("switches.to_fetch", &self.switches_to_fetch);
+        registry.register_histogram(&format!("{prefix}.latency"), &self.latency);
+    }
+
+    pub(crate) fn record_switch(&self, to: Mode) {
+        match to {
+            Mode::ServerReply => self.switches_to_reply.incr(),
+            Mode::RemoteFetch => self.switches_to_fetch.incr(),
+        }
+    }
+
     /// Completed calls.
     pub fn calls(&self) -> u64 {
         self.calls.get()
@@ -167,10 +141,12 @@ impl ClientStats {
 
     /// Mean remote-fetch attempts per call.
     pub fn mean_attempts(&self) -> f64 {
-        if self.calls.get() == 0 {
+        if self.calls() == 0 {
             return 0.0;
         }
-        self.fetch_attempts.get() as f64 / self.calls.get() as f64
+        let hist = self.attempts_hist.borrow();
+        let attempts: u64 = hist.iter().map(|(&a, &calls)| a as u64 * calls).sum();
+        attempts as f64 / self.calls() as f64
     }
 
     /// Calls that needed a second READ for an oversized response.
@@ -180,7 +156,7 @@ impl ClientStats {
 
     /// Fraction of calls with more than `n` fetch attempts.
     pub fn frac_attempts_above(&self, n: u32) -> f64 {
-        if self.calls.get() == 0 {
+        if self.calls() == 0 {
             return 0.0;
         }
         let above: u64 = self
@@ -190,7 +166,7 @@ impl ClientStats {
             .filter(|(&a, _)| a > n)
             .map(|(_, &c)| c)
             .sum();
-        above as f64 / self.calls.get() as f64
+        above as f64 / self.calls() as f64
     }
 
     /// Largest attempt count observed (the paper's "largest N").
@@ -235,14 +211,13 @@ impl ClientStats {
 
     /// Clears all statistics (discard warm-up).
     pub fn reset(&self) {
-        self.calls.set(0);
-        self.fetch_attempts.set(0);
-        self.extra_reads.set(0);
-        self.switches_to_reply.set(0);
-        self.switches_to_fetch.set(0);
-        self.doorbells.set(0);
-        self.doorbell_reads.set(0);
-        self.single_reads.set(0);
+        self.calls.reset();
+        self.extra_reads.reset();
+        self.switches_to_reply.reset();
+        self.switches_to_fetch.reset();
+        self.doorbells.reset();
+        self.doorbell_reads.reset();
+        self.single_reads.reset();
         self.attempts_hist.borrow_mut().clear();
         self.latency.reset();
     }
@@ -309,17 +284,6 @@ impl CallEngine for RfpClient {
     }
 }
 
-/// Position of a call in the flight recorder: the sequence number its
-/// events are tagged with, and the id of its most recent event — the
-/// cause link of the next one, so a call's events chain (deadline →
-/// resubmit → reconnect). Each [`engine::Flight`] owns one, starting
-/// with no cause at call entry.
-#[derive(Copy, Clone, Debug, Default)]
-struct Chain {
-    seq: u32,
-    cause: Option<u64>,
-}
-
 /// Client endpoint of one RFP connection, bound to one simulated thread.
 ///
 /// Implements the paper's `client_send` / `client_recv` (Table 2), the
@@ -355,11 +319,6 @@ pub struct RfpClient {
     /// Last credit level the server advertised to this connection
     /// (overload control; starts at the configured maximum).
     credits: Cell<u16>,
-    stats: ClientStats,
-    instruments: Option<Instruments>,
-    /// This connection's rolling health window, when the config carries
-    /// a [`HealthHub`](rfp_simnet::HealthHub).
-    health: Option<Rc<ConnHealth>>,
     /// Chain of the last settled call: what the layers above (replica
     /// routing, failover) attach their events to once the call itself
     /// is over.
@@ -383,18 +342,8 @@ impl RfpClient {
         let retry_threshold = Cell::new(shared.cfg.retry_threshold);
         let fetch_size = Cell::new(shared.cfg.fetch_size);
         let initial_mode = shared.cfg.initial_mode;
-        let instruments = shared
-            .cfg
-            .telemetry
-            .clone()
-            .map(|t| Instruments::new(t, initial_mode));
         let credits = Cell::new(shared.cfg.overload.credit_max);
         let window = shared.cfg.window;
-        let health = shared
-            .cfg
-            .health
-            .as_ref()
-            .map(|h| h.conn(shared.cfg.conn_id));
         RfpClient {
             shared,
             qp: RefCell::new(qp),
@@ -409,9 +358,6 @@ impl RfpClient {
             retry_threshold,
             fetch_size,
             credits,
-            stats: ClientStats::default(),
-            instruments,
-            health,
             tail: Cell::new(Chain::default()),
             tenant: Cell::new(None),
             epoch: Cell::new(0),
@@ -466,11 +412,6 @@ impl RfpClient {
         self.tenant.set(tenant);
     }
 
-    /// Tenant id currently stamped into requests, if any.
-    pub fn tenant(&self) -> Option<u32> {
-        self.tenant.get()
-    }
-
     /// The QP currently carrying this connection's verbs.
     pub(crate) fn qp(&self) -> Rc<Qp> {
         Rc::clone(&self.qp.borrow())
@@ -513,17 +454,12 @@ impl RfpClient {
 
     /// Aggregated statistics.
     pub fn stats(&self) -> &ClientStats {
-        &self.stats
+        &self.shared.obs.stats
     }
 
     /// Current transport mode.
     pub fn mode(&self) -> Mode {
         self.mode.get()
-    }
-
-    /// Current `R`.
-    pub fn retry_threshold(&self) -> u32 {
-        self.retry_threshold.get()
     }
 
     /// Current `F`.
@@ -534,6 +470,29 @@ impl RfpClient {
     /// Largest `F` this connection's buffers can carry.
     pub fn max_fetch_size(&self) -> usize {
         self.shared.cfg.resp_capacity
+    }
+
+    /// Largest request payload a call under `policy` can carry right
+    /// now: the slot capacity minus the header that call is staged with
+    /// — 24 B while a tenant or epoch is stamped, 16 B when the policy
+    /// stamps a deadline, else 8 B. One byte more and the call panics
+    /// with `request exceeds buffer capacity`.
+    pub fn max_req_payload(&self, policy: &CallPolicy<'_>) -> usize {
+        let stamped = policy.stamps_deadline(self.shared.cfg.overload.enabled);
+        let hdr = self.req_header(0, 0, stamped.then_some(SimTime::ZERO));
+        self.shared.cfg.req_capacity - hdr.wire_len()
+    }
+
+    /// The header a `size`-byte request staged now as `seq` carries.
+    fn req_header(&self, size: usize, seq: u32, deadline: Option<SimTime>) -> ReqHeader {
+        ReqHeader {
+            valid: true,
+            size: size as u32,
+            seq,
+            deadline,
+            tenant: self.tenant.get(),
+            epoch: self.epoch.get(),
+        }
     }
 
     /// Applies new `(R, F)` parameters (output of the selection
@@ -558,17 +517,6 @@ impl RfpClient {
     /// The connection's overload-control knobs.
     pub fn overload_config(&self) -> &OverloadConfig {
         &self.shared.cfg.overload
-    }
-
-    /// Last credit level the server advertised on this connection.
-    pub fn credits(&self) -> u16 {
-        self.credits.get()
-    }
-
-    /// This connection's rolling health window, when the config wired
-    /// one in. The replica router's scorer reads it.
-    pub(crate) fn conn_health(&self) -> Option<&Rc<ConnHealth>> {
-        self.health.as_ref()
     }
 
     /// `client_send`: deposits a request into server memory via
@@ -667,122 +615,26 @@ impl RfpClient {
         self.one(thread, req, CallPolicy::recovered(rec)).await
     }
 
-    /// Adds a milestone to `slot`'s in-flight span, if one exists.
-    fn span_mark(&self, thread: &ThreadCtx, slot: usize, label: &'static str) {
-        if let Some(span) = self.shared.span_mut(slot).as_mut() {
-            span.mark_unordered(thread.now(), label);
-        }
+    /// Where this connection books what happens on it (the replica
+    /// router's scorer reads its health window).
+    pub(crate) fn obs(&self) -> &Observer {
+        &self.shared.obs
     }
 
-    /// Closes `slot`'s span with a final milestone and hands it to the
-    /// recorder.
-    fn close_span(&self, thread: &ThreadCtx, slot: usize, label: &'static str) {
-        if let Some(ins) = &self.instruments {
-            if let Some(mut span) = self.shared.span_mut(slot).take() {
-                span.mark_unordered(thread.now(), label);
-                ins.telemetry.spans.record(span);
-            }
-        }
-    }
-
-    /// Appends a flight-recorder event tagged with this connection and
-    /// the chain's seq, linked onto the chain's previous event, and
-    /// makes it the next link's cause. Pure bookkeeping: no simulated
-    /// time, no wire bytes — a `None` recorder run is event-identical
-    /// to one with recording on.
-    fn flight_event(
+    /// Books an incident from *outside* the engine — the replica
+    /// router's `recovery.*` / `routing.*` reactions — chained onto the
+    /// call it concerns: a live hedge leg's, else the last settled
+    /// call's.
+    pub(crate) fn note_recovery(
         &self,
         thread: &ThreadCtx,
-        chain: &mut Chain,
-        severity: Severity,
-        kind: &'static str,
-        detail: &str,
+        incident: Incident,
+        detail: impl fmt::Display,
     ) {
-        if let Some(rec) = &self.shared.cfg.recorder {
-            chain.cause = Some(rec.record_caused(
-                thread.now(),
-                Some(self.shared.cfg.conn_id),
-                chain.seq as u64,
-                severity,
-                kind,
-                detail,
-                chain.cause,
-            ));
-        }
-    }
-
-    /// Books one protocol incident on every telemetry plane at once:
-    /// the lazily created `counter` (a run that never hits the
-    /// incident materialises no instrument, keeping fault-free metric
-    /// output byte-equal), a trace entry, a chained flight-recorder
-    /// event, and the matching health-window signal.
-    fn note(&self, thread: &ThreadCtx, chain: &mut Chain, counter: &'static str, what: &str) {
-        // The counter's family picks the trace category and severity.
-        let (category, severity) = match counter {
-            c if c.starts_with("overload.") => ("rfp.overload", Severity::Warn),
-            c if c.starts_with("fetch.") => ("rfp.integrity", Severity::Error),
-            "recovery.failed_calls" => ("rfp.recovery", Severity::Error),
-            _ => ("rfp.recovery", Severity::Warn),
-        };
-        if let Some(ins) = &self.instruments {
-            let registry = &ins.telemetry.registry;
-            registry.counter(counter).incr();
-            if category == "rfp.integrity" {
-                registry.counter("fetch.integrity_retries").incr();
-            }
-        }
-        if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(thread.now(), category, format!("seq {}: {what}", chain.seq));
-        }
-        self.flight_event(thread, chain, severity, counter, what);
-        if let Some(h) = &self.health {
-            let now = thread.now();
-            match counter {
-                "overload.credit_waits" => h.record_credit_wait(now),
-                "overload.busy_seen" => h.record_busy(now),
-                "overload.sheds_seen" | "overload.local_sheds" => h.record_shed(now),
-                "fetch.torn" | "fetch.crc_fail" => h.record_corrupt(now),
-                "recovery.verb_errors" => h.record_verb_error(now),
-                "recovery.reconnects" => h.record_reconnect(now),
-                _ => {}
-            }
-        }
-    }
-
-    /// Runs `f` on the chain an event from *outside* the engine belongs
-    /// to: a live hedge leg's, else the last settled call's.
-    fn with_outer_chain(&self, f: impl FnOnce(&mut Chain)) {
-        if let Some(fl) = self.scratch.borrow_mut().flights.first_mut() {
-            return f(&mut fl.chain);
-        }
-        let mut chain = self.tail.get();
-        f(&mut chain);
-        self.tail.set(chain);
-    }
-
-    /// A `recovery.*` / `routing.*` [`note`](RfpClient::note) from the
-    /// replica router, chained onto the call it concerns.
-    pub(crate) fn note_recovery(&self, thread: &ThreadCtx, counter: &'static str, what: &str) {
-        self.with_outer_chain(|chain| self.note(thread, chain, counter, what));
-    }
-
-    /// Books the replica router abandoning this connection: the
-    /// `recovery.failovers` counter, a `recovery.failover` link chained
-    /// onto the failed call's flight-recorder cause chain, and the
-    /// health plane's failover signal. Lazy like the rest of the
-    /// recovery telemetry: a run that never fails over creates nothing.
-    pub(crate) fn note_failover(&self, thread: &ThreadCtx, detail: String) {
-        if let Some(ins) = &self.instruments {
-            ins.telemetry.registry.counter("recovery.failovers").incr();
-        }
-        if let Some(h) = &self.health {
-            h.record_failover(thread.now());
-        }
-        self.with_outer_chain(|chain| {
-            self.flight_event(thread, chain, Severity::Warn, "recovery.failover", &detail)
-        });
-        if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(thread.now(), "rfp.recovery", detail);
-        }
+        let mut sc = self.scratch.borrow_mut();
+        let mut tail = self.tail.get();
+        let chain = sc.flights.first_mut().map_or(&mut tail, |fl| &mut fl.chain);
+        self.obs().incident(thread.now(), chain, incident, detail);
+        self.tail.set(tail);
     }
 }

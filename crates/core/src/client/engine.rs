@@ -20,19 +20,20 @@
 //! sequential [`RfpClient::call`] is this loop at one flight with every
 //! policy stage off.
 
-use std::cell::Cell;
+use std::fmt;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_rnic::{Completion, MemRegion, ThreadCtx, VerbError};
-use rfp_simnet::{derive_seed, timeout, RequestTrace, RetryPolicy, Severity, SimSpan, SimTime};
+use rfp_simnet::{derive_seed, timeout, RetryPolicy, SimSpan, SimTime};
 
-use super::{mode_level, CallInfo, CallResult, Chain, RfpClient};
+use super::{CallInfo, CallResult, RfpClient};
 use crate::conn::{Mode, RfpConfig, MODE_REMOTE_FETCH, MODE_SERVER_REPLY};
-use crate::header::{ReqHeader, RespHeader, RespStatus, REQ_HDR_TENANT, RESP_HDR, RESP_TRAILER};
+use crate::header::{RespHeader, RespStatus, REQ_HDR_TENANT, RESP_HDR, RESP_TRAILER};
 use crate::integrity::{verify_response, IntegrityFault};
+use crate::observe::{incident as on, Chain, Incident};
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
 
 /// What one engine run applies to each of its calls on top of the plain
@@ -84,6 +85,13 @@ impl<'a> CallPolicy<'a> {
     /// Whether the call bounds its own wait (see the type's docs).
     fn bounded(&self) -> bool {
         self.admission.is_some() || self.recovery.is_some()
+    }
+
+    /// Whether the call's request header carries a deadline: admission
+    /// stamps every submission, and a recovered call tells an
+    /// overload-controlled server how long its answer is worth computing.
+    pub(super) fn stamps_deadline(&self, overload: bool) -> bool {
+        self.admission.is_some() || (self.recovery.is_some() && overload)
     }
 }
 
@@ -339,10 +347,6 @@ struct Engine<'a> {
     policy: &'a CallPolicy<'a>,
 }
 
-fn bump(cell: &Cell<u64>, by: u64) {
-    cell.set(cell.get() + by);
-}
-
 impl Engine<'_> {
     fn cfg(&self) -> &RfpConfig {
         &self.c.shared.cfg
@@ -352,12 +356,13 @@ impl Engine<'_> {
         self.thread.now()
     }
 
-    fn note(&self, fl: &mut Flight, counter: &'static str, what: &str) {
-        self.c.note(self.thread, &mut fl.chain, counter, what);
+    fn note(&self, fl: &mut Flight, incident: Incident, detail: impl fmt::Display) {
+        let obs = self.c.obs();
+        obs.incident(self.now(), &mut fl.chain, incident, detail);
     }
 
     fn span_mark(&self, fl: &Flight, label: &'static str) {
-        self.c.span_mark(self.thread, fl.slot, label);
+        self.c.obs().span_mark(fl.slot, self.now(), label);
     }
 
     /// One-sided READ of `len` response-ring bytes at `off` into the
@@ -387,9 +392,7 @@ impl Engine<'_> {
                 sc.flights.push(self.new_flight(next, slot));
                 next += 1;
             }
-            if let Some(h) = &self.c.health {
-                h.set_inflight(self.now(), sc.flights.len() as u32);
-            }
+            self.c.obs().inflight(self.now(), sc.flights.len());
             // Admit / recover / stage whatever is due.
             for fl in &mut sc.flights {
                 if self.now() >= fl.not_before {
@@ -440,10 +443,8 @@ impl Engine<'_> {
         let t0 = self.now();
         let ov = &self.cfg().overload;
         let policy = self.policy;
-        // Without an admission stage of its own, a bounded call on an
-        // overload-controlled connection still tells the server how
-        // long its answer is worth computing.
-        let stamp = (policy.recovery.is_some() && policy.admission.is_none() && ov.enabled)
+        // Admission stamps its own deadline at each submission.
+        let stamp = (policy.admission.is_none() && policy.stamps_deadline(ov.enabled))
             .then(|| t0 + ov.deadline);
         let call_deadline = policy.recovery.and_then(|rec| rec.call_deadline);
         let first_seq = self.c.peek_seq_in(slot);
@@ -490,7 +491,7 @@ impl Engine<'_> {
                 } else {
                     "resubmitting request under the same seq"
                 };
-                self.note(fl, "recovery.resubmits", what);
+                self.note(fl, on::RESUBMIT, what);
                 if std::mem::take(&mut fl.force_reconnect) || self.c.qp().error_state().is_some() {
                     self.reestablish_qp(fl, rec).await;
                 }
@@ -508,11 +509,8 @@ impl Engine<'_> {
             // desynchronise) instead of submitting work that will
             // bounce.
             if !fl.gated && self.c.credits.get() == 0 {
-                self.note(
-                    fl,
-                    "overload.credit_waits",
-                    "zero credits: pausing before submit",
-                );
+                let what = "zero credits: pausing before submit";
+                self.note(fl, on::CREDIT_WAIT, what);
                 let scale = 0.5 + self.draw(fl);
                 let mut pause = SimSpan::from_nanos_f64(ov.credit_wait.as_nanos() as f64 * scale);
                 let now = self.now();
@@ -544,18 +542,8 @@ impl Engine<'_> {
     fn stage(&self, fl: &mut Flight, req: &[u8]) {
         let seq = self.c.alloc_seq_in(fl.slot);
         fl.chain.seq = seq;
-        if let Some(ins) = &self.c.instruments {
-            let span = RequestTrace::begin(seq as u64, ins.telemetry.track, self.now(), "issue");
-            *self.c.shared.span_mut(fl.slot) = Some(span);
-        }
-        let hdr = ReqHeader {
-            valid: true,
-            size: req.len() as u32,
-            seq,
-            deadline: fl.stamp,
-            tenant: self.c.tenant.get(),
-            epoch: self.c.epoch.get(),
-        };
+        self.c.obs().span_begin(fl.slot, seq, self.now());
+        let hdr = self.c.req_header(req.len(), seq, fl.stamp);
         let hdr_len = hdr.wire_len();
         fl.wire_len = hdr_len + req.len();
         assert!(
@@ -628,7 +616,7 @@ impl Engine<'_> {
     /// advanced time; the deposit or fetch is repeated next round).
     fn faulted(&self, fl: &mut Flight, e: VerbError) {
         if self.policy.recovery.is_some() {
-            self.note(fl, "recovery.verb_errors", "verb completed with error");
+            self.note(fl, on::VERB_ERROR, "verb completed with error");
             return self.fail(fl, FailureCause::Verb(e));
         }
         assert!(
@@ -653,7 +641,7 @@ impl Engine<'_> {
         }
         let ov = &self.cfg().overload;
         if fl.probes >= ov.max_probes.max(1) {
-            self.note(fl, "overload.local_sheds", "gave up probing for a verdict");
+            self.note(fl, on::LOCAL_SHED, "gave up probing for a verdict");
             return self.fail(fl, FailureCause::Rejected(RespStatus::Shed));
         }
         fl.probes += 1;
@@ -682,7 +670,7 @@ impl Engine<'_> {
             return;
         }
         let f = self.c.fetch_size.get();
-        let stats = &self.c.stats;
+        let stats = self.c.stats();
         match sc.flights.iter().filter(|fl| due(fl)).count() {
             0 => {}
             1 => {
@@ -690,7 +678,7 @@ impl Engine<'_> {
                 let fl = fl.expect("counted one due flight");
                 let done = self.read(self.c.shared.resp_off(fl.slot), f).await;
                 if done.is_ok() {
-                    bump(&stats.single_reads, 1);
+                    stats.single_reads.incr();
                 }
                 self.fetched(fl, done.err(), f, "fetch_read");
             }
@@ -705,8 +693,8 @@ impl Engine<'_> {
                 let qp = self.c.qp();
                 qp.post_read_batch(self.thread, &sc.entries, &mut sc.posted)
                     .await;
-                bump(&stats.doorbells, 1);
-                bump(&stats.doorbell_reads, sc.posted.len() as u64);
+                stats.doorbells.incr();
+                stats.doorbell_reads.add(sc.posted.len() as u64);
                 let polled = sc.flights.iter_mut().filter(|fl| due(fl));
                 for (fl, c) in polled.zip(&sc.posted) {
                     c.wait(self.thread).await;
@@ -725,9 +713,7 @@ impl Engine<'_> {
         fl.landed = Some(len);
         fl.attempts += 1;
         self.span_mark(fl, mark);
-        if let Some(ins) = &self.c.instruments {
-            ins.fetch_bytes.add(len as u64);
-        }
+        self.c.obs().fetch_bytes.add(len as u64);
     }
 
     /// Reply-mode poll: the landing zone is local, so a fresh deposit
@@ -752,17 +738,13 @@ impl Engine<'_> {
             fl.landed = Some(cap);
             return;
         }
-        if let Some(trace) = &self.cfg().trace {
-            let seq = fl.chain.seq;
-            let what = format!("seq {seq}: fallback fetch after reply-wait timeout");
-            trace.record(self.now(), "rfp.fallback", what);
-        }
+        self.note(fl, on::FALLBACK, "fallback fetch after reply-wait timeout");
         // The server pushes — and this fetch reads — the whole image,
         // so the check stage needs no second READ in reply mode.
         let f = self.c.fetch_size.get().max(cap);
         let done = self.read(base, f).await;
-        if let (Ok(()), Some(ins)) = (&done, &self.c.instruments) {
-            ins.fallback_fetches.incr();
+        if done.is_ok() {
+            self.c.obs().fallback_fetches.incr();
         }
         self.fetched(fl, done.err(), f, "fallback_fetch_read");
     }
@@ -800,9 +782,7 @@ impl Engine<'_> {
                 return None;
             }
             self.span_mark(fl, "extra_fetch_read");
-            if let Some(ins) = &self.c.instruments {
-                ins.fetch_bytes.add(rest as u64);
-            }
+            self.c.obs().fetch_bytes.add(rest as u64);
             fl.extra_read = true;
         }
         if guarded && verdict.is_ok() {
@@ -812,12 +792,12 @@ impl Engine<'_> {
             // Discard the fetched image: the next poll samples the
             // buffer afresh. Verdicts are verified too — a corrupt
             // fetch must not surface a spurious rejection.
-            let counter = match fault {
-                IntegrityFault::Torn => "fetch.torn",
-                IntegrityFault::CrcMismatch => "fetch.crc_fail",
+            let incident = match fault {
+                IntegrityFault::Torn => on::TORN,
+                IntegrityFault::CrcMismatch => on::CRC_FAIL,
             };
-            let what = format!("{fault:?} fetch discarded — refetching");
-            self.note(fl, counter, &what);
+            let what = format_args!("{fault:?} fetch discarded — refetching");
+            self.note(fl, incident, what);
             fl.integrity_retries += 1;
             fl.corrupt += 1;
             return None;
@@ -837,15 +817,12 @@ impl Engine<'_> {
         }
         self.c.note_accepted(&hdr);
         if self.policy.bounded() && hdr.status != RespStatus::Ok {
-            let (counter, what) = match hdr.status {
-                RespStatus::Busy => ("overload.busy_seen", "server answered Busy"),
-                RespStatus::Fenced => (
-                    "recovery.fenced_seen",
-                    "server fenced a stale-epoch request",
-                ),
-                _ => ("overload.sheds_seen", "server shed the request"),
+            let (incident, what) = match hdr.status {
+                RespStatus::Busy => (on::BUSY_SEEN, "server answered Busy"),
+                RespStatus::Fenced => (on::FENCED_SEEN, "server fenced a stale-epoch request"),
+                _ => (on::SHED_SEEN, "server shed the request"),
             };
-            self.note(fl, counter, what);
+            self.note(fl, incident, what);
             self.fail(fl, FailureCause::Rejected(hdr.status));
             return None;
         }
@@ -892,20 +869,9 @@ impl Engine<'_> {
             }
             return;
         }
-        if let Some(rec) = &cfg.recorder {
-            let (slot, fetches) = (fl.slot, fl.attempts);
-            rec.record(
-                self.now(),
-                Some(cfg.conn_id),
-                fl.chain.seq as u64,
-                Severity::Warn,
-                "pipeline.slot_stall",
-                format!("slot {slot} overran R={r} after {fetches} fetches"),
-            );
-        }
-        if let Some(h) = &self.c.health {
-            h.record_stall(self.now());
-        }
+        let (slot, fetches) = (fl.slot, fl.attempts);
+        let what = format_args!("slot {slot} overran R={r} after {fetches} fetches");
+        self.note(fl, on::SLOT_STALL, what);
     }
 
     /// Recovery's bounds on one attempt's fetch: a streak of corrupt
@@ -916,15 +882,12 @@ impl Engine<'_> {
             return;
         }
         if fl.corrupt > 0 && fl.corrupt >= self.cfg().integrity.verify_retries {
-            self.note(
-                fl,
-                "recovery.corrupt_attempts",
-                "verify-and-refetch budget exhausted",
-            );
+            let what = "verify-and-refetch budget exhausted";
+            self.note(fl, on::CORRUPT_ATTEMPT, what);
             fl.force_reconnect = true;
             self.fail(fl, FailureCause::Corrupt);
         } else if fl.attempt_deadline.is_some_and(|d| self.now() >= d) {
-            self.note(fl, "recovery.deadlines", "attempt deadline expired");
+            self.note(fl, on::DEADLINE, "attempt deadline expired");
             self.fail(fl, FailureCause::Deadline);
         }
     }
@@ -961,11 +924,8 @@ impl Engine<'_> {
     fn give_up(&self, fl: &mut Flight, last: FailureCause) {
         let out = match last {
             FailureCause::Rejected(status) if self.policy.admission.is_some() => {
-                self.note(
-                    fl,
-                    "overload.give_ups",
-                    "call gave up after repeated rejections",
-                );
+                let what = "call gave up after repeated rejections";
+                self.note(fl, on::GIVE_UP, what);
                 let mut out = CallResult::rejected(status, self.now() - fl.t0);
                 out.info.attempts = fl.attempts;
                 out.info.extra_read = fl.extra_read;
@@ -973,21 +933,20 @@ impl Engine<'_> {
                 Ok(out)
             }
             _ => {
-                self.note(fl, "recovery.failed_calls", "call exhausted its budget");
+                self.note(fl, on::FAILED_CALL, "call exhausted its budget");
                 Err(RpcError {
                     attempts: fl.failed,
                     last,
                 })
             }
         };
-        self.c.close_span(self.thread, fl.slot, "gave_up");
+        self.c.obs().span_end(fl.slot, self.now(), "gave_up");
         fl.outcome = Some(out);
     }
 
     /// Complete: read the payload out of the landing zone and book the
-    /// finished call against stats, health window, instruments and its
-    /// span — the one place a call is accounted, whatever stages it
-    /// went through.
+    /// finished call against the stats, the observer and its span — the
+    /// one place a call is accounted, whatever stages it went through.
     fn complete(&self, fl: &Flight, hdr: &RespHeader, mode: Mode) -> CallResult {
         let payload = self.c.shared.resp_off(fl.slot) + hdr.wire_len();
         let landing = &self.c.shared.client_resp;
@@ -1005,26 +964,15 @@ impl Engine<'_> {
             },
         };
         let info = &out.info;
-        self.c.stats.record(info);
         // Every attempt but a successful final fetch was a retry.
         let successes = match mode {
             Mode::RemoteFetch => 1,
             Mode::ServerReply => 0,
         };
         let retries = fl.attempts.saturating_sub(successes) as u64;
-        if let Some(h) = &self.c.health {
-            let (latency, bytes) = (info.latency, out.data.len());
-            h.record_call(self.now(), latency, retries, bytes, info.server_time_us);
-        }
-        if let Some(ins) = &self.c.instruments {
-            ins.calls.incr();
-            ins.latency.record(info.latency);
-            ins.retries.add(retries);
-            if info.extra_read {
-                ins.extra_reads.incr();
-            }
-        }
-        self.c.close_span(self.thread, fl.slot, "completed");
+        let obs = self.c.obs();
+        obs.completed(self.now(), info, retries, out.data.len());
+        obs.span_end(fl.slot, self.now(), "completed");
         out
     }
 
@@ -1039,7 +987,7 @@ impl Engine<'_> {
         // Connection handshake + MR re-registration.
         self.thread.busy(rec.reconnect_cpu).await;
         *self.c.qp.borrow_mut() = fresh;
-        self.note(fl, "recovery.reconnects", "QP re-established");
+        self.note(fl, on::RECONNECT, "QP re-established");
     }
 
     /// Flips the connection's transport mode: tells the server through
@@ -1058,27 +1006,6 @@ impl Engine<'_> {
         c.consec_over.set(0);
         fl.reply_primed = false;
         self.span_mark(fl, "mode_switched");
-        let what = format!("switched to {to:?}");
-        if let Some(trace) = &self.cfg().trace {
-            trace.record(self.now(), "rfp.mode", what.clone());
-        }
-        c.flight_event(
-            self.thread,
-            &mut fl.chain,
-            Severity::Info,
-            "rfp.mode_switch",
-            &what,
-        );
-        if let Some(ins) = &c.instruments {
-            ins.mode.set(mode_level(to));
-            match to {
-                Mode::ServerReply => ins.switches_to_reply.incr(),
-                Mode::RemoteFetch => ins.switches_to_fetch.incr(),
-            }
-        }
-        match to {
-            Mode::ServerReply => bump(&c.stats.switches_to_reply, 1),
-            Mode::RemoteFetch => bump(&c.stats.switches_to_fetch, 1),
-        }
+        c.obs().switched(self.now(), &mut fl.chain, to);
     }
 }

@@ -24,24 +24,26 @@
 //! [`RfpPool`](crate::RfpPool)), each with its own buffers, flag and
 //! hybrid-switch state.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
 use rfp_rnic::{Machine, MemRegion, Qp, ThreadCtx};
-use rfp_simnet::{MetricsRegistry, RequestTrace, SimSpan, SimTime, SpanRecorder};
+use rfp_simnet::{MetricsRegistry, SimSpan, SimTime, SpanRecorder};
 
 use crate::header::{
     resp_canary, ReqHeader, RespHeader, RespIntegrity, RespStatus, REQ_HDR, REQ_HDR_EXT,
     REQ_HDR_TENANT, RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
 };
 use crate::integrity::IntegrityConfig;
+use crate::observe::{incident, Chain, Observer};
 use crate::overload::OverloadConfig;
 use rfp_simnet::crc64;
 
 /// Destination for one connection's telemetry: counters/gauges go into
-/// `registry` under `prefix`, and one [`RequestTrace`] per completed
-/// call goes into `spans`.
+/// `registry` under `prefix`, and one
+/// [`RequestTrace`](rfp_simnet::RequestTrace) per completed call goes
+/// into `spans`.
 #[derive(Clone)]
 pub struct RfpTelemetry {
     /// Registry receiving this connection's instruments.
@@ -105,10 +107,6 @@ pub struct RfpConfig {
     pub post_cpu: SimSpan,
     /// CPU cost to inspect a local header (client check / server scan).
     pub check_cpu: SimSpan,
-    /// Optional shared trace log; the client records mode switches and
-    /// reply-mode fallback fetches into it (category `"rfp.mode"` /
-    /// `"rfp.fallback"`).
-    pub trace: Option<rfp_simnet::TraceLog>,
     /// Optional telemetry sink: per-connection counters/gauges plus one
     /// request-lifecycle span per completed call.
     pub telemetry: Option<RfpTelemetry>,
@@ -122,7 +120,8 @@ pub struct RfpConfig {
     pub integrity: IntegrityConfig,
     /// Optional flight recorder: both endpoints append cause-chain
     /// events (retry→reconnect, shed verdicts, torn fetches, slot
-    /// stalls) tagged with `conn_id` and the call seq. Recording is
+    /// stalls, mode switches, reply-mode fallback fetches) tagged with
+    /// `conn_id` and the call seq. Recording is
     /// synchronous bookkeeping — no simulated time or wire bytes — so
     /// `None` and `Some` runs are event-identical.
     pub recorder: Option<rfp_simnet::FlightRecorder>,
@@ -149,7 +148,6 @@ impl Default for RfpConfig {
             window: 1,
             post_cpu: SimSpan::nanos(100),
             check_cpu: SimSpan::nanos(50),
-            trace: None,
             telemetry: None,
             overload: OverloadConfig::default(),
             integrity: IntegrityConfig::default(),
@@ -182,15 +180,12 @@ impl RfpConfig {
         }
     }
 
-    /// Largest request payload this connection can carry.
+    /// Largest request payload an *unstamped* call can carry. A
+    /// tenant-, epoch- or deadline-stamped request has a longer header:
+    /// [`RfpClient::max_req_payload`](crate::RfpClient::max_req_payload)
+    /// is the bound for the call a connection will actually make.
     pub fn max_req_payload(&self) -> usize {
         self.req_capacity - REQ_HDR
-    }
-
-    /// Largest request payload when the extended (deadline-stamped)
-    /// request header is in use — the overload path's capacity.
-    pub fn max_req_payload_with_deadline(&self) -> usize {
-        self.req_capacity - REQ_HDR_EXT
     }
 }
 
@@ -222,10 +217,8 @@ pub(crate) struct Shared {
     /// Client-side 1-byte staging buffer for mode flips.
     pub client_mode: Rc<MemRegion>,
     pub cfg: RfpConfig,
-    /// Per-slot spans of the in-flight requests, when telemetry is
-    /// enabled. Both endpoints add milestones; each ring slot carries
-    /// one request at a time, so one entry per slot suffices.
-    pub spans: RefCell<Vec<Option<RequestTrace>>>,
+    /// Where both endpoints book what happens on this connection.
+    pub obs: Observer,
 }
 
 impl Shared {
@@ -237,11 +230,6 @@ impl Shared {
     /// Byte offset of `slot`'s response buffer in the response ring.
     pub(crate) fn resp_off(&self, slot: usize) -> usize {
         slot * self.cfg.resp_capacity
-    }
-
-    /// Mutable access to `slot`'s in-flight span.
-    pub(crate) fn span_mut(&self, slot: usize) -> std::cell::RefMut<'_, Option<RequestTrace>> {
-        std::cell::RefMut::map(self.spans.borrow_mut(), |v| &mut v[slot])
     }
 }
 
@@ -317,8 +305,8 @@ pub fn connect(
         client_resp: client_machine.alloc_mr(cfg.resp_capacity * window),
         client_req: client_machine.alloc_mr(cfg.req_capacity * window),
         client_mode: client_machine.alloc_mr(1),
+        obs: Observer::new(&cfg),
         cfg,
-        spans: RefCell::new((0..window).map(|_| None).collect()),
     });
     // The initial mode is agreed at registration time (no RDMA needed).
     if shared.cfg.initial_mode == Mode::ServerReply {
@@ -477,9 +465,8 @@ impl RfpServerConn {
                 self.reject(thread, RespStatus::Fenced).await;
                 continue;
             }
-            if let Some(span) = self.shared.span_mut(slot).as_mut() {
-                span.mark_unordered(thread.now(), "server_dequeued");
-            }
+            let obs = &self.shared.obs;
+            obs.span_mark(slot, thread.now(), "server_dequeued");
             return Some(
                 self.shared
                     .req
@@ -563,42 +550,19 @@ impl RfpServerConn {
     pub async fn reject(&self, thread: &ThreadCtx, status: RespStatus) {
         assert!(status != RespStatus::Ok, "reject needs a rejection status");
         self.post_response(thread, &[], status).await;
-        let (cell, counter) = match status {
-            RespStatus::Busy => (&self.rejected_busy, "overload.busy_rejections"),
-            RespStatus::Shed => (&self.rejected_shed, "overload.sheds"),
-            RespStatus::Fenced => (&self.rejected_fenced, "replica.fenced"),
+        let (cell, incident) = match status {
+            RespStatus::Busy => (&self.rejected_busy, incident::REJECT_BUSY),
+            RespStatus::Shed => (&self.rejected_shed, incident::REJECT_SHED),
+            RespStatus::Fenced => (&self.rejected_fenced, incident::REJECT_FENCED),
             RespStatus::Ok => unreachable!(),
         };
         cell.set(cell.get() + 1);
-        // Lazy, like the recovery counters: a run that never rejects
-        // materialises nothing.
-        if let Some(t) = &self.shared.cfg.telemetry {
-            t.registry.counter(counter).incr();
-        }
+        // The server keeps no chain: each verdict is a root event.
         let seq = self.slots[self.cur_slot.get()].cur_seq.get();
-        if let Some(trace) = &self.shared.cfg.trace {
-            trace.record(
-                thread.now(),
-                "rfp.overload",
-                format!("seq {seq}: rejected {status:?}"),
-            );
-        }
-        if let Some(rec) = &self.shared.cfg.recorder {
-            let kind = match status {
-                RespStatus::Busy => "overload.reject_busy",
-                RespStatus::Shed => "overload.reject_shed",
-                RespStatus::Fenced => "replica.fence",
-                RespStatus::Ok => unreachable!(),
-            };
-            rec.record(
-                thread.now(),
-                Some(self.shared.cfg.conn_id),
-                seq as u64,
-                rfp_simnet::Severity::Warn,
-                kind,
-                format!("server rejected seq {seq} with {status:?}"),
-            );
-        }
+        let mut root = Chain { seq, cause: None };
+        let what = format_args!("server rejected seq {seq} with {status:?}");
+        let obs = &self.shared.obs;
+        obs.incident(thread.now(), &mut root, incident, what);
     }
 
     async fn post_response(&self, thread: &ThreadCtx, payload: &[u8], status: RespStatus) {
@@ -654,17 +618,13 @@ impl RfpServerConn {
         }
         self.shared.resp.write_local(base, &hdr_bytes[..wire_hdr]);
         thread.busy(self.shared.cfg.post_cpu).await;
-        if let Some(span) = self.shared.span_mut(slot).as_mut() {
-            span.mark_unordered(
-                thread.now(),
-                match status {
-                    RespStatus::Ok => "response_posted",
-                    RespStatus::Busy => "rejected_busy",
-                    RespStatus::Shed => "rejected_shed",
-                    RespStatus::Fenced => "rejected_fenced",
-                },
-            );
-        }
+        let posted = match status {
+            RespStatus::Ok => "response_posted",
+            RespStatus::Busy => "rejected_busy",
+            RespStatus::Shed => "rejected_shed",
+            RespStatus::Fenced => "rejected_fenced",
+        };
+        self.shared.obs.span_mark(slot, thread.now(), posted);
 
         if self.mode() == Mode::ServerReply {
             self.replied_out_of_band
@@ -729,7 +689,7 @@ impl RfpServerConn {
             // generation); a cold restart starts over from 0.
             st.generation.set(hdr.integrity.map_or(0, |i| i.generation));
             // Any span of a call interrupted by the crash is stale.
-            *self.shared.span_mut(slot) = None;
+            self.shared.obs.span_drop(slot);
         }
         self.cur_slot.set(0);
         self.scan_from.set(0);

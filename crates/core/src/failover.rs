@@ -72,6 +72,7 @@ use rfp_simnet::SimSpan;
 use crate::client::{CallPolicy, CallResult, RfpClient};
 use crate::gray::{GrayConfig, ReplicaScorer, RetryBudget};
 use crate::header::RespStatus;
+use crate::observe::incident;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
 
 /// Share of traffic a demoted replica keeps per unit of score — the
@@ -285,8 +286,8 @@ impl ReplicaClient {
         if budget_on && granted < want {
             client.note_recovery(
                 thread,
-                "recovery.budget_capped",
-                &format!("retry budget granted {granted}/{want} retries"),
+                incident::BUDGET_CAPPED,
+                format_args!("retry budget granted {granted}/{want} retries"),
             );
         }
         match client.call_with_recovery(thread, req, &rec).await {
@@ -337,7 +338,7 @@ impl ReplicaClient {
                     {
                         self.replicas[idx].note_recovery(
                             thread,
-                            "recovery.budget_denied",
+                            incident::BUDGET_DENIED,
                             "retry budget dry; surfacing instead of failing over",
                         );
                         return Err(err);
@@ -345,9 +346,10 @@ impl ReplicaClient {
                     switches += 1;
                     let next = (idx + 1) % self.replicas.len();
                     self.failovers.set(self.failovers.get() + 1);
-                    self.replicas[idx].note_failover(
+                    self.replicas[idx].note_recovery(
                         thread,
-                        format!("replica {idx} -> {next} after {:?}", err.last),
+                        incident::FAILOVER,
+                        format_args!("replica {idx} -> {next} after {:?}", err.last),
                     );
                     self.active.set(next);
                 }
@@ -363,7 +365,7 @@ impl ReplicaClient {
         (0..self.replicas.len())
             .map(|i| {
                 let client = &self.replicas[i];
-                let health = client.conn_health()?;
+                let health = client.obs().health.as_ref()?;
                 let report = health.report(now);
                 let score = self.scorer.score(i, &report)?;
                 let was = self.demoted[i].get();
@@ -371,8 +373,8 @@ impl ReplicaClient {
                     self.demoted[i].set(true);
                     client.note_recovery(
                         thread,
-                        "routing.demote",
-                        &format!(
+                        incident::DEMOTE,
+                        format_args!(
                             "replica {i} demoted: score {score:.2} \
                              (window p99 {}ns vs baseline {}ns over {} calls, \
                              retry rate {:.2}, {} credit waits)",
@@ -387,8 +389,8 @@ impl ReplicaClient {
                     self.demoted[i].set(false);
                     client.note_recovery(
                         thread,
-                        "routing.restore",
-                        &format!(
+                        incident::RESTORE,
+                        format_args!(
                             "replica {i} restored: score {score:.2} (window p99 {}ns)",
                             report.p99_ns
                         ),
@@ -440,8 +442,8 @@ impl ReplicaClient {
         if g.probe_every > 0 && tick.is_multiple_of(g.probe_every as u64) {
             self.replicas[pref].note_recovery(
                 thread,
-                "routing.probe",
-                &format!("probing demoted replica {pref} for recovery"),
+                incident::PROBE,
+                format_args!("probing demoted replica {pref} for recovery"),
             );
             return (pref, alt);
         }
@@ -463,8 +465,8 @@ impl ReplicaClient {
     fn hedge_delay(&self, thread: &ThreadCtx, idx: usize) -> SimSpan {
         let g = &self.cfg.gray;
         let p99 = self.scorer.baseline_p99(idx).or_else(|| {
-            self.replicas[idx]
-                .conn_health()
+            let health = self.replicas[idx].obs().health.as_ref();
+            health
                 .map(|h| h.report(thread.now()).p99_ns)
                 .filter(|&p| p > 0)
         });
@@ -525,8 +527,8 @@ impl ReplicaClient {
                     }
                     self.replicas[first].note_recovery(
                         thread,
-                        "routing.fallback",
-                        &format!("routed read on replica {first} failed ({:?})", err.last),
+                        incident::ROUTED_FALLBACK,
+                        format_args!("routed read on replica {first} failed ({:?})", err.last),
                     );
                     return self.call(thread, req).await;
                 }
@@ -558,8 +560,8 @@ impl ReplicaClient {
                             self.hedges_issued.set(self.hedges_issued.get() + 1);
                             legs[1].note_recovery(
                                 thread,
-                                "recovery.hedge.issued",
-                                &format!(
+                                incident::HEDGE_ISSUED,
+                                format_args!(
                                     "hedging replica {first} -> {second} after {:?}",
                                     thread.now() - t0
                                 ),
@@ -574,7 +576,7 @@ impl ReplicaClient {
                 } else {
                     legs[1].note_recovery(
                         thread,
-                        "recovery.hedge.denied",
+                        incident::HEDGE_DENIED,
                         "retry budget dry; hedge leg not issued",
                     );
                     hedge_closed = true;
@@ -597,14 +599,14 @@ impl ReplicaClient {
                             self.hedges_won.set(self.hedges_won.get() + 1);
                             leg.note_recovery(
                                 thread,
-                                "recovery.hedge.won",
-                                &format!("hedge leg on replica {second} beat replica {first}"),
+                                incident::HEDGE_WON,
+                                format_args!("hedge leg on replica {second} beat replica {first}"),
                             );
                         } else if live[1] {
                             self.hedges_wasted.set(self.hedges_wasted.get() + 1);
                             leg.note_recovery(
                                 thread,
-                                "recovery.hedge.wasted",
+                                incident::HEDGE_WASTED,
                                 "primary leg won after the hedge was issued",
                             );
                         }
@@ -633,8 +635,8 @@ impl ReplicaClient {
             .set(self.fail_streak.get().saturating_add(1));
         self.client().note_recovery(
             thread,
-            "recovery.hedge.fallback",
-            &format!(
+            incident::HEDGE_FALLBACK,
+            format_args!(
                 "hedged call gave up after {:?} ({last:?}); falling back to the failover path",
                 thread.now() - t0
             ),

@@ -392,7 +392,6 @@ mod tests {
             inflight_peak: 1,
             mean_result_bytes: 64.0,
             mean_process_ns: 1000.0,
-            result_sizes: Vec::new(),
         }
     }
 

@@ -73,6 +73,7 @@ mod gray;
 mod header;
 mod integrity;
 mod mux;
+mod observe;
 mod overload;
 mod params;
 mod pool;

@@ -39,7 +39,7 @@ use std::rc::Rc;
 
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::{
-    Counter, Gauge, HealthHub, Histogram, MetricsRegistry, Semaphore, SemaphoreGuard,
+    Counter, Gauge, HealthHub, HealthSignal, Histogram, MetricsRegistry, Semaphore, SemaphoreGuard,
 };
 
 use crate::client::{CallEngine, CallPolicy, CallResult, RfpClient, NO_RECOVERY};
@@ -455,10 +455,10 @@ impl LogicalClient {
                 out.data.len(),
                 out.info.server_time_us,
             ),
-            RespStatus::Busy => h.record_busy(thread.now()),
+            RespStatus::Busy => h.record(thread.now(), HealthSignal::Busy),
             // A fenced call is a routing casualty, not tenant pressure;
             // shed accounting is the closest rejection bucket.
-            RespStatus::Shed | RespStatus::Fenced => h.record_shed(thread.now()),
+            RespStatus::Shed | RespStatus::Fenced => h.record(thread.now(), HealthSignal::Shed),
         }
     }
 }

@@ -116,38 +116,6 @@ impl OnlineTuner {
             client_threads: self.client_threads,
         };
         let picked = self.selector.select(&sample);
-        self.apply(client, picked)
-    }
-
-    /// Feeds one rolling-window health report (the health plane's
-    /// per-connection view) and re-selects immediately from its recent
-    /// result sizes and mean process time — the fleet-operation path:
-    /// a monitor task polls [`HealthHub::report`] and retunes each
-    /// connection from live signals instead of per-call callbacks.
-    /// Returns the new parameters when a retune happened.
-    ///
-    /// [`HealthHub::report`]: rfp_simnet::HealthHub::report
-    pub fn observe_health(
-        &self,
-        client: &RfpClient,
-        report: &rfp_simnet::ConnHealthReport,
-    ) -> Option<Params> {
-        if report.result_sizes.is_empty() {
-            return None;
-        }
-        let sample = WorkloadSample {
-            result_sizes: report.result_sizes.clone(),
-            process_time: SimSpan::from_nanos_f64(report.mean_process_ns),
-            request_size: self.request_size,
-            client_threads: self.client_threads,
-        };
-        let picked = self.selector.select(&sample);
-        self.apply(client, picked)
-    }
-
-    /// Applies `picked` to `client` when it differs from the current
-    /// selection (shared by the per-call and health-report paths).
-    fn apply(&self, client: &RfpClient, picked: Params) -> Option<Params> {
         let changed = self.current.get() != Some(picked);
         self.current.set(Some(picked));
         if changed {

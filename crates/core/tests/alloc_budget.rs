@@ -13,9 +13,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, RESP_HDR};
+use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, RfpTelemetry, RESP_HDR};
 use rfp_rnic::{Cluster, ClusterProfile, Qp};
-use rfp_simnet::{ExecutorStats, SimSpan, Simulation};
+use rfp_simnet::{ExecutorStats, MetricsRegistry, SimSpan, Simulation, SpanRecorder};
 
 struct CountingAlloc;
 
@@ -83,9 +83,13 @@ fn sleeping_tasks() -> (u64, u64) {
 }
 
 /// One client machine, one echoing server thread, one connection of
-/// `window` slots fetching the whole 32 B response in one READ. Also
-/// returns the client's QP.
-fn echo_rig(window: usize) -> (Simulation, Cluster, RfpClient, Rc<Qp>) {
+/// `window` slots fetching the whole 32 B response in one READ —
+/// reporting into `registry` (counters, one span per call) if given,
+/// as every rig client does. Also returns the client's QP.
+fn echo_rig(
+    window: usize,
+    registry: Option<&MetricsRegistry>,
+) -> (Simulation, Cluster, RfpClient, Rc<Qp>) {
     let mut sim = Simulation::new(7);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
     let (sm, cm) = (cluster.machine(0), cluster.machine(1));
@@ -93,6 +97,12 @@ fn echo_rig(window: usize) -> (Simulation, Cluster, RfpClient, Rc<Qp>) {
         window,
         fetch_size: RESP_HDR + 32,
         enable_mode_switch: false,
+        telemetry: registry.map(|registry| RfpTelemetry {
+            registry: registry.clone(),
+            spans: SpanRecorder::new(64),
+            prefix: "rfp.c0".to_string(),
+            track: 0,
+        }),
         ..RfpConfig::default()
     };
     let qp = cluster.qp(1, 0);
@@ -109,7 +119,7 @@ fn echo_rig(window: usize) -> (Simulation, Cluster, RfpClient, Rc<Qp>) {
 /// An idle `serve_loop` over a W=16 ring: every scan inspects 16 slot
 /// headers and finds nothing. Returns (allocations, slots scanned).
 fn idle_scan() -> (u64, u64) {
-    let (mut sim, _cluster, _client, _qp) = echo_rig(16);
+    let (mut sim, _cluster, _client, _qp) = echo_rig(16, None);
     sim.run_for(SimSpan::micros(100));
     let span = SimSpan::millis(1);
     let allocs = allocs_during(&mut sim, span);
@@ -126,6 +136,7 @@ struct EchoCost {
     events: ExecutorStats,
     /// Work-request slots the client's QP ever held at once.
     slots: usize,
+    client: Rc<RfpClient>,
 }
 
 impl EchoCost {
@@ -136,11 +147,13 @@ impl EchoCost {
 
 /// Closed-loop 32 B echo: `pipelined` streams 64-call batches through
 /// `call_pipelined` on a W=16 ring, otherwise `call` on a W=1 ring.
-fn echo_calls(pipelined: bool) -> EchoCost {
-    let (mut sim, cluster, client, qp) = echo_rig(if pipelined { 16 } else { 1 });
+fn echo_calls(pipelined: bool, registry: Option<&MetricsRegistry>) -> EchoCost {
+    let (mut sim, cluster, client, qp) = echo_rig(if pipelined { 16 } else { 1 }, registry);
     let thread = cluster.machine(1).thread("client");
     let calls = Rc::new(Cell::new(0u64));
     let done = Rc::clone(&calls);
+    let client = Rc::new(client);
+    let handle = Rc::clone(&client);
     sim.spawn(async move {
         let reqs: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 32]).collect();
         loop {
@@ -168,6 +181,7 @@ fn echo_calls(pipelined: bool) -> EchoCost {
             spawned: events1.spawned - events0.spawned,
         },
         slots: qp.work_request_slots(),
+        client: handle,
     }
 }
 
@@ -175,13 +189,20 @@ fn echo_calls(pipelined: bool) -> EchoCost {
 fn steady_state_allocation_budget() {
     let (sleep_allocs, sleeps) = sleeping_tasks();
     let (scan_allocs, slots) = idle_scan();
-    let w16 = echo_calls(true);
-    let w1 = echo_calls(false);
+    let w16 = echo_calls(true, None);
+    let w1 = echo_calls(false, None);
+    let registry = MetricsRegistry::new();
+    let observed = echo_calls(false, Some(&registry));
     eprintln!(
         "allocations: {sleep_allocs} over {sleeps} sleep events, {scan_allocs} over {slots} \
          idle slots"
     );
-    for (name, cost) in [("W=16 call_pipelined", &w16), ("W=1 call", &w1)] {
+    let rows = [
+        ("W=16 call_pipelined", &w16),
+        ("W=1 call", &w1),
+        ("W=1 call, telemetry on", &observed),
+    ];
+    for (name, cost) in rows {
         eprintln!(
             "{name}: per call {:.2} allocations, {:.2} polls, {:.2} timers, {:.2} spawns; \
              {} work-request slots",
@@ -208,9 +229,11 @@ fn steady_state_allocation_budget() {
     // result `Vec`. No NIC operation is a task: nothing is spawned, a
     // hop is a typed event rather than a poll, and the QP holds one
     // work-request slot per operation in flight — at most the window.
+    // With telemetry on, a call additionally builds and files its span.
     for (name, cost, allocs, polls, window) in [
         ("W=16 call_pipelined", &w16, 4.0, 26.0, 16),
         ("W=1 call", &w1, 3.1, 46.0, 1),
+        ("W=1 call, telemetry on", &observed, 4.1, 46.0, 1),
     ] {
         assert!(cost.calls > 1_000, "{name}: window too short");
         assert!(
@@ -230,4 +253,13 @@ fn steady_state_allocation_budget() {
             cost.slots
         );
     }
+    // Booked once: the registry exports the connection's own latency
+    // histogram, which holds one sample per completed call.
+    let booked = registry.histogram("rfp.c0.latency");
+    let stats = observed.client.stats();
+    assert!(
+        Rc::ptr_eq(&booked, &stats.latency),
+        "the registry reads a copy"
+    );
+    assert_eq!(booked.len() as u64, stats.calls());
 }

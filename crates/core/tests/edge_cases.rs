@@ -3,7 +3,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use rfp_core::{connect, serve_loop, RfpConfig, REQ_HDR, RESP_HDR};
+use rfp_core::{
+    connect, serve_loop, CallPolicy, RfpConfig, REQ_HDR, REQ_HDR_EXT, REQ_HDR_TENANT, RESP_HDR,
+};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{timeout, SimSpan, Simulation};
 
@@ -43,8 +45,9 @@ fn empty_request_and_response_round_trip() {
     assert!(done.get());
 }
 
-#[test]
-fn request_at_exact_capacity_fits() {
+/// One echo call over a 512 B-slot connection, stamped with `tenant`,
+/// `over` bytes above the payload bound the client reports for it.
+fn call_at_the_bound(tenant: Option<u32>, over: usize) {
     let (mut sim, cluster) = two_machines();
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
     let cfg = RfpConfig {
@@ -52,9 +55,20 @@ fn request_at_exact_capacity_fits() {
         resp_capacity: 1024,
         ..RfpConfig::default()
     };
-    let max_req = cfg.max_req_payload();
-    assert_eq!(max_req, 512 - REQ_HDR);
+    // The config's bound is the unstamped one.
+    assert_eq!(cfg.max_req_payload(), 512 - REQ_HDR);
     let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+    client.set_tenant(tenant);
+    // The client's is the header the call will actually carry.
+    let bound = client.max_req_payload(&CallPolicy::default());
+    let hdr = if tenant.is_some() {
+        REQ_HDR_TENANT
+    } else {
+        REQ_HDR
+    };
+    assert_eq!(bound, 512 - hdr);
+    let stamped = client.max_req_payload(&CallPolicy::admitted(None));
+    assert_eq!(stamped, 512 - hdr.max(REQ_HDR_EXT));
     let st = sm.thread("server");
     sim.spawn(serve_loop(
         st,
@@ -66,13 +80,29 @@ fn request_at_exact_capacity_fits() {
     let done = Rc::new(Cell::new(false));
     let d = Rc::clone(&done);
     sim.spawn(async move {
-        let payload = vec![0x42u8; max_req];
+        let payload = vec![0x42u8; bound + over];
         let out = client.call(&ct, &payload).await;
         assert_eq!(out.data, payload);
         d.set(true);
     });
     sim.run_for(SimSpan::millis(1));
     assert!(done.get());
+}
+
+#[test]
+fn request_at_exact_capacity_fits() {
+    call_at_the_bound(None, 0);
+}
+
+#[test]
+fn stamped_request_at_its_bound_fits() {
+    call_at_the_bound(Some(7), 0);
+}
+
+#[test]
+#[should_panic(expected = "request exceeds buffer capacity")]
+fn stamped_request_one_byte_past_its_bound_panics() {
+    call_at_the_bound(Some(7), 1);
 }
 
 #[test]

@@ -286,11 +286,11 @@ fn sequences_survive_many_calls() {
 
 #[test]
 fn mode_switches_are_traced() {
-    use rfp_simnet::TraceLog;
-    let trace = TraceLog::new(64);
+    use rfp_simnet::FlightRecorder;
+    let recorder = FlightRecorder::new(64);
     let p = Rc::new(Cell::new(30));
     let cfg = RfpConfig {
-        trace: Some(trace.clone()),
+        recorder: Some(recorder.clone()),
         ..RfpConfig::default()
     };
     let mut r = rig(cfg, Rc::clone(&p));
@@ -308,14 +308,16 @@ fn mode_switches_are_traced() {
         }
     });
     r.sim.run_for(SimSpan::millis(10));
-    let modes = trace.category("rfp.mode");
+    let mut modes = recorder.snapshot();
+    modes.retain(|e| e.kind == "rfp.mode_switch");
+    assert_eq!(modes.len() as u64, recorder.kind_count("rfp.mode_switch"));
     assert!(modes.len() >= 2, "expected switch + switch-back: {modes:?}");
-    assert!(modes[0].message.contains("ServerReply"), "{:?}", modes[0]);
+    assert!(modes[0].detail.contains("ServerReply"), "{:?}", modes[0]);
     assert!(
         modes
             .last()
             .expect("non-empty")
-            .message
+            .detail
             .contains("RemoteFetch"),
         "{modes:?}"
     );

@@ -1,5 +1,5 @@
 //! Higher-level coordination primitives for simulated processes:
-//! counting semaphores, reusable barriers, and wait-groups. All are
+//! counting semaphores and wait-groups. All are
 //! single-threaded, deterministic, and FIFO-fair, like the rest of the
 //! crate.
 
@@ -183,82 +183,6 @@ impl Drop for SemaphoreGuard {
         let mut st = self.state.borrow_mut();
         st.permits += 1;
         st.grant();
-    }
-}
-
-/// A reusable barrier: every generation releases once `parties`
-/// processes have arrived.
-#[derive(Clone)]
-pub struct Barrier {
-    state: Rc<RefCell<BarrierState>>,
-}
-
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    waiters: Vec<Waker>,
-}
-
-impl Barrier {
-    /// Creates a barrier for `parties` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties` is zero.
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "barrier needs at least one party");
-        Barrier {
-            state: Rc::new(RefCell::new(BarrierState {
-                parties,
-                arrived: 0,
-                generation: 0,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Arrives at the barrier; resolves once all parties of this
-    /// generation have arrived. Returns `true` for the last arriver
-    /// (the "leader").
-    pub fn arrive(&self) -> BarrierWait {
-        let mut st = self.state.borrow_mut();
-        st.arrived += 1;
-        let generation = st.generation;
-        let leader = st.arrived == st.parties;
-        if leader {
-            st.arrived = 0;
-            st.generation += 1;
-            for w in st.waiters.drain(..) {
-                w.wake();
-            }
-        }
-        BarrierWait {
-            state: Rc::clone(&self.state),
-            generation,
-            leader,
-        }
-    }
-}
-
-/// Future returned by [`Barrier::arrive`].
-pub struct BarrierWait {
-    state: Rc<RefCell<BarrierState>>,
-    generation: u64,
-    leader: bool,
-}
-
-impl Future for BarrierWait {
-    type Output = bool;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let mut st = self.state.borrow_mut();
-        if st.generation > self.generation {
-            Poll::Ready(self.leader)
-        } else {
-            st.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
     }
 }
 
@@ -491,52 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_releases_all_at_once() {
-        let mut sim = Simulation::new(0);
-        let barrier = Barrier::new(3);
-        let released_at = Rc::new(RefCell::new(Vec::new()));
-        let leaders = Rc::new(Cell::new(0u32));
-        for i in 0..3u64 {
-            let b = barrier.clone();
-            let r = Rc::clone(&released_at);
-            let l = Rc::clone(&leaders);
-            let h = sim.handle();
-            sim.spawn(async move {
-                h.sleep(SimSpan::nanos(100 * (i + 1))).await;
-                if b.arrive().await {
-                    l.set(l.get() + 1);
-                }
-                r.borrow_mut().push(h.now().as_nanos());
-            });
-        }
-        sim.run();
-        // Everyone resumes at the last arrival (t=300).
-        assert_eq!(*released_at.borrow(), vec![300, 300, 300]);
-        assert_eq!(leaders.get(), 1, "exactly one leader per generation");
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        let mut sim = Simulation::new(0);
-        let barrier = Barrier::new(2);
-        let rounds_done = Rc::new(Cell::new(0u32));
-        for _ in 0..2 {
-            let b = barrier.clone();
-            let r = Rc::clone(&rounds_done);
-            let h = sim.handle();
-            sim.spawn(async move {
-                for _ in 0..3 {
-                    h.sleep(SimSpan::nanos(10)).await;
-                    b.arrive().await;
-                }
-                r.set(r.get() + 1);
-            });
-        }
-        sim.run();
-        assert_eq!(rounds_done.get(), 2);
-    }
-
-    #[test]
     fn waitgroup_waits_for_all_tokens() {
         let mut sim = Simulation::new(0);
         let wg = WaitGroup::new();
@@ -574,11 +452,5 @@ mod tests {
         sim.run();
         assert!(done.get());
         assert_eq!(sim.now().as_nanos(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one party")]
-    fn barrier_rejects_zero_parties() {
-        let _ = Barrier::new(0);
     }
 }

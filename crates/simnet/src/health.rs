@@ -4,14 +4,14 @@
 //! A [`HealthHub`] hands out one [`ConnHealth`] per connection. Each
 //! keeps a sliding window of fixed-width epochs (aligned to the virtual
 //! clock, so rotation is deterministic); every epoch holds a
-//! log-bucketed latency sketch plus retry/shed/corrupt/credit/stall
-//! counters and an in-flight watermark. Recording is O(1) bookkeeping
+//! log-bucketed latency sketch, one counter per [`HealthSignal`] and an
+//! in-flight watermark. Recording is O(1) bookkeeping
 //! with no simulated-CPU charge and no scheduled events, so the plane
 //! can stay on under a W=16 pipelined load without perturbing timing.
 //!
 //! [`HealthHub::report`] merges the retained epochs into a
-//! [`HealthReport`] (p50/p99/p999, rates, recent result sizes — the
-//! shape an online tuner consumes). An [`AnomalyDetector`] compares a
+//! [`HealthReport`] (p50/p99/p999, rates, per-signal counts). An
+//! [`AnomalyDetector`] compares a
 //! report against a captured baseline window with fixed thresholds and
 //! emits [`Anomaly`]s; [`DumpBundle`] renders the triggering window's
 //! flight-recorder events, metrics snapshot and Chrome trace for
@@ -100,6 +100,31 @@ impl LatencySketch {
     }
 }
 
+/// A countable per-connection signal: the key of the window's counters
+/// (and the health column of a client's incident table).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum HealthSignal {
+    /// A `Shed` verdict (server or locally synthesised).
+    Shed,
+    /// A `Busy` verdict.
+    Busy,
+    /// A fetch discarded by integrity verification.
+    Corrupt,
+    /// A pause on a zero-credit gate.
+    CreditWait,
+    /// A pipeline slot overrunning its retry budget.
+    Stall,
+    /// A QP re-establishment.
+    Reconnect,
+    /// A verb completing with an error.
+    VerbError,
+    /// A failover to another replica.
+    Failover,
+}
+
+/// Number of [`HealthSignal`] variants (`Failover` is the last).
+const SIGNALS: usize = HealthSignal::Failover as usize + 1;
+
 /// One fixed-width slice of a connection's history.
 #[derive(Clone)]
 struct Epoch {
@@ -107,14 +132,8 @@ struct Epoch {
     latency: LatencySketch,
     calls: u64,
     retries: u64,
-    sheds: u64,
-    busys: u64,
-    corrupts: u64,
-    credit_waits: u64,
-    stalls: u64,
-    reconnects: u64,
-    verb_errors: u64,
-    failovers: u64,
+    /// Occurrences of each [`HealthSignal`], indexed by discriminant.
+    signals: [u64; SIGNALS],
     result_bytes: u64,
     process_us: u64,
     inflight_peak: u32,
@@ -127,14 +146,7 @@ impl Epoch {
             latency: LatencySketch::new(),
             calls: 0,
             retries: 0,
-            sheds: 0,
-            busys: 0,
-            corrupts: 0,
-            credit_waits: 0,
-            stalls: 0,
-            reconnects: 0,
-            verb_errors: 0,
-            failovers: 0,
+            signals: [0; SIGNALS],
             result_bytes: 0,
             process_us: 0,
             inflight_peak: 0,
@@ -150,8 +162,6 @@ pub struct HealthConfig {
     pub epoch: SimSpan,
     /// Epochs retained — the window covers `epoch * epochs`.
     pub epochs: usize,
-    /// Recent result sizes kept for tuner consumption.
-    pub size_samples: usize,
 }
 
 impl Default for HealthConfig {
@@ -159,22 +169,15 @@ impl Default for HealthConfig {
         HealthConfig {
             epoch: SimSpan::micros(200),
             epochs: 8,
-            size_samples: 64,
         }
     }
-}
-
-struct ConnInner {
-    epochs: VecDeque<Epoch>,
-    inflight: u32,
-    recent_sizes: VecDeque<usize>,
 }
 
 /// Rolling-window health state of one connection.
 pub struct ConnHealth {
     conn: u32,
     cfg: HealthConfig,
-    inner: RefCell<ConnInner>,
+    epochs: RefCell<VecDeque<Epoch>>,
 }
 
 impl ConnHealth {
@@ -182,11 +185,7 @@ impl ConnHealth {
         ConnHealth {
             conn,
             cfg,
-            inner: RefCell::new(ConnInner {
-                epochs: VecDeque::new(),
-                inflight: 0,
-                recent_sizes: VecDeque::new(),
-            }),
+            epochs: RefCell::new(VecDeque::new()),
         }
     }
 
@@ -204,36 +203,32 @@ impl ConnHealth {
     /// Rotates the window so the back epoch contains `now`, then hands
     /// it to `f`.
     fn with_current<R>(&self, now: SimTime, f: impl FnOnce(&mut Epoch) -> R) -> R {
-        let mut inner = self.inner.borrow_mut();
+        let mut epochs = self.epochs.borrow_mut();
         let target = self.aligned(now);
-        let stale = inner
-            .epochs
-            .back()
-            .is_some_and(|e| e.start < target)
-            .then(|| inner.epochs.back().map(|e| e.start))
-            .flatten();
-        if inner.epochs.is_empty() {
-            inner.epochs.push_back(Epoch::new(target));
-        } else if let Some(back_start) = stale {
-            // Advance one epoch at a time so short gaps keep their empty
-            // slices (rates stay honest); a long gap restarts the window.
-            let w = self.cfg.epoch.as_nanos().max(1);
-            let steps = (target.as_nanos() - back_start.as_nanos()) / w;
-            if steps as usize > self.cfg.epochs {
-                inner.epochs.clear();
-                inner.epochs.push_back(Epoch::new(target));
-            } else {
-                for s in 1..=steps {
-                    inner.epochs.push_back(Epoch::new(SimTime::from_nanos(
-                        back_start.as_nanos() + s * w,
-                    )));
-                    if inner.epochs.len() > self.cfg.epochs {
-                        inner.epochs.pop_front();
+        match epochs.back().map(|e| e.start) {
+            None => epochs.push_back(Epoch::new(target)),
+            Some(back_start) if back_start < target => {
+                // Advance one epoch at a time so short gaps keep their
+                // empty slices (rates stay honest); a long gap restarts
+                // the window.
+                let w = self.cfg.epoch.as_nanos().max(1);
+                let steps = (target.as_nanos() - back_start.as_nanos()) / w;
+                if steps as usize > self.cfg.epochs {
+                    epochs.clear();
+                    epochs.push_back(Epoch::new(target));
+                } else {
+                    for s in 1..=steps {
+                        let start = SimTime::from_nanos(back_start.as_nanos() + s * w);
+                        epochs.push_back(Epoch::new(start));
+                        if epochs.len() > self.cfg.epochs {
+                            epochs.pop_front();
+                        }
                     }
                 }
             }
+            Some(_) => {}
         }
-        f(inner.epochs.back_mut().expect("window is never empty"))
+        f(epochs.back_mut().expect("window is never empty"))
     }
 
     /// Books one completed call.
@@ -252,57 +247,16 @@ impl ConnHealth {
             e.result_bytes += result_bytes as u64;
             e.process_us += server_time_us as u64;
         });
-        let mut inner = self.inner.borrow_mut();
-        if inner.recent_sizes.len() == self.cfg.size_samples {
-            inner.recent_sizes.pop_front();
-        }
-        inner.recent_sizes.push_back(result_bytes);
     }
 
-    /// Books one `Shed` verdict (server or locally synthesised).
-    pub fn record_shed(&self, now: SimTime) {
-        self.with_current(now, |e| e.sheds += 1);
-    }
-
-    /// Books one `Busy` verdict.
-    pub fn record_busy(&self, now: SimTime) {
-        self.with_current(now, |e| e.busys += 1);
-    }
-
-    /// Books one fetch discarded by integrity verification.
-    pub fn record_corrupt(&self, now: SimTime) {
-        self.with_current(now, |e| e.corrupts += 1);
-    }
-
-    /// Books one pause on a zero-credit gate.
-    pub fn record_credit_wait(&self, now: SimTime) {
-        self.with_current(now, |e| e.credit_waits += 1);
-    }
-
-    /// Books one pipeline slot overrunning its retry budget.
-    pub fn record_stall(&self, now: SimTime) {
-        self.with_current(now, |e| e.stalls += 1);
-    }
-
-    /// Books one QP re-establishment.
-    pub fn record_reconnect(&self, now: SimTime) {
-        self.with_current(now, |e| e.reconnects += 1);
-    }
-
-    /// Books one verb completing with an error.
-    pub fn record_verb_error(&self, now: SimTime) {
-        self.with_current(now, |e| e.verb_errors += 1);
-    }
-
-    /// Books one failover to another replica.
-    pub fn record_failover(&self, now: SimTime) {
-        self.with_current(now, |e| e.failovers += 1);
+    /// Books one occurrence of `signal`.
+    pub fn record(&self, now: SimTime, signal: HealthSignal) {
+        self.with_current(now, |e| e.signals[signal as usize] += 1);
     }
 
     /// Updates the in-flight level; the window keeps per-epoch peaks.
     pub fn set_inflight(&self, now: SimTime, inflight: u32) {
         self.with_current(now, |e| e.inflight_peak = e.inflight_peak.max(inflight));
-        self.inner.borrow_mut().inflight = inflight;
     }
 
     /// Merges the retained window into one report.
@@ -310,21 +264,15 @@ impl ConnHealth {
         // Rotate first so the report always describes the window ending
         // at `now`.
         self.with_current(now, |_| {});
-        let inner = self.inner.borrow();
-        let mut latency = LatencySketch::new();
-        let mut merged = Epoch::new(inner.epochs.front().expect("rotated").start);
-        for e in &inner.epochs {
-            latency.merge(&e.latency);
+        let epochs = self.epochs.borrow();
+        let mut merged = Epoch::new(epochs.front().expect("rotated").start);
+        for e in epochs.iter() {
+            merged.latency.merge(&e.latency);
             merged.calls += e.calls;
             merged.retries += e.retries;
-            merged.sheds += e.sheds;
-            merged.busys += e.busys;
-            merged.corrupts += e.corrupts;
-            merged.credit_waits += e.credit_waits;
-            merged.stalls += e.stalls;
-            merged.reconnects += e.reconnects;
-            merged.verb_errors += e.verb_errors;
-            merged.failovers += e.failovers;
+            for (sum, n) in merged.signals.iter_mut().zip(&e.signals) {
+                *sum += n;
+            }
             merged.result_bytes += e.result_bytes;
             merged.process_us += e.process_us;
             merged.inflight_peak = merged.inflight_peak.max(e.inflight_peak);
@@ -336,6 +284,8 @@ impl ConnHealth {
                 n as f64 / merged.calls as f64
             }
         };
+        let count = |signal: HealthSignal| merged.signals[signal as usize];
+        let latency = &merged.latency;
         ConnHealthReport {
             conn: self.conn,
             window_start: merged.start,
@@ -347,26 +297,25 @@ impl ConnHealth {
             mean_ns: latency.mean(),
             max_ns: latency.max_ns,
             retry_rate: per_call(merged.retries),
-            shed_rate: per_call(merged.sheds + merged.busys),
-            corrupt_rate: per_call(merged.corrupts),
-            sheds: merged.sheds,
-            busys: merged.busys,
-            corrupts: merged.corrupts,
-            credit_waits: merged.credit_waits,
-            stalls: merged.stalls,
-            reconnects: merged.reconnects,
-            verb_errors: merged.verb_errors,
-            failovers: merged.failovers,
+            shed_rate: per_call(count(HealthSignal::Shed) + count(HealthSignal::Busy)),
+            corrupt_rate: per_call(count(HealthSignal::Corrupt)),
+            sheds: count(HealthSignal::Shed),
+            busys: count(HealthSignal::Busy),
+            corrupts: count(HealthSignal::Corrupt),
+            credit_waits: count(HealthSignal::CreditWait),
+            stalls: count(HealthSignal::Stall),
+            reconnects: count(HealthSignal::Reconnect),
+            verb_errors: count(HealthSignal::VerbError),
+            failovers: count(HealthSignal::Failover),
             inflight_peak: merged.inflight_peak,
             mean_result_bytes: per_call(merged.result_bytes),
             mean_process_ns: per_call(merged.process_us) * 1_000.0,
-            result_sizes: inner.recent_sizes.iter().copied().collect(),
         }
     }
 }
 
-/// The merged sliding window of one connection, ready for a tuner or a
-/// detector.
+/// The merged sliding window of one connection, ready for a scorer or
+/// a detector.
 #[derive(Clone, Debug)]
 pub struct ConnHealthReport {
     /// The connection described.
@@ -413,10 +362,8 @@ pub struct ConnHealthReport {
     pub inflight_peak: u32,
     /// Mean result payload bytes per call.
     pub mean_result_bytes: f64,
-    /// Mean server-reported process time, ns (the tuner's `P`).
+    /// Mean server-reported process time, ns.
     pub mean_process_ns: f64,
-    /// Recent result sizes (the tuner's `M` samples), oldest first.
-    pub result_sizes: Vec<usize>,
 }
 
 /// Fleet view: every connection's report, in connection order.
@@ -433,73 +380,6 @@ impl HealthReport {
     pub fn conn(&self, conn: u32) -> Option<&ConnHealthReport> {
         self.conns.iter().find(|c| c.conn == conn)
     }
-
-    /// Merges per-connection windows into per-group aggregates, where
-    /// `group_of` maps a connection id to its group (a tenant, a poller
-    /// group, a rack — any u32 keying). Returned sorted by group id.
-    pub fn rollup(&self, group_of: impl Fn(u32) -> u32) -> Vec<HealthRollup> {
-        let mut groups: BTreeMap<u32, HealthRollup> = BTreeMap::new();
-        for c in &self.conns {
-            let agg = groups
-                .entry(group_of(c.conn))
-                .or_insert_with(|| HealthRollup {
-                    group: group_of(c.conn),
-                    ..HealthRollup::default()
-                });
-            agg.conns += 1;
-            agg.calls += c.calls;
-            agg.sheds += c.sheds;
-            agg.busys += c.busys;
-            agg.corrupts += c.corrupts;
-            agg.reconnects += c.reconnects;
-            agg.verb_errors += c.verb_errors;
-            agg.worst_p99_ns = agg.worst_p99_ns.max(c.p99_ns);
-            agg.max_ns = agg.max_ns.max(c.max_ns);
-            agg.mean_weight += c.mean_ns as f64 * c.calls as f64;
-        }
-        groups
-            .into_values()
-            .map(|mut g| {
-                if g.calls > 0 {
-                    g.mean_ns = (g.mean_weight / g.calls as f64) as u64;
-                    g.reject_rate = (g.sheds + g.busys) as f64 / g.calls as f64;
-                }
-                g
-            })
-            .collect()
-    }
-}
-
-/// Aggregate of several connections' windows — one tenant's fleet, one
-/// poller group, etc. (see [`HealthReport::rollup`]).
-#[derive(Clone, Debug, Default)]
-pub struct HealthRollup {
-    /// The group key.
-    pub group: u32,
-    /// Connections merged into this group.
-    pub conns: usize,
-    /// Calls completed inside the window, summed.
-    pub calls: u64,
-    /// `Shed` verdicts, summed.
-    pub sheds: u64,
-    /// `Busy` verdicts, summed.
-    pub busys: u64,
-    /// Integrity-discarded fetches, summed.
-    pub corrupts: u64,
-    /// QP re-establishments, summed.
-    pub reconnects: u64,
-    /// Verb errors, summed.
-    pub verb_errors: u64,
-    /// Worst member p99 (a group is as healthy as its sickest member).
-    pub worst_p99_ns: u64,
-    /// Largest latency observed across the group.
-    pub max_ns: u64,
-    /// Call-weighted mean latency.
-    pub mean_ns: u64,
-    /// `(sheds + busys) / calls` over the group.
-    pub reject_rate: f64,
-    /// Intermediate Σ(mean·calls) for the weighted mean.
-    mean_weight: f64,
 }
 
 /// A shareable hub handing out per-connection health state.
@@ -545,11 +425,6 @@ impl HealthHub {
                 .entry(conn)
                 .or_insert_with(|| Rc::new(ConnHealth::new(conn, self.cfg.clone()))),
         )
-    }
-
-    /// Connections registered so far, sorted.
-    pub fn conn_ids(&self) -> Vec<u32> {
-        self.conns.borrow().keys().copied().collect()
     }
 
     /// Merges every connection's window into one fleet report.
@@ -1003,7 +878,7 @@ impl DumpBundle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Severity;
+    use crate::recorder::Severity;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1_000)
@@ -1013,7 +888,6 @@ mod tests {
         HealthHub::new(HealthConfig {
             epoch: SimSpan::micros(100),
             epochs: 4,
-            size_samples: 8,
         })
     }
 
@@ -1056,8 +930,8 @@ mod tests {
         for i in 0..10 {
             h.record_call(t(i), SimSpan::micros(2), 1, 64, 5);
         }
-        h.record_shed(t(11));
-        h.record_corrupt(t(12));
+        h.record(t(11), HealthSignal::Shed);
+        h.record(t(12), HealthSignal::Corrupt);
         h.set_inflight(t(13), 7);
         h.set_inflight(t(14), 2);
         let r = h.report(t(20));
@@ -1069,7 +943,6 @@ mod tests {
         assert_eq!(r.inflight_peak, 7);
         assert_eq!(r.mean_result_bytes, 64.0);
         assert_eq!(r.mean_process_ns, 5_000.0);
-        assert_eq!(r.result_sizes.len(), 8); // bounded at size_samples
         assert!(r.p50_ns >= 1_000 && r.p50_ns <= 4_000, "p50 = {}", r.p50_ns);
     }
 
@@ -1084,30 +957,6 @@ mod tests {
         assert_eq!(ids, [2, 5]);
         assert!(report.conn(5).is_some());
         assert!(report.conn(9).is_none());
-    }
-
-    #[test]
-    fn rollup_groups_and_weights() {
-        let hub = hub();
-        // Conns 0,2 → group 0; conn 1 → group 1.
-        hub.conn(0).record_call(t(1), SimSpan::micros(1), 0, 8, 1);
-        hub.conn(0).record_call(t(1), SimSpan::micros(1), 0, 8, 1);
-        hub.conn(2).record_call(t(1), SimSpan::micros(4), 0, 8, 1);
-        hub.conn(2).record_shed(t(1));
-        hub.conn(1).record_call(t(1), SimSpan::micros(9), 0, 8, 1);
-        let report = hub.report(t(5));
-        let groups = report.rollup(|conn| conn % 2);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].group, 0);
-        assert_eq!(groups[0].conns, 2);
-        assert_eq!(groups[0].calls, 3);
-        assert_eq!(groups[0].sheds, 1);
-        // Call-weighted mean: (2·1µs + 1·4µs)/3 = 2µs.
-        assert_eq!(groups[0].mean_ns, 2_000);
-        assert!(groups[0].worst_p99_ns >= 4_000);
-        assert!((groups[0].reject_rate - 1.0 / 3.0).abs() < 1e-9);
-        assert_eq!(groups[1].group, 1);
-        assert_eq!(groups[1].calls, 1);
     }
 
     fn baseline_and_window(
@@ -1167,7 +1016,7 @@ mod tests {
         // slowdown is not gray.
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0, 32, 1);
-            h.conn(1).record_shed(at);
+            h.conn(1).record(at, HealthSignal::Shed);
         });
         assert!(
             anomalies
@@ -1187,7 +1036,7 @@ mod tests {
         let det = AnomalyDetector::new(AnomalyConfig::default());
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0, 32, 1);
-            c.record_verb_error(at);
+            c.record(at, HealthSignal::VerbError);
         });
         assert!(
             anomalies
@@ -1236,11 +1085,15 @@ mod tests {
         let h = hub();
         let det = AnomalyDetector::new(AnomalyConfig::default());
         let c = h.conn(1);
-        c.record_corrupt(t(5));
-        c.record_shed(t(5));
-        c.record_credit_wait(t(5));
-        c.record_stall(t(5));
-        c.record_verb_error(t(5));
+        for signal in [
+            HealthSignal::Corrupt,
+            HealthSignal::Shed,
+            HealthSignal::CreditWait,
+            HealthSignal::Stall,
+            HealthSignal::VerbError,
+        ] {
+            c.record(t(5), signal);
+        }
         let kinds: Vec<AnomalyKind> = det.scan(&h.report(t(10))).iter().map(|a| a.kind).collect();
         assert_eq!(
             kinds,

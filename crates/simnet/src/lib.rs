@@ -9,16 +9,17 @@
 //! * timer futures ([`SimHandle::sleep`], [`yield_now`]) and typed timer
 //!   events for clock-driven state machines that are not tasks
 //!   ([`EventSink`], keyed by a generation-stamped [`Slab`]),
-//! * queueing resources with FIFO discipline ([`FifoServer`],
-//!   [`MultiServer`]) used to model NIC engines and serialized critical
-//!   sections ([`SimLock`]),
+//! * a FIFO queueing resource ([`FifoServer`]) used to model NIC
+//!   engines, and serialized critical sections ([`SimLock`]),
 //! * synchronisation primitives for simulated processes ([`Signal`],
-//!   [`Channel`]),
+//!   [`Channel`], [`Semaphore`], [`WaitGroup`]),
 //! * measurement helpers ([`Counter`], [`Histogram`], [`BusyClock`]),
-//! * request-lifecycle telemetry: a registry of hierarchically named
+//! * observability: one cause-chained event log ([`FlightRecorder`])
+//!   and the views beside it — a registry of hierarchically named
 //!   instruments ([`MetricsRegistry`]), per-request phase spans
-//!   ([`RequestTrace`], [`SpanRecorder`]) and fixed-interval series
-//!   ([`TimeSeriesSampler`]).
+//!   ([`RequestTrace`], [`SpanRecorder`]), fixed-interval series
+//!   ([`TimeSeriesSampler`]) and rolling per-connection health windows
+//!   with anomaly detection ([`HealthHub`], [`AnomalyDetector`]).
 //!
 //! Determinism: all state lives on one OS thread; events that fire at the
 //! same virtual instant are dispatched in insertion order, so every run
@@ -54,18 +55,17 @@ mod stats;
 mod sync;
 mod time;
 mod timeout;
-mod trace;
 
-pub use coord::{Barrier, Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
+pub use coord::{Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
 pub use crc64::{crc64, crc64_pair, Crc64};
 pub use executor::{yield_now, EventSink, ExecutorStats, SimHandle, Simulation, Sleep};
 pub use health::{
     Anomaly, AnomalyConfig, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad,
-    CoreSkewReport, DumpBundle, HealthConfig, HealthHub, HealthReport, HealthRollup,
+    CoreSkewReport, DumpBundle, HealthConfig, HealthHub, HealthReport, HealthSignal,
 };
 pub use metrics::{prometheus_name, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{FlightEvent, FlightRecorder};
-pub use resource::{FifoServer, MultiServer};
+pub use recorder::{FlightEvent, FlightRecorder, Severity};
+pub use resource::FifoServer;
 pub use retry::{retry, retry_with_deadline, RetryExhausted, RetryPolicy};
 pub use sampler::{SampleRow, TimeSeriesSampler};
 pub use slab::{Slab, SlabKey};
@@ -74,7 +74,6 @@ pub use stats::{BusyClock, Counter, Histogram};
 pub use sync::{Channel, Recv, Signal, SimLock, SimLockGuard};
 pub use time::{SimSpan, SimTime};
 pub use timeout::{timeout, Timeout};
-pub use trace::{Severity, TraceEntry, TraceLog};
 
 /// Derives a per-component RNG seed from a master seed and a stream id.
 ///

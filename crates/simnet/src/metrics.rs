@@ -270,9 +270,13 @@ pub(crate) fn json_string(s: &str) -> String {
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<String, Rc<Counter>>,
+    /// A name exports the sum of its cells: connections that share a
+    /// metric prefix each register their own (see
+    /// [`MetricsRegistry::register_counter`]).
+    counters: BTreeMap<String, Vec<Rc<Counter>>>,
     gauges: BTreeMap<String, Rc<Gauge>>,
-    histograms: BTreeMap<String, Rc<Histogram>>,
+    /// Likewise the union of its cells' samples.
+    histograms: BTreeMap<String, Vec<Rc<Histogram>>>,
     /// Scalar baselines captured by the previous [`MetricsRegistry::diff`].
     baseline: BTreeMap<String, f64>,
 }
@@ -301,12 +305,8 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Rc<Counter> {
         let mut inner = self.inner.borrow_mut();
         assert_kind_free(&inner.gauges, &inner.histograms, name);
-        Rc::clone(
-            inner
-                .counters
-                .entry(name.to_string())
-                .or_insert_with(|| Rc::new(Counter::new())),
-        )
+        let cells = inner.counters.entry(name.to_string());
+        Rc::clone(&cells.or_insert_with(|| vec![Rc::default()])[0])
     }
 
     /// The gauge named `name`, created on first use.
@@ -333,37 +333,25 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str) -> Rc<Histogram> {
         let mut inner = self.inner.borrow_mut();
         assert_kind_free(&inner.counters, &inner.gauges, name);
-        Rc::clone(
-            inner
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Rc::new(Histogram::new())),
-        )
+        let cells = inner.histograms.entry(name.to_string());
+        Rc::clone(&cells.or_insert_with(|| vec![Rc::default()])[0])
     }
 
     /// Registers an existing counter under `name` (components that
-    /// already own their instruments expose them this way).
+    /// already own their instruments expose them this way). Several
+    /// cells may share a name; it then exports their sum.
     pub fn register_counter(&self, name: &str, counter: &Rc<Counter>) {
-        self.inner
-            .borrow_mut()
-            .counters
-            .insert(name.to_string(), Rc::clone(counter));
+        let mut inner = self.inner.borrow_mut();
+        let cells = inner.counters.entry(name.to_string()).or_default();
+        cells.push(Rc::clone(counter));
     }
 
-    /// Registers an existing gauge under `name`.
-    pub fn register_gauge(&self, name: &str, gauge: &Rc<Gauge>) {
-        self.inner
-            .borrow_mut()
-            .gauges
-            .insert(name.to_string(), Rc::clone(gauge));
-    }
-
-    /// Registers an existing histogram under `name`.
+    /// Registers an existing histogram under `name`; cells sharing a
+    /// name export the union of their samples.
     pub fn register_histogram(&self, name: &str, histogram: &Rc<Histogram>) {
-        self.inner
-            .borrow_mut()
-            .histograms
-            .insert(name.to_string(), Rc::clone(histogram));
+        let mut inner = self.inner.borrow_mut();
+        let cells = inner.histograms.entry(name.to_string()).or_default();
+        cells.push(Rc::clone(histogram));
     }
 
     /// All registered names, sorted.
@@ -384,13 +372,23 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.borrow();
         let mut values = BTreeMap::new();
-        for (name, c) in &inner.counters {
-            values.insert(name.clone(), MetricValue::Counter(c.get()));
+        for (name, cells) in &inner.counters {
+            let sum = cells.iter().map(|c| c.get()).sum();
+            values.insert(name.clone(), MetricValue::Counter(sum));
         }
         for (name, g) in &inner.gauges {
             values.insert(name.clone(), MetricValue::Gauge(g.get()));
         }
-        for (name, h) in &inner.histograms {
+        for (name, cells) in &inner.histograms {
+            let union;
+            let h = match cells.as_slice() {
+                [one] => &**one,
+                many => {
+                    union = Histogram::new();
+                    many.iter().for_each(|cell| union.absorb(cell));
+                    &union
+                }
+            };
             let ns = |s: Option<crate::SimSpan>| s.map_or(0, |v| v.as_nanos());
             values.insert(
                 name.clone(),
@@ -430,10 +428,10 @@ impl MetricsRegistry {
     /// their level: they describe present state, not history).
     pub fn reset(&self) {
         let inner = self.inner.borrow_mut();
-        for c in inner.counters.values() {
+        for c in inner.counters.values().flatten() {
             c.reset();
         }
-        for h in inner.histograms.values() {
+        for h in inner.histograms.values().flatten() {
             h.reset();
         }
         drop(inner);
@@ -471,6 +469,34 @@ mod tests {
         reg.register_counter("sys.served", &c);
         c.add(7);
         assert_eq!(reg.snapshot().scalar("sys.served"), Some(7.0));
+    }
+
+    #[test]
+    fn cells_sharing_a_name_export_their_sum() {
+        let reg = MetricsRegistry::new();
+        let (a, b) = (Rc::new(Counter::new()), Rc::new(Counter::new()));
+        let (ha, hb) = (Rc::new(Histogram::new()), Rc::new(Histogram::new()));
+        for (c, h) in [(&a, &ha), (&b, &hb)] {
+            reg.register_counter("client.calls", c);
+            reg.register_histogram("client.latency", h);
+        }
+        a.add(2);
+        b.add(5);
+        ha.record(SimSpan::nanos(10));
+        hb.record(SimSpan::nanos(30));
+        let snap = reg.snapshot();
+        assert_eq!(snap.values["client.calls"], MetricValue::Counter(7));
+        match snap.values["client.latency"] {
+            MetricValue::Histogram {
+                count,
+                mean_ns,
+                max_ns,
+                ..
+            } => assert_eq!((count, mean_ns, max_ns), (2, 20, 30)),
+            ref other => panic!("expected histogram, got {other:?}"),
+        }
+        reg.reset();
+        assert_eq!((a.get(), b.get(), ha.len() + hb.len()), (0, 0, 0));
     }
 
     #[test]

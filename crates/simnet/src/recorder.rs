@@ -1,7 +1,7 @@
 //! The flight recorder: a bounded ring of cause-chained events.
 //!
-//! Where a [`TraceLog`](crate::TraceLog) keeps free-form milestones and
-//! the [`MetricsRegistry`](crate::MetricsRegistry) keeps aggregates, a
+//! The one event log of a simulated system. Where the
+//! [`MetricsRegistry`](crate::MetricsRegistry) keeps aggregates, a
 //! [`FlightRecorder`] keeps *structured* operational events — each tied
 //! to a connection and request sequence number, and optionally to the
 //! event that caused it — so a failure's causal history
@@ -19,7 +19,30 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::time::SimTime;
-use crate::trace::Severity;
+
+/// How loud a recorded event is.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// High-rate diagnostics.
+    Debug,
+    /// Ordinary milestones.
+    Info,
+    /// Degradation worth surfacing.
+    Warn,
+    /// A fault or invariant violation.
+    Error,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Severity::Debug => "DEBUG",
+            Severity::Info => "INFO",
+            Severity::Warn => "WARN",
+            Severity::Error => "ERROR",
+        })
+    }
+}
 
 /// One recorded flight event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,7 +99,7 @@ struct Inner {
 
 /// A bounded, shareable ring of [`FlightEvent`]s.
 ///
-/// Clones share the ring (like [`TraceLog`](crate::TraceLog)).
+/// Clones share the ring.
 ///
 /// # Examples
 ///
@@ -265,19 +288,6 @@ impl FlightRecorder {
         chain
     }
 
-    /// Clears retained events (keeps cumulative counters).
-    pub fn clear(&self) {
-        self.inner.borrow_mut().events.clear();
-    }
-
-    /// Zeroes the cumulative counters without touching retained events.
-    pub fn reset_counters(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.recorded = 0;
-        inner.dropped = 0;
-        inner.kind_counts.clear();
-    }
-
     /// Writes every retained event as one line each.
     pub fn dump(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         for e in self.inner.borrow().events.iter() {
@@ -293,6 +303,12 @@ mod tests {
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
+    }
+
+    #[test]
+    fn severity_orders_by_loudness() {
+        assert!(Severity::Debug < Severity::Info && Severity::Info < Severity::Warn);
+        assert!(Severity::Warn < Severity::Error);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Queueing resources with FIFO discipline.
+//! A queueing resource with FIFO discipline.
 //!
 //! A [`FifoServer`] models a pipeline that serves one request at a time
 //! (e.g. one engine of an RNIC): callers submit a service demand and are
@@ -6,13 +6,8 @@
 //! queued requests. Because service order equals submission order and
 //! service times are known on submission, the queue itself never needs to
 //! be materialised — the server just tracks when it next becomes free.
-//!
-//! A [`MultiServer`] generalises this to `k` identical parallel servers
-//! with a single FIFO queue (e.g. a pool of DMA engines).
 
-use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cell::Cell;
 
 use crate::executor::{SimHandle, Sleep};
 use crate::time::{SimSpan, SimTime};
@@ -106,60 +101,6 @@ impl FifoServer {
     }
 }
 
-/// `k` identical parallel servers fed by one FIFO queue.
-pub struct MultiServer {
-    handle: SimHandle,
-    /// Earliest-free-first heap of per-server free instants.
-    free_at: RefCell<BinaryHeap<Reverse<SimTime>>>,
-    busy: Cell<SimSpan>,
-    completed: Cell<u64>,
-}
-
-impl MultiServer {
-    /// Creates a pool of `servers` idle servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is zero.
-    pub fn new(handle: SimHandle, servers: usize) -> Self {
-        assert!(servers > 0, "MultiServer needs at least one server");
-        let mut heap = BinaryHeap::with_capacity(servers);
-        for _ in 0..servers {
-            heap.push(Reverse(SimTime::ZERO));
-        }
-        MultiServer {
-            handle,
-            free_at: RefCell::new(heap),
-            busy: Cell::new(SimSpan::ZERO),
-            completed: Cell::new(0),
-        }
-    }
-
-    /// Enqueues a request needing `demand` of service; completes when one
-    /// of the servers has finished it (FIFO dispatch to earliest-free).
-    pub fn serve(&self, demand: SimSpan) -> Sleep {
-        let now = self.handle.now();
-        let mut heap = self.free_at.borrow_mut();
-        let Reverse(earliest) = heap.pop().expect("heap size is fixed");
-        let start = earliest.max(now);
-        let finish = start + demand;
-        heap.push(Reverse(finish));
-        self.busy.set(self.busy.get() + demand);
-        self.completed.set(self.completed.get() + 1);
-        self.handle.sleep_until(finish)
-    }
-
-    /// Total service time delivered so far (summed over servers).
-    pub fn busy_time(&self) -> SimSpan {
-        self.busy.get()
-    }
-
-    /// Number of requests accepted so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,33 +176,5 @@ mod tests {
         assert_eq!(server.completed(), 0);
         assert_eq!(server.busy_time(), SimSpan::ZERO);
         assert_eq!(server.next_free().as_nanos(), 10);
-    }
-
-    #[test]
-    fn multi_server_runs_in_parallel() {
-        let mut sim = Simulation::new(0);
-        let pool = Rc::new(MultiServer::new(sim.handle(), 2));
-        let done = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..4 {
-            let p = Rc::clone(&pool);
-            let d = Rc::clone(&done);
-            let h = sim.handle();
-            sim.spawn(async move {
-                p.serve(SimSpan::nanos(100)).await;
-                d.borrow_mut().push((i, h.now().as_nanos()));
-            });
-        }
-        sim.run();
-        // Two servers: pairs finish at 100 and 200.
-        assert_eq!(*done.borrow(), vec![(0, 100), (1, 100), (2, 200), (3, 200)]);
-        assert_eq!(pool.busy_time().as_nanos(), 400);
-        assert_eq!(pool.completed(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn multi_server_rejects_zero() {
-        let sim = Simulation::new(0);
-        let _ = MultiServer::new(sim.handle(), 0);
     }
 }

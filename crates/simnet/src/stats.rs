@@ -66,6 +66,13 @@ impl Histogram {
         self.tail.borrow_mut().push(span.as_nanos());
     }
 
+    /// Adds every sample of `other`.
+    pub fn absorb(&self, other: &Histogram) {
+        let mut tail = self.tail.borrow_mut();
+        tail.extend_from_slice(&other.sorted.borrow());
+        tail.extend_from_slice(&other.tail.borrow());
+    }
+
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
         self.sorted.borrow().len() + self.tail.borrow().len()

@@ -6,7 +6,8 @@
 //! machinery reacts: after two consecutive calls exceed `R` failed
 //! fetches, the connection switches to server-reply (client CPU drops);
 //! when the server-reported process time shrinks again, it switches
-//! back. The attached trace log captures the exact switch instants.
+//! back. The attached flight recorder captures the exact switch
+//! instants.
 //!
 //! Run with:
 //!
@@ -19,21 +20,21 @@ use std::rc::Rc;
 
 use rfp_repro::core::{connect, serve_loop, Mode, RfpConfig};
 use rfp_repro::rnic::{Cluster, ClusterProfile};
-use rfp_repro::simnet::{SimSpan, Simulation, TraceLog};
+use rfp_repro::simnet::{FlightRecorder, SimSpan, Simulation};
 
 fn main() {
     let mut sim = Simulation::new(5);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
 
-    let trace = TraceLog::new(64);
+    let events = FlightRecorder::new(64);
     let (client, conn) = connect(
         &cm,
         &sm,
         cluster.qp(0, 1),
         cluster.qp(1, 0),
         RfpConfig {
-            trace: Some(trace.clone()),
+            recorder: Some(events.clone()),
             ..RfpConfig::default()
         },
     );
@@ -93,11 +94,12 @@ fn main() {
 
     sim.run_for(SimSpan::millis(9));
 
-    println!("\n--- trace ({} events) ---", trace.len());
+    println!("\n--- flight recorder ({} events) ---", events.len());
     let mut out = Vec::new();
-    trace.dump(&mut out).expect("dump");
+    events.dump(&mut out).expect("dump");
     print!("{}", String::from_utf8_lossy(&out));
-    let switches = trace.category("rfp.mode");
+    let mut switches = events.snapshot();
+    switches.retain(|e| e.kind == "rfp.mode_switch");
     println!(
         "\n{} mode switches: overload detected {} after the spike, recovery {} after it ended",
         switches.len(),

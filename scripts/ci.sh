@@ -5,10 +5,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# One invocation: `default-members` spans the root package and every
+# crate under crates/.
 cargo clippy -- -D warnings
-cargo clippy -p rfp-chaos -- -D warnings
-cargo clippy -p rfp-core -p rfp-kvstore -p rfp-bench -p rfp-rnic -- -D warnings
-cargo clippy -p rfp-paradigms -p rfp-workload -p rfp-simnet -- -D warnings
 cargo fmt --check
 # The repo benchmark is a frozen caller of the rig API in its own
 # workspace: a change that breaks it must fail here, not in the pipeline.
@@ -17,11 +16,19 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 # reports every output check as holding — and whose allocation count
 # (exact per seed) stays at the floor: the three owned API payloads per
 # call plus the per-batch result Vec. A value gate, not a shape gate.
-ledger=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-  --workload echo_w16_32b --seed 42 --seconds 1 --trace 0)
-tail -n 1 <<<"$ledger" | grep -q '"correct": true'
-awk '$1 == "host_allocs_per_call" { seen = 1; if ($3 > 3.1) { print "host_allocs_per_call " $3 " > 3.1"; exit 1 } }
-     END { if (!seen) { print "host_allocs_per_call not printed"; exit 1 } }' <<<"$ledger"
+# Its telemetry-on twin — a Jakiro client reports into a registry and
+# files one span per call — carries the connection's booking path: at
+# most 8.1 (7.994 with every completed call booked once).
+ledger_smoke() { # <workload> <host_allocs_per_call ceiling>
+  local ledger
+  ledger=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload "$1" --seed 42 --seconds 1 --trace 0)
+  tail -n 1 <<<"$ledger" | grep -q '"correct": true'
+  awk -v max="$2" '$1 == "host_allocs_per_call" { seen = 1; if ($3 > max) { print "host_allocs_per_call " $3 " > " max; exit 1 } }
+       END { if (!seen) { print "host_allocs_per_call not printed"; exit 1 } }' <<<"$ledger"
+}
+ledger_smoke echo_w16_32b 3.1
+ledger_smoke jakiro_get95_32b 8.1
 # The allocation budget of the hot path, on the build that ships the
 # numbers (`cargo test -q` above ran it unoptimized).
 cargo test -q --release -p rfp-core --test alloc_budget
