@@ -33,11 +33,11 @@ use rand::{Rng, SeedableRng};
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
 use rfp_chaos::{spawn_failover_kv, FailoverChaosConfig, FaultPlan};
-use rfp_core::{connect, RfpConfig};
+use rfp_core::{connect, serve_loop, RfpConfig};
 use rfp_kvstore::replica::{
     backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
 };
-use rfp_kvstore::{KvRequest, Partition};
+use rfp_kvstore::{kv_handler, KvRequest, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{derive_seed, SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -77,7 +77,6 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
     let cfg = FailoverChaosConfig {
         clients,
         replication: ReplicationConfig {
-            enabled: true,
             ack,
             ..ReplicationConfig::default()
         },
@@ -242,20 +241,30 @@ fn tax_run(seed: u64, repl: Option<AckPolicy>) -> (u64, u64) {
         });
     }
 
+    // Replication off is the absent stage: the plain serve loop over
+    // the same store handler.
     let role = Rc::new(PrimaryRole::default());
-    sim.spawn(primary_serve_loop(
-        primary_m.thread("tax-primary"),
-        conns,
-        Rc::clone(&partition),
-        Rc::new(ship),
-        ReplicationConfig {
-            enabled: repl.is_some(),
-            ack: repl.unwrap_or(AckPolicy::Sync),
-            ..ReplicationConfig::default()
-        },
-        Rc::clone(&role),
-        SimSpan::nanos(100),
-    ));
+    let (thread, spin) = (primary_m.thread("tax-primary"), SimSpan::nanos(100));
+    match repl {
+        Some(ack) => sim.spawn(primary_serve_loop(
+            thread,
+            conns,
+            Rc::clone(&partition),
+            Rc::new(ship),
+            ReplicationConfig {
+                ack,
+                ..ReplicationConfig::default()
+            },
+            Rc::clone(&role),
+            spin,
+        )),
+        None => sim.spawn(serve_loop(
+            thread,
+            conns,
+            kv_handler(Rc::clone(&partition), || SimSpan::ZERO),
+            spin,
+        )),
+    };
     sim.spawn(backup_serve_loop(
         backup_m.thread("tax-backup"),
         Rc::new(repl_conn),

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 
 use rfp_core::{
     connect, serve_loop, CoreSpec, FailureCause, IntegrityConfig, OverloadConfig, Reactor,
-    ReactorConfig, ReactorPolicy, RecoveryConfig, RfpConfig, RfpServerConn, RfpTelemetry,
+    ReactorConfig, RecoveryConfig, RfpConfig, RfpServerConn, RfpTelemetry,
 };
 use rfp_kvstore::{kv_handler, partition_of, preload_partitions, KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
@@ -479,11 +479,6 @@ pub fn spawn_chaos_kv(
                 handler: Box::new(handler),
             })
             .collect();
-        let policy = if cfg.overload.enabled {
-            ReactorPolicy::Overload
-        } else {
-            ReactorPolicy::Plain
-        };
         let reactor = Reactor::new(
             ReactorConfig {
                 steal: true,
@@ -493,7 +488,6 @@ pub fn spawn_chaos_kv(
             },
             specs,
             SimSpan::nanos(100),
-            policy,
         );
         for s in 0..cfg.server_threads {
             sim.spawn(reactor.run_core(s));

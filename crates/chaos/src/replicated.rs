@@ -121,16 +121,17 @@ pub struct FailoverChaosConfig {
     /// Whether GETs go through [`ReplicaClient::call_hedged`] (the
     /// gray-routed read path) or plain [`ReplicaClient::call`].
     pub hedged_reads: bool,
-    /// Primary-side replication tuning (the default turns it on with
-    /// `Sync` ack — standby reads lean on acked ⇒ applied-at-backup; a
-    /// replication-off rig is the tax baseline, not a failover study).
+    /// Primary-side replication tuning (`Sync` ack by default — standby
+    /// reads lean on acked ⇒ applied-at-backup).
     pub replication: ReplicationConfig,
     /// Client-side router policy (retry budget per replica, maximum
     /// re-homings per call, and `failover.gray`, the gray-failure
     /// subsystem).
     pub failover: FailoverConfig,
     /// Server overload control, as in
-    /// [`ChaosConfig`](crate::ChaosConfig). Off by default.
+    /// [`ChaosConfig`](crate::ChaosConfig): both replicas' scans admit,
+    /// shed and advertise credits on the client connections (the log
+    /// channel stays plain). Off by default.
     pub overload: OverloadConfig,
     /// End-to-end fetch integrity, as in
     /// [`ChaosConfig`](crate::ChaosConfig). Off by default; required
@@ -182,10 +183,7 @@ impl Default for FailoverChaosConfig {
             put_ratio: 0.5,
             own_key_reads: false,
             hedged_reads: false,
-            replication: ReplicationConfig {
-                enabled: true,
-                ..ReplicationConfig::default()
-            },
+            replication: ReplicationConfig::default(),
             failover: short_retry(4),
             overload: OverloadConfig::default(),
             integrity: IntegrityConfig::default(),

@@ -96,7 +96,7 @@ pub use mux::{serve_loop_tenant, shard_conns, LogicalClient, MuxConfig, RfpMux, 
 pub use overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits};
 pub use params::{ParamSelector, Params, WorkloadSample};
 pub use pool::RfpPool;
-pub use reactor::{CoreSpec, Reactor, ReactorConfig, ReactorPolicy};
+pub use reactor::{CoreSpec, Reactor, ReactorConfig};
 pub use recovery::{FailureCause, RecoveryConfig, RpcError};
-pub use server::{serve_loop, IdlePolicy, RfpHandler};
+pub use server::{serve_loop, Commit, IdlePolicy, Reply, RfpHandler, ScanHandler};
 pub use tuner::OnlineTuner;

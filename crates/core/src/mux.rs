@@ -45,7 +45,7 @@ use rfp_simnet::{
 use crate::client::{CallEngine, CallPolicy, CallResult, RfpClient, NO_RECOVERY};
 use crate::conn::RfpServerConn;
 use crate::header::RespStatus;
-use crate::reactor::{CoreSpec, Reactor, ReactorConfig, ReactorPolicy};
+use crate::reactor::Reactor;
 use crate::recovery::{RecoveryConfig, RpcError};
 use crate::server::IdlePolicy;
 use crate::server::RfpHandler;
@@ -518,11 +518,14 @@ pub fn shard_conns(conns: &[Rc<RfpServerConn>], groups: usize) -> Vec<Vec<Rc<Rfp
 }
 
 /// Runs one poller group with per-tenant admission domains: the
-/// admission-controlled serve loop (two-phase sweep, PR 5 batch-drain
-/// inner loop) with [`TenantCredits`](crate::TenantCredits) in place of the single global
-/// queue bound. Requests without a tenant stamp share one implicit
-/// domain, so an untenanted workload behaves exactly like the global
-/// loop.
+/// one-core serve [`Reactor`] whose admission stage charges
+/// [`TenantCredits`](crate::TenantCredits) in place of the single
+/// global queue bound. Requests without a tenant stamp share one
+/// implicit domain, so an untenanted workload is admitted, bounded and
+/// credited exactly as under [`serve_loop`](crate::serve_loop) — with
+/// one difference, kept because `tests/reactor_identity.rs` pins both
+/// sides of it: a `Shed` verdict here is stamped with the *current*
+/// scan's domain level, there with the *previous* scan's.
 ///
 /// # Panics
 ///
@@ -534,18 +537,10 @@ pub async fn serve_loop_tenant(
     handler: impl RfpHandler + 'static,
     idle: impl Into<IdlePolicy>,
 ) {
-    assert!(!conns.is_empty(), "poller group with no connections");
-    let reactor = Reactor::new(
-        ReactorConfig::default(),
-        vec![CoreSpec {
-            thread,
-            conns,
-            handler: Box::new(handler),
-        }],
-        idle,
-        ReactorPolicy::Tenant,
-    );
-    reactor.run_core(0).await
+    Reactor::single(thread, conns, handler, idle)
+        .per_tenant()
+        .run_core(0)
+        .await
 }
 
 #[cfg(test)]

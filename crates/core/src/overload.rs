@@ -107,7 +107,7 @@ pub enum Admission {
 /// The admission rule, as a pure function so its safety properties are
 /// directly testable: a request is shed **iff** its stamped deadline
 /// has passed, turned away `Busy` **iff** it is within deadline but the
-/// queue bound is reached, and admitted otherwise. `serve_loop` calls
+/// queue bound is reached, and admitted otherwise. The server scan calls
 /// this once per pending request *before* any processing, so a request
 /// the server has begun processing can never be shed.
 pub fn admit(
@@ -155,8 +155,10 @@ pub fn credits_for(cfg: &OverloadConfig, backlog: usize) -> u16 {
 /// itself, so a hot tenant goes `Busy` once *its* share is spent while
 /// cold tenants keep being admitted. Untenanted requests (no stamp in
 /// the header) share one implicit domain, which reproduces the global
-/// behaviour exactly when no tenant ever stamps — the
-/// byte-identical-when-off rule, one layer up.
+/// verdicts and the credits on every served reply when no tenant ever
+/// stamps. One stamp differs: a `Shed` carries the *current* scan's
+/// domain level here and the *previous* scan's level under the global
+/// rule (`tests/reactor_identity.rs` pins both, so both stay).
 ///
 /// Credit advertisements are also per-domain: the level stamped into a
 /// response reflects the backlog *of the tenant that sent the request*,

@@ -1,13 +1,36 @@
-//! The multi-core serve reactor.
+//! The multi-core serve reactor: the one server-side ring drain.
 //!
-//! One event-driven abstraction replaces the three serve-loop variants
-//! that grew up in layers (the classic scan, the PR 5 admission-swept
-//! batch drain, the PR 7 per-tenant poller groups): a [`Reactor`] owns
-//! N simulated cores, each core owns a disjoint set of connections
-//! (EREW partitioning — keys hash to a partition, a partition's
-//! connections pin to its core, so the common case touches no shared
-//! state), and every core runs the same scan built from one shared
-//! slot-service epilogue.
+//! A [`Reactor`] owns N simulated cores, each core owns a disjoint set
+//! of connections (EREW partitioning — keys hash to a partition, a
+//! partition's connections pin to its core, so the common case touches
+//! no shared state), and every core, every thief and every
+//! `*_serve_loop` preset drains request rings through the same
+//! scan (`Shared::scan`).
+//!
+//! # Scan order
+//!
+//! Per connection: **claim** it, then up to `window` times: **crash
+//! check** → `try_recv` → **verdict** → reject on the spot, **serve in
+//! place**, or — the owner under admission — **queue**. After the sweep
+//! the owner drains its queue, awaits the handler's **commit**, and
+//! releases the replies the handler held. Every reply goes into the
+//! slot captured at pickup (the reply marker is restored with no
+//! intervening await), so queued, stolen and held requests of one
+//! connection never cross responses.
+//!
+//! Two stages, each present or absent, never selected by a caller:
+//!
+//! * **Admission** — present iff the core's connections carry overload
+//!   control. Rejections (`Shed` past the stamped deadline, `Busy`
+//!   beyond the queue bound) are answered during the sweep, admitted
+//!   requests run after it, so nothing the server began executing is
+//!   ever shed; every reply is stamped with a credit level.
+//!   [`serve_loop_tenant`](crate::serve_loop_tenant) scopes bound and
+//!   credits per tenant — the one bit of policy the reactor cannot read
+//!   off its connections.
+//! * **Hold-and-commit** — present iff the handler uses it (see
+//!   [`ScanHandler`]). Absent, the scan boxes no future and queues
+//!   nothing.
 //!
 //! # Steal protocol
 //!
@@ -20,27 +43,23 @@
 //!    from a sibling's run queue (thief end, most recently admitted
 //!    first), paying the modeled cross-core [`Handoff`] cost per
 //!    request.
-//! 2. **Ring steal** — claim one of a loaded sibling's connections
-//!    (connection-granularity claims keep the per-connection in-flight
-//!    marker single-writer) and drain its request ring in place, still
-//!    applying the *owner's* admission policy and serving with the
-//!    owner's handler (its partition of the store).
+//! 2. **Ring steal** — run the scan over a loaded sibling's
+//!    connections, still under the *owner's* admission rule and with
+//!    the owner's handler (its partition of the store), serving in
+//!    place.
 //!
 //! Claims are plain `Cell<bool>` test-and-sets: the simulation is
 //! cooperatively single-threaded, so any code run between awaits is
 //! atomic, and a claimed connection is simply skipped by whoever
-//! arrives second. A stolen request is answered into the slot captured
-//! at pickup (the reply marker is restored with no intervening await),
-//! so owner and thief can answer different slots of one connection
-//! concurrently without crossing responses.
+//! arrives second — each connection's in-flight marker stays
+//! single-writer.
 //!
 //! # Fidelity
 //!
-//! A single-core reactor replays the legacy loops *event for event*:
-//! the scan orders, crash checks, busy charges, credit stamps, and
-//! idle backoff are reproduced exactly, and the byte-identity proptest
-//! (`tests/reactor_identity.rs`) pins registry CSV, trace, and payload
-//! equality against a frozen copy of the pre-refactor loops.
+//! A single-core reactor replays the pre-reactor loops *event for
+//! event* — scan orders, crash checks, busy charges, credit stamps,
+//! idle backoff; `tests/reactor_identity.rs` pins registry CSV, trace
+//! and payload equality against frozen copies of them.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -55,19 +74,7 @@ use rfp_simnet::{
 use crate::conn::RfpServerConn;
 use crate::header::RespStatus;
 use crate::overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits};
-use crate::server::{IdlePolicy, RfpHandler};
-
-/// Which admission discipline every core of the reactor runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ReactorPolicy {
-    /// Serve every request in scan order (no admission).
-    Plain,
-    /// Two-phase scan with the global queue bound and credit
-    /// advertisement of the overload layer (PR 5).
-    Overload,
-    /// Two-phase scan with per-tenant credit domains (PR 7).
-    Tenant,
-}
+use crate::server::{IdlePolicy, Reply, ScanHandler};
 
 /// Reactor-wide knobs.
 pub struct ReactorConfig {
@@ -107,7 +114,7 @@ pub struct CoreSpec {
     /// keys this core's partition owns).
     pub conns: Vec<Rc<RfpServerConn>>,
     /// The application handler for this core's partition.
-    pub handler: Box<dyn RfpHandler>,
+    pub handler: Box<dyn ScanHandler>,
 }
 
 /// A connection plus its steal claim. The claim makes each connection
@@ -132,20 +139,21 @@ impl OwnedConn {
     }
 }
 
-/// One admitted request parked on a run queue: everything needed to
-/// service it later (or from another core) without re-touching the
-/// connection's in-flight marker.
-struct Ready {
+/// One picked-up request that outlives its `try_recv`: everything
+/// needed to answer it later (or from another core) without re-touching
+/// the connection's in-flight marker.
+struct Pending {
     /// Core that owns the request's connection (indexes `Shared::cores`).
     owner: usize,
     /// Connection index within the owner's set.
     conn: usize,
     /// Ring slot captured at pickup — the reply target.
     slot: usize,
-    /// Tenant stamp captured at pickup (tenant policy only).
+    /// Tenant stamp captured at pickup (scopes the credit stamp).
     tenant: Option<u32>,
-    /// Request payload.
-    req: Vec<u8>,
+    /// An admitted request's payload on the run queue; a held reply's
+    /// response payload afterwards.
+    data: Vec<u8>,
 }
 
 struct CoreGauges {
@@ -158,12 +166,16 @@ struct CoreGauges {
 struct CoreState {
     thread: Rc<ThreadCtx>,
     conns: Vec<OwnedConn>,
-    handler: RefCell<Box<dyn RfpHandler>>,
-    ov: OverloadConfig,
-    runq: RunQueue<Ready>,
+    handler: RefCell<Box<dyn ScanHandler>>,
+    /// The admission stage: the connections' overload knobs, present
+    /// iff they carry overload control.
+    admission: Option<OverloadConfig>,
+    runq: RunQueue<Pending>,
+    /// Replies the handler held, released after this scan's commit.
+    held: RefCell<Vec<Pending>>,
     credits: TenantCredits,
     /// Credits advertised on responses, from the previous scan's
-    /// backlog (overload policy).
+    /// backlog (the global admission rule).
     advertised: Cell<u16>,
     /// Requests the most recent scan found pending — the backlog
     /// signal thieves use to pick a loaded victim.
@@ -176,21 +188,28 @@ struct CoreState {
     gauges: Option<CoreGauges>,
 }
 
+#[derive(Default)]
 struct ScanOutcome {
+    /// A response (service or admission rejection) was produced.
     served_any: bool,
     crashed: bool,
+    /// Requests found pending.
     backlog: usize,
+    /// Requests executed in place (what a thief's batch counts).
+    executed: usize,
 }
 
-/// What to do with a request a thief pulled off a victim's ring,
-/// decided synchronously by the victim's admission policy.
+/// What to do with a request just pulled off a ring, decided
+/// synchronously by the owning core's admission stage.
 enum Verdict {
-    Run(Option<u16>),
+    Run,
     Reject(RespStatus, u16),
 }
 
 struct Shared {
-    policy: ReactorPolicy,
+    /// Admission charges per-tenant credit domains instead of the one
+    /// global queue bound (set by `serve_loop_tenant` alone).
+    tenant_domains: bool,
     idle: IdlePolicy,
     steal: bool,
     steal_batch: usize,
@@ -209,19 +228,15 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Builds a reactor over `cores`, all running `policy`.
+    /// Builds a reactor over `cores`. Each core's admission stage is
+    /// derived from its connections: present iff they carry overload
+    /// control.
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is empty, any core owns no connections, or
-    /// `policy` needs overload control that a core's connections do
-    /// not carry.
-    pub fn new(
-        cfg: ReactorConfig,
-        cores: Vec<CoreSpec>,
-        idle: impl Into<IdlePolicy>,
-        policy: ReactorPolicy,
-    ) -> Reactor {
+    /// Panics if `cores` is empty, any core owns no connections, or a
+    /// core's connections disagree on whether overload control is on.
+    pub fn new(cfg: ReactorConfig, cores: Vec<CoreSpec>, idle: impl Into<IdlePolicy>) -> Reactor {
         assert!(!cores.is_empty(), "reactor with no cores");
         let states = cores
             .into_iter()
@@ -231,18 +246,13 @@ impl Reactor {
                     !spec.conns.is_empty(),
                     "reactor core {i} owns no connections"
                 );
-                let ov: OverloadConfig = spec.conns[0].overload().clone();
-                match policy {
-                    ReactorPolicy::Plain => {}
-                    ReactorPolicy::Overload => debug_assert!(
-                        spec.conns.iter().all(|c| c.overload().enabled),
-                        "mixed overload configs on one server thread"
-                    ),
-                    ReactorPolicy::Tenant => assert!(
-                        ov.enabled,
-                        "serve_loop_tenant requires overload control (per-tenant credit domains)"
-                    ),
-                }
+                let ov = spec.conns[0].overload().clone();
+                assert!(
+                    spec.conns
+                        .iter()
+                        .all(|c| c.overload().enabled == ov.enabled),
+                    "mixed overload configs on one server thread"
+                );
                 let gauges = cfg.registry.as_ref().map(|reg| CoreGauges {
                     steals: reg.counter(&format!("serve.core.{i}.steals")),
                     queue_depth: reg.gauge(&format!("serve.core.{i}.queue_depth")),
@@ -261,8 +271,9 @@ impl Reactor {
                         .collect(),
                     handler: RefCell::new(spec.handler),
                     advertised: Cell::new(ov.credit_max),
-                    ov,
+                    admission: ov.enabled.then_some(ov),
                     runq: RunQueue::new(),
+                    held: RefCell::default(),
                     credits: TenantCredits::new(),
                     last_backlog: Cell::new(0),
                     meter: CoreMeter::new(),
@@ -274,7 +285,7 @@ impl Reactor {
             .collect();
         Reactor {
             shared: Rc::new(Shared {
-                policy,
+                tenant_domains: false,
                 idle: idle.into(),
                 steal: cfg.steal,
                 steal_batch: cfg.steal_batch.max(1),
@@ -285,11 +296,54 @@ impl Reactor {
         }
     }
 
+    /// The one-core, no-steal reactor behind every `*_serve_loop`
+    /// preset: `thread` scanning `conns` with `handler`.
+    pub fn single(
+        thread: Rc<ThreadCtx>,
+        conns: Vec<Rc<RfpServerConn>>,
+        handler: impl ScanHandler + 'static,
+        idle: impl Into<IdlePolicy>,
+    ) -> Reactor {
+        let core = CoreSpec {
+            thread,
+            conns,
+            handler: Box::new(handler),
+        };
+        Reactor::new(ReactorConfig::default(), vec![core], idle)
+    }
+
+    /// Scopes the admission stage per tenant, before any core runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a core has no admission stage (per-tenant credit
+    /// domains are an overload-layer feature).
+    pub(crate) fn per_tenant(mut self) -> Reactor {
+        let shared = Rc::get_mut(&mut self.shared).expect("reactor is not running yet");
+        assert!(
+            shared.cores.iter().all(|c| c.admission.is_some()),
+            "serve_loop_tenant requires overload control (per-tenant credit domains)"
+        );
+        shared.tenant_domains = true;
+        self
+    }
+
     /// The future driving core `core` — spawn one per core.
     pub fn run_core(&self, core: usize) -> impl Future<Output = ()> {
         assert!(core < self.shared.cores.len(), "no such core");
         let shared = Rc::clone(&self.shared);
         async move { core_loop(shared, core).await }
+    }
+
+    /// One turn of core `core` — its scan, then a steal pass if that
+    /// found nothing — for a caller that interleaves the scan with a
+    /// loop of its own instead of spawning [`run_core`](Self::run_core)
+    /// (a backup draining its log channel). Returns whether any
+    /// response was produced.
+    pub async fn turn(&self, core: usize) -> bool {
+        self.shared
+            .turn(core, &self.shared.cores[core].thread)
+            .await
     }
 
     /// Number of cores.
@@ -387,45 +441,22 @@ async fn core_loop(shared: Rc<Shared>, me: usize) {
                 .await;
             continue;
         }
-        let scan = match shared.policy {
-            ReactorPolicy::Plain => shared.scan_plain(me, &thread).await,
-            ReactorPolicy::Overload => shared.scan_overload(me, &thread).await,
-            ReactorPolicy::Tenant => shared.scan_tenant(me, &thread).await,
-        };
-        let core = &shared.cores[me];
-        core.last_backlog.set(scan.backlog);
-        if let Some(g) = &core.gauges {
-            g.queue_depth.set(scan.backlog as i64);
-        }
-        let mut served_any = scan.served_any;
-        // Only an otherwise-idle core goes hunting, and never on a
-        // crashed machine.
-        if !scan.crashed && !served_any && shared.steal && shared.cores.len() > 1 {
-            served_any |= shared.steal_pass(me, &thread).await;
-        }
-        if !served_any {
-            core.meter.note_empty_scan();
-            thread.busy(shared.idle.spin).await;
-            nap = shared.idle.next_nap(nap);
-            if !nap.is_zero() {
-                core.meter.note_nap(nap);
-                thread.idle_wait(thread.handle().sleep(nap)).await;
-            }
-        } else {
+        if shared.turn(me, &thread).await {
             nap = SimSpan::ZERO;
+            continue;
+        }
+        let core = &shared.cores[me];
+        core.meter.note_empty_scan();
+        thread.busy(shared.idle.spin).await;
+        nap = shared.idle.next_nap(nap);
+        if !nap.is_zero() {
+            core.meter.note_nap(nap);
+            thread.idle_wait(thread.handle().sleep(nap)).await;
         }
     }
 }
 
 impl Shared {
-    fn note_served(&self, me: usize) {
-        let core = &self.cores[me];
-        core.meter.note_served(1);
-        if let Some(g) = &core.gauges {
-            g.served.incr();
-        }
-    }
-
     fn note_steal(&self, me: usize, victim: usize, thread: &ThreadCtx) {
         let core = &self.cores[me];
         core.steals.set(core.steals.get() + 1);
@@ -447,285 +478,227 @@ impl Shared {
         }
     }
 
-    /// The shared slot-service epilogue, hoisted out of the legacy
-    /// plain/overload/tenant loops: run the owner's handler, charge
-    /// the processing span, honor a mid-service crash, stamp credits,
-    /// and answer into the request's own slot. Returns `false` if the
-    /// machine crashed mid-service (the half-done work dies with it;
-    /// the client's resubmission redelivers after the restart).
-    async fn service_one(
-        &self,
-        owner: usize,
-        thread: &ThreadCtx,
-        conn: &RfpServerConn,
-        req: &[u8],
-        credits: Option<u16>,
-        slot: usize,
-    ) -> bool {
-        let (resp, process) = self.cores[owner].handler.borrow_mut().handle(req);
+    /// The verdict of `owner`'s admission stage on the request `conn`
+    /// just delivered. Synchronous — must run with no await since that
+    /// `try_recv`.
+    fn admission(&self, owner: usize, conn: &RfpServerConn, now: SimTime) -> Verdict {
+        let core = &self.cores[owner];
+        let Some(ov) = &core.admission else {
+            return Verdict::Run;
+        };
+        let (deadline, tenant) = (conn.current_deadline(), conn.current_tenant());
+        let verdict = if self.tenant_domains {
+            core.credits.admit(ov, now, deadline, tenant)
+        } else {
+            admit(ov, now, deadline, core.runq.len())
+        };
+        match verdict {
+            Admission::Admit => Verdict::Run,
+            // Out of queue room: advertise zero so the client backs off
+            // before resubmitting.
+            Admission::Busy => Verdict::Reject(RespStatus::Busy, 0),
+            Admission::Shed => Verdict::Reject(RespStatus::Shed, self.credit_stamp(owner, tenant)),
+        }
+    }
+
+    /// The credit level a response to `tenant` carries right now: the
+    /// sender's own domain backlog this scan under per-tenant domains,
+    /// else the level the owner's last completed sweep advertised — so
+    /// a `Shed` issued mid-sweep is stamped from the *current* scan
+    /// there and from the *previous* one here (`reactor_identity.rs`
+    /// pins both). Unused (zero, the legacy fill) without the stage.
+    fn credit_stamp(&self, owner: usize, tenant: Option<u32>) -> u16 {
+        let core = &self.cores[owner];
+        match &core.admission {
+            Some(ov) if self.tenant_domains => core.credits.credits(ov, tenant),
+            _ => core.advertised.get(),
+        }
+    }
+
+    /// Readies `p`'s connection for the reply to `p`: credits stamped
+    /// (when the admission stage is present) and the reply marker back
+    /// on `p`'s slot. The caller posts with no await in between — the
+    /// marker is connection-global and any concurrent try_recv moves it.
+    fn aim(&self, p: &Pending) -> &RfpServerConn {
+        let core = &self.cores[p.owner];
+        let conn = &core.conns[p.conn].conn;
+        if core.admission.is_some() {
+            conn.set_advertised_credits(self.credit_stamp(p.owner, p.tenant));
+        }
+        conn.set_reply_slot(p.slot);
+        conn
+    }
+
+    /// The shared slot-service epilogue: run the owner's handler,
+    /// charge the processing span, honor a mid-service crash, and send,
+    /// hold or refuse as the handler said, into the request's own slot.
+    /// Returns `None` if the machine crashed mid-service (the half-done
+    /// work dies with it; the client's resubmission redelivers after
+    /// the restart), else whether the request was executed.
+    async fn service_one(&self, me: usize, thread: &ThreadCtx, mut p: Pending) -> Option<bool> {
+        let core = &self.cores[p.owner];
+        let (reply, process) = core.handler.borrow_mut().serve(&p.data);
         if !process.is_zero() {
             thread.busy(process).await;
         }
-        if thread.machine().faults().is_crashed() {
-            return false;
+        match reply {
+            // A refusal is a verdict, posted like the admission
+            // stage's: on the spot, whatever the machine's state.
+            Reply::Refuse(status) => {
+                self.aim(&p).reject(thread, status).await;
+                return Some(false);
+            }
+            _ if thread.machine().faults().is_crashed() => return None,
+            Reply::Send(resp) => self.aim(&p).send(thread, &resp).await,
+            Reply::Hold(resp) => {
+                // The owner alone commits and releases: N-core
+                // replication is out of scope.
+                assert!(
+                    me == p.owner,
+                    "a core whose handler holds replies cannot be a steal victim"
+                );
+                p.data = resp;
+                core.held.borrow_mut().push(p);
+            }
         }
-        if let Some(c) = credits {
-            conn.set_advertised_credits(c);
+        let mine = &self.cores[me];
+        mine.meter.note_served(1);
+        if let Some(g) = &mine.gauges {
+            g.served.incr();
         }
-        // No await between the marker restore and the send: the reply
-        // marker is connection-global and any concurrent try_recv
-        // moves it.
-        conn.set_reply_slot(slot);
-        conn.send(thread, &resp).await;
-        true
+        Some(true)
     }
 
-    /// The classic scan: every pending request is processed in scan
-    /// order, each connection drained (up to its ring window) per
-    /// visit.
-    async fn scan_plain(&self, me: usize, thread: &ThreadCtx) -> ScanOutcome {
-        let core = &self.cores[me];
-        let mut served_any = false;
-        let mut crashed = false;
-        let mut backlog = 0usize;
-        'conns: for oc in &core.conns {
-            if !oc.try_claim() {
-                continue;
-            }
-            for _ in 0..oc.conn.window() {
-                if thread.machine().faults().is_crashed() {
-                    crashed = true;
-                    break;
-                }
-                let Some(req) = oc.conn.try_recv(thread).await else {
-                    break;
-                };
-                backlog += 1;
-                let slot = oc.conn.reply_slot();
-                if !self
-                    .service_one(me, thread, &oc.conn, &req, None, slot)
-                    .await
-                {
-                    crashed = true;
-                    break;
-                }
-                served_any = true;
-                self.note_served(me);
-            }
-            oc.release();
-            if crashed {
-                break 'conns;
-            }
+    /// The ring drain (module docs, "Scan order"): core `me` sweeps
+    /// `owner`'s connections. The owner (`me == owner`) queues what its
+    /// admission stage admits, drains the queue after the sweep, then
+    /// commits and releases held replies; a thief serves in place, at
+    /// most `budget` requests, paying the handoff for each.
+    async fn scan(
+        &self,
+        me: usize,
+        owner: usize,
+        thread: &ThreadCtx,
+        budget: usize,
+    ) -> ScanOutcome {
+        let core = &self.cores[owner];
+        let crashed = || thread.machine().faults().is_crashed();
+        let stolen = me != owner;
+        let queue = core.admission.is_some() && !stolen;
+        let mut out = ScanOutcome::default();
+        if self.tenant_domains && !stolen {
+            core.credits.begin_scan();
         }
-        ScanOutcome {
-            served_any,
-            crashed,
-            backlog,
-        }
-    }
-
-    /// The admission-controlled scan (PR 5): phase 1 sweeps every
-    /// pending request through the pure admission rule, answering
-    /// rejections on the spot; phase 2 drains the admitted batch.
-    /// Admission is final — nothing admitted is ever shed.
-    async fn scan_overload(&self, me: usize, thread: &ThreadCtx) -> ScanOutcome {
-        let core = &self.cores[me];
-        let ov = &core.ov;
-        let mut served_any = false;
-        let mut crashed = false;
-        let mut backlog = 0usize;
         'sweep: for (ci, oc) in core.conns.iter().enumerate() {
+            if out.executed >= budget {
+                break;
+            }
             if !oc.try_claim() {
                 continue;
             }
             for _ in 0..oc.conn.window() {
-                if thread.machine().faults().is_crashed() {
-                    crashed = true;
+                if out.executed >= budget {
+                    break;
+                }
+                if crashed() {
+                    out.crashed = true;
                     break;
                 }
                 let Some(req) = oc.conn.try_recv(thread).await else {
                     break;
                 };
-                backlog += 1;
-                match admit(
-                    ov,
-                    thread.now(),
-                    oc.conn.current_deadline(),
-                    core.runq.len(),
-                ) {
-                    Admission::Admit => core.runq.push(Ready {
-                        owner: me,
-                        conn: ci,
-                        slot: oc.conn.reply_slot(),
-                        tenant: None,
-                        req,
-                    }),
-                    Admission::Busy => {
-                        // Out of queue room: advertise zero so the
-                        // client backs off before resubmitting.
-                        oc.conn.set_advertised_credits(0);
-                        oc.conn.reject(thread, RespStatus::Busy).await;
-                        served_any = true;
+                out.backlog += 1;
+                let p = Pending {
+                    owner,
+                    conn: ci,
+                    slot: oc.conn.reply_slot(),
+                    tenant: oc.conn.current_tenant(),
+                    data: req,
+                };
+                match self.admission(owner, &oc.conn, thread.now()) {
+                    Verdict::Reject(status, credits) => {
+                        oc.conn.set_advertised_credits(credits);
+                        oc.conn.reject(thread, status).await;
+                        out.served_any = true;
                     }
-                    Admission::Shed => {
-                        oc.conn.set_advertised_credits(core.advertised.get());
-                        oc.conn.reject(thread, RespStatus::Shed).await;
-                        served_any = true;
+                    Verdict::Run if queue => core.runq.push(p),
+                    Verdict::Run => {
+                        if stolen {
+                            self.handoff.charge(thread).await;
+                            self.note_steal(me, owner, thread);
+                        }
+                        match self.service_one(me, thread, p).await {
+                            Some(executed) => {
+                                out.served_any |= executed;
+                                out.executed += executed as usize;
+                            }
+                            None => {
+                                out.crashed = true;
+                                break;
+                            }
+                        }
                     }
                 }
             }
             oc.release();
-            if crashed {
+            if out.crashed {
                 break 'sweep;
             }
         }
-        // Credits advertised on the *next* scan's rejections and this
-        // batch's responses come from this scan's backlog — the
-        // freshest level the server knows.
-        core.advertised.set(credits_for(ov, backlog));
-        if !crashed {
-            while let Some(r) = core.runq.pop() {
-                if thread.machine().faults().is_crashed() {
-                    break;
-                }
-                let ok = self
-                    .service_one(
-                        me,
-                        thread,
-                        &core.conns[r.conn].conn,
-                        &r.req,
-                        Some(core.advertised.get()),
-                        r.slot,
-                    )
-                    .await;
-                if !ok {
-                    break;
-                }
-                served_any = true;
-                self.note_served(me);
-            }
+        if stolen {
+            return out;
         }
-        // A crash drops whatever the sweep admitted (the legacy batch
-        // vector died with the scan); already-recv'd requests are
+        if let Some(ov) = &core.admission {
+            // Credits advertised on the *next* scan's rejections and
+            // this batch's responses come from this scan's backlog —
+            // the freshest level the server knows.
+            core.advertised.set(credits_for(ov, out.backlog));
+        }
+        if out.backlog == 0 {
+            // Nothing picked up: nothing was queued, logged or held.
+            return out;
+        }
+        // Admission is final — nothing admitted is ever shed — but a
+        // crash drops whatever is still queued or held (the legacy
+        // batch vector died with the scan); already-recv'd requests are
         // redelivered by resubmission after the restart.
-        core.runq.clear();
-        ScanOutcome {
-            served_any,
-            crashed,
-            backlog,
+        while !out.crashed && !crashed() {
+            let Some(p) = core.runq.pop() else {
+                break;
+            };
+            match self.service_one(me, thread, p).await {
+                Some(executed) => out.served_any |= executed,
+                None => out.crashed = true,
+            }
         }
+        core.runq.clear();
+        let commit = core.handler.borrow_mut().commit();
+        if let Some(commit) = commit {
+            commit.await;
+        }
+        for p in core.held.take() {
+            if crashed() {
+                break;
+            }
+            self.aim(&p).send(thread, &p.data).await;
+        }
+        out
     }
 
-    /// The per-tenant admission scan (PR 7): the two-phase sweep with
-    /// [`TenantCredits`] in place of the single global queue bound.
-    async fn scan_tenant(&self, me: usize, thread: &ThreadCtx) -> ScanOutcome {
+    /// One turn of core `me`: its own scan, then — only if that left it
+    /// idle, and never on a crashed machine — a steal pass. Returns
+    /// whether any response was produced.
+    async fn turn(&self, me: usize, thread: &ThreadCtx) -> bool {
+        let scan = self.scan(me, me, thread, usize::MAX).await;
         let core = &self.cores[me];
-        let ov = &core.ov;
-        let mut served_any = false;
-        let mut crashed = false;
-        let mut backlog = 0usize;
-        core.credits.begin_scan();
-        'sweep: for (ci, oc) in core.conns.iter().enumerate() {
-            if !oc.try_claim() {
-                continue;
-            }
-            for _ in 0..oc.conn.window() {
-                if thread.machine().faults().is_crashed() {
-                    crashed = true;
-                    break;
-                }
-                let Some(req) = oc.conn.try_recv(thread).await else {
-                    break;
-                };
-                backlog += 1;
-                let tenant = oc.conn.current_tenant();
-                match core
-                    .credits
-                    .admit(ov, thread.now(), oc.conn.current_deadline(), tenant)
-                {
-                    Admission::Admit => core.runq.push(Ready {
-                        owner: me,
-                        conn: ci,
-                        slot: oc.conn.reply_slot(),
-                        tenant,
-                        req,
-                    }),
-                    Admission::Busy => {
-                        oc.conn.set_advertised_credits(0);
-                        oc.conn.reject(thread, RespStatus::Busy).await;
-                        served_any = true;
-                    }
-                    Admission::Shed => {
-                        oc.conn
-                            .set_advertised_credits(core.credits.credits(ov, tenant));
-                        oc.conn.reject(thread, RespStatus::Shed).await;
-                        served_any = true;
-                    }
-                }
-            }
-            oc.release();
-            if crashed {
-                break 'sweep;
-            }
+        core.last_backlog.set(scan.backlog);
+        if let Some(g) = &core.gauges {
+            g.queue_depth.set(scan.backlog as i64);
         }
-        if !crashed {
-            while let Some(r) = core.runq.pop() {
-                if thread.machine().faults().is_crashed() {
-                    break;
-                }
-                // The credit level stamped on each response is the
-                // *sender's own* domain backlog.
-                let credits = core.credits.credits(ov, r.tenant);
-                let ok = self
-                    .service_one(
-                        me,
-                        thread,
-                        &core.conns[r.conn].conn,
-                        &r.req,
-                        Some(credits),
-                        r.slot,
-                    )
-                    .await;
-                if !ok {
-                    break;
-                }
-                served_any = true;
-                self.note_served(me);
-            }
+        if scan.served_any || scan.crashed || !self.steal {
+            return scan.served_any;
         }
-        core.runq.clear();
-        ScanOutcome {
-            served_any,
-            crashed,
-            backlog,
-        }
-    }
-
-    /// The victim's admission policy applied to a request a thief just
-    /// pulled off the victim's ring. Synchronous — must run with no
-    /// await since the `try_recv` that delivered the request.
-    fn admission(&self, victim: usize, conn: &RfpServerConn, now: SimTime) -> Verdict {
-        let v = &self.cores[victim];
-        match self.policy {
-            ReactorPolicy::Plain => Verdict::Run(None),
-            ReactorPolicy::Overload => {
-                match admit(&v.ov, now, conn.current_deadline(), v.runq.len()) {
-                    Admission::Admit => Verdict::Run(Some(v.advertised.get())),
-                    Admission::Busy => Verdict::Reject(RespStatus::Busy, 0),
-                    Admission::Shed => Verdict::Reject(RespStatus::Shed, v.advertised.get()),
-                }
-            }
-            ReactorPolicy::Tenant => {
-                let tenant = conn.current_tenant();
-                match v.credits.admit(&v.ov, now, conn.current_deadline(), tenant) {
-                    Admission::Admit => Verdict::Run(Some(v.credits.credits(&v.ov, tenant))),
-                    Admission::Busy => Verdict::Reject(RespStatus::Busy, 0),
-                    Admission::Shed => {
-                        Verdict::Reject(RespStatus::Shed, v.credits.credits(&v.ov, tenant))
-                    }
-                }
-            }
-        }
+        self.steal_pass(me, thread).await
     }
 
     /// One steal pass by an idle core: first sibling run queues, then
@@ -733,41 +706,30 @@ impl Shared {
     /// or rejection) was produced.
     async fn steal_pass(&self, me: usize, thread: &ThreadCtx) -> bool {
         let n = self.cores.len();
-        let batch = self.steal_batch as u64;
-        let mut taken = 0u64;
+        let mut taken = 0;
         let mut any = false;
-        'victims: for k in 1..n {
+        for k in 1..n {
             let v = (me + k) % n;
             let victim = &self.cores[v];
             // (a) Admitted-but-unprocessed work parked on the victim's
             // run queue. The victim already made the admission call;
             // the thief just executes, paying the handoff.
-            while taken < batch {
+            while taken < self.steal_batch {
                 if thread.machine().faults().is_crashed() {
-                    break 'victims;
+                    return any;
                 }
-                let Some(r) = victim.runq.steal() else {
+                let Some(p) = victim.runq.steal() else {
                     break;
                 };
                 self.handoff.charge(thread).await;
                 self.note_steal(me, v, thread);
-                let credits = match self.policy {
-                    ReactorPolicy::Plain => None,
-                    ReactorPolicy::Overload => Some(victim.advertised.get()),
-                    ReactorPolicy::Tenant => Some(victim.credits.credits(&victim.ov, r.tenant)),
+                let Some(executed) = self.service_one(me, thread, p).await else {
+                    return any;
                 };
-                let conn = &self.cores[r.owner].conns[r.conn].conn;
-                if !self
-                    .service_one(r.owner, thread, conn, &r.req, credits, r.slot)
-                    .await
-                {
-                    break 'victims;
-                }
-                taken += 1;
-                any = true;
-                self.note_served(me);
+                taken += executed as usize;
+                any |= executed;
             }
-            if taken >= batch {
+            if taken >= self.steal_batch {
                 break;
             }
             // (b) Ring backlog: only victims whose last scan actually
@@ -776,52 +738,11 @@ impl Shared {
             if victim.last_backlog.get() == 0 {
                 continue;
             }
-            for oc in &victim.conns {
-                if taken >= batch {
-                    break 'victims;
-                }
-                if !oc.try_claim() {
-                    continue;
-                }
-                let mut dead = false;
-                for _ in 0..oc.conn.window() {
-                    if taken >= batch {
-                        break;
-                    }
-                    if thread.machine().faults().is_crashed() {
-                        dead = true;
-                        break;
-                    }
-                    let Some(req) = oc.conn.try_recv(thread).await else {
-                        break;
-                    };
-                    match self.admission(v, &oc.conn, thread.now()) {
-                        Verdict::Run(credits) => {
-                            let slot = oc.conn.reply_slot();
-                            self.handoff.charge(thread).await;
-                            self.note_steal(me, v, thread);
-                            if !self
-                                .service_one(v, thread, &oc.conn, &req, credits, slot)
-                                .await
-                            {
-                                dead = true;
-                                break;
-                            }
-                            taken += 1;
-                            any = true;
-                            self.note_served(me);
-                        }
-                        Verdict::Reject(status, adv) => {
-                            oc.conn.set_advertised_credits(adv);
-                            oc.conn.reject(thread, status).await;
-                            any = true;
-                        }
-                    }
-                }
-                oc.release();
-                if dead {
-                    break 'victims;
-                }
+            let ring = self.scan(me, v, thread, self.steal_batch - taken).await;
+            taken += ring.executed;
+            any |= ring.served_any;
+            if ring.crashed {
+                break;
             }
         }
         any

@@ -1,34 +1,33 @@
-//! Server-thread scan loop.
+//! Server-thread entry point and the handler protocol.
 //!
 //! RFP keeps the server CPU in the request path (that is its deliberate
 //! trade against server-bypass): each server thread owns a disjoint set
 //! of connections (EREW partitioning, as Jakiro does) and scans their
 //! request buffers in round-robin, processing and answering in place.
+//! That scan exists once, in the serve [`Reactor`] (see the
+//! [`reactor`](crate::reactor) module docs for its order and its two
+//! optional stages); [`serve_loop`] is its one-core preset.
 //!
-//! With overload control enabled ([`OverloadConfig`](crate::OverloadConfig)
-//! on the shared connection config) each scan runs in two phases: an
-//! **admission sweep** that picks up every pending request and
-//! immediately answers the ones it will not execute (`Shed` for an
-//! expired client-stamped deadline, `Busy` beyond the scan's queue
-//! bound), then a **processing phase** over the admitted batch.
-//! Admission decisions are made by the pure
-//! [`admit`](crate::overload::admit) rule *before* any processing, so a
-//! request the server has begun executing is never shed — the invariant
-//! the shedding-safety proptest pins.
-//!
-//! Since the multi-core refactor both disciplines are implementations
-//! of the shared serve [`Reactor`](crate::Reactor) (see
-//! [`reactor`](crate::reactor) module docs); [`serve_loop`] is the
-//! single-core entry point and replays the legacy loops event for
-//! event (pinned by the byte-identity proptest).
+//! A handler plugs into the scan at two points. Per request it returns
+//! a [`Reply`]: the response to post, a response to **hold**, or a
+//! **refusal** (a [`RespStatus`] verdict posted without executing).
+//! Per scan it gets one [`commit`](ScanHandler::commit) await, after
+//! which the held responses are released into their own ring slots — a
+//! replicated primary ships its mutation log there, so no held write is
+//! acked before it is replicated, and the scan never names replication.
+//! A plain closure is the handler with neither: every reply is posted
+//! at once and nothing is ever committed.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::SimSpan;
 
 use crate::conn::RfpServerConn;
-use crate::reactor::{CoreSpec, Reactor, ReactorConfig, ReactorPolicy};
+use crate::header::RespStatus;
+use crate::reactor::Reactor;
 
 /// How a server thread produces a response from a request payload.
 ///
@@ -45,6 +44,47 @@ where
 {
     fn handle(&mut self, request: &[u8]) -> (Vec<u8>, SimSpan) {
         self(request)
+    }
+}
+
+/// What the scan does with one request's outcome.
+pub enum Reply {
+    /// Post the response now.
+    Send(Vec<u8>),
+    /// Executed, but the response waits for this scan's
+    /// [`commit`](ScanHandler::commit); it is then posted into the slot
+    /// captured at pickup. Dropped if the machine crashes first.
+    Hold(Vec<u8>),
+    /// Not executed: answer with this verdict. A refusal is not
+    /// service — a scan that only refused still pays its idle spin.
+    Refuse(RespStatus),
+}
+
+/// The end-of-scan work of a handler that holds replies or defers side
+/// effects (log shipping). Owns what it needs: the scan awaits it while
+/// the handler itself stays free.
+pub type Commit = Pin<Box<dyn Future<Output = ()>>>;
+
+/// The full handler protocol of the server scan. Every [`RfpHandler`]
+/// (hence every closure) is one that sends each reply at once and never
+/// commits.
+pub trait ScanHandler {
+    /// Serves one request: its [`Reply`] and the process time to charge.
+    fn serve(&mut self, request: &[u8]) -> (Reply, SimSpan);
+
+    /// Called once at the end of every scan of the owning core that
+    /// picked up a request, crashed or not; `None` (the default) when
+    /// there is nothing to commit. Held replies are released when the
+    /// returned future completes.
+    fn commit(&mut self) -> Option<Commit> {
+        None
+    }
+}
+
+impl<H: RfpHandler> ScanHandler for H {
+    fn serve(&mut self, request: &[u8]) -> (Reply, SimSpan) {
+        let (resp, process) = self.handle(request);
+        (Reply::Send(resp), process)
     }
 }
 
@@ -109,31 +149,17 @@ impl IdlePolicy {
 /// [`SimSpan`] gives the classic fixed spin cost, [`IdlePolicy::adaptive`]
 /// adds exponential idle backoff.
 ///
-/// This is the single-core configuration of the serve
-/// [`Reactor`](crate::Reactor): the admission discipline is picked
-/// from the connections' overload config, work stealing is off, and
-/// the event order matches the pre-reactor loops exactly.
+/// This is the one-core preset of the serve [`Reactor`]: no stealing,
+/// the admission stage present iff the connections carry overload
+/// control, and an event order that matches the pre-reactor loops
+/// exactly (pinned by `tests/reactor_identity.rs`).
 pub async fn serve_loop(
     thread: Rc<ThreadCtx>,
     conns: Vec<Rc<RfpServerConn>>,
     handler: impl RfpHandler + 'static,
     idle: impl Into<IdlePolicy>,
 ) {
-    assert!(!conns.is_empty(), "server thread with no connections");
-    let policy = if conns[0].overload().enabled {
-        ReactorPolicy::Overload
-    } else {
-        ReactorPolicy::Plain
-    };
-    let reactor = Reactor::new(
-        ReactorConfig::default(),
-        vec![CoreSpec {
-            thread,
-            conns,
-            handler: Box::new(handler),
-        }],
-        idle,
-        policy,
-    );
-    reactor.run_core(0).await
+    Reactor::single(thread, conns, handler, idle)
+        .run_core(0)
+        .await
 }

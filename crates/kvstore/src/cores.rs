@@ -28,8 +28,7 @@ use std::rc::Rc;
 
 use rand::{Rng, SeedableRng};
 use rfp_core::{
-    connect, CallPolicy, CoreSpec, Reactor, ReactorConfig, ReactorPolicy, RfpConfig, REQ_HDR,
-    RESP_HDR,
+    connect, CallPolicy, CoreSpec, Reactor, ReactorConfig, RfpConfig, REQ_HDR, RESP_HDR,
 };
 use rfp_rnic::{core_threads, ClusterProfile, ThreadCtx};
 use rfp_simnet::{CoreSkewReport, SimSpan, SimTime, Simulation};
@@ -202,7 +201,7 @@ impl CoresKv {
 }
 
 /// Spawns the multi-core system: one server machine running an
-/// N-core [`Reactor`] (plain policy) over an EREW-partitioned bucket
+/// N-core [`Reactor`] over an EREW-partitioned bucket
 /// store, plus closed-loop pipelined GET clients sampling the
 /// constructed keyspace. A preset of the [`rig`](crate::rig) skeleton:
 /// the windowed driver draws one ring window of GETs *per core* and
@@ -279,7 +278,6 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
         },
         specs,
         SimSpan::nanos(100),
-        ReactorPolicy::Plain,
     );
     for i in 0..cfg.cores {
         sim.spawn(reactor.run_core(i));

@@ -33,16 +33,22 @@
 //! with the new epoch are fenced, its responses carry the old epoch and
 //! are discarded client-side).
 //!
-//! [`ReplicationConfig::default`] is **off**: a primary loop with the
-//! default config serves exactly like the plain
-//! [`serve_loop`](rfp_core::serve_loop) and stamps nothing new on the
-//! wire — the `prop_replica` suite pins that replication-off runs
-//! encode byte-identical headers to the pre-replication format.
+//! Neither role owns a ring drain: both are presets of the one server
+//! scan in [`rfp_core::Reactor`], so ring windows, admission, idle
+//! policy and per-core telemetry reach them for free. The primary is a
+//! one-core reactor whose handler logs mutations, *holds* their replies
+//! under `Sync`, and ships the log in the scan's commit stage; the
+//! backup keeps only its log-channel drain and gates by role what the
+//! same scan serves on its client connections. Replication "off" is
+//! the absent stage: [`serve_loop`](rfp_core::serve_loop) over a
+//! [`kv_handler`](crate::kv_handler).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use rfp_core::{RecoveryConfig, RespStatus, RfpClient, RfpServerConn};
+use rfp_core::{
+    Commit, Reactor, RecoveryConfig, Reply, RespStatus, RfpClient, RfpServerConn, ScanHandler,
+};
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::{RetryPolicy, SimSpan};
 
@@ -64,9 +70,6 @@ pub enum AckPolicy {
 /// Tunables of the primary's replication path.
 #[derive(Clone, Debug)]
 pub struct ReplicationConfig {
-    /// Master switch; off by default. A disabled primary loop never
-    /// touches the log channel and serves exactly like the plain loop.
-    pub enabled: bool,
     /// Ack policy for mutating requests.
     pub ack: AckPolicy,
     /// Most log entries shipped per replication call.
@@ -80,7 +83,6 @@ pub struct ReplicationConfig {
 impl Default for ReplicationConfig {
     fn default() -> Self {
         ReplicationConfig {
-            enabled: false,
             ack: AckPolicy::Sync,
             batch: 8,
             recovery: RecoveryConfig {
@@ -154,9 +156,10 @@ pub struct PrimaryRole {
     /// Set when the backup stopped acking and the primary fell back to
     /// serving solo.
     pub solo: Cell<bool>,
-    /// Mutations actually applied to the primary's partition — the
-    /// duplicate-apply ledger: with same-seq dedup doing its job this
-    /// never exceeds the mutations clients issued, hedged or not.
+    /// Mutations actually applied to the primary's partition (counted
+    /// as the handler applies them) — the duplicate-apply ledger: with
+    /// same-seq dedup doing its job this never exceeds the mutations
+    /// clients issued, hedged or not.
     pub applied_mutations: Cell<u64>,
     next_lsn: Cell<u64>,
 }
@@ -213,46 +216,98 @@ fn crashed(thread: &ThreadCtx) -> bool {
     thread.machine().faults().is_crashed()
 }
 
-async fn park(thread: &ThreadCtx, span: SimSpan) {
-    thread
-        .idle_wait(thread.handle().sleep(span.max(SimSpan::micros(1))))
-        .await;
+fn mutating(req: &KvRequest<'_>) -> bool {
+    matches!(req, KvRequest::Put { .. } | KvRequest::Delete { .. })
 }
 
-/// Ships `log` to the backup in batches of `cfg.batch`; returns whether
-/// every batch was acked.
-async fn ship_log(
-    thread: &ThreadCtx,
-    ship: &RfpClient,
-    cfg: &ReplicationConfig,
-    role: &PrimaryRole,
-    log: &[Vec<u8>],
-) -> bool {
-    for chunk in log.chunks(cfg.batch.max(1)) {
-        let base = role.next_lsn.get();
-        let msg = encode_batch(base, chunk);
-        match ship.call_with_recovery(thread, &msg, &cfg.recovery).await {
-            Ok(out) => {
-                let acked = decode_ack(&out.data).expect("backup sent a well-formed ack");
-                debug_assert_eq!(acked, base + chunk.len() as u64, "backup ack out of order");
-                role.next_lsn.set(base + chunk.len() as u64);
-                role.shipped_entries
-                    .set(role.shipped_entries.get() + chunk.len() as u64);
-                role.shipped_batches.set(role.shipped_batches.get() + 1);
-            }
-            Err(_) => return false,
+/// The primary's end of the log channel.
+struct Shipper {
+    thread: Rc<ThreadCtx>,
+    ship: Rc<RfpClient>,
+    cfg: ReplicationConfig,
+    role: Rc<PrimaryRole>,
+}
+
+impl Shipper {
+    /// Ships `log` to the backup in batches of `cfg.batch`; returns
+    /// whether every batch was acked.
+    async fn ship_log(&self, log: &[Vec<u8>]) -> bool {
+        let role = &self.role;
+        for chunk in log.chunks(self.cfg.batch.max(1)) {
+            let base = role.next_lsn.get();
+            let msg = encode_batch(base, chunk);
+            let call = self
+                .ship
+                .call_with_recovery(&self.thread, &msg, &self.cfg.recovery);
+            let Ok(out) = call.await else {
+                return false;
+            };
+            let acked = decode_ack(&out.data).expect("backup sent a well-formed ack");
+            debug_assert_eq!(acked, base + chunk.len() as u64, "backup ack out of order");
+            role.next_lsn.set(base + chunk.len() as u64);
+            role.shipped_entries
+                .set(role.shipped_entries.get() + chunk.len() as u64);
+            role.shipped_batches.set(role.shipped_batches.get() + 1);
         }
+        true
     }
-    true
 }
 
-/// Runs the primary forever: scan the client connections, apply every
-/// request to `partition`, ship the scan's mutations to the backup over
-/// `ship`, and answer clients per the ack policy.
-///
-/// With `cfg.enabled == false` this is the plain serve loop: requests
-/// are applied and answered in place and `ship`/`role` are never
-/// touched.
+/// The primary's handler: apply every request to the partition, log
+/// mutations, hold their replies under `Sync`, ship the scan's log in
+/// `commit`.
+struct PrimaryHandler {
+    partition: Rc<RefCell<Partition>>,
+    shipper: Rc<Shipper>,
+    /// This scan's mutation log, in apply order.
+    log: Vec<Vec<u8>>,
+}
+
+impl ScanHandler for PrimaryHandler {
+    fn serve(&mut self, req: &[u8]) -> (Reply, SimSpan) {
+        let parsed = KvRequest::decode(req).expect("client sent well-formed request");
+        let (resp, work) = apply_to_partition(&mut self.partition.borrow_mut(), &parsed);
+        let resp = resp.encode();
+        let (cfg, role) = (&self.shipper.cfg, &self.shipper.role);
+        if mutating(&parsed) {
+            role.applied_mutations.set(role.applied_mutations.get() + 1);
+            if !role.solo.get() {
+                self.log.push(req.to_vec());
+                if cfg.ack == AckPolicy::Sync {
+                    return (Reply::Hold(resp), work);
+                }
+            }
+        }
+        (Reply::Send(resp), work)
+    }
+
+    fn commit(&mut self) -> Option<Commit> {
+        if self.log.is_empty() {
+            return None;
+        }
+        let log = std::mem::take(&mut self.log);
+        let shipper = Rc::clone(&self.shipper);
+        Some(Box::pin(async move {
+            // A crash mid-scan takes the unshipped log (and the held
+            // replies) down with the process.
+            if !crashed(&shipper.thread)
+                && !shipper.ship_log(&log).await
+                && !crashed(&shipper.thread)
+            {
+                // The backup stopped acking: demote to solo serving.
+                // The held replies are still released — the primary
+                // holds the authoritative copy.
+                shipper.role.solo.set(true);
+            }
+        }))
+    }
+}
+
+/// Runs the primary forever: the one-core serve reactor (ring windows,
+/// admission if the connections carry overload control, fixed `spin`
+/// idle pacing) over a handler that applies every request to
+/// `partition`, ships each scan's mutations to the backup over `ship`,
+/// and answers clients per the ack policy.
 pub async fn primary_serve_loop(
     thread: Rc<ThreadCtx>,
     conns: Vec<Rc<RfpServerConn>>,
@@ -262,75 +317,85 @@ pub async fn primary_serve_loop(
     role: Rc<PrimaryRole>,
     spin: SimSpan,
 ) {
-    assert!(!conns.is_empty(), "primary with no client connections");
-    loop {
-        if crashed(&thread) {
-            park(&thread, spin).await;
+    let shipper = Rc::new(Shipper {
+        thread: Rc::clone(&thread),
+        ship,
+        cfg,
+        role,
+    });
+    let handler = PrimaryHandler {
+        partition,
+        shipper,
+        log: Vec::new(),
+    };
+    Reactor::single(thread, conns, handler, spin)
+        .run_core(0)
+        .await
+}
+
+/// The backup's client-facing handler, gated by role. Promoted, it
+/// serves everything from the replicated partition. In standby it
+/// answers GETs and refuses every mutation with `Busy` *without
+/// executing it*: the refusal marks the mutation provably-not-applied,
+/// so its issuer resubmits on the primary under a fresh seq — a hedged
+/// write can never double-apply through a standby.
+struct BackupHandler {
+    partition: Rc<RefCell<Partition>>,
+    role: Rc<BackupRole>,
+}
+
+impl ScanHandler for BackupHandler {
+    fn serve(&mut self, req: &[u8]) -> (Reply, SimSpan) {
+        let parsed = KvRequest::decode(req).expect("client sent well-formed request");
+        let role = &self.role;
+        if !role.promoted.get() {
+            if mutating(&parsed) {
+                role.refused_mutations.set(role.refused_mutations.get() + 1);
+                return (Reply::Refuse(RespStatus::Busy), SimSpan::ZERO);
+            }
+            role.served_reads.set(role.served_reads.get() + 1);
+        }
+        let (resp, work) = apply_to_partition(&mut self.partition.borrow_mut(), &parsed);
+        (Reply::Send(resp.encode()), work)
+    }
+}
+
+/// Drains the log channel: applies every pending batch in LSN order and
+/// acks it. Returns whether any batch arrived.
+async fn drain_log(
+    thread: &ThreadCtx,
+    repl_conn: &RfpServerConn,
+    partition: &RefCell<Partition>,
+    role: &BackupRole,
+) -> bool {
+    let mut drained = false;
+    while let Some(msg) = repl_conn.try_recv(thread).await {
+        drained = true;
+        let (base, entries) = decode_batch(&msg).expect("primary sent a well-formed batch");
+        let expected = role.expected_lsn.get();
+        if base + entries.len() as u64 <= expected {
+            // A stale re-ship whose ack was lost: already applied,
+            // just re-ack the current frontier.
+            repl_conn.send(thread, &encode_ack(expected)).await;
             continue;
         }
-        let mut served_any = false;
-        // This scan's mutation log and (sync mode) the responses held
-        // back until it is replicated.
-        let mut log: Vec<Vec<u8>> = Vec::new();
-        let mut held: Vec<(Rc<RfpServerConn>, Vec<u8>)> = Vec::new();
-        'conns: for conn in &conns {
-            for _ in 0..conn.window() {
-                if crashed(&thread) {
-                    break 'conns;
-                }
-                let Some(req) = conn.try_recv(&thread).await else {
-                    break;
-                };
-                let (resp, work, mutating) = {
-                    let parsed = KvRequest::decode(&req).expect("client sent well-formed request");
-                    let mutating =
-                        matches!(parsed, KvRequest::Put { .. } | KvRequest::Delete { .. });
-                    let (resp, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-                    (resp, work, mutating)
-                };
-                if !work.is_zero() {
-                    thread.busy(work).await;
-                }
-                if crashed(&thread) {
-                    // Died mid-request: the half-done work (and any
-                    // held responses) die with the process.
-                    break 'conns;
-                }
-                served_any = true;
-                if cfg.enabled && mutating {
-                    role.applied_mutations.set(role.applied_mutations.get() + 1);
-                }
-                if cfg.enabled && mutating && !role.solo.get() {
-                    log.push(req);
-                    match cfg.ack {
-                        AckPolicy::Sync => held.push((Rc::clone(conn), resp.encode())),
-                        AckPolicy::Async => conn.send(&thread, &resp.encode()).await,
-                    }
-                } else {
-                    conn.send(&thread, &resp.encode()).await;
-                }
+        assert_eq!(base, expected, "replication log gap");
+        for entry in &entries {
+            let parsed = KvRequest::decode(entry).expect("primary shipped well-formed entry");
+            let (_, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
+            if !work.is_zero() {
+                thread.busy(work).await;
             }
+            role.applied.set(role.applied.get() + 1);
         }
-        if !log.is_empty()
-            && !crashed(&thread)
-            && !ship_log(&thread, &ship, &cfg, &role, &log).await
-            && !crashed(&thread)
-        {
-            // The backup stopped acking: demote to solo serving. The
-            // held responses below are still answered — the primary
-            // holds the authoritative copy.
-            role.solo.set(true);
+        if crashed(thread) {
+            break;
         }
-        for (conn, resp) in held {
-            if crashed(&thread) {
-                break;
-            }
-            conn.send(&thread, &resp).await;
-        }
-        if !served_any {
-            thread.busy(spin).await;
-        }
+        let next = expected + entries.len() as u64;
+        role.expected_lsn.set(next);
+        repl_conn.send(thread, &encode_ack(next)).await;
     }
+    drained
 }
 
 /// Runs the backup forever. In **standby** it drains the replication
@@ -341,7 +406,9 @@ pub async fn primary_serve_loop(
 /// answers GETs from the replicated partition and refuses mutations
 /// with `Busy` without executing them. After [`BackupRole::promote`]
 /// it flips: the log channel is ignored and the client connections are
-/// served fully from the replicated partition.
+/// served fully from the replicated partition. Either way the client
+/// connections are drained by the serve reactor's scan; only the log
+/// channel is polled here.
 pub async fn backup_serve_loop(
     thread: Rc<ThreadCtx>,
     repl_conn: Rc<RfpServerConn>,
@@ -350,97 +417,29 @@ pub async fn backup_serve_loop(
     role: Rc<BackupRole>,
     spin: SimSpan,
 ) {
+    // A pure log sink (no client connections) has nothing to scan.
+    let clients = (!client_conns.is_empty()).then(|| {
+        let handler = BackupHandler {
+            partition: Rc::clone(&partition),
+            role: Rc::clone(&role),
+        };
+        Reactor::single(Rc::clone(&thread), client_conns, handler, spin)
+    });
     loop {
         if crashed(&thread) {
-            park(&thread, spin).await;
+            thread
+                .idle_wait(thread.handle().sleep(spin.max(SimSpan::micros(1))))
+                .await;
             continue;
         }
-        let mut served_any = false;
-        if !role.promoted.get() {
-            while let Some(msg) = repl_conn.try_recv(&thread).await {
-                served_any = true;
-                let (base, entries) = decode_batch(&msg).expect("primary sent a well-formed batch");
-                let expected = role.expected_lsn.get();
-                if base + entries.len() as u64 <= expected {
-                    // A stale re-ship whose ack was lost: already
-                    // applied, just re-ack the current frontier.
-                    repl_conn.send(&thread, &encode_ack(expected)).await;
-                    continue;
-                }
-                assert_eq!(base, expected, "replication log gap");
-                for entry in &entries {
-                    let parsed =
-                        KvRequest::decode(entry).expect("primary shipped well-formed entry");
-                    let (_, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-                    if !work.is_zero() {
-                        thread.busy(work).await;
-                    }
-                    role.applied.set(role.applied.get() + 1);
-                }
-                if crashed(&thread) {
-                    break;
-                }
-                let next = expected + entries.len() as u64;
-                role.expected_lsn.set(next);
-                repl_conn.send(&thread, &encode_ack(next)).await;
-            }
-            if role.standby_reads.get() && !crashed(&thread) {
-                'standby: for conn in &client_conns {
-                    for _ in 0..conn.window() {
-                        if crashed(&thread) {
-                            break 'standby;
-                        }
-                        let Some(req) = conn.try_recv(&thread).await else {
-                            break;
-                        };
-                        let parsed =
-                            KvRequest::decode(&req).expect("client sent well-formed request");
-                        if matches!(parsed, KvRequest::Put { .. } | KvRequest::Delete { .. }) {
-                            // Refuse without executing: `Busy` marks the
-                            // mutation provably-not-applied, so its
-                            // issuer resubmits on the primary under a
-                            // fresh seq — a hedged write can never
-                            // double-apply through a standby.
-                            role.refused_mutations.set(role.refused_mutations.get() + 1);
-                            conn.reject(&thread, RespStatus::Busy).await;
-                            continue;
-                        }
-                        let (resp, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-                        if !work.is_zero() {
-                            thread.busy(work).await;
-                        }
-                        if crashed(&thread) {
-                            break 'standby;
-                        }
-                        conn.send(&thread, &resp.encode()).await;
-                        role.served_reads.set(role.served_reads.get() + 1);
-                        served_any = true;
-                    }
-                }
-            }
-        } else {
-            'conns: for conn in &client_conns {
-                for _ in 0..conn.window() {
-                    if crashed(&thread) {
-                        break 'conns;
-                    }
-                    let Some(req) = conn.try_recv(&thread).await else {
-                        break;
-                    };
-                    let (resp, work) = {
-                        let parsed =
-                            KvRequest::decode(&req).expect("client sent well-formed request");
-                        apply_to_partition(&mut partition.borrow_mut(), &parsed)
-                    };
-                    if !work.is_zero() {
-                        thread.busy(work).await;
-                    }
-                    if crashed(&thread) {
-                        break 'conns;
-                    }
-                    conn.send(&thread, &resp.encode()).await;
-                    served_any = true;
-                }
+        // What this iteration polls follows the role as read here: a
+        // promotion that lands mid-drain starts the promoted scan at
+        // the next one. (What a scan serves follows the live flag.)
+        let standby = !role.promoted.get();
+        let mut served_any = standby && drain_log(&thread, &repl_conn, &partition, &role).await;
+        if !standby || role.standby_reads.get() {
+            if let Some(clients) = &clients {
+                served_any |= clients.turn(0).await;
             }
         }
         if !served_any {
@@ -454,10 +453,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_off() {
-        let cfg = ReplicationConfig::default();
-        assert!(!cfg.enabled);
-        assert_eq!(cfg.ack, AckPolicy::Sync);
+    fn default_config_acks_sync() {
+        assert_eq!(ReplicationConfig::default().ack, AckPolicy::Sync);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Satellite wire-compatibility pin: with replication **off** (the
-//! [`ReplicationConfig::default`]) nothing new reaches the wire — a
-//! replication-unaware deployment stamps epoch 0 everywhere, and an
-//! epoch-0 header encodes **byte-identically** to the pre-replication
-//! (PR 7) wire format. The reference encoders below are written from
-//! that format's spec, independently of the production encoder.
+//! Satellite wire-compatibility pin: without replication (the plain
+//! serve loop — "off" is the absent stage, there is no switch) nothing
+//! new reaches the wire — a replication-unaware deployment stamps
+//! epoch 0 everywhere, and an epoch-0 header encodes
+//! **byte-identically** to the pre-replication (PR 7) wire format. The
+//! reference encoders below are written from that format's spec,
+//! independently of the production encoder.
 
 use proptest::prelude::*;
 
 use rfp_core::{ReqHeader, RespHeader, RespIntegrity, RespStatus, MAX_PAYLOAD};
-use rfp_kvstore::ReplicationConfig;
 use rfp_simnet::SimTime;
 
 const VALID_BIT: u32 = 1 << 31;
@@ -86,13 +86,9 @@ fn legacy_resp_bytes(
     buf
 }
 
-/// The epoch every header carries when replication is off: default
-/// config → no promotion ever happens → everything stays in epoch 0.
-fn replication_off_epoch() -> u16 {
-    let cfg = ReplicationConfig::default();
-    assert!(!cfg.enabled, "default replication config must be off");
-    0
-}
+/// The epoch every header carries when replication is off: no
+/// promotion ever happens, so everything stays in epoch 0.
+const REPLICATION_OFF_EPOCH: u16 = 0;
 
 proptest! {
     /// Replication-off request headers are byte-for-byte the PR 7 wire
@@ -111,7 +107,7 @@ proptest! {
             seq,
             deadline: deadline_ns.map(SimTime::from_nanos),
             tenant,
-            epoch: replication_off_epoch(),
+            epoch: REPLICATION_OFF_EPOCH,
         };
         let mut buf = vec![0u8; h.wire_len()];
         h.encode(&mut buf);
@@ -138,7 +134,7 @@ proptest! {
             status,
             credits,
             integrity: integrity.map(|(crc, generation)| RespIntegrity { crc, generation }),
-            epoch: replication_off_epoch(),
+            epoch: REPLICATION_OFF_EPOCH,
         };
         let mut buf = vec![0u8; h.wire_len()];
         h.encode(&mut buf);

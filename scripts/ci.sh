@@ -3,6 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Plurality counters (code lines, knobs, ring-drain copies): printed for
+# the record, not gated.
+scripts/count.sh
+
 cargo build --release
 cargo test -q
 # One invocation: `default-members` spans the root package and every
