@@ -117,11 +117,10 @@ fn main() {
             ..ChaosConfig::default()
         };
         if overload {
-            cfg.overload = OverloadConfig {
-                enabled: true,
+            cfg.overload = Some(OverloadConfig {
                 deadline: SimSpan::micros(25),
                 ..OverloadConfig::default()
-            };
+            });
         }
         let rig = spawn_chaos_kv(&mut sim, &cfg, plan.as_ref());
         sim.run_for(WINDOW);

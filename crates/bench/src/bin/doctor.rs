@@ -16,11 +16,9 @@
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
 use rfp_chaos::{spawn_chaos_kv, spawn_failover_kv, ChaosConfig, FailoverChaosConfig, FaultPlan};
-use rfp_core::{IntegrityConfig, OverloadConfig};
+use rfp_core::OverloadConfig;
 use rfp_kvstore::{spawn_cores_kv, CoresConfig};
-use rfp_simnet::{
-    AnomalyConfig, AnomalyDetector, AnomalyKind, DumpBundle, SimSpan, SimTime, Simulation,
-};
+use rfp_simnet::{AnomalyDetector, AnomalyKind, DumpBundle, SimSpan, SimTime, Simulation};
 
 /// Faults strike after this much warm-up…
 const FAULT_AT: SimTime = SimTime::from_nanos(2_000_000);
@@ -142,24 +140,20 @@ fn main() {
             // Integrity on everywhere so corrupt fetches are detected
             // and refetched rather than surfaced (the bit-flip row
             // would otherwise panic in the response decoder).
-            integrity: IntegrityConfig {
-                enabled: true,
-                ..IntegrityConfig::default()
-            },
+            integrity: true,
             ..ChaosConfig::default()
         };
         if scenario.overload {
-            cfg.overload = OverloadConfig {
-                enabled: true,
+            cfg.overload = Some(OverloadConfig {
                 deadline: SimSpan::micros(25),
                 ..OverloadConfig::default()
-            };
+            });
         }
         let rig = spawn_chaos_kv(&mut sim, &cfg, scenario.plan.as_ref());
 
         // Phase 1 — warm-up: establish each connection's baseline.
         sim.run_for(FAULT_AT.since(SimTime::ZERO));
-        let detector = AnomalyDetector::new(AnomalyConfig::default());
+        let detector = AnomalyDetector::new();
         detector.set_baseline(&rig.health.report(sim.handle().now()));
 
         // Phase 2 — the fault window; scan while its effects are still
@@ -298,7 +292,7 @@ fn main() {
         let rig = spawn_failover_kv(&mut sim, &cfg, plan.as_ref(), promote_at);
 
         sim.run_for(FAULT_AT.since(SimTime::ZERO));
-        let detector = AnomalyDetector::new(AnomalyConfig::default());
+        let detector = AnomalyDetector::new();
         detector.set_baseline(&rig.health.report(sim.handle().now()));
         sim.run_for(FAULT_SPAN);
         let scan_now = sim.handle().now();
@@ -419,7 +413,7 @@ fn main() {
         sim.run_for(SimSpan::millis(2));
 
         let report = sys.skew_report(sim.now());
-        let detector = AnomalyDetector::new(AnomalyConfig::default());
+        let detector = AnomalyDetector::new();
         let anomalies = detector.scan_cores(&report);
         let mut detected: Vec<AnomalyKind> = anomalies.iter().map(|a| a.kind).collect();
         detected.sort();

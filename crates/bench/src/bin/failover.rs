@@ -76,10 +76,7 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
     let mut sim = Simulation::new(seed);
     let cfg = FailoverChaosConfig {
         clients,
-        replication: ReplicationConfig {
-            ack,
-            ..ReplicationConfig::default()
-        },
+        replication: ReplicationConfig { ack },
         seed,
         ..FailoverChaosConfig::default()
     };
@@ -251,10 +248,7 @@ fn tax_run(seed: u64, repl: Option<AckPolicy>) -> (u64, u64) {
             conns,
             Rc::clone(&partition),
             Rc::new(ship),
-            ReplicationConfig {
-                ack,
-                ..ReplicationConfig::default()
-            },
+            ReplicationConfig { ack },
             Rc::clone(&role),
             spin,
         )),

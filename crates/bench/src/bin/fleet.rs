@@ -53,10 +53,9 @@ fn base_cfg(seed: u64) -> SystemConfig {
             ..WorkloadSpec::paper_default()
         },
         rfp: RfpConfig {
-            overload: OverloadConfig {
-                enabled: true,
+            overload: Some(OverloadConfig {
                 ..OverloadConfig::default()
-            },
+            }),
             ..base.rfp
         },
         seed,

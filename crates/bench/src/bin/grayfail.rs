@@ -79,17 +79,17 @@ fn plan_for(seed: u64, scenario: &str) -> Option<FaultPlan> {
     }
 }
 
-fn gray_for(mode: &str) -> (GrayConfig, bool) {
+fn gray_for(mode: &str) -> Option<GrayConfig> {
     match mode {
-        "baseline" => (GrayConfig::default(), false),
-        "routing" => (GrayConfig::routing_only(), true),
-        "hedged" => (GrayConfig::all_on(), true),
+        "baseline" => None,
+        "routing" => Some(GrayConfig::routing_only()),
+        "hedged" => Some(GrayConfig::all_on()),
         other => panic!("unknown mode {other}"),
     }
 }
 
 fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
-    let (gray, hedged_reads) = gray_for(mode);
+    let gray = gray_for(mode);
     let mut sim = Simulation::new(seed);
     let cfg = FailoverChaosConfig {
         clients: 4,
@@ -97,7 +97,7 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
         // linearizability checker's 128-op search cap.
         keys_per_client: 16,
         ops_per_client: 1_200,
-        hedged_reads,
+        hedged_reads: gray.is_some(),
         failover: rfp_core::FailoverConfig {
             gray,
             ..FailoverChaosConfig::grayfail().failover

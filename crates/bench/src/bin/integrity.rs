@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_core::{connect, serve_loop, IntegrityConfig, RfpConfig, RfpTelemetry};
+use rfp_core::{connect, serve_loop, RfpConfig, RfpTelemetry};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{MetricsRegistry, SimSpan, Simulation, SpanRecorder};
 
@@ -57,10 +57,7 @@ fn run_point(seed: u64, rate: f64, integrity: bool) -> Row {
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
     let registry = MetricsRegistry::new();
     let cfg = RfpConfig {
-        integrity: IntegrityConfig {
-            enabled: integrity,
-            ..IntegrityConfig::default()
-        },
+        integrity,
         telemetry: Some(RfpTelemetry {
             registry: registry.clone(),
             spans: SpanRecorder::new(16),

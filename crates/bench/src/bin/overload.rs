@@ -66,8 +66,7 @@ fn sweep_cfg(seed: u64, clients: usize, controlled: bool) -> SystemConfig {
         ..SystemConfig::default()
     };
     if controlled {
-        cfg.rfp.overload = OverloadConfig {
-            enabled: true,
+        cfg.rfp.overload = Some(OverloadConfig {
             deadline: DEADLINE,
             // A short queue and fast, tightly-capped re-admission: a
             // request rejected once must still be able to finish within
@@ -78,7 +77,7 @@ fn sweep_cfg(seed: u64, clients: usize, controlled: bool) -> SystemConfig {
             credit_wait: SimSpan::micros(2),
             probe_pause: SimSpan::micros(2),
             ..OverloadConfig::default()
-        };
+        });
     }
     cfg
 }
@@ -122,10 +121,9 @@ fn shed_cost_check(seed: u64) -> (u64, u64) {
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
     let cfg = RfpConfig {
-        overload: OverloadConfig {
-            enabled: true,
+        overload: Some(OverloadConfig {
             ..OverloadConfig::default()
-        },
+        }),
         ..RfpConfig::default()
     };
     let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);

@@ -30,8 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_core::{
-    connect, serve_loop, CoreSpec, FailureCause, IntegrityConfig, OverloadConfig, Reactor,
-    ReactorConfig, RecoveryConfig, RfpConfig, RfpServerConn, RfpTelemetry,
+    connect, serve_loop, CoreSpec, FailureCause, OverloadConfig, Reactor, ReactorConfig,
+    RecoveryConfig, RfpConfig, RfpServerConn, RfpTelemetry,
 };
 use rfp_kvstore::{kv_handler, partition_of, preload_partitions, KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
@@ -52,21 +52,15 @@ pub struct ChaosConfig {
     pub server_threads: usize,
     /// Distinct keys per client (disjoint across clients).
     pub keys_per_client: usize,
-    /// Fraction of operations that are PUTs.
-    pub put_ratio: f64,
-    /// Client recovery policy (deadline, backoff, reconnect cost).
-    pub recovery: RecoveryConfig,
-    /// Server overload control (admission, shedding, credits). Off by
-    /// default; when on, every recovery call is deadline-stamped and the
-    /// server sheds or busy-rejects instead of queueing without bound.
-    pub overload: OverloadConfig,
-    /// End-to-end fetch integrity (CRC + generation + canary). Off by
-    /// default; when on, every fetched response is verified and corrupt
-    /// images are refetched instead of surfaced — required for rigs that
-    /// schedule torn-DMA or bit-flip fault windows.
-    pub integrity: IntegrityConfig,
-    /// Cluster timing profile.
-    pub profile: ClusterProfile,
+    /// Server overload control (admission, shedding, credits): with it,
+    /// every recovery call is deadline-stamped and the server sheds or
+    /// busy-rejects instead of queueing without bound.
+    pub overload: Option<OverloadConfig>,
+    /// End-to-end fetch integrity (CRC + generation + canary): every
+    /// fetched response is verified and corrupt images are refetched
+    /// instead of surfaced — required for rigs that schedule torn-DMA
+    /// or bit-flip fault windows.
+    pub integrity: bool,
     /// Master seed for workloads and recovery jitter.
     pub seed: u64,
     /// Run the server threads as one multi-core [`Reactor`] with work
@@ -83,16 +77,16 @@ impl Default for ChaosConfig {
             client_machines: 3,
             server_threads: 2,
             keys_per_client: 8,
-            put_ratio: 0.5,
-            recovery: RecoveryConfig::default(),
-            overload: OverloadConfig::default(),
-            integrity: IntegrityConfig::default(),
-            profile: ClusterProfile::paper_testbed(),
+            overload: None,
+            integrity: false,
             seed: 7,
             reactor_steal: false,
         }
     }
 }
+
+/// Fraction of the chaos rig's operations that are PUTs.
+const PUT_RATIO: f64 = 0.5;
 
 /// The online outcome counters every chaos rig keeps; each rig's state
 /// derefs to one.
@@ -183,18 +177,18 @@ impl Sinks {
     /// wired to every sink.
     pub(crate) fn rfp_cfg(
         &self,
-        overload: &OverloadConfig,
-        integrity: &IntegrityConfig,
+        overload: Option<&OverloadConfig>,
+        integrity: bool,
         idx: usize,
     ) -> RfpConfig {
         RfpConfig {
             enable_mode_switch: false,
-            overload: OverloadConfig {
+            overload: overload.map(|ov| OverloadConfig {
                 // Decorrelate the per-connection backoff jitter streams.
-                seed: derive_seed(overload.seed, idx as u64),
-                ..overload.clone()
-            },
-            integrity: integrity.clone(),
+                seed: derive_seed(ov.seed, idx as u64),
+                ..ov.clone()
+            }),
+            integrity,
             telemetry: Some(RfpTelemetry {
                 registry: self.registry.clone(),
                 spans: self.spans.clone(),
@@ -355,7 +349,11 @@ pub fn spawn_chaos_kv(
         cfg.server_threads > 0,
         "rig needs at least one server thread"
     );
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
+    let cluster = Cluster::new(
+        sim,
+        ClusterProfile::paper_testbed(),
+        1 + cfg.client_machines,
+    );
     let server_m = cluster.machine(0);
     let sinks = Sinks::attach(&cluster);
 
@@ -389,7 +387,11 @@ pub fn spawn_chaos_kv(
                 &server_m,
                 cluster.qp(1 + c, 0),
                 cluster.qp(0, 1 + c),
-                sinks.rfp_cfg(&cfg.overload, &cfg.integrity, c * cfg.server_threads + s),
+                sinks.rfp_cfg(
+                    cfg.overload.as_ref(),
+                    cfg.integrity,
+                    c * cfg.server_threads + s,
+                ),
             );
             cl.set_reconnect(cluster.qp_factory(1 + c, 0));
             let sc = Rc::new(sc);
@@ -403,18 +405,17 @@ pub fn spawn_chaos_kv(
         let reg = sinks.registry.clone();
         let recovery = RecoveryConfig {
             seed: derive_seed(cfg.seed, 0xC0DE + c as u64),
-            ..cfg.recovery.clone()
+            ..RecoveryConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, 1 + c as u64));
         let keys = cfg.keys_per_client;
-        let put_ratio = cfg.put_ratio;
         let nthreads = cfg.server_threads;
         sim.spawn(async move {
             loop {
                 let k = rng.gen_range(0..keys);
                 let key = format!("c{c}.k{k}").into_bytes();
                 let conn = &conns[partition_of(&key, nthreads)];
-                let (req, put_version) = if rng.gen::<f64>() < put_ratio {
+                let (req, put_version) = if rng.gen::<f64>() < PUT_RATIO {
                     let version = ledger.next_version.get() + 1;
                     ledger.next_version.set(version);
                     let value = version.to_le_bytes();

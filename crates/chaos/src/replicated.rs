@@ -50,8 +50,8 @@
 //! convention) and each key has exactly one writer. *Reads* either roam
 //! the whole keyspace (cross-client reads are what make the surviving
 //! failover histories worth checking) or stay on the client's own keys
-//! ([`own_key_reads`](FailoverChaosConfig::own_key_reads)): with
-//! **standby reads** on — the backup serves GETs from its replicated
+//! — the gray preset's workload, and what any run with the gray
+//! subsystem gets: with **standby reads** on — the backup serves GETs from its replicated
 //! partition while unpromoted and refuses mutations with `Busy` without
 //! executing them ([`BackupRole::standby_reads`], enabled with the gray
 //! subsystem) — a cross-client read served by the standby could
@@ -76,10 +76,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rfp_core::{
-    connect, FailoverConfig, GrayConfig, IntegrityConfig, OverloadConfig, RecoveryConfig,
-    ReplicaClient, RfpConfig,
-};
+use rfp_core::{connect, FailoverConfig, GrayConfig, RecoveryConfig, ReplicaClient, RfpConfig};
 use rfp_kvstore::replica::{
     backup_serve_loop, primary_serve_loop, BackupRole, PrimaryRole, ReplicationConfig,
 };
@@ -114,10 +111,6 @@ pub struct FailoverChaosConfig {
     /// Fraction of operations that are PUTs (always routed `call`,
     /// never hedged — mutations anchor on the primary).
     pub put_ratio: f64,
-    /// Read scope: each client reads only the keys it writes, instead
-    /// of roaming every client's (see the module docs for when
-    /// cross-client reads stop being linearizable).
-    pub own_key_reads: bool,
     /// Whether GETs go through [`ReplicaClient::call_hedged`] (the
     /// gray-routed read path) or plain [`ReplicaClient::call`].
     pub hedged_reads: bool,
@@ -128,17 +121,10 @@ pub struct FailoverChaosConfig {
     /// re-homings per call, and `failover.gray`, the gray-failure
     /// subsystem).
     pub failover: FailoverConfig,
-    /// Server overload control, as in
-    /// [`ChaosConfig`](crate::ChaosConfig): both replicas' scans admit,
-    /// shed and advertise credits on the client connections (the log
-    /// channel stays plain). Off by default.
-    pub overload: OverloadConfig,
     /// End-to-end fetch integrity, as in
-    /// [`ChaosConfig`](crate::ChaosConfig). Off by default; required
-    /// for runs that schedule torn-DMA or bit-flip fault windows.
-    pub integrity: IntegrityConfig,
-    /// Cluster timing profile.
-    pub profile: ClusterProfile,
+    /// [`ChaosConfig`](crate::ChaosConfig); required for runs that
+    /// schedule torn-DMA or bit-flip fault windows.
+    pub integrity: bool,
     /// Master seed for workloads and recovery jitter.
     pub seed: u64,
 }
@@ -160,12 +146,11 @@ fn short_retry(attempts: u32) -> FailoverConfig {
 
 impl FailoverChaosConfig {
     /// The gray-failure study: a longer, read-heavier workload of
-    /// hedged own-key reads.
+    /// hedged reads.
     pub fn grayfail() -> Self {
         FailoverChaosConfig {
             ops_per_client: 400,
             put_ratio: 0.3,
-            own_key_reads: true,
             hedged_reads: true,
             failover: short_retry(6),
             seed: 23,
@@ -181,13 +166,10 @@ impl Default for FailoverChaosConfig {
             keys_per_client: 4,
             ops_per_client: 60,
             put_ratio: 0.5,
-            own_key_reads: false,
             hedged_reads: false,
             replication: ReplicationConfig::default(),
             failover: short_retry(4),
-            overload: OverloadConfig::default(),
-            integrity: IntegrityConfig::default(),
-            profile: ClusterProfile::paper_testbed(),
+            integrity: false,
             seed: 11,
         }
     }
@@ -338,6 +320,11 @@ struct Preset {
     /// Histogram timing first fault → each client's next completed
     /// call.
     fault_timer: Option<&'static str>,
+    /// Read scope: each client reads only the keys it writes, instead
+    /// of roaming every client's. Standby reads force it either way
+    /// (see the module docs for why cross-client reads stop being
+    /// linearizable under them).
+    own_key_reads: bool,
     /// Whether a restarted backup rebuilds its server-side connection
     /// state (client-facing and the replication stream's receive end)
     /// like a restarted primary does.
@@ -361,6 +348,7 @@ pub fn spawn_failover_kv(
         recovery_salt: 0xFA11,
         promote_at,
         fault_timer: Some("failover.time"),
+        own_key_reads: false,
         restart_backup: false,
     };
     spawn_replicated_kv(sim, cfg, plan, preset)
@@ -381,6 +369,7 @@ pub fn spawn_grayfail_kv(
         recovery_salt: 0x64AF,
         promote_at: None,
         fault_timer: None,
+        own_key_reads: true,
         restart_backup: true,
     };
     spawn_replicated_kv(sim, cfg, plan, preset)
@@ -394,7 +383,7 @@ fn spawn_replicated_kv(
 ) -> FailoverKv {
     assert!(cfg.clients > 0, "rig needs at least one client");
     assert!(cfg.keys_per_client > 0, "rig needs at least one key");
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 2 + cfg.clients);
+    let cluster = Cluster::new(sim, ClusterProfile::paper_testbed(), 2 + cfg.clients);
     let machines = [cluster.machine(0), cluster.machine(1)];
     let sinks = Sinks::attach(&cluster);
 
@@ -403,10 +392,10 @@ fn spawn_replicated_kv(
     let backup_part = Rc::new(RefCell::new(Partition::new(partition_cap)));
     let primary_role = Rc::new(PrimaryRole::default());
     let backup_role = Rc::new(BackupRole::default());
-    // Standby reads power scored routing and hedging; they stay off
-    // with the gray subsystem so a disabled run is byte-identical to
-    // the pre-gray rig.
-    backup_role.standby_reads.set(cfg.failover.gray.enabled);
+    // Standby reads power scored routing and hedging: they come with
+    // the gray subsystem.
+    let standby_reads = cfg.failover.gray.is_some();
+    backup_role.standby_reads.set(standby_reads);
 
     let state = Rc::new(FailoverState {
         tally: Tally::default(),
@@ -432,7 +421,7 @@ fn spawn_replicated_kv(
             enable_mode_switch: false,
             // The primary fetches the backup's acks out of memory the
             // same integrity faults corrupt.
-            integrity: cfg.integrity.clone(),
+            integrity: cfg.integrity,
             ..RfpConfig::default()
         },
     );
@@ -453,7 +442,7 @@ fn spawn_replicated_kv(
                 server_m,
                 cluster.qp(2 + c, replica),
                 cluster.qp(replica, 2 + c),
-                sinks.rfp_cfg(&cfg.overload, &cfg.integrity, c * 2 + replica),
+                sinks.rfp_cfg(None, cfg.integrity, c * 2 + replica),
             );
             cl.set_reconnect(cluster.qp_factory(2 + c, replica));
             server_conns[replica].push(Rc::new(sc));
@@ -466,11 +455,10 @@ fn spawn_replicated_kv(
                     seed: derive_seed(cfg.seed, preset.recovery_salt + c as u64),
                     ..cfg.failover.recovery.clone()
                 },
-                gray: GrayConfig {
-                    seed: derive_seed(cfg.failover.gray.seed, c as u64),
-                    ..cfg.failover.gray.clone()
-                },
-                ..cfg.failover.clone()
+                gray: cfg.failover.gray.as_ref().map(|g| GrayConfig {
+                    seed: derive_seed(g.seed, c as u64),
+                    ..g.clone()
+                }),
             },
         ));
         routers.push(Rc::clone(&router));
@@ -479,7 +467,7 @@ fn spawn_replicated_kv(
         let reg = sinks.registry.clone();
         let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, 1 + c as u64));
         let own_keys = c * cfg.keys_per_client..(c + 1) * cfg.keys_per_client;
-        let read_keys = if cfg.own_key_reads {
+        let read_keys = if preset.own_key_reads || standby_reads {
             own_keys.clone()
         } else {
             0..cfg.clients * cfg.keys_per_client

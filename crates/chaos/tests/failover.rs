@@ -101,20 +101,16 @@ fn crash_runs_are_deterministic_per_seed() {
 /// run, plus a permanent primary crash with scheduled promotion.
 #[test]
 fn integrity_hedging_and_promotion_compose_under_corruption_and_crash() {
-    use rfp_core::{FailoverConfig, GrayConfig, IntegrityConfig, Mode};
+    use rfp_core::{FailoverConfig, GrayConfig, Mode};
 
     let seed = 45;
     let cfg = FailoverChaosConfig {
         keys_per_client: 8,
         ops_per_client: 200,
-        own_key_reads: true,
         hedged_reads: true,
-        integrity: IntegrityConfig {
-            enabled: true,
-            ..IntegrityConfig::default()
-        },
+        integrity: true,
         failover: FailoverConfig {
-            gray: GrayConfig::all_on(),
+            gray: Some(GrayConfig::all_on()),
             ..FailoverChaosConfig::default().failover
         },
         seed,

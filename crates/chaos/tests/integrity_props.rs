@@ -12,7 +12,6 @@
 use proptest::prelude::*;
 
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
-use rfp_core::IntegrityConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 
 fn integrity_rig_cfg(seed: u64) -> ChaosConfig {
@@ -20,10 +19,7 @@ fn integrity_rig_cfg(seed: u64) -> ChaosConfig {
         client_machines: 2,
         server_threads: 1,
         keys_per_client: 4,
-        integrity: IntegrityConfig {
-            enabled: true,
-            ..IntegrityConfig::default()
-        },
+        integrity: true,
         seed,
         ..ChaosConfig::default()
     }

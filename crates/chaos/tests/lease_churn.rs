@@ -19,8 +19,8 @@ use std::rc::Rc;
 
 use rfp_chaos::{install, FaultPlan, InjectorSinks, Restart};
 use rfp_core::{
-    connect, serve_loop_tenant, shard_conns, FailureCause, IntegrityConfig, MuxConfig,
-    OverloadConfig, RecoveryConfig, RfpConfig, RfpMux, TenantId,
+    connect, serve_loop_tenant, shard_conns, FailureCause, MuxConfig, OverloadConfig,
+    RecoveryConfig, RfpConfig, RfpMux, TenantId,
 };
 use rfp_kvstore::systems::apply_to_partition;
 use rfp_kvstore::{KvRequest, KvResponse, Partition};
@@ -63,20 +63,11 @@ fn run_lease_churn(seed: u64) -> Outcome {
     // connection, so every poller group serves every key.
     let part = Rc::new(RefCell::new(Partition::new(256)));
 
-    let base_cfg = RfpConfig {
-        enable_mode_switch: false,
-        overload: OverloadConfig {
-            enabled: true,
-            // A wider deadline than the overload default: loss-burst
-            // retransmits should exercise recovery, not mass shedding.
-            deadline: SimSpan::micros(200),
-            ..OverloadConfig::default()
-        },
-        integrity: IntegrityConfig {
-            enabled: true,
-            ..IntegrityConfig::default()
-        },
-        ..RfpConfig::default()
+    let overload = OverloadConfig {
+        // A wider deadline than the overload default: loss-burst
+        // retransmits should exercise recovery, not mass shedding.
+        deadline: SimSpan::micros(200),
+        ..OverloadConfig::default()
     };
 
     // Physical connections: one QP pair per client machine, shared.
@@ -89,12 +80,14 @@ fn run_lease_churn(seed: u64) -> Outcome {
         for k in 0..CONNS_PER_MACHINE {
             let idx = m * CONNS_PER_MACHINE + k;
             let cfg = RfpConfig {
+                enable_mode_switch: false,
                 conn_id: idx as u32,
-                overload: OverloadConfig {
+                overload: Some(OverloadConfig {
                     seed: derive_seed(seed, 0x0C10 + idx as u64),
-                    ..base_cfg.overload.clone()
-                },
-                ..base_cfg.clone()
+                    ..overload.clone()
+                }),
+                integrity: true,
+                ..RfpConfig::default()
             };
             let (cl, sc) = connect(
                 &client_m,

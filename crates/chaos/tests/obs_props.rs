@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
-use rfp_simnet::{AnomalyConfig, AnomalyDetector, Severity, SimSpan, SimTime, Simulation};
+use rfp_simnet::{AnomalyDetector, Severity, SimSpan, SimTime, Simulation};
 
 const FAULT_AT: SimTime = SimTime::from_nanos(150_000);
 const FAULT_SPAN: SimSpan = SimSpan::micros(100);
@@ -37,7 +37,7 @@ fn run_observed(seed: u64, plan: Option<&FaultPlan>) -> (Vec<u8>, String, rfp_ch
     sim.run_for(WINDOW);
     let mut dump = Vec::new();
     rig.recorder.dump(&mut dump).expect("dump recorder to vec");
-    let detector = AnomalyDetector::new(AnomalyConfig::default());
+    let detector = AnomalyDetector::new();
     let anomalies = format!(
         "{:?}",
         detector.scan(&rig.health.report(sim.handle().now()))

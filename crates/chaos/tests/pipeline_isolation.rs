@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use rfp_chaos::{install, FaultPlan, InjectorSinks, Restart};
 use rfp_core::{
-    connect, serve_loop, CallPolicy, IntegrityConfig, OverloadConfig, RecoveryConfig, RespStatus,
-    RfpClient, RfpConfig, RfpServerConn,
+    connect, serve_loop, CallPolicy, OverloadConfig, RecoveryConfig, RespStatus, RfpClient,
+    RfpConfig, RfpServerConn,
 };
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{SimSpan, SimTime, Simulation};
@@ -36,15 +36,11 @@ fn rig(seed: u64, window: usize) -> Rig {
     let cfg = RfpConfig {
         window,
         enable_mode_switch: false,
-        integrity: IntegrityConfig {
-            enabled: true,
-            ..IntegrityConfig::default()
-        },
-        overload: OverloadConfig {
-            enabled: true,
+        integrity: true,
+        overload: Some(OverloadConfig {
             queue_limit: 64,
             ..OverloadConfig::default()
-        },
+        }),
         ..RfpConfig::default()
     };
     let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);

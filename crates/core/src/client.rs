@@ -13,7 +13,7 @@ use rfp_simnet::{Counter, Histogram, MetricsRegistry, SimSpan, SimTime};
 use crate::conn::{Mode, Shared};
 use crate::header::{ReqHeader, RespHeader, RespStatus, RESP_HDR_EXT};
 use crate::observe::{Chain, Incident, Observer};
-use crate::overload::OverloadConfig;
+use crate::overload::{OverloadConfig, CREDIT_MAX};
 use crate::recovery::{RecoveryConfig, RpcError};
 
 mod engine;
@@ -32,7 +32,7 @@ pub struct CallResult {
 
 impl CallResult {
     /// A call nobody executed: the engine giving up after repeated
-    /// `Busy`/`Shed` verdicts, or a pool/mux shedding locally (zero wire
+    /// `Busy`/`Shed` verdicts, or a mux shedding locally (zero wire
     /// traffic) because the deadline budget ran out while the call
     /// queued for a connection.
     pub(crate) fn rejected(status: RespStatus, latency: SimSpan) -> Self {
@@ -75,7 +75,7 @@ pub struct CallInfo {
     pub status: RespStatus,
     /// Fetches of this call discarded and retried because they failed
     /// integrity verification (torn DMA, bit flips). Always 0 with the
-    /// integrity layer off.
+    /// integrity layer absent.
     pub integrity_retries: u32,
 }
 
@@ -233,7 +233,7 @@ pub type QpFactory = Box<dyn Fn() -> Rc<Qp>>;
 pub(crate) const NO_RECOVERY: &str = "a call without a recovery stage cannot fail";
 
 /// Anything requests can be run through: a connection
-/// ([`RfpClient::run`]), or a pool or mux lease wrapped around one. The
+/// ([`RfpClient::run`]), or a mux lease wrapped around one. The
 /// single-call and ordered-batch forms every public entry point is made
 /// of come for free.
 pub(crate) trait CallEngine {
@@ -317,7 +317,7 @@ pub struct RfpClient {
     /// Runtime-tunable `F` (initialised from config).
     fetch_size: Cell<usize>,
     /// Last credit level the server advertised to this connection
-    /// (overload control; starts at the configured maximum).
+    /// (overload control; starts at the maximum).
     credits: Cell<u16>,
     /// Chain of the last settled call: what the layers above (replica
     /// routing, failover) attach their events to once the call itself
@@ -342,7 +342,7 @@ impl RfpClient {
         let retry_threshold = Cell::new(shared.cfg.retry_threshold);
         let fetch_size = Cell::new(shared.cfg.fetch_size);
         let initial_mode = shared.cfg.initial_mode;
-        let credits = Cell::new(shared.cfg.overload.credit_max);
+        let credits = Cell::new(CREDIT_MAX);
         let window = shared.cfg.window;
         RfpClient {
             shared,
@@ -478,7 +478,7 @@ impl RfpClient {
     /// stamps a deadline, else 8 B. One byte more and the call panics
     /// with `request exceeds buffer capacity`.
     pub fn max_req_payload(&self, policy: &CallPolicy<'_>) -> usize {
-        let stamped = policy.stamps_deadline(self.shared.cfg.overload.enabled);
+        let stamped = policy.stamps_deadline(self.shared.cfg.overload.is_some());
         let hdr = self.req_header(0, 0, stamped.then_some(SimTime::ZERO));
         self.shared.cfg.req_capacity - hdr.wire_len()
     }
@@ -514,9 +514,9 @@ impl RfpClient {
         self.fetch_size.set(f);
     }
 
-    /// The connection's overload-control knobs.
-    pub fn overload_config(&self) -> &OverloadConfig {
-        &self.shared.cfg.overload
+    /// The connection's overload-control stage, when present.
+    pub fn overload_config(&self) -> Option<&OverloadConfig> {
+        self.shared.cfg.overload.as_ref()
     }
 
     /// `client_send`: deposits a request into server memory via
@@ -575,7 +575,7 @@ impl RfpClient {
         self.in_order(thread, reqs).await
     }
 
-    /// One overload-aware RPC (requires [`OverloadConfig::enabled`]):
+    /// One overload-aware RPC (requires [`RfpConfig::overload`](crate::RfpConfig::overload)):
     /// [`run`](RfpClient::run) with the admission stage of
     /// [`CallPolicy`] on. A call still rejected when the retry schedule
     /// — or the explicit `deadline` — is exhausted returns the

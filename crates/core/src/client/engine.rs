@@ -32,9 +32,25 @@ use rfp_simnet::{derive_seed, timeout, RetryPolicy, SimSpan, SimTime};
 use super::{CallInfo, CallResult, RfpClient};
 use crate::conn::{Mode, RfpConfig, MODE_REMOTE_FETCH, MODE_SERVER_REPLY};
 use crate::header::{RespHeader, RespStatus, REQ_HDR_TENANT, RESP_HDR, RESP_TRAILER};
-use crate::integrity::{verify_response, IntegrityFault};
+use crate::integrity::{verify_response, IntegrityFault, VERIFY_RETRIES};
 use crate::observe::{incident as on, Chain, Incident};
+use crate::overload::OverloadConfig;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
+
+/// Consecutive calls that must exceed `R` before the mode actually
+/// switches (the paper's anti-flapping guard, §3.2).
+const CONSECUTIVE_BEFORE_SWITCH: u32 = 2;
+/// Switch back to remote fetching when a server-reply response reports
+/// a process time below this — the Figure 9 crossover (P ≈ 7 µs), under
+/// which repeated fetching beats server-reply again.
+const SWITCH_BACK_BELOW: SimSpan = SimSpan::micros(7);
+/// In server-reply mode, issue a safety remote fetch if no reply lands
+/// within this interval (covers the race where the server posted the
+/// response before observing the mode flip).
+const REPLY_FALLBACK_POLL: SimSpan = SimSpan::micros(50);
+/// CPU cost of re-establishing the QP and re-registering buffers
+/// (connection setup handshake, `ibv_create_qp` + rkey exchange).
+const RECONNECT_CPU: SimSpan = SimSpan::micros(5);
 
 /// What one engine run applies to each of its calls on top of the plain
 /// protocol. The default — both stages absent — is the paper's call.
@@ -47,7 +63,7 @@ use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CallPolicy<'a> {
     /// Overload admission (requires
-    /// [`OverloadConfig::enabled`](crate::OverloadConfig::enabled)):
+    /// [`RfpConfig::overload`](crate::RfpConfig::overload)):
     /// credit gate, a deadline stamped into every submission, verdict
     /// probes once it passes, and re-admission of `Busy`/`Shed`
     /// verdicts under a fresh sequence number; a call that exhausts the
@@ -92,13 +108,6 @@ impl<'a> CallPolicy<'a> {
     /// overload-controlled server how long its answer is worth computing.
     pub(super) fn stamps_deadline(&self, overload: bool) -> bool {
         self.admission.is_some() || (self.recovery.is_some() && overload)
-    }
-}
-
-fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
     }
 }
 
@@ -352,6 +361,13 @@ impl Engine<'_> {
         &self.c.shared.cfg
     }
 
+    /// The connection's overload stage, for a call under admission
+    /// (`drive` checked it is there).
+    fn overload(&self) -> &OverloadConfig {
+        let stage = self.cfg().overload.as_ref();
+        stage.expect("call_overload requires overload control")
+    }
+
     fn now(&self) -> SimTime {
         self.thread.now()
     }
@@ -381,7 +397,7 @@ impl Engine<'_> {
         mut sink: impl FnMut(usize, Result<CallResult, RpcError>),
     ) {
         assert!(
-            self.policy.admission.is_none() || self.cfg().overload.enabled,
+            self.policy.admission.is_none() || self.cfg().overload.is_some(),
             "call_overload requires overload control"
         );
         let mut next = 0;
@@ -441,12 +457,14 @@ impl Engine<'_> {
 
     fn new_flight(&self, idx: usize, slot: usize) -> Flight {
         let t0 = self.now();
-        let ov = &self.cfg().overload;
         let policy = self.policy;
-        // Admission stamps its own deadline at each submission.
-        let stamp = (policy.admission.is_none() && policy.stamps_deadline(ov.enabled))
-            .then(|| t0 + ov.deadline);
-        let call_deadline = policy.recovery.and_then(|rec| rec.call_deadline);
+        // A recovered call tells an overload-controlled server how long
+        // its answer is worth computing; admission stamps its own
+        // deadline at each submission.
+        let ov = self.cfg().overload.as_ref();
+        let stamp = ov
+            .filter(|_| policy.admission.is_none() && policy.recovery.is_some())
+            .map(|ov| t0 + ov.deadline);
         let first_seq = self.c.peek_seq_in(slot);
         Flight {
             idx,
@@ -458,18 +476,17 @@ impl Engine<'_> {
             first_seq,
             t0,
             stamp,
-            clamp: earliest(
-                earliest(policy.admission.flatten(), call_deadline.map(|d| t0 + d)),
-                stamp,
-            ),
+            clamp: policy.admission.flatten().or(stamp),
             ..Flight::default()
         }
     }
 
     /// Next unit draw of `fl`'s jitter stream.
     fn draw(&self, fl: &mut Flight) -> f64 {
-        let ov_seed = self.cfg().overload.seed;
-        let seed = self.policy.recovery.map_or(ov_seed, |rec| rec.seed);
+        let seed = match self.policy.recovery {
+            Some(rec) => rec.seed,
+            None => self.overload().seed,
+        };
         let stream = fl.first_seq as u64;
         fl.jitter
             .get_or_insert_with(|| StdRng::seed_from_u64(derive_seed(seed, stream)))
@@ -485,7 +502,7 @@ impl Engine<'_> {
             if fl.clamp.is_some_and(|d| self.now() >= d) {
                 return self.give_up(fl, last);
             }
-            if let Some(rec) = self.policy.recovery {
+            if self.policy.recovery.is_some() {
                 let what = if fresh {
                     "resubmitting rejected request under a fresh seq"
                 } else {
@@ -493,7 +510,7 @@ impl Engine<'_> {
                 };
                 self.note(fl, on::RESUBMIT, what);
                 if std::mem::take(&mut fl.force_reconnect) || self.c.qp().error_state().is_some() {
-                    self.reestablish_qp(fl, rec).await;
+                    self.reestablish_qp(fl).await;
                 }
             }
             fl.corrupt = 0;
@@ -503,7 +520,7 @@ impl Engine<'_> {
             return;
         }
         if let Some(hard) = self.policy.admission {
-            let ov = &self.cfg().overload;
+            let ov = self.overload();
             // Credit gate: a zero advertisement means the server's
             // queue was full — pause (jittered, so clients
             // desynchronise) instead of submitting work that will
@@ -639,7 +656,7 @@ impl Engine<'_> {
         if std::mem::take(&mut fl.probe_armed) {
             return;
         }
-        let ov = &self.cfg().overload;
+        let ov = self.overload();
         if fl.probes >= ov.max_probes.max(1) {
             self.note(fl, on::LOCAL_SHED, "gave up probing for a verdict");
             return self.fail(fl, FailureCause::Rejected(RespStatus::Shed));
@@ -731,7 +748,7 @@ impl Engine<'_> {
         let landing = &self.c.shared.client_resp;
         let pushed = timeout(
             self.thread.handle(),
-            self.cfg().reply_fallback_poll,
+            REPLY_FALLBACK_POLL,
             landing.wait_remote_write(base..base + RESP_HDR),
         );
         if self.thread.idle_wait(pushed).await.is_some() {
@@ -765,7 +782,7 @@ impl Engine<'_> {
         // integrity on) the trailing canary. A flipped size bit must
         // not drive the second READ past the registered region, so an
         // implausible footprint counts as torn.
-        let guarded = cfg.integrity.enabled;
+        let guarded = cfg.integrity;
         let total = hdr.wire_len() + hdr.size as usize + if guarded { RESP_TRAILER } else { 0 };
         let mut verdict = Ok(());
         if guarded && total > cfg.resp_capacity {
@@ -807,7 +824,7 @@ impl Engine<'_> {
             // §3.2: the response carries the server's process time; if
             // it got short again, remote fetching is profitable — switch
             // back.
-            let quick = SimSpan::micros(hdr.time_us as u64) < cfg.switch_back_below;
+            let quick = SimSpan::micros(hdr.time_us as u64) < SWITCH_BACK_BELOW;
             if cfg.enable_mode_switch && quick {
                 self.switch_mode(fl, Mode::RemoteFetch).await;
             }
@@ -864,7 +881,7 @@ impl Engine<'_> {
             }
             let over = self.c.consec_over.get() + 1;
             self.c.consec_over.set(over);
-            if over >= cfg.consecutive_before_switch {
+            if over >= CONSECUTIVE_BEFORE_SWITCH {
                 self.switch_mode(fl, Mode::ServerReply).await;
             }
             return;
@@ -881,7 +898,7 @@ impl Engine<'_> {
         if self.policy.recovery.is_none() || !polling {
             return;
         }
-        if fl.corrupt > 0 && fl.corrupt >= self.cfg().integrity.verify_retries {
+        if fl.corrupt >= VERIFY_RETRIES {
             let what = "verify-and-refetch budget exhausted";
             self.note(fl, on::CORRUPT_ATTEMPT, what);
             fl.force_reconnect = true;
@@ -896,8 +913,10 @@ impl Engine<'_> {
     /// call's deadline is spent, else schedule the jittered backoff
     /// (never past the deadline) before the resubmission.
     fn fail(&self, fl: &mut Flight, cause: FailureCause) {
-        let ov_retry = self.cfg().overload.retry;
-        let retry = self.policy.recovery.map_or(ov_retry, |rec| rec.retry);
+        let retry = match self.policy.recovery {
+            Some(rec) => rec.retry,
+            None => self.overload().retry,
+        };
         fl.failed += 1;
         if fl.failed >= retry.max_attempts.max(1) {
             return self.give_up(fl, cause);
@@ -978,14 +997,14 @@ impl Engine<'_> {
 
     /// Re-establishes the QP via the installed factory (charging the
     /// reconnect CPU cost). Without a factory the old QP stays in place.
-    async fn reestablish_qp(&self, fl: &mut Flight, rec: &RecoveryConfig) {
+    async fn reestablish_qp(&self, fl: &mut Flight) {
         let fresh = {
             let factory = self.c.reconnect.borrow();
             factory.as_ref().map(|f| f())
         };
         let Some(fresh) = fresh else { return };
         // Connection handshake + MR re-registration.
-        self.thread.busy(rec.reconnect_cpu).await;
+        self.thread.busy(RECONNECT_CPU).await;
         *self.c.qp.borrow_mut() = fresh;
         self.note(fl, on::RECONNECT, "QP re-established");
     }

@@ -20,9 +20,9 @@
 //!
 //! The paper keeps one mode flag per ⟨client id, RPC id⟩ pair; here a
 //! *connection* plays that role — an application multiplexing several
-//! logical RPC streams opens one connection per stream (see
-//! [`RfpPool`](crate::RfpPool)), each with its own buffers, flag and
-//! hybrid-switch state.
+//! logical RPC streams opens one connection per stream (or shares a
+//! few through [`RfpMux`](crate::RfpMux)), each with its own buffers,
+//! flag and hybrid-switch state.
 
 use std::cell::Cell;
 use std::fmt;
@@ -35,7 +35,6 @@ use crate::header::{
     resp_canary, ReqHeader, RespHeader, RespIntegrity, RespStatus, REQ_HDR, REQ_HDR_EXT,
     REQ_HDR_TENANT, RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
 };
-use crate::integrity::IntegrityConfig;
 use crate::observe::{incident, Chain, Observer};
 use crate::overload::OverloadConfig;
 use rfp_simnet::crc64;
@@ -73,16 +72,6 @@ pub struct RfpConfig {
     pub retry_threshold: u32,
     /// `F`: bytes fetched per remote READ (header + payload prefix).
     pub fetch_size: usize,
-    /// Number of consecutive calls that must exceed `R` before the mode
-    /// actually switches (the paper's anti-flapping guard, §3.2).
-    pub consecutive_before_switch: u32,
-    /// Switch back to remote fetching when a server-reply response
-    /// reports a process time below this.
-    pub switch_back_below: SimSpan,
-    /// In server-reply mode, issue a safety remote fetch if no reply
-    /// lands within this interval (covers the race where the server
-    /// posted the response before observing the mode flip).
-    pub reply_fallback_poll: SimSpan,
     /// Whether the hybrid mode switch is enabled ("Jakiro w/o Switch" in
     /// Figure 14 disables it).
     pub enable_mode_switch: bool,
@@ -111,13 +100,11 @@ pub struct RfpConfig {
     /// request-lifecycle span per completed call.
     pub telemetry: Option<RfpTelemetry>,
     /// Overload control (credit-based admission, deadline shedding,
-    /// cooperative backoff). Off by default: a disabled config leaves
-    /// every wire byte and scheduled event exactly as without it.
-    pub overload: OverloadConfig,
-    /// End-to-end integrity for remote fetches (payload CRC, buffer
-    /// generation, trailing canary; see [`crate::IntegrityConfig`]).
-    /// Off by default with the same disabled-knobs-inert guarantee.
-    pub integrity: IntegrityConfig,
+    /// cooperative backoff), when present.
+    pub overload: Option<OverloadConfig>,
+    /// End-to-end integrity for remote fetches: payload CRC, buffer
+    /// generation, trailing canary (see [`verify_response`](crate::verify_response)).
+    pub integrity: bool,
     /// Optional flight recorder: both endpoints append cause-chain
     /// events (retry→reconnect, shed verdicts, torn fetches, slot
     /// stalls, mode switches, reply-mode fallback fetches) tagged with
@@ -138,9 +125,6 @@ impl Default for RfpConfig {
         RfpConfig {
             retry_threshold: 5,
             fetch_size: 256,
-            consecutive_before_switch: 2,
-            switch_back_below: SimSpan::micros(7),
-            reply_fallback_poll: SimSpan::micros(50),
             enable_mode_switch: true,
             initial_mode: Mode::RemoteFetch,
             req_capacity: 16 * 1024,
@@ -149,8 +133,8 @@ impl Default for RfpConfig {
             post_cpu: SimSpan::nanos(100),
             check_cpu: SimSpan::nanos(50),
             telemetry: None,
-            overload: OverloadConfig::default(),
-            integrity: IntegrityConfig::default(),
+            overload: None,
+            integrity: false,
             recorder: None,
             health: None,
             conn_id: 0,
@@ -162,7 +146,7 @@ impl RfpConfig {
     /// Bytes of response header this connection writes on the wire
     /// ([`RESP_HDR`], or [`RESP_HDR_EXT`] with integrity on).
     pub fn resp_wire_hdr(&self) -> usize {
-        if self.integrity.enabled {
+        if self.integrity {
             RESP_HDR_EXT
         } else {
             RESP_HDR
@@ -173,7 +157,7 @@ impl RfpConfig {
     /// additionally reserves the extended header and the trailing
     /// canary).
     pub fn max_resp_payload(&self) -> usize {
-        if self.integrity.enabled {
+        if self.integrity {
             self.resp_capacity - RESP_HDR_EXT - RESP_TRAILER
         } else {
             self.resp_capacity - RESP_HDR
@@ -262,7 +246,7 @@ pub fn connect(
         cfg.fetch_size <= cfg.resp_capacity,
         "fetch size exceeds the response buffer"
     );
-    if cfg.integrity.enabled {
+    if cfg.integrity {
         assert!(
             cfg.fetch_size >= RESP_HDR_EXT,
             "fetch size must cover the extended response header"
@@ -270,10 +254,6 @@ pub fn connect(
         assert!(
             cfg.resp_capacity >= RESP_HDR_EXT + RESP_TRAILER,
             "response buffer must cover the extended header and trailer"
-        );
-        assert!(
-            cfg.integrity.verify_retries > 0,
-            "integrity needs at least one verify retry"
         );
     }
     assert_eq!(qp_c2s.local().id(), client_machine.id(), "qp_c2s direction");
@@ -361,8 +341,7 @@ pub struct RfpServerConn {
     /// connect time when telemetry is attached.
     scan: Option<ScanCounters>,
     /// Credit level stamped into outgoing response headers (overload
-    /// control; stays 0 — the legacy zero fill — when the subsystem is
-    /// off).
+    /// control; stays 0 — the legacy zero fill — without the stage).
     advertise: Cell<u16>,
     /// Replication epoch this server currently serves in (stamped into
     /// every response header). 0 — the default outside replicated
@@ -499,9 +478,9 @@ impl RfpServerConn {
         self.advertise.set(credits);
     }
 
-    /// The connection's overload knobs (shared config).
-    pub(crate) fn overload(&self) -> &OverloadConfig {
-        &self.shared.cfg.overload
+    /// The connection's overload stage (shared config), when present.
+    pub(crate) fn overload(&self) -> Option<&OverloadConfig> {
+        self.shared.cfg.overload.as_ref()
     }
 
     /// Ring slot of the request last delivered by
@@ -576,7 +555,7 @@ impl RfpServerConn {
         );
         let elapsed = thread.now() - st.pickup.get();
         let time_us = (elapsed.as_nanos() / 1_000).min(u16::MAX as u64) as u16;
-        let integrity_on = self.shared.cfg.integrity.enabled;
+        let integrity_on = self.shared.cfg.integrity;
         let integrity = if integrity_on {
             // The torn-DMA fault splices a concurrent READ from the
             // buffer's pre-post image; capture it only while that fault

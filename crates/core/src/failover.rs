@@ -1,7 +1,7 @@
 //! Replica-aware call routing: failover across a static replica list,
 //! plus the gray-failure mitigations of DESIGN.md §16 (health-scored
-//! routing, hedged reads, retry budgets) — all dormant until
-//! [`GrayConfig::enabled`] is set.
+//! routing, hedged reads, retry budgets) — present iff
+//! [`FailoverConfig::gray`] is.
 //!
 //! A replicated service exposes the same RPC endpoint on every replica;
 //! the client keeps one established [`RfpClient`] connection per
@@ -34,20 +34,19 @@
 //!
 //! Crash failover never fires against a replica that is merely *slow*:
 //! every call eventually completes, so nothing errors. With
-//! [`GrayConfig::enabled`], the router adds three mitigations on top of
-//! the crash path:
+//! [`FailoverConfig::gray`] set, the router adds three mitigations on
+//! top of the crash path:
 //!
 //! * **scored routing** ([`ReplicaScorer`]) — each routed read folds
 //!   the replicas' rolling health windows into scores; a replica
-//!   falling below [`GrayConfig::demote_below`] is demoted (with a
+//!   falling below `DEMOTE_BELOW` is demoted (with a
 //!   `routing.demote` flight-recorder entry carrying the triggering
 //!   window's evidence) and reads divert to the best-scoring peer,
 //!   save a probe every [`GrayConfig::probe_every`]-th call and a
 //!   score-proportional trickle. A demotion never strands the router:
 //!   with every candidate gray, traffic stays put.
 //! * **hedged reads** ([`ReplicaClient::call_hedged`]) — a read still
-//!   unanswered after the healthy-baseline p99 × a factor races a
-//!   second leg on another replica; first valid response wins. Hedges
+//!   unanswered after the healthy-baseline p99 races a second leg on another replica; first valid response wins. Hedges
 //!   ride the same-seq dedup and epoch fencing of the recovery layer,
 //!   so an abandoned leg can neither double-apply nor surface stale
 //!   bytes (its late response fails the seq acceptance check).
@@ -70,7 +69,9 @@ use rfp_rnic::ThreadCtx;
 use rfp_simnet::SimSpan;
 
 use crate::client::{CallPolicy, CallResult, RfpClient};
-use crate::gray::{GrayConfig, ReplicaScorer, RetryBudget};
+use crate::gray::{
+    GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, HEDGE_DEADLINE, HEDGE_FLOOR,
+};
 use crate::header::RespStatus;
 use crate::observe::incident;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
@@ -90,30 +91,20 @@ fn overloaded(err: &RpcError) -> bool {
     )
 }
 
+/// Replica switches one logical call may make before giving up and
+/// surfacing the last error. A full tour of `n` replicas needs `n - 1`;
+/// four allows a pair a second tour, so a replica that heals mid-call
+/// is retried.
+const MAX_FAILOVERS: u32 = 4;
+
 /// Tunables of the replica router.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FailoverConfig {
     /// Recovery policy (per-attempt deadline, backoff, reconnect)
     /// applied on whichever replica is active.
     pub recovery: RecoveryConfig,
-    /// Replica switches one logical call may make before giving up and
-    /// surfacing the last error. A full tour of `n` replicas needs
-    /// `n - 1`; the default allows a second tour so a replica that
-    /// heals mid-call is retried.
-    pub max_failovers: u32,
-    /// Gray-failure mitigations (disabled by default; the router is
-    /// then byte-identical to one without the subsystem).
-    pub gray: GrayConfig,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            recovery: RecoveryConfig::default(),
-            max_failovers: 4,
-            gray: GrayConfig::default(),
-        }
-    }
+    /// Gray-failure mitigations, when the router runs them.
+    pub gray: Option<GrayConfig>,
 }
 
 /// Routes fault-tolerant calls across a static list of replicas.
@@ -157,17 +148,18 @@ impl ReplicaClient {
     /// Panics on an empty replica list.
     pub fn new(replicas: Vec<Rc<RfpClient>>, cfg: FailoverConfig) -> Self {
         assert!(!replicas.is_empty(), "router needs at least one replica");
-        let scorer = ReplicaScorer::new(cfg.gray.scorer.clone(), replicas.len());
-        let budget = RetryBudget::new(cfg.gray.budget.clone());
+        let scorer = ReplicaScorer::new(replicas.len());
         let demoted = replicas.iter().map(|_| Cell::new(false)).collect();
-        let depref_rng = RefCell::new(StdRng::seed_from_u64(cfg.gray.seed));
+        // Only a gray router ever draws from it.
+        let seed = cfg.gray.as_ref().map_or(0, |g| g.seed);
+        let depref_rng = RefCell::new(StdRng::seed_from_u64(seed));
         ReplicaClient {
             replicas,
             active: Cell::new(0),
             failovers: Cell::new(0),
             cfg,
             scorer,
-            budget,
+            budget: RetryBudget::default(),
             demoted,
             route_clock: Cell::new(0),
             depref_rng,
@@ -248,9 +240,8 @@ impl ReplicaClient {
 
     /// One call attempt on replica `idx` under the (budget-capped,
     /// streak-scaled) recovery policy, with the budget and streak
-    /// bookkeeping on both outcomes. With gray mode off this is
-    /// exactly the pre-gray router body: epoch seed + one
-    /// `call_with_recovery` under the configured policy.
+    /// bookkeeping on both outcomes. Without gray mode: epoch seed +
+    /// one `call_with_recovery` under the configured policy.
     async fn attempt_on(
         &self,
         thread: &ThreadCtx,
@@ -258,7 +249,7 @@ impl ReplicaClient {
         idx: usize,
     ) -> Result<CallResult, RpcError> {
         let client = self.seeded(idx);
-        if !self.cfg.gray.enabled {
+        if self.cfg.gray.is_none() {
             return client
                 .call_with_recovery(thread, req, &self.cfg.recovery)
                 .await;
@@ -266,12 +257,7 @@ impl ReplicaClient {
         // Budget-capped retries: the call reserves its retry allowance
         // up front; the first attempt is never gated.
         let want = self.cfg.recovery.retry.max_attempts.saturating_sub(1);
-        let budget_on = self.cfg.gray.budget.enabled;
-        let granted = if budget_on {
-            self.budget.reserve(want)
-        } else {
-            want
-        };
+        let granted = self.budget.reserve(want);
         let mut rec = self.cfg.recovery.clone();
         rec.retry.max_attempts = granted + 1;
         let streak = self.fail_streak.get();
@@ -283,7 +269,7 @@ impl ReplicaClient {
             let scaled = rec.retry.base.as_nanos().saturating_mul(1 << shift);
             rec.retry.base = SimSpan::nanos(scaled.min(rec.retry.cap.as_nanos()));
         }
-        if budget_on && granted < want {
+        if granted < want {
             client.note_recovery(
                 thread,
                 incident::BUDGET_CAPPED,
@@ -292,23 +278,19 @@ impl ReplicaClient {
         }
         match client.call_with_recovery(thread, req, &rec).await {
             Ok(out) => {
-                if budget_on {
-                    // A successful call returns its whole reservation:
-                    // the budget charges only calls that exhaust
-                    // recovery — the storm contributors.
-                    self.budget.refund(granted);
-                    self.budget.on_success();
-                }
+                // A successful call returns its whole reservation: the
+                // budget charges only calls that exhaust recovery — the
+                // storm contributors.
+                self.budget.refund(granted);
+                self.budget.on_success();
                 self.fail_streak.set(0);
                 Ok(out)
             }
             Err(err) => {
-                if budget_on {
-                    // `err.attempts` counts attempts performed; the
-                    // retries actually spent stay consumed.
-                    self.budget
-                        .refund(granted.saturating_sub(err.attempts.saturating_sub(1)));
-                }
+                // `err.attempts` counts attempts performed; the retries
+                // actually spent stay consumed.
+                self.budget
+                    .refund(granted.saturating_sub(err.attempts.saturating_sub(1)));
                 self.fail_streak
                     .set(self.fail_streak.get().saturating_add(1));
                 Err(err)
@@ -318,7 +300,7 @@ impl ReplicaClient {
 
     /// One replicated RPC: calls the active replica under the recovery
     /// policy, rotating to the next replica after each fault-shaped
-    /// failure (up to [`FailoverConfig::max_failovers`] switches).
+    /// failure (up to `MAX_FAILOVERS` switches).
     pub async fn call(&self, thread: &ThreadCtx, req: &[u8]) -> Result<CallResult, RpcError> {
         let mut switches = 0u32;
         loop {
@@ -326,16 +308,15 @@ impl ReplicaClient {
             match self.attempt_on(thread, req, idx).await {
                 Ok(out) => return Ok(out),
                 Err(err) => {
-                    if overloaded(&err) || switches >= self.cfg.max_failovers {
+                    // One replica has nowhere to fail over to.
+                    let spent = switches >= MAX_FAILOVERS || self.replicas.len() < 2;
+                    if overloaded(&err) || spent {
                         return Err(err);
                     }
                     // A failover switch resubmits elsewhere — it draws
                     // a token like any other retry so a storm cannot
                     // amplify through rotation.
-                    if self.cfg.gray.enabled
-                        && self.cfg.gray.budget.enabled
-                        && self.budget.reserve(1) == 0
-                    {
+                    if self.cfg.gray.is_some() && self.budget.reserve(1) == 0 {
                         self.replicas[idx].note_recovery(
                             thread,
                             incident::BUDGET_DENIED,
@@ -369,7 +350,7 @@ impl ReplicaClient {
                 let report = health.report(now);
                 let score = self.scorer.score(i, &report)?;
                 let was = self.demoted[i].get();
-                if score < self.cfg.gray.demote_below && !was {
+                if score < DEMOTE_BELOW && !was {
                     self.demoted[i].set(true);
                     client.note_recovery(
                         thread,
@@ -385,7 +366,7 @@ impl ReplicaClient {
                             report.credit_waits
                         ),
                     );
-                } else if score >= self.cfg.gray.demote_below && was {
+                } else if score >= DEMOTE_BELOW && was {
                     self.demoted[i].set(false);
                     client.note_recovery(
                         thread,
@@ -401,20 +382,15 @@ impl ReplicaClient {
             .collect()
     }
 
-    /// Picks `(target, hedge_target)` for one read. Without scored
-    /// routing this is `(active, next)`; with it, a demoted active
-    /// replica diverts reads to the best-scoring peer — except for a
-    /// recovery probe every [`GrayConfig::probe_every`]-th routed read
-    /// and a score-proportional trickle.
-    fn route_read(&self, thread: &ThreadCtx) -> (usize, usize) {
+    /// Picks `(target, hedge_target)` for one read of a gray router
+    /// over two or more replicas: a demoted active replica diverts
+    /// reads to the best-scoring peer — except for a recovery probe
+    /// every [`GrayConfig::probe_every`]-th routed read and a
+    /// score-proportional trickle.
+    fn route_read(&self, thread: &ThreadCtx, g: &GrayConfig) -> (usize, usize) {
         let pref = self.active.get();
-        let n = self.replicas.len();
-        let alt_default = (pref + 1) % n;
-        if !self.cfg.gray.enabled || !self.cfg.gray.scored_routing || n < 2 {
-            return (pref, alt_default);
-        }
         let scores = self.refresh_scores(thread);
-        let mut alt = alt_default;
+        let mut alt = (pref + 1) % self.replicas.len();
         let mut alt_score = f64::NEG_INFINITY;
         for (i, s) in scores.iter().enumerate() {
             if i == pref {
@@ -438,7 +414,6 @@ impl ReplicaClient {
         }
         let tick = self.route_clock.get();
         self.route_clock.set(tick + 1);
-        let g = &self.cfg.gray;
         if g.probe_every > 0 && tick.is_multiple_of(g.probe_every as u64) {
             self.replicas[pref].note_recovery(
                 thread,
@@ -457,25 +432,18 @@ impl ReplicaClient {
     }
 
     /// Hedge delay for a read whose primary leg runs on replica `idx`:
-    /// the frozen healthy-baseline p99 × [`GrayConfig::hedge_p99_factor`]
-    /// (a request still unanswered past the latency 99% of healthy
-    /// calls beat is likely stuck behind a gray path), floored at
-    /// [`GrayConfig::hedge_floor`], which also covers the pre-baseline
-    /// cold start.
+    /// the frozen healthy-baseline p99 (a request still unanswered past
+    /// the latency 99% of healthy calls beat is likely stuck behind a
+    /// gray path), floored at `HEDGE_FLOOR`, which also covers the
+    /// pre-baseline cold start.
     fn hedge_delay(&self, thread: &ThreadCtx, idx: usize) -> SimSpan {
-        let g = &self.cfg.gray;
         let p99 = self.scorer.baseline_p99(idx).or_else(|| {
             let health = self.replicas[idx].obs().health.as_ref();
             health
                 .map(|h| h.report(thread.now()).p99_ns)
                 .filter(|&p| p > 0)
         });
-        match p99 {
-            Some(ns) => g
-                .hedge_floor
-                .max(SimSpan::from_nanos_f64(ns as f64 * g.hedge_p99_factor)),
-            None => g.hedge_floor,
-        }
+        HEDGE_FLOOR.max(SimSpan::nanos(p99.unwrap_or(0)))
     }
 
     /// One replicated **read** under the gray-failure mitigations:
@@ -495,18 +463,16 @@ impl ReplicaClient {
     /// * hedge legs draw from the retry budget, so hedging degrades to
     ///   single-leg reads when the pool is dry.
     ///
-    /// With the subsystem disabled this delegates to
-    /// [`call`](ReplicaClient::call) untouched.
+    /// Without the subsystem this is [`call`](ReplicaClient::call).
     pub async fn call_hedged(
         &self,
         thread: &ThreadCtx,
         req: &[u8],
     ) -> Result<CallResult, RpcError> {
-        let g = &self.cfg.gray;
-        if !g.enabled || self.replicas.len() < 2 {
+        let Some(g) = self.cfg.gray.as_ref().filter(|_| self.replicas.len() >= 2) else {
             return self.call(thread, req).await;
-        }
-        let (first, second) = self.route_read(thread);
+        };
+        let (first, second) = self.route_read(thread, g);
         // Hedging toward a replica scored *worse* than the serving leg
         // cannot help: once routing has demoted the gray peer, the
         // routed leg already is the healthy one, and a hedge deposit
@@ -535,7 +501,7 @@ impl ReplicaClient {
             }
         }
         let t0 = thread.now();
-        let deadline = t0 + g.hedge_deadline;
+        let deadline = t0 + HEDGE_DEADLINE;
         let hedge_at = t0 + self.hedge_delay(thread, first);
         let policy = CallPolicy::recovered(&self.cfg.recovery);
         // Leg 0 is the routed read, leg 1 the hedge; each is one flight

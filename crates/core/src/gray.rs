@@ -12,99 +12,41 @@
 //! * [`ReplicaScorer`] — folds each replica's rolling
 //!   [`ConnHealthReport`] windows into a 0..=1 health score against a
 //!   frozen healthy baseline; the router demotes replicas whose score
-//!   drops below [`GrayConfig::demote_below`].
-//! * hedge pacing — [`GrayConfig::hedge_p99_factor`] ×
-//!   the *baseline* (healthy) p99 derives the hedge delay: a request
-//!   still unanswered after the latency that 99% of healthy calls
-//!   beat is likely stuck behind a gray path, so a second leg is
+//!   drops below `DEMOTE_BELOW`.
+//! * hedge pacing — the *baseline* (healthy) p99 is the hedge delay: a
+//!   request still unanswered after the latency that 99% of healthy
+//!   calls beat is likely stuck behind a gray path, so a second leg is
 //!   raced on another replica.
 //! * [`RetryBudget`] — a token bucket shared by retries, hedges, and
 //!   failover switches. Successes refill it; under a retry storm it
 //!   drains, capping amplification and degrading to fail-fast
 //!   (shedding the retry, never the first attempt).
 //!
-//! Everything here is inert until [`GrayConfig::enabled`] is set: the
-//! router's checks are plain `Cell`/field loads, no RNG is drawn, no
-//! instrument is created, so a disabled-knobs run stays byte-identical
-//! to a build without the subsystem (pinned by
-//! `gray_disabled_is_byte_identical` in `rfp-chaos`).
+//! The subsystem is present iff [`FailoverConfig::gray`](crate::FailoverConfig::gray)
+//! is `Some`; scored routing and the budget are what gray mode *is*,
+//! hedging the one mechanism a deployment may leave out.
 
 use std::cell::Cell;
 
-use rfp_simnet::{ConnHealthReport, SimSpan};
+use rfp_simnet::{AnomalyDetector, ConnHealthReport, SimSpan};
 
-/// Scoring thresholds of [`ReplicaScorer`]. Deliberately aligned with
-/// the anomaly detector's defaults (`AnomalyConfig`) so a replica the
-/// doctor would flag is also one the router de-prefers.
-#[derive(Clone, Debug)]
-pub struct ScorerConfig {
-    /// Calls a window must carry before it can freeze the baseline.
-    pub min_calls: u64,
-    /// Calls a window must carry before it produces a fresh score.
-    pub min_window_calls: u64,
-    /// p99 inflation over baseline at which the latency penalty
-    /// starts.
-    pub latency_factor: f64,
-    /// Retry-rate threshold: `baseline * retry_factor + retry_margin`.
-    pub retry_factor: f64,
-    /// Absolute slack added to the retry threshold.
-    pub retry_margin: f64,
-    /// Credit-gate pauses per window that count as starvation.
-    pub credit_wait_min: u64,
-}
+/// Score below which a replica is demoted (0..=1). The scorer's
+/// penalties are sized against it: a fail-slow median alone
+/// (0.25 + up to 0.5) crosses it, a tail-only regression (0.25) never
+/// does.
+pub(crate) const DEMOTE_BELOW: f64 = 0.5;
+/// Minimum hedge delay, and the delay used before any baseline exists.
+pub(crate) const HEDGE_FLOOR: SimSpan = SimSpan::micros(5);
+/// Overall deadline of one hedged call; past it the router gives up on
+/// both legs and falls back to the plain failover path.
+pub(crate) const HEDGE_DEADLINE: SimSpan = SimSpan::millis(2);
 
-impl Default for ScorerConfig {
-    fn default() -> Self {
-        ScorerConfig {
-            min_calls: 16,
-            min_window_calls: 4,
-            latency_factor: 3.0,
-            retry_factor: 3.0,
-            retry_margin: 1.0,
-            credit_wait_min: 1,
-        }
-    }
-}
-
-/// Token-bucket parameters of [`RetryBudget`].
-#[derive(Clone, Debug)]
-pub struct RetryBudgetConfig {
-    /// Whether the budget gates retries/hedges at all.
-    pub enabled: bool,
-    /// Bucket capacity (also the initial fill).
-    pub max_tokens: f64,
-    /// Tokens returned per successful call, on top of refunding the
-    /// call's unused reservation.
-    pub refill_per_success: f64,
-}
-
-impl Default for RetryBudgetConfig {
-    fn default() -> Self {
-        RetryBudgetConfig {
-            enabled: true,
-            max_tokens: 16.0,
-            refill_per_success: 0.5,
-        }
-    }
-}
-
-/// Master switch and tunables of the gray-failure subsystem, carried
-/// by `FailoverConfig`. The default is **disabled**: every knob below
-/// is dormant and the replica router behaves exactly as before.
+/// Tunables of the gray-failure subsystem, carried by `FailoverConfig`
+/// when the router runs it.
 #[derive(Clone, Debug)]
 pub struct GrayConfig {
-    /// Master switch. Off ⇒ the router's wire traffic and telemetry
-    /// are byte-identical to a build without this subsystem.
-    pub enabled: bool,
-    /// Health-scored routing: demote gray replicas, probe them for
-    /// recovery, de-prefer them probabilistically.
-    pub scored_routing: bool,
     /// Hedged requests on the read path (`call_hedged`).
     pub hedging: bool,
-    /// Scoring thresholds.
-    pub scorer: ScorerConfig,
-    /// Score below which a replica is demoted (0..=1).
-    pub demote_below: f64,
     /// Every `probe_every`-th routed call still targets a demoted
     /// preferred replica, sampling it for recovery. 0 disables
     /// probing. The default keeps probe traffic under 1% of routed
@@ -112,58 +54,27 @@ pub struct GrayConfig {
     /// (p99 tolerates 1% of slow samples); lower it when a test wants
     /// fast recovery detection.
     pub probe_every: u32,
-    /// Hedge delay = healthy-baseline p99 × this factor (clamped to
-    /// `hedge_floor` from below).
-    pub hedge_p99_factor: f64,
-    /// Minimum hedge delay, and the delay used before any baseline
-    /// exists.
-    pub hedge_floor: SimSpan,
-    /// Overall deadline of one hedged call; past it the router gives
-    /// up on both legs.
-    pub hedge_deadline: SimSpan,
-    /// Retry/hedge token bucket.
-    pub budget: RetryBudgetConfig,
     /// Seed of the router's de-preference draw stream (private
     /// `StdRng`, never the simulation RNG — scoring decisions do not
     /// perturb unrelated event timing).
     pub seed: u64,
 }
 
-impl Default for GrayConfig {
-    fn default() -> Self {
+impl GrayConfig {
+    /// Every mechanism on — the mitigated cell of the `grayfail` sweep.
+    pub fn all_on() -> Self {
         GrayConfig {
-            enabled: false,
-            scored_routing: true,
             hedging: true,
-            scorer: ScorerConfig::default(),
-            demote_below: 0.5,
             probe_every: 256,
-            hedge_p99_factor: 1.0,
-            hedge_floor: SimSpan::micros(5),
-            hedge_deadline: SimSpan::millis(2),
-            budget: RetryBudgetConfig::default(),
             seed: 0x6B4A_9E21,
         }
     }
-}
 
-impl GrayConfig {
-    /// An enabled config with every mechanism on — the mitigated cell
-    /// of the `grayfail` sweep.
-    pub fn all_on() -> Self {
-        GrayConfig {
-            enabled: true,
-            ..GrayConfig::default()
-        }
-    }
-
-    /// Enabled with scored routing only (no hedging) — the sweep's
-    /// middle cell.
+    /// Scored routing only (no hedging) — the sweep's middle cell.
     pub fn routing_only() -> Self {
         GrayConfig {
-            enabled: true,
             hedging: false,
-            ..GrayConfig::default()
+            ..GrayConfig::all_on()
         }
     }
 }
@@ -181,7 +92,7 @@ struct ScoreBaseline {
 /// each replica freezes its baseline; later windows are scored by
 /// accumulating penalties:
 ///
-/// * **median** inflation past `latency_factor` × baseline p50: 0.25
+/// * **median** inflation past `LATENCY_FACTOR` × baseline p50: 0.25
 ///   plus up to 0.5 more as the ratio doubles past the threshold. The
 ///   median is the primary latency signal deliberately: a whole-replica
 ///   fail-slow fault drags *every* call, so p50 inflates as hard as
@@ -189,16 +100,19 @@ struct ScoreBaseline {
 ///   because the racing loop was blocked on the gray peer, one probe
 ///   in a fast window) can own a window's p99 without meaning the
 ///   replica is sick;
-/// * **tail-only** regression (p99 past `latency_factor` × baseline
+/// * **tail-only** regression (p99 past `LATENCY_FACTOR` × baseline
 ///   p99 with the median still healthy): 0.25 — evidence, but never
 ///   demoting alone;
-/// * retry rate past `baseline × retry_factor + retry_margin`: 0.25;
-/// * credit starvation (`credit_waits ≥ credit_wait_min`): 0.15;
+/// * retry rate past `baseline × RETRY_FACTOR + RETRY_MARGIN`: 0.25;
+/// * credit starvation (any credit wait in the window): 0.15;
 /// * any hard-failure signal (verb errors, reconnects): 0.5.
 ///
+/// The thresholds are the anomaly detector's ([`AnomalyDetector`]), so
+/// a replica the doctor would flag is also one the router de-prefers.
+///
 /// `score = max(0, 1 − Σ penalties)`. A replica whose median inflates
-/// past 1.25× the latency factor (3.75× baseline at defaults) crosses
-/// the default demotion threshold of 0.5 on latency alone — a pure
+/// past 1.25× the latency factor (3.75× baseline) crosses
+/// the demotion threshold of 0.5 on latency alone — a pure
 /// fail-slow fault demotes without any hard-failure evidence, and the
 /// gradient is steep enough that even a flaky link whose inflation is
 /// *capped* by RC retransmission limits (~8 rounds per verb) clears
@@ -208,15 +122,13 @@ struct ScoreBaseline {
 /// (but above-threshold) score; intermittent grayness is surfaced by
 /// the anomaly detector, not routed around.
 pub struct ReplicaScorer {
-    cfg: ScorerConfig,
     baselines: Vec<Cell<Option<ScoreBaseline>>>,
 }
 
 impl ReplicaScorer {
     /// A scorer for `replicas` replicas with no baselines yet.
-    pub fn new(cfg: ScorerConfig, replicas: usize) -> Self {
+    pub fn new(replicas: usize) -> Self {
         ReplicaScorer {
-            cfg,
             baselines: (0..replicas).map(|_| Cell::new(None)).collect(),
         }
     }
@@ -229,7 +141,7 @@ impl ReplicaScorer {
     pub fn score(&self, i: usize, report: &ConnHealthReport) -> Option<f64> {
         let slot = &self.baselines[i];
         let Some(base) = slot.get() else {
-            if report.calls >= self.cfg.min_calls {
+            if report.calls >= AnomalyDetector::MIN_BASELINE_CALLS {
                 slot.set(Some(ScoreBaseline {
                     p50_ns: report.p50_ns.max(1),
                     p99_ns: report.p99_ns.max(1),
@@ -238,22 +150,24 @@ impl ReplicaScorer {
             }
             return None;
         };
-        if report.calls < self.cfg.min_window_calls {
+        if report.calls < AnomalyDetector::MIN_WINDOW_CALLS {
             return None;
         }
+        let f = AnomalyDetector::LATENCY_FACTOR;
         let mut penalty = 0.0;
         let p50_ratio = report.p50_ns as f64 / base.p50_ns as f64;
         let p99_ratio = report.p99_ns as f64 / base.p99_ns as f64;
-        if p50_ratio > self.cfg.latency_factor {
-            let f = self.cfg.latency_factor;
+        if p50_ratio > f {
             penalty += 0.25 + 0.5 * ((p50_ratio - f) / (f / 2.0)).min(1.0);
-        } else if p99_ratio > self.cfg.latency_factor {
+        } else if p99_ratio > f {
             penalty += 0.25;
         }
-        if report.retry_rate > base.retry_rate * self.cfg.retry_factor + self.cfg.retry_margin {
+        let retry_threshold =
+            base.retry_rate * AnomalyDetector::RETRY_FACTOR + AnomalyDetector::RETRY_MARGIN;
+        if report.retry_rate > retry_threshold {
             penalty += 0.25;
         }
-        if report.credit_waits >= self.cfg.credit_wait_min {
+        if report.credit_waits > 0 {
             penalty += 0.15;
         }
         if report.verb_errors + report.reconnects > 0 {
@@ -285,11 +199,11 @@ impl ReplicaScorer {
 ///   what it did not use, so concurrent callers cannot over-commit
 ///   the pool;
 /// * total retry amplification is bounded: past the initial
-///   `max_tokens` burst, sustained retries-per-success cannot exceed
-///   `refill_per_success`, because each retry consumes a token that
-///   only a success puts back.
+///   [`MAX_TOKENS`](Self::MAX_TOKENS) burst, sustained
+///   retries-per-success cannot exceed
+///   [`REFILL_PER_SUCCESS`](Self::REFILL_PER_SUCCESS), because each
+///   retry consumes a token that only a success puts back.
 pub struct RetryBudget {
-    cfg: RetryBudgetConfig,
     tokens: Cell<f64>,
     /// Retry/hedge/failover grants denied because the bucket was dry.
     denied: Cell<u64>,
@@ -297,16 +211,24 @@ pub struct RetryBudget {
     spent: Cell<u64>,
 }
 
-impl RetryBudget {
-    pub fn new(cfg: RetryBudgetConfig) -> Self {
-        let tokens = Cell::new(cfg.max_tokens);
+impl Default for RetryBudget {
+    fn default() -> Self {
         RetryBudget {
-            cfg,
-            tokens,
+            tokens: Cell::new(Self::MAX_TOKENS),
             denied: Cell::new(0),
             spent: Cell::new(0),
         }
     }
+}
+
+impl RetryBudget {
+    /// Bucket capacity (also the initial fill).
+    pub const MAX_TOKENS: f64 = 16.0;
+    /// Tokens returned per successful call, on top of refunding the
+    /// call's unused reservation: the sustained retries-per-success
+    /// bound, well inside the ≤ 2 tokens per completed call the
+    /// `grayfail` sweep asserts.
+    pub const REFILL_PER_SUCCESS: f64 = 0.5;
 
     /// Tokens currently available.
     pub fn tokens(&self) -> f64 {
@@ -317,9 +239,6 @@ impl RetryBudget {
     /// granted (0 when the bucket is dry). A grant of less than `want`
     /// bumps the denied counter once.
     pub fn reserve(&self, want: u32) -> u32 {
-        if !self.cfg.enabled || want == 0 {
-            return want;
-        }
         let have = self.tokens.get().floor().max(0.0) as u32;
         let granted = want.min(have);
         if granted < want {
@@ -332,22 +251,16 @@ impl RetryBudget {
 
     /// Returns `unused` tokens of an earlier reservation.
     pub fn refund(&self, unused: u32) {
-        if !self.cfg.enabled || unused == 0 {
-            return;
-        }
         self.spent
             .set(self.spent.get().saturating_sub(unused as u64));
         self.tokens
-            .set((self.tokens.get() + unused as f64).min(self.cfg.max_tokens));
+            .set((self.tokens.get() + unused as f64).min(Self::MAX_TOKENS));
     }
 
     /// Books one successful call: refills the bucket.
     pub fn on_success(&self) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.tokens
-            .set((self.tokens.get() + self.cfg.refill_per_success).min(self.cfg.max_tokens));
+            .set((self.tokens.get() + Self::REFILL_PER_SUCCESS).min(Self::MAX_TOKENS));
     }
 
     /// Reservations that came back short because the bucket was dry.
@@ -397,7 +310,7 @@ mod tests {
 
     #[test]
     fn scorer_freezes_baseline_then_scores() {
-        let s = ReplicaScorer::new(ScorerConfig::default(), 2);
+        let s = ReplicaScorer::new(2);
         // Thin window: neither baseline nor score.
         assert_eq!(s.score(0, &report(3, 10_000, 0.0)), None);
         assert!(!s.has_baseline(0));
@@ -412,7 +325,7 @@ mod tests {
 
     #[test]
     fn pure_latency_regression_drops_below_demotion_threshold() {
-        let s = ReplicaScorer::new(ScorerConfig::default(), 1);
+        let s = ReplicaScorer::new(1);
         s.score(0, &report(100, 10_000, 0.0));
         // 10x the baseline p99, no other signal: penalty 0.1 + 0.5.
         let score = s.score(0, &report(20, 100_000, 0.0)).unwrap();
@@ -423,7 +336,7 @@ mod tests {
 
     #[test]
     fn tail_only_regression_degrades_but_does_not_demote() {
-        let s = ReplicaScorer::new(ScorerConfig::default(), 1);
+        let s = ReplicaScorer::new(1);
         s.score(0, &report(100, 10_000, 0.0));
         // A few poisoned samples own the window p99 (20x) while the
         // median stays healthy: evidence, not a demotion.
@@ -435,7 +348,7 @@ mod tests {
 
     #[test]
     fn hard_failure_signals_stack_with_latency() {
-        let s = ReplicaScorer::new(ScorerConfig::default(), 1);
+        let s = ReplicaScorer::new(1);
         s.score(0, &report(100, 10_000, 0.0));
         let mut r = report(20, 40_000, 5.0);
         r.verb_errors = 2;
@@ -446,12 +359,8 @@ mod tests {
 
     #[test]
     fn budget_reserves_refunds_and_refills() {
-        let b = RetryBudget::new(RetryBudgetConfig {
-            enabled: true,
-            max_tokens: 4.0,
-            refill_per_success: 0.5,
-        });
-        assert_eq!(b.reserve(3), 3);
+        let b = RetryBudget::default();
+        assert_eq!(b.reserve(15), 15);
         assert_eq!(b.tokens(), 1.0);
         // Dry-ish bucket grants what it has and counts the denial.
         assert_eq!(b.reserve(3), 1);
@@ -462,30 +371,16 @@ mod tests {
         b.refund(2);
         b.on_success();
         assert_eq!(b.tokens(), 2.5);
-        for _ in 0..20 {
+        for _ in 0..40 {
             b.on_success();
         }
-        assert_eq!(b.tokens(), 4.0, "refill saturates at max_tokens");
-    }
-
-    #[test]
-    fn disabled_budget_grants_everything_and_counts_nothing() {
-        let b = RetryBudget::new(RetryBudgetConfig {
-            enabled: false,
-            ..RetryBudgetConfig::default()
-        });
-        assert_eq!(b.reserve(1_000), 1_000);
-        assert_eq!(b.denied(), 0);
-        assert_eq!(b.consumed(), 0);
-        assert_eq!(b.tokens(), RetryBudgetConfig::default().max_tokens);
+        assert_eq!(b.tokens(), 16.0, "refill saturates at MAX_TOKENS");
     }
 
     #[test]
     fn gray_config_defaults_are_dormant() {
-        let g = GrayConfig::default();
-        assert!(!g.enabled);
-        assert!(g.scored_routing && g.hedging, "knobs armed but gated");
-        assert!(GrayConfig::all_on().enabled);
+        assert!(crate::FailoverConfig::default().gray.is_none());
+        assert!(GrayConfig::all_on().hedging);
         assert!(!GrayConfig::routing_only().hedging);
     }
 }

@@ -16,43 +16,25 @@
 //!   including across the two-segment fetch, where the second READ must
 //!   observe the same generation — and silently refetches on mismatch;
 //! * on the recovery path the refetch is **bounded**: after
-//!   [`verify_retries`](IntegrityConfig::verify_retries) consecutive
-//!   corrupt fetches the attempt fails with
-//!   [`FailureCause::Corrupt`](crate::FailureCause) and the next
+//!   `VERIFY_RETRIES` consecutive corrupt fetches the attempt fails
+//!   with [`FailureCause::Corrupt`](crate::FailureCause) and the next
 //!   attempt escalates to a QP re-establishment.
 //!
-//! With the layer disabled (the default) every wire byte, scheduled
-//! event and exported metric row is identical to a build without it —
-//! the same disabled-knobs-inert guarantee the deadline and overload
-//! extensions give.
+//! The layer is on iff [`RfpConfig::integrity`](crate::RfpConfig::integrity)
+//! is set; both ends of a connection read the same flag.
 
 use crate::header::{resp_canary, RespHeader, RESP_TRAILER};
 use rfp_simnet::crc64;
 
-/// Tunables of the integrity layer (client and server ends share them
-/// through the connection config).
-#[derive(Clone, Debug)]
-pub struct IntegrityConfig {
-    /// Whether responses are CRC/generation-stamped and verified. Off by
-    /// default: a disabled config leaves every wire byte and scheduled
-    /// event exactly as without the layer.
-    pub enabled: bool,
-    /// Consecutive corrupt fetches tolerated per recovery attempt before
-    /// the attempt fails with `FailureCause::Corrupt` (which escalates
-    /// to a QP re-establishment on the next attempt). The plain
-    /// non-recovery paths refetch without bound — a failed verification
-    /// is just a failed attempt there.
-    pub verify_retries: u32,
-}
-
-impl Default for IntegrityConfig {
-    fn default() -> Self {
-        IntegrityConfig {
-            enabled: false,
-            verify_retries: 3,
-        }
-    }
-}
+/// Consecutive corrupt fetches tolerated per recovery attempt before
+/// the attempt fails with `FailureCause::Corrupt` (which escalates to a
+/// QP re-establishment on the next attempt). A fetch torn by a racing
+/// post is clean on the next sample, so a streak means the corruption
+/// persists and only a fresh QP can clear it; `tests/integrity.rs` pins
+/// absorb → escalate → fail at this value. The plain non-recovery paths
+/// refetch without bound — a failed verification is just a failed
+/// attempt there.
+pub(crate) const VERIFY_RETRIES: u32 = 3;
 
 /// Why a fetched response failed verification.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -151,12 +133,5 @@ mod tests {
             verify_response(&hdr, b"", &trailer),
             Err(IntegrityFault::Torn)
         );
-    }
-
-    #[test]
-    fn default_config_is_off() {
-        let cfg = IntegrityConfig::default();
-        assert!(!cfg.enabled);
-        assert!(cfg.verify_retries > 0);
     }
 }

@@ -76,7 +76,6 @@ mod mux;
 mod observe;
 mod overload;
 mod params;
-mod pool;
 pub mod reactor;
 mod recovery;
 mod server;
@@ -85,17 +84,16 @@ mod tuner;
 pub use client::{CallInfo, CallPolicy, CallResult, ClientStats, RfpClient};
 pub use conn::{connect, Mode, RfpConfig, RfpServerConn, RfpTelemetry};
 pub use failover::{FailoverConfig, ReplicaClient};
-pub use gray::{GrayConfig, ReplicaScorer, RetryBudget, RetryBudgetConfig, ScorerConfig};
+pub use gray::{GrayConfig, ReplicaScorer, RetryBudget};
 pub use header::{
     resp_canary, slot_of, ReqHeader, RespHeader, RespIntegrity, RespStatus, MAX_PAYLOAD,
     MAX_REQ_PAYLOAD, MAX_REQ_PAYLOAD_EPOCH, REQ_HDR, REQ_HDR_EXT, REQ_HDR_TENANT, RESP_HDR,
     RESP_HDR_EXT, RESP_TRAILER,
 };
-pub use integrity::{verify_response, IntegrityConfig, IntegrityFault};
+pub use integrity::{verify_response, IntegrityFault};
 pub use mux::{serve_loop_tenant, shard_conns, LogicalClient, MuxConfig, RfpMux, TenantId};
 pub use overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits};
 pub use params::{ParamSelector, Params, WorkloadSample};
-pub use pool::RfpPool;
 pub use reactor::{CoreSpec, Reactor, ReactorConfig};
 pub use recovery::{FailureCause, RecoveryConfig, RpcError};
 pub use server::{serve_loop, Commit, IdlePolicy, Reply, RfpHandler, ScanHandler};

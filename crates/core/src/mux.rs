@@ -56,13 +56,14 @@ use crate::server::RfpHandler;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 
+/// Upper bound on distinct physical QPs the mux'd connections may ride;
+/// [`RfpMux::new`] asserts it. The fleet design point is "≤ 64 QPs
+/// regardless of logical clients".
+const MAX_PHYSICAL_QPS: usize = 64;
+
 /// Tunables of the multiplexing layer.
 #[derive(Clone)]
 pub struct MuxConfig {
-    /// Upper bound on distinct physical QPs the mux'd connections may
-    /// ride; [`RfpMux::new`] asserts it. The fleet design point is
-    /// "≤ 64 QPs regardless of logical clients".
-    pub max_physical_qps: usize,
     /// Stamp each request with the holder's tenant id (the 24-byte
     /// extended header). Off, the wire stays byte-identical to the
     /// dedicated-connection path — the M=N pin test rides on this.
@@ -75,7 +76,6 @@ pub struct MuxConfig {
 impl Default for MuxConfig {
     fn default() -> Self {
         MuxConfig {
-            max_physical_qps: 64,
             stamp_tenant: true,
             tenant_health: None,
         }
@@ -123,8 +123,8 @@ struct MuxInstruments {
 /// N logical clients multiplexed over M physical RFP connections.
 pub struct RfpMux {
     clients: Vec<Rc<RfpClient>>,
-    /// FIFO dispenser of "some connection is not busy" permits — the
-    /// same fairness the pool has, over leased connections.
+    /// FIFO dispenser of "some connection is not busy" permits:
+    /// callers are served in arrival order.
     sem: Semaphore,
     phys: Vec<PhysState>,
     avail: RefCell<Avail>,
@@ -143,7 +143,7 @@ impl RfpMux {
     /// # Panics
     ///
     /// Panics if `clients` is empty or the connections ride more than
-    /// [`MuxConfig::max_physical_qps`] distinct QPs (physical
+    /// `MAX_PHYSICAL_QPS` distinct QPs (physical
     /// connections are expected to *share* QP pairs per machine — a
     /// fresh QP per connection would defeat the point).
     pub fn new(clients: Vec<Rc<RfpClient>>, cfg: MuxConfig) -> Rc<Self> {
@@ -153,10 +153,9 @@ impl RfpMux {
             .map(|c| Rc::as_ptr(&c.qp()) as usize)
             .collect();
         assert!(
-            qps.len() <= cfg.max_physical_qps,
-            "{} distinct QPs exceed the configured budget of {}",
+            qps.len() <= MAX_PHYSICAL_QPS,
+            "{} distinct QPs exceed the budget of {MAX_PHYSICAL_QPS}",
             qps.len(),
-            cfg.max_physical_qps
         );
         let m = clients.len();
         Rc::new(RfpMux {
@@ -408,15 +407,14 @@ impl LogicalClient {
     /// Overload-aware call: the deadline budget starts at *arrival*
     /// (time queued for a lease counts against it), and a call whose
     /// budget is spent before a connection frees up is shed locally —
-    /// zero wire traffic, like [`RfpPool::call_overload`](crate::RfpPool::call_overload).
+    /// zero wire traffic.
     ///
     /// # Panics
     ///
-    /// Panics if the mux'd connections do not have overload control
-    /// enabled.
+    /// Panics if the mux'd connections carry no overload control.
     pub async fn call_overload(&self, thread: &ThreadCtx, req: &[u8]) -> CallResult {
         let ov = self.mux.clients[0].overload_config();
-        assert!(ov.enabled, "call_overload requires overload control");
+        let ov = ov.expect("call_overload requires overload control");
         let by_arrival = CallPolicy::admitted(Some(thread.now() + ov.deadline));
         self.one(thread, req, by_arrival).await.expect(NO_RECOVERY)
     }
@@ -467,7 +465,7 @@ impl LogicalClient {
 /// FIFO-fair for a lease, run `reqs` on the leased connection through
 /// the call engine, and book each result into the tenant's health
 /// window. A hard admission deadline already spent while queueing sheds
-/// the calls locally, like [`RfpPool`](crate::RfpPool).
+/// the calls locally.
 impl CallEngine for LogicalClient {
     async fn run<R: AsRef<[u8]>>(
         &self,

@@ -20,24 +20,36 @@
 //!   when credits hit zero, keeping rejected work off the wire
 //!   entirely.
 //!
-//! Everything is gated on [`OverloadConfig::enabled`], which defaults to
-//! `false`; a disabled config changes no wire byte, schedules no event
-//! and creates no instrument, so existing runs are byte-identical.
+//! The stage is present iff [`RfpConfig::overload`](crate::RfpConfig::overload)
+//! is `Some`; a connection without it stamps no deadline, advertises no
+//! credit and creates no instrument.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use rfp_simnet::{RetryPolicy, SimSpan, SimTime};
 
-/// Tunables of the overload-control subsystem. Carried by
+// The credit curve, sized against the default admission sweep
+// ([`OverloadConfig::queue_limit`] = 8): a full sweep's worth of credits
+// while at most half a sweep is backed up, none once two sweeps are —
+// whatever is submitted then would bounce.
+
+/// Credits advertised when the server is idle (backlog at or below
+/// [`CREDIT_LOW_WATER`]) — also what a client assumes before the first
+/// response.
+pub(crate) const CREDIT_MAX: u16 = 8;
+/// Backlog (pending requests seen in one scan) at or below which the
+/// full [`CREDIT_MAX`] is advertised.
+const CREDIT_LOW_WATER: usize = 4;
+/// Backlog at or above which zero credits are advertised; between the
+/// waters the advertisement falls linearly.
+const CREDIT_HIGH_WATER: usize = 16;
+
+/// Tunables of the overload-control stage. Carried by
 /// [`RfpConfig`](crate::RfpConfig), so both endpoints of a connection
 /// see the same knobs.
 #[derive(Clone, Debug)]
 pub struct OverloadConfig {
-    /// Master switch. `false` (the default) keeps every path — wire
-    /// format, scheduling, instruments — exactly as without the
-    /// subsystem.
-    pub enabled: bool,
     /// Requests a server thread admits per scan of its connections;
     /// pending requests beyond this bound are answered `Busy`.
     pub queue_limit: usize,
@@ -46,16 +58,6 @@ pub struct OverloadConfig {
     /// that instant, and the client stops tight-polling for the
     /// response once it passes.
     pub deadline: SimSpan,
-    /// Credits advertised when the server is idle (backlog at or below
-    /// [`credit_low_water`](OverloadConfig::credit_low_water)).
-    pub credit_max: u16,
-    /// Backlog (pending requests seen in one scan) at or below which
-    /// the full [`credit_max`](OverloadConfig::credit_max) is
-    /// advertised.
-    pub credit_low_water: usize,
-    /// Backlog at or above which zero credits are advertised; between
-    /// the waters the advertisement falls linearly.
-    pub credit_high_water: usize,
     /// Re-admission schedule: attempts and jittered backoff applied
     /// when a call's submission is answered `Busy`/`Shed`.
     pub retry: RetryPolicy,
@@ -78,12 +80,8 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
-            enabled: false,
             queue_limit: 8,
             deadline: SimSpan::micros(50),
-            credit_max: 8,
-            credit_low_water: 4,
-            credit_high_water: 16,
             retry: RetryPolicy::exponential(4, SimSpan::micros(10), SimSpan::micros(200), 0.3),
             credit_wait: SimSpan::micros(10),
             probe_pause: SimSpan::micros(5),
@@ -128,20 +126,18 @@ pub fn admit(
 }
 
 /// Credits to advertise for a scan that found `backlog` pending
-/// requests: `credit_max` at or below the low water, zero at or above
+/// requests: [`CREDIT_MAX`] at or below the low water, zero at or above
 /// the high water, linear in between.
-pub fn credits_for(cfg: &OverloadConfig, backlog: usize) -> u16 {
-    let low = cfg.credit_low_water;
-    let high = cfg.credit_high_water.max(low + 1);
-    if backlog <= low {
-        return cfg.credit_max;
+pub fn credits_for(backlog: usize) -> u16 {
+    if backlog <= CREDIT_LOW_WATER {
+        return CREDIT_MAX;
     }
-    if backlog >= high {
+    if backlog >= CREDIT_HIGH_WATER {
         return 0;
     }
-    let span = (high - low) as f64;
-    let over = (backlog - low) as f64;
-    (cfg.credit_max as f64 * (1.0 - over / span)).round() as u16
+    let span = (CREDIT_HIGH_WATER - CREDIT_LOW_WATER) as f64;
+    let over = (backlog - CREDIT_LOW_WATER) as f64;
+    (CREDIT_MAX as f64 * (1.0 - over / span)).round() as u16
 }
 
 /// Per-tenant admission accounting for one scan of a shared (mux'd)
@@ -162,7 +158,7 @@ pub fn credits_for(cfg: &OverloadConfig, backlog: usize) -> u16 {
 ///
 /// Credit advertisements are also per-domain: the level stamped into a
 /// response reflects the backlog *of the tenant that sent the request*,
-/// so a cold tenant keeps seeing `credit_max` while the hot tenant's
+/// so a cold tenant keeps seeing [`CREDIT_MAX`] while the hot tenant's
 /// own credits collapse to zero (its clients then pace themselves off
 /// the wire — the same mechanism, scoped).
 #[derive(Default)]
@@ -211,9 +207,9 @@ impl TenantCredits {
     }
 
     /// Credits to advertise to `tenant`, from its own backlog this scan.
-    pub fn credits(&self, cfg: &OverloadConfig, tenant: Option<u32>) -> u16 {
+    pub fn credits(&self, tenant: Option<u32>) -> u16 {
         let seen = self.domains.borrow().get(&tenant).map_or(0, |dom| dom.seen);
-        credits_for(cfg, seen)
+        credits_for(seen)
     }
 
     /// Requests admitted across all domains this scan.
@@ -233,18 +229,9 @@ mod tests {
 
     fn cfg() -> OverloadConfig {
         OverloadConfig {
-            enabled: true,
             queue_limit: 4,
-            credit_max: 8,
-            credit_low_water: 2,
-            credit_high_water: 10,
             ..OverloadConfig::default()
         }
-    }
-
-    #[test]
-    fn default_is_off() {
-        assert!(!OverloadConfig::default().enabled);
     }
 
     #[test]
@@ -291,20 +278,18 @@ mod tests {
 
     #[test]
     fn credits_interpolate_between_waters() {
-        let c = cfg();
-        assert_eq!(credits_for(&c, 0), 8);
-        assert_eq!(credits_for(&c, 2), 8);
-        assert_eq!(credits_for(&c, 6), 4);
-        assert_eq!(credits_for(&c, 10), 0);
-        assert_eq!(credits_for(&c, 50), 0);
+        assert_eq!(credits_for(0), 8);
+        assert_eq!(credits_for(4), 8);
+        assert_eq!(credits_for(10), 4);
+        assert_eq!(credits_for(16), 0);
+        assert_eq!(credits_for(50), 0);
     }
 
     #[test]
     fn credits_monotone_in_backlog() {
-        let c = cfg();
         let mut prev = u16::MAX;
         for backlog in 0..20 {
-            let cur = credits_for(&c, backlog);
+            let cur = credits_for(backlog);
             assert!(cur <= prev, "credits rose with backlog at {backlog}");
             prev = cur;
         }
@@ -330,24 +315,16 @@ mod tests {
 
     #[test]
     fn tenant_credits_reflect_own_backlog_only() {
-        let c = cfg(); // low water 2, high water 10, max 8
+        let c = cfg();
         let t = TenantCredits::new();
         let now = SimTime::from_nanos(10);
-        for _ in 0..10 {
+        for _ in 0..CREDIT_HIGH_WATER {
             let _ = t.admit(&c, now, None, Some(1));
         }
         let _ = t.admit(&c, now, None, Some(2));
-        assert_eq!(t.credits(&c, Some(1)), 0, "hot tenant throttled");
-        assert_eq!(
-            t.credits(&c, Some(2)),
-            c.credit_max,
-            "cold tenant untouched"
-        );
-        assert_eq!(
-            t.credits(&c, Some(3)),
-            c.credit_max,
-            "unseen tenant untouched"
-        );
+        assert_eq!(t.credits(Some(1)), 0, "hot tenant throttled");
+        assert_eq!(t.credits(Some(2)), CREDIT_MAX, "cold tenant untouched");
+        assert_eq!(t.credits(Some(3)), CREDIT_MAX, "unseen tenant untouched");
     }
 
     #[test]
@@ -373,18 +350,6 @@ mod tests {
         // A shed charges the backlog (the request was pending) but not
         // the admission count.
         assert_eq!(t.admitted_total(), 0);
-        assert!(t.credits(&c, Some(1)) <= c.credit_max);
-    }
-
-    #[test]
-    fn degenerate_waters_still_total() {
-        let c = OverloadConfig {
-            credit_low_water: 5,
-            credit_high_water: 5,
-            ..cfg()
-        };
-        assert_eq!(credits_for(&c, 4), c.credit_max);
-        assert_eq!(credits_for(&c, 5), c.credit_max);
-        assert_eq!(credits_for(&c, 6), 0);
+        assert!(t.credits(Some(1)) <= CREDIT_MAX);
     }
 }

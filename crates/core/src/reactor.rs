@@ -73,16 +73,17 @@ use rfp_simnet::{
 
 use crate::conn::RfpServerConn;
 use crate::header::RespStatus;
-use crate::overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits};
+use crate::overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits, CREDIT_MAX};
 use crate::server::{IdlePolicy, Reply, ScanHandler};
+
+/// Modeled cost of moving one request across cores (charged as busy
+/// time on the thief per stolen request).
+const HANDOFF_COST: SimSpan = SimSpan::nanos(150);
 
 /// Reactor-wide knobs.
 pub struct ReactorConfig {
     /// Lets idle cores steal work from loaded siblings.
     pub steal: bool,
-    /// Modeled cost of moving one request across cores (charged as
-    /// busy time on the thief per stolen request).
-    pub handoff_cost: SimSpan,
     /// Most requests one steal pass takes before re-scanning its own
     /// partition (keeps a thief from starving its own ring).
     pub steal_batch: usize,
@@ -97,7 +98,6 @@ impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             steal: false,
-            handoff_cost: SimSpan::nanos(150),
             steal_batch: 4,
             registry: None,
             recorder: None,
@@ -246,11 +246,11 @@ impl Reactor {
                     !spec.conns.is_empty(),
                     "reactor core {i} owns no connections"
                 );
-                let ov = spec.conns[0].overload().clone();
+                let admission = spec.conns[0].overload().cloned();
                 assert!(
                     spec.conns
                         .iter()
-                        .all(|c| c.overload().enabled == ov.enabled),
+                        .all(|c| c.overload().is_some() == admission.is_some()),
                     "mixed overload configs on one server thread"
                 );
                 let gauges = cfg.registry.as_ref().map(|reg| CoreGauges {
@@ -270,8 +270,8 @@ impl Reactor {
                         })
                         .collect(),
                     handler: RefCell::new(spec.handler),
-                    advertised: Cell::new(ov.credit_max),
-                    admission: ov.enabled.then_some(ov),
+                    advertised: Cell::new(CREDIT_MAX),
+                    admission,
                     runq: RunQueue::new(),
                     held: RefCell::default(),
                     credits: TenantCredits::new(),
@@ -290,7 +290,7 @@ impl Reactor {
                 steal: cfg.steal,
                 steal_batch: cfg.steal_batch.max(1),
                 recorder: cfg.recorder,
-                handoff: Handoff::new(cfg.handoff_cost),
+                handoff: Handoff::new(HANDOFF_COST),
                 cores: states,
             }),
         }
@@ -509,9 +509,10 @@ impl Shared {
     /// pins both). Unused (zero, the legacy fill) without the stage.
     fn credit_stamp(&self, owner: usize, tenant: Option<u32>) -> u16 {
         let core = &self.cores[owner];
-        match &core.admission {
-            Some(ov) if self.tenant_domains => core.credits.credits(ov, tenant),
-            _ => core.advertised.get(),
+        if self.tenant_domains {
+            core.credits.credits(tenant)
+        } else {
+            core.advertised.get()
         }
     }
 
@@ -648,11 +649,11 @@ impl Shared {
         if stolen {
             return out;
         }
-        if let Some(ov) = &core.admission {
+        if core.admission.is_some() {
             // Credits advertised on the *next* scan's rejections and
             // this batch's responses come from this scan's backlog —
             // the freshest level the server knows.
-            core.advertised.set(credits_for(ov, out.backlog));
+            core.advertised.set(credits_for(out.backlog));
         }
         if out.backlog == 0 {
             // Nothing picked up: nothing was queued, logged or held.

@@ -34,14 +34,6 @@ pub struct RecoveryConfig {
     pub fetch_deadline: SimSpan,
     /// Attempt budget and backoff schedule across attempts.
     pub retry: RetryPolicy,
-    /// CPU cost of re-establishing the QP and re-registering buffers
-    /// (connection setup handshake, `ibv_create_qp` + rkey exchange).
-    pub reconnect_cpu: SimSpan,
-    /// Optional deadline on the *whole call*, measured from its start:
-    /// backoff sleeps are clamped so they never overshoot it, and once
-    /// the clock reaches it the loop gives up instead of resubmitting.
-    /// `None` (the default) bounds the call by the attempt budget only.
-    pub call_deadline: Option<SimSpan>,
     /// Seed of the backoff-jitter stream (independent per client).
     pub seed: u64,
 }
@@ -51,8 +43,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             fetch_deadline: SimSpan::micros(100),
             retry: RetryPolicy::exponential(16, SimSpan::micros(20), SimSpan::millis(2), 0.2),
-            reconnect_cpu: SimSpan::micros(5),
-            call_deadline: None,
             seed: 0x5EED_0001,
         }
     }

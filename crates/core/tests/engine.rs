@@ -7,8 +7,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use rfp_core::{
-    connect, serve_loop, FailoverConfig, GrayConfig, IntegrityConfig, RecoveryConfig,
-    ReplicaClient, RfpClient, RfpConfig, RfpTelemetry,
+    connect, serve_loop, FailoverConfig, GrayConfig, RecoveryConfig, ReplicaClient, RfpClient,
+    RfpConfig, RfpTelemetry,
 };
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{FlightRecorder, MetricsRegistry, SimSpan, Simulation, SpanRecorder};
@@ -67,11 +67,7 @@ fn hedging_router(r: &Rig) -> Rc<ReplicaClient> {
     Rc::new(ReplicaClient::new(
         r.clients.clone(),
         FailoverConfig {
-            gray: GrayConfig {
-                enabled: true,
-                hedging: true,
-                ..GrayConfig::default()
-            },
+            gray: Some(GrayConfig::all_on()),
             ..FailoverConfig::default()
         },
     ))
@@ -124,10 +120,7 @@ fn hedged_two_segment_calls_book_extra_reads_and_spans() {
 #[test]
 fn hedge_legs_report_the_fetches_they_discarded() {
     let cfg = RfpConfig {
-        integrity: IntegrityConfig {
-            enabled: true,
-            ..IntegrityConfig::default()
-        },
+        integrity: true,
         ..RfpConfig::default()
     };
     let mut r = rig(2, cfg, SimSpan::ZERO);

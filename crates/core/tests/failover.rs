@@ -8,25 +8,39 @@ use rfp_core::{
     connect, serve_loop, FailoverConfig, RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn,
 };
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
-use rfp_simnet::{RetryPolicy, SimSpan, Simulation};
+use rfp_simnet::{FlightRecorder, RetryPolicy, SimSpan, SimTime, Simulation};
 
-/// One client machine plus two server machines, both echoing; the
-/// router prefers machine 1 (replica 0) and falls back to machine 2.
+/// One client machine plus `servers` server machines, all echoing; the
+/// router prefers machine 1 (replica 0) and falls back to the next.
 struct Rig {
     sim: Simulation,
     cluster: Cluster,
     router: Rc<ReplicaClient>,
     client_thread: Rc<ThreadCtx>,
     server_conns: Vec<Rc<RfpServerConn>>,
+    recorder: FlightRecorder,
+}
+
+/// Short budget so a dead replica is abandoned quickly.
+fn short_recovery() -> RecoveryConfig {
+    RecoveryConfig {
+        retry: RetryPolicy::exponential(3, SimSpan::micros(5), SimSpan::micros(50), 0.2),
+        ..RecoveryConfig::default()
+    }
 }
 
 fn rig() -> Rig {
+    rig_of(2)
+}
+
+fn rig_of(servers: usize) -> Rig {
     let mut sim = Simulation::new(23);
-    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 3);
+    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1 + servers);
     let client_m = cluster.machine(0);
+    let recorder = FlightRecorder::new(256);
     let mut replicas = Vec::new();
     let mut server_conns = Vec::new();
-    for s in 1..3usize {
+    for s in 1..=servers {
         let server_m = cluster.machine(s);
         let (cl, sc) = connect(
             &client_m,
@@ -35,6 +49,7 @@ fn rig() -> Rig {
             cluster.qp(s, 0),
             RfpConfig {
                 enable_mode_switch: false,
+                recorder: Some(recorder.clone()),
                 ..RfpConfig::default()
             },
         );
@@ -53,12 +68,7 @@ fn rig() -> Rig {
     let router = Rc::new(ReplicaClient::new(
         replicas,
         FailoverConfig {
-            recovery: RecoveryConfig {
-                // Short budget so a dead replica is abandoned quickly.
-                retry: RetryPolicy::exponential(3, SimSpan::micros(5), SimSpan::micros(50), 0.2),
-                ..RecoveryConfig::default()
-            },
-            max_failovers: 4,
+            recovery: short_recovery(),
             ..FailoverConfig::default()
         },
     ));
@@ -68,6 +78,7 @@ fn rig() -> Rig {
         cluster,
         router,
         server_conns,
+        recorder,
     }
 }
 
@@ -167,4 +178,42 @@ fn backoff_streak_resets_after_a_successful_failover() {
     // the next transient error after a clean failover starts from the
     // streak the dead replica left behind and over-backs-off.
     assert_eq!(r.router.fail_streak(), 0);
+}
+
+/// A router over one replica has nowhere to fail over to: a call
+/// against its crashed replica surfaces the first exhausted error —
+/// exactly what the bare connection returns under the same policy, at
+/// the same instant — instead of "switching" from replica 0 to replica
+/// 0 and re-running the recovery schedule once per allowed switch.
+#[test]
+fn single_replica_surfaces_the_first_exhausted_error() {
+    // Runs one doomed call, through the router or straight on its
+    // connection, and returns the rig, the error and when it surfaced.
+    let doomed = |routed: bool| {
+        let mut r = rig_of(1);
+        r.cluster.machine(1).faults().set_crashed(true);
+        let router = Rc::clone(&r.router);
+        let t = Rc::clone(&r.client_thread);
+        let out = Rc::new(Cell::new(None));
+        let o = Rc::clone(&out);
+        r.sim.spawn(async move {
+            let err = if routed {
+                router.call(&t, b"doomed").await
+            } else {
+                let conn = router.client();
+                conn.call_with_recovery(&t, b"doomed", &short_recovery())
+                    .await
+            };
+            o.set(Some((err.expect_err("the only replica is down"), t.now())));
+        });
+        r.sim.run_for(SimSpan::millis(5));
+        let (err, at) = out.take().expect("the call settled");
+        (r, err, at)
+    };
+    let (r, err, at) = doomed(true);
+    let (_, bare_err, bare_at) = doomed(false);
+    assert_eq!((err, at), (bare_err, bare_at), "more than one schedule");
+    assert!(at > SimTime::ZERO);
+    assert_eq!((r.router.failovers(), r.router.active()), (0, 0));
+    assert_eq!(r.recorder.kind_count("recovery.failover"), 0);
 }

@@ -9,8 +9,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_core::{
-    connect, serve_loop, IntegrityConfig, RecoveryConfig, RespStatus, RfpConfig, RfpTelemetry,
-    RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
+    connect, serve_loop, RecoveryConfig, RespStatus, RfpConfig, RfpTelemetry, RESP_HDR,
+    RESP_HDR_EXT, RESP_TRAILER,
 };
 use rfp_rnic::{Cluster, ClusterProfile, Machine};
 use rfp_simnet::{MetricsRegistry, RetryPolicy, SimSpan, Simulation, SpanRecorder};
@@ -38,10 +38,7 @@ fn echo_rig(
 
 fn integrity_cfg(registry: &MetricsRegistry) -> RfpConfig {
     RfpConfig {
-        integrity: IntegrityConfig {
-            enabled: true,
-            ..IntegrityConfig::default()
-        },
+        integrity: true,
         telemetry: Some(RfpTelemetry {
             registry: registry.clone(),
             spans: SpanRecorder::new(16),

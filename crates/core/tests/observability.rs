@@ -19,8 +19,8 @@ use rfp_core::{
 };
 use rfp_rnic::{Cluster, ClusterProfile, Machine, ThreadCtx};
 use rfp_simnet::{
-    AnomalyConfig, AnomalyDetector, AnomalyKind, ConnHealthReport, FlightRecorder, HealthConfig,
-    HealthHub, HealthReport, MetricsRegistry, RetryPolicy, SimSpan, Simulation, SpanRecorder,
+    AnomalyDetector, AnomalyKind, ConnHealthReport, FlightRecorder, HealthConfig, HealthHub,
+    HealthReport, MetricsRegistry, RetryPolicy, SimSpan, Simulation, SpanRecorder,
 };
 
 /// Everything a run exposes that predates the observability plane.
@@ -222,13 +222,12 @@ struct Scenario {
 }
 
 fn overload_on(cfg: &mut RfpConfig) {
-    cfg.overload = OverloadConfig {
-        enabled: true,
+    cfg.overload = Some(OverloadConfig {
         deadline: SimSpan::micros(20),
         retry: RetryPolicy::exponential(2, SimSpan::micros(5), SimSpan::micros(20), 0.0),
         max_probes: 1,
         ..OverloadConfig::default()
-    };
+    });
 }
 
 /// Server-side verdict events carry the connection but no chain.
@@ -363,7 +362,7 @@ fn stalled_pipeline_slot_raises_stuck_slot_anomaly() {
     );
     let conn0 = report.conn(0).expect("connection 0 reported");
     assert!(conn0.stalls > 0, "health window missed the stalls");
-    let anomalies = AnomalyDetector::new(AnomalyConfig::default()).scan(&report);
+    let anomalies = AnomalyDetector::new().scan(&report);
     assert!(!anomalies.is_empty(), "StuckSlot not flagged");
     for a in &anomalies {
         assert_eq!(
@@ -393,7 +392,7 @@ fn every_incident_lands_on_every_plane_under_its_own_name() {
     let same = |kind, link, health| -> Row { (Some(kind), kind, link, health) };
     let plain: fn(&mut RfpConfig) = |_| {};
     let healthy: fn(&Machine) = |_| {};
-    let integrity_on: fn(&mut RfpConfig) = |cfg| cfg.integrity.enabled = true;
+    let integrity_on: fn(&mut RfpConfig) = |cfg| cfg.integrity = true;
     let reply_mode: fn(&mut RfpConfig) = |cfg| {
         (cfg.initial_mode, cfg.enable_mode_switch) = (Mode::ServerReply, false);
     };

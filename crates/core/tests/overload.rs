@@ -10,10 +10,12 @@ use proptest::prelude::*;
 
 use rfp_core::{
     connect, serve_loop, CoreSpec, OverloadConfig, Reactor, ReactorConfig, RespStatus, RfpConfig,
-    RfpServerConn,
+    RfpServerConn, RfpTelemetry,
 };
 use rfp_rnic::core_threads;
-use rfp_simnet::{MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, WaitGroup};
+use rfp_simnet::{
+    MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder, WaitGroup,
+};
 
 /// Echo rig under overload: `clients` closed-loop callers, each issuing
 /// `calls_each` requests, echo handler with a fixed process time, over
@@ -48,7 +50,7 @@ fn run_rig(
     );
     let server_m = cluster.machine(0);
     let cfg = RfpConfig {
-        overload: ov,
+        overload: Some(ov),
         ..RfpConfig::default()
     };
 
@@ -179,7 +181,6 @@ proptest! {
         steal in any::<bool>(),
     ) {
         let ov = OverloadConfig {
-            enabled: true,
             queue_limit,
             deadline: SimSpan::micros(deadline_us),
             retry: RetryPolicy::exponential(3, SimSpan::micros(2), SimSpan::micros(8), 0.3),
@@ -213,7 +214,6 @@ proptest! {
 #[test]
 fn stealing_conserves_requests_under_admission() {
     let ov = OverloadConfig {
-        enabled: true,
         queue_limit: 2,
         deadline: SimSpan::micros(10),
         retry: RetryPolicy::immediate(1),
@@ -259,11 +259,10 @@ fn thief_sheds_under_the_victims_rule() {
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
     let link = |overload_on: bool| {
         let cfg = RfpConfig {
-            overload: OverloadConfig {
-                enabled: overload_on,
+            overload: overload_on.then(|| OverloadConfig {
                 deadline: SimSpan::millis(1),
                 ..OverloadConfig::default()
-            },
+            }),
             ..RfpConfig::default()
         };
         let (cl, sc) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
@@ -336,66 +335,47 @@ fn thief_sheds_under_the_victims_rule() {
     assert_eq!(doomed_conn.rejected_shed(), 1);
 }
 
-/// With `enabled: false` every other knob is inert: wild tunings and
-/// the default config drive byte-identical simulations, and no
-/// `overload.*`/rejection instrument ever materialises.
+/// A connection without the overload stage materialises no
+/// `overload.*` / rejection instrument.
 #[test]
 fn disabled_knobs_are_inert() {
-    let snapshot_of = |ov: OverloadConfig| {
-        let mut sim = Simulation::new(99);
-        let cluster =
-            rfp_rnic::Cluster::new(&mut sim, rfp_rnic::ClusterProfile::paper_testbed(), 2);
-        let (cm, sm) = (cluster.machine(0), cluster.machine(1));
-        let registry = MetricsRegistry::new();
-        cluster.attach_metrics(&registry);
-        let cfg = RfpConfig {
-            overload: ov,
-            ..RfpConfig::default()
-        };
-        let (cl, sc) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
-        let st = sm.thread("server");
-        sim.spawn(serve_loop(
-            st,
-            vec![Rc::new(sc)],
-            |req: &[u8]| (req.to_vec(), SimSpan::micros(2)),
-            SimSpan::nanos(100),
-        ));
-        let t = cm.thread("client");
-        sim.spawn(async move {
-            for i in 0..40u32 {
-                let out = cl.call(&t, &i.to_le_bytes()).await;
-                assert_eq!(out.data, i.to_le_bytes());
-                assert_eq!(out.info.status, RespStatus::Ok);
-            }
-        });
-        sim.run_for(SimSpan::millis(5));
-        for name in registry.names() {
-            assert!(
-                !name.contains("overload") && !name.contains("reject"),
-                "disabled overload materialised instrument {name}"
-            );
-        }
-        let mut csv = Vec::new();
-        registry.snapshot().write_csv(&mut csv).unwrap();
-        csv
+    let mut sim = Simulation::new(99);
+    let cluster = rfp_rnic::Cluster::new(&mut sim, rfp_rnic::ClusterProfile::paper_testbed(), 2);
+    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+    let registry = MetricsRegistry::new();
+    cluster.attach_metrics(&registry);
+    let cfg = RfpConfig {
+        telemetry: Some(RfpTelemetry {
+            registry: registry.clone(),
+            spans: SpanRecorder::new(64),
+            prefix: "rfp.client.0".into(),
+            track: 0,
+        }),
+        ..RfpConfig::default()
     };
-
-    let default_run = snapshot_of(OverloadConfig::default());
-    let wild_run = snapshot_of(OverloadConfig {
-        enabled: false,
-        queue_limit: 1,
-        deadline: SimSpan::nanos(1),
-        credit_max: 1,
-        credit_low_water: 0,
-        credit_high_water: 1,
-        retry: RetryPolicy::immediate(1),
-        credit_wait: SimSpan::millis(1),
-        probe_pause: SimSpan::millis(1),
-        max_probes: 1,
-        seed: 0xDEAD_BEEF,
+    let (cl, sc) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+    let st = sm.thread("server");
+    sim.spawn(serve_loop(
+        st,
+        vec![Rc::new(sc)],
+        |req: &[u8]| (req.to_vec(), SimSpan::micros(2)),
+        SimSpan::nanos(100),
+    ));
+    let t = cm.thread("client");
+    sim.spawn(async move {
+        for i in 0..40u32 {
+            let out = cl.call(&t, &i.to_le_bytes()).await;
+            assert_eq!(out.data, i.to_le_bytes());
+            assert_eq!(out.info.status, RespStatus::Ok);
+        }
     });
-    assert_eq!(
-        default_run, wild_run,
-        "overload knobs leaked into a disabled run"
-    );
+    sim.run_for(SimSpan::millis(5));
+    let names = registry.names();
+    assert!(names.iter().any(|n| n == "rfp.client.0.calls"));
+    for name in names {
+        assert!(
+            !name.contains("overload") && !name.contains("reject"),
+            "a connection without overload control materialised instrument {name}"
+        );
+    }
 }

@@ -118,7 +118,7 @@ async fn legacy_overload(
     // the test passes the identical config in from the rig instead.
     ov: OverloadConfig,
 ) {
-    let mut advertised = ov.credit_max;
+    let mut advertised = credits_for(0);
     let mut nap = SimSpan::ZERO;
     loop {
         if thread.machine().faults().is_crashed() {
@@ -156,7 +156,7 @@ async fn legacy_overload(
                 }
             }
         }
-        advertised = credits_for(&ov, backlog);
+        advertised = credits_for(backlog);
         if !crashed {
             for (i, req) in admitted {
                 if thread.machine().faults().is_crashed() {
@@ -194,7 +194,6 @@ async fn legacy_tenant(
     idle: IdlePolicy,
     ov: OverloadConfig,
 ) {
-    assert!(ov.enabled);
     let credits = TenantCredits::new();
     let mut nap = SimSpan::ZERO;
     loop {
@@ -226,7 +225,7 @@ async fn legacy_tenant(
                         served_any = true;
                     }
                     Admission::Shed => {
-                        conn.set_advertised_credits(credits.credits(&ov, tenant));
+                        conn.set_advertised_credits(credits.credits(tenant));
                         conn.reject(&thread, RespStatus::Shed).await;
                         served_any = true;
                     }
@@ -245,7 +244,7 @@ async fn legacy_tenant(
                 if thread.machine().faults().is_crashed() {
                     break;
                 }
-                conns[i].set_advertised_credits(credits.credits(&ov, tenant));
+                conns[i].set_advertised_credits(credits.credits(tenant));
                 conns[i].send(&thread, &resp).await;
                 served_any = true;
             }
@@ -290,15 +289,14 @@ fn run(sc: &Scenario, legacy: bool) -> Observed {
     let mut conns: Vec<Rc<RfpServerConn>> = Vec::new();
     let mut ov0: Option<OverloadConfig> = None;
     for i in 0..sc.m {
-        let ov = OverloadConfig {
-            enabled: overload_on,
+        let ov = overload_on.then(|| OverloadConfig {
             queue_limit: sc.queue_limit,
             deadline: SimSpan::micros(sc.deadline_us),
             seed: rfp_simnet::derive_seed(sc.seed, 0x0CAFE + i as u64),
             ..OverloadConfig::default()
-        };
+        });
         if i == 0 {
-            ov0 = Some(ov.clone());
+            ov0 = ov.clone();
         }
         let cfg = RfpConfig {
             window: sc.window,
@@ -345,7 +343,7 @@ fn run(sc: &Scenario, legacy: bool) -> Observed {
                 conns.clone(),
                 handler,
                 idle,
-                ov0.clone().expect("at least one conn"),
+                ov0.clone().expect("overload-controlled conns"),
             ));
         }
         (Policy::Tenant, true) => {
@@ -354,7 +352,7 @@ fn run(sc: &Scenario, legacy: bool) -> Observed {
                 conns.clone(),
                 handler,
                 idle,
-                ov0.clone().expect("at least one conn"),
+                ov0.clone().expect("overload-controlled conns"),
             ));
         }
     }

@@ -9,7 +9,7 @@
 //! rig builds the rank order deliberately:
 //!
 //! * it generates candidate key names and buckets them by
-//!   [`partition_of`] until every partition owns `keys_per_core`
+//!   [`partition_of`] until every partition owns `KEYS_PER_CORE`
 //!   names;
 //! * **uniform** runs interleave the buckets round-robin (rank `r` →
 //!   partition `r % cores`), so uniform sampling loads every core
@@ -44,36 +44,11 @@ pub struct CoresConfig {
     pub cores: usize,
     /// Lets idle cores steal from loaded siblings.
     pub steal: bool,
-    /// Modeled cross-core handoff cost per stolen request.
-    pub handoff_cost: SimSpan,
-    /// Requests one steal pass may take before re-scanning its own
-    /// partition.
-    pub steal_batch: usize,
     /// `None` → uniform key popularity; `Some(θ)` → Zipf(θ) over the
     /// hot-first rank order (the head lands on partition 0).
     pub skew: Option<f64>,
-    /// Constructed keys per partition.
-    pub keys_per_core: usize,
-    /// Extra application CPU per request, on top of the store's own
-    /// lookup cost. The default makes the workload *CPU-bound* well
-    /// below the NIC ceilings (client out-bound ≈2.1 Mops/machine,
-    /// server in-bound ≈11.3 Mops), so the sweep measures core
-    /// scaling rather than wire saturation.
-    pub extra_process: SimSpan,
-    /// Preloaded value size (the headline 32-byte point).
-    pub value_len: usize,
-    /// Client machines.
-    pub client_machines: usize,
-    /// Client threads per client machine.
-    pub clients_per_machine: usize,
     /// Ring window per connection (= pipelining depth per client draw).
     pub window: usize,
-    /// Cluster timing profile.
-    pub profile: ClusterProfile,
-    /// Server CPU per ring-slot header check.
-    pub check_cpu: SimSpan,
-    /// Server CPU per posted response.
-    pub post_cpu: SimSpan,
     /// Master seed.
     pub seed: u64,
 }
@@ -83,18 +58,8 @@ impl Default for CoresConfig {
         CoresConfig {
             cores: 4,
             steal: true,
-            handoff_cost: SimSpan::nanos(150),
-            steal_batch: 8,
             skew: None,
-            keys_per_core: 1024,
-            extra_process: SimSpan::nanos(750),
-            value_len: 32,
-            client_machines: 12,
-            clients_per_machine: 3,
             window: 8,
-            profile: ClusterProfile::paper_testbed(),
-            check_cpu: SimSpan::nanos(30),
-            post_cpu: SimSpan::nanos(50),
             seed: 42,
         }
     }
@@ -103,20 +68,20 @@ impl Default for CoresConfig {
 impl CoresConfig {
     /// Total client threads.
     pub fn total_clients(&self) -> usize {
-        self.client_machines * self.clients_per_machine
+        CLIENT_MACHINES * CLIENTS_PER_MACHINE
     }
 
     fn rfp(&self) -> RfpConfig {
         let base = RfpConfig::default();
-        let resp = (RESP_HDR + 5 + self.value_len)
+        let resp = (RESP_HDR + 5 + VALUE_LEN)
             .next_multiple_of(64)
             .max(256)
             .max(base.fetch_size);
         let req = (REQ_HDR + 7 + KEY_LEN).next_multiple_of(64).max(256);
         RfpConfig {
             window: self.window,
-            check_cpu: self.check_cpu,
-            post_cpu: self.post_cpu,
+            check_cpu: CHECK_CPU,
+            post_cpu: POST_CPU,
             resp_capacity: resp,
             req_capacity: req,
             ..base
@@ -126,6 +91,26 @@ impl CoresConfig {
 
 /// Constructed key names are fixed-width (the paper's 16-byte keys).
 const KEY_LEN: usize = 16;
+/// Client machines, and client threads on each.
+const CLIENT_MACHINES: usize = 12;
+const CLIENTS_PER_MACHINE: usize = 3;
+/// Extra application CPU per request, on top of the store's own lookup
+/// cost. It makes the workload *CPU-bound* well below the NIC ceilings
+/// (client out-bound ≈2.1 Mops/machine, server in-bound ≈11.3 Mops), so
+/// the rig measures core scaling rather than wire saturation.
+const EXTRA_PROCESS: SimSpan = SimSpan::nanos(750);
+/// Preloaded value size (the headline 32-byte point).
+const VALUE_LEN: usize = 32;
+/// Constructed keys per partition.
+const KEYS_PER_CORE: usize = 1024;
+/// Requests one steal pass may take before re-scanning its own
+/// partition: one client draw's worth per core (the default
+/// [`CoresConfig::window`]).
+const STEAL_BATCH: usize = 8;
+/// Server CPU per ring-slot header check and per posted response, as in
+/// the other KV rigs ([`SystemConfig`](crate::SystemConfig)'s defaults).
+const CHECK_CPU: SimSpan = SimSpan::nanos(30);
+const POST_CPU: SimSpan = SimSpan::nanos(50);
 
 /// Builds the rank-ordered keyspace described in the module docs:
 /// `cores × keys_per_core` names, each partition owning exactly
@@ -210,23 +195,19 @@ impl CoresKv {
 pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
     let seating = Seating {
         servers: 1,
-        machines: cfg.client_machines,
-        per_machine: cfg.clients_per_machine,
+        machines: CLIENT_MACHINES,
+        per_machine: CLIENTS_PER_MACHINE,
         seed: cfg.seed,
         think: SimSpan::ZERO,
     };
-    let mut sys = KvSystem::bed(sim, &cfg.profile, &seating, None);
+    let mut sys = KvSystem::bed(sim, &ClusterProfile::paper_testbed(), &seating, None);
     let rfp_cfg = cfg.rfp();
 
     // The constructed keyspace and its preloaded partitions.
-    let keys = Rc::new(build_keyspace(
-        cfg.cores,
-        cfg.keys_per_core,
-        cfg.skew.is_some(),
-    ));
-    let value = vec![0x56u8; cfg.value_len];
+    let keys = Rc::new(build_keyspace(cfg.cores, KEYS_PER_CORE, cfg.skew.is_some()));
+    let value = vec![0x56u8; VALUE_LEN];
     let pairs = keys.iter().map(|key| (key, &value));
-    let partitions = preload_partitions(pairs, cfg.cores, cfg.keys_per_core.max(64) / 4);
+    let partitions = preload_partitions(pairs, cfg.cores, KEYS_PER_CORE / 4);
 
     // Clients: one connection per (client thread, core); requests are
     // routed to the core owning the key's partition (EREW).
@@ -259,20 +240,16 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
     // The reactor: one core per partition, stealing as configured.
     let threads = core_threads(&sys.server_machine, "s", cfg.cores);
     let specs: Vec<CoreSpec> = (0..cfg.cores)
-        .map(|i| {
-            let extra = cfg.extra_process;
-            CoreSpec {
-                thread: Rc::clone(&threads[i]),
-                conns: sys.server_conns[i].clone(),
-                handler: Box::new(kv_handler(Rc::clone(&partitions[i]), move || extra)),
-            }
+        .map(|i| CoreSpec {
+            thread: Rc::clone(&threads[i]),
+            conns: sys.server_conns[i].clone(),
+            handler: Box::new(kv_handler(Rc::clone(&partitions[i]), || EXTRA_PROCESS)),
         })
         .collect();
     let reactor = Reactor::new(
         ReactorConfig {
             steal: cfg.steal,
-            handoff_cost: cfg.handoff_cost,
-            steal_batch: cfg.steal_batch,
+            steal_batch: STEAL_BATCH,
             registry: Some(sys.registry.clone()),
             recorder: None,
         },

@@ -13,7 +13,6 @@
 //! | Pilaf-like | server-bypass GET / server-reply PUT | 3-way cuckoo + CRC64 ([`PilafStore`], [`rfp_simnet::crc64()`]) | [`systems::spawn_pilaf`] |
 
 pub mod bucket;
-pub mod bucket_compact;
 pub mod cores;
 pub mod hash;
 pub mod hopscotch;
@@ -27,7 +26,6 @@ pub mod systems;
 mod cuckoo;
 
 pub use bucket::{Partition, PutOutcome, SLOTS_PER_BUCKET};
-pub use bucket_compact::{CompactPartition, COMPACT_SLOTS};
 pub use cores::{build_keyspace, spawn_cores_kv, CoresConfig, CoresKv};
 pub use cuckoo::{bypass_get, BypassGet, CuckooError, PilafStore, PilafView, SLOT_SIZE};
 pub use hash::{hash_bytes, partition_of};

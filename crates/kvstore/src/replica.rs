@@ -67,28 +67,30 @@ pub enum AckPolicy {
     Async,
 }
 
+/// Most log entries shipped per replication call.
+const SHIP_BATCH: usize = 8;
+
+/// Recovery policy of the ship calls. The budget is short: a dead
+/// backup should demote to solo serving in a bounded span, not stall
+/// clients for the full client-side budget.
+fn ship_recovery() -> RecoveryConfig {
+    RecoveryConfig {
+        retry: RetryPolicy::exponential(4, SimSpan::micros(10), SimSpan::micros(200), 0.2),
+        ..RecoveryConfig::default()
+    }
+}
+
 /// Tunables of the primary's replication path.
 #[derive(Clone, Debug)]
 pub struct ReplicationConfig {
     /// Ack policy for mutating requests.
     pub ack: AckPolicy,
-    /// Most log entries shipped per replication call.
-    pub batch: usize,
-    /// Recovery policy of the ship calls. The default keeps the budget
-    /// short: a dead backup should demote to solo serving in a bounded
-    /// span, not stall clients for the full client-side budget.
-    pub recovery: RecoveryConfig,
 }
 
 impl Default for ReplicationConfig {
     fn default() -> Self {
         ReplicationConfig {
             ack: AckPolicy::Sync,
-            batch: 8,
-            recovery: RecoveryConfig {
-                retry: RetryPolicy::exponential(4, SimSpan::micros(10), SimSpan::micros(200), 0.2),
-                ..RecoveryConfig::default()
-            },
         }
     }
 }
@@ -224,21 +226,22 @@ fn mutating(req: &KvRequest<'_>) -> bool {
 struct Shipper {
     thread: Rc<ThreadCtx>,
     ship: Rc<RfpClient>,
-    cfg: ReplicationConfig,
+    ack: AckPolicy,
+    recovery: RecoveryConfig,
     role: Rc<PrimaryRole>,
 }
 
 impl Shipper {
-    /// Ships `log` to the backup in batches of `cfg.batch`; returns
+    /// Ships `log` to the backup in batches of [`SHIP_BATCH`]; returns
     /// whether every batch was acked.
     async fn ship_log(&self, log: &[Vec<u8>]) -> bool {
         let role = &self.role;
-        for chunk in log.chunks(self.cfg.batch.max(1)) {
+        for chunk in log.chunks(SHIP_BATCH) {
             let base = role.next_lsn.get();
             let msg = encode_batch(base, chunk);
             let call = self
                 .ship
-                .call_with_recovery(&self.thread, &msg, &self.cfg.recovery);
+                .call_with_recovery(&self.thread, &msg, &self.recovery);
             let Ok(out) = call.await else {
                 return false;
             };
@@ -268,12 +271,12 @@ impl ScanHandler for PrimaryHandler {
         let parsed = KvRequest::decode(req).expect("client sent well-formed request");
         let (resp, work) = apply_to_partition(&mut self.partition.borrow_mut(), &parsed);
         let resp = resp.encode();
-        let (cfg, role) = (&self.shipper.cfg, &self.shipper.role);
+        let role = &self.shipper.role;
         if mutating(&parsed) {
             role.applied_mutations.set(role.applied_mutations.get() + 1);
             if !role.solo.get() {
                 self.log.push(req.to_vec());
-                if cfg.ack == AckPolicy::Sync {
+                if self.shipper.ack == AckPolicy::Sync {
                     return (Reply::Hold(resp), work);
                 }
             }
@@ -320,7 +323,8 @@ pub async fn primary_serve_loop(
     let shipper = Rc::new(Shipper {
         thread: Rc::clone(&thread),
         ship,
-        cfg,
+        ack: cfg.ack,
+        recovery: ship_recovery(),
         role,
     });
     let handler = PrimaryHandler {

@@ -33,7 +33,7 @@ use rfp_core::{
     connect, serve_loop, serve_loop_tenant, shard_conns, CallPolicy, MuxConfig, RespStatus,
     RfpConfig, RfpMux, TenantId, RESP_HDR,
 };
-use rfp_paradigms::{herd_connect, sr_connect, BypassClient, HerdConfig};
+use rfp_paradigms::{herd_connect, sr_connect, BypassClient};
 use rfp_rnic::{ClusterProfile, Machine, ThreadCtx, Transport};
 use rfp_simnet::{derive_seed, Counter, HealthHub, SimLock, SimSpan, Simulation};
 use rfp_workload::{Op, WorkloadSpec};
@@ -53,6 +53,12 @@ use crate::rig::{
 pub const KV_GET_WORK: SimSpan = SimSpan::nanos(150);
 /// Simulated CPU cost of one Jakiro/ServerReply PUT.
 pub const KV_PUT_WORK: SimSpan = SimSpan::nanos(200);
+/// Server threads dedicated to PUTs in the Pilaf/FaRM comparators.
+const PILAF_PUT_THREADS: usize = 2;
+/// Extra process time of an outlier request, drawn uniformly from this
+/// range — sized so the rare slow requests reproduce the 15–17 µs Jakiro
+/// calls of §4.4.2 (EXPERIMENTS.md, Figure 13).
+const OUTLIER_EXTRA: (SimSpan, SimSpan) = (SimSpan::micros(3), SimSpan::micros(10));
 
 /// Experiment configuration shared by all four systems.
 #[derive(Clone)]
@@ -72,18 +78,11 @@ pub struct SystemConfig {
     pub extra_process: SimSpan,
     /// Cluster timing profile.
     pub profile: ClusterProfile,
-    /// Memcached comparator cost model.
-    pub mcd_costs: McdCosts,
-    /// Server threads dedicated to PUTs in the Pilaf comparator.
-    pub pilaf_put_threads: usize,
     /// Probability that a request suffers an unexpectedly long process
     /// time (the paper measures ~0.2% of such outliers, §4.4.2; they
     /// create the latency tail of Figure 13 and the retry tail of
     /// Table 3, and are what the mode-switch hysteresis guards against).
     pub outlier_prob: f64,
-    /// Extra process time of an outlier request, drawn uniformly from
-    /// this range.
-    pub outlier_extra: (SimSpan, SimSpan),
     /// Mean exponentially-distributed client think time between
     /// requests. `ZERO` (the default, and the paper's methodology) is a
     /// closed loop at full tilt; non-zero values sweep offered load for
@@ -114,10 +113,7 @@ impl Default for SystemConfig {
             },
             extra_process: SimSpan::ZERO,
             profile: ClusterProfile::paper_testbed(),
-            mcd_costs: McdCosts::default(),
-            pilaf_put_threads: 2,
             outlier_prob: 0.002,
-            outlier_extra: (SimSpan::micros(3), SimSpan::micros(10)),
             think_time: SimSpan::ZERO,
             seed: 42,
         }
@@ -128,8 +124,6 @@ impl Default for SystemConfig {
 struct OutlierGen {
     rng: rand::rngs::StdRng,
     prob: f64,
-    min_ns: u64,
-    max_ns: u64,
 }
 
 impl OutlierGen {
@@ -138,12 +132,6 @@ impl OutlierGen {
         OutlierGen {
             rng: rand::rngs::StdRng::seed_from_u64(derive_seed(cfg.seed, 0xBAD0 + stream)),
             prob: cfg.outlier_prob,
-            min_ns: cfg.outlier_extra.0.as_nanos(),
-            max_ns: cfg
-                .outlier_extra
-                .1
-                .as_nanos()
-                .max(cfg.outlier_extra.0.as_nanos() + 1),
         }
     }
 
@@ -151,7 +139,8 @@ impl OutlierGen {
     fn draw(&mut self) -> SimSpan {
         use rand::Rng;
         if self.prob > 0.0 && self.rng.gen::<f64>() < self.prob {
-            SimSpan::nanos(self.rng.gen_range(self.min_ns..self.max_ns))
+            let (min, max) = OUTLIER_EXTRA;
+            SimSpan::nanos(self.rng.gen_range(min.as_nanos()..max.as_nanos()))
         } else {
             SimSpan::ZERO
         }
@@ -185,7 +174,7 @@ impl SystemConfig {
         let max_val = self.spec.values.max();
         // Integrity-stamped responses carry the 32-byte extended header
         // plus the 8-byte trailing canary.
-        let resp_overhead = if self.rfp.integrity.enabled {
+        let resp_overhead = if self.rfp.integrity {
             rfp_core::RESP_HDR_EXT + rfp_core::RESP_TRAILER
         } else {
             RESP_HDR
@@ -195,7 +184,7 @@ impl SystemConfig {
             .max(256)
             .max(self.rfp.fetch_size);
         // Deadline-stamped requests carry the 16-byte extended header.
-        let hdr = if self.rfp.overload.enabled {
+        let hdr = if self.rfp.overload.is_some() {
             rfp_core::REQ_HDR_EXT
         } else {
             rfp_core::REQ_HDR
@@ -277,11 +266,11 @@ fn spawn_routed_kv(
     let shards = servers * cfg.server_threads;
     let partitions = preloaded(cfg, shards);
     let rfp_cfg = cfg.sized_rfp();
-    let overload = staged && rfp_cfg.overload.enabled;
+    let overload = staged && rfp_cfg.overload.is_some();
     if overload {
         sys.stats.register_overload_into(&sys.registry);
     }
-    if staged && rfp_cfg.integrity.enabled {
+    if staged && rfp_cfg.integrity {
         sys.stats.register_integrity_into(&sys.registry);
     }
     // Which policy stages each call carries.
@@ -295,9 +284,9 @@ fn spawn_routed_kv(
     for idx in 0..seating.clients() {
         let seat = sys.seat(&seating, idx);
         let mut ccfg = sys.client_cfg(&rfp_cfg, idx);
-        if overload {
+        if let Some(ov) = ccfg.overload.as_mut().filter(|_| staged) {
             // Decorrelate the per-client backoff jitter streams.
-            ccfg.overload.seed = derive_seed(rfp_cfg.overload.seed, idx as u64);
+            ov.seed = derive_seed(ov.seed, idx as u64);
         }
         let conns = (0..shards)
             .map(|shard| {
@@ -397,7 +386,7 @@ pub fn spawn_memcached(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
     );
     let store = McdStore::new(
         (cfg.spec.key_count as usize * 2).max(1024),
-        cfg.mcd_costs.clone(),
+        McdCosts::default(),
     );
     for (key, value) in cfg.preload() {
         store.preload(key, value);
@@ -485,7 +474,7 @@ pub fn spawn_jakiro_shared(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem
 
 /// The bypass rig (Pilaf, FaRM): GETs are client-driven one-sided reads
 /// of the store's table (`scratch` bytes bound one fetch), PUTs go
-/// through server-reply RPC to `pilaf_put_threads` server threads.
+/// through server-reply RPC to `PILAF_PUT_THREADS` server threads.
 fn spawn_bypass_kv<S: BypassStore>(
     sim: &mut Simulation,
     cfg: &SystemConfig,
@@ -503,12 +492,12 @@ fn spawn_bypass_kv<S: BypassStore>(
         inserted.unwrap_or_else(|e| panic!("preload must fit the table: {e}"));
     }
 
-    sys.server_conns = vec![Vec::new(); cfg.pilaf_put_threads];
+    sys.server_conns = vec![Vec::new(); PILAF_PUT_THREADS];
     for idx in 0..seating.clients() {
         let seat = sys.seat(&seating, idx);
         let bypass = BypassClient::new(sys.cluster.qp(seat.machine.id().0, 0), scratch);
         let ccfg = sys.client_cfg(&rfp_cfg, idx);
-        let put_cl = sys.connect(&seat, 0, sr_connect, ccfg, idx % cfg.pilaf_put_threads);
+        let put_cl = sys.connect(&seat, 0, sr_connect, ccfg, idx % PILAF_PUT_THREADS);
         let mut gen = cfg.spec.generator(seat.seed);
         let (thread, st, view) = (
             Rc::clone(&seat.thread),
@@ -604,12 +593,9 @@ pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
     let seating = cfg.seating(1);
     let mut sys = KvSystem::bed(sim, &cfg.profile, &seating, cfg.rfp.recorder.as_ref());
     let partitions = preloaded(cfg, cfg.server_threads);
-    let herd_cfg = HerdConfig {
-        req_capacity: (rfp_core::REQ_HDR + 7 + cfg.spec.key_len + cfg.spec.values.max())
-            .next_multiple_of(64)
-            .max(256),
-        ..HerdConfig::default()
-    };
+    let req_capacity = (rfp_core::REQ_HDR + 7 + cfg.spec.key_len + cfg.spec.values.max())
+        .next_multiple_of(64)
+        .max(256);
 
     let mut server_conns = vec![Vec::new(); cfg.server_threads];
     for idx in 0..seating.clients() {
@@ -622,7 +608,7 @@ pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
                 &sys.server_machine,
                 sys.cluster.qp_typed(me, 0, Transport::Uc),
                 sys.cluster.qp_typed(0, me, Transport::Ud),
-                herd_cfg.clone(),
+                req_capacity,
             );
             conns.push(cl);
             sconns.push(Rc::new(sc));
@@ -733,12 +719,12 @@ impl FleetKv {
 /// partition, and `fleet.poller_groups` tenant-aware server loops
 /// ([`serve_loop_tenant`]) over disjoint connection shards.
 ///
-/// Drivers run the overload-aware call path, so `cfg.rfp` must have
-/// overload control enabled.
+/// Drivers run the overload-aware call path, so `cfg.rfp` must carry
+/// overload control.
 pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetConfig) -> FleetKv {
     assert!(
-        cfg.rfp.overload.enabled,
-        "fleet drivers use call_overload; enable cfg.rfp.overload"
+        cfg.rfp.overload.is_some(),
+        "fleet drivers use call_overload; set cfg.rfp.overload"
     );
     assert!(fleet.tenants > 0 && fleet.drivers > 0 && fleet.physical_conns > 0);
     let machines = cfg.client_machines.min(fleet.physical_conns);
@@ -767,7 +753,9 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
     for k in 0..fleet.physical_conns {
         let m = k % machines;
         let mut ccfg = sys.client_cfg(&rfp_cfg, k);
-        ccfg.overload.seed = derive_seed(rfp_cfg.overload.seed, k as u64);
+        if let Some(ov) = &mut ccfg.overload {
+            ov.seed = derive_seed(ov.seed, k as u64);
+        }
         let (cl, sc) = connect(
             &sys.cluster.machine(1 + m),
             &sys.server_machine,

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use rfp_kvstore::{CompactPartition, KvRequest, KvResponse, LruCache, Partition, PilafStore};
+use rfp_kvstore::{KvRequest, KvResponse, LruCache, Partition, PilafStore};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{crc64, Crc64, Simulation};
 
@@ -36,35 +36,6 @@ proptest! {
     #[test]
     fn partition_matches_hashmap(ops in kv_ops()) {
         let mut part = Partition::new(256); // 2048 slots for ≤64 keys
-        let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-        for op in ops {
-            match op {
-                KvOp::Get(k) => {
-                    let key = k.to_le_bytes().to_vec();
-                    prop_assert_eq!(
-                        part.get(&key).map(<[u8]>::to_vec),
-                        model.get(&key).cloned()
-                    );
-                }
-                KvOp::Put(k, v) => {
-                    let key = k.to_le_bytes().to_vec();
-                    part.put(&key, &v);
-                    model.insert(key, v);
-                }
-                KvOp::Remove(k) => {
-                    let key = k.to_le_bytes().to_vec();
-                    prop_assert_eq!(part.remove(&key), model.remove(&key));
-                }
-            }
-            prop_assert_eq!(part.len(), model.len());
-        }
-        prop_assert_eq!(part.evictions(), 0, "sizing should prevent eviction");
-    }
-
-    /// The cacheline-layout partition agrees with a HashMap too.
-    #[test]
-    fn compact_partition_matches_hashmap(ops in kv_ops()) {
-        let mut part = CompactPartition::new(256);
         let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
         for op in ops {
             match op {

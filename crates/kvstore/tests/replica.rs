@@ -114,11 +114,7 @@ fn rig_with(ack: AckPolicy, client_cfg: RfpConfig, clients: usize) -> Rig {
         primary_conns.clone(),
         Rc::clone(&primary_part),
         Rc::new(ship),
-        ReplicationConfig {
-            ack,
-            batch: 4,
-            recovery: short_recovery(0xA11),
-        },
+        ReplicationConfig { ack },
         Rc::clone(&primary_role),
         SimSpan::nanos(100),
     ));
@@ -135,7 +131,6 @@ fn rig_with(ack: AckPolicy, client_cfg: RfpConfig, clients: usize) -> Rig {
         replicas,
         FailoverConfig {
             recovery: short_recovery(0xB22),
-            max_failovers: 4,
             ..FailoverConfig::default()
         },
     ));
@@ -361,11 +356,10 @@ async fn put_checked(
 fn replicated_primary_honours_admission() {
     let registry = MetricsRegistry::new();
     let cfg = RfpConfig {
-        overload: OverloadConfig {
-            enabled: true,
+        overload: Some(OverloadConfig {
             queue_limit: 1,
             ..OverloadConfig::default()
-        },
+        }),
         telemetry: Some(RfpTelemetry {
             registry: registry.clone(),
             spans: SpanRecorder::new(64),

@@ -404,10 +404,9 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
 
     let cfg = SystemConfig {
         rfp: RfpConfig {
-            overload: OverloadConfig {
-                enabled: true,
+            overload: Some(OverloadConfig {
                 ..OverloadConfig::default()
-            },
+            }),
             ..SystemConfig::default().rfp
         },
         ..small_cfg()

@@ -21,35 +21,20 @@ use rfp_core::{ReqHeader, REQ_HDR};
 use rfp_rnic::{Machine, MemRegion, Qp, ThreadCtx, Transport};
 use rfp_simnet::{retry, timeout, RetryPolicy, SimSpan};
 
-/// Tuning of one HERD-style connection.
-#[derive(Clone, Debug)]
-pub struct HerdConfig {
-    /// Capacity of the request slot (header + payload).
-    pub req_capacity: usize,
-    /// How long the client waits for a response before retransmitting.
-    pub retransmit_after: SimSpan,
-    /// Give up after this many retransmissions of one call.
-    pub max_retransmits: u32,
-    /// CPU cost to inspect a local header (server scan).
-    pub check_cpu: SimSpan,
-}
-
-impl Default for HerdConfig {
-    fn default() -> Self {
-        HerdConfig {
-            req_capacity: 4 * 1024,
-            retransmit_after: SimSpan::micros(100),
-            max_retransmits: 16,
-            check_cpu: SimSpan::nanos(30),
-        }
-    }
-}
+/// How long the client waits for a response before retransmitting.
+const RETRANSMIT_AFTER: SimSpan = SimSpan::micros(100);
+/// Give up after this many retransmissions of one call.
+const MAX_RETRANSMITS: u32 = 16;
+/// CPU cost to inspect a local header (server scan) — what the RFP
+/// systems it is compared against charge per check.
+const CHECK_CPU: SimSpan = SimSpan::nanos(30);
 
 /// Creates one HERD-style client↔server connection.
 ///
 /// `uc` must be a UC queue pair from the client's machine to the
 /// server's; `ud` a UD queue pair from the server's machine to the
-/// client's.
+/// client's. `req_capacity` is the capacity of the request slot (header
+/// + payload).
 ///
 /// # Panics
 ///
@@ -59,7 +44,7 @@ pub fn herd_connect(
     server_machine: &Rc<Machine>,
     uc: Rc<Qp>,
     ud: Rc<Qp>,
-    cfg: HerdConfig,
+    req_capacity: usize,
 ) -> (HerdClient, HerdServerConn) {
     assert_eq!(uc.transport(), Transport::Uc, "request path must be UC");
     assert_eq!(ud.transport(), Transport::Ud, "response path must be UD");
@@ -68,15 +53,15 @@ pub fn herd_connect(
     assert_eq!(ud.local().id(), server_machine.id(), "ud direction");
     assert_eq!(ud.remote().id(), client_machine.id(), "ud direction");
 
-    let req = server_machine.alloc_mr(cfg.req_capacity);
-    let req_local = client_machine.alloc_mr(cfg.req_capacity);
+    let req = server_machine.alloc_mr(req_capacity);
+    let req_local = client_machine.alloc_mr(req_capacity);
 
     let client = HerdClient {
         uc,
         ud: Rc::clone(&ud),
         req_remote: Rc::clone(&req),
         req_local,
-        cfg: cfg.clone(),
+        req_capacity,
         seq: Cell::new(0),
         retransmits: Cell::new(0),
         calls: Cell::new(0),
@@ -84,7 +69,6 @@ pub fn herd_connect(
     let server = HerdServerConn {
         req,
         ud,
-        cfg,
         last_seq: Cell::new(0),
         cached_resp: RefCell::new(Vec::new()),
         served: Cell::new(0),
@@ -100,7 +84,7 @@ pub struct HerdClient {
     ud: Rc<Qp>,
     req_remote: Rc<MemRegion>,
     req_local: Rc<MemRegion>,
-    cfg: HerdConfig,
+    req_capacity: usize,
     seq: Cell<u32>,
     retransmits: Cell<u64>,
     calls: Cell<u64>,
@@ -143,7 +127,7 @@ impl HerdClient {
             match thread
                 .busy_wait(timeout(
                     thread.handle(),
-                    self.cfg.retransmit_after,
+                    RETRANSMIT_AFTER,
                     self.ud.incoming(),
                 ))
                 .await
@@ -167,7 +151,7 @@ impl HerdClient {
     /// reliable-transport application never has to surface).
     pub async fn call(&self, thread: &ThreadCtx, req: &[u8]) -> Option<Vec<u8>> {
         assert!(
-            REQ_HDR + req.len() <= self.cfg.req_capacity,
+            REQ_HDR + req.len() <= self.req_capacity,
             "request exceeds slot"
         );
         let seq = self.seq.get().wrapping_add(1);
@@ -187,10 +171,10 @@ impl HerdClient {
 
         let total = REQ_HDR + req.len();
         // HERD retransmits immediately on timeout: zero backoff, one
-        // initial transmission plus `max_retransmits` resends. The same
+        // initial transmission plus `MAX_RETRANSMITS` resends. The same
         // retry loop drives RFP's crash recovery with an exponential
         // policy instead.
-        let policy = RetryPolicy::immediate(self.cfg.max_retransmits + 1);
+        let policy = RetryPolicy::immediate(MAX_RETRANSMITS + 1);
         match retry(
             thread.handle(),
             &policy,
@@ -213,7 +197,6 @@ impl HerdClient {
 pub struct HerdServerConn {
     req: Rc<MemRegion>,
     ud: Rc<Qp>,
-    cfg: HerdConfig,
     last_seq: Cell<u32>,
     cached_resp: RefCell<Vec<u8>>,
     served: Cell<u64>,
@@ -235,7 +218,7 @@ impl HerdServerConn {
     /// Polls the slot. Fresh requests are returned for processing;
     /// duplicates are answered from the cache transparently.
     pub async fn try_recv(&self, thread: &ThreadCtx) -> Option<Vec<u8>> {
-        thread.busy(self.cfg.check_cpu).await;
+        thread.busy(CHECK_CPU).await;
         let hdr = ReqHeader::decode(&self.req.read_local(0, REQ_HDR));
         if !hdr.valid {
             return None;
@@ -320,10 +303,7 @@ mod tests {
             &sm,
             cluster.qp_typed(0, 1, Transport::Uc),
             cluster.qp_typed(1, 0, Transport::Ud),
-            HerdConfig {
-                retransmit_after: SimSpan::micros(20),
-                ..HerdConfig::default()
-            },
+            4 * 1024,
         );
         let server = Rc::new(server);
         let st = sm.thread("server");

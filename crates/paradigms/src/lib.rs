@@ -21,6 +21,6 @@ pub mod server_reply;
 pub mod taxonomy;
 
 pub use bypass::BypassClient;
-pub use herd::{herd_connect, HerdClient, HerdConfig, HerdServerConn};
+pub use herd::{herd_connect, HerdClient, HerdServerConn};
 pub use server_reply::sr_connect;
 pub use taxonomy::{Paradigm, ProcessChoice, RequestSend, ResultReturn};

@@ -19,7 +19,7 @@ use std::task::{Context, Poll, Waker};
 /// poll first — and left the waiter whose wake was stolen parked
 /// without a registered waker. Directed handoff makes admission order
 /// equal arrival order, which bounds the tail of `acquire` waits under
-/// oversubscription (see `RfpPool`'s `acquire_wait` histogram).
+/// oversubscription (`rfp-core`'s mux dispenses its leases through one).
 #[derive(Clone)]
 pub struct Semaphore {
     state: Rc<RefCell<SemState>>,

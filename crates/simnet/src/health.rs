@@ -536,65 +536,6 @@ impl fmt::Display for Anomaly {
     }
 }
 
-/// Fixed detection thresholds. All comparisons are deterministic pure
-/// functions of the two reports, so the same run always yields the same
-/// anomaly list.
-#[derive(Clone, Debug)]
-pub struct AnomalyConfig {
-    /// Baseline calls required before latency/retry comparisons engage.
-    pub min_calls: u64,
-    /// Window calls required before latency/retry comparisons engage.
-    pub min_window_calls: u64,
-    /// p99 must exceed `baseline_p99 * latency_factor` …
-    pub latency_factor: f64,
-    /// … and `baseline_p99 + latency_slack_ns` (absolute guard against
-    /// flagging noise around tiny baselines).
-    pub latency_slack_ns: u64,
-    /// Retry rate must exceed `baseline * retry_factor + retry_margin`.
-    pub retry_factor: f64,
-    /// Absolute retry-rate slack (extra retries per call).
-    pub retry_margin: f64,
-    /// Integrity-discarded fetches in a window that constitute a burst.
-    pub corrupt_min: u64,
-    /// Shed/busy verdicts in a window that constitute shedding.
-    pub shed_min: u64,
-    /// Credit-gate pauses in a window that constitute starvation.
-    pub credit_wait_min: u64,
-    /// Slot stalls in a window that constitute a stuck slot.
-    pub stall_min: u64,
-    /// Verb errors + reconnects in a window that constitute a drop.
-    pub drop_min: u64,
-    /// Replica failovers in a window that constitute an anomaly.
-    pub failover_min: u64,
-    /// A core must execute more than `core_factor` times the per-core
-    /// mean served count before [`AnomalyKind::CoreImbalance`] fires.
-    pub core_factor: f64,
-    /// Total served work below which core-skew comparisons stay quiet
-    /// (an idle server has no meaningful balance).
-    pub core_min_served: u64,
-}
-
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            min_calls: 16,
-            min_window_calls: 4,
-            latency_factor: 3.0,
-            latency_slack_ns: 2_000,
-            retry_factor: 3.0,
-            retry_margin: 1.0,
-            corrupt_min: 1,
-            shed_min: 1,
-            credit_wait_min: 1,
-            stall_min: 1,
-            drop_min: 1,
-            failover_min: 1,
-            core_factor: 2.0,
-            core_min_served: 64,
-        }
-    }
-}
-
 /// One core's executed-work share in a [`CoreSkewReport`].
 #[derive(Clone, Debug)]
 pub struct CoreLoad {
@@ -654,18 +595,43 @@ struct Baseline {
 }
 
 /// Compares health reports against a captured baseline window.
+#[derive(Default)]
 pub struct AnomalyDetector {
-    cfg: AnomalyConfig,
     baselines: RefCell<BTreeMap<u32, Baseline>>,
 }
 
+/// Fixed detection thresholds. All comparisons are deterministic pure
+/// functions of the two reports, so the same run always yields the same
+/// anomaly list. The counter anomalies (corruption, shedding, credit
+/// starvation, stuck slot, connection drop, failover) have no threshold
+/// to tune: a clean run books none of those signals, so the first
+/// occurrence in a window is the anomaly. The `pub` ones are shared
+/// with the replica scorer in `rfp-core`, so a replica the doctor would
+/// flag is also one the router de-prefers.
 impl AnomalyDetector {
-    /// Creates a detector with `cfg` thresholds and no baseline.
-    pub fn new(cfg: AnomalyConfig) -> Self {
-        AnomalyDetector {
-            cfg,
-            baselines: RefCell::new(BTreeMap::new()),
-        }
+    /// Baseline calls required before latency/retry comparisons engage.
+    pub const MIN_BASELINE_CALLS: u64 = 16;
+    /// Window calls required before latency/retry comparisons engage.
+    pub const MIN_WINDOW_CALLS: u64 = 4;
+    /// p99 must exceed `baseline_p99 * LATENCY_FACTOR` …
+    pub const LATENCY_FACTOR: f64 = 3.0;
+    /// … and `baseline_p99 + LATENCY_SLACK_NS` (absolute guard against
+    /// flagging noise around tiny baselines).
+    const LATENCY_SLACK_NS: u64 = 2_000;
+    /// Retry rate must exceed `baseline * RETRY_FACTOR + RETRY_MARGIN`.
+    pub const RETRY_FACTOR: f64 = 3.0;
+    /// Absolute retry-rate slack (extra retries per call).
+    pub const RETRY_MARGIN: f64 = 1.0;
+    /// A core must execute more than this many times the per-core mean
+    /// served count before [`AnomalyKind::CoreImbalance`] fires.
+    const CORE_FACTOR: f64 = 2.0;
+    /// Total served work below which core-skew comparisons stay quiet
+    /// (an idle server has no meaningful balance).
+    const CORE_MIN_SERVED: u64 = 64;
+
+    /// Creates a detector with no baseline.
+    pub fn new() -> Self {
+        AnomalyDetector::default()
     }
 
     /// Captures `report` as the healthy baseline (replacing any prior
@@ -689,7 +655,7 @@ impl AnomalyDetector {
         self.baselines
             .borrow()
             .get(&conn)
-            .is_some_and(|b| b.calls >= self.cfg.min_calls)
+            .is_some_and(|b| b.calls >= Self::MIN_BASELINE_CALLS)
     }
 
     /// Scans a report; returns the anomalies it trips, ordered by
@@ -715,9 +681,9 @@ impl AnomalyDetector {
                 });
             };
             if let Some(b) = baselines.get(&c.conn) {
-                if b.calls >= self.cfg.min_calls && c.calls >= self.cfg.min_window_calls {
-                    let threshold = (b.p99_ns as f64 * self.cfg.latency_factor) as u64;
-                    if c.p99_ns > threshold && c.p99_ns > b.p99_ns + self.cfg.latency_slack_ns {
+                if b.calls >= Self::MIN_BASELINE_CALLS && c.calls >= Self::MIN_WINDOW_CALLS {
+                    let threshold = (b.p99_ns as f64 * Self::LATENCY_FACTOR) as u64;
+                    if c.p99_ns > threshold && c.p99_ns > b.p99_ns + Self::LATENCY_SLACK_NS {
                         hit(
                             AnomalyKind::LatencyRegression,
                             format!("p99 {}ns vs baseline {}ns", c.p99_ns, b.p99_ns),
@@ -738,9 +704,7 @@ impl AnomalyDetector {
                             );
                         }
                     }
-                    let retry_threshold =
-                        b.retry_rate * self.cfg.retry_factor + self.cfg.retry_margin;
-                    if c.retry_rate > retry_threshold {
+                    if c.retry_rate > b.retry_rate * Self::RETRY_FACTOR + Self::RETRY_MARGIN {
                         hit(
                             AnomalyKind::RetrySpike,
                             format!(
@@ -751,37 +715,37 @@ impl AnomalyDetector {
                     }
                 }
             }
-            if c.corrupts >= self.cfg.corrupt_min {
+            if c.corrupts > 0 {
                 hit(
                     AnomalyKind::CorruptionBurst,
                     format!("{} fetches failed integrity verification", c.corrupts),
                 );
             }
-            if c.sheds + c.busys >= self.cfg.shed_min {
+            if c.sheds + c.busys > 0 {
                 hit(
                     AnomalyKind::OverloadShedding,
                     format!("{} shed + {} busy verdicts", c.sheds, c.busys),
                 );
             }
-            if c.credit_waits >= self.cfg.credit_wait_min {
+            if c.credit_waits > 0 {
                 hit(
                     AnomalyKind::CreditStarvation,
                     format!("{} zero-credit pauses", c.credit_waits),
                 );
             }
-            if c.stalls >= self.cfg.stall_min {
+            if c.stalls > 0 {
                 hit(
                     AnomalyKind::StuckSlot,
                     format!("{} slots overran the retry budget", c.stalls),
                 );
             }
-            if c.verb_errors + c.reconnects >= self.cfg.drop_min {
+            if c.verb_errors + c.reconnects > 0 {
                 hit(
                     AnomalyKind::ConnectionDrop,
                     format!("{} verb errors, {} reconnects", c.verb_errors, c.reconnects),
                 );
             }
-            if c.failovers >= self.cfg.failover_min {
+            if c.failovers > 0 {
                 hit(
                     AnomalyKind::Failover,
                     format!("{} replica failovers", c.failovers),
@@ -793,16 +757,16 @@ impl AnomalyDetector {
 
     /// Scans a per-core load rollup for a hot core. Fires one
     /// [`AnomalyKind::CoreImbalance`] on the hottest core when its
-    /// executed share exceeds `core_factor` times the per-core mean —
+    /// executed share exceeds `CORE_FACTOR` times the per-core mean —
     /// EREW skew that stealing failed to (or was not allowed to)
-    /// level. Idle servers (below `core_min_served` total) and
+    /// level. Idle servers (below `CORE_MIN_SERVED` total) and
     /// single-core servers never fire.
     pub fn scan_cores(&self, skew: &CoreSkewReport) -> Vec<Anomaly> {
-        if skew.cores.len() < 2 || skew.total_served() < self.cfg.core_min_served {
+        if skew.cores.len() < 2 || skew.total_served() < Self::CORE_MIN_SERVED {
             return Vec::new();
         }
         let imbalance = skew.imbalance();
-        if imbalance <= self.cfg.core_factor {
+        if imbalance <= Self::CORE_FACTOR {
             return Vec::new();
         }
         let hot = skew
@@ -979,7 +943,7 @@ mod tests {
     #[test]
     fn latency_regression_detected() {
         let h = hub();
-        let det = AnomalyDetector::new(AnomalyConfig::default());
+        let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0, 32, 1);
         });
@@ -994,7 +958,7 @@ mod tests {
     #[test]
     fn rootless_latency_regression_is_flagged_gray() {
         let h = hub();
-        let det = AnomalyDetector::new(AnomalyConfig::default());
+        let det = AnomalyDetector::new();
         // Slow calls and nothing else: no drops, no corruption, no
         // shedding — the degraded-but-alive signature.
         let anomalies = baseline_and_window(&h, &det, |c, at| {
@@ -1009,7 +973,7 @@ mod tests {
     #[test]
     fn regression_with_a_sibling_conn_root_is_not_gray() {
         let h = hub();
-        let det = AnomalyDetector::new(AnomalyConfig::default());
+        let det = AnomalyDetector::new();
         // Conn 0 regresses cleanly, but conn 1 sheds in the same
         // window: the fleet has a hard root (a saturated server books
         // its pushback wherever the rejected calls ran), so conn 0's
@@ -1033,7 +997,7 @@ mod tests {
     #[test]
     fn regression_with_a_drop_root_is_not_gray() {
         let h = hub();
-        let det = AnomalyDetector::new(AnomalyConfig::default());
+        let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0, 32, 1);
             c.record(at, HealthSignal::VerbError);
@@ -1053,7 +1017,7 @@ mod tests {
     #[test]
     fn retry_spike_detected() {
         let h = hub();
-        let det = AnomalyDetector::new(AnomalyConfig::default());
+        let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(2), 10, 32, 1);
         });
@@ -1073,7 +1037,7 @@ mod tests {
     #[test]
     fn clean_window_is_quiet() {
         let h = hub();
-        let det = AnomalyDetector::new(AnomalyConfig::default());
+        let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(2), 0, 32, 1);
         });
@@ -1083,7 +1047,7 @@ mod tests {
     #[test]
     fn counter_anomalies_need_no_baseline() {
         let h = hub();
-        let det = AnomalyDetector::new(AnomalyConfig::default());
+        let det = AnomalyDetector::new();
         let c = h.conn(1);
         for signal in [
             HealthSignal::Corrupt,

@@ -60,8 +60,8 @@ pub use coord::{Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
 pub use crc64::{crc64, crc64_pair, Crc64};
 pub use executor::{yield_now, EventSink, ExecutorStats, SimHandle, Simulation, Sleep};
 pub use health::{
-    Anomaly, AnomalyConfig, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad,
-    CoreSkewReport, DumpBundle, HealthConfig, HealthHub, HealthReport, HealthSignal,
+    Anomaly, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad, CoreSkewReport,
+    DumpBundle, HealthConfig, HealthHub, HealthReport, HealthSignal,
 };
 pub use metrics::{prometheus_name, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightEvent, FlightRecorder, Severity};

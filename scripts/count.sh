@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Plurality counters: how much code, how many knobs, how many copies of
-# the server's ring drain. Printed, never gated — CHANGES.md quotes the
-# before/after of a simplification PR from here instead of ad-hoc greps.
+# the server's ring drain. CHANGES.md quotes the before/after of a
+# simplification PR from here instead of ad-hoc greps; ci.sh gates one
+# line, the dormant-knob count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,5 +30,41 @@ echo "server scan files (code lines): reactor.rs $(code_lines crates/core/src/re
   "+ replica.rs $(code_lines crates/kvstore/src/replica.rs)"
 echo "pub struct *Config: $(cat "${all[@]}" | grep -cE '^\s*pub struct \w*Config\b')"
 echo "pub enabled: bool: $(cat "${all[@]}" | grep -cE '^\s*pub enabled: bool')"
+
+# Every `pub` field of a `pub struct *Config`, as "Struct::field: Type".
+config_fields() {
+  awk '/^[ \t]*pub struct [A-Za-z]*Config[ \t{]/ { s = $3; next }
+       s != "" && /^\}/ { s = "" }
+       s != "" && /^[ \t]*pub [a-z_0-9]+:/ { sub(/^[ \t]*pub /, ""); print s "::" $0 }' "${all[@]}"
+}
+fields=$(config_fields)
+echo "pub fields of pub struct *Config: $(grep -c . <<<"$fields")" \
+  "($(grep -c ': bool,$' <<<"$fields") of them \`: bool\`)"
+
+# Dormant knobs: config fields set nowhere but in their own `Default`
+# impl — no `name:` (or shorthand `name,`) in a struct literal and no
+# `.name =` in any source, test, example or benchmark file, once field
+# declarations, `impl Default` blocks and comments are set aside. The
+# scan goes by field name, so a name two structs share can hide a
+# dormant field but never invent one. A dormant knob has one value in
+# use: make it a `const` next to the code that reads it.
+# Allowed: `CoresConfig::window` — nobody sets it, but the frozen
+# benchmark reads it (benchmark/src/rigs.rs), so it stays a `pub` field.
+allowed_dormant='CoresConfig::window'
+mapfile -t scanned < <(find crates benchmark/src tests examples -name '*.rs' -not -path '*/target/*' | sort)
+settable=$(awk '/^impl Default for / { d = 1 }
+                d { if (/^\}/) d = 0; next }
+                /^[ \t]*\/\// { next }
+                /^[ \t]*pub(\([a-z]+\))? [a-z_0-9]+:/ { next }
+                { print }' "${scanned[@]}")
+dormant=()
+while IFS= read -r field; do
+  name=${field##*::}
+  grep -qx "$field" <<<"$allowed_dormant" && continue
+  grep -qE "(^|[^A-Za-z0-9_:.])$name: |^[ \t]*$name,\$|[{,] $name [,}]|\.$name [-+*/|&]?= " <<<"$settable" ||
+    dormant+=("$field")
+done < <(sed 's/: .*//' <<<"$fields")
+echo "dormant knobs: ${#dormant[@]}"
+for field in "${dormant[@]}"; do echo "  $field"; done
 echo "try_recv( call sites under crates/*/src:"
 grep -c 'try_recv(' "${all[@]}" | grep -v ':0$' | sed 's/^/  /'
