@@ -62,8 +62,9 @@ fn allocs_during(sim: &mut Simulation, span: SimSpan) -> u64 {
 }
 
 /// The ledger's `simnet.sleep_event` shape: 100 tasks, each sleeping in
-/// a loop. Returns (allocations, sleep events) of the measured window.
-fn sleeping_tasks() -> (u64, u64) {
+/// a loop. Returns (allocations, sleep events, wakes through a `Waker`)
+/// of the measured window.
+fn sleeping_tasks() -> (u64, u64, u64) {
     let mut sim = Simulation::new(1);
     let events = Rc::new(Cell::new(0u64));
     for i in 0..100u64 {
@@ -77,9 +78,10 @@ fn sleeping_tasks() -> (u64, u64) {
         });
     }
     sim.run_for(SimSpan::micros(100));
-    let before = events.get();
+    let (before, waker_wakes) = (events.get(), sim.stats().waker_wakes);
     let allocs = allocs_during(&mut sim, SimSpan::millis(1));
-    (allocs, events.get() - before)
+    let waker_wakes = sim.stats().waker_wakes - waker_wakes;
+    (allocs, events.get() - before, waker_wakes)
 }
 
 /// One client machine, one echoing server thread, one connection of
@@ -179,6 +181,7 @@ fn echo_calls(pipelined: bool, registry: Option<&MetricsRegistry>) -> EchoCost {
             polls: events1.polls - events0.polls,
             timers_fired: events1.timers_fired - events0.timers_fired,
             spawned: events1.spawned - events0.spawned,
+            waker_wakes: events1.waker_wakes - events0.waker_wakes,
         },
         slots: qp.work_request_slots(),
         client: handle,
@@ -187,7 +190,7 @@ fn echo_calls(pipelined: bool, registry: Option<&MetricsRegistry>) -> EchoCost {
 
 #[test]
 fn steady_state_allocation_budget() {
-    let (sleep_allocs, sleeps) = sleeping_tasks();
+    let (sleep_allocs, sleeps, sleep_waker_wakes) = sleeping_tasks();
     let (scan_allocs, slots) = idle_scan();
     let w16 = echo_calls(true, None);
     let w1 = echo_calls(false, None);
@@ -204,12 +207,13 @@ fn steady_state_allocation_budget() {
     ];
     for (name, cost) in rows {
         eprintln!(
-            "{name}: per call {:.2} allocations, {:.2} polls, {:.2} timers, {:.2} spawns; \
-             {} work-request slots",
+            "{name}: per call {:.2} allocations, {:.2} polls, {:.2} timers, {:.2} spawns, \
+             {:.2} waker wakes; {} work-request slots",
             cost.per_call(cost.allocs),
             cost.per_call(cost.events.polls),
             cost.per_call(cost.events.timers_fired),
             cost.per_call(cost.events.spawned),
+            cost.per_call(cost.events.waker_wakes),
             cost.slots,
         );
     }
@@ -219,6 +223,10 @@ fn steady_state_allocation_budget() {
         sleep_allocs, 0,
         "{sleep_allocs} allocations over {sleeps} sleep events"
     );
+    // Every wake of the hot path — a sleep's timer, a completion, a
+    // synchronous verb's hand-off — names its task by slot id; one that
+    // goes through a `Waker` takes the executor's locked side queue.
+    assert_eq!(sleep_waker_wakes, 0, "a sleep woke through its waker");
     assert!(slots > 10_000, "scan window too short: {slots} slots");
     assert_eq!(
         scan_allocs, 0,
@@ -242,6 +250,10 @@ fn steady_state_allocation_budget() {
             cost.per_call(cost.allocs)
         );
         assert_eq!(cost.events.spawned, 0, "{name}: a task per NIC op");
+        assert_eq!(
+            cost.events.waker_wakes, 0,
+            "{name}: a wake through a `Waker`"
+        );
         assert!(
             cost.per_call(cost.events.polls) <= polls,
             "{name}: {:.2} polls per call, budget {polls}",

@@ -14,9 +14,9 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use rfp_simnet::{EventSink, SimTime, SlabKey};
+use rfp_simnet::{EventSink, SimHandle, SimTime, SlabKey, Wakeup};
 
 use crate::fault::VerbError;
 use crate::machine::ThreadCtx;
@@ -102,7 +102,7 @@ pub(crate) struct WorkRequest {
     handoff: Option<SimTime>,
     /// The completion, once fired.
     result: Option<Option<VerbError>>,
-    waiter: Option<Waker>,
+    waiter: Option<Wakeup>,
     /// No [`Completion`] refers to this slot (any more): free it as
     /// soon as the request retires.
     unowned: bool,
@@ -144,10 +144,10 @@ impl WorkRequest {
     }
 
     /// Fires the completion a CQ would report and wakes its waiter.
-    fn complete(&mut self, error: Option<VerbError>) {
+    fn complete(&mut self, h: &SimHandle, error: Option<VerbError>) {
         self.result = Some(error);
         if let Some(waiter) = self.waiter.take() {
-            waiter.wake();
+            h.wake(waiter);
         }
     }
 }
@@ -243,7 +243,7 @@ impl Future for Done<'_> {
         if wr.handoff.is_none() {
             // One slot suffices: a `Completion` is neither `Clone` nor
             // shared, so one task waits on it at a time.
-            wr.waiter = Some(cx.waker().clone());
+            wr.waiter = Some(qp.local().handle().wakeup(cx));
         }
         if !fly {
             return Poll::Pending;
@@ -351,6 +351,7 @@ impl Qp {
             _ => Cost::OneSided,
         };
         let local_nic = self.local().nic();
+        let h = self.local().handle();
         match wr.stage {
             Stage::Start => {
                 // A posted one-sided op reports a QP already in the
@@ -358,7 +359,7 @@ impl Qp {
                 // report through.
                 let gated = !wr.sync && wr.sides.is_some();
                 if let (true, Some(e)) = (gated, self.error_state()) {
-                    wr.complete(Some(e));
+                    wr.complete(h, Some(e));
                     return Next::Retire;
                 }
                 if let (Op::Write, Some(s)) = (wr.op, &wr.sides) {
@@ -369,7 +370,7 @@ impl Qp {
             Stage::Out if !reliable => {
                 // Fire-and-forget: complete as soon as the op left the
                 // NIC; deliver (or lose) the packet asynchronously.
-                wr.complete(None);
+                wr.complete(h, None);
                 let lost = wr.lost.take();
                 if lost.unwrap_or_else(|| self.lost_in_transit()) {
                     return Next::Retire;
@@ -413,7 +414,7 @@ impl Qp {
                 Next::Hop(done, Stage::In)
             }
             Stage::Nack(e) => {
-                wr.complete(Some(e));
+                wr.complete(h, Some(e));
                 Next::Retire
             }
             Stage::In => {
@@ -440,12 +441,12 @@ impl Qp {
                 // delivered, and a READ's data never reaches local
                 // memory.
                 if self.reverse_cut() {
-                    wr.complete(Some(VerbError::QpError));
+                    wr.complete(h, Some(VerbError::QpError));
                 } else {
                     if let (Op::Read, Some(s)) = (wr.op, &wr.sides) {
                         s.local.write_local(s.local_off, &wr.buf);
                     }
-                    wr.complete(None);
+                    wr.complete(h, None);
                 }
                 Next::Retire
             }
@@ -462,6 +463,8 @@ mod tests {
     //! the per-verb flight coroutines produced before the engine.
 
     use std::cell::Cell;
+    use std::sync::{Arc, Mutex};
+    use std::task::{Wake, Waker};
 
     use rfp_simnet::{timeout, SimSpan, Simulation};
 
@@ -511,7 +514,49 @@ mod tests {
 
     const PAYLOAD: &[u8; 32] = b"0123456789abcdef0123456789abcdef";
 
+    /// Polls `inner` under a waker of its own that relays to the
+    /// task's, as a combinator telling its branches apart does: no
+    /// future inside sees the running task's waker.
+    struct Relay<F> {
+        inner: F,
+        relay: Arc<RelayWaker>,
+    }
+
+    #[derive(Default)]
+    struct RelayWaker(Mutex<Option<Waker>>);
+
+    impl Wake for RelayWaker {
+        fn wake(self: Arc<Self>) {
+            if let Some(task) = self.0.lock().unwrap().take() {
+                task.wake();
+            }
+        }
+    }
+
+    impl<F: Future + Unpin> Future for Relay<F> {
+        type Output = F::Output;
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            *self.relay.0.lock().unwrap() = Some(cx.waker().clone());
+            let waker = Waker::from(Arc::clone(&self.relay));
+            Pin::new(&mut self.inner).poll(&mut Context::from_waker(&waker))
+        }
+    }
+
     fn fly(verb: Verb, transport: Transport, form: Form, fault: Fault) -> Outcome {
+        fly_under(verb, transport, form, fault, false).0
+    }
+
+    /// Flies one operation — with `relayed`, from a task polled under a
+    /// foreign waker — and also returns how many wakes took the waker
+    /// path.
+    fn fly_under(
+        verb: Verb,
+        transport: Transport,
+        form: Form,
+        fault: Fault,
+        relayed: bool,
+    ) -> (Outcome, u64) {
         let mut sim = Simulation::new(11);
         let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
         let (cm, sm) = (cluster.machine(0), cluster.machine(1));
@@ -540,7 +585,7 @@ mod tests {
         }
         let (out, h, q) = (Rc::clone(&done), sim.handle(), Rc::clone(&qp));
         let (l, r) = (Rc::clone(&local), Rc::clone(&remote));
-        sim.spawn(async move {
+        let issuer = Box::pin(async move {
             let error = match (verb, form) {
                 (Verb::Read, Form::Sync) => q.try_read(&t, &l, 0, &r, 0, 32).await.err(),
                 (Verb::Write, Form::Sync) => q.try_write(&t, &l, 0, &r, 0, 32).await.err(),
@@ -561,9 +606,16 @@ mod tests {
             };
             out.set(Some((error, h.now().as_nanos())));
         });
+        match relayed {
+            true => sim.spawn(Relay {
+                inner: issuer,
+                relay: Arc::default(),
+            }),
+            false => sim.spawn(issuer),
+        }
         sim.run_for(SimSpan::micros(50));
         let (error, done_ns) = done.get().expect("the verb completes");
-        Outcome {
+        let outcome = Outcome {
             error,
             landed: match verb {
                 Verb::Read => local.read_local(0, 32) == PAYLOAD,
@@ -574,7 +626,8 @@ mod tests {
             in_ops: sm.nic().counters().inbound_ops,
             dropped: cm.nic().counters().dropped,
             done_ns,
-        }
+        };
+        (outcome, sim.stats().waker_wakes)
     }
 
     /// Expected outcome, compactly: `(error, landed, out, in, dropped,
@@ -851,6 +904,29 @@ mod tests {
                 posted,
                 "posted {case}"
             );
+        }
+    }
+
+    #[test]
+    fn completions_awaited_under_a_foreign_waker_land_at_the_same_instant() {
+        // The id arm of a wake ticket needs the running task's own
+        // waker; under any other, the issue cost's `Sleep`, the
+        // completion waiter and the synchronous hand-off fall back to
+        // the waker they were polled with. Same table, same instants.
+        for (verb, transport, fault, _) in TABLE {
+            if verb == Verb::Send {
+                continue; // its receiver parks on a `Channel`: waker wakes either way
+            }
+            let case = format!("{verb:?} on {transport:?} under {fault:?}");
+            for form in [Form::Sync, Form::Posted] {
+                let (direct, by_id) = fly_under(verb, transport, form, fault, false);
+                let (relayed, by_waker) = fly_under(verb, transport, form, fault, true);
+                assert_eq!(relayed, direct, "{form:?} {case}");
+                assert_eq!(by_id, 0, "{form:?} {case}: the hot path took the lock");
+                // Only a re-keyed synchronous verb fails before it ever waits.
+                let waits = (form, fault) != (Form::Sync, RekeyedQp);
+                assert_eq!(by_waker > 0, waits, "{form:?} {case}");
+            }
         }
     }
 

@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::{Rc, Weak};
 
-use rfp_simnet::{BusyClock, SimHandle, SimSpan, SimTime};
+use rfp_simnet::{BusyClock, SimHandle, SimSpan, SimTime, Sleep};
 
 use crate::fault::MachineFaults;
 use crate::mem::{MemRegion, MrId};
@@ -167,8 +167,10 @@ impl ThreadCtx {
 
     /// Spends `span` of CPU time (accrues busy time and advances the
     /// clock). Used for request processing (`P`) and software verb costs.
-    /// A straggler fault on the machine inflates the span.
-    pub async fn busy(&self, span: SimSpan) {
+    /// A straggler fault on the machine inflates the span. The span
+    /// starts at the call, not at the first poll: await it on the spot.
+    #[must_use = "the time is booked at the call but only spent by awaiting"]
+    pub fn busy(&self, span: SimSpan) -> Sleep {
         let factor = self.machine.faults().cpu_factor();
         let span = if factor == 1.0 {
             span
@@ -176,7 +178,7 @@ impl ThreadCtx {
             SimSpan::from_nanos_f64(span.as_nanos() as f64 * factor)
         };
         self.busy.add_busy(span);
-        self.handle.sleep(span).await;
+        self.handle.sleep(span)
     }
 
     /// Busy-waits until `fut` completes: the elapsed time counts as CPU

@@ -12,7 +12,7 @@
 //! equals the instant a poll would first observe the data) and for the
 //! blocking wait of server-reply mode.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::ops::Range;
 use std::pin::Pin;
@@ -31,6 +31,7 @@ pub struct MemRegion {
     owner: MachineId,
     bytes: RefCell<Vec<u8>>,
     watchers: RefCell<Vec<Watcher>>,
+    next_watcher: Cell<u64>,
     /// Monotone count of remote writes applied, used by watchers to
     /// detect writes that landed between polls.
     write_epoch: RefCell<u64>,
@@ -40,7 +41,10 @@ pub struct MemRegion {
     history: RefCell<Option<Vec<u8>>>,
 }
 
+/// One pending [`WriteWait`]: registered by its first poll, gone once
+/// an overlapping write woke it or the wait was dropped.
 struct Watcher {
+    id: u64,
     range: Range<usize>,
     waker: Waker,
 }
@@ -52,6 +56,7 @@ impl MemRegion {
             owner,
             bytes: RefCell::new(vec![0; len]),
             watchers: RefCell::new(Vec::new()),
+            next_watcher: Cell::new(0),
             write_epoch: RefCell::new(0),
             history: RefCell::new(None),
         })
@@ -190,6 +195,7 @@ impl MemRegion {
             mr: Rc::clone(self),
             range,
             epoch_at_start: self.write_epoch(),
+            watcher: None,
         }
     }
 }
@@ -203,23 +209,50 @@ pub struct WriteWait {
     mr: Rc<MemRegion>,
     range: Range<usize>,
     epoch_at_start: u64,
+    /// Id of this wait's entry in `mr.watchers`, once registered.
+    watcher: Option<u64>,
 }
 
 impl Future for WriteWait {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
         // Any write since the wait began may have been ours; conservative
         // wake-up on epoch advance keeps the future race-free (a write
         // landing between creation and first poll is not missed).
-        if self.mr.write_epoch() != self.epoch_at_start {
+        if this.mr.write_epoch() != this.epoch_at_start {
             return Poll::Ready(());
         }
-        self.mr.watchers.borrow_mut().push(Watcher {
-            range: self.range.clone(),
-            waker: cx.waker().clone(),
-        });
+        // One watcher per wait: a re-poll (a timeout's deadline firing,
+        // a combinator's other branch) refreshes it in place.
+        let mut watchers = this.mr.watchers.borrow_mut();
+        let registered = this.watcher;
+        match registered.and_then(|id| watchers.iter_mut().find(|w| w.id == id)) {
+            Some(w) => w.waker.clone_from(cx.waker()),
+            None => {
+                let id = this.mr.next_watcher.get();
+                this.mr.next_watcher.set(id + 1);
+                watchers.push(Watcher {
+                    id,
+                    range: this.range.clone(),
+                    waker: cx.waker().clone(),
+                });
+                this.watcher = Some(id);
+            }
+        }
         Poll::Pending
+    }
+}
+
+impl Drop for WriteWait {
+    fn drop(&mut self) {
+        // An abandoned wait (timed out, cancelled) takes its watcher
+        // along. A list borrowed right now (dropped from inside a wake)
+        // keeps the entry, which then costs one spurious wake.
+        if let (Some(id), Ok(mut watchers)) = (self.watcher, self.mr.watchers.try_borrow_mut()) {
+            watchers.retain(|w| w.id != id);
+        }
     }
 }
 
@@ -315,6 +348,34 @@ mod tests {
 
         sim.run();
         assert_eq!(woke_at.get(), 200);
+    }
+
+    #[test]
+    fn abandoned_waits_leave_no_watcher_and_a_write_wakes_once() {
+        use rfp_simnet::{timeout, SimSpan, Simulation};
+
+        let mut sim = Simulation::new(0);
+        let mr = region(64);
+        let (m, h) = (Rc::clone(&mr), sim.handle());
+        sim.spawn(async move {
+            // The reply-mode wait against a silent server: every round
+            // times out, and the deadline's wake re-polls the wait.
+            for _ in 0..10 {
+                let wait = m.wait_remote_write(0..16);
+                assert!(timeout(&h, SimSpan::micros(50), wait).await.is_none());
+            }
+            assert_eq!(m.watchers.borrow().len(), 0, "stale watchers");
+            m.wait_remote_write(0..16).await;
+        });
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 500_000);
+        assert_eq!(mr.watchers.borrow().len(), 1, "the live wait's");
+        let polls = sim.stats().polls;
+        mr.apply_remote_write(8, &[1]);
+        sim.run();
+        assert_eq!(sim.stats().polls - polls, 1, "one write, one wake");
+        assert_eq!(sim.live_tasks(), 0);
+        assert!(mr.watchers.borrow().is_empty());
     }
 
     #[test]

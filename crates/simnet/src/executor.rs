@@ -16,6 +16,13 @@
 //! event takes the same place in the timer heap and in the ready FIFO a
 //! task wake would, but is delivered as one `fire(token)` call — no
 //! task slot, no boxed future, no poll.
+//!
+//! A task is woken one of two ways (DESIGN §19 "Wake paths"). A
+//! [`Sleep`] or a NIC completion parks through a [`Wakeup`] ticket that
+//! names the task by slot id: firing it is a `VecDeque` push, with no
+//! lock, atomic or reference count. Everything else goes through the
+//! task's [`Waker`], which must be `Send + Sync` and so files the id on
+//! a locked side queue, folded into the ready FIFO in call order.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -23,6 +30,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
@@ -38,8 +46,38 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 type TaskId = usize;
 
 /// Ready-FIFO entry standing for the event at the head of
-/// `SimCore::events` (wakers can only push plain task ids).
+/// `SimCore::events`.
 const EVENT: TaskId = usize::MAX;
+
+/// Whom a timer entry or a completion wakes.
+enum Target {
+    /// The task in this slot: straight onto the ready FIFO.
+    Task(TaskId),
+    /// Whatever the waker stands for: through its own `wake`.
+    Waker(Waker),
+}
+
+/// A wake ticket: taken from a polling context ([`SimHandle::wakeup`]),
+/// redeemed once, now ([`SimHandle::wake`]) or at an instant
+/// ([`SimHandle::schedule_wake`]). It names the running task by slot id
+/// when the context's waker is that task's own and holds a clone of the
+/// waker otherwise (a combinator polling under its own waker). Like a
+/// kept waker, a ticket that outlives its task costs the slot's next
+/// occupant one spurious poll.
+pub struct Wakeup {
+    target: Target,
+    /// The issuing simulation's stamp: a slot id means nothing elsewhere.
+    sim: u64,
+}
+
+impl From<Waker> for Wakeup {
+    fn from(waker: Waker) -> Self {
+        Wakeup {
+            target: Target::Waker(waker),
+            sim: 0,
+        }
+    }
+}
 
 /// A clock-driven state machine fed by typed events
 /// ([`SimHandle::schedule_event`] / [`SimHandle::post_event`]).
@@ -88,10 +126,11 @@ type TimerHeap<F> = BinaryHeap<Reverse<TimerEntry<F>>>;
 
 /// The pending timers, earliest `(at, seq)` first. Task wakes and
 /// events share the one `seq` order but not one heap: an event entry is
-/// larger than a waker, and sifting the wider entries would tax every
-/// plain sleep for a feature it does not use.
+/// larger than a wake target, and sifting the wider entries would tax
+/// every plain sleep for a feature it does not use.
+#[derive(Default)]
 struct Timers {
-    wakes: TimerHeap<Waker>,
+    wakes: TimerHeap<Target>,
     events: TimerHeap<Event>,
 }
 
@@ -131,7 +170,24 @@ pub struct ExecutorStats {
     pub timers_fired: u64,
     /// Futures handed to `spawn`.
     pub spawned: u64,
+    /// Task wakes that arrived through a [`Waker`] — the locked path —
+    /// rather than by slot id.
+    pub waker_wakes: u64,
 }
+
+/// Where a [`Waker`] files its wake. `Waker: Send + Sync` is a contract
+/// the executor cannot narrow, so this side of the ready FIFO keeps its
+/// lock; [`SimCore::fold`] moves the entries over.
+#[derive(Default)]
+struct Foreign {
+    queue: SegQueue<TaskId>,
+    /// Raised after every push: the executor's check is one load.
+    pending: AtomicBool,
+}
+
+/// Stamps handed to simulations, so a [`Wakeup`] knows its own.
+/// Relaxed: an identifier that publishes no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// Shared core of one simulation: clock, event heap, spawn queue, RNG.
 pub(crate) struct SimCore {
@@ -141,15 +197,21 @@ pub(crate) struct SimCore {
     /// Futures spawned and events posted while the executor is running;
     /// drained by the driver.
     spawn_queue: RefCell<Vec<Admit>>,
-    /// Task ids whose wakers fired, plus one [`EVENT`] marker per entry
-    /// of `events`; drained by the driver.
-    ready: Arc<SegQueue<TaskId>>,
+    /// Runnable task ids in wake order, plus one [`EVENT`] marker per
+    /// entry of `events`; drained by the driver.
+    ready: RefCell<VecDeque<TaskId>>,
+    /// Wakes that arrived through a [`Waker`], not yet in `ready`.
+    foreign: Arc<Foreign>,
+    /// Slot id and waker identity ([`Waker::data`]) of the task polled
+    /// last — during a poll, the running one. Never cleared: a context
+    /// matching it later holds a clone of that slot's waker, which the
+    /// slot id wakes just the same.
+    running: Cell<Option<(TaskId, *const ())>>,
+    stamp: u64,
     /// Events due now, in the order of their markers in `ready`.
     events: RefCell<VecDeque<Event>>,
     rng: RefCell<StdRng>,
-    polls: Cell<u64>,
-    timers_fired: Cell<u64>,
-    spawned: Cell<u64>,
+    stats: Cell<ExecutorStats>,
 }
 
 impl SimCore {
@@ -157,62 +219,101 @@ impl SimCore {
         self.now.get()
     }
 
-    fn next_seq(&self) -> u64 {
-        let s = self.seq.get();
-        self.seq.set(s + 1);
-        s
+    fn count(&self, event: impl FnOnce(&mut ExecutorStats)) {
+        let mut stats = self.stats.get();
+        event(&mut stats);
+        self.stats.set(stats);
     }
 
     fn spawn(&self, fut: BoxFuture) {
-        self.spawned.set(self.spawned.get() + 1);
+        self.count(|s| s.spawned += 1);
         self.spawn_queue.borrow_mut().push(Admit::Task(fut));
+    }
+
+    /// Moves the wakes that arrived through a [`Waker`] behind what is
+    /// already in `ready`. Runs before every push and every pop, so the
+    /// merged FIFO is exactly call order.
+    fn fold(&self) {
+        // Pairs with the `Release` store in `TaskWaker::wake`.
+        if !self.foreign.pending.load(Ordering::Acquire) {
+            return;
+        }
+        // Relaxed: publishes nothing. Lowered before the drain, and the
+        // queue's lock orders it before any push the drain misses, so a
+        // wake racing the drain raises it again.
+        self.foreign.pending.store(false, Ordering::Relaxed);
+        let mut ready = self.ready.borrow_mut();
+        while let Some(id) = self.foreign.queue.pop() {
+            ready.push_back(id);
+            self.count(|s| s.waker_wakes += 1);
+        }
+    }
+
+    fn push_ready(&self, id: TaskId) {
+        self.fold();
+        self.ready.borrow_mut().push_back(id);
+    }
+
+    fn pop_ready(&self) -> Option<TaskId> {
+        self.fold();
+        self.ready.borrow_mut().pop_front()
     }
 
     /// Queues `event` for delivery behind everything already runnable.
     fn make_ready(&self, event: Event) {
         self.events.borrow_mut().push_back(event);
-        self.ready.push(EVENT);
+        self.push_ready(EVENT);
     }
 
-    fn stats(&self) -> ExecutorStats {
-        ExecutorStats {
-            polls: self.polls.get(),
-            timers_fired: self.timers_fired.get(),
-            spawned: self.spawned.get(),
+    /// Whom to wake for the task being polled under `cx`.
+    fn target(&self, cx: &Context<'_>) -> Target {
+        match self.running.get() {
+            Some((id, own)) if std::ptr::eq(cx.waker().data(), own) => Target::Task(id),
+            _ => Target::Waker(cx.waker().clone()),
+        }
+    }
+
+    /// The target of a ticket this simulation issued.
+    fn redeem(&self, wakeup: Wakeup) -> Target {
+        let own = matches!(wakeup.target, Target::Waker(_)) || wakeup.sim == self.stamp;
+        assert!(own, "a wake ticket is good in its own simulation only");
+        wakeup.target
+    }
+
+    /// Makes `target` runnable behind everything already runnable.
+    fn wake(&self, target: Target) {
+        match target {
+            Target::Task(id) => self.push_ready(id),
+            Target::Waker(waker) => waker.wake(),
         }
     }
 
     /// The next timer entry in scheduling order.
     fn entry<F>(&self, at: SimTime, fire: F) -> Reverse<TimerEntry<F>> {
-        debug_assert!(at >= self.now.get(), "cannot schedule in the past");
-        let seq = self.next_seq();
+        // Checked in every build: `advance` sets the clock from these.
+        assert!(at >= self.now.get(), "cannot schedule in the past");
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
         Reverse(TimerEntry { at, seq, fire })
     }
 
-    /// Registers `waker` to fire at instant `at`.
-    pub(crate) fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        let entry = self.entry(at, waker);
+    /// Registers `target` to be woken at instant `at`.
+    fn schedule_wake(&self, at: SimTime, target: Target) {
+        let entry = self.entry(at, target);
         self.timers.borrow_mut().wakes.push(entry);
-    }
-
-    fn schedule_event(&self, at: SimTime, event: Event) {
-        let entry = self.entry(at, event);
-        self.timers.borrow_mut().events.push(entry);
     }
 }
 
-/// The waker for one task: pushes the task id on the shared ready queue.
+/// The waker for one task: files the task id on the foreign queue.
 struct TaskWaker {
     id: TaskId,
-    ready: Arc<SegQueue<TaskId>>,
+    foreign: Arc<Foreign>,
 }
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+        self.foreign.queue.push(self.id);
+        self.foreign.pending.store(true, Ordering::Release);
     }
 }
 
@@ -262,17 +363,15 @@ impl Simulation {
             core: Rc::new(SimCore {
                 now: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
-                timers: RefCell::new(Timers {
-                    wakes: BinaryHeap::new(),
-                    events: BinaryHeap::new(),
-                }),
+                timers: RefCell::default(),
                 spawn_queue: RefCell::new(Vec::new()),
-                ready: Arc::new(SegQueue::new()),
+                ready: RefCell::new(VecDeque::new()),
+                foreign: Arc::default(),
+                running: Cell::new(None),
+                stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
                 events: RefCell::new(VecDeque::new()),
                 rng: RefCell::new(StdRng::seed_from_u64(seed)),
-                polls: Cell::new(0),
-                timers_fired: Cell::new(0),
-                spawned: Cell::new(0),
+                stats: Cell::default(),
             }),
             tasks: Vec::new(),
             free: Vec::new(),
@@ -307,7 +406,7 @@ impl Simulation {
 
     /// Cumulative executor event counts.
     pub fn stats(&self) -> ExecutorStats {
-        self.core.stats()
+        self.core.stats.get()
     }
 
     fn admit_spawned(&mut self) {
@@ -336,7 +435,7 @@ impl Simulation {
                     self.tasks.push(Slot {
                         waker: Waker::from(Arc::new(TaskWaker {
                             id,
-                            ready: Arc::clone(&self.core.ready),
+                            foreign: Arc::clone(&self.core.foreign),
                         })),
                         task: Some(fut),
                     });
@@ -344,15 +443,16 @@ impl Simulation {
                 }
             };
             self.live += 1;
-            self.core.ready.push(id);
+            self.core.push_ready(id);
         }
     }
 
     fn poll_task(&mut self, id: TaskId) {
-        self.core.polls.set(self.core.polls.get() + 1);
+        self.core.count(|s| s.polls += 1);
         let slot = &mut self.tasks[id];
         // Spurious wake for a finished task.
         let Some(fut) = &mut slot.task else { return };
+        self.core.running.set(Some((id, slot.waker.data())));
         let mut cx = Context::from_waker(&slot.waker);
         if fut.as_mut().poll(&mut cx).is_ready() {
             slot.task = None;
@@ -366,7 +466,7 @@ impl Simulation {
     fn drain_runnable(&mut self) {
         loop {
             self.admit_spawned();
-            let Some(id) = self.core.ready.pop() else {
+            let Some(id) = self.core.pop_ready() else {
                 if self.core.spawn_queue.borrow().is_empty() {
                     return;
                 }
@@ -382,48 +482,55 @@ impl Simulation {
         }
     }
 
-    /// Advances the clock to the next timer and fires every timer scheduled
-    /// for that instant. Returns `false` when no timers remain.
-    fn advance(&mut self) -> bool {
+    /// Advances the clock to the next timer, if that is due by `deadline`,
+    /// and fires every timer scheduled for that instant. Returns `false`
+    /// when no such timer remains. Call it only after `drain_runnable`,
+    /// with nothing runnable.
+    fn advance(&mut self, deadline: SimTime) -> bool {
         let mut timers = self.core.timers.borrow_mut();
-        let Some(at) = timers.next_at() else {
+        let Some(at) = timers.next_at().filter(|&at| at <= deadline) else {
             return false;
         };
-        debug_assert!(at >= self.core.now());
+        assert!(at >= self.core.now(), "the clock never runs backwards");
         self.core.now.set(at);
         let mut fired = 0;
         loop {
             let wake = Timers::due(&timers.wakes, at);
             let event = Timers::due(&timers.events, at);
-            match (wake, event) {
+            let wake_first = match (wake, event) {
                 (None, None) => break,
-                (Some(w), e) if e.is_none_or(|e| w < e) => {
-                    let Reverse(entry) = timers.wakes.pop().expect("peeked entry exists");
-                    entry.fire.wake();
-                }
-                _ => {
-                    let Reverse(entry) = timers.events.pop().expect("peeked entry exists");
-                    let alone =
-                        fired == 0 && wake.is_none() && Timers::due(&timers.events, at).is_none();
-                    if alone {
-                        // Nothing else fires at this instant (the common
-                        // case at nanosecond resolution), so there is
-                        // nothing to order the event against: deliver it
-                        // without a round trip through the ready FIFO.
+                (Some(w), e) => e.is_none_or(|e| w < e),
+                _ => false,
+            };
+            fired += 1;
+            // Nothing else fires at this instant (the common case at
+            // nanosecond resolution) and, `drain_runnable` having
+            // returned, nothing is runnable or awaits admission: with
+            // nothing to order the entry against, it is delivered
+            // without a round trip through the ready FIFO.
+            let alone = fired == 1 && wake.is_some() != event.is_some();
+            if wake_first {
+                let Reverse(entry) = timers.wakes.pop().expect("peeked entry exists");
+                match entry.fire {
+                    Target::Task(id) if alone && Timers::due(&timers.wakes, at).is_none() => {
                         drop(timers);
-                        let (sink, token) = entry.fire;
-                        sink.fire(token);
-                        fired = 1;
+                        self.poll_task(id);
                         break;
                     }
-                    self.core.make_ready(entry.fire);
+                    target => self.core.wake(target),
                 }
+            } else {
+                let Reverse(entry) = timers.events.pop().expect("peeked entry exists");
+                if alone && Timers::due(&timers.events, at).is_none() {
+                    drop(timers);
+                    let (sink, token) = entry.fire;
+                    sink.fire(token);
+                    break;
+                }
+                self.core.make_ready(entry.fire);
             }
-            fired += 1;
         }
-        self.core
-            .timers_fired
-            .set(self.core.timers_fired.get() + fired);
+        self.core.count(|s| s.timers_fired += fired);
         true
     }
 
@@ -432,26 +539,18 @@ impl Simulation {
     /// Tasks blocked on synchronisation that will never fire simply remain
     /// suspended; they do not prevent `run` from returning.
     pub fn run(&mut self) {
-        loop {
+        self.drain_runnable();
+        while self.advance(SimTime::MAX) {
             self.drain_runnable();
-            if !self.advance() {
-                return;
-            }
         }
     }
 
     /// Runs until the virtual clock reaches `deadline` (processing every
     /// event strictly before or at it), then sets the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
+        self.drain_runnable();
+        while self.advance(deadline) {
             self.drain_runnable();
-            let next = self.core.timers.borrow().next_at();
-            match next {
-                Some(at) if at <= deadline => {
-                    self.advance();
-                }
-                _ => break,
-            }
         }
         if self.core.now() < deadline {
             self.core.now.set(deadline);
@@ -479,11 +578,7 @@ impl SimHandle {
 
     /// Suspends the calling process for `span` of virtual time.
     pub fn sleep(&self, span: SimSpan) -> Sleep {
-        Sleep {
-            core: Rc::clone(&self.core),
-            deadline: self.core.now() + span,
-            registered: false,
-        }
+        self.sleep_until(self.core.now() + span)
     }
 
     /// Suspends until the virtual clock reaches `deadline` (immediately
@@ -503,7 +598,7 @@ impl SimHandle {
 
     /// Cumulative executor event counts.
     pub fn stats(&self) -> ExecutorStats {
-        self.core.stats()
+        self.core.stats.get()
     }
 
     /// Draws from the simulation's master RNG (deterministic per seed).
@@ -511,17 +606,34 @@ impl SimHandle {
         f(&mut self.core.rng.borrow_mut())
     }
 
-    /// Registers `waker` to fire at `at`; used by custom futures
-    /// (resources, timeouts) built on top of the executor.
-    pub fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        self.core.schedule_wake(at, waker);
+    /// A ticket that wakes the task being polled under `cx`; used by
+    /// custom futures built on top of the executor.
+    pub fn wakeup(&self, cx: &Context<'_>) -> Wakeup {
+        Wakeup {
+            target: self.core.target(cx),
+            sim: self.core.stamp,
+        }
+    }
+
+    /// Makes `wakeup`'s task runnable now, behind everything already
+    /// runnable.
+    pub fn wake(&self, wakeup: Wakeup) {
+        self.core.wake(self.core.redeem(wakeup));
+    }
+
+    /// Registers `wakeup` (a ticket, or a plain [`Waker`]) to fire at
+    /// `at`.
+    pub fn schedule_wake(&self, at: SimTime, wakeup: impl Into<Wakeup>) {
+        let target = self.core.redeem(wakeup.into());
+        self.core.schedule_wake(at, target);
     }
 
     /// Delivers `sink.fire(token)` at instant `at`, ordered among the
     /// task wakes and events of that instant by scheduling order —
     /// exactly where a task that slept until `at` would be polled.
     pub fn schedule_event(&self, at: SimTime, sink: Rc<dyn EventSink>, token: u64) {
-        self.core.schedule_event(at, (sink, token));
+        let entry = self.core.entry(at, (sink, token));
+        self.core.timers.borrow_mut().events.push(entry);
     }
 
     /// Delivers `sink.fire(token)` at the current instant, once the
@@ -555,34 +667,11 @@ impl Future for Sleep {
             return Poll::Ready(());
         }
         if !self.registered {
-            self.core.schedule_wake(self.deadline, cx.waker().clone());
+            let target = self.core.target(cx);
+            self.core.schedule_wake(self.deadline, target);
             self.registered = true;
         }
         Poll::Pending
-    }
-}
-
-/// Yields once, letting every other runnable task at this instant proceed.
-pub fn yield_now() -> YieldNow {
-    YieldNow { yielded: false }
-}
-
-/// Future returned by [`yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
     }
 }
 
@@ -591,6 +680,56 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::sync::Mutex;
+
+    /// Parks its task once, leaving a ticket for it in `ticket` — the
+    /// way a work request keeps its waiter.
+    struct Park {
+        h: SimHandle,
+        ticket: Rc<RefCell<Option<Wakeup>>>,
+        parked: bool,
+    }
+
+    impl Future for Park {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            if self.parked {
+                return Poll::Ready(());
+            }
+            self.parked = true;
+            *self.ticket.borrow_mut() = Some(self.h.wakeup(cx));
+            Poll::Pending
+        }
+    }
+
+    /// Polls `inner` under a waker of its own that relays to the
+    /// task's, as a combinator telling its branches apart does.
+    struct Relay<F> {
+        inner: F,
+        relay: Arc<RelayWaker>,
+    }
+
+    #[derive(Default)]
+    struct RelayWaker(Mutex<Option<Waker>>);
+
+    impl Wake for RelayWaker {
+        fn wake(self: Arc<Self>) {
+            if let Some(task) = self.0.lock().unwrap().take() {
+                task.wake();
+            }
+        }
+    }
+
+    impl<F: Future + Unpin> Future for Relay<F> {
+        type Output = F::Output;
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            *self.relay.0.lock().unwrap() = Some(cx.waker().clone());
+            let waker = Waker::from(Arc::clone(&self.relay));
+            Pin::new(&mut self.inner).poll(&mut Context::from_waker(&waker))
+        }
+    }
 
     #[test]
     fn clock_starts_at_zero_and_advances() {
@@ -670,26 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn yield_now_interleaves_fairly() {
-        let mut sim = Simulation::new(0);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..2 {
-            let ord = Rc::clone(&order);
-            sim.spawn(async move {
-                for step in 0..3 {
-                    ord.borrow_mut().push((i, step));
-                    yield_now().await;
-                }
-            });
-        }
-        sim.run();
-        assert_eq!(
-            *order.borrow(),
-            vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-        );
-    }
-
-    #[test]
     fn finished_tasks_free_their_slots() {
         let mut sim = Simulation::new(0);
         for _ in 0..100 {
@@ -742,13 +861,14 @@ mod tests {
             "the stale wake does not cut B's sleep short"
         );
         // A's poll, B's first poll, the spurious poll at t=50, B's
-        // completion at t=110; both timers fired.
+        // completion at t=110; both timers fired, A's through its waker.
         assert_eq!(
             sim.stats(),
             ExecutorStats {
                 polls: 4,
                 timers_fired: 2,
                 spawned: 2,
+                waker_wakes: 1,
             }
         );
     }
@@ -777,6 +897,7 @@ mod tests {
                 polls: TASKS * SLEEPS + TASKS,
                 timers_fired: TASKS * SLEEPS,
                 spawned: TASKS,
+                waker_wakes: 0,
             }
         );
     }
@@ -844,8 +965,191 @@ mod tests {
                 polls: 4,
                 timers_fired: 6,
                 spawned: 2,
+                waker_wakes: 0,
             }
         );
+    }
+
+    #[test]
+    fn waker_and_ticket_wakes_of_one_poll_run_in_call_order() {
+        // One poll wakes a through a `Signal` (its waker), b through a
+        // ticket and c through a `Channel` (its waker): the locked and
+        // the local side of the ready FIFO interleave in call order.
+        let mut sim = Simulation::new(0);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let signal = Rc::new(crate::Signal::new());
+        let channel: crate::Channel<()> = crate::Channel::new();
+        let ticket = Rc::new(RefCell::new(None));
+        let (sig, ord) = (Rc::clone(&signal), Rc::clone(&order));
+        sim.spawn(async move {
+            sig.wait().await;
+            ord.borrow_mut().push("a");
+        });
+        let (park, ord) = (Rc::clone(&ticket), Rc::clone(&order));
+        let h = sim.handle();
+        sim.spawn(async move {
+            let parked = false;
+            Park {
+                h,
+                ticket: park,
+                parked,
+            }
+            .await;
+            ord.borrow_mut().push("b");
+        });
+        let (rx, ord) = (channel.clone(), Rc::clone(&order));
+        sim.spawn(async move {
+            rx.recv().await;
+            ord.borrow_mut().push("c");
+        });
+        sim.run();
+        assert!(order.borrow().is_empty(), "all three are parked");
+        let h = sim.handle();
+        sim.spawn(async move {
+            signal.fire();
+            h.wake(ticket.borrow_mut().take().expect("b left its ticket"));
+            channel.send(());
+        });
+        sim.run();
+        assert_eq!(*order.borrow(), vec!["a", "b", "c"]);
+        assert_eq!(sim.stats().waker_wakes, 2);
+    }
+
+    #[test]
+    fn sleep_under_a_foreign_waker_takes_the_waker_path() {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        let woke_at = Rc::new(Cell::new(0u64));
+        let out = Rc::clone(&woke_at);
+        sim.spawn(async move {
+            let relayed = Relay {
+                inner: h.sleep(SimSpan::nanos(70)),
+                relay: Arc::default(),
+            };
+            relayed.await;
+            out.set(h.now().as_nanos());
+        });
+        sim.run();
+        assert_eq!(woke_at.get(), 70);
+        assert_eq!(
+            sim.stats(),
+            ExecutorStats {
+                polls: 2,
+                timers_fired: 1,
+                spawned: 1,
+                waker_wakes: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn a_wake_alone_at_its_instant_is_polled_straight_from_the_heap() {
+        let mut sim = Simulation::new(0);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (tag, span) in [("alone", 10), ("first", 20), ("second", 20)] {
+            let (h, log) = (sim.handle(), Rc::clone(&log));
+            sim.spawn(async move {
+                h.sleep(SimSpan::nanos(span)).await;
+                log.borrow_mut().push(tag);
+            });
+        }
+        sim.drain_runnable();
+        let parked = sim.stats();
+        // t=10: the one `advance` call has already run the task.
+        assert!(sim.advance(SimTime::from_nanos(20)));
+        assert_eq!(*log.borrow(), vec!["alone"]);
+        assert!(sim.core.ready.borrow().is_empty());
+        let alone = sim.stats();
+        assert_eq!(alone.polls, parked.polls + 1);
+        assert_eq!(alone.timers_fired, parked.timers_fired + 1);
+        // t=20: two wakes have an order, so both go through the FIFO.
+        assert!(sim.advance(SimTime::from_nanos(20)));
+        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(sim.core.ready.borrow().len(), 2);
+        sim.drain_runnable();
+        assert_eq!(*log.borrow(), vec!["alone", "first", "second"]);
+        assert_eq!(sim.stats().polls, alone.polls + 2);
+        assert_eq!(sim.stats().timers_fired, alone.timers_fired + 2);
+        assert_eq!(sim.stats().waker_wakes, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "good in its own simulation only")]
+    fn a_ticket_does_not_wake_a_stranger_in_another_simulation() {
+        let mut sim = Simulation::new(0);
+        let ticket = Rc::new(RefCell::new(None));
+        sim.spawn(Park {
+            h: sim.handle(),
+            ticket: Rc::clone(&ticket),
+            parked: false,
+        });
+        sim.run();
+        let ticket = ticket.borrow_mut().take().expect("taken by the first poll");
+        // Slot 0 exists over there too; the ticket must not reach it.
+        let mut other = Simulation::new(0);
+        other.spawn(std::future::pending());
+        other.run();
+        other.handle().wake(ticket);
+    }
+
+    #[test]
+    fn recycled_slot_sees_one_spurious_poll_from_a_stale_ticket() {
+        // The ticket twin of the stale-timer test above: A arms a timer
+        // by ticket and finishes, B inherits the slot and the wake.
+        struct ArmAndFinish(SimHandle);
+        impl Future for ArmAndFinish {
+            type Output = ();
+            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+                let at = self.0.now() + SimSpan::nanos(50);
+                self.0.schedule_wake(at, self.0.wakeup(cx));
+                Poll::Ready(())
+            }
+        }
+        let mut sim = Simulation::new(0);
+        sim.spawn(ArmAndFinish(sim.handle()));
+        sim.run_until(SimTime::from_nanos(10));
+        let h = sim.handle();
+        let woke_at = Rc::new(Cell::new(0u64));
+        let out = Rc::clone(&woke_at);
+        sim.spawn(async move {
+            h.sleep(SimSpan::nanos(100)).await;
+            out.set(h.now().as_nanos());
+        });
+        sim.run();
+        assert_eq!(sim.tasks.len(), 1, "B reuses A's slot");
+        assert_eq!(woke_at.get(), 110);
+        assert_eq!(
+            sim.stats(),
+            ExecutorStats {
+                polls: 4,
+                timers_fired: 2,
+                spawned: 2,
+                waker_wakes: 0,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule in the past")]
+    fn scheduling_an_event_in_the_past_panics_in_every_build() {
+        let mut sim = Simulation::new(0);
+        let sink = Rc::new(LogSink {
+            tag: "late",
+            h: sim.handle(),
+            log: Log::default(),
+        });
+        sim.run_until(SimTime::from_nanos(100));
+        sim.handle()
+            .schedule_event(SimTime::from_nanos(10), sink as _, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule in the past")]
+    fn scheduling_a_wake_in_the_past_panics_in_every_build() {
+        let mut sim = Simulation::new(0);
+        sim.run_until(SimTime::from_nanos(100));
+        sim.handle()
+            .schedule_wake(SimTime::from_nanos(10), Waker::noop().clone());
     }
 
     #[test]

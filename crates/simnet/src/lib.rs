@@ -6,9 +6,10 @@
 //! * a virtual clock measured in nanoseconds ([`SimTime`] / [`SimSpan`]),
 //! * a single-threaded cooperative executor for simulated processes
 //!   written as ordinary `async` functions ([`Simulation`] / [`SimHandle`]),
-//! * timer futures ([`SimHandle::sleep`], [`yield_now`]) and typed timer
-//!   events for clock-driven state machines that are not tasks
-//!   ([`EventSink`], keyed by a generation-stamped [`Slab`]),
+//! * timer futures ([`SimHandle::sleep`]), wake tickets for custom
+//!   futures ([`Wakeup`]) and typed timer events for clock-driven state
+//!   machines that are not tasks ([`EventSink`], keyed by a
+//!   generation-stamped [`Slab`]),
 //! * a FIFO queueing resource ([`FifoServer`]) used to model NIC
 //!   engines, and serialized critical sections ([`SimLock`]),
 //! * synchronisation primitives for simulated processes ([`Signal`],
@@ -58,7 +59,7 @@ mod timeout;
 
 pub use coord::{Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
 pub use crc64::{crc64, crc64_pair, Crc64};
-pub use executor::{yield_now, EventSink, ExecutorStats, SimHandle, Simulation, Sleep};
+pub use executor::{EventSink, ExecutorStats, SimHandle, Simulation, Sleep, Wakeup};
 pub use health::{
     Anomaly, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad, CoreSkewReport,
     DumpBundle, HealthConfig, HealthHub, HealthReport, HealthSignal,

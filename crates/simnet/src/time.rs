@@ -22,6 +22,9 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The last representable instant: "no deadline".
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates an instant from raw nanoseconds since simulation start.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
