@@ -60,6 +60,8 @@
 //! sim.run_for(SimSpan::millis(1));
 //! ```
 
+use std::rc::Rc;
+
 use rfp_rnic::ThreadCtx;
 
 use crate::client::RfpClient;
@@ -128,7 +130,7 @@ pub async fn client_recv(
 /// Panics if the request exceeds `local_buf`.
 pub async fn server_recv(
     conn: &RfpServerConn,
-    thread: &ThreadCtx,
+    thread: &Rc<ThreadCtx>,
     local_buf: &mut LocalBuf,
 ) -> Option<usize> {
     let req = conn.try_recv(thread).await?;

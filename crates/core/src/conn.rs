@@ -24,12 +24,15 @@
 //! few through [`RfpMux`](crate::RfpMux)), each with its own buffers,
 //! flag and hybrid-switch state.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use rfp_rnic::{Machine, MemRegion, Qp, ThreadCtx};
-use rfp_simnet::{MetricsRegistry, SimSpan, SimTime, SpanRecorder};
+use rfp_simnet::{EventSink, MetricsRegistry, SimHandle, SimSpan, SimTime, SpanRecorder, Wakeup};
 
 use crate::header::{
     resp_canary, ReqHeader, RespHeader, RespIntegrity, RespStatus, REQ_HDR, REQ_HDR_EXT,
@@ -225,8 +228,10 @@ impl Shared {
 /// # Panics
 ///
 /// Panics if the QPs do not connect the same two machines in opposite
-/// directions, if `fetch_size` is smaller than the response header, or
-/// if a multi-slot ring is asked to start in server-reply mode.
+/// directions, if `fetch_size` is smaller than the response header, if
+/// a multi-slot ring is asked to start in server-reply mode, or if a
+/// header check costs no time (an empty server sweep would then never
+/// let the clock move).
 pub fn connect(
     client_machine: &Rc<Machine>,
     server_machine: &Rc<Machine>,
@@ -276,6 +281,10 @@ pub fn connect(
         cfg.window == 1 || cfg.initial_mode == Mode::RemoteFetch,
         "server-reply needs a one-slot ring (it has one request outstanding per connection)"
     );
+    assert!(
+        !cfg.check_cpu.is_zero(),
+        "a header check must cost CPU time"
+    );
 
     let window = cfg.window;
     let shared = Rc::new(Shared {
@@ -303,11 +312,17 @@ pub fn connect(
         slots: t.registry.counter("serve.scan.slots"),
         conns: t.registry.counter("serve.scan.conns"),
     });
-    let server = RfpServerConn {
+    let ring = Rc::new(Ring {
+        shared: Rc::clone(&shared),
         slots: (0..window).map(|_| SlotState::default()).collect(),
-        cur_slot: Cell::new(0),
         scan_from: Cell::new(0),
         scan,
+        claimed: Cell::new(false),
+    });
+    let server = RfpServerConn {
+        ring: Rc::new([ring]),
+        sweep: Sweep::new(server_machine.handle().clone()),
+        cur_slot: Cell::new(0),
         shared,
         qp_reply: qp_s2c,
         advertise: Cell::new(0),
@@ -330,16 +345,14 @@ pub fn connect(
 pub struct RfpServerConn {
     shared: Rc<Shared>,
     qp_reply: Rc<Qp>,
-    /// Per-ring-slot request state (`window` entries).
-    slots: Vec<SlotState>,
+    /// This connection's request ring, as the one-ring list its own
+    /// sweep visits.
+    ring: Rc<[Rc<Ring>]>,
+    /// The one-connection sweep behind [`try_recv`](Self::try_recv).
+    sweep: Rc<Sweep>,
     /// Slot of the request last delivered by `try_recv` (the serve loop
     /// strictly alternates recv/send, so one marker suffices).
     cur_slot: Cell<usize>,
-    /// Round-robin scan cursor across the ring slots.
-    scan_from: Cell<usize>,
-    /// Registry-wide scan-cost counters (`serve.scan.*`), resolved at
-    /// connect time when telemetry is attached.
-    scan: Option<ScanCounters>,
     /// Credit level stamped into outgoing response headers (overload
     /// control; stays 0 — the legacy zero fill — without the stage).
     advertise: Cell<u16>,
@@ -385,6 +398,321 @@ struct SlotState {
     generation: Cell<u32>,
 }
 
+/// The server's side of one request ring: the slot state a look reads
+/// and the round-robin cursor and claim a sweep advances. Kept apart
+/// from [`RfpServerConn`] so a [`Sweep`] can hold rings without holding
+/// the connection that owns it.
+pub(crate) struct Ring {
+    shared: Rc<Shared>,
+    /// Per-ring-slot request state (`window` entries).
+    slots: Vec<SlotState>,
+    /// Round-robin scan cursor across the ring slots.
+    scan_from: Cell<usize>,
+    /// Registry-wide scan-cost counters (`serve.scan.*`), resolved at
+    /// connect time when telemetry is attached.
+    scan: Option<ScanCounters>,
+    /// The steal claim: a reactor sweep test-and-sets it around every
+    /// visit, so the ring has one poller at any instant and whoever
+    /// arrives second skips it.
+    claimed: Cell<bool>,
+}
+
+impl Ring {
+    fn window(&self) -> usize {
+        self.shared.cfg.window
+    }
+
+    /// One look at `slot`: its request header, if the slot holds a
+    /// request not yet delivered (acceptance is idempotent dedup — see
+    /// [`RfpServerConn::try_recv`]).
+    fn look(&self, slot: usize) -> Option<ReqHeader> {
+        if let Some(scan) = &self.scan {
+            scan.slots.incr();
+        }
+        // The header-window read covers the largest extension that fits
+        // the slot: `decode` consumes 8, 16, or 24 bytes depending on
+        // the deadline/tenant bits (capacity ≥ 16 is a `connect`
+        // invariant; the tenant field needs 24 and its decode guard
+        // degrades gracefully on smaller slots).
+        let hdr_window = REQ_HDR_TENANT.min(self.shared.cfg.req_capacity);
+        let base = self.shared.req_off(slot);
+        let hdr = self
+            .shared
+            .req
+            .with_bytes(|ring| ReqHeader::decode(&ring[base..base + hdr_window]));
+        (hdr.valid && hdr.seq != self.slots[slot].last_seq.get()).then_some(hdr)
+    }
+}
+
+/// Where a [`Sweep`] hands control back to the task awaiting it.
+pub(crate) enum Stop {
+    /// A look found `slot` of the `conn`-th swept ring pending.
+    Hit {
+        conn: usize,
+        slot: usize,
+        hdr: ReqHeader,
+    },
+    /// The crash check before a receive tripped (reactor sweeps only).
+    Crashed,
+    /// Every ring visited, or the budget spent.
+    End,
+}
+
+/// The step a sweep takes next.
+#[derive(Copy, Clone, Default)]
+enum At {
+    /// Visit `rings[conn]`: budget, claim.
+    #[default]
+    Conn,
+    /// Begin a receive on it: window, budget, crash check.
+    Recv,
+    /// Look at its next slot, `left` looks remaining in the receive.
+    Look,
+}
+
+/// The synchronous skeleton of a sweep, kept between looks.
+#[derive(Default)]
+struct Cursor {
+    /// The thread whose CPU the looks cost.
+    thread: Option<Rc<ThreadCtx>>,
+    rings: Rc<[Rc<Ring>]>,
+    pos: Pos,
+}
+
+/// Where in its rings a sweep stands.
+#[derive(Copy, Clone, Default)]
+struct Pos {
+    /// A reactor sweep: claims each ring, checks for a crash before
+    /// each receive and stops at `budget` executions.
+    reactor: bool,
+    budget: usize,
+    /// The task's executions reached `budget`.
+    spent: bool,
+    at: At,
+    conn: usize,
+    /// Receives begun on `rings[conn]` — at most its window.
+    recvs: usize,
+    left: usize,
+    /// Slot of the look in flight.
+    slot: usize,
+    /// Bumped by every `begin`: the look event of an abandoned sweep
+    /// carries a stale one.
+    generation: u64,
+}
+
+impl Pos {
+    /// Leaves `ring`, the one being visited, for the next.
+    fn leave(&mut self, ring: &Ring) {
+        if self.reactor {
+            ring.claimed.set(false);
+        }
+        self.conn += 1;
+        self.at = At::Conn;
+    }
+
+    /// The stop for a look at the slot in flight that found `hdr`.
+    fn hit(&self, hdr: ReqHeader) -> Stop {
+        Stop::Hit {
+            conn: self.conn,
+            slot: self.slot,
+            hdr,
+        }
+    }
+}
+
+/// The server's ring sweep as a clocked event sink (DESIGN §19
+/// "Clocked looks"). Each slot look is one typed event, scheduled where
+/// the sweeping task used to register the `busy(check_cpu)` sleep and
+/// so drawing the same `seq` — or, when that event would be delivered
+/// next and alone, made in place ([`SimHandle::step_to`]). Claims,
+/// receives, crash checks and the `serve.scan.*` counters advance
+/// inside the events. The task is polled only at a [`Stop`], handed
+/// back through [`SimHandle::resume`] so it runs at the look's own place
+/// in the order. Allocated once per reactor core and once per
+/// connection (for [`try_recv`](RfpServerConn::try_recv)).
+pub(crate) struct Sweep {
+    h: SimHandle,
+    cursor: RefCell<Cursor>,
+    /// The task awaiting the sweep while a look is in flight.
+    waiter: Cell<Option<Wakeup>>,
+    /// What the sweep handed back, until the task picks it up.
+    stop: Cell<Option<Stop>>,
+}
+
+impl Sweep {
+    pub(crate) fn new(h: SimHandle) -> Rc<Sweep> {
+        Rc::new(Sweep {
+            h,
+            cursor: RefCell::default(),
+            waiter: Cell::new(None),
+            stop: Cell::new(None),
+        })
+    }
+
+    /// Starts a sweep of `rings` on `thread`; a `reactor` sweep claims,
+    /// crash-checks and stops at `budget` executions. The first look is
+    /// charged by the first [`next`](Self::next).
+    pub(crate) fn begin(
+        &self,
+        thread: &Rc<ThreadCtx>,
+        rings: &Rc<[Rc<Ring>]>,
+        reactor: bool,
+        budget: usize,
+    ) {
+        let mut c = self.cursor.borrow_mut();
+        c.thread = Some(Rc::clone(thread));
+        c.rings = Rc::clone(rings);
+        c.pos = Pos {
+            reactor,
+            budget,
+            generation: c.pos.generation + 1,
+            ..Pos::default()
+        };
+        self.stop.take();
+    }
+
+    /// Runs the sweep to its next stop; `executed` is what the task has
+    /// executed since [`begin`](Self::begin). After a hit the sweep
+    /// resumes inside the receive that found it, unless the task
+    /// [`took`](Self::took) the request.
+    pub(crate) async fn next(self: &Rc<Self>, executed: usize) -> Stop {
+        let (at, generation) = {
+            let mut c = self.cursor.borrow_mut();
+            c.pos.spent = executed >= c.pos.budget;
+            match Self::run(&self.h, &mut c, false) {
+                Ok(stop) => return stop,
+                Err(at) => (at, c.pos.generation),
+            }
+        };
+        self.h
+            .schedule_chained(at, Rc::clone(self) as _, generation);
+        Handback(self).await
+    }
+
+    /// The request of the last hit was delivered: its receive is over.
+    pub(crate) fn took(&self) {
+        self.cursor.borrow_mut().pos.at = At::Recv;
+    }
+
+    /// Gives the sweep up after a hit (a crash mid-service), releasing
+    /// the ring being visited.
+    pub(crate) fn abort(&self) {
+        let c = &mut *self.cursor.borrow_mut();
+        c.pos.leave(&c.rings[c.pos.conn]);
+    }
+
+    /// Advances `c` until it stops, or until its next look has to wait
+    /// for its event: `Err` with the event's instant. Only an event may
+    /// make looks in place: a task's poll may go on past the sweep (a
+    /// combinator polling a sibling), and the clock must not have moved
+    /// under it.
+    fn run(h: &SimHandle, c: &mut Cursor, in_event: bool) -> Result<Stop, SimTime> {
+        let Cursor { thread, rings, pos } = c;
+        let thread = thread.as_deref().expect("a sweep runs after `begin`");
+        loop {
+            match pos.at {
+                At::Conn => {
+                    let Some(ring) = rings.get(pos.conn).filter(|_| !pos.spent) else {
+                        return Ok(Stop::End);
+                    };
+                    if pos.reactor && ring.claimed.replace(true) {
+                        pos.conn += 1;
+                        continue;
+                    }
+                    pos.recvs = 0;
+                    pos.at = At::Recv;
+                }
+                At::Recv => {
+                    let ring = &rings[pos.conn];
+                    if pos.recvs == ring.window() || pos.spent {
+                        pos.leave(ring);
+                        continue;
+                    }
+                    if pos.reactor && thread.machine().faults().is_crashed() {
+                        pos.leave(ring);
+                        return Ok(Stop::Crashed);
+                    }
+                    if let Some(scan) = &ring.scan {
+                        scan.conns.incr();
+                    }
+                    pos.recvs += 1;
+                    pos.left = ring.window();
+                    pos.at = At::Look;
+                }
+                At::Look => {
+                    let ring = &rings[pos.conn];
+                    if pos.left == 0 {
+                        // The receive found nothing.
+                        pos.leave(ring);
+                        continue;
+                    }
+                    pos.left -= 1;
+                    pos.slot = ring.scan_from.get();
+                    // `window` is a power of two (a `connect` invariant).
+                    ring.scan_from.set((pos.slot + 1) & (ring.window() - 1));
+                    // A look that takes no time (a zero straggler
+                    // factor) is made now, as an elapsed sleep resumed;
+                    // one that would be delivered next and alone is
+                    // made in place.
+                    let span = thread.charge(ring.shared.cfg.check_cpu);
+                    let at = h.now() + span;
+                    let made_now = span.is_zero() || (in_event && h.step_to(at));
+                    if !made_now {
+                        return Err(at);
+                    }
+                    if let Some(hdr) = ring.look(pos.slot) {
+                        return Ok(pos.hit(hdr));
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl EventSink for Sweep {
+    fn fire(self: Rc<Self>, generation: u64) {
+        let next = {
+            let c = &mut *self.cursor.borrow_mut();
+            if generation != c.pos.generation {
+                return;
+            }
+            match c.rings[c.pos.conn].look(c.pos.slot) {
+                Some(hdr) => Ok(c.pos.hit(hdr)),
+                None => Self::run(&self.h, c, true),
+            }
+        };
+        match next {
+            Ok(stop) => {
+                self.stop.set(Some(stop));
+                if let Some(waiter) = self.waiter.take() {
+                    self.h.resume(waiter);
+                }
+            }
+            Err(at) => self
+                .h
+                .schedule_chained(at, Rc::clone(&self) as _, generation),
+        }
+    }
+}
+
+/// Parks the sweeping task until its sweep stops.
+struct Handback<'a>(&'a Sweep);
+
+impl Future for Handback<'_> {
+    type Output = Stop;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Stop> {
+        let sweep = self.0;
+        match sweep.stop.take() {
+            Some(stop) => Poll::Ready(stop),
+            None => {
+                sweep.waiter.set(Some(sweep.h.wakeup(cx)));
+                Poll::Pending
+            }
+        }
+    }
+}
+
 impl RfpServerConn {
     /// Checks the request buffer for a newly arrived request
     /// (`server_recv`). Returns its payload, or `None`.
@@ -396,63 +724,64 @@ impl RfpServerConn {
     /// in flight or already answered, and accepted fresh seqs — e.g.
     /// the first request after a server restart — need no handshake.
     ///
-    /// Charges one header inspection of CPU time per ring slot scanned;
-    /// a single-slot connection inspects exactly one header per call,
-    /// as before windowing. Multi-slot rings are scanned round-robin
-    /// from a persistent cursor, stopping at the first pending slot.
-    pub async fn try_recv(&self, thread: &ThreadCtx) -> Option<Vec<u8>> {
-        let window = self.shared.cfg.window;
-        // The header-window read covers the largest extension that fits
-        // the slot: `decode` consumes 8, 16, or 24 bytes depending on
-        // the deadline/tenant bits (capacity ≥ 16 is a `connect`
-        // invariant; the tenant field needs 24 and its decode guard
-        // degrades gracefully on smaller slots).
-        let hdr_window = REQ_HDR_TENANT.min(self.shared.cfg.req_capacity);
-        if let Some(scan) = &self.scan {
-            scan.conns.incr();
-        }
-        for _ in 0..window {
-            let slot = self.scan_from.get();
-            self.scan_from.set((slot + 1) % window);
-            thread.busy(self.shared.cfg.check_cpu).await;
-            if let Some(scan) = &self.scan {
-                scan.slots.incr();
+    /// Charges one header inspection of CPU time per ring slot looked
+    /// at; a single-slot connection inspects exactly one header per
+    /// call, as before windowing. Multi-slot rings are scanned
+    /// round-robin from a persistent cursor, stopping at the first
+    /// pending slot. This is a one-connection [`Sweep`]: the looks are
+    /// events, and the task runs again only at the pending slot or at
+    /// the end.
+    pub async fn try_recv(&self, thread: &Rc<ThreadCtx>) -> Option<Vec<u8>> {
+        self.sweep.begin(thread, &self.ring, false, usize::MAX);
+        while let Stop::Hit { slot, hdr, .. } = self.sweep.next(0).await {
+            if let Some(req) = self.pickup(thread, slot, hdr).await {
+                return Some(req);
             }
-            let base = self.shared.req_off(slot);
-            let hdr = self
-                .shared
-                .req
-                .with_bytes(|ring| ReqHeader::decode(&ring[base..base + hdr_window]));
-            let st = &self.slots[slot];
-            if !hdr.valid || hdr.seq == st.last_seq.get() {
-                continue;
-            }
-            st.last_seq.set(hdr.seq);
-            st.cur_seq.set(hdr.seq);
-            st.cur_deadline.set(hdr.deadline);
-            st.cur_tenant.set(hdr.tenant);
-            st.pickup.set(thread.now());
-            self.cur_slot.set(slot);
-            if hdr.epoch != self.epoch.get() {
-                // Epoch fence: the request was stamped in a different
-                // replication epoch than this server serves in — either
-                // a stale client that has not learned of a failover, or
-                // a client that moved on while *we* are the deposed
-                // ex-primary. Never deliver it to the application (so no
-                // split-brain write is ever acked); answer `Fenced`
-                // carrying our epoch so a lagging client can catch up.
-                self.reject(thread, RespStatus::Fenced).await;
-                continue;
-            }
-            let obs = &self.shared.obs;
-            obs.span_mark(slot, thread.now(), "server_dequeued");
-            return Some(
-                self.shared
-                    .req
-                    .read_local(base + hdr.wire_len(), hdr.size as usize),
-            );
         }
         None
+    }
+
+    /// Takes delivery of the request a look found pending in `slot`
+    /// under `hdr`: marks it in flight and returns its payload — or,
+    /// fenced, answers it and returns `None` (the receive then goes on
+    /// with the next slot).
+    pub(crate) async fn pickup(
+        &self,
+        thread: &ThreadCtx,
+        slot: usize,
+        hdr: ReqHeader,
+    ) -> Option<Vec<u8>> {
+        let st = &self.ring().slots[slot];
+        st.last_seq.set(hdr.seq);
+        st.cur_seq.set(hdr.seq);
+        st.cur_deadline.set(hdr.deadline);
+        st.cur_tenant.set(hdr.tenant);
+        st.pickup.set(thread.now());
+        self.cur_slot.set(slot);
+        if hdr.epoch != self.epoch.get() {
+            // Epoch fence: the request was stamped in a different
+            // replication epoch than this server serves in — either a
+            // stale client that has not learned of a failover, or a
+            // client that moved on while *we* are the deposed
+            // ex-primary. Never deliver it to the application (so no
+            // split-brain write is ever acked); answer `Fenced`
+            // carrying our epoch so a lagging client can catch up.
+            self.reject(thread, RespStatus::Fenced).await;
+            return None;
+        }
+        let obs = &self.shared.obs;
+        obs.span_mark(slot, thread.now(), "server_dequeued");
+        let base = self.shared.req_off(slot);
+        Some(
+            self.shared
+                .req
+                .read_local(base + hdr.wire_len(), hdr.size as usize),
+        )
+    }
+
+    /// This connection's request ring.
+    pub(crate) fn ring(&self) -> &Rc<Ring> {
+        &self.ring[0]
     }
 
     /// `W`: ring slots of this connection (the most requests a pipelined
@@ -464,13 +793,13 @@ impl RfpServerConn {
     /// Deadline stamped into the request last delivered by
     /// [`try_recv`](RfpServerConn::try_recv), if the client stamped one.
     pub fn current_deadline(&self) -> Option<SimTime> {
-        self.slots[self.cur_slot.get()].cur_deadline.get()
+        self.ring().slots[self.cur_slot.get()].cur_deadline.get()
     }
 
     /// Tenant stamped into the request last delivered by
     /// [`try_recv`](RfpServerConn::try_recv), if the client stamped one.
     pub fn current_tenant(&self) -> Option<u32> {
-        self.slots[self.cur_slot.get()].cur_tenant.get()
+        self.ring().slots[self.cur_slot.get()].cur_tenant.get()
     }
 
     /// Sets the credit level stamped into subsequent response headers.
@@ -483,19 +812,9 @@ impl RfpServerConn {
         self.shared.cfg.overload.as_ref()
     }
 
-    /// Ring slot of the request last delivered by
-    /// [`try_recv`](RfpServerConn::try_recv). The reactor captures it
-    /// at pickup so a queued (or stolen) request can be answered into
-    /// its own slot even after later `try_recv`s moved the in-flight
-    /// marker.
-    pub(crate) fn reply_slot(&self) -> usize {
-        self.cur_slot.get()
-    }
-
     /// Restores the in-flight marker before answering a queued request.
     /// Must be called with no intervening await before the send — the
-    /// marker is connection-global and any concurrent `try_recv` moves
-    /// it.
+    /// marker is connection-global and any concurrent pickup moves it.
     pub(crate) fn set_reply_slot(&self, slot: usize) {
         self.cur_slot.set(slot);
     }
@@ -537,7 +856,7 @@ impl RfpServerConn {
         };
         cell.set(cell.get() + 1);
         // The server keeps no chain: each verdict is a root event.
-        let seq = self.slots[self.cur_slot.get()].cur_seq.get();
+        let seq = self.ring().slots[self.cur_slot.get()].cur_seq.get();
         let mut root = Chain { seq, cause: None };
         let what = format_args!("server rejected seq {seq} with {status:?}");
         let obs = &self.shared.obs;
@@ -546,7 +865,7 @@ impl RfpServerConn {
 
     async fn post_response(&self, thread: &ThreadCtx, payload: &[u8], status: RespStatus) {
         let slot = self.cur_slot.get();
-        let st = &self.slots[slot];
+        let st = &self.ring().slots[slot];
         let seq = st.cur_seq.get();
         assert!(seq != 0, "send without a received request");
         assert!(
@@ -651,7 +970,7 @@ impl RfpServerConn {
     /// buffers were wiped, the recovered seq is 0, and every replay is
     /// (correctly) executed against the empty store.
     pub fn recover_after_restart(&self) {
-        for (slot, st) in self.slots.iter().enumerate() {
+        for (slot, st) in self.ring().slots.iter().enumerate() {
             let base = self.shared.resp_off(slot);
             let wire_hdr = self.shared.cfg.resp_wire_hdr();
             let hdr = self
@@ -671,7 +990,7 @@ impl RfpServerConn {
             self.shared.obs.span_drop(slot);
         }
         self.cur_slot.set(0);
-        self.scan_from.set(0);
+        self.ring().scan_from.set(0);
     }
 
     /// Requests answered so far.
@@ -701,5 +1020,150 @@ impl RfpServerConn {
         } else {
             Mode::RemoteFetch
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::header::REQ_HDR;
+    use crate::server::{serve_loop, IdlePolicy};
+    use rfp_rnic::{Cluster, ClusterProfile};
+    use rfp_simnet::Simulation;
+
+    /// A one-machine-pair rig with `conns` server connections of
+    /// `window` slots each (the client ends are kept alive, unused).
+    fn rig(
+        sim: &mut Simulation,
+        window: usize,
+        conns: usize,
+    ) -> (Cluster, Vec<Rc<RfpServerConn>>, Vec<crate::RfpClient>) {
+        let cluster = Cluster::new(sim, ClusterProfile::paper_testbed(), 2);
+        let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+        let (mut servers, mut clients) = (Vec::new(), Vec::new());
+        for _ in 0..conns {
+            let cfg = RfpConfig {
+                window,
+                ..RfpConfig::default()
+            };
+            let (client, server) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+            servers.push(Rc::new(server));
+            clients.push(client);
+        }
+        (cluster, servers, clients)
+    }
+
+    /// Lands a 4-byte request with `seq` in `slot` of `conn`'s ring, as
+    /// the in-bound engine does when a WRITE completes.
+    fn deposit(conn: &RfpServerConn, slot: usize, seq: u32) {
+        let mut bytes = [0u8; REQ_HDR + 4];
+        ReqHeader {
+            valid: true,
+            size: 4,
+            seq,
+            deadline: None,
+            tenant: None,
+            epoch: 0,
+        }
+        .encode(&mut bytes);
+        conn.shared
+            .req
+            .write_local(conn.shared.req_off(slot), &bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "must cost CPU time")]
+    fn a_header_check_that_costs_nothing_is_refused() {
+        let mut sim = Simulation::new(0);
+        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+        let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+        let cfg = RfpConfig {
+            check_cpu: SimSpan::ZERO,
+            ..RfpConfig::default()
+        };
+        let _ = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+    }
+
+    /// Lands a request in slot 2 when it fires.
+    struct Probe(Rc<RfpServerConn>);
+
+    impl EventSink for Probe {
+        fn fire(self: Rc<Self>, _: u64) {
+            deposit(&self.0, 2, 1);
+        }
+    }
+
+    /// When the server, sweeping a W=4 ring every 50 ns from t=0 (looks
+    /// at 50, 100, 150, 200, spin to 300, looks from 350), picks up a
+    /// request that lands in slot 2 at 150 — the instant of that slot's
+    /// look. The look was scheduled at 100; the landing event is
+    /// scheduled at 0 (`early`) or at 120.
+    fn pickup_of_a_landing_at_a_look(early: bool) -> u64 {
+        let mut sim = Simulation::new(0);
+        let (cluster, conns, _clients) = rig(&mut sim, 4, 1);
+        let h = sim.handle();
+        let probe = Rc::new(Probe(Rc::clone(&conns[0])));
+        let landing = SimTime::from_nanos(150);
+        if early {
+            h.schedule_event(landing, Rc::clone(&probe) as _, 0);
+        }
+        let picked = Rc::new(Cell::new(None));
+        let (seen, clock) = (Rc::clone(&picked), h.clone());
+        sim.spawn(serve_loop(
+            cluster.machine(1).thread("server"),
+            conns,
+            move |req: &[u8]| {
+                seen.set(Some(clock.now().as_nanos()));
+                (req.to_vec(), SimSpan::ZERO)
+            },
+            IdlePolicy::fixed(SimSpan::nanos(100)),
+        ));
+        // Pending at 120 either way, so the look at 150 waits in a heap
+        // rather than being made in place at 100.
+        sim.spawn(async move {
+            h.sleep_until(SimTime::from_nanos(120)).await;
+            if !early {
+                h.schedule_event(landing, probe as _, 0);
+            }
+        });
+        sim.run_until(SimTime::from_nanos(1_000));
+        picked.get().expect("the request was picked up")
+    }
+
+    #[test]
+    fn a_landing_on_a_look_instant_is_seen_iff_scheduled_before_the_look() {
+        assert_eq!(pickup_of_a_landing_at_a_look(true), 150);
+        assert_eq!(pickup_of_a_landing_at_a_look(false), 450);
+    }
+
+    #[test]
+    fn sweeps_sharing_look_instants_skip_each_others_claims() {
+        // Two reactor sweeps over the same two one-slot rings, each with
+        // a request pending, started at the same instant: the second
+        // finds the first ring claimed and takes the other. Their looks
+        // share t=50; the first, done with its ring, skips the second's.
+        let mut sim = Simulation::new(0);
+        let (cluster, conns, _clients) = rig(&mut sim, 1, 2);
+        let rings: Rc<[Rc<Ring>]> = conns.iter().map(|c| Rc::clone(c.ring())).collect();
+        for conn in &conns {
+            deposit(conn, 0, 1);
+        }
+        let hits = Rc::new(RefCell::new(Vec::new()));
+        for who in ["first", "second"] {
+            let thread = cluster.machine(1).thread(who);
+            let sweep = Sweep::new(sim.handle());
+            let (rings, conns, hits) = (Rc::clone(&rings), conns.clone(), Rc::clone(&hits));
+            sim.spawn(async move {
+                sweep.begin(&thread, &rings, true, usize::MAX);
+                while let Stop::Hit { conn, slot, hdr } = sweep.next(0).await {
+                    hits.borrow_mut().push((who, conn, thread.now().as_nanos()));
+                    conns[conn].pickup(&thread, slot, hdr).await;
+                    sweep.took();
+                }
+            });
+        }
+        sim.run();
+        assert_eq!(*hits.borrow(), [("first", 0, 50), ("second", 1, 50)]);
+        assert!(rings.iter().all(|r| !r.claimed.get()), "claims released");
     }
 }

@@ -10,13 +10,21 @@
 //! # Scan order
 //!
 //! Per connection: **claim** it, then up to `window` times: **crash
-//! check** → `try_recv` → **verdict** → reject on the spot, **serve in
-//! place**, or — the owner under admission — **queue**. After the sweep
-//! the owner drains its queue, awaits the handler's **commit**, and
-//! releases the replies the handler held. Every reply goes into the
-//! slot captured at pickup (the reply marker is restored with no
-//! intervening await), so queued, stolen and held requests of one
-//! connection never cross responses.
+//! check** → receive (round-robin slot looks until one is pending) →
+//! **verdict** → reject on the spot, **serve in place**, or — the owner
+//! under admission — **queue**. After the sweep the owner drains its
+//! queue, awaits the handler's **commit**, and releases the replies the
+//! handler held. Every reply goes into the slot captured at pickup (the
+//! reply marker is restored with no intervening await), so queued,
+//! stolen and held requests of one connection never cross responses.
+//!
+//! The synchronous skeleton of that order — claims, receives, crash
+//! checks, budget, the looks and their CPU charge — is a cursor in each
+//! core's sweep (`conn::Sweep`), a clocked event sink: a look is an
+//! event, not a poll of this task, which resumes only at a pending
+//! slot, a tripped crash check or the end of the sweep. Everything
+//! that awaits — pickup and its `Fenced` answer, verdicts, service, the
+//! queue, commit, stealing, spin and nap — is the task code below.
 //!
 //! Two stages, each present or absent, never selected by a caller:
 //!
@@ -71,7 +79,7 @@ use rfp_simnet::{
     SimTime,
 };
 
-use crate::conn::RfpServerConn;
+use crate::conn::{RfpServerConn, Ring, Stop, Sweep};
 use crate::header::RespStatus;
 use crate::overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits, CREDIT_MAX};
 use crate::server::{IdlePolicy, Reply, ScanHandler};
@@ -117,29 +125,7 @@ pub struct CoreSpec {
     pub handler: Box<dyn ScanHandler>,
 }
 
-/// A connection plus its steal claim. The claim makes each connection
-/// single-poller at any instant: owner and thief test-and-set it
-/// around every visit, and whoever arrives second skips.
-struct OwnedConn {
-    conn: Rc<RfpServerConn>,
-    claimed: Cell<bool>,
-}
-
-impl OwnedConn {
-    fn try_claim(&self) -> bool {
-        if self.claimed.get() {
-            return false;
-        }
-        self.claimed.set(true);
-        true
-    }
-
-    fn release(&self) {
-        self.claimed.set(false);
-    }
-}
-
-/// One picked-up request that outlives its `try_recv`: everything
+/// One picked-up request that outlives its pickup: everything
 /// needed to answer it later (or from another core) without re-touching
 /// the connection's in-flight marker.
 struct Pending {
@@ -165,7 +151,12 @@ struct CoreGauges {
 
 struct CoreState {
     thread: Rc<ThreadCtx>,
-    conns: Vec<OwnedConn>,
+    conns: Vec<Rc<RfpServerConn>>,
+    /// The connections' request rings, in `conns` order: what a sweep
+    /// of this core's domain visits.
+    rings: Rc<[Rc<Ring>]>,
+    /// This core's sweep, whoever's rings it visits.
+    sweep: Rc<Sweep>,
     handler: RefCell<Box<dyn ScanHandler>>,
     /// The admission stage: the connections' overload knobs, present
     /// iff they carry overload control.
@@ -260,15 +251,10 @@ impl Reactor {
                     handoff_ns: reg.counter(&format!("serve.core.{i}.handoff_ns")),
                 });
                 CoreState {
+                    rings: spec.conns.iter().map(|c| Rc::clone(c.ring())).collect(),
+                    sweep: Sweep::new(spec.thread.handle().clone()),
                     thread: spec.thread,
-                    conns: spec
-                        .conns
-                        .into_iter()
-                        .map(|conn| OwnedConn {
-                            conn,
-                            claimed: Cell::new(false),
-                        })
-                        .collect(),
+                    conns: spec.conns,
                     handler: RefCell::new(spec.handler),
                     advertised: Cell::new(CREDIT_MAX),
                     admission,
@@ -480,7 +466,7 @@ impl Shared {
 
     /// The verdict of `owner`'s admission stage on the request `conn`
     /// just delivered. Synchronous — must run with no await since that
-    /// `try_recv`.
+    /// pickup.
     fn admission(&self, owner: usize, conn: &RfpServerConn, now: SimTime) -> Verdict {
         let core = &self.cores[owner];
         let Some(ov) = &core.admission else {
@@ -519,10 +505,10 @@ impl Shared {
     /// Readies `p`'s connection for the reply to `p`: credits stamped
     /// (when the admission stage is present) and the reply marker back
     /// on `p`'s slot. The caller posts with no await in between — the
-    /// marker is connection-global and any concurrent try_recv moves it.
+    /// marker is connection-global and any concurrent pickup moves it.
     fn aim(&self, p: &Pending) -> &RfpServerConn {
         let core = &self.cores[p.owner];
-        let conn = &core.conns[p.conn].conn;
+        let conn = &core.conns[p.conn];
         if core.admission.is_some() {
             conn.set_advertised_credits(self.credit_stamp(p.owner, p.tenant));
         }
@@ -579,7 +565,7 @@ impl Shared {
         &self,
         me: usize,
         owner: usize,
-        thread: &ThreadCtx,
+        thread: &Rc<ThreadCtx>,
         budget: usize,
     ) -> ScanOutcome {
         let core = &self.cores[owner];
@@ -590,60 +576,56 @@ impl Shared {
         if self.tenant_domains && !stolen {
             core.credits.begin_scan();
         }
-        'sweep: for (ci, oc) in core.conns.iter().enumerate() {
-            if out.executed >= budget {
-                break;
-            }
-            if !oc.try_claim() {
-                continue;
-            }
-            for _ in 0..oc.conn.window() {
-                if out.executed >= budget {
-                    break;
-                }
-                if crashed() {
+        // The claims, receives, crash checks and slot looks run on the
+        // sweep's clock; this task resumes at each pending slot.
+        let sweep = &self.cores[me].sweep;
+        sweep.begin(thread, &core.rings, true, budget);
+        loop {
+            let (ci, slot, hdr) = match sweep.next(out.executed).await {
+                Stop::Hit { conn, slot, hdr } => (conn, slot, hdr),
+                Stop::Crashed => {
                     out.crashed = true;
                     break;
                 }
-                let Some(req) = oc.conn.try_recv(thread).await else {
-                    break;
-                };
-                out.backlog += 1;
-                let p = Pending {
-                    owner,
-                    conn: ci,
-                    slot: oc.conn.reply_slot(),
-                    tenant: oc.conn.current_tenant(),
-                    data: req,
-                };
-                match self.admission(owner, &oc.conn, thread.now()) {
-                    Verdict::Reject(status, credits) => {
-                        oc.conn.set_advertised_credits(credits);
-                        oc.conn.reject(thread, status).await;
-                        out.served_any = true;
+                Stop::End => break,
+            };
+            let conn = &core.conns[ci];
+            let Some(req) = conn.pickup(thread, slot, hdr).await else {
+                continue;
+            };
+            sweep.took();
+            out.backlog += 1;
+            let p = Pending {
+                owner,
+                conn: ci,
+                slot,
+                tenant: conn.current_tenant(),
+                data: req,
+            };
+            match self.admission(owner, conn, thread.now()) {
+                Verdict::Reject(status, credits) => {
+                    conn.set_advertised_credits(credits);
+                    conn.reject(thread, status).await;
+                    out.served_any = true;
+                }
+                Verdict::Run if queue => core.runq.push(p),
+                Verdict::Run => {
+                    if stolen {
+                        self.handoff.charge(thread).await;
+                        self.note_steal(me, owner, thread);
                     }
-                    Verdict::Run if queue => core.runq.push(p),
-                    Verdict::Run => {
-                        if stolen {
-                            self.handoff.charge(thread).await;
-                            self.note_steal(me, owner, thread);
+                    match self.service_one(me, thread, p).await {
+                        Some(executed) => {
+                            out.served_any |= executed;
+                            out.executed += executed as usize;
                         }
-                        match self.service_one(me, thread, p).await {
-                            Some(executed) => {
-                                out.served_any |= executed;
-                                out.executed += executed as usize;
-                            }
-                            None => {
-                                out.crashed = true;
-                                break;
-                            }
+                        None => {
+                            out.crashed = true;
+                            sweep.abort();
+                            break;
                         }
                     }
                 }
-            }
-            oc.release();
-            if out.crashed {
-                break 'sweep;
             }
         }
         if stolen {
@@ -689,7 +671,7 @@ impl Shared {
     /// One turn of core `me`: its own scan, then — only if that left it
     /// idle, and never on a crashed machine — a steal pass. Returns
     /// whether any response was produced.
-    async fn turn(&self, me: usize, thread: &ThreadCtx) -> bool {
+    async fn turn(&self, me: usize, thread: &Rc<ThreadCtx>) -> bool {
         let scan = self.scan(me, me, thread, usize::MAX).await;
         let core = &self.cores[me];
         core.last_backlog.set(scan.backlog);
@@ -705,7 +687,7 @@ impl Shared {
     /// One steal pass by an idle core: first sibling run queues, then
     /// loaded siblings' rings. Returns whether any response (service
     /// or rejection) was produced.
-    async fn steal_pass(&self, me: usize, thread: &ThreadCtx) -> bool {
+    async fn steal_pass(&self, me: usize, thread: &Rc<ThreadCtx>) -> bool {
         let n = self.cores.len();
         let mut taken = 0;
         let mut any = false;

@@ -124,7 +124,16 @@ impl IdlePolicy {
 
     /// Adaptive backoff: `spin` per empty scan plus a nap doubling from
     /// `spin` up to `max_nap` while scans stay empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spin` is zero: the doubling would stay at zero and the
+    /// loop would never nap.
     pub fn adaptive(spin: SimSpan, max_nap: SimSpan) -> Self {
+        assert!(
+            !spin.is_zero(),
+            "adaptive backoff doubles from a non-zero spin"
+        );
         IdlePolicy { spin, max_nap }
     }
 
@@ -162,4 +171,15 @@ pub async fn serve_loop(
     Reactor::single(thread, conns, handler, idle)
         .run_core(0)
         .await
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "non-zero spin")]
+    fn adaptive_backoff_from_a_zero_spin_is_refused() {
+        let _ = IdlePolicy::adaptive(SimSpan::ZERO, SimSpan::micros(10));
+    }
 }

@@ -84,50 +84,62 @@ fn sleeping_tasks() -> (u64, u64, u64) {
     (allocs, events.get() - before, waker_wakes)
 }
 
-/// One client machine, one echoing server thread, one connection of
-/// `window` slots fetching the whole 32 B response in one READ —
-/// reporting into `registry` (counters, one span per call) if given,
-/// as every rig client does. Also returns the client's QP.
+/// One client machine and one echoing server thread over `conns`
+/// connections of `window` slots, each fetching the whole 32 B response
+/// in one READ — reporting into `registry` (counters, one span per
+/// call) if given, as every rig client does. Also returns the first
+/// client's QP.
 fn echo_rig(
     window: usize,
+    conns: usize,
+    check_cpu: SimSpan,
     registry: Option<&MetricsRegistry>,
-) -> (Simulation, Cluster, RfpClient, Rc<Qp>) {
+) -> (Simulation, Cluster, Vec<RfpClient>, Rc<Qp>) {
     let mut sim = Simulation::new(7);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
     let (sm, cm) = (cluster.machine(0), cluster.machine(1));
-    let cfg = RfpConfig {
-        window,
-        fetch_size: RESP_HDR + 32,
-        enable_mode_switch: false,
-        telemetry: registry.map(|registry| RfpTelemetry {
-            registry: registry.clone(),
-            spans: SpanRecorder::new(64),
-            prefix: "rfp.c0".to_string(),
-            track: 0,
-        }),
-        ..RfpConfig::default()
-    };
-    let qp = cluster.qp(1, 0);
-    let (client, conn) = connect(&cm, &sm, Rc::clone(&qp), cluster.qp(0, 1), cfg);
+    let (mut clients, mut servers, mut qps) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..conns {
+        let cfg = RfpConfig {
+            window,
+            fetch_size: RESP_HDR + 32,
+            enable_mode_switch: false,
+            check_cpu,
+            telemetry: registry.map(|registry| RfpTelemetry {
+                registry: registry.clone(),
+                spans: SpanRecorder::new(64),
+                prefix: format!("rfp.c{i}"),
+                track: i as u32,
+            }),
+            ..RfpConfig::default()
+        };
+        let qp = cluster.qp(1, 0);
+        let (client, conn) = connect(&cm, &sm, Rc::clone(&qp), cluster.qp(0, 1), cfg);
+        clients.push(client);
+        servers.push(Rc::new(conn));
+        qps.push(qp);
+    }
     sim.spawn(serve_loop(
         sm.thread("server"),
-        vec![Rc::new(conn)],
+        servers,
         |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
         IdlePolicy::fixed(SimSpan::nanos(100)),
     ));
-    (sim, cluster, client, qp)
+    (sim, cluster, clients, qps.swap_remove(0))
 }
 
 /// An idle `serve_loop` over a W=16 ring: every scan inspects 16 slot
-/// headers and finds nothing. Returns (allocations, slots scanned).
-fn idle_scan() -> (u64, u64) {
-    let (mut sim, _cluster, _client, _qp) = echo_rig(16, None);
+/// headers and finds nothing. Returns (allocations, slots scanned, task
+/// polls) of the measured window.
+fn idle_scan() -> (u64, u64, u64) {
+    let (mut sim, _cluster, _clients, _qp) = echo_rig(16, 1, SimSpan::nanos(50), None);
     sim.run_for(SimSpan::micros(100));
     let span = SimSpan::millis(1);
+    let polls = sim.stats().polls;
     let allocs = allocs_during(&mut sim, span);
     // 16 × check_cpu (50 ns) + 100 ns spin per empty scan.
     let scans = span.as_nanos() / (16 * 50 + 100);
-    (allocs, scans * 16)
+    (allocs, scans * 16, sim.stats().polls - polls)
 }
 
 /// What one measured echo window cost.
@@ -136,7 +148,7 @@ struct EchoCost {
     allocs: u64,
     /// Executor events of the window.
     events: ExecutorStats,
-    /// Work-request slots the client's QP ever held at once.
+    /// Work-request slots the first client's QP ever held at once.
     slots: usize,
     client: Rc<RfpClient>,
 }
@@ -147,29 +159,47 @@ impl EchoCost {
     }
 }
 
-/// Closed-loop 32 B echo: `pipelined` streams 64-call batches through
-/// `call_pipelined` on a W=16 ring, otherwise `call` on a W=1 ring.
-fn echo_calls(pipelined: bool, registry: Option<&MetricsRegistry>) -> EchoCost {
-    let (mut sim, cluster, client, qp) = echo_rig(if pipelined { 16 } else { 1 }, registry);
-    let thread = cluster.machine(1).thread("client");
+/// The measured echo shapes.
+#[derive(Copy, Clone)]
+enum Shape {
+    /// One client streaming 64-call batches through `call_pipelined` on
+    /// a W=16 ring.
+    Pipelined,
+    /// One client making sequential `call`s on a W=1 ring.
+    Sequential,
+    /// Jakiro's server thread: six W=1 connections checked at 30 ns,
+    /// one sequential client each.
+    Jakiro,
+}
+
+/// Closed-loop 32 B echo in `shape`.
+fn echo_calls(shape: Shape, registry: Option<&MetricsRegistry>) -> EchoCost {
+    let (window, conns, check) = match shape {
+        Shape::Pipelined => (16, 1, 50),
+        Shape::Sequential => (1, 1, 50),
+        Shape::Jakiro => (1, 6, 30),
+    };
+    let (mut sim, cluster, clients, qp) = echo_rig(window, conns, SimSpan::nanos(check), registry);
     let calls = Rc::new(Cell::new(0u64));
-    let done = Rc::clone(&calls);
-    let client = Rc::new(client);
-    let handle = Rc::clone(&client);
-    sim.spawn(async move {
-        let reqs: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 32]).collect();
-        loop {
-            if pipelined {
-                let outs = client.call_pipelined(&thread, &reqs).await;
-                assert!(outs.iter().zip(&reqs).all(|(o, r)| o.data == *r));
-                done.set(done.get() + outs.len() as u64);
-            } else {
-                let out = client.call(&thread, &reqs[0]).await;
-                assert_eq!(out.data, reqs[0]);
-                done.set(done.get() + 1);
+    let clients: Vec<_> = clients.into_iter().map(Rc::new).collect();
+    for client in &clients {
+        let thread = cluster.machine(1).thread("client");
+        let (client, done) = (Rc::clone(client), Rc::clone(&calls));
+        sim.spawn(async move {
+            let reqs: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 32]).collect();
+            loop {
+                if let Shape::Pipelined = shape {
+                    let outs = client.call_pipelined(&thread, &reqs).await;
+                    assert!(outs.iter().zip(&reqs).all(|(o, r)| o.data == *r));
+                    done.set(done.get() + outs.len() as u64);
+                } else {
+                    let out = client.call(&thread, &reqs[0]).await;
+                    assert_eq!(out.data, reqs[0]);
+                    done.set(done.get() + 1);
+                }
             }
-        }
-    });
+        });
+    }
     sim.run_for(SimSpan::millis(2));
     let (calls0, events0) = (calls.get(), sim.stats());
     let allocs = allocs_during(&mut sim, SimSpan::millis(10));
@@ -182,38 +212,43 @@ fn echo_calls(pipelined: bool, registry: Option<&MetricsRegistry>) -> EchoCost {
             timers_fired: events1.timers_fired - events0.timers_fired,
             spawned: events1.spawned - events0.spawned,
             waker_wakes: events1.waker_wakes - events0.waker_wakes,
+            stepped: events1.stepped - events0.stepped,
         },
         slots: qp.work_request_slots(),
-        client: handle,
+        client: Rc::clone(&clients[0]),
     }
 }
 
 #[test]
 fn steady_state_allocation_budget() {
     let (sleep_allocs, sleeps, sleep_waker_wakes) = sleeping_tasks();
-    let (scan_allocs, slots) = idle_scan();
-    let w16 = echo_calls(true, None);
-    let w1 = echo_calls(false, None);
+    let (scan_allocs, slots, scan_polls) = idle_scan();
+    let w16 = echo_calls(Shape::Pipelined, None);
+    let w1 = echo_calls(Shape::Sequential, None);
     let registry = MetricsRegistry::new();
-    let observed = echo_calls(false, Some(&registry));
+    let observed = echo_calls(Shape::Sequential, Some(&registry));
+    let jakiro = echo_calls(Shape::Jakiro, None);
+    let scan_polls = scan_polls as f64 / slots as f64;
     eprintln!(
         "allocations: {sleep_allocs} over {sleeps} sleep events, {scan_allocs} over {slots} \
-         idle slots"
+         idle slots ({scan_polls:.3} polls per idle slot)"
     );
     let rows = [
         ("W=16 call_pipelined", &w16),
         ("W=1 call", &w1),
         ("W=1 call, telemetry on", &observed),
+        ("6 x W=1 call", &jakiro),
     ];
     for (name, cost) in rows {
         eprintln!(
             "{name}: per call {:.2} allocations, {:.2} polls, {:.2} timers, {:.2} spawns, \
-             {:.2} waker wakes; {} work-request slots",
+             {:.2} waker wakes, {:.2} in-place steps; {} work-request slots",
             cost.per_call(cost.allocs),
             cost.per_call(cost.events.polls),
             cost.per_call(cost.events.timers_fired),
             cost.per_call(cost.events.spawned),
             cost.per_call(cost.events.waker_wakes),
+            cost.per_call(cost.events.stepped),
             cost.slots,
         );
     }
@@ -232,16 +267,25 @@ fn steady_state_allocation_budget() {
         scan_allocs, 0,
         "{scan_allocs} allocations over {slots} idle slots"
     );
+    // An idle sweep is looks made in place: the task runs once to start
+    // it, once at its end, once after the spin.
+    assert!(
+        scan_polls <= 0.15,
+        "{scan_polls:.3} polls per idle slot, budget 0.15"
+    );
     // Per call: the three owned API payloads (request `Vec`, response
     // `Vec`, `CallResult.data`) plus, pipelined, 1/64 of the batch's
     // result `Vec`. No NIC operation is a task: nothing is spawned, a
     // hop is a typed event rather than a poll, and the QP holds one
     // work-request slot per operation in flight — at most the window.
     // With telemetry on, a call additionally builds and files its span.
-    for (name, cost, allocs, polls, window) in [
-        ("W=16 call_pipelined", &w16, 4.0, 26.0, 16),
-        ("W=1 call", &w1, 3.1, 46.0, 1),
-        ("W=1 call, telemetry on", &observed, 4.1, 46.0, 1),
+    // A ring look is an event, not a poll: the server task runs at a
+    // pending slot, at the end of a sweep and after its spin.
+    for (name, cost, allocs, polls, events, window) in [
+        ("W=16 call_pipelined", &w16, 4.0, 9.0, 29.0, 16),
+        ("W=1 call", &w1, 3.1, 46.0, 96.0, 1),
+        ("W=1 call, telemetry on", &observed, 4.1, 46.0, 96.0, 1),
+        ("6 x W=1 call", &jakiro, 3.1, 15.0, 40.0, 1),
     ] {
         assert!(cost.calls > 1_000, "{name}: window too short");
         assert!(
@@ -258,6 +302,12 @@ fn steady_state_allocation_budget() {
             cost.per_call(cost.events.polls) <= polls,
             "{name}: {:.2} polls per call, budget {polls}",
             cost.per_call(cost.events.polls)
+        );
+        let heap = cost.events.polls + cost.events.timers_fired;
+        assert!(
+            cost.per_call(heap) <= events,
+            "{name}: {:.2} polls + timers per call, budget {events}",
+            cost.per_call(heap)
         );
         assert!(
             (1..=window).contains(&cost.slots),

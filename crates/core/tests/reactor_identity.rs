@@ -9,9 +9,13 @@
 //! that contract the way `prop_mux` pins the mux veneer: frozen
 //! verbatim copies of the pre-refactor loops run against the reactor
 //! under randomized knobs (policy, ring window, idle backoff, client
-//! count, payload sizes), and every observable surface — virtual
-//! clock, full registry snapshot, NIC counters, every response payload
-//! — must compare equal.
+//! count, payload sizes, a server crash-and-restart window, a straggler
+//! interval), and every observable surface — virtual clock, full
+//! registry snapshot, NIC counters, every response payload — must
+//! compare equal. Both arms make their slot looks through the same
+//! one-ring sweep (`try_recv`); what is compared is the skeleton around
+//! them — the reactor's cursor of claims, receives and crash checks
+//! against the frozen task loops.
 
 use std::rc::Rc;
 
@@ -271,6 +275,12 @@ struct Scenario {
     adaptive: bool,
     queue_limit: usize,
     deadline_us: u64,
+    /// The server machine crashes at this instant (ns) and restarts
+    /// warm this much later.
+    crash: Option<(u64, u64)>,
+    /// The server machine straggles by this factor over this window
+    /// (start ns, length ns).
+    straggle: Option<(u64, u64, f64)>,
 }
 
 /// Runs the scenario with the reactor-backed entry points
@@ -357,6 +367,31 @@ fn run(sc: &Scenario, legacy: bool) -> Observed {
         }
     }
 
+    // Faults, identical in both arms: a warm crash-and-restart window
+    // (connections rebuild their dedup state at the restart, as the
+    // chaos harness's restart hook does) and a straggler interval.
+    if let Some((at, down)) = sc.crash {
+        let (h, sm, conns) = (sim.handle(), Rc::clone(&sm), conns.clone());
+        sim.spawn(async move {
+            h.sleep(SimSpan::nanos(at)).await;
+            sm.faults().set_crashed(true);
+            h.sleep(SimSpan::nanos(down)).await;
+            for conn in &conns {
+                conn.recover_after_restart();
+            }
+            sm.faults().set_crashed(false);
+        });
+    }
+    if let Some((at, len, factor)) = sc.straggle {
+        let (h, sm) = (sim.handle(), Rc::clone(&sm));
+        sim.spawn(async move {
+            h.sleep(SimSpan::nanos(at)).await;
+            sm.faults().set_cpu_factor(factor);
+            h.sleep(SimSpan::nanos(len)).await;
+            sm.faults().set_cpu_factor(1.0);
+        });
+    }
+
     let responses: Rc<std::cell::RefCell<Vec<Vec<Vec<u8>>>>> =
         Rc::new(std::cell::RefCell::new(vec![Vec::new(); sc.m]));
     for i in 0..sc.m {
@@ -417,9 +452,9 @@ fn run(sc: &Scenario, legacy: bool) -> Observed {
         nics: (0..2)
             .map(|i| cluster.machine(i).nic().counters())
             .collect(),
-        responses: Rc::try_unwrap(responses)
-            .expect("tasks finished")
-            .into_inner(),
+        // A client still waiting at the horizon (a late crash) keeps its
+        // handle: compare what was answered so far.
+        responses: Rc::unwrap_or_clone(responses).into_inner(),
     }
 }
 
@@ -436,6 +471,13 @@ proptest! {
         adaptive in any::<bool>(),
         queue_limit in 1usize..8,
         deadline_tight in any::<bool>(),
+        crash in any::<bool>(),
+        crash_at in 0u64..2_500_000,
+        crash_down in 1_000u64..300_000,
+        straggle in any::<bool>(),
+        straggle_at in 0u64..2_500_000,
+        straggle_len in 1_000u64..500_000,
+        straggle_factor in 1.0f64..4.0,
     ) {
         let sc = Scenario {
             seed,
@@ -447,6 +489,8 @@ proptest! {
             adaptive,
             queue_limit,
             deadline_us: if deadline_tight { 5 } else { 1_000 },
+            crash: crash.then_some((crash_at, crash_down)),
+            straggle: straggle.then_some((straggle_at, straggle_len, straggle_factor)),
         };
         let reactor = run(&sc, false);
         let frozen = run(&sc, true);

@@ -367,7 +367,7 @@ impl ScanHandler for BackupHandler {
 /// Drains the log channel: applies every pending batch in LSN order and
 /// acks it. Returns whether any batch arrived.
 async fn drain_log(
-    thread: &ThreadCtx,
+    thread: &Rc<ThreadCtx>,
     repl_conn: &RfpServerConn,
     partition: &RefCell<Partition>,
     role: &BackupRole,

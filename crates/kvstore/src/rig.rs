@@ -538,13 +538,13 @@ pub fn kv_handler(
 /// The server end of a polled connection.
 pub(crate) trait ServerEnd {
     /// The next pending request, if any.
-    async fn try_recv(&self, thread: &ThreadCtx) -> Option<Vec<u8>>;
+    async fn try_recv(&self, thread: &Rc<ThreadCtx>) -> Option<Vec<u8>>;
     /// Answers the request last received.
     async fn send(&self, thread: &ThreadCtx, payload: &[u8]);
 }
 
 impl ServerEnd for RfpServerConn {
-    async fn try_recv(&self, thread: &ThreadCtx) -> Option<Vec<u8>> {
+    async fn try_recv(&self, thread: &Rc<ThreadCtx>) -> Option<Vec<u8>> {
         RfpServerConn::try_recv(self, thread).await
     }
     async fn send(&self, thread: &ThreadCtx, payload: &[u8]) {
@@ -553,7 +553,7 @@ impl ServerEnd for RfpServerConn {
 }
 
 impl ServerEnd for HerdServerConn {
-    async fn try_recv(&self, thread: &ThreadCtx) -> Option<Vec<u8>> {
+    async fn try_recv(&self, thread: &Rc<ThreadCtx>) -> Option<Vec<u8>> {
         HerdServerConn::try_recv(self, thread).await
     }
     async fn send(&self, thread: &ThreadCtx, payload: &[u8]) {

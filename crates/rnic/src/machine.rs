@@ -171,6 +171,16 @@ impl ThreadCtx {
     /// starts at the call, not at the first poll: await it on the spot.
     #[must_use = "the time is booked at the call but only spent by awaiting"]
     pub fn busy(&self, span: SimSpan) -> Sleep {
+        self.handle.sleep(self.charge(span))
+    }
+
+    /// Books `span` of CPU time, inflated by a straggler fault, and
+    /// returns the inflated span — how long the work takes from now.
+    /// [`busy`](Self::busy) is this plus the sleep; an event sink that
+    /// works on the thread's behalf schedules its own continuation after
+    /// the returned span instead.
+    #[inline]
+    pub fn charge(&self, span: SimSpan) -> SimSpan {
         let factor = self.machine.faults().cpu_factor();
         let span = if factor == 1.0 {
             span
@@ -178,7 +188,7 @@ impl ThreadCtx {
             SimSpan::from_nanos_f64(span.as_nanos() as f64 * factor)
         };
         self.busy.add_busy(span);
-        self.handle.sleep(span)
+        span
     }
 
     /// Busy-waits until `fut` completes: the elapsed time counts as CPU

@@ -17,6 +17,12 @@
 //! task wake would, but is delivered as one `fire(token)` call — no
 //! task slot, no boxed future, no poll.
 //!
+//! A sink running a chain of self-scheduled events can *step in place*
+//! ([`SimHandle::step_to`]): when its next event would be delivered
+//! next and alone, the clock moves to it and the sink carries on,
+//! skipping a heap round trip that would have handed the event back
+//! alone anyway (DESIGN §19 "Clocked looks").
+//!
 //! A task is woken one of two ways (DESIGN §19 "Wake paths"). A
 //! [`Sleep`] or a NIC completion parks through a [`Wakeup`] ticket that
 //! names the task by slot id: firing it is a `VecDeque` push, with no
@@ -124,14 +130,17 @@ impl<F> Ord for TimerEntry<F> {
 
 type TimerHeap<F> = BinaryHeap<Reverse<TimerEntry<F>>>;
 
-/// The pending timers, earliest `(at, seq)` first. Task wakes and
-/// events share the one `seq` order but not one heap: an event entry is
-/// larger than a wake target, and sifting the wider entries would tax
-/// every plain sleep for a feature it does not use.
+/// The pending timers, earliest `(at, seq)` first. Task wakes, events
+/// and chained events share the one `seq` order but not one heap, each
+/// kept small for its own traffic: an event entry is larger than a wake
+/// target, and sifting the wider entries would tax every plain sleep; a
+/// chain's short-horizon event ([`SimHandle::schedule_chained`]) would
+/// sift through every NIC hop in flight on each push and pop.
 #[derive(Default)]
 struct Timers {
     wakes: TimerHeap<Target>,
     events: TimerHeap<Event>,
+    chains: TimerHeap<Event>,
 }
 
 impl Timers {
@@ -146,10 +155,16 @@ impl Timers {
     fn next_at(&self) -> Option<SimTime> {
         let wake = self.wakes.peek().map(|Reverse(e)| e.at);
         let event = self.events.peek().map(|Reverse(e)| e.at);
-        match (wake, event) {
-            (Some(w), Some(e)) => Some(w.min(e)),
-            (w, e) => w.or(e),
-        }
+        let chain = self.chains.peek().map(|Reverse(e)| e.at);
+        earliest(earliest(wake, event), chain)
+    }
+}
+
+/// The earlier of two optional keys.
+fn earliest<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -173,6 +188,9 @@ pub struct ExecutorStats {
     /// Task wakes that arrived through a [`Waker`] — the locked path —
     /// rather than by slot id.
     pub waker_wakes: u64,
+    /// Events handled in place ([`SimHandle::step_to`]) instead of
+    /// entering the timer heap.
+    pub stepped: u64,
 }
 
 /// Where a [`Waker`] files its wake. `Waker: Send + Sync` is a contract
@@ -210,6 +228,8 @@ pub(crate) struct SimCore {
     stamp: u64,
     /// Events due now, in the order of their markers in `ready`.
     events: RefCell<VecDeque<Event>>,
+    /// Deadline of the run in progress: no step in place goes past it.
+    horizon: Cell<SimTime>,
     rng: RefCell<StdRng>,
     stats: Cell<ExecutorStats>,
 }
@@ -302,6 +322,23 @@ impl SimCore {
         let entry = self.entry(at, target);
         self.timers.borrow_mut().wakes.push(entry);
     }
+
+    /// See [`SimHandle::step_to`].
+    #[inline]
+    fn step_to(&self, at: SimTime) -> bool {
+        let alone = at <= self.horizon.get()
+            && self.timers.borrow().next_at().is_none_or(|next| at < next)
+            && self.ready.borrow().is_empty()
+            && self.spawn_queue.borrow().is_empty()
+            && !self.foreign.pending.load(Ordering::Acquire);
+        if alone {
+            assert!(at >= self.now.get(), "cannot schedule in the past");
+            self.seq.set(self.seq.get() + 1);
+            self.now.set(at);
+            self.count(|s| s.stepped += 1);
+        }
+        alone
+    }
 }
 
 /// The waker for one task: files the task id on the foreign queue.
@@ -349,7 +386,7 @@ impl Drop for Simulation {
         // Pending events own their sinks and unadmitted futures their
         // captures, either of which may hold a `SimHandle` back into
         // the core; the core must not keep them (and so itself) alive.
-        let timers = std::mem::take(&mut self.core.timers.borrow_mut().events);
+        let timers = std::mem::take(&mut *self.core.timers.borrow_mut());
         let events = std::mem::take(&mut *self.core.events.borrow_mut());
         let queued = std::mem::take(&mut *self.core.spawn_queue.borrow_mut());
         drop((timers, events, queued));
@@ -370,6 +407,7 @@ impl Simulation {
                 running: Cell::new(None),
                 stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
                 events: RefCell::new(VecDeque::new()),
+                horizon: Cell::new(SimTime::ZERO),
                 rng: RefCell::new(StdRng::seed_from_u64(seed)),
                 stats: Cell::default(),
             }),
@@ -497,10 +535,9 @@ impl Simulation {
         loop {
             let wake = Timers::due(&timers.wakes, at);
             let event = Timers::due(&timers.events, at);
-            let wake_first = match (wake, event) {
-                (None, None) => break,
-                (Some(w), e) => e.is_none_or(|e| w < e),
-                _ => false,
+            let chain = Timers::due(&timers.chains, at);
+            let Some(first) = earliest(earliest(wake, event), chain) else {
+                break;
             };
             fired += 1;
             // Nothing else fires at this instant (the common case at
@@ -508,8 +545,9 @@ impl Simulation {
             // returned, nothing is runnable or awaits admission: with
             // nothing to order the entry against, it is delivered
             // without a round trip through the ready FIFO.
-            let alone = fired == 1 && wake.is_some() != event.is_some();
-            if wake_first {
+            let heads = wake.is_some() as u8 + event.is_some() as u8 + chain.is_some() as u8;
+            let alone = fired == 1 && heads == 1;
+            if wake == Some(first) {
                 let Reverse(entry) = timers.wakes.pop().expect("peeked entry exists");
                 match entry.fire {
                     Target::Task(id) if alone && Timers::due(&timers.wakes, at).is_none() => {
@@ -520,8 +558,13 @@ impl Simulation {
                     target => self.core.wake(target),
                 }
             } else {
-                let Reverse(entry) = timers.events.pop().expect("peeked entry exists");
-                if alone && Timers::due(&timers.events, at).is_none() {
+                let heap = if event == Some(first) {
+                    &mut timers.events
+                } else {
+                    &mut timers.chains
+                };
+                let Reverse(entry) = heap.pop().expect("peeked entry exists");
+                if alone && Timers::due(heap, at).is_none() {
                     drop(timers);
                     let (sink, token) = entry.fire;
                     sink.fire(token);
@@ -539,22 +582,27 @@ impl Simulation {
     /// Tasks blocked on synchronisation that will never fire simply remain
     /// suspended; they do not prevent `run` from returning.
     pub fn run(&mut self) {
-        self.drain_runnable();
-        while self.advance(SimTime::MAX) {
-            self.drain_runnable();
-        }
+        self.run_to(SimTime::MAX);
     }
 
     /// Runs until the virtual clock reaches `deadline` (processing every
     /// event strictly before or at it), then sets the clock to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.run_to(deadline);
+        if self.core.now() < deadline {
+            self.core.now.set(deadline);
+        }
+    }
+
+    /// Processes every event due by `deadline`; steps in place stay
+    /// within it.
+    fn run_to(&mut self, deadline: SimTime) {
+        self.core.horizon.set(deadline);
         self.drain_runnable();
         while self.advance(deadline) {
             self.drain_runnable();
         }
-        if self.core.now() < deadline {
-            self.core.now.set(deadline);
-        }
+        self.core.horizon.set(self.core.now());
     }
 
     /// Convenience: `run_until(now + span)`.
@@ -572,6 +620,7 @@ pub struct SimHandle {
 
 impl SimHandle {
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.core.now()
     }
@@ -634,6 +683,48 @@ impl SimHandle {
     pub fn schedule_event(&self, at: SimTime, sink: Rc<dyn EventSink>, token: u64) {
         let entry = self.core.entry(at, (sink, token));
         self.core.timers.borrow_mut().events.push(entry);
+    }
+
+    /// [`schedule_event`](Self::schedule_event) for the one pending
+    /// event of an event chain — a sink that keeps scheduling its own
+    /// next event a short time ahead (the server's ring sweep). Ordered
+    /// exactly as `schedule_event` orders it; filed in a heap that holds
+    /// one entry per chain, not one per NIC hop in flight.
+    #[inline]
+    pub fn schedule_chained(&self, at: SimTime, sink: Rc<dyn EventSink>, token: u64) {
+        let entry = self.core.entry(at, (sink, token));
+        self.core.timers.borrow_mut().chains.push(entry);
+    }
+
+    /// Steps in place to `at`: if an event scheduled now for `at` would
+    /// be the executor's next delivery, alone at its instant — strictly
+    /// earlier than every pending timer, within the run's deadline, with
+    /// nothing runnable or awaiting admission — moves the clock there,
+    /// draws the `seq` that event would have drawn and returns `true`:
+    /// the caller handles that event itself, now, exactly where its
+    /// delivery would have happened. Otherwise returns `false` and
+    /// changes nothing; the caller schedules the event.
+    ///
+    /// For an event sink working through a chain of self-scheduled
+    /// events: the chain skips the heap round trip and the dispatch of
+    /// each event it can prove alone. Call it from an event's delivery
+    /// only — a task's poll may go on past the caller (a combinator
+    /// polling a sibling), which must not find the clock moved.
+    #[inline]
+    pub fn step_to(&self, at: SimTime) -> bool {
+        self.core.step_to(at)
+    }
+
+    /// Makes `wakeup`'s task the next one polled, ahead of everything
+    /// already runnable: an event sink that finished a stretch of work on
+    /// the task's behalf hands the rest back at its own place in the
+    /// order, where the task would have been polled had it done that
+    /// work itself. A ticket holding a [`Waker`] wakes through it.
+    pub fn resume(&self, wakeup: Wakeup) {
+        match self.core.redeem(wakeup) {
+            Target::Task(id) => self.core.ready.borrow_mut().push_front(id),
+            target => self.core.wake(target),
+        }
     }
 
     /// Delivers `sink.fire(token)` at the current instant, once the
@@ -869,6 +960,7 @@ mod tests {
                 timers_fired: 2,
                 spawned: 2,
                 waker_wakes: 1,
+                stepped: 0,
             }
         );
     }
@@ -898,6 +990,7 @@ mod tests {
                 timers_fired: TASKS * SLEEPS,
                 spawned: TASKS,
                 waker_wakes: 0,
+                stepped: 0,
             }
         );
     }
@@ -966,6 +1059,7 @@ mod tests {
                 timers_fired: 6,
                 spawned: 2,
                 waker_wakes: 0,
+                stepped: 0,
             }
         );
     }
@@ -1038,6 +1132,7 @@ mod tests {
                 timers_fired: 1,
                 spawned: 1,
                 waker_wakes: 1,
+                stepped: 0,
             }
         );
     }
@@ -1125,6 +1220,7 @@ mod tests {
                 timers_fired: 2,
                 spawned: 2,
                 waker_wakes: 0,
+                stepped: 0,
             }
         );
     }
@@ -1236,6 +1332,176 @@ mod tests {
         drop(sim);
         // The sink holds a handle into the core; the core must not hold
         // the sink in turn once its owner is gone.
+        assert_eq!(Rc::strong_count(&sink), 1);
+    }
+
+    /// An event chain: each delivery logs itself and schedules the next
+    /// one `period` later, until `until` — in place whenever the
+    /// executor allows it.
+    struct Chain {
+        h: SimHandle,
+        period: u64,
+        until: u64,
+        log: Log,
+    }
+
+    impl EventSink for Chain {
+        fn fire(self: Rc<Self>, token: u64) {
+            loop {
+                let now = self.h.now();
+                self.log.borrow_mut().push(("chain", token, now.as_nanos()));
+                let at = now + SimSpan::nanos(self.period);
+                if at.as_nanos() > self.until {
+                    return;
+                }
+                if !self.h.step_to(at) {
+                    self.h.schedule_chained(at, Rc::clone(&self) as _, token);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn chain(sim: &Simulation, period: u64, until: u64, log: &Log) -> Rc<Chain> {
+        Rc::new(Chain {
+            h: sim.handle(),
+            period,
+            until,
+            log: Rc::clone(log),
+        })
+    }
+
+    /// Sleeps until `at`, then logs `tag`.
+    fn sleeper(sim: &mut Simulation, tag: &'static str, at: u64, log: &Log) {
+        let (h, log) = (sim.handle(), Rc::clone(log));
+        sim.spawn(async move {
+            h.sleep_until(SimTime::from_nanos(at)).await;
+            log.borrow_mut().push((tag, 0, h.now().as_nanos()));
+        });
+    }
+
+    #[test]
+    fn a_chain_alone_in_time_steps_in_place() {
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        sim.handle()
+            .post_event(chain(&sim, 10, 1_000, &log) as _, 0);
+        sim.run();
+        let instants: Vec<u64> = log.borrow().iter().map(|&(.., at)| at).collect();
+        assert_eq!(instants, (0..=100).map(|i| i * 10).collect::<Vec<_>>());
+        // One delivery from the FIFO, a hundred in place: no poll, no
+        // timer entry.
+        assert_eq!(
+            sim.stats(),
+            ExecutorStats {
+                polls: 0,
+                timers_fired: 0,
+                spawned: 0,
+                waker_wakes: 0,
+                stepped: 100,
+            }
+        );
+    }
+
+    #[test]
+    fn a_chained_event_tying_a_wake_sorts_by_seq() {
+        // The wake is registered first: the chain's event, drawn later
+        // for the same instant, cannot step past it and follows it.
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        sleeper(&mut sim, "task", 30, &log);
+        sim.handle().post_event(chain(&sim, 30, 30, &log) as _, 0);
+        sim.run();
+        let order: Vec<_> = log.borrow().iter().map(|&(tag, _, at)| (tag, at)).collect();
+        assert_eq!(order, [("chain", 0), ("task", 30), ("chain", 30)]);
+        assert_eq!(sim.stats().stepped, 0);
+
+        // The chain draws first (a runnable task keeps it from stepping),
+        // the task's wake for the same instant after it.
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        sim.handle().post_event(chain(&sim, 30, 30, &log) as _, 0);
+        sleeper(&mut sim, "task", 30, &log);
+        sim.run();
+        let order: Vec<_> = log.borrow().iter().map(|&(tag, _, at)| (tag, at)).collect();
+        assert_eq!(order, [("chain", 0), ("chain", 30), ("task", 30)]);
+        assert_eq!(sim.stats().stepped, 0);
+    }
+
+    #[test]
+    fn a_resume_runs_before_the_rest_of_its_instant() {
+        // At t=10 an event, then tasks a and b, all through the FIFO; the
+        // event resumes the parked task c, which runs next, ahead of a
+        // and b.
+        struct Resume {
+            h: SimHandle,
+            ticket: Rc<RefCell<Option<Wakeup>>>,
+            log: Log,
+        }
+        impl EventSink for Resume {
+            fn fire(self: Rc<Self>, _: u64) {
+                self.log
+                    .borrow_mut()
+                    .push(("event", 0, self.h.now().as_nanos()));
+                let ticket = self.ticket.borrow_mut().take().expect("c is parked");
+                self.h.resume(ticket);
+            }
+        }
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        let ticket = Rc::new(RefCell::new(None));
+        let (h, park, l) = (sim.handle(), Rc::clone(&ticket), Rc::clone(&log));
+        sim.spawn(async move {
+            let parked = false;
+            Park {
+                h: h.clone(),
+                ticket: park,
+                parked,
+            }
+            .await;
+            l.borrow_mut().push(("c", 0, h.now().as_nanos()));
+        });
+        sim.run();
+        let sink = Rc::new(Resume {
+            h: sim.handle(),
+            ticket,
+            log: Rc::clone(&log),
+        });
+        sim.handle()
+            .schedule_event(SimTime::from_nanos(10), sink as _, 0);
+        sleeper(&mut sim, "a", 10, &log);
+        sleeper(&mut sim, "b", 10, &log);
+        sim.run();
+        let order: Vec<_> = log.borrow().iter().map(|&(tag, _, at)| (tag, at)).collect();
+        assert_eq!(order, [("event", 10), ("c", 10), ("a", 10), ("b", 10)]);
+    }
+
+    #[test]
+    fn run_until_never_steps_past_its_deadline() {
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        sim.handle().post_event(chain(&sim, 10, 100, &log) as _, 0);
+        sim.run_until(SimTime::from_nanos(55));
+        let last = log.borrow().last().map(|&(.., at)| at);
+        assert_eq!(last, Some(50));
+        assert_eq!(sim.now().as_nanos(), 55);
+        // The step to 60 was refused: that event waits in the heap.
+        assert_eq!((sim.stats().stepped, sim.stats().timers_fired), (5, 0));
+        sim.run_until(SimTime::from_nanos(100));
+        let instants: Vec<u64> = log.borrow().iter().map(|&(.., at)| at).collect();
+        assert_eq!(instants, (0..=10).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!((sim.stats().stepped, sim.stats().timers_fired), (9, 1));
+    }
+
+    #[test]
+    fn dropping_the_simulation_releases_a_held_sink() {
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        let sink = chain(&sim, 10, 1_000, &log);
+        sim.handle().post_event(Rc::clone(&sink) as _, 0);
+        sim.run_until(SimTime::from_nanos(35));
+        assert_eq!(Rc::strong_count(&sink), 2, "its next event holds it");
+        drop(sim);
         assert_eq!(Rc::strong_count(&sink), 1);
     }
 

@@ -37,8 +37,11 @@ ledger_smoke() { # <workload> <host_allocs_per_call ceiling>
 ledger_smoke echo_w16_32b 3.1
 ledger_smoke jakiro_get95_32b 8.1
 # The allocation budget of the hot path, on the build that ships the
-# numbers (`cargo test -q` above ran it unoptimized).
+# numbers (`cargo test -q` above ran it unoptimized) — and the executor's
+# ordering rules (steps in place, resumes, chained events) and the
+# sweep's, which are only worth anything in that build.
 cargo test -q --release -p rfp-core --test alloc_budget
+cargo test -q --release -p rfp-simnet -p rfp-core --lib
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
