@@ -109,7 +109,7 @@ pub fn ablation_transports(w: &mut dyn Write) -> io::Result<()> {
 }
 
 /// NIC generations: asymmetry and system peaks on ConnectX-2/-3/-4.
-pub fn ablation_nic_generations(w: &mut dyn Write) -> io::Result<()> {
+fn ablation_nic_generations(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# ablation_nic_generations: asymmetry and peaks across hardware"
@@ -145,7 +145,7 @@ pub fn ablation_nic_generations(w: &mut dyn Write) -> io::Result<()> {
 
 /// EREW vs one shared lock, across GET ratios: the partitioned design's
 /// write-insensitivity is where it earns its keep.
-pub fn ablation_erew(w: &mut dyn Write) -> io::Result<()> {
+fn ablation_erew(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# ablation_erew: EREW partitions vs shared-lock store")?;
     for (label, mix) in [
         ("95", OpMix::READ_INTENSIVE),
@@ -165,7 +165,7 @@ pub fn ablation_erew(w: &mut dyn Write) -> io::Result<()> {
 /// Parameter selection vs naive fetch sizes on a mid-size workload
 /// (600 B results — squarely between the grid points, where getting `F`
 /// wrong costs a second READ on every call).
-pub fn ablation_param_selection(w: &mut dyn Write) -> io::Result<()> {
+fn ablation_param_selection(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# ablation_param_selection: selected (R,F) vs naive choices, 600B values"
@@ -286,7 +286,7 @@ pub fn ablation_pipelining(w: &mut dyn Write) -> io::Result<()> {
 /// from light load to saturation; the latency knee appears where each
 /// system's bottleneck resource saturates (the classic curve the
 /// paper's peak-throughput methodology summarises in one point).
-pub fn ablation_load_latency(w: &mut dyn Write) -> io::Result<()> {
+fn ablation_load_latency(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# ablation_load_latency: mean think time (us) -> mops, p50, p99 (us)"
@@ -314,7 +314,7 @@ pub fn ablation_load_latency(w: &mut dyn Write) -> io::Result<()> {
 /// fewest server ops but the most bytes; Jakiro sits in between on
 /// bytes while keeping the server involved; Pilaf pays the op
 /// amplification.
-pub fn ablation_farm(w: &mut dyn Write) -> io::Result<()> {
+fn ablation_farm(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# ablation_farm: Jakiro vs Pilaf-style vs FaRM-style, uniform, 32B values"

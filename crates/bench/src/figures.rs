@@ -51,7 +51,7 @@ const KEYS: u64 = 2_000;
 
 /// Figure 3: out-bound IOPS vs number of server threads, with the
 /// saturated in-bound rate for comparison (32 B payloads).
-pub fn fig03(w: &mut dyn Write) -> io::Result<()> {
+fn fig03(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# fig03: IOPS (MOPS) of out-bound vs in-bound one-sided ops, 32B"
@@ -66,7 +66,7 @@ pub fn fig03(w: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Figure 4: server in-bound IOPS vs total client threads (7…70).
-pub fn fig04(w: &mut dyn Write) -> io::Result<()> {
+fn fig04(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# fig04: server in-bound IOPS vs client threads, 32B reads"
@@ -79,7 +79,7 @@ pub fn fig04(w: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Figure 5: IOPS of both directions vs payload size.
-pub fn fig05(w: &mut dyn Write) -> io::Result<()> {
+fn fig05(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# fig05: IOPS vs data size; directions converge past ~2KB"
@@ -95,7 +95,7 @@ pub fn fig05(w: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 6: server-bypass throughput collapse as the RDMA rounds per
 /// request grow (bypass access amplification).
-pub fn fig06(w: &mut dyn Write) -> io::Result<()> {
+fn fig06(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# fig06: 21 bypass clients, k dependent reads per request"
@@ -184,7 +184,7 @@ fn echo_throughput(server_reply: bool, p: SimSpan) -> f64 {
 
 /// Figure 9: repeated remote fetching vs server-reply across server
 /// process time `P` (the crossover that defines `N`).
-pub fn fig09(w: &mut dyn Write) -> io::Result<()> {
+fn fig09(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# fig09: raw paradigms, F=S minimal, vs process time (us)"
@@ -231,7 +231,7 @@ pub fn fig10(w: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 11: Jakiro vs the Pilaf-style store, uniform 50% GET,
 /// 20 Gbps NICs, value sizes 32…256 B.
-pub fn fig11(w: &mut dyn Write) -> io::Result<()> {
+fn fig11(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig11: Jakiro vs Pilaf, 50% GET, 20Gbps profile")?;
     for size in [32usize, 64, 128, 256] {
         let cfg = SystemConfig {
@@ -261,7 +261,7 @@ pub fn fig11(w: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 12: the three RPC systems vs server thread count, 32 B
 /// values, uniform 95% GET.
-pub fn fig12(w: &mut dyn Write) -> io::Result<()> {
+fn fig12(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig12: throughput vs server threads")?;
     for threads in [1usize, 2, 4, 6, 8, 10, 12, 14, 16] {
         let cfg = SystemConfig {
@@ -320,7 +320,7 @@ fn cdf_rows(w: &mut dyn Write, fig: &str, series: &str, run: &KvRun) -> io::Resu
 
 /// Figure 13: latency CDF of the three systems at peak throughput,
 /// uniform read-intensive.
-pub fn fig13(w: &mut dyn Write) -> io::Result<()> {
+fn fig13(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig13: latency CDF (x=us, y=cumulative probability)")?;
     let (jc, sc, mc) = peak_cfgs();
     cdf_rows(
@@ -355,7 +355,7 @@ fn fig14_cfg(p_us: u64, enable_switch: bool) -> SystemConfig {
 /// Figure 14: Jakiro (with and without the hybrid switch) vs
 /// ServerReply across request process time; 16 server / 35 client
 /// threads.
-pub fn fig14(w: &mut dyn Write) -> io::Result<()> {
+fn fig14(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig14: throughput vs request process time (us)")?;
     for p_us in 1..=12u64 {
         let jak = run_kv(spawn_jakiro, &fig14_cfg(p_us, true), warmup(), window());
@@ -376,7 +376,7 @@ pub fn fig14(w: &mut dyn Write) -> io::Result<()> {
 /// Figure 15: client CPU utilisation of Jakiro across process time —
 /// 100% while remote fetching, dropping once the hybrid mechanism
 /// settles in server-reply mode.
-pub fn fig15(w: &mut dyn Write) -> io::Result<()> {
+fn fig15(w: &mut dyn Write) -> io::Result<()> {
     writeln!(
         w,
         "# fig15: Jakiro client CPU utilisation (%) vs process time"
@@ -389,7 +389,7 @@ pub fn fig15(w: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Figure 16: throughput vs GET percentage (uniform keys).
-pub fn fig16(w: &mut dyn Write) -> io::Result<()> {
+fn fig16(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig16: throughput vs GET%, uniform, 32B values")?;
     for (label, mix) in [
         ("95", OpMix::READ_INTENSIVE),
@@ -444,7 +444,7 @@ fn preselect(values: ValueSize, clients: usize) -> (u32, usize) {
 /// Figure 17: throughput vs value size 32 B…8 KB (three systems), plus
 /// the §4.4.3 mixed-size run; Jakiro's `(R, F)` come from the selection
 /// pre-run.
-pub fn fig17(w: &mut dyn Write) -> io::Result<()> {
+fn fig17(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig17: throughput vs value size; params from pre-run")?;
     let (r, f) = preselect(ValueSize::Uniform { min: 32, max: 8192 }, 35);
     writeln!(w, "# selected R={r} F={f} from mixed 32..8192 pre-run")?;
@@ -531,7 +531,7 @@ pub fn fig17(w: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 18: Jakiro throughput vs value size under different fixed
 /// fetch sizes `F` — the ablation behind the `F` selection.
-pub fn fig18(w: &mut dyn Write) -> io::Result<()> {
+fn fig18(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig18: Jakiro vs value size for several fetch sizes F")?;
     let (r, f_sel) = preselect(ValueSize::Uniform { min: 32, max: 2048 }, 35);
     writeln!(w, "# selector would pick R={r} F={f_sel} for 32..2048")?;
@@ -560,7 +560,7 @@ pub fn fig18(w: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Figure 19: throughput vs GET percentage under Zipf(0.99) keys.
-pub fn fig19(w: &mut dyn Write) -> io::Result<()> {
+fn fig19(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig19: throughput vs GET%, zipf(.99), 32B values")?;
     for (label, mix) in [
         ("95", OpMix::READ_INTENSIVE),
@@ -598,7 +598,7 @@ pub fn fig19(w: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Figure 20: latency CDF under the skewed read-intensive workload.
-pub fn fig20(w: &mut dyn Write) -> io::Result<()> {
+fn fig20(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig20: latency CDF, zipf(.99) 95% GET")?;
     let (mut jc, mut sc, mut mc) = peak_cfgs();
     for c in [&mut jc, &mut sc, &mut mc] {
@@ -627,7 +627,7 @@ pub fn fig20(w: &mut dyn Write) -> io::Result<()> {
 
 /// Table 3: remote-fetch retry statistics across the four workloads
 /// (uniform/skewed × 95%/5% GET).
-pub fn table3(w: &mut dyn Write) -> io::Result<()> {
+fn table3(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# table3: fetch attempts needing retries, per workload")?;
     for (label, keys, mix) in [
         ("uniform_95get", KeyDist::Uniform, OpMix::READ_INTENSIVE),

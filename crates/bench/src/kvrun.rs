@@ -72,10 +72,10 @@ pub fn run_kv(
 
 /// Rows sampled across a [`run_kv_telemetry`] measurement window (plus
 /// one zero baseline row at the window start).
-pub const TELEMETRY_SAMPLES: u64 = 40;
+const TELEMETRY_SAMPLES: u64 = 40;
 
 /// Like [`run_kv`], but advances the measurement window in
-/// [`TELEMETRY_SAMPLES`] fixed sim-time steps, sampling every registered
+/// `TELEMETRY_SAMPLES` fixed sim-time steps, sampling every registered
 /// metric after each, then writes to `dir`:
 ///
 /// * `metrics.csv` / `metrics.json` — the end-of-window registry snapshot,

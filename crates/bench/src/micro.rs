@@ -9,7 +9,7 @@ use rfp_simnet::{SimSpan, Simulation};
 
 /// Cluster size used by the paper's micro-benchmarks (1 server + 7
 /// clients).
-pub const MACHINES: usize = 8;
+const MACHINES: usize = 8;
 
 /// Measures the server's **in-bound** IOPS (MOPS): 7 client machines ×
 /// `threads_per_client` threads issue synchronous READs of `bytes`.

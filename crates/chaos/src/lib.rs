@@ -32,5 +32,4 @@ pub use inject::{install, InjectorSinks, Restart, RestartHook};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use replicated::{
     spawn_failover_kv, spawn_grayfail_kv, FailoverChaosConfig, FailoverKv, FailoverState,
-    PROMOTED_EPOCH,
 };

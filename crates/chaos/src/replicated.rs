@@ -94,7 +94,7 @@ use crate::plan::FaultPlan;
 
 /// The epoch a promoted backup fences at (the rig promotes at most
 /// once per run).
-pub const PROMOTED_EPOCH: u16 = 1;
+const PROMOTED_EPOCH: u16 = 1;
 
 /// Sizing and tuning of the replicated rig. [`Default`] is the
 /// failover study's configuration, [`grayfail`](Self::grayfail) the

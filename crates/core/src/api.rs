@@ -1,4 +1,4 @@
-//! The paper's Table 2 API, verbatim.
+//! The paper's Table 2 API.
 //!
 //! | Paper API | Description (paper wording) | Here |
 //! |---|---|---|
@@ -7,7 +7,7 @@
 //! | `server_send(client_id, local_buf, size)` | server puts message for client into `local_buf` | [`server_send`] |
 //! | `server_recv(client_id, local_buf)` | server receives message from `local_buf` | [`server_recv`] |
 //! | `malloc_buf(size)` | allocate local buffers that are registered in the RNIC | [`malloc_buf`] |
-//! | `free_buf(local_buf)` | free `local_buf` | [`free_buf`] |
+//! | `free_buf(local_buf)` | free `local_buf` | dropping the [`LocalBuf`] |
 //!
 //! The idiomatic interface ([`RfpClient`], [`RfpServerConn`]) is a thin
 //! layer over the same machinery; this module restates it in the exact
@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use std::rc::Rc;
-//! use rfp_core::api::{client_recv, client_send, free_buf, malloc_buf, server_recv, server_send};
+//! use rfp_core::api::{client_recv, client_send, malloc_buf, server_recv, server_send};
 //! use rfp_core::{connect, RfpConfig};
 //! use rfp_rnic::{Cluster, ClusterProfile};
 //! use rfp_simnet::{SimSpan, Simulation};
@@ -55,7 +55,7 @@
 //!     client_send(&client, &ct, &local_buf, 4).await;
 //!     let size = client_recv(&client, &ct, &mut local_buf).await;
 //!     assert_eq!(&local_buf[..size], b"gnip");
-//!     free_buf(local_buf);
+//!     drop(local_buf); // free_buf
 //! });
 //! sim.run_for(SimSpan::millis(1));
 //! ```
@@ -78,11 +78,6 @@ pub type LocalBuf = Vec<u8>;
 /// `malloc_buf(size)`: allocate a local buffer registered for RDMA.
 pub fn malloc_buf(size: usize) -> LocalBuf {
     vec![0; size]
-}
-
-/// `free_buf(local_buf)`: free a buffer from [`malloc_buf`].
-pub fn free_buf(local_buf: LocalBuf) {
-    drop(local_buf);
 }
 
 /// `client_send`: sends the first `size` bytes of `local_buf` into the

@@ -324,16 +324,13 @@ pub struct RfpClient {
     /// is over.
     tail: Cell<Chain>,
     /// Tenant id stamped into every request header while set (the mux
-    /// layer re-stamps it on each lease handoff). `None` — the default
-    /// everywhere outside a mux — keeps requests byte-identical to the
-    /// untenanted layout.
+    /// layer re-stamps it on each lease handoff); `None` outside a mux.
     tenant: Cell<Option<u32>>,
     /// Highest replication epoch this client has observed. Stamped into
     /// every request header and compared against every response: a
     /// response from an older epoch (a deposed ex-primary) is ignored
     /// like a non-matching poll, and a response carrying a newer epoch
-    /// moves the client forward. 0 — the default outside replicated
-    /// deployments — keeps the wire bytes legacy-identical.
+    /// moves the client forward. 0 outside replicated deployments.
     epoch: Cell<u16>,
 }
 
@@ -470,17 +467,6 @@ impl RfpClient {
     /// Largest `F` this connection's buffers can carry.
     pub fn max_fetch_size(&self) -> usize {
         self.shared.cfg.resp_capacity
-    }
-
-    /// Largest request payload a call under `policy` can carry right
-    /// now: the slot capacity minus the header that call is staged with
-    /// — 24 B while a tenant or epoch is stamped, 16 B when the policy
-    /// stamps a deadline, else 8 B. One byte more and the call panics
-    /// with `request exceeds buffer capacity`.
-    pub fn max_req_payload(&self, policy: &CallPolicy<'_>) -> usize {
-        let stamped = policy.stamps_deadline(self.shared.cfg.overload.is_some());
-        let hdr = self.req_header(0, 0, stamped.then_some(SimTime::ZERO));
-        self.shared.cfg.req_capacity - hdr.wire_len()
     }
 
     /// The header a `size`-byte request staged now as `seq` carries.

@@ -31,7 +31,7 @@ use rfp_simnet::{derive_seed, timeout, RetryPolicy, SimSpan, SimTime};
 
 use super::{CallInfo, CallResult, RfpClient};
 use crate::conn::{Mode, RfpConfig, MODE_REMOTE_FETCH, MODE_SERVER_REPLY};
-use crate::header::{RespHeader, RespStatus, REQ_HDR_TENANT, RESP_HDR, RESP_TRAILER};
+use crate::header::{RespHeader, RespStatus, REQ_HDR, RESP_HDR, RESP_TRAILER};
 use crate::integrity::{verify_response, IntegrityFault, VERIFY_RETRIES};
 use crate::observe::{incident as on, Chain, Incident};
 use crate::overload::OverloadConfig;
@@ -101,13 +101,6 @@ impl<'a> CallPolicy<'a> {
     /// Whether the call bounds its own wait (see the type's docs).
     fn bounded(&self) -> bool {
         self.admission.is_some() || self.recovery.is_some()
-    }
-
-    /// Whether the call's request header carries a deadline: admission
-    /// stamps every submission, and a recovered call tells an
-    /// overload-controlled server how long its answer is worth computing.
-    pub(super) fn stamps_deadline(&self, overload: bool) -> bool {
-        self.admission.is_some() || (self.recovery.is_some() && overload)
     }
 }
 
@@ -560,19 +553,16 @@ impl Engine<'_> {
         let seq = self.c.alloc_seq_in(fl.slot);
         fl.chain.seq = seq;
         self.c.obs().span_begin(fl.slot, seq, self.now());
-        let hdr = self.c.req_header(req.len(), seq, fl.stamp);
-        let hdr_len = hdr.wire_len();
-        fl.wire_len = hdr_len + req.len();
+        fl.wire_len = REQ_HDR + req.len();
         assert!(
             fl.wire_len <= self.cfg().req_capacity,
             "request exceeds buffer capacity"
         );
-        let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-        hdr.encode(&mut hdr_bytes[..hdr_len]);
+        let hdr = self.c.req_header(req.len(), seq, fl.stamp);
         let base = self.c.shared.req_off(fl.slot);
         let staging = &self.c.shared.client_req;
-        staging.write_local(base, &hdr_bytes[..hdr_len]);
-        staging.write_local(base + hdr_len, req);
+        staging.write_local(base, &hdr.encode());
+        staging.write_local(base + REQ_HDR, req);
         fl.phase = Phase::Send;
     }
 

@@ -35,8 +35,8 @@ use rfp_rnic::{Machine, MemRegion, Qp, ThreadCtx};
 use rfp_simnet::{EventSink, MetricsRegistry, SimHandle, SimSpan, SimTime, SpanRecorder, Wakeup};
 
 use crate::header::{
-    resp_canary, ReqHeader, RespHeader, RespIntegrity, RespStatus, REQ_HDR, REQ_HDR_EXT,
-    REQ_HDR_TENANT, RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
+    resp_canary, ReqHeader, RespHeader, RespIntegrity, RespStatus, REQ_HDR, RESP_HDR, RESP_HDR_EXT,
+    RESP_TRAILER,
 };
 use crate::observe::{incident, Chain, Observer};
 use crate::overload::OverloadConfig;
@@ -159,7 +159,7 @@ impl RfpConfig {
     /// Largest response payload this connection can carry (integrity on
     /// additionally reserves the extended header and the trailing
     /// canary).
-    pub fn max_resp_payload(&self) -> usize {
+    fn max_resp_payload(&self) -> usize {
         if self.integrity {
             self.resp_capacity - RESP_HDR_EXT - RESP_TRAILER
         } else {
@@ -167,10 +167,9 @@ impl RfpConfig {
         }
     }
 
-    /// Largest request payload an *unstamped* call can carry. A
-    /// tenant-, epoch- or deadline-stamped request has a longer header:
-    /// [`RfpClient::max_req_payload`](crate::RfpClient::max_req_payload)
-    /// is the bound for the call a connection will actually make.
+    /// Largest request payload a call on this connection can carry,
+    /// whatever it stamps; one byte more and the call panics with
+    /// `request exceeds buffer capacity`.
     pub fn max_req_payload(&self) -> usize {
         self.req_capacity - REQ_HDR
     }
@@ -244,8 +243,8 @@ pub fn connect(
         "fetch size must cover the response header"
     );
     assert!(
-        cfg.req_capacity >= REQ_HDR_EXT,
-        "request buffer must cover the extended header"
+        cfg.req_capacity >= REQ_HDR,
+        "request buffer must cover the request header"
     );
     assert!(
         cfg.fetch_size <= cfg.resp_capacity,
@@ -357,9 +356,8 @@ pub struct RfpServerConn {
     /// control; stays 0 — the legacy zero fill — without the stage).
     advertise: Cell<u16>,
     /// Replication epoch this server currently serves in (stamped into
-    /// every response header). 0 — the default outside replicated
-    /// deployments — keeps responses byte-identical to the legacy
-    /// layout and disables the request fence.
+    /// every response header and fenced against every request's); 0
+    /// outside replicated deployments.
     epoch: Cell<u16>,
     served: Cell<u64>,
     replied_out_of_band: Cell<u64>,
@@ -429,17 +427,11 @@ impl Ring {
         if let Some(scan) = &self.scan {
             scan.slots.incr();
         }
-        // The header-window read covers the largest extension that fits
-        // the slot: `decode` consumes 8, 16, or 24 bytes depending on
-        // the deadline/tenant bits (capacity ≥ 16 is a `connect`
-        // invariant; the tenant field needs 24 and its decode guard
-        // degrades gracefully on smaller slots).
-        let hdr_window = REQ_HDR_TENANT.min(self.shared.cfg.req_capacity);
         let base = self.shared.req_off(slot);
         let hdr = self
             .shared
             .req
-            .with_bytes(|ring| ReqHeader::decode(&ring[base..base + hdr_window]));
+            .with_bytes(|ring| ReqHeader::decode(&ring[base..base + REQ_HDR]));
         (hdr.valid && hdr.seq != self.slots[slot].last_seq.get()).then_some(hdr)
     }
 }
@@ -775,7 +767,7 @@ impl RfpServerConn {
         Some(
             self.shared
                 .req
-                .read_local(base + hdr.wire_len(), hdr.size as usize),
+                .read_local(base + REQ_HDR, hdr.size as usize),
         )
     }
 
@@ -1026,7 +1018,6 @@ impl RfpServerConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::REQ_HDR;
     use crate::server::{serve_loop, IdlePolicy};
     use rfp_rnic::{Cluster, ClusterProfile};
     use rfp_simnet::Simulation;
@@ -1056,19 +1047,17 @@ mod tests {
     /// Lands a 4-byte request with `seq` in `slot` of `conn`'s ring, as
     /// the in-bound engine does when a WRITE completes.
     fn deposit(conn: &RfpServerConn, slot: usize, seq: u32) {
-        let mut bytes = [0u8; REQ_HDR + 4];
-        ReqHeader {
+        let hdr = ReqHeader {
             valid: true,
             size: 4,
             seq,
             deadline: None,
             tenant: None,
             epoch: 0,
-        }
-        .encode(&mut bytes);
-        conn.shared
-            .req
-            .write_local(conn.shared.req_off(slot), &bytes);
+        };
+        let base = conn.shared.req_off(slot);
+        conn.shared.req.write_local(base, &hdr.encode());
+        conn.shared.req.write_local(base + REQ_HDR, &[0; 4]);
     }
 
     #[test]

@@ -199,10 +199,9 @@ impl ReplicaScorer {
 ///   what it did not use, so concurrent callers cannot over-commit
 ///   the pool;
 /// * total retry amplification is bounded: past the initial
-///   [`MAX_TOKENS`](Self::MAX_TOKENS) burst, sustained
-///   retries-per-success cannot exceed
-///   [`REFILL_PER_SUCCESS`](Self::REFILL_PER_SUCCESS), because each
-///   retry consumes a token that only a success puts back.
+///   `MAX_TOKENS` burst, sustained retries-per-success cannot exceed
+///   `REFILL_PER_SUCCESS`, because each retry consumes a token that
+///   only a success puts back.
 pub struct RetryBudget {
     tokens: Cell<f64>,
     /// Retry/hedge/failover grants denied because the bucket was dry.
@@ -223,12 +222,12 @@ impl Default for RetryBudget {
 
 impl RetryBudget {
     /// Bucket capacity (also the initial fill).
-    pub const MAX_TOKENS: f64 = 16.0;
+    const MAX_TOKENS: f64 = 16.0;
     /// Tokens returned per successful call, on top of refunding the
     /// call's unused reservation: the sustained retries-per-success
     /// bound, well inside the ≤ 2 tokens per completed call the
     /// `grayfail` sweep asserts.
-    pub const REFILL_PER_SUCCESS: f64 = 0.5;
+    const REFILL_PER_SUCCESS: f64 = 0.5;
 
     /// Tokens currently available.
     pub fn tokens(&self) -> f64 {

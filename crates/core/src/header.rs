@@ -1,76 +1,24 @@
 //! Buffer headers of the RFP wire protocol (paper Figure 7).
 //!
-//! Every request buffer starts with an 8-byte header carrying a status
-//! bit and a 30-bit payload size; every response buffer starts with a
-//! 16-byte header additionally carrying the paper's 16-bit server
-//! response time. Both headers also carry a 32-bit sequence number — an
-//! engineering detail the paper leaves implicit: the client must be able
-//! to distinguish the response to its current call from a stale response
-//! of the previous call without an extra round trip to clear the remote
-//! status bit, and matching on the call sequence does exactly that.
+//! Every request carries one fixed 24-byte header ([`REQ_HDR`]); a
+//! response carries the paper's 16-byte header ([`RESP_HDR`]), or with
+//! the integrity stage on a 32-byte one ([`RESP_HDR_EXT`]) plus an
+//! 8-byte trailing canary after the payload ([`RESP_TRAILER`]). Both
+//! carry a 32-bit call sequence number — an engineering detail the
+//! paper leaves implicit: it tells the client's fetch the response to
+//! its current call from a stale one of the previous call, without an
+//! extra round trip to clear the remote status bit.
 //!
-//! Two extensions ride in space the base format leaves unused, so that
-//! a connection not using them stays byte-identical to the original
-//! layout:
-//!
-//! * **request deadline** — bit 30 of the request word marks an extended
-//!   16-byte header whose trailing 8 bytes carry the client-stamped
-//!   absolute deadline (nanoseconds of sim time). The overload-control
-//!   path stamps it so the server can shed requests that already missed
-//!   their deadline (see [`crate::OverloadConfig`]); without it the bit
-//!   is clear and the header is the classic 8 bytes.
-//! * **response status + credits** — byte 10 of the response header
-//!   carries a [`RespStatus`] (`Ok`/`Busy`/`Shed`) and bytes 11..13 a
-//!   16-bit admission-credit advertisement. Both encode as zero for the
-//!   default (`Ok`, 0 credits), which is exactly what the original
-//!   format zero-filled there.
-//! * **request tenant** — bit 29 of the request word marks a 24-byte
-//!   request header whose bytes 16..20 carry the 32-bit tenant id of
-//!   the logical client that issued the call (bytes 8..16 hold the
-//!   deadline when bit 30 is also set, zeros otherwise; 20..24 are
-//!   spare zeros). The multiplexing layer stamps it so a server
-//!   connection shared by many tenants can account admission and
-//!   credits per tenant (see `rfp-core`'s mux module). Claiming bit 29
-//!   caps the *request* payload size at [`MAX_REQ_PAYLOAD`] (2²⁹−1
-//!   bytes — far above any request buffer this repo configures);
-//!   responses keep the full 30-bit field. Without a tenant the bit is
-//!   clear and the header is the classic 8 (or 16) bytes.
-//! * **response integrity** — bit 30 of the response word marks an
-//!   extended 32-byte response header whose trailing 16 bytes carry a
-//!   CRC-64 of the payload and a 32-bit buffer-generation stamp
-//!   ([`RespIntegrity`]). An integrity-stamped response additionally
-//!   carries an 8-byte trailing canary word ([`resp_canary`], derived
-//!   from seq ⊕ generation) *after* the payload, so a one-sided READ
-//!   that raced the server's local write — or straddled a buffer reuse
-//!   across the two-segment fetch — is detectable from the fetched
-//!   bytes alone. Without the bit the header is the classic 16 bytes
-//!   and no trailer exists.
-//! * **epoch** — the replication/failover fencing stamp. Responses
-//!   carry it flaglessly in spare bytes 13..15: epoch 0 (the
-//!   pre-replication world) encodes as the zeros those bytes always
-//!   held. Requests carry it under bit 28 of the request word in bytes
-//!   20..22 of the 24-byte layout (the tenant layout's spare tail);
-//!   epoch 0 never sets the bit, so unreplicated connections stay
-//!   byte-identical. Claiming bit 28 caps an epoch-stamped *request*
-//!   payload at [`MAX_REQ_PAYLOAD_EPOCH`] (2²⁸−1 bytes — still far
-//!   above any configured request buffer). A failed-over backup serves
-//!   at a higher epoch; the server fences lower-epoch writes
-//!   ([`RespStatus::Fenced`]) and clients discard lower-epoch
-//!   responses, so no split-brain write is ever acked.
-//!
-//! All fields are little-endian.
+//! Every field sits at a fixed offset; a request that stamps no
+//! deadline, tenant or epoch carries the "absent" value of that field,
+//! never a shorter header. DESIGN.md's "Wire format" table lists every
+//! field and offset, and the golden-bytes tests below are written from
+//! it. All fields are little-endian.
 
 use rfp_simnet::SimTime;
 
-/// Size of the base request header in bytes.
-pub const REQ_HDR: usize = 8;
-
-/// Size of the extended request header (base + 8-byte deadline).
-pub const REQ_HDR_EXT: usize = 16;
-
-/// Size of the tenant-stamped request header (extended + 4-byte tenant
-/// id + 4 spare zero bytes).
-pub const REQ_HDR_TENANT: usize = 24;
+/// Size of the request header in bytes, whatever the call stamps.
+pub const REQ_HDR: usize = 24;
 
 /// Size of the response header in bytes.
 pub const RESP_HDR: usize = 16;
@@ -83,29 +31,29 @@ pub const RESP_HDR_EXT: usize = 32;
 /// payload.
 pub const RESP_TRAILER: usize = 8;
 
-/// Maximum payload size encodable in the 30-bit response size field.
+/// Maximum payload size encodable in the 30-bit size field of either
+/// header.
 pub const MAX_PAYLOAD: usize = (1 << 30) - 1;
 
-/// Maximum payload size encodable in the 29-bit request size field
-/// (bit 29 is the tenant flag).
-pub const MAX_REQ_PAYLOAD: usize = (1 << 29) - 1;
-
-/// Maximum payload size of an epoch-stamped request (bit 28 is the
-/// epoch flag).
-pub const MAX_REQ_PAYLOAD_EPOCH: usize = (1 << 28) - 1;
-
 const VALID_BIT: u32 = 1 << 31;
-const DEADLINE_BIT: u32 = 1 << 30;
-const TENANT_BIT: u32 = 1 << 29;
-const EPOCH_BIT: u32 = 1 << 28;
 const INTEGRITY_BIT: u32 = 1 << 30;
 const SIZE_MASK: u32 = (1 << 30) - 1;
-const REQ_SIZE_MASK: u32 = (1 << 29) - 1;
-const REQ_SIZE_MASK_EPOCH: u32 = (1 << 28) - 1;
+
+/// Wire value of a request that stamps no deadline ("never").
+const NO_DEADLINE: u64 = u64::MAX;
+
+/// Wire value of a request that stamps no tenant; tenant id `u32::MAX`
+/// is therefore reserved.
+const NO_TENANT: u32 = u32::MAX;
 
 /// Salt folded into the trailing canary so a zero-filled (fresh or
 /// cold-wiped) buffer never accidentally matches seq 0 / generation 0.
 const CANARY_SALT: u64 = 0x5AFE_C0DE_D00D_FEED;
+
+/// The `N` bytes of `buf` at offset `at`.
+fn field<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    buf[at..at + N].try_into().expect("slice is N bytes")
+}
 
 /// The trailing canary word of an integrity-stamped response: the call
 /// sequence and the buffer generation folded into one 8-byte value. A
@@ -158,7 +106,7 @@ pub enum RespStatus {
 
 impl RespStatus {
     /// Wire encoding (one byte).
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             RespStatus::Ok => 0,
             RespStatus::Busy => 1,
@@ -167,8 +115,8 @@ impl RespStatus {
         }
     }
 
-    /// Decodes a wire byte; unknown values read as `Ok` so pre-extension
-    /// peers (which zero-fill the byte) interoperate.
+    /// Decodes a wire byte; unknown values read as `Ok`, the verdict a
+    /// zero-filled byte carries.
     pub fn from_u8(b: u8) -> Self {
         match b {
             1 => RespStatus::Busy,
@@ -189,123 +137,58 @@ pub struct ReqHeader {
     /// Call sequence number.
     pub seq: u32,
     /// Client-stamped absolute deadline, when the overload-control path
-    /// stamped one. `None` encodes to the classic 8-byte header.
+    /// stamped one (`SimTime::MAX` reads back as `None`: "never").
     pub deadline: Option<SimTime>,
     /// Tenant id of the issuing logical client, when a multiplexing
-    /// layer stamped one. `None` keeps the classic (or deadline-only)
-    /// layout byte-identical.
+    /// layer stamped one.
     pub tenant: Option<u32>,
-    /// Replication epoch the issuing client believes is current. 0 (the
-    /// pre-replication world) never sets the epoch bit, keeping
-    /// unreplicated connections byte-identical to the legacy layout.
+    /// Replication epoch the issuing client believes is current; 0
+    /// before any failover.
     pub epoch: u16,
 }
 
 impl ReqHeader {
-    /// Bytes this header occupies on the wire ([`REQ_HDR`],
-    /// [`REQ_HDR_EXT`], or [`REQ_HDR_TENANT`]); the payload starts at
-    /// this offset.
-    pub fn wire_len(&self) -> usize {
-        if self.tenant.is_some() || self.epoch != 0 {
-            REQ_HDR_TENANT
-        } else if self.deadline.is_some() {
-            REQ_HDR_EXT
-        } else {
-            REQ_HDR
-        }
-    }
-
-    /// Encodes into the first [`wire_len`](ReqHeader::wire_len) bytes of
-    /// `buf`.
+    /// The header's [`REQ_HDR`] wire bytes; the payload follows them.
     ///
     /// # Panics
     ///
-    /// Panics if `buf` is shorter than the wire length or `size` exceeds
-    /// [`MAX_REQ_PAYLOAD`] ([`MAX_REQ_PAYLOAD_EPOCH`] when epoch-
-    /// stamped).
-    pub fn encode(&self, buf: &mut [u8]) {
-        assert!(self.size as usize <= MAX_REQ_PAYLOAD, "payload too large");
-        if self.epoch != 0 {
-            assert!(
-                self.size as usize <= MAX_REQ_PAYLOAD_EPOCH,
-                "payload too large"
-            );
-        }
-        let mut word = self.size | if self.valid { VALID_BIT } else { 0 };
-        if self.deadline.is_some() {
-            word |= DEADLINE_BIT;
-        }
-        if self.tenant.is_some() {
-            word |= TENANT_BIT;
-        }
-        if self.epoch != 0 {
-            word |= EPOCH_BIT;
-        }
+    /// Panics if `size` exceeds [`MAX_PAYLOAD`] or the tenant is the
+    /// reserved `u32::MAX`.
+    pub fn encode(&self) -> [u8; REQ_HDR] {
+        assert!(self.size as usize <= MAX_PAYLOAD, "payload too large");
+        assert_ne!(
+            self.tenant,
+            Some(NO_TENANT),
+            "tenant id u32::MAX is reserved"
+        );
+        let word = self.size | if self.valid { VALID_BIT } else { 0 };
+        let deadline = self.deadline.map_or(NO_DEADLINE, SimTime::as_nanos);
+        let mut buf = [0u8; REQ_HDR];
         buf[0..4].copy_from_slice(&word.to_le_bytes());
         buf[4..8].copy_from_slice(&self.seq.to_le_bytes());
-        let extended = self.tenant.is_some() || self.epoch != 0;
-        if let Some(deadline) = self.deadline {
-            buf[8..16].copy_from_slice(&deadline.as_nanos().to_le_bytes());
-        } else if extended {
-            // The tenant/epoch fields ride *after* the deadline slot,
-            // which stays zero-filled when no deadline is stamped.
-            buf[8..16].fill(0);
-        }
-        if extended {
-            buf[16..20].copy_from_slice(&self.tenant.unwrap_or(0).to_le_bytes());
-            buf[20..22].copy_from_slice(&self.epoch.to_le_bytes());
-            buf[22..24].fill(0);
-        }
+        buf[8..16].copy_from_slice(&deadline.to_le_bytes());
+        buf[16..20].copy_from_slice(&self.tenant.unwrap_or(NO_TENANT).to_le_bytes());
+        buf[20..22].copy_from_slice(&self.epoch.to_le_bytes());
+        buf
     }
 
-    /// Decodes from the first [`REQ_HDR`] bytes of `buf` (the first
-    /// [`REQ_HDR_EXT`] / [`REQ_HDR_TENANT`] when the deadline /
-    /// tenant / epoch bits are set).
+    /// Decodes from the first [`REQ_HDR`] bytes of `buf`. Any 24 bytes
+    /// decode: the reserved bits are ignored.
     ///
     /// # Panics
     ///
-    /// Panics if `buf` is shorter than the encoded header.
+    /// Panics if `buf` is shorter than [`REQ_HDR`].
     pub fn decode(buf: &[u8]) -> Self {
-        let word = u32::from_le_bytes(buf[0..4].try_into().expect("len checked"));
-        let deadline = if word & DEADLINE_BIT != 0 {
-            Some(SimTime::from_nanos(u64::from_le_bytes(
-                buf[8..16].try_into().expect("len checked"),
-            )))
-        } else {
-            None
-        };
-        // Like the response integrity bit, the length guards keep a
-        // corrupted flag on a short window from reading out of bounds:
-        // the header degrades to an untenanted/unstamped decode instead.
-        let tenant = if word & TENANT_BIT != 0 && buf.len() >= REQ_HDR_TENANT {
-            Some(u32::from_le_bytes(
-                buf[16..20].try_into().expect("len checked"),
-            ))
-        } else {
-            None
-        };
-        let epoch_stamped = word & EPOCH_BIT != 0 && buf.len() >= REQ_HDR_TENANT;
-        let epoch = if epoch_stamped {
-            u16::from_le_bytes(buf[20..22].try_into().expect("len checked"))
-        } else {
-            0
-        };
-        // Mask choice follows the *guarded* decodes: a flag bit that
-        // degraded on a short window is size payload, not an extension.
-        let size_mask = if epoch_stamped {
-            REQ_SIZE_MASK_EPOCH
-        } else if tenant.is_some() {
-            REQ_SIZE_MASK
-        } else {
-            SIZE_MASK
-        };
+        let word = u32::from_le_bytes(field(buf, 0));
+        let deadline = u64::from_le_bytes(field(buf, 8));
+        let tenant = u32::from_le_bytes(field(buf, 16));
         ReqHeader {
             valid: word & VALID_BIT != 0,
-            size: word & size_mask,
-            seq: u32::from_le_bytes(buf[4..8].try_into().expect("len checked")),
-            deadline,
-            tenant,
-            epoch,
+            size: word & SIZE_MASK,
+            seq: u32::from_le_bytes(field(buf, 4)),
+            deadline: (deadline != NO_DEADLINE).then(|| SimTime::from_nanos(deadline)),
+            tenant: (tenant != NO_TENANT).then_some(tenant),
+            epoch: u16::from_le_bytes(field(buf, 20)),
         }
     }
 }
@@ -340,11 +223,10 @@ pub struct RespHeader {
     /// connection (overload control; 0 when the subsystem is off).
     pub credits: u16,
     /// Payload CRC + buffer generation, when the integrity layer
-    /// stamped them. `None` encodes to the classic 16-byte header.
+    /// stamped them. `None` encodes to the 16-byte header.
     pub integrity: Option<RespIntegrity>,
-    /// Replication epoch of the answering server. Rides flaglessly in
-    /// spare bytes 13..15, so epoch 0 (the pre-replication world) stays
-    /// byte-identical to the legacy zero padding.
+    /// Replication epoch of the answering server (0 before any
+    /// failover).
     pub epoch: u16,
 }
 
@@ -393,28 +275,25 @@ impl RespHeader {
     ///
     /// Panics if `buf` is shorter than the encoded header.
     pub fn decode(buf: &[u8]) -> Self {
-        let word = u32::from_le_bytes(buf[0..4].try_into().expect("len checked"));
+        let word = u32::from_le_bytes(field(buf, 0));
         // The length guard matters under fault injection: a bit flip can
-        // set the integrity bit on a legacy 16-byte window, and the
-        // decoder must degrade to a (garbage, seq-mismatching) legacy
-        // header rather than read past the window.
-        let integrity = if word & INTEGRITY_BIT != 0 && buf.len() >= RESP_HDR_EXT {
-            Some(RespIntegrity {
-                crc: u64::from_le_bytes(buf[16..24].try_into().expect("len checked")),
-                generation: u32::from_le_bytes(buf[24..28].try_into().expect("len checked")),
-            })
-        } else {
-            None
-        };
+        // set the integrity bit on a 16-byte window, and the decoder must
+        // degrade to a (garbage, seq-mismatching) 16-byte header rather
+        // than read past the window.
+        let integrity =
+            (word & INTEGRITY_BIT != 0 && buf.len() >= RESP_HDR_EXT).then(|| RespIntegrity {
+                crc: u64::from_le_bytes(field(buf, 16)),
+                generation: u32::from_le_bytes(field(buf, 24)),
+            });
         RespHeader {
             valid: word & VALID_BIT != 0,
             size: word & SIZE_MASK,
-            seq: u32::from_le_bytes(buf[4..8].try_into().expect("len checked")),
-            time_us: u16::from_le_bytes(buf[8..10].try_into().expect("len checked")),
+            seq: u32::from_le_bytes(field(buf, 4)),
+            time_us: u16::from_le_bytes(field(buf, 8)),
             status: RespStatus::from_u8(buf[10]),
-            credits: u16::from_le_bytes(buf[11..13].try_into().expect("len checked")),
+            credits: u16::from_le_bytes(field(buf, 11)),
             integrity,
-            epoch: u16::from_le_bytes(buf[13..15].try_into().expect("len checked")),
+            epoch: u16::from_le_bytes(field(buf, 13)),
         }
     }
 }
@@ -423,174 +302,199 @@ impl RespHeader {
 mod tests {
     use super::*;
 
+    /// A request stamping every field.
+    const STAMPED: ReqHeader = ReqHeader {
+        valid: true,
+        size: 300,
+        seq: 0x0102_0304,
+        deadline: Some(SimTime::from_nanos(0x1122_3344_5566_7788)),
+        tenant: Some(0xAABB_CCDD),
+        epoch: 0x0E0F,
+    };
+
+    /// A 16-byte response setting every field.
+    const RESP: RespHeader = RespHeader {
+        valid: true,
+        size: 17,
+        seq: 5,
+        time_us: 1200,
+        status: RespStatus::Fenced,
+        credits: 0x0102,
+        integrity: None,
+        epoch: 0x0304,
+    };
+
+    const INTEGRITY: RespIntegrity = RespIntegrity {
+        crc: 0x0123_4567_89AB_CDEF,
+        generation: 0xDEAD_0042,
+    };
+
     #[test]
-    fn req_header_round_trip() {
-        let h = ReqHeader {
-            valid: true,
-            size: 12345,
-            seq: 0xDEAD_BEEF,
+    fn req_header_golden_bytes() {
+        // DESIGN.md "Wire format", request: word (size | valid bit 31)
+        // at 0, seq at 4, deadline ns at 8, tenant at 16, epoch at 20,
+        // two zero bytes at 22.
+        #[rustfmt::skip]
+        let stamped: [u8; REQ_HDR] = [
+            0x2C, 0x01, 0x00, 0x80,
+            0x04, 0x03, 0x02, 0x01,
+            0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+            0xDD, 0xCC, 0xBB, 0xAA,
+            0x0F, 0x0E,
+            0x00, 0x00,
+        ];
+        assert_eq!(STAMPED.encode(), stamped);
+        assert_eq!(ReqHeader::decode(&stamped), STAMPED);
+        // Absent deadline and tenant are all ones, epoch 0 is zeros: the
+        // same 24 bytes, the same offsets.
+        let plain = ReqHeader {
             deadline: None,
             tenant: None,
             epoch: 0,
+            ..STAMPED
         };
-        let mut buf = [0u8; REQ_HDR];
-        h.encode(&mut buf);
-        assert_eq!(ReqHeader::decode(&buf), h);
+        #[rustfmt::skip]
+        let unstamped: [u8; REQ_HDR] = [
+            0x2C, 0x01, 0x00, 0x80,
+            0x04, 0x03, 0x02, 0x01,
+            0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+            0xFF, 0xFF, 0xFF, 0xFF,
+            0x00, 0x00,
+            0x00, 0x00,
+        ];
+        assert_eq!(plain.encode(), unstamped);
+        assert_eq!(ReqHeader::decode(&unstamped), plain);
+    }
+
+    #[test]
+    fn req_header_round_trip() {
+        let h = ReqHeader {
+            seq: 0xDEAD_BEEF,
+            deadline: None,
+            tenant: None,
+            ..STAMPED
+        };
+        assert_eq!(ReqHeader::decode(&h.encode()), h);
     }
 
     #[test]
     fn req_header_invalid_bit() {
         let h = ReqHeader {
             valid: false,
-            size: MAX_REQ_PAYLOAD as u32,
+            size: MAX_PAYLOAD as u32,
             seq: 7,
-            deadline: None,
-            tenant: None,
-            epoch: 0,
+            ..STAMPED
         };
-        let mut buf = [0u8; REQ_HDR];
-        h.encode(&mut buf);
-        let d = ReqHeader::decode(&buf);
+        let d = ReqHeader::decode(&h.encode());
         assert!(!d.valid);
-        assert_eq!(d.size as usize, MAX_REQ_PAYLOAD);
+        assert_eq!(d.size as usize, MAX_PAYLOAD);
     }
 
     #[test]
     fn req_header_deadline_round_trip() {
-        let h = ReqHeader {
-            valid: true,
-            size: 64,
-            seq: 9,
-            deadline: Some(SimTime::from_nanos(123_456_789)),
-            tenant: None,
-            epoch: 0,
-        };
-        assert_eq!(h.wire_len(), REQ_HDR_EXT);
-        let mut buf = [0u8; REQ_HDR_EXT];
-        h.encode(&mut buf);
-        assert_eq!(ReqHeader::decode(&buf), h);
-    }
-
-    #[test]
-    fn req_header_without_deadline_matches_legacy_layout() {
-        // The pre-extension encoder wrote `size | VALID` then the seq and
-        // nothing else; a deadline-less header must produce those exact
-        // bytes (the byte-identical-when-off guarantee).
-        let h = ReqHeader {
-            valid: true,
-            size: 300,
-            seq: 0x0102_0304,
-            deadline: None,
-            tenant: None,
-            epoch: 0,
-        };
-        assert_eq!(h.wire_len(), REQ_HDR);
-        let mut buf = [0u8; REQ_HDR];
-        h.encode(&mut buf);
-        let mut legacy = [0u8; REQ_HDR];
-        legacy[0..4].copy_from_slice(&(300u32 | (1 << 31)).to_le_bytes());
-        legacy[4..8].copy_from_slice(&0x0102_0304u32.to_le_bytes());
-        assert_eq!(buf, legacy);
+        for deadline in [SimTime::ZERO, SimTime::from_nanos(123_456_789)] {
+            let h = ReqHeader {
+                deadline: Some(deadline),
+                tenant: None,
+                ..STAMPED
+            };
+            assert_eq!(ReqHeader::decode(&h.encode()), h);
+        }
     }
 
     #[test]
     fn req_header_tenant_round_trip() {
-        for deadline in [None, Some(SimTime::from_nanos(55_555))] {
+        for tenant in [0, 7, u32::MAX - 1] {
             let h = ReqHeader {
-                valid: true,
-                size: 128,
-                seq: 11,
-                deadline,
-                tenant: Some(0xABCD_0042),
-                epoch: 0,
+                deadline: None,
+                tenant: Some(tenant),
+                ..STAMPED
             };
-            assert_eq!(h.wire_len(), REQ_HDR_TENANT);
-            let mut buf = [0u8; REQ_HDR_TENANT];
-            h.encode(&mut buf);
-            assert_eq!(ReqHeader::decode(&buf), h);
-            // Epoch slot (20..22, unstamped) and spare tail bytes stay
-            // zero for forward compatibility.
-            assert_eq!(&buf[20..24], &[0, 0, 0, 0]);
+            assert_eq!(ReqHeader::decode(&h.encode()), h);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn req_header_reserved_tenant_rejected() {
+        ReqHeader {
+            tenant: Some(u32::MAX),
+            ..STAMPED
+        }
+        .encode();
     }
 
     #[test]
     fn req_header_epoch_round_trip() {
-        for (deadline, tenant) in [
-            (None, None),
-            (Some(SimTime::from_nanos(77_000)), None),
-            (None, Some(0xAA55_0001)),
-            (Some(SimTime::from_nanos(1)), Some(3)),
-        ] {
-            let h = ReqHeader {
-                valid: true,
-                size: 64,
-                seq: 21,
-                deadline,
-                tenant,
-                epoch: 0x0B0C,
-            };
-            assert_eq!(h.wire_len(), REQ_HDR_TENANT);
-            let mut buf = [0xFFu8; REQ_HDR_TENANT];
-            h.encode(&mut buf);
-            assert_eq!(ReqHeader::decode(&buf), h);
-            assert_eq!(&buf[20..22], &0x0B0Cu16.to_le_bytes());
-            assert_eq!(&buf[22..24], &[0, 0]);
+        for epoch in [0, 1, 0x0B0C, u16::MAX] {
+            let h = ReqHeader { epoch, ..STAMPED };
+            let bytes = h.encode();
+            assert_eq!(&bytes[20..22], &epoch.to_le_bytes());
+            assert_eq!(ReqHeader::decode(&bytes), h);
         }
     }
 
     #[test]
-    fn req_header_epoch_zero_matches_legacy_layout() {
-        // Epoch 0 must neither set the epoch bit nor widen the header —
-        // the byte-identical-when-off guarantee the replication-off
-        // proptest pins end to end.
-        let h = ReqHeader {
-            valid: true,
-            size: 300,
-            seq: 0x0102_0304,
-            deadline: None,
-            tenant: None,
-            epoch: 0,
-        };
-        assert_eq!(h.wire_len(), REQ_HDR);
-        let mut buf = [0u8; REQ_HDR];
-        h.encode(&mut buf);
-        let word = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        assert_eq!(word & EPOCH_BIT, 0);
+    fn resp_header_golden_bytes() {
+        // DESIGN.md "Wire format", 16-byte response: word (size | valid
+        // bit 31) at 0, seq at 4, time_us at 8, status at 10, credits at
+        // 11, epoch at 13, one zero byte at 15.
+        #[rustfmt::skip]
+        let want: [u8; RESP_HDR] = [
+            0x11, 0x00, 0x00, 0x80,
+            0x05, 0x00, 0x00, 0x00,
+            0xB0, 0x04,
+            0x03,
+            0x02, 0x01,
+            0x04, 0x03,
+            0x00,
+        ];
+        let mut buf = [0xFFu8; RESP_HDR];
+        RESP.encode(&mut buf);
+        assert_eq!(buf, want);
+        assert_eq!(RESP.wire_len(), RESP_HDR);
+        assert_eq!(RespHeader::decode(&want), RESP);
     }
 
     #[test]
-    fn req_header_epoch_decode_guards_short_window() {
-        // An epoch-flagged word read through a shorter window degrades
-        // to an unstamped decode rather than reading out of bounds.
-        let h = ReqHeader {
-            valid: true,
-            size: 9,
-            seq: 3,
-            deadline: None,
-            tenant: None,
-            epoch: 4,
+    fn resp_header_integrity_golden_bytes() {
+        // DESIGN.md "Wire format", 32-byte response: the 16-byte layout
+        // with bit 30 of the word set, CRC at 16, generation at 24, four
+        // zero bytes at 28; after the payload an 8-byte trailer holding
+        // ((seq << 32) | generation) ^ 0x5AFE_C0DE_D00D_FEED.
+        let h = RespHeader {
+            integrity: Some(INTEGRITY),
+            ..RESP
         };
-        let mut buf = [0u8; REQ_HDR_TENANT];
+        #[rustfmt::skip]
+        let want: [u8; RESP_HDR_EXT] = [
+            0x11, 0x00, 0x00, 0xC0,
+            0x05, 0x00, 0x00, 0x00,
+            0xB0, 0x04,
+            0x03,
+            0x02, 0x01,
+            0x04, 0x03,
+            0x00,
+            0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,
+            0x42, 0x00, 0xAD, 0xDE,
+            0x00, 0x00, 0x00, 0x00,
+        ];
+        let mut buf = [0xFFu8; RESP_HDR_EXT];
         h.encode(&mut buf);
-        let d = ReqHeader::decode(&buf[..REQ_HDR_EXT]);
-        assert_eq!(d.epoch, 0);
-        assert_eq!(d.seq, 3);
+        assert_eq!(buf, want);
+        assert_eq!(h.wire_len(), RESP_HDR_EXT);
+        assert_eq!(RespHeader::decode(&want), h);
+        // 0x0000_0005_DEAD_0042 ^ 0x5AFE_C0DE_D00D_FEED, little-endian.
+        let trailer = [0xAF, 0xFE, 0xA0, 0x0E, 0xDB, 0xC0, 0xFE, 0x5A];
+        assert_eq!(resp_canary(5, 0xDEAD_0042).to_le_bytes(), trailer);
     }
 
     #[test]
     fn resp_header_epoch_round_trip_in_spare_bytes() {
         let h = RespHeader {
-            valid: true,
-            size: 5,
-            seq: 19,
-            time_us: 4,
-            status: RespStatus::Fenced,
-            credits: 1,
-            integrity: None,
             epoch: 0x1234,
+            ..RESP
         };
-        // Epoch rides in spare bytes: same wire length as legacy.
         assert_eq!(h.wire_len(), RESP_HDR);
         let mut buf = [0u8; RESP_HDR];
         h.encode(&mut buf);
@@ -600,74 +504,10 @@ mod tests {
     }
 
     #[test]
-    fn req_header_tenant_without_deadline_zero_fills_deadline_slot() {
-        let h = ReqHeader {
-            valid: true,
-            size: 1,
-            seq: 2,
-            deadline: None,
-            tenant: Some(7),
-            epoch: 0,
-        };
-        let mut buf = [0xFFu8; REQ_HDR_TENANT];
-        h.encode(&mut buf);
-        assert_eq!(&buf[8..16], &[0u8; 8]);
-        let d = ReqHeader::decode(&buf);
-        assert_eq!(d.deadline, None);
-        assert_eq!(d.tenant, Some(7));
-    }
-
-    #[test]
-    fn req_header_without_tenant_matches_legacy_layout() {
-        // The tenant bit must be clear and nothing written past the
-        // base (or deadline-extended) header — the byte-identical-
-        // when-off guarantee the mux's M=N pin test rides on.
-        let h = ReqHeader {
-            valid: true,
-            size: 300,
-            seq: 0x0102_0304,
-            deadline: None,
-            tenant: None,
-            epoch: 0,
-        };
-        let mut buf = [0u8; REQ_HDR];
-        h.encode(&mut buf);
-        let word = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        assert_eq!(word & (1 << 29), 0);
-        assert_eq!(h.wire_len(), REQ_HDR);
-    }
-
-    #[test]
-    fn req_header_tenant_decode_guards_short_window() {
-        // A tenant-flagged word read through a shorter window (corrupt
-        // flag on a legacy slot) must degrade to an untenanted decode
-        // rather than read out of bounds.
-        let h = ReqHeader {
-            valid: true,
-            size: 9,
-            seq: 3,
-            deadline: None,
-            tenant: Some(5),
-            epoch: 0,
-        };
-        let mut buf = [0u8; REQ_HDR_TENANT];
-        h.encode(&mut buf);
-        let d = ReqHeader::decode(&buf[..REQ_HDR_EXT]);
-        assert_eq!(d.tenant, None);
-        assert_eq!(d.seq, 3);
-    }
-
-    #[test]
     fn resp_header_round_trip() {
         let h = RespHeader {
-            valid: true,
-            size: 99,
-            seq: 42,
-            time_us: 65535,
-            status: RespStatus::Ok,
-            credits: 0,
-            integrity: None,
-            epoch: 0,
+            time_us: u16::MAX,
+            ..RESP
         };
         let mut buf = [0u8; RESP_HDR];
         h.encode(&mut buf);
@@ -683,14 +523,9 @@ mod tests {
             RespStatus::Fenced,
         ] {
             let h = RespHeader {
-                valid: true,
-                size: 0,
-                seq: 77,
-                time_us: 3,
                 status,
                 credits: 0xBEEF,
-                integrity: None,
-                epoch: 0,
+                ..RESP
             };
             let mut buf = [0u8; RESP_HDR];
             h.encode(&mut buf);
@@ -702,66 +537,27 @@ mod tests {
     }
 
     #[test]
-    fn resp_header_default_status_matches_legacy_layout() {
-        // `Ok` + 0 credits must reproduce the original zero-filled tail.
-        let h = RespHeader {
-            valid: true,
-            size: 17,
-            seq: 5,
-            time_us: 1200,
-            status: RespStatus::Ok,
-            credits: 0,
-            integrity: None,
-            epoch: 0,
-        };
-        let mut buf = [0xFFu8; RESP_HDR];
-        h.encode(&mut buf);
-        let mut legacy = [0u8; RESP_HDR];
-        legacy[0..4].copy_from_slice(&(17u32 | (1 << 31)).to_le_bytes());
-        legacy[4..8].copy_from_slice(&5u32.to_le_bytes());
-        legacy[8..10].copy_from_slice(&1200u16.to_le_bytes());
-        assert_eq!(buf, legacy);
-    }
-
-    #[test]
     fn resp_header_integrity_round_trip() {
         let h = RespHeader {
-            valid: true,
             size: 4096,
             seq: 0xFEED_F00D,
-            time_us: 12,
-            status: RespStatus::Ok,
-            credits: 3,
-            integrity: Some(RespIntegrity {
-                crc: 0x0123_4567_89AB_CDEF,
-                generation: 0xDEAD_0042,
-            }),
-            epoch: 0,
+            integrity: Some(INTEGRITY),
+            ..RESP
         };
         assert_eq!(h.wire_len(), RESP_HDR_EXT);
         let mut buf = [0u8; RESP_HDR_EXT];
         h.encode(&mut buf);
         assert_eq!(RespHeader::decode(&buf), h);
-        // Spare tail bytes stay zero for forward compatibility.
+        // Spare tail bytes stay zero.
         assert_eq!(&buf[28..32], &[0, 0, 0, 0]);
     }
 
     #[test]
     fn resp_header_without_integrity_is_legacy_sized() {
-        let h = RespHeader {
-            valid: true,
-            size: 1,
-            seq: 2,
-            time_us: 3,
-            status: RespStatus::Ok,
-            credits: 0,
-            integrity: None,
-            epoch: 0,
-        };
-        assert_eq!(h.wire_len(), RESP_HDR);
-        // The integrity bit must be clear: decoding sees a legacy header.
+        assert_eq!(RESP.wire_len(), RESP_HDR);
+        // The integrity bit must be clear: decoding sees a 16-byte header.
         let mut buf = [0u8; RESP_HDR];
-        h.encode(&mut buf);
+        RESP.encode(&mut buf);
         let word = u32::from_le_bytes(buf[0..4].try_into().unwrap());
         assert_eq!(word & (1 << 30), 0);
     }
@@ -834,14 +630,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "payload too large")]
     fn oversize_payload_rejected() {
-        let h = ReqHeader {
-            valid: true,
+        ReqHeader {
             size: u32::MAX,
-            seq: 0,
-            deadline: None,
-            tenant: None,
-            epoch: 0,
-        };
-        h.encode(&mut [0u8; REQ_HDR]);
+            ..STAMPED
+        }
+        .encode();
     }
 }

@@ -86,9 +86,8 @@ pub use conn::{connect, Mode, RfpConfig, RfpServerConn, RfpTelemetry};
 pub use failover::{FailoverConfig, ReplicaClient};
 pub use gray::{GrayConfig, ReplicaScorer, RetryBudget};
 pub use header::{
-    resp_canary, slot_of, ReqHeader, RespHeader, RespIntegrity, RespStatus, MAX_PAYLOAD,
-    MAX_REQ_PAYLOAD, MAX_REQ_PAYLOAD_EPOCH, REQ_HDR, REQ_HDR_EXT, REQ_HDR_TENANT, RESP_HDR,
-    RESP_HDR_EXT, RESP_TRAILER,
+    resp_canary, slot_of, ReqHeader, RespHeader, RespIntegrity, RespStatus, MAX_PAYLOAD, REQ_HDR,
+    RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
 };
 pub use integrity::{verify_response, IntegrityFault};
 pub use mux::{serve_loop_tenant, shard_conns, LogicalClient, MuxConfig, RfpMux, TenantId};

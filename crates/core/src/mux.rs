@@ -27,7 +27,7 @@
 //! P disjoint poller groups (EREW, like the per-thread partitioning the
 //! serve loop already uses) and [`serve_loop_tenant`] runs one group
 //! with per-tenant admission domains ([`TenantCredits`](crate::TenantCredits)): requests
-//! carry their tenant in the extended header, the sweep charges each
+//! carry their tenant in the request header, the sweep charges each
 //! verdict to that tenant's own queue share, and credit advertisements
 //! reflect the sender's backlog only — one hot tenant collapses its own
 //! credits to zero while cold tenants keep full admission. Per-tenant
@@ -38,9 +38,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rfp_rnic::ThreadCtx;
-use rfp_simnet::{
-    Counter, Gauge, HealthHub, HealthSignal, Histogram, MetricsRegistry, Semaphore, SemaphoreGuard,
-};
+use rfp_simnet::{HealthHub, HealthSignal, Semaphore, SemaphoreGuard};
 
 use crate::client::{CallEngine, CallPolicy, CallResult, RfpClient, NO_RECOVERY};
 use crate::conn::RfpServerConn;
@@ -61,25 +59,13 @@ pub struct TenantId(pub u32);
 /// regardless of logical clients".
 const MAX_PHYSICAL_QPS: usize = 64;
 
-/// Tunables of the multiplexing layer.
-#[derive(Clone)]
+/// Tunables of the multiplexing layer. Every request is stamped with
+/// its holder's tenant id.
+#[derive(Clone, Default)]
 pub struct MuxConfig {
-    /// Stamp each request with the holder's tenant id (the 24-byte
-    /// extended header). Off, the wire stays byte-identical to the
-    /// dedicated-connection path — the M=N pin test rides on this.
-    pub stamp_tenant: bool,
     /// Per-tenant health windows: tenant `t`'s calls are booked into
     /// this hub's connection `t`. `None` books nothing.
     pub tenant_health: Option<HealthHub>,
-}
-
-impl Default for MuxConfig {
-    fn default() -> Self {
-        MuxConfig {
-            stamp_tenant: true,
-            tenant_health: None,
-        }
-    }
 }
 
 /// Lease state of one physical connection.
@@ -105,21 +91,6 @@ struct Avail {
     idle_leased: VecDeque<usize>,
 }
 
-/// Registry-backed mux instruments (see
-/// [`attach_telemetry`](RfpMux::attach_telemetry)).
-struct MuxInstruments {
-    /// Time callers spent waiting for a physical connection.
-    acquire_wait: Rc<Histogram>,
-    /// Callers currently queued for a connection.
-    queue_depth: Rc<Gauge>,
-    /// Leases granted (fresh or moved).
-    leases: Rc<Counter>,
-    /// Leases revoked from an idle holder to serve another.
-    evictions: Rc<Counter>,
-    /// Sticky reuses (caller got its previous connection back).
-    reuses: Rc<Counter>,
-}
-
 /// N logical clients multiplexed over M physical RFP connections.
 pub struct RfpMux {
     clients: Vec<Rc<RfpClient>>,
@@ -133,8 +104,6 @@ pub struct RfpMux {
     leases: Cell<u64>,
     evictions: Cell<u64>,
     reuses: Cell<u64>,
-    waiting: Cell<i64>,
-    instruments: RefCell<Option<MuxInstruments>>,
 }
 
 impl RfpMux {
@@ -178,23 +147,7 @@ impl RfpMux {
             leases: Cell::new(0),
             evictions: Cell::new(0),
             reuses: Cell::new(0),
-            waiting: Cell::new(0),
-            instruments: RefCell::new(None),
         })
-    }
-
-    /// Registers the mux's instruments under `prefix` (e.g. `"mux"`):
-    /// `<prefix>.acquire_wait` (histogram), `<prefix>.queue_depth`
-    /// (gauge), and the `<prefix>.leases` / `.evictions` / `.reuses`
-    /// counters. Without this call the mux touches no registry at all.
-    pub fn attach_telemetry(&self, registry: &MetricsRegistry, prefix: &str) {
-        *self.instruments.borrow_mut() = Some(MuxInstruments {
-            acquire_wait: registry.histogram(&format!("{prefix}.acquire_wait")),
-            queue_depth: registry.gauge(&format!("{prefix}.queue_depth")),
-            leases: registry.counter(&format!("{prefix}.leases")),
-            evictions: registry.counter(&format!("{prefix}.evictions")),
-            reuses: registry.counter(&format!("{prefix}.reuses")),
-        });
     }
 
     /// Creates a new logical client of `tenant`. This is the cheap
@@ -237,9 +190,7 @@ impl RfpMux {
         ph.queued.set(true);
         lc.lease.set(Some((phys, ph.generation.get())));
         self.leases.set(self.leases.get() + 1);
-        if self.cfg.stamp_tenant {
-            self.clients[phys].set_tenant(Some(tenant.0));
-        }
+        self.clients[phys].set_tenant(Some(tenant.0));
         lc
     }
 
@@ -273,31 +224,11 @@ impl RfpMux {
         &self.clients
     }
 
-    /// Total completed calls across the physical connections.
-    pub fn total_calls(&self) -> u64 {
-        self.clients.iter().map(|c| c.stats().calls()).sum()
-    }
-
     /// Waits FIFO-fair for a connection, then binds (or rebinds) the
     /// caller's lease to it.
-    async fn acquire(
-        &self,
-        thread: &ThreadCtx,
-        logical: &LogicalClient,
-    ) -> (SemaphoreGuard, usize) {
-        let t0 = thread.now();
-        self.waiting.set(self.waiting.get() + 1);
-        if let Some(ins) = &*self.instruments.borrow() {
-            ins.queue_depth.set(self.waiting.get());
-        }
+    async fn acquire(&self, logical: &LogicalClient) -> (SemaphoreGuard, usize) {
         let permit = self.sem.acquire().await;
-        self.waiting.set(self.waiting.get() - 1);
-        if let Some(ins) = &*self.instruments.borrow() {
-            ins.queue_depth.set(self.waiting.get());
-            ins.acquire_wait.record(thread.now() - t0);
-        }
-        let idx = self.claim(logical);
-        (permit, idx)
+        (permit, self.claim(logical))
     }
 
     /// Picks the connection a fresh permit entitles the caller to:
@@ -312,9 +243,6 @@ impl RfpMux {
             {
                 ph.busy.set(true);
                 self.reuses.set(self.reuses.get() + 1);
-                if let Some(ins) = &*self.instruments.borrow() {
-                    ins.reuses.incr();
-                }
                 return p;
             }
         }
@@ -332,9 +260,6 @@ impl RfpMux {
                 // busy (their holder sticky-reused them) since queueing.
                 if !self.phys[p].busy.get() {
                     self.evictions.set(self.evictions.get() + 1);
-                    if let Some(ins) = &*self.instruments.borrow() {
-                        ins.evictions.incr();
-                    }
                     break p;
                 }
             }
@@ -344,13 +269,8 @@ impl RfpMux {
         ph.generation.set(ph.generation.get() + 1);
         ph.busy.set(true);
         self.leases.set(self.leases.get() + 1);
-        if let Some(ins) = &*self.instruments.borrow() {
-            ins.leases.incr();
-        }
         logical.lease.set(Some((p, ph.generation.get())));
-        if self.cfg.stamp_tenant {
-            self.clients[p].set_tenant(Some(logical.tenant.0));
-        }
+        self.clients[p].set_tenant(Some(logical.tenant.0));
         p
     }
 
@@ -387,14 +307,6 @@ impl LogicalClient {
     /// This logical client's tenant.
     pub fn tenant(&self) -> TenantId {
         self.tenant
-    }
-
-    /// Whether the last-used lease is still held (diagnostics).
-    pub fn lease_held(&self) -> bool {
-        self.lease.get().is_some_and(|(p, generation)| {
-            let ph = &self.mux.phys[p];
-            ph.holder.get() == Some(self.id) && ph.generation.get() == generation
-        })
     }
 
     /// Issues one call ([`RfpClient::call`]) through the leased
@@ -475,7 +387,7 @@ impl CallEngine for LogicalClient {
         mut sink: impl FnMut(usize, Result<CallResult, RpcError>),
     ) {
         let t0 = thread.now();
-        let (_permit, idx) = self.mux.acquire(thread, self).await;
+        let (_permit, idx) = self.mux.acquire(self).await;
         let mut booked = |i: usize, out: Result<CallResult, RpcError>| {
             if let Ok(call) = &out {
                 self.book(thread, call);
@@ -594,6 +506,11 @@ mod tests {
         (clients, conns, cm, smach)
     }
 
+    /// Completed calls across the mux's physical connections.
+    fn calls(mux: &RfpMux) -> u64 {
+        mux.clients().iter().map(|c| c.stats().calls()).sum()
+    }
+
     #[test]
     fn mux_shares_few_conns_among_many_logicals() {
         let mut sim = Simulation::new(21);
@@ -618,7 +535,7 @@ mod tests {
         }
         sim.run_for(SimSpan::millis(20));
         assert_eq!(wg.count(), 0, "all logical clients finished");
-        assert_eq!(mux.total_calls(), 48);
+        assert_eq!(calls(&mux), 48);
         assert_eq!(mux.logical_count(), 16);
         // 16 logicals over 4 conns: leases must have moved.
         assert!(mux.evictions() > 0, "oversubscription must evict");
@@ -647,7 +564,7 @@ mod tests {
             });
         }
         sim.run_for(SimSpan::millis(5));
-        assert_eq!(mux.total_calls(), 2);
+        assert_eq!(calls(&mux), 2);
         // The 9 998 idle logical clients held nothing: two leases total.
         assert_eq!(mux.leases(), 2);
         assert_eq!(mux.evictions(), 0);
@@ -658,13 +575,7 @@ mod tests {
         let mut sim = Simulation::new(5);
         let cfg = RfpConfig::default();
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, cfg, 3, true);
-        let mux = RfpMux::new(
-            clients,
-            MuxConfig {
-                stamp_tenant: false,
-                ..MuxConfig::default()
-            },
-        );
+        let mux = RfpMux::new(clients, MuxConfig::default());
         for i in 0..3u32 {
             let lc = mux.logical_client_pinned(TenantId(i), i as usize);
             let t = cm.thread(format!("task{i}"));
@@ -677,7 +588,7 @@ mod tests {
             });
         }
         sim.run_for(SimSpan::millis(10));
-        assert_eq!(mux.total_calls(), 12);
+        assert_eq!(calls(&mux), 12);
         assert_eq!(mux.evictions(), 0, "pinned leases never move");
         assert_eq!(mux.leases(), 3, "one pin each, no regrants");
         assert_eq!(mux.reuses(), 12, "every call reused its pin");
@@ -742,7 +653,6 @@ mod tests {
             clients,
             MuxConfig {
                 tenant_health: Some(hub.clone()),
-                ..MuxConfig::default()
             },
         );
         for i in 0..4u32 {

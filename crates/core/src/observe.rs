@@ -43,36 +43,36 @@ pub(crate) mod incident {
         Incident { counter, kind, severity, signal }
     }
 
-    pub const CREDIT_WAIT:     Incident = row(Some("overload.credit_waits"),    "overload.credit_waits",     Warn,  Some(H::CreditWait));
-    pub const BUSY_SEEN:       Incident = row(Some("overload.busy_seen"),       "overload.busy_seen",        Warn,  Some(H::Busy));
-    pub const SHED_SEEN:       Incident = row(Some("overload.sheds_seen"),      "overload.sheds_seen",       Warn,  Some(H::Shed));
-    pub const LOCAL_SHED:      Incident = row(Some("overload.local_sheds"),     "overload.local_sheds",      Warn,  Some(H::Shed));
-    pub const GIVE_UP:         Incident = row(Some("overload.give_ups"),        "overload.give_ups",         Warn,  None);
-    pub const TORN:            Incident = row(Some("fetch.torn"),               "fetch.torn",                Error, Some(H::Corrupt));
-    pub const CRC_FAIL:        Incident = row(Some("fetch.crc_fail"),           "fetch.crc_fail",            Error, Some(H::Corrupt));
-    pub const VERB_ERROR:      Incident = row(Some("recovery.verb_errors"),     "recovery.verb_errors",      Warn,  Some(H::VerbError));
-    pub const RECONNECT:       Incident = row(Some("recovery.reconnects"),      "recovery.reconnects",       Warn,  Some(H::Reconnect));
-    pub const DEADLINE:        Incident = row(Some("recovery.deadlines"),       "recovery.deadlines",        Warn,  None);
-    pub const RESUBMIT:        Incident = row(Some("recovery.resubmits"),       "recovery.resubmits",        Warn,  None);
-    pub const FENCED_SEEN:     Incident = row(Some("recovery.fenced_seen"),     "recovery.fenced_seen",      Warn,  None);
-    pub const CORRUPT_ATTEMPT: Incident = row(Some("recovery.corrupt_attempts"), "recovery.corrupt_attempts", Warn,  None);
-    pub const FAILED_CALL:     Incident = row(Some("recovery.failed_calls"),    "recovery.failed_calls",     Error, None);
-    pub const SLOT_STALL:      Incident = row(None,                             "pipeline.slot_stall",       Warn,  Some(H::Stall));
-    pub const MODE_SWITCH:     Incident = row(None,                             "rfp.mode_switch",           Info,  None);
-    pub const FALLBACK:        Incident = row(None,                             "rfp.fallback",              Info,  None);
+    pub(crate) const CREDIT_WAIT:     Incident = row(Some("overload.credit_waits"),    "overload.credit_waits",     Warn,  Some(H::CreditWait));
+    pub(crate) const BUSY_SEEN:       Incident = row(Some("overload.busy_seen"),       "overload.busy_seen",        Warn,  Some(H::Busy));
+    pub(crate) const SHED_SEEN:       Incident = row(Some("overload.sheds_seen"),      "overload.sheds_seen",       Warn,  Some(H::Shed));
+    pub(crate) const LOCAL_SHED:      Incident = row(Some("overload.local_sheds"),     "overload.local_sheds",      Warn,  Some(H::Shed));
+    pub(crate) const GIVE_UP:         Incident = row(Some("overload.give_ups"),        "overload.give_ups",         Warn,  None);
+    pub(crate) const TORN:            Incident = row(Some("fetch.torn"),               "fetch.torn",                Error, Some(H::Corrupt));
+    pub(crate) const CRC_FAIL:        Incident = row(Some("fetch.crc_fail"),           "fetch.crc_fail",            Error, Some(H::Corrupt));
+    pub(crate) const VERB_ERROR:      Incident = row(Some("recovery.verb_errors"),     "recovery.verb_errors",      Warn,  Some(H::VerbError));
+    pub(crate) const RECONNECT:       Incident = row(Some("recovery.reconnects"),      "recovery.reconnects",       Warn,  Some(H::Reconnect));
+    pub(crate) const DEADLINE:        Incident = row(Some("recovery.deadlines"),       "recovery.deadlines",        Warn,  None);
+    pub(crate) const RESUBMIT:        Incident = row(Some("recovery.resubmits"),       "recovery.resubmits",        Warn,  None);
+    pub(crate) const FENCED_SEEN:     Incident = row(Some("recovery.fenced_seen"),     "recovery.fenced_seen",      Warn,  None);
+    pub(crate) const CORRUPT_ATTEMPT: Incident = row(Some("recovery.corrupt_attempts"), "recovery.corrupt_attempts", Warn,  None);
+    pub(crate) const FAILED_CALL:     Incident = row(Some("recovery.failed_calls"),    "recovery.failed_calls",     Error, None);
+    pub(crate) const SLOT_STALL:      Incident = row(None,                             "pipeline.slot_stall",       Warn,  Some(H::Stall));
+    pub(crate) const MODE_SWITCH:     Incident = row(None,                             "rfp.mode_switch",           Info,  None);
+    pub(crate) const FALLBACK:        Incident = row(None,                             "rfp.fallback",              Info,  None);
     // The replica router's reactions on this connection.
-    pub const FAILOVER:        Incident = row(Some("recovery.failovers"),       "recovery.failover",         Warn,  Some(H::Failover));
-    pub const BUDGET_CAPPED:   Incident = row(Some("recovery.budget_capped"),   "recovery.budget_capped",    Warn,  None);
-    pub const BUDGET_DENIED:   Incident = row(Some("recovery.budget_denied"),   "recovery.budget_denied",    Warn,  None);
-    pub const DEMOTE:          Incident = row(Some("routing.demote"),           "routing.demote",            Warn,  None);
-    pub const RESTORE:         Incident = row(Some("routing.restore"),          "routing.restore",           Warn,  None);
-    pub const PROBE:           Incident = row(Some("routing.probe"),            "routing.probe",             Warn,  None);
-    pub const ROUTED_FALLBACK: Incident = row(Some("routing.fallback"),         "routing.fallback",          Warn,  None);
-    pub const HEDGE_ISSUED:    Incident = row(Some("recovery.hedge.issued"),    "recovery.hedge.issued",     Warn,  None);
-    pub const HEDGE_DENIED:    Incident = row(Some("recovery.hedge.denied"),    "recovery.hedge.denied",     Warn,  None);
-    pub const HEDGE_WON:       Incident = row(Some("recovery.hedge.won"),       "recovery.hedge.won",        Warn,  None);
-    pub const HEDGE_WASTED:    Incident = row(Some("recovery.hedge.wasted"),    "recovery.hedge.wasted",     Warn,  None);
-    pub const HEDGE_FALLBACK:  Incident = row(Some("recovery.hedge.fallback"),  "recovery.hedge.fallback",   Warn,  None);
+    pub(crate) const FAILOVER:        Incident = row(Some("recovery.failovers"),       "recovery.failover",         Warn,  Some(H::Failover));
+    pub(crate) const BUDGET_CAPPED:   Incident = row(Some("recovery.budget_capped"),   "recovery.budget_capped",    Warn,  None);
+    pub(crate) const BUDGET_DENIED:   Incident = row(Some("recovery.budget_denied"),   "recovery.budget_denied",    Warn,  None);
+    pub(crate) const DEMOTE:          Incident = row(Some("routing.demote"),           "routing.demote",            Warn,  None);
+    pub(crate) const RESTORE:         Incident = row(Some("routing.restore"),          "routing.restore",           Warn,  None);
+    pub(crate) const PROBE:           Incident = row(Some("routing.probe"),            "routing.probe",             Warn,  None);
+    pub(crate) const ROUTED_FALLBACK: Incident = row(Some("routing.fallback"),         "routing.fallback",          Warn,  None);
+    pub(crate) const HEDGE_ISSUED:    Incident = row(Some("recovery.hedge.issued"),    "recovery.hedge.issued",     Warn,  None);
+    pub(crate) const HEDGE_DENIED:    Incident = row(Some("recovery.hedge.denied"),    "recovery.hedge.denied",     Warn,  None);
+    pub(crate) const HEDGE_WON:       Incident = row(Some("recovery.hedge.won"),       "recovery.hedge.won",        Warn,  None);
+    pub(crate) const HEDGE_WASTED:    Incident = row(Some("recovery.hedge.wasted"),    "recovery.hedge.wasted",     Warn,  None);
+    pub(crate) const HEDGE_FALLBACK:  Incident = row(Some("recovery.hedge.fallback"),  "recovery.hedge.fallback",   Warn,  None);
     // Server side: the verdict `RfpServerConn::reject` posted.
     pub const REJECT_BUSY:     Incident = row(Some("overload.busy_rejections"), "overload.reject_busy",      Warn,  None);
     pub const REJECT_SHED:     Incident = row(Some("overload.sheds"),           "overload.reject_shed",      Warn,  None);

@@ -211,16 +211,6 @@ impl TenantCredits {
         let seen = self.domains.borrow().get(&tenant).map_or(0, |dom| dom.seen);
         credits_for(seen)
     }
-
-    /// Requests admitted across all domains this scan.
-    pub fn admitted_total(&self) -> usize {
-        self.domains.borrow().values().map(|d| d.admitted).sum()
-    }
-
-    /// Distinct tenant domains seen this scan.
-    pub fn domains_seen(&self) -> usize {
-        self.domains.borrow().len()
-    }
 }
 
 #[cfg(test)]
@@ -295,6 +285,11 @@ mod tests {
         }
     }
 
+    /// Requests admitted across all domains this scan.
+    fn admitted(t: &TenantCredits) -> usize {
+        t.domains.borrow().values().map(|d| d.admitted).sum()
+    }
+
     #[test]
     fn tenant_domains_are_independent() {
         let c = cfg(); // queue_limit 4
@@ -309,8 +304,8 @@ mod tests {
         assert_eq!(t.admit(&c, now, None, Some(2)), Admission::Admit);
         // So does the untenanted domain.
         assert_eq!(t.admit(&c, now, None, None), Admission::Admit);
-        assert_eq!(t.admitted_total(), 6);
-        assert_eq!(t.domains_seen(), 3);
+        assert_eq!(admitted(&t), 6);
+        assert_eq!(t.domains.borrow().len(), 3);
     }
 
     #[test]
@@ -337,7 +332,7 @@ mod tests {
         }
         t.begin_scan();
         assert_eq!(t.admit(&c, now, None, Some(1)), Admission::Admit);
-        assert_eq!(t.admitted_total(), 1);
+        assert_eq!(admitted(&t), 1);
     }
 
     #[test]
@@ -349,7 +344,7 @@ mod tests {
         assert_eq!(t.admit(&c, now, past, Some(1)), Admission::Shed);
         // A shed charges the backlog (the request was pending) but not
         // the admission count.
-        assert_eq!(t.admitted_total(), 0);
+        assert_eq!(admitted(&t), 0);
         assert!(t.credits(Some(1)) <= CREDIT_MAX);
     }
 }

@@ -72,7 +72,7 @@ impl ParamSelector {
     }
 
     /// Client-observed latency of one READ fetching `f` bytes.
-    pub fn fetch_latency(&self, f: usize) -> SimSpan {
+    fn fetch_latency(&self, f: usize) -> SimSpan {
         self.nic.issue_cpu
             + self.nic.outbound_service(f)
             + self.link.propagation
@@ -82,7 +82,7 @@ impl ParamSelector {
     }
 
     /// Client-observed latency of one WRITE carrying `n` bytes.
-    pub fn write_latency(&self, n: usize) -> SimSpan {
+    fn write_latency(&self, n: usize) -> SimSpan {
         self.nic.issue_cpu
             + self.nic.outbound_service(n)
             + self.link.propagation
@@ -105,7 +105,7 @@ impl ParamSelector {
     }
 
     /// Expected fetch attempts for process time `p` and fetch size `f`.
-    pub fn expected_attempts(&self, p: SimSpan, f: usize) -> u32 {
+    fn expected_attempts(&self, p: SimSpan, f: usize) -> u32 {
         let visible = (p + self.server_overhead).as_nanos() as i64
             - self.first_fetch_overlap(f).as_nanos() as i64;
         if visible <= 0 {

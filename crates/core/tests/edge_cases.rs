@@ -3,9 +3,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use rfp_core::{
-    connect, serve_loop, CallPolicy, RfpConfig, REQ_HDR, REQ_HDR_EXT, REQ_HDR_TENANT, RESP_HDR,
-};
+use rfp_core::{connect, serve_loop, OverloadConfig, RfpConfig, REQ_HDR, RESP_HDR};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{timeout, SimSpan, Simulation};
 
@@ -46,7 +44,7 @@ fn empty_request_and_response_round_trip() {
 }
 
 /// One echo call over a 512 B-slot connection, stamped with `tenant`,
-/// `over` bytes above the payload bound the client reports for it.
+/// `over` bytes above the connection's one request bound.
 fn call_at_the_bound(tenant: Option<u32>, over: usize) {
     let (mut sim, cluster) = two_machines();
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
@@ -55,20 +53,10 @@ fn call_at_the_bound(tenant: Option<u32>, over: usize) {
         resp_capacity: 1024,
         ..RfpConfig::default()
     };
-    // The config's bound is the unstamped one.
-    assert_eq!(cfg.max_req_payload(), 512 - REQ_HDR);
+    let bound = cfg.max_req_payload();
+    assert_eq!(bound, 512 - REQ_HDR);
     let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
     client.set_tenant(tenant);
-    // The client's is the header the call will actually carry.
-    let bound = client.max_req_payload(&CallPolicy::default());
-    let hdr = if tenant.is_some() {
-        REQ_HDR_TENANT
-    } else {
-        REQ_HDR
-    };
-    assert_eq!(bound, 512 - hdr);
-    let stamped = client.max_req_payload(&CallPolicy::admitted(None));
-    assert_eq!(stamped, 512 - hdr.max(REQ_HDR_EXT));
     let st = sm.thread("server");
     sim.spawn(serve_loop(
         st,
@@ -103,6 +91,52 @@ fn stamped_request_at_its_bound_fits() {
 #[should_panic(expected = "request exceeds buffer capacity")]
 fn stamped_request_one_byte_past_its_bound_panics() {
     call_at_the_bound(Some(7), 1);
+}
+
+/// Server in-bound bytes of one 40 B echo call on an overload-controlled
+/// connection: plain, or stamped with a deadline, a tenant and an epoch.
+fn inbound_bytes_of_one_call(stamped: bool) -> u64 {
+    let (mut sim, cluster) = two_machines();
+    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+    let cfg = RfpConfig {
+        overload: Some(OverloadConfig::default()),
+        ..RfpConfig::default()
+    };
+    let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+    if stamped {
+        client.set_tenant(Some(7));
+        client.set_epoch(3);
+        conn.set_epoch(3);
+    }
+    sim.spawn(serve_loop(
+        sm.thread("server"),
+        vec![Rc::new(conn)],
+        |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
+        SimSpan::nanos(100),
+    ));
+    let ct = cm.thread("client");
+    let done = Rc::new(Cell::new(false));
+    let d = Rc::clone(&done);
+    sim.spawn(async move {
+        let out = if stamped {
+            client.call_overload(&ct, &[5; 40], None).await
+        } else {
+            client.call(&ct, &[5; 40]).await
+        };
+        assert_eq!(out.data, [5; 40]);
+        d.set(true);
+    });
+    sim.run_for(SimSpan::millis(1));
+    assert!(done.get());
+    sm.nic().counters().inbound_bytes
+}
+
+#[test]
+fn stamped_and_plain_requests_cost_the_same_inbound_bytes() {
+    assert_eq!(
+        inbound_bytes_of_one_call(true),
+        inbound_bytes_of_one_call(false)
+    );
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! M=N mux equivalence: with one logical client pinned to each physical
 //! connection, the multiplexing layer must be a zero-cost veneer — the
-//! run is byte-identical to today's dedicated-connection path on the
-//! wire (NIC op/byte counters), on every telemetry surface (full
-//! registry snapshot, span recorder), on the virtual clock, and in
-//! every response payload.
+//! run, tenant stamps and all, is byte-identical to today's
+//! dedicated-connection path on the wire (NIC op/byte counters: a
+//! stamped request header is as long as an unstamped one), on every
+//! telemetry surface (full registry snapshot, span recorder), on the
+//! virtual clock, and in every response payload.
 //!
 //! This is the mux's regression anchor, in the same spirit as the
 //! pipelined client's `W = 1 ≡ sequential` pin: fleet features must be
@@ -72,15 +73,7 @@ fn run(seed: u64, m: usize, window: usize, calls: usize, sizes: &[usize], mux: b
         ));
     }
 
-    let mux_layer = mux.then(|| {
-        RfpMux::new(
-            clients.clone(),
-            MuxConfig {
-                stamp_tenant: false,
-                ..MuxConfig::default()
-            },
-        )
-    });
+    let mux_layer = mux.then(|| RfpMux::new(clients.clone(), MuxConfig::default()));
 
     let responses: Rc<std::cell::RefCell<Vec<Vec<Vec<u8>>>>> =
         Rc::new(std::cell::RefCell::new(vec![Vec::new(); m]));

@@ -17,7 +17,7 @@
 use crate::hash::hash_bytes;
 
 /// Slots per bucket (a cacheline of 8-byte slots in the paper).
-pub const SLOTS_PER_BUCKET: usize = 8;
+const SLOTS_PER_BUCKET: usize = 8;
 
 const BUCKET_SEED: u64 = 0x6A61_6B69_726F;
 

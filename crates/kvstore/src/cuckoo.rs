@@ -31,12 +31,12 @@ use crate::rig::BypassStore;
 use rfp_simnet::crc64;
 
 /// Bytes per slot in the table region.
-pub const SLOT_SIZE: usize = 40;
+const SLOT_SIZE: usize = 40;
 const SLOT_CRC_COVER: usize = 30;
 const SLOT_CRC_OFF: usize = 30;
 
 /// Seeds of the three cuckoo hash functions.
-pub const CUCKOO_SEEDS: [u64; 3] = [0xC0FF_EE01, 0xC0FF_EE02, 0xC0FF_EE03];
+const CUCKOO_SEEDS: [u64; 3] = [0xC0FF_EE01, 0xC0FF_EE02, 0xC0FF_EE03];
 
 /// Give up displacement after this many kicks (the table is then
 /// effectively full at this load factor).
@@ -129,12 +129,12 @@ pub struct PilafView {
 
 impl PilafView {
     /// The key's three candidate bucket indices.
-    pub fn candidate_buckets(&self, key: &[u8]) -> [usize; 3] {
+    fn candidate_buckets(&self, key: &[u8]) -> [usize; 3] {
         CUCKOO_SEEDS.map(|seed| (hash_bytes(seed, key) % self.buckets as u64) as usize)
     }
 
     /// Tag hash stored in slots for early mismatch rejection.
-    pub fn key_tag(&self, key: &[u8]) -> u64 {
+    fn key_tag(&self, key: &[u8]) -> u64 {
         hash_bytes(0x0074_6167, key)
     }
 }
@@ -193,11 +193,6 @@ impl PilafStore {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Current load factor (entries / buckets).
-    pub fn load_factor(&self) -> f64 {
-        self.len() as f64 / self.view.buckets as f64
     }
 
     fn read_slot(&self, bucket: usize) -> Slot {

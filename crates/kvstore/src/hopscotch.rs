@@ -71,12 +71,12 @@ pub struct FarmView {
 
 impl FarmView {
     /// The key's home bucket.
-    pub fn home_of(&self, key: &[u8]) -> usize {
+    fn home_of(&self, key: &[u8]) -> usize {
         (hash_bytes(SEED, key) % self.buckets as u64) as usize
     }
 
     /// Byte range of the key's whole neighborhood (single READ).
-    pub fn neighborhood_range(&self, key: &[u8]) -> (usize, usize) {
+    fn neighborhood_range(&self, key: &[u8]) -> (usize, usize) {
         let home = self.home_of(key);
         (home * self.cell_size, NEIGHBORHOOD * self.cell_size)
     }
@@ -152,7 +152,7 @@ impl FarmStore {
     /// Decodes a cell; `None` on checksum failure, `Some(None)` when the
     /// cell is validly empty.
     #[allow(clippy::type_complexity)]
-    pub fn decode_cell(bytes: &[u8]) -> Option<Option<(Vec<u8>, Vec<u8>)>> {
+    fn decode_cell(bytes: &[u8]) -> Option<Option<(Vec<u8>, Vec<u8>)>> {
         if bytes.len() < CELL_HDR + 8 {
             return None;
         }
@@ -342,20 +342,20 @@ impl BypassStore for FarmStore {
 
 /// Outcome of a client-side FaRM GET.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FarmGet {
+struct FarmGet {
     /// The value, if present.
-    pub value: Option<Vec<u8>>,
+    value: Option<Vec<u8>>,
     /// One-sided ops used (1 unless a torn cell forced a reread).
-    pub ops: u32,
+    ops: u32,
     /// Bytes fetched (`H × cell` per read — the §5 bandwidth cost).
-    pub bytes: u64,
+    bytes: u64,
     /// Checksum retries.
-    pub crc_retries: u32,
+    crc_retries: u32,
 }
 
 /// Performs one FaRM-style GET: a single READ of the key's whole
 /// neighborhood, rereading on checksum failure.
-pub async fn farm_get(
+async fn farm_get(
     client: &BypassClient,
     thread: &ThreadCtx,
     view: &FarmView,

@@ -25,11 +25,11 @@ pub mod systems;
 
 mod cuckoo;
 
-pub use bucket::{Partition, PutOutcome, SLOTS_PER_BUCKET};
+pub use bucket::{Partition, PutOutcome};
 pub use cores::{build_keyspace, spawn_cores_kv, CoresConfig, CoresKv};
-pub use cuckoo::{bypass_get, BypassGet, CuckooError, PilafStore, PilafView, SLOT_SIZE};
+pub use cuckoo::{bypass_get, BypassGet, CuckooError, PilafStore, PilafView};
 pub use hash::{hash_bytes, partition_of};
-pub use hopscotch::{farm_get, FarmGet, FarmStore, FarmView, HopscotchError, NEIGHBORHOOD};
+pub use hopscotch::{FarmStore, FarmView, HopscotchError, NEIGHBORHOOD};
 pub use lru::LruCache;
 pub use mcd::{McdCosts, McdStore, McdThreadView};
 pub use proto::{KvRequest, KvResponse, ProtoError};

@@ -185,23 +185,25 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         self.free.push(idx);
         Some(node.value)
     }
-
-    /// Keys from most- to least-recently used (test/diagnostic helper).
-    pub fn keys_by_recency(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut cur = self.head;
-        while cur != NIL {
-            let n = self.node(cur);
-            out.push(n.key.clone());
-            cur = n.next;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
+        /// Keys from most- to least-recently used.
+        fn keys_by_recency(&self) -> Vec<K> {
+            let mut out = Vec::with_capacity(self.len());
+            let mut cur = self.head;
+            while cur != NIL {
+                let n = self.node(cur);
+                out.push(n.key.clone());
+                cur = n.next;
+            }
+            out
+        }
+    }
 
     #[test]
     fn evicts_least_recently_used() {

@@ -97,7 +97,7 @@ impl Default for ReplicationConfig {
 
 /// Log-batch wire format:
 /// `[base_lsn:u64][n:u16]` then per entry `[len:u32][encoded request]`.
-pub fn encode_batch(base_lsn: u64, entries: &[Vec<u8>]) -> Vec<u8> {
+fn encode_batch(base_lsn: u64, entries: &[Vec<u8>]) -> Vec<u8> {
     assert!(entries.len() <= u16::MAX as usize, "batch too large");
     let mut out = Vec::with_capacity(10 + entries.iter().map(|e| 4 + e.len()).sum::<usize>());
     out.extend_from_slice(&base_lsn.to_le_bytes());
@@ -110,7 +110,7 @@ pub fn encode_batch(base_lsn: u64, entries: &[Vec<u8>]) -> Vec<u8> {
 }
 
 /// Decodes a log batch into its base LSN and borrowed entries.
-pub fn decode_batch(buf: &[u8]) -> Result<(u64, Vec<&[u8]>), ProtoError> {
+fn decode_batch(buf: &[u8]) -> Result<(u64, Vec<&[u8]>), ProtoError> {
     if buf.len() < 10 {
         return Err(ProtoError::Truncated);
     }
@@ -134,12 +134,12 @@ pub fn decode_batch(buf: &[u8]) -> Result<(u64, Vec<&[u8]>), ProtoError> {
 }
 
 /// Ack wire format: `[next_lsn:u64]`.
-pub fn encode_ack(next_lsn: u64) -> Vec<u8> {
+fn encode_ack(next_lsn: u64) -> Vec<u8> {
     next_lsn.to_le_bytes().to_vec()
 }
 
 /// Decodes a replication ack.
-pub fn decode_ack(buf: &[u8]) -> Result<u64, ProtoError> {
+fn decode_ack(buf: &[u8]) -> Result<u64, ProtoError> {
     if buf.len() < 8 {
         return Err(ProtoError::Truncated);
     }
@@ -164,13 +164,6 @@ pub struct PrimaryRole {
     /// clients issued, hedged or not.
     pub applied_mutations: Cell<u64>,
     next_lsn: Cell<u64>,
-}
-
-impl PrimaryRole {
-    /// LSN the next shipped entry will carry.
-    pub fn next_lsn(&self) -> u64 {
-        self.next_lsn.get()
-    }
 }
 
 /// The backup's replication state, shared with the failure detector.

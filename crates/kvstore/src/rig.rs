@@ -322,7 +322,7 @@ impl KvSystem {
     }
 
     /// The server machines: every machine before the first client's.
-    pub fn server_machines(&self) -> Vec<Rc<Machine>> {
+    fn server_machines(&self) -> Vec<Rc<Machine>> {
         let first_client = self.client_threads.first();
         let n = first_client.map_or(1, |t| t.machine().id().0);
         (0..n).map(|i| self.cluster.machine(i)).collect()

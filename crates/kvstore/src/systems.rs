@@ -50,9 +50,9 @@ use crate::rig::{
 };
 
 /// Simulated CPU cost of one Jakiro/ServerReply GET (hash + copy).
-pub const KV_GET_WORK: SimSpan = SimSpan::nanos(150);
+const KV_GET_WORK: SimSpan = SimSpan::nanos(150);
 /// Simulated CPU cost of one Jakiro/ServerReply PUT.
-pub const KV_PUT_WORK: SimSpan = SimSpan::nanos(200);
+const KV_PUT_WORK: SimSpan = SimSpan::nanos(200);
 /// Server threads dedicated to PUTs in the Pilaf/FaRM comparators.
 const PILAF_PUT_THREADS: usize = 2;
 /// Extra process time of an outlier request, drawn uniformly from this
@@ -183,13 +183,7 @@ impl SystemConfig {
             .next_multiple_of(64)
             .max(256)
             .max(self.rfp.fetch_size);
-        // Deadline-stamped requests carry the 16-byte extended header.
-        let hdr = if self.rfp.overload.is_some() {
-            rfp_core::REQ_HDR_EXT
-        } else {
-            rfp_core::REQ_HDR
-        };
-        let req = (hdr + 7 + self.spec.key_len + max_val)
+        let req = (rfp_core::REQ_HDR + 7 + self.spec.key_len + max_val)
             .next_multiple_of(64)
             .max(256);
         RfpConfig {
@@ -778,7 +772,6 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
                 clients,
                 MuxConfig {
                     tenant_health: Some(tenant_health.clone()),
-                    ..MuxConfig::default()
                 },
             )
         })

@@ -447,6 +447,44 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
     assert_eq!(report.conns.len(), 4, "one health window per tenant");
 }
 
+#[test]
+fn fleet_slots_fit_tenant_stamped_puts() {
+    // A 281 B PUT fills the slot a 16 B header would leave: the fleet's
+    // tenant-stamped request must fit all the same.
+    use rfp_core::{OverloadConfig, RfpConfig};
+    use rfp_kvstore::{spawn_fleet_kv, FleetConfig};
+    use rfp_workload::ValueSize;
+
+    let cfg = SystemConfig {
+        server_threads: 2,
+        client_machines: 2,
+        clients_per_machine: 2,
+        spec: WorkloadSpec {
+            key_count: 500,
+            values: ValueSize::Fixed(281),
+            mix: OpMix::BALANCED,
+            ..WorkloadSpec::paper_default()
+        },
+        rfp: RfpConfig {
+            overload: Some(OverloadConfig::default()),
+            ..SystemConfig::default().rfp
+        },
+        ..SystemConfig::default()
+    };
+    let fleet = FleetConfig {
+        logical_clients: 20,
+        physical_conns: 4,
+        poller_groups: 2,
+        tenants: 2,
+        drivers: 4,
+        ..FleetConfig::default()
+    };
+    let mut sim = Simulation::new(cfg.seed);
+    let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);
+    sim.run_for(SimSpan::millis(1));
+    assert!(sys.stats.completed.get() > 100, "fleet must make progress");
+}
+
 // ---- One rig skeleton: what every preset now inherits from the one
 // driver (each of these failed while the spawners were separate copies).
 

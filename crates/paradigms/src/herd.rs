@@ -72,7 +72,6 @@ pub fn herd_connect(
         last_seq: Cell::new(0),
         cached_resp: RefCell::new(Vec::new()),
         served: Cell::new(0),
-        dup_replies: Cell::new(0),
     };
     (client, server)
 }
@@ -164,16 +163,12 @@ impl HerdClient {
             tenant: None,
             epoch: 0,
         };
-        let mut hdr_bytes = [0u8; REQ_HDR];
-        hdr.encode(&mut hdr_bytes);
-        self.req_local.write_local(0, &hdr_bytes);
+        self.req_local.write_local(0, &hdr.encode());
         self.req_local.write_local(REQ_HDR, req);
 
         let total = REQ_HDR + req.len();
         // HERD retransmits immediately on timeout: zero backoff, one
-        // initial transmission plus `MAX_RETRANSMITS` resends. The same
-        // retry loop drives RFP's crash recovery with an exponential
-        // policy instead.
+        // initial transmission plus `MAX_RETRANSMITS` resends.
         let policy = RetryPolicy::immediate(MAX_RETRANSMITS + 1);
         match retry(
             thread.handle(),
@@ -200,7 +195,6 @@ pub struct HerdServerConn {
     last_seq: Cell<u32>,
     cached_resp: RefCell<Vec<u8>>,
     served: Cell<u64>,
-    dup_replies: Cell<u64>,
 }
 
 impl HerdServerConn {
@@ -209,10 +203,18 @@ impl HerdServerConn {
         self.served.get()
     }
 
-    /// Duplicate requests answered from the response cache (visible
-    /// effect of loss on the wire).
-    pub fn dup_replies(&self) -> u64 {
-        self.dup_replies.get()
+    /// Marks the slot's request `seq` taken (an invalid header carrying
+    /// its seq).
+    fn consume(&self, seq: u32) {
+        let taken = ReqHeader {
+            valid: false,
+            size: 0,
+            seq,
+            deadline: None,
+            tenant: None,
+            epoch: 0,
+        };
+        self.req.write_local(0, &taken.encode());
     }
 
     /// Polls the slot. Fresh requests are returned for processing;
@@ -230,36 +232,15 @@ impl HerdServerConn {
             // Consume the slot so a *reappearance* of this sequence can
             // only be a client retransmission (lost response), not the
             // leftover of the request we just took.
-            let mut cleared = [0u8; REQ_HDR];
-            ReqHeader {
-                valid: false,
-                size: 0,
-                seq: hdr.seq,
-                deadline: None,
-                tenant: None,
-                epoch: 0,
-            }
-            .encode(&mut cleared);
-            self.req.write_local(0, &cleared);
+            self.consume(hdr.seq);
             return Some(payload);
         }
         if hdr.seq == self.last_seq.get() && !self.cached_resp.borrow().is_empty() {
             // Retransmitted request whose response was (possibly) lost:
             // re-send the cached response.
-            self.dup_replies.set(self.dup_replies.get() + 1);
             let frame = self.cached_resp.borrow().clone();
             // Consume the duplicate so we answer it once per arrival.
-            let mut cleared = [0u8; REQ_HDR];
-            ReqHeader {
-                valid: false,
-                size: 0,
-                seq: hdr.seq,
-                deadline: None,
-                tenant: None,
-                epoch: 0,
-            }
-            .encode(&mut cleared);
-            self.req.write_local(0, &cleared);
+            self.consume(hdr.seq);
             self.ud.send_nowait(thread, frame).await;
         }
         None

@@ -102,7 +102,7 @@ impl Paradigm {
     };
 
     /// Classifies this combination as one of Table 1's rows.
-    pub fn classify(self) -> Named {
+    fn classify(self) -> Named {
         match (self.process, self.ret) {
             (ProcessChoice::ServerInvolved, ResultReturn::ServerPush) => Named::ServerReply,
             (ProcessChoice::ServerBypassed, ResultReturn::ClientFetch) => Named::ServerBypass,

@@ -61,7 +61,6 @@ pub struct RunQueue<T> {
     items: RefCell<VecDeque<T>>,
     pushes: Cell<u64>,
     steals: Cell<u64>,
-    max_depth: Cell<usize>,
 }
 
 impl<T> Default for RunQueue<T> {
@@ -76,16 +75,13 @@ impl<T> RunQueue<T> {
             items: RefCell::new(VecDeque::new()),
             pushes: Cell::new(0),
             steals: Cell::new(0),
-            max_depth: Cell::new(0),
         }
     }
 
     /// Owner end: enqueue newly admitted work.
     pub fn push(&self, item: T) {
-        let mut q = self.items.borrow_mut();
-        q.push_back(item);
+        self.items.borrow_mut().push_back(item);
         self.pushes.set(self.pushes.get() + 1);
-        self.max_depth.set(self.max_depth.get().max(q.len()));
     }
 
     /// Owner end: dequeue in admission order.
@@ -124,11 +120,6 @@ impl<T> RunQueue<T> {
     /// Total items taken from the thief end.
     pub fn steals(&self) -> u64 {
         self.steals.get()
-    }
-
-    /// High-water queue depth.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth.get()
     }
 }
 
@@ -242,7 +233,6 @@ mod tests {
         q.push(2);
         q.push(3);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.max_depth(), 3);
         assert_eq!(q.steal(), Some(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));

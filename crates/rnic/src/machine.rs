@@ -91,11 +91,6 @@ impl Machine {
         self.registered_bytes.get()
     }
 
-    /// Memory regions ever registered on this machine.
-    pub fn mr_count(&self) -> u64 {
-        self.next_mr.get()
-    }
-
     /// Queue pairs with an endpoint on this machine.
     pub fn qp_endpoints(&self) -> u64 {
         self.qp_endpoints.get()
@@ -254,7 +249,7 @@ mod tests {
         let _a = m0.alloc_mr(100);
         let _b = m0.alloc_mr(28);
         assert_eq!(m0.registered_bytes(), 128);
-        assert_eq!(m0.mr_count(), 2);
+        assert_eq!(m0.next_mr.get(), 2);
         assert_eq!(m1.registered_bytes(), 0);
         let _qp = cluster.qp(0, 1);
         assert_eq!(m0.qp_endpoints(), 1);

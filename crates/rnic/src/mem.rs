@@ -131,12 +131,6 @@ impl MemRegion {
         f(&self.bytes.borrow())
     }
 
-    /// Borrow the raw bytes mutably for in-place update (local access
-    /// only).
-    pub fn with_bytes_mut<T>(&self, f: impl FnOnce(&mut [u8]) -> T) -> T {
-        f(&mut self.bytes.borrow_mut())
-    }
-
     /// Zero-fills the region (cold-restart wipe). Not a remote write:
     /// the write epoch does not advance and watchers are not woken.
     pub(crate) fn zero(&self) {
@@ -180,7 +174,7 @@ impl MemRegion {
     }
 
     /// Current remote-write epoch (increments once per remote WRITE).
-    pub fn write_epoch(&self) -> u64 {
+    fn write_epoch(&self) -> u64 {
         *self.write_epoch.borrow()
     }
 

@@ -58,12 +58,12 @@ pub enum Transport {
 
 impl Transport {
     /// Whether this transport supports one-sided READ.
-    pub fn supports_read(self) -> bool {
+    fn supports_read(self) -> bool {
         matches!(self, Transport::Rc)
     }
 
     /// Whether this transport supports one-sided WRITE.
-    pub fn supports_write(self) -> bool {
+    fn supports_write(self) -> bool {
         matches!(self, Transport::Rc | Transport::Uc)
     }
 

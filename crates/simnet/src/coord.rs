@@ -90,21 +90,6 @@ impl Semaphore {
             done: false,
         }
     }
-
-    /// Tries to take a permit without waiting. Fails while waiters are
-    /// queued even if a permit is momentarily free — barging past the
-    /// queue would undo the FIFO guarantee.
-    pub fn try_acquire(&self) -> Option<SemaphoreGuard> {
-        let mut st = self.state.borrow_mut();
-        if st.permits > 0 && st.waiting == 0 {
-            st.permits -= 1;
-            Some(SemaphoreGuard {
-                state: Rc::clone(&self.state),
-            })
-        } else {
-            None
-        }
-    }
 }
 
 /// Future returned by [`Semaphore::acquire`].
@@ -295,15 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_try_acquire() {
-        let sem = Semaphore::new(1);
-        let g = sem.try_acquire().expect("one permit");
-        assert!(sem.try_acquire().is_none());
-        drop(g);
-        assert!(sem.try_acquire().is_some());
-    }
-
-    #[test]
     fn semaphore_admits_in_arrival_order() {
         let mut sim = Simulation::new(0);
         let sem = Semaphore::new(1);
@@ -322,48 +298,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn semaphore_try_acquire_does_not_barge_past_waiters() {
-        let mut sim = Simulation::new(0);
-        let sem = Semaphore::new(1);
-        let waiter_got_it = Rc::new(Cell::new(false));
-        {
-            let s = sem.clone();
-            let h = sim.handle();
-            sim.spawn(async move {
-                let _g = s.acquire().await;
-                h.sleep(SimSpan::nanos(100)).await;
-            });
-        }
-        {
-            let s = sem.clone();
-            let w = Rc::clone(&waiter_got_it);
-            let h = sim.handle();
-            sim.spawn(async move {
-                h.sleep(SimSpan::nanos(10)).await;
-                let _g = s.acquire().await;
-                w.set(true);
-            });
-        }
-        {
-            let s = sem.clone();
-            let w = Rc::clone(&waiter_got_it);
-            let h = sim.handle();
-            sim.spawn(async move {
-                // At t=50 the permit is held and a waiter is queued; at
-                // t=150 the release has been handed to the queued
-                // waiter — try_acquire must never jump that queue.
-                h.sleep(SimSpan::nanos(50)).await;
-                assert!(s.try_acquire().is_none());
-                h.sleep(SimSpan::nanos(100)).await;
-                assert!(w.get(), "queued waiter admitted first");
-            });
-        }
-        sim.run();
-        assert!(waiter_got_it.get());
-        assert_eq!(sem.available(), 1);
     }
 
     #[test]

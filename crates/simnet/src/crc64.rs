@@ -80,15 +80,6 @@ pub fn crc64(bytes: &[u8]) -> u64 {
     c.finish()
 }
 
-/// One-shot CRC-64 of the concatenation of two slices (saves callers a
-/// copy when checksumming `key ‖ value`).
-pub fn crc64_pair(a: &[u8], b: &[u8]) -> u64 {
-    let mut c = Crc64::new();
-    c.update(a);
-    c.update(b);
-    c.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +102,6 @@ mod tests {
         c.update(&data[..7]);
         c.update(&data[7..]);
         assert_eq!(c.finish(), crc64(data));
-        assert_eq!(crc64_pair(&data[..7], &data[7..]), crc64(data));
     }
 
     #[test]

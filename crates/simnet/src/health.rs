@@ -566,7 +566,7 @@ pub struct CoreSkewReport {
 
 impl CoreSkewReport {
     /// Total requests executed across all cores.
-    pub fn total_served(&self) -> u64 {
+    fn total_served(&self) -> u64 {
         self.cores.iter().map(|c| c.served).sum()
     }
 

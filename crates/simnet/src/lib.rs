@@ -58,16 +58,16 @@ mod time;
 mod timeout;
 
 pub use coord::{Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
-pub use crc64::{crc64, crc64_pair, Crc64};
+pub use crc64::{crc64, Crc64};
 pub use executor::{EventSink, ExecutorStats, SimHandle, Simulation, Sleep, Wakeup};
 pub use health::{
     Anomaly, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad, CoreSkewReport,
     DumpBundle, HealthConfig, HealthHub, HealthReport, HealthSignal,
 };
-pub use metrics::{prometheus_name, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightEvent, FlightRecorder, Severity};
 pub use resource::FifoServer;
-pub use retry::{retry, retry_with_deadline, RetryExhausted, RetryPolicy};
+pub use retry::{retry, RetryExhausted, RetryPolicy};
 pub use sampler::{SampleRow, TimeSeriesSampler};
 pub use slab::{Slab, SlabKey};
 pub use span::{Phase, RequestTrace, SpanRecorder};

@@ -134,7 +134,7 @@ impl MetricsSnapshot {
 
     /// Writes the snapshot in the Prometheus text exposition format.
     ///
-    /// Metric names are sanitized with [`prometheus_name`]; counters get
+    /// Metric names are sanitized with `prometheus_name`; counters get
     /// a `_total` suffix and a `# TYPE` line, gauges export their level,
     /// and histograms are expanded to cumulative `_bucket{le="..."}`
     /// lines synthesized from the stored percentiles (nearest-rank
@@ -229,7 +229,7 @@ impl MetricsSnapshot {
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other character becomes `_`, and
 /// a leading digit gets a `_` prefix. Stable: the same input always
 /// yields the same output.
-pub fn prometheus_name(name: &str) -> String {
+fn prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         match c {

@@ -109,8 +109,8 @@ struct Inner {
 /// let rec = FlightRecorder::new(64);
 /// let t = SimTime::from_nanos(100);
 /// let root = rec.record(t, Some(3), 7, Severity::Warn, "recovery.deadlines", "expired");
-/// rec.record_caused(t, Some(3), 7, Severity::Warn, "recovery.resubmits", "retrying", Some(root));
-/// assert_eq!(rec.chain(rec.last_id().unwrap()).len(), 2);
+/// let leaf = rec.record_caused(t, Some(3), 7, Severity::Warn, "recovery.resubmits", "retrying", Some(root));
+/// assert_eq!(rec.chain(leaf).len(), 2);
 /// ```
 #[derive(Clone)]
 pub struct FlightRecorder {
@@ -215,12 +215,6 @@ impl FlightRecorder {
         self.inner.borrow().dropped
     }
 
-    /// Id of the most recently recorded event, if any was ever recorded.
-    pub fn last_id(&self) -> Option<u64> {
-        let inner = self.inner.borrow();
-        (inner.next_id > 1).then_some(inner.next_id - 1)
-    }
-
     /// Cumulative count of events of `kind` (survives ring eviction).
     pub fn kind_count(&self, kind: &str) -> u64 {
         self.inner
@@ -317,7 +311,6 @@ mod tests {
         let a = rec.record(t(1), Some(0), 1, Severity::Info, "a", "first");
         let b = rec.record(t(2), Some(0), 1, Severity::Warn, "b", "second");
         assert_eq!((a, b), (1, 2));
-        assert_eq!(rec.last_id(), Some(2));
         let snap = rec.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].kind, "a");

@@ -38,7 +38,6 @@ pub struct FifoServer {
     next_free: Cell<SimTime>,
     busy: Cell<SimSpan>,
     completed: Cell<u64>,
-    queue_wait: Cell<SimSpan>,
 }
 
 impl FifoServer {
@@ -49,7 +48,6 @@ impl FifoServer {
             next_free: Cell::new(SimTime::ZERO),
             busy: Cell::new(SimSpan::ZERO),
             completed: Cell::new(0),
-            queue_wait: Cell::new(SimSpan::ZERO),
         }
     }
 
@@ -62,13 +60,10 @@ impl FifoServer {
     /// [`FifoServer::serve`] for callers that are not tasks: enqueues
     /// the request and returns the instant the server finishes it.
     pub fn reserve(&self, demand: SimSpan) -> SimTime {
-        let now = self.handle.now();
-        let start = self.next_free.get().max(now);
-        let finish = start + demand;
+        let finish = self.next_free.get().max(self.handle.now()) + demand;
         self.next_free.set(finish);
         self.busy.set(self.busy.get() + demand);
         self.completed.set(self.completed.get() + 1);
-        self.queue_wait.set(self.queue_wait.get() + (start - now));
         finish
     }
 
@@ -87,17 +82,11 @@ impl FifoServer {
         self.completed.get()
     }
 
-    /// Sum of time requests spent waiting in queue before service.
-    pub fn total_queue_wait(&self) -> SimSpan {
-        self.queue_wait.get()
-    }
-
-    /// Resets the measurement counters (busy time, completions, waits)
-    /// without touching queued work; used to discard warm-up.
+    /// Resets the measurement counters (busy time, completions) without
+    /// touching queued work; used to discard warm-up.
     pub fn reset_stats(&self) {
         self.busy.set(SimSpan::ZERO);
         self.completed.set(0);
-        self.queue_wait.set(SimSpan::ZERO);
     }
 }
 
@@ -152,15 +141,19 @@ mod tests {
     fn fifo_queue_wait_accumulates() {
         let mut sim = Simulation::new(0);
         let server = Rc::new(FifoServer::new(sim.handle()));
+        let done = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..3 {
             let s = Rc::clone(&server);
+            let d = Rc::clone(&done);
+            let h = sim.handle();
             sim.spawn(async move {
                 s.serve(SimSpan::nanos(100)).await;
+                d.borrow_mut().push(h.now().as_nanos());
             });
         }
         sim.run();
-        // Waits: 0 + 100 + 200.
-        assert_eq!(server.total_queue_wait().as_nanos(), 300);
+        // Waits of 0, 100 and 200 ns ahead of each 100 ns service.
+        assert_eq!(*done.borrow(), vec![100, 200, 300]);
     }
 
     #[test]

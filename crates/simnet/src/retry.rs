@@ -89,26 +89,6 @@ pub struct RetryExhausted<E> {
 pub async fn retry<T, E, F, Fut>(
     handle: &SimHandle,
     policy: &RetryPolicy,
-    jitter_unit: impl FnMut() -> f64,
-    op: F,
-) -> Result<T, RetryExhausted<E>>
-where
-    F: FnMut(u32) -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-{
-    retry_with_deadline(handle, policy, None, jitter_unit, op).await
-}
-
-/// [`retry`] with an absolute deadline clamped onto the backoff
-/// schedule: no sleep ever runs past `deadline`, and once the clock
-/// reaches it the loop gives up with the last error instead of making
-/// another attempt — a jittered backoff can never overshoot the
-/// deadline it is supposed to enforce. `None` behaves exactly like
-/// [`retry`].
-pub async fn retry_with_deadline<T, E, F, Fut>(
-    handle: &SimHandle,
-    policy: &RetryPolicy,
-    deadline: Option<crate::time::SimTime>,
     mut jitter_unit: impl FnMut() -> f64,
     mut op: F,
 ) -> Result<T, RetryExhausted<E>>
@@ -129,26 +109,9 @@ where
                         last: e,
                     });
                 }
-                let mut pause = policy.backoff_for(attempt, jitter_unit());
-                if let Some(d) = deadline {
-                    if handle.now() >= d {
-                        return Err(RetryExhausted {
-                            attempts: attempt,
-                            last: e,
-                        });
-                    }
-                    pause = pause.min(d.since(handle.now()));
-                }
+                let pause = policy.backoff_for(attempt, jitter_unit());
                 if !pause.is_zero() {
                     handle.sleep(pause).await;
-                }
-                if let Some(d) = deadline {
-                    if handle.now() >= d {
-                        return Err(RetryExhausted {
-                            attempts: attempt,
-                            last: e,
-                        });
-                    }
                 }
             }
         }
@@ -223,89 +186,14 @@ mod tests {
     }
 
     #[test]
-    fn deadline_clamps_backoff_and_stops_the_loop() {
-        let mut sim = Simulation::new(0);
-        let h = sim.handle();
-        let done = Rc::new(Cell::new(false));
-        let flag = Rc::clone(&done);
-        sim.spawn(async move {
-            // 100µs backoff against a 30µs deadline: the first pause is
-            // clamped to the deadline, then the loop gives up instead of
-            // attempting again past it.
-            let policy =
-                RetryPolicy::exponential(10, SimSpan::micros(100), SimSpan::millis(1), 0.0);
-            let deadline = crate::time::SimTime::from_nanos(30_000);
-            let calls = Cell::new(0u32);
-            let out: Result<(), _> = retry_with_deadline(
-                &h,
-                &policy,
-                Some(deadline),
-                || 0.5,
-                |_| {
-                    calls.set(calls.get() + 1);
-                    async { Err("down") }
-                },
-            )
-            .await;
-            assert_eq!(
-                out,
-                Err(RetryExhausted {
-                    attempts: 1,
-                    last: "down"
-                })
-            );
-            assert_eq!(calls.get(), 1);
-            // Slept exactly to the deadline, not the full 100µs backoff.
-            assert_eq!(h.now().as_nanos(), 30_000);
-            flag.set(true);
-        });
-        sim.run();
-        assert!(done.get());
-    }
-
-    #[test]
-    fn deadline_already_passed_skips_the_sleep() {
-        let mut sim = Simulation::new(0);
-        let h = sim.handle();
-        let done = Rc::new(Cell::new(false));
-        let flag = Rc::clone(&done);
-        sim.spawn(async move {
-            h.sleep(SimSpan::micros(50)).await;
-            let policy = RetryPolicy::exponential(10, SimSpan::micros(10), SimSpan::millis(1), 0.0);
-            let deadline = crate::time::SimTime::from_nanos(20_000);
-            let out: Result<(), _> = retry_with_deadline(
-                &h,
-                &policy,
-                Some(deadline),
-                || 0.5,
-                |_| async { Err("down") },
-            )
-            .await;
-            assert_eq!(
-                out,
-                Err(RetryExhausted {
-                    attempts: 1,
-                    last: "down"
-                })
-            );
-            // No sleep at all: the deadline predated the first failure.
-            assert_eq!(h.now().as_nanos(), 50_000);
-            flag.set(true);
-        });
-        sim.run();
-        assert!(done.get());
-    }
-
-    #[test]
-    fn no_deadline_matches_plain_retry() {
+    fn exhausted_retry_sleeps_every_backoff() {
         let mut sim = Simulation::new(0);
         let h = sim.handle();
         let done = Rc::new(Cell::new(false));
         let flag = Rc::clone(&done);
         sim.spawn(async move {
             let policy = RetryPolicy::exponential(3, SimSpan::micros(10), SimSpan::millis(1), 0.0);
-            let out: Result<(), _> =
-                retry_with_deadline(&h, &policy, None, || 0.5, |_| async { Err(()) }).await;
+            let out: Result<(), _> = retry(&h, &policy, || 0.5, |_| async { Err(()) }).await;
             assert!(out.is_err());
             // Two full backoffs: 10µs + 20µs.
             assert_eq!(h.now().as_nanos(), 30_000);

@@ -91,7 +91,7 @@ impl RequestTrace {
     }
 
     /// When the request was issued.
-    pub fn started_at(&self) -> SimTime {
+    fn started_at(&self) -> SimTime {
         self.marks[0].0
     }
 

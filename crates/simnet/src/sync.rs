@@ -45,11 +45,6 @@ impl Signal {
         self.state.borrow_mut().fired = false;
     }
 
-    /// Whether the signal is currently fired.
-    pub fn is_fired(&self) -> bool {
-        self.state.borrow().fired
-    }
-
     /// Completes once the signal has fired.
     pub fn wait(&self) -> SignalWait {
         SignalWait {
@@ -243,12 +238,6 @@ impl SimLock {
         SimLock::default()
     }
 
-    /// Whether the lock is currently held or queued for.
-    pub fn is_locked(&self) -> bool {
-        let st = self.state.borrow();
-        st.next_ticket != st.now_serving
-    }
-
     /// Suspends until the lock is acquired; returns the RAII guard.
     pub fn lock(&self) -> LockAcquire {
         LockAcquire {
@@ -432,11 +421,21 @@ mod tests {
 
     #[test]
     fn signal_reset_blocks_again() {
+        let mut sim = Simulation::new(0);
         let sig = Signal::new();
         sig.fire();
-        assert!(sig.is_fired());
         sig.reset();
-        assert!(!sig.is_fired());
+        let woke = Rc::new(Cell::new(false));
+        let (s, w) = (sig.clone(), Rc::clone(&woke));
+        sim.spawn(async move {
+            s.wait().await;
+            w.set(true);
+        });
+        sim.run();
+        assert!(!woke.get(), "a reset signal blocks its waiters");
+        sig.fire();
+        sim.run();
+        assert!(woke.get());
     }
 
     #[test]

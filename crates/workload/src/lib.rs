@@ -114,11 +114,6 @@ impl Op {
             Op::Get { key } | Op::Put { key, .. } => key,
         }
     }
-
-    /// Whether this is a GET.
-    pub fn is_get(&self) -> bool {
-        matches!(self, Op::Get { .. })
-    }
 }
 
 /// Workload description (one per experiment).
@@ -246,7 +241,7 @@ impl Generator {
     /// Materialises key id `id` as `key_len` bytes (id little-endian,
     /// then a deterministic fill — matching how YCSB pads "userNNN"
     /// keys to a fixed width).
-    pub fn key_bytes(&self, id: u64) -> Vec<u8> {
+    fn key_bytes(&self, id: u64) -> Vec<u8> {
         let mut key = vec![0u8; self.spec.key_len];
         key[..8].copy_from_slice(&id.to_le_bytes());
         for (i, b) in key.iter_mut().enumerate().skip(8) {
@@ -316,7 +311,9 @@ mod tests {
             ..WorkloadSpec::paper_default()
         };
         let mut g = spec.generator(7);
-        let gets = (0..10_000).filter(|_| g.next_op().is_get()).count();
+        let gets = (0..10_000)
+            .filter(|_| matches!(g.next_op(), Op::Get { .. }))
+            .count();
         let frac = gets as f64 / 10_000.0;
         assert!((0.93..0.97).contains(&frac), "{frac}");
     }

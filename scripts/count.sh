@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Plurality counters: how much code, how many knobs, how many copies of
 # the server's ring drain. CHANGES.md quotes the before/after of a
-# simplification PR from here instead of ad-hoc greps; ci.sh gates one
-# line, the dormant-knob count.
+# simplification PR from here instead of ad-hoc greps; ci.sh gates two
+# lines, the dormant-knob and unreferenced-pub-item counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,7 +51,7 @@ echo "pub fields of pub struct *Config: $(grep -c . <<<"$fields")" \
 # Allowed: `CoresConfig::window` — nobody sets it, but the frozen
 # benchmark reads it (benchmark/src/rigs.rs), so it stays a `pub` field.
 allowed_dormant='CoresConfig::window'
-mapfile -t scanned < <(find crates benchmark/src tests examples -name '*.rs' -not -path '*/target/*' | sort)
+mapfile -t scanned < <(find crates src benchmark/src tests examples -name '*.rs' -not -path '*/target/*' | sort)
 settable=$(awk '/^impl Default for / { d = 1 }
                 d { if (/^\}/) d = 0; next }
                 /^[ \t]*\/\// { next }
@@ -66,5 +66,32 @@ while IFS= read -r field; do
 done < <(sed 's/: .*//' <<<"$fields")
 echo "dormant knobs: ${#dormant[@]}"
 for field in "${dormant[@]}"; do echo "  $field"; done
+
+# Unreferenced pub items: a `pub fn` or `pub const` under crates/*/src
+# whose name appears in no other scanned file. A `pub use` re-export
+# (single- or multi-line) is not a caller. Types are left out: a future,
+# guard, view or error type is reached through the signature of a pub fn
+# that is called, without anyone naming it. An item used only in its own
+# file is private; one used nowhere is deleted.
+# Allowed, each kept for a named open item of ROADMAP.md:
+#   events_for        4(b) the flight recorder's per-connection query
+#   write_prometheus  4(f) the registry's text exposition
+#   inbound_knee_bytes 2(b) the NIC profile's in-bound IOPS knee
+allowed_unreferenced='events_for write_prometheus inbound_knee_bytes'
+refs=$(awk 'FNR == 1 { skip = 0 }
+            skip { if (/;/) skip = 0; next }
+            /^[ \t]*pub(\([a-z]+\))? use / { if (!/;/) skip = 1; next }
+            { n = split($0, t, /[^A-Za-z0-9_]+/)
+              for (i = 1; i <= n; i++) if (t[i] != "") print t[i] "\t" FILENAME }' "${scanned[@]}" | sort -u)
+pub_items=$(awk '/^[ \t]*pub (async |const |unsafe )*(fn|const) [A-Za-z_]/ {
+                   line = $0; sub(/^[ \t]*pub (async |const |unsafe )*(fn|const) /, "", line)
+                   match(line, /^[A-Za-z_][A-Za-z0-9_]*/); print substr(line, 1, RLENGTH) "\t" FILENAME }' "${all[@]}")
+unreferenced=$(awk -F'\t' -v allowed="$allowed_unreferenced" '
+  BEGIN { split(allowed, a, " "); for (i in a) ok[a[i]] = 1 }
+  NR == FNR { files[$1]++; has[$1, $2] = 1; next }
+  !($1 in ok) && files[$1] - has[$1, $2] == 0 { print "  " $2 ": " $1 }' \
+  <(echo "$refs") <(echo "$pub_items"))
+echo "unreferenced pub items: $(grep -c . <<<"$unreferenced" || true)"
+[[ -z $unreferenced ]] || echo "$unreferenced"
 echo "try_recv( call sites under crates/*/src:"
 grep -c 'try_recv(' "${all[@]}" | grep -v ':0$' | sed 's/^/  /'
