@@ -219,7 +219,10 @@ fn ablation_param_selection(w: &mut dyn Write) -> io::Result<()> {
 
 /// Pipelining / doorbell batching — the optimizations the paper sets
 /// aside in §2.2: per-thread read throughput vs in-flight window depth,
-/// synchronous vs posted vs doorbell-batched.
+/// posted (one doorbell per READ) vs doorbell-batched (one per window).
+/// Depth 1 is the synchronous client. The two series are equal at every
+/// depth: the client NIC's out-bound engine binds before the issue cost
+/// a shared doorbell saves.
 pub fn ablation_pipelining(w: &mut dyn Write) -> io::Result<()> {
     use rfp_rnic::Cluster;
     use rfp_simnet::Simulation;

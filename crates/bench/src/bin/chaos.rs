@@ -2,8 +2,9 @@
 //!
 //! Runs one scenario per fault class (plus a fault-free baseline and a
 //! seeded mixed plan) on the recovery-enabled chaos rig and reports, per
-//! scenario, throughput, recovery effort, recovery time, and the two
-//! safety invariants (lost acked writes, stale reads). Fully
+//! scenario, throughput, recovery effort, recovery time, the two safety
+//! invariants (lost acked writes, stale reads) and the GETs answered
+//! `NotFound` — the only mark a cold restart's memory wipe leaves. Fully
 //! deterministic per seed: running twice with the same seed prints the
 //! same bytes.
 //!
@@ -99,7 +100,7 @@ fn main() {
         WINDOW.as_nanos() / 1_000_000
     );
     println!(
-        "scenario,completed,acked_puts,failed_calls,lost_acked,stale_reads,\
+        "scenario,completed,acked_puts,failed_calls,lost_acked,stale_reads,not_found,\
          recovery_us_max,resubmits,reconnects,deadlines,verb_errors,faults_fired,\
          rejected,busy_rejects,sheds"
     );
@@ -148,12 +149,13 @@ fn main() {
         let busy_rejects = scalar("overload.busy_rejections");
         let sheds = scalar("overload.sheds");
         println!(
-            "{name},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{name},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             st.completed.get(),
             st.acked_puts.get(),
             st.failed_calls.get(),
             st.lost_acked.get(),
             st.stale_reads.get(),
+            st.not_found.get(),
             recovery_us,
             scalar("recovery.resubmits"),
             scalar("recovery.reconnects"),
@@ -169,6 +171,7 @@ fn main() {
             ("completed", st.completed.get()),
             ("lost_acked", st.lost_acked.get()),
             ("stale_reads", st.stale_reads.get()),
+            ("not_found", st.not_found.get()),
             ("recovery_us_max", recovery_us),
             ("rejected", st.rejected_calls.get()),
             ("sheds", sheds),
@@ -191,6 +194,15 @@ fn main() {
             assert_eq!(st.lost_acked.get(), 0, "{name}: an acked write was lost");
         }
     }
+
+    // A cold restart comes back with wiped memory, a warm one does not:
+    // the wipe surfaces as the extra keys a GET no longer finds.
+    let snap = bench.snapshot();
+    let not_found = |name: &str| snap.scalar(&format!("bench.chaos.{name}.not_found"));
+    assert!(
+        not_found("cold_restart") > not_found("warm_restart"),
+        "a cold restart must lose keys a warm restart keeps"
+    );
 
     let path = emit_bench_json("chaos").expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());

@@ -76,16 +76,6 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
             // regression also carries the gray-failure signature.
             allowed: &[RetrySpike, GrayFailure],
         },
-        // A fail-slow serve loop: every call still completes, nothing
-        // errors, sheds, or reconnects — the distinctive symptom is the
-        // *rootless* regression the gray-failure detector exists for.
-        Scenario {
-            name: "gray_slow_server",
-            plan: Some(FaultPlan::new(seed).slow_server(FAULT_AT, FAULT_SPAN, 0, 16.0)),
-            overload: false,
-            signature: Some((GrayFailure, "chaos.slow_server")),
-            allowed: &[LatencyRegression, RetrySpike],
-        },
         // A fail-slow link: the wire itself lags while the RC transport
         // stays error-free — gray again, rooted at `chaos.slow_link`.
         Scenario {

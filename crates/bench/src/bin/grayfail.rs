@@ -3,7 +3,7 @@
 //!
 //! Runs `{slow_link, flaky_link, slow_server} × {baseline,
 //! scored-routing, +hedging}` plus one clean reference cell and
-//! reports, per cell, the measurement-phase read p99, the safety
+//! reports, per cell, the measurement-phase read count and p99, the safety
 //! counters, the hedge/budget ledgers, and whether the recorded
 //! history passes the linearizability checker. The headline
 //! acceptance, asserted on every run:
@@ -51,13 +51,14 @@ const AMPLIFICATION_BOUND: f64 = 2.0;
 /// Added one-way wire latency of the slow-link scenario (~20× the
 /// healthy propagation delay — a dying cable, not a dead one).
 const SLOW_LINK_LAG_NS: u64 = 30_000;
-/// Loss rate of the flaky-link scenario: heavy RC retransmission, far
-/// under anything that errors a verb (the recovery threshold). The
-/// latency inflation it can cause is *capped* by the retransmit-round
-/// limit (~8 rounds per verb), which is exactly what makes it the
-/// hardest scenario for the scorer.
+/// Loss rate of the flaky-link scenario, a loss burst that never
+/// heals: heavy RC retransmission, far under anything that errors a
+/// verb (the recovery threshold). The latency inflation it can cause
+/// is *capped* by the retransmit-round limit (~8 rounds per verb),
+/// which is exactly what makes it the hardest scenario for the scorer.
 const FLAKY_LOSS: f64 = 0.9;
-/// CPU multiplier of the slow-server scenario.
+/// CPU multiplier of the slow-server scenario, a straggler that never
+/// heals.
 const SLOW_SERVER_FACTOR: f64 = 30.0;
 
 struct CellResult {
@@ -71,9 +72,9 @@ fn plan_for(seed: u64, scenario: &str) -> Option<FaultPlan> {
         "slow_link" => {
             Some(FaultPlan::new(seed).slow_link(FAULT_AT, FAULT_SPAN, 0, SLOW_LINK_LAG_NS))
         }
-        "flaky_link" => Some(FaultPlan::new(seed).flaky_link(FAULT_AT, FAULT_SPAN, 0, FLAKY_LOSS)),
+        "flaky_link" => Some(FaultPlan::new(seed).loss_burst(FAULT_AT, FAULT_SPAN, 0, FLAKY_LOSS)),
         "slow_server" => {
-            Some(FaultPlan::new(seed).slow_server(FAULT_AT, FAULT_SPAN, 0, SLOW_SERVER_FACTOR))
+            Some(FaultPlan::new(seed).straggler(FAULT_AT, FAULT_SPAN, 0, SLOW_SERVER_FACTOR))
         }
         other => panic!("unknown scenario {other}"),
     }
@@ -209,6 +210,7 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
     for (metric, value) in [
         ("completed", st.completed.get()),
         ("lost_acked", st.lost_acked.get()),
+        ("meas_reads", reads.len() as u64),
         ("read_p99_us", p99_ns / 1_000),
         ("demotions", demotions),
         ("hedges", hedges),

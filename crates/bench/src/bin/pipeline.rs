@@ -4,8 +4,9 @@
 //! batches of echo calls through [`RfpClient::call_pipelined`], which
 //! keeps up to `W` calls outstanding in the connection's slot ring and
 //! polls all of their fetch READs with **one doorbell ring per round**
-//! (`post_read_batch`). The sweep runs `W ∈ {1, 2, 4, 8, 16}` across
-//! 16–512 B payloads and reports:
+//! (`post_read_batch`). The sweep runs `W ∈ {1, 2, 4, 8, 16}` at one
+//! payload below the server NIC's in-bound knee and one above it, and
+//! reports:
 //!
 //! - throughput (Mops) — the pipelining win: request WRITEs and fetch
 //!   READs of `W` calls share their wire round trips;
@@ -30,14 +31,17 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, RESP_HDR};
+use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, REQ_HDR, RESP_HDR};
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{SimSpan, Simulation};
 
 /// Ring windows swept (powers of two; 1 = the sequential layout).
 const WINDOWS: [usize; 5] = [1, 2, 4, 8, 16];
-/// Request/response payload sizes swept (bytes).
-const PAYLOADS: [usize; 4] = [16, 32, 128, 512];
+/// Request/response payload sizes swept (bytes): the 32 B echo under
+/// the in-bound knee and 512 B over it. Every request under the knee
+/// costs the server NIC the same in-bound op, so one cell stands for
+/// all of them.
+const PAYLOADS: [usize; 2] = [32, 512];
 /// Calls handed to each `call_pipelined` invocation: large enough that
 /// the ring stays full for many refills per batch.
 const BATCH: usize = 64;
@@ -178,6 +182,13 @@ fn main() {
         .nth(1)
         .map(|s| s.parse::<u64>().expect("seed must be a u64"))
         .unwrap_or(42);
+
+    let knee = ClusterProfile::paper_testbed().nic.inbound_knee_bytes();
+    let [below, above] = PAYLOADS;
+    assert!(
+        below + REQ_HDR < knee && knee < above + REQ_HDR,
+        "payload cells {PAYLOADS:?} must straddle the {knee} B in-bound knee"
+    );
 
     println!("# pipeline sweep: single-client throughput vs ring window W");
     println!(

@@ -107,9 +107,7 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
         | FaultKind::Crash { machine, .. }
         | FaultKind::TornDma { machine, .. }
         | FaultKind::BitFlip { machine, .. }
-        | FaultKind::SlowLink { machine, .. }
-        | FaultKind::FlakyLink { machine, .. }
-        | FaultKind::SlowServer { machine, .. } = &event.kind
+        | FaultKind::SlowLink { machine, .. } = &event.kind
         {
             assert!(
                 *machine < cluster.len(),
@@ -137,9 +135,7 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
             | FaultKind::Crash { machine, .. }
             | FaultKind::TornDma { machine, .. }
             | FaultKind::BitFlip { machine, .. }
-            | FaultKind::SlowLink { machine, .. }
-            | FaultKind::FlakyLink { machine, .. }
-            | FaultKind::SlowServer { machine, .. } => Some(cluster.machine(*machine)),
+            | FaultKind::SlowLink { machine, .. } => Some(cluster.machine(*machine)),
             FaultKind::Partition { from, .. } => Some(cluster.machine(*from)),
             FaultKind::LinkDegrade { .. } => None,
         };
@@ -227,32 +223,6 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                     handle.sleep(event.duration).await;
                     m.faults().set_wire_lag(0);
                     sinks.ended(handle.now(), format!("machine {machine}: slow link over"));
-                }
-                FaultKind::FlakyLink { machine, loss } => {
-                    let m = target.expect("flaky link has a target");
-                    m.faults().set_extra_loss(loss);
-                    sinks.count("fault.flaky_links");
-                    sinks.flight(
-                        at,
-                        "chaos.flaky_link",
-                        format!("machine {machine}: flaky link loss {loss:.3}"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().set_extra_loss(0.0);
-                    sinks.ended(handle.now(), format!("machine {machine}: flaky link over"));
-                }
-                FaultKind::SlowServer { machine, factor } => {
-                    let m = target.expect("slow server has a target");
-                    m.faults().set_cpu_factor(factor);
-                    sinks.count("fault.slow_servers");
-                    sinks.flight(
-                        at,
-                        "chaos.slow_server",
-                        format!("machine {machine}: serve loop slowed {factor:.2}x"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().set_cpu_factor(1.0);
-                    sinks.ended(handle.now(), format!("machine {machine}: slow server over"));
                 }
                 FaultKind::Partition { from, to } => {
                     let m = target.expect("partition has a source");

@@ -17,7 +17,8 @@ pub enum FaultKind {
     /// Extra unreliable-transport loss probability on one machine's NIC
     /// for the event's duration (compounds with the profile's base
     /// loss); RC traffic instead pays probabilistic retransmission
-    /// delays.
+    /// delays. A flaky link is a loss burst under the recovery
+    /// threshold that outlives the run.
     LossBurst {
         /// Target machine index.
         machine: usize,
@@ -31,7 +32,8 @@ pub enum FaultKind {
         factor: f64,
     },
     /// CPU-time multiplier on one machine's threads for the duration
-    /// (a straggler core: thermal throttling, a noisy neighbour).
+    /// (a straggler core: thermal throttling, a noisy neighbour). A
+    /// fail-slow server is a straggler window that outlives the run.
     Straggler {
         /// Target machine index.
         machine: usize,
@@ -80,30 +82,6 @@ pub enum FaultKind {
         machine: usize,
         /// Mean added one-way latency in nanoseconds.
         lag_ns: u64,
-    },
-    /// Fail-slow lossy link on one machine: a *sub-recovery-threshold*
-    /// loss rate (RC traffic pays retransmission delays, unreliable
-    /// traffic drops) that degrades the tail without tripping any
-    /// deadline-based failover. Mechanically a loss window like
-    /// [`FaultKind::LossBurst`], but injected and accounted as its own
-    /// gray class.
-    FlakyLink {
-        /// Target machine index.
-        machine: usize,
-        /// Additional loss probability in `[0, 1]` (keep it under the
-        /// recovery threshold for a true gray failure).
-        loss: f64,
-    },
-    /// Fail-slow server on one machine: serve-loop processing cost is
-    /// multiplied for the duration (a core stuck at its lowest P-state,
-    /// a runaway co-tenant). Mechanically a CPU-factor window like
-    /// [`FaultKind::Straggler`], but injected and accounted as its own
-    /// gray class.
-    SlowServer {
-        /// Target machine index.
-        machine: usize,
-        /// Serve-loop processing-cost multiplier (`> 1` slows).
-        factor: f64,
     },
     /// Asymmetric network partition for the event's duration: traffic
     /// `from → to` is dropped while the reverse direction keeps
@@ -212,16 +190,6 @@ impl FaultPlan {
         self.push(at, duration, FaultKind::SlowLink { machine, lag_ns })
     }
 
-    /// Schedules a fail-slow flaky-link window on `machine`.
-    pub fn flaky_link(self, at: SimTime, duration: SimSpan, machine: usize, loss: f64) -> Self {
-        self.push(at, duration, FaultKind::FlakyLink { machine, loss })
-    }
-
-    /// Schedules a fail-slow server window on `machine`.
-    pub fn slow_server(self, at: SimTime, duration: SimSpan, machine: usize, factor: f64) -> Self {
-        self.push(at, duration, FaultKind::SlowServer { machine, factor })
-    }
-
     /// Schedules an asymmetric partition dropping `from → to` traffic
     /// for `duration` (call twice, swapped, for a symmetric cut).
     pub fn partition(self, at: SimTime, duration: SimSpan, from: usize, to: usize) -> Self {
@@ -285,8 +253,8 @@ mod tests {
             .bit_flip(SimTime::from_nanos(50), SimSpan::micros(2), 0, 0.1)
             .partition(SimTime::from_nanos(60), SimSpan::micros(3), 1, 0)
             .slow_link(SimTime::from_nanos(70), SimSpan::micros(4), 0, 25_000)
-            .flaky_link(SimTime::from_nanos(80), SimSpan::micros(4), 1, 0.1)
-            .slow_server(SimTime::from_nanos(90), SimSpan::micros(4), 0, 20.0);
+            .link_degrade(SimTime::from_nanos(80), SimSpan::micros(4), 3.0)
+            .straggler(SimTime::from_nanos(90), SimSpan::micros(4), 0, 20.0);
         assert_eq!(plan.len(), 9);
         assert_eq!(plan.events()[1].duration, SimSpan::ZERO);
         assert!(matches!(
@@ -314,11 +282,11 @@ mod tests {
         ));
         assert!(matches!(
             plan.events()[7].kind,
-            FaultKind::FlakyLink { machine: 1, .. }
+            FaultKind::LinkDegrade { .. }
         ));
         assert!(matches!(
             plan.events()[8].kind,
-            FaultKind::SlowServer { machine: 0, .. }
+            FaultKind::Straggler { machine: 0, .. }
         ));
     }
 

@@ -356,8 +356,8 @@ pub fn spawn_failover_kv(
 
 /// Spawns the gray-failure preset (configure it from
 /// [`FailoverChaosConfig::grayfail`]); pass a [`FaultPlan`] carrying
-/// `slow_link` / `flaky_link` / `slow_server` windows to install its
-/// injector. The backup is never promoted, and either replica rebuilds
+/// fail-slow windows (`slow_link`, or a `loss_burst` / `straggler` that
+/// never heals) to install its injector. The backup is never promoted, and either replica rebuilds
 /// its connection state after a restart.
 pub fn spawn_grayfail_kv(
     sim: &mut Simulation,

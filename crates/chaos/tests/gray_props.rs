@@ -3,11 +3,12 @@
 //! Two families:
 //!
 //! * **Hedging is safe under every chaos fault family** — crash, loss
-//!   burst, straggler, QP error, slow link, flaky link, slow server:
-//!   with routing + hedging + budgets all on, no hedge or retry ever
-//!   applies a write twice (the primary's apply ledger stays within
-//!   the issued-PUT ceiling while the server process lives, and every
-//!   acked PUT was applied), no acked write is lost, no read runs
+//!   burst, straggler, QP error, slow link (a flaky link is a loss
+//!   burst, a slow server a straggler): with routing + hedging +
+//!   budgets all on, no hedge or retry ever applies a write twice (the
+//!   primary's apply ledger stays within the issued-PUT ceiling while
+//!   the server process lives, and every acked PUT was applied), no
+//!   acked write is lost, no read runs
 //!   backwards, and the full history linearizes. A hedge response
 //!   crossing a seq or generation boundary would surface as exactly
 //!   one of those violations: the losing leg's late response fails the
@@ -43,8 +44,6 @@ fn family_plan(family: usize, seed: u64, machine: usize) -> FaultPlan {
         2 => p.straggler(FAULT_AT, FAULT_SPAN, machine, 8.0),
         3 => p.qp_error(FAULT_AT, machine),
         4 => p.slow_link(FAULT_AT, FAULT_SPAN, machine, 20_000),
-        5 => p.flaky_link(FAULT_AT, FAULT_SPAN, machine, 0.9),
-        6 => p.slow_server(FAULT_AT, FAULT_SPAN, machine, 16.0),
         _ => unreachable!(),
     }
 }
@@ -85,14 +84,14 @@ fn run_fingerprint(cfg: &FailoverChaosConfig, plan: Option<&FaultPlan>) -> (Vec<
 
 proptest! {
     /// Safety under every chaos fault family (256 cases spread the
-    /// seven families over both machines): the write path may fail
+    /// five families over both machines): the write path may fail
     /// calls (a crashed primary with no promotion refuses progress
     /// for its downtime) but can never corrupt the register semantics
     /// hedging relies on.
     #[test]
     fn hedging_is_safe_under_every_fault_family(
         seed in 0u64..10_000,
-        family in 0usize..7,
+        family in 0usize..5,
         machine in 0usize..2,
     ) {
         let cfg = small_cfg(seed, Some(GrayConfig::all_on()), true);
@@ -145,8 +144,8 @@ fn gray_disabled_is_byte_identical() {
     let span = SimSpan::micros(300);
     let plan = FaultPlan::new(seed)
         .slow_link(FAULT_AT, span, 0, 25_000)
-        .flaky_link(FAULT_AT + SimSpan::micros(400), span, 0, 0.8)
-        .slow_server(FAULT_AT + SimSpan::micros(800), span, 0, 8.0);
+        .loss_burst(FAULT_AT + SimSpan::micros(400), span, 0, 0.8)
+        .straggler(FAULT_AT + SimSpan::micros(800), span, 0, 8.0);
     for plan in [None, Some(&plan)] {
         let plain = run_fingerprint(&small_cfg(seed, None, false), plan);
         let hedged = run_fingerprint(&small_cfg(seed, None, true), plan);

@@ -304,8 +304,8 @@ pub fn connect(
     let client = crate::client::RfpClient::new(Rc::clone(&shared), qp_c2s);
     // Scan-cost counters are shared registry-wide (no per-conn prefix):
     // the interesting number is the *aggregate* slots inspected per
-    // request served, which is what the fleet sweep's sub-linear-scan
-    // assertion reads. Resolved once here so the hot scan loop never
+    // request served, which is what the fleet bench exports. Resolved
+    // once here so the hot scan loop never
     // does a name lookup.
     let scan = shared.cfg.telemetry.as_ref().map(|t| ScanCounters {
         slots: t.registry.counter("serve.scan.slots"),

@@ -638,8 +638,10 @@ pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
 /// Shape of a multiplexed client fleet (see [`spawn_fleet_kv`]).
 #[derive(Clone)]
 pub struct FleetConfig {
-    /// Logical clients across the whole fleet. Cheap by design — this
-    /// is the axis the fleet bench sweeps to 10⁵.
+    /// Logical clients across the whole fleet. Free by design: every
+    /// call takes a fresh lease, so an idle logical client never reaches
+    /// the simulation, and any count from `drivers` up runs the same
+    /// traffic.
     pub logical_clients: usize,
     /// Physical RFP connections (slot rings); the real server cost.
     pub physical_conns: usize,

@@ -448,6 +448,51 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
 }
 
 #[test]
+fn idle_logical_clients_cost_the_fleet_nothing() {
+    // Every call takes a fresh lease, so a logical client nobody is
+    // calling through never reaches the simulation: a fleet of 10⁵ runs
+    // the very traffic of one logical client per driver, and the server
+    // registers the same memory and QP endpoints for it.
+    use rfp_core::{OverloadConfig, RfpConfig};
+    use rfp_kvstore::{spawn_fleet_kv, FleetConfig};
+
+    let cfg = SystemConfig {
+        rfp: RfpConfig {
+            overload: Some(OverloadConfig::default()),
+            ..SystemConfig::default().rfp
+        },
+        ..small_cfg()
+    };
+    let run = |logical_clients: usize| {
+        let fleet = FleetConfig {
+            logical_clients,
+            physical_conns: 12,
+            poller_groups: 3,
+            tenants: 4,
+            drivers: 24,
+            ..FleetConfig::default()
+        };
+        let mut sim = Simulation::new(cfg.seed);
+        let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);
+        sim.run_for(SimSpan::millis(1));
+        sys.reset_measurements();
+        sim.run_for(SimSpan::millis(2));
+        assert!(sys.stats.completed.get() > 0, "fleet must make progress");
+        let mut csv = Vec::new();
+        sys.registry
+            .snapshot()
+            .write_csv(&mut csv)
+            .expect("write csv to vec");
+        (
+            String::from_utf8(csv).expect("csv is utf8"),
+            sys.server_machine.registered_bytes(),
+            sys.server_machine.qp_endpoints(),
+        )
+    };
+    assert_eq!(run(24), run(100_000), "idle logical clients moved the run");
+}
+
+#[test]
 fn fleet_slots_fit_tenant_stamped_puts() {
     // A 281 B PUT fills the slot a 16 B header would leave: the fleet's
     // tenant-stamped request must fit all the same.

@@ -26,8 +26,7 @@ pub struct Machine {
     handle: SimHandle,
     next_mr: Cell<u64>,
     /// Cumulative bytes of registered (pinned) memory — the server-side
-    /// footprint the fleet bench asserts stays flat as logical clients
-    /// grow.
+    /// footprint the fleet bench reports.
     registered_bytes: Cell<u64>,
     /// Queue pairs with an endpoint on this machine — each is real NIC
     /// cache plus host memory on the hardware this models.

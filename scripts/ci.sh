@@ -50,7 +50,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 # Sweep smokes. Every binary asserts its own bars and exits non-zero on
 # a violation:
-#   chaos      zero lost acked writes and zero stale reads per scenario
+#   chaos      zero lost acked writes and zero stale reads per scenario,
+#              more NotFound GETs after a cold restart than a warm one
 #   overload   shed cost (2 in-bound, 0 out-bound NIC ops per shed) and
 #              the goodput plateau (controlled goodput at 4x saturation
 #              >= 70% of peak, uncontrolled below it)
@@ -58,13 +59,16 @@ trap 'rm -rf "$tmp"' EXIT
 #              fault-rate sweep, and the fault knobs actually fire
 #   pipeline   window scaling (>= 2x single-client 32 B throughput at
 #              W >= 8), monotone doorbell-batched issue-cost decay,
-#              adaptive idle backoff free at saturation
+#              adaptive idle backoff free at saturation, its two payloads
+#              on either side of the in-bound knee
 #   doctor     the fault-class detection matrix (every injected class
 #              surfaces as its signature anomaly with an intact cause
 #              chain; the clean baseline raises nothing)
-#   fleet      flat server footprint and scan cost per request across
-#              10^2..10^5 logical clients, a flat goodput plateau, lease
-#              churn firing, >= 80% cold-tenant goodput under a hot one
+#   fleet      10^5 logical clients within the 64-QP-endpoint budget,
+#              lease churn firing, >= 80% cold-tenant goodput under a
+#              hot one (that idle logical clients cost nothing is a
+#              kvstore test: the run is byte-identical at 10^5 and at
+#              one logical client per driver)
 #   failover   sync mode loses no acked write, reads never run
 #              backwards, histories linearize, failover time inside
 #              budget, sync replication tax on the 32 B bar under 5%
@@ -76,18 +80,18 @@ trap 'rm -rf "$tmp"' EXIT
 #              case within 2.5x of uniform with stealing and collapsed
 #              without
 # Here each is additionally pinned to be deterministic run-to-run under
-# a fixed seed (CSV and exported registry byte-identical), and — where
-# a BENCH_<sweep>.json is committed — to reproduce its *values* byte for
+# a fixed seed (CSV and exported registry byte-identical), and to
+# reproduce the *values* of its committed BENCH_<sweep>.json byte for
 # byte: a PR that moves a committed number must commit the new file.
+# (`cargo test` above has already failed if two cells of one committed
+# sweep are identical in every metric: crates/bench/tests/distinct_cells.rs.)
 for sweep in chaos overload integrity pipeline doctor fleet failover grayfail cores; do
   cargo run -q --release -p rfp-bench --bin "$sweep" 42 > "$tmp/${sweep}_a.csv"
   mv "BENCH_$sweep.json" "$tmp/${sweep}_a.json"
   cargo run -q --release -p rfp-bench --bin "$sweep" 42 > "$tmp/${sweep}_b.csv"
   cmp "$tmp/${sweep}_a.csv" "$tmp/${sweep}_b.csv"
   cmp "$tmp/${sweep}_a.json" "BENCH_$sweep.json"
-  if git cat-file -e "HEAD:BENCH_$sweep.json" 2>/dev/null; then
-    git show "HEAD:BENCH_$sweep.json" | cmp - "$tmp/${sweep}_a.json"
-  fi
+  git show "HEAD:BENCH_$sweep.json" | cmp - "$tmp/${sweep}_a.json"
 done
 
 # Goldens: the paper figures and the ablations must reproduce the

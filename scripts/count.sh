@@ -76,8 +76,7 @@ for field in "${dormant[@]}"; do echo "  $field"; done
 # Allowed, each kept for a named open item of ROADMAP.md:
 #   events_for        4(b) the flight recorder's per-connection query
 #   write_prometheus  4(f) the registry's text exposition
-#   inbound_knee_bytes 2(b) the NIC profile's in-bound IOPS knee
-allowed_unreferenced='events_for write_prometheus inbound_knee_bytes'
+allowed_unreferenced='events_for write_prometheus'
 refs=$(awk 'FNR == 1 { skip = 0 }
             skip { if (/;/) skip = 0; next }
             /^[ \t]*pub(\([a-z]+\))? use / { if (!/;/) skip = 1; next }
