@@ -25,18 +25,15 @@
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
 use rfp_core::{OverloadConfig, RfpConfig};
-use rfp_kvstore::{spawn_fleet_kv, FleetConfig, FleetKv, SystemConfig};
+use rfp_kvstore::{
+    spawn_fleet_kv, FleetConfig, FleetKv, SystemConfig, FLEET_PHYSICAL_CONNS, FLEET_POLLER_GROUPS,
+    FLEET_TENANTS,
+};
 use rfp_simnet::{SimSpan, Simulation};
 use rfp_workload::WorkloadSpec;
 
 /// Logical clients of the fleet cell (the paper-scale fleet).
 const FLEET_SIZE: usize = 100_000;
-/// Physical connections — the entire server-side footprint.
-const PHYSICAL: usize = 24;
-/// Server poller groups (disjoint connection shards).
-const GROUPS: usize = 4;
-/// Tenants in every scenario.
-const TENANTS: u32 = 8;
 /// Concurrently-active drivers of the fleet cell (fleet duty cycle:
 /// `drivers ≪ logical_clients`).
 const DRIVERS: usize = 32;
@@ -77,12 +74,8 @@ fn isolation_run(seed: u64, hot: bool) -> Vec<u64> {
     cfg.think_time = SimSpan::micros(20);
     let fleet = FleetConfig {
         logical_clients: 1_000,
-        physical_conns: PHYSICAL,
-        poller_groups: GROUPS,
-        tenants: TENANTS,
         drivers: 16,
         hot_tenant: hot.then_some(0),
-        hot_drivers: 8,
     };
     let mut sim = Simulation::new(seed);
     let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);
@@ -96,7 +89,7 @@ fn main() {
         .map(|s| s.parse::<u64>().expect("seed must be a u64"))
         .unwrap_or(42);
 
-    println!("# fleet: {FLEET_SIZE} logical clients over {PHYSICAL} physical conns, {GROUPS} poller groups, {TENANTS} tenants");
+    println!("# fleet: {FLEET_SIZE} logical clients over {FLEET_PHYSICAL_CONNS} physical conns, {FLEET_POLLER_GROUPS} poller groups, {FLEET_TENANTS} tenants");
     println!(
         "# seed={seed} drivers={DRIVERS} warmup={}ms window={}ms",
         WARMUP.as_nanos() / 1_000_000,
@@ -107,12 +100,8 @@ fn main() {
     let cfg = base_cfg(seed);
     let fleet = FleetConfig {
         logical_clients: FLEET_SIZE,
-        physical_conns: PHYSICAL,
-        poller_groups: GROUPS,
-        tenants: TENANTS,
         drivers: DRIVERS,
         hot_tenant: None,
-        hot_drivers: 0,
     };
     let mut sim = Simulation::new(seed);
     let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);
@@ -155,12 +144,12 @@ fn main() {
 
     // Hot-tenant isolation: per-tenant credit domains keep every cold
     // tenant within 20% of its hot-free goodput.
-    println!("# hot-tenant isolation: tenant 0 floods, 1..{TENANTS} stay cold");
+    println!("# hot-tenant isolation: tenant 0 floods, 1..{FLEET_TENANTS} stay cold");
     println!("tenant,baseline_ok,hot_ok,ratio_permille");
     let baseline = isolation_run(seed, false);
     let with_hot = isolation_run(seed, true);
     let mut min_ratio = u64::MAX;
-    for t in 0..TENANTS as usize {
+    for t in 0..FLEET_TENANTS as usize {
         let ratio_permille = with_hot[t] * 1000 / baseline[t].max(1);
         println!("{t},{},{},{ratio_permille}", baseline[t], with_hot[t]);
         if t > 0 {

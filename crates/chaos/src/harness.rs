@@ -485,7 +485,6 @@ pub fn spawn_chaos_kv(
                 steal: true,
                 registry: Some(sinks.registry.clone()),
                 recorder: Some(sinks.recorder.clone()),
-                ..ReactorConfig::default()
             },
             specs,
             SimSpan::nanos(100),

@@ -83,14 +83,14 @@ use rfp_kvstore::replica::{
 use rfp_kvstore::{KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{
-    derive_seed, FlightRecorder, HealthHub, MetricsRegistry, RetryPolicy, Severity, SimSpan,
-    SimTime, Simulation, SpanRecorder,
+    derive_seed, FlightRecorder, HealthHub, Histogram, MetricsRegistry, RetryPolicy, Severity,
+    SimSpan, SimTime, Simulation, SpanRecorder,
 };
 use rfp_workload::{HistEntry, RegOp};
 
 use crate::harness::{bump, histogram_max, version_of, Sinks, Tally};
 use crate::inject::Restart;
-use crate::plan::FaultPlan;
+use crate::plan::{FaultKind, FaultPlan};
 
 /// The epoch a promoted backup fences at (the rig promotes at most
 /// once per run).
@@ -121,10 +121,6 @@ pub struct FailoverChaosConfig {
     /// re-homings per call, and `failover.gray`, the gray-failure
     /// subsystem).
     pub failover: FailoverConfig,
-    /// End-to-end fetch integrity, as in
-    /// [`ChaosConfig`](crate::ChaosConfig); required for runs that
-    /// schedule torn-DMA or bit-flip fault windows.
-    pub integrity: bool,
     /// Master seed for workloads and recovery jitter.
     pub seed: u64,
 }
@@ -169,7 +165,6 @@ impl Default for FailoverChaosConfig {
             hedged_reads: false,
             replication: ReplicationConfig::default(),
             failover: short_retry(4),
-            integrity: false,
             seed: 11,
         }
     }
@@ -207,6 +202,20 @@ impl Deref for FailoverState {
 }
 
 impl FailoverState {
+    fn new(clients: usize) -> Self {
+        FailoverState {
+            tally: Tally::default(),
+            issued_puts: Cell::new(0),
+            done_clients: Cell::new(0),
+            promoted_at: Cell::new(None),
+            acked: RefCell::default(),
+            observed: RefCell::default(),
+            history: RefCell::default(),
+            recovering: (0..clients).map(|_| Cell::new(None)).collect(),
+            read_lats: RefCell::default(),
+        }
+    }
+
     /// The recorded history (for [`rfp_workload::check_history`]).
     pub fn history(&self) -> Vec<HistEntry> {
         self.history.borrow().clone()
@@ -224,15 +233,18 @@ impl FailoverState {
             .collect()
     }
 
-    /// p99 read latency (ns) over GETs started at or after `from`;
-    /// `None` with fewer than 10 samples.
+    /// Nearest-rank p99 read latency (ns) over GETs started at or after
+    /// `from`; `None` with fewer than 10 samples.
     pub fn read_p99_since(&self, from: SimTime) -> Option<u64> {
-        let mut lats = self.read_lats_since(from);
+        let lats = self.read_lats_since(from);
         if lats.len() < 10 {
             return None;
         }
-        lats.sort_unstable();
-        Some(lats[(lats.len() * 99) / 100 - 1])
+        let hist = Histogram::new();
+        for lat in lats {
+            hist.record(SimSpan::nanos(lat));
+        }
+        hist.percentile(99.0).map(SimSpan::as_nanos)
     }
 
     /// Largest number of operations landed on any single key.
@@ -397,16 +409,17 @@ fn spawn_replicated_kv(
     let standby_reads = cfg.failover.gray.is_some();
     backup_role.standby_reads.set(standby_reads);
 
-    let state = Rc::new(FailoverState {
-        tally: Tally::default(),
-        issued_puts: Cell::new(0),
-        done_clients: Cell::new(0),
-        promoted_at: Cell::new(None),
-        acked: RefCell::default(),
-        observed: RefCell::default(),
-        history: RefCell::default(),
-        recovering: (0..cfg.clients).map(|_| Cell::new(None)).collect(),
-        read_lats: RefCell::default(),
+    let state = Rc::new(FailoverState::new(cfg.clients));
+    // End-to-end fetch integrity runs iff the plan can corrupt a fetched
+    // image: torn-DMA and bit-flip windows would otherwise surface bad
+    // bytes.
+    let integrity = plan.is_some_and(|p| {
+        p.events().iter().any(|e| {
+            matches!(
+                e.kind,
+                FaultKind::TornDma { .. } | FaultKind::BitFlip { .. }
+            )
+        })
     });
 
     // The dedicated replication link, primary -> backup. Plain RFP: the
@@ -421,7 +434,7 @@ fn spawn_replicated_kv(
             enable_mode_switch: false,
             // The primary fetches the backup's acks out of memory the
             // same integrity faults corrupt.
-            integrity: cfg.integrity,
+            integrity,
             ..RfpConfig::default()
         },
     );
@@ -442,7 +455,7 @@ fn spawn_replicated_kv(
                 server_m,
                 cluster.qp(2 + c, replica),
                 cluster.qp(replica, 2 + c),
-                sinks.rfp_cfg(None, cfg.integrity, c * 2 + replica),
+                sinks.rfp_cfg(None, integrity, c * 2 + replica),
             );
             cl.set_reconnect(cluster.qp_factory(2 + c, replica));
             server_conns[replica].push(Rc::new(sc));
@@ -651,5 +664,24 @@ fn spawn_replicated_kv(
         backup_role,
         primary_part,
         backup_part,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn read_p99_is_nearest_rank() {
+        let st = FailoverState::new(1);
+        // GETs started at 0..10 ns with latencies 1..=10 ns: the 99th
+        // percentile by nearest rank is the ⌈9.9⌉ = 10th sample.
+        st.read_lats
+            .borrow_mut()
+            .extend((1..=10).map(|lat| (lat - 1, lat)));
+        assert_eq!(st.read_p99_since(SimTime::ZERO), Some(10));
+        // Only the GETs started at or after 1 ns count: nine samples
+        // are too few.
+        assert_eq!(st.read_p99_since(SimTime::from_nanos(1)), None);
     }
 }

@@ -96,9 +96,10 @@ fn crash_runs_are_deterministic_per_seed() {
 }
 
 /// The features the replicated rig can carry, all on in one run: sync
-/// replication, fetch integrity, gray routing with hedged own-key
-/// reads — under bit flips and torn DMA on both replicas for the whole
-/// run, plus a permanent primary crash with scheduled promotion.
+/// replication, fetch integrity (the rig's answer to a plan that
+/// schedules corruption), gray routing with hedged own-key reads —
+/// under bit flips and torn DMA on both replicas for the whole run, plus
+/// a permanent primary crash with scheduled promotion.
 #[test]
 fn integrity_hedging_and_promotion_compose_under_corruption_and_crash() {
     use rfp_core::{FailoverConfig, GrayConfig, Mode};
@@ -108,7 +109,6 @@ fn integrity_hedging_and_promotion_compose_under_corruption_and_crash() {
         keys_per_client: 8,
         ops_per_client: 200,
         hedged_reads: true,
-        integrity: true,
         failover: FailoverConfig {
             gray: Some(GrayConfig::all_on()),
             ..FailoverChaosConfig::default().failover

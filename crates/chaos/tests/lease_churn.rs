@@ -19,13 +19,13 @@ use std::rc::Rc;
 
 use rfp_chaos::{install, FaultPlan, InjectorSinks, Restart};
 use rfp_core::{
-    connect, serve_loop_tenant, shard_conns, FailureCause, MuxConfig, OverloadConfig,
-    RecoveryConfig, RfpConfig, RfpMux, TenantId,
+    connect, serve_loop_tenant, shard_conns, FailureCause, OverloadConfig, RecoveryConfig,
+    RfpConfig, RfpMux, TenantId,
 };
 use rfp_kvstore::systems::apply_to_partition;
 use rfp_kvstore::{KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{derive_seed, SimSpan, SimTime, Simulation};
+use rfp_simnet::{derive_seed, HealthHub, SimSpan, SimTime, Simulation};
 
 const CLIENT_MACHINES: usize = 2;
 const CONNS_PER_MACHINE: usize = 2;
@@ -100,7 +100,7 @@ fn run_lease_churn(seed: u64) -> Outcome {
             clients.push(Rc::new(cl));
             server_conns.push(Rc::new(sc));
         }
-        muxes.push(RfpMux::new(clients, MuxConfig::default()));
+        muxes.push(RfpMux::new(clients, HealthHub::default()));
     }
 
     // Outcome counters shared by every task.

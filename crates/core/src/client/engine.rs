@@ -34,8 +34,8 @@ use crate::conn::{Mode, RfpConfig, MODE_REMOTE_FETCH, MODE_SERVER_REPLY};
 use crate::header::{RespHeader, RespStatus, REQ_HDR, RESP_HDR, RESP_TRAILER};
 use crate::integrity::{verify_response, IntegrityFault, VERIFY_RETRIES};
 use crate::observe::{incident as on, Chain, Incident};
-use crate::overload::OverloadConfig;
-use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
+use crate::overload::{OverloadConfig, MAX_PROBES};
+use crate::recovery::{FailureCause, RecoveryConfig, RpcError, FETCH_DEADLINE};
 
 /// Consecutive calls that must exceed `R` before the mode actually
 /// switches (the paper's anti-flapping guard, §3.2).
@@ -610,10 +610,7 @@ impl Engine<'_> {
         fl.reply_primed = false;
         fl.probes = 0;
         fl.probe_armed = false;
-        let fetch_deadline = self
-            .policy
-            .recovery
-            .map(|rec| self.now() + rec.fetch_deadline);
+        let fetch_deadline = self.policy.recovery.map(|_| self.now() + FETCH_DEADLINE);
         fl.attempt_deadline = fetch_deadline.map(|d| fl.clamp.map_or(d, |c| d.min(c)));
         self.span_mark(fl, "request_written");
     }
@@ -647,13 +644,13 @@ impl Engine<'_> {
             return;
         }
         let ov = self.overload();
-        if fl.probes >= ov.max_probes.max(1) {
+        if fl.probes >= MAX_PROBES {
             self.note(fl, on::LOCAL_SHED, "gave up probing for a verdict");
             return self.fail(fl, FailureCause::Rejected(RespStatus::Shed));
         }
         fl.probes += 1;
         let cap = SimSpan::nanos(ov.probe_pause.as_nanos().saturating_mul(8));
-        let pace = RetryPolicy::exponential(ov.max_probes, ov.probe_pause, cap, 0.25);
+        let pace = RetryPolicy::exponential(MAX_PROBES, ov.probe_pause, cap, 0.25);
         let pause = pace.backoff_for(fl.probes, self.draw(fl));
         if !pause.is_zero() {
             fl.not_before = now + pause;

@@ -42,7 +42,7 @@
 //!   falling below `DEMOTE_BELOW` is demoted (with a
 //!   `routing.demote` flight-recorder entry carrying the triggering
 //!   window's evidence) and reads divert to the best-scoring peer,
-//!   save a probe every [`GrayConfig::probe_every`]-th call and a
+//!   save a probe every `PROBE_EVERY`-th (256th) call and a
 //!   score-proportional trickle. A demotion never strands the router:
 //!   with every candidate gray, traffic stays put.
 //! * **hedged reads** ([`ReplicaClient::call_hedged`]) — a read still
@@ -70,7 +70,7 @@ use rfp_simnet::SimSpan;
 
 use crate::client::{CallPolicy, CallResult, RfpClient};
 use crate::gray::{
-    GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, HEDGE_DEADLINE, HEDGE_FLOOR,
+    GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, HEDGE_DEADLINE, HEDGE_FLOOR, PROBE_EVERY,
 };
 use crate::header::RespStatus;
 use crate::observe::incident;
@@ -385,9 +385,9 @@ impl ReplicaClient {
     /// Picks `(target, hedge_target)` for one read of a gray router
     /// over two or more replicas: a demoted active replica diverts
     /// reads to the best-scoring peer — except for a recovery probe
-    /// every [`GrayConfig::probe_every`]-th routed read and a
-    /// score-proportional trickle.
-    fn route_read(&self, thread: &ThreadCtx, g: &GrayConfig) -> (usize, usize) {
+    /// every `PROBE_EVERY`-th routed read and a score-proportional
+    /// trickle.
+    fn route_read(&self, thread: &ThreadCtx) -> (usize, usize) {
         let pref = self.active.get();
         let scores = self.refresh_scores(thread);
         let mut alt = (pref + 1) % self.replicas.len();
@@ -414,7 +414,7 @@ impl ReplicaClient {
         }
         let tick = self.route_clock.get();
         self.route_clock.set(tick + 1);
-        if g.probe_every > 0 && tick.is_multiple_of(g.probe_every as u64) {
+        if tick.is_multiple_of(PROBE_EVERY) {
             self.replicas[pref].note_recovery(
                 thread,
                 incident::PROBE,
@@ -472,7 +472,7 @@ impl ReplicaClient {
         let Some(g) = self.cfg.gray.as_ref().filter(|_| self.replicas.len() >= 2) else {
             return self.call(thread, req).await;
         };
-        let (first, second) = self.route_read(thread, g);
+        let (first, second) = self.route_read(thread);
         // Hedging toward a replica scored *worse* than the serving leg
         // cannot help: once routing has demoted the gray peer, the
         // routed leg already is the healthy one, and a hedge deposit

@@ -40,6 +40,11 @@ pub(crate) const HEDGE_FLOOR: SimSpan = SimSpan::micros(5);
 /// Overall deadline of one hedged call; past it the router gives up on
 /// both legs and falls back to the plain failover path.
 pub(crate) const HEDGE_DEADLINE: SimSpan = SimSpan::millis(2);
+/// Every `PROBE_EVERY`-th routed read still targets a demoted preferred
+/// replica, sampling it for recovery. This keeps probe traffic under 1%
+/// of routed reads, so a demoted replica cannot drag the read p99 back
+/// up (p99 tolerates 1% of slow samples).
+pub(crate) const PROBE_EVERY: u64 = 256;
 
 /// Tunables of the gray-failure subsystem, carried by `FailoverConfig`
 /// when the router runs it.
@@ -47,13 +52,6 @@ pub(crate) const HEDGE_DEADLINE: SimSpan = SimSpan::millis(2);
 pub struct GrayConfig {
     /// Hedged requests on the read path (`call_hedged`).
     pub hedging: bool,
-    /// Every `probe_every`-th routed call still targets a demoted
-    /// preferred replica, sampling it for recovery. 0 disables
-    /// probing. The default keeps probe traffic under 1% of routed
-    /// reads so a demoted replica cannot drag the read p99 back up
-    /// (p99 tolerates 1% of slow samples); lower it when a test wants
-    /// fast recovery detection.
-    pub probe_every: u32,
     /// Seed of the router's de-preference draw stream (private
     /// `StdRng`, never the simulation RNG — scoring decisions do not
     /// perturb unrelated event timing).
@@ -65,7 +63,6 @@ impl GrayConfig {
     pub fn all_on() -> Self {
         GrayConfig {
             hedging: true,
-            probe_every: 256,
             seed: 0x6B4A_9E21,
         }
     }

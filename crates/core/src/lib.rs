@@ -90,7 +90,7 @@ pub use header::{
     RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
 };
 pub use integrity::{verify_response, IntegrityFault};
-pub use mux::{serve_loop_tenant, shard_conns, LogicalClient, MuxConfig, RfpMux, TenantId};
+pub use mux::{serve_loop_tenant, shard_conns, LogicalClient, RfpMux, TenantId};
 pub use overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits};
 pub use params::{ParamSelector, Params, WorkloadSample};
 pub use reactor::{CoreSpec, Reactor, ReactorConfig};

@@ -59,15 +59,6 @@ pub struct TenantId(pub u32);
 /// regardless of logical clients".
 const MAX_PHYSICAL_QPS: usize = 64;
 
-/// Tunables of the multiplexing layer. Every request is stamped with
-/// its holder's tenant id.
-#[derive(Clone, Default)]
-pub struct MuxConfig {
-    /// Per-tenant health windows: tenant `t`'s calls are booked into
-    /// this hub's connection `t`. `None` books nothing.
-    pub tenant_health: Option<HealthHub>,
-}
-
 /// Lease state of one physical connection.
 struct PhysState {
     /// Logical client currently holding the lease, if any.
@@ -100,14 +91,18 @@ pub struct RfpMux {
     phys: Vec<PhysState>,
     avail: RefCell<Avail>,
     next_logical: Cell<u32>,
-    cfg: MuxConfig,
+    /// Per-tenant health windows: tenant `t`'s calls are booked into
+    /// this hub's connection `t`.
+    tenant_health: HealthHub,
     leases: Cell<u64>,
     evictions: Cell<u64>,
     reuses: Cell<u64>,
 }
 
 impl RfpMux {
-    /// Builds a mux over the given physical connections.
+    /// Builds a mux over the given physical connections. Every request
+    /// is stamped with its holder's tenant id, and every finished call
+    /// is booked into `tenant_health` under its tenant.
     ///
     /// # Panics
     ///
@@ -115,7 +110,7 @@ impl RfpMux {
     /// `MAX_PHYSICAL_QPS` distinct QPs (physical
     /// connections are expected to *share* QP pairs per machine — a
     /// fresh QP per connection would defeat the point).
-    pub fn new(clients: Vec<Rc<RfpClient>>, cfg: MuxConfig) -> Rc<Self> {
+    pub fn new(clients: Vec<Rc<RfpClient>>, tenant_health: HealthHub) -> Rc<Self> {
         assert!(!clients.is_empty(), "mux needs at least one connection");
         let qps: BTreeSet<usize> = clients
             .iter()
@@ -143,7 +138,7 @@ impl RfpMux {
                 idle_leased: VecDeque::new(),
             }),
             next_logical: Cell::new(0),
-            cfg,
+            tenant_health,
             leases: Cell::new(0),
             evictions: Cell::new(0),
             reuses: Cell::new(0),
@@ -349,14 +344,11 @@ impl LogicalClient {
         self.one(thread, req, CallPolicy::recovered(rec)).await
     }
 
-    /// Books one finished call into the tenant's health window, when a
-    /// tenant hub is configured. Mirrors the per-connection booking the
-    /// transport does, one aggregation level up.
+    /// Books one finished call into the tenant's health window. Mirrors
+    /// the per-connection booking the transport does, one aggregation
+    /// level up.
     fn book(&self, thread: &ThreadCtx, out: &CallResult) {
-        let Some(hub) = &self.mux.cfg.tenant_health else {
-            return;
-        };
-        let h = hub.conn(self.tenant.0);
+        let h = self.mux.tenant_health.conn(self.tenant.0);
         match out.info.status {
             RespStatus::Ok => h.record_call(
                 thread.now(),
@@ -516,7 +508,7 @@ mod tests {
         let mut sim = Simulation::new(21);
         let cfg = RfpConfig::default();
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, cfg, 4, true);
-        let mux = RfpMux::new(clients, MuxConfig::default());
+        let mux = RfpMux::new(clients, HealthHub::default());
 
         // 16 logical clients (4 tenants), each issuing 3 calls.
         let wg = WaitGroup::new();
@@ -549,7 +541,7 @@ mod tests {
     fn idle_logical_clients_cost_no_leases() {
         let mut sim = Simulation::new(3);
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, RfpConfig::default(), 2, true);
-        let mux = RfpMux::new(clients, MuxConfig::default());
+        let mux = RfpMux::new(clients, HealthHub::default());
 
         // A large fleet exists; only two ever call.
         let mut fleet = Vec::new();
@@ -575,7 +567,7 @@ mod tests {
         let mut sim = Simulation::new(5);
         let cfg = RfpConfig::default();
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, cfg, 3, true);
-        let mux = RfpMux::new(clients, MuxConfig::default());
+        let mux = RfpMux::new(clients, HealthHub::default());
         for i in 0..3u32 {
             let lc = mux.logical_client_pinned(TenantId(i), i as usize);
             let t = cm.thread(format!("task{i}"));
@@ -615,7 +607,7 @@ mod tests {
                 }
             });
         }
-        let mux = RfpMux::new(clients, MuxConfig::default());
+        let mux = RfpMux::new(clients, HealthHub::default());
         let lc = mux.logical_client(TenantId(0xBEEF));
         let t = cm.thread("task");
         sim.spawn(async move {
@@ -649,12 +641,7 @@ mod tests {
         let mut sim = Simulation::new(11);
         let hub = HealthHub::default();
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, RfpConfig::default(), 2, true);
-        let mux = RfpMux::new(
-            clients,
-            MuxConfig {
-                tenant_health: Some(hub.clone()),
-            },
-        );
+        let mux = RfpMux::new(clients, hub.clone());
         for i in 0..4u32 {
             let lc = mux.logical_client(TenantId(i % 2));
             let t = cm.thread(format!("task{i}"));
@@ -662,8 +649,8 @@ mod tests {
                 let _ = lc.call(&t, b"x").await;
             });
         }
-        // Stay inside the hub's retained window (epoch * epochs =
-        // 1.6 ms by default) so the calls are still visible.
+        // Stay inside the hub's retained window (`HealthHub::WINDOW`,
+        // 1.6 ms) so the calls are still visible.
         sim.run_for(SimSpan::millis(1));
         let report = hub.report(sim.now());
         assert_eq!(report.conns.len(), 2, "one window per tenant");

@@ -45,6 +45,11 @@ const CREDIT_LOW_WATER: usize = 4;
 /// waters the advertisement falls linearly.
 const CREDIT_HIGH_WATER: usize = 16;
 
+/// Verdict probes a client issues after a call's deadline before it
+/// gives up on the attempt locally. Every rig runs with this value; the
+/// probe pace doubles from [`OverloadConfig::probe_pause`] up to 8× it.
+pub(crate) const MAX_PROBES: u32 = 8;
+
 /// Tunables of the overload-control stage. Carried by
 /// [`RfpConfig`](crate::RfpConfig), so both endpoints of a connection
 /// see the same knobs.
@@ -66,11 +71,8 @@ pub struct OverloadConfig {
     pub credit_wait: SimSpan,
     /// After the call's deadline passes, the client stops tight-polling
     /// and probes for the verdict at this (jittered, exponentially
-    /// growing) pace instead.
+    /// growing) pace instead, `MAX_PROBES` (8) times at most.
     pub probe_pause: SimSpan,
-    /// Verdict probes issued after the deadline before the client gives
-    /// up on the attempt locally.
-    pub max_probes: u32,
     /// Seed of the client's backoff-jitter stream. Derive a distinct
     /// stream per client (e.g. `derive_seed(base, idx)`) so backoffs
     /// don't synchronise into a thundering herd.
@@ -85,7 +87,6 @@ impl Default for OverloadConfig {
             retry: RetryPolicy::exponential(4, SimSpan::micros(10), SimSpan::micros(200), 0.3),
             credit_wait: SimSpan::micros(10),
             probe_pause: SimSpan::micros(5),
-            max_probes: 8,
             seed: 0x0C10_AD00,
         }
     }

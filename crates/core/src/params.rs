@@ -46,29 +46,24 @@ pub struct WorkloadSample {
     pub client_threads: usize,
 }
 
+/// Step of the `F` grid in bytes.
+const F_STEP: usize = 64;
+/// Relative throughput advantage below which repeated fetching is not
+/// considered worth its client CPU cost (the paper uses 10%).
+const ADVANTAGE_CUTOFF: f64 = 0.10;
+/// Server-side pickup cost (scan + post) assumed by the model.
+const SERVER_OVERHEAD: SimSpan = SimSpan::nanos(200);
+
 /// Parameter selector bound to a hardware profile.
 pub struct ParamSelector {
     nic: NicProfile,
     link: LinkProfile,
-    /// Step of the `F` grid in bytes.
-    pub f_step: usize,
-    /// Relative throughput advantage below which repeated fetching is
-    /// not considered worth its client CPU cost (the paper uses 10%).
-    pub advantage_cutoff: f64,
-    /// Server-side pickup cost (scan + post) assumed by the model.
-    pub server_overhead: SimSpan,
 }
 
 impl ParamSelector {
     /// Creates a selector for the given hardware.
     pub fn new(nic: NicProfile, link: LinkProfile) -> Self {
-        ParamSelector {
-            nic,
-            link,
-            f_step: 64,
-            advantage_cutoff: 0.10,
-            server_overhead: SimSpan::nanos(200),
-        }
+        ParamSelector { nic, link }
     }
 
     /// Client-observed latency of one READ fetching `f` bytes.
@@ -106,8 +101,8 @@ impl ParamSelector {
 
     /// Expected fetch attempts for process time `p` and fetch size `f`.
     fn expected_attempts(&self, p: SimSpan, f: usize) -> u32 {
-        let visible = (p + self.server_overhead).as_nanos() as i64
-            - self.first_fetch_overlap(f).as_nanos() as i64;
+        let visible =
+            (p + SERVER_OVERHEAD).as_nanos() as i64 - self.first_fetch_overlap(f).as_nanos() as i64;
         if visible <= 0 {
             return 1;
         }
@@ -157,8 +152,8 @@ impl ParamSelector {
         // call; the hidden part is already inside the attempts term.
         let hidden =
             self.first_fetch_overlap(f) + self.fetch_latency(f) * attempts.saturating_sub(1) as u64;
-        if w.process_time + self.server_overhead > hidden {
-            per_call += w.process_time + self.server_overhead - hidden;
+        if w.process_time + SERVER_OVERHEAD > hidden {
+            per_call += w.process_time + SERVER_OVERHEAD - hidden;
         }
         let thread_bound = w.client_threads as f64 / per_call.as_nanos() as f64 * 1e3;
 
@@ -213,7 +208,7 @@ impl ParamSelector {
             };
             let rf = self.rfp_throughput(u32::MAX, f, &probe, 1);
             let sr = self.server_reply_throughput(&probe, 1);
-            if rf <= sr * (1.0 + self.advantage_cutoff) {
+            if rf <= sr * (1.0 + ADVANTAGE_CUTOFF) {
                 return self.expected_attempts(p, f).saturating_sub(1).max(1);
             }
             p += SimSpan::nanos(250);
@@ -251,7 +246,7 @@ impl ParamSelector {
                     best = Params { r, f };
                 }
             }
-            f += self.f_step;
+            f += F_STEP;
         }
         best
     }
@@ -329,7 +324,7 @@ mod tests {
         let mut f = l;
         while f <= h {
             assert!(s.score(p.r, f, &w) <= best + 1e-9, "F={f} beats selection");
-            f += s.f_step;
+            f += F_STEP;
         }
     }
 
@@ -341,7 +336,7 @@ mod tests {
         // ≥ 616 — mirroring how the paper lands on F = 640.
         let p = s.select(&paper_workload(vec![600], 0));
         assert!(p.f >= 616, "F = {} leaves every result oversized", p.f);
-        assert!(p.f < 616 + s.f_step, "F = {} overshoots", p.f);
+        assert!(p.f < 616 + F_STEP, "F = {} overshoots", p.f);
     }
 
     #[test]

@@ -88,29 +88,21 @@ use crate::server::{IdlePolicy, Reply, ScanHandler};
 /// time on the thief per stolen request).
 const HANDOFF_COST: SimSpan = SimSpan::nanos(150);
 
+/// Most requests one steal pass takes before re-scanning its own
+/// partition (keeps a thief from starving its own ring): one client
+/// draw's worth per core at the cores rig's default window of 8.
+const STEAL_BATCH: usize = 8;
+
 /// Reactor-wide knobs.
+#[derive(Default)]
 pub struct ReactorConfig {
     /// Lets idle cores steal work from loaded siblings.
     pub steal: bool,
-    /// Most requests one steal pass takes before re-scanning its own
-    /// partition (keeps a thief from starving its own ring).
-    pub steal_batch: usize,
     /// Per-core gauges/counters land here when set
     /// (`serve.core.<i>.steals`, `serve.core.<i>.queue_depth`, …).
     pub registry: Option<MetricsRegistry>,
     /// Steal events are recorded here when set.
     pub recorder: Option<FlightRecorder>,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            steal: false,
-            steal_batch: 4,
-            registry: None,
-            recorder: None,
-        }
-    }
 }
 
 /// One core's share of the server: its thread, the connections whose
@@ -203,7 +195,6 @@ struct Shared {
     tenant_domains: bool,
     idle: IdlePolicy,
     steal: bool,
-    steal_batch: usize,
     recorder: Option<FlightRecorder>,
     handoff: Handoff,
     cores: Vec<CoreState>,
@@ -274,7 +265,6 @@ impl Reactor {
                 tenant_domains: false,
                 idle: idle.into(),
                 steal: cfg.steal,
-                steal_batch: cfg.steal_batch.max(1),
                 recorder: cfg.recorder,
                 handoff: Handoff::new(HANDOFF_COST),
                 cores: states,
@@ -697,7 +687,7 @@ impl Shared {
             // (a) Admitted-but-unprocessed work parked on the victim's
             // run queue. The victim already made the admission call;
             // the thief just executes, paying the handoff.
-            while taken < self.steal_batch {
+            while taken < STEAL_BATCH {
                 if thread.machine().faults().is_crashed() {
                     return any;
                 }
@@ -712,7 +702,7 @@ impl Shared {
                 taken += executed as usize;
                 any |= executed;
             }
-            if taken >= self.steal_batch {
+            if taken >= STEAL_BATCH {
                 break;
             }
             // (b) Ring backlog: only victims whose last scan actually
@@ -721,7 +711,7 @@ impl Shared {
             if victim.last_backlog.get() == 0 {
                 continue;
             }
-            let ring = self.scan(me, v, thread, self.steal_batch - taken).await;
+            let ring = self.scan(me, v, thread, STEAL_BATCH - taken).await;
             taken += ring.executed;
             any |= ring.served_any;
             if ring.crashed {

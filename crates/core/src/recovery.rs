@@ -25,13 +25,14 @@ use rfp_simnet::{RetryPolicy, SimSpan};
 
 use crate::header::RespStatus;
 
+/// Per-attempt deadline on the response wait: an attempt whose response
+/// has not arrived within this span of its submission fails (and the
+/// call backs off and resubmits). Every rig runs with this value.
+pub(crate) const FETCH_DEADLINE: SimSpan = SimSpan::micros(100);
+
 /// Tunables of the client recovery loop.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
-    /// Per-attempt deadline on the response wait: an attempt whose
-    /// response has not arrived within this span of its submission
-    /// fails (and the call backs off and resubmits).
-    pub fetch_deadline: SimSpan,
     /// Attempt budget and backoff schedule across attempts.
     pub retry: RetryPolicy,
     /// Seed of the backoff-jitter stream (independent per client).
@@ -41,7 +42,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            fetch_deadline: SimSpan::micros(100),
             retry: RetryPolicy::exponential(16, SimSpan::micros(20), SimSpan::millis(2), 0.2),
             seed: 0x5EED_0001,
         }

@@ -239,7 +239,6 @@ fn persistent_corruption_escalates_then_fails() {
     let fl = Rc::clone(&failed);
     sim.spawn(async move {
         let rec = RecoveryConfig {
-            fetch_deadline: SimSpan::micros(50),
             retry: RetryPolicy::exponential(4, SimSpan::micros(5), SimSpan::micros(40), 0.2),
             ..RecoveryConfig::default()
         };

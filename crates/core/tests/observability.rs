@@ -19,8 +19,8 @@ use rfp_core::{
 };
 use rfp_rnic::{Cluster, ClusterProfile, Machine, ThreadCtx};
 use rfp_simnet::{
-    AnomalyDetector, AnomalyKind, ConnHealthReport, FlightRecorder, HealthConfig, HealthHub,
-    HealthReport, MetricsRegistry, RetryPolicy, SimSpan, Simulation, SpanRecorder,
+    AnomalyDetector, AnomalyKind, ConnHealthReport, FlightRecorder, HealthHub, HealthReport,
+    MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder,
 };
 
 /// Everything a run exposes that predates the observability plane.
@@ -225,7 +225,6 @@ fn overload_on(cfg: &mut RfpConfig) {
     cfg.overload = Some(OverloadConfig {
         deadline: SimSpan::micros(20),
         retry: RetryPolicy::exponential(2, SimSpan::micros(5), SimSpan::micros(20), 0.0),
-        max_probes: 1,
         ..OverloadConfig::default()
     });
 }
@@ -250,11 +249,7 @@ fn run_scenario(s: &Scenario) -> (MetricsRegistry, FlightRecorder, HealthReport)
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1 + servers);
     let cm = cluster.machine(0);
     let (registry, recorder) = (MetricsRegistry::new(), FlightRecorder::new(4096));
-    // A window wide enough that no scenario outlives it.
-    let health = HealthHub::new(HealthConfig {
-        epoch: SimSpan::millis(1),
-        epochs: 64,
-    });
+    let health = HealthHub::default();
     let mut clients = Vec::new();
     for m in 1..=servers {
         let conn_id = m as u32 - 1;
@@ -280,7 +275,6 @@ fn run_scenario(s: &Scenario) -> (MetricsRegistry, FlightRecorder, HealthReport)
     (s.fault)(&cluster.machine(1));
 
     let rec = RecoveryConfig {
-        fetch_deadline: SimSpan::micros(10),
         retry: RetryPolicy::exponential(8, SimSpan::micros(2), SimSpan::micros(10), 0.0),
         ..RecoveryConfig::default()
     };
@@ -318,6 +312,14 @@ fn run_scenario(s: &Scenario) -> (MetricsRegistry, FlightRecorder, HealthReport)
         sim.run_for(SimSpan::micros(10));
     }
     assert!(done.get(), "{}: the client did not finish", s.name);
+    // The health fields count every incident only while none has
+    // rotated out of the window: a scenario must end inside one.
+    let end = sim.handle().now();
+    assert!(
+        end.since(SimTime::ZERO) < HealthHub::WINDOW,
+        "{}: ran to {end}, past one health window",
+        s.name
+    );
 
     let events = recorder.snapshot();
     for (i, e) in events.iter().enumerate() {
@@ -333,7 +335,7 @@ fn run_scenario(s: &Scenario) -> (MetricsRegistry, FlightRecorder, HealthReport)
             s.name
         );
     }
-    (registry, recorder, health.report(sim.handle().now()))
+    (registry, recorder, health.report(end))
 }
 
 /// A deliberately stalled pipeline — a server slow enough that fetch
@@ -429,7 +431,7 @@ fn every_incident_lands_on_every_plane_under_its_own_name() {
             same("recovery.resubmits", After("recovery.verb_errors"), None),
             same("recovery.reconnects", After("recovery.resubmits"), Some(|r| r.reconnects)),
         ]),
-        scenario("answer slower than the attempt deadline", plain, Slow(40), healthy, Routed(1), vec![
+        scenario("answer slower than the attempt deadline", plain, Slow(150), healthy, Routed(1), vec![
             same("recovery.deadlines", Root, None),
         ]),
         scenario("server in a newer epoch", plain, Epoch(3), healthy, Routed(1), vec![

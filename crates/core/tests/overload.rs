@@ -206,9 +206,9 @@ proptest! {
     }
 }
 
-/// Steal × admission, conserved: clients that never give up locally
-/// (one submission per call, probing until the server's verdict) over a
-/// hot core with a thief beside it. Requests migrate and requests are
+/// Steal × admission, conserved: clients that submit once per call and
+/// probe for the server's verdict (none gives up locally: every call
+/// ends in the server's answer) over a hot core with a thief beside it. Requests migrate and requests are
 /// turned away, yet no request is both rejected and executed and
 /// served + rejected = submitted.
 #[test]
@@ -218,7 +218,6 @@ fn stealing_conserves_requests_under_admission() {
         deadline: SimSpan::micros(10),
         retry: RetryPolicy::immediate(1),
         probe_pause: SimSpan::micros(1),
-        max_probes: 1_000_000,
         ..OverloadConfig::default()
     };
     let (clients, calls_each) = (5, 40);

@@ -103,10 +103,6 @@ const EXTRA_PROCESS: SimSpan = SimSpan::nanos(750);
 const VALUE_LEN: usize = 32;
 /// Constructed keys per partition.
 const KEYS_PER_CORE: usize = 1024;
-/// Requests one steal pass may take before re-scanning its own
-/// partition: one client draw's worth per core (the default
-/// [`CoresConfig::window`]).
-const STEAL_BATCH: usize = 8;
 /// Server CPU per ring-slot header check and per posted response, as in
 /// the other KV rigs ([`SystemConfig`](crate::SystemConfig)'s defaults).
 const CHECK_CPU: SimSpan = SimSpan::nanos(30);
@@ -249,7 +245,6 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
     let reactor = Reactor::new(
         ReactorConfig {
             steal: cfg.steal,
-            steal_batch: STEAL_BATCH,
             registry: Some(sys.registry.clone()),
             recorder: None,
         },

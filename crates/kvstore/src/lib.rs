@@ -40,4 +40,5 @@ pub use rig::{kv_handler, preload_partitions, KvStats, KvSystem};
 pub use systems::{
     spawn_farm, spawn_fleet_kv, spawn_herd, spawn_jakiro, spawn_jakiro_shared, spawn_memcached,
     spawn_pilaf, spawn_server_reply_kv, spawn_sharded_jakiro, FleetConfig, FleetKv, SystemConfig,
+    FLEET_PHYSICAL_CONNS, FLEET_POLLER_GROUPS, FLEET_TENANTS,
 };

@@ -30,8 +30,8 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 use rfp_core::{
-    connect, serve_loop, serve_loop_tenant, shard_conns, CallPolicy, MuxConfig, RespStatus,
-    RfpConfig, RfpMux, TenantId, RESP_HDR,
+    connect, serve_loop, serve_loop_tenant, shard_conns, CallPolicy, RespStatus, RfpConfig, RfpMux,
+    TenantId, RESP_HDR,
 };
 use rfp_paradigms::{herd_connect, sr_connect, BypassClient};
 use rfp_rnic::{ClusterProfile, Machine, ThreadCtx, Transport};
@@ -635,7 +635,21 @@ pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
     sys
 }
 
-/// Shape of a multiplexed client fleet (see [`spawn_fleet_kv`]).
+/// Physical RFP connections (slot rings) of every fleet: the real
+/// server cost, fixed however many logical clients ride them.
+pub const FLEET_PHYSICAL_CONNS: usize = 24;
+/// Server poller groups of every fleet; each owns a disjoint connection
+/// shard.
+pub const FLEET_POLLER_GROUPS: usize = 4;
+/// Tenants of every fleet; drivers are spread across them round-robin.
+pub const FLEET_TENANTS: u32 = 8;
+/// Flooding drivers a [`FleetConfig::hot_tenant`] gets on top of the
+/// baseline drivers.
+const HOT_DRIVERS: usize = 8;
+
+/// Load shape of a multiplexed client fleet (see [`spawn_fleet_kv`]);
+/// the physical side is fixed by [`FLEET_PHYSICAL_CONNS`],
+/// [`FLEET_POLLER_GROUPS`] and [`FLEET_TENANTS`].
 #[derive(Clone)]
 pub struct FleetConfig {
     /// Logical clients across the whole fleet. Free by design: every
@@ -643,35 +657,13 @@ pub struct FleetConfig {
     /// the simulation, and any count from `drivers` up runs the same
     /// traffic.
     pub logical_clients: usize,
-    /// Physical RFP connections (slot rings); the real server cost.
-    pub physical_conns: usize,
-    /// Server poller groups; each owns a disjoint connection shard.
-    pub poller_groups: usize,
-    /// Tenants; logical clients are spread across them round-robin.
-    pub tenants: u32,
     /// Concurrently-active driver tasks cycling through the logical
     /// clients (the fleet's duty cycle: `drivers ≪ logical_clients`
     /// models mostly-idle clients).
     pub drivers: usize,
-    /// When set, this tenant gets [`hot_drivers`](FleetConfig::hot_drivers)
-    /// extra flooding drivers — the isolation scenario.
+    /// When set, this tenant gets eight extra flooding drivers — the
+    /// isolation scenario.
     pub hot_tenant: Option<u32>,
-    /// Extra drivers dedicated to the hot tenant.
-    pub hot_drivers: usize,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            logical_clients: 100,
-            physical_conns: 16,
-            poller_groups: 4,
-            tenants: 4,
-            drivers: 16,
-            hot_tenant: None,
-            hot_drivers: 0,
-        }
-    }
 }
 
 /// A running multiplexed fleet: N logical clients over M physical
@@ -710,9 +702,9 @@ impl FleetKv {
 }
 
 /// Spawns a multiplexed KV fleet: `fleet.logical_clients` logical
-/// clients over `fleet.physical_conns` slot rings, one shared QP pair
+/// clients over [`FLEET_PHYSICAL_CONNS`] slot rings, one shared QP pair
 /// per client machine (QP virtualization), a single shared store
-/// partition, and `fleet.poller_groups` tenant-aware server loops
+/// partition, and [`FLEET_POLLER_GROUPS`] tenant-aware server loops
 /// ([`serve_loop_tenant`]) over disjoint connection shards.
 ///
 /// Drivers run the overload-aware call path, so `cfg.rfp` must carry
@@ -722,8 +714,8 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
         cfg.rfp.overload.is_some(),
         "fleet drivers use call_overload; set cfg.rfp.overload"
     );
-    assert!(fleet.tenants > 0 && fleet.drivers > 0 && fleet.physical_conns > 0);
-    let machines = cfg.client_machines.min(fleet.physical_conns);
+    assert!(fleet.drivers > 0, "a fleet needs drivers");
+    let machines = cfg.client_machines.min(FLEET_PHYSICAL_CONNS);
     let seating = Seating {
         machines,
         ..cfg.seating(1)
@@ -745,8 +737,8 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
 
     // Physical connections, round-robin across client machines.
     let mut per_machine_clients = vec![Vec::new(); machines];
-    let mut server_conns = Vec::with_capacity(fleet.physical_conns);
-    for k in 0..fleet.physical_conns {
+    let mut server_conns = Vec::with_capacity(FLEET_PHYSICAL_CONNS);
+    for k in 0..FLEET_PHYSICAL_CONNS {
         let m = k % machines;
         let mut ccfg = sys.client_cfg(&rfp_cfg, k);
         if let Some(ov) = &mut ccfg.overload {
@@ -769,17 +761,10 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
     let tenant_health = HealthHub::default();
     let muxes: Vec<Rc<RfpMux>> = per_machine_clients
         .into_iter()
-        .map(|clients| {
-            RfpMux::new(
-                clients,
-                MuxConfig {
-                    tenant_health: Some(tenant_health.clone()),
-                },
-            )
-        })
+        .map(|clients| RfpMux::new(clients, tenant_health.clone()))
         .collect();
 
-    let tenant_goodput: Vec<Rc<Counter>> = (0..fleet.tenants)
+    let tenant_goodput: Vec<Rc<Counter>> = (0..FLEET_TENANTS)
         .map(|t| {
             let goodput = Rc::new(Counter::new());
             let name = format!("kv.tenant.{t}.goodput");
@@ -789,21 +774,15 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
         .collect();
 
     // Drivers: `fleet.drivers` baseline tasks cycling disjoint slices
-    // of the logical fleet, plus `fleet.hot_drivers` flooding tasks
-    // pinned to the hot tenant.
-    let total_drivers = fleet.drivers
-        + if fleet.hot_tenant.is_some() {
-            fleet.hot_drivers
-        } else {
-            0
-        };
-    for d in 0..total_drivers {
+    // of the logical fleet, then `HOT_DRIVERS` flooding tasks pinned to
+    // the hot tenant, if there is one.
+    let hot_tenants = fleet
+        .hot_tenant
+        .into_iter()
+        .flat_map(|t| std::iter::repeat_n(t, HOT_DRIVERS));
+    let tenants = (0..fleet.drivers as u32).map(|d| d % FLEET_TENANTS);
+    for (d, tenant) in tenants.chain(hot_tenants).enumerate() {
         let hot = d >= fleet.drivers;
-        let tenant = if hot {
-            fleet.hot_tenant.expect("hot drivers imply a hot tenant")
-        } else {
-            d as u32 % fleet.tenants
-        };
         let mux = &muxes[d % machines];
         // A baseline driver owns every logical client ≡ d (mod drivers);
         // a hot driver hammers through one dedicated logical client.
@@ -864,7 +843,7 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
     }
 
     // Sharded tenant-aware poller groups, one server thread each.
-    sys.server_conns = shard_conns(&server_conns, fleet.poller_groups);
+    sys.server_conns = shard_conns(&server_conns, FLEET_POLLER_GROUPS);
     for (g, group) in sys.server_conns.iter().enumerate() {
         let thread = sys.server_machine.thread(format!("pg{g}"));
         let handler = kv_handler(Rc::clone(&part), process_extra(cfg, 0xF1EE + g as u64));

@@ -43,7 +43,6 @@ fn short_recovery(seed: u64) -> RecoveryConfig {
     RecoveryConfig {
         retry: RetryPolicy::exponential(3, SimSpan::micros(5), SimSpan::micros(50), 0.2),
         seed,
-        ..RecoveryConfig::default()
     }
 }
 

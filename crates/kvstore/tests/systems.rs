@@ -400,7 +400,7 @@ fn erew_load_imbalance_under_skew_is_bounded() {
 #[test]
 fn fleet_mux_serves_many_logicals_over_few_conns() {
     use rfp_core::{OverloadConfig, RfpConfig};
-    use rfp_kvstore::{spawn_fleet_kv, FleetConfig};
+    use rfp_kvstore::{spawn_fleet_kv, FleetConfig, FLEET_PHYSICAL_CONNS, FLEET_TENANTS};
 
     let cfg = SystemConfig {
         rfp: RfpConfig {
@@ -413,11 +413,8 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
     };
     let fleet = FleetConfig {
         logical_clients: 400,
-        physical_conns: 12,
-        poller_groups: 3,
-        tenants: 4,
         drivers: 24,
-        ..FleetConfig::default()
+        hot_tenant: None,
     };
     let mut sim = Simulation::new(cfg.seed);
     let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);
@@ -427,11 +424,13 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
 
     let done = sys.stats.completed.get();
     assert!(done > 1_000, "fleet must make progress: {done}");
-    // 400 logical clients rode 12 physical conns over one QP pair per
-    // client machine.
+    // 400 logical clients rode the fleet's physical conns over one QP
+    // pair per client machine.
     let logical: u32 = sys.muxes.iter().map(|m| m.logical_count()).sum();
     assert_eq!(logical, 400);
     assert!(sys.server_machine.qp_endpoints() <= 2 * sys.muxes.len() as u64);
+    let physical: usize = sys.muxes.iter().map(|m| m.physical()).sum();
+    assert_eq!(physical, FLEET_PHYSICAL_CONNS);
     // Per-tenant accounting adds up and every tenant progressed.
     let per_tenant = sys.tenant_goodput();
     assert_eq!(per_tenant.iter().sum::<u64>(), done);
@@ -444,7 +443,11 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
     assert!(scans > 0.0, "poller groups must book scan work");
     // Per-tenant health rolled up in the hub.
     let report = sys.tenant_health.report(sim.now());
-    assert_eq!(report.conns.len(), 4, "one health window per tenant");
+    assert_eq!(
+        report.conns.len(),
+        FLEET_TENANTS as usize,
+        "one health window per tenant"
+    );
 }
 
 #[test]
@@ -466,11 +469,8 @@ fn idle_logical_clients_cost_the_fleet_nothing() {
     let run = |logical_clients: usize| {
         let fleet = FleetConfig {
             logical_clients,
-            physical_conns: 12,
-            poller_groups: 3,
-            tenants: 4,
             drivers: 24,
-            ..FleetConfig::default()
+            hot_tenant: None,
         };
         let mut sim = Simulation::new(cfg.seed);
         let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);
@@ -518,11 +518,8 @@ fn fleet_slots_fit_tenant_stamped_puts() {
     };
     let fleet = FleetConfig {
         logical_clients: 20,
-        physical_conns: 4,
-        poller_groups: 2,
-        tenants: 2,
         drivers: 4,
-        ..FleetConfig::default()
+        hot_tenant: None,
     };
     let mut sim = Simulation::new(cfg.seed);
     let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);

@@ -154,37 +154,23 @@ impl Epoch {
     }
 }
 
-/// Sizing of the sliding window.
-#[derive(Clone, Debug)]
-pub struct HealthConfig {
-    /// Width of one epoch (window slices rotate on this boundary,
-    /// aligned to the virtual clock).
-    pub epoch: SimSpan,
-    /// Epochs retained — the window covers `epoch * epochs`.
-    pub epochs: usize,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            epoch: SimSpan::micros(200),
-            epochs: 8,
-        }
-    }
-}
+/// Width of one epoch, in nanoseconds: window slices rotate on this
+/// boundary, aligned to the virtual clock.
+const EPOCH_NS: u64 = 200_000;
+/// Epochs retained: the window covers [`HealthHub::WINDOW`], 1.6 ms,
+/// which holds the doctor's whole 1 ms fault span.
+const EPOCHS: usize = 8;
 
 /// Rolling-window health state of one connection.
 pub struct ConnHealth {
     conn: u32,
-    cfg: HealthConfig,
     epochs: RefCell<VecDeque<Epoch>>,
 }
 
 impl ConnHealth {
-    fn new(conn: u32, cfg: HealthConfig) -> Self {
+    fn new(conn: u32) -> Self {
         ConnHealth {
             conn,
-            cfg,
             epochs: RefCell::new(VecDeque::new()),
         }
     }
@@ -196,8 +182,7 @@ impl ConnHealth {
 
     /// Epoch start containing `now`, aligned to the epoch width.
     fn aligned(&self, now: SimTime) -> SimTime {
-        let w = self.cfg.epoch.as_nanos().max(1);
-        SimTime::from_nanos(now.as_nanos() / w * w)
+        SimTime::from_nanos(now.as_nanos() / EPOCH_NS * EPOCH_NS)
     }
 
     /// Rotates the window so the back epoch contains `now`, then hands
@@ -211,16 +196,15 @@ impl ConnHealth {
                 // Advance one epoch at a time so short gaps keep their
                 // empty slices (rates stay honest); a long gap restarts
                 // the window.
-                let w = self.cfg.epoch.as_nanos().max(1);
-                let steps = (target.as_nanos() - back_start.as_nanos()) / w;
-                if steps as usize > self.cfg.epochs {
+                let steps = (target.as_nanos() - back_start.as_nanos()) / EPOCH_NS;
+                if steps as usize > EPOCHS {
                     epochs.clear();
                     epochs.push_back(Epoch::new(target));
                 } else {
                     for s in 1..=steps {
-                        let start = SimTime::from_nanos(back_start.as_nanos() + s * w);
+                        let start = SimTime::from_nanos(back_start.as_nanos() + s * EPOCH_NS);
                         epochs.push_back(Epoch::new(start));
-                        if epochs.len() > self.cfg.epochs {
+                        if epochs.len() > EPOCHS {
                             epochs.pop_front();
                         }
                     }
@@ -385,10 +369,11 @@ impl HealthReport {
 /// A shareable hub handing out per-connection health state.
 ///
 /// Clones share the connection map (like
-/// [`MetricsRegistry`](crate::MetricsRegistry)).
-#[derive(Clone)]
+/// [`MetricsRegistry`](crate::MetricsRegistry)). Create one with
+/// [`HealthHub::default`]; every connection keeps the same
+/// [`WINDOW`](HealthHub::WINDOW) of eight 200 µs epochs.
+#[derive(Clone, Default)]
 pub struct HealthHub {
-    cfg: HealthConfig,
     conns: Rc<RefCell<BTreeMap<u32, Rc<ConnHealth>>>>,
 }
 
@@ -396,26 +381,15 @@ impl fmt::Debug for HealthHub {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HealthHub")
             .field("conns", &self.conns.borrow().len())
-            .field("epoch", &self.cfg.epoch)
-            .field("epochs", &self.cfg.epochs)
             .finish()
     }
 }
 
-impl Default for HealthHub {
-    fn default() -> Self {
-        HealthHub::new(HealthConfig::default())
-    }
-}
-
 impl HealthHub {
-    /// Creates an empty hub.
-    pub fn new(cfg: HealthConfig) -> Self {
-        HealthHub {
-            cfg,
-            conns: Rc::new(RefCell::new(BTreeMap::new())),
-        }
-    }
+    /// Simulated time a window spans. A run that ends before `WINDOW`
+    /// has dropped nothing from any window; a call booked more than
+    /// `WINDOW` ago is gone from its connection's.
+    pub const WINDOW: SimSpan = SimSpan::nanos(EPOCH_NS * EPOCHS as u64);
 
     /// The health state of connection `conn`, created on first use.
     pub fn conn(&self, conn: u32) -> Rc<ConnHealth> {
@@ -423,7 +397,7 @@ impl HealthHub {
             self.conns
                 .borrow_mut()
                 .entry(conn)
-                .or_insert_with(|| Rc::new(ConnHealth::new(conn, self.cfg.clone()))),
+                .or_insert_with(|| Rc::new(ConnHealth::new(conn))),
         )
     }
 
@@ -848,13 +822,6 @@ mod tests {
         SimTime::from_nanos(us * 1_000)
     }
 
-    fn hub() -> HealthHub {
-        HealthHub::new(HealthConfig {
-            epoch: SimSpan::micros(100),
-            epochs: 4,
-        })
-    }
-
     #[test]
     fn sketch_quantiles_bracket_samples() {
         let mut s = LatencySketch::new();
@@ -871,18 +838,19 @@ mod tests {
 
     #[test]
     fn window_rotates_and_drops_old_epochs() {
-        let h = hub().conn(0);
+        let h = HealthHub::default().conn(0);
         h.record_call(t(10), SimSpan::micros(1), 0, 32, 1);
-        // 4 epochs of 100µs: by t=600µs the first call left the window.
-        let early = h.report(t(50));
-        assert_eq!(early.calls, 1);
-        let late = h.report(t(650));
-        assert_eq!(late.calls, 0);
+        // 8 epochs of 200 µs: the call's epoch is the oldest retained
+        // one until the ninth epoch opens at 1 600 µs.
+        assert_eq!(HealthHub::WINDOW, SimSpan::micros(1_600));
+        assert_eq!(h.report(t(50)).calls, 1);
+        assert_eq!(h.report(t(1_590)).calls, 1);
+        assert_eq!(h.report(t(1_610)).calls, 0);
     }
 
     #[test]
     fn long_gap_restarts_window() {
-        let h = hub().conn(0);
+        let h = HealthHub::default().conn(0);
         h.record_call(t(10), SimSpan::micros(1), 0, 32, 1);
         h.record_call(t(100_000), SimSpan::micros(1), 0, 32, 1);
         assert_eq!(h.report(t(100_010)).calls, 1);
@@ -890,7 +858,7 @@ mod tests {
 
     #[test]
     fn report_rates_and_sizes() {
-        let h = hub().conn(3);
+        let h = HealthHub::default().conn(3);
         for i in 0..10 {
             h.record_call(t(i), SimSpan::micros(2), 1, 64, 5);
         }
@@ -912,7 +880,7 @@ mod tests {
 
     #[test]
     fn hub_reports_sorted_and_shared() {
-        let hub = hub();
+        let hub = HealthHub::default();
         let clone = hub.clone();
         clone.conn(5).record_call(t(1), SimSpan::micros(1), 0, 8, 1);
         hub.conn(2).record_call(t(1), SimSpan::micros(1), 0, 8, 1);
@@ -933,16 +901,16 @@ mod tests {
             c.record_call(t(i), SimSpan::micros(2), 0, 32, 1);
         }
         det.set_baseline(&h.report(t(40)));
-        // Move past the window so the baseline epochs rotate out.
+        // Move past the 1.6 ms window so the baseline epochs rotate out.
         for i in 0..8u64 {
-            degrade(&c, t(1_000 + i));
+            degrade(&c, t(2_000 + i));
         }
-        det.scan(&h.report(t(1_010)))
+        det.scan(&h.report(t(2_010)))
     }
 
     #[test]
     fn latency_regression_detected() {
-        let h = hub();
+        let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0, 32, 1);
@@ -957,7 +925,7 @@ mod tests {
 
     #[test]
     fn rootless_latency_regression_is_flagged_gray() {
-        let h = hub();
+        let h = HealthHub::default();
         let det = AnomalyDetector::new();
         // Slow calls and nothing else: no drops, no corruption, no
         // shedding — the degraded-but-alive signature.
@@ -972,7 +940,7 @@ mod tests {
 
     #[test]
     fn regression_with_a_sibling_conn_root_is_not_gray() {
-        let h = hub();
+        let h = HealthHub::default();
         let det = AnomalyDetector::new();
         // Conn 0 regresses cleanly, but conn 1 sheds in the same
         // window: the fleet has a hard root (a saturated server books
@@ -996,7 +964,7 @@ mod tests {
 
     #[test]
     fn regression_with_a_drop_root_is_not_gray() {
-        let h = hub();
+        let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0, 32, 1);
@@ -1016,7 +984,7 @@ mod tests {
 
     #[test]
     fn retry_spike_detected() {
-        let h = hub();
+        let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(2), 10, 32, 1);
@@ -1036,7 +1004,7 @@ mod tests {
 
     #[test]
     fn clean_window_is_quiet() {
-        let h = hub();
+        let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
             c.record_call(at, SimSpan::micros(2), 0, 32, 1);
@@ -1046,7 +1014,7 @@ mod tests {
 
     #[test]
     fn counter_anomalies_need_no_baseline() {
-        let h = hub();
+        let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let c = h.conn(1);
         for signal in [

@@ -62,7 +62,7 @@ pub use crc64::{crc64, Crc64};
 pub use executor::{EventSink, ExecutorStats, SimHandle, Simulation, Sleep, Wakeup};
 pub use health::{
     Anomaly, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad, CoreSkewReport,
-    DumpBundle, HealthConfig, HealthHub, HealthReport, HealthSignal,
+    DumpBundle, HealthHub, HealthReport, HealthSignal,
 };
 pub use metrics::{Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightEvent, FlightRecorder, Severity};

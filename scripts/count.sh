@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Plurality counters: how much code, how many knobs, how many copies of
 # the server's ring drain. CHANGES.md quotes the before/after of a
-# simplification PR from here instead of ad-hoc greps; ci.sh gates two
-# lines, the dormant-knob and unreferenced-pub-item counts.
+# simplification PR from here instead of ad-hoc greps; ci.sh gates three
+# lines, the dormant-knob, test-only-knob and unreferenced-pub-item
+# counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,20 +53,54 @@ echo "pub fields of pub struct *Config: $(grep -c . <<<"$fields")" \
 # benchmark reads it (benchmark/src/rigs.rs), so it stays a `pub` field.
 allowed_dormant='CoresConfig::window'
 mapfile -t scanned < <(find crates src benchmark/src tests examples -name '*.rs' -not -path '*/target/*' | sort)
-settable=$(awk '/^impl Default for / { d = 1 }
-                d { if (/^\}/) d = 0; next }
-                /^[ \t]*\/\// { next }
-                /^[ \t]*pub(\([a-z]+\))? [a-z_0-9]+:/ { next }
-                { print }' "${scanned[@]}")
+# The lines of the given files that can set a field: field
+# declarations, `impl Default` blocks and comments set aside. With
+# `prod`, a file's lines from its first `#[cfg(test)]` on are set aside
+# too.
+setters() { # [prod] <file>...
+  local prod=0
+  [[ $1 == prod ]] && { prod=1; shift; }
+  awk -v prod="$prod" 'FNR == 1 { t = 0 }
+       prod && /^[ \t]*#\[cfg\(test\)\]/ { t = 1 }
+       t { next }
+       /^impl Default for / { d = 1 }
+       d { if (/^\}/) d = 0; next }
+       /^[ \t]*\/\// { next }
+       /^[ \t]*pub(\([a-z]+\))? [a-z_0-9]+:/ { next }
+       { print }' "$@"
+}
+sets() { # <field name> <setter lines>
+  grep -qE "(^|[^A-Za-z0-9_:.])$1: |^[ \t]*$1,\$|[{,] $1 [,}]|\.$1 [-+*/|&]?= " <<<"$2"
+}
+settable=$(setters "${scanned[@]}")
 dormant=()
 while IFS= read -r field; do
-  name=${field##*::}
   grep -qx "$field" <<<"$allowed_dormant" && continue
-  grep -qE "(^|[^A-Za-z0-9_:.])$name: |^[ \t]*$name,\$|[{,] $name [,}]|\.$name [-+*/|&]?= " <<<"$settable" ||
-    dormant+=("$field")
+  sets "${field##*::}" "$settable" || dormant+=("$field")
 done < <(sed 's/: .*//' <<<"$fields")
 echo "dormant knobs: ${#dormant[@]}"
 for field in "${dormant[@]}"; do echo "  $field"; done
+
+# Test-only knobs: config fields that something sets, but only test
+# code — a crate's tests/, examples/, or a file below its first
+# `#[cfg(test)]` line. A field stays settable only when production
+# callers set it to different values; one that only a test turns is
+# a `const`, and the test reaches its behaviour through a scenario.
+# Same name-based scan as the dormant one, so a name two structs share
+# can hide a test-only field but never invent one.
+# Allowed: `ChaosConfig::reactor_steal` — chaos/tests/cores_restart.rs
+# needs 4 stealing cores behind 6 clients, a shape no sweep runs.
+allowed_test_only='ChaosConfig::reactor_steal'
+mapfile -t prod_files < <(printf '%s\n' "${scanned[@]}" | grep -vE '(^|/)(tests|examples)/')
+prod_settable=$(setters prod "${prod_files[@]}")
+test_only=()
+while IFS= read -r field; do
+  name=${field##*::}
+  grep -qx "$field" <<<"$allowed_test_only" && continue
+  sets "$name" "$settable" && ! sets "$name" "$prod_settable" && test_only+=("$field")
+done < <(sed 's/: .*//' <<<"$fields")
+echo "test-only knobs: ${#test_only[@]}"
+for field in "${test_only[@]}"; do echo "  $field"; done
 
 # Unreferenced pub items: a `pub fn` or `pub const` under crates/*/src
 # whose name appears in no other scanned file. A `pub use` re-export
