@@ -54,7 +54,11 @@
 //! 2. **Ring steal** — run the scan over a loaded sibling's
 //!    connections, still under the *owner's* admission rule and with
 //!    the owner's handler (its partition of the store), serving in
-//!    place.
+//!    place. The pass takes as many requests as the victim's last
+//!    backlog exceeds the mean of every core's last backlog, and never
+//!    fewer than what is left of `STEAL_BATCH` (8): under uniform load
+//!    the excess is about zero and a pass takes one batch; under skew
+//!    one pass drains the hot core's surplus.
 //!
 //! Claims are plain `Cell<bool>` test-and-sets: the simulation is
 //! cooperatively single-threaded, so any code run between awaits is
@@ -88,9 +92,11 @@ use crate::server::{IdlePolicy, Reply, ScanHandler};
 /// time on the thief per stolen request).
 const HANDOFF_COST: SimSpan = SimSpan::nanos(150);
 
-/// Most requests one steal pass takes before re-scanning its own
-/// partition (keeps a thief from starving its own ring): one client
-/// draw's worth per core at the cores rig's default window of 8.
+/// Fewest requests a steal pass may take before re-scanning its own
+/// partition — all a run-queue steal takes, and a ring steal's budget
+/// when the victim's backlog is no more than the average (module docs,
+/// "Steal protocol"): one client draw's worth per core at the cores
+/// rig's default window of 8.
 const STEAL_BATCH: usize = 8;
 
 /// Reactor-wide knobs.
@@ -708,10 +714,21 @@ impl Shared {
             // (b) Ring backlog: only victims whose last scan actually
             // found work — polling an idle sibling's rings would burn
             // thief CPU for nothing.
-            if victim.last_backlog.get() == 0 {
+            let backlog = victim.last_backlog.get();
+            if backlog == 0 {
                 continue;
             }
-            let ring = self.scan(me, v, thread, STEAL_BATCH - taken).await;
+            // The budget is the victim's excess over the average
+            // backlog — about zero under uniform load, the hot core's
+            // surplus under skew — and never less than the batch left.
+            let mean = self
+                .cores
+                .iter()
+                .map(|c| c.last_backlog.get())
+                .sum::<usize>()
+                / n;
+            let budget = (STEAL_BATCH - taken).max(backlog.saturating_sub(mean));
+            let ring = self.scan(me, v, thread, budget).await;
             taken += ring.executed;
             any |= ring.served_any;
             if ring.crashed {

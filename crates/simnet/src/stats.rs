@@ -1,6 +1,6 @@
 //! Measurement helpers: counters, latency histograms, busy-time clocks.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 
 use crate::time::{SimSpan, SimTime};
 
@@ -49,10 +49,16 @@ impl Counter {
 /// record/query/record pattern (time-series sampling does this every
 /// tick) costs O(tail log tail + n) per query instead of re-sorting all
 /// n samples each time.
+///
+/// Both runs hold `u32` nanoseconds — half the memory of `u64` at the
+/// same exactness. The rare sample of 2³² ns (~4.3 s) or more goes to a
+/// third, sorted `wide` run; each of those sorts after every `u32`
+/// sample, so the sorted order is `sorted` followed by `wide`.
 #[derive(Default)]
 pub struct Histogram {
-    sorted: RefCell<Vec<u64>>,
-    tail: RefCell<Vec<u64>>,
+    sorted: RefCell<Vec<u32>>,
+    tail: RefCell<Vec<u32>>,
+    wide: RefCell<Vec<u64>>,
 }
 
 impl Histogram {
@@ -63,7 +69,15 @@ impl Histogram {
 
     /// Records one duration sample.
     pub fn record(&self, span: SimSpan) {
-        self.tail.borrow_mut().push(span.as_nanos());
+        let ns = span.as_nanos();
+        match u32::try_from(ns) {
+            Ok(v) => self.tail.borrow_mut().push(v),
+            Err(_) => {
+                let mut wide = self.wide.borrow_mut();
+                let at = wide.partition_point(|&w| w <= ns);
+                wide.insert(at, ns);
+            }
+        }
     }
 
     /// Adds every sample of `other`.
@@ -71,11 +85,14 @@ impl Histogram {
         let mut tail = self.tail.borrow_mut();
         tail.extend_from_slice(&other.sorted.borrow());
         tail.extend_from_slice(&other.tail.borrow());
+        let mut wide = self.wide.borrow_mut();
+        wide.extend_from_slice(&other.wide.borrow());
+        wide.sort_unstable();
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.sorted.borrow().len() + self.tail.borrow().len()
+        self.sorted.borrow().len() + self.tail.borrow().len() + self.wide.borrow().len()
     }
 
     /// Whether no samples have been recorded.
@@ -87,45 +104,54 @@ impl Histogram {
     pub fn reset(&self) {
         self.sorted.borrow_mut().clear();
         self.tail.borrow_mut().clear();
+        self.wide.borrow_mut().clear();
     }
 
-    /// Folds the unsorted tail into the sorted run (one linear merge of
-    /// two sorted sequences).
-    fn ensure_sorted(&self) {
+    /// Folds the unsorted tail into the sorted run and returns the
+    /// whole sorted order. The first fold swaps the sorted tail into
+    /// place; later ones merge it in from the back, in place — no
+    /// merged copy is ever allocated.
+    fn ranked(&self) -> Ranked<'_> {
         let mut tail = self.tail.borrow_mut();
-        if tail.is_empty() {
-            return;
-        }
-        tail.sort_unstable();
-        let mut sorted = self.sorted.borrow_mut();
-        let mut merged = Vec::with_capacity(sorted.len() + tail.len());
-        let (mut i, mut j) = (0, 0);
-        while i < sorted.len() && j < tail.len() {
-            if sorted[i] <= tail[j] {
-                merged.push(sorted[i]);
-                i += 1;
+        if !tail.is_empty() {
+            tail.sort_unstable();
+            let mut sorted = self.sorted.borrow_mut();
+            if sorted.is_empty() {
+                std::mem::swap(&mut *sorted, &mut *tail);
             } else {
-                merged.push(tail[j]);
-                j += 1;
+                let (mut i, mut j) = (sorted.len(), tail.len());
+                sorted.resize(i + j, 0);
+                while j > 0 {
+                    if i > 0 && sorted[i - 1] > tail[j - 1] {
+                        sorted[i + j - 1] = sorted[i - 1];
+                        i -= 1;
+                    } else {
+                        sorted[i + j - 1] = tail[j - 1];
+                        j -= 1;
+                    }
+                }
+                tail.clear();
             }
         }
-        merged.extend_from_slice(&sorted[i..]);
-        merged.extend_from_slice(&tail[j..]);
-        *sorted = merged;
-        tail.clear();
+        Ranked {
+            narrow: self.sorted.borrow(),
+            wide: self.wide.borrow(),
+        }
     }
 
     /// Arithmetic mean, or `None` when empty. Order-insensitive, so the
     /// tail is summed in place without merging.
     pub fn mean(&self) -> Option<SimSpan> {
-        let sorted = self.sorted.borrow();
-        let tail = self.tail.borrow();
-        let n = sorted.len() + tail.len();
+        let n = self.len();
         if n == 0 {
             return None;
         }
-        let sum: u128 = sorted.iter().chain(tail.iter()).map(|&v| v as u128).sum();
-        Some(SimSpan::nanos((sum / n as u128) as u64))
+        let narrow: u128 = (self.sorted.borrow().iter())
+            .chain(self.tail.borrow().iter())
+            .map(|&v| v as u128)
+            .sum();
+        let wide: u128 = self.wide.borrow().iter().map(|&v| v as u128).sum();
+        Some(SimSpan::nanos(((narrow + wide) / n as u128) as u64))
     }
 
     /// The `p`-th percentile (0.0..=100.0) by nearest-rank, or `None` when
@@ -136,51 +162,73 @@ impl Histogram {
     /// Panics if `p` is outside `0.0..=100.0`.
     pub fn percentile(&self, p: f64) -> Option<SimSpan> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        self.ensure_sorted();
-        let s = self.sorted.borrow();
-        if s.is_empty() {
-            return None;
-        }
-        let rank = ((p / 100.0) * s.len() as f64).ceil() as usize;
-        let idx = rank.max(1).min(s.len()) - 1;
-        Some(SimSpan::nanos(s[idx]))
+        let s = self.ranked();
+        (s.len() > 0).then(|| SimSpan::nanos(s.nearest(p / 100.0)))
     }
 
     /// Maximum sample, or `None` when empty.
     pub fn max(&self) -> Option<SimSpan> {
-        self.ensure_sorted();
-        self.sorted.borrow().last().map(|&v| SimSpan::nanos(v))
+        let s = self.ranked();
+        (s.len() > 0).then(|| SimSpan::nanos(s.nth(s.len() - 1)))
     }
 
     /// Fraction of samples at or below `bound` (0.0 when empty) — the
     /// goodput accounting of the overload ablation: completions slower
     /// than the deadline are throughput but not goodput.
     pub fn frac_at_most(&self, bound: SimSpan) -> f64 {
-        self.ensure_sorted();
-        let s = self.sorted.borrow();
-        if s.is_empty() {
+        let s = self.ranked();
+        if s.len() == 0 {
             return 0.0;
         }
-        let n = s.partition_point(|&v| v <= bound.as_nanos());
+        let bound = bound.as_nanos();
+        let n = match u32::try_from(bound) {
+            Ok(b) => s.narrow.partition_point(|&v| v <= b),
+            Err(_) => s.narrow.len() + s.wide.partition_point(|&v| v <= bound),
+        };
         n as f64 / s.len() as f64
     }
 
     /// `points` evenly spaced (latency, cumulative-probability) pairs —
     /// the series plotted in the paper's CDF figures (Figs 13 and 20).
     pub fn cdf(&self, points: usize) -> Vec<(SimSpan, f64)> {
-        self.ensure_sorted();
-        let s = self.sorted.borrow();
-        if s.is_empty() || points == 0 {
+        let s = self.ranked();
+        if s.len() == 0 || points == 0 {
             return Vec::new();
         }
-        let n = s.len();
         (1..=points)
             .map(|i| {
                 let frac = i as f64 / points as f64;
-                let idx = ((frac * n as f64).ceil() as usize).max(1).min(n) - 1;
-                (SimSpan::nanos(s[idx]), frac)
+                (SimSpan::nanos(s.nearest(frac)), frac)
             })
             .collect()
+    }
+}
+
+/// A histogram's samples in sorted order: the `u32` run, then the
+/// `wide` run.
+struct Ranked<'a> {
+    narrow: Ref<'a, Vec<u32>>,
+    wide: Ref<'a, Vec<u64>>,
+}
+
+impl Ranked<'_> {
+    fn len(&self) -> usize {
+        self.narrow.len() + self.wide.len()
+    }
+
+    /// The `idx`-th smallest sample, in nanoseconds.
+    fn nth(&self, idx: usize) -> u64 {
+        match self.narrow.get(idx) {
+            Some(&v) => v.into(),
+            None => self.wide[idx - self.narrow.len()],
+        }
+    }
+
+    /// The nearest-rank sample at cumulative fraction `frac`, in
+    /// nanoseconds. Requires at least one sample.
+    fn nearest(&self, frac: f64) -> u64 {
+        let n = self.len();
+        self.nth(((frac * n as f64).ceil() as usize).max(1).min(n) - 1)
     }
 }
 
@@ -230,6 +278,9 @@ impl BusyClock {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -346,6 +397,88 @@ mod tests {
         }
         assert_eq!(cdf.last().unwrap().0.as_nanos(), 1000);
         assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
+    }
+
+    /// Samples on both sides of the 2³² ns split, its edges, and the
+    /// extremes of the domain.
+    fn sample() -> BoxedStrategy<u64> {
+        const SPLIT: u64 = 1 << 32;
+        prop_oneof![
+            0u64..2_000,
+            (SPLIT - 4)..(SPLIT + 4),
+            0u64..=u64::MAX,
+            (0usize..4).prop_map(|k| [0, u64::MAX, SPLIT - 1, SPLIT][k]),
+        ]
+    }
+
+    proptest! {
+        /// Every query answers exactly what the same query on one plain
+        /// sorted `Vec<u64>` of every sample answers, through any
+        /// interleaving of records, absorbs, resets and queries.
+        #[test]
+        fn histogram_matches_sorted_vec_reference(
+            ops in vec((0u8..10, sample(), 0.0f64..=100.0, vec(sample(), 0..6)), 1..80)
+        ) {
+            let h = Histogram::new();
+            let mut reference: Vec<u64> = Vec::new();
+            for (kind, v, p, extra) in ops {
+                match kind {
+                    0..=5 => {
+                        h.record(SimSpan::nanos(v));
+                        reference.push(v);
+                    }
+                    6 => {
+                        // A donor holding sorted, tail and wide samples.
+                        let other = Histogram::new();
+                        for (i, &e) in extra.iter().enumerate() {
+                            other.record(SimSpan::nanos(e));
+                            if i == extra.len() / 2 {
+                                let _ = other.max();
+                            }
+                        }
+                        h.absorb(&other);
+                        reference.extend_from_slice(&extra);
+                    }
+                    7 => {
+                        h.reset();
+                        reference.clear();
+                    }
+                    _ => {
+                        let mut s = reference.clone();
+                        s.sort_unstable();
+                        let n = s.len();
+                        prop_assert_eq!(h.len(), n);
+                        prop_assert_eq!(h.is_empty(), n == 0);
+                        let nearest = |frac: f64| s[((frac * n as f64).ceil() as usize).max(1).min(n) - 1];
+                        let nanos = |o: Option<SimSpan>| o.map(SimSpan::as_nanos);
+                        let mean = (n > 0).then(|| {
+                            (s.iter().map(|&x| x as u128).sum::<u128>() / n as u128) as u64
+                        });
+                        prop_assert_eq!(nanos(h.mean()), mean);
+                        prop_assert_eq!(nanos(h.percentile(p)), (n > 0).then(|| nearest(p / 100.0)));
+                        prop_assert_eq!(nanos(h.max()), s.last().copied());
+                        let at_most = s.partition_point(|&x| x <= v);
+                        let frac = if n == 0 { 0.0 } else { at_most as f64 / n as f64 };
+                        prop_assert_eq!(h.frac_at_most(SimSpan::nanos(v)), frac);
+                        let points = extra.len();
+                        let cdf: Vec<(u64, f64)> = (h.cdf(points).into_iter())
+                            .map(|(span, f)| (span.as_nanos(), f))
+                            .collect();
+                        let expect: Vec<(u64, f64)> = if n == 0 {
+                            Vec::new()
+                        } else {
+                            (1..=points)
+                                .map(|i| {
+                                    let f = i as f64 / points as f64;
+                                    (nearest(f), f)
+                                })
+                                .collect()
+                        };
+                        prop_assert_eq!(cdf, expect);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
