@@ -12,9 +12,9 @@
 //!   case. Without stealing the hot core saturates and the closed-loop
 //!   clients drag the whole system down to little more than single-core
 //!   throughput (the collapse). With stealing, idle siblings drain the
-//!   hot core's rings — paying the modeled cross-core handoff per
-//!   request — and aggregate throughput stays within 2.5× of the
-//!   uniform run.
+//!   hot core's rings — a pass takes the hot core's backlog above the
+//!   average, paying the modeled cross-core handoff per request — and
+//!   aggregate throughput stays within 1.25× of the uniform run.
 //!
 //! The skewed keyspace is *constructed* (see
 //! [`rfp_kvstore::build_keyspace`]): hashing alone would spray the hot
@@ -185,11 +185,11 @@ fn main() {
     );
 
     // Skew tolerance: with stealing, the all-hot-keys-on-one-core
-    // worst case stays within 2.5x of uniform throughput...
+    // worst case stays within 1.25x of uniform throughput...
     let skew_steal = find(&points, 4, Mode::Zipf { steal: true });
     assert!(
-        skew_steal.kops * 2.5 >= four.kops,
-        "4-core zipf with stealing degraded more than 2.5x off uniform: \
+        skew_steal.kops * 1.25 >= four.kops,
+        "4-core zipf with stealing degraded more than 1.25x off uniform: \
          {:.1} vs {:.1} kops",
         skew_steal.kops,
         four.kops
