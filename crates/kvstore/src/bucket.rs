@@ -57,7 +57,6 @@ struct Bucket {
 /// assert_eq!(part.put(b"key", b"value"), PutOutcome::Inserted);
 /// assert_eq!(part.get(b"key"), Some(&b"value"[..]));
 /// assert_eq!(part.put(b"key", b"newer"), PutOutcome::Updated);
-/// assert_eq!(part.remove(b"key"), Some(b"newer".to_vec()));
 /// ```
 pub struct Partition {
     buckets: Vec<Bucket>,
@@ -168,20 +167,6 @@ impl Partition {
             key: victim.key.into_vec(),
         }
     }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        let hash = hash_bytes(BUCKET_SEED, key);
-        let b = self.bucket_of(hash);
-        let bucket = &mut self.buckets[b];
-        let idx = bucket
-            .slots
-            .iter()
-            .position(|s| s.hash == hash && *s.key == *key)?;
-        let slot = bucket.slots.swap_remove(idx);
-        self.entries -= 1;
-        Some(slot.value.into_vec())
-    }
 }
 
 #[cfg(test)]
@@ -197,16 +182,6 @@ mod tests {
         assert_eq!(p.put(b"k1", b"v2"), PutOutcome::Updated);
         assert_eq!(p.get(b"k1"), Some(&b"v2"[..]));
         assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn remove_deletes() {
-        let mut p = Partition::new(4);
-        p.put(b"a", b"1");
-        assert_eq!(p.remove(b"a"), Some(b"1".to_vec()));
-        assert_eq!(p.remove(b"a"), None);
-        assert_eq!(p.get(b"a"), None);
-        assert!(p.is_empty());
     }
 
     #[test]

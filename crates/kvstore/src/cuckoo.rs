@@ -247,7 +247,7 @@ impl PilafStore {
         None
     }
 
-    /// Server-local lookup (used by tests and by PUT handlers).
+    /// Server-local lookup (the store tests read through it).
     pub fn lookup_local(&self, key: &[u8]) -> Option<Vec<u8>> {
         let (_, slot) = self.find(key)?;
         let off = self.cell_off(slot.cell) + 6 + slot.klen as usize;
@@ -316,21 +316,6 @@ impl PilafStore {
             return Ok(());
         }
         self.insert_fresh(key, value)
-    }
-
-    /// Removes `key` (server CPU path): vacates the slot, then frees the
-    /// extent cell. Returns whether the key existed. A concurrent bypass
-    /// GET that already read the old slot may still fetch the freed cell
-    /// — its key/CRC check rejects the stale data, exactly as for
-    /// updates.
-    pub fn remove_local(&self, key: &[u8]) -> bool {
-        let Some((bucket, slot)) = self.find(key) else {
-            return false;
-        };
-        self.write_slot(bucket, Slot::VACANT);
-        self.free_cells.borrow_mut().push(slot.cell);
-        *self.entries.borrow_mut() -= 1;
-        true
     }
 
     /// Inserts a key known to be absent: write the extent first, then
@@ -409,12 +394,6 @@ impl BypassStore for PilafStore {
     }
     fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), CuckooError> {
         PilafStore::insert_local(self, key, value)
-    }
-    fn lookup_local(&self, key: &[u8]) -> Option<Vec<u8>> {
-        PilafStore::lookup_local(self, key)
-    }
-    fn remove_local(&self, key: &[u8]) -> bool {
-        PilafStore::remove_local(self, key)
     }
     async fn put(&self, thread: &ThreadCtx, key: &[u8], value: &[u8]) -> Result<(), CuckooError> {
         PilafStore::put(self, thread, key, value).await

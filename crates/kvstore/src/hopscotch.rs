@@ -252,17 +252,6 @@ impl FarmStore {
         self.insert_local(key, value)
     }
 
-    /// Removes `key`; returns whether it existed.
-    pub fn remove_local(&self, key: &[u8]) -> bool {
-        let Some(cell) = self.find_cell(key) else {
-            return false;
-        };
-        self.write_cell(cell, b"", b"");
-        self.homes.borrow_mut()[cell] = None;
-        *self.entries.borrow_mut() -= 1;
-        true
-    }
-
     /// Finds (or hops free) a cell inside `home`'s neighborhood —
     /// the classic hopscotch displacement.
     fn make_room(&self, home: usize) -> Result<usize, HopscotchError> {
@@ -310,12 +299,6 @@ impl BypassStore for FarmStore {
     }
     fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), HopscotchError> {
         FarmStore::insert_local(self, key, value)
-    }
-    fn lookup_local(&self, key: &[u8]) -> Option<Vec<u8>> {
-        FarmStore::lookup_local(self, key)
-    }
-    fn remove_local(&self, key: &[u8]) -> bool {
-        FarmStore::remove_local(self, key)
     }
     async fn put(
         &self,
@@ -430,9 +413,6 @@ mod tests {
         s.insert_local(b"alpha", b"uno").expect("update");
         assert_eq!(s.lookup_local(b"alpha"), Some(b"uno".to_vec()));
         assert_eq!(s.len(), 2);
-        assert!(s.remove_local(b"alpha"));
-        assert!(!s.remove_local(b"alpha"));
-        assert_eq!(s.lookup_local(b"alpha"), None);
     }
 
     #[test]

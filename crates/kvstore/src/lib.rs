@@ -11,6 +11,9 @@
 //! | ServerReply | server-reply | same table | [`systems::spawn_server_reply_kv`] |
 //! | RDMA-Memcached-like | server-reply | shared [`lru::LruCache`] behind a lock | [`mcd`], [`systems::spawn_memcached`] |
 //! | Pilaf-like | server-bypass GET / server-reply PUT | 3-way cuckoo + CRC64 ([`PilafStore`], [`rfp_simnet::crc64()`]) | [`systems::spawn_pilaf`] |
+//!
+//! Every system serves the two ops the paper's workloads send, GET and
+//! PUT, over the one wire protocol in [`proto`].
 
 pub mod bucket;
 pub mod cores;
@@ -31,7 +34,7 @@ pub use cuckoo::{bypass_get, BypassGet, CuckooError, PilafStore, PilafView};
 pub use hash::{hash_bytes, partition_of};
 pub use hopscotch::{FarmStore, FarmView, HopscotchError, NEIGHBORHOOD};
 pub use lru::LruCache;
-pub use mcd::{McdCosts, McdStore, McdThreadView};
+pub use mcd::{McdStore, McdThreadView};
 pub use proto::{KvRequest, KvResponse, ProtoError};
 pub use replica::{
     backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,

@@ -33,9 +33,8 @@ struct Node<K, V> {
 /// ```
 pub struct LruCache<K, V> {
     map: HashMap<K, usize>,
-    /// Slab of nodes; `None` slots are free (tracked in `free`).
-    nodes: Vec<Option<Node<K, V>>>,
-    free: Vec<usize>,
+    /// Slab of nodes; an eviction reuses the victim's slot.
+    nodes: Vec<Node<K, V>>,
     head: usize,
     tail: usize,
     capacity: usize,
@@ -52,7 +51,6 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         LruCache {
             map: HashMap::with_capacity(capacity.min(1 << 16)),
             nodes: Vec::new(),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -74,26 +72,15 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         self.capacity
     }
 
-    fn node(&self, idx: usize) -> &Node<K, V> {
-        self.nodes[idx].as_ref().expect("live node")
-    }
-
-    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        self.nodes[idx].as_mut().expect("live node")
-    }
-
     fn unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let n = self.node(idx);
-            (n.prev, n.next)
-        };
+        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
         if prev != NIL {
-            self.node_mut(prev).next = next;
+            self.nodes[prev].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.node_mut(next).prev = prev;
+            self.nodes[next].prev = prev;
         } else {
             self.tail = prev;
         }
@@ -101,13 +88,11 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
 
     fn push_front(&mut self, idx: usize) {
         let old_head = self.head;
-        {
-            let n = self.node_mut(idx);
-            n.prev = NIL;
-            n.next = old_head;
-        }
+        let n = &mut self.nodes[idx];
+        n.prev = NIL;
+        n.next = old_head;
         if old_head != NIL {
-            self.node_mut(old_head).prev = idx;
+            self.nodes[old_head].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -122,12 +107,12 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
             self.unlink(idx);
             self.push_front(idx);
         }
-        Some(&self.node(idx).value)
+        Some(&self.nodes[idx].value)
     }
 
     /// Looks up `key` without touching recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&i| &self.node(i).value)
+        self.map.get(key).map(|&i| &self.nodes[i].value)
     }
 
     /// Whether `key` is present (no recency update).
@@ -139,51 +124,32 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
     /// the entry evicted to make room, if any.
     pub fn put(&mut self, key: K, value: V) -> Option<(K, V)> {
         if let Some(&idx) = self.map.get(&key) {
-            self.node_mut(idx).value = value;
+            self.nodes[idx].value = value;
             if self.head != idx {
                 self.unlink(idx);
                 self.push_front(idx);
             }
             return None;
         }
-        let evicted = if self.map.len() == self.capacity {
-            let victim = self.tail;
-            self.unlink(victim);
-            let node = self.nodes[victim].take().expect("tail is live");
-            self.map.remove(&node.key);
-            self.free.push(victim);
-            Some((node.key, node.value))
-        } else {
-            None
-        };
         let fresh = Node {
             key: key.clone(),
             value,
             prev: NIL,
             next: NIL,
         };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Some(fresh);
-                i
-            }
-            None => {
-                self.nodes.push(Some(fresh));
-                self.nodes.len() - 1
-            }
+        let (idx, evicted) = if self.map.len() == self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            let node = std::mem::replace(&mut self.nodes[victim], fresh);
+            self.map.remove(&node.key);
+            (victim, Some((node.key, node.value)))
+        } else {
+            self.nodes.push(fresh);
+            (self.nodes.len() - 1, None)
         };
         self.map.insert(key, idx);
         self.push_front(idx);
         evicted
-    }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.map.remove(key)?;
-        self.unlink(idx);
-        let node = self.nodes[idx].take().expect("mapped node is live");
-        self.free.push(idx);
-        Some(node.value)
     }
 }
 
@@ -197,7 +163,7 @@ mod tests {
             let mut out = Vec::with_capacity(self.len());
             let mut cur = self.head;
             while cur != NIL {
-                let n = self.node(cur);
+                let n = &self.nodes[cur];
                 out.push(n.key.clone());
                 cur = n.next;
             }
@@ -228,17 +194,6 @@ mod tests {
         assert_eq!(c.peek(&1), Some(&11));
         assert_eq!(c.keys_by_recency(), vec![1, 2]);
         assert_eq!(c.put(3, 30), Some((2, 20)));
-    }
-
-    #[test]
-    fn remove_frees_capacity() {
-        let mut c = LruCache::new(2);
-        c.put(1, "a");
-        c.put(2, "b");
-        assert_eq!(c.remove(&1), Some("a"));
-        assert_eq!(c.len(), 1);
-        assert!(c.put(3, "c").is_none(), "freed slot must be reused");
-        assert_eq!(c.remove(&99), None);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! strictly FIFO [`SimLock`] (the serialized LRU maintenance), plus
 //! per-thread costs: parse/pack/memory work outside the lock, lock hold
 //! time inside it, both reduced when the key hits the thread's hot-key
-//! cache (locality). The constants are calibrated so the modelled system
-//! reproduces the paper's measured ceilings (~1.3 MOPS uniform at 16
-//! threads, ~2.1 MOPS under skewed 95% GET).
+//! cache (locality). The costs are private constants, calibrated so the
+//! modelled system reproduces the paper's measured ceilings (~1.3 MOPS
+//! uniform at 16 threads, ~2.1 MOPS under skewed 95% GET).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,47 +23,24 @@ use rfp_simnet::{SimLock, SimSpan};
 
 use crate::lru::LruCache;
 
-/// Per-operation CPU/lock costs of the Memcached-style server.
-#[derive(Clone, Debug)]
-pub struct McdCosts {
-    /// Out-of-lock CPU per GET (parse, hash, memory walk, pack).
-    pub get_work: SimSpan,
-    /// Out-of-lock CPU per PUT (adds allocation).
-    pub put_work: SimSpan,
-    /// Serialized hold per GET (LRU touch).
-    pub get_lock_hold: SimSpan,
-    /// Serialized hold per PUT (LRU reorder + slab bookkeeping).
-    pub put_lock_hold: SimSpan,
-    /// Out-of-lock CPU per GET that hits the thread's hot-key cache.
-    pub hot_get_work: SimSpan,
-    /// Serialized hold per hot GET (entry already near the LRU head).
-    pub hot_get_lock_hold: SimSpan,
-    /// Capacity of each server thread's hot-key cache. `0` means
-    /// *auto*: 1/64 of the store capacity (CPU caches cover a small
-    /// fraction of the dataset, whatever its absolute size).
-    pub hot_cache_per_thread: usize,
-}
-
-impl Default for McdCosts {
-    fn default() -> Self {
-        McdCosts {
-            get_work: SimSpan::nanos(4_000),
-            put_work: SimSpan::nanos(6_000),
-            get_lock_hold: SimSpan::nanos(700),
-            put_lock_hold: SimSpan::nanos(2_500),
-            hot_get_work: SimSpan::nanos(1_000),
-            hot_get_lock_hold: SimSpan::nanos(100),
-            hot_cache_per_thread: 0,
-        }
-    }
-}
+// Per-operation CPU and lock costs of the Memcached-style server.
+/// Out-of-lock CPU per GET (parse, hash, memory walk, pack).
+const GET_WORK: SimSpan = SimSpan::nanos(4_000);
+/// Out-of-lock CPU per PUT (adds allocation).
+const PUT_WORK: SimSpan = SimSpan::nanos(6_000);
+/// Serialized hold per GET (LRU touch).
+const GET_LOCK_HOLD: SimSpan = SimSpan::nanos(700);
+/// Serialized hold per PUT (LRU reorder + slab bookkeeping).
+const PUT_LOCK_HOLD: SimSpan = SimSpan::nanos(2_500);
+/// Out-of-lock CPU per GET that hits the thread's hot-key cache.
+const HOT_GET_WORK: SimSpan = SimSpan::nanos(1_000);
+/// Serialized hold per hot GET (entry already near the LRU head).
+const HOT_GET_LOCK_HOLD: SimSpan = SimSpan::nanos(100);
 
 /// The shared Memcached-style store.
 pub struct McdStore {
     data: RefCell<LruCache<Vec<u8>, Vec<u8>>>,
     lock: SimLock,
-    costs: McdCosts,
-    capacity: usize,
 }
 
 /// One server thread's private view: the shared store plus its hot-key
@@ -75,18 +52,11 @@ pub struct McdThreadView {
 
 impl McdStore {
     /// Creates a store bounded at `capacity` entries.
-    pub fn new(capacity: usize, costs: McdCosts) -> Rc<Self> {
+    pub fn new(capacity: usize) -> Rc<Self> {
         Rc::new(McdStore {
             data: RefCell::new(LruCache::new(capacity)),
             lock: SimLock::new(),
-            costs,
-            capacity,
         })
-    }
-
-    /// The cost model in effect.
-    pub fn costs(&self) -> &McdCosts {
-        &self.costs
     }
 
     /// Stored entries.
@@ -104,15 +74,13 @@ impl McdStore {
         self.data.borrow_mut().put(key, value);
     }
 
-    /// Creates a per-server-thread view with its own hot-key cache.
+    /// Creates a per-server-thread view with its own hot-key cache,
+    /// 1/64 of the store capacity (CPU caches cover a small fraction of
+    /// the dataset, whatever its absolute size).
     pub fn thread_view(self: &Rc<Self>) -> McdThreadView {
-        let hot = match self.costs.hot_cache_per_thread {
-            0 => (self.capacity / 64).max(8),
-            n => n,
-        };
         McdThreadView {
             store: Rc::clone(self),
-            hot: RefCell::new(LruCache::new(hot)),
+            hot: RefCell::new(LruCache::new((self.data.borrow().capacity() / 64).max(8))),
         }
     }
 }
@@ -121,11 +89,10 @@ impl McdThreadView {
     /// Serves a GET with the modelled CPU and lock costs.
     pub async fn get(&self, thread: &ThreadCtx, key: &[u8]) -> Option<Vec<u8>> {
         let hot = self.hot.borrow_mut().get(&key.to_vec()).is_some();
-        let costs = &self.store.costs;
         let (work, hold) = if hot {
-            (costs.hot_get_work, costs.hot_get_lock_hold)
+            (HOT_GET_WORK, HOT_GET_LOCK_HOLD)
         } else {
-            (costs.get_work, costs.get_lock_hold)
+            (GET_WORK, GET_LOCK_HOLD)
         };
         thread.busy(work).await;
         let guard = self.store.lock.lock().await;
@@ -138,25 +105,11 @@ impl McdThreadView {
         value
     }
 
-    /// Serves a DELETE with PUT-like costs (the LRU unlink is a write
-    /// to the shared structure). Returns whether the key existed.
-    pub async fn delete(&self, thread: &ThreadCtx, key: &[u8]) -> bool {
-        let costs = &self.store.costs;
-        thread.busy(costs.put_work).await;
-        let guard = self.store.lock.lock().await;
-        thread.busy(costs.put_lock_hold).await;
-        let found = self.store.data.borrow_mut().remove(&key.to_vec()).is_some();
-        drop(guard);
-        self.hot.borrow_mut().remove(&key.to_vec());
-        found
-    }
-
     /// Serves a PUT with the modelled CPU and lock costs.
     pub async fn put(&self, thread: &ThreadCtx, key: &[u8], value: Vec<u8>) {
-        let costs = &self.store.costs;
-        thread.busy(costs.put_work).await;
+        thread.busy(PUT_WORK).await;
         let guard = self.store.lock.lock().await;
-        thread.busy(costs.put_lock_hold).await;
+        thread.busy(PUT_LOCK_HOLD).await;
         self.store.data.borrow_mut().put(key.to_vec(), value);
         drop(guard);
         self.hot.borrow_mut().put(key.to_vec(), ());
@@ -170,23 +123,11 @@ mod tests {
     use rfp_simnet::Simulation;
     use std::cell::Cell;
 
-    fn quick_costs() -> McdCosts {
-        McdCosts {
-            get_work: SimSpan::nanos(100),
-            put_work: SimSpan::nanos(150),
-            get_lock_hold: SimSpan::nanos(50),
-            put_lock_hold: SimSpan::nanos(80),
-            hot_get_work: SimSpan::nanos(20),
-            hot_get_lock_hold: SimSpan::nanos(10),
-            hot_cache_per_thread: 4,
-        }
-    }
-
     #[test]
     fn get_put_round_trip_with_costs() {
         let mut sim = Simulation::new(0);
         let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1);
-        let store = McdStore::new(100, quick_costs());
+        let store = McdStore::new(100);
         let view = store.thread_view();
         let t = cluster.machine(0).thread("s");
         let ok = Rc::new(Cell::new(false));
@@ -205,11 +146,11 @@ mod tests {
     #[test]
     fn lock_serializes_threads() {
         // Two threads hammer the store; total time must reflect the
-        // serialized lock holds (2 × 50ns × N) even though out-of-lock
-        // work overlaps.
+        // serialized lock holds (2 × GET_LOCK_HOLD × N) even though
+        // out-of-lock work overlaps.
         let mut sim = Simulation::new(0);
         let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1);
-        let store = McdStore::new(100, quick_costs());
+        let store = McdStore::new(100);
         store.preload(b"k".to_vec(), b"v".to_vec());
         const N: u64 = 100;
         for i in 0..2 {
@@ -222,16 +163,16 @@ mod tests {
             });
         }
         sim.run();
-        // Cold GETs: 100ns work (parallel) + 50ns hold (serial).
-        // Serial floor: 2 threads × 100 ops × 50ns = 10µs.
-        assert!(sim.now().as_nanos() >= 10_000, "{}", sim.now());
+        // Cold GETs: GET_WORK (parallel) + GET_LOCK_HOLD (serial).
+        let floor = GET_LOCK_HOLD * (2 * N);
+        assert!(sim.now().as_nanos() >= floor.as_nanos(), "{}", sim.now());
     }
 
     #[test]
     fn hot_keys_get_cheaper() {
         let mut sim = Simulation::new(0);
         let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1);
-        let store = McdStore::new(100, quick_costs());
+        let store = McdStore::new(100);
         store.preload(b"hot".to_vec(), b"v".to_vec());
         let view = store.thread_view();
         let t = cluster.machine(0).thread("s");
@@ -247,15 +188,16 @@ mod tests {
         });
         sim.run();
         let timings = timings.borrow();
-        // First access is cold (150ns), later ones hot (30ns).
-        assert_eq!(timings[0], 150);
-        assert_eq!(timings[1], 30);
-        assert_eq!(timings[2], 30);
+        // First access is cold, later ones hit the hot-key cache.
+        let (cold, hot) = (GET_WORK + GET_LOCK_HOLD, HOT_GET_WORK + HOT_GET_LOCK_HOLD);
+        assert_eq!(timings[0], cold.as_nanos());
+        assert_eq!(timings[1], hot.as_nanos());
+        assert_eq!(timings[2], hot.as_nanos());
     }
 
     #[test]
     fn capacity_bound_evicts() {
-        let store = McdStore::new(2, quick_costs());
+        let store = McdStore::new(2);
         store.preload(b"a".to_vec(), vec![1]);
         store.preload(b"b".to_vec(), vec![2]);
         store.preload(b"c".to_vec(), vec![3]);

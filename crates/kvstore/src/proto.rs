@@ -1,8 +1,11 @@
 //! The key-value RPC wire protocol shared by Jakiro, ServerReply-KV and
-//! the RDMA-Memcached comparator.
+//! the RDMA-Memcached comparator: GET and PUT, the two ops the paper's
+//! workloads send.
 //!
-//! Requests: `[op:u8][klen:u16][vlen:u32][key][value]`.
-//! Responses: `[tag:u8][vlen:u32][value]`.
+//! Requests: `[op:u8][klen:u16][vlen:u32][key][value]` (`vlen` is 0 for
+//! a GET).
+//! Responses: `[tag:u8][vlen:u32][value]` (`vlen` is 0 unless `Found`).
+//! Any other op or tag byte is a [`ProtoError::BadTag`].
 //! All integers little-endian. The payloads ride inside RFP (or
 //! server-reply) buffers, after the transport headers.
 
@@ -28,13 +31,9 @@ impl std::error::Error for ProtoError {}
 
 const OP_GET: u8 = 1;
 const OP_PUT: u8 = 2;
-const OP_DELETE: u8 = 3;
-const OP_MULTI_GET: u8 = 4;
 const TAG_FOUND: u8 = 1;
 const TAG_NOT_FOUND: u8 = 2;
 const TAG_STORED: u8 = 3;
-const TAG_DELETED: u8 = 4;
-const TAG_VALUES: u8 = 5;
 
 /// A decoded request, borrowing from the receive buffer.
 #[derive(Debug, PartialEq, Eq)]
@@ -51,99 +50,33 @@ pub enum KvRequest<'a> {
         /// The value bytes.
         value: &'a [u8],
     },
-    /// Remove `key`.
-    Delete {
-        /// The key bytes.
-        key: &'a [u8],
-    },
-    /// Read several keys in one round trip (Memcached's multi-get; a
-    /// natural fit for RFP, which amortises the request WRITE and lets
-    /// the two-segment fetch carry the batched response).
-    MultiGet {
-        /// The keys, in request order.
-        keys: Vec<&'a [u8]>,
-    },
 }
 
 impl<'a> KvRequest<'a> {
-    /// The request's primary key (the first key for multi-get).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty multi-get (rejected at encode time).
+    /// The request's key.
     pub fn key(&self) -> &'a [u8] {
         match self {
-            KvRequest::Get { key } | KvRequest::Put { key, .. } | KvRequest::Delete { key } => key,
-            KvRequest::MultiGet { keys } => keys.first().expect("multi-get has keys"),
+            KvRequest::Get { key } | KvRequest::Put { key, .. } => key,
         }
     }
 
     /// Serialises into a fresh buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty multi-get.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            KvRequest::MultiGet { keys } => {
-                assert!(!keys.is_empty(), "multi-get needs at least one key");
-                let mut out =
-                    Vec::with_capacity(3 + keys.iter().map(|k| 2 + k.len()).sum::<usize>());
-                out.push(OP_MULTI_GET);
-                out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
-                for key in keys {
-                    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                    out.extend_from_slice(key);
-                }
-                out
-            }
-            _ => {
-                let (op, key, value): (u8, &[u8], &[u8]) = match self {
-                    KvRequest::Get { key } => (OP_GET, key, &[]),
-                    KvRequest::Put { key, value } => (OP_PUT, key, value),
-                    KvRequest::Delete { key } => (OP_DELETE, key, &[]),
-                    KvRequest::MultiGet { .. } => unreachable!("handled above"),
-                };
-                let mut out = Vec::with_capacity(7 + key.len() + value.len());
-                out.push(op);
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(value);
-                out
-            }
-        }
+        let (op, key, value): (u8, &[u8], &[u8]) = match self {
+            KvRequest::Get { key } => (OP_GET, key, &[]),
+            KvRequest::Put { key, value } => (OP_PUT, key, value),
+        };
+        let mut out = Vec::with_capacity(7 + key.len() + value.len());
+        out.push(op);
+        out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        out.extend_from_slice(key);
+        out.extend_from_slice(value);
+        out
     }
 
     /// Parses a request from `buf`.
     pub fn decode(buf: &'a [u8]) -> Result<Self, ProtoError> {
-        if buf.is_empty() {
-            return Err(ProtoError::Truncated);
-        }
-        if buf[0] == OP_MULTI_GET {
-            if buf.len() < 3 {
-                return Err(ProtoError::Truncated);
-            }
-            let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
-            let mut keys = Vec::with_capacity(count);
-            let mut off = 3;
-            for _ in 0..count {
-                if buf.len() < off + 2 {
-                    return Err(ProtoError::Truncated);
-                }
-                let klen = u16::from_le_bytes([buf[off], buf[off + 1]]) as usize;
-                off += 2;
-                if buf.len() < off + klen {
-                    return Err(ProtoError::Truncated);
-                }
-                keys.push(&buf[off..off + klen]);
-                off += klen;
-            }
-            if keys.is_empty() {
-                return Err(ProtoError::Truncated);
-            }
-            return Ok(KvRequest::MultiGet { keys });
-        }
         if buf.len() < 7 {
             return Err(ProtoError::Truncated);
         }
@@ -158,7 +91,6 @@ impl<'a> KvRequest<'a> {
         match op {
             OP_GET => Ok(KvRequest::Get { key }),
             OP_PUT => Ok(KvRequest::Put { key, value }),
-            OP_DELETE => Ok(KvRequest::Delete { key }),
             other => Err(ProtoError::BadTag(other)),
         }
     }
@@ -173,10 +105,6 @@ pub enum KvResponse {
     NotFound,
     /// PUT acknowledged.
     Stored,
-    /// DELETE processed; `true` when the key existed.
-    Deleted(bool),
-    /// Multi-get results, one per requested key in order.
-    Values(Vec<Option<Vec<u8>>>),
 }
 
 impl KvResponse {
@@ -192,64 +120,11 @@ impl KvResponse {
             }
             KvResponse::NotFound => vec![TAG_NOT_FOUND, 0, 0, 0, 0],
             KvResponse::Stored => vec![TAG_STORED, 0, 0, 0, 0],
-            KvResponse::Deleted(found) => vec![TAG_DELETED, u8::from(*found), 0, 0, 0],
-            KvResponse::Values(values) => {
-                let mut out = Vec::with_capacity(
-                    3 + values
-                        .iter()
-                        .map(|v| 5 + v.as_ref().map_or(0, Vec::len))
-                        .sum::<usize>(),
-                );
-                out.push(TAG_VALUES);
-                out.extend_from_slice(&(values.len() as u16).to_le_bytes());
-                for v in values {
-                    match v {
-                        Some(bytes) => {
-                            out.push(1);
-                            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                            out.extend_from_slice(bytes);
-                        }
-                        None => {
-                            out.push(0);
-                            out.extend_from_slice(&0u32.to_le_bytes());
-                        }
-                    }
-                }
-                out
-            }
         }
     }
 
     /// Parses a response from `buf`.
     pub fn decode(buf: &[u8]) -> Result<Self, ProtoError> {
-        if buf.len() < 3 {
-            return Err(ProtoError::Truncated);
-        }
-        if buf[0] == TAG_VALUES {
-            let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
-            let mut values = Vec::with_capacity(count);
-            let mut off = 3;
-            for _ in 0..count {
-                if buf.len() < off + 5 {
-                    return Err(ProtoError::Truncated);
-                }
-                let present = buf[off] == 1;
-                let vlen =
-                    u32::from_le_bytes([buf[off + 1], buf[off + 2], buf[off + 3], buf[off + 4]])
-                        as usize;
-                off += 5;
-                if present {
-                    if buf.len() < off + vlen {
-                        return Err(ProtoError::Truncated);
-                    }
-                    values.push(Some(buf[off..off + vlen].to_vec()));
-                    off += vlen;
-                } else {
-                    values.push(None);
-                }
-            }
-            return Ok(KvResponse::Values(values));
-        }
         if buf.len() < 5 {
             return Err(ProtoError::Truncated);
         }
@@ -263,7 +138,6 @@ impl KvResponse {
             }
             TAG_NOT_FOUND => Ok(KvResponse::NotFound),
             TAG_STORED => Ok(KvResponse::Stored),
-            TAG_DELETED => Ok(KvResponse::Deleted(buf[1] == 1)),
             other => Err(ProtoError::BadTag(other)),
         }
     }
@@ -315,14 +189,20 @@ mod tests {
 
     #[test]
     fn bad_tags_error() {
-        assert_eq!(
-            KvRequest::decode(&[99, 0, 0, 0, 0, 0, 0]),
-            Err(ProtoError::BadTag(99))
-        );
-        assert_eq!(
-            KvResponse::decode(&[77, 0, 0, 0, 0]),
-            Err(ProtoError::BadTag(77))
-        );
+        // The bytes just past the live codes (ops 3 and 4, tags 4 and 5)
+        // are unknown, never misparsed.
+        for op in [3, 4, 99] {
+            assert_eq!(
+                KvRequest::decode(&[op, 0, 0, 0, 0, 0, 0]),
+                Err(ProtoError::BadTag(op))
+            );
+        }
+        for tag in [4, 5, 77] {
+            assert_eq!(
+                KvResponse::decode(&[tag, 0, 0, 0, 0]),
+                Err(ProtoError::BadTag(tag))
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Primary/backup replication of the bucket-table store.
 //!
 //! The primary applies every request to its own partition and ships the
-//! **ordered mutation log** — PUTs and DELETEs, as their encoded
-//! requests, stamped with a monotone log sequence number (LSN) — to the
+//! **ordered mutation log** — its PUTs, as their encoded requests,
+//! stamped with a monotone log sequence number (LSN) — to the
 //! backup over a dedicated RFP connection. The backup applies entries
 //! in LSN order and acks with the next LSN it expects, so the log
 //! channel inherits RFP's exactly-once delivery (seq dedup on the
@@ -211,10 +211,6 @@ fn crashed(thread: &ThreadCtx) -> bool {
     thread.machine().faults().is_crashed()
 }
 
-fn mutating(req: &KvRequest<'_>) -> bool {
-    matches!(req, KvRequest::Put { .. } | KvRequest::Delete { .. })
-}
-
 /// The primary's end of the log channel.
 struct Shipper {
     thread: Rc<ThreadCtx>,
@@ -265,7 +261,7 @@ impl ScanHandler for PrimaryHandler {
         let (resp, work) = apply_to_partition(&mut self.partition.borrow_mut(), &parsed);
         let resp = resp.encode();
         let role = &self.shipper.role;
-        if mutating(&parsed) {
+        if matches!(parsed, KvRequest::Put { .. }) {
             role.applied_mutations.set(role.applied_mutations.get() + 1);
             if !role.solo.get() {
                 self.log.push(req.to_vec());
@@ -346,7 +342,7 @@ impl ScanHandler for BackupHandler {
         let parsed = KvRequest::decode(req).expect("client sent well-formed request");
         let role = &self.role;
         if !role.promoted.get() {
-            if mutating(&parsed) {
+            if matches!(parsed, KvRequest::Put { .. }) {
                 role.refused_mutations.set(role.refused_mutations.get() + 1);
                 return (Reply::Refuse(RespStatus::Busy), SimSpan::ZERO);
             }
@@ -462,7 +458,11 @@ mod tests {
                 value: b"v1",
             }
             .encode(),
-            KvRequest::Delete { key: b"k2" }.encode(),
+            KvRequest::Put {
+                key: b"k2",
+                value: b"v2",
+            }
+            .encode(),
         ];
         let buf = encode_batch(42, &entries);
         let (lsn, decoded) = decode_batch(&buf).unwrap();

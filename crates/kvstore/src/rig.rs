@@ -619,10 +619,6 @@ pub(crate) trait BypassStore: 'static {
     fn view(&self) -> Self::View;
     /// Atomic setup-time insert-or-update (no torn window).
     fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), Self::Error>;
-    /// Server-side lookup.
-    fn lookup_local(&self, key: &[u8]) -> Option<Vec<u8>>;
-    /// Server-side removal; whether the key existed.
-    fn remove_local(&self, key: &[u8]) -> bool;
     /// Server PUT path: an in-place update with a torn window racing
     /// bypass GETs must checksum-retry over.
     async fn put(&self, thread: &ThreadCtx, key: &[u8], value: &[u8]) -> Result<(), Self::Error>;

@@ -42,7 +42,7 @@ use crate::bucket::Partition;
 use crate::cuckoo::PilafStore;
 use crate::hash::partition_of;
 use crate::hopscotch::{FarmStore, NEIGHBORHOOD};
-use crate::mcd::{McdCosts, McdStore};
+use crate::mcd::McdStore;
 use crate::proto::{KvRequest, KvResponse};
 use crate::rig::{
     decode_resp, encode_op, kv_handler, preload_partitions, spawn_pollers, BypassStore, Connect,
@@ -212,19 +212,6 @@ pub fn apply_to_partition(
             partition.put(key, value);
             (KvResponse::Stored, KV_PUT_WORK)
         }
-        KvRequest::Delete { key } => {
-            let found = partition.remove(key).is_some();
-            (KvResponse::Deleted(found), KV_PUT_WORK)
-        }
-        KvRequest::MultiGet { keys } => {
-            let values = keys
-                .iter()
-                .map(|k| partition.get(k).map(<[u8]>::to_vec))
-                .collect::<Vec<_>>();
-            // One lookup's full cost plus a cheaper per-extra-key walk.
-            let work = KV_GET_WORK + SimSpan::nanos(80) * (keys.len() as u64 - 1);
-            (KvResponse::Values(values), work)
-        }
     }
 }
 
@@ -378,10 +365,7 @@ pub fn spawn_memcached(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
         &cfg.seating(1),
         cfg.rfp.recorder.as_ref(),
     );
-    let store = McdStore::new(
-        (cfg.spec.key_count as usize * 2).max(1024),
-        McdCosts::default(),
-    );
+    let store = McdStore::new((cfg.spec.key_count as usize * 2).max(1024));
     for (key, value) in cfg.preload() {
         store.preload(key, value);
     }
@@ -401,14 +385,6 @@ pub fn spawn_memcached(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
                 KvRequest::Put { key, value } => {
                     view.put(thread, key, value.to_vec()).await;
                     KvResponse::Stored
-                }
-                KvRequest::Delete { key } => KvResponse::Deleted(view.delete(thread, key).await),
-                KvRequest::MultiGet { keys } => {
-                    let mut values = Vec::with_capacity(keys.len());
-                    for key in keys {
-                        values.push(view.get(thread, key).await);
-                    }
-                    KvResponse::Values(values)
                 }
             };
             if !extra.is_zero() {
@@ -452,8 +428,7 @@ pub fn spawn_jakiro_shared(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem
             let parsed = KvRequest::decode(req).expect("well-formed request");
             let hold = match &parsed {
                 KvRequest::Get { .. } => SHARED_GET_HOLD,
-                KvRequest::MultiGet { keys } => SHARED_GET_HOLD * keys.len() as u64,
-                KvRequest::Put { .. } | KvRequest::Delete { .. } => SHARED_PUT_HOLD,
+                KvRequest::Put { .. } => SHARED_PUT_HOLD,
             };
             let extra = extra();
             let guard = lock.lock().await;
@@ -519,28 +494,22 @@ fn spawn_bypass_kv<S: BypassStore>(
     spawn_pollers(sim, &sys.server_machine, "put", groups, |_| {
         let (store, extra) = (Rc::clone(&store), cfg.extra_process);
         async move |thread: &ThreadCtx, req: &[u8]| {
-            let resp = match KvRequest::decode(req).expect("well-formed request") {
-                // Torn-window PUT: racing bypass GETs may observe it
-                // and must CRC-retry.
-                KvRequest::Put { key, value } => match store.put(thread, key, value).await {
-                    Ok(()) => KvResponse::Stored,
-                    Err(e) => panic!("bypass-store put failed: {e}"),
-                },
-                // Fallback paths (unused by the standard workload
-                // driver, but kept honest).
-                KvRequest::Get { key } => match store.lookup_local(key) {
-                    Some(v) => KvResponse::Found(v),
-                    None => KvResponse::NotFound,
-                },
-                KvRequest::Delete { key } => KvResponse::Deleted(store.remove_local(key)),
-                KvRequest::MultiGet { keys } => {
-                    KvResponse::Values(keys.iter().map(|k| store.lookup_local(k)).collect())
-                }
+            // GETs are one-sided; the clients send these threads PUTs
+            // only.
+            let KvRequest::Put { key, value } =
+                KvRequest::decode(req).expect("well-formed request")
+            else {
+                panic!("bypass PUT thread got a non-PUT request");
             };
+            // Torn-window PUT: racing bypass GETs may observe it and
+            // must CRC-retry.
+            if let Err(e) = store.put(thread, key, value).await {
+                panic!("bypass-store put failed: {e}");
+            }
             if !extra.is_zero() {
                 thread.busy(extra).await;
             }
-            resp.encode()
+            KvResponse::Stored.encode()
         }
     });
     sys

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use rfp_kvstore::{KvRequest, KvResponse, LruCache, Partition, PilafStore};
+use rfp_kvstore::{KvRequest, KvResponse, LruCache, Partition, PilafStore, ProtoError};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{crc64, Crc64, Simulation};
 
@@ -16,7 +16,6 @@ use rfp_simnet::{crc64, Crc64, Simulation};
 enum KvOp {
     Get(u16),
     Put(u16, Vec<u8>),
-    Remove(u16),
 }
 
 fn kv_ops() -> impl Strategy<Value = Vec<KvOp>> {
@@ -24,7 +23,6 @@ fn kv_ops() -> impl Strategy<Value = Vec<KvOp>> {
         prop_oneof![
             (0u16..64).prop_map(KvOp::Get),
             ((0u16..64), vec(any::<u8>(), 0..40)).prop_map(|(k, v)| KvOp::Put(k, v)),
-            (0u16..64).prop_map(KvOp::Remove),
         ],
         0..300,
     )
@@ -51,10 +49,6 @@ proptest! {
                     part.put(&key, &v);
                     model.insert(key, v);
                 }
-                KvOp::Remove(k) => {
-                    let key = k.to_le_bytes().to_vec();
-                    prop_assert_eq!(part.remove(&key), model.remove(&key));
-                }
             }
             prop_assert_eq!(part.len(), model.len());
         }
@@ -80,10 +74,6 @@ proptest! {
                     let key = k.to_le_bytes().to_vec();
                     store.insert_local(&key, &v).expect("under-filled table");
                     model.insert(key, v);
-                }
-                KvOp::Remove(k) => {
-                    let key = k.to_le_bytes().to_vec();
-                    prop_assert_eq!(store.remove_local(&key), model.remove(&key).is_some());
                 }
             }
         }
@@ -122,15 +112,6 @@ proptest! {
                     }
                     model.insert(0, (key, v));
                 }
-                KvOp::Remove(k) => {
-                    let key = k.to_le_bytes().to_vec();
-                    let got = lru.remove(&key);
-                    let expect = model
-                        .iter()
-                        .position(|e| e.0 == key)
-                        .map(|i| model.remove(i).1);
-                    prop_assert_eq!(got, expect);
-                }
             }
             prop_assert_eq!(lru.len(), model.len());
         }
@@ -157,51 +138,36 @@ proptest! {
 
     /// The KV wire protocol round-trips arbitrary payloads.
     #[test]
-    fn proto_request_round_trip(key in vec(any::<u8>(), 0..64), value in vec(any::<u8>(), 0..256), kind in 0u8..3) {
-        let req = match kind {
-            0 => KvRequest::Get { key: &key },
-            1 => KvRequest::Put { key: &key, value: &value },
-            _ => KvRequest::Delete { key: &key },
+    fn proto_request_round_trip(key in vec(any::<u8>(), 0..64), value in vec(any::<u8>(), 0..256), put in any::<bool>()) {
+        let req = if put {
+            KvRequest::Put { key: &key, value: &value }
+        } else {
+            KvRequest::Get { key: &key }
         };
         let bytes = req.encode();
         prop_assert_eq!(KvRequest::decode(&bytes).expect("round trip"), req);
     }
 
     #[test]
-    fn proto_multiget_round_trip(keys in vec(vec(any::<u8>(), 0..32), 1..12)) {
-        let req = KvRequest::MultiGet {
-            keys: keys.iter().map(Vec::as_slice).collect(),
-        };
-        let bytes = req.encode();
-        prop_assert_eq!(KvRequest::decode(&bytes).expect("round trip"), req);
-    }
-
-    #[test]
-    fn proto_response_round_trip(value in vec(any::<u8>(), 0..512), tag in 0u8..4, found in any::<bool>()) {
+    fn proto_response_round_trip(value in vec(any::<u8>(), 0..512), tag in 0u8..3) {
         let resp = match tag {
             0 => KvResponse::Found(value),
             1 => KvResponse::NotFound,
-            2 => KvResponse::Stored,
-            _ => KvResponse::Deleted(found),
+            _ => KvResponse::Stored,
         };
         let bytes = resp.encode();
         prop_assert_eq!(KvResponse::decode(&bytes).expect("round trip"), resp);
     }
 
-    #[test]
-    fn proto_values_round_trip(values in vec(prop::option::of(vec(any::<u8>(), 0..64)), 0..12)) {
-        let resp = KvResponse::Values(values);
-        let bytes = resp.encode();
-        prop_assert_eq!(KvResponse::decode(&bytes).expect("round trip"), resp);
-    }
-
-    /// Truncating any encoded request never panics — it errors.
+    /// Truncating any encoded request or response never panics — it
+    /// errors: every strict prefix drops bytes its header claims.
     #[test]
     fn proto_truncation_is_graceful(key in vec(any::<u8>(), 0..32), value in vec(any::<u8>(), 0..64), keep in any::<prop::sample::Index>()) {
-        let bytes = KvRequest::Put { key: &key, value: &value }.encode();
-        let cut = keep.index(bytes.len());
-        // Decoding a prefix either fails cleanly or (when only trailing
-        // value bytes were cut but the header still fits) succeeds.
-        let _ = KvRequest::decode(&bytes[..cut]);
+        let req = KvRequest::Put { key: &key, value: &value }.encode();
+        let cut = keep.index(req.len());
+        prop_assert_eq!(KvRequest::decode(&req[..cut]), Err(ProtoError::Truncated));
+        let resp = KvResponse::Found(value).encode();
+        let cut = keep.index(resp.len());
+        prop_assert_eq!(KvResponse::decode(&resp[..cut]), Err(ProtoError::Truncated));
     }
 }

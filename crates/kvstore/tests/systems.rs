@@ -193,175 +193,6 @@ fn jakiro_throughput_holds_across_get_ratios() {
 }
 
 #[test]
-fn delete_and_multiget_round_trip_over_rfp() {
-    use rfp_core::{connect, serve_loop, RfpConfig};
-    use rfp_kvstore::{KvRequest, KvResponse, Partition};
-    use rfp_rnic::{Cluster, ClusterProfile};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let mut sim = Simulation::new(2);
-    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
-    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
-    let (client, conn) = connect(
-        &cm,
-        &sm,
-        cluster.qp(0, 1),
-        cluster.qp(1, 0),
-        RfpConfig::default(),
-    );
-    let part = Rc::new(RefCell::new(Partition::new(64)));
-    part.borrow_mut().put(b"alpha", b"1");
-    part.borrow_mut().put(b"beta", b"2");
-    part.borrow_mut().put(b"gamma", b"3");
-    let p2 = Rc::clone(&part);
-    let st = sm.thread("server");
-    sim.spawn(serve_loop(
-        st,
-        vec![Rc::new(conn)],
-        move |req: &[u8]| {
-            let parsed = KvRequest::decode(req).expect("well-formed");
-            let (resp, work) =
-                rfp_kvstore::systems::apply_to_partition(&mut p2.borrow_mut(), &parsed);
-            (resp.encode(), work)
-        },
-        SimSpan::nanos(100),
-    ));
-
-    let ct = cm.thread("client");
-    let done = Rc::new(std::cell::Cell::new(false));
-    let d = Rc::clone(&done);
-    sim.spawn(async move {
-        // Multi-get hits and misses in order.
-        let req = KvRequest::MultiGet {
-            keys: vec![b"alpha", b"missing", b"gamma"],
-        }
-        .encode();
-        let out = client.call(&ct, &req).await;
-        match KvResponse::decode(&out.data).expect("response") {
-            KvResponse::Values(vs) => {
-                assert_eq!(vs.len(), 3);
-                assert_eq!(vs[0].as_deref(), Some(&b"1"[..]));
-                assert_eq!(vs[1], None);
-                assert_eq!(vs[2].as_deref(), Some(&b"3"[..]));
-            }
-            other => panic!("expected Values, got {other:?}"),
-        }
-
-        // Delete an existing key, then a missing one.
-        let del = KvRequest::Delete { key: b"beta" }.encode();
-        let out = client.call(&ct, &del).await;
-        assert_eq!(
-            KvResponse::decode(&out.data).expect("response"),
-            KvResponse::Deleted(true)
-        );
-        let out = client.call(&ct, &del).await;
-        assert_eq!(
-            KvResponse::decode(&out.data).expect("response"),
-            KvResponse::Deleted(false)
-        );
-
-        // The deleted key is really gone.
-        let get = KvRequest::Get { key: b"beta" }.encode();
-        let out = client.call(&ct, &get).await;
-        assert_eq!(
-            KvResponse::decode(&out.data).expect("response"),
-            KvResponse::NotFound
-        );
-        d.set(true);
-    });
-    sim.run_for(SimSpan::millis(2));
-    assert!(done.get());
-    assert!(part.borrow_mut().get(b"beta").is_none());
-}
-
-#[test]
-fn multiget_amortizes_round_trips() {
-    use rfp_core::{connect, serve_loop, RfpConfig};
-    use rfp_kvstore::{KvRequest, KvResponse, Partition};
-    use rfp_rnic::{Cluster, ClusterProfile};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    // Compare N single GETs against one N-key multi-get: the batched
-    // form needs far fewer server in-bound ops (RFP amortises the
-    // request WRITE and lets one fetch carry all values).
-    let run = |batched: bool| -> (u64, u64) {
-        let mut sim = Simulation::new(3);
-        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
-        let (cm, sm) = (cluster.machine(0), cluster.machine(1));
-        let (client, conn) = connect(
-            &cm,
-            &sm,
-            cluster.qp(0, 1),
-            cluster.qp(1, 0),
-            RfpConfig {
-                fetch_size: 1024,
-                ..RfpConfig::default()
-            },
-        );
-        let part = Rc::new(RefCell::new(Partition::new(64)));
-        let keys: Vec<Vec<u8>> = (0..16u32).map(|i| i.to_le_bytes().to_vec()).collect();
-        for k in &keys {
-            part.borrow_mut()
-                .put(k, b"batched-value-32-bytes-payload!!");
-        }
-        let st = sm.thread("server");
-        sim.spawn(serve_loop(
-            st,
-            vec![Rc::new(conn)],
-            move |req: &[u8]| {
-                let parsed = KvRequest::decode(req).expect("well-formed");
-                let (resp, work) =
-                    rfp_kvstore::systems::apply_to_partition(&mut part.borrow_mut(), &parsed);
-                (resp.encode(), work)
-            },
-            SimSpan::nanos(100),
-        ));
-        let ct = cm.thread("client");
-        let h = sim.handle();
-        let elapsed = Rc::new(std::cell::Cell::new(0u64));
-        let e = Rc::clone(&elapsed);
-        sim.spawn(async move {
-            let t0 = h.now();
-            if batched {
-                let req = KvRequest::MultiGet {
-                    keys: keys.iter().map(Vec::as_slice).collect(),
-                }
-                .encode();
-                let out = client.call(&ct, &req).await;
-                match KvResponse::decode(&out.data).expect("response") {
-                    KvResponse::Values(vs) => assert_eq!(vs.iter().flatten().count(), 16),
-                    other => panic!("{other:?}"),
-                }
-            } else {
-                for k in &keys {
-                    let req = KvRequest::Get { key: k }.encode();
-                    let out = client.call(&ct, &req).await;
-                    assert!(matches!(
-                        KvResponse::decode(&out.data).expect("response"),
-                        KvResponse::Found(_)
-                    ));
-                }
-            }
-            e.set((h.now() - t0).as_nanos());
-        });
-        sim.run_for(SimSpan::millis(2));
-        (sm.nic().counters().inbound_ops, elapsed.get())
-    };
-    let (single_ops, single_ns) = run(false);
-    let (batch_ops, batch_ns) = run(true);
-    assert!(
-        batch_ops * 4 < single_ops,
-        "multi-get should slash in-bound ops: {single_ops} -> {batch_ops}"
-    );
-    assert!(
-        batch_ns * 3 < single_ns,
-        "multi-get should slash latency: {single_ns} -> {batch_ns}"
-    );
-}
-
-#[test]
 fn erew_load_imbalance_under_skew_is_bounded() {
     // §4.4.3: "Although the most popular key is about 10^5 times more
     // often than the average key..., the load of the most loaded server

@@ -156,56 +156,3 @@ fn missing_keys_return_none_quickly() {
     sim.run();
     assert!(done.get());
 }
-
-#[test]
-fn remove_frees_cells_for_reuse() {
-    let mut sim = Simulation::new(4);
-    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1);
-    // Exactly 4 cells: insert/remove cycles must recycle them.
-    let store = PilafStore::new(&cluster.machine(0), 16, 4, 64);
-    for round in 0..10u8 {
-        for i in 0..4u8 {
-            store
-                .insert_local(&[round, i], &[round; 16])
-                .expect("cells recycled");
-        }
-        assert_eq!(store.len(), 4);
-        for i in 0..4u8 {
-            assert!(store.remove_local(&[round, i]));
-        }
-        assert!(store.is_empty());
-    }
-    // Removing a missing key reports false and frees nothing.
-    assert!(!store.remove_local(b"never-inserted"));
-}
-
-#[test]
-fn removed_keys_are_invisible_to_bypass_gets() {
-    let mut sim = Simulation::new(6);
-    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
-    let server_m = cluster.machine(0);
-    let store = Rc::new(PilafStore::new(&server_m, 64, 64, 128));
-    store
-        .insert_local(b"victim", b"to-be-removed")
-        .expect("preload");
-    store.insert_local(b"keeper", b"stays").expect("preload");
-
-    let client = BypassClient::new(cluster.qp(1, 0), 512);
-    let ct = cluster.machine(1).thread("client");
-    let view = store.view();
-    let s2 = Rc::clone(&store);
-    let done = Rc::new(Cell::new(false));
-    let d = Rc::clone(&done);
-    sim.spawn(async move {
-        let before = bypass_get(&client, &ct, &view, b"victim").await;
-        assert_eq!(before.value.as_deref(), Some(&b"to-be-removed"[..]));
-        s2.remove_local(b"victim");
-        let after = bypass_get(&client, &ct, &view, b"victim").await;
-        assert_eq!(after.value, None);
-        let keeper = bypass_get(&client, &ct, &view, b"keeper").await;
-        assert_eq!(keeper.value.as_deref(), Some(&b"stays"[..]));
-        d.set(true);
-    });
-    sim.run();
-    assert!(done.get());
-}

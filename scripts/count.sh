@@ -32,14 +32,16 @@ echo "server scan files (code lines): reactor.rs $(code_lines crates/core/src/re
 echo "pub struct *Config: $(cat "${all[@]}" | grep -cE '^\s*pub struct \w*Config\b')"
 echo "pub enabled: bool: $(cat "${all[@]}" | grep -cE '^\s*pub enabled: bool')"
 
-# Every `pub` field of a `pub struct *Config`, as "Struct::field: Type".
+# Every `pub` field of a knob-carrying struct — a `pub struct` named
+# `*Config`, `*Costs`, `*Policy`, `*Profile` or `*Spec` — as
+# "Struct::field: Type".
 config_fields() {
-  awk '/^[ \t]*pub struct [A-Za-z]*Config[ \t{]/ { s = $3; next }
+  awk '/^[ \t]*pub struct [A-Za-z]*(Config|Costs|Policy|Profile|Spec)[ \t{]/ { s = $3; next }
        s != "" && /^\}/ { s = "" }
        s != "" && /^[ \t]*pub [a-z_0-9]+:/ { sub(/^[ \t]*pub /, ""); print s "::" $0 }' "${all[@]}"
 }
 fields=$(config_fields)
-echo "pub fields of pub struct *Config: $(grep -c . <<<"$fields")" \
+echo "pub fields of pub struct *Config|*Costs|*Policy|*Profile|*Spec: $(grep -c . <<<"$fields")" \
   "($(grep -c ': bool,$' <<<"$fields") of them \`: bool\`)"
 
 # Dormant knobs: config fields set nowhere but in their own `Default`
