@@ -2,7 +2,7 @@
 //! and the public call entry points — each a thin wrapper over the one
 //! call engine in [`engine`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -98,7 +98,48 @@ pub struct ClientStats {
     /// doorbell, like the sequential path).
     single_reads: Counter,
     /// End-to-end call latencies.
-    pub latency: Rc<Histogram>,
+    pub latency: CallLatency,
+}
+
+/// A connection's end-to-end call latencies: an exact running mean,
+/// and the samples themselves only where a telemetry registry exports
+/// them — a rig that books every call's latency itself does not pay
+/// for a second copy.
+#[derive(Default)]
+pub struct CallLatency {
+    sum_ns: Cell<u128>,
+    calls: Cell<u64>,
+    samples: OnceCell<Rc<Histogram>>,
+}
+
+impl CallLatency {
+    fn record(&self, span: SimSpan) {
+        self.sum_ns.set(self.sum_ns.get() + span.as_nanos() as u128);
+        self.calls.set(self.calls.get() + 1);
+        if let Some(samples) = self.samples.get() {
+            samples.record(span);
+        }
+    }
+
+    /// Mean call latency, or `None` before the first call — the same
+    /// integer division as [`Histogram::mean`].
+    pub fn mean(&self) -> Option<SimSpan> {
+        let calls = self.calls.get();
+        (calls > 0).then(|| SimSpan::nanos((self.sum_ns.get() / calls as u128) as u64))
+    }
+
+    /// The per-call samples, kept only while a registry exports them.
+    pub fn samples(&self) -> Option<&Rc<Histogram>> {
+        self.samples.get()
+    }
+
+    fn reset(&self) {
+        self.sum_ns.set(0);
+        self.calls.set(0);
+        if let Some(samples) = self.samples.get() {
+            samples.reset();
+        }
+    }
 }
 
 impl ClientStats {
@@ -124,7 +165,8 @@ impl ClientStats {
         counter("extra_reads", &self.extra_reads);
         counter("switches.to_reply", &self.switches_to_reply);
         counter("switches.to_fetch", &self.switches_to_fetch);
-        registry.register_histogram(&format!("{prefix}.latency"), &self.latency);
+        let samples = self.latency.samples.get_or_init(Rc::default);
+        registry.register_histogram(&format!("{prefix}.latency"), samples);
     }
 
     pub(crate) fn record_switch(&self, to: Mode) {

@@ -203,8 +203,10 @@ type ReadEntry = (Rc<MemRegion>, usize, Rc<MemRegion>, usize, usize);
 pub(super) struct Scratch {
     /// Outstanding calls, oldest first.
     pub(super) flights: Vec<Flight>,
-    /// Free ring slots, lowest on top so `W = 1` always stages slot 0.
-    free: Vec<usize>,
+    /// The ring slot the next flight tries first. Flights take slots in
+    /// ring order — the order the server's head looks expect — across
+    /// runs, so `W = 1` always stages slot 0.
+    tail: usize,
     entries: Vec<ReadEntry>,
     /// Completions of the round's posted deposits, then of its batched
     /// fetch READs.
@@ -216,10 +218,21 @@ impl Scratch {
     /// leg, a `recv` future dropped mid-flight): the next staging of a
     /// slot allocates a fresh seq, so a late response to an abandoned
     /// one fails the acceptance check and is never surfaced.
-    fn reset(&mut self, window: usize) {
+    fn reset(&mut self) {
         self.flights.clear();
-        self.free.clear();
-        self.free.extend((0..window).rev());
+    }
+
+    /// The first slot from the tail, in ring order, that no flight
+    /// holds — a held slot is skipped, not waited for — or `None` with
+    /// all `window` slots held.
+    fn take_slot(&mut self, window: usize) -> Option<usize> {
+        let held = |slot| self.flights.iter().any(|fl| fl.slot == slot);
+        // `window` is a power of two (a `connect` invariant).
+        let slot = (0..window)
+            .map(|k| (self.tail + k) & (window - 1))
+            .find(|&slot| !held(slot))?;
+        self.tail = (slot + 1) & (window - 1);
+        Some(slot)
     }
 }
 
@@ -244,7 +257,7 @@ impl RfpClient {
         sink: impl FnMut(usize, Result<CallResult, RpcError>),
     ) {
         let mut sc = self.scratch.take();
-        sc.reset(self.shared.cfg.window);
+        sc.reset();
         self.engine(thread, &policy)
             .drive(&mut sc, reqs, sink)
             .await;
@@ -264,8 +277,9 @@ impl RfpClient {
     pub(super) async fn submit_one(&self, thread: &ThreadCtx, req: &[u8], policy: &CallPolicy<'_>) {
         let engine = self.engine(thread, policy);
         let mut sc = self.scratch.take();
-        sc.reset(self.shared.cfg.window);
-        let slot = sc.free.pop().expect("a fresh ring has a free slot");
+        sc.reset();
+        let slot = sc.take_slot(self.shared.cfg.window);
+        let slot = slot.expect("a fresh ring has a free slot");
         let mut fl = engine.new_flight(0, slot);
         engine.stage(&mut fl, req);
         sc.flights.push(fl);
@@ -393,11 +407,14 @@ impl Engine<'_> {
             self.policy.admission.is_none() || self.cfg().overload.is_some(),
             "call_overload requires overload control"
         );
+        let window = self.cfg().window;
         let mut next = 0;
         while next < reqs.len() || !sc.flights.is_empty() {
             // Refill: one new flight per free ring slot.
             while next < reqs.len() {
-                let Some(slot) = sc.free.pop() else { break };
+                let Some(slot) = sc.take_slot(window) else {
+                    break;
+                };
                 sc.flights.push(self.new_flight(next, slot));
                 next += 1;
             }
@@ -430,7 +447,6 @@ impl Engine<'_> {
                 if let Some(out) = sc.flights[i].outcome.take() {
                     let fl = sc.flights.remove(i);
                     self.c.tail.set(fl.chain);
-                    sc.free.push(fl.slot);
                     sink(fl.idx, out);
                 } else {
                     i += 1;
@@ -439,7 +455,7 @@ impl Engine<'_> {
             // Idle: with every flight pausing (credit wait, probe pause,
             // backoff) and nothing to refill, sleep to the earliest
             // wake-up instead of spinning.
-            let refillable = next < reqs.len() && !sc.free.is_empty();
+            let refillable = next < reqs.len() && sc.flights.len() < window;
             let wake = sc.flights.iter().map(|fl| fl.not_before).min();
             if let Some(wake) = wake.filter(|&w| !refillable && w > self.now()) {
                 let pause = self.thread.handle().sleep(wake.since(self.now()));

@@ -420,6 +420,12 @@ impl Ring {
         self.shared.cfg.window
     }
 
+    /// Moves the scan cursor past `slot`.
+    fn pass(&self, slot: usize) {
+        // `window` is a power of two (a `connect` invariant).
+        self.scan_from.set((slot + 1) & (self.window() - 1));
+    }
+
     /// One look at `slot`: its request header, if the slot holds a
     /// request not yet delivered (acceptance is idempotent dedup — see
     /// [`RfpServerConn::try_recv`]).
@@ -458,7 +464,8 @@ enum At {
     Conn,
     /// Begin a receive on it: window, budget, crash check.
     Recv,
-    /// Look at its next slot, `left` looks remaining in the receive.
+    /// Look at the slot at its cursor, `left` looks remaining in the
+    /// receive.
     Look,
 }
 
@@ -482,6 +489,9 @@ struct Pos {
     spent: bool,
     at: At,
     conn: usize,
+    /// The ring this sweep scans in full; every other one it looks at
+    /// only from its head.
+    full: usize,
     /// Receives begun on `rings[conn]` — at most its window.
     recvs: usize,
     left: usize,
@@ -502,8 +512,10 @@ impl Pos {
         self.at = At::Conn;
     }
 
-    /// The stop for a look at the slot in flight that found `hdr`.
-    fn hit(&self, hdr: ReqHeader) -> Stop {
+    /// The stop for a look at the slot in flight of `ring` that found
+    /// `hdr`; the ring's cursor moves past the slot.
+    fn hit(&self, ring: &Ring, hdr: ReqHeader) -> Stop {
+        ring.pass(self.slot);
         Stop::Hit {
             conn: self.conn,
             slot: self.slot,
@@ -522,8 +534,20 @@ impl Pos {
 /// back through [`SimHandle::resume`] so it runs at the look's own place
 /// in the order. Allocated once per reactor core and once per
 /// connection (for [`try_recv`](RfpServerConn::try_recv)).
+///
+/// A sweep scans one ring in full — up to `W` round-robin looks per
+/// receive, the cursor advancing on each — and looks at every other
+/// ring once per receive, at its cursor (its head): a hit moves the
+/// cursor past the slot, a miss leaves the ring. So an idle ring costs
+/// one look, and a client filling its slots in ring order is found at
+/// the head. The full ring rotates from sweep to sweep, so a request
+/// that lands off the head (re-staged after a rejection, resubmitted
+/// after a restart reset the cursor) is found within one rotation.
 pub(crate) struct Sweep {
     h: SimHandle,
+    /// The rotation: the next unbudgeted sweep scans ring
+    /// `turn % rings.len()` in full.
+    turn: Cell<usize>,
     cursor: RefCell<Cursor>,
     /// The task awaiting the sweep while a look is in flight.
     waiter: Cell<Option<Wakeup>>,
@@ -535,6 +559,7 @@ impl Sweep {
     pub(crate) fn new(h: SimHandle) -> Rc<Sweep> {
         Rc::new(Sweep {
             h,
+            turn: Cell::new(0),
             cursor: RefCell::default(),
             waiter: Cell::new(None),
             stop: Cell::new(None),
@@ -551,12 +576,20 @@ impl Sweep {
         reactor: bool,
         budget: usize,
     ) {
+        // Only an unbudgeted sweep — an owner's of its own rings — moves
+        // the rotation: a steal, which may stop anywhere, must not make
+        // its thief's own sweeps skip a ring's full turn.
+        let turn = self.turn.get();
+        if budget == usize::MAX {
+            self.turn.set(turn.wrapping_add(1));
+        }
         let mut c = self.cursor.borrow_mut();
         c.thread = Some(Rc::clone(thread));
         c.rings = Rc::clone(rings);
         c.pos = Pos {
             reactor,
             budget,
+            full: turn % rings.len(),
             generation: c.pos.generation + 1,
             ..Pos::default()
         };
@@ -628,7 +661,11 @@ impl Sweep {
                         scan.conns.incr();
                     }
                     pos.recvs += 1;
-                    pos.left = ring.window();
+                    pos.left = if pos.conn == pos.full {
+                        ring.window()
+                    } else {
+                        1
+                    };
                     pos.at = At::Look;
                 }
                 At::Look => {
@@ -640,8 +677,9 @@ impl Sweep {
                     }
                     pos.left -= 1;
                     pos.slot = ring.scan_from.get();
-                    // `window` is a power of two (a `connect` invariant).
-                    ring.scan_from.set((pos.slot + 1) & (ring.window() - 1));
+                    if pos.conn == pos.full {
+                        ring.pass(pos.slot);
+                    }
                     // A look that takes no time (a zero straggler
                     // factor) is made now, as an elapsed sleep resumed;
                     // one that would be delivered next and alone is
@@ -653,7 +691,7 @@ impl Sweep {
                         return Err(at);
                     }
                     if let Some(hdr) = ring.look(pos.slot) {
-                        return Ok(pos.hit(hdr));
+                        return Ok(pos.hit(ring, hdr));
                     }
                 }
             }
@@ -668,8 +706,9 @@ impl EventSink for Sweep {
             if generation != c.pos.generation {
                 return;
             }
-            match c.rings[c.pos.conn].look(c.pos.slot) {
-                Some(hdr) => Ok(c.pos.hit(hdr)),
+            let ring = &c.rings[c.pos.conn];
+            match ring.look(c.pos.slot) {
+                Some(hdr) => Ok(c.pos.hit(ring, hdr)),
                 None => Self::run(&self.h, c, true),
             }
         };
@@ -1154,5 +1193,95 @@ mod tests {
         sim.run();
         assert_eq!(*hits.borrow(), [("first", 0, 50), ("second", 1, 50)]);
         assert!(rings.iter().all(|r| !r.claimed.get()), "claims released");
+    }
+
+    #[test]
+    fn an_idle_sweep_looks_once_at_each_ring_but_the_one_it_scans_in_full() {
+        // R rings × W slots cost (R − 1) + W looks, not R·W; one ring
+        // still costs W.
+        let look = RfpConfig::default().check_cpu.as_nanos();
+        for (rings, window) in [(1, 8), (4, 1), (4, 8), (3, 16)] {
+            let mut sim = Simulation::new(0);
+            let (cluster, conns, _clients) = rig(&mut sim, window, rings);
+            let swept: Rc<[Rc<Ring>]> = conns.iter().map(|c| Rc::clone(c.ring())).collect();
+            let thread = cluster.machine(1).thread("core");
+            let sweep = Sweep::new(sim.handle());
+            sim.spawn(async move {
+                sweep.begin(&thread, &swept, true, usize::MAX);
+                assert!(matches!(sweep.next(0).await, Stop::End));
+            });
+            sim.run();
+            let looks = sim.now().as_nanos() / look;
+            assert_eq!(
+                looks,
+                (rings - 1 + window) as u64,
+                "{rings} rings × W={window}"
+            );
+        }
+    }
+
+    /// One reactor sweep of `conns`' rings that rejects every request it
+    /// meets `Busy`; the `(ring, slot)` of each.
+    async fn sweep_rejecting(
+        sweep: &Rc<Sweep>,
+        thread: &Rc<ThreadCtx>,
+        conns: &[Rc<RfpServerConn>],
+    ) -> Vec<(usize, usize)> {
+        let rings: Rc<[Rc<Ring>]> = conns.iter().map(|c| Rc::clone(c.ring())).collect();
+        sweep.begin(thread, &rings, true, usize::MAX);
+        let mut met = Vec::new();
+        while let Stop::Hit { conn, slot, hdr } = sweep.next(0).await {
+            met.push((conn, slot));
+            conns[conn].pickup(thread, slot, hdr).await;
+            sweep.took();
+            conns[conn].reject(thread, RespStatus::Busy).await;
+        }
+        met
+    }
+
+    #[test]
+    fn a_request_off_a_rings_head_is_found_within_one_rotation() {
+        // Ring 1 of three W=4 rings answers slots 0 and 1, so its head
+        // moves to slot 2. Then a request lands off the head: a
+        // rejected one re-staged in its old slot 0 under a fresh seq,
+        // or one in slot 2 after a restart moved the head back to the
+        // answered slot 0. Head looks alone would never find either.
+        const RINGS: usize = 3;
+        const W: usize = 4;
+        for restart in [false, true] {
+            let mut sim = Simulation::new(0);
+            let (cluster, conns, _clients) = rig(&mut sim, W, RINGS);
+            let thread = cluster.machine(1).thread("core");
+            let sweep = Sweep::new(sim.handle());
+            let found = Rc::new(Cell::new(None));
+            let out = Rc::clone(&found);
+            sim.spawn(async move {
+                deposit(&conns[1], 0, 1);
+                deposit(&conns[1], 1, 2);
+                let met = sweep_rejecting(&sweep, &thread, &conns).await;
+                assert_eq!(met, [(1, 0), (1, 1)]);
+                let off_head = if restart {
+                    deposit(&conns[1], 2, 3);
+                    conns[1].recover_after_restart();
+                    2
+                } else {
+                    deposit(&conns[1], 0, 1 + W as u32);
+                    0
+                };
+                for sweeps in 1..=2 * RINGS {
+                    let met = sweep_rejecting(&sweep, &thread, &conns).await;
+                    if met.contains(&(1, off_head)) {
+                        out.set(Some(sweeps));
+                        return;
+                    }
+                }
+            });
+            sim.run();
+            let sweeps = found.get().expect("the request was found");
+            assert!(
+                sweeps <= RINGS,
+                "found after {sweeps} sweeps (restart: {restart})"
+            );
+        }
     }
 }

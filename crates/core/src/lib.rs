@@ -81,7 +81,7 @@ mod recovery;
 mod server;
 mod tuner;
 
-pub use client::{CallInfo, CallPolicy, CallResult, ClientStats, RfpClient};
+pub use client::{CallInfo, CallLatency, CallPolicy, CallResult, ClientStats, RfpClient};
 pub use conn::{connect, Mode, RfpConfig, RfpServerConn, RfpTelemetry};
 pub use failover::{FailoverConfig, ReplicaClient};
 pub use gray::{GrayConfig, ReplicaScorer, RetryBudget};

@@ -10,9 +10,11 @@
 //! # Scan order
 //!
 //! Per connection: **claim** it, then up to `window` times: **crash
-//! check** → receive (round-robin slot looks until one is pending) →
-//! **verdict** → reject on the spot, **serve in place**, or — the owner
-//! under admission — **queue**. After the sweep the owner drains its
+//! check** → receive (one look, at the ring's head — or, on the one
+//! ring the sweep scans in full, a pick that rotates from sweep to
+//! sweep, round-robin looks until one is pending) → **verdict** →
+//! reject on the spot, **serve in place**, or — the owner under
+//! admission — **queue**. After the sweep the owner drains its
 //! queue, awaits the handler's **commit**, and releases the replies the
 //! handler held. Every reply goes into the slot captured at pickup (the
 //! reply marker is restored with no intervening await), so queued,
@@ -54,11 +56,13 @@
 //! 2. **Ring steal** — run the scan over a loaded sibling's
 //!    connections, still under the *owner's* admission rule and with
 //!    the owner's handler (its partition of the store), serving in
-//!    place. The pass takes as many requests as the victim's last
-//!    backlog exceeds the mean of every core's last backlog, and never
-//!    fewer than what is left of `STEAL_BATCH` (8): under uniform load
-//!    the excess is about zero and a pass takes one batch; under skew
-//!    one pass drains the hot core's surplus.
+//!    place. A core's backlog is what its last scan found plus what
+//!    siblings stole from it since the scan before, so rings that
+//!    thieves keep empty still mark it loaded. The pass takes as many
+//!    requests as the victim's backlog exceeds the mean of every core's,
+//!    and never fewer than what is left of `STEAL_BATCH` (8): under
+//!    uniform load the excess is about zero and a pass takes one batch;
+//!    under skew one pass drains the hot core's surplus.
 //!
 //! Claims are plain `Cell<bool>` test-and-sets: the simulation is
 //! cooperatively single-threaded, so any code run between awaits is
@@ -68,10 +72,11 @@
 //!
 //! # Fidelity
 //!
-//! A single-core reactor replays the pre-reactor loops *event for
-//! event* — scan orders, crash checks, busy charges, credit stamps,
-//! idle backoff; `tests/reactor_identity.rs` pins registry CSV, trace
-//! and payload equality against frozen copies of them.
+//! A single-core reactor over one ring, or over one-slot rings, replays
+//! the pre-reactor loops *event for event* — scan orders, crash checks,
+//! busy charges, credit stamps, idle backoff; `tests/reactor_identity.rs`
+//! pins registry CSV, trace and payload equality against frozen copies
+//! of them.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -166,14 +171,17 @@ struct CoreState {
     /// Credits advertised on responses, from the previous scan's
     /// backlog (the global admission rule).
     advertised: Cell<u16>,
-    /// Requests the most recent scan found pending — the backlog
-    /// signal thieves use to pick a loaded victim.
+    /// Requests the most recent scan found pending, plus those siblings
+    /// stole from this core's domain since the scan before — the
+    /// backlog signal thieves use to pick a loaded victim.
     last_backlog: Cell<usize>,
     meter: CoreMeter,
     /// Requests this core executed on siblings' behalf.
     steals: Cell<u64>,
     /// Requests siblings took from this core's domain.
     stolen: Cell<u64>,
+    /// `stolen` as of this core's previous scan.
+    stolen_mark: Cell<u64>,
     gauges: Option<CoreGauges>,
 }
 
@@ -262,6 +270,7 @@ impl Reactor {
                     meter: CoreMeter::new(),
                     steals: Cell::new(0),
                     stolen: Cell::new(0),
+                    stolen_mark: Cell::new(0),
                     gauges,
                 }
             })
@@ -402,6 +411,7 @@ impl Reactor {
             c.meter.reset();
             c.steals.set(0);
             c.stolen.set(0);
+            c.stolen_mark.set(0);
             c.thread.reset_utilization();
         }
     }
@@ -670,9 +680,13 @@ impl Shared {
     async fn turn(&self, me: usize, thread: &Rc<ThreadCtx>) -> bool {
         let scan = self.scan(me, me, thread, usize::MAX).await;
         let core = &self.cores[me];
-        core.last_backlog.set(scan.backlog);
+        // What thieves took since the previous scan was backlog too: a
+        // hot core whose rings they keep empty must stay their victim.
+        let stolen = core.stolen.get();
+        let backlog = scan.backlog + (stolen - core.stolen_mark.replace(stolen)) as usize;
+        core.last_backlog.set(backlog);
         if let Some(g) = &core.gauges {
-            g.queue_depth.set(scan.backlog as i64);
+            g.queue_depth.set(backlog as i64);
         }
         if scan.served_any || scan.crashed || !self.steal {
             return scan.served_any;

@@ -316,12 +316,10 @@ fn steady_state_allocation_budget() {
         );
     }
     // Booked once: the registry exports the connection's own latency
-    // histogram, which holds one sample per completed call.
+    // samples, which hold one sample per completed call.
     let booked = registry.histogram("rfp.c0.latency");
     let stats = observed.client.stats();
-    assert!(
-        Rc::ptr_eq(&booked, &stats.latency),
-        "the registry reads a copy"
-    );
+    let samples = stats.latency.samples().expect("telemetry keeps samples");
+    assert!(Rc::ptr_eq(&booked, samples), "the registry reads a copy");
     assert_eq!(booked.len() as u64, stats.calls());
 }

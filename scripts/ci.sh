@@ -31,8 +31,8 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 # files one span per call — carries the connection's booking path: at
 # most 8.1 (7.994 with every completed call booked once). The 4-core
 # Zipf(0.99) reactor bar is gated on its throughput too (sim_mops, exact
-# per seed): 2.914 with a ring steal sized by the hot core's excess
-# backlog, 2.063 with the fixed 8-request batch it replaced.
+# per seed): 3.604 with sweeps that look at ring heads, 2.914 when every
+# ring was scanned in full, 2.063 with a fixed 8-request steal batch.
 ledger_smoke() { # <workload> <host_allocs_per_call ceiling> [sim_mops floor]
   local ledger
   ledger=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
@@ -47,7 +47,7 @@ ledger_smoke() { # <workload> <host_allocs_per_call ceiling> [sim_mops floor]
 }
 ledger_smoke echo_w16_32b 3.1
 ledger_smoke jakiro_get95_32b 8.1
-ledger_smoke cores4_zipf99 7.1 2.8
+ledger_smoke cores4_zipf99 7.1 3.4
 # The allocation budget of the hot path, on the build that ships the
 # numbers (`cargo test -q` above ran it unoptimized) — and the executor's
 # ordering rules (steps in place, resumes, chained events) and the
