@@ -587,10 +587,12 @@ impl RfpClient {
     /// Pipelined multi-call driver: [`run`](RfpClient::run) with no
     /// policy stage, results collected in request order. Up to `W` (the
     /// configured [`window`](crate::RfpConfig::window)) calls ride the
-    /// ring at once and their fetch polls share **one doorbell ring per
-    /// round** ([`Qp::post_read_batch`]) — the client-side issue cost
-    /// the paper charges per READ (§2.2) is paid once per round instead
-    /// of once per outstanding call. With `W = 1` this is
+    /// ring at once. Their request WRITEs and fetch READs are posted
+    /// without waiting — a round's fetches share **one doorbell ring**
+    /// ([`Qp::post_read_batch`]), so the client-side issue cost the
+    /// paper charges per READ (§2.2) is paid once per round — and each
+    /// round waits only for the older half of what is posted, which
+    /// keeps the client's out-bound engine busy. With `W = 1` this is
     /// [`call`](RfpClient::call) in a loop, event for event.
     ///
     /// Verb errors from injected faults are absorbed, so the batch

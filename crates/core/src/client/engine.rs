@@ -4,13 +4,14 @@
 //! the connection's ring window:
 //!
 //! ```text
-//!          ┌──────────────────────────────────────────────────────┐
-//!          ▼                                                      │
-//!  refill ─► admit/recover ─► stage ─► submit ─► poll ─► check ─► retire
-//!  (free     (credit gate,    (seq,    (WRITE)   (READ   (accept,  (book,
-//!   slots)    backoff wake,   header,            or      2nd READ,  free
-//!             reconnect)      span)              reply   verify,    slot,
-//!                                                wait)   verdict)   sink)
+//!          ┌───────────────────────────────────────────────────────────────┐
+//!          ▼                                                               │
+//!  refill ─► admit/recover ─► stage ─► submit ─► poll ─► reap ─► check ─► retire
+//!  (tail     (credit gate,    (seq,    (post     (post   (wait   (accept,  (book,
+//!   slot)     backoff wake,   header,  WRITE)    READ    for the 2nd READ,  free
+//!             reconnect)      span)              or      older   verify,    slot,
+//!                                                reply   half)   verdict)   sink)
+//!                                                wait)
 //! ```
 //!
 //! A [`Flight`] is one outstanding call. Window, admission, integrity,
@@ -123,6 +124,16 @@ enum Phase {
     Backoff { fresh: bool, last: FailureCause },
 }
 
+/// A flight's posted op — its deposit WRITE in [`Phase::Send`], its
+/// fetch READ in [`Phase::Poll`] — left for [`Engine::reap`] to book.
+struct Posted {
+    /// Post order: `reap` waits for the median stamp.
+    stamp: u64,
+    /// Bytes the op moves: a READ's land in the landing zone.
+    len: usize,
+    done: Completion,
+}
+
 /// One outstanding call: everything the engine knows about it lives
 /// here, so any number can be in flight on one connection.
 #[derive(Default)]
@@ -178,7 +189,10 @@ pub(super) struct Flight {
     /// created at the first draw without touching the simulation's
     /// shared RNG.
     jitter: Option<StdRng>,
-    /// Bytes of response image this round's poll brought in.
+    /// The posted op not yet booked, if any: it may outlive the round
+    /// that posted it.
+    op: Option<Posted>,
+    /// Bytes of response image a fetch brought in, not yet checked.
     landed: Option<usize>,
     outcome: Option<Result<CallResult, RpcError>>,
 }
@@ -203,14 +217,18 @@ type ReadEntry = (Rc<MemRegion>, usize, Rc<MemRegion>, usize, usize);
 pub(super) struct Scratch {
     /// Outstanding calls, oldest first.
     pub(super) flights: Vec<Flight>,
-    /// The ring slot the next flight tries first. Flights take slots in
-    /// ring order — the order the server's head looks expect — across
-    /// runs, so `W = 1` always stages slot 0.
+    /// The ring slot the next flight stages. Flights take slots in ring
+    /// order — the order the server's head looks expect — across runs,
+    /// so `W = 1` always stages slot 0.
     tail: usize,
     entries: Vec<ReadEntry>,
-    /// Completions of the round's posted deposits, then of its batched
-    /// fetch READs.
+    /// Completions of the round's doorbell-batched fetch READs, before
+    /// they move into their flights.
     posted: Vec<Completion>,
+    /// Stamp of the next posted op.
+    posts: u64,
+    /// Stamps of the posted ops, gathered by each reap.
+    stamps: Vec<u64>,
 }
 
 impl Scratch {
@@ -222,17 +240,27 @@ impl Scratch {
         self.flights.clear();
     }
 
-    /// The first slot from the tail, in ring order, that no flight
-    /// holds — a held slot is skipped, not waited for — or `None` with
-    /// all `window` slots held.
+    /// The tail slot, or `None` while a flight still holds it.
+    fn free_slot(&self) -> Option<usize> {
+        let held = self.flights.iter().any(|fl| fl.slot == self.tail);
+        (!held).then_some(self.tail)
+    }
+
+    /// Takes the tail slot and advances the tail — or `None` while a
+    /// flight still holds the tail, even with other slots free. Reaped
+    /// rounds free slots out of order, and a deposit past a held slot
+    /// lands off the server's head look: it would wait a whole
+    /// full-scan rotation (DESIGN §19).
     fn take_slot(&mut self, window: usize) -> Option<usize> {
-        let held = |slot| self.flights.iter().any(|fl| fl.slot == slot);
+        let slot = self.free_slot()?;
         // `window` is a power of two (a `connect` invariant).
-        let slot = (0..window)
-            .map(|k| (self.tail + k) & (window - 1))
-            .find(|&slot| !held(slot))?;
         self.tail = (slot + 1) & (window - 1);
         Some(slot)
+    }
+
+    /// Whether any flight has an op posted and not yet reaped.
+    fn posting(&self) -> bool {
+        self.flights.iter().any(|fl| fl.op.is_some())
     }
 }
 
@@ -419,9 +447,11 @@ impl Engine<'_> {
                 next += 1;
             }
             self.c.obs().inflight(self.now(), sc.flights.len());
-            // Admit / recover / stage whatever is due.
+            // Admit / recover / stage whatever is due (a flight that
+            // is sending or polling has nothing to begin).
             for fl in &mut sc.flights {
-                if self.now() >= fl.not_before {
+                let pending = matches!(fl.phase, Phase::Send | Phase::Poll);
+                if !pending && self.now() >= fl.not_before {
                     self.begin(fl, reqs).await;
                 }
             }
@@ -431,6 +461,7 @@ impl Engine<'_> {
             }
             let mode = self.c.mode.get();
             self.poll(sc, mode).await;
+            self.reap(sc).await;
             for fl in &mut sc.flights {
                 let Some(fetched) = fl.landed.take() else {
                     continue;
@@ -453,11 +484,12 @@ impl Engine<'_> {
                 }
             }
             // Idle: with every flight pausing (credit wait, probe pause,
-            // backoff) and nothing to refill, sleep to the earliest
-            // wake-up instead of spinning.
-            let refillable = next < reqs.len() && sc.flights.len() < window;
+            // backoff), nothing posted and nothing to refill, sleep to
+            // the earliest wake-up instead of spinning.
+            let refillable = next < reqs.len() && sc.free_slot().is_some();
+            let busy = refillable || sc.posting();
             let wake = sc.flights.iter().map(|fl| fl.not_before).min();
-            if let Some(wake) = wake.filter(|&w| !refillable && w > self.now()) {
+            if let Some(wake) = wake.filter(|&w| !busy && w > self.now()) {
                 let pause = self.thread.handle().sleep(wake.since(self.now()));
                 self.thread.idle_wait(pause).await;
             }
@@ -582,17 +614,17 @@ impl Engine<'_> {
         fl.phase = Phase::Send;
     }
 
-    /// Submit: deposit every staged request. A single deposit uses the
-    /// synchronous WRITE; two or more are posted so their round trips
-    /// overlap.
+    /// Submit: deposit every staged request. A lone deposit with
+    /// nothing else posted uses the synchronous WRITE; otherwise each
+    /// deposit is posted and left for [`reap`](Engine::reap).
     async fn submit(&self, sc: &mut Scratch) {
-        let staged = |fl: &Flight| matches!(fl.phase, Phase::Send);
+        let staged = |fl: &Flight| matches!(fl.phase, Phase::Send) && fl.op.is_none();
         let qp = self.c.qp();
         let (local, remote) = (&self.c.shared.client_req, &self.c.shared.req);
         let off = |fl: &Flight| self.c.shared.req_off(fl.slot);
         match sc.flights.iter().filter(|fl| staged(fl)).count() {
             0 => {}
-            1 => {
+            1 if !sc.posting() => {
                 let fl = sc.flights.iter_mut().find(|fl| staged(fl));
                 let fl = fl.expect("counted one staged flight");
                 let done = qp
@@ -601,18 +633,42 @@ impl Engine<'_> {
                 self.deposited(fl, done.err());
             }
             _ => {
-                sc.posted.clear();
-                for fl in sc.flights.iter().filter(|fl| staged(fl)) {
-                    let posted = qp
+                for fl in sc.flights.iter_mut().filter(|fl| staged(fl)) {
+                    let done = qp
                         .write_post(self.thread, local, off(fl), remote, off(fl), fl.wire_len)
                         .await;
-                    sc.posted.push(posted);
+                    let (stamp, len) = (sc.posts, fl.wire_len);
+                    fl.op = Some(Posted { stamp, len, done });
+                    sc.posts += 1;
                 }
-                let staged = sc.flights.iter_mut().filter(|fl| staged(fl));
-                for (fl, c) in staged.zip(&sc.posted) {
-                    c.wait(self.thread).await;
-                    self.deposited(fl, c.error());
-                }
+            }
+        }
+    }
+
+    /// Reap: wait for the median-oldest posted op — the younger half
+    /// keeps the out-bound engine busy meanwhile — then book every
+    /// posted op that has finished: a deposit moves its flight to
+    /// `Poll`, a fetch READ lands for the check stage.
+    async fn reap(&self, sc: &mut Scratch) {
+        sc.stamps.clear();
+        let posted = sc.flights.iter().filter_map(|fl| fl.op.as_ref());
+        sc.stamps.extend(posted.map(|op| op.stamp));
+        if sc.stamps.is_empty() {
+            return;
+        }
+        let mid = (sc.stamps.len() - 1) / 2;
+        let median = *sc.stamps.select_nth_unstable(mid).1;
+        let mut posted = sc.flights.iter().filter_map(|fl| fl.op.as_ref());
+        let op = posted.find(|op| op.stamp == median);
+        op.expect("a gathered stamp").done.wait(self.thread).await;
+        for fl in &mut sc.flights {
+            if !fl.op.as_ref().is_some_and(|op| op.done.is_done()) {
+                continue;
+            }
+            let Posted { len, done, .. } = fl.op.take().expect("checked above");
+            match fl.phase {
+                Phase::Send => self.deposited(fl, done.error()),
+                _ => self.fetched(fl, done.error(), len, "fetch_read"),
             }
         }
     }
@@ -651,7 +707,7 @@ impl Engine<'_> {
     /// out of probes, shed locally.
     fn probe(&self, fl: &mut Flight) {
         let now = self.now();
-        let due = matches!(fl.phase, Phase::Poll) && now >= fl.not_before;
+        let due = matches!(fl.phase, Phase::Poll) && fl.op.is_none() && now >= fl.not_before;
         let expired = fl.stamp.is_some_and(|d| now > d);
         if self.policy.admission.is_none() || !due || !expired {
             return;
@@ -674,14 +730,17 @@ impl Engine<'_> {
         }
     }
 
-    /// Poll: one fetch READ per deposited flight that is due. A lone
-    /// flight fetches synchronously; `k ≥ 2` share one doorbell ring.
-    /// In server-reply mode (one-slot rings only) the flight waits for
-    /// the pushed reply instead.
+    /// Poll: one fetch READ per deposited flight that is due and has
+    /// none posted. A lone fetch with nothing else posted is
+    /// synchronous; otherwise the fetches share one doorbell ring and
+    /// are left for [`reap`](Engine::reap). In server-reply mode
+    /// (one-slot rings only) the flight waits for the pushed reply
+    /// instead.
     async fn poll(&self, sc: &mut Scratch, mode: Mode) {
         let now = self.now();
         let due = |fl: &Flight| {
-            matches!(fl.phase, Phase::Poll) && fl.outcome.is_none() && now >= fl.not_before
+            let idle = fl.op.is_none() && fl.outcome.is_none();
+            matches!(fl.phase, Phase::Poll) && idle && now >= fl.not_before
         };
         if mode == Mode::ServerReply {
             for fl in sc.flights.iter_mut().filter(|fl| due(fl)) {
@@ -693,7 +752,7 @@ impl Engine<'_> {
         let stats = self.c.stats();
         match sc.flights.iter().filter(|fl| due(fl)).count() {
             0 => {}
-            1 => {
+            1 if !sc.posting() => {
                 let fl = sc.flights.iter_mut().find(|fl| due(fl));
                 let fl = fl.expect("counted one due flight");
                 let done = self.read(self.c.shared.resp_off(fl.slot), f).await;
@@ -716,9 +775,10 @@ impl Engine<'_> {
                 stats.doorbells.incr();
                 stats.doorbell_reads.add(sc.posted.len() as u64);
                 let polled = sc.flights.iter_mut().filter(|fl| due(fl));
-                for (fl, c) in polled.zip(&sc.posted) {
-                    c.wait(self.thread).await;
-                    self.fetched(fl, c.error(), f, "fetch_read");
+                for (fl, done) in polled.zip(sc.posted.drain(..)) {
+                    let (stamp, len) = (sc.posts, f);
+                    fl.op = Some(Posted { stamp, len, done });
+                    sc.posts += 1;
                 }
             }
         }
@@ -1029,5 +1089,31 @@ impl Engine<'_> {
         fl.reply_primed = false;
         self.span_mark(fl, "mode_switched");
         c.obs().switched(self.now(), &mut fl.chain, to);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Flight, Scratch};
+
+    /// Slots are staged in ring order, and a held tail blocks staging
+    /// even with every other slot free.
+    #[test]
+    fn take_slot_waits_for_a_held_tail() {
+        let mut sc = Scratch::default();
+        for slot in 0..4 {
+            assert_eq!(sc.take_slot(4), Some(slot));
+            let fl = Flight {
+                slot,
+                ..Flight::default()
+            };
+            sc.flights.push(fl);
+        }
+        // Slots 1–3 settle before slot 0, the tail.
+        sc.flights.retain(|fl| fl.slot == 0);
+        assert_eq!(sc.take_slot(4), None);
+        sc.flights.clear();
+        assert_eq!(sc.take_slot(4), Some(0));
+        assert_eq!(sc.take_slot(4), Some(1));
     }
 }

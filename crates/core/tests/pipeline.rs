@@ -249,3 +249,50 @@ fn mixed_length_batch_reuses_buffers_without_leaks() {
         "wide batch never shared a doorbell: {snap}"
     );
 }
+
+/// Overlapped rounds keep the client's out-bound engine busy: a call
+/// costs it two ops (the request WRITE and the fetch READ), so a wide
+/// window reaches at least 90 % of `1 / (2 · outbound_min)`. Lock-step
+/// rounds, which drained the engine twice per round, stopped at 84 %
+/// even at `W = 16`.
+#[test]
+fn wide_windows_reach_the_client_outbound_bound() {
+    let profile = ClusterProfile::paper_testbed();
+    let bound = 1.0 / (2.0 * profile.nic.outbound_min.as_secs_f64());
+    for window in [4, 8, 16] {
+        let mut sim = Simulation::new(42);
+        let cluster = Cluster::new(&mut sim, profile.clone(), 2);
+        let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+        let cfg = RfpConfig {
+            window,
+            enable_mode_switch: false,
+            ..RfpConfig::default()
+        };
+        let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+        let client = Rc::new(client);
+        sim.spawn(serve_loop(
+            sm.thread("server"),
+            vec![Rc::new(conn)],
+            |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
+            SimSpan::nanos(100),
+        ));
+        let (c, ct) = (Rc::clone(&client), cm.thread("client"));
+        sim.spawn(async move {
+            let reqs = vec![vec![7u8; 32]; 64];
+            loop {
+                c.call_pipelined(&ct, &reqs).await;
+            }
+        });
+        sim.run_for(SimSpan::micros(200));
+        client.stats().reset();
+        let span = SimSpan::millis(1);
+        sim.run_for(span);
+        let rate = client.stats().calls() as f64 / span.as_secs_f64();
+        assert!(
+            rate >= 0.9 * bound,
+            "W={window}: {:.3} Mcalls/s, under 90 % of the {:.3} Mcalls/s out-bound bound",
+            rate / 1e6,
+            bound / 1e6
+        );
+    }
+}

@@ -29,10 +29,13 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 # call plus the per-batch result Vec. A value gate, not a shape gate.
 # Its telemetry-on twin — a Jakiro client reports into a registry and
 # files one span per call — carries the connection's booking path: at
-# most 8.1 (7.994 with every completed call booked once). The 4-core
-# Zipf(0.99) reactor bar is gated on its throughput too (sim_mops, exact
-# per seed): 3.604 with sweeps that look at ring heads, 2.914 when every
-# ring was scanned in full, 2.063 with a fixed 8-request steal batch.
+# most 8.1 (7.994 with every completed call booked once). Two bars are
+# gated on their throughput too (sim_mops, exact per seed): the W = 16
+# echo pipeline — 1.034 with rounds that post without waiting and reap
+# the older half, 0.883 with lock-step rounds — and the 4-core
+# Zipf(0.99) reactor — 3.602 with overlapped client rounds, 3.604
+# before them, 2.914 when every ring was scanned in full, 2.063 with a
+# fixed 8-request steal batch.
 ledger_smoke() { # <workload> <host_allocs_per_call ceiling> [sim_mops floor]
   local ledger
   ledger=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
@@ -45,7 +48,7 @@ ledger_smoke() { # <workload> <host_allocs_per_call ceiling> [sim_mops floor]
          END { if (!seen) { print "sim_mops not printed"; exit 1 } }' <<<"$ledger"
   fi
 }
-ledger_smoke echo_w16_32b 3.1
+ledger_smoke echo_w16_32b 3.1 1.0
 ledger_smoke jakiro_get95_32b 8.1
 ledger_smoke cores4_zipf99 7.1 3.4
 # The allocation budget of the hot path, on the build that ships the
