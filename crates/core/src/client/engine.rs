@@ -473,16 +473,14 @@ impl Engine<'_> {
             }
             // Retire: settled flights free their slot for the next
             // refill.
-            let mut i = 0;
-            while i < sc.flights.len() {
-                if let Some(out) = sc.flights[i].outcome.take() {
-                    let fl = sc.flights.remove(i);
-                    self.c.tail.set(fl.chain);
-                    sink(fl.idx, out);
-                } else {
-                    i += 1;
-                }
-            }
+            sc.flights.retain_mut(|fl| {
+                let Some(out) = fl.outcome.take() else {
+                    return true;
+                };
+                self.c.tail.set(fl.chain);
+                sink(fl.idx, out);
+                false
+            });
             // Idle: with every flight pausing (credit wait, probe pause,
             // backoff), nothing posted and nothing to refill, sleep to
             // the earliest wake-up instead of spinning.

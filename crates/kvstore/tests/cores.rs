@@ -39,7 +39,7 @@ fn stealing_levels_a_zipf_hot_core() {
 
 /// Clients stage ring slots strictly in order, so no request lands
 /// behind a ring's head and waits out a full-scan rotation: the Zipf
-/// tail stays within 2× its p99 (1.34×; 7.6× when clients skipped
+/// tail stays within 2× its p99 (1.26×; 8.8× when clients skipped
 /// held slots while rounds overlapped).
 #[test]
 fn zipf_tail_stays_near_its_p99() {
