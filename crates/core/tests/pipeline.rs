@@ -252,9 +252,8 @@ fn mixed_length_batch_reuses_buffers_without_leaks() {
 
 /// Overlapped rounds keep the client's out-bound engine busy: a call
 /// costs it two ops (the request WRITE and the fetch READ), so a wide
-/// window reaches at least 90 % of `1 / (2 · outbound_min)`. Lock-step
-/// rounds, which drained the engine twice per round, stopped at 84 %
-/// even at `W = 16`.
+/// window reaches at least 90 % of `1 / (2 · outbound_min)` — a round
+/// that waits for all its ops drains the engine twice per round.
 #[test]
 fn wide_windows_reach_the_client_outbound_bound() {
     let profile = ClusterProfile::paper_testbed();
