@@ -202,9 +202,9 @@ fn main() {
             let snap = rig.registry.snapshot();
             let bundle = DumpBundle {
                 anomaly,
-                recorder: Some(&rig.recorder),
-                metrics: Some(&snap),
-                spans: Some(&rig.spans),
+                recorder: &rig.recorder,
+                metrics: &snap,
+                spans: &rig.spans,
                 window: (FAULT_AT, scan_now),
             };
             let mut dump = Vec::new();
@@ -322,9 +322,9 @@ fn main() {
             let snap = rig.registry.snapshot();
             let bundle = DumpBundle {
                 anomaly,
-                recorder: Some(&rig.recorder),
-                metrics: Some(&snap),
-                spans: Some(&rig.spans),
+                recorder: &rig.recorder,
+                metrics: &snap,
+                spans: &rig.spans,
                 window: (FAULT_AT, scan_now),
             };
             let mut dump = Vec::new();

@@ -98,7 +98,6 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
         // linearizability checker's 128-op search cap.
         keys_per_client: 16,
         ops_per_client: 1_200,
-        hedged_reads: gray.is_some(),
         failover: rfp_core::FailoverConfig {
             gray,
             ..FailoverChaosConfig::grayfail().failover

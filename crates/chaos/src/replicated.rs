@@ -109,11 +109,10 @@ pub struct FailoverChaosConfig {
     /// per-key histories stay inside the checker's search capacity.
     pub ops_per_client: usize,
     /// Fraction of operations that are PUTs (always routed `call`,
-    /// never hedged — mutations anchor on the primary).
+    /// never hedged — mutations anchor on the primary). GETs go through
+    /// [`ReplicaClient::call_hedged`], which is `call` unless
+    /// `failover.gray` mounts the gray-failure subsystem.
     pub put_ratio: f64,
-    /// Whether GETs go through [`ReplicaClient::call_hedged`] (the
-    /// gray-routed read path) or plain [`ReplicaClient::call`].
-    pub hedged_reads: bool,
     /// Primary-side replication tuning (`Sync` ack by default — standby
     /// reads lean on acked ⇒ applied-at-backup).
     pub replication: ReplicationConfig,
@@ -147,7 +146,6 @@ impl FailoverChaosConfig {
         FailoverChaosConfig {
             ops_per_client: 400,
             put_ratio: 0.3,
-            hedged_reads: true,
             failover: short_retry(6),
             seed: 23,
             ..FailoverChaosConfig::default()
@@ -162,7 +160,6 @@ impl Default for FailoverChaosConfig {
             keys_per_client: 4,
             ops_per_client: 60,
             put_ratio: 0.5,
-            hedged_reads: false,
             replication: ReplicationConfig::default(),
             failover: short_retry(4),
             seed: 11,
@@ -485,7 +482,7 @@ fn spawn_replicated_kv(
         } else {
             0..cfg.clients * cfg.keys_per_client
         };
-        let (ops, put_ratio, hedged) = (cfg.ops_per_client, cfg.put_ratio, cfg.hedged_reads);
+        let (ops, put_ratio) = (cfg.ops_per_client, cfg.put_ratio);
         let fault_timer = preset.fault_timer;
         sim.spawn(async move {
             let mut version = 0u64;
@@ -513,7 +510,7 @@ fn spawn_replicated_kv(
                 let acked_floor = st.acked.borrow().get(&key_id).copied();
                 let observed_floor = st.observed.borrow().get(&key_id).copied();
                 let start = thread.now().as_nanos();
-                let outcome = if is_put || !hedged {
+                let outcome = if is_put {
                     router.call(&thread, &req).await
                 } else {
                     router.call_hedged(&thread, &req).await

@@ -108,7 +108,6 @@ fn integrity_hedging_and_promotion_compose_under_corruption_and_crash() {
     let cfg = FailoverChaosConfig {
         keys_per_client: 8,
         ops_per_client: 200,
-        hedged_reads: true,
         failover: FailoverConfig {
             gray: Some(GrayConfig::all_on()),
             ..FailoverChaosConfig::default().failover

@@ -1,6 +1,4 @@
-//! Property pins of the gray-failure subsystem (ISSUE satellites).
-//!
-//! Two families:
+//! Property pins of the gray-failure subsystem.
 //!
 //! * **Hedging is safe under every chaos fault family** — crash, loss
 //!   burst, straggler, QP error, slow link (a flaky link is a loss
@@ -15,11 +13,7 @@
 //!   next call's seq acceptance, and an epoch-fenced response is never
 //!   accepted at all.
 //!
-//! * **`call_hedged` without the stage is `call`** — with `gray: None`
-//!   a rig whose reads enter through `call_hedged` produces metrics CSV
-//!   and trace output identical, byte for byte, to one whose reads
-//!   enter through `call`, with and without fail-slow faults firing
-//!   mid-run.
+//! * **A demoted replica is restored** once its fault heals.
 
 use proptest::prelude::*;
 
@@ -48,38 +42,18 @@ fn family_plan(family: usize, seed: u64, machine: usize) -> FaultPlan {
     }
 }
 
-fn small_cfg(seed: u64, gray: Option<GrayConfig>, hedged_reads: bool) -> FailoverChaosConfig {
+fn small_cfg(seed: u64) -> FailoverChaosConfig {
     FailoverChaosConfig {
         clients: 2,
         keys_per_client: 4,
         ops_per_client: 300,
-        hedged_reads,
         failover: FailoverConfig {
-            gray,
+            gray: Some(GrayConfig::all_on()),
             ..FailoverChaosConfig::grayfail().failover
         },
         seed,
         ..FailoverChaosConfig::grayfail()
     }
-}
-
-/// Runs the rig and returns `(metrics CSV, event-log dump)`.
-fn run_fingerprint(cfg: &FailoverChaosConfig, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
-    let mut sim = Simulation::new(cfg.seed);
-    let rig = spawn_grayfail_kv(&mut sim, cfg, plan);
-    sim.run_for(WINDOW);
-    let mut csv = Vec::new();
-    rig.registry
-        .snapshot()
-        .write_csv(&mut csv)
-        .expect("write csv to vec");
-    let mut trace = Vec::new();
-    rig.recorder.dump(&mut trace).expect("dump events to vec");
-    assert!(
-        rig.state.completed.get() > 0,
-        "fingerprint run must do real work"
-    );
-    (csv, trace)
 }
 
 proptest! {
@@ -94,7 +68,7 @@ proptest! {
         family in 0usize..5,
         machine in 0usize..2,
     ) {
-        let cfg = small_cfg(seed, Some(GrayConfig::all_on()), true);
+        let cfg = small_cfg(seed);
         let plan = family_plan(family, seed, machine);
         let mut sim = Simulation::new(seed);
         let rig = spawn_grayfail_kv(&mut sim, &cfg, Some(&plan));
@@ -136,24 +110,6 @@ proptest! {
     }
 }
 
-/// Without the gray stage the hedged read entry point is the plain
-/// one: same bytes out, fault or no fault.
-#[test]
-fn gray_disabled_is_byte_identical() {
-    let seed = 4_242;
-    let span = SimSpan::micros(300);
-    let plan = FaultPlan::new(seed)
-        .slow_link(FAULT_AT, span, 0, 25_000)
-        .loss_burst(FAULT_AT + SimSpan::micros(400), span, 0, 0.8)
-        .straggler(FAULT_AT + SimSpan::micros(800), span, 0, 8.0);
-    for plan in [None, Some(&plan)] {
-        let plain = run_fingerprint(&small_cfg(seed, None, false), plan);
-        let hedged = run_fingerprint(&small_cfg(seed, None, true), plan);
-        assert_eq!(plain.0, hedged.0, "metrics CSV diverged");
-        assert_eq!(plain.1, hedged.1, "trace diverged");
-    }
-}
-
 /// A demoted replica recovers: when the fault window closes, recovery
 /// probes observe the healed median and the router restores the
 /// replica (the `routing.restore` chain fires, cause-linked like the
@@ -167,7 +123,6 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         // checker's 128-op-per-key search cap.
         keys_per_client: 32,
         ops_per_client: 2_000,
-        hedged_reads: true,
         failover: FailoverConfig {
             gray: Some(GrayConfig::all_on()),
             ..FailoverChaosConfig::grayfail().failover

@@ -446,7 +446,6 @@ impl Engine<'_> {
                 sc.flights.push(self.new_flight(next, slot));
                 next += 1;
             }
-            self.c.obs().inflight(self.now(), sc.flights.len());
             // Admit / recover / stage whatever is due (a flight that
             // is sending or polling has nothing to begin).
             for fl in &mut sc.flights {
@@ -1051,7 +1050,7 @@ impl Engine<'_> {
         };
         let retries = fl.attempts.saturating_sub(successes) as u64;
         let obs = self.c.obs();
-        obs.completed(self.now(), info, retries, out.data.len());
+        obs.completed(self.now(), info, retries);
         obs.span_end(fl.slot, self.now(), "completed");
         out
     }

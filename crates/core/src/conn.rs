@@ -980,11 +980,6 @@ impl RfpServerConn {
         self.epoch.set(epoch);
     }
 
-    /// Replication epoch this connection currently serves in.
-    pub fn epoch(&self) -> u16 {
-        self.epoch.get()
-    }
-
     /// Requests fenced for carrying a mismatched replication epoch.
     pub fn rejected_fenced(&self) -> u64 {
         self.rejected_fenced.get()

@@ -28,7 +28,7 @@
 
 use std::cell::Cell;
 
-use rfp_simnet::{AnomalyDetector, ConnHealthReport, SimSpan};
+use rfp_simnet::{Baseline, ConnHealthReport, SimSpan};
 
 /// Score below which a replica is demoted (0..=1). The scorer's
 /// penalties are sized against it: a fail-slow median alone
@@ -76,14 +76,6 @@ impl GrayConfig {
     }
 }
 
-/// Frozen healthy reference of one replica.
-#[derive(Copy, Clone, Debug)]
-struct ScoreBaseline {
-    p50_ns: u64,
-    p99_ns: u64,
-    retry_rate: f64,
-}
-
 /// Folds per-replica [`ConnHealthReport`] windows into a health score
 /// in 0..=1 (1 = healthy). The first sufficiently-populated window of
 /// each replica freezes its baseline; later windows are scored by
@@ -100,12 +92,13 @@ struct ScoreBaseline {
 /// * **tail-only** regression (p99 past `LATENCY_FACTOR` × baseline
 ///   p99 with the median still healthy): 0.25 — evidence, but never
 ///   demoting alone;
-/// * retry rate past `baseline × RETRY_FACTOR + RETRY_MARGIN`: 0.25;
+/// * a retry spike ([`Baseline::retry_spike`]): 0.25;
 /// * credit starvation (any credit wait in the window): 0.15;
 /// * any hard-failure signal (verb errors, reconnects): 0.5.
 ///
-/// The thresholds are the anomaly detector's ([`AnomalyDetector`]), so
-/// a replica the doctor would flag is also one the router de-prefers.
+/// The baseline and its thresholds are the anomaly detector's
+/// ([`Baseline`]), so a replica the doctor would flag is also one the
+/// router de-prefers.
 ///
 /// `score = max(0, 1 − Σ penalties)`. A replica whose median inflates
 /// past 1.25× the latency factor (3.75× baseline) crosses
@@ -119,7 +112,7 @@ struct ScoreBaseline {
 /// (but above-threshold) score; intermittent grayness is surfaced by
 /// the anomaly detector, not routed around.
 pub struct ReplicaScorer {
-    baselines: Vec<Cell<Option<ScoreBaseline>>>,
+    baselines: Vec<Cell<Option<Baseline>>>,
 }
 
 impl ReplicaScorer {
@@ -138,19 +131,13 @@ impl ReplicaScorer {
     pub fn score(&self, i: usize, report: &ConnHealthReport) -> Option<f64> {
         let slot = &self.baselines[i];
         let Some(base) = slot.get() else {
-            if report.calls >= AnomalyDetector::MIN_BASELINE_CALLS {
-                slot.set(Some(ScoreBaseline {
-                    p50_ns: report.p50_ns.max(1),
-                    p99_ns: report.p99_ns.max(1),
-                    retry_rate: report.retry_rate,
-                }));
-            }
+            slot.set(Baseline::of(report));
             return None;
         };
-        if report.calls < AnomalyDetector::MIN_WINDOW_CALLS {
+        if report.calls < Baseline::MIN_WINDOW_CALLS {
             return None;
         }
-        let f = AnomalyDetector::LATENCY_FACTOR;
+        let f = Baseline::LATENCY_FACTOR;
         let mut penalty = 0.0;
         let p50_ratio = report.p50_ns as f64 / base.p50_ns as f64;
         let p99_ratio = report.p99_ns as f64 / base.p99_ns as f64;
@@ -159,9 +146,7 @@ impl ReplicaScorer {
         } else if p99_ratio > f {
             penalty += 0.25;
         }
-        let retry_threshold =
-            base.retry_rate * AnomalyDetector::RETRY_FACTOR + AnomalyDetector::RETRY_MARGIN;
-        if report.retry_rate > retry_threshold {
+        if base.retry_spike(report) {
             penalty += 0.25;
         }
         if report.credit_waits > 0 {
@@ -177,11 +162,6 @@ impl ReplicaScorer {
     /// The hedge delay derives from it.
     pub fn baseline_p99(&self, i: usize) -> Option<u64> {
         self.baselines[i].get().map(|b| b.p99_ns)
-    }
-
-    /// Whether replica `i`'s baseline has been frozen.
-    pub fn has_baseline(&self, i: usize) -> bool {
-        self.baselines[i].get().is_some()
     }
 }
 
@@ -274,22 +254,15 @@ impl RetryBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfp_simnet::SimTime;
+    use rfp_simnet::{AnomalyDetector, AnomalyKind, HealthHub, SimTime};
 
     fn report(calls: u64, p99_ns: u64, retry_rate: f64) -> ConnHealthReport {
         ConnHealthReport {
             conn: 0,
-            window_start: SimTime::ZERO,
-            window_end: SimTime::ZERO,
             calls,
             p50_ns: p99_ns / 2,
             p99_ns,
-            p999_ns: p99_ns,
-            mean_ns: p99_ns / 2,
-            max_ns: p99_ns,
             retry_rate,
-            shed_rate: 0.0,
-            corrupt_rate: 0.0,
             sheds: 0,
             busys: 0,
             corrupts: 0,
@@ -298,9 +271,6 @@ mod tests {
             reconnects: 0,
             verb_errors: 0,
             failovers: 0,
-            inflight_peak: 1,
-            mean_result_bytes: 64.0,
-            mean_process_ns: 1000.0,
         }
     }
 
@@ -309,14 +279,14 @@ mod tests {
         let s = ReplicaScorer::new(2);
         // Thin window: neither baseline nor score.
         assert_eq!(s.score(0, &report(3, 10_000, 0.0)), None);
-        assert!(!s.has_baseline(0));
+        assert_eq!(s.baseline_p99(0), None);
         // Populated healthy window freezes the baseline.
         assert_eq!(s.score(0, &report(100, 10_000, 0.1)), None);
         assert_eq!(s.baseline_p99(0), Some(10_000));
         // A healthy follow-up window scores 1.0.
         assert_eq!(s.score(0, &report(50, 12_000, 0.1)), Some(1.0));
         // Replica 1 is independent.
-        assert!(!s.has_baseline(1));
+        assert_eq!(s.baseline_p99(1), None);
     }
 
     #[test]
@@ -351,6 +321,50 @@ mod tests {
         r.credit_waits = 3;
         let score = s.score(0, &r).unwrap();
         assert_eq!(score, 0.0, "stacked penalties clamp at zero");
+    }
+
+    /// The detector and the scorer read one retry rule off one
+    /// baseline: a window just past it is a `RetrySpike` and costs the
+    /// replica 0.25, a window at it is neither.
+    #[test]
+    fn detector_and_scorer_agree_on_a_retry_spike() {
+        let t = |us: u64| SimTime::from_nanos(us * 1_000);
+        // Baseline: 32 calls, 8 failed fetches — 0.25 per call, so the
+        // rule fires above 0.25 × 3 + 1 = 1.75 per call.
+        let hub = HealthHub::default();
+        let c = hub.conn(0);
+        for i in 0..32 {
+            c.record_call(t(i), SimSpan::micros(2), (i % 4 == 0) as u64);
+        }
+        let (det, scorer) = (AnomalyDetector::new(), ReplicaScorer::new(1));
+        let base = hub.report(t(40));
+        det.set_baseline(&base);
+        assert_eq!(
+            scorer.score(0, &base.conns[0]),
+            None,
+            "freezes the baseline"
+        );
+        // Eight calls at the same latency, past the 1.6 ms window:
+        // 14 failed fetches is 1.75 per call, 15 is 1.875.
+        for (from, retries, spike) in [(2_000, 14, false), (6_000, 15, true)] {
+            for i in 0..8 {
+                c.record_call(
+                    t(from + i),
+                    SimSpan::micros(2),
+                    (i < retries - 8) as u64 + 1,
+                );
+            }
+            let window = hub.report(t(from + 10));
+            assert_eq!(window.conns[0].calls, 8);
+            let kinds: Vec<AnomalyKind> = det.scan(&window).iter().map(|a| a.kind).collect();
+            let (expected, score): (&[AnomalyKind], f64) = if spike {
+                (&[AnomalyKind::RetrySpike], 0.75)
+            } else {
+                (&[], 1.0)
+            };
+            assert_eq!(kinds, expected);
+            assert_eq!(scorer.score(0, &window.conns[0]), Some(score));
+        }
     }
 
     #[test]

@@ -354,8 +354,6 @@ impl LogicalClient {
                 thread.now(),
                 out.info.latency,
                 out.info.attempts.saturating_sub(1) as u64,
-                out.data.len(),
-                out.info.server_time_us,
             ),
             RespStatus::Busy => h.record(thread.now(), HealthSignal::Busy),
             // A fenced call is a routing casualty, not tenant pressure;

@@ -181,19 +181,12 @@ impl Observer {
     }
 
     /// Books one completed call, `retries` of whose fetch attempts
-    /// failed, with a `bytes`-long result.
-    pub(crate) fn completed(&self, now: SimTime, info: &CallInfo, retries: u64, bytes: usize) {
+    /// failed.
+    pub(crate) fn completed(&self, now: SimTime, info: &CallInfo, retries: u64) {
         self.stats.record(info);
         self.retries.add(retries);
         if let Some(h) = &self.health {
-            h.record_call(now, info.latency, retries, bytes, info.server_time_us);
-        }
-    }
-
-    /// Books the calls currently in flight.
-    pub(crate) fn inflight(&self, now: SimTime, flights: usize) {
-        if let Some(h) = &self.health {
-            h.set_inflight(now, flights as u32);
+            h.record_call(now, info.latency, retries);
         }
     }
 

@@ -51,8 +51,8 @@
 //!
 //! 1. **Run-queue steal** — take admitted-but-unprocessed requests
 //!    from a sibling's run queue (thief end, most recently admitted
-//!    first), paying the modeled cross-core [`Handoff`] cost per
-//!    request.
+//!    first), paying the modeled cross-core handoff (`HANDOFF_COST`)
+//!    per request.
 //! 2. **Ring steal** — run the scan over a loaded sibling's
 //!    connections, still under the *owner's* admission rule and with
 //!    the owner's handler (its partition of the store), serving in
@@ -79,10 +79,11 @@
 //! of them.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
-use rfp_rnic::{CoreMeter, Handoff, RunQueue, ThreadCtx};
+use rfp_rnic::ThreadCtx;
 use rfp_simnet::{
     CoreLoad, CoreSkewReport, Counter, FlightRecorder, Gauge, MetricsRegistry, Severity, SimSpan,
     SimTime,
@@ -93,8 +94,10 @@ use crate::header::RespStatus;
 use crate::overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits, CREDIT_MAX};
 use crate::server::{IdlePolicy, Reply, ScanHandler};
 
-/// Modeled cost of moving one request across cores (charged as busy
-/// time on the thief per stolen request).
+/// Modeled cost of moving one request across cores — the cache-line
+/// migration, the remote-queue touch, the handler state pulled cold —
+/// charged as busy time on the thief per stolen request, so stealing
+/// only wins while the victim is more backed up than that.
 const HANDOFF_COST: SimSpan = SimSpan::nanos(150);
 
 /// Fewest requests a steal pass may take before re-scanning its own
@@ -145,13 +148,6 @@ struct Pending {
     data: Vec<u8>,
 }
 
-struct CoreGauges {
-    steals: Rc<Counter>,
-    queue_depth: Rc<Gauge>,
-    served: Rc<Counter>,
-    handoff_ns: Rc<Counter>,
-}
-
 struct CoreState {
     thread: Rc<ThreadCtx>,
     conns: Vec<Rc<RfpServerConn>>,
@@ -164,7 +160,11 @@ struct CoreState {
     /// The admission stage: the connections' overload knobs, present
     /// iff they carry overload control.
     admission: Option<OverloadConfig>,
-    runq: RunQueue<Pending>,
+    /// Admitted requests awaiting service. The owner pops the front
+    /// (admission order is service order, which shedding safety relies
+    /// on); a thief steals the back (the youngest request is the least
+    /// likely to be cache-warm on the owner, so the cheapest to move).
+    runq: RefCell<VecDeque<Pending>>,
     /// Replies the handler held, released after this scan's commit.
     held: RefCell<Vec<Pending>>,
     credits: TenantCredits,
@@ -173,16 +173,22 @@ struct CoreState {
     advertised: Cell<u16>,
     /// Requests the most recent scan found pending, plus those siblings
     /// stole from this core's domain since the scan before — the
-    /// backlog signal thieves use to pick a loaded victim.
-    last_backlog: Cell<usize>,
-    meter: CoreMeter,
-    /// Requests this core executed on siblings' behalf.
-    steals: Cell<u64>,
+    /// backlog signal thieves use to pick a loaded victim
+    /// (`serve.core.<i>.queue_depth`).
+    backlog: Rc<Gauge>,
+    /// Requests this core executed, its own plus stolen ones
+    /// (`serve.core.<i>.served`).
+    served: Rc<Counter>,
+    /// Requests this core executed on siblings' behalf
+    /// (`serve.core.<i>.steals`).
+    steals: Rc<Counter>,
+    /// Simulated time those steals' handoffs cost
+    /// (`serve.core.<i>.handoff_ns`).
+    handoff_ns: Rc<Counter>,
     /// Requests siblings took from this core's domain.
     stolen: Cell<u64>,
     /// `stolen` as of this core's previous scan.
     stolen_mark: Cell<u64>,
-    gauges: Option<CoreGauges>,
 }
 
 #[derive(Default)]
@@ -210,7 +216,6 @@ struct Shared {
     idle: IdlePolicy,
     steal: bool,
     recorder: Option<FlightRecorder>,
-    handoff: Handoff,
     cores: Vec<CoreState>,
 }
 
@@ -249,11 +254,16 @@ impl Reactor {
                         .all(|c| c.overload().is_some() == admission.is_some()),
                     "mixed overload configs on one server thread"
                 );
-                let gauges = cfg.registry.as_ref().map(|reg| CoreGauges {
-                    steals: reg.counter(&format!("serve.core.{i}.steals")),
-                    queue_depth: reg.gauge(&format!("serve.core.{i}.queue_depth")),
-                    served: reg.counter(&format!("serve.core.{i}.served")),
-                    handoff_ns: reg.counter(&format!("serve.core.{i}.handoff_ns")),
+                // The registry's cells when one is configured, so each
+                // number is booked once; private cells otherwise.
+                let reg = cfg.registry.as_ref();
+                let counter = |name: &str| {
+                    reg.map_or_else(Rc::default, |r| {
+                        r.counter(&format!("serve.core.{i}.{name}"))
+                    })
+                };
+                let backlog = reg.map_or_else(Rc::default, |r| {
+                    r.gauge(&format!("serve.core.{i}.queue_depth"))
                 });
                 CoreState {
                     rings: spec.conns.iter().map(|c| Rc::clone(c.ring())).collect(),
@@ -263,15 +273,15 @@ impl Reactor {
                     handler: RefCell::new(spec.handler),
                     advertised: Cell::new(CREDIT_MAX),
                     admission,
-                    runq: RunQueue::new(),
+                    runq: RefCell::default(),
                     held: RefCell::default(),
                     credits: TenantCredits::new(),
-                    last_backlog: Cell::new(0),
-                    meter: CoreMeter::new(),
-                    steals: Cell::new(0),
+                    steals: counter("steals"),
+                    backlog,
+                    served: counter("served"),
+                    handoff_ns: counter("handoff_ns"),
                     stolen: Cell::new(0),
                     stolen_mark: Cell::new(0),
-                    gauges,
                 }
             })
             .collect();
@@ -281,7 +291,6 @@ impl Reactor {
                 idle: idle.into(),
                 steal: cfg.steal,
                 recorder: cfg.recorder,
-                handoff: Handoff::new(HANDOFF_COST),
                 cores: states,
             }),
         }
@@ -344,7 +353,7 @@ impl Reactor {
 
     /// Requests core `i` executed (its own plus stolen ones).
     pub fn served(&self, i: usize) -> u64 {
-        self.shared.cores[i].meter.served()
+        self.shared.cores[i].served.get()
     }
 
     /// Requests core `i` executed on siblings' behalf.
@@ -352,34 +361,14 @@ impl Reactor {
         self.shared.cores[i].steals.get()
     }
 
-    /// Requests siblings took from core `i`'s domain.
-    pub fn stolen(&self, i: usize) -> u64 {
-        self.shared.cores[i].stolen.get()
-    }
-
-    /// Empty scans core `i` paid for (idle burn).
-    pub fn empty_scans(&self, i: usize) -> u64 {
-        self.shared.cores[i].meter.empty_scans()
-    }
-
-    /// Simulated nanoseconds core `i` spent napping.
-    pub fn nap_ns(&self, i: usize) -> u64 {
-        self.shared.cores[i].meter.nap_ns()
-    }
-
-    /// Busy fraction of core `i`'s thread since the last reset.
-    pub fn utilization(&self, i: usize) -> f64 {
-        self.shared.cores[i].thread.utilization()
-    }
-
-    /// Cross-core handoffs charged so far.
+    /// Cross-core handoffs charged so far: one per stolen request.
     pub fn handoffs(&self) -> u64 {
-        self.shared.handoff.count()
+        (0..self.cores()).map(|i| self.steals(i)).sum()
     }
 
     /// Total simulated nanoseconds burned on cross-core handoffs.
     pub fn handoff_ns(&self) -> u64 {
-        self.shared.handoff.total_ns()
+        self.handoffs() * HANDOFF_COST.as_nanos()
     }
 
     /// Point-in-time per-core load rollup (the `CoreSkew` health view).
@@ -393,23 +382,21 @@ impl Reactor {
                 .enumerate()
                 .map(|(i, c)| CoreLoad {
                     core: i as u32,
-                    served: c.meter.served(),
-                    queue_depth: c.last_backlog.get() as u64,
-                    steals: c.steals.get(),
+                    served: c.served.get(),
+                    queue_depth: c.backlog.get() as u64,
                     stolen: c.stolen.get(),
-                    utilization: c.thread.utilization(),
                 })
                 .collect(),
         }
     }
 
-    /// Zeroes every per-core meter and utilization clock (start of a
+    /// Zeroes every per-core counter and utilization clock (start of a
     /// measurement window after warm-up).
     pub fn reset_measurements(&self) {
-        self.shared.handoff.reset();
         for c in &self.shared.cores {
-            c.meter.reset();
-            c.steals.set(0);
+            c.served.reset();
+            c.steals.reset();
+            c.handoff_ns.reset();
             c.stolen.set(0);
             c.stolen_mark.set(0);
             c.thread.reset_utilization();
@@ -437,27 +424,24 @@ async fn core_loop(shared: Rc<Shared>, me: usize) {
             nap = SimSpan::ZERO;
             continue;
         }
-        let core = &shared.cores[me];
-        core.meter.note_empty_scan();
         thread.busy(shared.idle.spin).await;
         nap = shared.idle.next_nap(nap);
         if !nap.is_zero() {
-            core.meter.note_nap(nap);
             thread.idle_wait(thread.handle().sleep(nap)).await;
         }
     }
 }
 
 impl Shared {
-    fn note_steal(&self, me: usize, victim: usize, thread: &ThreadCtx) {
+    /// Moves one request from `victim`'s domain to core `me`: the
+    /// handoff's busy time on the thief, then the books.
+    async fn hand_off(&self, me: usize, victim: usize, thread: &ThreadCtx) {
+        thread.busy(HANDOFF_COST).await;
         let core = &self.cores[me];
-        core.steals.set(core.steals.get() + 1);
+        core.steals.incr();
+        core.handoff_ns.add(HANDOFF_COST.as_nanos());
         let v = &self.cores[victim];
         v.stolen.set(v.stolen.get() + 1);
-        if let Some(g) = &core.gauges {
-            g.steals.incr();
-            g.handoff_ns.add(self.handoff.cost().as_nanos());
-        }
         if let Some(rec) = &self.recorder {
             rec.record(
                 thread.now(),
@@ -482,7 +466,7 @@ impl Shared {
         let verdict = if self.tenant_domains {
             core.credits.admit(ov, now, deadline, tenant)
         } else {
-            admit(ov, now, deadline, core.runq.len())
+            admit(ov, now, deadline, core.runq.borrow().len())
         };
         match verdict {
             Admission::Admit => Verdict::Run,
@@ -554,11 +538,7 @@ impl Shared {
                 core.held.borrow_mut().push(p);
             }
         }
-        let mine = &self.cores[me];
-        mine.meter.note_served(1);
-        if let Some(g) = &mine.gauges {
-            g.served.incr();
-        }
+        self.cores[me].served.incr();
         Some(true)
     }
 
@@ -614,11 +594,10 @@ impl Shared {
                     conn.reject(thread, status).await;
                     out.served_any = true;
                 }
-                Verdict::Run if queue => core.runq.push(p),
+                Verdict::Run if queue => core.runq.borrow_mut().push_back(p),
                 Verdict::Run => {
                     if stolen {
-                        self.handoff.charge(thread).await;
-                        self.note_steal(me, owner, thread);
+                        self.hand_off(me, owner, thread).await;
                     }
                     match self.service_one(me, thread, p).await {
                         Some(executed) => {
@@ -652,7 +631,7 @@ impl Shared {
         // batch vector died with the scan); already-recv'd requests are
         // redelivered by resubmission after the restart.
         while !out.crashed && !crashed() {
-            let Some(p) = core.runq.pop() else {
+            let Some(p) = core.runq.borrow_mut().pop_front() else {
                 break;
             };
             match self.service_one(me, thread, p).await {
@@ -660,7 +639,7 @@ impl Shared {
                 None => out.crashed = true,
             }
         }
-        core.runq.clear();
+        core.runq.borrow_mut().clear();
         let commit = core.handler.borrow_mut().commit();
         if let Some(commit) = commit {
             commit.await;
@@ -683,11 +662,8 @@ impl Shared {
         // What thieves took since the previous scan was backlog too: a
         // hot core whose rings they keep empty must stay their victim.
         let stolen = core.stolen.get();
-        let backlog = scan.backlog + (stolen - core.stolen_mark.replace(stolen)) as usize;
-        core.last_backlog.set(backlog);
-        if let Some(g) = &core.gauges {
-            g.queue_depth.set(backlog as i64);
-        }
+        let backlog = scan.backlog as u64 + stolen - core.stolen_mark.replace(stolen);
+        core.backlog.set(backlog as i64);
         if scan.served_any || scan.crashed || !self.steal {
             return scan.served_any;
         }
@@ -711,11 +687,10 @@ impl Shared {
                 if thread.machine().faults().is_crashed() {
                     return any;
                 }
-                let Some(p) = victim.runq.steal() else {
+                let Some(p) = victim.runq.borrow_mut().pop_back() else {
                     break;
                 };
-                self.handoff.charge(thread).await;
-                self.note_steal(me, v, thread);
+                self.hand_off(me, v, thread).await;
                 let Some(executed) = self.service_one(me, thread, p).await else {
                     return any;
                 };
@@ -728,7 +703,7 @@ impl Shared {
             // (b) Ring backlog: only victims whose last scan actually
             // found work — polling an idle sibling's rings would burn
             // thief CPU for nothing.
-            let backlog = victim.last_backlog.get();
+            let backlog = victim.backlog.get() as usize;
             if backlog == 0 {
                 continue;
             }
@@ -738,7 +713,7 @@ impl Shared {
             let mean = self
                 .cores
                 .iter()
-                .map(|c| c.last_backlog.get())
+                .map(|c| c.backlog.get() as usize)
                 .sum::<usize>()
                 / n;
             let budget = (STEAL_BATCH - taken).max(backlog.saturating_sub(mean));

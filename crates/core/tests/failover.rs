@@ -1,7 +1,7 @@
 //! Replica-router failover: epoch-fenced switchover between two
 //! live server endpoints.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rfp_core::{
@@ -216,4 +216,45 @@ fn single_replica_surfaces_the_first_exhausted_error() {
     assert!(at > SimTime::ZERO);
     assert_eq!((r.router.failovers(), r.router.active()), (0, 0));
     assert_eq!(r.recorder.kind_count("recovery.failover"), 0);
+}
+
+/// Without the gray stage the hedged read entry point is the plain one:
+/// a run whose calls enter through `call_hedged` returns the same
+/// results at the same instants, and leaves the same flight record, as
+/// one whose calls enter through `call` — healthy, and across a primary
+/// crash mid-run.
+#[test]
+fn call_hedged_without_the_stage_is_call() {
+    let run = |hedged: bool, crash: bool| {
+        let mut r = rig();
+        r.server_conns[1].set_epoch(1);
+        let router = Rc::clone(&r.router);
+        let t = Rc::clone(&r.client_thread);
+        let primary = r.cluster.machine(1);
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
+        let out = Rc::clone(&outcomes);
+        r.sim.spawn(async move {
+            for i in 0..20u32 {
+                if crash && i == 10 {
+                    primary.faults().set_crashed(true);
+                }
+                let req = i.to_le_bytes();
+                let res = if hedged {
+                    router.call_hedged(&t, &req).await
+                } else {
+                    router.call(&t, &req).await
+                };
+                out.borrow_mut().push(format!("{:?} {res:?}", t.now()));
+            }
+        });
+        r.sim.run_for(SimSpan::millis(20));
+        let mut trace = Vec::new();
+        r.recorder.dump(&mut trace).expect("dump events to vec");
+        (outcomes.take(), trace)
+    };
+    for crash in [false, true] {
+        let plain = run(false, crash);
+        assert_eq!(plain.0.len(), 20, "every call settled");
+        assert_eq!(plain, run(true, crash), "crash: {crash}");
+    }
 }

@@ -12,7 +12,6 @@ use rfp_core::{
     connect, serve_loop, CoreSpec, OverloadConfig, Reactor, ReactorConfig, RespStatus, RfpConfig,
     RfpServerConn, RfpTelemetry,
 };
-use rfp_rnic::core_threads;
 use rfp_simnet::{
     MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder, WaitGroup,
 };
@@ -108,7 +107,9 @@ fn run_rig(
     let reactor = steal.then(|| {
         let cm = cluster.machine(1);
         let (_idle, sc) = connect(&cm, &server_m, cluster.qp(1, 0), cluster.qp(0, 1), cfg);
-        let threads = core_threads(&server_m, "core", 2);
+        let threads: Vec<_> = (0..2)
+            .map(|i| server_m.thread(format!("core{i}")))
+            .collect();
         let core = |i: usize, conns, handler| CoreSpec {
             thread: Rc::clone(&threads[i]),
             conns,
@@ -272,7 +273,7 @@ fn thief_sheds_under_the_victims_rule() {
     let (slow2, slow2_conn) = link(true);
     let (_idle, idle_conn) = link(false);
     let slow = |req: &[u8]| (req.to_vec(), SimSpan::micros(200));
-    let threads = core_threads(&sm, "core", 2);
+    let threads: Vec<_> = (0..2).map(|i| sm.thread(format!("core{i}"))).collect();
     let cores = vec![
         CoreSpec {
             thread: Rc::clone(&threads[0]),
@@ -332,6 +333,68 @@ fn thief_sheds_under_the_victims_rule() {
     // ...which it alone finished, around 400 µs.
     assert_eq!((slow_done.get(), reactor.steals(1)), (2, 0));
     assert_eq!(doomed_conn.rejected_shed(), 1);
+}
+
+/// The run queue's two ends. Core 0's four connections carry
+/// admission control, so its first sweep queues the four requests
+/// already waiting on them; core 1, started once that sweep is done,
+/// steals while core 0 serves. The owner takes the oldest request and a
+/// thief the youngest: with a 50 µs handler they run in the order 0
+/// (owner), 3 (thief), 1 (owner), 2 (thief).
+#[test]
+fn owner_serves_the_oldest_and_a_thief_steals_the_youngest() {
+    let mut sim = Simulation::new(5);
+    let cluster = rfp_rnic::Cluster::new(&mut sim, rfp_rnic::ClusterProfile::paper_testbed(), 2);
+    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+    let link = |cfg: RfpConfig| connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+    let mut conns = Vec::new();
+    for i in 0..4u8 {
+        let (client, conn) = link(RfpConfig {
+            overload: Some(OverloadConfig {
+                deadline: SimSpan::millis(1),
+                ..OverloadConfig::default()
+            }),
+            ..RfpConfig::default()
+        });
+        conns.push(Rc::new(conn));
+        let t = cm.thread(format!("c{i}"));
+        sim.spawn(async move {
+            client.call_overload(&t, &[i], None).await;
+        });
+    }
+    let (_idle, idle_conn) = link(RfpConfig::default());
+    let order = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let o = Rc::clone(&order);
+    let handler = move |req: &[u8]| {
+        o.borrow_mut().push(req[0]);
+        (req.to_vec(), SimSpan::micros(50))
+    };
+    let cores = vec![
+        CoreSpec {
+            thread: sm.thread("core0"),
+            conns,
+            handler: Box::new(handler.clone()),
+        },
+        CoreSpec {
+            thread: sm.thread("core1"),
+            conns: vec![Rc::new(idle_conn)],
+            handler: Box::new(handler),
+        },
+    ];
+    let cfg = ReactorConfig {
+        steal: true,
+        ..ReactorConfig::default()
+    };
+    let reactor = Reactor::new(cfg, cores, SimSpan::nanos(100));
+    // Every request is waiting before either core runs.
+    sim.run_for(SimSpan::micros(20));
+    sim.spawn(reactor.run_core(0));
+    sim.run_for(SimSpan::micros(10));
+    assert_eq!(*order.borrow(), [0], "core 0 queued all four, began one");
+    sim.spawn(reactor.run_core(1));
+    sim.run_for(SimSpan::millis(1));
+    assert_eq!(*order.borrow(), [0, 3, 1, 2]);
+    assert_eq!((reactor.served(0), reactor.steals(1)), (2, 2));
 }
 
 /// A connection without the overload stage materialises no

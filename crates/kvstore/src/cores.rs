@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use rfp_core::{
     connect, CallPolicy, CoreSpec, Reactor, ReactorConfig, RfpConfig, REQ_HDR, RESP_HDR,
 };
-use rfp_rnic::{core_threads, ClusterProfile, ThreadCtx};
+use rfp_rnic::{ClusterProfile, ThreadCtx};
 use rfp_simnet::{CoreSkewReport, SimSpan, SimTime, Simulation};
 use rfp_workload::{Op, Zipf};
 
@@ -234,7 +234,9 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
     }
 
     // The reactor: one core per partition, stealing as configured.
-    let threads = core_threads(&sys.server_machine, "s", cfg.cores);
+    let threads: Vec<_> = (0..cfg.cores)
+        .map(|i| sys.server_machine.thread(format!("s{i}")))
+        .collect();
     let specs: Vec<CoreSpec> = (0..cfg.cores)
         .map(|i| CoreSpec {
             thread: Rc::clone(&threads[i]),

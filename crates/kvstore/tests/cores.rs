@@ -61,3 +61,27 @@ fn stealing_leaves_uniform_throughput_in_place() {
         "uniform 4-core run completed {done} calls, more than 2 % off {UNIFORM_CALLS}"
     );
 }
+
+/// Each per-core number is booked once: the registry's
+/// `serve.core.<i>.*` cells are the reactor's own, so they read the same
+/// values after the warm-up reset, and every handoff is one steal.
+#[test]
+fn per_core_numbers_are_booked_once() {
+    let sys = run(Some(0.99));
+    let reactor = &sys.reactor;
+    let counter = |i: usize, name: &str| {
+        sys.registry
+            .counter(&format!("serve.core.{i}.{name}"))
+            .get()
+    };
+    let mut steals = 0;
+    for i in 0..reactor.cores() {
+        assert_eq!(counter(i, "served"), reactor.served(i));
+        assert_eq!(counter(i, "steals"), reactor.steals(i));
+        assert_eq!(counter(i, "handoff_ns"), reactor.steals(i) * 150);
+        steals += reactor.steals(i);
+    }
+    assert!(steals > 0, "the Zipf run must steal");
+    assert_eq!(reactor.handoffs(), steals);
+    assert_eq!(reactor.handoff_ns(), steals * 150);
+}

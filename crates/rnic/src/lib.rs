@@ -25,7 +25,6 @@
 
 mod async_verbs;
 mod cluster;
-mod cores;
 mod engine;
 mod fault;
 mod machine;
@@ -36,7 +35,6 @@ mod qp;
 
 pub use async_verbs::Completion;
 pub use cluster::Cluster;
-pub use cores::{core_threads, CoreId, CoreMeter, Handoff, RunQueue};
 pub use fault::{FabricFaults, MachineFaults, VerbError};
 pub use machine::{Machine, MachineId, ThreadCtx};
 pub use mem::{MemRegion, MrId};

@@ -4,15 +4,15 @@
 //! A [`HealthHub`] hands out one [`ConnHealth`] per connection. Each
 //! keeps a sliding window of fixed-width epochs (aligned to the virtual
 //! clock, so rotation is deterministic); every epoch holds a
-//! log-bucketed latency sketch, one counter per [`HealthSignal`] and an
-//! in-flight watermark. Recording is O(1) bookkeeping
-//! with no simulated-CPU charge and no scheduled events, so the plane
-//! can stay on under a W=16 pipelined load without perturbing timing.
+//! log-bucketed latency sketch and one counter per [`HealthSignal`].
+//! Recording is O(1) bookkeeping with no simulated-CPU charge and no
+//! scheduled events, so the plane can stay on under a W=16 pipelined
+//! load without perturbing timing.
 //!
 //! [`HealthHub::report`] merges the retained epochs into a
-//! [`HealthReport`] (p50/p99/p999, rates, per-signal counts). An
+//! [`HealthReport`] (p50/p99, retry rate, per-signal counts). An
 //! [`AnomalyDetector`] compares a
-//! report against a captured baseline window with fixed thresholds and
+//! report against a captured [`Baseline`] with fixed thresholds and
 //! emits [`Anomaly`]s; [`DumpBundle`] renders the triggering window's
 //! flight-recorder events, metrics snapshot and Chrome trace for
 //! post-mortem replay.
@@ -36,7 +36,7 @@ use crate::time::{SimSpan, SimTime};
 struct LatencySketch {
     buckets: [u64; 64],
     count: u64,
-    sum_ns: u64,
+    /// Largest sample: quantiles are clamped to it.
     max_ns: u64,
 }
 
@@ -45,7 +45,6 @@ impl LatencySketch {
         LatencySketch {
             buckets: [0; 64],
             count: 0,
-            sum_ns: 0,
             max_ns: 0,
         }
     }
@@ -58,7 +57,6 @@ impl LatencySketch {
         };
         self.buckets[idx] += 1;
         self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
         self.max_ns = self.max_ns.max(ns);
     }
 
@@ -67,7 +65,6 @@ impl LatencySketch {
             *a += b;
         }
         self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
 
@@ -93,10 +90,6 @@ impl LatencySketch {
             }
         }
         self.max_ns
-    }
-
-    fn mean(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -134,9 +127,6 @@ struct Epoch {
     retries: u64,
     /// Occurrences of each [`HealthSignal`], indexed by discriminant.
     signals: [u64; SIGNALS],
-    result_bytes: u64,
-    process_us: u64,
-    inflight_peak: u32,
 }
 
 impl Epoch {
@@ -147,9 +137,6 @@ impl Epoch {
             calls: 0,
             retries: 0,
             signals: [0; SIGNALS],
-            result_bytes: 0,
-            process_us: 0,
-            inflight_peak: 0,
         }
     }
 }
@@ -215,21 +202,13 @@ impl ConnHealth {
         f(epochs.back_mut().expect("window is never empty"))
     }
 
-    /// Books one completed call.
-    pub fn record_call(
-        &self,
-        now: SimTime,
-        latency: SimSpan,
-        retries: u64,
-        result_bytes: usize,
-        server_time_us: u16,
-    ) {
+    /// Books one completed call, `retries` of whose fetch attempts
+    /// failed.
+    pub fn record_call(&self, now: SimTime, latency: SimSpan, retries: u64) {
         self.with_current(now, |e| {
             e.calls += 1;
             e.retries += retries;
             e.latency.record(latency.as_nanos());
-            e.result_bytes += result_bytes as u64;
-            e.process_us += server_time_us as u64;
         });
     }
 
@@ -238,18 +217,13 @@ impl ConnHealth {
         self.with_current(now, |e| e.signals[signal as usize] += 1);
     }
 
-    /// Updates the in-flight level; the window keeps per-epoch peaks.
-    pub fn set_inflight(&self, now: SimTime, inflight: u32) {
-        self.with_current(now, |e| e.inflight_peak = e.inflight_peak.max(inflight));
-    }
-
     /// Merges the retained window into one report.
     pub fn report(&self, now: SimTime) -> ConnHealthReport {
         // Rotate first so the report always describes the window ending
         // at `now`.
         self.with_current(now, |_| {});
         let epochs = self.epochs.borrow();
-        let mut merged = Epoch::new(epochs.front().expect("rotated").start);
+        let mut merged = Epoch::new(now);
         for e in epochs.iter() {
             merged.latency.merge(&e.latency);
             merged.calls += e.calls;
@@ -257,32 +231,18 @@ impl ConnHealth {
             for (sum, n) in merged.signals.iter_mut().zip(&e.signals) {
                 *sum += n;
             }
-            merged.result_bytes += e.result_bytes;
-            merged.process_us += e.process_us;
-            merged.inflight_peak = merged.inflight_peak.max(e.inflight_peak);
         }
-        let per_call = |n: u64| {
-            if merged.calls == 0 {
-                0.0
-            } else {
-                n as f64 / merged.calls as f64
-            }
-        };
         let count = |signal: HealthSignal| merged.signals[signal as usize];
-        let latency = &merged.latency;
         ConnHealthReport {
             conn: self.conn,
-            window_start: merged.start,
-            window_end: now,
             calls: merged.calls,
-            p50_ns: latency.quantile(0.50),
-            p99_ns: latency.quantile(0.99),
-            p999_ns: latency.quantile(0.999),
-            mean_ns: latency.mean(),
-            max_ns: latency.max_ns,
-            retry_rate: per_call(merged.retries),
-            shed_rate: per_call(count(HealthSignal::Shed) + count(HealthSignal::Busy)),
-            corrupt_rate: per_call(count(HealthSignal::Corrupt)),
+            p50_ns: merged.latency.quantile(0.50),
+            p99_ns: merged.latency.quantile(0.99),
+            retry_rate: if merged.calls == 0 {
+                0.0
+            } else {
+                merged.retries as f64 / merged.calls as f64
+            },
             sheds: count(HealthSignal::Shed),
             busys: count(HealthSignal::Busy),
             corrupts: count(HealthSignal::Corrupt),
@@ -291,9 +251,6 @@ impl ConnHealth {
             reconnects: count(HealthSignal::Reconnect),
             verb_errors: count(HealthSignal::VerbError),
             failovers: count(HealthSignal::Failover),
-            inflight_peak: merged.inflight_peak,
-            mean_result_bytes: per_call(merged.result_bytes),
-            mean_process_ns: per_call(merged.process_us) * 1_000.0,
         }
     }
 }
@@ -304,28 +261,15 @@ impl ConnHealth {
 pub struct ConnHealthReport {
     /// The connection described.
     pub conn: u32,
-    /// Start of the oldest retained epoch.
-    pub window_start: SimTime,
-    /// The instant the report was taken.
-    pub window_end: SimTime,
     /// Calls completed inside the window.
     pub calls: u64,
-    /// Latency quantiles (log-bucket upper bounds, ≤ 2x coarse).
+    /// Median latency (log-bucket upper bound, ≤ 2x coarse, clamped to
+    /// the window's largest sample).
     pub p50_ns: u64,
-    /// 99th percentile latency.
+    /// 99th percentile latency, likewise.
     pub p99_ns: u64,
-    /// 99.9th percentile latency.
-    pub p999_ns: u64,
-    /// Mean latency (exact, from the sketch's running sum).
-    pub mean_ns: u64,
-    /// Largest latency observed in the window.
-    pub max_ns: u64,
     /// Failed fetch attempts per call.
     pub retry_rate: f64,
-    /// `Shed` + `Busy` verdicts per call.
-    pub shed_rate: f64,
-    /// Integrity-discarded fetches per call.
-    pub corrupt_rate: f64,
     /// `Shed` verdicts in the window.
     pub sheds: u64,
     /// `Busy` verdicts in the window.
@@ -342,12 +286,6 @@ pub struct ConnHealthReport {
     pub verb_errors: u64,
     /// Failovers to another replica in the window.
     pub failovers: u64,
-    /// Peak in-flight calls in the window.
-    pub inflight_peak: u32,
-    /// Mean result payload bytes per call.
-    pub mean_result_bytes: f64,
-    /// Mean server-reported process time, ns.
-    pub mean_process_ns: f64,
 }
 
 /// Fleet view: every connection's report, in connection order.
@@ -520,12 +458,8 @@ pub struct CoreLoad {
     /// Requests found pending in its most recent scan (run-queue
     /// depth, the backlog signal).
     pub queue_depth: u64,
-    /// Requests this core stole from siblings.
-    pub steals: u64,
     /// Requests siblings stole from this core's domain.
     pub stolen: u64,
-    /// Busy fraction of the core's thread since measurements began.
-    pub utilization: f64,
 }
 
 /// Point-in-time per-core load rollup for one multi-core server — the
@@ -561,14 +495,53 @@ impl CoreSkewReport {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Baseline {
-    calls: u64,
-    p99_ns: u64,
-    retry_rate: f64,
+/// Calls a window needs before it can be a [`Baseline`].
+const MIN_BASELINE_CALLS: u64 = 16;
+
+/// The frozen healthy reference of one connection: what the anomaly
+/// detector and the replica scorer in `rfp-core` compare later windows
+/// against, under the same thresholds — so a replica the doctor would
+/// flag is also one the router de-prefers.
+#[derive(Copy, Clone, Debug)]
+pub struct Baseline {
+    /// Healthy median latency (at least 1 ns, so ratios are defined).
+    pub p50_ns: u64,
+    /// Healthy p99 latency (at least 1 ns).
+    pub p99_ns: u64,
+    /// Healthy failed fetch attempts per call.
+    pub retry_rate: f64,
 }
 
-/// Compares health reports against a captured baseline window.
+impl Baseline {
+    /// Window calls required before a window is compared against a
+    /// baseline.
+    pub const MIN_WINDOW_CALLS: u64 = 4;
+    /// A latency quantile regressed once it exceeds this many times its
+    /// baseline.
+    pub const LATENCY_FACTOR: f64 = 3.0;
+    /// Retry rate must exceed `baseline * RETRY_FACTOR + RETRY_MARGIN`.
+    const RETRY_FACTOR: f64 = 3.0;
+    /// Absolute retry-rate slack (extra retries per call).
+    const RETRY_MARGIN: f64 = 1.0;
+
+    /// `report` as a baseline, or `None` when it holds too few calls to
+    /// be one.
+    pub fn of(report: &ConnHealthReport) -> Option<Baseline> {
+        (report.calls >= MIN_BASELINE_CALLS).then(|| Baseline {
+            p50_ns: report.p50_ns.max(1),
+            p99_ns: report.p99_ns.max(1),
+            retry_rate: report.retry_rate,
+        })
+    }
+
+    /// Whether `report`'s retry rate spiked past this baseline.
+    pub fn retry_spike(&self, report: &ConnHealthReport) -> bool {
+        report.retry_rate > self.retry_rate * Self::RETRY_FACTOR + Self::RETRY_MARGIN
+    }
+}
+
+/// Compares health reports against a captured [`Baseline`] per
+/// connection.
 #[derive(Default)]
 pub struct AnomalyDetector {
     baselines: RefCell<BTreeMap<u32, Baseline>>,
@@ -579,23 +552,12 @@ pub struct AnomalyDetector {
 /// anomaly list. The counter anomalies (corruption, shedding, credit
 /// starvation, stuck slot, connection drop, failover) have no threshold
 /// to tune: a clean run books none of those signals, so the first
-/// occurrence in a window is the anomaly. The `pub` ones are shared
-/// with the replica scorer in `rfp-core`, so a replica the doctor would
-/// flag is also one the router de-prefers.
+/// occurrence in a window is the anomaly.
 impl AnomalyDetector {
-    /// Baseline calls required before latency/retry comparisons engage.
-    pub const MIN_BASELINE_CALLS: u64 = 16;
-    /// Window calls required before latency/retry comparisons engage.
-    pub const MIN_WINDOW_CALLS: u64 = 4;
-    /// p99 must exceed `baseline_p99 * LATENCY_FACTOR` …
-    pub const LATENCY_FACTOR: f64 = 3.0;
-    /// … and `baseline_p99 + LATENCY_SLACK_NS` (absolute guard against
-    /// flagging noise around tiny baselines).
+    /// A regressed p99 must also exceed `baseline_p99 +
+    /// LATENCY_SLACK_NS` (absolute guard against flagging noise around
+    /// tiny baselines).
     const LATENCY_SLACK_NS: u64 = 2_000;
-    /// Retry rate must exceed `baseline * RETRY_FACTOR + RETRY_MARGIN`.
-    pub const RETRY_FACTOR: f64 = 3.0;
-    /// Absolute retry-rate slack (extra retries per call).
-    pub const RETRY_MARGIN: f64 = 1.0;
     /// A core must execute more than this many times the per-core mean
     /// served count before [`AnomalyKind::CoreImbalance`] fires.
     const CORE_FACTOR: f64 = 2.0;
@@ -609,27 +571,16 @@ impl AnomalyDetector {
     }
 
     /// Captures `report` as the healthy baseline (replacing any prior
-    /// capture per connection).
+    /// capture per connection; a connection with too few calls has
+    /// none).
     pub fn set_baseline(&self, report: &HealthReport) {
         let mut baselines = self.baselines.borrow_mut();
         for c in &report.conns {
-            baselines.insert(
-                c.conn,
-                Baseline {
-                    calls: c.calls,
-                    p99_ns: c.p99_ns,
-                    retry_rate: c.retry_rate,
-                },
-            );
+            match Baseline::of(c) {
+                Some(b) => baselines.insert(c.conn, b),
+                None => baselines.remove(&c.conn),
+            };
         }
-    }
-
-    /// Whether a baseline with enough calls exists for `conn`.
-    pub fn has_baseline(&self, conn: u32) -> bool {
-        self.baselines
-            .borrow()
-            .get(&conn)
-            .is_some_and(|b| b.calls >= Self::MIN_BASELINE_CALLS)
     }
 
     /// Scans a report; returns the anomalies it trips, ordered by
@@ -655,8 +606,8 @@ impl AnomalyDetector {
                 });
             };
             if let Some(b) = baselines.get(&c.conn) {
-                if b.calls >= Self::MIN_BASELINE_CALLS && c.calls >= Self::MIN_WINDOW_CALLS {
-                    let threshold = (b.p99_ns as f64 * Self::LATENCY_FACTOR) as u64;
+                if c.calls >= Baseline::MIN_WINDOW_CALLS {
+                    let threshold = (b.p99_ns as f64 * Baseline::LATENCY_FACTOR) as u64;
                     if c.p99_ns > threshold && c.p99_ns > b.p99_ns + Self::LATENCY_SLACK_NS {
                         hit(
                             AnomalyKind::LatencyRegression,
@@ -678,7 +629,7 @@ impl AnomalyDetector {
                             );
                         }
                     }
-                    if c.retry_rate > b.retry_rate * Self::RETRY_FACTOR + Self::RETRY_MARGIN {
+                    if b.retry_spike(c) {
                         hit(
                             AnomalyKind::RetrySpike,
                             format!(
@@ -771,11 +722,11 @@ pub struct DumpBundle<'a> {
     /// What fired.
     pub anomaly: &'a Anomaly,
     /// Flight recorder to pull the window's cause chains from.
-    pub recorder: Option<&'a FlightRecorder>,
+    pub recorder: &'a FlightRecorder,
     /// Point-in-time metrics.
-    pub metrics: Option<&'a MetricsSnapshot>,
+    pub metrics: &'a MetricsSnapshot,
     /// Span recorder to render the window's Chrome trace from.
-    pub spans: Option<&'a SpanRecorder>,
+    pub spans: &'a SpanRecorder,
     /// The offending window.
     pub window: (SimTime, SimTime),
 }
@@ -788,28 +739,21 @@ impl DumpBundle<'_> {
         writeln!(w, "== anomaly ==")?;
         writeln!(w, "{}", self.anomaly)?;
         writeln!(w, "window: {from} .. {to}")?;
-        if let Some(rec) = self.recorder {
-            writeln!(w, "== flight recorder ==")?;
-            for e in rec.events_in(from, to) {
-                // The window's events plus, for connection-scoped
-                // anomalies, the full chain behind each event.
-                writeln!(w, "{e}")?;
-                if let Some(cause) = e.cause {
-                    for link in rec.chain(cause) {
-                        writeln!(w, "  caused by: {link}")?;
-                    }
+        writeln!(w, "== flight recorder ==")?;
+        for e in self.recorder.events_in(from, to) {
+            // The window's events plus, for connection-scoped
+            // anomalies, the full chain behind each event.
+            writeln!(w, "{e}")?;
+            if let Some(cause) = e.cause {
+                for link in self.recorder.chain(cause) {
+                    writeln!(w, "  caused by: {link}")?;
                 }
             }
         }
-        if let Some(snap) = self.metrics {
-            writeln!(w, "== metrics ==")?;
-            snap.write_json(w)?;
-        }
-        if let Some(spans) = self.spans {
-            writeln!(w, "== chrome trace ==")?;
-            spans.write_chrome_trace_window(w, from, to)?;
-        }
-        Ok(())
+        writeln!(w, "== metrics ==")?;
+        self.metrics.write_json(w)?;
+        writeln!(w, "== chrome trace ==")?;
+        self.spans.write_chrome_trace_window(w, from, to)
     }
 }
 
@@ -831,7 +775,6 @@ mod tests {
         let p50 = s.quantile(0.5);
         assert!((128..=512).contains(&p50), "p50 = {p50}");
         assert_eq!(s.quantile(0.999), 10_000);
-        assert_eq!(s.mean(), 2_200);
         assert_eq!(s.quantile(1.0), 10_000);
         assert_eq!(LatencySketch::new().quantile(0.5), 0);
     }
@@ -839,7 +782,7 @@ mod tests {
     #[test]
     fn window_rotates_and_drops_old_epochs() {
         let h = HealthHub::default().conn(0);
-        h.record_call(t(10), SimSpan::micros(1), 0, 32, 1);
+        h.record_call(t(10), SimSpan::micros(1), 0);
         // 8 epochs of 200 µs: the call's epoch is the oldest retained
         // one until the ninth epoch opens at 1 600 µs.
         assert_eq!(HealthHub::WINDOW, SimSpan::micros(1_600));
@@ -851,8 +794,8 @@ mod tests {
     #[test]
     fn long_gap_restarts_window() {
         let h = HealthHub::default().conn(0);
-        h.record_call(t(10), SimSpan::micros(1), 0, 32, 1);
-        h.record_call(t(100_000), SimSpan::micros(1), 0, 32, 1);
+        h.record_call(t(10), SimSpan::micros(1), 0);
+        h.record_call(t(100_000), SimSpan::micros(1), 0);
         assert_eq!(h.report(t(100_010)).calls, 1);
     }
 
@@ -860,21 +803,15 @@ mod tests {
     fn report_rates_and_sizes() {
         let h = HealthHub::default().conn(3);
         for i in 0..10 {
-            h.record_call(t(i), SimSpan::micros(2), 1, 64, 5);
+            h.record_call(t(i), SimSpan::micros(2), 1);
         }
         h.record(t(11), HealthSignal::Shed);
         h.record(t(12), HealthSignal::Corrupt);
-        h.set_inflight(t(13), 7);
-        h.set_inflight(t(14), 2);
         let r = h.report(t(20));
         assert_eq!(r.conn, 3);
         assert_eq!(r.calls, 10);
         assert_eq!(r.retry_rate, 1.0);
-        assert_eq!(r.shed_rate, 0.1);
-        assert_eq!(r.corrupt_rate, 0.1);
-        assert_eq!(r.inflight_peak, 7);
-        assert_eq!(r.mean_result_bytes, 64.0);
-        assert_eq!(r.mean_process_ns, 5_000.0);
+        assert_eq!((r.sheds, r.corrupts, r.busys), (1, 1, 0));
         assert!(r.p50_ns >= 1_000 && r.p50_ns <= 4_000, "p50 = {}", r.p50_ns);
     }
 
@@ -882,8 +819,8 @@ mod tests {
     fn hub_reports_sorted_and_shared() {
         let hub = HealthHub::default();
         let clone = hub.clone();
-        clone.conn(5).record_call(t(1), SimSpan::micros(1), 0, 8, 1);
-        hub.conn(2).record_call(t(1), SimSpan::micros(1), 0, 8, 1);
+        clone.conn(5).record_call(t(1), SimSpan::micros(1), 0);
+        hub.conn(2).record_call(t(1), SimSpan::micros(1), 0);
         let report = hub.report(t(10));
         let ids: Vec<u32> = report.conns.iter().map(|c| c.conn).collect();
         assert_eq!(ids, [2, 5]);
@@ -898,7 +835,7 @@ mod tests {
     ) -> Vec<Anomaly> {
         let c = h.conn(0);
         for i in 0..32u64 {
-            c.record_call(t(i), SimSpan::micros(2), 0, 32, 1);
+            c.record_call(t(i), SimSpan::micros(2), 0);
         }
         det.set_baseline(&h.report(t(40)));
         // Move past the 1.6 ms window so the baseline epochs rotate out.
@@ -913,7 +850,7 @@ mod tests {
         let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
-            c.record_call(at, SimSpan::micros(50), 0, 32, 1);
+            c.record_call(at, SimSpan::micros(50), 0);
         });
         assert!(
             anomalies
@@ -930,7 +867,7 @@ mod tests {
         // Slow calls and nothing else: no drops, no corruption, no
         // shedding — the degraded-but-alive signature.
         let anomalies = baseline_and_window(&h, &det, |c, at| {
-            c.record_call(at, SimSpan::micros(50), 0, 32, 1);
+            c.record_call(at, SimSpan::micros(50), 0);
         });
         assert!(
             anomalies.iter().any(|a| a.kind == AnomalyKind::GrayFailure),
@@ -947,7 +884,7 @@ mod tests {
         // its pushback wherever the rejected calls ran), so conn 0's
         // slowdown is not gray.
         let anomalies = baseline_and_window(&h, &det, |c, at| {
-            c.record_call(at, SimSpan::micros(50), 0, 32, 1);
+            c.record_call(at, SimSpan::micros(50), 0);
             h.conn(1).record(at, HealthSignal::Shed);
         });
         assert!(
@@ -967,7 +904,7 @@ mod tests {
         let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
-            c.record_call(at, SimSpan::micros(50), 0, 32, 1);
+            c.record_call(at, SimSpan::micros(50), 0);
             c.record(at, HealthSignal::VerbError);
         });
         assert!(
@@ -987,7 +924,7 @@ mod tests {
         let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
-            c.record_call(at, SimSpan::micros(2), 10, 32, 1);
+            c.record_call(at, SimSpan::micros(2), 10);
         });
         assert!(
             anomalies.iter().any(|a| a.kind == AnomalyKind::RetrySpike),
@@ -1007,7 +944,7 @@ mod tests {
         let h = HealthHub::default();
         let det = AnomalyDetector::new();
         let anomalies = baseline_and_window(&h, &det, |c, at| {
-            c.record_call(at, SimSpan::micros(2), 0, 32, 1);
+            c.record_call(at, SimSpan::micros(2), 0);
         });
         assert!(anomalies.is_empty(), "{anomalies:?}");
     }
@@ -1062,9 +999,9 @@ mod tests {
         let spans = SpanRecorder::new(4);
         let bundle = DumpBundle {
             anomaly: &anomaly,
-            recorder: Some(&rec),
-            metrics: Some(&snap),
-            spans: Some(&spans),
+            recorder: &rec,
+            metrics: &snap,
+            spans: &spans,
             window: (t(0), t(10)),
         };
         let mut out = Vec::new();

@@ -61,8 +61,8 @@ pub use coord::{Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
 pub use crc64::{crc64, Crc64};
 pub use executor::{EventSink, ExecutorStats, SimHandle, Simulation, Sleep, Wakeup};
 pub use health::{
-    Anomaly, AnomalyDetector, AnomalyKind, ConnHealth, ConnHealthReport, CoreLoad, CoreSkewReport,
-    DumpBundle, HealthHub, HealthReport, HealthSignal,
+    Anomaly, AnomalyDetector, AnomalyKind, Baseline, ConnHealth, ConnHealthReport, CoreLoad,
+    CoreSkewReport, DumpBundle, HealthHub, HealthReport, HealthSignal,
 };
 pub use metrics::{Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightEvent, FlightRecorder, Severity};
