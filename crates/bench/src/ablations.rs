@@ -15,7 +15,7 @@
 
 use std::io::{self, Write};
 
-use rfp_core::{ParamSelector, RfpConfig, WorkloadSample};
+use rfp_core::RfpConfig;
 use rfp_kvstore::{
     spawn_farm, spawn_herd, spawn_jakiro, spawn_jakiro_shared, spawn_pilaf, spawn_server_reply_kv,
     SystemConfig,
@@ -26,35 +26,7 @@ use rfp_workload::{OpMix, ValueSize, WorkloadSpec};
 
 use crate::kvrun::run_kv;
 use crate::micro;
-use crate::{DEFAULT_WARMUP_MS, DEFAULT_WINDOW_MS};
-
-fn window() -> SimSpan {
-    SimSpan::millis(DEFAULT_WINDOW_MS)
-}
-
-fn warmup() -> SimSpan {
-    SimSpan::millis(DEFAULT_WARMUP_MS)
-}
-
-fn row(
-    w: &mut dyn Write,
-    fig: &str,
-    series: &str,
-    x: impl std::fmt::Display,
-    y: f64,
-) -> io::Result<()> {
-    writeln!(w, "{fig},{series},{x},{y:.4}")
-}
-
-fn base_cfg() -> SystemConfig {
-    SystemConfig {
-        spec: WorkloadSpec {
-            key_count: 2_000,
-            ..WorkloadSpec::paper_default()
-        },
-        ..SystemConfig::default()
-    }
-}
+use crate::{kv_cfg, preselect, row, warmup, window, KEYS};
 
 /// Transports: the three paradigms head-to-head, then the HERD-style
 /// system under increasing packet loss (reliability is not free to give
@@ -64,7 +36,7 @@ pub fn ablation_transports(w: &mut dyn Write) -> io::Result<()> {
         w,
         "# ablation_transports: RC-RFP vs RC-server-reply vs UC/UD HERD-style"
     )?;
-    let cfg = base_cfg();
+    let cfg = kv_cfg();
     row(
         w,
         "transports",
@@ -87,7 +59,7 @@ pub fn ablation_transports(w: &mut dyn Write) -> io::Result<()> {
         run_kv(spawn_herd, &cfg, warmup(), window()).mops,
     )?;
     for loss_pct in [0.1f64, 1.0, 5.0] {
-        let mut cfg = base_cfg();
+        let mut cfg = kv_cfg();
         cfg.profile.nic.unreliable_loss = loss_pct / 100.0;
         let run = run_kv(spawn_herd, &cfg, warmup(), window());
         row(
@@ -132,7 +104,7 @@ fn ablation_nic_generations(w: &mut dyn Write) -> io::Result<()> {
 
         let cfg = SystemConfig {
             profile,
-            ..base_cfg()
+            ..kv_cfg()
         };
         let jak = run_kv(spawn_jakiro, &cfg, warmup(), window()).mops;
         let sr = run_kv(spawn_server_reply_kv, &cfg, warmup(), window()).mops;
@@ -152,7 +124,7 @@ fn ablation_erew(w: &mut dyn Write) -> io::Result<()> {
         ("50", OpMix::BALANCED),
         ("5", OpMix::WRITE_INTENSIVE),
     ] {
-        let mut cfg = base_cfg();
+        let mut cfg = kv_cfg();
         cfg.spec.mix = mix;
         let erew = run_kv(spawn_jakiro, &cfg, warmup(), window()).mops;
         let shared = run_kv(spawn_jakiro_shared, &cfg, warmup(), window()).mops;
@@ -170,21 +142,13 @@ fn ablation_param_selection(w: &mut dyn Write) -> io::Result<()> {
         w,
         "# ablation_param_selection: selected (R,F) vs naive choices, 600B values"
     )?;
-    let profile = ClusterProfile::paper_testbed();
-    let selector = ParamSelector::new(profile.nic.clone(), profile.link.clone());
-    let sample = WorkloadSample {
-        result_sizes: vec![605],
-        process_time: SimSpan::nanos(350),
-        request_size: 64,
-        client_threads: 35,
-    };
-    let picked = selector.select(&sample);
+    let picked = preselect(vec![605], SimSpan::nanos(350));
     writeln!(w, "# selector picked R={} F={}", picked.r, picked.f)?;
 
     let run_with = |r: u32, f: usize| {
         let cfg = SystemConfig {
             spec: WorkloadSpec {
-                key_count: 2_000,
+                key_count: KEYS,
                 values: ValueSize::Fixed(600),
                 ..WorkloadSpec::paper_default()
             },
@@ -295,7 +259,7 @@ fn ablation_load_latency(w: &mut dyn Write) -> io::Result<()> {
         "# ablation_load_latency: mean think time (us) -> mops, p50, p99 (us)"
     )?;
     for think_us in [50u64, 20, 10, 5, 2, 1, 0] {
-        let mut cfg = base_cfg();
+        let mut cfg = kv_cfg();
         cfg.think_time = SimSpan::micros(think_us);
         for (name, run) in [
             ("jakiro", run_kv(spawn_jakiro, &cfg, warmup(), window())),
@@ -323,7 +287,7 @@ fn ablation_farm(w: &mut dyn Write) -> io::Result<()> {
         "# ablation_farm: Jakiro vs Pilaf-style vs FaRM-style, uniform, 32B values"
     )?;
     for (label, mix) in [("95", OpMix::READ_INTENSIVE), ("50", OpMix::BALANCED)] {
-        let mut cfg = base_cfg();
+        let mut cfg = kv_cfg();
         cfg.spec.mix = mix;
         for (name, run) in [
             ("jakiro", run_kv(spawn_jakiro, &cfg, warmup(), window())),

@@ -6,7 +6,7 @@
 use std::io::{self, Write};
 use std::rc::Rc;
 
-use rfp_core::{connect, serve_loop, ParamSelector, RfpConfig, WorkloadSample, RESP_HDR};
+use rfp_core::{connect, serve_loop, Params, RfpConfig, RESP_HDR};
 use rfp_kvstore::{
     spawn_jakiro, spawn_memcached, spawn_pilaf, spawn_server_reply_kv, SystemConfig,
 };
@@ -17,37 +17,7 @@ use rfp_workload::{KeyDist, OpMix, ValueSize, WorkloadSpec};
 
 use crate::kvrun::{run_kv, KvRun};
 use crate::micro;
-use crate::{DEFAULT_WARMUP_MS, DEFAULT_WINDOW_MS};
-
-fn window() -> SimSpan {
-    SimSpan::millis(DEFAULT_WINDOW_MS)
-}
-
-fn warmup() -> SimSpan {
-    SimSpan::millis(DEFAULT_WARMUP_MS)
-}
-
-fn row(
-    w: &mut dyn Write,
-    fig: &str,
-    series: &str,
-    x: impl std::fmt::Display,
-    y: f64,
-) -> io::Result<()> {
-    writeln!(w, "{fig},{series},{x},{y:.4}")
-}
-
-fn kv_cfg(key_count: u64) -> SystemConfig {
-    SystemConfig {
-        spec: WorkloadSpec {
-            key_count,
-            ..WorkloadSpec::paper_default()
-        },
-        ..SystemConfig::default()
-    }
-}
-
-const KEYS: u64 = 2_000;
+use crate::{kv_cfg, prerun_results, preselect, row, warmup, window, KEYS};
 
 /// Figure 3: out-bound IOPS vs number of server threads, with the
 /// saturated in-bound rate for comparison (32 B payloads).
@@ -214,7 +184,7 @@ pub fn fig10(w: &mut dyn Write) -> io::Result<()> {
     for per_machine in 1..=10usize {
         let cfg = SystemConfig {
             clients_per_machine: per_machine,
-            ..kv_cfg(KEYS)
+            ..kv_cfg()
         };
         let run = run_kv(spawn_jakiro, &cfg, warmup(), window());
         row(w, "fig10", "jakiro", per_machine * 7, run.mops)?;
@@ -266,7 +236,7 @@ fn fig12(w: &mut dyn Write) -> io::Result<()> {
     for threads in [1usize, 2, 4, 6, 8, 10, 12, 14, 16] {
         let cfg = SystemConfig {
             server_threads: threads,
-            ..kv_cfg(KEYS)
+            ..kv_cfg()
         };
         row(
             w,
@@ -296,7 +266,7 @@ fn fig12(w: &mut dyn Write) -> io::Result<()> {
 fn peak_cfgs() -> (SystemConfig, SystemConfig, SystemConfig) {
     // Each system at the configuration where it peaks on 32 B uniform
     // 95% GET (paper §4.4.3): Jakiro/ServerReply 6 threads, Memcached 16.
-    let base = kv_cfg(KEYS);
+    let base = kv_cfg();
     let mcd = SystemConfig {
         server_threads: 16,
         ..base.clone()
@@ -345,7 +315,7 @@ fn fig13(w: &mut dyn Write) -> io::Result<()> {
 }
 
 fn fig14_cfg(p_us: u64, enable_switch: bool) -> SystemConfig {
-    let mut cfg = kv_cfg(KEYS);
+    let mut cfg = kv_cfg();
     cfg.server_threads = 16;
     cfg.extra_process = SimSpan::micros(p_us);
     cfg.rfp.enable_mode_switch = enable_switch;
@@ -425,28 +395,13 @@ fn fig16(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Pre-run parameter selection for a value-size distribution, as §3.2
-/// prescribes (returns `(R, F)`).
-fn preselect(values: ValueSize, clients: usize) -> (u32, usize) {
-    let profile = ClusterProfile::paper_testbed();
-    let selector = ParamSelector::new(profile.nic.clone(), profile.link.clone());
-    let sizes = values.samples(64, 7).iter().map(|s| s + 5).collect();
-    let sample = WorkloadSample {
-        result_sizes: sizes,
-        process_time: SimSpan::nanos(200),
-        request_size: 64,
-        client_threads: clients,
-    };
-    let p = selector.select(&sample);
-    (p.r, p.f)
-}
-
 /// Figure 17: throughput vs value size 32 B…8 KB (three systems), plus
 /// the §4.4.3 mixed-size run; Jakiro's `(R, F)` come from the selection
 /// pre-run.
 fn fig17(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig17: throughput vs value size; params from pre-run")?;
-    let (r, f) = preselect(ValueSize::Uniform { min: 32, max: 8192 }, 35);
+    let mixed = prerun_results(ValueSize::Uniform { min: 32, max: 8192 });
+    let Params { r, f } = preselect(mixed, SimSpan::nanos(200));
     writeln!(w, "# selected R={r} F={f} from mixed 32..8192 pre-run")?;
     for size in [32usize, 64, 128, 256, 512, 1024, 2048, 4096, 8192] {
         let make = |mix_threads: usize| SystemConfig {
@@ -533,7 +488,8 @@ fn fig17(w: &mut dyn Write) -> io::Result<()> {
 /// fetch sizes `F` — the ablation behind the `F` selection.
 fn fig18(w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "# fig18: Jakiro vs value size for several fetch sizes F")?;
-    let (r, f_sel) = preselect(ValueSize::Uniform { min: 32, max: 2048 }, 35);
+    let mixed = prerun_results(ValueSize::Uniform { min: 32, max: 2048 });
+    let Params { r, f: f_sel } = preselect(mixed, SimSpan::nanos(200));
     writeln!(w, "# selector would pick R={r} F={f_sel} for 32..2048")?;
     for f in [256usize, 448, 512, 640, 1024] {
         for size in [32usize, 64, 128, 256, 384, 512, 640, 768, 1024, 2048] {
@@ -635,7 +591,7 @@ fn table3(w: &mut dyn Write) -> io::Result<()> {
         ("skewed_95get", KeyDist::Zipf(0.99), OpMix::READ_INTENSIVE),
         ("skewed_5get", KeyDist::Zipf(0.99), OpMix::WRITE_INTENSIVE),
     ] {
-        let mut cfg = kv_cfg(KEYS);
+        let mut cfg = kv_cfg();
         cfg.spec.keys = keys;
         cfg.spec.mix = mix;
         let run = run_kv(spawn_jakiro, &cfg, warmup(), window());

@@ -30,8 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_core::{
-    connect, serve_loop, CoreSpec, FailureCause, OverloadConfig, Reactor, ReactorConfig,
-    RecoveryConfig, RfpConfig, RfpServerConn, RfpTelemetry,
+    connect, CoreSpec, FailureCause, OverloadConfig, Reactor, ReactorConfig, RecoveryConfig,
+    RfpConfig, RfpServerConn, RfpTelemetry,
 };
 use rfp_kvstore::{kv_handler, partition_of, preload_partitions, KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
@@ -63,11 +63,11 @@ pub struct ChaosConfig {
     pub integrity: bool,
     /// Master seed for workloads and recovery jitter.
     pub seed: u64,
-    /// Run the server threads as one multi-core [`Reactor`] with work
-    /// stealing instead of independent serve loops. Off by default (the
-    /// independent loops are the configuration the determinism pins
-    /// cover); the cores chaos tests turn it on to prove the recovery
-    /// invariants hold while requests migrate between cores.
+    /// Let the server's [`Reactor`] cores steal work from each other.
+    /// Off by default (each core serves only its own connections, the
+    /// configuration the determinism pins cover); the cores chaos tests
+    /// turn it on to prove the recovery invariants hold while requests
+    /// migrate between cores.
     pub reactor_steal: bool,
 }
 
@@ -311,10 +311,9 @@ pub struct ChaosKv {
     pub health: HealthHub,
     /// Shared outcome counters.
     pub state: Rc<ChaosState>,
-    /// The multi-core serve reactor, present only when
-    /// [`ChaosConfig::reactor_steal`] is on (per-core steal counters,
-    /// skew report).
-    pub reactor: Option<Reactor>,
+    /// The serve reactor, one core per server thread (per-core served
+    /// and steal counters).
+    pub reactor: Reactor,
 }
 
 /// Maximum of the `name` histogram, if the run ever recorded into it.
@@ -465,40 +464,29 @@ pub fn spawn_chaos_kv(
         });
     }
 
-    // The server threads: either independent serve loops (the classic
-    // shape) or one multi-core reactor with work stealing across them.
-    let cores = server_conns.into_iter().enumerate().map(|(s, conns)| {
-        let thread = server_m.thread(format!("chaos-s{s}"));
-        let handler = kv_handler(Rc::clone(&partitions[s]), || SimSpan::ZERO);
-        (thread, conns, handler)
-    });
-    let reactor = if cfg.reactor_steal {
-        let specs = cores
-            .map(|(thread, conns, handler)| CoreSpec {
-                thread,
-                conns,
-                handler: Box::new(handler),
-            })
-            .collect();
-        let reactor = Reactor::new(
-            ReactorConfig {
-                steal: true,
-                registry: Some(sinks.registry.clone()),
-                recorder: Some(sinks.recorder.clone()),
-            },
-            specs,
-            SimSpan::nanos(100),
-        );
-        for s in 0..cfg.server_threads {
-            sim.spawn(reactor.run_core(s));
-        }
-        Some(reactor)
-    } else {
-        for (thread, conns, handler) in cores {
-            sim.spawn(serve_loop(thread, conns, handler, SimSpan::nanos(100)));
-        }
-        None
-    };
+    // The server threads: one reactor, one core per thread; with
+    // stealing off each core serves only its own connections.
+    let specs = server_conns
+        .into_iter()
+        .enumerate()
+        .map(|(s, conns)| CoreSpec {
+            thread: server_m.thread(format!("chaos-s{s}")),
+            conns,
+            handler: Box::new(kv_handler(Rc::clone(&partitions[s]), || SimSpan::ZERO)),
+        })
+        .collect();
+    let reactor = Reactor::new(
+        ReactorConfig {
+            steal: cfg.reactor_steal,
+            registry: Some(sinks.registry.clone()),
+            recorder: Some(sinks.recorder.clone()),
+        },
+        specs,
+        SimSpan::nanos(100),
+    );
+    for s in 0..cfg.server_threads {
+        sim.spawn(reactor.run_core(s));
+    }
 
     if let Some(plan) = plan {
         let hook_state = Rc::clone(&state);

@@ -60,7 +60,7 @@ fn warm_restart_under_stealing_loses_no_acked_put() {
         rig.state.completed.get() > before,
         "clients must make progress after the restart"
     );
-    let reactor = rig.reactor.as_ref().expect("reactor_steal rig");
+    let reactor = &rig.reactor;
     // Every core resumed serving after the crash window.
     for core in 0..4 {
         assert!(
@@ -86,7 +86,7 @@ fn stealing_rig_actually_steals_and_stays_linearizable() {
     let rig = spawn_chaos_kv(&mut sim, &cfg, None);
     sim.run_for(SimSpan::millis(8));
 
-    let reactor = rig.reactor.as_ref().expect("reactor_steal rig");
+    let reactor = &rig.reactor;
     let steals: u64 = (0..4).map(|i| reactor.steals(i)).sum();
     assert!(
         steals > 0,

@@ -92,7 +92,7 @@ pub use header::{
 pub use integrity::{verify_response, IntegrityFault};
 pub use mux::{serve_loop_tenant, shard_conns, LogicalClient, RfpMux, TenantId};
 pub use overload::{admit, credits_for, Admission, OverloadConfig, TenantCredits};
-pub use params::{ParamSelector, Params, WorkloadSample};
+pub use params::{Bound, ParamSelector, Params, Resource, WorkloadSample};
 pub use reactor::{CoreSpec, Reactor, ReactorConfig};
 pub use recovery::{FailureCause, RecoveryConfig, RpcError};
 pub use server::{serve_loop, Commit, IdlePolicy, Reply, RfpHandler, ScanHandler};

@@ -1,4 +1,5 @@
-//! Automatic selection of the RFP parameters `R` and `F` (paper §3.2).
+//! Automatic selection of the RFP parameters `R` and `F` (paper §3.2),
+//! and the closed-form cost model that scores them.
 //!
 //! The paper turns both of its client-side challenges — *when to stop
 //! retrying remote fetches* and *how much to fetch per READ* — into one
@@ -14,9 +15,13 @@
 //! Equation 2: `T = Σᵢ Tᵢ`, `Tᵢ = I(R,F)` when `F ≥ Sᵢ` and `I(R,F)/2`
 //! when a second READ is needed.
 //!
-//! `I(R,F)` comes from a closed-form throughput model of the simulated
-//! NIC (validated against full simulations in the test suite); the paper
-//! obtains the equivalent table by benchmarking its RNIC once.
+//! `I(R,F)` comes from a closed-form cost model of the simulated NIC
+//! (DESIGN §5); the paper obtains the equivalent table by benchmarking
+//! its RNIC once. A call holds each [`Resource`] for a service time, and
+//! its throughput is the minimum over resources of capacity ÷ service
+//! time per call. `crates/bench/tests/model.rs` checks the model against
+//! the committed figures and lists the cells it misses, with the
+//! component each miss leaves out.
 
 use rfp_rnic::{LinkProfile, NicProfile};
 use rfp_simnet::SimSpan;
@@ -44,6 +49,34 @@ pub struct WorkloadSample {
     pub request_size: usize,
     /// Number of concurrent client threads driving the server.
     pub client_threads: usize,
+    /// Client machines the threads are spread over (at least one). Each
+    /// has one out-bound engine, shared by its threads.
+    pub client_machines: usize,
+}
+
+/// A resource of the cost model: every call occupies each of them.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Resource {
+    /// The server NIC's in-bound engine: the request WRITE and every
+    /// fetch READ.
+    ServerInbound,
+    /// The server NIC's out-bound engine: server-reply's response WRITE.
+    ServerOutbound,
+    /// The client machines' out-bound engines: every verb a client
+    /// issues, inflated by the issuing contention of the threads that
+    /// share one machine (the factor `Nic::serve_out` applies).
+    ClientOutbound,
+    /// The client threads, each one call at a time: per-call latency.
+    ClientThreads,
+}
+
+/// Modelled throughput of a call and the resource that sets it.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct Bound {
+    /// Calls per microsecond (MOPS).
+    pub mops: f64,
+    /// The binding resource.
+    pub resource: Resource,
 }
 
 /// Step of the `F` grid in bytes.
@@ -53,6 +86,20 @@ const F_STEP: usize = 64;
 const ADVANTAGE_CUTOFF: f64 = 0.10;
 /// Server-side pickup cost (scan + post) assumed by the model.
 const SERVER_OVERHEAD: SimSpan = SimSpan::nanos(200);
+
+/// The model's one evaluation. Each entry is a resource, the units of
+/// it serving calls in parallel, and the time one call holds a unit; a
+/// call runs at the smallest capacity, `units ÷ busy`.
+fn bound(resources: [(Resource, f64, SimSpan); 3]) -> Bound {
+    resources
+        .map(|(resource, units, busy)| Bound {
+            mops: units * 1e3 / busy.as_nanos() as f64,
+            resource,
+        })
+        .into_iter()
+        .min_by(|a, b| a.mops.total_cmp(&b.mops))
+        .expect("three resources")
+}
 
 /// Parameter selector bound to a hardware profile.
 pub struct ParamSelector {
@@ -66,98 +113,79 @@ impl ParamSelector {
         ParamSelector { nic, link }
     }
 
-    /// Client-observed latency of one READ fetching `f` bytes.
-    fn fetch_latency(&self, f: usize) -> SimSpan {
+    /// Client-observed latency of one verb moving `bytes`: issue,
+    /// out-bound service, propagation, in-bound service, and the
+    /// completion's way back. A READ pays `read_turnaround` on top.
+    fn trip(&self, bytes: usize) -> SimSpan {
         self.nic.issue_cpu
-            + self.nic.outbound_service(f)
-            + self.link.propagation
-            + self.nic.inbound_service(f)
-            + self.link.propagation
-            + self.nic.read_turnaround
-    }
-
-    /// Client-observed latency of one WRITE carrying `n` bytes.
-    fn write_latency(&self, n: usize) -> SimSpan {
-        self.nic.issue_cpu
-            + self.nic.outbound_service(n)
-            + self.link.propagation
-            + self.nic.inbound_service(n)
-            + self.link.propagation
-    }
-
-    /// Time between the request landing at the server and the first
-    /// fetch sampling server memory: process times below this overlap
-    /// window are hidden entirely by the fetch pipeline.
-    fn first_fetch_overlap(&self, f: usize) -> SimSpan {
-        // Client completion of the WRITE (one propagation after landing)
-        // plus the front half of the READ (issue, out-bound, propagation,
-        // in-bound service).
-        self.link.propagation
-            + self.nic.issue_cpu
-            + self.nic.outbound_service(f)
-            + self.link.propagation
-            + self.nic.inbound_service(f)
+            + self.nic.outbound_service(bytes)
+            + self.nic.inbound_service(bytes)
+            + self.link.propagation * 2
     }
 
     /// Expected fetch attempts for process time `p` and fetch size `f`.
+    /// The first fetch samples server memory one trip after the request
+    /// lands (the WRITE's completion, then the READ's front half), so
+    /// process time below that is hidden; each further READ covers one
+    /// fetch latency more.
     fn expected_attempts(&self, p: SimSpan, f: usize) -> u32 {
-        let visible =
-            (p + SERVER_OVERHEAD).as_nanos() as i64 - self.first_fetch_overlap(f).as_nanos() as i64;
-        if visible <= 0 {
-            return 1;
-        }
-        1 + (visible as u64).div_ceil(self.fetch_latency(f).as_nanos().max(1)) as u32
+        let overlap = self.trip(f);
+        let visible = (p + SERVER_OVERHEAD).max(overlap) - overlap;
+        let fetch = overlap + self.nic.read_turnaround;
+        1 + visible.as_nanos().div_ceil(fetch.as_nanos().max(1)) as u32
     }
 
-    /// Modelled throughput (MOPS) of pure server-reply for this
-    /// workload: bounded by the server's out-bound engine and by client
-    /// concurrency.
-    pub fn server_reply_throughput(&self, w: &WorkloadSample, result: usize) -> f64 {
-        let resp_bytes = RESP_HDR + result;
-        let out_cap = 1e3 / self.nic.outbound_service(resp_bytes).as_nanos() as f64;
-        let per_call = self.write_latency(REQ_HDR + w.request_size)
-            + w.process_time
-            + self.write_latency(resp_bytes);
-        let thread_bound = w.client_threads as f64 / per_call.as_nanos() as f64 * 1e3;
-        out_cap.min(thread_bound)
+    /// The client machines' out-bound engines, each busy `service` per
+    /// call: a machine's issuing threads inflate it by the contention
+    /// multiplier, so a machine counts as `1 ÷ multiplier` units.
+    fn client_outbound(&self, w: &WorkloadSample, service: SimSpan) -> (Resource, f64, SimSpan) {
+        let issuers = w.client_threads.div_ceil(w.client_machines);
+        let units = w.client_machines as f64 / self.nic.contention_multiplier(issuers);
+        (Resource::ClientOutbound, units, service)
     }
 
-    /// Modelled throughput (MOPS) of RFP with parameters `(r, f)` for a
+    /// Modelled throughput of pure server-reply for this workload.
+    pub fn server_reply_throughput(&self, w: &WorkloadSample, result: usize) -> Bound {
+        let (req, resp) = (REQ_HDR + w.request_size, RESP_HDR + result);
+        let latency = self.trip(req) + w.process_time + self.trip(resp);
+        let reply = self.nic.outbound_service(resp);
+        bound([
+            (Resource::ServerOutbound, 1.0, reply),
+            (Resource::ClientThreads, w.client_threads as f64, latency),
+            self.client_outbound(w, self.nic.outbound_service(req)),
+        ])
+    }
+
+    /// Modelled throughput of RFP with parameters `(r, f)` for a
     /// single result size; this is the `I(R,F)`-based `Tᵢ` of
     /// Equation 2, including the halving for oversized results.
-    pub fn rfp_throughput(&self, r: u32, f: usize, w: &WorkloadSample, result: usize) -> f64 {
-        let attempts = self.expected_attempts(w.process_time, f);
-        if attempts.saturating_sub(1) > r {
+    pub fn rfp_throughput(&self, r: u32, f: usize, w: &WorkloadSample, result: usize) -> Bound {
+        let attempts = self.expected_attempts(w.process_time, f) as u64;
+        if attempts - 1 > r as u64 {
             // Mode switch: the connection settles in server-reply.
             return self.server_reply_throughput(w, result);
         }
-        let needs_second = RESP_HDR + result > f;
-        let second_bytes = (RESP_HDR + result).saturating_sub(f);
-        let req_bytes = REQ_HDR + w.request_size;
-
-        // Server in-bound engine occupancy per request.
-        let mut inbound =
-            self.nic.inbound_service(req_bytes) + self.nic.inbound_service(f) * attempts as u64;
-        if needs_second {
-            inbound += self.nic.inbound_service(second_bytes);
-        }
-        let capacity = 1e3 / inbound.as_nanos() as f64;
-
-        // Client thread occupancy per request.
-        let mut per_call = self.write_latency(req_bytes) + self.fetch_latency(f) * attempts as u64;
-        if needs_second {
-            per_call += self.fetch_latency(second_bytes);
-        }
+        // One call's verbs as (bytes, count): the request WRITE, the
+        // fetch READs, and the second READ of what `f` left behind.
+        let req = REQ_HDR + w.request_size;
+        let second = (RESP_HDR + result).saturating_sub(f);
+        let seconds = u64::from(second > 0);
+        let verbs = [(req, 1), (f, attempts), (second, seconds)];
+        let per_call = |cost: &dyn Fn(usize) -> SimSpan| -> SimSpan {
+            verbs.iter().map(|&(bytes, n)| cost(bytes) * n).sum()
+        };
         // Process time beyond what the fetch pipeline hides extends the
         // call; the hidden part is already inside the attempts term.
-        let hidden =
-            self.first_fetch_overlap(f) + self.fetch_latency(f) * attempts.saturating_sub(1) as u64;
-        if w.process_time + SERVER_OVERHEAD > hidden {
-            per_call += w.process_time + SERVER_OVERHEAD - hidden;
-        }
-        let thread_bound = w.client_threads as f64 / per_call.as_nanos() as f64 * 1e3;
-
-        capacity.min(thread_bound)
+        let hidden = self.trip(f) + (self.trip(f) + self.nic.read_turnaround) * (attempts - 1);
+        let latency = per_call(&|bytes| self.trip(bytes))
+            + self.nic.read_turnaround * (attempts + seconds)
+            + ((w.process_time + SERVER_OVERHEAD).max(hidden) - hidden);
+        let inbound = per_call(&|bytes| self.nic.inbound_service(bytes));
+        bound([
+            (Resource::ServerInbound, 1.0, inbound),
+            (Resource::ClientThreads, w.client_threads as f64, latency),
+            self.client_outbound(w, per_call(&|bytes| self.nic.outbound_service(bytes))),
+        ])
     }
 
     /// Equation 2: total score of `(r, f)` across the sampled result
@@ -165,7 +193,7 @@ impl ParamSelector {
     pub fn score(&self, r: u32, f: usize, w: &WorkloadSample) -> f64 {
         w.result_sizes
             .iter()
-            .map(|&s| self.rfp_throughput(r, f, w, s))
+            .map(|&s| self.rfp_throughput(r, f, w, s).mops)
             .sum()
     }
 
@@ -174,10 +202,8 @@ impl ParamSelector {
     /// IOPS has fallen to 40% of peak (bandwidth-dominated).
     pub fn detect_l_h(&self) -> (usize, usize) {
         let peak = 1e9 / self.nic.inbound_service(1).as_nanos() as f64;
-        let mut l = RESP_HDR;
-        let mut h = RESP_HDR;
-        let mut size = RESP_HDR;
-        while size <= 64 * 1024 {
+        let (mut l, mut h) = (RESP_HDR, RESP_HDR);
+        for size in (RESP_HDR..=64 * 1024).step_by(16) {
             let iops = 1e9 / self.nic.inbound_service(size).as_nanos() as f64;
             if iops >= 0.98 * peak {
                 l = size;
@@ -185,7 +211,6 @@ impl ParamSelector {
             if iops >= 0.40 * peak {
                 h = size;
             }
-            size += 16;
         }
         (l, h.max(l))
     }
@@ -194,25 +219,21 @@ impl ParamSelector {
     /// longer beats server-reply by more than the advantage cutoff
     /// (Figure 9's crossover, ≈7 µs ⇒ N = 5 on the paper's hardware).
     pub fn derive_n(&self, w: &WorkloadSample) -> u32 {
-        let (l, _) = self.detect_l_h();
-        let f = l;
-        let tiny = WorkloadSample {
+        let (f, _) = self.detect_l_h();
+        let mut probe = WorkloadSample {
             result_sizes: vec![1],
+            process_time: SimSpan::ZERO,
             ..w.clone()
         };
-        let mut p = SimSpan::ZERO;
         loop {
-            let probe = WorkloadSample {
-                process_time: p,
-                ..tiny.clone()
-            };
-            let rf = self.rfp_throughput(u32::MAX, f, &probe, 1);
-            let sr = self.server_reply_throughput(&probe, 1);
+            let rf = self.rfp_throughput(u32::MAX, f, &probe, 1).mops;
+            let sr = self.server_reply_throughput(&probe, 1).mops;
             if rf <= sr * (1.0 + ADVANTAGE_CUTOFF) {
-                return self.expected_attempts(p, f).saturating_sub(1).max(1);
+                // The retries that fit before the crossover, at least one.
+                return self.expected_attempts(probe.process_time, f).max(2) - 1;
             }
-            p += SimSpan::nanos(250);
-            if p > SimSpan::micros(100) {
+            probe.process_time += SimSpan::nanos(250);
+            if probe.process_time > SimSpan::micros(100) {
                 // Degenerate profile: fetching always wins; cap the
                 // budget at a sane maximum.
                 return 16;
@@ -235,8 +256,7 @@ impl ParamSelector {
         let n = self.derive_n(w);
         let mut best = Params { r: 1, f: l };
         let mut best_score = f64::MIN;
-        let mut f = l;
-        while f <= h {
+        for f in (l..=h).step_by(F_STEP) {
             for r in 1..=n {
                 let s = self.score(r, f, w);
                 let wins = s > best_score + 1e-9
@@ -246,7 +266,6 @@ impl ParamSelector {
                     best = Params { r, f };
                 }
             }
-            f += F_STEP;
         }
         best
     }
@@ -266,6 +285,7 @@ mod tests {
             process_time: SimSpan::micros(p_us),
             request_size: 64,
             client_threads: 35,
+            client_machines: 7,
         }
     }
 
@@ -343,8 +363,8 @@ mod tests {
     fn rfp_beats_server_reply_at_small_p() {
         let s = selector();
         let w = paper_workload(vec![48], 0);
-        let rf = s.rfp_throughput(5, 256, &w, 48);
-        let sr = s.server_reply_throughput(&w, 48);
+        let rf = s.rfp_throughput(5, 256, &w, 48).mops;
+        let sr = s.server_reply_throughput(&w, 48).mops;
         assert!(
             rf > 2.0 * sr,
             "RFP should win by >2x at P≈0: {rf:.2} vs {sr:.2}"
@@ -367,8 +387,8 @@ mod tests {
     fn score_halves_for_oversized_results() {
         let s = selector();
         let w = paper_workload(vec![48], 0);
-        let small = s.rfp_throughput(5, 448, &w, 48);
-        let big = s.rfp_throughput(5, 448, &w, 2048);
+        let small = s.rfp_throughput(5, 448, &w, 48).mops;
+        let big = s.rfp_throughput(5, 448, &w, 2048).mops;
         assert!(
             big < small * 0.75,
             "second fetch must cost real throughput: {small:.2} -> {big:.2}"
@@ -384,6 +404,7 @@ mod tests {
             process_time: SimSpan::ZERO,
             request_size: 16,
             client_threads: 1,
+            client_machines: 1,
         };
         let _ = s.select(&w);
     }

@@ -25,10 +25,9 @@ pub struct OnlineTuner {
     window: usize,
     /// Re-run the selection every this many observed calls.
     reselect_every: u64,
-    /// Concurrent client threads assumed by the throughput model.
-    client_threads: usize,
-    /// Request payload size assumed by the model.
-    request_size: usize,
+    /// The deployment the model assumes; each selection fills in the
+    /// sampled result sizes and process time.
+    template: WorkloadSample,
     sizes: RefCell<VecDeque<usize>>,
     /// Exponentially-weighted mean of the server process time, in ns.
     ewma_p_ns: Cell<f64>,
@@ -39,7 +38,9 @@ pub struct OnlineTuner {
 
 impl OnlineTuner {
     /// Creates a tuner re-selecting every `reselect_every` calls over a
-    /// `window`-sample history.
+    /// `window`-sample history. `template` describes the deployment —
+    /// request size, client threads and machines; its result sizes and
+    /// process time are replaced by the online samples.
     ///
     /// # Panics
     ///
@@ -48,8 +49,7 @@ impl OnlineTuner {
         selector: ParamSelector,
         window: usize,
         reselect_every: u64,
-        client_threads: usize,
-        request_size: usize,
+        template: WorkloadSample,
     ) -> Self {
         assert!(window > 0, "sample window must be positive");
         assert!(reselect_every > 0, "reselect period must be positive");
@@ -57,8 +57,7 @@ impl OnlineTuner {
             selector,
             window,
             reselect_every,
-            client_threads,
-            request_size,
+            template,
             sizes: RefCell::new(VecDeque::with_capacity(window)),
             ewma_p_ns: Cell::new(0.0),
             observed: Cell::new(0),
@@ -112,8 +111,7 @@ impl OnlineTuner {
         let sample = WorkloadSample {
             result_sizes: self.sizes.borrow().iter().copied().collect(),
             process_time: SimSpan::from_nanos_f64(self.ewma_p_ns.get()),
-            request_size: self.request_size,
-            client_threads: self.client_threads,
+            ..self.template.clone()
         };
         let picked = self.selector.select(&sample);
         let changed = self.current.get() != Some(picked);
@@ -139,15 +137,25 @@ mod tests {
         ParamSelector::new(NicProfile::connectx3_40g(), LinkProfile::infiniscale())
     }
 
+    fn template() -> WorkloadSample {
+        WorkloadSample {
+            result_sizes: Vec::new(),
+            process_time: SimSpan::ZERO,
+            request_size: 64,
+            client_threads: 35,
+            client_machines: 7,
+        }
+    }
+
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_rejected() {
-        let _ = OnlineTuner::new(selector(), 0, 10, 35, 64);
+        let _ = OnlineTuner::new(selector(), 0, 10, template());
     }
 
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
-        let _ = OnlineTuner::new(selector(), 10, 0, 35, 64);
+        let _ = OnlineTuner::new(selector(), 10, 0, template());
     }
 }

@@ -5,9 +5,21 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use rfp_core::{connect, serve_loop, OnlineTuner, ParamSelector, RfpConfig};
+use rfp_core::{connect, serve_loop, OnlineTuner, ParamSelector, RfpConfig, WorkloadSample};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{SimSpan, Simulation};
+
+/// The deployment both tests model: one client thread on one machine,
+/// 16 B requests.
+fn one_client() -> WorkloadSample {
+    WorkloadSample {
+        result_sizes: Vec::new(),
+        process_time: SimSpan::ZERO,
+        request_size: 16,
+        client_threads: 1,
+        client_machines: 1,
+    }
+}
 
 #[test]
 fn tuner_adapts_fetch_size_to_drifting_results() {
@@ -44,8 +56,7 @@ fn tuner_adapts_fetch_size_to_drifting_results() {
         ParamSelector::new(profile.nic.clone(), profile.link.clone()),
         64,  // window M
         100, // reselect period
-        1,   // client threads
-        16,  // request size
+        one_client(),
     ));
 
     let ct = cm.thread("client");
@@ -127,8 +138,7 @@ fn stable_workloads_do_not_flap() {
         ParamSelector::new(profile.nic.clone(), profile.link.clone()),
         64,
         50,
-        1,
-        16,
+        one_client(),
     ));
     let ct = cm.thread("client");
     let cl = Rc::clone(&client);

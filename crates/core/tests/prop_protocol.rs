@@ -135,6 +135,7 @@ proptest! {
         sizes in vec(1usize..4096, 1..24),
         p_us in 0u64..12,
         threads in 1usize..64,
+        machines in 1usize..16,
     ) {
         let selector = ParamSelector::new(NicProfile::connectx3_40g(), LinkProfile::infiniscale());
         let (l, h) = selector.detect_l_h();
@@ -143,6 +144,7 @@ proptest! {
             process_time: SimSpan::micros(p_us),
             request_size: 64,
             client_threads: threads,
+            client_machines: machines,
         };
         let params = selector.select(&w);
         prop_assert!(params.f >= l && params.f <= h, "F={} not in [{l},{h}]", params.f);
@@ -153,25 +155,43 @@ proptest! {
 
     /// Throughput estimates are finite and positive; *pure* repeated
     /// fetching (unbounded `R`) is monotone non-increasing in process
-    /// time; and once a finite `R` triggers the switch, the estimate
-    /// equals server-reply's. (Across the switch point throughput may
-    /// jump *up* — that is exactly why the hybrid mechanism exists.)
+    /// time; once a finite `R` triggers the switch, the estimate
+    /// equals server-reply's; and at a fixed thread count, spreading
+    /// the threads over more client machines (fewer issuers contending
+    /// on each out-bound engine, more engines) never lowers it. (Across
+    /// the switch point throughput may jump *up* — that is exactly why
+    /// the hybrid mechanism exists.)
     #[test]
-    fn throughput_model_is_sane(size in 1usize..2048, p_us in 0u64..10) {
+    fn throughput_model_is_sane(
+        size in 1usize..2048,
+        p_us in 0u64..10,
+        threads in 1usize..80,
+        machines in 1usize..16,
+    ) {
         let selector = ParamSelector::new(NicProfile::connectx3_40g(), LinkProfile::infiniscale());
-        let mk = |p| WorkloadSample {
+        let mk = |p, client_machines| WorkloadSample {
             result_sizes: vec![size],
             process_time: SimSpan::micros(p),
             request_size: 64,
-            client_threads: 35,
+            client_threads: threads,
+            client_machines,
         };
-        let now = selector.rfp_throughput(u32::MAX, 448, &mk(p_us), size);
-        let later = selector.rfp_throughput(u32::MAX, 448, &mk(p_us + 1), size);
+        let now = selector.rfp_throughput(u32::MAX, 448, &mk(p_us, machines), size).mops;
+        let later = selector.rfp_throughput(u32::MAX, 448, &mk(p_us + 1, machines), size).mops;
         prop_assert!(now.is_finite() && now > 0.0);
         prop_assert!(later <= now + 1e-9, "P↑ should not raise pure-fetch throughput: {now} -> {later}");
         // A switched estimate coincides with server-reply.
-        let switched = selector.rfp_throughput(0, 448, &mk(p_us + 5), size);
-        let sr = selector.server_reply_throughput(&mk(p_us + 5), size);
-        prop_assert!((switched - sr).abs() < 1e-9);
+        let switched = selector.rfp_throughput(0, 448, &mk(p_us + 5, machines), size);
+        let sr = selector.server_reply_throughput(&mk(p_us + 5, machines), size);
+        prop_assert_eq!(switched, sr);
+        for r in [1, 5, u32::MAX] {
+            let spread = selector.rfp_throughput(r, 448, &mk(p_us, machines + 1), size).mops;
+            let packed = selector.rfp_throughput(r, 448, &mk(p_us, machines), size).mops;
+            prop_assert!(
+                spread >= packed - 1e-9,
+                "{machines} -> {} machines lowered R={r}: {packed} -> {spread}",
+                machines + 1
+            );
+        }
     }
 }

@@ -31,6 +31,7 @@ fn main() {
         process_time: SimSpan::ZERO,
         request_size: 64,
         client_threads: 35,
+        client_machines: 7,
     };
     let n = selector.derive_n(&probe);
     println!("retry budget from the Figure 9 crossover:      N = {n}");
@@ -55,6 +56,7 @@ fn main() {
             process_time: SimSpan::nanos(200),
             request_size: 64,
             client_threads: 35,
+            client_machines: 7,
         };
         let p = selector.select(&sample);
         println!("{label:<34} {:>4} {:>6}", p.r, p.f);
@@ -68,9 +70,10 @@ fn main() {
         process_time: SimSpan::nanos(200),
         request_size: 64,
         client_threads: 35,
+        client_machines: 7,
     };
     for f in [256usize, 448, 640, 1024] {
-        let t = selector.rfp_throughput(5, f, &sample, 605);
+        let t = selector.rfp_throughput(5, f, &sample, 605).mops;
         let second_read = if f < 605 + 16 { "yes" } else { "no " };
         println!("  F = {f:>5}: {t:>5.2} MOPS   (second READ needed: {second_read})");
     }

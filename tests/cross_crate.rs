@@ -82,8 +82,9 @@ fn selector_model_tracks_simulated_throughput() {
         process_time: SimSpan::nanos(350),
         request_size: 60,
         client_threads: 35,
+        client_machines: 7,
     };
-    let predicted = selector.rfp_throughput(5, 256, &w, 53);
+    let predicted = selector.rfp_throughput(5, 256, &w, 53).mops;
 
     // Simulate the same shape via the Jakiro KV system (32 B values ⇒
     // 53 B responses with protocol overhead).
