@@ -1,8 +1,9 @@
 //! Chaos ablation: the Jakiro-style rig under each fault class.
 //!
 //! Runs one scenario per fault class (plus a fault-free baseline and a
-//! seeded mixed plan) on the recovery-enabled chaos rig and reports, per
-//! scenario, throughput, recovery effort, recovery time, the two safety
+//! seeded mixed plan) on the one-replica chaos rig and reports, per
+//! scenario, throughput, recovery effort, recovery time (a fault's onset
+//! to a client's next completed call), the two safety
 //! invariants (lost acked writes, stale reads) and the GETs answered
 //! `NotFound` — the only mark a cold restart's memory wipe leaves. Fully
 //! deterministic per seed: running twice with the same seed prints the

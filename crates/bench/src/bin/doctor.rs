@@ -15,7 +15,7 @@
 //! ```
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_chaos::{spawn_chaos_kv, spawn_failover_kv, ChaosConfig, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::OverloadConfig;
 use rfp_kvstore::{spawn_cores_kv, CoresConfig};
 use rfp_simnet::{AnomalyDetector, AnomalyKind, DumpBundle, SimSpan, SimTime, Simulation};
@@ -127,10 +127,6 @@ fn main() {
         let mut sim = Simulation::new(seed);
         let mut cfg = ChaosConfig {
             seed,
-            // Integrity on everywhere so corrupt fetches are detected
-            // and refetched rather than surfaced (the bit-flip row
-            // would otherwise panic in the response decoder).
-            integrity: true,
             ..ChaosConfig::default()
         };
         if scenario.overload {
@@ -269,17 +265,19 @@ fn main() {
     // `recovery.failover` reaction back to the `chaos.crash` root.
     for (name, faulted) in [("failover_clean", false), ("failover", true)] {
         let mut sim = Simulation::new(seed);
-        let cfg = FailoverChaosConfig {
+        let cfg = ChaosConfig {
             seed,
             // Enough budget that the clients are still mid-workload
             // through warm-up, fault window, and tail.
             ops_per_client: 4_000,
-            ..FailoverChaosConfig::default()
+            ..ChaosConfig::failover()
         };
         let plan =
             faulted.then(|| FaultPlan::new(seed).crash(FAULT_AT, SimSpan::millis(100), 0, true));
-        let promote_at = faulted.then(|| FAULT_AT + SimSpan::micros(60));
-        let rig = spawn_failover_kv(&mut sim, &cfg, plan.as_ref(), promote_at);
+        let rig = spawn_chaos_kv(&mut sim, &cfg, plan.as_ref());
+        if faulted {
+            rig.promote_backup_at(FAULT_AT + SimSpan::micros(60));
+        }
 
         sim.run_for(FAULT_AT.since(SimTime::ZERO));
         let detector = AnomalyDetector::new();

@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_chaos::{spawn_failover_kv, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::{connect, serve_loop, RfpConfig};
 use rfp_kvstore::replica::{
     backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
@@ -74,11 +74,11 @@ fn ack_name(ack: AckPolicy) -> &'static str {
 
 fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
     let mut sim = Simulation::new(seed);
-    let cfg = FailoverChaosConfig {
+    let cfg = ChaosConfig {
         clients,
-        replication: ReplicationConfig { ack },
+        replication: Some(ReplicationConfig { ack }),
         seed,
-        ..FailoverChaosConfig::default()
+        ..ChaosConfig::failover()
     };
     let (plan, promote_at) = match scenario {
         // The primary dies for good: downtime outlives the run.
@@ -96,7 +96,10 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
         ),
         other => panic!("unknown scenario {other}"),
     };
-    let rig = spawn_failover_kv(&mut sim, &cfg, Some(&plan), promote_at);
+    let rig = spawn_chaos_kv(&mut sim, &cfg, Some(&plan));
+    if let Some(at) = promote_at {
+        rig.promote_backup_at(at);
+    }
     sim.run_for(WINDOW);
 
     let st = &rig.state;
@@ -109,7 +112,7 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
     let history = st.history();
     let linearizable = check_history(&history).is_ok();
     let failover_us = rig
-        .max_failover_time()
+        .max_recovery_time()
         .map(|s| s.as_nanos() / 1_000)
         .unwrap_or(0);
     println!(
@@ -164,7 +167,7 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
             "{scenario}/{}/{clients}: nobody failed over",
             ack_name(ack)
         );
-        let t = rig.max_failover_time().expect("failover was timed");
+        let t = rig.max_recovery_time().expect("failover was timed");
         assert!(
             t <= FAILOVER_BUDGET,
             "{scenario}/{}/{clients}: failover took {t:?}, budget {FAILOVER_BUDGET:?}",

@@ -27,7 +27,7 @@
 //! ```
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_chaos::{spawn_grayfail_kv, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::GrayConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -92,7 +92,7 @@ fn gray_for(mode: &str) -> Option<GrayConfig> {
 fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
     let gray = gray_for(mode);
     let mut sim = Simulation::new(seed);
-    let cfg = FailoverChaosConfig {
+    let cfg = ChaosConfig {
         clients: 4,
         // 1200 ops over 16 keys keeps every key under the
         // linearizability checker's 128-op search cap.
@@ -100,13 +100,13 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
         ops_per_client: 1_200,
         failover: rfp_core::FailoverConfig {
             gray,
-            ..FailoverChaosConfig::grayfail().failover
+            ..ChaosConfig::grayfail().failover
         },
         seed,
-        ..FailoverChaosConfig::grayfail()
+        ..ChaosConfig::grayfail()
     };
     let plan = plan_for(seed, scenario);
-    let rig = spawn_grayfail_kv(&mut sim, &cfg, plan.as_ref());
+    let rig = spawn_chaos_kv(&mut sim, &cfg, plan.as_ref());
     sim.run_for(WINDOW);
 
     let st = &rig.state;

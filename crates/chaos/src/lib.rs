@@ -10,26 +10,18 @@
 //! run is exactly reproducible from `(plan, seed)`: a recovery bug found
 //! under chaos replays under a debugger, fault for fault.
 //!
-//! Two rigs are bundled. [`spawn_chaos_kv`] drives a Jakiro-style KV
-//! store through
-//! [`RfpClient::call_with_recovery`](rfp_core::RfpClient::call_with_recovery)
-//! and checks the recovery invariants online (no acked write lost, no
-//! stale data after a cold wipe) — see `cargo run -p rfp-bench --bin
-//! chaos` for the scenario sweep. The replicated rig puts a
-//! primary/backup pair behind [`rfp_core::ReplicaClient`] routers and
-//! records linearizability-checkable histories; its two presets,
-//! [`spawn_failover_kv`] and [`spawn_grayfail_kv`], carry the `failover`
-//! and `grayfail` sweeps. Both rigs share their telemetry sinks, store
-//! handler and read-verdict ledger ([`Tally`]).
+//! The bundled rig drives a Jakiro-style key-value store through
+//! [`rfp_core::ReplicaClient`] routers and checks the recovery
+//! invariants online (no acked write lost, no stale read) while
+//! recording linearizability-checkable histories. Its one-replica
+//! preset carries the `chaos` and `doctor` sweeps; its primary/backup
+//! presets, [`ChaosConfig::failover`] and [`ChaosConfig::grayfail`],
+//! carry the `failover` and `grayfail` sweeps.
 
 mod harness;
 mod inject;
 mod plan;
-mod replicated;
 
-pub use harness::{spawn_chaos_kv, ChaosConfig, ChaosKv, ChaosState, Tally};
+pub use harness::{spawn_chaos_kv, ChaosConfig, ChaosKv, ChaosState};
 pub use inject::{install, InjectorSinks, Restart, RestartHook};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
-pub use replicated::{
-    spawn_failover_kv, spawn_grayfail_kv, FailoverChaosConfig, FailoverKv, FailoverState,
-};

@@ -19,7 +19,7 @@ fn cores_cfg() -> ChaosConfig {
     ChaosConfig {
         server_threads: 4,
         reactor_steal: true,
-        client_machines: 6,
+        clients: 6,
         keys_per_client: 16,
         ..ChaosConfig::default()
     }
@@ -60,11 +60,13 @@ fn warm_restart_under_stealing_loses_no_acked_put() {
         rig.state.completed.get() > before,
         "clients must make progress after the restart"
     );
-    let reactor = &rig.reactor;
     // Every core resumed serving after the crash window.
     for core in 0..4 {
         assert!(
-            reactor.served(core) > 0,
+            rig.registry
+                .counter(&format!("serve.core.{core}.served"))
+                .get()
+                > 0,
             "core {core} served nothing across the run"
         );
     }
@@ -86,8 +88,13 @@ fn stealing_rig_actually_steals_and_stays_linearizable() {
     let rig = spawn_chaos_kv(&mut sim, &cfg, None);
     sim.run_for(SimSpan::millis(8));
 
-    let reactor = &rig.reactor;
-    let steals: u64 = (0..4).map(|i| reactor.steals(i)).sum();
+    let steals: u64 = (0..4)
+        .map(|i| {
+            rig.registry
+                .counter(&format!("serve.core.{i}.steals"))
+                .get()
+        })
+        .sum();
     assert!(
         steals > 0,
         "the cores chaos workload must exercise the steal path"

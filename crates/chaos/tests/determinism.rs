@@ -16,7 +16,7 @@ use rfp_simnet::{SimSpan, SimTime, Simulation};
 fn run_fingerprint(seed: u64, window: SimSpan, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
     let mut sim = Simulation::new(seed);
     let cfg = ChaosConfig {
-        client_machines: 2,
+        clients: 2,
         server_threads: 1,
         keys_per_client: 4,
         seed,

@@ -1,24 +1,39 @@
 //! Failover rig end-to-end: crash and partition scenarios preserve the
 //! replication invariants and leave linearizable histories.
 
-use rfp_chaos::{spawn_failover_kv, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{spawn_chaos_kv, ChaosConfig, ChaosKv, FaultPlan};
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
 const FAULT_AT: SimTime = SimTime::from_nanos(40_000);
 const DETECT: SimSpan = SimSpan::micros(60);
 
-fn cfg(seed: u64) -> FailoverChaosConfig {
-    FailoverChaosConfig {
+fn cfg(seed: u64) -> ChaosConfig {
+    ChaosConfig {
         seed,
-        ..FailoverChaosConfig::default()
+        ..ChaosConfig::failover()
     }
+}
+
+/// The failover rig under `plan`, with the backup promoted at
+/// `promote_at`.
+fn spawn(
+    sim: &mut Simulation,
+    cfg: &ChaosConfig,
+    plan: Option<&FaultPlan>,
+    promote_at: Option<SimTime>,
+) -> ChaosKv {
+    let rig = spawn_chaos_kv(sim, cfg, plan);
+    if let Some(at) = promote_at {
+        rig.promote_backup_at(at);
+    }
+    rig
 }
 
 #[test]
 fn healthy_run_finishes_with_clean_invariants() {
     let mut sim = Simulation::new(41);
-    let rig = spawn_failover_kv(&mut sim, &cfg(41), None, None);
+    let rig = spawn(&mut sim, &cfg(41), None, None);
     sim.run_for(SimSpan::millis(30));
     let cfg = cfg(41);
     assert_eq!(rig.state.done_clients.get(), cfg.clients);
@@ -40,7 +55,7 @@ fn primary_crash_fails_over_without_losing_acked_writes() {
     let mut sim = Simulation::new(42);
     // Crash the primary permanently (downtime past the run window).
     let plan = FaultPlan::new(42).crash(FAULT_AT, SimSpan::millis(100), 0, true);
-    let rig = spawn_failover_kv(&mut sim, &cfg(42), Some(&plan), Some(FAULT_AT + DETECT));
+    let rig = spawn(&mut sim, &cfg(42), Some(&plan), Some(FAULT_AT + DETECT));
     sim.run_for(SimSpan::millis(40));
     let cfg = cfg(42);
     assert_eq!(rig.state.done_clients.get(), cfg.clients);
@@ -48,7 +63,7 @@ fn primary_crash_fails_over_without_losing_acked_writes() {
     assert_eq!(rig.state.stale_reads.get(), 0, "stale read after failover");
     assert!(rig.total_failovers() >= 1, "nobody failed over");
     assert!(rig.state.promoted_at.get().is_some());
-    let t = rig.max_failover_time().expect("failover was timed");
+    let t = rig.max_recovery_time().expect("failover was timed");
     assert!(t <= SimSpan::millis(5), "failover took {t:?}, budget 5ms");
     check_history(&rig.state.history()).expect("crash history must linearize");
 }
@@ -62,7 +77,7 @@ fn partition_without_promotion_costs_availability_not_consistency() {
     let plan = FaultPlan::new(43)
         .partition(FAULT_AT, span, 2, 0)
         .partition(FAULT_AT, span, 0, 2);
-    let rig = spawn_failover_kv(&mut sim, &cfg(43), Some(&plan), None);
+    let rig = spawn(&mut sim, &cfg(43), Some(&plan), None);
     sim.run_for(SimSpan::millis(40));
     let cfg = cfg(43);
     assert_eq!(rig.state.done_clients.get(), cfg.clients);
@@ -82,7 +97,7 @@ fn crash_runs_are_deterministic_per_seed() {
     let run = || {
         let mut sim = Simulation::new(44);
         let plan = FaultPlan::new(44).crash(FAULT_AT, SimSpan::millis(100), 0, true);
-        let rig = spawn_failover_kv(&mut sim, &cfg(44), Some(&plan), Some(FAULT_AT + DETECT));
+        let rig = spawn(&mut sim, &cfg(44), Some(&plan), Some(FAULT_AT + DETECT));
         sim.run_for(SimSpan::millis(40));
         (
             rig.state.completed.get(),
@@ -105,15 +120,15 @@ fn integrity_hedging_and_promotion_compose_under_corruption_and_crash() {
     use rfp_core::{FailoverConfig, GrayConfig, Mode};
 
     let seed = 45;
-    let cfg = FailoverChaosConfig {
+    let cfg = ChaosConfig {
         keys_per_client: 8,
         ops_per_client: 200,
         failover: FailoverConfig {
             gray: Some(GrayConfig::all_on()),
-            ..FailoverChaosConfig::default().failover
+            ..ChaosConfig::failover().failover
         },
         seed,
-        ..FailoverChaosConfig::default()
+        ..ChaosConfig::failover()
     };
     // Corruption from the start; the crash lands mid-workload, so hedged
     // reads run against both the live pair and the promoted survivor.
@@ -126,7 +141,7 @@ fn integrity_hedging_and_promotion_compose_under_corruption_and_crash() {
             .bit_flip(from, span, replica, 0.1);
     }
     let mut sim = Simulation::new(seed);
-    let rig = spawn_failover_kv(&mut sim, &cfg, Some(&plan), Some(crash_at + DETECT));
+    let rig = spawn(&mut sim, &cfg, Some(&plan), Some(crash_at + DETECT));
     sim.run_for(SimSpan::millis(40));
 
     let st = &rig.state;

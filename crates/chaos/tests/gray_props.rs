@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 
-use rfp_chaos::{spawn_grayfail_kv, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::{FailoverConfig, GrayConfig};
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -42,17 +42,17 @@ fn family_plan(family: usize, seed: u64, machine: usize) -> FaultPlan {
     }
 }
 
-fn small_cfg(seed: u64) -> FailoverChaosConfig {
-    FailoverChaosConfig {
+fn small_cfg(seed: u64) -> ChaosConfig {
+    ChaosConfig {
         clients: 2,
         keys_per_client: 4,
         ops_per_client: 300,
         failover: FailoverConfig {
             gray: Some(GrayConfig::all_on()),
-            ..FailoverChaosConfig::grayfail().failover
+            ..ChaosConfig::grayfail().failover
         },
         seed,
-        ..FailoverChaosConfig::grayfail()
+        ..ChaosConfig::grayfail()
     }
 }
 
@@ -71,7 +71,7 @@ proptest! {
         let cfg = small_cfg(seed);
         let plan = family_plan(family, seed, machine);
         let mut sim = Simulation::new(seed);
-        let rig = spawn_grayfail_kv(&mut sim, &cfg, Some(&plan));
+        let rig = spawn_chaos_kv(&mut sim, &cfg, Some(&plan));
         sim.run_for(WINDOW);
         let st = &rig.state;
         prop_assert_eq!(
@@ -117,7 +117,7 @@ proptest! {
 #[test]
 fn demoted_replica_is_restored_after_the_fault_heals() {
     let seed = 7;
-    let cfg = FailoverChaosConfig {
+    let cfg = ChaosConfig {
         clients: 2,
         // 2_000 ops over 32 keys stays under the linearizability
         // checker's 128-op-per-key search cap.
@@ -125,10 +125,10 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         ops_per_client: 2_000,
         failover: FailoverConfig {
             gray: Some(GrayConfig::all_on()),
-            ..FailoverChaosConfig::grayfail().failover
+            ..ChaosConfig::grayfail().failover
         },
         seed,
-        ..FailoverChaosConfig::grayfail()
+        ..ChaosConfig::grayfail()
     };
     // The fault heals at 3ms, well before the 2_000-op workload
     // drains, so plenty of post-heal traffic reaches the probes (one
@@ -141,7 +141,7 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         30_000,
     );
     let mut sim = Simulation::new(seed);
-    let rig = spawn_grayfail_kv(&mut sim, &cfg, Some(&plan));
+    let rig = spawn_chaos_kv(&mut sim, &cfg, Some(&plan));
     sim.run_for(SimSpan::millis(20));
     assert!(
         rig.registry.counter("routing.demote").get() >= 1,

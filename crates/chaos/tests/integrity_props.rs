@@ -16,10 +16,9 @@ use rfp_simnet::{SimSpan, SimTime, Simulation};
 
 fn integrity_rig_cfg(seed: u64) -> ChaosConfig {
     ChaosConfig {
-        client_machines: 2,
+        clients: 2,
         server_threads: 1,
         keys_per_client: 4,
-        integrity: true,
         seed,
         ..ChaosConfig::default()
     }

@@ -22,7 +22,7 @@ const WINDOW: SimSpan = SimSpan::micros(600);
 /// Small rig, fast runs.
 fn small_cfg(seed: u64) -> ChaosConfig {
     ChaosConfig {
-        client_machines: 2,
+        clients: 2,
         server_threads: 1,
         keys_per_client: 4,
         seed,

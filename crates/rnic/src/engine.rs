@@ -90,16 +90,14 @@ pub(crate) struct WorkRequest {
     /// the in-bound engine finishes) or SEND message.
     buf: Vec<u8>,
     /// The issuer spins on this request: it gated on the QP's error
-    /// state before paying the issue cost, its own task flies the first
-    /// and the completing hop, it draws transit loss when the op leaves
-    /// the NIC, and dropping its wait cancels the request.
+    /// state before paying the issue cost, it draws transit loss when
+    /// the op leaves the NIC, the completion resumes it at the
+    /// completing hop's place in the order, and dropping its wait
+    /// cancels the request.
     sync: bool,
     /// Transit-loss draw a posted unreliable verb took at post time.
     lost: Option<bool>,
     stage: Stage,
-    /// When the completing hop, a pending timer on the issuing task, is
-    /// due.
-    handoff: Option<SimTime>,
     /// The completion, once fired.
     result: Option<Option<VerbError>>,
     waiter: Option<Wakeup>,
@@ -143,11 +141,16 @@ impl WorkRequest {
         }
     }
 
-    /// Fires the completion a CQ would report and wakes its waiter.
+    /// Fires the completion a CQ would report and wakes its waiter. A
+    /// synchronous issuer is handed back next, where its own task would
+    /// have run the completing hop; a posted op's waiter queues behind
+    /// everything already runnable.
     fn complete(&mut self, h: &SimHandle, error: Option<VerbError>) {
         self.result = Some(error);
-        if let Some(waiter) = self.waiter.take() {
-            h.wake(waiter);
+        match (self.waiter.take(), self.sync) {
+            (Some(waiter), true) => h.resume(waiter),
+            (Some(waiter), false) => h.wake(waiter),
+            (None, _) => {}
         }
     }
 }
@@ -232,30 +235,10 @@ impl Future for Done<'_> {
         if wr.result.is_some() {
             return Poll::Ready(());
         }
-        // The issuer of a synchronous verb flies two hops itself: its
-        // first poll enters the out-bound engine, and the completing
-        // hop is a timer on this very task.
-        let fly = wr.sync
-            && match wr.handoff {
-                Some(due) => qp.local().handle().now() >= due,
-                None => wr.stage == Stage::Start,
-            };
-        if wr.handoff.is_none() {
-            // One slot suffices: a `Completion` is neither `Clone` nor
-            // shared, so one task waits on it at a time.
-            wr.waiter = Some(qp.local().handle().wakeup(cx));
-        }
-        if !fly {
-            return Poll::Pending;
-        }
-        wr.handoff = None;
-        drop(requests);
-        qp.run(*key);
-        if self.0.is_done() {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
+        // One slot suffices: a `Completion` is neither `Clone` nor
+        // shared, so one task waits on it at a time.
+        wr.waiter = Some(qp.local().handle().wakeup(cx));
+        Poll::Pending
     }
 }
 
@@ -266,11 +249,17 @@ impl EventSink for Qp {
 }
 
 impl Qp {
-    /// Files `wr` as a synchronous verb's request; its issuer flies
-    /// it by awaiting [`Completion::done`].
-    pub(crate) fn file_sync(self: &Rc<Self>, mut wr: WorkRequest) -> Completion {
+    /// Files `wr` as a synchronous verb's request. It enters the
+    /// out-bound engine at `issued`, once its issuer has paid the issue
+    /// cost, ordered among that instant's work as of the call. The
+    /// issuer awaits [`Completion::done`].
+    pub(crate) fn file_sync(self: &Rc<Self>, mut wr: WorkRequest, issued: SimTime) -> Completion {
         wr.sync = true;
         let key = self.requests.borrow_mut().insert(wr);
+        let sink = Rc::clone(self) as Rc<dyn EventSink>;
+        self.local()
+            .handle()
+            .schedule_event(issued, sink, key.token());
         Completion {
             qp: Rc::clone(self),
             key,
@@ -307,19 +296,7 @@ impl Qp {
                 Next::Hop(at, stage) if at <= now => wr.stage = stage,
                 Next::Hop(at, stage) => {
                     wr.stage = stage;
-                    let completing = match stage {
-                        Stage::Nack(_) | Stage::Return => true,
-                        Stage::Out => !self.transport().is_reliable(),
-                        _ => false,
-                    };
-                    if wr.sync && completing {
-                        let issuer = wr.waiter.take();
-                        h.schedule_wake(at, issuer.expect("registered by the issuer's first poll"));
-                        wr.handoff = Some(at);
-                    } else {
-                        h.schedule_event(at, sink(), key.token());
-                    }
-                    return;
+                    return h.schedule_event(at, sink(), key.token());
                 }
                 Next::Admit(stage) => {
                     wr.stage = stage;
@@ -462,7 +439,7 @@ mod tests {
     //! the two have always agreed, and each row is pinned to the value
     //! the per-verb flight coroutines produced before the engine.
 
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::sync::{Arc, Mutex};
     use std::task::{Wake, Waker};
 
@@ -975,5 +952,35 @@ mod tests {
         );
         assert_eq!(sm.nic().counters().inbound_ops, 1, "only the WRITE arrived");
         assert_eq!(qp.requests.borrow().len(), 0);
+    }
+
+    #[test]
+    fn completed_sync_verb_resumes_its_issuer_ahead_of_ready_work() {
+        // A WRITE issued at 0 completes at 200 + 474 + 300 + 89 + 300
+        // = 1363 ns; its completing hop was scheduled at 1063. A task
+        // that re-arms for 1363 at 1362 wakes behind that hop, so it is
+        // already runnable when the completion fires — and the issuer,
+        // handed back where its own task would have run the hop, still
+        // goes first. A posted op's waiter would queue behind it.
+        let mut sim = Simulation::new(0);
+        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+        let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+        let (local, remote) = (cm.alloc_mr(64), sm.alloc_mr(64));
+        let qp = cluster.qp(0, 1);
+        let t = cm.thread("issuer");
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let (log, h) = (Rc::clone(&order), sim.handle());
+        sim.spawn(async move {
+            qp.write(&t, &local, 0, &remote, 0, 8).await;
+            log.borrow_mut().push(("issuer", h.now().as_nanos()));
+        });
+        let (log, h) = (Rc::clone(&order), sim.handle());
+        sim.spawn(async move {
+            h.sleep_until(SimTime::from_nanos(1362)).await;
+            h.sleep_until(SimTime::from_nanos(1363)).await;
+            log.borrow_mut().push(("bystander", h.now().as_nanos()));
+        });
+        sim.run();
+        assert_eq!(*order.borrow(), [("issuer", 1363), ("bystander", 1363)]);
     }
 }

@@ -370,8 +370,7 @@ impl Qp {
         let t0 = h.now();
         let nic = self.local.nic();
         let _issuing = nic.begin_issue();
-        h.sleep(nic.profile().issue_cpu).await;
-        let done = self.file_sync(wr);
+        let done = self.file_sync(wr, t0 + nic.profile().issue_cpu);
         done.done().await;
         thread.note_busy(h.now() - t0);
         done.error().map_or(Ok(()), Err)

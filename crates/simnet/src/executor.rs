@@ -64,8 +64,8 @@ enum Target {
 }
 
 /// A wake ticket: taken from a polling context ([`SimHandle::wakeup`]),
-/// redeemed once, now ([`SimHandle::wake`]) or at an instant
-/// ([`SimHandle::schedule_wake`]). It names the running task by slot id
+/// redeemed once, behind everything runnable ([`SimHandle::wake`]) or
+/// ahead of it ([`SimHandle::resume`]). It names the running task by slot id
 /// when the context's waker is that task's own and holds a clone of the
 /// waker otherwise (a combinator polling under its own waker). Like a
 /// kept waker, a ticket that outlives its task costs the slot's next
@@ -670,13 +670,6 @@ impl SimHandle {
         self.core.wake(self.core.redeem(wakeup));
     }
 
-    /// Registers `wakeup` (a ticket, or a plain [`Waker`]) to fire at
-    /// `at`.
-    pub fn schedule_wake(&self, at: SimTime, wakeup: impl Into<Wakeup>) {
-        let target = self.core.redeem(wakeup.into());
-        self.core.schedule_wake(at, target);
-    }
-
     /// Delivers `sink.fire(token)` at instant `at`, ordered among the
     /// task wakes and events of that instant by scheduling order —
     /// exactly where a task that slept until `at` would be polled.
@@ -772,6 +765,12 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Mutex;
+
+    /// Registers `wakeup` (a ticket, or a plain [`Waker`]) to fire at
+    /// `at`, as a `Sleep` does.
+    fn schedule_wake(h: &SimHandle, at: SimTime, wakeup: impl Into<Wakeup>) {
+        h.core.schedule_wake(at, h.core.redeem(wakeup.into()));
+    }
 
     /// Parks its task once, leaving a ticket for it in `ticket` — the
     /// way a work request keeps its waiter.
@@ -928,7 +927,7 @@ mod tests {
             type Output = ();
             fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
                 let at = self.0.now() + SimSpan::nanos(50);
-                self.0.schedule_wake(at, cx.waker().clone());
+                schedule_wake(&self.0, at, cx.waker().clone());
                 Poll::Ready(())
             }
         }
@@ -1196,7 +1195,7 @@ mod tests {
             type Output = ();
             fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
                 let at = self.0.now() + SimSpan::nanos(50);
-                self.0.schedule_wake(at, self.0.wakeup(cx));
+                schedule_wake(&self.0, at, self.0.wakeup(cx));
                 Poll::Ready(())
             }
         }
@@ -1244,8 +1243,11 @@ mod tests {
     fn scheduling_a_wake_in_the_past_panics_in_every_build() {
         let mut sim = Simulation::new(0);
         sim.run_until(SimTime::from_nanos(100));
-        sim.handle()
-            .schedule_wake(SimTime::from_nanos(10), Waker::noop().clone());
+        schedule_wake(
+            &sim.handle(),
+            SimTime::from_nanos(10),
+            Waker::noop().clone(),
+        );
     }
 
     #[test]
