@@ -14,12 +14,15 @@
 //!
 //! The per-experiment index mapping figures to modules lives in
 //! `DESIGN.md`; paper-vs-measured numbers are recorded in
-//! `EXPERIMENTS.md`.
+//! `EXPERIMENTS.md`, whose measured numbers [`prose`] renders from the
+//! committed results.
 
 pub mod ablations;
 pub mod figures;
 pub mod kvrun;
 pub mod micro;
+pub mod paper;
+pub mod prose;
 pub mod telemetry;
 
 use std::io::{self, Write};

@@ -15,7 +15,8 @@
 //! are results.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+
+use rfp_bench::prose::{bench_json, sweep_cells, Metrics};
 
 /// The sweeps `scripts/ci.sh` runs and gates, each with a committed
 /// `BENCH_<sweep>.json`.
@@ -31,28 +32,11 @@ const SWEEPS: [&str; 9] = [
     "cores",
 ];
 
-/// Metric name → value, as printed.
-type Cell<'a> = BTreeMap<&'a str, &'a str>;
-
 /// Groups of two or more cells of `sweep` that carry the same value for
-/// every metric, read from the flat one-key-per-line JSON the bench
-/// registry writes.
+/// every metric.
 fn duplicate_cells(sweep: &str, json: &str) -> Vec<Vec<String>> {
-    let prefix = format!("bench.{sweep}.");
-    let mut cells: BTreeMap<&str, Cell> = BTreeMap::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(": ") else {
-            continue;
-        };
-        let key = key.trim_matches('"');
-        let key = key
-            .strip_prefix(&prefix)
-            .unwrap_or_else(|| panic!("BENCH_{sweep}.json: key {key} outside {prefix}*"));
-        let (cell, metric) = key.rsplit_once('.').unwrap_or(("", key));
-        cells.entry(cell).or_default().insert(metric, value);
-    }
-    let mut groups: BTreeMap<&Cell, Vec<String>> = BTreeMap::new();
+    let cells = sweep_cells(sweep, json);
+    let mut groups: BTreeMap<&Metrics, Vec<String>> = BTreeMap::new();
     for (name, metrics) in &cells {
         groups.entry(metrics).or_default().push(name.to_string());
     }
@@ -61,13 +45,9 @@ fn duplicate_cells(sweep: &str, json: &str) -> Vec<Vec<String>> {
 
 #[test]
 fn no_two_cells_of_a_committed_sweep_are_identical() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut duplicates = Vec::new();
     for sweep in SWEEPS {
-        let path = root.join(format!("BENCH_{sweep}.json"));
-        let json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        for group in duplicate_cells(sweep, &json) {
+        for group in duplicate_cells(sweep, &bench_json(sweep)) {
             duplicates.push(format!("{sweep}: {}", group.join(" = ")));
         }
     }

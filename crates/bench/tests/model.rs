@@ -5,6 +5,7 @@
 //! the figures ran with are the selector's own picks, read back from the
 //! goldens' comment lines.
 
+use rfp_bench::prose::{golden, measured, predicted, recorded_pick, KV_PROCESS};
 use rfp_bench::{prerun_results, prerun_sample, preselect};
 use rfp_core::{ParamSelector, Params, Resource};
 use rfp_kvstore::SystemConfig;
@@ -13,12 +14,6 @@ use rfp_workload::ValueSize;
 
 /// How far a covered cell may sit from the measurement.
 const TOLERANCE_PCT: f64 = 2.0;
-
-/// Process time of a KV request in the model (the figures' pre-run).
-const KV_PROCESS: SimSpan = SimSpan::nanos(200);
-
-/// Bytes a GET response adds to its value (tag + length).
-const KV_RESP_OVERHEAD: usize = 5;
 
 /// The cells the model misses by more than the tolerance: figure,
 /// series, x values, the resource the model binds on there, and the
@@ -70,39 +65,6 @@ const MISSES: &[(&str, &str, &[&str], Resource, &str)] = &[
     ),
 ];
 
-fn golden(name: &str) -> String {
-    let path = format!(
-        "{}/../../experiments/{name}.csv",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-/// The measured `y` of the golden row `fig,series,x,y`.
-fn measured(csv: &str, fig: &str, series: &str, x: &str) -> f64 {
-    csv.lines()
-        .filter_map(|l| l.strip_prefix(&format!("{fig},{series},{x},")))
-        .map(|y| y.parse().expect("numeric y"))
-        .next()
-        .unwrap_or_else(|| panic!("no golden row {fig},{series},{x}"))
-}
-
-/// The `R=<r> F=<f>` a golden comment line starting with `prefix` records.
-fn recorded_pick(csv: &str, prefix: &str) -> Params {
-    let line = csv
-        .lines()
-        .find(|l| l.starts_with(prefix))
-        .unwrap_or_else(|| panic!("no comment line {prefix:?}"));
-    let field = |key: &str| {
-        let rest = &line[line.find(key).expect(key) + key.len()..];
-        rest.split(' ').next().unwrap().parse::<usize>().unwrap()
-    };
-    Params {
-        r: field("R=") as u32,
-        f: field("F="),
-    }
-}
-
 /// One cell: where it is, the model's bound and the measurement.
 struct Cell {
     fig: &'static str,
@@ -124,7 +86,6 @@ impl Cell {
 /// each, R = 5, F = 256, 32 B values), varied per figure.
 fn cells() -> Vec<Cell> {
     let base = SystemConfig::default();
-    let selector = ParamSelector::new(base.profile.nic.clone(), base.profile.link.clone());
     let goldens = [
         "fig10_jakiro_clients",
         "fig12_server_threads",
@@ -170,13 +131,7 @@ fn cells() -> Vec<Cell> {
     }
     at.into_iter()
         .map(|(fig, series, x, cfg, p, value)| {
-            let result = value + KV_RESP_OVERHEAD;
-            let w = prerun_sample(&cfg, vec![result], KV_PROCESS);
-            let bound = if series == "jakiro" {
-                selector.rfp_throughput(p.r, p.f, &w, result)
-            } else {
-                selector.server_reply_throughput(&w, result)
-            };
+            let bound = predicted(series, &cfg, p, value);
             Cell {
                 measured: measured(&goldens, fig, series, &x),
                 fig,

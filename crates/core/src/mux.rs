@@ -449,7 +449,7 @@ mod tests {
     use crate::conn::RfpConfig;
     use crate::server::serve_loop;
     use rfp_rnic::{Cluster, ClusterProfile, Machine, Qp};
-    use rfp_simnet::{SimSpan, Simulation, WaitGroup};
+    use rfp_simnet::{SimSpan, Simulation};
 
     /// Builds `m` physical connections that share ONE QP pair between
     /// the client machine and the server — the QP-virtualization shape.
@@ -509,22 +509,22 @@ mod tests {
         let mux = RfpMux::new(clients, HealthHub::default());
 
         // 16 logical clients (4 tenants), each issuing 3 calls.
-        let wg = WaitGroup::new();
+        let running = Rc::new(Cell::new(16usize));
         for i in 0..16u32 {
             let lc = mux.logical_client(TenantId(i % 4));
             let t = cm.thread(format!("task{i}"));
-            let token = wg.add();
+            let running = Rc::clone(&running);
             sim.spawn(async move {
                 for k in 0..3u32 {
                     let payload = (i * 100 + k).to_le_bytes();
                     let out = lc.call(&t, &payload).await;
                     assert_eq!(out.data, payload, "logical {i} call {k}");
                 }
-                drop(token);
+                running.set(running.get() - 1);
             });
         }
         sim.run_for(SimSpan::millis(20));
-        assert_eq!(wg.count(), 0, "all logical clients finished");
+        assert_eq!(running.get(), 0, "all logical clients finished");
         assert_eq!(calls(&mux), 48);
         assert_eq!(mux.logical_count(), 16);
         // 16 logicals over 4 conns: leases must have moved.

@@ -12,9 +12,7 @@ use rfp_core::{
     connect, serve_loop, CoreSpec, OverloadConfig, Reactor, ReactorConfig, RespStatus, RfpConfig,
     RfpServerConn, RfpTelemetry,
 };
-use rfp_simnet::{
-    MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder, WaitGroup,
-};
+use rfp_simnet::{MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder};
 
 /// Echo rig under overload: `clients` closed-loop callers, each issuing
 /// `calls_each` requests, echo handler with a fixed process time, over
@@ -59,7 +57,8 @@ fn run_rig(
     let rejected_calls = Rc::new(Cell::new(0u64));
     let bad_echo = Rc::new(Cell::new(0u64));
     let nonempty_rejects = Rc::new(Cell::new(0u64));
-    let wg = WaitGroup::new();
+    // Clients still issuing: the last one to finish counts it to zero.
+    let running = Rc::new(Cell::new(clients));
 
     for c in 0..clients {
         let cm = cluster.machine(1 + c);
@@ -72,7 +71,7 @@ fn run_rig(
         );
         conns.push(Rc::new(sc));
         let t = cm.thread(format!("c{c}"));
-        let token = wg.add();
+        let running = Rc::clone(&running);
         let (ok, rej, bad, fat) = (
             Rc::clone(&ok_calls),
             Rc::clone(&rejected_calls),
@@ -95,7 +94,7 @@ fn run_rig(
                     }
                 }
             }
-            drop(token);
+            running.set(running.get() - 1);
         });
     }
 
@@ -136,20 +135,13 @@ fn run_rig(
     // Run until every client finished, then drain: anything the clients
     // gave up on locally must still flow through the server's own
     // admission (shed or serve), never get stuck.
-    let done = Rc::new(Cell::new(false));
-    let d = Rc::clone(&done);
-    let w = wg.clone();
-    sim.spawn(async move {
-        w.wait().await;
-        d.set(true);
-    });
     for _ in 0..200 {
         sim.run_for(SimSpan::millis(1));
-        if done.get() {
+        if running.get() == 0 {
             break;
         }
     }
-    assert!(done.get(), "clients failed to finish");
+    assert_eq!(running.get(), 0, "clients failed to finish");
     sim.run_for(SimSpan::millis(1));
 
     RigOutcome {

@@ -1,7 +1,6 @@
-//! Higher-level coordination primitives for simulated processes:
-//! counting semaphores and wait-groups. All are
-//! single-threaded, deterministic, and FIFO-fair, like the rest of the
-//! crate.
+//! Higher-level coordination primitive for simulated processes: a
+//! counting semaphore, single-threaded, deterministic and FIFO-fair
+//! like the rest of the crate.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -171,82 +170,6 @@ impl Drop for SemaphoreGuard {
     }
 }
 
-/// Tracks a dynamic set of outstanding tasks; waiters resume when the
-/// count returns to zero.
-#[derive(Clone, Default)]
-pub struct WaitGroup {
-    state: Rc<RefCell<WgState>>,
-}
-
-#[derive(Default)]
-struct WgState {
-    count: usize,
-    waiters: Vec<Waker>,
-}
-
-impl WaitGroup {
-    /// Creates an empty wait-group.
-    pub fn new() -> Self {
-        WaitGroup::default()
-    }
-
-    /// Registers one outstanding task; drop the token to mark it done.
-    pub fn add(&self) -> WaitGroupToken {
-        self.state.borrow_mut().count += 1;
-        WaitGroupToken {
-            state: Rc::clone(&self.state),
-        }
-    }
-
-    /// Outstanding tasks.
-    pub fn count(&self) -> usize {
-        self.state.borrow().count
-    }
-
-    /// Resolves once no tasks are outstanding.
-    pub fn wait(&self) -> WaitGroupWait {
-        WaitGroupWait {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-/// RAII token for one outstanding task.
-pub struct WaitGroupToken {
-    state: Rc<RefCell<WgState>>,
-}
-
-impl Drop for WaitGroupToken {
-    fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.count -= 1;
-        if st.count == 0 {
-            for w in st.waiters.drain(..) {
-                w.wake();
-            }
-        }
-    }
-}
-
-/// Future returned by [`WaitGroup::wait`].
-pub struct WaitGroupWait {
-    state: Rc<RefCell<WgState>>,
-}
-
-impl Future for WaitGroupWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.state.borrow_mut();
-        if st.count == 0 {
-            Poll::Ready(())
-        } else {
-            st.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,45 +269,5 @@ mod tests {
         // release: the third task is admitted at t=100.
         assert_eq!(got.get(), 100);
         assert_eq!(sem.available(), 1);
-    }
-
-    #[test]
-    fn waitgroup_waits_for_all_tokens() {
-        let mut sim = Simulation::new(0);
-        let wg = WaitGroup::new();
-        let finished_at = Rc::new(Cell::new(0u64));
-        for i in 1..=3u64 {
-            let token = wg.add();
-            let h = sim.handle();
-            sim.spawn(async move {
-                h.sleep(SimSpan::nanos(i * 100)).await;
-                drop(token);
-            });
-        }
-        let w = wg.clone();
-        let f = Rc::clone(&finished_at);
-        let h = sim.handle();
-        sim.spawn(async move {
-            w.wait().await;
-            f.set(h.now().as_nanos());
-        });
-        sim.run();
-        assert_eq!(finished_at.get(), 300);
-        assert_eq!(wg.count(), 0);
-    }
-
-    #[test]
-    fn waitgroup_with_no_tasks_is_immediate() {
-        let mut sim = Simulation::new(0);
-        let wg = WaitGroup::new();
-        let done = Rc::new(Cell::new(false));
-        let d = Rc::clone(&done);
-        sim.spawn(async move {
-            wg.wait().await;
-            d.set(true);
-        });
-        sim.run();
-        assert!(done.get());
-        assert_eq!(sim.now().as_nanos(), 0);
     }
 }

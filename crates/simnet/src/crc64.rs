@@ -37,24 +37,18 @@ const fn build_table() -> [u64; 256] {
 
 /// Streaming CRC-64 state.
 #[derive(Clone, Copy, Debug)]
-pub struct Crc64 {
+struct Crc64 {
     state: u64,
-}
-
-impl Default for Crc64 {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Crc64 {
     /// Starts a fresh checksum.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Crc64 { state: !0 }
     }
 
     /// Feeds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             let idx = ((self.state ^ b as u64) & 0xFF) as usize;
             self.state = (self.state >> 8) ^ TABLE[idx];
@@ -62,7 +56,7 @@ impl Crc64 {
     }
 
     /// Finalises and returns the checksum.
-    pub fn finish(self) -> u64 {
+    fn finish(self) -> u64 {
         !self.state
     }
 }
@@ -83,6 +77,8 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn known_check_value() {
@@ -102,6 +98,19 @@ mod tests {
         c.update(&data[..7]);
         c.update(&data[7..]);
         assert_eq!(c.finish(), crc64(data));
+    }
+
+    proptest! {
+        /// CRC64 is split-invariant: any cut of the input streams to the
+        /// one-shot checksum.
+        #[test]
+        fn any_split_equals_one_shot(data in vec(any::<u8>(), 0..200), split in any::<prop::sample::Index>()) {
+            let cut = if data.is_empty() { 0 } else { split.index(data.len()) };
+            let mut c = Crc64::new();
+            c.update(&data[..cut]);
+            c.update(&data[cut..]);
+            prop_assert_eq!(c.finish(), crc64(&data));
+        }
     }
 
     #[test]

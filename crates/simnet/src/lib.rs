@@ -12,8 +12,8 @@
 //!   generation-stamped [`Slab`]),
 //! * a FIFO queueing resource ([`FifoServer`]) used to model NIC
 //!   engines, and serialized critical sections ([`SimLock`]),
-//! * synchronisation primitives for simulated processes ([`Signal`],
-//!   [`Channel`], [`Semaphore`], [`WaitGroup`]),
+//! * synchronisation primitives for simulated processes ([`Channel`],
+//!   [`Semaphore`]),
 //! * measurement helpers ([`Counter`], [`Histogram`], [`BusyClock`]),
 //! * observability: one cause-chained event log ([`FlightRecorder`])
 //!   and the views beside it — a registry of hierarchically named
@@ -57,8 +57,8 @@ mod sync;
 mod time;
 mod timeout;
 
-pub use coord::{Semaphore, SemaphoreGuard, WaitGroup, WaitGroupToken};
-pub use crc64::{crc64, Crc64};
+pub use coord::{Semaphore, SemaphoreGuard};
+pub use crc64::crc64;
 pub use executor::{EventSink, ExecutorStats, SimHandle, Simulation, Sleep, Wakeup};
 pub use health::{
     Anomaly, AnomalyDetector, AnomalyKind, Baseline, ConnHealth, ConnHealthReport, CoreLoad,
@@ -72,7 +72,7 @@ pub use sampler::{SampleRow, TimeSeriesSampler};
 pub use slab::{Slab, SlabKey};
 pub use span::{Phase, RequestTrace, SpanRecorder};
 pub use stats::{BusyClock, Counter, Histogram};
-pub use sync::{Channel, Recv, Signal, SimLock, SimLockGuard};
+pub use sync::{Channel, Recv, SimLock, SimLockGuard};
 pub use time::{SimSpan, SimTime};
 pub use timeout::{timeout, Timeout};
 
@@ -91,6 +91,9 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+#[cfg(test)]
+pub(crate) use sync::signal::Signal;
 
 #[cfg(test)]
 mod tests {

@@ -11,71 +11,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-/// A level-triggered event: once [`fire`](Signal::fire)d, every current
-/// and future [`wait`](Signal::wait) completes immediately until
-/// [`reset`](Signal::reset).
-#[derive(Clone, Default)]
-pub struct Signal {
-    state: Rc<RefCell<SignalState>>,
-}
-
-#[derive(Default)]
-struct SignalState {
-    fired: bool,
-    waiters: Vec<Waker>,
-}
-
-impl Signal {
-    /// Creates an unfired signal.
-    pub fn new() -> Self {
-        Signal::default()
-    }
-
-    /// Fires the signal, waking all waiters.
-    pub fn fire(&self) {
-        let mut st = self.state.borrow_mut();
-        st.fired = true;
-        for w in st.waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// Clears the fired flag; subsequent waits block until the next fire.
-    pub fn reset(&self) {
-        self.state.borrow_mut().fired = false;
-    }
-
-    /// Completes once the signal has fired.
-    pub fn wait(&self) -> SignalWait {
-        SignalWait {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-/// Future returned by [`Signal::wait`].
-pub struct SignalWait {
-    state: Rc<RefCell<SignalState>>,
-}
-
-impl Future for SignalWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.state.borrow_mut();
-        if st.fired {
-            Poll::Ready(())
-        } else {
-            // A task re-polled for another reason is already registered:
-            // a second entry would wake (and poll) it twice on `fire`.
-            if !st.waiters.iter().any(|w| w.will_wake(cx.waker())) {
-                st.waiters.push(cx.waker().clone());
-            }
-            Poll::Pending
-        }
-    }
-}
-
 /// An unbounded FIFO channel between simulated processes.
 ///
 /// `send` is synchronous (never blocks); `recv` suspends until a value is
@@ -178,9 +113,8 @@ impl<T> Future for Recv<T> {
         if let Some(v) = st.items.pop_front() {
             Poll::Ready(v)
         } else {
-            // As in `SignalWait`: one entry per waiting task, or a `send`
-            // would spend its one wake on a duplicate while another
-            // receiver stays parked.
+            // One entry per waiting task, or a `send` would spend its one
+            // wake on a duplicate while another receiver stays parked.
             if !st.waiters.iter().any(|w| w.will_wake(cx.waker())) {
                 st.waiters.push_back(cx.waker().clone());
             }
@@ -301,8 +235,86 @@ impl Drop for SimLockGuard {
     }
 }
 
+/// Test support: production code waits on channels, locks and NIC
+/// completions, never on a [`signal::Signal`]; the executor's, timeout's
+/// and this file's tests wake tasks through one.
+#[cfg(test)]
+pub(crate) mod signal {
+    use std::cell::RefCell;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::rc::Rc;
+    use std::task::{Context, Poll, Waker};
+
+    /// A level-triggered event: once [`fire`](Signal::fire)d, every current
+    /// and future [`wait`](Signal::wait) completes immediately until
+    /// [`reset`](Signal::reset).
+    #[derive(Clone, Default)]
+    pub(crate) struct Signal {
+        state: Rc<RefCell<SignalState>>,
+    }
+
+    #[derive(Default)]
+    struct SignalState {
+        fired: bool,
+        waiters: Vec<Waker>,
+    }
+
+    impl Signal {
+        /// Creates an unfired signal.
+        pub(crate) fn new() -> Self {
+            Signal::default()
+        }
+
+        /// Fires the signal, waking all waiters.
+        pub(crate) fn fire(&self) {
+            let mut st = self.state.borrow_mut();
+            st.fired = true;
+            for w in st.waiters.drain(..) {
+                w.wake();
+            }
+        }
+
+        /// Clears the fired flag; subsequent waits block until the next fire.
+        pub(crate) fn reset(&self) {
+            self.state.borrow_mut().fired = false;
+        }
+
+        /// Completes once the signal has fired.
+        pub(crate) fn wait(&self) -> SignalWait {
+            SignalWait {
+                state: Rc::clone(&self.state),
+            }
+        }
+    }
+
+    /// Future returned by [`Signal::wait`].
+    pub(crate) struct SignalWait {
+        state: Rc<RefCell<SignalState>>,
+    }
+
+    impl Future for SignalWait {
+        type Output = ();
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let mut st = self.state.borrow_mut();
+            if st.fired {
+                Poll::Ready(())
+            } else {
+                // A task re-polled for another reason is already registered:
+                // a second entry would wake (and poll) it twice on `fire`.
+                if !st.waiters.iter().any(|w| w.will_wake(cx.waker())) {
+                    st.waiters.push(cx.waker().clone());
+                }
+                Poll::Pending
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::signal::Signal;
     use super::*;
     use crate::{SimSpan, Simulation};
     use std::cell::Cell;

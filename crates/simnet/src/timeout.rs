@@ -15,14 +15,14 @@ use crate::time::SimSpan;
 /// # Examples
 ///
 /// ```
-/// use rfp_simnet::{timeout, Signal, SimSpan, Simulation};
+/// use rfp_simnet::{timeout, SimSpan, Simulation};
 ///
 /// let mut sim = Simulation::new(0);
 /// let h = sim.handle();
-/// let sig = Signal::new();
 /// sim.spawn(async move {
-///     let out = timeout(&h, SimSpan::micros(10), sig.wait()).await;
-///     assert!(out.is_none()); // nobody fires the signal
+///     let never = std::future::pending::<()>();
+///     let out = timeout(&h, SimSpan::micros(10), never).await;
+///     assert!(out.is_none());
 ///     assert_eq!(h.now().as_nanos(), 10_000);
 /// });
 /// sim.run();

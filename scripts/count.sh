@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Plurality counters: how much code, how many knobs, how many copies of
 # the server's ring drain. CHANGES.md quotes the before/after of a
-# simplification PR from here instead of ad-hoc greps; ci.sh gates three
-# lines, the dormant-knob, test-only-knob and unreferenced-pub-item
-# counts.
+# simplification PR from here instead of ad-hoc greps; ci.sh gates four
+# lines, the dormant-knob, test-only-knob, unreferenced-pub-item and
+# test-only-pub-type counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,5 +129,60 @@ unreferenced=$(awk -F'\t' -v allowed="$allowed_unreferenced" '
   <(echo "$refs") <(echo "$pub_items"))
 echo "unreferenced pub items: $(grep -c . <<<"$unreferenced" || true)"
 [[ -z $unreferenced ]] || echo "$unreferenced"
+# Test-only pub types: a `pub struct` under crates/*/src whose name
+# appears outside its own file, but only in test code — a crate's
+# tests/, examples/, or a file below its first `#[cfg(test)]` line. A
+# `pub use` re-export or a comment is not a user. A struct named in no other file is
+# not counted, and neither is one that production code outside its file
+# gets back from a pub fn (`-> Name`, `-> Vec<Name>`, …) by calling it:
+# as the unreferenced scan says, such a type is reached through a
+# signature. A type only tests reach is test support: it moves into the
+# test that needs it, or is deleted.
+# Allowed: `OnlineTuner` — §3.2's online re-selection of (R, F), which
+# only core/tests/online_tuning.rs drives (ROADMAP "Parked": online
+# self-tuning).
+allowed_test_only_types='OnlineTuner'
+typed_refs=$(awk 'FNR == 1 { skip = 0; t = (FILENAME ~ /(^|\/)(tests|examples)\//) }
+                  /^[ \t]*#\[cfg\(test\)\]/ { t = 1 }
+                  /^[ \t]*\/\// { next }
+                  skip { if (/;/) skip = 0; next }
+                  /^[ \t]*pub(\([a-z]+\))? use / { if (!/;/) skip = 1; next }
+                  { n = split($0, w, /[^A-Za-z0-9_]+/)
+                    for (i = 1; i <= n; i++) if (w[i] != "") print w[i] "\t" FILENAME "\t" (t ? "test" : "prod") }' \
+  "${scanned[@]}" | sort -u)
+pub_structs=$(awk '/^[ \t]*pub struct [A-Za-z_]/ {
+                     line = $0; sub(/^[ \t]*pub struct /, "", line)
+                     match(line, /^[A-Za-z_][A-Za-z0-9_]*/); print substr(line, 1, RLENGTH) "\t" FILENAME }' "${all[@]}")
+# "Type<TAB>fn" for every type named after the `->` of a pub fn's
+# signature above its file's `#[cfg(test)]` line.
+returned=$(awk 'FNR == 1 { t = 0; sig = 0 }
+                /^[ \t]*#\[cfg\(test\)\]/ { t = 1 }
+                t { next }
+                /^[ \t]*pub (async |const |unsafe )*fn [A-Za-z_]/ {
+                  f = $0; sub(/^[ \t]*pub (async |const |unsafe )*fn /, "", f)
+                  match(f, /^[A-Za-z_][A-Za-z0-9_]*/); f = substr(f, 1, RLENGTH); sig = 1 }
+                sig && /->/ { r = $0; sub(/^.*->/, "", r); sub(/[{;].*$/, "", r)
+                  n = split(r, w, /[^A-Za-z0-9_]+/)
+                  for (i = 1; i <= n; i++) if (w[i] != "" && w[i] != "Self") print w[i] "\t" f }
+                sig && /[{;]/ { sig = 0 }' "${all[@]}" | sort -u)
+test_only_types=$(awk -F'\t' -v allowed="$allowed_test_only_types" '
+  BEGIN { split(allowed, a, " "); for (i in a) ok[a[i]] = 1 }
+  FILENAME == ARGV[1] { users[$1 "\t" $2] = users[$1 "\t" $2] " " $3; names[$1] = names[$1] " " $2; next }
+  FILENAME == ARGV[2] { via[$1] = via[$1] " " $2; next }
+  $1 in ok { next }
+  { prod = 0; tests = 0
+    n = split(names[$1], fs, " ")
+    for (i = 1; i <= n; i++) if (fs[i] != $2) {
+      if (users[$1 "\t" fs[i]] ~ /prod/) prod++; else tests++ }
+    m = split(via[$1], fns, " ")
+    for (j = 1; j <= m; j++) {
+      k = split(names[fns[j]], gs, " ")
+      for (i = 1; i <= k; i++) if (gs[i] != $2 && users[fns[j] "\t" gs[i]] ~ /prod/) prod++ }
+    if (tests > 0 && prod == 0) print "  " $2 ": " $1 }' \
+  <(echo "$typed_refs") <(echo "$returned") <(echo "$pub_structs"))
+echo "test-only pub types: $(grep -c . <<<"$test_only_types" || true)"
+[[ -z $test_only_types ]] || echo "$test_only_types"
 echo "try_recv( call sites under crates/*/src:"
 grep -c 'try_recv(' "${all[@]}" | grep -v ':0$' | sed 's/^/  /'
+echo "doc lines: DESIGN.md $(wc -l < DESIGN.md), EXPERIMENTS.md $(wc -l < EXPERIMENTS.md)," \
+  "README.md $(wc -l < README.md)"
