@@ -63,9 +63,8 @@ struct Row {
     mops: f64,
     reads_per_doorbell: f64,
     issue_per_read_ns: f64,
-    /// Executor events (task polls + timer entries fired + events
-    /// handled in place) and calls of the measurement window, and the
-    /// host time they took.
+    /// Executor events (task polls + timer entries fired) and calls of
+    /// the measurement window, and the host time they took.
     events: u64,
     calls: u64,
     host: Duration,
@@ -150,9 +149,7 @@ fn run_point(seed: u64, w: usize, payload: usize, idle: IdlePolicy) -> Row {
             batched as f64 / doorbells as f64
         },
         issue_per_read_ns: ISSUE_CPU_NS * (doorbells + single) as f64 / reads.max(1) as f64,
-        events: (ex.polls - ex0.polls)
-            + (ex.timers_fired - ex0.timers_fired)
-            + (ex.stepped - ex0.stepped),
+        events: (ex.polls - ex0.polls) + (ex.timers_fired - ex0.timers_fired),
         calls: st.calls(),
         host,
     }
@@ -237,7 +234,7 @@ fn main() {
     let calls: u64 = rows.iter().map(|r| r.calls).sum();
     let host: Duration = rows.iter().map(|r| r.host).sum();
     eprintln!(
-        "# executor: {events} events (polls + timers + in-place steps) for {calls} calls in \
+        "# executor: {events} events (polls + timers) for {calls} calls in \
          {:.3} s of measured windows = {:.2} Mevents/s, {:.3} Mcalls/s",
         host.as_secs_f64(),
         events as f64 / host.as_secs_f64() / 1e6,

@@ -22,9 +22,11 @@
 //!
 //! The synchronous skeleton of that order — claims, receives, crash
 //! checks, budget, the looks and their CPU charge — is a cursor in each
-//! core's sweep (`conn::Sweep`), a clocked event sink: a look is an
-//! event, not a poll of this task, which resumes only at a pending
-//! slot, a tripped crash check or the end of the sweep. Everything
+//! core's sweep (`conn::Sweep`), a clocked event sink: a look is never
+//! a poll of this task, which resumes only at a pending slot, a tripped
+//! crash check or the end of the sweep, and is an executor event only
+//! where it can stop the sweep or shares its instant with another
+//! entry (DESIGN §19 "Lazy looks"). Everything
 //! that awaits — pickup and its `Fenced` answer, verdicts, service, the
 //! queue, commit, stealing, spin and nap — is the task code below.
 //!

@@ -212,7 +212,6 @@ fn echo_calls(shape: Shape, registry: Option<&MetricsRegistry>) -> EchoCost {
             timers_fired: events1.timers_fired - events0.timers_fired,
             spawned: events1.spawned - events0.spawned,
             waker_wakes: events1.waker_wakes - events0.waker_wakes,
-            stepped: events1.stepped - events0.stepped,
         },
         slots: qp.work_request_slots(),
         client: Rc::clone(&clients[0]),
@@ -242,13 +241,12 @@ fn steady_state_allocation_budget() {
     for (name, cost) in rows {
         eprintln!(
             "{name}: per call {:.2} allocations, {:.2} polls, {:.2} timers, {:.2} spawns, \
-             {:.2} waker wakes, {:.2} in-place steps; {} work-request slots",
+             {:.2} waker wakes; {} work-request slots",
             cost.per_call(cost.allocs),
             cost.per_call(cost.events.polls),
             cost.per_call(cost.events.timers_fired),
             cost.per_call(cost.events.spawned),
             cost.per_call(cost.events.waker_wakes),
-            cost.per_call(cost.events.stepped),
             cost.slots,
         );
     }
@@ -267,8 +265,8 @@ fn steady_state_allocation_budget() {
         scan_allocs, 0,
         "{scan_allocs} allocations over {slots} idle slots"
     );
-    // An idle sweep is looks made in place: the task runs once to start
-    // it, once at its end, once after the spin.
+    // An idle sweep's looks are not even events: the task runs once to
+    // start it, once at its end, once after the spin.
     assert!(
         scan_polls <= 0.15,
         "{scan_polls:.3} polls per idle slot, budget 0.15"
@@ -279,13 +277,14 @@ fn steady_state_allocation_budget() {
     // hop is a typed event rather than a poll, and the QP holds one
     // work-request slot per operation in flight — at most the window.
     // With telemetry on, a call additionally builds and files its span.
-    // A ring look is an event, not a poll: the server task runs at a
+    // A ring look is no poll, and an event only where it can stop the
+    // sweep or shares its instant with one: the server task runs at a
     // pending slot, at the end of a sweep and after its spin.
     for (name, cost, allocs, polls, events, window) in [
-        ("W=16 call_pipelined", &w16, 4.0, 9.0, 29.0, 16),
+        ("W=16 call_pipelined", &w16, 4.0, 9.0, 20.5, 16),
         ("W=1 call", &w1, 3.1, 46.0, 96.0, 1),
         ("W=1 call, telemetry on", &observed, 4.1, 46.0, 96.0, 1),
-        ("6 x W=1 call", &jakiro, 3.1, 15.0, 40.0, 1),
+        ("6 x W=1 call", &jakiro, 3.1, 15.0, 33.5, 1),
     ] {
         assert!(cost.calls > 1_000, "{name}: window too short");
         assert!(

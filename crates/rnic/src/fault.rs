@@ -37,8 +37,11 @@
 //!   trip, no remote side effect); an op whose *completion* leg is cut
 //!   may land its payload remotely and still fail locally.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::rc::Weak;
+
+use rfp_simnet::Replan;
 
 /// Error completion of an RDMA verb under injected faults.
 ///
@@ -81,6 +84,19 @@ pub struct MachineFaults {
     /// Bitmask of destination machines this machine cannot reach
     /// (bit `d` set = traffic toward machine `d` is dropped).
     blocked_out: Cell<u64>,
+    /// The plans made from the crash flag or the CPU factor (the
+    /// machine's ring sweeps), told when either changes.
+    planners: Planners,
+}
+
+/// Plans to tell of a fault change.
+#[derive(Default)]
+struct Planners(RefCell<Vec<Weak<dyn Replan>>>);
+
+impl fmt::Debug for Planners {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} planners", self.0.borrow().len())
+    }
 }
 
 impl Default for MachineFaults {
@@ -94,6 +110,7 @@ impl Default for MachineFaults {
             bitflip: Cell::new(0.0),
             wire_lag: Cell::new(0),
             blocked_out: Cell::new(0),
+            planners: Planners::default(),
         }
     }
 }
@@ -106,7 +123,41 @@ impl MachineFaults {
 
     /// Marks the machine crashed / restarted.
     pub fn set_crashed(&self, down: bool) {
-        self.crashed.set(down);
+        if self.crashed.replace(down) != down {
+            self.changed();
+        }
+    }
+
+    /// Has `planner` re-plan ([`Replan::replan`]) whenever the crash
+    /// flag or the CPU factor changes; one already told is not added
+    /// twice.
+    pub fn add_planner(&self, planner: Weak<dyn Replan>) {
+        let mut planners = self.planners.0.borrow_mut();
+        if !planners.iter().any(|p| Weak::ptr_eq(p, &planner)) {
+            planners.push(planner);
+        }
+    }
+
+    /// Tells every live planner of a change, forgetting dropped ones.
+    fn changed(&self) {
+        let mut i = 0;
+        loop {
+            let planner = {
+                let mut planners = self.planners.0.borrow_mut();
+                let Some(planner) = planners.get(i) else {
+                    break;
+                };
+                match planner.upgrade() {
+                    Some(planner) => planner,
+                    None => {
+                        planners.swap_remove(i);
+                        continue;
+                    }
+                }
+            };
+            planner.replan();
+            i += 1;
+        }
     }
 
     /// Additional drop probability for unreliable traffic touching this
@@ -128,7 +179,10 @@ impl MachineFaults {
 
     /// Sets the straggler multiplier.
     pub fn set_cpu_factor(&self, factor: f64) {
-        self.cpu_factor.set(factor.max(0.0));
+        let factor = factor.max(0.0);
+        if self.cpu_factor.replace(factor) != factor {
+            self.changed();
+        }
     }
 
     /// Current QP generation; QPs created against an older generation

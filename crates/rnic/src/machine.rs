@@ -175,14 +175,21 @@ impl ThreadCtx {
     /// the returned span instead.
     #[inline]
     pub fn charge(&self, span: SimSpan) -> SimSpan {
+        let span = self.cost(span);
+        self.busy.add_busy(span);
+        span
+    }
+
+    /// `span` inflated by a straggler fault, booked nowhere: how long
+    /// the work would take if begun now.
+    #[inline]
+    pub fn cost(&self, span: SimSpan) -> SimSpan {
         let factor = self.machine.faults().cpu_factor();
-        let span = if factor == 1.0 {
+        if factor == 1.0 {
             span
         } else {
             SimSpan::from_nanos_f64(span.as_nanos() as f64 * factor)
-        };
-        self.busy.add_busy(span);
-        span
+        }
     }
 
     /// Busy-waits until `fut` completes: the elapsed time counts as CPU

@@ -16,8 +16,10 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::ops::Range;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
+
+use rfp_simnet::Replan;
 
 use crate::machine::MachineId;
 
@@ -39,6 +41,9 @@ pub struct MemRegion {
     /// torn-DMA fault splices concurrent READs from it. `None` unless a
     /// writer explicitly snapshots (healthy runs never allocate it).
     history: RefCell<Option<Vec<u8>>>,
+    /// The plan made from this region's bytes (a server's ring sweep's
+    /// walk ahead), told of every change to them.
+    planner: RefCell<Option<Weak<dyn Replan>>>,
 }
 
 /// One pending [`WriteWait`]: registered by its first poll, gone once
@@ -59,6 +64,7 @@ impl MemRegion {
             next_watcher: Cell::new(0),
             write_epoch: RefCell::new(0),
             history: RefCell::new(None),
+            planner: RefCell::new(None),
         })
     }
 
@@ -94,6 +100,22 @@ impl MemRegion {
             .filter(|&e| e <= b.len())
             .unwrap_or_else(|| panic!("write past end of MR {:?}", self.id));
         b[offset..end].copy_from_slice(src);
+        drop(b);
+        self.changed();
+    }
+
+    /// Names the plan made from this region's bytes: every later change
+    /// to them — a local or remote write, a wipe — has it re-plan
+    /// ([`Replan::replan`]).
+    pub fn set_planner(&self, planner: Weak<dyn Replan>) {
+        *self.planner.borrow_mut() = Some(planner);
+    }
+
+    fn changed(&self) {
+        let planner = self.planner.borrow().as_ref().and_then(Weak::upgrade);
+        if let Some(planner) = planner {
+            planner.replan();
+        }
     }
 
     /// Copies `len` bytes starting at `offset` out of the region (local
@@ -132,10 +154,12 @@ impl MemRegion {
     }
 
     /// Zero-fills the region (cold-restart wipe). Not a remote write:
-    /// the write epoch does not advance and watchers are not woken.
+    /// the write epoch does not advance and watchers are not woken; the
+    /// plan made from it re-plans.
     pub(crate) fn zero(&self) {
         self.bytes.borrow_mut().fill(0);
         *self.history.borrow_mut() = None;
+        self.changed();
     }
 
     /// Records the region's current contents as its pre-write image.

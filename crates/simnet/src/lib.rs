@@ -59,7 +59,9 @@ mod timeout;
 
 pub use coord::{Semaphore, SemaphoreGuard};
 pub use crc64::crc64;
-pub use executor::{EventSink, ExecutorStats, SimHandle, Simulation, Sleep, Wakeup};
+pub use executor::{
+    ChainSink, EventSink, ExecutorStats, Replan, SimHandle, Simulation, Sleep, Wakeup,
+};
 pub use health::{
     Anomaly, AnomalyDetector, AnomalyKind, Baseline, ConnHealth, ConnHealthReport, CoreLoad,
     CoreSkewReport, DumpBundle, HealthHub, HealthReport, HealthSignal,

@@ -55,7 +55,7 @@ ledger_smoke jakiro_get95_32b 8.1
 ledger_smoke cores4_zipf99 7.1 3.4
 # The allocation budget of the hot path, on the build that ships the
 # numbers (`cargo test -q` above ran it unoptimized) — and the executor's
-# ordering rules (steps in place, resumes, chained events) and the
+# ordering rules (lazy chains against eager ones, resumes) and the
 # sweep's, which are only worth anything in that build.
 cargo test -q --release -p rfp-core --test alloc_budget
 cargo test -q --release -p rfp-simnet -p rfp-core --lib
