@@ -4,6 +4,7 @@ use std::rc::Rc;
 
 use rfp_simnet::{SimHandle, Simulation};
 
+use crate::engine::WireLanes;
 use crate::fault::FabricFaults;
 use crate::machine::{Machine, MachineId};
 use crate::profile::ClusterProfile;
@@ -18,6 +19,7 @@ pub struct Cluster {
     profile: ClusterProfile,
     machines: Vec<Rc<Machine>>,
     fabric: Rc<FabricFaults>,
+    wire: WireLanes,
 }
 
 impl Cluster {
@@ -32,11 +34,13 @@ impl Cluster {
         let machines = (0..n)
             .map(|i| Machine::new(MachineId(i), handle.clone(), profile.nic.clone()))
             .collect();
+        let wire = WireLanes::new(&handle);
         Cluster {
             handle,
             profile,
             machines,
             fabric: Rc::new(FabricFaults::default()),
+            wire,
         }
     }
 
@@ -116,6 +120,7 @@ impl Cluster {
             self.machine(to),
             self.profile.link.clone(),
             Rc::clone(&self.fabric),
+            self.wire,
             transport,
         )
     }
@@ -134,13 +139,14 @@ impl Cluster {
         let local = self.machine(from);
         let remote = self.machine(to);
         let link = self.profile.link.clone();
-        let fabric = Rc::clone(&self.fabric);
+        let (fabric, wire) = (Rc::clone(&self.fabric), self.wire);
         move || {
             Qp::with_transport(
                 Rc::clone(&local),
                 Rc::clone(&remote),
                 link.clone(),
                 Rc::clone(&fabric),
+                wire,
                 Transport::Rc,
             )
         }

@@ -10,13 +10,23 @@
 //! decision is taken here, once, for the synchronous and the posted
 //! verbs alike. Where each hop runs among the other work of its instant
 //! is part of the model: DESIGN §19 states the two ordering rules.
+//!
+//! Four kinds of hop come due in the order they are filed, and wait in
+//! a [`Lane`] so that only each lane's head sits in the executor's
+//! timer heap: an engine's service completions (`Out`, `In`), in that
+//! engine's lane, and the wire legs (`Arrive`, `Return`), in one of the
+//! fabric's two delay lines ([`WireLanes`]). A leg due before its
+//! line's tail (a slow-link fault lags each leg by its own draw) is
+//! filed as a plain event. The issue hop (`Start`), the NACK leg,
+//! retransmission rounds and every task wake are plain events (DESIGN
+//! §19 "Wake paths").
 
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use rfp_simnet::{EventSink, SimHandle, SimTime, SlabKey, Wakeup};
+use rfp_simnet::{EventSink, Lane, SimHandle, SimTime, SlabKey, Wakeup};
 
 use crate::fault::VerbError;
 use crate::machine::ThreadCtx;
@@ -67,6 +77,26 @@ enum Stage {
     In,
     /// Return wire leg done: data or ACK reaches the initiator.
     Return,
+}
+
+/// A fabric's wire delay lines, one per healthy leg length: legs of
+/// one length come due in the order they leave.
+#[derive(Copy, Clone)]
+pub(crate) struct WireLanes {
+    /// Legs of one propagation delay: an op on its way out, an ACK on
+    /// its way back.
+    prop: Lane,
+    /// READ data: propagation plus the READ turnaround.
+    read_return: Lane,
+}
+
+impl WireLanes {
+    pub(crate) fn new(h: &SimHandle) -> Self {
+        WireLanes {
+            prop: h.lane(),
+            read_return: h.lane(),
+        }
+    }
 }
 
 /// What [`Qp::step`] asks of the executor.
@@ -296,7 +326,10 @@ impl Qp {
                 Next::Hop(at, stage) if at <= now => wr.stage = stage,
                 Next::Hop(at, stage) => {
                     wr.stage = stage;
-                    return h.schedule_event(at, sink(), key.token());
+                    return match self.lane(wr) {
+                        Some(lane) => h.schedule_in(lane, at, sink(), key.token()),
+                        None => h.schedule_event(at, sink(), key.token()),
+                    };
                 }
                 Next::Admit(stage) => {
                     wr.stage = stage;
@@ -313,6 +346,18 @@ impl Qp {
                     return;
                 }
             }
+        }
+    }
+
+    /// The lane `wr`'s next hop waits in, if it is one of the four
+    /// kinds that come due in filing order.
+    fn lane(&self, wr: &WorkRequest) -> Option<Lane> {
+        match wr.stage {
+            Stage::Out => Some(self.local().nic().outbound_lane),
+            Stage::In => Some(self.remote().nic().inbound_lane),
+            Stage::Return if wr.op == Op::Read => Some(self.wire.read_return),
+            Stage::Arrive | Stage::Return => Some(self.wire.prop),
+            _ => None,
         }
     }
 
@@ -952,6 +997,61 @@ mod tests {
         );
         assert_eq!(sm.nic().counters().inbound_ops, 1, "only the WRITE arrived");
         assert_eq!(qp.requests.borrow().len(), 0);
+    }
+
+    #[test]
+    fn posted_reads_backed_up_on_one_inbound_engine_complete_in_booking_order() {
+        // Two clients each post a doorbell batch of eight 2 KB READs at
+        // the same instant: each out-bound engine sends one every 474 ns,
+        // the server's in-bound engine takes 410 ns per READ, so from the
+        // first pair on every READ waits behind the ones booked before
+        // it. Each completes one READ return leg after the instant the
+        // FIFO booked for it, in the order the two wires delivered them.
+        const LEN: usize = 2048;
+        const BATCH: usize = 8;
+        let mut sim = Simulation::new(0);
+        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 3);
+        let server = cluster.machine(2).alloc_mr(LEN);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for client in 0..2 {
+            let machine = cluster.machine(client);
+            let (qp, t) = (cluster.qp(client, 2), machine.thread("poster"));
+            let (local, remote) = (machine.alloc_mr(LEN * BATCH), Rc::clone(&server));
+            let (h, log) = (sim.handle(), Rc::clone(&log));
+            sim.spawn(async move {
+                let entries: Vec<_> = (0..BATCH)
+                    .map(|k| (Rc::clone(&local), k * LEN, Rc::clone(&remote), 0, LEN))
+                    .collect();
+                let mut posted = Vec::new();
+                qp.post_read_batch(&t, &entries, &mut posted).await;
+                for (k, read) in posted.into_iter().enumerate() {
+                    let (h, log) = (h.clone(), Rc::clone(&log));
+                    h.clone().spawn(async move {
+                        read.done().await;
+                        log.borrow_mut().push((client, k, h.now().as_nanos()));
+                    });
+                }
+            });
+        }
+        sim.run();
+        let nic = cluster.profile().nic.clone();
+        let (out, service) = (nic.outbound_min.as_nanos(), nic.inbound_service(LEN));
+        let (prop, turnaround) = (300, nic.read_turnaround.as_nanos());
+        // The in-bound FIFO's books: READ k of each client arrives one
+        // doorbell, k + 1 out-bound services and a wire leg after 0,
+        // client 0's ahead of client 1's.
+        let mut free = 0;
+        let mut booked = Vec::new();
+        for (k, client) in (0..BATCH).flat_map(|k| [(k, 0), (k, 1)]) {
+            let arrive = 200 + out * (k as u64 + 1) + prop;
+            free = free.max(arrive) + service.as_nanos();
+            booked.push((client, k, free + prop + turnaround));
+        }
+        let queued = |w: &[(usize, usize, u64)]| w[1].2 - w[0].2 == service.as_nanos();
+        assert!(booked.windows(2).all(queued), "every READ waits");
+        assert_eq!(*log.borrow(), booked);
+        let counters = cluster.machine(2).nic().counters();
+        assert_eq!(counters.inbound_ops, 2 * BATCH as u64);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rfp_simnet::{
-    Counter, FifoServer, FlightRecorder, Gauge, MetricsRegistry, Severity, SimHandle, SimSpan,
-    SimTime,
+    Counter, FifoServer, FlightRecorder, Gauge, Lane, MetricsRegistry, Severity, SimHandle,
+    SimSpan, SimTime,
 };
 
 use crate::profile::NicProfile;
@@ -54,6 +54,10 @@ pub struct Nic {
     handle: SimHandle,
     inbound: FifoServer,
     outbound: FifoServer,
+    /// Where each engine's service completions wait: a FIFO engine
+    /// finishes its ops in the order it books them.
+    pub(crate) inbound_lane: Lane,
+    pub(crate) outbound_lane: Lane,
     /// Threads currently inside an issuing verb on this NIC; drives the
     /// out-bound contention multiplier.
     active_issuers: Cell<usize>,
@@ -74,7 +78,9 @@ impl Nic {
             profile,
             handle: handle.clone(),
             inbound: FifoServer::new(handle.clone()),
-            outbound: FifoServer::new(handle),
+            outbound: FifoServer::new(handle.clone()),
+            inbound_lane: handle.lane(),
+            outbound_lane: handle.lane(),
             active_issuers: Cell::new(0),
             inbound_ops: Rc::new(Counter::new()),
             outbound_ops: Rc::new(Counter::new()),

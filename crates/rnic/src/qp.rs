@@ -37,7 +37,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::engine::{Op, WorkRequest};
+use crate::engine::{Op, WireLanes, WorkRequest};
 use crate::fault::{FabricFaults, VerbError};
 use crate::machine::{Machine, ThreadCtx};
 use crate::mem::MemRegion;
@@ -79,6 +79,8 @@ pub struct Qp {
     remote: Rc<Machine>,
     link: LinkProfile,
     fabric: Rc<FabricFaults>,
+    /// The fabric's wire delay lines.
+    pub(crate) wire: WireLanes,
     transport: Transport,
     /// QP generation of each endpoint at creation time; if either
     /// machine's generation advances, this QP is in the error state.
@@ -104,6 +106,7 @@ impl Qp {
         remote: Rc<Machine>,
         link: LinkProfile,
         fabric: Rc<FabricFaults>,
+        wire: WireLanes,
         transport: Transport,
     ) -> Rc<Self> {
         let local_epoch = local.faults().qp_epoch();
@@ -115,6 +118,7 @@ impl Qp {
             remote,
             link,
             fabric,
+            wire,
             transport,
             local_epoch,
             remote_epoch,

@@ -25,6 +25,12 @@
 //! delivered as an event with the place in the order its own event
 //! would have had (DESIGN §19 "Lazy looks").
 //!
+//! A source whose events come due in the order it files them (a FIFO
+//! engine's completions, a wire of one length) files them in a
+//! [`Lane`]: the timer heap holds only the lane's head, so delivery is
+//! a merge of sorted runs and each entry fires exactly where a plain
+//! event would have (DESIGN §19 "Wake paths").
+//!
 //! A task is woken one of two ways (DESIGN §19 "Wake paths"). A
 //! [`Sleep`] or a NIC completion parks through a [`Wakeup`] ticket that
 //! names the task by slot id: firing it is a `VecDeque` push, with no
@@ -34,6 +40,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
@@ -98,6 +105,18 @@ pub trait EventSink {
 
 /// A pending event: the sink (kept alive until delivery) and its token.
 type Event = (Rc<dyn EventSink>, u64);
+
+/// A FIFO of events whose instants never decrease
+/// ([`SimHandle::lane`], [`SimHandle::schedule_in`]).
+#[derive(Copy, Clone, Debug)]
+pub struct Lane(usize);
+
+/// What an entry of the events heap delivers.
+enum Fire {
+    Event(Event),
+    /// The head of this lane, whose key the entry holds.
+    Lane(usize),
+}
 
 /// An event sink working through a chain of steps on a lattice of
 /// instants ([`SimHandle::schedule_chained`]), most of which change
@@ -214,6 +233,16 @@ impl<F> TimerEntry<F> {
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
+
+    /// The same entry, delivering `f(fire)`.
+    fn map<G>(self, f: impl FnOnce(F) -> G) -> TimerEntry<G> {
+        let TimerEntry { at, seq, fire } = self;
+        TimerEntry {
+            at,
+            seq,
+            fire: f(fire),
+        }
+    }
 }
 
 impl<F> PartialEq for TimerEntry<F> {
@@ -238,13 +267,15 @@ type TimerHeap<F> = BinaryHeap<Reverse<TimerEntry<F>>>;
 /// The pending timers, earliest `(at, seq)` first. Task wakes and
 /// events share the one `seq` order but not one heap, each kept small
 /// for its own traffic: an event entry is larger than a wake target,
-/// and sifting the wider entries would tax every plain sleep. Chains
-/// hold one next step each, whose key the executor moves as it settles
-/// lazy steps.
+/// and sifting the wider entries would tax every plain sleep. A lane
+/// keeps its entries in `(at, seq)` order behind one `events` entry
+/// keyed by its head. Chains hold one next step each, whose key the
+/// executor moves as it settles lazy steps.
 #[derive(Default)]
 struct Timers {
     wakes: TimerHeap<Target>,
-    events: TimerHeap<Event>,
+    events: TimerHeap<Fire>,
+    lanes: Vec<VecDeque<TimerEntry<Event>>>,
     chains: Chains,
 }
 
@@ -254,6 +285,25 @@ impl Timers {
         heap.peek()
             .filter(|Reverse(e)| e.at == at)
             .map(|Reverse(e)| e.seq)
+    }
+
+    /// Takes out the earliest entry of `events`: a plain event, or the
+    /// head of a lane, whose entry moves on to the lane's next head.
+    fn pop_event(&mut self) -> Event {
+        let mut top = self.events.peek_mut().expect("peeked entry exists");
+        let Fire::Lane(i) = top.0.fire else {
+            match PeekMut::pop(top).0.fire {
+                Fire::Event(event) => return event,
+                Fire::Lane(_) => unreachable!("matched above"),
+            }
+        };
+        let lane = &mut self.lanes[i];
+        let head = lane.pop_front().expect("a filed lane has a head");
+        match lane.front() {
+            Some(next) => (top.0.at, top.0.seq) = (next.at, next.seq),
+            None => drop(PeekMut::pop(top)),
+        }
+        head.fire
     }
 
     /// The instant of the earliest pending timer or chain stop: lazy
@@ -681,14 +731,13 @@ impl Simulation {
                     target => self.core.wake(target),
                 }
             } else {
-                let Reverse(entry) = timers.events.pop().expect("peeked entry exists");
+                let (sink, token) = timers.pop_event();
                 if alone && Timers::due(&timers.events, at).is_none() {
                     drop(timers);
-                    let (sink, token) = entry.fire;
                     sink.fire(token);
                     break;
                 }
-                self.core.make_ready(entry.fire);
+                self.core.make_ready((sink, token));
             }
         }
         self.core.count(|s| s.timers_fired += fired);
@@ -793,8 +842,40 @@ impl SimHandle {
     /// task wakes and events of that instant by scheduling order —
     /// exactly where a task that slept until `at` would be polled.
     pub fn schedule_event(&self, at: SimTime, sink: Rc<dyn EventSink>, token: u64) {
-        let entry = self.core.entry(at, (sink, token));
+        let Reverse(entry) = self.core.entry(at, (sink, token));
+        let entry = Reverse(entry.map(Fire::Event));
         self.core.timers.borrow_mut().events.push(entry);
+    }
+
+    /// A new, empty lane of this simulation.
+    pub fn lane(&self) -> Lane {
+        let lanes = &mut self.core.timers.borrow_mut().lanes;
+        lanes.push(VecDeque::new());
+        Lane(lanes.len() - 1)
+    }
+
+    /// [`schedule_event`](Self::schedule_event) through `lane`: the
+    /// same instant and place in the order, but while the lane's
+    /// instants never decrease only its head sits in the timer heap.
+    /// An event due before the lane's tail is filed as a plain one.
+    pub fn schedule_in(&self, lane: Lane, at: SimTime, sink: Rc<dyn EventSink>, token: u64) {
+        let Reverse(entry) = self.core.entry(at, (sink, token));
+        let timers = &mut *self.core.timers.borrow_mut();
+        let queue = &mut timers.lanes[lane.0];
+        match queue.back().map(|tail| at < tail.at) {
+            // Behind its tail, the lane would no longer be sorted.
+            Some(true) => timers.events.push(Reverse(entry.map(Fire::Event))),
+            Some(false) => queue.push_back(entry),
+            None => {
+                let head = TimerEntry {
+                    at,
+                    seq: entry.seq,
+                    fire: Fire::Lane(lane.0),
+                };
+                queue.push_back(entry);
+                timers.events.push(Reverse(head));
+            }
+        }
     }
 
     /// Files the next step of `sink`'s chain at `at`, drawing its place
@@ -905,6 +986,7 @@ impl Future for Sleep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Mutex;
@@ -1466,13 +1548,185 @@ mod tests {
         let h = sim.handle();
         h.schedule_event(SimTime::from_nanos(50), Rc::clone(&sink) as _, 0);
         h.post_event(Rc::clone(&sink) as _, 1);
+        // A lane's head and an event parked behind it.
+        let lane = h.lane();
+        h.schedule_in(lane, SimTime::from_nanos(60), Rc::clone(&sink) as _, 2);
+        h.schedule_in(lane, SimTime::from_nanos(70), Rc::clone(&sink) as _, 3);
         sim.run_until(SimTime::from_nanos(10));
         assert_eq!(sink.log.borrow().len(), 1, "the posted event ran");
-        assert_eq!(Rc::strong_count(&sink), 2, "the timer keeps its sink alive");
+        assert_eq!(
+            Rc::strong_count(&sink),
+            4,
+            "pending events keep their sink alive"
+        );
         drop(sim);
         // The sink holds a handle into the core; the core must not hold
         // the sink in turn once its owner is gone.
         assert_eq!(Rc::strong_count(&sink), 1);
+    }
+
+    #[test]
+    fn an_entry_filed_before_its_lanes_tail_fires_at_its_own_key() {
+        let mut sim = Simulation::new(0);
+        let log = Log::default();
+        let sink = Rc::new(LogSink {
+            tag: "event",
+            h: sim.handle(),
+            log: Rc::clone(&log),
+        });
+        let h = sim.handle();
+        let lane = h.lane();
+        let file = |at: u64, token: u64, lane: Option<Lane>| {
+            let (at, sink) = (SimTime::from_nanos(at), Rc::clone(&sink) as _);
+            match lane {
+                Some(lane) => h.schedule_in(lane, at, sink, token),
+                None => h.schedule_event(at, sink, token),
+            }
+        };
+        file(100, 1, Some(lane));
+        file(75, 2, None);
+        // Before the tail at 100: filed as a plain event, ahead of it.
+        file(50, 3, Some(lane));
+        file(100, 4, Some(lane));
+        file(50, 5, None);
+        sim.run();
+        let fired: Vec<_> = log.borrow().iter().map(|&(_, t, at)| (t, at)).collect();
+        assert_eq!(fired, [(3, 50), (5, 50), (2, 75), (1, 100), (4, 100)]);
+        assert_eq!(sim.stats().timers_fired, 5);
+    }
+
+    /// Files a random mix of follow-ups each time it fires: FIFO
+    /// completions on two "engines", legs on a "wire" of one length
+    /// (some lagged out of order), plain events and letters for a
+    /// looker — through lanes, or all as plain events.
+    struct Mixer {
+        h: SimHandle,
+        through_lanes: bool,
+        /// Two engines and one wire.
+        lanes: [Lane; 3],
+        /// Each engine's next free instant, and the wire's last leg.
+        free: [Cell<u64>; 2],
+        wire_tail: Cell<u64>,
+        /// Legs filed behind the wire's tail.
+        behind: Cell<u64>,
+        rng: RefCell<StdRng>,
+        next_token: Cell<u64>,
+        looker: Rc<Looker>,
+        log: Log,
+    }
+
+    impl Mixer {
+        fn file(self: &Rc<Self>, at: u64, lane: Option<usize>) {
+            if lane == Some(2) {
+                self.behind
+                    .set(self.behind.get() + u64::from(at < self.wire_tail.get()));
+                self.wire_tail.set(self.wire_tail.get().max(at));
+            }
+            let token = self.next_token.get();
+            self.next_token.set(token + 1);
+            let (at, sink) = (SimTime::from_nanos(at), Rc::clone(self) as _);
+            match lane.filter(|_| self.through_lanes) {
+                Some(i) => self.h.schedule_in(self.lanes[i], at, sink, token),
+                None => self.h.schedule_event(at, sink, token),
+            }
+        }
+
+        /// Files one random follow-up.
+        fn follow_up(self: &Rc<Self>) {
+            let now = self.h.now().as_nanos();
+            let draw = self.rng.borrow_mut().gen::<u64>();
+            let step = 10 * (draw % 6);
+            match (draw >> 8) % 8 {
+                i @ (0 | 1) => {
+                    let free = &self.free[i as usize];
+                    free.set(free.get().max(now) + step);
+                    self.file(free.get(), Some(i as usize));
+                }
+                2..=4 => self.file(now + 40, Some(2)),
+                5 => self.file(now + 40 + step, Some(2)),
+                6 => self.file(now + step, None),
+                _ => {
+                    self.looker.mail.borrow_mut().push_back(1_000 + now);
+                    self.looker.replan();
+                }
+            }
+        }
+    }
+
+    impl EventSink for Mixer {
+        fn fire(self: Rc<Self>, token: u64) {
+            let now = self.h.now().as_nanos();
+            let looks = self.looker.looks.get();
+            self.log.borrow_mut().push(("mix", token, now));
+            self.log.borrow_mut().push(("looks", looks, now));
+            if now < 3_000 {
+                let n = self.rng.borrow_mut().gen_range(1..=2u64);
+                (0..n).for_each(|_| self.follow_up());
+            }
+        }
+    }
+
+    #[test]
+    fn a_random_schedule_fires_the_same_through_lanes_as_through_the_heap() {
+        let run = |through_lanes| {
+            let mut sim = Simulation::new(0);
+            let log = Log::default();
+            let looker = Rc::new(Looker {
+                tag: "look",
+                h: sim.handle(),
+                period: 50,
+                until: 4_000,
+                lazy: true,
+                mail: Mail::default(),
+                log: Rc::clone(&log),
+                looks: Cell::new(0),
+                busy: Cell::new(0),
+                head: Cell::new(None),
+            });
+            let h = sim.handle();
+            let mixer = Rc::new(Mixer {
+                h: h.clone(),
+                through_lanes,
+                lanes: [h.lane(), h.lane(), h.lane()],
+                free: Default::default(),
+                wire_tail: Cell::new(0),
+                behind: Cell::new(0),
+                rng: RefCell::new(StdRng::seed_from_u64(7)),
+                next_token: Cell::new(0),
+                looker: Rc::clone(&looker),
+                log: Rc::clone(&log),
+            });
+            looker.start();
+            for tag in ["s0", "s1", "s2"] {
+                let (h, log) = (sim.handle(), Rc::clone(&log));
+                let spans = [30, 50, 20, 40].into_iter().cycle();
+                sim.spawn(async move {
+                    for span in spans.take(60) {
+                        h.sleep(SimSpan::nanos(span)).await;
+                        log.borrow_mut().push((tag, 0, h.now().as_nanos()));
+                    }
+                });
+            }
+            for _ in 0..8 {
+                mixer.follow_up();
+            }
+            sim.run();
+            (log.take(), sim.stats(), mixer.behind.get())
+        };
+        let (heap, heap_stats, _) = run(false);
+        let (lanes, lane_stats, behind) = run(true);
+        assert_eq!(lanes, heap, "fire order");
+        assert_eq!(lane_stats, heap_stats);
+        assert!(behind > 0, "a lagged leg left the wire out of order");
+        // The mix ties lane heads, plain events, wakes and looks.
+        let at = |tag: &'static str| heap.iter().filter(move |e| e.0 == tag).map(|e| e.2);
+        let mixed: std::collections::HashSet<_> = at("mix").collect();
+        assert!(
+            at("look").any(|t| mixed.contains(&t)),
+            "a look ties an event"
+        );
+        assert!(at("s0").any(|t| mixed.contains(&t)), "a wake ties an event");
+        assert!(heap.len() > 500, "{} entries", heap.len());
     }
 
     /// A test chain on a lattice: a look every `period` from its start

@@ -9,7 +9,8 @@
 //! * timer futures ([`SimHandle::sleep`]), wake tickets for custom
 //!   futures ([`Wakeup`]) and typed timer events for clock-driven state
 //!   machines that are not tasks ([`EventSink`], keyed by a
-//!   generation-stamped [`Slab`]),
+//!   generation-stamped [`Slab`], and filed in a [`Lane`] where they
+//!   come due in the order they are filed),
 //! * a FIFO queueing resource ([`FifoServer`]) used to model NIC
 //!   engines, and serialized critical sections ([`SimLock`]),
 //! * synchronisation primitives for simulated processes ([`Channel`],
@@ -60,7 +61,7 @@ mod timeout;
 pub use coord::{Semaphore, SemaphoreGuard};
 pub use crc64::crc64;
 pub use executor::{
-    ChainSink, EventSink, ExecutorStats, Replan, SimHandle, Simulation, Sleep, Wakeup,
+    ChainSink, EventSink, ExecutorStats, Lane, Replan, SimHandle, Simulation, Sleep, Wakeup,
 };
 pub use health::{
     Anomaly, AnomalyDetector, AnomalyKind, Baseline, ConnHealth, ConnHealthReport, CoreLoad,

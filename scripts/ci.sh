@@ -55,10 +55,12 @@ ledger_smoke jakiro_get95_32b 8.1
 ledger_smoke cores4_zipf99 7.1 3.4
 # The allocation budget of the hot path, on the build that ships the
 # numbers (`cargo test -q` above ran it unoptimized) — and the executor's
-# ordering rules (lazy chains against eager ones, resumes) and the
-# sweep's, which are only worth anything in that build.
+# ordering rules (lazy chains against eager ones, lanes against plain
+# events, resumes), the sweep's, and the NIC engine's verb × transport ×
+# fault table, which pins every hop's instant: all only worth anything
+# in that build.
 cargo test -q --release -p rfp-core --test alloc_budget
-cargo test -q --release -p rfp-simnet -p rfp-core --lib
+cargo test -q --release -p rfp-simnet -p rfp-rnic -p rfp-core --lib
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
