@@ -102,9 +102,10 @@ pub struct ClientStats {
 }
 
 /// A connection's end-to-end call latencies: an exact running mean,
-/// and the samples themselves only where a telemetry registry exports
-/// them — a rig that books every call's latency itself does not pay
-/// for a second copy.
+/// and a [`Histogram`] of them only where a telemetry registry exports
+/// them — a rig that books every call's latency itself does not pay a
+/// second histogram's record and fold per call. Either histogram's
+/// memory grows with the distinct latencies it has seen, not with calls.
 #[derive(Default)]
 pub struct CallLatency {
     sum_ns: Cell<u128>,

@@ -500,6 +500,39 @@ mod tests {
     }
 
     #[test]
+    fn shared_histogram_union_takes_every_donor_sample() {
+        let reg = MetricsRegistry::new();
+        let (ha, hb) = (Rc::new(Histogram::new()), Rc::new(Histogram::new()));
+        reg.register_histogram("client.latency", &ha);
+        reg.register_histogram("client.latency", &hb);
+        let mut all = vec![40, 10];
+        // `hb` folds runs by size (1 500 > one tail), keeps the rest as
+        // an unfolded tail, and holds one sample past the `u32` range.
+        all.extend((0..1_500u64).map(|i| 100 + i % 7));
+        all.push(5_000_000_000);
+        for (i, &ns) in all.iter().enumerate() {
+            let cell = if i < 2 { &ha } else { &hb };
+            cell.record(SimSpan::nanos(ns));
+        }
+        all.sort_unstable();
+        let n = all.len();
+        let rank = |p: f64| all[((p * n as f64).ceil() as usize).max(1) - 1];
+        let snap = reg.snapshot();
+        let expect = MetricValue::Histogram {
+            count: n as u64,
+            mean_ns: all.iter().sum::<u64>() / n as u64,
+            p50_ns: rank(0.50),
+            p95_ns: rank(0.95),
+            p99_ns: rank(0.99),
+            max_ns: 5_000_000_000,
+        };
+        assert_eq!(snap.values["client.latency"], expect);
+        // The union leaves its donors' samples where they were.
+        assert_eq!((ha.len(), hb.len()), (2, n - 2));
+        assert_eq!(reg.snapshot().values["client.latency"], expect);
+    }
+
+    #[test]
     #[should_panic(expected = "different kind")]
     fn kind_conflicts_rejected() {
         let reg = MetricsRegistry::new();

@@ -38,27 +38,43 @@ impl Counter {
     }
 }
 
-/// A sample-recording histogram for latency-style measurements.
+/// An exact latency histogram: every sample is kept, as a count.
 ///
-/// Stores raw samples (nanoseconds); experiments in this workspace record
-/// at most a few million samples per run, so exact percentiles/CDFs are
-/// affordable and simpler than bucketing.
+/// Samples (nanoseconds) are stored as sorted `(value, count)` runs, so
+/// a histogram's memory grows with the distinct values it has seen, not
+/// with the calls that recorded them. The model's latencies sit on a
+/// coarse lattice: on the benchmark's workloads, 0.4–0.8 M call
+/// latencies take 39 to 11 180 distinct values. Every query stays exact —
+/// nearest-rank percentiles and CDFs, the `u128` mean — because nothing
+/// is bucketed.
 ///
-/// Samples live in two runs: a sorted prefix and an unsorted tail of
-/// recent inserts. Queries sort only the tail and merge it in, so a
-/// record/query/record pattern (time-series sampling does this every
-/// tick) costs O(tail log tail + n) per query instead of re-sorting all
-/// n samples each time.
+/// A record pushes into an unsorted tail of at most 1 024 samples.
+/// The tail folds into the runs when it fills and before every ordered
+/// query: it is sorted and merged into the runs in place, from the
+/// back, so a fold allocates nothing once the runs' capacity covers the
+/// distinct values.
 ///
-/// Both runs hold `u32` nanoseconds — half the memory of `u64` at the
-/// same exactness. The rare sample of 2³² ns (~4.3 s) or more goes to a
-/// third, sorted `wide` run; each of those sorts after every `u32`
-/// sample, so the sorted order is `sorted` followed by `wide`.
+/// A run is a `u32` value and a `u32` count, 8 B. A count that would
+/// pass `u32::MAX` spills into a second run of the same value. The rare
+/// sample of 2³² ns (~4.3 s) or more goes to a separate sorted `wide`
+/// run, one entry per sample; each of those sorts after every run.
 #[derive(Default)]
 pub struct Histogram {
-    sorted: RefCell<Vec<u32>>,
+    runs: RefCell<Vec<Run>>,
+    /// Samples held in `runs`.
+    folded: Cell<usize>,
     tail: RefCell<Vec<u32>>,
     wide: RefCell<Vec<u64>>,
+}
+
+/// The most samples a histogram's unsorted tail holds before it folds.
+const FOLD: usize = 1024;
+
+/// `count` samples of `value` nanoseconds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    value: u32,
+    count: u32,
 }
 
 impl Histogram {
@@ -71,7 +87,13 @@ impl Histogram {
     pub fn record(&self, span: SimSpan) {
         let ns = span.as_nanos();
         match u32::try_from(ns) {
-            Ok(v) => self.tail.borrow_mut().push(v),
+            Ok(v) => {
+                let mut tail = self.tail.borrow_mut();
+                tail.push(v);
+                if tail.len() == FOLD {
+                    self.fold_tail(&mut tail);
+                }
+            }
             Err(_) => {
                 let mut wide = self.wide.borrow_mut();
                 let at = wide.partition_point(|&w| w <= ns);
@@ -80,11 +102,16 @@ impl Histogram {
         }
     }
 
-    /// Adds every sample of `other`.
+    /// Adds every sample of `other`: its runs merge straight into ours.
     pub fn absorb(&self, other: &Histogram) {
-        let mut tail = self.tail.borrow_mut();
-        tail.extend_from_slice(&other.sorted.borrow());
-        tail.extend_from_slice(&other.tail.borrow());
+        other.fold();
+        let donor = other.runs.borrow();
+        merge_back(
+            &mut self.runs.borrow_mut(),
+            donor.len(),
+            donor.iter().rev().copied(),
+        );
+        self.folded.set(self.folded.get() + other.folded.get());
         let mut wide = self.wide.borrow_mut();
         wide.extend_from_slice(&other.wide.borrow());
         wide.sort_unstable();
@@ -92,7 +119,7 @@ impl Histogram {
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.sorted.borrow().len() + self.tail.borrow().len() + self.wide.borrow().len()
+        self.folded.get() + self.tail.borrow().len() + self.wide.borrow().len()
     }
 
     /// Whether no samples have been recorded.
@@ -102,56 +129,56 @@ impl Histogram {
 
     /// Discards all samples (e.g. after warm-up).
     pub fn reset(&self) {
-        self.sorted.borrow_mut().clear();
+        self.runs.borrow_mut().clear();
+        self.folded.set(0);
         self.tail.borrow_mut().clear();
         self.wide.borrow_mut().clear();
     }
 
-    /// Folds the unsorted tail into the sorted run and returns the
-    /// whole sorted order. The first fold swaps the sorted tail into
-    /// place; later ones merge it in from the back, in place — no
-    /// merged copy is ever allocated.
-    fn ranked(&self) -> Ranked<'_> {
+    /// Sorts the tail and merges it into the runs.
+    fn fold_tail(&self, tail: &mut Vec<u32>) {
+        tail.sort_unstable();
+        let groups = tail.chunk_by(|a, b| a == b);
+        let incoming = groups.clone().rev().map(|g| Run {
+            value: g[0],
+            count: g.len() as u32,
+        });
+        merge_back(&mut self.runs.borrow_mut(), groups.count(), incoming);
+        self.folded.set(self.folded.get() + tail.len());
+        tail.clear();
+    }
+
+    /// Folds whatever the tail holds into the runs.
+    fn fold(&self) {
         let mut tail = self.tail.borrow_mut();
         if !tail.is_empty() {
-            tail.sort_unstable();
-            let mut sorted = self.sorted.borrow_mut();
-            if sorted.is_empty() {
-                std::mem::swap(&mut *sorted, &mut *tail);
-            } else {
-                let (mut i, mut j) = (sorted.len(), tail.len());
-                sorted.resize(i + j, 0);
-                while j > 0 {
-                    if i > 0 && sorted[i - 1] > tail[j - 1] {
-                        sorted[i + j - 1] = sorted[i - 1];
-                        i -= 1;
-                    } else {
-                        sorted[i + j - 1] = tail[j - 1];
-                        j -= 1;
-                    }
-                }
-                tail.clear();
-            }
+            self.fold_tail(&mut tail);
         }
+    }
+
+    /// Folds the tail and returns every sample in sorted order.
+    fn ranked(&self) -> Ranked<'_> {
+        self.fold();
         Ranked {
-            narrow: self.sorted.borrow(),
+            runs: self.runs.borrow(),
             wide: self.wide.borrow(),
+            len: self.len(),
         }
     }
 
     /// Arithmetic mean, or `None` when empty. Order-insensitive, so the
-    /// tail is summed in place without merging.
+    /// tail is summed in place without folding.
     pub fn mean(&self) -> Option<SimSpan> {
         let n = self.len();
         if n == 0 {
             return None;
         }
-        let narrow: u128 = (self.sorted.borrow().iter())
-            .chain(self.tail.borrow().iter())
-            .map(|&v| v as u128)
+        let runs: u128 = (self.runs.borrow().iter())
+            .map(|r| r.value as u128 * r.count as u128)
             .sum();
+        let tail: u128 = self.tail.borrow().iter().map(|&v| v as u128).sum();
         let wide: u128 = self.wide.borrow().iter().map(|&v| v as u128).sum();
-        Some(SimSpan::nanos(((narrow + wide) / n as u128) as u64))
+        Some(SimSpan::nanos(((runs + tail + wide) / n as u128) as u64))
     }
 
     /// The `p`-th percentile (0.0..=100.0) by nearest-rank, or `None` when
@@ -163,13 +190,19 @@ impl Histogram {
     pub fn percentile(&self, p: f64) -> Option<SimSpan> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
         let s = self.ranked();
-        (s.len() > 0).then(|| SimSpan::nanos(s.nearest(p / 100.0)))
+        if s.len == 0 {
+            return None;
+        }
+        let at = s.nearest([p / 100.0]).next();
+        at.map(SimSpan::nanos)
     }
 
     /// Maximum sample, or `None` when empty.
     pub fn max(&self) -> Option<SimSpan> {
         let s = self.ranked();
-        (s.len() > 0).then(|| SimSpan::nanos(s.nth(s.len() - 1)))
+        let wide = s.wide.last().copied();
+        wide.or_else(|| s.runs.last().map(|r| r.value.into()))
+            .map(SimSpan::nanos)
     }
 
     /// Fraction of samples at or below `bound` (0.0 when empty) — the
@@ -177,58 +210,119 @@ impl Histogram {
     /// than the deadline are throughput but not goodput.
     pub fn frac_at_most(&self, bound: SimSpan) -> f64 {
         let s = self.ranked();
-        if s.len() == 0 {
+        if s.len == 0 {
             return 0.0;
         }
         let bound = bound.as_nanos();
         let n = match u32::try_from(bound) {
-            Ok(b) => s.narrow.partition_point(|&v| v <= b),
-            Err(_) => s.narrow.len() + s.wide.partition_point(|&v| v <= bound),
+            Ok(b) => (s.runs.iter())
+                .take_while(|r| r.value <= b)
+                .map(|r| r.count as usize)
+                .sum(),
+            Err(_) => self.folded.get() + s.wide.partition_point(|&v| v <= bound),
         };
-        n as f64 / s.len() as f64
+        n as f64 / s.len as f64
     }
 
     /// `points` evenly spaced (latency, cumulative-probability) pairs —
-    /// the series plotted in the paper's CDF figures (Figs 13 and 20).
+    /// the series plotted in the paper's CDF figures (Figs 13 and 20) —
+    /// read off in one pass over the runs.
     pub fn cdf(&self, points: usize) -> Vec<(SimSpan, f64)> {
         let s = self.ranked();
-        if s.len() == 0 || points == 0 {
+        if s.len == 0 || points == 0 {
             return Vec::new();
         }
-        (1..=points)
-            .map(|i| {
-                let frac = i as f64 / points as f64;
-                (SimSpan::nanos(s.nearest(frac)), frac)
-            })
+        let fracs = (1..=points).map(|i| i as f64 / points as f64);
+        (s.nearest(fracs.clone()))
+            .zip(fracs)
+            .map(|(v, frac)| (SimSpan::nanos(v), frac))
             .collect()
     }
 }
 
-/// A histogram's samples in sorted order: the `u32` run, then the
+/// Merges `incoming`, `k` sorted runs listed from the largest value
+/// down, into the sorted `runs` in place. The merged order is written
+/// from the back of `runs` grown by `k`, so no unread run is ever
+/// overwritten. Ours go first on a tie, so once `incoming` runs out
+/// every unread run of ours sorts below the merged front: it stays put,
+/// and only the merged suffix slides down over the gap that equal
+/// values left. A run meeting the last-written run of its value adds to
+/// its count; a sum past `u32::MAX` fills that run and spills the rest
+/// into a new one.
+fn merge_back(runs: &mut Vec<Run>, k: usize, incoming: impl Iterator<Item = Run>) {
+    let mut incoming = incoming.peekable();
+    let mut i = runs.len();
+    let end = i + k;
+    runs.resize(end, Run { value: 0, count: 0 });
+    // `runs[w..end]` is the merged suffix; `w - i` never falls below
+    // the incoming runs still unread.
+    let mut w = end;
+    while let Some(theirs) = incoming.peek() {
+        let mut next = match i.checked_sub(1).map(|at| runs[at]) {
+            Some(ours) if ours.value >= theirs.value => {
+                i -= 1;
+                ours
+            }
+            _ => incoming.next().expect("peeked"),
+        };
+        if w < end && runs[w].value == next.value {
+            let sum = u64::from(runs[w].count) + u64::from(next.count);
+            match u32::try_from(sum) {
+                Ok(sum) => {
+                    runs[w].count = sum;
+                    continue;
+                }
+                Err(_) => {
+                    runs[w].count = u32::MAX;
+                    next.count = (sum - u64::from(u32::MAX)) as u32;
+                }
+            }
+        }
+        w -= 1;
+        runs[w] = next;
+    }
+    runs.copy_within(w..end, i);
+    runs.truncate(i + end - w);
+}
+
+/// A folded histogram's samples in sorted order: the runs, then the
 /// `wide` run.
 struct Ranked<'a> {
-    narrow: Ref<'a, Vec<u32>>,
+    runs: Ref<'a, Vec<Run>>,
     wide: Ref<'a, Vec<u64>>,
+    len: usize,
 }
 
 impl Ranked<'_> {
-    fn len(&self) -> usize {
-        self.narrow.len() + self.wide.len()
+    /// Each distinct stretch of the sorted order as (value, samples at
+    /// or below it), ascending.
+    fn cumulative(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let runs = self
+            .runs
+            .iter()
+            .map(|r| (u64::from(r.value), r.count as usize));
+        let wide = self.wide.iter().map(|&v| (v, 1));
+        runs.chain(wide).scan(0, |seen, (v, c)| {
+            *seen += c;
+            Some((v, *seen))
+        })
     }
 
-    /// The `idx`-th smallest sample, in nanoseconds.
-    fn nth(&self, idx: usize) -> u64 {
-        match self.narrow.get(idx) {
-            Some(&v) => v.into(),
-            None => self.wide[idx - self.narrow.len()],
-        }
-    }
-
-    /// The nearest-rank sample at cumulative fraction `frac`, in
-    /// nanoseconds. Requires at least one sample.
-    fn nearest(&self, frac: f64) -> u64 {
-        let n = self.len();
-        self.nth(((frac * n as f64).ceil() as usize).max(1).min(n) - 1)
+    /// The nearest-rank sample at each cumulative fraction of `fracs`
+    /// (non-decreasing), in nanoseconds, in one walk over the runs.
+    /// Requires at least one sample.
+    fn nearest<'s, F>(&'s self, fracs: F) -> impl Iterator<Item = u64> + 's
+    where
+        F: IntoIterator<Item = f64>,
+        F::IntoIter: 's,
+    {
+        let n = self.len;
+        let mut walk = self.cumulative().peekable();
+        fracs.into_iter().map(move |frac| {
+            let rank = ((frac * n as f64).ceil() as usize).clamp(1, n);
+            while walk.next_if(|&(_, seen)| seen < rank).is_some() {}
+            walk.peek().expect("rank within the samples").0
+        })
     }
 }
 
@@ -414,34 +508,50 @@ mod tests {
     proptest! {
         /// Every query answers exactly what the same query on one plain
         /// sorted `Vec<u64>` of every sample answers, through any
-        /// interleaving of records, absorbs, resets and queries.
+        /// interleaving of records, bulk records past the fold size,
+        /// absorbs, resets and queries. A `lattice` case draws every
+        /// sample from a handful of values, as the model's latencies
+        /// fall, so runs take many counts and merge on equal values.
         #[test]
         fn histogram_matches_sorted_vec_reference(
-            ops in vec((0u8..10, sample(), 0.0f64..=100.0, vec(sample(), 0..6)), 1..80)
+            ops in vec((0u8..12, sample(), 0.0f64..=100.0, vec(sample(), 0..6), 0usize..2_500), 1..80),
+            lattice in any::<bool>(),
+            palette in vec(sample(), 1..6),
         ) {
             let h = Histogram::new();
             let mut reference: Vec<u64> = Vec::new();
-            for (kind, v, p, extra) in ops {
+            let pick = |v: u64| if lattice { palette[v as usize % palette.len()] } else { v };
+            for (kind, v, p, extra, bulk) in ops {
+                let v = pick(v);
+                let extra: Vec<u64> = extra.into_iter().map(pick).collect();
+                // `extra` over and over, `bulk` samples in all.
+                let many = || extra.iter().copied().cycle().take(bulk);
                 match kind {
                     0..=5 => {
                         h.record(SimSpan::nanos(v));
                         reference.push(v);
                     }
                     6 => {
-                        // A donor holding sorted, tail and wide samples.
+                        // A donor holding runs, a tail and wide samples.
                         let other = Histogram::new();
-                        for (i, &e) in extra.iter().enumerate() {
+                        for (i, e) in many().enumerate() {
                             other.record(SimSpan::nanos(e));
-                            if i == extra.len() / 2 {
+                            if i == bulk / 2 {
                                 let _ = other.max();
                             }
                         }
                         h.absorb(&other);
-                        reference.extend_from_slice(&extra);
+                        reference.extend(many());
                     }
                     7 => {
                         h.reset();
                         reference.clear();
+                    }
+                    8..=9 => {
+                        for e in many() {
+                            h.record(SimSpan::nanos(e));
+                        }
+                        reference.extend(many());
                     }
                     _ => {
                         let mut s = reference.clone();
@@ -479,6 +589,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn runs_grow_with_distinct_values_not_samples() {
+        let h = Histogram::new();
+        for i in 0..2_000_000u64 {
+            h.record(SimSpan::nanos(100 + (i * 7919) % 50));
+            assert!(h.tail.borrow().len() < FOLD);
+        }
+        assert!(h.runs.borrow().len() <= 50);
+        assert_eq!(h.len(), 2_000_000);
+        assert_eq!(h.percentile(100.0).unwrap().as_nanos(), 149);
+        assert_eq!(h.runs.borrow().len(), 50);
+        assert!(h.runs.borrow().iter().all(|r| r.count == 40_000));
+    }
+
+    #[test]
+    fn run_counts_spill_at_u32_max() {
+        let run = |value, count| Run { value, count };
+        let full = u32::MAX;
+        let h = Histogram::new();
+        *h.runs.borrow_mut() = vec![run(5, 1), run(7, full - 1)];
+        h.folded.set(1 + full as usize - 1);
+        for v in [7, 7, 7, 9] {
+            h.record(SimSpan::nanos(v));
+        }
+        // A sum past `u32::MAX` fills the run it meets and spills the
+        // rest into a new run of the same value, below it.
+        assert_eq!(h.max().unwrap().as_nanos(), 9);
+        assert_eq!(
+            *h.runs.borrow(),
+            [run(5, 1), run(7, 2), run(7, full), run(9, 1)]
+        );
+
+        let donor = Histogram::new();
+        *donor.runs.borrow_mut() = vec![run(7, full)];
+        donor.folded.set(full as usize);
+        h.absorb(&donor);
+        assert_eq!(
+            *h.runs.borrow(),
+            [run(5, 1), run(7, 2), run(7, full), run(7, full), run(9, 1)]
+        );
+        let n = 2 + 2 * full as usize + 2;
+        assert_eq!(h.len(), n);
+        assert_eq!(h.percentile(100.0 / n as f64).unwrap().as_nanos(), 5);
+        assert_eq!(h.percentile(50.0).unwrap().as_nanos(), 7);
+        assert_eq!(h.max().unwrap().as_nanos(), 9);
+        assert_eq!(h.mean().unwrap().as_nanos(), 7);
     }
 
     #[test]

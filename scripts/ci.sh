@@ -37,20 +37,25 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 # the older half, 0.883 with lock-step rounds — and the 4-core
 # Zipf(0.99) reactor — 3.602 with overlapped client rounds, 3.604
 # before them, 2.914 when every ring was scanned in full, 2.063 with a
-# fixed 8-request steal batch.
-ledger_smoke() { # <workload> <host_allocs_per_call ceiling> [sim_mops floor]
+# fixed 8-request steal batch. The echo bar's peak RSS is gated too:
+# latency histograms keep (value, count) runs, so memory grows with
+# distinct latencies, not calls — about 4.2 MiB, against 6.9 MiB when
+# every call kept its sample.
+ledger_smoke() { # <workload> <host_allocs_per_call ceiling> [sim_mops floor] [host_peak_rss_mib ceiling]
   local ledger
   ledger=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload "$1" --seed 42 --seconds 1 --trace 0)
   tail -n 1 <<<"$ledger" | grep -q '"correct": true'
-  awk -v max="$2" '$1 == "host_allocs_per_call" { seen = 1; if ($3 > max) { print "host_allocs_per_call " $3 " > " max; exit 1 } }
-       END { if (!seen) { print "host_allocs_per_call not printed"; exit 1 } }' <<<"$ledger"
-  if [[ $# -ge 3 ]]; then
-    awk -v min="$3" '$1 == "sim_mops" { seen = 1; if ($3 < min) { print "sim_mops " $3 " < " min; exit 1 } }
-         END { if (!seen) { print "sim_mops not printed"; exit 1 } }' <<<"$ledger"
-  fi
+  ledger_gate "$ledger" host_allocs_per_call '>' "$2"
+  if [[ $# -ge 3 ]]; then ledger_gate "$ledger" sim_mops '<' "$3"; fi
+  if [[ $# -ge 4 ]]; then ledger_gate "$ledger" host_peak_rss_mib '>' "$4"; fi
 }
-ledger_smoke echo_w16_32b 3.1 1.0
+ledger_gate() { # <ledger output> <metric> <'>' fails above | '<' fails below> <bound>
+  awk -v m="$2" -v op="$3" -v bound="$4" '$1 == m { seen = 1
+         if (op == ">" ? $3 > bound : $3 < bound) { print m " " $3 " " op " " bound; exit 1 } }
+       END { if (!seen) { print m " not printed"; exit 1 } }' <<<"$1"
+}
+ledger_smoke echo_w16_32b 3.1 1.0 5.0
 ledger_smoke jakiro_get95_32b 8.1
 ledger_smoke cores4_zipf99 7.1 3.4
 # The allocation budget of the hot path, on the build that ships the
