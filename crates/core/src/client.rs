@@ -88,7 +88,9 @@ pub struct ClientStats {
     extra_reads: Rc<Counter>,
     switches_to_reply: Rc<Counter>,
     switches_to_fetch: Rc<Counter>,
-    attempts_hist: RefCell<BTreeMap<u32, u64>>,
+    /// Calls by remote-fetch attempts: entry `n` counts the calls that
+    /// took `n`, grown to the largest count seen.
+    attempts_hist: RefCell<Vec<u64>>,
     /// Doorbell rings paid by the pipelined driver's batched fetch
     /// rounds (each covers ≥ 2 READs).
     doorbells: Counter,
@@ -101,11 +103,14 @@ pub struct ClientStats {
     pub latency: CallLatency,
 }
 
-/// A connection's end-to-end call latencies: an exact running mean,
-/// and a [`Histogram`] of them only where a telemetry registry exports
-/// them — a rig that books every call's latency itself does not pay a
-/// second histogram's record and fold per call. Either histogram's
-/// memory grows with the distinct latencies it has seen, not with calls.
+/// A connection's end-to-end call latencies: an exact running mean of
+/// its own, and — only where a telemetry registry exports them — the
+/// registry's one [`Histogram`] cell for `{prefix}.latency`, which every
+/// connection sharing that prefix records into (a client's connections
+/// to each server thread keep one cell between them, not one each). A
+/// rig that books every call's latency itself does not pay a second
+/// histogram's record and fold per call. The cell's memory grows with
+/// the distinct latencies it has seen, not with calls or connections.
 #[derive(Default)]
 pub struct CallLatency {
     sum_ns: Cell<u128>,
@@ -129,7 +134,9 @@ impl CallLatency {
         (calls > 0).then(|| SimSpan::nanos((self.sum_ns.get() / calls as u128) as u64))
     }
 
-    /// The per-call samples, kept only while a registry exports them.
+    /// The exported per-call samples, kept only while a registry
+    /// exports them: the cell shared by every connection under this
+    /// one's prefix, so it holds their calls as well as this one's.
     pub fn samples(&self) -> Option<&Rc<Histogram>> {
         self.samples.get()
     }
@@ -149,25 +156,29 @@ impl ClientStats {
         if info.extra_read {
             self.extra_reads.incr();
         }
-        *self
-            .attempts_hist
-            .borrow_mut()
-            .entry(info.attempts)
-            .or_insert(0) += 1;
         self.latency.record(info.latency);
+        let mut hist = self.attempts_hist.borrow_mut();
+        let n = info.attempts as usize;
+        if n >= hist.len() {
+            hist.resize(n + 1, 0);
+        }
+        hist[n] += 1;
     }
 
     /// Exposes the shared cells in `registry` as `{prefix}.calls`,
-    /// `.extra_reads`, `.switches.to_reply`, `.switches.to_fetch` and
-    /// `.latency` (connections sharing a prefix export their sum).
+    /// `.extra_reads`, `.switches.to_reply` and `.switches.to_fetch`
+    /// (connections sharing a prefix export their sum; each keeps its
+    /// own, which [`RfpClient::stats`] reads), and records latencies
+    /// into the registry's one `{prefix}.latency` cell, which every
+    /// connection under the prefix shares.
     pub(crate) fn register_into(&self, registry: &MetricsRegistry, prefix: &str) {
         let counter = |name, cell| registry.register_counter(&format!("{prefix}.{name}"), cell);
         counter("calls", &self.calls);
         counter("extra_reads", &self.extra_reads);
         counter("switches.to_reply", &self.switches_to_reply);
         counter("switches.to_fetch", &self.switches_to_fetch);
-        let samples = self.latency.samples.get_or_init(Rc::default);
-        registry.register_histogram(&format!("{prefix}.latency"), samples);
+        let cell = registry.histogram(&format!("{prefix}.latency"));
+        self.latency.samples.get_or_init(|| cell);
     }
 
     pub(crate) fn record_switch(&self, to: Mode) {
@@ -188,7 +199,9 @@ impl ClientStats {
             return 0.0;
         }
         let hist = self.attempts_hist.borrow();
-        let attempts: u64 = hist.iter().map(|(&a, &calls)| a as u64 * calls).sum();
+        let attempts: u64 = (hist.iter().enumerate())
+            .map(|(a, &calls)| a as u64 * calls)
+            .sum();
         attempts as f64 / self.calls() as f64
     }
 
@@ -202,29 +215,24 @@ impl ClientStats {
         if self.calls() == 0 {
             return 0.0;
         }
-        let above: u64 = self
-            .attempts_hist
-            .borrow()
-            .iter()
-            .filter(|(&a, _)| a > n)
-            .map(|(_, &c)| c)
-            .sum();
+        let hist = self.attempts_hist.borrow();
+        let above: u64 = hist.iter().skip(n as usize + 1).sum();
         above as f64 / self.calls() as f64
     }
 
     /// Largest attempt count observed (the paper's "largest N").
     pub fn max_attempts(&self) -> u32 {
-        self.attempts_hist
-            .borrow()
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(0)
+        // `record` grows the histogram to the count it books, and
+        // `reset` empties it, so its last entry is never zero.
+        self.attempts_hist.borrow().len().saturating_sub(1) as u32
     }
 
-    /// Histogram of attempts → call count.
+    /// Histogram of attempts → call count, for the attempt counts some
+    /// call took.
     pub fn attempts_histogram(&self) -> BTreeMap<u32, u64> {
-        self.attempts_hist.borrow().clone()
+        let hist = self.attempts_hist.borrow();
+        let taken = hist.iter().enumerate().filter(|&(_, &calls)| calls > 0);
+        taken.map(|(a, &calls)| (a as u32, calls)).collect()
     }
 
     /// Times the connection switched into server-reply mode.
@@ -252,7 +260,8 @@ impl ClientStats {
         self.single_reads.get()
     }
 
-    /// Clears all statistics (discard warm-up).
+    /// Clears all statistics (discard warm-up), the exported latency
+    /// cell included: reset every connection under a prefix together.
     pub fn reset(&self) {
         self.calls.reset();
         self.extra_reads.reset();

@@ -97,9 +97,9 @@ pub(crate) struct Observer {
     recorder: Option<FlightRecorder>,
     /// This connection's rolling health window.
     pub health: Option<Rc<ConnHealth>>,
-    /// Per-slot spans of the in-flight requests, when telemetry is
-    /// configured. Both endpoints add milestones; each ring slot
-    /// carries one request at a time, so one entry per slot suffices.
+    /// Per-slot spans of the in-flight requests: one entry per ring slot
+    /// when telemetry is configured, none otherwise. Both endpoints add
+    /// milestones; each slot carries one request at a time.
     spans: RefCell<Vec<Option<RequestTrace>>>,
     /// The client's always-on statistics. A telemetry registry exports
     /// the same cells under the prefix, so a call is booked once.
@@ -136,7 +136,7 @@ impl Observer {
             conn_id: cfg.conn_id,
             recorder: cfg.recorder.clone(),
             health: cfg.health.as_ref().map(|h| h.conn(cfg.conn_id)),
-            spans: RefCell::new((0..cfg.window).map(|_| None).collect()),
+            spans: RefCell::new(vec![None; if named.is_some() { cfg.window } else { 0 }]),
             stats,
             retries: counter("retries"),
             fallback_fetches: counter("fallback_fetches"),
@@ -212,7 +212,7 @@ impl Observer {
 
     /// Adds a milestone to `slot`'s in-flight span, if one exists.
     pub(crate) fn span_mark(&self, slot: usize, now: SimTime, label: &'static str) {
-        if let Some(span) = &mut self.spans.borrow_mut()[slot] {
+        if let Some(Some(span)) = self.spans.borrow_mut().get_mut(slot) {
             span.mark_unordered(now, label);
         }
     }
@@ -228,6 +228,6 @@ impl Observer {
 
     /// Forgets `slot`'s span (a call interrupted by a server restart).
     pub(crate) fn span_drop(&self, slot: usize) -> Option<RequestTrace> {
-        self.spans.borrow_mut()[slot].take()
+        self.spans.borrow_mut().get_mut(slot)?.take()
     }
 }

@@ -6,7 +6,9 @@
 use rfp_kvstore::{
     spawn_jakiro, spawn_memcached, spawn_pilaf, spawn_server_reply_kv, KvSystem, SystemConfig,
 };
-use rfp_simnet::{SimSpan, Simulation};
+use std::rc::Rc;
+
+use rfp_simnet::{Histogram, MetricValue, SimSpan, Simulation};
 use rfp_workload::{OpMix, WorkloadSpec};
 
 /// Runs a spawned system through warm-up and a measurement window;
@@ -60,6 +62,79 @@ fn jakiro_correctness_and_low_miss_rate() {
         (2_000..20_000).contains(&p50.as_nanos()),
         "odd median latency {p50}"
     );
+}
+
+/// Checks every client's exported `rfp.client.<i>.latency` against its
+/// connections, one per server shard (`rfp_clients` is seat-major):
+/// they all record into that one cell, so its count is the sum of
+/// their calls and its mean their calls' weighted mean, and the
+/// exported p50 / p99 / max are the cell's. All the cells together hold
+/// exactly the ledger's `kv.latency` samples.
+fn check_client_latency(sys: &KvSystem, shards: usize) {
+    let exported = sys.registry.snapshot().values;
+    let all = Histogram::new();
+    for (i, conns) in sys.rfp_clients.chunks(shards).enumerate() {
+        let cell = sys.registry.histogram(&format!("rfp.client.{i}.latency"));
+        let (mut calls, mut weighted_ns) = (0, 0);
+        for conn in conns {
+            let latency = &conn.stats().latency;
+            let own = latency.samples().expect("telemetry keeps samples");
+            assert!(Rc::ptr_eq(own, &cell), "client {i}: a cell per connection");
+            let n = conn.stats().calls();
+            assert!(n > 0, "client {i}: an idle connection proves nothing");
+            calls += n;
+            weighted_ns += n * latency.mean().unwrap().as_nanos();
+        }
+        assert_eq!(cell.len() as u64, calls, "client {i}: count");
+        let ns = |p: f64| cell.percentile(p).unwrap().as_nanos();
+        let MetricValue::Histogram {
+            count,
+            mean_ns,
+            p50_ns,
+            p99_ns,
+            max_ns,
+            ..
+        } = exported[&format!("rfp.client.{i}.latency")]
+        else {
+            panic!("client {i}: latency is not a histogram");
+        };
+        assert_eq!(count, calls, "client {i}: exported count");
+        // Each connection's mean is floored, so theirs lag by < 1 ns.
+        let mean = weighted_ns / calls;
+        assert!((mean..=mean + 1).contains(&mean_ns), "client {i}: mean");
+        assert_eq!(mean_ns, cell.mean().unwrap().as_nanos(), "client {i}: mean");
+        assert_eq!(
+            (p50_ns, p99_ns),
+            (ns(50.0), ns(99.0)),
+            "client {i}: p50, p99"
+        );
+        assert_eq!(max_ns, cell.max().unwrap().as_nanos(), "client {i}: max");
+        all.absorb(&cell);
+    }
+    let ledger = &sys.stats.latency;
+    assert_eq!(all.len(), ledger.len());
+    assert_eq!(all.mean(), ledger.mean());
+    for p in [50.0, 99.0, 100.0] {
+        assert_eq!(all.percentile(p), ledger.percentile(p), "p{p}");
+    }
+}
+
+#[test]
+fn client_latency_exports_one_cell_per_client() {
+    let cfg = SystemConfig {
+        server_threads: 3,
+        client_machines: 2,
+        clients_per_machine: 2,
+        ..small_cfg()
+    };
+    let mut sim = Simulation::new(cfg.seed);
+    let sys = spawn_jakiro(&mut sim, &cfg);
+    assert_eq!(sys.rfp_clients.len(), 4 * cfg.server_threads);
+    sim.run_for(SimSpan::millis(1));
+    check_client_latency(&sys, cfg.server_threads);
+    sys.reset_measurements();
+    sim.run_for(SimSpan::millis(1));
+    check_client_latency(&sys, cfg.server_threads);
 }
 
 #[test]

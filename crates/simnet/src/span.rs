@@ -43,24 +43,76 @@ pub struct Phase {
 }
 
 /// The recorded lifecycle of one request.
+///
+/// A trace keeps its first eight marks in place and moves them to the
+/// heap only when a ninth arrives, so opening, marking, retaining and
+/// evicting the trace of an ordinary call allocates nothing.
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
     /// Caller-chosen request identity (e.g. RFP sequence number).
     pub id: u64,
     /// Display row, e.g. the issuing client's index.
     pub track: u32,
-    marks: Vec<(SimTime, &'static str)>,
+    marks: Marks,
+}
+
+/// One milestone: its instant and its label.
+type Mark = (SimTime, &'static str);
+
+/// Marks a trace holds without a heap allocation: a whole ordinary call
+/// (issue, request written, server dequeue, response posted, a few
+/// fetch READs, completed).
+const INLINE: usize = 8;
+
+/// A trace's marks in timestamp order: in place up to [`INLINE`] of
+/// them, all on the heap past that.
+#[derive(Clone)]
+enum Marks {
+    Inline { len: u8, buf: [Mark; INLINE] },
+    Spilled(Vec<Mark>),
+}
+
+impl Marks {
+    fn as_slice(&self) -> &[Mark] {
+        match self {
+            Marks::Inline { len, buf } => &buf[..*len as usize],
+            Marks::Spilled(marks) => marks,
+        }
+    }
+
+    /// Inserts `mark` at index `at`, shifting the marks after it.
+    fn insert(&mut self, at: usize, mark: Mark) {
+        match self {
+            Marks::Inline { len, buf } if (*len as usize) < INLINE => {
+                buf.copy_within(at..*len as usize, at + 1);
+                buf[at] = mark;
+                *len += 1;
+            }
+            Marks::Inline { buf, .. } => {
+                let mut marks = Vec::with_capacity(2 * INLINE);
+                marks.extend_from_slice(&buf[..at]);
+                marks.push(mark);
+                marks.extend_from_slice(&buf[at..]);
+                *self = Marks::Spilled(marks);
+            }
+            Marks::Spilled(marks) => marks.insert(at, mark),
+        }
+    }
+}
+
+impl std::fmt::Debug for Marks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
 }
 
 impl RequestTrace {
     /// Starts a trace for request `id` on display row `track`, with its
     /// first milestone `label` at instant `at`.
     pub fn begin(id: u64, track: u32, at: SimTime, label: &'static str) -> Self {
-        // One reservation covers a whole ordinary call (issue, request
-        // written, server dequeue, response posted, a few fetch READs,
-        // completed) instead of growing 1 → 4 → 8 as marks arrive.
-        let mut marks = Vec::with_capacity(8);
-        marks.push((at, label));
+        let mut buf = [(SimTime::ZERO, ""); INLINE];
+        buf[0] = (at, label);
+        let marks = Marks::Inline { len: 1, buf };
         RequestTrace { id, track, marks }
     }
 
@@ -71,9 +123,10 @@ impl RequestTrace {
     /// Panics if `at` precedes the previous mark — simulated requests
     /// move forward in time.
     pub fn mark(&mut self, at: SimTime, label: &'static str) {
-        let (last, _) = *self.marks.last().expect("trace always has marks");
+        let marks = self.marks();
+        let (last, _) = *marks.last().expect("trace always has marks");
         assert!(at >= last, "span mark moves backwards: {at} < {last}");
-        self.marks.push((at, label));
+        self.marks.insert(marks.len(), (at, label));
     }
 
     /// Records a milestone that may be observed out of order relative
@@ -81,32 +134,31 @@ impl RequestTrace {
     /// the client's ACK-driven WRITE completion): inserts in timestamp
     /// order, after existing marks with the same instant.
     pub fn mark_unordered(&mut self, at: SimTime, label: &'static str) {
-        let pos = self.marks.partition_point(|&(t, _)| t <= at);
+        let pos = self.marks().partition_point(|&(t, _)| t <= at);
         self.marks.insert(pos, (at, label));
     }
 
     /// The recorded milestones, oldest first.
     pub fn marks(&self) -> &[(SimTime, &'static str)] {
-        &self.marks
+        self.marks.as_slice()
     }
 
     /// When the request was issued.
     fn started_at(&self) -> SimTime {
-        self.marks[0].0
+        self.marks()[0].0
     }
 
     /// Time from first to last mark. Zero for a trace with one mark.
     pub fn end_to_end(&self) -> SimSpan {
-        let first = self.marks[0].0;
-        let last = self.marks[self.marks.len() - 1].0;
-        last.since(first)
+        let marks = self.marks();
+        marks[marks.len() - 1].0.since(marks[0].0)
     }
 
     /// The intervals between consecutive marks. Their durations sum
     /// exactly to [`end_to_end`](RequestTrace::end_to_end) — each is the
     /// difference of adjacent timestamps, so the sum telescopes.
     pub fn phases(&self) -> Vec<Phase> {
-        self.marks
+        self.marks()
             .windows(2)
             .map(|w| Phase {
                 name: w[1].1,
@@ -140,7 +192,7 @@ impl SpanRecorder {
         assert!(capacity > 0, "span capacity must be positive");
         SpanRecorder {
             inner: Rc::new(RefCell::new(Inner {
-                spans: VecDeque::with_capacity(capacity.min(4096)),
+                spans: VecDeque::new(),
                 capacity,
                 recorded: 0,
                 dropped: 0,
@@ -151,6 +203,12 @@ impl SpanRecorder {
     /// Stores a finished trace, evicting the oldest when full.
     pub fn record(&self, trace: RequestTrace) {
         let mut inner = self.inner.borrow_mut();
+        if inner.spans.capacity() == 0 {
+            // Reserved at the first trace, not at `new`: a rig that
+            // files none keeps no ring of inline traces.
+            let ring = inner.capacity.min(4096);
+            inner.spans.reserve_exact(ring);
+        }
         if inner.spans.len() == inner.capacity {
             inner.spans.pop_front();
             inner.dropped += 1;
@@ -257,6 +315,9 @@ fn micros(ns: u64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     fn t(ns: u64) -> SimTime {
@@ -363,6 +424,69 @@ mod tests {
         assert!(b.contains("\"req\": 7"), "{b}");
         // Disjoint window keeps nothing but stays valid JSON.
         assert_eq!(render(5_000, 6_000), "[\n]\n");
+    }
+
+    /// The Chrome-trace bytes of one trace with `marks`, written out by
+    /// hand from the format `write_chrome_trace` documents.
+    fn chrome_reference(id: u64, track: u32, marks: &[Mark]) -> String {
+        let events: Vec<String> = (marks.windows(2))
+            .map(|w| {
+                format!(
+                    "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 0, \"tid\": {track}, \
+                     \"ts\": {}, \"dur\": {}, \"args\": {{\"req\": {id}}}}}",
+                    w[1].1,
+                    micros(w[0].0.as_nanos()),
+                    micros(w[1].0.since(w[0].0).as_nanos()),
+                )
+            })
+            .collect();
+        if events.is_empty() {
+            return "[\n]\n".to_string();
+        }
+        format!("[\n{}\n]\n", events.join(",\n"))
+    }
+
+    proptest! {
+        /// A trace answers what a plain `Vec` of its marks answers —
+        /// marks, phases and Chrome-trace bytes — after every `mark` and
+        /// `mark_unordered` of a sequence that outgrows the inline marks.
+        #[test]
+        fn inline_marks_match_a_vec_reference(
+            steps in vec((any::<bool>(), 0u64..400, 0usize..4), INLINE + 1..3 * INLINE),
+        ) {
+            const LABELS: [&str; 4] =
+                ["request_written", "fetch_read", "server_dequeued", "completed"];
+            let mut trace = RequestTrace::begin(11, 3, t(1_000), "issue");
+            let mut reference: Vec<Mark> = vec![(t(1_000), "issue")];
+            for (unordered, offset, label) in steps {
+                let label = LABELS[label];
+                if unordered {
+                    // Anywhere from just before the issue to past the end.
+                    let at = t(900 + offset * 8);
+                    trace.mark_unordered(at, label);
+                    let pos = reference.partition_point(|&(m, _)| m <= at);
+                    reference.insert(pos, (at, label));
+                } else {
+                    let at = t(reference.last().unwrap().0.as_nanos() + offset);
+                    trace.mark(at, label);
+                    reference.push((at, label));
+                }
+                prop_assert_eq!(trace.marks(), &reference[..]);
+                let phases: Vec<Phase> = (reference.windows(2))
+                    .map(|w| Phase { name: w[1].1, start: w[0].0, duration: w[1].0.since(w[0].0) })
+                    .collect();
+                prop_assert_eq!(trace.phases(), phases);
+                let end = reference.last().unwrap().0.since(reference[0].0);
+                prop_assert_eq!(trace.end_to_end(), end);
+                let rec = SpanRecorder::new(1);
+                rec.record(trace.clone());
+                let mut out = Vec::new();
+                rec.write_chrome_trace(&mut out).unwrap();
+                let bytes = String::from_utf8(out).unwrap();
+                prop_assert_eq!(bytes, chrome_reference(11, 3, &reference));
+            }
+            prop_assert!(matches!(trace.marks, Marks::Spilled(_)));
+        }
     }
 
     #[test]
