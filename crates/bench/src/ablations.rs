@@ -314,15 +314,6 @@ fn ablation_farm(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// All ablations, in order.
-pub fn all(w: &mut dyn Write) -> io::Result<()> {
-    for (name, f) in ABLATIONS {
-        writeln!(w, "## {name}")?;
-        f(w)?;
-    }
-    Ok(())
-}
-
 /// Registry of the ablation experiments.
 pub const ABLATIONS: &[(&str, crate::figures::ExperimentFn)] = &[
     ("ablation_transports", ablation_transports),

@@ -2,23 +2,9 @@
 //! parameter selection). With a directory argument, each is also
 //! written to `<dir>/<name>.csv`.
 
-use std::io::Write;
+use std::path::PathBuf;
 
 fn main() {
-    let dir = std::env::args().nth(1);
-    let mut out = std::io::stdout().lock();
-    for (name, f) in rfp_bench::ablations::ABLATIONS {
-        writeln!(out, "## {name}").expect("stdout");
-        if let Some(dir) = &dir {
-            std::fs::create_dir_all(dir).expect("create output dir");
-            let mut file = std::fs::File::create(format!("{dir}/{name}.csv")).expect("create csv");
-            f(&mut file).expect("write csv");
-            let body = std::fs::read_to_string(format!("{dir}/{name}.csv")).expect("read back");
-            out.write_all(body.as_bytes()).expect("stdout");
-        } else {
-            f(&mut out).expect("stdout");
-        }
-    }
-    let path = rfp_bench::telemetry::emit_bench_json("ablations").expect("write bench json");
-    writeln!(out, "# bench registry exported to {}", path.display()).expect("stdout");
+    let dir = std::env::args_os().nth(1).map(PathBuf::from);
+    rfp_bench::print_tables(rfp_bench::ablations::ABLATIONS, dir.as_deref()).expect("write tables");
 }

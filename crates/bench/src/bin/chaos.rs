@@ -13,10 +13,10 @@
 //! cargo run --release -p rfp-bench --bin chaos [seed]
 //! ```
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::OverloadConfig;
-use rfp_simnet::{SimSpan, SimTime, Simulation};
+use rfp_simnet::{MetricsRegistry, SimSpan, SimTime, Simulation};
 
 /// Faults strike after this much warm-up…
 const FAULT_AT: SimTime = SimTime::from_nanos(2_000_000);
@@ -90,10 +90,7 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     println!("# chaos ablation: Jakiro-style rig with client-side recovery");
     println!(
@@ -106,7 +103,7 @@ fn main() {
          rejected,busy_rejects,sheds"
     );
 
-    let bench = bench_registry();
+    let bench = MetricsRegistry::new();
     for Scenario {
         name,
         plan,
@@ -205,6 +202,6 @@ fn main() {
         "a cold restart must lose keys a warm restart keeps"
     );
 
-    let path = emit_bench_json("chaos").expect("write bench json");
+    let path = emit_bench_json("chaos", &bench).expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());
 }

@@ -25,9 +25,9 @@
 //! cargo run --release -p rfp-bench --bin cores [seed]
 //! ```
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_kvstore::{spawn_cores_kv, CoresConfig, CoresKv};
-use rfp_simnet::{SimSpan, Simulation};
+use rfp_simnet::{MetricsRegistry, SimSpan, Simulation};
 
 /// Core counts swept.
 const CORE_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -116,10 +116,7 @@ fn fingerprint(sys: &CoresKv) -> String {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     println!("# cores sweep: reactor cores x skew, 32B GETs");
     println!(
@@ -129,7 +126,7 @@ fn main() {
     );
     println!("cores,mode,kops,steals,handoffs,imbalance_milli,served_per_core");
 
-    let bench = bench_registry();
+    let bench = MetricsRegistry::new();
     let mut points = Vec::new();
     for &n in &CORE_COUNTS {
         let modes: &[Mode] = if n == 1 {
@@ -245,7 +242,7 @@ fn main() {
     }
     assert_eq!(fps[0], fps[1], "same-seed runs must be byte-identical");
 
-    let path = emit_bench_json("cores").expect("write BENCH_cores.json");
+    let path = emit_bench_json("cores", &bench).expect("write BENCH_cores.json");
     println!("# wrote {}", path.display());
     println!("# all core-scaling assertions passed");
 }

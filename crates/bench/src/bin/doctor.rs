@@ -14,11 +14,14 @@
 //! cargo run --release -p rfp-bench --bin doctor [seed]
 //! ```
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::OverloadConfig;
 use rfp_kvstore::{spawn_cores_kv, CoresConfig};
-use rfp_simnet::{AnomalyDetector, AnomalyKind, DumpBundle, SimSpan, SimTime, Simulation};
+use rfp_simnet::{
+    Anomaly, AnomalyDetector, AnomalyKind, DumpBundle, MetricsRegistry, SimSpan, SimTime,
+    Simulation,
+};
 
 /// Faults strike after this much warm-up…
 const FAULT_AT: SimTime = SimTime::from_nanos(2_000_000);
@@ -109,11 +112,22 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
     ]
 }
 
+/// Folds one matrix row into `bench`: a counter for every anomaly kind,
+/// zero or not (a stable export shape), and the calls it completed.
+fn export_row(bench: &MetricsRegistry, name: &str, anomalies: &[Anomaly], completed: u64) {
+    for kind in AnomalyKind::all() {
+        let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
+        bench
+            .counter(&format!("bench.doctor.{name}.{}", kind.as_str()))
+            .add(count);
+    }
+    bench
+        .counter(&format!("bench.doctor.{name}.completed"))
+        .add(completed);
+}
+
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     println!("# doctor: fault-class detection matrix on the chaos rig");
     println!(
@@ -122,7 +136,7 @@ fn main() {
     );
     println!("scenario,completed,calls_win,p99_us,retry_rate,expected,detected,bundle_bytes");
 
-    let bench = bench_registry();
+    let bench = MetricsRegistry::new();
     for scenario in scenarios(seed) {
         let mut sim = Simulation::new(seed);
         let mut cfg = ChaosConfig {
@@ -243,17 +257,7 @@ fn main() {
             bundle_bytes,
         );
 
-        // Stable-shape export: every (scenario, kind) cell of the
-        // matrix gets a counter, zero or not.
-        for kind in AnomalyKind::all() {
-            let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
-            bench
-                .counter(&format!("bench.doctor.{}.{}", scenario.name, kind.as_str()))
-                .add(count);
-        }
-        bench
-            .counter(&format!("bench.doctor.{}.completed", scenario.name))
-            .add(rig.state.completed.get());
+        export_row(&bench, scenario.name, &anomalies, rig.state.completed.get());
     }
 
     // ---- failover rows: the replicated primary/backup rig ----
@@ -365,15 +369,7 @@ fn main() {
             bundle_bytes,
         );
 
-        for kind in AnomalyKind::all() {
-            let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
-            bench
-                .counter(&format!("bench.doctor.{}.{}", name, kind.as_str()))
-                .add(count);
-        }
-        bench
-            .counter(&format!("bench.doctor.{name}.completed"))
-            .add(rig.state.completed.get());
+        export_row(&bench, name, &anomalies, rig.state.completed.get());
     }
 
     // ---- core-balance rows: the multi-core serve reactor rig ----
@@ -437,17 +433,9 @@ fn main() {
             },
         );
 
-        for kind in AnomalyKind::all() {
-            let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
-            bench
-                .counter(&format!("bench.doctor.{}.{}", name, kind.as_str()))
-                .add(count);
-        }
-        bench
-            .counter(&format!("bench.doctor.{name}.completed"))
-            .add(sys.stats.completed.get());
+        export_row(&bench, name, &anomalies, sys.stats.completed.get());
     }
 
-    let path = emit_bench_json("doctor").expect("write bench json");
+    let path = emit_bench_json("doctor", &bench).expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());
 }

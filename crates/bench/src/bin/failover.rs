@@ -31,7 +31,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::{connect, serve_loop, RfpConfig};
 use rfp_kvstore::replica::{
@@ -39,7 +39,7 @@ use rfp_kvstore::replica::{
 };
 use rfp_kvstore::{kv_handler, KvRequest, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{derive_seed, SimSpan, SimTime, Simulation};
+use rfp_simnet::{derive_seed, MetricsRegistry, SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
 /// Faults strike after this much warm-up…
@@ -72,7 +72,13 @@ fn ack_name(ack: AckPolicy) -> &'static str {
     }
 }
 
-fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
+fn run_scenario(
+    bench: &MetricsRegistry,
+    seed: u64,
+    scenario: &str,
+    ack: AckPolicy,
+    clients: usize,
+) {
     let mut sim = Simulation::new(seed);
     let cfg = ChaosConfig {
         clients,
@@ -129,7 +135,6 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
         linearizable as u32,
     );
 
-    let bench = bench_registry();
     let row = format!("bench.failover.{scenario}_{}_{clients}", ack_name(ack));
     for (metric, value) in [
         ("completed", st.completed.get()),
@@ -277,10 +282,7 @@ fn tax_run(seed: u64, repl: Option<AckPolicy>) -> (u64, u64) {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     println!("# failover sweep: replicated KV rig under crash/partition faults");
     println!(
@@ -293,10 +295,11 @@ fn main() {
         "scenario,ack,clients,completed,acked_puts,failed_calls,lost_acked,stale_reads,\
          failovers,promoted,failover_us_max,hist_ops,linearizable"
     );
+    let bench = MetricsRegistry::new();
     for scenario in ["crash", "partition"] {
         for ack in [AckPolicy::Sync, AckPolicy::Async] {
             for clients in [2usize, 4] {
-                run_scenario(seed, scenario, ack, clients);
+                run_scenario(&bench, seed, scenario, ack, clients);
             }
         }
     }
@@ -305,7 +308,6 @@ fn main() {
     println!("mode,ops,shipped,mops_per_s,tax_pct");
     let (off, _) = tax_run(seed, None);
     let secs = TAX_WINDOW.as_nanos() as f64 / 1e9;
-    let bench = bench_registry();
     let mut sync_ops = 0;
     for (mode, (ops, shipped)) in [
         ("off", (off, 0)),
@@ -338,6 +340,6 @@ fn main() {
         TAX_BOUND * 100.0
     );
 
-    let path = emit_bench_json("failover").expect("write bench json");
+    let path = emit_bench_json("failover", &bench).expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());
 }

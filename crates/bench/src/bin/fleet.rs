@@ -23,13 +23,13 @@
 //! cargo run --release -p rfp-bench --bin fleet [seed]
 //! ```
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_core::{OverloadConfig, RfpConfig};
 use rfp_kvstore::{
     spawn_fleet_kv, FleetConfig, FleetKv, SystemConfig, FLEET_PHYSICAL_CONNS, FLEET_POLLER_GROUPS,
     FLEET_TENANTS,
 };
-use rfp_simnet::{SimSpan, Simulation};
+use rfp_simnet::{MetricsRegistry, SimSpan, Simulation};
 use rfp_workload::WorkloadSpec;
 
 /// Logical clients of the fleet cell (the paper-scale fleet).
@@ -84,10 +84,7 @@ fn isolation_run(seed: u64, hot: bool) -> Vec<u64> {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     println!("# fleet: {FLEET_SIZE} logical clients over {FLEET_PHYSICAL_CONNS} physical conns, {FLEET_POLLER_GROUPS} poller groups, {FLEET_TENANTS} tenants");
     println!(
@@ -118,7 +115,7 @@ fn main() {
         "{FLEET_SIZE},{kops:.1},{scan_slots_per_req:.2},{server_mr_bytes},\
          {server_qp_endpoints},{leases},{evictions}"
     );
-    let bench = bench_registry();
+    let bench = MetricsRegistry::new();
     for (metric, value) in [
         ("ops", (kops * 1e3) as u64),
         (
@@ -177,7 +174,7 @@ fn main() {
         .counter("bench.fleet.hot.cold_ok_total")
         .add(with_hot[1..].iter().sum::<u64>());
 
-    let path = emit_bench_json("fleet").expect("write BENCH_fleet.json");
+    let path = emit_bench_json("fleet", &bench).expect("write BENCH_fleet.json");
     println!("# wrote {}", path.display());
     println!("# all fleet-scaling assertions passed");
 }

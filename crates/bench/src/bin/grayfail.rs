@@ -26,10 +26,10 @@
 //! cargo run --release -p rfp-bench --bin grayfail [seed]
 //! ```
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::GrayConfig;
-use rfp_simnet::{SimSpan, SimTime, Simulation};
+use rfp_simnet::{MetricsRegistry, SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
 /// Faults strike after this much healthy warm-up (baselines freeze
@@ -89,7 +89,7 @@ fn gray_for(mode: &str) -> Option<GrayConfig> {
     }
 }
 
-fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
+fn run_cell(bench: &MetricsRegistry, seed: u64, scenario: &str, mode: &str) -> CellResult {
     let gray = gray_for(mode);
     let mut sim = Simulation::new(seed);
     let cfg = ChaosConfig {
@@ -204,7 +204,6 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
         );
     }
 
-    let bench = bench_registry();
     let row = format!("bench.grayfail.{scenario}_{mode}");
     for (metric, value) in [
         ("completed", st.completed.get()),
@@ -227,10 +226,7 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     println!("# gray-failure sweep: fail-slow faults x mitigation levels");
     println!(
@@ -244,7 +240,8 @@ fn main() {
          budget_spent,budget_denied,linearizable"
     );
 
-    let clean = run_cell(seed, "clean", "baseline");
+    let bench = MetricsRegistry::new();
+    let clean = run_cell(&bench, seed, "clean", "baseline");
     assert!(
         clean.reads >= 100,
         "clean cell too thin: {} measured reads",
@@ -253,7 +250,7 @@ fn main() {
     let bound_ns = (clean.p99_ns as f64 * P99_BOUND) as u64;
 
     for scenario in ["slow_link", "flaky_link", "slow_server"] {
-        let base = run_cell(seed, scenario, "baseline");
+        let base = run_cell(&bench, seed, scenario, "baseline");
         assert!(
             base.p99_ns > bound_ns,
             "{scenario}/baseline: fault too mild to matter \
@@ -262,7 +259,7 @@ fn main() {
             clean.p99_ns / 1_000
         );
         for mode in ["routing", "hedged"] {
-            let cell = run_cell(seed, scenario, mode);
+            let cell = run_cell(&bench, seed, scenario, mode);
             assert!(
                 cell.p99_ns <= bound_ns,
                 "{scenario}/{mode}: mitigated read p99 {}us exceeds {P99_BOUND}x clean ({}us)",
@@ -272,6 +269,6 @@ fn main() {
         }
     }
 
-    let path = emit_bench_json("grayfail").expect("write bench json");
+    let path = emit_bench_json("grayfail", &bench).expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());
 }

@@ -24,7 +24,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_core::{connect, serve_loop, RfpConfig, RfpTelemetry};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{MetricsRegistry, SimSpan, Simulation, SpanRecorder};
@@ -130,16 +130,13 @@ fn run_point(seed: u64, rate: f64, integrity: bool) -> Row {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     println!("# integrity sweep: echo fidelity and goodput under torn-DMA + bit-flip faults");
     println!("# seed={seed} calls={CALLS} max_payload={MAX_PAYLOAD}");
     println!("rate,integrity,mops,torn,crc_fail,retries,mismatches");
 
-    let bench = bench_registry();
+    let bench = MetricsRegistry::new();
     let mut rows = Vec::new();
     // The integrity-off leg runs only fault-free: without verification
     // a poisoned READ would surface corrupt bytes by design, which is
@@ -201,6 +198,6 @@ fn main() {
         (on0 - off0) / off0 * 100.0
     );
 
-    let path = emit_bench_json("integrity").expect("write bench json");
+    let path = emit_bench_json("integrity", &bench).expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());
 }

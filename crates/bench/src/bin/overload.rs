@@ -20,12 +20,12 @@
 
 use std::rc::Rc;
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_core::{connect, serve_loop, OverloadConfig, RespStatus, RfpConfig};
 use rfp_kvstore::systems::spawn_jakiro;
 use rfp_kvstore::SystemConfig;
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{RetryPolicy, SimSpan, Simulation};
+use rfp_simnet::{MetricsRegistry, RetryPolicy, SimSpan, Simulation};
 
 /// Closed-loop clients at 1× offered load (calibrated so the server CPU
 /// saturates right around here).
@@ -155,10 +155,7 @@ fn shed_cost_check(seed: u64) -> (u64, u64) {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     let (inbound, outbound) = shed_cost_check(seed);
     assert_eq!(
@@ -180,7 +177,7 @@ fn main() {
     );
     println!("mult,clients,control,mops,goodput_mops,p99_us,shed_rate");
 
-    let bench = bench_registry();
+    let bench = MetricsRegistry::new();
     let mut rows = Vec::new();
     for &mult in &MULTS {
         for controlled in [false, true] {
@@ -223,6 +220,6 @@ fn main() {
          the sweep no longer saturates the server"
     );
 
-    let path = emit_bench_json("overload").expect("write bench json");
+    let path = emit_bench_json("overload", &bench).expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());
 }

@@ -34,10 +34,10 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use rfp_bench::telemetry::{bench_registry, emit_bench_json};
+use rfp_bench::{emit_bench_json, seed_arg};
 use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, REQ_HDR, RESP_HDR};
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
-use rfp_simnet::{SimSpan, Simulation};
+use rfp_simnet::{MetricsRegistry, SimSpan, Simulation};
 
 /// Request/response payload sizes swept (bytes), each with its ring
 /// windows (powers of two; 1 = the sequential layout): the 32 B echo
@@ -180,10 +180,7 @@ fn idle_burn(seed: u64, idle: IdlePolicy) -> f64 {
 }
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .map(|s| s.parse::<u64>().expect("seed must be a u64"))
-        .unwrap_or(42);
+    let seed = seed_arg();
 
     let knee = ClusterProfile::paper_testbed().nic.inbound_knee_bytes();
     let [(below, _), (above, _)] = CELLS;
@@ -201,7 +198,7 @@ fn main() {
     );
     println!("window,payload,mops,reads_per_doorbell,issue_per_read_ns");
 
-    let bench = bench_registry();
+    let bench = MetricsRegistry::new();
     let mut rows = Vec::new();
     for &(payload, windows) in &CELLS {
         for &w in windows {
@@ -321,6 +318,6 @@ fn main() {
             .add(value);
     }
 
-    let path = emit_bench_json("pipeline").expect("write bench json");
+    let path = emit_bench_json("pipeline", &bench).expect("write bench json");
     eprintln!("# bench registry exported to {}", path.display());
 }

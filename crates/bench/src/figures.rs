@@ -622,15 +622,6 @@ fn table3(w: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Every experiment, in paper order.
-pub fn all(w: &mut dyn Write) -> io::Result<()> {
-    for (name, f) in EXPERIMENTS {
-        writeln!(w, "## {name}")?;
-        f(w)?;
-    }
-    Ok(())
-}
-
 /// An experiment runner writing its CSV rows to the given sink.
 pub type ExperimentFn = fn(&mut dyn Write) -> io::Result<()>;
 

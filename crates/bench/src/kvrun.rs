@@ -3,7 +3,8 @@
 //! [`run_kv`] measures in one sweep; [`run_kv_telemetry`] additionally
 //! samples the system's metric registry at fixed sim-time intervals and
 //! writes the full telemetry bundle (metrics CSV/JSON, time series,
-//! Chrome trace) to a directory.
+//! Chrome trace) to a directory. Both return everything they measured
+//! as a [`KvRun`] and write to no registry but the system's own.
 
 use std::fs::File;
 use std::io;
@@ -117,9 +118,7 @@ pub fn run_kv_telemetry(
     Ok(run)
 }
 
-/// Aggregates one finished measurement window; also folds the headline
-/// numbers into the process-wide [`bench
-/// registry`](crate::telemetry::bench_registry).
+/// Aggregates one finished measurement window.
 fn collect_run(sys: &KvSystem, secs: f64) -> KvRun {
     let stats = &sys.stats;
     let completed = stats.completed.get().max(1);
@@ -139,14 +138,6 @@ fn collect_run(sys: &KvSystem, secs: f64) -> KvRun {
         switches += s.switches_to_reply();
     }
     let calls_f = calls.max(1) as f64;
-
-    let bench = crate::telemetry::bench_registry();
-    bench.counter("bench.runs").incr();
-    bench.counter("bench.completed").add(stats.completed.get());
-    bench.counter("bench.switches.to_reply").add(switches);
-    if let Some(mean) = stats.latency.mean() {
-        bench.histogram("bench.run.mean_latency").record(mean);
-    }
 
     KvRun {
         mops: stats.completed.get() as f64 / secs / 1e6,

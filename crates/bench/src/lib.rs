@@ -10,7 +10,14 @@
 //! ```
 //!
 //! or everything by naming none (`--csv <dir>` additionally writes one
-//! `<dir>/<name>.csv` per experiment).
+//! `<dir>/<name>.csv` per experiment). Both `all_figures` and `ablations`
+//! run their tables through [`print_tables`]: each experiment renders
+//! into a buffer of its own and touches no shared state.
+//!
+//! The sweep binaries (`chaos` … `cores`) each fold their cells into a
+//! [`MetricsRegistry`] of their own `main` and export it with
+//! [`emit_bench_json`]; nothing in this library writes to a registry it
+//! did not create.
 //!
 //! The per-experiment index mapping figures to modules lives in
 //! `DESIGN.md`; paper-vs-measured numbers are recorded in
@@ -23,14 +30,66 @@ pub mod kvrun;
 pub mod micro;
 pub mod paper;
 pub mod prose;
-pub mod telemetry;
 
+use std::fs::{self, File};
 use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 use rfp_core::{ParamSelector, Params, WorkloadSample};
 use rfp_kvstore::SystemConfig;
-use rfp_simnet::SimSpan;
+use rfp_simnet::{MetricsRegistry, SimSpan};
 use rfp_workload::{ValueSize, WorkloadSpec};
+
+use figures::ExperimentFn;
+
+/// A sweep binary's seed: its first command-line argument, 42 when
+/// there is none.
+///
+/// # Panics
+///
+/// Panics if the argument is not a `u64`.
+pub fn seed_arg() -> u64 {
+    std::env::args()
+        .nth(1)
+        .map_or(42, |s| s.parse().expect("seed must be a u64"))
+}
+
+/// Exports `registry` as `BENCH_<name>.json` in the current directory
+/// and returns the path written.
+pub fn emit_bench_json(name: &str, registry: &MetricsRegistry) -> io::Result<PathBuf> {
+    let path = PathBuf::from(format!("BENCH_{name}.json"));
+    registry.snapshot().write_json(&mut File::create(&path)?)?;
+    Ok(path)
+}
+
+/// Runs one experiment into a buffer of its own.
+pub fn render(experiment: ExperimentFn) -> io::Result<Vec<u8>> {
+    let mut csv = Vec::new();
+    experiment(&mut csv)?;
+    Ok(csv)
+}
+
+/// Prints each `(name, experiment)` on stdout under a `## <name>` line,
+/// rendered by [`render`]; with `csv_dir`, also writes the same bytes to
+/// `<csv_dir>/<name>.csv`.
+pub fn print_tables<'a>(
+    experiments: impl IntoIterator<Item = &'a (&'a str, ExperimentFn)>,
+    csv_dir: Option<&Path>,
+) -> io::Result<()> {
+    if let Some(dir) = csv_dir {
+        fs::create_dir_all(dir)?;
+    }
+    let mut out = io::stdout().lock();
+    for (name, experiment) in experiments {
+        writeln!(out, "## {name}")?;
+        let csv = render(*experiment)?;
+        if let Some(dir) = csv_dir {
+            fs::write(dir.join(format!("{name}.csv")), &csv)?;
+        }
+        out.write_all(&csv)?;
+    }
+    Ok(())
+}
 
 /// Key population of the figure and ablation rigs.
 const KEYS: u64 = 2_000;

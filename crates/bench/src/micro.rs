@@ -54,9 +54,7 @@ pub fn inbound_mops_with(
     server.nic().reset_counters();
     let t0 = sim.now();
     sim.run_for(window);
-    let ops = server.nic().counters().inbound_ops;
-    record_micro_run("inbound", ops);
-    ops as f64 / (sim.now() - t0).as_secs_f64() / 1e6
+    server.nic().counters().inbound_ops as f64 / (sim.now() - t0).as_secs_f64() / 1e6
 }
 
 /// Measures the server's **out-bound** IOPS (MOPS): `threads` server
@@ -93,9 +91,7 @@ pub fn outbound_mops_with(
     server.nic().reset_counters();
     let t0 = sim.now();
     sim.run_for(window);
-    let ops = server.nic().counters().outbound_ops;
-    record_micro_run("outbound", ops);
-    ops as f64 / (sim.now() - t0).as_secs_f64() / 1e6
+    server.nic().counters().outbound_ops as f64 / (sim.now() - t0).as_secs_f64() / 1e6
 }
 
 /// Figure 6 driver: 21 client threads complete "requests" of `rounds`
@@ -128,24 +124,9 @@ pub fn amplified_throughput(rounds: u32, window: SimSpan) -> (f64, f64) {
     let t0 = sim.now();
     sim.run_for(window);
     let secs = (sim.now() - t0).as_secs_f64();
-    record_micro_run("amplified", server.nic().counters().inbound_ops);
-    crate::telemetry::bench_registry()
-        .counter("bench.micro.amplified.requests")
-        .add(completed.get());
     let reqs = completed.get() as f64 / secs / 1e6;
     let iops = server.nic().counters().inbound_ops as f64 / secs / 1e6;
     (reqs, iops)
-}
-
-/// Folds one micro-benchmark measurement into the process-wide bench
-/// registry so figure binaries built purely on these drivers still
-/// export a populated `BENCH_<name>.json`.
-fn record_micro_run(direction: &str, ops: u64) {
-    let bench = crate::telemetry::bench_registry();
-    bench.counter("bench.micro.runs").incr();
-    bench
-        .counter(&format!("bench.micro.{direction}.ops"))
-        .add(ops);
 }
 
 #[cfg(test)]

@@ -275,8 +275,9 @@ struct Inner {
     /// [`MetricsRegistry::register_counter`]).
     counters: BTreeMap<String, Vec<Rc<Counter>>>,
     gauges: BTreeMap<String, Rc<Gauge>>,
-    /// Likewise the union of its cells' samples.
-    histograms: BTreeMap<String, Vec<Rc<Histogram>>>,
+    /// One cell per name: connections that share a prefix record into
+    /// the same cell (see [`MetricsRegistry::register_histogram`]).
+    histograms: BTreeMap<String, Rc<Histogram>>,
     /// Scalar baselines captured by the previous [`MetricsRegistry::diff`].
     baseline: BTreeMap<String, f64>,
 }
@@ -333,8 +334,7 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str) -> Rc<Histogram> {
         let mut inner = self.inner.borrow_mut();
         assert_kind_free(&inner.counters, &inner.gauges, name);
-        let cells = inner.histograms.entry(name.to_string());
-        Rc::clone(&cells.or_insert_with(|| vec![Rc::default()])[0])
+        Rc::clone(inner.histograms.entry(name.to_string()).or_default())
     }
 
     /// Registers an existing counter under `name` (components that
@@ -346,12 +346,22 @@ impl MetricsRegistry {
         cells.push(Rc::clone(counter));
     }
 
-    /// Registers an existing histogram under `name`; cells sharing a
-    /// name export the union of their samples.
+    /// Registers an existing histogram under `name`. A name holds one
+    /// cell: components that share one take it from [`Self::histogram`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` already holds a different histogram.
     pub fn register_histogram(&self, name: &str, histogram: &Rc<Histogram>) {
         let mut inner = self.inner.borrow_mut();
-        let cells = inner.histograms.entry(name.to_string()).or_default();
-        cells.push(Rc::clone(histogram));
+        let cell = inner
+            .histograms
+            .entry(name.to_string())
+            .or_insert_with(|| Rc::clone(histogram));
+        assert!(
+            Rc::ptr_eq(cell, histogram),
+            "histogram {name:?} already registered with another cell"
+        );
     }
 
     /// All registered names, sorted.
@@ -379,16 +389,7 @@ impl MetricsRegistry {
         for (name, g) in &inner.gauges {
             values.insert(name.clone(), MetricValue::Gauge(g.get()));
         }
-        for (name, cells) in &inner.histograms {
-            let union;
-            let h = match cells.as_slice() {
-                [one] => &**one,
-                many => {
-                    union = Histogram::new();
-                    many.iter().for_each(|cell| union.absorb(cell));
-                    &union
-                }
-            };
+        for (name, h) in &inner.histograms {
             let ns = |s: Option<crate::SimSpan>| s.map_or(0, |v| v.as_nanos());
             values.insert(
                 name.clone(),
@@ -431,7 +432,7 @@ impl MetricsRegistry {
         for c in inner.counters.values().flatten() {
             c.reset();
         }
-        for h in inner.histograms.values().flatten() {
+        for h in inner.histograms.values() {
             h.reset();
         }
         drop(inner);
@@ -475,61 +476,36 @@ mod tests {
     fn cells_sharing_a_name_export_their_sum() {
         let reg = MetricsRegistry::new();
         let (a, b) = (Rc::new(Counter::new()), Rc::new(Counter::new()));
-        let (ha, hb) = (Rc::new(Histogram::new()), Rc::new(Histogram::new()));
-        for (c, h) in [(&a, &ha), (&b, &hb)] {
-            reg.register_counter("client.calls", c);
-            reg.register_histogram("client.latency", h);
-        }
+        reg.register_counter("client.calls", &a);
+        reg.register_counter("client.calls", &b);
         a.add(2);
         b.add(5);
-        ha.record(SimSpan::nanos(10));
-        hb.record(SimSpan::nanos(30));
-        let snap = reg.snapshot();
-        assert_eq!(snap.values["client.calls"], MetricValue::Counter(7));
-        match snap.values["client.latency"] {
-            MetricValue::Histogram {
-                count,
-                mean_ns,
-                max_ns,
-                ..
-            } => assert_eq!((count, mean_ns, max_ns), (2, 20, 30)),
-            ref other => panic!("expected histogram, got {other:?}"),
-        }
+        assert_eq!(
+            reg.snapshot().values["client.calls"],
+            MetricValue::Counter(7)
+        );
         reg.reset();
-        assert_eq!((a.get(), b.get(), ha.len() + hb.len()), (0, 0, 0));
+        assert_eq!((a.get(), b.get()), (0, 0));
     }
 
     #[test]
-    fn shared_histogram_union_takes_every_donor_sample() {
+    fn a_histogram_name_holds_one_cell() {
         let reg = MetricsRegistry::new();
-        let (ha, hb) = (Rc::new(Histogram::new()), Rc::new(Histogram::new()));
-        reg.register_histogram("client.latency", &ha);
-        reg.register_histogram("client.latency", &hb);
-        let mut all = vec![40, 10];
-        // `hb` folds runs by size (1 500 > one tail), keeps the rest as
-        // an unfolded tail, and holds one sample past the `u32` range.
-        all.extend((0..1_500u64).map(|i| 100 + i % 7));
-        all.push(5_000_000_000);
-        for (i, &ns) in all.iter().enumerate() {
-            let cell = if i < 2 { &ha } else { &hb };
-            cell.record(SimSpan::nanos(ns));
-        }
-        all.sort_unstable();
-        let n = all.len();
-        let rank = |p: f64| all[((p * n as f64).ceil() as usize).max(1) - 1];
-        let snap = reg.snapshot();
-        let expect = MetricValue::Histogram {
-            count: n as u64,
-            mean_ns: all.iter().sum::<u64>() / n as u64,
-            p50_ns: rank(0.50),
-            p95_ns: rank(0.95),
-            p99_ns: rank(0.99),
-            max_ns: 5_000_000_000,
-        };
-        assert_eq!(snap.values["client.latency"], expect);
-        // The union leaves its donors' samples where they were.
-        assert_eq!((ha.len(), hb.len()), (2, n - 2));
-        assert_eq!(reg.snapshot().values["client.latency"], expect);
+        let h = Rc::new(Histogram::new());
+        reg.register_histogram("client.latency", &h);
+        reg.register_histogram("client.latency", &h);
+        assert!(Rc::ptr_eq(&reg.histogram("client.latency"), &h));
+        h.record(SimSpan::nanos(10));
+        reg.reset();
+        assert_eq!(h.len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered with another cell")]
+    fn second_histogram_cell_under_a_name_rejected() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("client.latency");
+        reg.register_histogram("client.latency", &Rc::new(Histogram::new()));
     }
 
     #[test]

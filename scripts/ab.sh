@@ -12,9 +12,12 @@
 # each side's median and quartiles, the share of pairs B wins (ties
 # count for neither) and whether that shows a gain: B wins at least nine
 # tenths of the pairs and the medians lie further apart than A's own
-# inter-quartile range. Exits non-zero if a `sim_*`, `ok_share` or
-# `host_allocs_per_call` line differs between the sides — those are
-# exact per seed, so a difference is a behaviour change, not noise.
+# inter-quartile range. Exits non-zero if a `sim_*` or `ok_share` line
+# differs between the sides, if a side's `sim_*`, `ok_share` or
+# `host_allocs_per_call` line differs from its own first run — those are
+# exact per seed, so a difference is a behaviour change, not noise — or
+# if B's `host_allocs_per_call` is above A's. A change that lowers
+# allocations on purpose can therefore be measured.
 #
 # Build the two binaries from separate checkouts into separate target
 # directories (`cargo build --release --offline --manifest-path
@@ -45,7 +48,9 @@ run() { # <side> <binary> <pair>
   "$2" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" > "$out"
   value=$(awk -v m="$metric" '$1 == m { print $3 }' "$out")
   [[ -n $value ]] || { echo "ab.sh: side $1 printed no '$metric'" >&2; exit 2; }
-  { grep -E '^(sim_[a-z0-9_]+|ok_share|host_allocs_per_call) ' "$out" || true; } > "$out.exact"
+  { grep -E '^(sim_[a-z0-9_]+|ok_share|host_allocs_per_call) ' "$out" || true; } > "$out.own"
+  grep -v '^host_allocs_per_call ' "$out.own" > "$out.exact" || true
+  awk '$1 == "host_allocs_per_call" { print $3 }' "$out" > "$out.allocs"
   echo "$value" >> "$tmp/$1.values"
   printf 'pair %2d  %s  %s\n' "$3" "$1" "$value"
 }
@@ -61,8 +66,18 @@ for ((i = 1; i <= pairs; i++)); do
     run B "$b" "$i"
     run A "$a" "$i"
   fi
-  if ! diff "$tmp/A.$i.exact" "$tmp/B.$i.exact" || ! diff "$tmp/A.1.exact" "$tmp/A.$i.exact"; then
-    echo "FAIL: pair $i: a line that is exact per seed differs (< A, > B, or A against its own first run)"
+  for side in A B; do
+    if ! diff "$tmp/$side.1.own" "$tmp/$side.$i.own"; then
+      echo "FAIL: pair $i: side $side differs from its own first run on a line that is exact per seed"
+      exit 1
+    fi
+  done
+  if ! diff "$tmp/A.$i.exact" "$tmp/B.$i.exact"; then
+    echo "FAIL: pair $i: a sim_* or ok_share line differs between the sides (< A, > B)"
+    exit 1
+  fi
+  if ! awk 'NR == FNR { a = $1; next } { exit !($1 + 0 <= a + 0) }' "$tmp/A.$i.allocs" "$tmp/B.$i.allocs"; then
+    echo "FAIL: pair $i: B allocates more per call than A ($(cat "$tmp/B.$i.allocs") > $(cat "$tmp/A.$i.allocs"))"
     exit 1
   fi
 done

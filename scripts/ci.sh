@@ -123,7 +123,8 @@ done
 
 # Goldens: the paper figures and the ablations must reproduce the
 # committed experiments/*.csv byte for byte. (Run from the scratch
-# directory: the binaries drop a BENCH_<name>.json where they stand.)
+# directory: `--csv experiments` must not overwrite the committed
+# goldens.)
 root=$PWD
 golden() {
   (cd "$tmp" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
