@@ -13,10 +13,10 @@
 //! cargo run --release -p rfp-bench --bin chaos [seed]
 //! ```
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::OverloadConfig;
-use rfp_simnet::{MetricsRegistry, SimSpan, SimTime, Simulation};
+use rfp_simnet::{SimSpan, SimTime, Simulation};
 
 /// Faults strike after this much warm-up…
 const FAULT_AT: SimTime = SimTime::from_nanos(2_000_000);
@@ -26,6 +26,16 @@ const WINDOW: SimSpan = SimSpan::millis(8);
 const FAULT_SPAN: SimSpan = SimSpan::millis(1);
 /// Server downtime of crash scenarios.
 const DOWNTIME: SimSpan = SimSpan::micros(300);
+/// The columns each scenario exports to `BENCH_chaos.json`.
+const EXPORTED: [&str; 7] = [
+    "completed",
+    "lost_acked",
+    "stale_reads",
+    "not_found",
+    "recovery_us_max",
+    "rejected",
+    "sheds",
+];
 
 /// One row of the ablation: a fault plan, optionally run with overload
 /// control armed.
@@ -89,119 +99,124 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
     ]
 }
 
+/// One scenario's CSV row: its name and its columns, in CSV order.
+struct Row {
+    name: &'static str,
+    cols: Vec<(&'static str, u64)>,
+}
+
+/// Runs one scenario and checks its safety invariants.
+fn run_scenario(seed: u64, scenario: &Scenario) -> Row {
+    let Scenario {
+        name,
+        ref plan,
+        overload,
+    } = *scenario;
+    let mut sim = Simulation::new(seed);
+    let mut cfg = ChaosConfig {
+        seed,
+        ..ChaosConfig::default()
+    };
+    if overload {
+        cfg.overload = Some(OverloadConfig {
+            deadline: SimSpan::micros(25),
+            ..OverloadConfig::default()
+        });
+    }
+    let rig = spawn_chaos_kv(&mut sim, &cfg, plan.as_ref());
+    sim.run_for(WINDOW);
+
+    let snap = rig.registry.snapshot();
+    let scalar = |n: &str| snap.scalar(n).unwrap_or(0.0) as u64;
+    let faults_fired = [
+        "fault.loss_bursts",
+        "fault.link_degrades",
+        "fault.stragglers",
+        "fault.qp_errors",
+        "fault.crashes_warm",
+        "fault.crashes_cold",
+    ]
+    .iter()
+    .map(|n| scalar(n))
+    .sum::<u64>();
+    let st = &rig.state;
+
+    // The headline safety claims, checked on every run.
+    assert_eq!(
+        st.stale_reads.get(),
+        0,
+        "{name}: stale pre-wipe data surfaced"
+    );
+    if name != "mixed" {
+        // The mixed plan may crash cold mid-call in ways that lose
+        // unacked writes (fine) but single-fault scenarios must keep
+        // the strict invariant.
+        assert_eq!(st.lost_acked.get(), 0, "{name}: an acked write was lost");
+    }
+
+    Row {
+        name,
+        cols: vec![
+            ("completed", st.completed.get()),
+            ("acked_puts", st.acked_puts.get()),
+            ("failed_calls", st.failed_calls.get()),
+            ("lost_acked", st.lost_acked.get()),
+            ("stale_reads", st.stale_reads.get()),
+            ("not_found", st.not_found.get()),
+            (
+                "recovery_us_max",
+                rig.max_recovery_time()
+                    .map(|s| s.as_nanos() / 1_000)
+                    .unwrap_or(0),
+            ),
+            ("resubmits", scalar("recovery.resubmits")),
+            ("reconnects", scalar("recovery.reconnects")),
+            ("deadlines", scalar("recovery.deadlines")),
+            ("verb_errors", scalar("recovery.verb_errors")),
+            ("faults_fired", faults_fired),
+            ("rejected", st.rejected_calls.get()),
+            // Server-side admission verdicts (lazy counters: zero — and
+            // absent — when overload is off).
+            ("busy_rejects", scalar("overload.busy_rejections")),
+            ("sheds", scalar("overload.sheds")),
+        ],
+    }
+}
+
 fn main() {
     let seed = seed_arg();
+    let rows = cells(&scenarios(seed), |s| run_scenario(seed, s));
 
     println!("# chaos ablation: Jakiro-style rig with client-side recovery");
     println!(
         "# seed={seed} window={}ms fault_at=2ms",
         WINDOW.as_nanos() / 1_000_000
     );
-    println!(
-        "scenario,completed,acked_puts,failed_calls,lost_acked,stale_reads,not_found,\
-         recovery_us_max,resubmits,reconnects,deadlines,verb_errors,faults_fired,\
-         rejected,busy_rejects,sheds"
-    );
-
-    let bench = MetricsRegistry::new();
-    for Scenario {
-        name,
-        plan,
-        overload,
-    } in scenarios(seed)
-    {
-        let mut sim = Simulation::new(seed);
-        let mut cfg = ChaosConfig {
-            seed,
-            ..ChaosConfig::default()
-        };
-        if overload {
-            cfg.overload = Some(OverloadConfig {
-                deadline: SimSpan::micros(25),
-                ..OverloadConfig::default()
-            });
-        }
-        let rig = spawn_chaos_kv(&mut sim, &cfg, plan.as_ref());
-        sim.run_for(WINDOW);
-
-        let snap = rig.registry.snapshot();
-        let scalar = |n: &str| snap.scalar(n).unwrap_or(0.0) as u64;
-        let faults_fired = [
-            "fault.loss_bursts",
-            "fault.link_degrades",
-            "fault.stragglers",
-            "fault.qp_errors",
-            "fault.crashes_warm",
-            "fault.crashes_cold",
-        ]
-        .iter()
-        .map(|n| scalar(n))
-        .sum::<u64>();
-        let recovery_us = rig
-            .max_recovery_time()
-            .map(|s| s.as_nanos() / 1_000)
-            .unwrap_or(0);
-        let st = &rig.state;
-        // Server-side admission verdicts (lazy counters: zero — and
-        // absent — when overload is off).
-        let busy_rejects = scalar("overload.busy_rejections");
-        let sheds = scalar("overload.sheds");
-        println!(
-            "{name},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            st.completed.get(),
-            st.acked_puts.get(),
-            st.failed_calls.get(),
-            st.lost_acked.get(),
-            st.stale_reads.get(),
-            st.not_found.get(),
-            recovery_us,
-            scalar("recovery.resubmits"),
-            scalar("recovery.reconnects"),
-            scalar("recovery.deadlines"),
-            scalar("recovery.verb_errors"),
-            faults_fired,
-            st.rejected_calls.get(),
-            busy_rejects,
-            sheds,
-        );
-
-        for (metric, value) in [
-            ("completed", st.completed.get()),
-            ("lost_acked", st.lost_acked.get()),
-            ("stale_reads", st.stale_reads.get()),
-            ("not_found", st.not_found.get()),
-            ("recovery_us_max", recovery_us),
-            ("rejected", st.rejected_calls.get()),
-            ("sheds", sheds),
-        ] {
-            bench
-                .counter(&format!("bench.chaos.{name}.{metric}"))
-                .add(value);
-        }
-
-        // The headline safety claims, checked on every run.
-        assert_eq!(
-            st.stale_reads.get(),
-            0,
-            "{name}: stale pre-wipe data surfaced"
-        );
-        if name != "mixed" {
-            // The mixed plan may crash cold mid-call in ways that lose
-            // unacked writes (fine) but single-fault scenarios must keep
-            // the strict invariant.
-            assert_eq!(st.lost_acked.get(), 0, "{name}: an acked write was lost");
-        }
+    let header: Vec<&str> = rows[0].cols.iter().map(|&(c, _)| c).collect();
+    println!("scenario,{}", header.join(","));
+    for row in &rows {
+        let values: Vec<String> = row.cols.iter().map(|(_, v)| v.to_string()).collect();
+        println!("{},{}", row.name, values.join(","));
     }
 
     // A cold restart comes back with wiped memory, a warm one does not:
     // the wipe surfaces as the extra keys a GET no longer finds.
-    let snap = bench.snapshot();
-    let not_found = |name: &str| snap.scalar(&format!("bench.chaos.{name}.not_found"));
+    let not_found = |name: &str| {
+        let row = rows.iter().find(|r| r.name == name).expect("scenario");
+        row.cols
+            .iter()
+            .find(|(c, _)| *c == "not_found")
+            .map(|&(_, v)| v)
+    };
     assert!(
         not_found("cold_restart") > not_found("warm_restart"),
         "a cold restart must lose keys a warm restart keeps"
     );
 
-    let path = emit_bench_json("chaos", &bench).expect("write bench json");
-    eprintln!("# bench registry exported to {}", path.display());
+    let exports = rows.iter().flat_map(|row| {
+        let exported = row.cols.iter().filter(|(c, _)| EXPORTED.contains(c));
+        exported.map(|&(metric, v)| (format!("bench.chaos.{}.{metric}", row.name), v))
+    });
+    let path = emit_bench_json("chaos", exports).expect("write bench json");
+    eprintln!("# bench json written to {}", path.display());
 }

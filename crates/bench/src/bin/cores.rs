@@ -25,9 +25,9 @@
 //! cargo run --release -p rfp-bench --bin cores [seed]
 //! ```
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_kvstore::{spawn_cores_kv, CoresConfig, CoresKv};
-use rfp_simnet::{MetricsRegistry, SimSpan, Simulation};
+use rfp_simnet::{SimSpan, Simulation};
 
 /// Core counts swept.
 const CORE_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -63,7 +63,7 @@ struct Point {
     served: Vec<u64>,
 }
 
-fn run_point(seed: u64, cores: usize, mode: Mode) -> Point {
+fn run_point(seed: u64, &(cores, mode): &(usize, Mode)) -> Point {
     let cfg = CoresConfig {
         cores,
         steal: !matches!(mode, Mode::Zipf { steal: false }),
@@ -118,16 +118,7 @@ fn fingerprint(sys: &CoresKv) -> String {
 fn main() {
     let seed = seed_arg();
 
-    println!("# cores sweep: reactor cores x skew, 32B GETs");
-    println!(
-        "# seed={seed} warmup={}ms window={}ms theta={THETA}",
-        WARMUP.as_nanos() / 1_000_000,
-        WINDOW.as_nanos() / 1_000_000,
-    );
-    println!("cores,mode,kops,steals,handoffs,imbalance_milli,served_per_core");
-
-    let bench = MetricsRegistry::new();
-    let mut points = Vec::new();
+    let mut specs = Vec::new();
     for &n in &CORE_COUNTS {
         let modes: &[Mode] = if n == 1 {
             // Nothing to steal on one core; the skewed order degenerates
@@ -140,33 +131,41 @@ fn main() {
                 Mode::Zipf { steal: false },
             ]
         };
-        for &mode in modes {
-            let p = run_point(seed, n, mode);
-            println!(
-                "{},{},{:.1},{},{},{},{}",
-                p.cores,
-                p.mode.label(),
-                p.kops,
-                p.steals,
-                p.handoffs,
-                p.imbalance_milli,
-                p.served
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-            for (metric, value) in [
-                ("ops", (p.kops * 1e3) as u64),
-                ("steals", p.steals),
-                ("handoffs", p.handoffs),
-                ("imbalance_milli", p.imbalance_milli),
-            ] {
-                bench
-                    .counter(&format!("bench.cores.c{n}.{}.{metric}", p.mode.label()))
-                    .add(value);
-            }
-            points.push(p);
+        specs.extend(modes.iter().map(|&mode| (n, mode)));
+    }
+    let points = cells(&specs, |spec| run_point(seed, spec));
+
+    println!("# cores sweep: reactor cores x skew, 32B GETs");
+    println!(
+        "# seed={seed} warmup={}ms window={}ms theta={THETA}",
+        WARMUP.as_nanos() / 1_000_000,
+        WINDOW.as_nanos() / 1_000_000,
+    );
+    println!("cores,mode,kops,steals,handoffs,imbalance_milli,served_per_core");
+    let mut exports = Vec::new();
+    for p in &points {
+        println!(
+            "{},{},{:.1},{},{},{},{}",
+            p.cores,
+            p.mode.label(),
+            p.kops,
+            p.steals,
+            p.handoffs,
+            p.imbalance_milli,
+            p.served
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join("|"),
+        );
+        let key = format!("bench.cores.c{}.{}", p.cores, p.mode.label());
+        for (metric, value) in [
+            ("ops", (p.kops * 1e3) as u64),
+            ("steals", p.steals),
+            ("handoffs", p.handoffs),
+            ("imbalance_milli", p.imbalance_milli),
+        ] {
+            exports.push((format!("{key}.{metric}"), value));
         }
     }
 
@@ -242,7 +241,7 @@ fn main() {
     }
     assert_eq!(fps[0], fps[1], "same-seed runs must be byte-identical");
 
-    let path = emit_bench_json("cores", &bench).expect("write BENCH_cores.json");
+    let path = emit_bench_json("cores", exports).expect("write BENCH_cores.json");
     println!("# wrote {}", path.display());
     println!("# all core-scaling assertions passed");
 }

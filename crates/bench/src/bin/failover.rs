@@ -31,7 +31,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::{connect, serve_loop, RfpConfig};
 use rfp_kvstore::replica::{
@@ -39,7 +39,7 @@ use rfp_kvstore::replica::{
 };
 use rfp_kvstore::{kv_handler, KvRequest, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{derive_seed, MetricsRegistry, SimSpan, SimTime, Simulation};
+use rfp_simnet::{derive_seed, SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
 /// Faults strike after this much warm-up…
@@ -64,6 +64,15 @@ const TAX_PUT_RATIO: f64 = 0.05;
 const TAX_WINDOW: SimSpan = SimSpan::millis(5);
 /// Maximum tolerated sync-replication throughput tax.
 const TAX_BOUND: f64 = 0.05;
+/// The columns each scenario cell exports to `BENCH_failover.json`.
+const EXPORTED: [&str; 6] = [
+    "completed",
+    "lost_acked",
+    "stale_reads",
+    "failovers",
+    "failover_us_max",
+    "linearizable",
+];
 
 fn ack_name(ack: AckPolicy) -> &'static str {
     match ack {
@@ -72,13 +81,18 @@ fn ack_name(ack: AckPolicy) -> &'static str {
     }
 }
 
-fn run_scenario(
-    bench: &MetricsRegistry,
-    seed: u64,
-    scenario: &str,
+/// One scenario cell's CSV row: its labels and its columns, in CSV
+/// order.
+struct Row {
+    scenario: &'static str,
     ack: AckPolicy,
     clients: usize,
-) {
+    cols: Vec<(&'static str, u64)>,
+}
+
+/// Runs one `(scenario, ack, clients)` cell and checks its safety
+/// claims.
+fn run_scenario(seed: u64, &(scenario, ack, clients): &(&'static str, AckPolicy, usize)) -> Row {
     let mut sim = Simulation::new(seed);
     let cfg = ChaosConfig {
         clients,
@@ -117,35 +131,6 @@ fn run_scenario(
     );
     let history = st.history();
     let linearizable = check_history(&history).is_ok();
-    let failover_us = rig
-        .max_recovery_time()
-        .map(|s| s.as_nanos() / 1_000)
-        .unwrap_or(0);
-    println!(
-        "{scenario},{},{clients},{},{},{},{},{},{},{failover_us},{},{},{}",
-        ack_name(ack),
-        st.completed.get(),
-        st.acked_puts.get(),
-        st.failed_calls.get(),
-        st.lost_acked.get(),
-        st.stale_reads.get(),
-        rig.total_failovers(),
-        st.promoted_at.get().is_some() as u32,
-        history.len(),
-        linearizable as u32,
-    );
-
-    let row = format!("bench.failover.{scenario}_{}_{clients}", ack_name(ack));
-    for (metric, value) in [
-        ("completed", st.completed.get()),
-        ("lost_acked", st.lost_acked.get()),
-        ("stale_reads", st.stale_reads.get()),
-        ("failovers", rig.total_failovers()),
-        ("failover_us_max", failover_us),
-        ("linearizable", linearizable as u64),
-    ] {
-        bench.counter(&format!("{row}.{metric}")).add(value);
-    }
 
     // The headline safety claims. Sync mode: an acked write is a
     // replicated write, so no crash or cut may lose one, no read may
@@ -179,13 +164,36 @@ fn run_scenario(
             ack_name(ack)
         );
     }
+
+    Row {
+        scenario,
+        ack,
+        clients,
+        cols: vec![
+            ("completed", st.completed.get()),
+            ("acked_puts", st.acked_puts.get()),
+            ("failed_calls", st.failed_calls.get()),
+            ("lost_acked", st.lost_acked.get()),
+            ("stale_reads", st.stale_reads.get()),
+            ("failovers", rig.total_failovers()),
+            (
+                "failover_us_max",
+                rig.max_recovery_time()
+                    .map(|s| s.as_nanos() / 1_000)
+                    .unwrap_or(0),
+            ),
+            ("promoted", st.promoted_at.get().is_some() as u64),
+            ("hist_ops", history.len() as u64),
+            ("linearizable", linearizable as u64),
+        ],
+    }
 }
 
 /// Completed ops of a healthy GET-heavy closed loop against the
 /// replicated primary, with replication off (`None`) or on; also
 /// returns how many log entries the primary shipped, so a "0% tax"
 /// can be told apart from "replication never engaged".
-fn tax_run(seed: u64, repl: Option<AckPolicy>) -> (u64, u64) {
+fn tax_run(seed: u64, &repl: &Option<AckPolicy>) -> (u64, u64) {
     let mut sim = Simulation::new(seed);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 3);
     let (primary_m, backup_m, client_m) =
@@ -283,6 +291,17 @@ fn tax_run(seed: u64, repl: Option<AckPolicy>) -> (u64, u64) {
 
 fn main() {
     let seed = seed_arg();
+    let mut specs = Vec::new();
+    for scenario in ["crash", "partition"] {
+        for ack in [AckPolicy::Sync, AckPolicy::Async] {
+            specs.extend([2, 4].map(|clients| (scenario, ack, clients)));
+        }
+    }
+    let rows = cells(&specs, |spec| run_scenario(seed, spec));
+    let taxes = cells(
+        &[None, Some(AckPolicy::Sync), Some(AckPolicy::Async)],
+        |repl| tax_run(seed, repl),
+    );
 
     println!("# failover sweep: replicated KV rig under crash/partition faults");
     println!(
@@ -295,25 +314,22 @@ fn main() {
         "scenario,ack,clients,completed,acked_puts,failed_calls,lost_acked,stale_reads,\
          failovers,promoted,failover_us_max,hist_ops,linearizable"
     );
-    let bench = MetricsRegistry::new();
-    for scenario in ["crash", "partition"] {
-        for ack in [AckPolicy::Sync, AckPolicy::Async] {
-            for clients in [2usize, 4] {
-                run_scenario(&bench, seed, scenario, ack, clients);
-            }
-        }
+    let mut exports = Vec::new();
+    for row in &rows {
+        let (scenario, ack, clients) = (row.scenario, ack_name(row.ack), row.clients);
+        let values: Vec<String> = row.cols.iter().map(|(_, v)| v.to_string()).collect();
+        println!("{scenario},{ack},{clients},{}", values.join(","));
+        let key = format!("bench.failover.{scenario}_{ack}_{clients}");
+        let exported = row.cols.iter().filter(|(c, _)| EXPORTED.contains(c));
+        exports.extend(exported.map(|&(metric, v)| (format!("{key}.{metric}"), v)));
     }
 
     println!("# replication tax: GET-heavy 32B closed loop, {TAX_WORKERS} workers");
     println!("mode,ops,shipped,mops_per_s,tax_pct");
-    let (off, _) = tax_run(seed, None);
+    let off = taxes[0].0;
     let secs = TAX_WINDOW.as_nanos() as f64 / 1e9;
     let mut sync_ops = 0;
-    for (mode, (ops, shipped)) in [
-        ("off", (off, 0)),
-        ("sync", tax_run(seed, Some(AckPolicy::Sync))),
-        ("async", tax_run(seed, Some(AckPolicy::Async))),
-    ] {
+    for (mode, &(ops, shipped)) in ["off", "sync", "async"].into_iter().zip(&taxes) {
         let tax = 1.0 - ops as f64 / off as f64;
         println!(
             "{mode},{ops},{shipped},{:.3},{:.2}",
@@ -323,15 +339,14 @@ fn main() {
         if mode != "off" {
             assert!(shipped > 0, "{mode}: replication never shipped an entry");
         }
-        bench
-            .counter(&format!("bench.failover.tax.{mode}_ops"))
-            .add(ops);
+        exports.push((format!("bench.failover.tax.{mode}_ops"), ops));
         if mode == "sync" {
             sync_ops = ops;
             // Whole basis points are enough resolution for the pin.
-            bench
-                .counter("bench.failover.tax.sync_tax_bp")
-                .add((tax * 10_000.0).max(0.0) as u64);
+            exports.push((
+                "bench.failover.tax.sync_tax_bp".to_string(),
+                (tax * 10_000.0).max(0.0) as u64,
+            ));
         }
     }
     assert!(
@@ -340,6 +355,6 @@ fn main() {
         TAX_BOUND * 100.0
     );
 
-    let path = emit_bench_json("failover", &bench).expect("write bench json");
-    eprintln!("# bench registry exported to {}", path.display());
+    let path = emit_bench_json("failover", exports).expect("write bench json");
+    eprintln!("# bench json written to {}", path.display());
 }

@@ -23,13 +23,13 @@
 //! cargo run --release -p rfp-bench --bin fleet [seed]
 //! ```
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_core::{OverloadConfig, RfpConfig};
 use rfp_kvstore::{
     spawn_fleet_kv, FleetConfig, FleetKv, SystemConfig, FLEET_PHYSICAL_CONNS, FLEET_POLLER_GROUPS,
     FLEET_TENANTS,
 };
-use rfp_simnet::{MetricsRegistry, SimSpan, Simulation};
+use rfp_simnet::{SimSpan, Simulation};
 use rfp_workload::WorkloadSpec;
 
 /// Logical clients of the fleet cell (the paper-scale fleet).
@@ -83,8 +83,55 @@ fn isolation_run(seed: u64, hot: bool) -> Vec<u64> {
     sys.tenant_goodput()
 }
 
+/// The fleet cell's row: goodput, scan cost per request, and its
+/// footprint columns.
+struct FleetRow {
+    logical_clients: usize,
+    kops: f64,
+    scan_slots_per_req: f64,
+    footprint: [(&'static str, u64); 4],
+}
+
+/// Runs `logical_clients` over the fleet rig and checks the QP budget
+/// and lease churn.
+fn fleet_cell(seed: u64, &logical_clients: &usize) -> FleetRow {
+    let fleet = FleetConfig {
+        logical_clients,
+        drivers: DRIVERS,
+        hot_tenant: None,
+    };
+    let mut sim = Simulation::new(seed);
+    let sys = spawn_fleet_kv(&mut sim, &base_cfg(seed), &fleet);
+    let done = run_window(&mut sim, &sys);
+    assert!(done > 0, "the fleet made no progress");
+    let scan_slots = sys.registry.snapshot().scalar("serve.scan.slots");
+    let server_qp_endpoints = sys.server_machine.qp_endpoints();
+    let evictions = sys.muxes.iter().map(|m| m.evictions()).sum();
+    assert!(
+        server_qp_endpoints <= 64,
+        "QP budget blown: {server_qp_endpoints}"
+    );
+    // An oversubscribed fleet must actually exercise lease movement.
+    assert!(evictions > 0, "the fleet must churn leases");
+    FleetRow {
+        logical_clients,
+        kops: done as f64 / WINDOW.as_secs_f64() / 1e3,
+        scan_slots_per_req: scan_slots.unwrap_or(0.0) / done as f64,
+        footprint: [
+            ("server_mr_bytes", sys.server_machine.registered_bytes()),
+            ("server_qp_endpoints", server_qp_endpoints),
+            ("leases", sys.muxes.iter().map(|m| m.leases()).sum()),
+            ("evictions", evictions),
+        ],
+    }
+}
+
 fn main() {
     let seed = seed_arg();
+    let fleet_rows = cells(&[FLEET_SIZE], |n| fleet_cell(seed, n));
+    // Tenant isolation: the hot-free baseline, then tenant 0 flooding.
+    let tenant_ok = cells(&[false, true], |&hot| isolation_run(seed, hot));
+    let (baseline, with_hot) = (&tenant_ok[0], &tenant_ok[1]);
 
     println!("# fleet: {FLEET_SIZE} logical clients over {FLEET_PHYSICAL_CONNS} physical conns, {FLEET_POLLER_GROUPS} poller groups, {FLEET_TENANTS} tenants");
     println!(
@@ -93,58 +140,25 @@ fn main() {
         WINDOW.as_nanos() / 1_000_000,
     );
     println!("n,kops,scan_slots_per_req,server_mr_bytes,server_qp_endpoints,leases,evictions");
-
-    let cfg = base_cfg(seed);
-    let fleet = FleetConfig {
-        logical_clients: FLEET_SIZE,
-        drivers: DRIVERS,
-        hot_tenant: None,
-    };
-    let mut sim = Simulation::new(seed);
-    let sys = spawn_fleet_kv(&mut sim, &cfg, &fleet);
-    let done = run_window(&mut sim, &sys);
-    assert!(done > 0, "the fleet made no progress");
-    let kops = done as f64 / WINDOW.as_secs_f64() / 1e3;
-    let scan_slots = sys.registry.snapshot().scalar("serve.scan.slots");
-    let scan_slots_per_req = scan_slots.unwrap_or(0.0) / done as f64;
-    let server_mr_bytes = sys.server_machine.registered_bytes();
-    let server_qp_endpoints = sys.server_machine.qp_endpoints();
-    let leases: u64 = sys.muxes.iter().map(|m| m.leases()).sum();
-    let evictions: u64 = sys.muxes.iter().map(|m| m.evictions()).sum();
-    println!(
-        "{FLEET_SIZE},{kops:.1},{scan_slots_per_req:.2},{server_mr_bytes},\
-         {server_qp_endpoints},{leases},{evictions}"
-    );
-    let bench = MetricsRegistry::new();
-    for (metric, value) in [
-        ("ops", (kops * 1e3) as u64),
-        (
-            "scan_slots_per_req_milli",
-            (scan_slots_per_req * 1e3) as u64,
-        ),
-        ("server_mr_bytes", server_mr_bytes),
-        ("server_qp_endpoints", server_qp_endpoints),
-        ("leases", leases),
-        ("evictions", evictions),
-    ] {
-        bench
-            .counter(&format!("bench.fleet.n{FLEET_SIZE}.{metric}"))
-            .add(value);
+    let mut exports = Vec::new();
+    for row in &fleet_rows {
+        let n = row.logical_clients;
+        let footprint: Vec<String> = row.footprint.iter().map(|(_, v)| v.to_string()).collect();
+        let (kops, scan) = (row.kops, row.scan_slots_per_req);
+        println!("{n},{kops:.1},{scan:.2},{}", footprint.join(","));
+        let rates = [
+            ("ops", (kops * 1e3) as u64),
+            ("scan_slots_per_req_milli", (scan * 1e3) as u64),
+        ];
+        for (metric, value) in rates.into_iter().chain(row.footprint) {
+            exports.push((format!("bench.fleet.n{n}.{metric}"), value));
+        }
     }
-
-    assert!(
-        server_qp_endpoints <= 64,
-        "QP budget blown: {server_qp_endpoints}"
-    );
-    // An oversubscribed fleet must actually exercise lease movement.
-    assert!(evictions > 0, "the fleet must churn leases");
 
     // Hot-tenant isolation: per-tenant credit domains keep every cold
     // tenant within 20% of its hot-free goodput.
     println!("# hot-tenant isolation: tenant 0 floods, 1..{FLEET_TENANTS} stay cold");
     println!("tenant,baseline_ok,hot_ok,ratio_permille");
-    let baseline = isolation_run(seed, false);
-    let with_hot = isolation_run(seed, true);
     let mut min_ratio = u64::MAX;
     for t in 0..FLEET_TENANTS as usize {
         let ratio_permille = with_hot[t] * 1000 / baseline[t].max(1);
@@ -166,15 +180,16 @@ fn main() {
         with_hot[0],
         baseline[0]
     );
-    bench
-        .counter("bench.fleet.hot.cold_ratio_permille_min")
-        .add(min_ratio);
-    bench.counter("bench.fleet.hot.hot_ok").add(with_hot[0]);
-    bench
-        .counter("bench.fleet.hot.cold_ok_total")
-        .add(with_hot[1..].iter().sum::<u64>());
+    exports.extend(
+        [
+            ("cold_ratio_permille_min", min_ratio),
+            ("hot_ok", with_hot[0]),
+            ("cold_ok_total", with_hot[1..].iter().sum::<u64>()),
+        ]
+        .map(|(metric, value)| (format!("bench.fleet.hot.{metric}"), value)),
+    );
 
-    let path = emit_bench_json("fleet", &bench).expect("write BENCH_fleet.json");
+    let path = emit_bench_json("fleet", exports).expect("write BENCH_fleet.json");
     println!("# wrote {}", path.display());
     println!("# all fleet-scaling assertions passed");
 }

@@ -26,10 +26,10 @@
 //! cargo run --release -p rfp-bench --bin grayfail [seed]
 //! ```
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::GrayConfig;
-use rfp_simnet::{MetricsRegistry, SimSpan, SimTime, Simulation};
+use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
 /// Faults strike after this much healthy warm-up (baselines freeze
@@ -61,9 +61,26 @@ const FLAKY_LOSS: f64 = 0.9;
 /// heals.
 const SLOW_SERVER_FACTOR: f64 = 30.0;
 
-struct CellResult {
+/// The columns each cell exports to `BENCH_grayfail.json`.
+const EXPORTED: [&str; 9] = [
+    "completed",
+    "lost_acked",
+    "meas_reads",
+    "read_p99_us",
+    "demotions",
+    "hedges",
+    "hedge_wins",
+    "budget_spent",
+    "linearizable",
+];
+
+/// One cell's CSV row: its labels, its measured read p99, and its
+/// columns in CSV order.
+struct Row {
+    scenario: &'static str,
+    mode: &'static str,
     p99_ns: u64,
-    reads: usize,
+    cols: Vec<(&'static str, u64)>,
 }
 
 fn plan_for(seed: u64, scenario: &str) -> Option<FaultPlan> {
@@ -89,7 +106,9 @@ fn gray_for(mode: &str) -> Option<GrayConfig> {
     }
 }
 
-fn run_cell(bench: &MetricsRegistry, seed: u64, scenario: &str, mode: &str) -> CellResult {
+/// Runs one `(scenario, mode)` cell and checks its safety and
+/// mitigation claims.
+fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row {
     let gray = gray_for(mode);
     let mut sim = Simulation::new(seed);
     let cfg = ChaosConfig {
@@ -131,24 +150,13 @@ fn run_cell(bench: &MetricsRegistry, seed: u64, scenario: &str, mode: &str) -> C
         .map(|n| rig.registry.counter(n).get())
         .sum::<u64>();
 
-    println!(
-        "{scenario},{mode},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        st.completed.get(),
-        st.acked_puts.get(),
-        st.failed_calls.get(),
-        st.lost_acked.get(),
-        st.stale_reads.get(),
-        reads.len(),
-        p99_ns / 1_000,
-        demotions,
-        hedges,
-        hedge_wins,
-        hedge_wasted,
-        budget_spent,
-        budget_denied,
-        linearizable as u32,
-    );
-
+    if scenario == "clean" {
+        assert!(
+            reads.len() >= 100,
+            "clean cell too thin: {} measured reads",
+            reads.len()
+        );
+    }
     // Safety: no acked write lost, no read runs backwards, history
     // linearizes, and hedging never double-applies a mutation — the
     // primary applied at most one execution per issued PUT and every
@@ -204,29 +212,36 @@ fn run_cell(bench: &MetricsRegistry, seed: u64, scenario: &str, mode: &str) -> C
         );
     }
 
-    let row = format!("bench.grayfail.{scenario}_{mode}");
-    for (metric, value) in [
-        ("completed", st.completed.get()),
-        ("lost_acked", st.lost_acked.get()),
-        ("meas_reads", reads.len() as u64),
-        ("read_p99_us", p99_ns / 1_000),
-        ("demotions", demotions),
-        ("hedges", hedges),
-        ("hedge_wins", hedge_wins),
-        ("budget_spent", budget_spent),
-        ("linearizable", linearizable as u64),
-    ] {
-        bench.counter(&format!("{row}.{metric}")).add(value);
-    }
-
-    CellResult {
+    Row {
+        scenario,
+        mode,
         p99_ns,
-        reads: reads.len(),
+        cols: vec![
+            ("completed", st.completed.get()),
+            ("acked_puts", st.acked_puts.get()),
+            ("failed_calls", st.failed_calls.get()),
+            ("lost_acked", st.lost_acked.get()),
+            ("stale_reads", st.stale_reads.get()),
+            ("meas_reads", reads.len() as u64),
+            ("read_p99_us", p99_ns / 1_000),
+            ("demotions", demotions),
+            ("hedges", hedges),
+            ("hedge_wins", hedge_wins),
+            ("hedge_wasted", hedge_wasted),
+            ("budget_spent", budget_spent),
+            ("budget_denied", budget_denied),
+            ("linearizable", linearizable as u64),
+        ],
     }
 }
 
 fn main() {
     let seed = seed_arg();
+    let mut specs = vec![("clean", "baseline")];
+    for scenario in ["slow_link", "flaky_link", "slow_server"] {
+        specs.extend(["baseline", "routing", "hedged"].map(|mode| (scenario, mode)));
+    }
+    let rows = cells(&specs, |spec| run_cell(seed, spec));
 
     println!("# gray-failure sweep: fail-slow faults x mitigation levels");
     println!(
@@ -234,41 +249,41 @@ fn main() {
         FAULT_AT.as_nanos() / 1_000,
         MEASURE_FROM.as_nanos() / 1_000,
     );
-    println!(
-        "scenario,mode,completed,acked_puts,failed_calls,lost_acked,stale_reads,\
-         meas_reads,read_p99_us,demotions,hedges,hedge_wins,hedge_wasted,\
-         budget_spent,budget_denied,linearizable"
-    );
+    let header: Vec<&str> = rows[0].cols.iter().map(|&(c, _)| c).collect();
+    println!("scenario,mode,{}", header.join(","));
+    for row in &rows {
+        let values: Vec<String> = row.cols.iter().map(|(_, v)| v.to_string()).collect();
+        println!("{},{},{}", row.scenario, row.mode, values.join(","));
+    }
 
-    let bench = MetricsRegistry::new();
-    let clean = run_cell(&bench, seed, "clean", "baseline");
-    assert!(
-        clean.reads >= 100,
-        "clean cell too thin: {} measured reads",
-        clean.reads
-    );
+    let clean = &rows[0];
     let bound_ns = (clean.p99_ns as f64 * P99_BOUND) as u64;
-
-    for scenario in ["slow_link", "flaky_link", "slow_server"] {
-        let base = run_cell(&bench, seed, scenario, "baseline");
-        assert!(
-            base.p99_ns > bound_ns,
-            "{scenario}/baseline: fault too mild to matter \
-             (p99 {}us, clean {}us)",
-            base.p99_ns / 1_000,
-            clean.p99_ns / 1_000
-        );
-        for mode in ["routing", "hedged"] {
-            let cell = run_cell(&bench, seed, scenario, mode);
+    for cell in &rows[1..] {
+        let scenario = cell.scenario;
+        if cell.mode == "baseline" {
+            assert!(
+                cell.p99_ns > bound_ns,
+                "{scenario}/baseline: fault too mild to matter \
+                 (p99 {}us, clean {}us)",
+                cell.p99_ns / 1_000,
+                clean.p99_ns / 1_000
+            );
+        } else {
             assert!(
                 cell.p99_ns <= bound_ns,
-                "{scenario}/{mode}: mitigated read p99 {}us exceeds {P99_BOUND}x clean ({}us)",
+                "{scenario}/{}: mitigated read p99 {}us exceeds {P99_BOUND}x clean ({}us)",
+                cell.mode,
                 cell.p99_ns / 1_000,
                 clean.p99_ns / 1_000
             );
         }
     }
 
-    let path = emit_bench_json("grayfail", &bench).expect("write bench json");
-    eprintln!("# bench registry exported to {}", path.display());
+    let exports = rows.iter().flat_map(|row| {
+        let key = format!("bench.grayfail.{}_{}", row.scenario, row.mode);
+        let exported = row.cols.iter().filter(|(c, _)| EXPORTED.contains(c));
+        exported.map(move |&(metric, v)| (format!("{key}.{metric}"), v))
+    });
+    let path = emit_bench_json("grayfail", exports).expect("write bench json");
+    eprintln!("# bench json written to {}", path.display());
 }

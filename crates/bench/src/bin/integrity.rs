@@ -24,7 +24,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_core::{connect, serve_loop, RfpConfig, RfpTelemetry};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{MetricsRegistry, SimSpan, Simulation, SpanRecorder};
@@ -51,7 +51,7 @@ struct Row {
 /// Runs `CALLS` echo calls against a server with both fault knobs at
 /// `rate`, returning the measured row. Panics (deliberately) if the rig
 /// wedges before finishing.
-fn run_point(seed: u64, rate: f64, integrity: bool) -> Row {
+fn run_point(seed: u64, &(rate, integrity): &(f64, bool)) -> Row {
     let mut sim = Simulation::new(seed);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
     let (cm, sm) = (cluster.machine(0), cluster.machine(1));
@@ -132,19 +132,18 @@ fn run_point(seed: u64, rate: f64, integrity: bool) -> Row {
 fn main() {
     let seed = seed_arg();
 
-    println!("# integrity sweep: echo fidelity and goodput under torn-DMA + bit-flip faults");
-    println!("# seed={seed} calls={CALLS} max_payload={MAX_PAYLOAD}");
-    println!("rate,integrity,mops,torn,crc_fail,retries,mismatches");
-
-    let bench = MetricsRegistry::new();
-    let mut rows = Vec::new();
     // The integrity-off leg runs only fault-free: without verification
     // a poisoned READ would surface corrupt bytes by design, which is
     // exactly the failure mode the layer exists to close.
     let mut points: Vec<(f64, bool)> = vec![(0.0, false)];
     points.extend(RATES.iter().map(|&r| (r, true)));
-    for (rate, integrity) in points {
-        let row = run_point(seed, rate, integrity);
+    let rows = cells(&points, |point| run_point(seed, point));
+
+    println!("# integrity sweep: echo fidelity and goodput under torn-DMA + bit-flip faults");
+    println!("# seed={seed} calls={CALLS} max_payload={MAX_PAYLOAD}");
+    println!("rate,integrity,mops,torn,crc_fail,retries,mismatches");
+    let mut exports = Vec::new();
+    for row in &rows {
         let mode = if row.integrity { "on" } else { "off" };
         println!(
             "{:.3},{mode},{:.4},{},{},{},{}",
@@ -156,11 +155,11 @@ fn main() {
             ("crc_fail", row.crc_fail),
             ("retries", row.retries),
         ] {
-            bench
-                .counter(&format!("bench.integrity.p{:.3}.{mode}.{metric}", row.rate))
-                .add(value);
+            exports.push((
+                format!("bench.integrity.p{:.3}.{mode}.{metric}", row.rate),
+                value,
+            ));
         }
-        rows.push(row);
     }
 
     // Headline: no corrupt payload ever reaches a caller, at any rate.
@@ -198,6 +197,6 @@ fn main() {
         (on0 - off0) / off0 * 100.0
     );
 
-    let path = emit_bench_json("integrity", &bench).expect("write bench json");
-    eprintln!("# bench registry exported to {}", path.display());
+    let path = emit_bench_json("integrity", exports).expect("write bench json");
+    eprintln!("# bench json written to {}", path.display());
 }

@@ -20,12 +20,12 @@
 
 use std::rc::Rc;
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_core::{connect, serve_loop, OverloadConfig, RespStatus, RfpConfig};
 use rfp_kvstore::systems::spawn_jakiro;
 use rfp_kvstore::SystemConfig;
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{MetricsRegistry, RetryPolicy, SimSpan, Simulation};
+use rfp_simnet::{RetryPolicy, SimSpan, Simulation};
 
 /// Closed-loop clients at 1× offered load (calibrated so the server CPU
 /// saturates right around here).
@@ -82,7 +82,7 @@ fn sweep_cfg(seed: u64, clients: usize, controlled: bool) -> SystemConfig {
     cfg
 }
 
-fn run_point(seed: u64, mult: f64, controlled: bool) -> Row {
+fn run_point(seed: u64, &(mult, controlled): &(f64, bool)) -> Row {
     let clients = ((BASE_CLIENTS as f64 * mult).round() as usize).max(1);
     let cfg = sweep_cfg(seed, clients, controlled);
     let mut sim = Simulation::new(seed);
@@ -164,6 +164,12 @@ fn main() {
         "a shed must cost exactly one request WRITE + one fetch READ in-bound"
     );
 
+    let specs: Vec<(f64, bool)> = MULTS
+        .iter()
+        .flat_map(|&mult| [(mult, false), (mult, true)])
+        .collect();
+    let rows = cells(&specs, |spec| run_point(seed, spec));
+
     println!("# overload sweep: Jakiro goodput vs offered load, control off/on");
     println!(
         "# seed={seed} base_clients={BASE_CLIENTS} threads={SERVER_THREADS} \
@@ -176,27 +182,22 @@ fn main() {
         "# shed_cost_check: inbound={inbound} outbound={outbound} (request WRITE + verdict READ)"
     );
     println!("mult,clients,control,mops,goodput_mops,p99_us,shed_rate");
-
-    let bench = MetricsRegistry::new();
-    let mut rows = Vec::new();
-    for &mult in &MULTS {
-        for controlled in [false, true] {
-            let row = run_point(seed, mult, controlled);
-            let mode = if controlled { "on" } else { "off" };
-            println!(
-                "{:.1},{},{mode},{:.4},{:.4},{:.2},{:.4}",
-                row.mult, row.clients, row.mops, row.goodput, row.p99_us, row.shed_rate
-            );
-            for (metric, value) in [
-                ("goodput_kops", (row.goodput * 1e3) as u64),
-                ("p99_ns", (row.p99_us * 1e3) as u64),
-                ("shed_permille", (row.shed_rate * 1e3) as u64),
-            ] {
-                bench
-                    .counter(&format!("bench.overload.x{}.{mode}.{metric}", row.mult))
-                    .add(value);
-            }
-            rows.push(row);
+    let mut exports = Vec::new();
+    for row in &rows {
+        let mode = if row.controlled { "on" } else { "off" };
+        println!(
+            "{:.1},{},{mode},{:.4},{:.4},{:.2},{:.4}",
+            row.mult, row.clients, row.mops, row.goodput, row.p99_us, row.shed_rate
+        );
+        for (metric, value) in [
+            ("goodput_kops", (row.goodput * 1e3) as u64),
+            ("p99_ns", (row.p99_us * 1e3) as u64),
+            ("shed_permille", (row.shed_rate * 1e3) as u64),
+        ] {
+            exports.push((
+                format!("bench.overload.x{}.{mode}.{metric}", row.mult),
+                value,
+            ));
         }
     }
 
@@ -220,6 +221,6 @@ fn main() {
          the sweep no longer saturates the server"
     );
 
-    let path = emit_bench_json("overload", &bench).expect("write bench json");
-    eprintln!("# bench registry exported to {}", path.display());
+    let path = emit_bench_json("overload", exports).expect("write bench json");
+    eprintln!("# bench json written to {}", path.display());
 }

@@ -34,10 +34,10 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use rfp_bench::{emit_bench_json, seed_arg};
+use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, REQ_HDR, RESP_HDR};
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
-use rfp_simnet::{MetricsRegistry, SimSpan, Simulation};
+use rfp_simnet::{SimSpan, Simulation};
 
 /// Request/response payload sizes swept (bytes), each with its ring
 /// windows (powers of two; 1 = the sequential layout): the 32 B echo
@@ -189,6 +189,14 @@ fn main() {
         "payload cells {below} B and {above} B must straddle the {knee} B in-bound knee"
     );
 
+    let specs: Vec<(usize, usize)> = CELLS
+        .iter()
+        .flat_map(|&(payload, windows)| windows.iter().map(move |&w| (payload, w)))
+        .collect();
+    let rows = cells(&specs, |&(payload, w)| {
+        run_point(seed, w, payload, IdlePolicy::fixed(SimSpan::nanos(100)))
+    });
+
     println!("# pipeline sweep: single-client throughput vs ring window W");
     println!(
         "# seed={seed} batch={BATCH} warmup={}ms window={}ms issue_cpu={}ns",
@@ -197,29 +205,22 @@ fn main() {
         ISSUE_CPU_NS,
     );
     println!("window,payload,mops,reads_per_doorbell,issue_per_read_ns");
-
-    let bench = MetricsRegistry::new();
-    let mut rows = Vec::new();
-    for &(payload, windows) in &CELLS {
-        for &w in windows {
-            let row = run_point(seed, w, payload, IdlePolicy::fixed(SimSpan::nanos(100)));
-            println!(
-                "{},{},{:.4},{:.2},{:.2}",
-                row.window, row.payload, row.mops, row.reads_per_doorbell, row.issue_per_read_ns
-            );
-            for (metric, value) in [
-                ("kops", (row.mops * 1e3) as u64),
-                (
-                    "reads_per_doorbell_milli",
-                    (row.reads_per_doorbell * 1e3) as u64,
-                ),
-                ("issue_per_read_ps", (row.issue_per_read_ns * 1e3) as u64),
-            ] {
-                bench
-                    .counter(&format!("bench.pipeline.w{w}.p{payload}.{metric}"))
-                    .add(value);
-            }
-            rows.push(row);
+    let mut exports = Vec::new();
+    for row in &rows {
+        println!(
+            "{},{},{:.4},{:.2},{:.2}",
+            row.window, row.payload, row.mops, row.reads_per_doorbell, row.issue_per_read_ns
+        );
+        let key = format!("bench.pipeline.w{}.p{}", row.window, row.payload);
+        for (metric, value) in [
+            ("kops", (row.mops * 1e3) as u64),
+            (
+                "reads_per_doorbell_milli",
+                (row.reads_per_doorbell * 1e3) as u64,
+            ),
+            ("issue_per_read_ps", (row.issue_per_read_ns * 1e3) as u64),
+        ] {
+            exports.push((format!("{key}.{metric}"), value));
         }
     }
 
@@ -313,11 +314,8 @@ fn main() {
         ("idle_util_adaptive_milli", (burn_adaptive * 1e3) as u64),
         ("sat_adaptive_kops", (sat_adaptive * 1e3) as u64),
     ] {
-        bench
-            .counter(&format!("bench.pipeline.{metric}"))
-            .add(value);
+        exports.push((format!("bench.pipeline.{metric}"), value));
     }
-
-    let path = emit_bench_json("pipeline", &bench).expect("write bench json");
-    eprintln!("# bench registry exported to {}", path.display());
+    let path = emit_bench_json("pipeline", exports).expect("write bench json");
+    eprintln!("# bench json written to {}", path.display());
 }

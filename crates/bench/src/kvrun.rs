@@ -11,7 +11,7 @@ use std::io;
 use std::path::Path;
 
 use rfp_kvstore::{KvSystem, SystemConfig};
-use rfp_simnet::{SimSpan, Simulation, TimeSeriesSampler};
+use rfp_simnet::{MetricsRegistry, SimSpan, SimTime, Simulation};
 
 /// Everything one measurement window yields.
 #[derive(Clone, Debug)]
@@ -95,16 +95,18 @@ pub fn run_kv_telemetry(
     let sys = spawn(&mut sim, cfg);
     sim.run_for(warmup);
     sys.reset_measurements();
-    let mut sampler = TimeSeriesSampler::new(sys.registry.clone(), Vec::new());
     let t0 = sim.now();
-    sampler.sample(sim.now());
+    // The columns are the metrics registered at the first sample.
+    let names = sys.registry.names();
+    let mut series = series_header(&names);
+    push_sample(&mut series, &sys.registry, &names, t0);
     let step = (window.as_nanos() / TELEMETRY_SAMPLES).max(1);
     let mut covered = 0u64;
     while covered < window.as_nanos() {
         let chunk = step.min(window.as_nanos() - covered);
         sim.run_for(SimSpan::nanos(chunk));
         covered += chunk;
-        sampler.sample(sim.now());
+        push_sample(&mut series, &sys.registry, &names, sim.now());
     }
     let run = collect_run(&sys, (sim.now() - t0).as_secs_f64());
 
@@ -112,10 +114,31 @@ pub fn run_kv_telemetry(
     let snap = sys.registry.snapshot();
     snap.write_csv(&mut File::create(dir.join("metrics.csv"))?)?;
     snap.write_json(&mut File::create(dir.join("metrics.json"))?)?;
-    sampler.write_csv(&mut File::create(dir.join("timeseries.csv"))?)?;
+    std::fs::write(dir.join("timeseries.csv"), series)?;
     sys.spans
         .write_chrome_trace(&mut File::create(dir.join("trace.json"))?)?;
     Ok(run)
+}
+
+/// The `time_ns` header of a time series over the metrics `names`.
+fn series_header(names: &[String]) -> String {
+    format!(
+        "time_ns{}\n",
+        names.iter().map(|n| format!(",{n}")).collect::<String>()
+    )
+}
+
+/// Appends one time-series row at `at`: each of `names` as its scalar
+/// (counters and histogram counts cumulative, gauges as levels).
+/// `f64`'s `Display` writes a whole number without a point, so counts
+/// and levels come out as integers and the output is byte-stable.
+fn push_sample(csv: &mut String, registry: &MetricsRegistry, names: &[String], at: SimTime) {
+    let snap = registry.snapshot();
+    csv.push_str(&at.as_nanos().to_string());
+    for name in names {
+        csv.push_str(&format!(",{}", snap.scalar(name).unwrap_or(0.0)));
+    }
+    csv.push('\n');
 }
 
 /// Aggregates one finished measurement window.
@@ -161,5 +184,45 @@ fn collect_run(sys: &KvSystem, secs: f64) -> KvRun {
         switches_to_reply: switches,
         bypass_ops_per_get: stats.bypass_ops.get() as f64 / stats.gets.get().max(1) as f64,
         crc_retries: stats.crc_retries.get(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    #[test]
+    fn columns_are_the_metrics_registered_at_the_first_sample() {
+        let reg = MetricsRegistry::new();
+        reg.counter("a").incr();
+        reg.counter("b").incr();
+        let names = reg.names();
+        let mut csv = series_header(&names);
+        push_sample(&mut csv, &reg, &names, t(10));
+        // Metrics registered later do not disturb existing columns.
+        reg.counter("c").incr();
+        push_sample(&mut csv, &reg, &names, t(20));
+        assert_eq!(csv, "time_ns,a,b\n10,1,1\n20,1,1\n");
+    }
+
+    #[test]
+    fn csv_is_deterministic_with_integer_values() {
+        let render = || {
+            let reg = MetricsRegistry::new();
+            reg.counter("ops").add(7);
+            reg.gauge("depth").set(-3);
+            let names = reg.names();
+            let mut csv = series_header(&names);
+            push_sample(&mut csv, &reg, &names, t(1_000));
+            push_sample(&mut csv, &reg, &names, t(2_000));
+            csv
+        };
+        let a = render();
+        assert_eq!(a, render());
+        assert_eq!(a, "time_ns,depth,ops\n1000,-3,7\n2000,-3,7\n");
     }
 }

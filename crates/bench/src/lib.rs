@@ -14,10 +14,11 @@
 //! run their tables through [`print_tables`]: each experiment renders
 //! into a buffer of its own and touches no shared state.
 //!
-//! The sweep binaries (`chaos` … `cores`) each fold their cells into a
-//! [`MetricsRegistry`] of their own `main` and export it with
-//! [`emit_bench_json`]; nothing in this library writes to a registry it
-//! did not create.
+//! The sweep binaries (`chaos` … `cores`) run their cells through
+//! [`cells`]: a cell is a function of the seed and its spec that returns
+//! a row, prints nothing and writes to no registry but its rig's own.
+//! Each `main` builds its specs in declared order, runs them, prints the
+//! rows and exports them with [`emit_bench_json`].
 //!
 //! The per-experiment index mapping figures to modules lives in
 //! `DESIGN.md`; paper-vs-measured numbers are recorded in
@@ -31,13 +32,14 @@ pub mod micro;
 pub mod paper;
 pub mod prose;
 
+use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use rfp_core::{ParamSelector, Params, WorkloadSample};
 use rfp_kvstore::SystemConfig;
-use rfp_simnet::{MetricsRegistry, SimSpan};
+use rfp_simnet::{MetricValue, MetricsSnapshot, SimSpan};
 use rfp_workload::{ValueSize, WorkloadSpec};
 
 use figures::ExperimentFn;
@@ -54,11 +56,31 @@ pub fn seed_arg() -> u64 {
         .map_or(42, |s| s.parse().expect("seed must be a u64"))
 }
 
-/// Exports `registry` as `BENCH_<name>.json` in the current directory
-/// and returns the path written.
-pub fn emit_bench_json(name: &str, registry: &MetricsRegistry) -> io::Result<PathBuf> {
+/// Runs one sweep cell per spec and returns the rows in spec order.
+///
+/// Serial for now. The bounds are what a parallel runner needs: specs
+/// shared across threads, rows sent back.
+pub fn cells<S: Sync, R: Send>(specs: &[S], run: impl Fn(&S) -> R + Sync) -> Vec<R> {
+    specs.iter().map(run).collect()
+}
+
+/// Exports `(metric, value)` pairs as counters in `BENCH_<name>.json`
+/// in the current directory and returns the path written.
+///
+/// # Panics
+///
+/// Panics if a metric name repeats.
+pub fn emit_bench_json(
+    name: &str,
+    exports: impl IntoIterator<Item = (String, u64)>,
+) -> io::Result<PathBuf> {
+    let mut values = BTreeMap::new();
+    for (metric, value) in exports {
+        let repeated = values.insert(metric.clone(), MetricValue::Counter(value));
+        assert!(repeated.is_none(), "bench export {metric:?} repeated");
+    }
     let path = PathBuf::from(format!("BENCH_{name}.json"));
-    registry.snapshot().write_json(&mut File::create(&path)?)?;
+    MetricsSnapshot { values }.write_json(&mut File::create(&path)?)?;
     Ok(path)
 }
 
@@ -158,4 +180,16 @@ pub fn preselect(result_sizes: Vec<usize>, process_time: SimSpan) -> Params {
     let cfg = kv_cfg();
     let sample = prerun_sample(&cfg, result_sizes, process_time);
     ParamSelector::new(cfg.profile.nic.clone(), cfg.profile.link.clone()).select(&sample)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    #[should_panic(expected = "bench export \"bench.x.a\" repeated")]
+    fn emit_bench_json_rejects_a_repeated_name() {
+        let _ = super::emit_bench_json(
+            "repeated",
+            [("bench.x.a".to_string(), 1), ("bench.x.a".to_string(), 2)],
+        );
+    }
 }

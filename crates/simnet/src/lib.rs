@@ -19,9 +19,9 @@
 //! * observability: one cause-chained event log ([`FlightRecorder`])
 //!   and the views beside it — a registry of hierarchically named
 //!   instruments ([`MetricsRegistry`]), per-request phase spans
-//!   ([`RequestTrace`], [`SpanRecorder`]), fixed-interval series
-//!   ([`TimeSeriesSampler`]) and rolling per-connection health windows
-//!   with anomaly detection ([`HealthHub`], [`AnomalyDetector`]).
+//!   ([`RequestTrace`], [`SpanRecorder`]) and rolling per-connection
+//!   health windows with anomaly detection ([`HealthHub`],
+//!   [`AnomalyDetector`]).
 //!
 //! Determinism: all state lives on one OS thread; events that fire at the
 //! same virtual instant are dispatched in insertion order, so every run
@@ -50,7 +50,6 @@ mod metrics;
 mod recorder;
 mod resource;
 mod retry;
-mod sampler;
 mod slab;
 mod span;
 mod stats;
@@ -71,7 +70,6 @@ pub use metrics::{Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightEvent, FlightRecorder, Severity};
 pub use resource::FifoServer;
 pub use retry::{retry, RetryExhausted, RetryPolicy};
-pub use sampler::{SampleRow, TimeSeriesSampler};
 pub use slab::{Slab, SlabKey};
 pub use span::{Phase, RequestTrace, SpanRecorder};
 pub use stats::{BusyClock, Counter, Histogram};

@@ -3,8 +3,8 @@
 //! Components register (or lazily create) [`Counter`]s, [`Gauge`]s and
 //! [`Histogram`]s under hierarchical dot-separated names —
 //! `nic.0.inbound.ops`, `rfp.client.3.retries` — and experiments read
-//! them back uniformly: as a point-in-time [`MetricsSnapshot`], as a
-//! delta since the previous snapshot, or exported as CSV / JSON.
+//! them back uniformly: as a point-in-time [`MetricsSnapshot`], or
+//! exported as CSV / JSON / Prometheus text.
 //!
 //! Everything is keyed through `BTreeMap`s, so iteration order — and
 //! therefore every exported byte — is deterministic for a given set of
@@ -278,8 +278,6 @@ struct Inner {
     /// One cell per name: connections that share a prefix record into
     /// the same cell (see [`MetricsRegistry::register_histogram`]).
     histograms: BTreeMap<String, Rc<Histogram>>,
-    /// Scalar baselines captured by the previous [`MetricsRegistry::diff`].
-    baseline: BTreeMap<String, f64>,
 }
 
 /// A shareable registry of named instruments.
@@ -340,8 +338,13 @@ impl MetricsRegistry {
     /// Registers an existing counter under `name` (components that
     /// already own their instruments expose them this way). Several
     /// cells may share a name; it then exports their sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different kind.
     pub fn register_counter(&self, name: &str, counter: &Rc<Counter>) {
         let mut inner = self.inner.borrow_mut();
+        assert_kind_free(&inner.gauges, &inner.histograms, name);
         let cells = inner.counters.entry(name.to_string()).or_default();
         cells.push(Rc::clone(counter));
     }
@@ -351,9 +354,11 @@ impl MetricsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `name` already holds a different histogram.
+    /// Panics if `name` already holds a different histogram, or is
+    /// registered as a different kind.
     pub fn register_histogram(&self, name: &str, histogram: &Rc<Histogram>) {
         let mut inner = self.inner.borrow_mut();
+        assert_kind_free(&inner.counters, &inner.gauges, name);
         let cell = inner
             .histograms
             .entry(name.to_string())
@@ -406,37 +411,16 @@ impl MetricsRegistry {
         MetricsSnapshot { values }
     }
 
-    /// Scalar change of every instrument since the previous `diff` call
-    /// (or since registration, the first time): counter and histogram
-    /// counts as deltas, gauges as their current level.
-    pub fn diff(&self) -> BTreeMap<String, f64> {
-        let snap = self.snapshot();
-        let mut inner = self.inner.borrow_mut();
-        let mut out = BTreeMap::new();
-        for (name, value) in &snap.values {
-            let now = value.scalar();
-            let delta = match value {
-                MetricValue::Gauge(_) => now,
-                _ => now - inner.baseline.get(name).copied().unwrap_or(0.0),
-            };
-            inner.baseline.insert(name.clone(), now);
-            out.insert(name.clone(), delta);
-        }
-        out
-    }
-
-    /// Resets every counter, histogram and diff baseline (gauges keep
-    /// their level: they describe present state, not history).
+    /// Resets every counter and histogram (gauges keep their level:
+    /// they describe present state, not history).
     pub fn reset(&self) {
-        let inner = self.inner.borrow_mut();
+        let inner = self.inner.borrow();
         for c in inner.counters.values().flatten() {
             c.reset();
         }
         for h in inner.histograms.values() {
             h.reset();
         }
-        drop(inner);
-        self.inner.borrow_mut().baseline.clear();
     }
 }
 
@@ -517,6 +501,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different kind")]
+    fn counter_registered_over_a_histogram_rejected() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("x");
+        reg.register_counter("x", &Rc::new(Counter::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "different kind")]
+    fn histogram_registered_over_a_counter_rejected() {
+        let reg = MetricsRegistry::new();
+        reg.counter("x");
+        reg.register_histogram("x", &Rc::new(Histogram::new()));
+    }
+
+    #[test]
     fn snapshot_covers_all_kinds() {
         let reg = MetricsRegistry::new();
         reg.counter("c").add(4);
@@ -538,18 +538,6 @@ mod tests {
             }
             ref other => panic!("expected histogram, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn diff_reports_deltas_for_counters_levels_for_gauges() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c").add(5);
-        reg.gauge("g").set(9);
-        assert_eq!(reg.diff()["c"], 5.0);
-        reg.counter("c").add(2);
-        let d = reg.diff();
-        assert_eq!(d["c"], 2.0);
-        assert_eq!(d["g"], 9.0);
     }
 
     #[test]

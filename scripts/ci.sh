@@ -112,20 +112,24 @@ trap 'rm -rf "$tmp"' EXIT
 # byte: a PR that moves a committed number must commit the new file.
 # (`cargo test` above has already failed if two cells of one committed
 # sweep are identical in every metric: crates/bench/tests/distinct_cells.rs.)
+# Each run writes its BENCH json into a scratch directory of its own,
+# never over the committed file.
+root=$PWD
 for sweep in chaos overload integrity pipeline doctor fleet failover grayfail cores; do
-  cargo run -q --release -p rfp-bench --bin "$sweep" 42 > "$tmp/${sweep}_a.csv"
-  mv "BENCH_$sweep.json" "$tmp/${sweep}_a.json"
-  cargo run -q --release -p rfp-bench --bin "$sweep" 42 > "$tmp/${sweep}_b.csv"
-  cmp "$tmp/${sweep}_a.csv" "$tmp/${sweep}_b.csv"
-  cmp "$tmp/${sweep}_a.json" "BENCH_$sweep.json"
-  git show "HEAD:BENCH_$sweep.json" | cmp - "$tmp/${sweep}_a.json"
+  for run in a b; do
+    mkdir "$tmp/${sweep}_$run"
+    (cd "$tmp/${sweep}_$run" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
+      -p rfp-bench --bin "$sweep" 42 > stdout.csv)
+  done
+  cmp "$tmp/${sweep}_a/stdout.csv" "$tmp/${sweep}_b/stdout.csv"
+  cmp "$tmp/${sweep}_a/BENCH_$sweep.json" "$tmp/${sweep}_b/BENCH_$sweep.json"
+  git show "HEAD:BENCH_$sweep.json" | cmp - "$tmp/${sweep}_a/BENCH_$sweep.json"
 done
 
 # Goldens: the paper figures and the ablations must reproduce the
 # committed experiments/*.csv byte for byte. (Run from the scratch
 # directory: `--csv experiments` must not overwrite the committed
 # goldens.)
-root=$PWD
 golden() {
   (cd "$tmp" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
     -p rfp-bench --bin "$@" > /dev/null)
