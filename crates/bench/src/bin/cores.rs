@@ -61,6 +61,8 @@ struct Point {
     /// Hottest core's served count over the per-core mean (1.0 = flat).
     imbalance_milli: u64,
     served: Vec<u64>,
+    /// The run's registry rows, for the determinism check.
+    fingerprint: String,
 }
 
 fn run_point(seed: u64, &(cores, mode): &(usize, Mode)) -> Point {
@@ -79,6 +81,7 @@ fn run_point(seed: u64, &(cores, mode): &(usize, Mode)) -> Point {
     sim.run_for(WARMUP);
     sys.reset_measurements();
     sim.run_for(WINDOW);
+    let fingerprint = fingerprint(&sys);
     let done = sys.stats.completed.get();
     assert!(
         done > 0,
@@ -95,6 +98,7 @@ fn run_point(seed: u64, &(cores, mode): &(usize, Mode)) -> Point {
         handoffs: sys.reactor.handoffs(),
         imbalance_milli: (report.imbalance() * 1e3) as u64,
         served: sys.served_per_core(),
+        fingerprint,
     }
 }
 
@@ -222,24 +226,13 @@ fn main() {
         four.imbalance_milli
     );
 
-    // Determinism: the same seed replays the same simulation
-    // byte-for-byte (registry rows compared).
-    let det_cfg = CoresConfig {
-        cores: 4,
-        skew: Some(THETA),
-        seed,
-        ..CoresConfig::default()
-    };
-    let mut fps = Vec::new();
-    for _ in 0..2 {
-        let mut sim = Simulation::new(seed);
-        let sys = spawn_cores_kv(&mut sim, &det_cfg);
-        sim.run_for(WARMUP);
-        sys.reset_measurements();
-        sim.run_for(WINDOW);
-        fps.push(fingerprint(&sys));
-    }
-    assert_eq!(fps[0], fps[1], "same-seed runs must be byte-identical");
+    // Determinism: the same seed replays the swept 4-core stealing
+    // cell byte-for-byte (registry rows compared).
+    let replay = run_point(seed, &(4, Mode::Zipf { steal: true }));
+    assert_eq!(
+        replay.fingerprint, skew_steal.fingerprint,
+        "same-seed runs must be byte-identical"
+    );
 
     let path = emit_bench_json("cores", exports).expect("write BENCH_cores.json");
     println!("# wrote {}", path.display());

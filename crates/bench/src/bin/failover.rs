@@ -310,10 +310,8 @@ fn main() {
         DETECT.as_nanos() / 1_000,
         WINDOW.as_nanos() / 1_000_000
     );
-    println!(
-        "scenario,ack,clients,completed,acked_puts,failed_calls,lost_acked,stale_reads,\
-         failovers,promoted,failover_us_max,hist_ops,linearizable"
-    );
+    let names: Vec<&str> = rows[0].cols.iter().map(|&(name, _)| name).collect();
+    println!("scenario,ack,clients,{}", names.join(","));
     let mut exports = Vec::new();
     for row in &rows {
         let (scenario, ack, clients) = (row.scenario, ack_name(row.ack), row.clients);

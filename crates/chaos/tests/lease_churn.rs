@@ -25,7 +25,7 @@ use rfp_core::{
 use rfp_kvstore::systems::apply_to_partition;
 use rfp_kvstore::{KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{derive_seed, HealthHub, SimSpan, SimTime, Simulation};
+use rfp_simnet::{derive_seed, SimSpan, SimTime, Simulation};
 
 const CLIENT_MACHINES: usize = 2;
 const CONNS_PER_MACHINE: usize = 2;
@@ -100,7 +100,7 @@ fn run_lease_churn(seed: u64) -> Outcome {
             clients.push(Rc::new(cl));
             server_conns.push(Rc::new(sc));
         }
-        muxes.push(RfpMux::new(clients, HealthHub::default()));
+        muxes.push(RfpMux::new(clients));
     }
 
     // Outcome counters shared by every task.

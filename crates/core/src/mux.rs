@@ -30,15 +30,14 @@
 //! carry their tenant in the request header, the sweep charges each
 //! verdict to that tenant's own queue share, and credit advertisements
 //! reflect the sender's backlog only — one hot tenant collapses its own
-//! credits to zero while cold tenants keep full admission. Per-tenant
-//! health windows ride an ordinary [`HealthHub`] keyed by tenant id.
+//! credits to zero while cold tenants keep full admission.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rfp_rnic::ThreadCtx;
-use rfp_simnet::{HealthHub, HealthSignal, Semaphore, SemaphoreGuard};
+use rfp_simnet::{Semaphore, SemaphoreGuard};
 
 use crate::client::{CallEngine, CallPolicy, CallResult, RfpClient, NO_RECOVERY};
 use crate::conn::RfpServerConn;
@@ -91,9 +90,6 @@ pub struct RfpMux {
     phys: Vec<PhysState>,
     avail: RefCell<Avail>,
     next_logical: Cell<u32>,
-    /// Per-tenant health windows: tenant `t`'s calls are booked into
-    /// this hub's connection `t`.
-    tenant_health: HealthHub,
     leases: Cell<u64>,
     evictions: Cell<u64>,
     reuses: Cell<u64>,
@@ -101,8 +97,7 @@ pub struct RfpMux {
 
 impl RfpMux {
     /// Builds a mux over the given physical connections. Every request
-    /// is stamped with its holder's tenant id, and every finished call
-    /// is booked into `tenant_health` under its tenant.
+    /// is stamped with its holder's tenant id.
     ///
     /// # Panics
     ///
@@ -110,7 +105,7 @@ impl RfpMux {
     /// `MAX_PHYSICAL_QPS` distinct QPs (physical
     /// connections are expected to *share* QP pairs per machine — a
     /// fresh QP per connection would defeat the point).
-    pub fn new(clients: Vec<Rc<RfpClient>>, tenant_health: HealthHub) -> Rc<Self> {
+    pub fn new(clients: Vec<Rc<RfpClient>>) -> Rc<Self> {
         assert!(!clients.is_empty(), "mux needs at least one connection");
         let qps: BTreeSet<usize> = clients
             .iter()
@@ -138,7 +133,6 @@ impl RfpMux {
                 idle_leased: VecDeque::new(),
             }),
             next_logical: Cell::new(0),
-            tenant_health,
             leases: Cell::new(0),
             evictions: Cell::new(0),
             reuses: Cell::new(0),
@@ -343,31 +337,12 @@ impl LogicalClient {
     ) -> Result<CallResult, RpcError> {
         self.one(thread, req, CallPolicy::recovered(rec)).await
     }
-
-    /// Books one finished call into the tenant's health window. Mirrors
-    /// the per-connection booking the transport does, one aggregation
-    /// level up.
-    fn book(&self, thread: &ThreadCtx, out: &CallResult) {
-        let h = self.mux.tenant_health.conn(self.tenant.0);
-        match out.info.status {
-            RespStatus::Ok => h.record_call(
-                thread.now(),
-                out.info.latency,
-                out.info.attempts.saturating_sub(1) as u64,
-            ),
-            RespStatus::Busy => h.record(thread.now(), HealthSignal::Busy),
-            // A fenced call is a routing casualty, not tenant pressure;
-            // shed accounting is the closest rejection bucket.
-            RespStatus::Shed | RespStatus::Fenced => h.record(thread.now(), HealthSignal::Shed),
-        }
-    }
 }
 
 /// The one path behind every entry point of a logical client: wait
 /// FIFO-fair for a lease, run `reqs` on the leased connection through
-/// the call engine, and book each result into the tenant's health
-/// window. A hard admission deadline already spent while queueing sheds
-/// the calls locally.
+/// the call engine. A hard admission deadline already spent while
+/// queueing sheds the calls locally.
 impl CallEngine for LogicalClient {
     async fn run<R: AsRef<[u8]>>(
         &self,
@@ -378,12 +353,6 @@ impl CallEngine for LogicalClient {
     ) {
         let t0 = thread.now();
         let (_permit, idx) = self.mux.acquire(self).await;
-        let mut booked = |i: usize, out: Result<CallResult, RpcError>| {
-            if let Ok(call) = &out {
-                self.book(thread, call);
-            }
-            sink(i, out)
-        };
         if policy
             .admission
             .flatten()
@@ -391,7 +360,7 @@ impl CallEngine for LogicalClient {
         {
             self.mux.release(idx);
             for i in 0..reqs.len() {
-                booked(
+                sink(
                     i,
                     Ok(CallResult::rejected(RespStatus::Shed, thread.now() - t0)),
                 );
@@ -399,7 +368,7 @@ impl CallEngine for LogicalClient {
             return;
         }
         let conn = &self.mux.clients[idx];
-        conn.run(thread, reqs, policy, booked).await;
+        conn.run(thread, reqs, policy, sink).await;
         self.mux.release(idx);
     }
 }
@@ -506,7 +475,7 @@ mod tests {
         let mut sim = Simulation::new(21);
         let cfg = RfpConfig::default();
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, cfg, 4, true);
-        let mux = RfpMux::new(clients, HealthHub::default());
+        let mux = RfpMux::new(clients);
 
         // 16 logical clients (4 tenants), each issuing 3 calls.
         let running = Rc::new(Cell::new(16usize));
@@ -539,7 +508,7 @@ mod tests {
     fn idle_logical_clients_cost_no_leases() {
         let mut sim = Simulation::new(3);
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, RfpConfig::default(), 2, true);
-        let mux = RfpMux::new(clients, HealthHub::default());
+        let mux = RfpMux::new(clients);
 
         // A large fleet exists; only two ever call.
         let mut fleet = Vec::new();
@@ -565,7 +534,7 @@ mod tests {
         let mut sim = Simulation::new(5);
         let cfg = RfpConfig::default();
         let (clients, _conns, cm, _sm) = mux_rig(&mut sim, cfg, 3, true);
-        let mux = RfpMux::new(clients, HealthHub::default());
+        let mux = RfpMux::new(clients);
         for i in 0..3u32 {
             let lc = mux.logical_client_pinned(TenantId(i), i as usize);
             let t = cm.thread(format!("task{i}"));
@@ -605,7 +574,7 @@ mod tests {
                 }
             });
         }
-        let mux = RfpMux::new(clients, HealthHub::default());
+        let mux = RfpMux::new(clients);
         let lc = mux.logical_client(TenantId(0xBEEF));
         let t = cm.thread("task");
         sim.spawn(async move {
@@ -632,27 +601,5 @@ mod tests {
         }
         // More groups than connections degrades to one conn per group.
         assert_eq!(shard_conns(&conns[..2], 5).len(), 2);
-    }
-
-    #[test]
-    fn tenant_health_books_per_tenant() {
-        let mut sim = Simulation::new(11);
-        let hub = HealthHub::default();
-        let (clients, _conns, cm, _sm) = mux_rig(&mut sim, RfpConfig::default(), 2, true);
-        let mux = RfpMux::new(clients, hub.clone());
-        for i in 0..4u32 {
-            let lc = mux.logical_client(TenantId(i % 2));
-            let t = cm.thread(format!("task{i}"));
-            sim.spawn(async move {
-                let _ = lc.call(&t, b"x").await;
-            });
-        }
-        // Stay inside the hub's retained window (`HealthHub::WINDOW`,
-        // 1.6 ms) so the calls are still visible.
-        sim.run_for(SimSpan::millis(1));
-        let report = hub.report(sim.now());
-        assert_eq!(report.conns.len(), 2, "one window per tenant");
-        let calls: u64 = report.conns.iter().map(|c| c.calls).sum();
-        assert_eq!(calls, 4);
     }
 }

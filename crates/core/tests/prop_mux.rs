@@ -19,7 +19,7 @@ use rfp_core::{
     connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, RfpMux, RfpTelemetry, TenantId,
 };
 use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{HealthHub, MetricsRegistry, SimSpan, Simulation, SpanRecorder};
+use rfp_simnet::{MetricsRegistry, SimSpan, Simulation, SpanRecorder};
 
 /// Everything observable about one run.
 #[derive(Debug, PartialEq, Eq)]
@@ -72,7 +72,7 @@ fn run(seed: u64, m: usize, window: usize, calls: usize, sizes: &[usize], mux: b
         ));
     }
 
-    let mux_layer = mux.then(|| RfpMux::new(clients.clone(), HealthHub::default()));
+    let mux_layer = mux.then(|| RfpMux::new(clients.clone()));
 
     let responses: Rc<std::cell::RefCell<Vec<Vec<Vec<u8>>>>> =
         Rc::new(std::cell::RefCell::new(vec![Vec::new(); m]));

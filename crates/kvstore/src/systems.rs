@@ -35,7 +35,7 @@ use rfp_core::{
 };
 use rfp_paradigms::{herd_connect, sr_connect, BypassClient};
 use rfp_rnic::{ClusterProfile, Machine, ThreadCtx, Transport};
-use rfp_simnet::{derive_seed, Counter, HealthHub, SimLock, SimSpan, Simulation};
+use rfp_simnet::{derive_seed, Counter, SimLock, SimSpan, Simulation};
 use rfp_workload::{Op, WorkloadSpec};
 
 use crate::bucket::Partition;
@@ -649,8 +649,6 @@ pub struct FleetKv {
     pub kv: KvSystem,
     /// One mux per client machine.
     pub muxes: Vec<Rc<RfpMux>>,
-    /// Per-tenant health windows (hub connection id = tenant id).
-    pub tenant_health: HealthHub,
     /// Completed-Ok calls per tenant (index = tenant id).
     pub tenant_goodput: Vec<Rc<Counter>>,
 }
@@ -726,12 +724,8 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
         server_conns.push(Rc::new(sc));
     }
 
-    // One mux per client machine, all feeding one per-tenant hub.
-    let tenant_health = HealthHub::default();
-    let muxes: Vec<Rc<RfpMux>> = per_machine_clients
-        .into_iter()
-        .map(|clients| RfpMux::new(clients, tenant_health.clone()))
-        .collect();
+    // One mux per client machine.
+    let muxes: Vec<Rc<RfpMux>> = per_machine_clients.into_iter().map(RfpMux::new).collect();
 
     let tenant_goodput: Vec<Rc<Counter>> = (0..FLEET_TENANTS)
         .map(|t| {
@@ -827,7 +821,6 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
     FleetKv {
         kv: sys,
         muxes,
-        tenant_health,
         tenant_goodput,
     }
 }

@@ -3,14 +3,15 @@
 //!
 //! A [`HealthHub`] hands out one [`ConnHealth`] per connection. Each
 //! keeps a sliding window of fixed-width epochs (aligned to the virtual
-//! clock, so rotation is deterministic); every epoch holds a
-//! log-bucketed latency sketch and one counter per [`HealthSignal`].
-//! Recording is O(1) bookkeeping with no simulated-CPU charge and no
-//! scheduled events, so the plane can stay on under a W=16 pipelined
-//! load without perturbing timing.
+//! clock, so rotation is deterministic); every epoch holds an exact
+//! [`Histogram`] of its call latencies and one counter per
+//! [`HealthSignal`]. Recording is bookkeeping with no simulated-CPU
+//! charge and no scheduled events, so the plane can stay on under a
+//! W=16 pipelined load without perturbing timing.
 //!
 //! [`HealthHub::report`] merges the retained epochs into a
-//! [`HealthReport`] (p50/p99, retry rate, per-signal counts). An
+//! [`HealthReport`] (exact nearest-rank p50/p99, retry rate,
+//! per-signal counts). An
 //! [`AnomalyDetector`] compares a
 //! report against a captured [`Baseline`] with fixed thresholds and
 //! emits [`Anomaly`]s; [`DumpBundle`] renders the triggering window's
@@ -26,72 +27,8 @@ use std::rc::Rc;
 use crate::metrics::MetricsSnapshot;
 use crate::recorder::FlightRecorder;
 use crate::span::SpanRecorder;
+use crate::stats::Histogram;
 use crate::time::{SimSpan, SimTime};
-
-/// Power-of-two log-bucketed latency sketch: bucket `b` counts samples
-/// with `floor(log2(ns)) == b`. Quantiles come back as the matching
-/// bucket's upper bound — coarse (≤ 2x) but O(1) to record and O(64)
-/// to query, which is what keeps the plane always-on.
-#[derive(Clone)]
-struct LatencySketch {
-    buckets: [u64; 64],
-    count: u64,
-    /// Largest sample: quantiles are clamped to it.
-    max_ns: u64,
-}
-
-impl LatencySketch {
-    fn new() -> Self {
-        LatencySketch {
-            buckets: [0; 64],
-            count: 0,
-            max_ns: 0,
-        }
-    }
-
-    fn record(&mut self, ns: u64) {
-        let idx = if ns <= 1 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    fn merge(&mut self, other: &LatencySketch) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Nearest-rank quantile (`q` in 0..=1) as the bucket upper bound;
-    /// 0 when empty.
-    fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Upper bound of bucket idx: 2^(idx+1) - 1, clamped to
-                // the observed maximum so outliers don't inflate it.
-                let bound = if idx >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (idx + 1)) - 1
-                };
-                return bound.min(self.max_ns);
-            }
-        }
-        self.max_ns
-    }
-}
 
 /// A countable per-connection signal: the key of the window's counters
 /// (and the health column of a client's incident table).
@@ -119,10 +56,9 @@ pub enum HealthSignal {
 const SIGNALS: usize = HealthSignal::Failover as usize + 1;
 
 /// One fixed-width slice of a connection's history.
-#[derive(Clone)]
 struct Epoch {
     start: SimTime,
-    latency: LatencySketch,
+    latency: Histogram,
     calls: u64,
     retries: u64,
     /// Occurrences of each [`HealthSignal`], indexed by discriminant.
@@ -133,7 +69,7 @@ impl Epoch {
     fn new(start: SimTime) -> Self {
         Epoch {
             start,
-            latency: LatencySketch::new(),
+            latency: Histogram::new(),
             calls: 0,
             retries: 0,
             signals: [0; SIGNALS],
@@ -208,7 +144,7 @@ impl ConnHealth {
         self.with_current(now, |e| {
             e.calls += 1;
             e.retries += retries;
-            e.latency.record(latency.as_nanos());
+            e.latency.record(latency);
         });
     }
 
@@ -225,7 +161,7 @@ impl ConnHealth {
         let epochs = self.epochs.borrow();
         let mut merged = Epoch::new(now);
         for e in epochs.iter() {
-            merged.latency.merge(&e.latency);
+            merged.latency.absorb(&e.latency);
             merged.calls += e.calls;
             merged.retries += e.retries;
             for (sum, n) in merged.signals.iter_mut().zip(&e.signals) {
@@ -233,11 +169,12 @@ impl ConnHealth {
             }
         }
         let count = |signal: HealthSignal| merged.signals[signal as usize];
+        let quantile = |p: f64| merged.latency.percentile(p).map_or(0, SimSpan::as_nanos);
         ConnHealthReport {
             conn: self.conn,
             calls: merged.calls,
-            p50_ns: merged.latency.quantile(0.50),
-            p99_ns: merged.latency.quantile(0.99),
+            p50_ns: quantile(50.0),
+            p99_ns: quantile(99.0),
             retry_rate: if merged.calls == 0 {
                 0.0
             } else {
@@ -263,8 +200,8 @@ pub struct ConnHealthReport {
     pub conn: u32,
     /// Calls completed inside the window.
     pub calls: u64,
-    /// Median latency (log-bucket upper bound, ≤ 2x coarse, clamped to
-    /// the window's largest sample).
+    /// Median latency: the exact nearest-rank sample of the window, 0
+    /// when it holds no call.
     pub p50_ns: u64,
     /// 99th percentile latency, likewise.
     pub p99_ns: u64,
@@ -767,19 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_quantiles_bracket_samples() {
-        let mut s = LatencySketch::new();
-        for ns in [100u64, 200, 300, 400, 10_000] {
-            s.record(ns);
-        }
-        let p50 = s.quantile(0.5);
-        assert!((128..=512).contains(&p50), "p50 = {p50}");
-        assert_eq!(s.quantile(0.999), 10_000);
-        assert_eq!(s.quantile(1.0), 10_000);
-        assert_eq!(LatencySketch::new().quantile(0.5), 0);
-    }
-
-    #[test]
     fn window_rotates_and_drops_old_epochs() {
         let h = HealthHub::default().conn(0);
         h.record_call(t(10), SimSpan::micros(1), 0);
@@ -812,7 +736,22 @@ mod tests {
         assert_eq!(r.calls, 10);
         assert_eq!(r.retry_rate, 1.0);
         assert_eq!((r.sheds, r.corrupts, r.busys), (1, 1, 0));
-        assert!(r.p50_ns >= 1_000 && r.p50_ns <= 4_000, "p50 = {}", r.p50_ns);
+        assert_eq!(r.p50_ns, 2_000);
+    }
+
+    #[test]
+    fn report_quantiles_are_exact_samples() {
+        let h = HealthHub::default().conn(0);
+        let empty = h.report(t(0));
+        assert_eq!((empty.p50_ns, empty.p99_ns), (0, 0));
+        // 1..=100 µs, half in each of two epochs of one window.
+        for us in 1..=100u64 {
+            let at = if us <= 50 { t(10) } else { t(250) };
+            h.record_call(at, SimSpan::micros(us), 0);
+        }
+        let r = h.report(t(300));
+        assert_eq!(r.calls, 100);
+        assert_eq!((r.p50_ns, r.p99_ns), (50_000, 99_000));
     }
 
     #[test]

@@ -113,12 +113,14 @@ trap 'rm -rf "$tmp"' EXIT
 # (`cargo test` above has already failed if two cells of one committed
 # sweep are identical in every metric: crates/bench/tests/distinct_cells.rs.)
 # Each run writes its BENCH json into a scratch directory of its own,
-# never over the committed file.
+# never over the committed file. Each run's host wall-clock seconds are
+# printed for the record (ungated: the box's speed drifts).
 root=$PWD
 for sweep in chaos overload integrity pipeline doctor fleet failover grayfail cores; do
   for run in a b; do
     mkdir "$tmp/${sweep}_$run"
-    (cd "$tmp/${sweep}_$run" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
+    TIMEFORMAT="sweep $sweep $run: %1R s"
+    time (cd "$tmp/${sweep}_$run" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
       -p rfp-bench --bin "$sweep" 42 > stdout.csv)
   done
   cmp "$tmp/${sweep}_a/stdout.csv" "$tmp/${sweep}_b/stdout.csv"
