@@ -8,9 +8,8 @@
 //!   `[klen:u16][vlen:u32][key_hash:u64][cell:u64][rsvd:u64][crc:u64]`
 //!   where `crc` covers the first 30 bytes. A slot with `klen == 0` is
 //!   vacant (still CRC-protected).
-//! * **extent cells** — fixed-size cells holding
-//!   `[klen:u16][vlen:u32][key][value][crc:u64]` with `crc` over
-//!   everything before it.
+//! * **extent cells** — fixed-size cells, each holding one
+//!   self-verifying entry (DESIGN §5b, "Bypass cell") with no padding.
 //!
 //! GETs probe a key's three candidate buckets, then fetch the extent —
 //! every read re-validated by checksum and retried on mismatch, which is
@@ -24,11 +23,11 @@ use std::rc::Rc;
 
 use rfp_paradigms::BypassClient;
 use rfp_rnic::{Machine, MemRegion, ThreadCtx};
-use rfp_simnet::SimSpan;
+use rfp_simnet::{crc64, SimSpan};
 
+use crate::cell::{self, BypassGet};
 use crate::hash::hash_bytes;
 use crate::rig::BypassStore;
-use rfp_simnet::crc64;
 
 /// Bytes per slot in the table region.
 const SLOT_SIZE: usize = 40;
@@ -41,9 +40,6 @@ const CUCKOO_SEEDS: [u64; 3] = [0xC0FF_EE01, 0xC0FF_EE02, 0xC0FF_EE03];
 /// Give up displacement after this many kicks (the table is then
 /// effectively full at this load factor).
 const MAX_KICKS: usize = 256;
-
-/// Cap on checksum-failure rereads in one client lookup.
-const MAX_CRC_RETRIES: u32 = 64;
 
 /// Errors from server-side mutations.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -158,7 +154,7 @@ impl PilafStore {
     /// hold the per-cell header and checksum.
     pub fn new(machine: &Rc<Machine>, buckets: usize, cells: usize, cell_size: usize) -> Self {
         assert!(buckets > 0 && cells > 0, "empty geometry");
-        assert!(cell_size > 14, "cell too small for header + crc");
+        assert!(cell_size > cell::len(0, 0), "cell too small");
         let table = machine.alloc_mr(buckets * SLOT_SIZE);
         let data = machine.alloc_mr(cells * cell_size);
         // Write vacant-but-checksummed slots so clients can always
@@ -180,11 +176,6 @@ impl PilafStore {
         }
     }
 
-    /// The client-visible geometry.
-    pub fn view(&self) -> PilafView {
-        self.view.clone()
-    }
-
     /// Stored entries.
     pub fn len(&self) -> usize {
         *self.entries.borrow()
@@ -197,6 +188,8 @@ impl PilafStore {
 
     fn read_slot(&self, bucket: usize) -> Slot {
         let bytes = self.view.table.read_local(bucket * SLOT_SIZE, SLOT_SIZE);
+        // `write_slot` lands a whole slot in one `write_local`, so the
+        // server's PUT threads never see one half-written.
         Slot::decode(&bytes).expect("server-local slots are never torn")
     }
 
@@ -210,25 +203,16 @@ impl PilafStore {
         cell as usize * self.view.cell_size
     }
 
-    fn write_cell(&self, cell: u64, key: &[u8], value: &[u8]) {
-        let mut bytes = Vec::with_capacity(6 + key.len() + value.len() + 8);
-        bytes.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(key);
-        bytes.extend_from_slice(value);
-        let crc = crc64(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        self.view.data.write_local(self.cell_off(cell), &bytes);
+    fn write_cell(&self, at: u64, key: &[u8], value: &[u8]) {
+        let bytes = cell::encode(key, value, cell::len(key.len(), value.len()));
+        self.view.data.write_local(self.cell_off(at), &bytes);
     }
 
-    fn read_cell_key(&self, slot: &Slot) -> Vec<u8> {
-        self.view
-            .data
-            .read_local(self.cell_off(slot.cell) + 6, slot.klen as usize)
-    }
-
-    fn entry_len(&self, key: &[u8], value: &[u8]) -> usize {
-        6 + key.len() + value.len() + 8
+    /// Reads `range` of the slot's extent raw, located by the slot (the
+    /// server's record) rather than by the extent's own header.
+    fn read_extent(&self, slot: &Slot, range: std::ops::Range<usize>) -> Vec<u8> {
+        let off = self.cell_off(slot.cell) + range.start;
+        self.view.data.read_local(off, range.len())
     }
 
     /// Finds the bucket currently holding `key`, if any.
@@ -239,7 +223,7 @@ impl PilafStore {
             if !slot.is_vacant()
                 && slot.key_hash == tag
                 && slot.klen as usize == key.len()
-                && self.read_cell_key(&slot) == key
+                && self.read_extent(&slot, cell::key_range(key.len())) == key
             {
                 return Some((b, slot));
             }
@@ -250,72 +234,8 @@ impl PilafStore {
     /// Server-local lookup (the store tests read through it).
     pub fn lookup_local(&self, key: &[u8]) -> Option<Vec<u8>> {
         let (_, slot) = self.find(key)?;
-        let off = self.cell_off(slot.cell) + 6 + slot.klen as usize;
-        Some(self.view.data.read_local(off, slot.vlen as usize))
-    }
-
-    /// Inserts or updates `key` (server CPU path — Pilaf serves PUTs
-    /// with an RPC for exactly this reason).
-    ///
-    /// In-place updates are two-phase with [`update_gap`] of CPU time in
-    /// between: concurrent bypass GETs can observe the torn state and
-    /// must retry on checksum failure.
-    ///
-    /// [`update_gap`]: Self::update_gap
-    pub async fn put(
-        &self,
-        thread: &ThreadCtx,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<(), CuckooError> {
-        if self.entry_len(key, value) > self.view.cell_size {
-            return Err(CuckooError::EntryTooLarge);
-        }
-        if let Some((bucket, slot)) = self.find(key) {
-            // In-place update: rewrite the extent in two halves with a
-            // gap, then refresh the slot (new vlen ⇒ new slot CRC).
-            let mut bytes = Vec::with_capacity(self.entry_len(key, value));
-            bytes.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            bytes.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(key);
-            bytes.extend_from_slice(value);
-            let crc = crc64(&bytes);
-            bytes.extend_from_slice(&crc.to_le_bytes());
-            let off = self.cell_off(slot.cell);
-            let half = bytes.len() / 2;
-            self.view.data.write_local(off, &bytes[..half]);
-            thread.busy(self.update_gap).await;
-            self.view.data.write_local(off + half, &bytes[half..]);
-            self.write_slot(
-                bucket,
-                Slot {
-                    vlen: value.len() as u32,
-                    ..slot
-                },
-            );
-            return Ok(());
-        }
-        self.insert_fresh(key, value)
-    }
-
-    /// Atomic (setup-time) insert-or-update: no torn window, no thread
-    /// required. Used for preloading the store before timing starts.
-    pub fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), CuckooError> {
-        if self.entry_len(key, value) > self.view.cell_size {
-            return Err(CuckooError::EntryTooLarge);
-        }
-        if let Some((bucket, slot)) = self.find(key) {
-            self.write_cell(slot.cell, key, value);
-            self.write_slot(
-                bucket,
-                Slot {
-                    vlen: value.len() as u32,
-                    ..slot
-                },
-            );
-            return Ok(());
-        }
-        self.insert_fresh(key, value)
+        let value = cell::value_range(slot.klen as usize, slot.vlen as usize);
+        Some(self.read_extent(&slot, value))
     }
 
     /// Inserts a key known to be absent: write the extent first, then
@@ -366,7 +286,7 @@ impl PilafStore {
             }
             homeless = resident;
             // Route the displaced entry to one of its other buckets.
-            let rkey = self.read_cell_key(&homeless);
+            let rkey = self.read_extent(&homeless, cell::key_range(homeless.klen as usize));
             let candidates = self.view.candidate_buckets(&rkey);
             let cur = candidates
                 .iter()
@@ -390,113 +310,88 @@ impl BypassStore for PilafStore {
     type Error = CuckooError;
 
     fn view(&self) -> PilafView {
-        PilafStore::view(self)
+        self.view.clone()
     }
+
     fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), CuckooError> {
-        PilafStore::insert_local(self, key, value)
+        if cell::len(key.len(), value.len()) > self.view.cell_size {
+            return Err(CuckooError::EntryTooLarge);
+        }
+        if let Some((bucket, slot)) = self.find(key) {
+            self.write_cell(slot.cell, key, value);
+            self.write_slot(
+                bucket,
+                Slot {
+                    vlen: value.len() as u32,
+                    ..slot
+                },
+            );
+            return Ok(());
+        }
+        self.insert_fresh(key, value)
     }
+
+    /// The server's PUT (Pilaf serves PUTs with an RPC): an in-place
+    /// update rewrites the bare extent torn at its midpoint, then
+    /// refreshes the slot (new vlen ⇒ new slot CRC).
     async fn put(&self, thread: &ThreadCtx, key: &[u8], value: &[u8]) -> Result<(), CuckooError> {
-        PilafStore::put(self, thread, key, value).await
+        if cell::len(key.len(), value.len()) > self.view.cell_size {
+            return Err(CuckooError::EntryTooLarge);
+        }
+        if let Some((bucket, slot)) = self.find(key) {
+            let bytes = cell::encode(key, value, cell::len(key.len(), value.len()));
+            let off = self.cell_off(slot.cell);
+            cell::write_torn(thread, self.update_gap, &self.view.data, off, &bytes).await;
+            self.write_slot(
+                bucket,
+                Slot {
+                    vlen: value.len() as u32,
+                    ..slot
+                },
+            );
+            return Ok(());
+        }
+        self.insert_fresh(key, value)
     }
+
+    /// Probes the key's candidate buckets with one-sided READs, fetches
+    /// the extent, and rereads any slot or extent whose checksum fails
+    /// (Figure 8b's loop).
     async fn get(
         client: &BypassClient,
         thread: &ThreadCtx,
         view: &PilafView,
         key: &[u8],
     ) -> BypassGet {
-        bypass_get(client, thread, view, key).await
-    }
-}
-
-/// Outcome of a client-side bypass GET.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BypassGet {
-    /// The value, if the key was present.
-    pub value: Option<Vec<u8>>,
-    /// One-sided operations this GET cost (the paper's amplification
-    /// metric: Pilaf averages 3.2).
-    pub ops: u32,
-    /// Checksum failures that forced rereads (get-put races).
-    pub crc_retries: u32,
-}
-
-/// Performs one Pilaf GET from the client: probe candidate buckets with
-/// one-sided READs, fetch the extent, verify everything by checksum,
-/// retry on mismatch (Figure 8b's loop).
-pub async fn bypass_get(
-    client: &BypassClient,
-    thread: &ThreadCtx,
-    view: &PilafView,
-    key: &[u8],
-) -> BypassGet {
-    let tag = view.key_tag(key);
-    let mut ops = 0u32;
-    let mut crc_retries = 0u32;
-    for bucket in view.candidate_buckets(key) {
-        // Probe the slot, rereading while torn.
-        let slot = loop {
-            ops += 1;
-            let bytes = client
-                .fetch(thread, &view.table, bucket * SLOT_SIZE, SLOT_SIZE)
-                .await;
-            match Slot::decode(&bytes) {
-                Some(s) => break s,
-                None => {
-                    crc_retries += 1;
-                    if crc_retries >= MAX_CRC_RETRIES {
-                        return BypassGet {
-                            value: None,
-                            ops,
-                            crc_retries,
-                        };
-                    }
+        let tag = view.key_tag(key);
+        let mut got = BypassGet::default();
+        for bucket in view.candidate_buckets(key) {
+            let off = bucket * SLOT_SIZE;
+            let read = got.read_verified(client, thread, &view.table, off, SLOT_SIZE, Slot::decode);
+            let Some(slot) = read.await else {
+                return got;
+            };
+            if slot.is_vacant() || slot.key_hash != tag || slot.klen as usize != key.len() {
+                continue;
+            }
+            // The extent as the slot sizes it, in one READ. An image of
+            // another length is a PUT the slot does not show yet: reread.
+            let len = cell::len(key.len(), slot.vlen as usize);
+            let off = slot.cell as usize * view.cell_size;
+            let read = got.read_verified(client, thread, &view.data, off, len, |bytes| {
+                let (k, v) =
+                    cell::decode(bytes).filter(|(k, v)| cell::len(k.len(), v.len()) == len)?;
+                Some((k == key).then(|| v.to_vec()))
+            });
+            match read.await {
+                None => return got,
+                Some(None) => {} // key hash collided with another key
+                Some(value) => {
+                    got.value = value;
+                    return got;
                 }
             }
-        };
-        if slot.is_vacant() || slot.key_hash != tag || slot.klen as usize != key.len() {
-            continue;
         }
-        // Fetch the extent (header + key + value + crc in one READ).
-        let entry_len = 6 + slot.klen as usize + slot.vlen as usize + 8;
-        loop {
-            ops += 1;
-            let bytes = client
-                .fetch(
-                    thread,
-                    &view.data,
-                    slot.cell as usize * view.cell_size,
-                    entry_len,
-                )
-                .await;
-            let body = &bytes[..entry_len - 8];
-            let crc = u64::from_le_bytes(bytes[entry_len - 8..].try_into().expect("len"));
-            if crc64(body) == crc {
-                let klen = u16::from_le_bytes(bytes[0..2].try_into().expect("len")) as usize;
-                let vlen = u32::from_le_bytes(bytes[2..6].try_into().expect("len")) as usize;
-                if klen == key.len() && &bytes[6..6 + klen] == key {
-                    return BypassGet {
-                        value: Some(bytes[6 + klen..6 + klen + vlen].to_vec()),
-                        ops,
-                        crc_retries,
-                    };
-                }
-                // Key hash collided with another key: keep probing.
-                break;
-            }
-            // Torn extent (racing PUT): retry this fetch.
-            crc_retries += 1;
-            if crc_retries >= MAX_CRC_RETRIES {
-                return BypassGet {
-                    value: None,
-                    ops,
-                    crc_retries,
-                };
-            }
-        }
-    }
-    BypassGet {
-        value: None,
-        ops,
-        crc_retries,
+        got
     }
 }

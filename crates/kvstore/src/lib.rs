@@ -26,11 +26,13 @@ pub mod replica;
 pub mod rig;
 pub mod systems;
 
+mod cell;
 mod cuckoo;
 
 pub use bucket::{Partition, PutOutcome};
+pub use cell::BypassGet;
 pub use cores::{build_keyspace, spawn_cores_kv, CoresConfig, CoresKv};
-pub use cuckoo::{bypass_get, BypassGet, CuckooError, PilafStore, PilafView};
+pub use cuckoo::{CuckooError, PilafStore, PilafView};
 pub use hash::{hash_bytes, partition_of};
 pub use hopscotch::{FarmStore, FarmView, HopscotchError, NEIGHBORHOOD};
 pub use lru::LruCache;
@@ -39,7 +41,7 @@ pub use proto::{KvRequest, KvResponse, ProtoError};
 pub use replica::{
     backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
 };
-pub use rig::{kv_handler, preload_partitions, KvStats, KvSystem};
+pub use rig::{kv_handler, preload_partitions, BypassStore, KvStats, KvSystem};
 pub use systems::{
     spawn_farm, spawn_fleet_kv, spawn_herd, spawn_jakiro, spawn_jakiro_shared, spawn_memcached,
     spawn_pilaf, spawn_server_reply_kv, spawn_sharded_jakiro, FleetConfig, FleetKv, SystemConfig,

@@ -19,6 +19,7 @@
 //! `THINK_SALT` and is only *drawn* when think time is non-zero.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -35,7 +36,7 @@ use rfp_simnet::{
 use rfp_workload::Op;
 
 use crate::bucket::Partition;
-use crate::cuckoo::BypassGet;
+use crate::cell::BypassGet;
 use crate::hash::partition_of;
 use crate::proto::{KvRequest, KvResponse};
 use crate::systems::apply_to_partition;
@@ -607,9 +608,9 @@ pub(crate) fn spawn_pollers<C, H>(
 }
 
 /// A store clients read with one-sided verbs and write through the
-/// server: what the bypass rig needs of the cuckoo (Pilaf) and
-/// hopscotch (FaRM) tables.
-pub(crate) trait BypassStore: 'static {
+/// server: the cuckoo (Pilaf) and hopscotch (FaRM) tables, as the
+/// bypass rig and the store tests drive them.
+pub trait BypassStore: 'static {
     /// What a client needs to address the table remotely.
     type View: 'static;
     /// Why an insert or update can fail.
@@ -621,12 +622,17 @@ pub(crate) trait BypassStore: 'static {
     fn insert_local(&self, key: &[u8], value: &[u8]) -> Result<(), Self::Error>;
     /// Server PUT path: an in-place update with a torn window racing
     /// bypass GETs must checksum-retry over.
-    async fn put(&self, thread: &ThreadCtx, key: &[u8], value: &[u8]) -> Result<(), Self::Error>;
+    fn put(
+        &self,
+        thread: &ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+    ) -> impl Future<Output = Result<(), Self::Error>>;
     /// One client-side GET.
-    async fn get(
+    fn get(
         client: &BypassClient,
         thread: &ThreadCtx,
         view: &Self::View,
         key: &[u8],
-    ) -> BypassGet;
+    ) -> impl Future<Output = BypassGet>;
 }

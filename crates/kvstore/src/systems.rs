@@ -39,6 +39,7 @@ use rfp_simnet::{derive_seed, Counter, SimLock, SimSpan, Simulation};
 use rfp_workload::{Op, WorkloadSpec};
 
 use crate::bucket::Partition;
+use crate::cell;
 use crate::cuckoo::PilafStore;
 use crate::hash::partition_of;
 use crate::hopscotch::{FarmStore, NEIGHBORHOOD};
@@ -517,7 +518,7 @@ fn spawn_bypass_kv<S: BypassStore>(
 
 /// Cell size of a bypass store holding this workload's largest entry.
 fn bypass_cell_size(cfg: &SystemConfig) -> usize {
-    (6 + cfg.spec.key_len + cfg.spec.values.max() + 8)
+    cell::len(cfg.spec.key_len, cfg.spec.values.max())
         .next_multiple_of(8)
         .max(64)
 }

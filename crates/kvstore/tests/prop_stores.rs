@@ -8,7 +8,9 @@ use std::collections::HashMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use rfp_kvstore::{KvRequest, KvResponse, LruCache, Partition, PilafStore, ProtoError};
+use rfp_kvstore::{
+    BypassStore, KvRequest, KvResponse, LruCache, Partition, PilafStore, ProtoError,
+};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{crc64, Simulation};
 

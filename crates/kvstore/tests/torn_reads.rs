@@ -1,4 +1,4 @@
-//! Failure injection: get-put races on the Pilaf-style store.
+//! Failure injection: get-put and put-put races on the bypass stores.
 //!
 //! The whole reason Pilaf checksums its entries (§1) is that a one-sided
 //! GET can race a server-side PUT and observe torn bytes. These tests
@@ -6,15 +6,79 @@
 //! phases with a CPU gap, while a client hammers the same key with
 //! bypass GETs. The client must (a) observe at least one checksum
 //! failure, and (b) never return a value that is neither the old nor the
-//! new one.
+//! new one. The server's own PUT threads race each other too: one must
+//! never trip over the entry another is tearing.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use rfp_kvstore::{bypass_get, PilafStore};
+use rfp_kvstore::{BypassStore, FarmStore, PilafStore};
 use rfp_paradigms::BypassClient;
-use rfp_rnic::{Cluster, ClusterProfile};
+use rfp_rnic::{Cluster, ClusterProfile, Machine};
 use rfp_simnet::{SimSpan, Simulation};
+
+/// Two PUT pollers of the bypass rig share one store on one machine:
+/// the first yields halfway through rewriting its entry, the second
+/// PUTs 100 ns later — another key in the same neighborhood, or the
+/// same key. The 80 B values put each entry past the midpoint of its
+/// 96 B cell, so the first entry really is torn while the second PUT
+/// looks for its own. Runs the default 400 ns torn window and wider
+/// ones, then checks each key through `lookup`: the later PUT wins a
+/// shared key.
+fn racing_puts<S: BypassStore>(
+    store: impl Fn(&Rc<Machine>, SimSpan) -> S,
+    lookup: impl Fn(&S, &[u8]) -> Option<Vec<u8>>,
+) {
+    const RACES: [[&[u8]; 2]; 2] = [[b"a", b"b"], [b"a", b"a"]];
+    for gap in [400, 500, 700, 1_000] {
+        for keys in RACES {
+            let mut sim = Simulation::new(0);
+            let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1);
+            let server = cluster.machine(0);
+            let store = Rc::new(store(&server, SimSpan::nanos(gap)));
+            for key in keys {
+                assert!(store.insert_local(key, &[0; 80]).is_ok(), "preload");
+            }
+            for (i, key) in keys.into_iter().enumerate() {
+                let (s, t, h) = (
+                    Rc::clone(&store),
+                    server.thread(format!("put{i}")),
+                    sim.handle(),
+                );
+                sim.spawn(async move {
+                    h.sleep(SimSpan::nanos(100 * i as u64)).await;
+                    assert!(s.put(&t, key, &[i as u8 + 1; 80]).await.is_ok(), "fits");
+                });
+            }
+            sim.run();
+            assert_eq!(lookup(&store, keys[1]), Some(vec![2; 80]), "gap {gap} ns");
+            if keys[0] != keys[1] {
+                assert_eq!(lookup(&store, keys[0]), Some(vec![1; 80]), "gap {gap} ns");
+            }
+        }
+    }
+}
+
+#[test]
+fn farm_racing_puts_never_decode_a_torn_cell() {
+    // One home bucket: both keys share a neighborhood.
+    let store = |m: &Rc<Machine>, gap| {
+        let mut s = FarmStore::new(m, 1, 96);
+        s.update_gap = gap;
+        s
+    };
+    racing_puts(store, FarmStore::lookup_local);
+}
+
+#[test]
+fn pilaf_racing_puts_never_read_a_torn_slot() {
+    let store = |m: &Rc<Machine>, gap| {
+        let mut s = PilafStore::new(m, 8, 8, 96);
+        s.update_gap = gap;
+        s
+    };
+    racing_puts(store, PilafStore::lookup_local);
+}
 
 #[test]
 fn torn_update_is_detected_and_never_leaks() {
@@ -60,7 +124,7 @@ fn torn_update_is_detected_and_never_leaks() {
     let new3 = new_value.clone();
     sim.spawn(async move {
         loop {
-            let got = bypass_get(&client, &ct, &view, key).await;
+            let got = PilafStore::get(&client, &ct, &view, key).await;
             r2.set(r2.get() + got.crc_retries);
             n2.set(n2.get() + 1);
             match got.value {
@@ -118,7 +182,7 @@ fn interleaved_distinct_keys_never_interfere() {
     let ok2 = Rc::clone(&ok_reads);
     sim.spawn(async move {
         loop {
-            let got = bypass_get(&client, &ct, &view, b"stable").await;
+            let got = PilafStore::get(&client, &ct, &view, b"stable").await;
             assert_eq!(
                 got.value.as_deref(),
                 Some(&b"constant-value"[..]),
@@ -146,7 +210,7 @@ fn missing_keys_return_none_quickly() {
     let done = Rc::new(Cell::new(false));
     let d = Rc::clone(&done);
     sim.spawn(async move {
-        let got = bypass_get(&client, &ct, &view, b"absent").await;
+        let got = PilafStore::get(&client, &ct, &view, b"absent").await;
         assert_eq!(got.value, None);
         // Absence costs at most the three candidate probes.
         assert!(got.ops <= 3, "absence probing used {} ops", got.ops);
