@@ -1,18 +1,17 @@
 //! Gray-failure sweep: the replicated KV rig under fail-slow faults,
-//! across mitigation levels.
+//! with and without scored routing.
 //!
-//! Runs `{slow_link, flaky_link, slow_server} × {baseline,
-//! scored-routing, +hedging}` plus one clean reference cell and
-//! reports, per cell, the measurement-phase read count and p99, the safety
-//! counters, the hedge/budget ledgers, and whether the recorded
+//! Runs `{slow_link, flaky_link, slow_server} × {baseline, routing}`
+//! plus one clean reference cell and reports, per cell, the
+//! measurement-phase read count and p99, the safety counters, the
+//! demotion and retry-budget ledgers, and whether the recorded
 //! history passes the linearizability checker. The headline
 //! acceptance, asserted on every run:
 //!
 //! * **unmitigated hurts** — each fail-slow scenario inflates the
 //!   baseline cell's read p99 past [`P99_BOUND`]× the clean p99;
-//! * **mitigated is bounded** — scored routing (and hedging on top)
-//!   keep the read p99 within [`P99_BOUND`]× clean under the same
-//!   fault;
+//! * **mitigated is bounded** — scored routing keeps the read p99
+//!   within [`P99_BOUND`]× clean under the same fault;
 //! * **mitigation is safe** — zero lost acked writes, zero duplicate
 //!   applies (`applied ≤ issued`, standby refusals never execute), a
 //!   linearizable history in every cell;
@@ -62,14 +61,12 @@ const FLAKY_LOSS: f64 = 0.9;
 const SLOW_SERVER_FACTOR: f64 = 30.0;
 
 /// The columns each cell exports to `BENCH_grayfail.json`.
-const EXPORTED: [&str; 9] = [
+const EXPORTED: [&str; 7] = [
     "completed",
     "lost_acked",
     "meas_reads",
     "read_p99_us",
     "demotions",
-    "hedges",
-    "hedge_wins",
     "budget_spent",
     "linearizable",
 ];
@@ -100,8 +97,7 @@ fn plan_for(seed: u64, scenario: &str) -> Option<FaultPlan> {
 fn gray_for(mode: &str) -> Option<GrayConfig> {
     match mode {
         "baseline" => None,
-        "routing" => Some(GrayConfig::routing_only()),
-        "hedged" => Some(GrayConfig::all_on()),
+        "routing" => Some(GrayConfig::default()),
         other => panic!("unknown mode {other}"),
     }
 }
@@ -140,7 +136,6 @@ fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row 
     let p99_ns = st
         .read_p99_since(MEASURE_FROM)
         .expect("measurement phase has reads");
-    let (hedges, hedge_wins, hedge_wasted) = rig.total_hedges();
     let (budget_spent, budget_denied) = rig.budget_totals();
     let demotions = rig
         .registry
@@ -158,7 +153,7 @@ fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row 
         );
     }
     // Safety: no acked write lost, no read runs backwards, history
-    // linearizes, and hedging never double-applies a mutation — the
+    // linearizes, and routing never double-applies a mutation — the
     // primary applied at most one execution per issued PUT and every
     // standby-refused mutation was provably unexecuted.
     assert_eq!(
@@ -187,23 +182,16 @@ fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row 
     );
     // Mitigation visibility: a faulted mitigated cell must demote the
     // gray replica through a flight-recorded `routing.demote` chain
-    // (carrying the triggering health window), and a hedged cell's
-    // hedge legs must leave `recovery.hedge.*` chains — the evidence
-    // the doctor's dump bundle surfaces.
+    // (carrying the triggering health window) — the evidence the
+    // doctor's dump bundle surfaces.
     if scenario != "clean" && mode != "baseline" {
         assert!(
             demotions >= 1 && rig.recorder.kind_count("routing.demote") >= 1,
             "{scenario}/{mode}: no recorded demotion chain"
         );
     }
-    if hedges > 0 {
-        assert!(
-            rig.recorder.kind_count("recovery.hedge.issued") >= 1,
-            "{scenario}/{mode}: hedges issued but no recorded hedge chain"
-        );
-    }
-    // Retry-storm bound: tokens consumed (retries + hedges + switches
-    // that stayed spent) per completed call.
+    // Retry-storm bound: tokens consumed (retries + switches that
+    // stayed spent) per completed call.
     if mode != "baseline" {
         let amplification = budget_spent as f64 / st.completed.get().max(1) as f64;
         assert!(
@@ -225,9 +213,6 @@ fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row 
             ("meas_reads", reads.len() as u64),
             ("read_p99_us", p99_ns / 1_000),
             ("demotions", demotions),
-            ("hedges", hedges),
-            ("hedge_wins", hedge_wins),
-            ("hedge_wasted", hedge_wasted),
             ("budget_spent", budget_spent),
             ("budget_denied", budget_denied),
             ("linearizable", linearizable as u64),
@@ -239,11 +224,11 @@ fn main() {
     let seed = seed_arg();
     let mut specs = vec![("clean", "baseline")];
     for scenario in ["slow_link", "flaky_link", "slow_server"] {
-        specs.extend(["baseline", "routing", "hedged"].map(|mode| (scenario, mode)));
+        specs.extend(["baseline", "routing"].map(|mode| (scenario, mode)));
     }
     let rows = cells(&specs, |spec| run_cell(seed, spec));
 
-    println!("# gray-failure sweep: fail-slow faults x mitigation levels");
+    println!("# gray-failure sweep: fail-slow faults x scored routing");
     println!(
         "# seed={seed} fault_at={}us measure_from={}us p99_bound={P99_BOUND}x",
         FAULT_AT.as_nanos() / 1_000,

@@ -416,11 +416,8 @@ pub(super) const FENCES: &[Fence] = &[
     ], &[
         count("read p99, baseline (µs)", "_baseline.read_p99_us"),
         count("routing", "_routing.read_p99_us"),
-        count("hedged", "_hedged.read_p99_us"),
         count("demotions", "_routing.demotions"),
-        count("hedges", "_hedged.hedges"),
-        count("hedges won", "_hedged.hedge_wins"),
-        count("budget spent", "_hedged.budget_spent"),
+        count("budget spent", "_routing.budget_spent"),
     ])),
     fence("cores", sweep("cores", "cores", &[("1", "c1"), ("2", "c2"), ("4", "c4"), ("8", "c8")], &[
         Metric("uniform (kops)", ".uniform.ops", 1000.0, Fixed(0)),

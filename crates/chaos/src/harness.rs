@@ -38,8 +38,8 @@
 //!   can take the read p99 over a measurement phase;
 //! * **a duplicate-apply ledger** — the primary counts mutations it
 //!   applied and the standby those it refused; with
-//!   [`issued_puts`](ChaosState::issued_puts) they prove hedging never
-//!   double-applies a write.
+//!   [`issued_puts`](ChaosState::issued_puts) they prove that neither
+//!   retries nor failover double-apply a write.
 //!
 //! Every PUT value is `client << 32 | version` with a per-client
 //! monotone version, so write values are globally unique and each key
@@ -106,9 +106,9 @@ pub struct ChaosConfig {
     /// the per-key histories must stay inside the checker's search
     /// capacity; `usize::MAX` runs until the simulation stops.
     pub ops_per_client: usize,
-    /// Fraction of operations that are PUTs (always routed `call`,
-    /// never hedged — mutations anchor on the primary). GETs go through
-    /// [`ReplicaClient::call_hedged`], which is `call` unless
+    /// Fraction of operations that are PUTs (always routed `call` —
+    /// mutations anchor on the primary). GETs go through
+    /// [`ReplicaClient::call_read`], which is `call` unless
     /// `failover.gray` mounts the gray-failure subsystem.
     pub put_ratio: f64,
     /// Read scope: each client reads only the keys it writes, instead
@@ -188,7 +188,7 @@ impl ChaosConfig {
     }
 
     /// The gray-failure study: a longer, read-heavier workload of
-    /// hedged reads.
+    /// routed reads.
     pub fn grayfail() -> Self {
         ChaosConfig {
             ops_per_client: 400,
@@ -406,14 +406,6 @@ impl ChaosKv {
         self.routers.iter().map(|r| r.failovers()).sum()
     }
 
-    /// `(issued, won, wasted)` hedge legs across all routers.
-    pub fn total_hedges(&self) -> (u64, u64, u64) {
-        self.routers.iter().fold((0, 0, 0), |t, r| {
-            let (i, w, x) = r.hedges();
-            (t.0 + i, t.1 + w, t.2 + x)
-        })
-    }
-
     /// Retry-budget tokens consumed and grants denied, summed.
     pub fn budget_totals(&self) -> (u64, u64) {
         self.routers.iter().fold((0, 0), |t, r| {
@@ -500,8 +492,8 @@ pub fn spawn_chaos_kv(
         .collect();
     let primary_role = Rc::new(PrimaryRole::default());
     let backup_role = Rc::new(BackupRole::default());
-    // Standby reads power scored routing and hedging: they come with
-    // the gray subsystem.
+    // Standby reads power scored routing: they come with the gray
+    // subsystem.
     let standby_reads = cfg.failover.gray.is_some();
     backup_role.standby_reads.set(standby_reads);
 
@@ -589,7 +581,6 @@ pub fn spawn_chaos_kv(
                         },
                         gray: cfg.failover.gray.as_ref().map(|g| GrayConfig {
                             seed: derive_seed(g.seed, c as u64),
-                            ..g.clone()
                         }),
                     },
                 ));
@@ -637,7 +628,7 @@ pub fn spawn_chaos_kv(
                 let outcome = if is_put {
                     router.call(&thread, &req).await
                 } else {
-                    router.call_hedged(&thread, &req).await
+                    router.call_read(&thread, &req).await
                 };
                 let (end, op) = match outcome {
                     Ok(out) => {

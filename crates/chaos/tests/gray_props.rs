@@ -1,16 +1,16 @@
 //! Property pins of the gray-failure subsystem.
 //!
-//! * **Hedging is safe under every chaos fault family** — crash, loss
+//! * **Routing is safe under every chaos fault family** — crash, loss
 //!   burst, straggler, QP error, slow link (a flaky link is a loss
-//!   burst, a slow server a straggler): with routing + hedging +
-//!   budgets all on, no hedge or retry ever applies a write twice (the
-//!   primary's apply ledger stays within the issued-PUT ceiling while
-//!   the server process lives, and every acked PUT was applied), no
-//!   acked write is lost, no read runs
-//!   backwards, and the full history linearizes. A hedge response
-//!   crossing a seq or generation boundary would surface as exactly
-//!   one of those violations: the losing leg's late response fails the
-//!   next call's seq acceptance, and an epoch-fenced response is never
+//!   burst, a slow server a straggler): with scored routing and the
+//!   retry budget on, no retry or failover ever applies a write twice
+//!   (the primary's apply ledger stays within the issued-PUT ceiling
+//!   while the server process lives, and every acked PUT was applied),
+//!   no acked write is lost, no read runs backwards, and the full
+//!   history linearizes. A routed read's response crossing a seq or
+//!   generation boundary would surface as exactly one of those
+//!   violations: an abandoned attempt's late response fails the next
+//!   call's seq acceptance, and an epoch-fenced response is never
 //!   accepted at all.
 //!
 //! * **A demoted replica is restored** once its fault heals.
@@ -29,7 +29,7 @@ const FAULT_SPAN: SimSpan = SimSpan::millis(1);
 const WINDOW: SimSpan = SimSpan::millis(4);
 
 /// Every chaos fault family, aimed at `machine` (0 = primary,
-/// 1 = backup — the hedge target).
+/// 1 = backup — the routed-read target).
 fn family_plan(family: usize, seed: u64, machine: usize) -> FaultPlan {
     let p = FaultPlan::new(seed);
     match family {
@@ -48,7 +48,7 @@ fn small_cfg(seed: u64) -> ChaosConfig {
         keys_per_client: 4,
         ops_per_client: 300,
         failover: FailoverConfig {
-            gray: Some(GrayConfig::all_on()),
+            gray: Some(GrayConfig::default()),
             ..ChaosConfig::grayfail().failover
         },
         seed,
@@ -61,9 +61,9 @@ proptest! {
     /// five families over both machines): the write path may fail
     /// calls (a crashed primary with no promotion refuses progress
     /// for its downtime) but can never corrupt the register semantics
-    /// hedging relies on.
+    /// routed reads rely on.
     #[test]
-    fn hedging_is_safe_under_every_fault_family(
+    fn routing_is_safe_under_every_fault_family(
         seed in 0u64..10_000,
         family in 0usize..5,
         machine in 0usize..2,
@@ -83,7 +83,7 @@ proptest! {
             "family {} machine {}: a read ran backwards", family, machine
         );
         let applied = rig.primary_role.applied_mutations.get();
-        // The strict apply ledger pins hedge/retry dedup: while the
+        // The strict apply ledger pins retry dedup: while the
         // server process lives, no issued PUT may execute twice. A
         // crash can legitimately re-execute the one request caught
         // between apply and respond (at-least-once across restart —
@@ -124,7 +124,7 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         keys_per_client: 32,
         ops_per_client: 2_000,
         failover: FailoverConfig {
-            gray: Some(GrayConfig::all_on()),
+            gray: Some(GrayConfig::default()),
             ..ChaosConfig::grayfail().failover
         },
         seed,

@@ -6,7 +6,7 @@
 //! [`RfpClient::call_with_recovery`] on its connection, and with
 //! nowhere to fail over `call` surfaces the first error. This pins
 //! that claim. One short schedule runs twice — through `call` /
-//! `call_hedged` over one replica, and through `call_with_recovery`
+//! `call_read` over one replica, and through `call_with_recovery`
 //! directly — fault-free and across a server crash that outlives the
 //! retry budget. Outcomes, the registry export, the request spans and
 //! the flight-recorder trace must be identical, byte for byte.
@@ -24,7 +24,7 @@ use rfp_simnet::{
 };
 
 /// Calls in the schedule; even ones go through `call`, odd ones
-/// through `call_hedged` (the rig's PUT and GET paths).
+/// through `call_read` (the rig's PUT and GET paths).
 const CALLS: usize = 120;
 
 /// What one run leaves behind: per-call outcomes, the registry CSV,
@@ -89,7 +89,7 @@ fn run(routed: bool, plan: Option<&FaultPlan>) -> Fingerprint {
             let result = match (routed, i % 2) {
                 (false, _) => client.call_with_recovery(&thread, &req, &recovery).await,
                 (true, 0) => router.call(&thread, &req).await,
-                (true, _) => router.call_hedged(&thread, &req).await,
+                (true, _) => router.call_read(&thread, &req).await,
             };
             let outcome = match result {
                 Ok(r) => format!("{i} ok {:?} at {}", r.data, thread.now().as_nanos()),

@@ -357,9 +357,8 @@ pub struct RfpClient {
     slot_seq: Vec<Cell<u32>>,
     /// The engine's reusable working set (flights, free ring slots,
     /// batch buffers), so a call allocates none of it. Taken out for
-    /// the duration of a run; between `send` and `recv`, and between a
-    /// hedge leg's submit and its polls, it holds the outstanding
-    /// flight.
+    /// the duration of a run; between `send` and `recv` it holds the
+    /// outstanding flight.
     scratch: RefCell<Scratch>,
     mode: Cell<Mode>,
     /// Consecutive calls whose failed retries exceeded `R`.
@@ -566,7 +565,7 @@ impl RfpClient {
     ///
     /// Panics if `req` exceeds the request capacity.
     pub async fn send(&self, thread: &ThreadCtx, req: &[u8]) {
-        self.submit_one(thread, req, &CallPolicy::default()).await;
+        self.submit_one(thread, req).await;
     }
 
     /// `client_recv`: obtains the response for the last
@@ -663,18 +662,16 @@ impl RfpClient {
 
     /// Books an incident from *outside* the engine — the replica
     /// router's `recovery.*` / `routing.*` reactions — chained onto the
-    /// call it concerns: a live hedge leg's, else the last settled
-    /// call's.
+    /// last settled call.
     pub(crate) fn note_recovery(
         &self,
         thread: &ThreadCtx,
         incident: Incident,
         detail: impl fmt::Display,
     ) {
-        let mut sc = self.scratch.borrow_mut();
         let mut tail = self.tail.get();
-        let chain = sc.flights.first_mut().map_or(&mut tail, |fl| &mut fl.chain);
-        self.obs().incident(thread.now(), chain, incident, detail);
+        self.obs()
+            .incident(thread.now(), &mut tail, incident, detail);
         self.tail.set(tail);
     }
 }

@@ -197,18 +197,6 @@ pub(super) struct Flight {
     outcome: Option<Result<CallResult, RpcError>>,
 }
 
-impl Flight {
-    /// For a hedge leg, whose retry authority is the replica router:
-    /// the cause of the attempt the engine just failed, if any.
-    fn leg_failure(&self) -> Option<FailureCause> {
-        match (&self.outcome, self.phase) {
-            (Some(Err(e)), _) => Some(e.last),
-            (_, Phase::Backoff { last, .. }) => Some(last),
-            _ => None,
-        }
-    }
-}
-
 type ReadEntry = (Rc<MemRegion>, usize, Rc<MemRegion>, usize, usize);
 
 /// The engine's working set, owned by the client and reused across
@@ -232,10 +220,10 @@ pub(super) struct Scratch {
 }
 
 impl Scratch {
-    /// Drops whatever a previous run left behind (an abandoned hedge
-    /// leg, a `recv` future dropped mid-flight): the next staging of a
-    /// slot allocates a fresh seq, so a late response to an abandoned
-    /// one fails the acceptance check and is never surfaced.
+    /// Drops whatever a previous run left behind (a `recv` future
+    /// dropped mid-flight): the next staging of a slot allocates a
+    /// fresh seq, so a late response to an abandoned one fails the
+    /// acceptance check and is never surfaced.
     fn reset(&mut self) {
         self.flights.clear();
     }
@@ -301,9 +289,10 @@ impl RfpClient {
     }
 
     /// Stage + submit of one flight without entering the fetch loop
-    /// (`send`, a hedge leg's deposit); the flight stays in the scratch.
-    pub(super) async fn submit_one(&self, thread: &ThreadCtx, req: &[u8], policy: &CallPolicy<'_>) {
-        let engine = self.engine(thread, policy);
+    /// (`send`); the flight stays in the scratch.
+    pub(super) async fn submit_one(&self, thread: &ThreadCtx, req: &[u8]) {
+        let policy = CallPolicy::default();
+        let engine = self.engine(thread, &policy);
         let mut sc = self.scratch.take();
         sc.reset();
         let slot = sc.take_slot(self.shared.cfg.window);
@@ -328,58 +317,6 @@ impl RfpClient {
             .drive(&mut sc, none, sink)
             .await;
         self.scratch.replace(sc);
-    }
-
-    /// Deposits one hedge leg: a bounded flight whose retry authority
-    /// is the replica router, not this connection. The server cannot
-    /// tell it from an ordinary recovered call's first attempt.
-    pub(crate) async fn leg_submit(
-        &self,
-        thread: &ThreadCtx,
-        req: &[u8],
-        policy: &CallPolicy<'_>,
-    ) -> Result<(), FailureCause> {
-        self.submit_one(thread, req, policy).await;
-        self.scratch.borrow().flights[0]
-            .leg_failure()
-            .map_or(Ok(()), Err)
-    }
-
-    /// One poll + check round of the leg deposited by
-    /// [`leg_submit`](RfpClient::leg_submit): `Ok(Some(_))` when the
-    /// response landed and verified (booked with the leg's own latency
-    /// and fetch count), `Ok(None)` when the slot still holds nothing
-    /// for it, `Err(_)` when the leg is dead — a verb error or a server
-    /// rejection. A leg abandoned mid-flight is harmless (see
-    /// [`Scratch::reset`]).
-    pub(crate) async fn leg_poll(
-        &self,
-        thread: &ThreadCtx,
-        policy: &CallPolicy<'_>,
-    ) -> Result<Option<CallResult>, FailureCause> {
-        let engine = self.engine(thread, policy);
-        let mut sc = self.scratch.take();
-        let mode = self.mode.get();
-        engine.poll(&mut sc, mode).await;
-        let fl = &mut sc.flights[0];
-        let mut out = Ok(None);
-        if let Some(fetched) = fl.landed.take() {
-            out = Ok(engine.check(fl, fetched, mode).await);
-        }
-        if let Some(cause) = fl.leg_failure() {
-            out = Err(cause);
-        } else if matches!(out, Ok(Some(_))) {
-            self.tail.set(fl.chain);
-            sc.flights.clear();
-        }
-        self.scratch.replace(sc);
-        out
-    }
-
-    /// Fetch READs the current (or just-failed) leg has issued.
-    pub(crate) fn leg_fetches(&self) -> u32 {
-        let sc = self.scratch.borrow();
-        sc.flights.first().map_or(0, |fl| fl.attempts)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Replica-aware call routing: failover across a static replica list,
 //! plus the gray-failure mitigations of DESIGN.md §16 (health-scored
-//! routing, hedged reads, retry budgets) — present iff
+//! routing, retry budgets) — present iff
 //! [`FailoverConfig::gray`] is.
 //!
 //! A replicated service exposes the same RPC endpoint on every replica;
@@ -34,7 +34,7 @@
 //!
 //! Crash failover never fires against a replica that is merely *slow*:
 //! every call eventually completes, so nothing errors. With
-//! [`FailoverConfig::gray`] set, the router adds three mitigations on
+//! [`FailoverConfig::gray`] set, the router adds two mitigations on
 //! top of the crash path:
 //!
 //! * **scored routing** ([`ReplicaScorer`]) — each routed read folds
@@ -45,19 +45,14 @@
 //!   save a probe every `PROBE_EVERY`-th (256th) call and a
 //!   score-proportional trickle. A demotion never strands the router:
 //!   with every candidate gray, traffic stays put.
-//! * **hedged reads** ([`ReplicaClient::call_hedged`]) — a read still
-//!   unanswered after the healthy-baseline p99 races a second leg on another replica; first valid response wins. Hedges
-//!   ride the same-seq dedup and epoch fencing of the recovery layer,
-//!   so an abandoned leg can neither double-apply nor surface stale
-//!   bytes (its late response fails the seq acceptance check).
-//! * **retry budget** ([`RetryBudget`]) — retries, hedge legs, and
-//!   failover switches draw from one per-router token bucket refilled
+//! * **retry budget** ([`RetryBudget`]) — retries and failover
+//!   switches draw from one per-router token bucket refilled
 //!   by successes; a dry bucket degrades to fail-fast (first attempts
 //!   are never gated), bounding retry-storm amplification.
 //!
 //! Mutations always anchor on the active replica — standbys refuse
-//! them — so scored routing and hedging apply to the read path
-//! (`call_hedged`); `call` keeps the crash-failover contract.
+//! them — so scored routing applies to the read path (`call_read`);
+//! `call` keeps the crash-failover contract.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -68,10 +63,8 @@ use rand::{Rng, SeedableRng};
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::SimSpan;
 
-use crate::client::{CallPolicy, CallResult, RfpClient};
-use crate::gray::{
-    GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, HEDGE_DEADLINE, HEDGE_FLOOR, PROBE_EVERY,
-};
+use crate::client::{CallResult, RfpClient};
+use crate::gray::{GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, PROBE_EVERY};
 use crate::header::RespStatus;
 use crate::observe::incident;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
@@ -119,7 +112,7 @@ pub struct ReplicaClient {
     cfg: FailoverConfig,
     /// Per-replica health scores against frozen healthy baselines.
     scorer: ReplicaScorer,
-    /// Retry/hedge/failover token bucket.
+    /// Retry/failover token bucket.
     budget: RetryBudget,
     /// Sticky demotion flags (cleared when a probe scores healthy).
     demoted: Vec<Cell<bool>>,
@@ -134,9 +127,6 @@ pub struct ReplicaClient {
     /// failed-over replica, so a healed deployment does not keep
     /// paying escalated backoffs.
     fail_streak: Cell<u32>,
-    hedges_issued: Cell<u64>,
-    hedges_won: Cell<u64>,
-    hedges_wasted: Cell<u64>,
 }
 
 impl ReplicaClient {
@@ -164,9 +154,6 @@ impl ReplicaClient {
             route_clock: Cell::new(0),
             depref_rng,
             fail_streak: Cell::new(0),
-            hedges_issued: Cell::new(0),
-            hedges_won: Cell::new(0),
-            hedges_wasted: Cell::new(0),
         }
     }
 
@@ -194,7 +181,7 @@ impl ReplicaClient {
         &self.replicas[self.active.get()]
     }
 
-    /// The router's retry/hedge token bucket.
+    /// The router's retry/failover token bucket.
     pub fn budget(&self) -> &RetryBudget {
         &self.budget
     }
@@ -207,17 +194,6 @@ impl ReplicaClient {
     /// Whether replica `i` is currently demoted by scored routing.
     pub fn is_demoted(&self, i: usize) -> bool {
         self.demoted[i].get()
-    }
-
-    /// `(issued, won, wasted)` hedge-leg counts over the router's
-    /// lifetime. `issued = won + wasted` once no hedge is in flight
-    /// and none were abandoned to a fallback.
-    pub fn hedges(&self) -> (u64, u64, u64) {
-        (
-            self.hedges_issued.get(),
-            self.hedges_won.get(),
-            self.hedges_wasted.get(),
-        )
     }
 
     /// Consecutive failed calls (escalated-backoff state; 0 after any
@@ -382,14 +358,16 @@ impl ReplicaClient {
             .collect()
     }
 
-    /// Picks `(target, hedge_target)` for one read of a gray router
-    /// over two or more replicas: a demoted active replica diverts
-    /// reads to the best-scoring peer — except for a recovery probe
-    /// every `PROBE_EVERY`-th routed read and a score-proportional
-    /// trickle.
-    fn route_read(&self, thread: &ThreadCtx) -> (usize, usize) {
+    /// Picks the replica for one read of a gray router over two or
+    /// more replicas: a demoted active replica diverts reads to the
+    /// best-scoring peer — except for a recovery probe every
+    /// `PROBE_EVERY`-th routed read and a score-proportional trickle.
+    fn route_read(&self, thread: &ThreadCtx) -> usize {
         let pref = self.active.get();
         let scores = self.refresh_scores(thread);
+        if !self.demoted[pref].get() {
+            return pref;
+        }
         let mut alt = (pref + 1) % self.replicas.len();
         let mut alt_score = f64::NEG_INFINITY;
         for (i, s) in scores.iter().enumerate() {
@@ -404,13 +382,10 @@ impl ReplicaClient {
                 alt_score = s;
             }
         }
-        if !self.demoted[pref].get() {
-            return (pref, alt);
-        }
         if self.demoted[alt].get() {
             // Never demote below one live replica: with every candidate
             // gray, traffic stays put.
-            return (pref, alt);
+            return pref;
         }
         let tick = self.route_clock.get();
         self.route_clock.set(tick + 1);
@@ -420,193 +395,40 @@ impl ReplicaClient {
                 incident::PROBE,
                 format_args!("probing demoted replica {pref} for recovery"),
             );
-            return (pref, alt);
+            return pref;
         }
         let keep = scores[pref].unwrap_or(0.0).max(0.0) * DEPREF_KEEP_PER_SCORE;
         let draw: f64 = self.depref_rng.borrow_mut().gen();
         if draw < keep {
-            (pref, alt)
+            pref
         } else {
-            (alt, pref)
+            alt
         }
     }
 
-    /// Hedge delay for a read whose primary leg runs on replica `idx`:
-    /// the frozen healthy-baseline p99 (a request still unanswered past
-    /// the latency 99% of healthy calls beat is likely stuck behind a
-    /// gray path), floored at `HEDGE_FLOOR`, which also covers the
-    /// pre-baseline cold start.
-    fn hedge_delay(&self, thread: &ThreadCtx, idx: usize) -> SimSpan {
-        let p99 = self.scorer.baseline_p99(idx).or_else(|| {
-            let health = self.replicas[idx].obs().health.as_ref();
-            health
-                .map(|h| h.report(thread.now()).p99_ns)
-                .filter(|&p| p > 0)
-        });
-        HEDGE_FLOOR.max(SimSpan::nanos(p99.unwrap_or(0)))
-    }
-
-    /// One replicated **read** under the gray-failure mitigations:
-    /// scored routing picks the leg, and with hedging enabled a second
-    /// leg races on the best-scoring peer after the health-derived
-    /// hedge delay; the first valid response wins.
-    ///
-    /// Safety of the race (the reason this is the *read* path):
-    ///
-    /// * both legs carry fresh per-connection sequence numbers; the
-    ///   losing leg is abandoned, and its late response fails the
-    ///   next call's seq acceptance check — stale bytes never surface;
-    /// * a hedged mutation cannot double-apply: the primary dedups
-    ///   same-seq resubmits and a standby refuses mutations outright
-    ///   (`Busy`) without executing them, while epoch fencing keeps a
-    ///   deposed primary's answers unacceptable;
-    /// * hedge legs draw from the retry budget, so hedging degrades to
-    ///   single-leg reads when the pool is dry.
+    /// One replicated **read** under scored routing: the routed
+    /// replica serves it, and any failure falls back to the
+    /// crash-failover path anchored on the active replica.
     ///
     /// Without the subsystem this is [`call`](ReplicaClient::call).
-    pub async fn call_hedged(
-        &self,
-        thread: &ThreadCtx,
-        req: &[u8],
-    ) -> Result<CallResult, RpcError> {
-        let Some(g) = self.cfg.gray.as_ref().filter(|_| self.replicas.len() >= 2) else {
+    pub async fn call_read(&self, thread: &ThreadCtx, req: &[u8]) -> Result<CallResult, RpcError> {
+        if self.cfg.gray.is_none() || self.replicas.len() < 2 {
             return self.call(thread, req).await;
-        };
-        let (first, second) = self.route_read(thread);
-        // Hedging toward a replica scored *worse* than the serving leg
-        // cannot help: once routing has demoted the gray peer, the
-        // routed leg already is the healthy one, and a hedge deposit
-        // against the gray peer would serialize its inflated wire
-        // latency straight into this call. Degrade to a plain routed
-        // read until the peer recovers (probes, whose serving leg IS
-        // the demoted replica, still hedge toward the healthy peer).
-        let hedge_to_gray = self.demoted[second].get() && !self.demoted[first].get();
-        if !g.hedging || hedge_to_gray {
-            // Scored routing only: one leg on the routed replica; any
-            // failure falls back to the crash-failover path anchored
-            // on the active replica.
-            match self.attempt_on(thread, req, first).await {
-                Ok(out) => return Ok(out),
-                Err(err) => {
-                    if overloaded(&err) && first == self.active.get() {
-                        return Err(err);
-                    }
-                    self.replicas[first].note_recovery(
-                        thread,
-                        incident::ROUTED_FALLBACK,
-                        format_args!("routed read on replica {first} failed ({:?})", err.last),
-                    );
-                    return self.call(thread, req).await;
+        }
+        let target = self.route_read(thread);
+        match self.attempt_on(thread, req, target).await {
+            Ok(out) => Ok(out),
+            Err(err) => {
+                if overloaded(&err) && target == self.active.get() {
+                    return Err(err);
                 }
+                self.replicas[target].note_recovery(
+                    thread,
+                    incident::ROUTED_FALLBACK,
+                    format_args!("routed read on replica {target} failed ({:?})", err.last),
+                );
+                self.call(thread, req).await
             }
         }
-        let t0 = thread.now();
-        let deadline = t0 + HEDGE_DEADLINE;
-        let hedge_at = t0 + self.hedge_delay(thread, first);
-        let policy = CallPolicy::recovered(&self.cfg.recovery);
-        // Leg 0 is the routed read, leg 1 the hedge; each is one flight
-        // on its replica's connection.
-        let legs = [first, second].map(|i| &self.replicas[i]);
-        let mut live = [false; 2];
-        let mut last = FailureCause::Deadline;
-        let mut fetches = 0u32;
-        // The hedge leg is never (re)issued once it died or was denied.
-        let mut hedge_closed = false;
-        match self.seeded(first).leg_submit(thread, req, &policy).await {
-            Ok(()) => live[0] = true,
-            Err(c) => last = c,
-        }
-        loop {
-            // Issue the hedge leg once its delay elapses (or at once if
-            // the primary leg died at deposit).
-            if !live[1] && !hedge_closed && (thread.now() >= hedge_at || !live[0]) {
-                if self.budget.reserve(1) == 1 {
-                    match self.seeded(second).leg_submit(thread, req, &policy).await {
-                        Ok(()) => {
-                            self.hedges_issued.set(self.hedges_issued.get() + 1);
-                            legs[1].note_recovery(
-                                thread,
-                                incident::HEDGE_ISSUED,
-                                format_args!(
-                                    "hedging replica {first} -> {second} after {:?}",
-                                    thread.now() - t0
-                                ),
-                            );
-                            live[1] = true;
-                        }
-                        Err(c) => {
-                            last = c;
-                            hedge_closed = true;
-                        }
-                    }
-                } else {
-                    legs[1].note_recovery(
-                        thread,
-                        incident::HEDGE_DENIED,
-                        "retry budget dry; hedge leg not issued",
-                    );
-                    hedge_closed = true;
-                }
-            }
-            for (i, leg) in legs.iter().enumerate() {
-                if !live[i] {
-                    continue;
-                }
-                match leg.leg_poll(thread, &policy).await {
-                    Ok(Some(mut out)) => {
-                        // The connection booked this leg with *its own*
-                        // latency and fetch count — charging it for time
-                        // the race spent blocked on the other (possibly
-                        // gray) leg would poison a healthy replica's
-                        // score. The caller sees the end-to-end race.
-                        out.info.latency = thread.now() - t0;
-                        out.info.attempts += fetches;
-                        if i == 1 {
-                            self.hedges_won.set(self.hedges_won.get() + 1);
-                            leg.note_recovery(
-                                thread,
-                                incident::HEDGE_WON,
-                                format_args!("hedge leg on replica {second} beat replica {first}"),
-                            );
-                        } else if live[1] {
-                            self.hedges_wasted.set(self.hedges_wasted.get() + 1);
-                            leg.note_recovery(
-                                thread,
-                                incident::HEDGE_WASTED,
-                                "primary leg won after the hedge was issued",
-                            );
-                        }
-                        self.budget.on_success();
-                        self.fail_streak.set(0);
-                        return Ok(out);
-                    }
-                    Ok(None) => {}
-                    Err(c) => {
-                        last = c;
-                        fetches += leg.leg_fetches();
-                        live[i] = false;
-                        hedge_closed |= i == 1;
-                    }
-                }
-            }
-            let stuck = !live[0] && !live[1] && hedge_closed;
-            if stuck || thread.now() >= deadline {
-                break;
-            }
-        }
-        // Both legs dead or the hedge deadline expired: fall back to
-        // the plain failover loop (fresh seq, budget-gated retries), so
-        // a crash mid-hedge still converges like an unhedged call.
-        self.fail_streak
-            .set(self.fail_streak.get().saturating_add(1));
-        self.client().note_recovery(
-            thread,
-            incident::HEDGE_FALLBACK,
-            format_args!(
-                "hedged call gave up after {:?} ({last:?}); falling back to the failover path",
-                thread.now() - t0
-            ),
-        );
-        self.call(thread, req).await
     }
 }

@@ -1,45 +1,35 @@
-//! Gray-failure resilience: replica health scoring, hedged-request
-//! pacing, and retry-storm budgets (DESIGN.md §16).
+//! Gray-failure resilience: replica health scoring and retry-storm
+//! budgets (DESIGN.md §16).
 //!
 //! A *gray* replica is one that still answers — no crash, no verb
 //! error, no shed — but answers slowly: a fail-slow NIC, a flaky
 //! sub-recovery-threshold link, a CPU-throttled serve loop. The
 //! recovery layer of PR 2 is blind to it (every call eventually
 //! succeeds) and the failover layer never triggers (nothing errors),
-//! so tail latency quietly inflates. This module supplies the three
+//! so tail latency quietly inflates. This module supplies the two
 //! mechanisms the replica router uses against it:
 //!
 //! * [`ReplicaScorer`] — folds each replica's rolling
 //!   [`ConnHealthReport`] windows into a 0..=1 health score against a
 //!   frozen healthy baseline; the router demotes replicas whose score
-//!   drops below `DEMOTE_BELOW`.
-//! * hedge pacing — the *baseline* (healthy) p99 is the hedge delay: a
-//!   request still unanswered after the latency that 99% of healthy
-//!   calls beat is likely stuck behind a gray path, so a second leg is
-//!   raced on another replica.
-//! * [`RetryBudget`] — a token bucket shared by retries, hedges, and
-//!   failover switches. Successes refill it; under a retry storm it
-//!   drains, capping amplification and degrading to fail-fast
-//!   (shedding the retry, never the first attempt).
+//!   drops below `DEMOTE_BELOW` and routes reads around them.
+//! * [`RetryBudget`] — a token bucket shared by retries and failover
+//!   switches. Successes refill it; under a retry storm it drains,
+//!   capping amplification and degrading to fail-fast (shedding the
+//!   retry, never the first attempt).
 //!
 //! The subsystem is present iff [`FailoverConfig::gray`](crate::FailoverConfig::gray)
-//! is `Some`; scored routing and the budget are what gray mode *is*,
-//! hedging the one mechanism a deployment may leave out.
+//! is `Some`; scored routing and the budget are what gray mode *is*.
 
 use std::cell::Cell;
 
-use rfp_simnet::{Baseline, ConnHealthReport, SimSpan};
+use rfp_simnet::{Baseline, ConnHealthReport};
 
 /// Score below which a replica is demoted (0..=1). The scorer's
 /// penalties are sized against it: a fail-slow median alone
 /// (0.25 + up to 0.5) crosses it, a tail-only regression (0.25) never
 /// does.
 pub(crate) const DEMOTE_BELOW: f64 = 0.5;
-/// Minimum hedge delay, and the delay used before any baseline exists.
-pub(crate) const HEDGE_FLOOR: SimSpan = SimSpan::micros(5);
-/// Overall deadline of one hedged call; past it the router gives up on
-/// both legs and falls back to the plain failover path.
-pub(crate) const HEDGE_DEADLINE: SimSpan = SimSpan::millis(2);
 /// Every `PROBE_EVERY`-th routed read still targets a demoted preferred
 /// replica, sampling it for recovery. This keeps probe traffic under 1%
 /// of routed reads, so a demoted replica cannot drag the read p99 back
@@ -50,29 +40,15 @@ pub(crate) const PROBE_EVERY: u64 = 256;
 /// when the router runs it.
 #[derive(Clone, Debug)]
 pub struct GrayConfig {
-    /// Hedged requests on the read path (`call_hedged`).
-    pub hedging: bool,
     /// Seed of the router's de-preference draw stream (private
     /// `StdRng`, never the simulation RNG — scoring decisions do not
     /// perturb unrelated event timing).
     pub seed: u64,
 }
 
-impl GrayConfig {
-    /// Every mechanism on — the mitigated cell of the `grayfail` sweep.
-    pub fn all_on() -> Self {
-        GrayConfig {
-            hedging: true,
-            seed: 0x6B4A_9E21,
-        }
-    }
-
-    /// Scored routing only (no hedging) — the sweep's middle cell.
-    pub fn routing_only() -> Self {
-        GrayConfig {
-            hedging: false,
-            ..GrayConfig::all_on()
-        }
+impl Default for GrayConfig {
+    fn default() -> Self {
+        GrayConfig { seed: 0x6B4A_9E21 }
     }
 }
 
@@ -85,10 +61,9 @@ impl GrayConfig {
 ///   plus up to 0.5 more as the ratio doubles past the threshold. The
 ///   median is the primary latency signal deliberately: a whole-replica
 ///   fail-slow fault drags *every* call, so p50 inflates as hard as
-///   p99, while a handful of poisoned samples (a hedge observed late
-///   because the racing loop was blocked on the gray peer, one probe
-///   in a fast window) can own a window's p99 without meaning the
-///   replica is sick;
+///   p99, while a handful of poisoned samples (one probe in a fast
+///   window) can own a window's p99 without meaning the replica is
+///   sick;
 /// * **tail-only** regression (p99 past `LATENCY_FACTOR` × baseline
 ///   p99 with the median still healthy): 0.25 — evidence, but never
 ///   demoting alone;
@@ -159,14 +134,13 @@ impl ReplicaScorer {
     }
 
     /// The frozen healthy-baseline p99 of replica `i`, once captured.
-    /// The hedge delay derives from it.
     pub fn baseline_p99(&self, i: usize) -> Option<u64> {
         self.baselines[i].get().map(|b| b.p99_ns)
     }
 }
 
-/// Per-client retry-storm budget: a token bucket drawn on by retries,
-/// hedge legs, and failover switches, refilled by successes.
+/// Per-client retry-storm budget: a token bucket drawn on by retries
+/// and failover switches, refilled by successes.
 ///
 /// Invariants (DESIGN.md §16):
 ///
@@ -181,7 +155,7 @@ impl ReplicaScorer {
 ///   only a success puts back.
 pub struct RetryBudget {
     tokens: Cell<f64>,
-    /// Retry/hedge/failover grants denied because the bucket was dry.
+    /// Retry/failover grants denied because the bucket was dry.
     denied: Cell<u64>,
     /// Tokens irrevocably consumed (granted and not refunded).
     spent: Cell<u64>,
@@ -254,7 +228,7 @@ impl RetryBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfp_simnet::{AnomalyDetector, AnomalyKind, HealthHub, SimTime};
+    use rfp_simnet::{AnomalyDetector, AnomalyKind, HealthHub, SimSpan, SimTime};
 
     fn report(calls: u64, p99_ns: u64, retry_rate: f64) -> ConnHealthReport {
         ConnHealthReport {
@@ -390,7 +364,5 @@ mod tests {
     #[test]
     fn gray_config_defaults_are_dormant() {
         assert!(crate::FailoverConfig::default().gray.is_none());
-        assert!(GrayConfig::all_on().hedging);
-        assert!(!GrayConfig::routing_only().hedging);
     }
 }

@@ -68,11 +68,6 @@ pub(crate) mod incident {
     pub(crate) const RESTORE:         Incident = row(Some("routing.restore"),          "routing.restore",           Warn,  None);
     pub(crate) const PROBE:           Incident = row(Some("routing.probe"),            "routing.probe",             Warn,  None);
     pub(crate) const ROUTED_FALLBACK: Incident = row(Some("routing.fallback"),         "routing.fallback",          Warn,  None);
-    pub(crate) const HEDGE_ISSUED:    Incident = row(Some("recovery.hedge.issued"),    "recovery.hedge.issued",     Warn,  None);
-    pub(crate) const HEDGE_DENIED:    Incident = row(Some("recovery.hedge.denied"),    "recovery.hedge.denied",     Warn,  None);
-    pub(crate) const HEDGE_WON:       Incident = row(Some("recovery.hedge.won"),       "recovery.hedge.won",        Warn,  None);
-    pub(crate) const HEDGE_WASTED:    Incident = row(Some("recovery.hedge.wasted"),    "recovery.hedge.wasted",     Warn,  None);
-    pub(crate) const HEDGE_FALLBACK:  Incident = row(Some("recovery.hedge.fallback"),  "recovery.hedge.fallback",   Warn,  None);
     // Server side: the verdict `RfpServerConn::reject` posted.
     pub const REJECT_BUSY:     Incident = row(Some("overload.busy_rejections"), "overload.reject_busy",      Warn,  None);
     pub const REJECT_SHED:     Incident = row(Some("overload.sheds"),           "overload.reject_shed",      Warn,  None);

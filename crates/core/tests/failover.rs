@@ -218,14 +218,14 @@ fn single_replica_surfaces_the_first_exhausted_error() {
     assert_eq!(r.recorder.kind_count("recovery.failover"), 0);
 }
 
-/// Without the gray stage the hedged read entry point is the plain one:
-/// a run whose calls enter through `call_hedged` returns the same
-/// results at the same instants, and leaves the same flight record, as
-/// one whose calls enter through `call` — healthy, and across a primary
-/// crash mid-run.
+/// Without the gray stage the read entry point is the plain one: a run
+/// whose calls enter through `call_read` returns the same results at
+/// the same instants, and leaves the same flight record, as one whose
+/// calls enter through `call` — healthy, and across a primary crash
+/// mid-run.
 #[test]
-fn call_hedged_without_the_stage_is_call() {
-    let run = |hedged: bool, crash: bool| {
+fn call_read_without_the_stage_is_call() {
+    let run = |read: bool, crash: bool| {
         let mut r = rig();
         r.server_conns[1].set_epoch(1);
         let router = Rc::clone(&r.router);
@@ -239,8 +239,8 @@ fn call_hedged_without_the_stage_is_call() {
                     primary.faults().set_crashed(true);
                 }
                 let req = i.to_le_bytes();
-                let res = if hedged {
-                    router.call_hedged(&t, &req).await
+                let res = if read {
+                    router.call_read(&t, &req).await
                 } else {
                     router.call(&t, &req).await
                 };

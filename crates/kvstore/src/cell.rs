@@ -57,12 +57,19 @@ pub(crate) fn encode(key: &[u8], value: &[u8], size: usize) -> Vec<u8> {
     bytes
 }
 
+/// The `(klen, vlen)` header at the head of `bytes`, unverified: a
+/// torn image carries the header of the newer entry.
+pub(crate) fn lengths(bytes: &[u8]) -> Option<(usize, usize)> {
+    let klen = u16::from_le_bytes(bytes.get(0..2)?.try_into().ok()?) as usize;
+    let vlen = u32::from_le_bytes(bytes.get(2..HDR)?.try_into().ok()?) as usize;
+    Some((klen, vlen))
+}
+
 /// Decodes the entry at the head of `bytes` into `(key, value)`; `None`
 /// when the lengths overrun `bytes` or the checksum fails (a torn
 /// image). An empty cell decodes to an empty key and value.
 pub(crate) fn decode(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
-    let klen = u16::from_le_bytes(bytes.get(0..2)?.try_into().ok()?) as usize;
-    let vlen = u32::from_le_bytes(bytes.get(2..HDR)?.try_into().ok()?) as usize;
+    let (klen, vlen) = lengths(bytes)?;
     let body = bytes.get(..HDR + klen + vlen)?;
     let crc = bytes.get(body.len()..body.len() + CRC)?;
     if crc64(body).to_le_bytes() != crc {
@@ -118,11 +125,17 @@ impl BypassGet {
             if let Some(found) = check(&client.fetch(thread, mr, off, len).await) {
                 return Some(found);
             }
-            self.crc_retries += 1;
-            if self.crc_retries >= MAX_CRC_RETRIES {
+            if !self.reject() {
                 return None;
             }
         }
+    }
+
+    /// Counts one rejected image in `crc_retries`; `false` once the GET
+    /// has spent its `MAX_CRC_RETRIES`.
+    pub(crate) fn reject(&mut self) -> bool {
+        self.crc_retries += 1;
+        self.crc_retries < MAX_CRC_RETRIES
     }
 }
 

@@ -305,6 +305,14 @@ impl PilafStore {
     }
 }
 
+/// What one extent READ of a GET saw.
+enum Extent {
+    /// A verified entry: the value, if the key is the GET's.
+    Read(Option<Vec<u8>>),
+    /// An entry of other lengths than the slot records.
+    Resized,
+}
+
 impl BypassStore for PilafStore {
     type View = PilafView;
     type Error = CuckooError;
@@ -356,7 +364,9 @@ impl BypassStore for PilafStore {
 
     /// Probes the key's candidate buckets with one-sided READs, fetches
     /// the extent, and rereads any slot or extent whose checksum fails
-    /// (Figure 8b's loop).
+    /// (Figure 8b's loop). An extent whose header names other lengths
+    /// than its slot is a PUT the slot does not show yet: the slot is
+    /// reread before the extent is.
     async fn get(
         client: &BypassClient,
         thread: &ThreadCtx,
@@ -367,28 +377,39 @@ impl BypassStore for PilafStore {
         let mut got = BypassGet::default();
         for bucket in view.candidate_buckets(key) {
             let off = bucket * SLOT_SIZE;
-            let read = got.read_verified(client, thread, &view.table, off, SLOT_SIZE, Slot::decode);
-            let Some(slot) = read.await else {
-                return got;
-            };
-            if slot.is_vacant() || slot.key_hash != tag || slot.klen as usize != key.len() {
-                continue;
-            }
-            // The extent as the slot sizes it, in one READ. An image of
-            // another length is a PUT the slot does not show yet: reread.
-            let len = cell::len(key.len(), slot.vlen as usize);
-            let off = slot.cell as usize * view.cell_size;
-            let read = got.read_verified(client, thread, &view.data, off, len, |bytes| {
-                let (k, v) =
-                    cell::decode(bytes).filter(|(k, v)| cell::len(k.len(), v.len()) == len)?;
-                Some((k == key).then(|| v.to_vec()))
-            });
-            match read.await {
-                None => return got,
-                Some(None) => {} // key hash collided with another key
-                Some(value) => {
-                    got.value = value;
+            loop {
+                let read =
+                    got.read_verified(client, thread, &view.table, off, SLOT_SIZE, Slot::decode);
+                let Some(slot) = read.await else {
                     return got;
+                };
+                if slot.is_vacant() || slot.key_hash != tag || slot.klen as usize != key.len() {
+                    break;
+                }
+                // The extent as the slot sizes it, in one READ.
+                let lengths = (key.len(), slot.vlen as usize);
+                let len = cell::len(lengths.0, lengths.1);
+                let off = slot.cell as usize * view.cell_size;
+                let read = got.read_verified(client, thread, &view.data, off, len, |bytes| {
+                    if cell::lengths(bytes) != Some(lengths) {
+                        return Some(Extent::Resized);
+                    }
+                    let (k, v) = cell::decode(bytes)?;
+                    Some(Extent::Read((k == key).then(|| v.to_vec())))
+                });
+                match read.await {
+                    None => return got,
+                    Some(Extent::Resized) => {
+                        if !got.reject() {
+                            return got;
+                        }
+                    }
+                    // The key hash collided with another key.
+                    Some(Extent::Read(None)) => break,
+                    Some(Extent::Read(value)) => {
+                        got.value = value;
+                        return got;
+                    }
                 }
             }
         }

@@ -19,7 +19,7 @@
 //! The table is laid out in a registered memory region with `H − 1`
 //! trailing spill cells so neighborhoods never wrap.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rfp_paradigms::BypassClient;
@@ -84,6 +84,9 @@ pub struct FarmStore {
     /// tearing.
     cells: RefCell<Vec<Option<Resident>>>,
     entries: RefCell<usize>,
+    /// In-place updates between their two halves. Displacement copies
+    /// raw cells, so an insert waits until none is tearing.
+    tearing: Cell<u32>,
     /// CPU gap splitting in-place updates (torn-read window, as in the
     /// Pilaf store).
     pub update_gap: SimSpan,
@@ -114,6 +117,7 @@ impl FarmStore {
             },
             cells: RefCell::new(vec![None; cells]),
             entries: RefCell::new(0),
+            tearing: Cell::new(0),
             update_gap: SimSpan::nanos(400),
         }
     }
@@ -220,7 +224,8 @@ impl BypassStore for FarmStore {
     }
 
     /// Rewrites the whole padded cell torn at its midpoint; inserts
-    /// (atomically) when absent.
+    /// (atomically) when absent, once no other PUT thread is tearing a
+    /// cell the insert's displacement could move.
     async fn put(
         &self,
         thread: &ThreadCtx,
@@ -233,8 +238,13 @@ impl BypassStore for FarmStore {
         if let Some(at) = self.find_cell(key) {
             let bytes = cell::encode(key, value, self.view.cell_size);
             let off = self.cell_off(at);
+            self.tearing.set(self.tearing.get() + 1);
             cell::write_torn(thread, self.update_gap, &self.view.table, off, &bytes).await;
+            self.tearing.set(self.tearing.get() - 1);
             return Ok(());
+        }
+        while self.tearing.get() > 0 {
+            thread.busy(self.update_gap).await;
         }
         self.insert_local(key, value)
     }
@@ -335,6 +345,61 @@ mod tests {
             s.insert_local(b"key", &[0u8; 96]),
             Err(HopscotchError::EntryTooLarge)
         );
+    }
+
+    #[test]
+    fn an_insert_never_hops_a_cell_a_put_is_tearing() {
+        let mut sim = Simulation::new(5);
+        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+        let server = cluster.machine(0);
+        let s = Rc::new(FarmStore::new(&server, 64, 96));
+        // Seven keys fill home bucket `h`'s cells h..h+6 and `hopped`
+        // (home h+1) takes h+7, so inserting `late` (home h) must hop
+        // `hopped` to h+8. The 60 B values put each entry past the
+        // midpoint of its 96 B cell, so a PUT really tears it.
+        let home = |i: u32| s.view.home_of(&i.to_le_bytes());
+        let h = home(0);
+        let mut same = (1u32..).filter(|&i| home(i) == h);
+        let fill: Vec<u32> = std::iter::once(0).chain(same.by_ref().take(6)).collect();
+        let late = same.next().expect("a key homed at h").to_le_bytes();
+        let hopped = (1u32..)
+            .find(|&i| home(i) == h + 1)
+            .expect("a key homed at h+1");
+        let hopped = hopped.to_le_bytes();
+        for i in &fill {
+            s.insert_local(&i.to_le_bytes(), b"fill").expect("room");
+        }
+        s.insert_local(&hopped, &[1; 60]).expect("room");
+        assert_eq!(s.find_cell(&hopped), Some(h + 7));
+
+        for (i, key) in [hopped, late].into_iter().enumerate() {
+            let (s, t, sleep) = (
+                Rc::clone(&s),
+                server.thread(format!("put{i}")),
+                sim.handle(),
+            );
+            sim.spawn(async move {
+                sleep.sleep(SimSpan::nanos(100 * i as u64)).await;
+                s.put(&t, &key, &[i as u8 + 2; 60]).await.expect("room");
+            });
+        }
+        sim.run();
+        assert_eq!(s.find_cell(&hopped), Some(h + 8), "the insert hopped it");
+
+        let view = s.view();
+        let client = BypassClient::new(cluster.qp(1, 0), 4096);
+        let t = cluster.machine(1).thread("c");
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let g = Rc::clone(&got);
+        sim.spawn(async move {
+            for key in [hopped, late] {
+                let value = FarmStore::get(&client, &t, &view, &key).await.value;
+                g.borrow_mut().push(value);
+            }
+        });
+        sim.run();
+        let want = [Some(vec![2; 60]), Some(vec![3; 60])];
+        assert_eq!(*got.borrow(), want);
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub struct PrimaryRole {
     /// Mutations actually applied to the primary's partition (counted
     /// as the handler applies them) — the duplicate-apply ledger: with
     /// same-seq dedup doing its job this never exceeds the mutations
-    /// clients issued, hedged or not.
+    /// clients issued, retried or not.
     pub applied_mutations: Cell<u64>,
     next_lsn: Cell<u64>,
 }
@@ -178,7 +178,7 @@ pub struct BackupRole {
     /// polls its client-facing connections and answers GETs from the
     /// replicated partition, while refusing every mutation with `Busy`
     /// *without executing it* — the contract that makes the gray-failure
-    /// router's scored routing and read hedging safe. Under `Sync` ack
+    /// router's scored routing safe. Under `Sync` ack
     /// an acked write is applied here before the primary answers, so a
     /// standby read never misses a write its issuer saw acked.
     pub standby_reads: Cell<bool>,
@@ -330,7 +330,7 @@ pub async fn primary_serve_loop(
 /// serves everything from the replicated partition. In standby it
 /// answers GETs and refuses every mutation with `Busy` *without
 /// executing it*: the refusal marks the mutation provably-not-applied,
-/// so its issuer resubmits on the primary under a fresh seq — a hedged
+/// so its issuer resubmits on the primary under a fresh seq — a failed-over
 /// write can never double-apply through a standby.
 struct BackupHandler {
     partition: Rc<RefCell<Partition>>,

@@ -148,6 +148,64 @@ fn torn_update_is_detected_and_never_leaks() {
     );
 }
 
+/// A PUT that changes the value's length rewrites the extent before
+/// the slot: a GET that read the old slot then fetches the extent at
+/// the stale length. It must reread the slot, not the extent alone
+/// until an entry of the old length comes back.
+#[test]
+fn resizing_puts_send_gets_back_to_the_slot() {
+    let mut sim = Simulation::new(99);
+    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+    let server_m = cluster.machine(0);
+    let mut store = PilafStore::new(&server_m, 64, 64, 128);
+    store.update_gap = SimSpan::micros(3);
+    let store = Rc::new(store);
+
+    let key = b"resized";
+    let values = [vec![0xAAu8; 48], vec![0xBBu8; 16]];
+    store.insert_local(key, &values[0]).expect("preload");
+
+    // Server: flip the value's length every ~20 µs.
+    let (st, s2, h, v2) = (
+        server_m.thread("server"),
+        Rc::clone(&store),
+        sim.handle(),
+        values.clone(),
+    );
+    sim.spawn(async move {
+        for i in 1.. {
+            h.sleep(SimSpan::micros(20)).await;
+            s2.put(&st, key, &v2[i % 2]).await.expect("fits");
+        }
+    });
+
+    // Client: continuous bypass GETs, keeping each one's retry count.
+    let client = BypassClient::new(cluster.qp(1, 0), 512);
+    let (ct, view) = (cluster.machine(1).thread("client"), store.view());
+    let gets = Rc::new(RefCell::new(Vec::new()));
+    let g2 = Rc::clone(&gets);
+    sim.spawn(async move {
+        loop {
+            let got = PilafStore::get(&client, &ct, &view, key).await;
+            g2.borrow_mut().push((got.value, got.crc_retries));
+        }
+    });
+
+    sim.run_for(SimSpan::millis(5));
+
+    let gets = gets.borrow();
+    assert!(gets.len() > 100, "client barely ran: {}", gets.len());
+    for (value, _) in gets.iter() {
+        let value = value.as_ref().expect("every GET finds the key");
+        assert!(values.contains(value), "torn value leaked: {value:?}");
+    }
+    // A slot reread costs a round trip, and the torn window is 3 µs:
+    // a GET whose slot went stale meanwhile retries a handful of times,
+    // never for the 20 µs until the old length is written again.
+    let worst = gets.iter().map(|&(_, r)| r).max().unwrap_or(0);
+    assert!(worst < 8, "a GET took {worst} CRC retries");
+}
+
 #[test]
 fn interleaved_distinct_keys_never_interfere() {
     // A writer mutating key A must never corrupt reads of key B.

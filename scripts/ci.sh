@@ -100,9 +100,11 @@ trap 'rm -rf "$tmp"' EXIT
 #              backwards, histories linearize, failover time inside
 #              budget, sync replication tax on the 32 B bar under 5%
 #   grayfail   each fail-slow fault inflates the unmitigated read p99
-#              past 3x clean while routing + hedging stay within it, no
-#              acked write lost, hedges never double-apply, retry
-#              amplification under the budget bound
+#              past 3x clean while scored routing stays within it and
+#              leaves a recorded routing.demote chain; no acked write
+#              lost, no read runs backwards, histories linearize, no
+#              mutation applied twice, retry amplification under the
+#              budget bound
 #   cores      uniform 4-core throughput >= 3x one core, the skewed worst
 #              case within 1.25x of uniform with stealing and collapsed
 #              without
