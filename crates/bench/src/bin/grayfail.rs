@@ -17,6 +17,10 @@
 //!   linearizable history in every cell;
 //! * **storms stay bounded** — with the retry budget on, tokens
 //!   consumed stay within [`AMPLIFICATION_BOUND`]× completed calls.
+//!   Fail-slow faults error no call, so every reservation is refunded
+//!   and this holds at 0 tokens here; the bound is proven on a real
+//!   storm by `crates/core/tests/failover.rs`'s
+//!   `retry_budget_bounds_a_storm_against_dead_replicas`.
 //!
 //! Fully deterministic per seed: running twice with the same seed
 //! prints the same bytes.

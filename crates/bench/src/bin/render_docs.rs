@@ -1,5 +1,6 @@
-//! Rewrites every generated fence of EXPERIMENTS.md and README.md in
-//! place from the committed results, after a number moved on purpose:
+//! Rewrites every generated fence of EXPERIMENTS.md, README.md and
+//! DESIGN.md in place from the committed results, after a number moved
+//! on purpose:
 //!
 //! ```text
 //! cargo run -p rfp-bench --bin render_docs

@@ -1,10 +1,10 @@
 //! The values the RFP paper quotes: its §2 micro-benchmarks, its §4
 //! results and the workload parameters it names, each under a handle.
 //!
-//! EXPERIMENTS.md and README.md may state these in running text; any
-//! other decimal, percentage, `×` ratio or MOPS figure there must sit
-//! inside a generated fence ([`crate::prose`]), whose paper column is
-//! rendered from this table too.
+//! EXPERIMENTS.md, README.md and DESIGN.md may state these in running
+//! text; any other decimal, percentage, `×` ratio or MOPS figure there
+//! must sit inside a generated fence ([`crate::prose`]), whose paper
+//! column is rendered from this table too.
 
 /// Every value the paper quotes that the docs restate, as it writes it,
 /// under the handle a fence's template names it by (`{p:<name>}`).

@@ -2,8 +2,8 @@
 //! quotes them.
 //!
 //! `experiments/*.csv` and `BENCH_<sweep>.json` are the only copy of a
-//! measured number. EXPERIMENTS.md and README.md restate one only
-//! inside a fence,
+//! measured number. The documents of [`DOCS`] restate one only inside
+//! a fence,
 //!
 //! ```text
 //! <!-- gen:<name> -->
@@ -36,7 +36,7 @@ mod fences;
 use fences::FENCES;
 
 /// The documents whose numbers are generated.
-pub const DOCS: [&str; 2] = ["EXPERIMENTS.md", "README.md"];
+pub const DOCS: [&str; 3] = ["EXPERIMENTS.md", "README.md", "DESIGN.md"];
 
 /// The repository root (this crate sits at `crates/bench`).
 pub fn repo_root() -> PathBuf {

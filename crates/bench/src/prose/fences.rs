@@ -1,5 +1,6 @@
-//! Every fence EXPERIMENTS.md and README.md hold: which committed file
-//! each renders from, which series or cells, at which x values.
+//! Every fence the generated documents (`prose::DOCS`) hold: which
+//! committed file each renders from, which series or cells, at which x
+//! values.
 
 use super::Body::{Golden, Sweep, Text};
 use super::Col::{Flag, Metric, Over, Raised};
@@ -132,7 +133,8 @@ const README_HEADLINE: &str = "\
 const PIPELINE_IDLE: &str = "cuts low-load server poll utilisation from {0} to {1} and \
 leaves saturated throughput at {2} kops";
 
-const FLEET_HOT: &str = "Isolation comes from admission (DESIGN §14): while tenant 0 floods, \
+const FLEET_HOT: &str =
+    "Isolation comes from admission (DESIGN.md \"Mux\"): while tenant 0 floods, \
 the worst cold tenant keeps {0} of its baseline goodput.";
 
 const FAILOVER_TAX: &str = "On the GET-heavy bar (95/5, 32 B, 16 workers, 5 ms) replication \

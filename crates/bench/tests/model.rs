@@ -1,5 +1,5 @@
-//! The closed-form cost model (`ParamSelector`, DESIGN §5) against the
-//! committed figures. Every Jakiro and ServerReply cell of fig10, fig12,
+//! The closed-form cost model (`ParamSelector`, DESIGN.md "Cost model")
+//! against the committed figures. Every Jakiro and ServerReply cell of fig10, fig12,
 //! fig16 and fig17 that has a size is predicted within ±2 %, or sits on
 //! the miss list with the component the model leaves out. The `(R, F)`
 //! the figures ran with are the selector's own picks, read back from the

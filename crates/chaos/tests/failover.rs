@@ -113,8 +113,9 @@ fn crash_runs_are_deterministic_per_seed() {
 /// The features the replicated rig can carry, all on in one run: sync
 /// replication, fetch integrity (the rig's answer to a plan that
 /// schedules corruption), gray routing of own-key reads —
-/// under bit flips and torn DMA on both replicas for the whole run, plus
-/// a permanent primary crash with scheduled promotion.
+/// under bit flips and torn DMA on both replicas for the whole run, a
+/// straggler on the primary that demotes it, plus a permanent primary
+/// crash with scheduled promotion.
 #[test]
 fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
     use rfp_core::{FailoverConfig, GrayConfig, Mode};
@@ -132,9 +133,18 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
     };
     // Corruption from the start; the crash lands mid-workload, so routed
     // reads run against both the live pair and the promoted survivor.
+    // Before it, once the routers have frozen their baselines, the
+    // primary runs 30× slow (grayfail's slow-server factor) until the
+    // crash: its read median inflates past the demotion threshold, so
+    // reads divert to the standby. The crash comes late enough for the
+    // slow calls to fill most of a health window (`HealthHub::WINDOW`);
+    // the median of a window still full of fast calls does not move.
     let (from, span) = (SimTime::from_nanos(5_000), SimSpan::millis(100));
-    let crash_at = SimTime::from_nanos(400_000);
-    let mut plan = FaultPlan::new(seed).crash(crash_at, span, 0, true);
+    let slow_at = SimTime::from_nanos(100_000);
+    let crash_at = SimTime::from_nanos(2_000_000);
+    let mut plan = FaultPlan::new(seed)
+        .crash(crash_at, span, 0, true)
+        .straggler(slow_at, crash_at - slow_at, 0, 30.0);
     for replica in 0..2 {
         plan = plan
             .torn_dma(from, span, replica, 0.1)
@@ -159,6 +169,16 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
     );
     assert_eq!(st.lost_acked.get(), 0, "acked write lost");
     assert_eq!(st.stale_reads.get(), 0, "a read ran backwards");
+    // The straggler demoted the primary and a routed read reached the
+    // standby.
+    assert!(
+        rig.backup_role.served_reads.get() >= 1,
+        "no read was diverted to the standby"
+    );
+    assert!(
+        rig.registry.names().iter().any(|n| n == "routing.demote"),
+        "the primary was never demoted"
+    );
     // No corrupt payload surfaced: a damaged value would have failed to
     // parse (the client loop panics), tripped a counter above, or broken
     // the history below — while corrupt fetches demonstrably happened.

@@ -238,7 +238,7 @@ impl Scratch {
     /// flight still holds the tail, even with other slots free. Reaped
     /// rounds free slots out of order, and a deposit past a held slot
     /// lands off the server's head look: it would wait a whole
-    /// full-scan rotation (DESIGN §19).
+    /// full-scan rotation (DESIGN.md "Request ring").
     fn take_slot(&mut self, window: usize) -> Option<usize> {
         let slot = self.free_slot()?;
         // `window` is a power of two (a `connect` invariant).

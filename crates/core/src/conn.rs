@@ -746,7 +746,7 @@ impl Pos {
     }
 }
 
-/// The server's ring sweep as a clocked event sink (DESIGN §19 "Lazy
+/// The server's ring sweep as a clocked event sink (DESIGN.md "Lazy
 /// looks"). Claims, receives, crash checks, the slot looks and their
 /// `check_cpu` charges are a cursor the sweep moves on its own clock;
 /// the task is polled only at a [`Stop`], handed back through
@@ -1088,7 +1088,7 @@ impl Replan for Sweep {
         let stop = self.ahead(&self.cursor.borrow(), head);
         // A new CPU factor respaces the looks after the next one, which
         // becomes the stop: lazy looks follow a real one evenly spaced,
-        // as their place in the order needs (DESIGN §19 "Lazy looks").
+        // as their place in the order needs (DESIGN.md "Lazy looks").
         let stop = if self.span.get() == spacing {
             stop
         } else {

@@ -1,6 +1,6 @@
 //! Replica-aware call routing: failover across a static replica list,
-//! plus the gray-failure mitigations of DESIGN.md §16 (health-scored
-//! routing, retry budgets) — present iff
+//! plus the gray-failure mitigations of DESIGN.md "Scored routing"
+//! (health-scored routing, retry budgets) — present iff
 //! [`FailoverConfig::gray`] is.
 //!
 //! A replicated service exposes the same RPC endpoint on every replica;

@@ -1,5 +1,5 @@
 //! Gray-failure resilience: replica health scoring and retry-storm
-//! budgets (DESIGN.md §16).
+//! budgets (DESIGN.md "Scored routing").
 //!
 //! A *gray* replica is one that still answers — no crash, no verb
 //! error, no shed — but answers slowly: a fail-slow NIC, a flaky
@@ -142,7 +142,7 @@ impl ReplicaScorer {
 /// Per-client retry-storm budget: a token bucket drawn on by retries
 /// and failover switches, refilled by successes.
 ///
-/// Invariants (DESIGN.md §16):
+/// Invariants (DESIGN.md "Scored routing"):
 ///
 /// * the **first attempt of a call is never gated** — an empty bucket
 ///   degrades retries to fail-fast, it does not black-hole traffic;

@@ -16,8 +16,8 @@
 //! when a second READ is needed.
 //!
 //! `I(R,F)` comes from a closed-form cost model of the simulated NIC
-//! (DESIGN §5); the paper obtains the equivalent table by benchmarking
-//! its RNIC once. A call holds each [`Resource`] for a service time, and
+//! (DESIGN.md "Cost model"); the paper obtains the equivalent table by
+//! benchmarking its RNIC once. A call holds each [`Resource`] for a service time, and
 //! its throughput is the minimum over resources of capacity ÷ service
 //! time per call. `crates/bench/tests/model.rs` checks the model against
 //! the committed figures and lists the cells it misses, with the

@@ -26,7 +26,7 @@
 //! a poll of this task, which resumes only at a pending slot, a tripped
 //! crash check or the end of the sweep, and is an executor event only
 //! where it can stop the sweep or shares its instant with another
-//! entry (DESIGN §19 "Lazy looks"). Everything
+//! entry (DESIGN.md "Lazy looks"). Everything
 //! that awaits — pickup and its `Fenced` answer, verdicts, service, the
 //! queue, commit, stealing, spin and nap — is the task code below.
 //!

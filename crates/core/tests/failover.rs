@@ -5,7 +5,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rfp_core::{
-    connect, serve_loop, FailoverConfig, RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn,
+    connect, serve_loop, FailoverConfig, GrayConfig, RecoveryConfig, ReplicaClient, RfpConfig,
+    RfpServerConn,
 };
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{FlightRecorder, RetryPolicy, SimSpan, SimTime, Simulation};
@@ -30,10 +31,10 @@ fn short_recovery() -> RecoveryConfig {
 }
 
 fn rig() -> Rig {
-    rig_of(2)
+    rig_of(2, None)
 }
 
-fn rig_of(servers: usize) -> Rig {
+fn rig_of(servers: usize, gray: Option<GrayConfig>) -> Rig {
     let mut sim = Simulation::new(23);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1 + servers);
     let client_m = cluster.machine(0);
@@ -69,7 +70,7 @@ fn rig_of(servers: usize) -> Rig {
         replicas,
         FailoverConfig {
             recovery: short_recovery(),
-            ..FailoverConfig::default()
+            gray,
         },
     ));
     Rig {
@@ -190,7 +191,7 @@ fn single_replica_surfaces_the_first_exhausted_error() {
     // Runs one doomed call, through the router or straight on its
     // connection, and returns the rig, the error and when it surfaced.
     let doomed = |routed: bool| {
-        let mut r = rig_of(1);
+        let mut r = rig_of(1, None);
         r.cluster.machine(1).faults().set_crashed(true);
         let router = Rc::clone(&r.router);
         let t = Rc::clone(&r.client_thread);
@@ -257,4 +258,60 @@ fn call_read_without_the_stage_is_call() {
         assert_eq!(plain.0.len(), 20, "every call settled");
         assert_eq!(plain, run(true, crash), "crash: {crash}");
     }
+}
+
+/// The retry budget bounds a storm that really happens. With both
+/// replicas down every call exhausts its recovery schedule, so retries
+/// and failover switches draw the bucket dry; once one replica heals,
+/// successes refill it. Through both phases every call still makes its
+/// first attempt, and the tokens consumed never exceed the bucket's
+/// initial fill (`MAX_TOKENS`, 16) plus `REFILL_PER_SUCCESS` (0.5) per
+/// success — `RetryBudget`'s documented bound, which the `grayfail`
+/// sweep asserts on runs whose fail-slow faults never exhaust a call.
+#[test]
+fn retry_budget_bounds_a_storm_against_dead_replicas() {
+    let mut r = rig_of(2, Some(GrayConfig::default()));
+    // (attempts made, succeeded) per call.
+    let calls = Rc::new(RefCell::new(Vec::new()));
+    // Runs the calls `ids` one after another, then lets them settle.
+    let batch = |r: &mut Rig, ids: std::ops::Range<u32>| {
+        let (router, t) = (Rc::clone(&r.router), Rc::clone(&r.client_thread));
+        let out = Rc::clone(&calls);
+        r.sim.spawn(async move {
+            for i in ids {
+                let res = router.call(&t, &i.to_le_bytes()).await;
+                let made = res
+                    .as_ref()
+                    .map_or_else(|err| err.attempts, |ok| ok.info.attempts);
+                out.borrow_mut().push((made, res.is_ok()));
+            }
+        });
+        r.sim.run_for(SimSpan::millis(40));
+    };
+
+    for m in 1..=2 {
+        r.cluster.machine(m).faults().set_crashed(true);
+    }
+    batch(&mut r, 0..30);
+    assert_eq!(calls.borrow().len(), 30, "the storm phase settled");
+    assert!(calls.borrow().iter().all(|&(_, ok)| !ok), "nothing answers");
+    assert!(r.router.budget().denied() > 0, "the bucket never ran dry");
+
+    // Heal the replica the router is on, then call it again.
+    let healed = 1 + r.router.active();
+    r.cluster.machine(healed).faults().set_crashed(false);
+    batch(&mut r, 30..60);
+    let calls = calls.borrow();
+    assert_eq!(calls.len(), 60, "the healed phase settled");
+    assert!(
+        calls.iter().all(|&(made, _)| made >= 1),
+        "a first attempt was gated"
+    );
+    let successes = calls.iter().filter(|&&(_, ok)| ok).count() as f64;
+    assert!(successes > 0.0, "the healed replica answered nothing");
+    let consumed = r.router.budget().consumed() as f64;
+    assert!(
+        consumed <= 16.0 + 0.5 * successes,
+        "{consumed} tokens consumed over {successes} successes"
+    );
 }

@@ -1,7 +1,7 @@
 //! The self-verifying entry of both server-bypass stores — Pilaf's
 //! extents ([`crate::cuckoo`]) and FaRM's inline cells
 //! ([`crate::hopscotch`]) — and the client's CRC-checked re-read of it.
-//! DESIGN §5b ("Bypass cell") has the byte layout; nothing else in the
+//! DESIGN.md "Bypass cell" has the byte layout; nothing else in the
 //! crate knows it.
 //!
 //! The server rewrites an entry in place in two halves with a CPU gap

@@ -9,7 +9,7 @@
 //!   where `crc` covers the first 30 bytes. A slot with `klen == 0` is
 //!   vacant (still CRC-protected).
 //! * **extent cells** — fixed-size cells, each holding one
-//!   self-verifying entry (DESIGN §5b, "Bypass cell") with no padding.
+//!   self-verifying entry (DESIGN.md "Bypass cell") with no padding.
 //!
 //! GETs probe a key's three candidate buckets, then fetch the extent —
 //! every read re-validated by checksum and retried on mismatch, which is

@@ -10,7 +10,7 @@
 //!
 //! This module reproduces that design point: every key lives within `H`
 //! cells of its home bucket (the hopscotch *neighborhood*), each cell
-//! inlines one self-verifying entry (DESIGN §5b, "Bypass cell"), and a
+//! inlines one self-verifying entry (DESIGN.md "Bypass cell"), and a
 //! GET is a single READ of the whole `H`-cell neighborhood — one op,
 //! `H × cell` bytes. The trade against Jakiro is then measurable: fewer
 //! server in-bound *ops* per GET than Pilaf (1 vs ~2.6), far more

@@ -8,10 +8,10 @@
 //! speeds up thanks to cache locality on hot keys (Figure 19).
 //!
 //! The model here is a real capacity-bounded [`LruCache`] guarded by a
-//! strictly FIFO [`SimLock`] (the serialized LRU maintenance), plus
-//! per-thread costs: parse/pack/memory work outside the lock, lock hold
-//! time inside it, both reduced when the key hits the thread's hot-key
-//! cache (locality). The costs are private constants, calibrated so the
+//! strictly FIFO one-permit [`Semaphore`] (the serialized LRU
+//! maintenance), plus per-thread costs: parse/pack/memory work outside
+//! the lock, lock hold time inside it, both reduced when the key hits
+//! the thread's hot-key cache (locality). The costs are private constants, calibrated so the
 //! modelled system reproduces the paper's measured ceilings (~1.3 MOPS
 //! uniform at 16 threads, ~2.1 MOPS under skewed 95% GET).
 
@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rfp_rnic::ThreadCtx;
-use rfp_simnet::{SimLock, SimSpan};
+use rfp_simnet::{Semaphore, SimSpan};
 
 use crate::lru::LruCache;
 
@@ -40,7 +40,7 @@ const HOT_GET_LOCK_HOLD: SimSpan = SimSpan::nanos(100);
 /// The shared Memcached-style store.
 pub struct McdStore {
     data: RefCell<LruCache<Vec<u8>, Vec<u8>>>,
-    lock: SimLock,
+    lock: Semaphore,
 }
 
 /// One server thread's private view: the shared store plus its hot-key
@@ -55,7 +55,7 @@ impl McdStore {
     pub fn new(capacity: usize) -> Rc<Self> {
         Rc::new(McdStore {
             data: RefCell::new(LruCache::new(capacity)),
-            lock: SimLock::new(),
+            lock: Semaphore::new(1),
         })
     }
 
@@ -95,7 +95,7 @@ impl McdThreadView {
             (GET_WORK, GET_LOCK_HOLD)
         };
         thread.busy(work).await;
-        let guard = self.store.lock.lock().await;
+        let guard = self.store.lock.acquire().await;
         thread.busy(hold).await;
         let value = self.store.data.borrow_mut().get(&key.to_vec()).cloned();
         drop(guard);
@@ -108,7 +108,7 @@ impl McdThreadView {
     /// Serves a PUT with the modelled CPU and lock costs.
     pub async fn put(&self, thread: &ThreadCtx, key: &[u8], value: Vec<u8>) {
         thread.busy(PUT_WORK).await;
-        let guard = self.store.lock.lock().await;
+        let guard = self.store.lock.acquire().await;
         thread.busy(PUT_LOCK_HOLD).await;
         self.store.data.borrow_mut().put(key.to_vec(), value);
         drop(guard);

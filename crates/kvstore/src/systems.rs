@@ -35,7 +35,7 @@ use rfp_core::{
 };
 use rfp_paradigms::{herd_connect, sr_connect, BypassClient};
 use rfp_rnic::{ClusterProfile, Machine, ThreadCtx, Transport};
-use rfp_simnet::{derive_seed, Counter, SimLock, SimSpan, Simulation};
+use rfp_simnet::{derive_seed, Counter, Semaphore, SimSpan, Simulation};
 use rfp_workload::{Op, WorkloadSpec};
 
 use crate::bucket::Partition;
@@ -418,7 +418,7 @@ pub fn spawn_jakiro_shared(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem
     );
     // One shared partition, one global lock.
     let store = preloaded(cfg, 1).remove(0);
-    let lock = SimLock::new();
+    let lock = Semaphore::new(1);
     spawn_single_conn_clients(sim, cfg, &mut sys, connect);
 
     let groups = sys.server_conns.clone();
@@ -432,7 +432,7 @@ pub fn spawn_jakiro_shared(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem
                 KvRequest::Put { .. } => SHARED_PUT_HOLD,
             };
             let extra = extra();
-            let guard = lock.lock().await;
+            let guard = lock.acquire().await;
             let (resp, _work) = apply_to_partition(&mut store.borrow_mut(), &parsed);
             thread.busy(hold + extra).await;
             drop(guard);

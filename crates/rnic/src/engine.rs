@@ -9,7 +9,8 @@
 //! reference-counted cell exists per operation, and every fault
 //! decision is taken here, once, for the synchronous and the posted
 //! verbs alike. Where each hop runs among the other work of its instant
-//! is part of the model: DESIGN §19 states the two ordering rules.
+//! is part of the model: DESIGN.md "NIC engine" states the two ordering
+//! rules.
 //!
 //! Four kinds of hop come due in the order they are filed, and wait in
 //! a [`Lane`] so that only each lane's head sits in the executor's
@@ -18,8 +19,8 @@
 //! fabric's two delay lines ([`WireLanes`]). A leg due before its
 //! line's tail (a slow-link fault lags each leg by its own draw) is
 //! filed as a plain event. The issue hop (`Start`), the NACK leg,
-//! retransmission rounds and every task wake are plain events (DESIGN
-//! §19 "Wake paths").
+//! retransmission rounds and every task wake are plain events
+//! (DESIGN.md "Lanes").
 
 use std::future::Future;
 use std::pin::Pin;

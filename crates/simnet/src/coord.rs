@@ -19,6 +19,28 @@ use std::task::{Context, Poll, Waker};
 /// without a registered waker. Directed handoff makes admission order
 /// equal arrival order, which bounds the tail of `acquire` waits under
 /// oversubscription (`rfp-core`'s mux dispenses its leases through one).
+/// One permit is a FIFO mutex: the comparators' serialized critical
+/// sections (RDMA-Memcached's LRU lock, the EREW ablation's store lock)
+/// are `Semaphore::new(1)`.
+///
+/// # Examples
+///
+/// ```
+/// use rfp_simnet::{Semaphore, SimSpan, Simulation};
+///
+/// let mut sim = Simulation::new(0);
+/// let lock = Semaphore::new(1);
+/// for _ in 0..3 {
+///     let l = lock.clone();
+///     let h = sim.handle();
+///     sim.spawn(async move {
+///         let _guard = l.acquire().await;
+///         h.sleep(SimSpan::micros(1)).await; // serialized section
+///     });
+/// }
+/// sim.run();
+/// assert_eq!(sim.now().as_nanos(), 3_000); // three holds back-to-back
+/// ```
 #[derive(Clone)]
 pub struct Semaphore {
     state: Rc<RefCell<SemState>>,

@@ -23,15 +23,15 @@
 //! *lazy* — taken by the sink itself, without an event, unless a real
 //! entry fires at one of their instants, in which case that step is
 //! delivered as an event with the place in the order its own event
-//! would have had (DESIGN §19 "Lazy looks").
+//! would have had (DESIGN.md "Lazy looks").
 //!
 //! A source whose events come due in the order it files them (a FIFO
 //! engine's completions, a wire of one length) files them in a
 //! [`Lane`]: the timer heap holds only the lane's head, so delivery is
 //! a merge of sorted runs and each entry fires exactly where a plain
-//! event would have (DESIGN §19 "Wake paths").
+//! event would have (DESIGN.md "Lanes").
 //!
-//! A task is woken one of two ways (DESIGN §19 "Wake paths"). A
+//! A task is woken one of two ways (DESIGN.md "Wake paths"). A
 //! [`Sleep`] or a NIC completion parks through a [`Wakeup`] ticket that
 //! names the task by slot id: firing it is a `VecDeque` push, with no
 //! lock, atomic or reference count. Everything else goes through the

@@ -12,9 +12,10 @@
 //!   generation-stamped [`Slab`], and filed in a [`Lane`] where they
 //!   come due in the order they are filed),
 //! * a FIFO queueing resource ([`FifoServer`]) used to model NIC
-//!   engines, and serialized critical sections ([`SimLock`]),
+//!   engines,
 //! * synchronisation primitives for simulated processes ([`Channel`],
-//!   [`Semaphore`]),
+//!   and [`Semaphore`], whose one permit is also the serialized
+//!   critical section),
 //! * measurement helpers ([`Counter`], [`Histogram`], [`BusyClock`]),
 //! * observability: one cause-chained event log ([`FlightRecorder`])
 //!   and the views beside it — a registry of hierarchically named
@@ -73,7 +74,7 @@ pub use retry::{retry, RetryExhausted, RetryPolicy};
 pub use slab::{Slab, SlabKey};
 pub use span::{Phase, RequestTrace, SpanRecorder};
 pub use stats::{BusyClock, Counter, Histogram};
-pub use sync::{Channel, Recv, SimLock, SimLockGuard};
+pub use sync::{Channel, Recv};
 pub use time::{SimSpan, SimTime};
 pub use timeout::{timeout, Timeout};
 

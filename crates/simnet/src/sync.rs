@@ -123,119 +123,7 @@ impl<T> Future for Recv<T> {
     }
 }
 
-/// A strictly FIFO mutex (ticket lock) for simulated processes.
-///
-/// Models a serialized critical section (e.g. the shared LRU lock in the
-/// RDMA-Memcached comparator). Each acquirer draws a ticket on its first
-/// poll; the guard's drop advances `now_serving` and wakes exactly the
-/// next ticket holder, so there is no barging and admission order equals
-/// first-poll order.
-///
-/// # Examples
-///
-/// ```
-/// use rfp_simnet::{SimLock, SimSpan, Simulation};
-///
-/// let mut sim = Simulation::new(0);
-/// let lock = SimLock::new();
-/// for _ in 0..3 {
-///     let l = lock.clone();
-///     let h = sim.handle();
-///     sim.spawn(async move {
-///         let _guard = l.lock().await;
-///         h.sleep(SimSpan::micros(1)).await; // serialized section
-///     });
-/// }
-/// sim.run();
-/// assert_eq!(sim.now().as_nanos(), 3_000); // three holds back-to-back
-/// ```
-///
-/// Dropping a [`LockAcquire`](SimLock::lock) future after its first poll (i.e.
-/// cancelling a queued acquisition) would stall the queue; simulated
-/// processes in this workspace never cancel lock acquisitions.
-#[derive(Clone, Default)]
-pub struct SimLock {
-    state: Rc<RefCell<LockState>>,
-}
-
-#[derive(Default)]
-struct LockState {
-    next_ticket: u64,
-    now_serving: u64,
-    /// Wakers of queued acquirers, keyed by ticket.
-    waiters: VecDeque<(u64, Waker)>,
-}
-
-impl SimLock {
-    /// Creates an unlocked lock.
-    pub fn new() -> Self {
-        SimLock::default()
-    }
-
-    /// Suspends until the lock is acquired; returns the RAII guard.
-    pub fn lock(&self) -> LockAcquire {
-        LockAcquire {
-            state: Rc::clone(&self.state),
-            ticket: None,
-        }
-    }
-}
-
-/// Future returned by [`SimLock::lock`].
-pub struct LockAcquire {
-    state: Rc<RefCell<LockState>>,
-    ticket: Option<u64>,
-}
-
-impl Future for LockAcquire {
-    type Output = SimLockGuard;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SimLockGuard> {
-        let state = Rc::clone(&self.state);
-        let mut st = state.borrow_mut();
-        let ticket = match self.ticket {
-            Some(t) => t,
-            None => {
-                let t = st.next_ticket;
-                st.next_ticket += 1;
-                self.ticket = Some(t);
-                t
-            }
-        };
-        if st.now_serving == ticket {
-            drop(st);
-            return Poll::Ready(SimLockGuard {
-                state: Rc::clone(&self.state),
-            });
-        }
-        // Replace any stale waker for this ticket, then wait.
-        if let Some(entry) = st.waiters.iter_mut().find(|(t, _)| *t == ticket) {
-            entry.1 = cx.waker().clone();
-        } else {
-            st.waiters.push_back((ticket, cx.waker().clone()));
-        }
-        Poll::Pending
-    }
-}
-
-/// RAII guard for [`SimLock`]; releases on drop.
-pub struct SimLockGuard {
-    state: Rc<RefCell<LockState>>,
-}
-
-impl Drop for SimLockGuard {
-    fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.now_serving += 1;
-        let serving = st.now_serving;
-        if let Some(pos) = st.waiters.iter().position(|(t, _)| *t == serving) {
-            let (_, w) = st.waiters.remove(pos).expect("position exists");
-            w.wake();
-        }
-    }
-}
-
-/// Test support: production code waits on channels, locks and NIC
+/// Test support: production code waits on channels, semaphores and NIC
 /// completions, never on a [`signal::Signal`]; the executor's, timeout's
 /// and this file's tests wake tasks through one.
 #[cfg(test)]
@@ -316,7 +204,7 @@ pub(crate) mod signal {
 mod tests {
     use super::signal::Signal;
     use super::*;
-    use crate::{SimSpan, Simulation};
+    use crate::{Semaphore, SimSpan, Simulation};
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -490,7 +378,7 @@ mod tests {
     #[test]
     fn lock_serializes_critical_sections() {
         let mut sim = Simulation::new(0);
-        let lock = SimLock::new();
+        let lock = Semaphore::new(1);
         let inside = Rc::new(Cell::new(0u32));
         let max_inside = Rc::new(Cell::new(0u32));
         for _ in 0..5 {
@@ -499,7 +387,7 @@ mod tests {
             let m = Rc::clone(&max_inside);
             let h = sim.handle();
             sim.spawn(async move {
-                let _g = l.lock().await;
+                let _g = l.acquire().await;
                 i.set(i.get() + 1);
                 m.set(m.get().max(i.get()));
                 h.sleep(SimSpan::nanos(100)).await;
@@ -514,14 +402,14 @@ mod tests {
     #[test]
     fn lock_hands_off_fifo() {
         let mut sim = Simulation::new(0);
-        let lock = SimLock::new();
+        let lock = Semaphore::new(1);
         let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4 {
             let l = lock.clone();
             let ord = Rc::clone(&order);
             let h = sim.handle();
             sim.spawn(async move {
-                let _g = l.lock().await;
+                let _g = l.acquire().await;
                 ord.borrow_mut().push(i);
                 h.sleep(SimSpan::nanos(10)).await;
             });
