@@ -110,15 +110,15 @@ fn crash_runs_are_deterministic_per_seed() {
     assert_eq!(run(), run());
 }
 
-/// The features the replicated rig can carry, all on in one run: sync
-/// replication, fetch integrity (the rig's answer to a plan that
-/// schedules corruption), gray routing of own-key reads —
-/// under bit flips and torn DMA on both replicas for the whole run, a
-/// straggler on the primary that demotes it, plus a permanent primary
-/// crash with scheduled promotion.
-#[test]
-fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
-    use rfp_core::{FailoverConfig, GrayConfig, Mode};
+/// The composed rig of the two tests below, run for 40 ms: sync
+/// replication, fetch integrity under bit flips and torn DMA on both
+/// replicas for the whole run, gray routing of own-key reads, a
+/// `factor`× straggler on the primary from 100 µs — once the routers
+/// have frozen their baselines — until a permanent primary crash at
+/// `crash_at`, and the backup promoted after it. Returns the simulation
+/// with the rig, so its tasks outlive the asserts.
+fn composed(factor: f64, crash_at: SimTime) -> (Simulation, ChaosConfig, ChaosKv) {
+    use rfp_core::{FailoverConfig, GrayConfig};
 
     let seed = 45;
     let cfg = ChaosConfig {
@@ -131,20 +131,11 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
         seed,
         ..ChaosConfig::failover()
     };
-    // Corruption from the start; the crash lands mid-workload, so routed
-    // reads run against both the live pair and the promoted survivor.
-    // Before it, once the routers have frozen their baselines, the
-    // primary runs 30× slow (grayfail's slow-server factor) until the
-    // crash: its read median inflates past the demotion threshold, so
-    // reads divert to the standby. The crash comes late enough for the
-    // slow calls to fill most of a health window (`HealthHub::WINDOW`);
-    // the median of a window still full of fast calls does not move.
     let (from, span) = (SimTime::from_nanos(5_000), SimSpan::millis(100));
     let slow_at = SimTime::from_nanos(100_000);
-    let crash_at = SimTime::from_nanos(2_000_000);
     let mut plan = FaultPlan::new(seed)
         .crash(crash_at, span, 0, true)
-        .straggler(slow_at, crash_at - slow_at, 0, 30.0);
+        .straggler(slow_at, crash_at - slow_at, 0, factor);
     for replica in 0..2 {
         plan = plan
             .torn_dma(from, span, replica, 0.1)
@@ -153,6 +144,21 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
     let mut sim = Simulation::new(seed);
     let rig = spawn(&mut sim, &cfg, Some(&plan), Some(crash_at + DETECT));
     sim.run_for(SimSpan::millis(40));
+    (sim, cfg, rig)
+}
+
+/// The features the replicated rig can carry, all on in one run (see
+/// [`composed`]), with a 30× straggler (grayfail's slow-server factor)
+/// and the crash at 2 ms.
+#[test]
+fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
+    use rfp_core::Mode;
+
+    // The crash lands mid-workload, so routed reads run against both
+    // the live pair and the promoted survivor. Before it the primary's
+    // read median inflates past the demotion threshold, so reads divert
+    // to the standby.
+    let (_sim, cfg, rig) = composed(30.0, SimTime::from_nanos(2_000_000));
 
     let st = &rig.state;
     assert_eq!(
@@ -210,4 +216,27 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
         assert_eq!(router.client().mode(), Mode::RemoteFetch);
     }
     assert_eq!(rig.cluster.machine(1).nic().counters().outbound_ops, 0);
+}
+
+/// A gray replica is demoted however slow it is. A 100× straggler's
+/// health windows hold too few calls for the full-window rule, and a
+/// crash at 1 ms leaves little time; but their medians clear the
+/// baseline p99 by the latency factor, so reads divert to the standby
+/// before the crash.
+#[test]
+fn a_hundredfold_straggler_is_demoted_before_an_early_crash() {
+    let (_sim, cfg, rig) = composed(100.0, SimTime::from_nanos(1_000_000));
+    let st = &rig.state;
+    assert_eq!(
+        st.done_clients.get(),
+        cfg.clients,
+        "a client never finished"
+    );
+    assert!(
+        rig.backup_role.served_reads.get() >= 1,
+        "no read was diverted to the standby"
+    );
+    assert_eq!(st.lost_acked.get(), 0, "acked write lost");
+    assert_eq!(st.stale_reads.get(), 0, "a read ran backwards");
+    check_history(&st.history()).expect("composed history must linearize");
 }

@@ -1137,8 +1137,9 @@ impl RfpServerConn {
     /// the end.
     pub async fn try_recv(&self, thread: &Rc<ThreadCtx>) -> Option<Vec<u8>> {
         self.sweep.begin(thread, &self.ring, false, usize::MAX);
+        let mut req = Vec::new();
         while let Stop::Hit { slot, hdr, .. } = self.sweep.next(0).await {
-            if let Some(req) = self.pickup(thread, slot, hdr).await {
+            if self.pickup(thread, slot, hdr, &mut req).await {
                 return Some(req);
             }
         }
@@ -1146,15 +1147,16 @@ impl RfpServerConn {
     }
 
     /// Takes delivery of the request a look found pending in `slot`
-    /// under `hdr`: marks it in flight and returns its payload — or,
-    /// fenced, answers it and returns `None` (the receive then goes on
-    /// with the next slot).
+    /// under `hdr`: marks it in flight, copies its payload over `into`
+    /// and returns `true` — or, fenced, answers it and returns `false`
+    /// (the receive then goes on with the next slot).
     pub(crate) async fn pickup(
         &self,
         thread: &ThreadCtx,
         slot: usize,
         hdr: ReqHeader,
-    ) -> Option<Vec<u8>> {
+        into: &mut Vec<u8>,
+    ) -> bool {
         let st = &self.ring().slots[slot];
         st.last_seq.set(hdr.seq);
         st.cur_seq.set(hdr.seq);
@@ -1171,16 +1173,17 @@ impl RfpServerConn {
             // split-brain write is ever acked); answer `Fenced`
             // carrying our epoch so a lagging client can catch up.
             self.reject(thread, RespStatus::Fenced).await;
-            return None;
+            return false;
         }
         let obs = &self.shared.obs;
         obs.span_mark(slot, thread.now(), "server_dequeued");
-        let base = self.shared.req_off(slot);
-        Some(
-            self.shared
-                .req
-                .read_local(base + REQ_HDR, hdr.size as usize),
-        )
+        let at = self.shared.req_off(slot) + REQ_HDR;
+        // The slice is bounds-checked before `into` grows.
+        self.shared.req.with_bytes(|b| {
+            into.clear();
+            into.extend_from_slice(&b[at..at + hdr.size as usize]);
+        });
+        true
     }
 
     /// This connection's request ring.
@@ -1554,7 +1557,9 @@ mod tests {
                 sweep.begin(&thread, &rings, true, usize::MAX);
                 while let Stop::Hit { conn, slot, hdr } = sweep.next(0).await {
                     hits.borrow_mut().push((who, conn, thread.now().as_nanos()));
-                    conns[conn].pickup(&thread, slot, hdr).await;
+                    conns[conn]
+                        .pickup(&thread, slot, hdr, &mut Vec::new())
+                        .await;
                     sweep.took();
                 }
             });
@@ -1601,7 +1606,7 @@ mod tests {
         let mut met = Vec::new();
         while let Stop::Hit { conn, slot, hdr } = sweep.next(0).await {
             met.push((conn, slot));
-            conns[conn].pickup(thread, slot, hdr).await;
+            conns[conn].pickup(thread, slot, hdr, &mut Vec::new()).await;
             sweep.took();
             conns[conn].reject(thread, RespStatus::Busy).await;
         }

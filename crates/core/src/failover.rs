@@ -64,7 +64,9 @@ use rfp_rnic::ThreadCtx;
 use rfp_simnet::SimSpan;
 
 use crate::client::{CallResult, RfpClient};
-use crate::gray::{GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, PROBE_EVERY};
+use crate::gray::{
+    GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, PROBE_EVERY, RECENT_EPOCHS,
+};
 use crate::header::RespStatus;
 use crate::observe::incident;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
@@ -324,7 +326,8 @@ impl ReplicaClient {
                 let client = &self.replicas[i];
                 let health = client.obs().health.as_ref()?;
                 let report = health.report(now);
-                let score = self.scorer.score(i, &report)?;
+                let recent = health.report_last(now, RECENT_EPOCHS);
+                let score = self.scorer.score(i, &report, &recent)?;
                 let was = self.demoted[i].get();
                 if score < DEMOTE_BELOW && !was {
                     self.demoted[i].set(true);

@@ -25,6 +25,10 @@ use std::cell::Cell;
 
 use rfp_simnet::{Baseline, ConnHealthReport};
 
+/// Newest epochs of the health window the scorer also reads on their
+/// own, so the calls a replica answered before a fault do not hide its
+/// slow recent ones (see [`ReplicaScorer::score`]).
+pub(crate) const RECENT_EPOCHS: usize = 2;
 /// Score below which a replica is demoted (0..=1). The scorer's
 /// penalties are sized against it: a fail-slow median alone
 /// (0.25 + up to 0.5) crosses it, a tail-only regression (0.25) never
@@ -63,7 +67,8 @@ impl Default for GrayConfig {
 ///   fail-slow fault drags *every* call, so p50 inflates as hard as
 ///   p99, while a handful of poisoned samples (one probe in a fast
 ///   window) can own a window's p99 without meaning the replica is
-///   sick;
+///   sick. The median of the window's recent epochs counts when it is
+///   the higher (see [`score`](Self::score));
 /// * **tail-only** regression (p99 past `LATENCY_FACTOR` × baseline
 ///   p99 with the median still healthy): 0.25 — evidence, but never
 ///   demoting alone;
@@ -98,23 +103,54 @@ impl ReplicaScorer {
         }
     }
 
-    /// Scores replica `i`'s current window. Returns `None` until a
-    /// baseline exists *and* the window carries enough calls — an
-    /// unknown replica is neither preferred nor demoted. The first
-    /// call with a populated window freezes the baseline (and returns
-    /// `None`: the baseline window scores nothing against itself).
-    pub fn score(&self, i: usize, report: &ConnHealthReport) -> Option<f64> {
+    /// Scores replica `i`'s current window, `report`, with `recent`
+    /// the same window's newest [`RECENT_EPOCHS`] epochs. Returns
+    /// `None` until a baseline exists — an unknown replica is neither
+    /// preferred nor demoted. The first call with a populated window
+    /// freezes the baseline (and returns `None`: the baseline window
+    /// scores nothing against itself).
+    ///
+    /// The window's newest epochs, `recent`, also speak on their own.
+    /// With no calls they carry no fresh evidence, and the replica's
+    /// state stands (`None`). They are **heard** when they hold
+    /// [`Baseline::MIN_WINDOW_CALLS`] calls, or when, thinner, their
+    /// median exceeds `LATENCY_FACTOR` × the baseline **p99**; a heard
+    /// recent median stands in for the window's when it is the higher,
+    /// and scores a window too thin for the full rule. The slower a
+    /// gray replica, the fewer calls it answers, so the thinner its
+    /// epochs and the longer its pre-fault calls hold the whole
+    /// window's median down: without this the slowest replicas were
+    /// demoted last. The thin bound is stricter than the full-window
+    /// one — the median must clear the healthy tail, not the healthy
+    /// median — so an outlier the tail already covers cannot demote a
+    /// replica.
+    pub fn score(
+        &self,
+        i: usize,
+        report: &ConnHealthReport,
+        recent: &ConnHealthReport,
+    ) -> Option<f64> {
         let slot = &self.baselines[i];
         let Some(base) = slot.get() else {
             slot.set(Baseline::of(report));
             return None;
         };
-        if report.calls < Baseline::MIN_WINDOW_CALLS {
+        if recent.calls == 0 {
             return None;
         }
         let f = Baseline::LATENCY_FACTOR;
+        let heard = recent.calls >= Baseline::MIN_WINDOW_CALLS
+            || recent.p50_ns as f64 > f * base.p99_ns as f64;
+        if report.calls < Baseline::MIN_WINDOW_CALLS && !heard {
+            return None;
+        }
+        let p50_ns = if heard {
+            recent.p50_ns.max(report.p50_ns)
+        } else {
+            report.p50_ns
+        };
         let mut penalty = 0.0;
-        let p50_ratio = report.p50_ns as f64 / base.p50_ns as f64;
+        let p50_ratio = p50_ns as f64 / base.p50_ns as f64;
         let p99_ratio = report.p99_ns as f64 / base.p99_ns as f64;
         if p50_ratio > f {
             penalty += 0.25 + 0.5 * ((p50_ratio - f) / (f / 2.0)).min(1.0);
@@ -248,17 +284,22 @@ mod tests {
         }
     }
 
+    /// Scores `r` as a window all of whose calls are recent.
+    fn whole(s: &ReplicaScorer, r: &ConnHealthReport) -> Option<f64> {
+        s.score(0, r, r)
+    }
+
     #[test]
     fn scorer_freezes_baseline_then_scores() {
         let s = ReplicaScorer::new(2);
         // Thin window: neither baseline nor score.
-        assert_eq!(s.score(0, &report(3, 10_000, 0.0)), None);
+        assert_eq!(whole(&s, &report(3, 10_000, 0.0)), None);
         assert_eq!(s.baseline_p99(0), None);
         // Populated healthy window freezes the baseline.
-        assert_eq!(s.score(0, &report(100, 10_000, 0.1)), None);
+        assert_eq!(whole(&s, &report(100, 10_000, 0.1)), None);
         assert_eq!(s.baseline_p99(0), Some(10_000));
         // A healthy follow-up window scores 1.0.
-        assert_eq!(s.score(0, &report(50, 12_000, 0.1)), Some(1.0));
+        assert_eq!(whole(&s, &report(50, 12_000, 0.1)), Some(1.0));
         // Replica 1 is independent.
         assert_eq!(s.baseline_p99(1), None);
     }
@@ -266,34 +307,65 @@ mod tests {
     #[test]
     fn pure_latency_regression_drops_below_demotion_threshold() {
         let s = ReplicaScorer::new(1);
-        s.score(0, &report(100, 10_000, 0.0));
+        whole(&s, &report(100, 10_000, 0.0));
         // 10x the baseline p99, no other signal: penalty 0.1 + 0.5.
-        let score = s.score(0, &report(20, 100_000, 0.0)).unwrap();
+        let score = whole(&s, &report(20, 100_000, 0.0)).unwrap();
         assert!(score < 0.5, "fail-slow alone must demote, got {score}");
         // Mild inflation below the factor keeps the replica healthy.
-        assert_eq!(s.score(0, &report(20, 25_000, 0.0)), Some(1.0));
+        assert_eq!(whole(&s, &report(20, 25_000, 0.0)), Some(1.0));
+    }
+
+    /// Recent epochs speak through a window whose older calls are fast:
+    /// thin, only when their median clears the factor × baseline p99;
+    /// with a window's worth of calls, under the median rule. Recent
+    /// epochs with no calls leave every window unscored.
+    #[test]
+    fn slow_recent_epochs_are_scored_however_thin() {
+        let s = ReplicaScorer::new(1);
+        whole(&s, &report(100, 10_000, 0.0));
+        // One slow call (p50 50 µs > 3 × 10 µs).
+        let thin = report(1, 100_000, 0.0);
+        assert!(
+            whole(&s, &thin).unwrap() < 0.5,
+            "a slow thin window demotes"
+        );
+        // Fast pre-fault calls hold the whole window's median down.
+        let mut window = report(30, 200_000, 0.0);
+        window.p50_ns = 6_000;
+        let demoted = s.score(0, &window, &report(2, 150_000, 0.0)).unwrap();
+        assert!(demoted < 0.5, "slow recent epochs demote, got {demoted}");
+        // p50 20 µs: 4 × the baseline median, under 3 × its p99. Thin,
+        // it says nothing; over a full window's worth of calls it
+        // demotes under the median rule.
+        let mild = report(2, 40_000, 0.0);
+        assert_eq!(whole(&s, &mild), None);
+        assert_eq!(s.score(0, &window, &mild), Some(0.75));
+        let recent = report(Baseline::MIN_WINDOW_CALLS, 40_000, 0.0);
+        assert!(s.score(0, &window, &recent).unwrap() < 0.5);
+        // No recent call: no fresh evidence, no verdict.
+        assert_eq!(s.score(0, &window, &report(0, 0, 0.0)), None);
     }
 
     #[test]
     fn tail_only_regression_degrades_but_does_not_demote() {
         let s = ReplicaScorer::new(1);
-        s.score(0, &report(100, 10_000, 0.0));
+        whole(&s, &report(100, 10_000, 0.0));
         // A few poisoned samples own the window p99 (20x) while the
         // median stays healthy: evidence, not a demotion.
         let mut r = report(200, 200_000, 0.0);
         r.p50_ns = 5_500;
-        let score = s.score(0, &r).unwrap();
+        let score = whole(&s, &r).unwrap();
         assert_eq!(score, 0.75, "tail-only regression costs 0.25, got {score}");
     }
 
     #[test]
     fn hard_failure_signals_stack_with_latency() {
         let s = ReplicaScorer::new(1);
-        s.score(0, &report(100, 10_000, 0.0));
+        whole(&s, &report(100, 10_000, 0.0));
         let mut r = report(20, 40_000, 5.0);
         r.verb_errors = 2;
         r.credit_waits = 3;
-        let score = s.score(0, &r).unwrap();
+        let score = whole(&s, &r).unwrap();
         assert_eq!(score, 0.0, "stacked penalties clamp at zero");
     }
 
@@ -313,11 +385,7 @@ mod tests {
         let (det, scorer) = (AnomalyDetector::new(), ReplicaScorer::new(1));
         let base = hub.report(t(40));
         det.set_baseline(&base);
-        assert_eq!(
-            scorer.score(0, &base.conns[0]),
-            None,
-            "freezes the baseline"
-        );
+        assert_eq!(whole(&scorer, &base.conns[0]), None, "freezes the baseline");
         // Eight calls at the same latency, past the 1.6 ms window:
         // 14 failed fetches is 1.75 per call, 15 is 1.875.
         for (from, retries, spike) in [(2_000, 14, false), (6_000, 15, true)] {
@@ -337,7 +405,7 @@ mod tests {
                 (&[], 1.0)
             };
             assert_eq!(kinds, expected);
-            assert_eq!(scorer.score(0, &window.conns[0]), Some(score));
+            assert_eq!(whole(&scorer, &window.conns[0]), Some(score));
         }
     }
 

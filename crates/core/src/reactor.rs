@@ -145,8 +145,9 @@ struct Pending {
     slot: usize,
     /// Tenant stamp captured at pickup (scopes the credit stamp).
     tenant: Option<u32>,
-    /// An admitted request's payload on the run queue; a held reply's
-    /// response payload afterwards.
+    /// An admitted request's payload, in a buffer of the reactor's
+    /// pool, on the run queue; a held reply's response payload
+    /// afterwards.
     data: Vec<u8>,
 }
 
@@ -219,6 +220,13 @@ struct Shared {
     steal: bool,
     recorder: Option<FlightRecorder>,
     cores: Vec<CoreState>,
+    /// Request buffers free for the next pickup (DESIGN.md "Allocation
+    /// rule"). A buffer leaves at pickup and comes back once the
+    /// handler has read the request, or once a verdict refused it
+    /// unread; so the pool never holds more buffers than requests were
+    /// ever picked up and unanswered at once — at most the reactor's
+    /// ring slots, the sum of its connections' windows.
+    pool: RefCell<Vec<Vec<u8>>>,
 }
 
 /// N cores serving one RFP server's connections (see module docs).
@@ -294,6 +302,7 @@ impl Reactor {
                 steal: cfg.steal,
                 recorder: cfg.recorder,
                 cores: states,
+                pool: RefCell::default(),
             }),
         }
     }
@@ -517,6 +526,7 @@ impl Shared {
     async fn service_one(&self, me: usize, thread: &ThreadCtx, mut p: Pending) -> Option<bool> {
         let core = &self.cores[p.owner];
         let (reply, process) = core.handler.borrow_mut().serve(&p.data);
+        self.pool.borrow_mut().push(std::mem::take(&mut p.data));
         if !process.is_zero() {
             thread.busy(process).await;
         }
@@ -578,9 +588,11 @@ impl Shared {
                 Stop::End => break,
             };
             let conn = &core.conns[ci];
-            let Some(req) = conn.pickup(thread, slot, hdr).await else {
+            let mut req = self.pool.borrow_mut().pop().unwrap_or_default();
+            if !conn.pickup(thread, slot, hdr, &mut req).await {
+                self.pool.borrow_mut().push(req);
                 continue;
-            };
+            }
             sweep.took();
             out.backlog += 1;
             let p = Pending {
@@ -592,6 +604,7 @@ impl Shared {
             };
             match self.admission(owner, conn, thread.now()) {
                 Verdict::Reject(status, credits) => {
+                    self.pool.borrow_mut().push(p.data);
                     conn.set_advertised_credits(credits);
                     conn.reject(thread, status).await;
                     out.served_any = true;

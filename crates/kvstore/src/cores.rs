@@ -216,13 +216,16 @@ pub fn spawn_cores_kv(sim: &mut Simulation, cfg: &CoresConfig) -> CoresKv {
             .collect();
         let (keys, zipf, ncores) = (Rc::clone(&keys), zipf.clone(), cfg.cores);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seat.seed);
-        let next_op = move || {
+        let next_op = move |op: &mut Op| {
             let k = match &zipf {
                 Some(z) => z.sample(&mut rng) as usize,
                 None => rng.gen_range(0..keys.len()),
             };
-            let key = keys[k].clone();
-            Op::Get { key }
+            // The driver's ops start as GETs, and this rig draws no PUT.
+            let Op::Get { key } = op else {
+                unreachable!("the cores rig draws GETs only")
+            };
+            key.clone_from(&keys[k]);
         };
         sim.spawn(seat.windowed(
             conns,

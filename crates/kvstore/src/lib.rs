@@ -37,7 +37,7 @@ pub use hash::{hash_bytes, partition_of};
 pub use hopscotch::{FarmStore, FarmView, HopscotchError, NEIGHBORHOOD};
 pub use lru::LruCache;
 pub use mcd::{McdStore, McdThreadView};
-pub use proto::{KvRequest, KvResponse, ProtoError};
+pub use proto::{KvRequest, KvResponse, KvResponseRef, ProtoError};
 pub use replica::{
     backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
 };

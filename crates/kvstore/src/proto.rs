@@ -62,17 +62,24 @@ impl<'a> KvRequest<'a> {
 
     /// Serialises into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serialises over `out`, reusing its capacity.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let (op, key, value): (u8, &[u8], &[u8]) = match self {
             KvRequest::Get { key } => (OP_GET, key, &[]),
             KvRequest::Put { key, value } => (OP_PUT, key, value),
         };
-        let mut out = Vec::with_capacity(7 + key.len() + value.len());
+        out.clear();
+        out.reserve(7 + key.len() + value.len());
         out.push(op);
         out.extend_from_slice(&(key.len() as u16).to_le_bytes());
         out.extend_from_slice(&(value.len() as u32).to_le_bytes());
         out.extend_from_slice(key);
         out.extend_from_slice(value);
-        out
     }
 
     /// Parses a request from `buf`.
@@ -110,35 +117,74 @@ pub enum KvResponse {
 impl KvResponse {
     /// Serialises into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            KvResponse::Found(v) => {
-                let mut out = Vec::with_capacity(5 + v.len());
-                out.push(TAG_FOUND);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-                out
-            }
-            KvResponse::NotFound => vec![TAG_NOT_FOUND, 0, 0, 0, 0],
-            KvResponse::Stored => vec![TAG_STORED, 0, 0, 0, 0],
-        }
+        self.view().encode()
     }
 
-    /// Parses a response from `buf`.
+    /// Parses a response from `buf`, copying its value out.
     pub fn decode(buf: &[u8]) -> Result<Self, ProtoError> {
+        KvResponseRef::parse(buf).map(KvResponseRef::into_owned)
+    }
+
+    fn view(&self) -> KvResponseRef<'_> {
+        match self {
+            KvResponse::Found(v) => KvResponseRef::Found(v),
+            KvResponse::NotFound => KvResponseRef::NotFound,
+            KvResponse::Stored => KvResponseRef::Stored,
+        }
+    }
+}
+
+/// A response whose value is borrowed: from the store when a server
+/// encodes it, from the receive buffer when a client parses it. The
+/// one response codec; [`KvResponse`] encodes and decodes through it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum KvResponseRef<'a> {
+    /// GET hit, borrowing the value.
+    Found(&'a [u8]),
+    /// GET miss.
+    NotFound,
+    /// PUT acknowledged.
+    Stored,
+}
+
+impl<'a> KvResponseRef<'a> {
+    /// Serialises into a fresh buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let (tag, value): (u8, &[u8]) = match self {
+            KvResponseRef::Found(v) => (TAG_FOUND, v),
+            KvResponseRef::NotFound => (TAG_NOT_FOUND, &[]),
+            KvResponseRef::Stored => (TAG_STORED, &[]),
+        };
+        let mut out = Vec::with_capacity(5 + value.len());
+        out.push(tag);
+        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        out.extend_from_slice(value);
+        out
+    }
+
+    /// Parses a response from `buf` in place, copying nothing.
+    pub fn parse(buf: &'a [u8]) -> Result<Self, ProtoError> {
         if buf.len() < 5 {
             return Err(ProtoError::Truncated);
         }
         let vlen = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
         match buf[0] {
-            TAG_FOUND => {
-                if buf.len() < 5 + vlen {
-                    return Err(ProtoError::Truncated);
-                }
-                Ok(KvResponse::Found(buf[5..5 + vlen].to_vec()))
-            }
-            TAG_NOT_FOUND => Ok(KvResponse::NotFound),
-            TAG_STORED => Ok(KvResponse::Stored),
+            TAG_FOUND => buf
+                .get(5..5 + vlen)
+                .map(KvResponseRef::Found)
+                .ok_or(ProtoError::Truncated),
+            TAG_NOT_FOUND => Ok(KvResponseRef::NotFound),
+            TAG_STORED => Ok(KvResponseRef::Stored),
             other => Err(ProtoError::BadTag(other)),
+        }
+    }
+
+    /// The owned response, its value copied.
+    pub fn into_owned(self) -> KvResponse {
+        match self {
+            KvResponseRef::Found(v) => KvResponse::Found(v.to_vec()),
+            KvResponseRef::NotFound => KvResponse::NotFound,
+            KvResponseRef::Stored => KvResponse::Stored,
         }
     }
 }

@@ -54,7 +54,7 @@ use rfp_simnet::{RetryPolicy, SimSpan};
 
 use crate::bucket::Partition;
 use crate::proto::{KvRequest, ProtoError};
-use crate::systems::apply_to_partition;
+use crate::systems::{apply_in_place, respond};
 
 /// When the primary acknowledges a mutating request.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -258,8 +258,7 @@ struct PrimaryHandler {
 impl ScanHandler for PrimaryHandler {
     fn serve(&mut self, req: &[u8]) -> (Reply, SimSpan) {
         let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-        let (resp, work) = apply_to_partition(&mut self.partition.borrow_mut(), &parsed);
-        let resp = resp.encode();
+        let (resp, work) = respond(&self.partition, &parsed);
         let role = &self.shipper.role;
         if matches!(parsed, KvRequest::Put { .. }) {
             role.applied_mutations.set(role.applied_mutations.get() + 1);
@@ -348,8 +347,8 @@ impl ScanHandler for BackupHandler {
             }
             role.served_reads.set(role.served_reads.get() + 1);
         }
-        let (resp, work) = apply_to_partition(&mut self.partition.borrow_mut(), &parsed);
-        (Reply::Send(resp.encode()), work)
+        let (resp, work) = respond(&self.partition, &parsed);
+        (Reply::Send(resp), work)
     }
 }
 
@@ -375,7 +374,7 @@ async fn drain_log(
         assert_eq!(base, expected, "replication log gap");
         for entry in &entries {
             let parsed = KvRequest::decode(entry).expect("primary shipped well-formed entry");
-            let (_, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
+            let (_, work) = apply_in_place(&mut partition.borrow_mut(), &parsed);
             if !work.is_zero() {
                 thread.busy(work).await;
             }

@@ -38,8 +38,8 @@ use rfp_workload::Op;
 use crate::bucket::Partition;
 use crate::cell::BypassGet;
 use crate::hash::partition_of;
-use crate::proto::{KvRequest, KvResponse};
-use crate::systems::apply_to_partition;
+use crate::proto::{KvRequest, KvResponseRef};
+use crate::systems::respond;
 
 /// Shared measurement bundle, updated by every client loop.
 ///
@@ -398,7 +398,8 @@ pub(crate) struct Seat {
 
 impl Seat {
     /// The windowed closed-loop driver for clients that call through
-    /// [`RfpClient`]s: pause, draw `draw` ops, bucket them by `route`
+    /// [`RfpClient`]s: pause, draw `draw` ops (`next_op` refills an op
+    /// in place), bucket them by `route`
     /// (an index into `conns`), run each bucket through the call
     /// engine — up to the ring window rides one connection
     /// concurrently, the fetch polls sharing doorbells — and book each
@@ -408,19 +409,19 @@ impl Seat {
         mut self,
         conns: Vec<Rc<RfpClient>>,
         draw: usize,
-        mut next_op: impl FnMut() -> Op,
+        mut next_op: impl FnMut(&mut Op),
         route: impl Fn(&[u8]) -> usize,
         policy: CallPolicy<'static>,
     ) {
-        // Reused across rounds: a call allocates only its bytes.
-        let mut ops: Vec<Op> = Vec::with_capacity(draw);
+        // Reused across rounds, buffers and all: a call allocates only
+        // the payloads the API hands out (DESIGN.md "Allocation rule").
+        let mut ops: Vec<Op> = (0..draw).map(|_| Op::Get { key: Vec::new() }).collect();
         let mut buckets: Vec<Vec<usize>> = conns.iter().map(|_| Vec::new()).collect();
         let mut reqs: Vec<Vec<u8>> = Vec::new();
         let mut done: Vec<(usize, CallResult)> = Vec::new();
         loop {
             self.pacer.pause(&self.h).await;
-            ops.clear();
-            ops.extend((0..draw).map(|_| next_op()));
+            ops.iter_mut().for_each(&mut next_op);
             for (i, op) in ops.iter().enumerate() {
                 buckets[route(op.key())].push(i);
             }
@@ -428,9 +429,14 @@ impl Seat {
                 if bucket.is_empty() {
                     continue;
                 }
-                reqs.clear();
-                reqs.extend(bucket.iter().map(|&i| encode_op(&ops[i])));
-                conn.run(&self.thread, &reqs, policy, |i, out| {
+                if reqs.len() < bucket.len() {
+                    reqs.resize_with(bucket.len(), Vec::new);
+                }
+                let reqs = &mut reqs[..bucket.len()];
+                for (req, &i) in reqs.iter_mut().zip(bucket.iter()) {
+                    encode_op(&ops[i], req);
+                }
+                conn.run(&self.thread, reqs, policy, |i, out| {
                     done.push((bucket[i], out.expect("no recovery stage, so no RpcError")));
                 })
                 .await;
@@ -441,8 +447,8 @@ impl Seat {
                     }
                     match out.info.status {
                         RespStatus::Ok => {
-                            let resp = decode_resp(&out.data);
-                            record_outcome(&self.stats, &ops[i], &resp, out.info.latency);
+                            let missed = is_miss(&out.data);
+                            record_outcome(&self.stats, &ops[i], missed, out.info.latency);
                         }
                         // Rejected under overload: no payload to decode,
                         // and rejections never count as goodput.
@@ -457,46 +463,49 @@ impl Seat {
 
     /// The per-op closed-loop driver for paradigms that do not call
     /// through an [`RfpClient`] alone (bypass GETs, HERD, mux leases):
-    /// pause, draw one op, `issue` it, book the answer with the
-    /// wall-to-wall latency. `issue` answers `None` for an op that
-    /// produced nothing to book.
+    /// pause, draw one op (`next_op` refills it in place), `issue` it,
+    /// book the answer with the wall-to-wall latency. `issue` answers
+    /// whether a GET missed, or `None` for an op that produced nothing
+    /// to book.
     pub(crate) async fn per_op(
         mut self,
-        mut next_op: impl FnMut() -> Op,
-        mut issue: impl AsyncFnMut(&Op) -> Option<KvResponse>,
+        mut next_op: impl FnMut(&mut Op),
+        mut issue: impl AsyncFnMut(&Op) -> Option<bool>,
     ) {
+        let mut op = Op::Get { key: Vec::new() };
         loop {
             self.pacer.pause(&self.h).await;
-            let op = next_op();
+            next_op(&mut op);
             let t0 = self.h.now();
-            if let Some(resp) = issue(&op).await {
-                record_outcome(&self.stats, &op, &resp, self.h.now() - t0);
+            if let Some(missed) = issue(&op).await {
+                record_outcome(&self.stats, &op, missed, self.h.now() - t0);
             }
         }
     }
 }
 
-/// The wire request of one workload op.
-pub(crate) fn encode_op(op: &Op) -> Vec<u8> {
+/// Writes the wire request of one workload op over `out`.
+pub(crate) fn encode_op(op: &Op, out: &mut Vec<u8>) {
     match op {
-        Op::Get { key } => KvRequest::Get { key }.encode(),
-        Op::Put { key, value } => KvRequest::Put { key, value }.encode(),
+        Op::Get { key } => KvRequest::Get { key }.encode_into(out),
+        Op::Put { key, value } => KvRequest::Put { key, value }.encode_into(out),
     }
 }
 
-/// Decodes a server response; the rigs' servers only send well-formed
-/// ones.
-pub(crate) fn decode_resp(data: &[u8]) -> KvResponse {
-    KvResponse::decode(data).expect("server response")
+/// Whether a server response answers a GET miss, read in place: a
+/// driver books hit or miss and copies no value. The rigs' servers only
+/// send well-formed responses.
+pub(crate) fn is_miss(data: &[u8]) -> bool {
+    KvResponseRef::parse(data).expect("server response") == KvResponseRef::NotFound
 }
 
-fn record_outcome(stats: &KvStats, op: &Op, resp: &KvResponse, latency: SimSpan) {
+fn record_outcome(stats: &KvStats, op: &Op, missed: bool, latency: SimSpan) {
     stats.completed.incr();
     stats.latency.record(latency);
     match op {
         Op::Get { .. } => {
             stats.gets.incr();
-            if matches!(resp, KvResponse::NotFound) {
+            if missed {
                 stats.misses.incr();
             }
         }
@@ -522,7 +531,8 @@ pub fn preload_partitions<K: AsRef<[u8]>, V: AsRef<[u8]>>(
 }
 
 /// The bucket-table request handler every RFP serve loop runs: decode,
-/// apply to `partition`, encode, and charge the store's CPU cost plus
+/// apply to `partition`, encode the reply straight from the stored
+/// value, and charge the store's CPU cost plus
 /// whatever `extra` adds for this request (artificial process time,
 /// outlier jitter).
 pub fn kv_handler(
@@ -531,8 +541,8 @@ pub fn kv_handler(
 ) -> impl FnMut(&[u8]) -> (Vec<u8>, SimSpan) {
     move |req: &[u8]| {
         let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-        let (resp, work) = apply_to_partition(&mut partition.borrow_mut(), &parsed);
-        (resp.encode(), work + extra())
+        let (resp, work) = respond(&partition, &parsed);
+        (resp, work + extra())
     }
 }
 

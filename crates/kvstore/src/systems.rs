@@ -44,9 +44,9 @@ use crate::cuckoo::PilafStore;
 use crate::hash::partition_of;
 use crate::hopscotch::{FarmStore, NEIGHBORHOOD};
 use crate::mcd::McdStore;
-use crate::proto::{KvRequest, KvResponse};
+use crate::proto::{KvRequest, KvResponse, KvResponseRef};
 use crate::rig::{
-    decode_resp, encode_op, kv_handler, preload_partitions, spawn_pollers, BypassStore, Connect,
+    encode_op, is_miss, kv_handler, preload_partitions, spawn_pollers, BypassStore, Connect,
     KvSystem, Pacer, Seat, Seating,
 };
 
@@ -201,19 +201,40 @@ pub fn apply_to_partition(
     partition: &mut Partition,
     parsed: &KvRequest<'_>,
 ) -> (KvResponse, SimSpan) {
+    let (resp, work) = apply_in_place(partition, parsed);
+    (resp.into_owned(), work)
+}
+
+/// The one GET/PUT path of the bucket-table servers: applies `parsed`
+/// to `partition` and returns the response, a GET's value borrowed
+/// from the partition, with the application CPU cost of serving it.
+pub(crate) fn apply_in_place<'p>(
+    partition: &'p mut Partition,
+    parsed: &KvRequest<'_>,
+) -> (KvResponseRef<'p>, SimSpan) {
     match parsed {
         KvRequest::Get { key } => {
-            let resp = match partition.get(key) {
-                Some(v) => KvResponse::Found(v.to_vec()),
-                None => KvResponse::NotFound,
-            };
+            let resp = partition
+                .get(key)
+                .map_or(KvResponseRef::NotFound, KvResponseRef::Found);
             (resp, KV_GET_WORK)
         }
         KvRequest::Put { key, value } => {
             partition.put(key, value);
-            (KvResponse::Stored, KV_PUT_WORK)
+            (KvResponseRef::Stored, KV_PUT_WORK)
         }
     }
+}
+
+/// The wire response to `parsed` on `partition`, encoded straight from
+/// the stored value, and its CPU cost.
+pub(crate) fn respond(
+    partition: &RefCell<Partition>,
+    parsed: &KvRequest<'_>,
+) -> (Vec<u8>, SimSpan) {
+    let mut partition = partition.borrow_mut();
+    let (resp, work) = apply_in_place(&mut partition, parsed);
+    (resp.encode(), work)
 }
 
 /// Extra process time of server thread `stream`'s next request: the
@@ -280,7 +301,7 @@ fn spawn_routed_kv(
         sim.spawn(seat.windowed(
             conns,
             rfp_cfg.window,
-            move || gen.next_op(),
+            move |op| gen.next_op_into(op),
             move |key| partition_of(key, shards),
             policy,
         ));
@@ -349,7 +370,7 @@ fn spawn_single_conn_clients(
         sim.spawn(seat.windowed(
             vec![conn],
             rfp_cfg.window,
-            move || gen.next_op(),
+            move |op| gen.next_op_into(op),
             |_| 0,
             CallPolicy::default(),
         ));
@@ -474,18 +495,20 @@ fn spawn_bypass_kv<S: BypassStore>(
             Rc::clone(&seat.stats),
             store.view(),
         );
+        let mut req = Vec::new();
         sim.spawn(seat.per_op(
-            move || gen.next_op(),
+            move |op| gen.next_op_into(op),
             async move |op: &Op| match op {
                 Op::Get { key } => {
                     let got = S::get(&bypass, &thread, &view, key).await;
                     st.bypass_ops.add(got.ops as u64);
                     st.crc_retries.add(got.crc_retries as u64);
-                    Some(got.value.map_or(KvResponse::NotFound, KvResponse::Found))
+                    Some(got.value.is_none())
                 }
                 Op::Put { .. } => {
-                    let out = put_cl.call(&thread, &encode_op(op)).await;
-                    Some(decode_resp(&out.data))
+                    encode_op(op, &mut req);
+                    let out = put_cl.call(&thread, &req).await;
+                    Some(is_miss(&out.data))
                 }
             },
         ));
@@ -579,14 +602,16 @@ pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
         }
         let mut gen = cfg.spec.generator(seat.seed);
         let (thread, nthreads) = (Rc::clone(&seat.thread), cfg.server_threads);
+        let mut req = Vec::new();
         sim.spawn(seat.per_op(
-            move || gen.next_op(),
+            move |op| gen.next_op_into(op),
             async move |op: &Op| {
                 let conn = &conns[partition_of(op.key(), nthreads)];
+                encode_op(op, &mut req);
                 // `None`: retransmit budget exhausted (extreme loss);
                 // skipped — an error RFP users never see.
-                let data = conn.call(&thread, &encode_op(op)).await?;
-                Some(decode_resp(&data))
+                let data = conn.call(&thread, &req).await?;
+                Some(is_miss(&data))
             },
         ));
     }
@@ -780,18 +805,19 @@ pub fn spawn_fleet_kv(sim: &mut Simulation, cfg: &SystemConfig, fleet: &FleetCon
             Rc::clone(&sys.stats),
             Rc::clone(&tenant_goodput[tenant as usize]),
         );
-        let mut next = 0usize;
+        let (mut next, mut req) = (0usize, Vec::new());
         sim.spawn(seat.per_op(
-            move || gen.next_op(),
+            move |op| gen.next_op_into(op),
             async move |op: &Op| {
                 // Cycle the slice so every logical client stays live.
                 let lc = &logicals[next % logicals.len()];
                 next += 1;
-                let out = lc.call_overload(&thread, &encode_op(op)).await;
+                encode_op(op, &mut req);
+                let out = lc.call_overload(&thread, &req).await;
                 match out.info.status {
                     RespStatus::Ok => {
                         goodput.incr();
-                        Some(decode_resp(&out.data))
+                        Some(is_miss(&out.data))
                     }
                     RespStatus::Busy => {
                         st.rejected_busy.incr();

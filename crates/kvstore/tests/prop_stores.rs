@@ -9,7 +9,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use rfp_kvstore::{
-    BypassStore, KvRequest, KvResponse, LruCache, Partition, PilafStore, ProtoError,
+    BypassStore, KvRequest, KvResponse, KvResponseRef, LruCache, Partition, PilafStore, ProtoError,
 };
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{crc64, Simulation};
@@ -139,6 +139,36 @@ proptest! {
         };
         let bytes = req.encode();
         prop_assert_eq!(KvRequest::decode(&bytes).expect("round trip"), req);
+    }
+
+    /// Encoding over a reused buffer, whatever it held, writes the bytes
+    /// a fresh encode does.
+    #[test]
+    fn proto_encode_into_a_dirty_buffer_equals_encode(key in vec(any::<u8>(), 0..64), value in vec(any::<u8>(), 0..256), put in any::<bool>(), dirt in vec(any::<u8>(), 0..512)) {
+        let req = if put {
+            KvRequest::Put { key: &key, value: &value }
+        } else {
+            KvRequest::Get { key: &key }
+        };
+        let mut buf = dirt;
+        req.encode_into(&mut buf);
+        prop_assert_eq!(buf, req.encode());
+    }
+
+    /// The in-place parse the drivers book outcomes with agrees with the
+    /// owned decode on every tag byte, on truncated and on over-long
+    /// buffers, and a hit borrows its value from the buffer.
+    #[test]
+    fn proto_response_parse_agrees_with_decode(tag in prop_oneof![1u8..=3, any::<u8>()], vlen in 0u32..64, body in vec(any::<u8>(), 0..80), keep in any::<prop::sample::Index>()) {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&vlen.to_le_bytes());
+        bytes.extend_from_slice(&body);
+        let buf = &bytes[..keep.index(bytes.len() + 1)];
+        let parsed = KvResponseRef::parse(buf);
+        prop_assert_eq!(parsed.map(KvResponseRef::into_owned), KvResponse::decode(buf));
+        if let Ok(KvResponseRef::Found(value)) = parsed {
+            prop_assert_eq!(value.as_ptr(), buf[5..].as_ptr());
+        }
     }
 
     #[test]

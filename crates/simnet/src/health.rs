@@ -155,12 +155,18 @@ impl ConnHealth {
 
     /// Merges the retained window into one report.
     pub fn report(&self, now: SimTime) -> ConnHealthReport {
+        self.report_last(now, EPOCHS)
+    }
+
+    /// Merges the newest `epochs` epochs of the window, the one holding
+    /// `now` included, into one report.
+    pub fn report_last(&self, now: SimTime, epochs: usize) -> ConnHealthReport {
         // Rotate first so the report always describes the window ending
         // at `now`.
         self.with_current(now, |_| {});
-        let epochs = self.epochs.borrow();
+        let window = self.epochs.borrow();
         let mut merged = Epoch::new(now);
-        for e in epochs.iter() {
+        for e in window.iter().skip(window.len().saturating_sub(epochs)) {
             merged.latency.absorb(&e.latency);
             merged.calls += e.calls;
             merged.retries += e.retries;

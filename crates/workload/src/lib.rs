@@ -17,6 +17,8 @@ mod zipf;
 pub use linear::{check_history, HistEntry, LinError, RegOp};
 pub use zipf::Zipf;
 
+use std::mem;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -242,15 +244,27 @@ impl Generator {
     /// then a deterministic fill — matching how YCSB pads "userNNN"
     /// keys to a fixed width).
     fn key_bytes(&self, id: u64) -> Vec<u8> {
-        let mut key = vec![0u8; self.spec.key_len];
-        key[..8].copy_from_slice(&id.to_le_bytes());
-        for (i, b) in key.iter_mut().enumerate().skip(8) {
-            *b = (i as u8).wrapping_mul(31).wrapping_add(7);
-        }
+        let mut key = Vec::new();
+        self.key_into(id, &mut key);
         key
     }
 
+    /// [`key_bytes`](Self::key_bytes) written over `key`.
+    fn key_into(&self, id: u64, key: &mut Vec<u8>) {
+        key.clear();
+        key.reserve(self.spec.key_len);
+        key.extend_from_slice(&id.to_le_bytes());
+        key.extend((8..self.spec.key_len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(7)));
+    }
+
     fn value(&mut self) -> Vec<u8> {
+        let mut value = Vec::new();
+        self.value_into(&mut value);
+        value
+    }
+
+    /// Draws a value's size and content tag and writes it over `value`.
+    fn value_into(&mut self, value: &mut Vec<u8>) {
         let n = match self.spec.values {
             ValueSize::Fixed(n) => n,
             ValueSize::Uniform { min, max } => self.rng.gen_range(min..=max),
@@ -258,19 +272,44 @@ impl Generator {
         // Cheap deterministic content; the KV systems verify echo
         // integrity with it.
         let tag = self.rng.gen::<u8>();
-        (0..n).map(|i| tag.wrapping_add(i as u8)).collect()
+        value.clear();
+        value.extend((0..n).map(|i| tag.wrapping_add(i as u8)));
     }
 
     /// Draws the next operation.
     pub fn next_op(&mut self) -> Op {
+        let mut op = Op::Get { key: Vec::new() };
+        self.next_op_into(&mut op);
+        op
+    }
+
+    /// Draws the next operation over `op`, reusing its key and value
+    /// buffers: the same stream as [`next_op`](Self::next_op), with the
+    /// RNG drawn in the same order. A GET drawn over a PUT drops the
+    /// value; a PUT drawn over a GET allocates one.
+    pub fn next_op_into(&mut self, op: &mut Op) {
         let id = self.key_id();
-        let key = self.key_bytes(id);
-        if self.rng.gen::<f64>() < self.spec.mix.get_fraction {
-            Op::Get { key }
-        } else {
-            Op::Put {
-                key,
-                value: self.value(),
+        let get = self.rng.gen::<f64>() < self.spec.mix.get_fraction;
+        match (get, &mut *op) {
+            (true, Op::Put { key, .. }) => {
+                *op = Op::Get {
+                    key: mem::take(key),
+                }
+            }
+            (false, Op::Get { key }) => {
+                let key = mem::take(key);
+                *op = Op::Put {
+                    key,
+                    value: Vec::new(),
+                };
+            }
+            _ => {}
+        }
+        match op {
+            Op::Get { key } => self.key_into(id, key),
+            Op::Put { key, value } => {
+                self.key_into(id, key);
+                self.value_into(value);
             }
         }
     }

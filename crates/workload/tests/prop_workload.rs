@@ -58,6 +58,31 @@ proptest! {
         prop_assert!((frac - get_fraction).abs() < 0.08, "{frac} vs {get_fraction}");
     }
 
+    /// Drawing over a reused `Op` replays `next_op`'s stream from the
+    /// same seed, through both kinds of switch (Put → Get → Put) and
+    /// values that grow and shrink.
+    #[test]
+    fn next_op_into_replays_next_op(get_fraction in 0.2f64..0.8, seed in any::<u64>()) {
+        let spec = WorkloadSpec {
+            values: ValueSize::Uniform { min: 1, max: 64 },
+            ..spec(1000, get_fraction, false)
+        };
+        let (mut fresh, mut reused) = (spec.generator(seed), spec.generator(seed));
+        let mut op = Op::Put { key: vec![0xEE; 40], value: vec![0xDD; 100] };
+        let (mut to_get, mut to_put) = (0, 0);
+        for _ in 0..200 {
+            let was_get = matches!(op, Op::Get { .. });
+            reused.next_op_into(&mut op);
+            prop_assert_eq!(&op, &fresh.next_op());
+            match (was_get, matches!(op, Op::Get { .. })) {
+                (false, true) => to_get += 1,
+                (true, false) => to_put += 1,
+                _ => {}
+            }
+        }
+        prop_assert!(to_get > 0 && to_put > 0, "{to_get} Put → Get, {to_put} Get → Put");
+    }
+
     /// Zipf samples are in-range for any (n, θ) in the supported domain,
     /// and the head is at least as heavy as uniform.
     #[test]
