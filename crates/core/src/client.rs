@@ -289,17 +289,17 @@ pub(crate) const NO_RECOVERY: &str = "a call without a recovery stage cannot fai
 /// single-call and ordered-batch forms every public entry point is made
 /// of come for free.
 pub(crate) trait CallEngine {
-    /// Runs `reqs` under `policy`, handing `sink` one `(request index,
+    /// Runs `reqs` under `policy`, lending `sink` one `(request index,
     /// outcome)` per request as each settles.
     async fn run<R: AsRef<[u8]>>(
         &self,
         thread: &ThreadCtx,
         reqs: &[R],
         policy: CallPolicy<'_>,
-        sink: impl FnMut(usize, Result<CallResult, RpcError>),
+        sink: impl FnMut(usize, Result<&CallResult, RpcError>),
     );
 
-    /// One call.
+    /// One call, its result copied out of the engine's loan.
     async fn one(
         &self,
         thread: &ThreadCtx,
@@ -307,16 +307,17 @@ pub(crate) trait CallEngine {
         policy: CallPolicy<'_>,
     ) -> Result<CallResult, RpcError> {
         let mut out = None;
-        self.run(thread, &[req], policy, |_, r| out = Some(r)).await;
+        let sink = |_, r: Result<&CallResult, _>| out = Some(r.cloned());
+        self.run(thread, &[req], policy, sink).await;
         out.expect("the engine settles every call")
     }
 
-    /// A plain batch, results in request order.
+    /// A plain batch, results copied out in request order.
     async fn in_order(&self, thread: &ThreadCtx, reqs: &[Vec<u8>]) -> Vec<CallResult> {
         let mut results: Vec<Option<CallResult>> = reqs.iter().map(|_| None).collect();
         let plain = CallPolicy::default();
         self.run(thread, reqs, plain, |i, r| {
-            results[i] = Some(r.expect(NO_RECOVERY))
+            results[i] = Some(r.expect(NO_RECOVERY).clone())
         })
         .await;
         let settled = results.into_iter();
@@ -330,7 +331,7 @@ impl CallEngine for RfpClient {
         thread: &ThreadCtx,
         reqs: &[R],
         policy: CallPolicy<'_>,
-        sink: impl FnMut(usize, Result<CallResult, RpcError>),
+        sink: impl FnMut(usize, Result<&CallResult, RpcError>),
     ) {
         RfpClient::run(self, thread, reqs, policy, sink).await
     }
@@ -580,7 +581,7 @@ impl RfpClient {
     /// Panics if no `send` is outstanding.
     pub async fn recv(&self, thread: &ThreadCtx) -> CallResult {
         let mut out = None;
-        self.resume(thread, |_, r| out = Some(r)).await;
+        self.resume(thread, |_, r| out = Some(r.cloned())).await;
         out.expect("recv without an outstanding send")
             .expect(NO_RECOVERY)
     }

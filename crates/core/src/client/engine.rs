@@ -217,6 +217,10 @@ pub(super) struct Scratch {
     posts: u64,
     /// Stamps of the posted ops, gathered by each reap.
     stamps: Vec<u64>,
+    /// Empty payload buffers: `complete` fills one per call, and it
+    /// comes back once the sink has read the result, so at most `W`
+    /// ever exist (DESIGN.md "Allocation rule").
+    payloads: Vec<Vec<u8>>,
 }
 
 impl Scratch {
@@ -255,9 +259,11 @@ impl Scratch {
 impl RfpClient {
     /// The call engine: runs every request in `reqs` on this connection
     /// under `policy`, keeping up to `W` (the configured
-    /// [`window`](crate::RfpConfig::window)) outstanding, and hands
+    /// [`window`](crate::RfpConfig::window)) outstanding, and lends
     /// `sink` one `(request index, outcome)` per request as each
-    /// settles (completion order, not request order).
+    /// settles (completion order, not request order). The result's
+    /// payload buffer is the engine's, reused once `sink` returns; a
+    /// caller that keeps the result clones it.
     ///
     /// # Panics
     ///
@@ -270,7 +276,7 @@ impl RfpClient {
         thread: &ThreadCtx,
         reqs: &[R],
         policy: CallPolicy<'_>,
-        sink: impl FnMut(usize, Result<CallResult, RpcError>),
+        sink: impl FnMut(usize, Result<&CallResult, RpcError>),
     ) {
         let mut sc = self.scratch.take();
         sc.reset();
@@ -309,7 +315,7 @@ impl RfpClient {
     pub(super) async fn resume(
         &self,
         thread: &ThreadCtx,
-        sink: impl FnMut(usize, Result<CallResult, RpcError>),
+        sink: impl FnMut(usize, Result<&CallResult, RpcError>),
     ) {
         let mut sc = self.scratch.take();
         let none: &[&[u8]] = &[];
@@ -366,7 +372,7 @@ impl Engine<'_> {
         &self,
         sc: &mut Scratch,
         reqs: &[R],
-        mut sink: impl FnMut(usize, Result<CallResult, RpcError>),
+        mut sink: impl FnMut(usize, Result<&CallResult, RpcError>),
     ) {
         assert!(
             self.policy.admission.is_none() || self.cfg().overload.is_some(),
@@ -403,18 +409,27 @@ impl Engine<'_> {
                     continue;
                 };
                 match self.check(fl, fetched, mode).await {
-                    Some(out) => fl.outcome = Some(Ok(out)),
+                    Some(hdr) => {
+                        let data = sc.payloads.pop().unwrap_or_default();
+                        fl.outcome = Some(Ok(self.complete(fl, &hdr, mode, data)));
+                    }
                     None => self.bound_attempt(fl),
                 }
             }
             // Retire: settled flights free their slot for the next
-            // refill.
+            // refill, and their payload buffer once the sink has read
+            // it (a rejection's empty one was never the pool's).
             sc.flights.retain_mut(|fl| {
                 let Some(out) = fl.outcome.take() else {
                     return true;
                 };
                 self.c.tail.set(fl.chain);
-                sink(fl.idx, out);
+                sink(fl.idx, out.as_ref().map_err(|e| *e));
+                if let Ok(CallResult { data, .. }) = out {
+                    if data.capacity() > 0 {
+                        sc.payloads.push(data);
+                    }
+                }
                 false
             });
             // Idle: with every flight pausing (credit wait, probe pause,
@@ -765,9 +780,10 @@ impl Engine<'_> {
 
     /// Check: decode the landed header; on a match fetch the rest of an
     /// oversized response, verify the image, book the header's credits
-    /// and epoch, and complete the call — or, for a bounded call
-    /// answered `Busy`/`Shed`/`Fenced`, fail the attempt.
-    async fn check(&self, fl: &mut Flight, fetched: usize, mode: Mode) -> Option<CallResult> {
+    /// and epoch, and return the header to complete the call with — or,
+    /// for a bounded call answered `Busy`/`Shed`/`Fenced`, fail the
+    /// attempt.
+    async fn check(&self, fl: &mut Flight, fetched: usize, mode: Mode) -> Option<RespHeader> {
         let cfg = self.cfg();
         self.thread.busy(cfg.check_cpu).await;
         let hdr = self.c.resp_hdr_at(fl.slot);
@@ -840,7 +856,7 @@ impl Engine<'_> {
             self.fail(fl, FailureCause::Rejected(hdr.status));
             return None;
         }
-        Some(self.complete(fl, &hdr, mode))
+        Some(hdr)
     }
 
     /// Verifies one fully fetched response image in `slot`'s landing
@@ -960,14 +976,21 @@ impl Engine<'_> {
         fl.outcome = Some(out);
     }
 
-    /// Complete: read the payload out of the landing zone and book the
-    /// finished call against the stats, the observer and its span — the
-    /// one place a call is accounted, whatever stages it went through.
-    fn complete(&self, fl: &Flight, hdr: &RespHeader, mode: Mode) -> CallResult {
+    /// Complete: read the payload out of the landing zone over `data`
+    /// and book the finished call against the stats, the observer and
+    /// its span — the one place a call is accounted, whatever stages it
+    /// went through.
+    fn complete(&self, fl: &Flight, hdr: &RespHeader, mode: Mode, mut data: Vec<u8>) -> CallResult {
         let payload = self.c.shared.resp_off(fl.slot) + hdr.wire_len();
+        let len = hdr.size as usize;
+        data.clear();
+        // Grown to the largest payload seen, no further: one buffer
+        // per ring slot stays in the pool for good.
+        data.reserve_exact(len);
         let landing = &self.c.shared.client_resp;
+        landing.with_bytes(|b| data.extend_from_slice(&b[payload..payload + len]));
         let out = CallResult {
-            data: landing.read_local(payload, hdr.size as usize),
+            data,
             info: CallInfo {
                 attempts: fl.attempts,
                 extra_read: fl.extra_read,
@@ -1028,7 +1051,53 @@ impl Engine<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
+    use rfp_rnic::{Cluster, ClusterProfile};
+    use rfp_simnet::{SimSpan, Simulation};
+
     use super::{Flight, Scratch};
+    use crate::conn::{connect, RfpConfig};
+    use crate::server::serve_loop;
+
+    /// The payload pool holds at most `W` buffers however many calls
+    /// ride the ring: a result's buffer comes back once the sink has
+    /// read it, and a batch of many more calls than `W`, of growing
+    /// sizes, never needs more than its flights hold at once.
+    #[test]
+    fn the_payload_pool_never_outgrows_the_window() {
+        const W: usize = 8;
+        let mut sim = Simulation::new(3);
+        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+        let (server, client) = (cluster.machine(0), cluster.machine(1));
+        let cfg = RfpConfig {
+            window: W,
+            ..RfpConfig::default()
+        };
+        let (cl, sc) = connect(&client, &server, cluster.qp(1, 0), cluster.qp(0, 1), cfg);
+        sim.spawn(serve_loop(
+            server.thread("server"),
+            vec![Rc::new(sc)],
+            |req: &[u8]| (req.to_vec(), SimSpan::nanos(500)),
+            SimSpan::nanos(100),
+        ));
+        let cl = Rc::new(cl);
+        let (c, thread) = (Rc::clone(&cl), client.thread("client"));
+        sim.spawn(async move {
+            for round in 1..=20usize {
+                let reqs: Vec<Vec<u8>> = (0..5 * W).map(|i| vec![i as u8; 8 * round]).collect();
+                let outs = c.call_pipelined(&thread, &reqs).await;
+                assert!(reqs.iter().zip(&outs).all(|(req, out)| out.data == *req));
+            }
+        });
+        sim.run_for(SimSpan::millis(5));
+        assert_eq!(cl.stats().calls(), 20 * 5 * W as u64, "every call settled");
+        let pooled = cl.scratch.borrow().payloads.len();
+        assert!(
+            (2..=W).contains(&pooled),
+            "{pooled} pooled payload buffers, W = {W}"
+        );
+    }
 
     /// Slots are staged in ring order, and a held tail blocks staging
     /// even with every other slot free.

@@ -390,8 +390,10 @@ impl ReplicaClient {
             // gray, traffic stays put.
             return pref;
         }
-        let tick = self.route_clock.get();
-        self.route_clock.set(tick + 1);
+        // Counted from 1: the probe is the `PROBE_EVERY`-th routed
+        // read, never the first one after a demotion.
+        let tick = self.route_clock.get() + 1;
+        self.route_clock.set(tick);
         if tick.is_multiple_of(PROBE_EVERY) {
             self.replicas[pref].note_recovery(
                 thread,

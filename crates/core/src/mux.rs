@@ -45,7 +45,7 @@ use crate::header::RespStatus;
 use crate::reactor::Reactor;
 use crate::recovery::{RecoveryConfig, RpcError};
 use crate::server::IdlePolicy;
-use crate::server::RfpHandler;
+use crate::server::ScanHandler;
 
 /// Stable tenant identity of a logical client. Many logical clients may
 /// share one tenant (a tenant is an accounting/isolation domain, not a
@@ -349,7 +349,7 @@ impl CallEngine for LogicalClient {
         thread: &ThreadCtx,
         reqs: &[R],
         policy: CallPolicy<'_>,
-        mut sink: impl FnMut(usize, Result<CallResult, RpcError>),
+        mut sink: impl FnMut(usize, Result<&CallResult, RpcError>),
     ) {
         let t0 = thread.now();
         let (_permit, idx) = self.mux.acquire(self).await;
@@ -359,11 +359,9 @@ impl CallEngine for LogicalClient {
             .is_some_and(|d| thread.now() >= d)
         {
             self.mux.release(idx);
+            let shed = CallResult::rejected(RespStatus::Shed, thread.now() - t0);
             for i in 0..reqs.len() {
-                sink(
-                    i,
-                    Ok(CallResult::rejected(RespStatus::Shed, thread.now() - t0)),
-                );
+                sink(i, Ok(&shed));
             }
             return;
         }
@@ -403,7 +401,7 @@ pub fn shard_conns(conns: &[Rc<RfpServerConn>], groups: usize) -> Vec<Vec<Rc<Rfp
 pub async fn serve_loop_tenant(
     thread: Rc<ThreadCtx>,
     conns: Vec<Rc<RfpServerConn>>,
-    handler: impl RfpHandler + 'static,
+    handler: impl ScanHandler + 'static,
     idle: impl Into<IdlePolicy>,
 ) {
     Reactor::single(thread, conns, handler, idle)

@@ -145,9 +145,9 @@ struct Pending {
     slot: usize,
     /// Tenant stamp captured at pickup (scopes the credit stamp).
     tenant: Option<u32>,
-    /// An admitted request's payload, in a buffer of the reactor's
-    /// pool, on the run queue; a held reply's response payload
-    /// afterwards.
+    /// The request's payload until the handler has read it, then the
+    /// reply the handler wrote (a held one's until released); a buffer
+    /// of the reactor's pool either way.
     data: Vec<u8>,
 }
 
@@ -220,12 +220,14 @@ struct Shared {
     steal: bool,
     recorder: Option<FlightRecorder>,
     cores: Vec<CoreState>,
-    /// Request buffers free for the next pickup (DESIGN.md "Allocation
-    /// rule"). A buffer leaves at pickup and comes back once the
-    /// handler has read the request, or once a verdict refused it
-    /// unread; so the pool never holds more buffers than requests were
-    /// ever picked up and unanswered at once — at most the reactor's
-    /// ring slots, the sum of its connections' windows.
+    /// Empty buffers for the next pickup or reply (DESIGN.md
+    /// "Allocation rule"). One leaves at pickup to hold a request and
+    /// comes back once the handler has read it; another leaves at
+    /// service to hold the reply and comes back once it is posted (or a
+    /// verdict, a crash or a refusal made it moot). A core serves one
+    /// request at a time, and only while serving does a request hold
+    /// two, so the pool never holds more buffers than the reactor's
+    /// ring slots (the sum of its connections' windows) plus its cores.
     pool: RefCell<Vec<Vec<u8>>>,
 }
 
@@ -525,8 +527,11 @@ impl Shared {
     /// the restart), else whether the request was executed.
     async fn service_one(&self, me: usize, thread: &ThreadCtx, mut p: Pending) -> Option<bool> {
         let core = &self.cores[p.owner];
-        let (reply, process) = core.handler.borrow_mut().serve(&p.data);
-        self.pool.borrow_mut().push(std::mem::take(&mut p.data));
+        let mut resp = self.lend();
+        let (reply, process) = core.handler.borrow_mut().serve(&p.data, &mut resp);
+        // The request is read: its buffer goes back, `p` carries the
+        // reply from here on.
+        self.give_back(std::mem::replace(&mut p.data, resp));
         if !process.is_zero() {
             thread.busy(process).await;
         }
@@ -535,23 +540,45 @@ impl Shared {
             // stage's: on the spot, whatever the machine's state.
             Reply::Refuse(status) => {
                 self.aim(&p).reject(thread, status).await;
+                self.give_back(p.data);
                 return Some(false);
             }
-            _ if thread.machine().faults().is_crashed() => return None,
-            Reply::Send(resp) => self.aim(&p).send(thread, &resp).await,
-            Reply::Hold(resp) => {
+            _ if thread.machine().faults().is_crashed() => {
+                self.give_back(p.data);
+                return None;
+            }
+            Reply::Send => self.post(thread, p).await,
+            Reply::Hold => {
                 // The owner alone commits and releases: N-core
                 // replication is out of scope.
                 assert!(
                     me == p.owner,
                     "a core whose handler holds replies cannot be a steal victim"
                 );
-                p.data = resp;
                 core.held.borrow_mut().push(p);
             }
         }
         self.cores[me].served.incr();
         Some(true)
+    }
+
+    /// An empty buffer from the pool: a request's landing place at
+    /// pickup, a reply's at service.
+    fn lend(&self) -> Vec<u8> {
+        self.pool.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Returns a buffer whose bytes are spent to the pool, cleared.
+    fn give_back(&self, mut buf: Vec<u8>) {
+        buf.clear();
+        self.pool.borrow_mut().push(buf);
+    }
+
+    /// Posts `p`'s reply (its `data`) into `p`'s slot, then pools the
+    /// buffer.
+    async fn post(&self, thread: &ThreadCtx, p: Pending) {
+        self.aim(&p).send(thread, &p.data).await;
+        self.give_back(p.data);
     }
 
     /// The ring drain (module docs, "Scan order"): core `me` sweeps
@@ -588,9 +615,9 @@ impl Shared {
                 Stop::End => break,
             };
             let conn = &core.conns[ci];
-            let mut req = self.pool.borrow_mut().pop().unwrap_or_default();
+            let mut req = self.lend();
             if !conn.pickup(thread, slot, hdr, &mut req).await {
-                self.pool.borrow_mut().push(req);
+                self.give_back(req);
                 continue;
             }
             sweep.took();
@@ -604,7 +631,7 @@ impl Shared {
             };
             match self.admission(owner, conn, thread.now()) {
                 Verdict::Reject(status, credits) => {
-                    self.pool.borrow_mut().push(p.data);
+                    self.give_back(p.data);
                     conn.set_advertised_credits(credits);
                     conn.reject(thread, status).await;
                     out.served_any = true;
@@ -663,7 +690,7 @@ impl Shared {
             if crashed() {
                 break;
             }
-            self.aim(&p).send(thread, &p.data).await;
+            self.post(thread, p).await;
         }
         out
     }
@@ -740,5 +767,142 @@ impl Shared {
             }
         }
         any
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conn::{connect, RfpConfig};
+    use rfp_rnic::{Cluster, ClusterProfile};
+    use rfp_simnet::Simulation;
+
+    /// Builds one core's handler.
+    type Make = fn() -> Box<dyn ScanHandler>;
+
+    /// Writes each reply into the lent buffer and posts or holds it.
+    struct Lending {
+        hold: bool,
+    }
+
+    impl ScanHandler for Lending {
+        fn serve(&mut self, request: &[u8], reply: &mut Vec<u8>) -> (Reply, SimSpan) {
+            reply.extend_from_slice(request);
+            let kind = if self.hold { Reply::Hold } else { Reply::Send };
+            (kind, SimSpan::micros(2))
+        }
+    }
+
+    /// Pipelines echo batches of growing payloads through `cores` cores
+    /// of two W = 4 connections each (one client per connection) until
+    /// every call has settled, and returns the pool's length then —
+    /// every buffer it ever made, all back — with the bound it must
+    /// keep: the ring slots plus the cores. With `queued`, the
+    /// connections carry an admission stage that rejects nothing, so
+    /// each scan queues what it picks up before serving it.
+    fn settled_pool(cores: usize, steal: bool, queued: bool, handler: Make) -> (usize, usize) {
+        const CONNS: usize = 2;
+        const WINDOW: usize = 4;
+        let mut sim = Simulation::new(5);
+        let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+        let (server, client) = (cluster.machine(0), cluster.machine(1));
+        let cfg = RfpConfig {
+            window: WINDOW,
+            overload: queued.then(|| OverloadConfig {
+                queue_limit: 64,
+                deadline: SimSpan::millis(10),
+                ..OverloadConfig::default()
+            }),
+            ..RfpConfig::default()
+        };
+        let settled = Rc::new(Cell::new(0));
+        let specs = (0..cores)
+            .map(|c| {
+                let conns = (0..CONNS)
+                    .map(|k| {
+                        let (cl, sc) = connect(
+                            &client,
+                            &server,
+                            cluster.qp(1, 0),
+                            cluster.qp(0, 1),
+                            cfg.clone(),
+                        );
+                        let thread = client.thread(format!("client{c}.{k}"));
+                        let settled = Rc::clone(&settled);
+                        sim.spawn(async move {
+                            for round in 1..=20usize {
+                                let reqs: Vec<Vec<u8>> =
+                                    (0..3 * WINDOW).map(|i| vec![i as u8; 8 * round]).collect();
+                                let outs = cl.call_pipelined(&thread, &reqs).await;
+                                assert!(reqs.iter().zip(&outs).all(|(req, out)| out.data == *req));
+                                settled.set(settled.get() + outs.len());
+                            }
+                        });
+                        Rc::new(sc)
+                    })
+                    .collect();
+                CoreSpec {
+                    thread: server.thread(format!("core{c}")),
+                    conns,
+                    handler: handler(),
+                }
+            })
+            .collect();
+        let cfg = ReactorConfig {
+            steal,
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::new(cfg, specs, SimSpan::nanos(100));
+        for c in 0..cores {
+            sim.spawn(reactor.run_core(c));
+        }
+        sim.run_for(SimSpan::millis(5));
+        assert_eq!(
+            settled.get(),
+            cores * CONNS * 20 * 3 * WINDOW,
+            "every call settled"
+        );
+        let pooled = reactor.shared.pool.borrow().len();
+        (pooled, cores * CONNS * WINDOW + cores)
+    }
+
+    /// With reply buffers in it, the pool still holds no more buffers
+    /// than the ring slots plus the cores: a closure's own reply `Vec`
+    /// takes the lent buffer's place, a lent buffer carries a held
+    /// reply, and stealing cores serve in place.
+    #[test]
+    fn the_pool_never_outgrows_the_ring_slots_plus_the_cores() {
+        let closure = || -> Box<dyn ScanHandler> {
+            Box::new(|req: &[u8]| (req.to_vec(), SimSpan::micros(2)))
+        };
+        let lending = || -> Box<dyn ScanHandler> { Box::new(Lending { hold: false }) };
+        let holding = || -> Box<dyn ScanHandler> { Box::new(Lending { hold: true }) };
+        let cases: [(&str, usize, bool, bool, Make); 5] = [
+            ("closure, 2 stealing cores", 2, true, false, closure),
+            (
+                "closure, 2 queueing, stealing cores",
+                2,
+                true,
+                true,
+                closure,
+            ),
+            (
+                "lending, 2 queueing, stealing cores",
+                2,
+                true,
+                true,
+                lending,
+            ),
+            ("holding, 1 core", 1, false, false, holding),
+            ("holding, 1 queueing core", 1, false, true, holding),
+        ];
+        for (name, cores, steal, queued, handler) in cases {
+            let (pooled, bound) = settled_pool(cores, steal, queued, handler);
+            assert!(
+                pooled <= bound,
+                "{name}: {pooled} pooled buffers, bound {bound}"
+            );
+            assert!(pooled > cores, "{name}: only {pooled} pooled buffers");
+        }
     }
 }

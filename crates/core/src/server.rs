@@ -8,9 +8,12 @@
 //! [`reactor`](crate::reactor) module docs for its order and its two
 //! optional stages); [`serve_loop`] is its one-core preset.
 //!
-//! A handler plugs into the scan at two points. Per request it returns
-//! a [`Reply`]: the response to post, a response to **hold**, or a
-//! **refusal** (a [`RespStatus`] verdict posted without executing).
+//! A handler plugs into the scan at two points. Per request it writes
+//! the response into a reply buffer the reactor lends it and returns a
+//! [`Reply`]: post that response, **hold** it, or a **refusal** (a
+//! [`RespStatus`] verdict posted without executing). The buffer comes
+//! from the reactor's pool, the one that recycles request buffers, and
+//! goes back once the reply is posted (DESIGN.md "Allocation rule").
 //! Per scan it gets one [`commit`](ScanHandler::commit) await, after
 //! which the held responses are released into their own ring slots — a
 //! replicated primary ships its mutation log there, so no held write is
@@ -47,14 +50,15 @@ where
     }
 }
 
-/// What the scan does with one request's outcome.
+/// What the scan does with one request's outcome. The response bytes
+/// are the reply buffer the handler wrote.
 pub enum Reply {
     /// Post the response now.
-    Send(Vec<u8>),
+    Send,
     /// Executed, but the response waits for this scan's
     /// [`commit`](ScanHandler::commit); it is then posted into the slot
     /// captured at pickup. Dropped if the machine crashes first.
-    Hold(Vec<u8>),
+    Hold,
     /// Not executed: answer with this verdict. A refusal is not
     /// service — a scan that only refused still pays its idle spin.
     Refuse(RespStatus),
@@ -69,8 +73,10 @@ pub type Commit = Pin<Box<dyn Future<Output = ()>>>;
 /// (hence every closure) is one that sends each reply at once and never
 /// commits.
 pub trait ScanHandler {
-    /// Serves one request: its [`Reply`] and the process time to charge.
-    fn serve(&mut self, request: &[u8]) -> (Reply, SimSpan);
+    /// Serves one request: writes the response into `reply` (lent
+    /// empty by the reactor) and returns what to do with it and the
+    /// process time to charge.
+    fn serve(&mut self, request: &[u8], reply: &mut Vec<u8>) -> (Reply, SimSpan);
 
     /// Called once at the end of every scan of the owning core that
     /// picked up a request, crashed or not; `None` (the default) when
@@ -81,10 +87,13 @@ pub trait ScanHandler {
     }
 }
 
+/// A plain handler's response takes the lent buffer's place: the
+/// handler's own `Vec` is what the reactor posts and then pools.
 impl<H: RfpHandler> ScanHandler for H {
-    fn serve(&mut self, request: &[u8]) -> (Reply, SimSpan) {
+    fn serve(&mut self, request: &[u8], reply: &mut Vec<u8>) -> (Reply, SimSpan) {
         let (resp, process) = self.handle(request);
-        (Reply::Send(resp), process)
+        *reply = resp;
+        (Reply::Send, process)
     }
 }
 
@@ -165,7 +174,7 @@ impl IdlePolicy {
 pub async fn serve_loop(
     thread: Rc<ThreadCtx>,
     conns: Vec<Rc<RfpServerConn>>,
-    handler: impl RfpHandler + 'static,
+    handler: impl ScanHandler + 'static,
     idle: impl Into<IdlePolicy>,
 ) {
     Reactor::single(thread, conns, handler, idle)

@@ -9,10 +9,12 @@ use rfp_core::{
     RfpServerConn,
 };
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
-use rfp_simnet::{FlightRecorder, RetryPolicy, SimSpan, SimTime, Simulation};
+use rfp_simnet::{FlightRecorder, HealthHub, RetryPolicy, SimSpan, SimTime, Simulation};
 
 /// One client machine plus `servers` server machines, all echoing; the
-/// router prefers machine 1 (replica 0) and falls back to the next.
+/// router prefers machine 1 (replica 0) and falls back to the next. A
+/// gray router's connections book into a health window, which its
+/// scorer reads.
 struct Rig {
     sim: Simulation,
     cluster: Cluster,
@@ -39,6 +41,7 @@ fn rig_of(servers: usize, gray: Option<GrayConfig>) -> Rig {
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1 + servers);
     let client_m = cluster.machine(0);
     let recorder = FlightRecorder::new(256);
+    let health = gray.is_some().then(HealthHub::default);
     let mut replicas = Vec::new();
     let mut server_conns = Vec::new();
     for s in 1..=servers {
@@ -51,6 +54,8 @@ fn rig_of(servers: usize, gray: Option<GrayConfig>) -> Rig {
             RfpConfig {
                 enable_mode_switch: false,
                 recorder: Some(recorder.clone()),
+                health: health.clone(),
+                conn_id: s as u32 - 1,
                 ..RfpConfig::default()
             },
         );
@@ -314,4 +319,38 @@ fn retry_budget_bounds_a_storm_against_dead_replicas() {
         consumed <= 16.0 + 0.5 * successes,
         "{consumed} tokens consumed over {successes} successes"
     );
+}
+
+/// The read that demotes the primary is routed to the standby: the
+/// recovery probe of a demoted replica is the `PROBE_EVERY`-th routed
+/// read, not the first — which, behind a 100× straggler, would block
+/// its client for the straggler's whole service time.
+#[test]
+fn the_first_read_after_a_demotion_goes_to_the_standby() {
+    let mut r = rig_of(2, Some(GrayConfig::default()));
+    let (router, t) = (Rc::clone(&r.router), Rc::clone(&r.client_thread));
+    let (primary, standby) = (r.cluster.machine(1), Rc::clone(&r.server_conns[1]));
+    // Whether the demoting read was served by the standby.
+    let diverted = Rc::new(Cell::new(None));
+    let d = Rc::clone(&diverted);
+    r.sim.spawn(async move {
+        for i in 0..20_000u32 {
+            // A healthy millisecond freezes the baseline first.
+            if t.now() >= SimTime::ZERO + SimSpan::millis(2) {
+                primary.faults().set_cpu_factor(100.0);
+            }
+            let (was, served) = (router.is_demoted(0), standby.served());
+            router
+                .call_read(&t, &i.to_le_bytes())
+                .await
+                .expect("healthy");
+            if !was && router.is_demoted(0) {
+                d.set(Some(standby.served() > served));
+                return;
+            }
+        }
+    });
+    r.sim.run_for(SimSpan::millis(40));
+    assert_eq!(r.router.active(), 0, "no failover: only routing");
+    assert_eq!(diverted.get(), Some(true), "the primary was probed first");
 }

@@ -28,11 +28,9 @@ pub enum PutOutcome {
     Inserted,
     /// The key existed; its value was replaced.
     Updated,
-    /// The bucket was full; the least-recently-used pair was evicted.
-    Evicted {
-        /// The key that was pushed out.
-        key: Vec<u8>,
-    },
+    /// The bucket was full; the least-recently-used pair was evicted
+    /// and the new pair took its slot.
+    Evicted,
 }
 
 struct Slot {
@@ -125,7 +123,9 @@ impl Partition {
     }
 
     /// Inserts or updates `key`, evicting the bucket's LRU pair when
-    /// full (the paper's strict intra-bucket LRU).
+    /// full (the paper's strict intra-bucket LRU). An update, or an
+    /// insert over an evicted pair, writes in place wherever the old
+    /// bytes have the new length: only a length change boxes a copy.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> PutOutcome {
         let hash = hash_bytes(BUCKET_SEED, key);
         let b = self.bucket_of(hash);
@@ -137,35 +137,44 @@ impl Partition {
             .iter_mut()
             .find(|s| s.hash == hash && *s.key == *key)
         {
-            slot.value = value.into();
+            overwrite(&mut slot.value, value);
             slot.last_used = stamp;
             return PutOutcome::Updated;
         }
 
-        let fresh = Slot {
-            hash,
-            key: key.into(),
-            value: value.into(),
-            last_used: stamp,
-        };
         if bucket.slots.len() < SLOTS_PER_BUCKET {
-            bucket.slots.push(fresh);
+            bucket.slots.push(Slot {
+                hash,
+                key: key.into(),
+                value: value.into(),
+                last_used: stamp,
+            });
             self.entries += 1;
             return PutOutcome::Inserted;
         }
 
-        let victim_idx = bucket
+        let victim = bucket
             .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.last_used)
-            .map(|(i, _)| i)
+            .iter_mut()
+            .min_by_key(|s| s.last_used)
             .expect("bucket is full, hence non-empty");
-        let victim = std::mem::replace(&mut bucket.slots[victim_idx], fresh);
+        victim.hash = hash;
+        overwrite(&mut victim.key, key);
+        overwrite(&mut victim.value, value);
+        victim.last_used = stamp;
         self.evictions += 1;
-        PutOutcome::Evicted {
-            key: victim.key.into_vec(),
-        }
+        PutOutcome::Evicted
+    }
+}
+
+/// Writes `src` over `dst`: in place when the lengths match, else into
+/// a fresh box of exactly `src`'s length (no spare capacity is kept for
+/// other lengths).
+fn overwrite(dst: &mut Box<[u8]>, src: &[u8]) {
+    if dst.len() == src.len() {
+        dst.copy_from_slice(src);
+    } else {
+        *dst = src.into();
     }
 }
 
@@ -197,10 +206,7 @@ mod tests {
                 assert!(p.get(&[i]).is_some());
             }
         }
-        match p.put(b"new", b"v") {
-            PutOutcome::Evicted { key } => assert_eq!(key, vec![3]),
-            other => panic!("expected eviction, got {other:?}"),
-        }
+        assert_eq!(p.put(b"new", b"v"), PutOutcome::Evicted);
         assert_eq!(p.get(&[3u8][..]), None);
         assert!(p.get(b"new").is_some());
         assert_eq!(p.len(), 8);
@@ -215,10 +221,43 @@ mod tests {
         }
         // Key [0] was inserted first but a GET saves it.
         assert!(p.get(&[0u8][..]).is_some());
-        match p.put(b"x", b"v") {
-            PutOutcome::Evicted { key } => assert_eq!(key, vec![1]),
-            other => panic!("{other:?}"),
+        assert_eq!(p.put(b"x", b"v"), PutOutcome::Evicted);
+        assert_eq!(p.get(&[1u8][..]), None);
+        assert!(p.get(&[0u8][..]).is_some());
+    }
+
+    /// An update of the same length overwrites the stored value where
+    /// it lies; a length change replaces it.
+    #[test]
+    fn an_equal_length_update_keeps_the_value_in_place() {
+        let mut p = Partition::new(16);
+        p.put(b"key", b"first");
+        let at = p.get(b"key").expect("stored").as_ptr();
+        assert_eq!(p.put(b"key", b"newer"), PutOutcome::Updated);
+        let value = p.get(b"key").expect("stored");
+        assert_eq!((value, value.as_ptr()), (&b"newer"[..], at));
+        p.put(b"key", b"longer value");
+        assert_eq!(p.get(b"key"), Some(&b"longer value"[..]));
+    }
+
+    /// An insert into a full bucket takes over the LRU pair's boxes
+    /// where the lengths match.
+    #[test]
+    fn an_evicting_insert_reuses_the_victims_boxes() {
+        let mut p = Partition::new(1);
+        for i in 0..8u8 {
+            p.put(&[i, 0], &[i; 4]);
         }
+        let boxes = |p: &Partition, key: &[u8]| {
+            let slots = &p.buckets[0].slots;
+            let s = slots.iter().find(|s| *s.key == *key).expect("stored");
+            (s.key.as_ptr(), s.value.as_ptr())
+        };
+        let victim = boxes(&p, &[0, 0]);
+        assert_eq!(p.put(&[9, 0], &[9; 4]), PutOutcome::Evicted);
+        assert_eq!(boxes(&p, &[9, 0]), victim);
+        assert_eq!(p.get(&[9, 0]), Some(&[9u8; 4][..]));
+        assert_eq!(p.get(&[0, 0]), None);
     }
 
     #[test]

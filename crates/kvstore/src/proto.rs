@@ -148,18 +148,30 @@ pub enum KvResponseRef<'a> {
 }
 
 impl<'a> KvResponseRef<'a> {
-    /// Serialises into a fresh buffer.
+    /// Serialises into a fresh buffer of exactly the encoded length.
     pub fn encode(&self) -> Vec<u8> {
-        let (tag, value): (u8, &[u8]) = match self {
-            KvResponseRef::Found(v) => (TAG_FOUND, v),
-            KvResponseRef::NotFound => (TAG_NOT_FOUND, &[]),
-            KvResponseRef::Stored => (TAG_STORED, &[]),
-        };
-        let mut out = Vec::with_capacity(5 + value.len());
+        let mut out = Vec::with_capacity(5 + self.parts().1.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serialises over `out`, reusing its capacity.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let (tag, value) = self.parts();
+        out.clear();
+        out.reserve(5 + value.len());
         out.push(tag);
         out.extend_from_slice(&(value.len() as u32).to_le_bytes());
         out.extend_from_slice(value);
-        out
+    }
+
+    /// The tag byte and the value bytes (empty but for a hit).
+    fn parts(&self) -> (u8, &'a [u8]) {
+        match *self {
+            KvResponseRef::Found(v) => (TAG_FOUND, v),
+            KvResponseRef::NotFound => (TAG_NOT_FOUND, &[]),
+            KvResponseRef::Stored => (TAG_STORED, &[]),
+        }
     }
 
     /// Parses a response from `buf` in place, copying nothing.

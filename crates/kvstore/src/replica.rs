@@ -256,20 +256,20 @@ struct PrimaryHandler {
 }
 
 impl ScanHandler for PrimaryHandler {
-    fn serve(&mut self, req: &[u8]) -> (Reply, SimSpan) {
+    fn serve(&mut self, req: &[u8], reply: &mut Vec<u8>) -> (Reply, SimSpan) {
         let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-        let (resp, work) = respond(&self.partition, &parsed);
+        let work = respond(&self.partition, &parsed, reply);
         let role = &self.shipper.role;
         if matches!(parsed, KvRequest::Put { .. }) {
             role.applied_mutations.set(role.applied_mutations.get() + 1);
             if !role.solo.get() {
                 self.log.push(req.to_vec());
                 if self.shipper.ack == AckPolicy::Sync {
-                    return (Reply::Hold(resp), work);
+                    return (Reply::Hold, work);
                 }
             }
         }
-        (Reply::Send(resp), work)
+        (Reply::Send, work)
     }
 
     fn commit(&mut self) -> Option<Commit> {
@@ -337,7 +337,7 @@ struct BackupHandler {
 }
 
 impl ScanHandler for BackupHandler {
-    fn serve(&mut self, req: &[u8]) -> (Reply, SimSpan) {
+    fn serve(&mut self, req: &[u8], reply: &mut Vec<u8>) -> (Reply, SimSpan) {
         let parsed = KvRequest::decode(req).expect("client sent well-formed request");
         let role = &self.role;
         if !role.promoted.get() {
@@ -347,8 +347,8 @@ impl ScanHandler for BackupHandler {
             }
             role.served_reads.set(role.served_reads.get() + 1);
         }
-        let (resp, work) = respond(&self.partition, &parsed);
-        (Reply::Send(resp), work)
+        let work = respond(&self.partition, &parsed, reply);
+        (Reply::Send, work)
     }
 }
 

@@ -25,7 +25,8 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfp_core::{
-    CallPolicy, CallResult, RespStatus, RfpClient, RfpConfig, RfpServerConn, RfpTelemetry,
+    CallInfo, CallPolicy, Reply, RespStatus, RfpClient, RfpConfig, RfpServerConn, RfpTelemetry,
+    ScanHandler,
 };
 use rfp_paradigms::{BypassClient, HerdServerConn};
 use rfp_rnic::{Cluster, ClusterProfile, Machine, NicCounters, Qp, ThreadCtx};
@@ -418,7 +419,9 @@ impl Seat {
         let mut ops: Vec<Op> = (0..draw).map(|_| Op::Get { key: Vec::new() }).collect();
         let mut buckets: Vec<Vec<usize>> = conns.iter().map(|_| Vec::new()).collect();
         let mut reqs: Vec<Vec<u8>> = Vec::new();
-        let mut done: Vec<(usize, CallResult)> = Vec::new();
+        // A bucket's settled calls, noted off the engine's loan: which
+        // op, its diagnostics, and whether a GET missed.
+        let mut done: Vec<(usize, CallInfo, bool)> = Vec::new();
         loop {
             self.pacer.pause(&self.h).await;
             ops.iter_mut().for_each(&mut next_op);
@@ -437,21 +440,25 @@ impl Seat {
                     encode_op(&ops[i], req);
                 }
                 conn.run(&self.thread, reqs, policy, |i, out| {
-                    done.push((bucket[i], out.expect("no recovery stage, so no RpcError")));
+                    let out = out.expect("no recovery stage, so no RpcError");
+                    // Rejected under overload: no payload to decode.
+                    let missed = out.info.status == RespStatus::Ok && is_miss(&out.data);
+                    done.push((bucket[i], out.info, missed));
                 })
                 .await;
-                for (i, out) in done.drain(..) {
-                    if out.info.integrity_retries > 0 {
-                        let retries = out.info.integrity_retries as u64;
+                // Booked when the bucket returns, not as each call
+                // settles: a measurement window that ends mid-bucket
+                // counts the whole bucket in the next one.
+                for (i, info, missed) in done.drain(..) {
+                    if info.integrity_retries > 0 {
+                        let retries = info.integrity_retries as u64;
                         self.stats.integrity_retries.add(retries);
                     }
-                    match out.info.status {
+                    match info.status {
                         RespStatus::Ok => {
-                            let missed = is_miss(&out.data);
-                            record_outcome(&self.stats, &ops[i], missed, out.info.latency);
+                            record_outcome(&self.stats, &ops[i], missed, info.latency)
                         }
-                        // Rejected under overload: no payload to decode,
-                        // and rejections never count as goodput.
+                        // Rejections never count as goodput.
                         RespStatus::Busy => self.stats.rejected_busy.incr(),
                         _ => self.stats.rejected_shed.incr(),
                     }
@@ -532,17 +539,27 @@ pub fn preload_partitions<K: AsRef<[u8]>, V: AsRef<[u8]>>(
 
 /// The bucket-table request handler every RFP serve loop runs: decode,
 /// apply to `partition`, encode the reply straight from the stored
-/// value, and charge the store's CPU cost plus
-/// whatever `extra` adds for this request (artificial process time,
-/// outlier jitter).
+/// value into the buffer the reactor lends, and charge the store's CPU
+/// cost plus whatever `extra` adds for this request (artificial process
+/// time, outlier jitter).
 pub fn kv_handler(
     partition: Rc<RefCell<Partition>>,
-    mut extra: impl FnMut() -> SimSpan,
-) -> impl FnMut(&[u8]) -> (Vec<u8>, SimSpan) {
-    move |req: &[u8]| {
+    extra: impl FnMut() -> SimSpan,
+) -> impl ScanHandler {
+    KvHandler { partition, extra }
+}
+
+/// [`kv_handler`]'s state: the partition and the extra-time stream.
+struct KvHandler<E> {
+    partition: Rc<RefCell<Partition>>,
+    extra: E,
+}
+
+impl<E: FnMut() -> SimSpan> ScanHandler for KvHandler<E> {
+    fn serve(&mut self, req: &[u8], reply: &mut Vec<u8>) -> (Reply, SimSpan) {
         let parsed = KvRequest::decode(req).expect("client sent well-formed request");
-        let (resp, work) = respond(&partition, &parsed);
-        (resp, work + extra())
+        let work = respond(&self.partition, &parsed, reply);
+        (Reply::Send, work + (self.extra)())
     }
 }
 

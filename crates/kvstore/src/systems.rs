@@ -31,7 +31,7 @@ use std::rc::Rc;
 
 use rfp_core::{
     connect, serve_loop, serve_loop_tenant, shard_conns, CallPolicy, RespStatus, RfpConfig, RfpMux,
-    TenantId, RESP_HDR,
+    ScanHandler, TenantId, RESP_HDR,
 };
 use rfp_paradigms::{herd_connect, sr_connect, BypassClient};
 use rfp_rnic::{ClusterProfile, Machine, ThreadCtx, Transport};
@@ -226,15 +226,17 @@ pub(crate) fn apply_in_place<'p>(
     }
 }
 
-/// The wire response to `parsed` on `partition`, encoded straight from
-/// the stored value, and its CPU cost.
+/// Applies `parsed` to `partition`, encodes the wire response over
+/// `out` straight from the stored value, and returns its CPU cost.
 pub(crate) fn respond(
     partition: &RefCell<Partition>,
     parsed: &KvRequest<'_>,
-) -> (Vec<u8>, SimSpan) {
+    out: &mut Vec<u8>,
+) -> SimSpan {
     let mut partition = partition.borrow_mut();
     let (resp, work) = apply_in_place(&mut partition, parsed);
-    (resp.encode(), work)
+    resp.encode_into(out);
+    work
 }
 
 /// Extra process time of server thread `stream`'s next request: the
@@ -620,7 +622,8 @@ pub fn spawn_herd(sim: &mut Simulation, cfg: &SystemConfig) -> KvSystem {
         let partition = Rc::clone(&partitions[s]);
         let mut handle = kv_handler(partition, process_extra(cfg, s as u64));
         async move |thread: &ThreadCtx, req: &[u8]| {
-            let (resp, work) = handle(req);
+            let mut resp = Vec::new();
+            let (_, work) = handle.serve(req, &mut resp);
             if !work.is_zero() {
                 thread.busy(work).await;
             }

@@ -2,9 +2,10 @@
 //!
 //! `rfp-core`'s budget stops at its echo handler; this one runs the
 //! whole KV path — workload draw, request encode, server pickup, store
-//! lookup, reply encode, fetch, outcome booking — and holds it to the
-//! two payloads the API hands out per call: the handler's response
-//! `Vec` and `CallResult.data` (DESIGN.md "Allocation rule").
+//! lookup, reply encode into the reactor's lent buffer, fetch into the
+//! engine's lent payload, outcome booking — and holds it to no
+//! allocation per call: every buffer is reused (DESIGN.md "Allocation
+//! rule"). Only a PUT that changes a value's length boxes a copy.
 //!
 //! The counters are process-global, so this binary holds exactly one
 //! test function: a second one running on a parallel thread would be
@@ -15,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rfp_kvstore::{spawn_cores_kv, spawn_jakiro, CoresConfig, KvSystem, SystemConfig};
 use rfp_simnet::{SimSpan, Simulation};
-use rfp_workload::{OpMix, WorkloadSpec};
+use rfp_workload::{OpMix, ValueSize, WorkloadSpec};
 
 struct CountingAlloc;
 
@@ -56,9 +57,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations per completed call over `window` of `sim`, after a
 /// warm-up that lets every pool, ring and scratch reach its steady
-/// capacity.
+/// capacity. Under Zipf(0.99) the cold cores' connections reach their
+/// peak of calls settled at once (a client payload pool's size), and
+/// the latency histograms their spread of values, only slowly: after
+/// 1 ms the cores rig still grows them by 0.069 allocations per call
+/// over the next 4 ms, after 3 ms by 0.025.
 fn allocs_per_call(sim: &mut Simulation, sys: &KvSystem, window: SimSpan) -> f64 {
-    sim.run_for(SimSpan::millis(1));
+    sim.run_for(SimSpan::millis(3));
     sys.reset_measurements();
     let before = ALLOCS.load(Ordering::Relaxed);
     sim.run_for(window);
@@ -68,20 +73,28 @@ fn allocs_per_call(sim: &mut Simulation, sys: &KvSystem, window: SimSpan) -> f64
     allocs as f64 / calls as f64
 }
 
-#[test]
-fn a_kv_call_allocates_only_its_two_api_payloads() {
-    // Jakiro, GET-only: the headline cell's path without its PUTs.
+/// Allocations per completed call of Jakiro over 2 000 keys with
+/// `spec`'s mix and values.
+fn jakiro(spec: WorkloadSpec) -> f64 {
     let cfg = SystemConfig {
         spec: WorkloadSpec {
             key_count: 2000,
-            mix: OpMix { get_fraction: 1.0 },
-            ..WorkloadSpec::paper_default()
+            ..spec
         },
         ..SystemConfig::default()
     };
     let mut sim = Simulation::new(cfg.seed);
     let sys = spawn_jakiro(&mut sim, &cfg);
-    let jakiro = allocs_per_call(&mut sim, &sys, SimSpan::millis(2));
+    allocs_per_call(&mut sim, &sys, SimSpan::millis(2))
+}
+
+#[test]
+fn a_kv_call_allocates_nothing() {
+    // Jakiro, GET-only: the headline cell's path without its PUTs.
+    let gets = jakiro(WorkloadSpec {
+        mix: OpMix { get_fraction: 1.0 },
+        ..WorkloadSpec::paper_default()
+    });
 
     // The 4-core reactor with stealing under Zipf(0.99).
     let cfg = CoresConfig {
@@ -92,11 +105,26 @@ fn a_kv_call_allocates_only_its_two_api_payloads() {
     let sys = spawn_cores_kv(&mut sim, &cfg);
     let cores = allocs_per_call(&mut sim, &sys, SimSpan::millis(4));
 
-    eprintln!("allocations per call: jakiro {jakiro:.3}, cores {cores:.3}");
-    for (name, per_call) in [("spawn_jakiro", jakiro), ("spawn_cores_kv", cores)] {
+    // Half PUTs of uniform 32–1024 B values: an update that changes a
+    // value's length boxes the new value (half the calls, nearly
+    // always), and nothing else allocates.
+    let mixed = jakiro(WorkloadSpec {
+        mix: OpMix::BALANCED,
+        values: ValueSize::Uniform { min: 32, max: 1024 },
+        ..WorkloadSpec::paper_default()
+    });
+
+    eprintln!(
+        "allocations per call: jakiro GET {gets:.3}, cores {cores:.3}, jakiro 50 % PUT {mixed:.3}"
+    );
+    for (name, per_call, budget) in [
+        ("spawn_jakiro GET-only", gets, 0.05),
+        ("spawn_cores_kv", cores, 0.05),
+        ("spawn_jakiro 50 % mixed PUT", mixed, 0.6),
+    ] {
         assert!(
-            per_call <= 2.2,
-            "{name}: {per_call:.3} allocations per call, budget 2.2"
+            per_call <= budget,
+            "{name}: {per_call:.3} allocations per call, budget {budget}"
         );
     }
 }

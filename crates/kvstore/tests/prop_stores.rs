@@ -142,17 +142,26 @@ proptest! {
     }
 
     /// Encoding over a reused buffer, whatever it held, writes the bytes
-    /// a fresh encode does.
+    /// a fresh encode does: a request, and a response into the buffer
+    /// a server lends.
     #[test]
-    fn proto_encode_into_a_dirty_buffer_equals_encode(key in vec(any::<u8>(), 0..64), value in vec(any::<u8>(), 0..256), put in any::<bool>(), dirt in vec(any::<u8>(), 0..512)) {
+    fn proto_encode_into_a_dirty_buffer_equals_encode(key in vec(any::<u8>(), 0..64), value in vec(any::<u8>(), 0..256), put in any::<bool>(), dirt in vec(any::<u8>(), 0..512), tag in 0u8..3) {
         let req = if put {
             KvRequest::Put { key: &key, value: &value }
         } else {
             KvRequest::Get { key: &key }
         };
-        let mut buf = dirt;
+        let mut buf = dirt.clone();
         req.encode_into(&mut buf);
         prop_assert_eq!(buf, req.encode());
+        let resp = match tag {
+            0 => KvResponseRef::Found(&value),
+            1 => KvResponseRef::NotFound,
+            _ => KvResponseRef::Stored,
+        };
+        let mut buf = dirt;
+        resp.encode_into(&mut buf);
+        prop_assert_eq!(buf, resp.encode());
     }
 
     /// The in-place parse the drivers book outcomes with agrees with the

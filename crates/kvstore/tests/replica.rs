@@ -308,7 +308,7 @@ fn sync_primary_answers_a_pipelined_window_slot_by_slot() {
     let a = Rc::clone(&acked);
     r.sim.spawn(async move {
         let reqs: Vec<Vec<u8>> = (0..8).map(put).collect();
-        let sink = |i: usize, out: Result<CallResult, RpcError>| {
+        let sink = |i: usize, out: Result<&CallResult, RpcError>| {
             let out = out.expect("healthy put");
             assert_eq!(KvResponse::decode(&out.data).unwrap(), KvResponse::Stored);
             let key = format!("k{i}").into_bytes();

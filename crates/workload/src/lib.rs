@@ -179,6 +179,10 @@ pub struct Generator {
     spec: WorkloadSpec,
     rng: StdRng,
     zipf: Option<Zipf>,
+    /// The value buffer of the last PUT that
+    /// [`next_op_into`](Self::next_op_into) redrew as a GET, kept for
+    /// the next GET it redraws as a PUT.
+    spare: Vec<u8>,
 }
 
 impl Generator {
@@ -212,6 +216,7 @@ impl Generator {
             spec,
             rng: StdRng::seed_from_u64(seed),
             zipf,
+            spare: Vec::new(),
         }
     }
 
@@ -285,22 +290,23 @@ impl Generator {
 
     /// Draws the next operation over `op`, reusing its key and value
     /// buffers: the same stream as [`next_op`](Self::next_op), with the
-    /// RNG drawn in the same order. A GET drawn over a PUT drops the
-    /// value; a PUT drawn over a GET allocates one.
+    /// RNG drawn in the same order. A GET drawn over a PUT keeps the
+    /// value buffer as the generator's spare, and the next PUT drawn
+    /// over a GET takes it back.
     pub fn next_op_into(&mut self, op: &mut Op) {
         let id = self.key_id();
         let get = self.rng.gen::<f64>() < self.spec.mix.get_fraction;
         match (get, &mut *op) {
-            (true, Op::Put { key, .. }) => {
+            (true, Op::Put { key, value }) => {
+                self.spare = mem::take(value);
                 *op = Op::Get {
                     key: mem::take(key),
                 }
             }
             (false, Op::Get { key }) => {
-                let key = mem::take(key);
                 *op = Op::Put {
-                    key,
-                    value: Vec::new(),
+                    key: mem::take(key),
+                    value: mem::take(&mut self.spare),
                 };
             }
             _ => {}
@@ -325,6 +331,44 @@ impl Generator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A PUT redrawn as a GET leaves its value buffer with the
+    /// generator, and the next GET redrawn as a PUT writes into it.
+    #[test]
+    fn a_redrawn_put_lends_its_value_to_the_next_put() {
+        let spec = WorkloadSpec {
+            key_count: 1000,
+            mix: OpMix { get_fraction: 0.5 },
+            ..WorkloadSpec::paper_default()
+        };
+        let mut gen = spec.generator(7);
+        let mut op = Op::Get { key: Vec::new() };
+        let mut reused = 0;
+        for _ in 0..200 {
+            let was = match &op {
+                Op::Put { value, .. } => Some(value.as_ptr()),
+                Op::Get { .. } => None,
+            };
+            let (spare, had_spare) = (gen.spare.as_ptr(), gen.spare.capacity() > 0);
+            gen.next_op_into(&mut op);
+            match (&op, was) {
+                (Op::Get { .. }, Some(ptr)) => {
+                    assert_eq!(gen.spare.as_ptr(), ptr, "the value was dropped");
+                    assert!(gen.spare.capacity() >= 32);
+                }
+                (Op::Put { value, .. }, None) if had_spare => {
+                    assert_eq!(value.as_ptr(), spare, "the spare was not reused");
+                    assert_eq!(gen.spare.capacity(), 0, "the spare was copied");
+                    reused += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            reused > 10,
+            "only {reused} GET → PUT switches reused a value"
+        );
+    }
 
     #[test]
     fn generator_is_deterministic() {

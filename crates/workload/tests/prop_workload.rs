@@ -59,7 +59,8 @@ proptest! {
     }
 
     /// Drawing over a reused `Op` replays `next_op`'s stream from the
-    /// same seed, through both kinds of switch (Put → Get → Put) and
+    /// same seed, through both kinds of switch, runs of back-to-back
+    /// switches (the generator's spare value buffer handed on) and
     /// values that grow and shrink.
     #[test]
     fn next_op_into_replays_next_op(get_fraction in 0.2f64..0.8, seed in any::<u64>()) {
@@ -70,17 +71,25 @@ proptest! {
         let (mut fresh, mut reused) = (spec.generator(seed), spec.generator(seed));
         let mut op = Op::Put { key: vec![0xEE; 40], value: vec![0xDD; 100] };
         let (mut to_get, mut to_put) = (0, 0);
+        // Draws that switched kind right after a draw that switched: a
+        // run Put → Get → Put (or Get → Put → Get), where the spare
+        // value buffer is handed on while still dirty.
+        let (mut switched, mut runs) = (false, 0);
         for _ in 0..200 {
             let was_get = matches!(op, Op::Get { .. });
             reused.next_op_into(&mut op);
             prop_assert_eq!(&op, &fresh.next_op());
-            match (was_get, matches!(op, Op::Get { .. })) {
+            let switch = was_get != matches!(op, Op::Get { .. });
+            runs += (switch && switched) as u32;
+            switched = switch;
+            match (was_get, switch) {
                 (false, true) => to_get += 1,
-                (true, false) => to_put += 1,
+                (true, true) => to_put += 1,
                 _ => {}
             }
         }
         prop_assert!(to_get > 0 && to_put > 0, "{to_get} Put → Get, {to_put} Get → Put");
+        prop_assert!(runs > 0, "no back-to-back switches");
     }
 
     /// Zipf samples are in-range for any (n, θ) in the supported domain,
