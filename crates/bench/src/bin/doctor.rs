@@ -18,7 +18,7 @@ use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::OverloadConfig;
 use rfp_kvstore::{spawn_cores_kv, CoresConfig};
-use rfp_simnet::{AnomalyDetector, AnomalyKind, DumpBundle, SimSpan, SimTime, Simulation};
+use rfp_simnet::{scan, scan_cores, AnomalyKind, DumpBundle, SimSpan, SimTime, Simulation};
 
 /// Faults strike after this much warm-up…
 const FAULT_AT: SimTime = SimTime::from_nanos(2_000_000);
@@ -185,17 +185,17 @@ fn diagnose(seed: u64, scenario: &Scenario) -> Row {
         rig.promote_backup_at(at);
     }
 
-    // Phase 1 — warm-up: establish each connection's baseline.
+    // Phase 1 — warm-up: the fault's onset captures each connection's
+    // baseline.
+    rig.capture_baselines_at(FAULT_AT);
     sim.run_for(FAULT_AT.since(SimTime::ZERO));
-    let detector = AnomalyDetector::new();
-    detector.set_baseline(&rig.health.report(sim.handle().now()));
 
     // Phase 2 — the fault window; scan while its effects are still
     // inside the rolling health window.
     sim.run_for(FAULT_SPAN);
     let scan_now = sim.handle().now();
     let report = rig.health.report(scan_now);
-    let anomalies = detector.scan(&report);
+    let anomalies = scan(&report);
     let raised: Vec<AnomalyKind> = anomalies.iter().map(|a| a.kind).collect();
     let detected = detected(&raised);
 
@@ -289,7 +289,7 @@ fn balance(seed: u64, &(name, skew, steal): &(&'static str, Option<f64>, bool)) 
     sim.run_for(SimSpan::millis(2));
 
     let report = sys.skew_report(sim.now());
-    let anomalies = AnomalyDetector::new().scan_cores(&report);
+    let anomalies = scan_cores(&report);
     let raised: Vec<AnomalyKind> = anomalies.iter().map(|a| a.kind).collect();
     if steal {
         assert!(

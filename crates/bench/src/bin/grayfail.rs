@@ -35,8 +35,11 @@ use rfp_core::GrayConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
-/// Faults strike after this much healthy warm-up (baselines freeze
-/// well before: the scorer needs ~16 calls in a rolling window).
+/// Faults strike after this much healthy warm-up, the instant each
+/// connection's baseline is captured: a primary connection's window
+/// then holds about 200 calls, well over the 16 a baseline needs; a
+/// standby's, which no read has reached yet, holds none and gets no
+/// baseline, so scoring leaves it undemoted.
 const FAULT_AT: SimTime = SimTime::from_nanos(1_000_000);
 /// Fault windows outlive the run: a gray fault does not heal itself.
 const FAULT_SPAN: SimSpan = SimSpan::millis(500);
@@ -126,6 +129,7 @@ fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row 
     };
     let plan = plan_for(seed, scenario);
     let rig = spawn_chaos_kv(&mut sim, &cfg, plan.as_ref());
+    rig.capture_baselines_at(FAULT_AT);
     sim.run_for(WINDOW);
 
     let st = &rig.state;

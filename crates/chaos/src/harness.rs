@@ -413,6 +413,18 @@ impl ChaosKv {
         })
     }
 
+    /// Schedules the healthy baseline: at `at`, every connection's
+    /// health window becomes its [`Baseline`](rfp_simnet::Baseline),
+    /// which the anomaly scan and the routers' scorers both read.
+    pub fn capture_baselines_at(&self, at: SimTime) {
+        let handle = self.cluster.handle().clone();
+        let health = self.health.clone();
+        handle.clone().spawn(async move {
+            handle.sleep_until(at).await;
+            health.capture_baselines(handle.now());
+        });
+    }
+
     /// Schedules the failure detector: at `at`, the backup is promoted
     /// into the next epoch. A restarted ex-primary is then *deposed*:
     /// it comes back at its old epoch, and the fence keeps it from

@@ -113,10 +113,11 @@ fn crash_runs_are_deterministic_per_seed() {
 /// The composed rig of the two tests below, run for 40 ms: sync
 /// replication, fetch integrity under bit flips and torn DMA on both
 /// replicas for the whole run, gray routing of own-key reads, a
-/// `factor`× straggler on the primary from 100 µs — once the routers
-/// have frozen their baselines — until a permanent primary crash at
-/// `crash_at`, and the backup promoted after it. Returns the simulation
-/// with the rig, so its tasks outlive the asserts.
+/// `factor`× straggler on the primary from 100 µs — the instant the
+/// rig captures every connection's baseline — until a permanent
+/// primary crash at `crash_at`, and the backup promoted after it.
+/// Returns the simulation with the rig, so its tasks outlive the
+/// asserts.
 fn composed(factor: f64, crash_at: SimTime) -> (Simulation, ChaosConfig, ChaosKv) {
     use rfp_core::{FailoverConfig, GrayConfig};
 
@@ -143,8 +144,35 @@ fn composed(factor: f64, crash_at: SimTime) -> (Simulation, ChaosConfig, ChaosKv
     }
     let mut sim = Simulation::new(seed);
     let rig = spawn(&mut sim, &cfg, Some(&plan), Some(crash_at + DETECT));
+    rig.capture_baselines_at(slow_at);
     sim.run_for(SimSpan::millis(40));
     (sim, cfg, rig)
+}
+
+/// Every router of a [`composed`] rig demoted the primary once, against
+/// the healthy baseline captured for its primary connection when the
+/// straggler struck: the demotion cites that baseline, and it is a
+/// healthy p99 (about 8–11 µs), not a window the straggler had already
+/// slowed.
+fn demoted_against_the_captured_baselines(sim: &Simulation, rig: &ChaosKv) {
+    let demotes = rig.registry.counter("routing.demote").get();
+    assert_eq!(demotes, rig.routers.len() as u64, "routers that demoted");
+    let report = rig.health.report(sim.now());
+    let events = rig.recorder.snapshot();
+    for c in 0..rig.routers.len() as u32 {
+        // Client `c`'s connection to the primary, replica 0 of two.
+        let conn = c * 2;
+        let base = report.conn(conn).and_then(|r| r.baseline);
+        let p99 = base.expect("no baseline captured for a primary").p99_ns;
+        assert!(p99 <= 11_000, "client {c}: baseline p99 {p99} ns");
+        let cited = format!("vs baseline {p99}ns");
+        assert!(
+            events.iter().any(|e| e.kind == "routing.demote"
+                && e.conn == Some(conn)
+                && e.detail.contains(&cited)),
+            "client {c}: no demotion cites the captured baseline {p99} ns"
+        );
+    }
 }
 
 /// The features the replicated rig can carry, all on in one run (see
@@ -158,7 +186,7 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
     // the live pair and the promoted survivor. Before it the primary's
     // read median inflates past the demotion threshold, so reads divert
     // to the standby.
-    let (_sim, cfg, rig) = composed(30.0, SimTime::from_nanos(2_000_000));
+    let (sim, cfg, rig) = composed(30.0, SimTime::from_nanos(2_000_000));
 
     let st = &rig.state;
     assert_eq!(
@@ -167,12 +195,7 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
         "a client never finished"
     );
     assert!(st.promoted_at.get().is_some() && rig.total_failovers() >= 1);
-    assert!(
-        rig.routers
-            .iter()
-            .all(|r| r.scorer().baseline_p99(0).is_some()),
-        "a router never scored the primary: its reads were not routed"
-    );
+    demoted_against_the_captured_baselines(&sim, &rig);
     assert_eq!(st.lost_acked.get(), 0, "acked write lost");
     assert_eq!(st.stale_reads.get(), 0, "a read ran backwards");
     // The straggler demoted the primary and a routed read reached the
@@ -221,17 +244,21 @@ fn integrity_routing_and_promotion_compose_under_corruption_and_crash() {
 /// A gray replica is demoted however slow it is. A 100× straggler's
 /// health windows hold too few calls for the full-window rule, and a
 /// crash at 1 ms leaves little time; but their medians clear the
-/// baseline p99 by the latency factor, so reads divert to the standby
-/// before the crash.
+/// baseline p99 by the latency factor, so every router demotes the
+/// primary and reads divert to the standby before the crash. The
+/// baselines are the ones captured when the straggler struck: a router
+/// that froze its first scored window instead took one the straggler
+/// had already slowed (p99 up to 115 µs), and did not demote.
 #[test]
 fn a_hundredfold_straggler_is_demoted_before_an_early_crash() {
-    let (_sim, cfg, rig) = composed(100.0, SimTime::from_nanos(1_000_000));
+    let (sim, cfg, rig) = composed(100.0, SimTime::from_nanos(1_000_000));
     let st = &rig.state;
     assert_eq!(
         st.done_clients.get(),
         cfg.clients,
         "a client never finished"
     );
+    demoted_against_the_captured_baselines(&sim, &rig);
     assert!(
         rig.backup_role.served_reads.get() >= 1,
         "no read was diverted to the standby"

@@ -23,7 +23,9 @@ use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
 /// Faults strike early enough to overlap the short proptest workload
-/// (~300 ops/client at a few µs per op).
+/// (~300 ops/client at a few µs per op); the rig captures its healthy
+/// baselines then, when every connection with calls holds at least
+/// the 16 a baseline needs.
 const FAULT_AT: SimTime = SimTime::from_nanos(100_000);
 const FAULT_SPAN: SimSpan = SimSpan::millis(1);
 const WINDOW: SimSpan = SimSpan::millis(4);
@@ -72,6 +74,7 @@ proptest! {
         let plan = family_plan(family, seed, machine);
         let mut sim = Simulation::new(seed);
         let rig = spawn_chaos_kv(&mut sim, &cfg, Some(&plan));
+        rig.capture_baselines_at(FAULT_AT);
         sim.run_for(WINDOW);
         let st = &rig.state;
         prop_assert_eq!(
@@ -142,6 +145,7 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
     );
     let mut sim = Simulation::new(seed);
     let rig = spawn_chaos_kv(&mut sim, &cfg, Some(&plan));
+    rig.capture_baselines_at(FAULT_AT);
     sim.run_for(SimSpan::millis(20));
     assert!(
         rig.registry.counter("routing.demote").get() >= 1,

@@ -37,9 +37,10 @@
 //! [`FailoverConfig::gray`] set, the router adds two mitigations on
 //! top of the crash path:
 //!
-//! * **scored routing** ([`ReplicaScorer`]) — each routed read folds
-//!   the replicas' rolling health windows into scores; a replica
-//!   falling below `DEMOTE_BELOW` is demoted (with a
+//! * **scored routing** (`gray::score`) — each routed read scores the
+//!   replicas' rolling health windows against the baselines the health
+//!   plane captured for their connections; the router keeps none of
+//!   its own. A replica falling below `DEMOTE_BELOW` is demoted (with a
 //!   `routing.demote` flight-recorder entry carrying the triggering
 //!   window's evidence) and reads divert to the best-scoring peer,
 //!   save a probe every `PROBE_EVERY`-th (256th) call and a
@@ -64,9 +65,7 @@ use rfp_rnic::ThreadCtx;
 use rfp_simnet::SimSpan;
 
 use crate::client::{CallResult, RfpClient};
-use crate::gray::{
-    GrayConfig, ReplicaScorer, RetryBudget, DEMOTE_BELOW, PROBE_EVERY, RECENT_EPOCHS,
-};
+use crate::gray::{self, GrayConfig, RetryBudget, DEMOTE_BELOW, PROBE_EVERY, RECENT_EPOCHS};
 use crate::header::RespStatus;
 use crate::observe::incident;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
@@ -112,8 +111,6 @@ pub struct ReplicaClient {
     active: Cell<usize>,
     failovers: Cell<u64>,
     cfg: FailoverConfig,
-    /// Per-replica health scores against frozen healthy baselines.
-    scorer: ReplicaScorer,
     /// Retry/failover token bucket.
     budget: RetryBudget,
     /// Sticky demotion flags (cleared when a probe scores healthy).
@@ -140,7 +137,6 @@ impl ReplicaClient {
     /// Panics on an empty replica list.
     pub fn new(replicas: Vec<Rc<RfpClient>>, cfg: FailoverConfig) -> Self {
         assert!(!replicas.is_empty(), "router needs at least one replica");
-        let scorer = ReplicaScorer::new(replicas.len());
         let demoted = replicas.iter().map(|_| Cell::new(false)).collect();
         // Only a gray router ever draws from it.
         let seed = cfg.gray.as_ref().map_or(0, |g| g.seed);
@@ -150,7 +146,6 @@ impl ReplicaClient {
             active: Cell::new(0),
             failovers: Cell::new(0),
             cfg,
-            scorer,
             budget: RetryBudget::default(),
             demoted,
             route_clock: Cell::new(0),
@@ -186,11 +181,6 @@ impl ReplicaClient {
     /// The router's retry/failover token bucket.
     pub fn budget(&self) -> &RetryBudget {
         &self.budget
-    }
-
-    /// The router's replica health scorer.
-    pub fn scorer(&self) -> &ReplicaScorer {
-        &self.scorer
     }
 
     /// Whether replica `i` is currently demoted by scored routing.
@@ -327,7 +317,7 @@ impl ReplicaClient {
                 let health = client.obs().health.as_ref()?;
                 let report = health.report(now);
                 let recent = health.report_last(now, RECENT_EPOCHS);
-                let score = self.scorer.score(i, &report, &recent)?;
+                let score = gray::score(&report, &recent)?;
                 let was = self.demoted[i].get();
                 if score < DEMOTE_BELOW && !was {
                     self.demoted[i].set(true);
@@ -339,7 +329,7 @@ impl ReplicaClient {
                              (window p99 {}ns vs baseline {}ns over {} calls, \
                              retry rate {:.2}, {} credit waits)",
                             report.p99_ns,
-                            self.scorer.baseline_p99(i).unwrap_or(0),
+                            report.baseline.map_or(0, |b| b.p99_ns),
                             report.calls,
                             report.retry_rate,
                             report.credit_waits

@@ -13,8 +13,8 @@ use rfp_simnet::{FlightRecorder, HealthHub, RetryPolicy, SimSpan, SimTime, Simul
 
 /// One client machine plus `servers` server machines, all echoing; the
 /// router prefers machine 1 (replica 0) and falls back to the next. A
-/// gray router's connections book into a health window, which its
-/// scorer reads.
+/// gray router's connections book into `health`, whose captured
+/// baselines its scoring reads.
 struct Rig {
     sim: Simulation,
     cluster: Cluster,
@@ -22,6 +22,7 @@ struct Rig {
     client_thread: Rc<ThreadCtx>,
     server_conns: Vec<Rc<RfpServerConn>>,
     recorder: FlightRecorder,
+    health: Option<HealthHub>,
 }
 
 /// Short budget so a dead replica is abandoned quickly.
@@ -85,6 +86,7 @@ fn rig_of(servers: usize, gray: Option<GrayConfig>) -> Rig {
         router,
         server_conns,
         recorder,
+        health,
     }
 }
 
@@ -330,14 +332,19 @@ fn the_first_read_after_a_demotion_goes_to_the_standby() {
     let mut r = rig_of(2, Some(GrayConfig::default()));
     let (router, t) = (Rc::clone(&r.router), Rc::clone(&r.client_thread));
     let (primary, standby) = (r.cluster.machine(1), Rc::clone(&r.server_conns[1]));
+    let health = r.health.clone().expect("a gray rig books health");
     // Whether the demoting read was served by the standby.
     let diverted = Rc::new(Cell::new(None));
     let d = Rc::clone(&diverted);
     r.sim.spawn(async move {
+        let mut slowed = false;
         for i in 0..20_000u32 {
-            // A healthy millisecond freezes the baseline first.
-            if t.now() >= SimTime::ZERO + SimSpan::millis(2) {
+            // Two healthy milliseconds are the baseline; then the
+            // primary slows.
+            if !slowed && t.now() >= SimTime::ZERO + SimSpan::millis(2) {
+                health.capture_baselines(t.now());
                 primary.faults().set_cpu_factor(100.0);
+                slowed = true;
             }
             let (was, served) = (router.is_demoted(0), standby.served());
             router

@@ -19,8 +19,8 @@ use rfp_core::{
 };
 use rfp_rnic::{Cluster, ClusterProfile, Machine, ThreadCtx};
 use rfp_simnet::{
-    AnomalyDetector, AnomalyKind, ConnHealthReport, FlightRecorder, HealthHub, HealthReport,
-    MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder,
+    scan, AnomalyKind, ConnHealthReport, FlightRecorder, HealthHub, HealthReport, MetricsRegistry,
+    RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder,
 };
 
 /// Everything a run exposes that predates the observability plane.
@@ -364,7 +364,7 @@ fn stalled_pipeline_slot_raises_stuck_slot_anomaly() {
     );
     let conn0 = report.conn(0).expect("connection 0 reported");
     assert!(conn0.stalls > 0, "health window missed the stalls");
-    let anomalies = AnomalyDetector::new().scan(&report);
+    let anomalies = scan(&report);
     assert!(!anomalies.is_empty(), "StuckSlot not flagged");
     for a in &anomalies {
         assert_eq!(

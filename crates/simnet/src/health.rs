@@ -11,14 +11,17 @@
 //!
 //! [`HealthHub::report`] merges the retained epochs into a
 //! [`HealthReport`] (exact nearest-rank p50/p99, retry rate,
-//! per-signal counts). An
-//! [`AnomalyDetector`] compares a
-//! report against a captured [`Baseline`] with fixed thresholds and
-//! emits [`Anomaly`]s; [`DumpBundle`] renders the triggering window's
+//! per-signal counts). [`HealthHub::capture_baselines`] freezes each
+//! connection's window at one named instant as its healthy
+//! [`Baseline`], the one copy there is; every later report carries it.
+//! Its two readers keep no state: [`scan`] compares a report against
+//! the baselines it carries with fixed thresholds and emits
+//! [`Anomaly`]s, and `rfp-core`'s replica scorer applies the same
+//! rules. [`DumpBundle`] renders the triggering window's
 //! flight-recorder events, metrics snapshot and Chrome trace for
 //! post-mortem replay.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{self, Write};
@@ -84,10 +87,12 @@ const EPOCH_NS: u64 = 200_000;
 /// which holds the doctor's whole 1 ms fault span.
 const EPOCHS: usize = 8;
 
-/// Rolling-window health state of one connection.
+/// Rolling-window health state of one connection, and its healthy
+/// [`Baseline`] once [`HealthHub::capture_baselines`] has taken one.
 pub struct ConnHealth {
     conn: u32,
     epochs: RefCell<VecDeque<Epoch>>,
+    baseline: Cell<Option<Baseline>>,
 }
 
 impl ConnHealth {
@@ -95,6 +100,7 @@ impl ConnHealth {
         ConnHealth {
             conn,
             epochs: RefCell::new(VecDeque::new()),
+            baseline: Cell::new(None),
         }
     }
 
@@ -194,6 +200,7 @@ impl ConnHealth {
             reconnects: count(HealthSignal::Reconnect),
             verb_errors: count(HealthSignal::VerbError),
             failovers: count(HealthSignal::Failover),
+            baseline: self.baseline.get(),
         }
     }
 }
@@ -229,6 +236,8 @@ pub struct ConnHealthReport {
     pub verb_errors: u64,
     /// Failovers to another replica in the window.
     pub failovers: u64,
+    /// The connection's captured healthy baseline, if any.
+    pub baseline: Option<Baseline>,
 }
 
 /// Fleet view: every connection's report, in connection order.
@@ -280,6 +289,15 @@ impl HealthHub {
                 .entry(conn)
                 .or_insert_with(|| Rc::new(ConnHealth::new(conn))),
         )
+    }
+
+    /// Captures every connection's window at `now` as its healthy
+    /// [`Baseline`], replacing any earlier capture; a connection with
+    /// too few calls gets none.
+    pub fn capture_baselines(&self, now: SimTime) {
+        for c in self.conns.borrow().values() {
+            c.baseline.set(Baseline::of(&c.report(now)));
+        }
     }
 
     /// Merges every connection's window into one fleet report.
@@ -440,11 +458,18 @@ impl CoreSkewReport {
 
 /// Calls a window needs before it can be a [`Baseline`].
 const MIN_BASELINE_CALLS: u64 = 16;
+/// A core must execute more than this many times the per-core mean
+/// served count before [`AnomalyKind::CoreImbalance`] fires.
+const CORE_FACTOR: f64 = 2.0;
+/// Total served work below which core-skew comparisons stay quiet (an
+/// idle server has no meaningful balance).
+const CORE_MIN_SERVED: u64 = 64;
 
-/// The frozen healthy reference of one connection: what the anomaly
-/// detector and the replica scorer in `rfp-core` compare later windows
-/// against, under the same thresholds — so a replica the doctor would
-/// flag is also one the router de-prefers.
+/// The healthy reference of one connection, captured once into its
+/// [`ConnHealth`] and carried by each of its reports. The anomaly
+/// detector ([`scan`]) and the replica scorer in `rfp-core` read it
+/// through the same rules, so a replica the doctor would flag is also
+/// one the router de-prefers.
 #[derive(Copy, Clone, Debug)]
 pub struct Baseline {
     /// Healthy median latency (at least 1 ns, so ratios are defined).
@@ -462,6 +487,9 @@ impl Baseline {
     /// A latency quantile regressed once it exceeds this many times its
     /// baseline.
     pub const LATENCY_FACTOR: f64 = 3.0;
+    /// A regressed p99 must also exceed the baseline p99 by this much
+    /// (absolute guard against flagging noise around tiny baselines).
+    const LATENCY_SLACK_NS: u64 = 2_000;
     /// Retry rate must exceed `baseline * RETRY_FACTOR + RETRY_MARGIN`.
     const RETRY_FACTOR: f64 = 3.0;
     /// Absolute retry-rate slack (extra retries per call).
@@ -469,12 +497,19 @@ impl Baseline {
 
     /// `report` as a baseline, or `None` when it holds too few calls to
     /// be one.
-    pub fn of(report: &ConnHealthReport) -> Option<Baseline> {
+    fn of(report: &ConnHealthReport) -> Option<Baseline> {
         (report.calls >= MIN_BASELINE_CALLS).then(|| Baseline {
             p50_ns: report.p50_ns.max(1),
             p99_ns: report.p99_ns.max(1),
             retry_rate: report.retry_rate,
         })
+    }
+
+    /// Whether `report`'s p99 regressed past this baseline: beyond
+    /// `LATENCY_FACTOR` times its p99, and `LATENCY_SLACK_NS` above it.
+    pub fn tail_regressed(&self, report: &ConnHealthReport) -> bool {
+        report.p99_ns as f64 > Self::LATENCY_FACTOR * self.p99_ns as f64
+            && report.p99_ns > self.p99_ns + Self::LATENCY_SLACK_NS
     }
 
     /// Whether `report`'s retry rate spiked past this baseline.
@@ -483,179 +518,136 @@ impl Baseline {
     }
 }
 
-/// Compares health reports against a captured [`Baseline`] per
-/// connection.
-#[derive(Default)]
-pub struct AnomalyDetector {
-    baselines: RefCell<BTreeMap<u32, Baseline>>,
-}
-
-/// Fixed detection thresholds. All comparisons are deterministic pure
-/// functions of the two reports, so the same run always yields the same
-/// anomaly list. The counter anomalies (corruption, shedding, credit
-/// starvation, stuck slot, connection drop, failover) have no threshold
-/// to tune: a clean run books none of those signals, so the first
-/// occurrence in a window is the anomaly.
-impl AnomalyDetector {
-    /// A regressed p99 must also exceed `baseline_p99 +
-    /// LATENCY_SLACK_NS` (absolute guard against flagging noise around
-    /// tiny baselines).
-    const LATENCY_SLACK_NS: u64 = 2_000;
-    /// A core must execute more than this many times the per-core mean
-    /// served count before [`AnomalyKind::CoreImbalance`] fires.
-    const CORE_FACTOR: f64 = 2.0;
-    /// Total served work below which core-skew comparisons stay quiet
-    /// (an idle server has no meaningful balance).
-    const CORE_MIN_SERVED: u64 = 64;
-
-    /// Creates a detector with no baseline.
-    pub fn new() -> Self {
-        AnomalyDetector::default()
-    }
-
-    /// Captures `report` as the healthy baseline (replacing any prior
-    /// capture per connection; a connection with too few calls has
-    /// none).
-    pub fn set_baseline(&self, report: &HealthReport) {
-        let mut baselines = self.baselines.borrow_mut();
-        for c in &report.conns {
-            match Baseline::of(c) {
-                Some(b) => baselines.insert(c.conn, b),
-                None => baselines.remove(&c.conn),
-            };
-        }
-    }
-
-    /// Scans a report; returns the anomalies it trips, ordered by
-    /// connection then kind.
-    pub fn scan(&self, report: &HealthReport) -> Vec<Anomaly> {
-        let baselines = self.baselines.borrow();
-        // Fleet-wide hard-root screen for the gray-failure rule: a
-        // saturated or crashing server sheds/errors on *some* conns
-        // while merely slowing its siblings, and those siblings'
-        // regressions are not rootless — the root is just booked one
-        // conn over. Gray means no hard root anywhere in the window.
-        let hard_root = report.conns.iter().any(|c| {
-            c.verb_errors + c.reconnects + c.corrupts + c.sheds + c.busys + c.failovers > 0
-        });
-        let mut out = Vec::new();
-        for c in &report.conns {
-            let mut hit = |kind: AnomalyKind, detail: String| {
-                out.push(Anomaly {
-                    at: report.at,
-                    conn: c.conn,
-                    kind,
-                    detail,
-                });
-            };
-            if let Some(b) = baselines.get(&c.conn) {
-                if c.calls >= Baseline::MIN_WINDOW_CALLS {
-                    let threshold = (b.p99_ns as f64 * Baseline::LATENCY_FACTOR) as u64;
-                    if c.p99_ns > threshold && c.p99_ns > b.p99_ns + Self::LATENCY_SLACK_NS {
-                        hit(
-                            AnomalyKind::LatencyRegression,
-                            format!("p99 {}ns vs baseline {}ns", c.p99_ns, b.p99_ns),
-                        );
-                        // A regression with no hard root in the same
-                        // window (no drops, no corruption, no shedding,
-                        // no failover — on this conn or any sibling) is
-                        // a gray failure: the replica is
-                        // degraded-but-alive and nothing else will flag
-                        // it.
-                        if !hard_root {
-                            hit(
-                                AnomalyKind::GrayFailure,
-                                format!(
-                                    "p99 {}ns vs baseline {}ns with no drop/crash root",
-                                    c.p99_ns, b.p99_ns
-                                ),
-                            );
-                        }
-                    }
-                    if b.retry_spike(c) {
-                        hit(
-                            AnomalyKind::RetrySpike,
-                            format!(
-                                "retry rate {:.2}/call vs baseline {:.2}/call",
-                                c.retry_rate, b.retry_rate
-                            ),
-                        );
-                    }
+/// Scans a fleet report against each connection's own [`Baseline`];
+/// returns the anomalies it trips, ordered by connection then kind.
+///
+/// A pure function of the report, so the same run always yields the
+/// same anomaly list. The counter anomalies (corruption, shedding,
+/// credit starvation, stuck slot, connection drop, failover) have no
+/// threshold to tune: a clean run books none of those signals, so the
+/// first occurrence in a window is the anomaly.
+pub fn scan(report: &HealthReport) -> Vec<Anomaly> {
+    // Fleet-wide hard-root screen for the gray-failure rule: a
+    // saturated or crashing server sheds/errors on *some* conns while
+    // merely slowing its siblings, and those siblings' regressions are
+    // not rootless — the root is just booked one conn over. Gray means
+    // no hard root anywhere in the window.
+    let hard_root = report
+        .conns
+        .iter()
+        .any(|c| c.verb_errors + c.reconnects + c.corrupts + c.sheds + c.busys + c.failovers > 0);
+    let mut out = Vec::new();
+    for c in &report.conns {
+        let mut hit = |kind: AnomalyKind, detail: String| {
+            out.push(Anomaly {
+                at: report.at,
+                conn: c.conn,
+                kind,
+                detail,
+            });
+        };
+        if let Some(b) = c.baseline.filter(|_| c.calls >= Baseline::MIN_WINDOW_CALLS) {
+            if b.tail_regressed(c) {
+                hit(
+                    AnomalyKind::LatencyRegression,
+                    format!("p99 {}ns vs baseline {}ns", c.p99_ns, b.p99_ns),
+                );
+                // A regression with no hard root in the same window (no
+                // drops, no corruption, no shedding, no failover — on
+                // this conn or any sibling) is a gray failure: the
+                // replica is degraded-but-alive and nothing else will
+                // flag it.
+                if !hard_root {
+                    hit(
+                        AnomalyKind::GrayFailure,
+                        format!(
+                            "p99 {}ns vs baseline {}ns with no drop/crash root",
+                            c.p99_ns, b.p99_ns
+                        ),
+                    );
                 }
             }
-            if c.corrupts > 0 {
+            if b.retry_spike(c) {
                 hit(
-                    AnomalyKind::CorruptionBurst,
-                    format!("{} fetches failed integrity verification", c.corrupts),
-                );
-            }
-            if c.sheds + c.busys > 0 {
-                hit(
-                    AnomalyKind::OverloadShedding,
-                    format!("{} shed + {} busy verdicts", c.sheds, c.busys),
-                );
-            }
-            if c.credit_waits > 0 {
-                hit(
-                    AnomalyKind::CreditStarvation,
-                    format!("{} zero-credit pauses", c.credit_waits),
-                );
-            }
-            if c.stalls > 0 {
-                hit(
-                    AnomalyKind::StuckSlot,
-                    format!("{} slots overran the retry budget", c.stalls),
-                );
-            }
-            if c.verb_errors + c.reconnects > 0 {
-                hit(
-                    AnomalyKind::ConnectionDrop,
-                    format!("{} verb errors, {} reconnects", c.verb_errors, c.reconnects),
-                );
-            }
-            if c.failovers > 0 {
-                hit(
-                    AnomalyKind::Failover,
-                    format!("{} replica failovers", c.failovers),
+                    AnomalyKind::RetrySpike,
+                    format!(
+                        "retry rate {:.2}/call vs baseline {:.2}/call",
+                        c.retry_rate, b.retry_rate
+                    ),
                 );
             }
         }
-        out
+        if c.corrupts > 0 {
+            hit(
+                AnomalyKind::CorruptionBurst,
+                format!("{} fetches failed integrity verification", c.corrupts),
+            );
+        }
+        if c.sheds + c.busys > 0 {
+            hit(
+                AnomalyKind::OverloadShedding,
+                format!("{} shed + {} busy verdicts", c.sheds, c.busys),
+            );
+        }
+        if c.credit_waits > 0 {
+            hit(
+                AnomalyKind::CreditStarvation,
+                format!("{} zero-credit pauses", c.credit_waits),
+            );
+        }
+        if c.stalls > 0 {
+            hit(
+                AnomalyKind::StuckSlot,
+                format!("{} slots overran the retry budget", c.stalls),
+            );
+        }
+        if c.verb_errors + c.reconnects > 0 {
+            hit(
+                AnomalyKind::ConnectionDrop,
+                format!("{} verb errors, {} reconnects", c.verb_errors, c.reconnects),
+            );
+        }
+        if c.failovers > 0 {
+            hit(
+                AnomalyKind::Failover,
+                format!("{} replica failovers", c.failovers),
+            );
+        }
     }
+    out
+}
 
-    /// Scans a per-core load rollup for a hot core. Fires one
-    /// [`AnomalyKind::CoreImbalance`] on the hottest core when its
-    /// executed share exceeds `CORE_FACTOR` times the per-core mean —
-    /// EREW skew that stealing failed to (or was not allowed to)
-    /// level. Idle servers (below `CORE_MIN_SERVED` total) and
-    /// single-core servers never fire.
-    pub fn scan_cores(&self, skew: &CoreSkewReport) -> Vec<Anomaly> {
-        if skew.cores.len() < 2 || skew.total_served() < Self::CORE_MIN_SERVED {
-            return Vec::new();
-        }
-        let imbalance = skew.imbalance();
-        if imbalance <= Self::CORE_FACTOR {
-            return Vec::new();
-        }
-        let hot = skew
-            .hottest()
-            .expect("non-empty core set has a hottest core");
-        vec![Anomaly {
-            at: skew.at,
-            conn: hot.core,
-            kind: AnomalyKind::CoreImbalance,
-            detail: format!(
-                "core {} executed {} of {} ({:.2}x the per-core mean; \
-                 queue depth {}, {} stolen away)",
-                hot.core,
-                hot.served,
-                skew.total_served(),
-                imbalance,
-                hot.queue_depth,
-                hot.stolen,
-            ),
-        }]
+/// Scans a per-core load rollup for a hot core. Fires one
+/// [`AnomalyKind::CoreImbalance`] on the hottest core when its executed
+/// share exceeds `CORE_FACTOR` times the per-core mean — EREW skew that
+/// stealing failed to (or was not allowed to) level. Idle servers
+/// (below `CORE_MIN_SERVED` total) and single-core servers never fire.
+pub fn scan_cores(skew: &CoreSkewReport) -> Vec<Anomaly> {
+    if skew.cores.len() < 2 || skew.total_served() < CORE_MIN_SERVED {
+        return Vec::new();
     }
+    let imbalance = skew.imbalance();
+    if imbalance <= CORE_FACTOR {
+        return Vec::new();
+    }
+    let hot = skew
+        .hottest()
+        .expect("non-empty core set has a hottest core");
+    vec![Anomaly {
+        at: skew.at,
+        conn: hot.core,
+        kind: AnomalyKind::CoreImbalance,
+        detail: format!(
+            "core {} executed {} of {} ({:.2}x the per-core mean; \
+             queue depth {}, {} stolen away)",
+            hot.core,
+            hot.served,
+            skew.total_served(),
+            imbalance,
+            hot.queue_depth,
+            hot.stolen,
+        ),
+    }]
 }
 
 /// A dump-on-anomaly bundle: the anomaly, the triggering window's
@@ -775,26 +767,40 @@ mod tests {
 
     fn baseline_and_window(
         h: &HealthHub,
-        det: &AnomalyDetector,
         degrade: impl Fn(&Rc<ConnHealth>, SimTime),
     ) -> Vec<Anomaly> {
         let c = h.conn(0);
         for i in 0..32u64 {
             c.record_call(t(i), SimSpan::micros(2), 0);
         }
-        det.set_baseline(&h.report(t(40)));
+        h.capture_baselines(t(40));
         // Move past the 1.6 ms window so the baseline epochs rotate out.
         for i in 0..8u64 {
             degrade(&c, t(2_000 + i));
         }
-        det.scan(&h.report(t(2_010)))
+        scan(&h.report(t(2_010)))
+    }
+
+    #[test]
+    fn capture_keeps_one_baseline_per_connection() {
+        let h = HealthHub::default();
+        for i in 0..16u64 {
+            h.conn(0).record_call(t(i), SimSpan::micros(2), 0);
+        }
+        h.conn(1).record_call(t(1), SimSpan::micros(2), 0);
+        assert!(h.report(t(20)).conns.iter().all(|c| c.baseline.is_none()));
+        h.capture_baselines(t(20));
+        // Reports carry the capture long after its window rotated out;
+        // a connection too thin at capture time has none.
+        let later = h.report(t(5_000));
+        assert_eq!(later.conn(0).unwrap().baseline.unwrap().p99_ns, 2_000);
+        assert!(later.conn(1).unwrap().baseline.is_none());
     }
 
     #[test]
     fn latency_regression_detected() {
         let h = HealthHub::default();
-        let det = AnomalyDetector::new();
-        let anomalies = baseline_and_window(&h, &det, |c, at| {
+        let anomalies = baseline_and_window(&h, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0);
         });
         assert!(
@@ -808,10 +814,9 @@ mod tests {
     #[test]
     fn rootless_latency_regression_is_flagged_gray() {
         let h = HealthHub::default();
-        let det = AnomalyDetector::new();
         // Slow calls and nothing else: no drops, no corruption, no
         // shedding — the degraded-but-alive signature.
-        let anomalies = baseline_and_window(&h, &det, |c, at| {
+        let anomalies = baseline_and_window(&h, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0);
         });
         assert!(
@@ -823,12 +828,11 @@ mod tests {
     #[test]
     fn regression_with_a_sibling_conn_root_is_not_gray() {
         let h = HealthHub::default();
-        let det = AnomalyDetector::new();
         // Conn 0 regresses cleanly, but conn 1 sheds in the same
         // window: the fleet has a hard root (a saturated server books
         // its pushback wherever the rejected calls ran), so conn 0's
         // slowdown is not gray.
-        let anomalies = baseline_and_window(&h, &det, |c, at| {
+        let anomalies = baseline_and_window(&h, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0);
             h.conn(1).record(at, HealthSignal::Shed);
         });
@@ -847,8 +851,7 @@ mod tests {
     #[test]
     fn regression_with_a_drop_root_is_not_gray() {
         let h = HealthHub::default();
-        let det = AnomalyDetector::new();
-        let anomalies = baseline_and_window(&h, &det, |c, at| {
+        let anomalies = baseline_and_window(&h, |c, at| {
             c.record_call(at, SimSpan::micros(50), 0);
             c.record(at, HealthSignal::VerbError);
         });
@@ -867,8 +870,7 @@ mod tests {
     #[test]
     fn retry_spike_detected() {
         let h = HealthHub::default();
-        let det = AnomalyDetector::new();
-        let anomalies = baseline_and_window(&h, &det, |c, at| {
+        let anomalies = baseline_and_window(&h, |c, at| {
             c.record_call(at, SimSpan::micros(2), 10);
         });
         assert!(
@@ -887,8 +889,7 @@ mod tests {
     #[test]
     fn clean_window_is_quiet() {
         let h = HealthHub::default();
-        let det = AnomalyDetector::new();
-        let anomalies = baseline_and_window(&h, &det, |c, at| {
+        let anomalies = baseline_and_window(&h, |c, at| {
             c.record_call(at, SimSpan::micros(2), 0);
         });
         assert!(anomalies.is_empty(), "{anomalies:?}");
@@ -897,7 +898,6 @@ mod tests {
     #[test]
     fn counter_anomalies_need_no_baseline() {
         let h = HealthHub::default();
-        let det = AnomalyDetector::new();
         let c = h.conn(1);
         for signal in [
             HealthSignal::Corrupt,
@@ -908,7 +908,7 @@ mod tests {
         ] {
             c.record(t(5), signal);
         }
-        let kinds: Vec<AnomalyKind> = det.scan(&h.report(t(10))).iter().map(|a| a.kind).collect();
+        let kinds: Vec<AnomalyKind> = scan(&h.report(t(10))).iter().map(|a| a.kind).collect();
         assert_eq!(
             kinds,
             [

@@ -21,8 +21,7 @@
 //!   and the views beside it — a registry of hierarchically named
 //!   instruments ([`MetricsRegistry`]), per-request phase spans
 //!   ([`RequestTrace`], [`SpanRecorder`]) and rolling per-connection
-//!   health windows with anomaly detection ([`HealthHub`],
-//!   [`AnomalyDetector`]).
+//!   health windows with anomaly detection ([`HealthHub`], [`scan`]).
 //!
 //! Determinism: all state lives on one OS thread; events that fire at the
 //! same virtual instant are dispatched in insertion order, so every run
@@ -64,7 +63,7 @@ pub use executor::{
     ChainSink, EventSink, ExecutorStats, Lane, Replan, SimHandle, Simulation, Sleep, Wakeup,
 };
 pub use health::{
-    Anomaly, AnomalyDetector, AnomalyKind, Baseline, ConnHealth, ConnHealthReport, CoreLoad,
+    scan, scan_cores, Anomaly, AnomalyKind, Baseline, ConnHealth, ConnHealthReport, CoreLoad,
     CoreSkewReport, DumpBundle, HealthHub, HealthReport, HealthSignal,
 };
 pub use metrics::{Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
