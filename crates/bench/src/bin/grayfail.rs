@@ -31,7 +31,6 @@
 
 use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
-use rfp_core::GrayConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
@@ -101,10 +100,10 @@ fn plan_for(seed: u64, scenario: &str) -> Option<FaultPlan> {
     }
 }
 
-fn gray_for(mode: &str) -> Option<GrayConfig> {
+fn gray_for(mode: &str) -> bool {
     match mode {
-        "baseline" => None,
-        "routing" => Some(GrayConfig::default()),
+        "baseline" => false,
+        "routing" => true,
         other => panic!("unknown mode {other}"),
     }
 }

@@ -17,7 +17,7 @@
 //! `doctor` sweeps), [`ChaosConfig::failover`] (fail-*stop* faults, with
 //! a scheduled promotion of the backup) and [`ChaosConfig::grayfail`]
 //! (fail-*slow* faults, where what matters is whether the gray-failure
-//! subsystem — [`rfp_core::GrayConfig`] — keeps the read tail bounded).
+//! subsystem — [`FailoverConfig::gray`] — keeps the read tail bounded).
 //!
 //! The rig records several layers of evidence per run:
 //!
@@ -66,8 +66,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_core::{
-    connect, CoreSpec, FailoverConfig, FailureCause, GrayConfig, OverloadConfig, Reactor,
-    ReactorConfig, RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn, RfpTelemetry,
+    connect, CoreSpec, FailoverConfig, FailureCause, OverloadConfig, Reactor, ReactorConfig,
+    RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn, RfpTelemetry,
 };
 use rfp_kvstore::replica::{
     backup_serve_loop, primary_serve_loop, BackupRole, PrimaryRole, ReplicationConfig,
@@ -151,7 +151,7 @@ impl Default for ChaosConfig {
                     seed: 0xC0DE,
                     ..RecoveryConfig::default()
                 },
-                gray: None,
+                gray: false,
             },
             reactor_steal: false,
             seed: 7,
@@ -167,7 +167,7 @@ fn short_retry(attempts: u32, salt: u64) -> FailoverConfig {
     let retry = RetryPolicy::exponential(attempts, SimSpan::micros(10), SimSpan::micros(200), 0.2);
     FailoverConfig {
         recovery: RecoveryConfig { retry, seed: salt },
-        gray: None,
+        gray: false,
     }
 }
 
@@ -506,7 +506,7 @@ pub fn spawn_chaos_kv(
     let backup_role = Rc::new(BackupRole::default());
     // Standby reads power scored routing: they come with the gray
     // subsystem.
-    let standby_reads = cfg.failover.gray.is_some();
+    let standby_reads = cfg.failover.gray;
     backup_role.standby_reads.set(standby_reads);
 
     let state = Rc::new(ChaosState::new(cfg.clients, cfg.keys_per_client));
@@ -591,9 +591,7 @@ pub fn spawn_chaos_kv(
                             seed: derive_seed(cfg.seed, cfg.failover.recovery.seed + c as u64),
                             ..cfg.failover.recovery.clone()
                         },
-                        gray: cfg.failover.gray.as_ref().map(|g| GrayConfig {
-                            seed: derive_seed(g.seed, c as u64),
-                        }),
+                        gray: cfg.failover.gray,
                     },
                 ));
                 routers.push(Rc::clone(&router));

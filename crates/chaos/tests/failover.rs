@@ -119,14 +119,14 @@ fn crash_runs_are_deterministic_per_seed() {
 /// Returns the simulation with the rig, so its tasks outlive the
 /// asserts.
 fn composed(factor: f64, crash_at: SimTime) -> (Simulation, ChaosConfig, ChaosKv) {
-    use rfp_core::{FailoverConfig, GrayConfig};
+    use rfp_core::FailoverConfig;
 
     let seed = 45;
     let cfg = ChaosConfig {
         keys_per_client: 8,
         ops_per_client: 200,
         failover: FailoverConfig {
-            gray: Some(GrayConfig::default()),
+            gray: true,
             ..ChaosConfig::failover().failover
         },
         seed,

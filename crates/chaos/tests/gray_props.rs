@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
-use rfp_core::{FailoverConfig, GrayConfig};
+use rfp_core::FailoverConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
@@ -50,7 +50,7 @@ fn small_cfg(seed: u64) -> ChaosConfig {
         keys_per_client: 4,
         ops_per_client: 300,
         failover: FailoverConfig {
-            gray: Some(GrayConfig::default()),
+            gray: true,
             ..ChaosConfig::grayfail().failover
         },
         seed,
@@ -127,7 +127,7 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         keys_per_client: 32,
         ops_per_client: 2_000,
         failover: FailoverConfig {
-            gray: Some(GrayConfig::default()),
+            gray: true,
             ..ChaosConfig::grayfail().failover
         },
         seed,

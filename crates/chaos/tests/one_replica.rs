@@ -77,7 +77,7 @@ fn run(routed: bool, plan: Option<&FaultPlan>) -> Fingerprint {
         vec![Rc::clone(&client)],
         FailoverConfig {
             recovery: recovery.clone(),
-            gray: None,
+            gray: false,
         },
     );
     let outcomes = Rc::new(RefCell::new(Vec::new()));

@@ -1,7 +1,7 @@
 //! Replica-aware call routing: failover across a static replica list,
 //! plus the gray-failure mitigations of DESIGN.md "Scored routing"
 //! (health-scored routing, retry budgets) — present iff
-//! [`FailoverConfig::gray`] is.
+//! [`FailoverConfig::gray`] is set.
 //!
 //! A replicated service exposes the same RPC endpoint on every replica;
 //! the client keeps one established [`RfpClient`] connection per
@@ -62,10 +62,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_rnic::ThreadCtx;
-use rfp_simnet::SimSpan;
+use rfp_simnet::{derive_seed, SimSpan};
 
 use crate::client::{CallResult, RfpClient};
-use crate::gray::{self, GrayConfig, RetryBudget, DEMOTE_BELOW, PROBE_EVERY, RECENT_EPOCHS};
+use crate::gray::{self, RetryBudget, DEMOTE_BELOW, PROBE_EVERY, RECENT_EPOCHS};
 use crate::header::RespStatus;
 use crate::observe::incident;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
@@ -75,6 +75,9 @@ use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
 /// replica cannot re-poison the routed tail (worst case 0.5% of reads
 /// at a score just under the default threshold).
 const DEPREF_KEEP_PER_SCORE: f64 = 0.01;
+/// Salt of the de-preference draw stream off the recovery policy's
+/// seed, so the router's draws never share the recovery jitter's.
+const DEPREF_SALT: u64 = 0x6B4A_9E21;
 
 /// Overload is not failure: a `Busy`/`Shed` verdict means the replica
 /// is alive and pushing back.
@@ -97,8 +100,10 @@ pub struct FailoverConfig {
     /// Recovery policy (per-attempt deadline, backoff, reconnect)
     /// applied on whichever replica is active.
     pub recovery: RecoveryConfig,
-    /// Gray-failure mitigations, when the router runs them.
-    pub gray: Option<GrayConfig>,
+    /// Run the gray-failure mitigations: scored routing and the retry
+    /// budget. The de-preference draws are seeded from
+    /// `recovery.seed`.
+    pub gray: bool,
 }
 
 /// Routes fault-tolerant calls across a static list of replicas.
@@ -139,7 +144,7 @@ impl ReplicaClient {
         assert!(!replicas.is_empty(), "router needs at least one replica");
         let demoted = replicas.iter().map(|_| Cell::new(false)).collect();
         // Only a gray router ever draws from it.
-        let seed = cfg.gray.as_ref().map_or(0, |g| g.seed);
+        let seed = derive_seed(cfg.recovery.seed, DEPREF_SALT);
         let depref_rng = RefCell::new(StdRng::seed_from_u64(seed));
         ReplicaClient {
             replicas,
@@ -217,7 +222,7 @@ impl ReplicaClient {
         idx: usize,
     ) -> Result<CallResult, RpcError> {
         let client = self.seeded(idx);
-        if self.cfg.gray.is_none() {
+        if !self.cfg.gray {
             return client
                 .call_with_recovery(thread, req, &self.cfg.recovery)
                 .await;
@@ -284,7 +289,7 @@ impl ReplicaClient {
                     // A failover switch resubmits elsewhere — it draws
                     // a token like any other retry so a storm cannot
                     // amplify through rotation.
-                    if self.cfg.gray.is_some() && self.budget.reserve(1) == 0 {
+                    if self.cfg.gray && self.budget.reserve(1) == 0 {
                         self.replicas[idx].note_recovery(
                             thread,
                             incident::BUDGET_DENIED,
@@ -407,7 +412,7 @@ impl ReplicaClient {
     ///
     /// Without the subsystem this is [`call`](ReplicaClient::call).
     pub async fn call_read(&self, thread: &ThreadCtx, req: &[u8]) -> Result<CallResult, RpcError> {
-        if self.cfg.gray.is_none() || self.replicas.len() < 2 {
+        if !self.cfg.gray || self.replicas.len() < 2 {
             return self.call(thread, req).await;
         }
         let target = self.route_read(thread);

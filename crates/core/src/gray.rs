@@ -21,7 +21,7 @@
 //!   retry, never the first attempt).
 //!
 //! The subsystem is present iff [`FailoverConfig::gray`](crate::FailoverConfig::gray)
-//! is `Some`; scored routing and the budget are what gray mode *is*.
+//! is set; scored routing and the budget are what gray mode *is*.
 
 use std::cell::Cell;
 
@@ -41,22 +41,6 @@ pub(crate) const DEMOTE_BELOW: f64 = 0.5;
 /// of routed reads, so a demoted replica cannot drag the read p99 back
 /// up (p99 tolerates 1% of slow samples).
 pub(crate) const PROBE_EVERY: u64 = 256;
-
-/// Tunables of the gray-failure subsystem, carried by `FailoverConfig`
-/// when the router runs it.
-#[derive(Clone, Debug)]
-pub struct GrayConfig {
-    /// Seed of the router's de-preference draw stream (private
-    /// `StdRng`, never the simulation RNG — scoring decisions do not
-    /// perturb unrelated event timing).
-    pub seed: u64,
-}
-
-impl Default for GrayConfig {
-    fn default() -> Self {
-        GrayConfig { seed: 0x6B4A_9E21 }
-    }
-}
 
 /// Scores one replica's current health window, `report`, in 0..=1
 /// (1 = healthy), with `recent` the same window's newest
@@ -437,6 +421,6 @@ mod tests {
 
     #[test]
     fn gray_config_defaults_are_dormant() {
-        assert!(crate::FailoverConfig::default().gray.is_none());
+        assert!(!crate::FailoverConfig::default().gray);
     }
 }

@@ -84,7 +84,7 @@ mod tuner;
 pub use client::{CallInfo, CallLatency, CallPolicy, CallResult, ClientStats, RfpClient};
 pub use conn::{connect, Mode, RfpConfig, RfpServerConn, RfpTelemetry};
 pub use failover::{FailoverConfig, ReplicaClient};
-pub use gray::{GrayConfig, RetryBudget};
+pub use gray::RetryBudget;
 pub use header::{
     resp_canary, slot_of, ReqHeader, RespHeader, RespIntegrity, RespStatus, MAX_PAYLOAD, REQ_HDR,
     RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,

@@ -5,8 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rfp_core::{
-    connect, serve_loop, FailoverConfig, GrayConfig, RecoveryConfig, ReplicaClient, RfpConfig,
-    RfpServerConn,
+    connect, serve_loop, FailoverConfig, RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn,
 };
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{FlightRecorder, HealthHub, RetryPolicy, SimSpan, SimTime, Simulation};
@@ -34,15 +33,15 @@ fn short_recovery() -> RecoveryConfig {
 }
 
 fn rig() -> Rig {
-    rig_of(2, None)
+    rig_of(2, false)
 }
 
-fn rig_of(servers: usize, gray: Option<GrayConfig>) -> Rig {
+fn rig_of(servers: usize, gray: bool) -> Rig {
     let mut sim = Simulation::new(23);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 1 + servers);
     let client_m = cluster.machine(0);
     let recorder = FlightRecorder::new(256);
-    let health = gray.is_some().then(HealthHub::default);
+    let health = gray.then(HealthHub::default);
     let mut replicas = Vec::new();
     let mut server_conns = Vec::new();
     for s in 1..=servers {
@@ -198,7 +197,7 @@ fn single_replica_surfaces_the_first_exhausted_error() {
     // Runs one doomed call, through the router or straight on its
     // connection, and returns the rig, the error and when it surfaced.
     let doomed = |routed: bool| {
-        let mut r = rig_of(1, None);
+        let mut r = rig_of(1, false);
         r.cluster.machine(1).faults().set_crashed(true);
         let router = Rc::clone(&r.router);
         let t = Rc::clone(&r.client_thread);
@@ -277,7 +276,7 @@ fn call_read_without_the_stage_is_call() {
 /// sweep asserts on runs whose fail-slow faults never exhaust a call.
 #[test]
 fn retry_budget_bounds_a_storm_against_dead_replicas() {
-    let mut r = rig_of(2, Some(GrayConfig::default()));
+    let mut r = rig_of(2, true);
     // (attempts made, succeeded) per call.
     let calls = Rc::new(RefCell::new(Vec::new()));
     // Runs the calls `ids` one after another, then lets them settle.
@@ -329,7 +328,7 @@ fn retry_budget_bounds_a_storm_against_dead_replicas() {
 /// its client for the straggler's whole service time.
 #[test]
 fn the_first_read_after_a_demotion_goes_to_the_standby() {
-    let mut r = rig_of(2, Some(GrayConfig::default()));
+    let mut r = rig_of(2, true);
     let (router, t) = (Rc::clone(&r.router), Rc::clone(&r.client_thread));
     let (primary, standby) = (r.cluster.machine(1), Rc::clone(&r.server_conns[1]));
     let health = r.health.clone().expect("a gray rig books health");
