@@ -17,9 +17,13 @@ grep -qx 'unreferenced pub items: 0' <<<"$counts"
 grep -qx 'test-only pub types: 0' <<<"$counts"
 # DESIGN.md is one architecture chapter, not a log of changes
 # (CHANGES.md and EXPERIMENTS.md hold history and measurements): it
-# stays within 900 lines.
+# stays within 900 lines. README.md and EXPERIMENTS.md are capped at
+# their line counts when the caps came in, 296 and 495; a change that
+# cuts either file lowers its cap.
 awk '$1 " " $2 " " $3 == "doc lines: DESIGN.md" { seen = 1
-       if ($4 + 0 > 900) { print "DESIGN.md: " $4 + 0 " lines, over 900"; exit 1 } }
+       if ($4 + 0 > 900) { print "DESIGN.md: " $4 + 0 " lines, over 900"; exit 1 }
+       if ($6 + 0 > 495) { print "EXPERIMENTS.md: " $6 + 0 " lines, over 495"; exit 1 }
+       if ($8 + 0 > 296) { print "README.md: " $8 + 0 " lines, over 296"; exit 1 } }
      END { if (!seen) { print "count.sh printed no DESIGN.md line count"; exit 1 } }' <<<"$counts"
 
 cargo build --release
