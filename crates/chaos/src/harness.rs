@@ -125,7 +125,8 @@ pub struct ChaosConfig {
     /// Client-side router policy: the recovery policy per replica, and
     /// `gray`, the gray-failure subsystem. Its `recovery.seed` salts
     /// the clients' jitter streams: client `c` draws from
-    /// `derive_seed(seed, recovery.seed + c)`.
+    /// `derive_seed(seed, recovery.seed + c)`, and its router's
+    /// de-preference draws are salted off that.
     pub failover: FailoverConfig,
     /// Let the server's [`Reactor`] cores steal work from each other.
     /// Off by default; the cores chaos tests turn it on to prove the
