@@ -7,8 +7,10 @@
 //! (plus a small allowed set of incidental ones), and the clean
 //! baseline raises nothing at all. Each signature anomaly's
 //! dump-on-anomaly bundle must contain the originating `chaos.*` cause
-//! chain. Fully deterministic per seed: running twice with the same
-//! seed prints the same bytes.
+//! chain, and every chaos-rig row must pass the rig's judge
+//! (`ChaosKv::violations`): diagnosis never excuses a lost acked write
+//! or a stale read. Fully deterministic per seed: running twice with
+//! the same seed prints the same bytes.
 //!
 //! ```text
 //! cargo run --release -p rfp-bench --bin doctor [seed]
@@ -140,12 +142,12 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
     ]
 }
 
-/// The failover rig, with enough budget that the clients are still
+/// The failover rig, with an unbounded budget so the clients stay
 /// mid-workload through warm-up, fault window, and tail.
 fn failover_cfg(seed: u64) -> ChaosConfig {
     ChaosConfig {
         seed,
-        ops_per_client: 4_000,
+        ops_per_client: usize::MAX,
         ..ChaosConfig::failover()
     }
 }
@@ -175,8 +177,8 @@ fn detected(raised: &[AnomalyKind]) -> Vec<AnomalyKind> {
 }
 
 /// Runs one chaos-rig scenario through warm-up → baseline → fault
-/// window → scan, checks its detection matrix row and dump bundle, and
-/// runs out the tail.
+/// window → scan, checks its detection matrix row and dump bundle,
+/// runs out the tail and calls the rig's judge.
 fn diagnose(seed: u64, scenario: &Scenario) -> Row {
     let name = scenario.name;
     let mut sim = Simulation::new(seed);
@@ -255,8 +257,11 @@ fn diagnose(seed: u64, scenario: &Scenario) -> Row {
     }
 
     // Phase 3 — run out the tail so `completed` reflects a healed
-    // rig (the fault window is over; the fleet must keep serving).
+    // rig (the fault window is over; the fleet must keep serving), and
+    // hold the run to the invariants its rig promises.
     sim.run_for(SimSpan::millis(3));
+    let violations = rig.violations();
+    assert!(violations.is_empty(), "{name}: {violations:?}");
 
     let win = report.conns.first();
     Row {

@@ -132,11 +132,13 @@ fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row 
     sim.run_for(WINDOW);
 
     let st = &rig.state;
-    assert_eq!(
-        st.done_clients.get(),
-        cfg.clients,
-        "{scenario}/{mode}: a client never finished"
-    );
+    // Safety, the rig's judge: no acked write lost, no read runs
+    // backwards, every client finished, the history linearizes, and
+    // routing never double-applies a mutation — the primary applied at
+    // most one execution per issued PUT and every standby-refused
+    // mutation was provably unexecuted.
+    let violations = rig.violations();
+    assert!(violations.is_empty(), "{scenario}/{mode}: {violations:?}");
     let history = st.history();
     let linearizable = check_history(&history).is_ok();
     let reads = st.read_lats_since(MEASURE_FROM);
@@ -159,34 +161,6 @@ fn run_cell(seed: u64, &(scenario, mode): &(&'static str, &'static str)) -> Row 
             reads.len()
         );
     }
-    // Safety: no acked write lost, no read runs backwards, history
-    // linearizes, and routing never double-applies a mutation — the
-    // primary applied at most one execution per issued PUT and every
-    // standby-refused mutation was provably unexecuted.
-    assert_eq!(
-        st.lost_acked.get(),
-        0,
-        "{scenario}/{mode}: an acked write was lost"
-    );
-    assert_eq!(
-        st.stale_reads.get(),
-        0,
-        "{scenario}/{mode}: a read ran backwards"
-    );
-    assert!(
-        linearizable,
-        "{scenario}/{mode}: history failed the linearizability checker"
-    );
-    assert!(
-        rig.primary_role.applied_mutations.get() <= st.issued_puts.get(),
-        "{scenario}/{mode}: duplicate-applied mutation ({} applied, {} issued)",
-        rig.primary_role.applied_mutations.get(),
-        st.issued_puts.get()
-    );
-    assert!(
-        rig.primary_role.applied_mutations.get() >= st.acked_puts.get(),
-        "{scenario}/{mode}: acked more than applied"
-    );
     // Mitigation visibility: a faulted mitigated cell must demote the
     // gray replica through a flight-recorded `routing.demote` chain
     // (carrying the triggering health window) — the evidence the

@@ -41,6 +41,12 @@
 //!   [`issued_puts`](ChaosState::issued_puts) they prove that neither
 //!   retries nor failover double-apply a write.
 //!
+//! One judge, [`ChaosKv::violations`], reads that evidence and names
+//! every invariant the rig's configuration promises that the run broke.
+//! Every sweep and chaos test asserts through it; only bars particular
+//! to one sweep (recovery budgets, demotions, tail bounds) stay with
+//! their callers.
+//!
 //! Every PUT value is `client << 32 | version` with a per-client
 //! monotone version, so write values are globally unique and each key
 //! has exactly one writer. *Reads* either roam every client's keys or
@@ -70,7 +76,7 @@ use rfp_core::{
     RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn, RfpTelemetry,
 };
 use rfp_kvstore::replica::{
-    backup_serve_loop, primary_serve_loop, BackupRole, PrimaryRole, ReplicationConfig,
+    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
 };
 use rfp_kvstore::{kv_handler, partition_of, KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
@@ -78,7 +84,7 @@ use rfp_simnet::{
     derive_seed, FlightRecorder, HealthHub, Histogram, MetricsRegistry, RetryPolicy, Severity,
     SimSpan, SimTime, Simulation, SpanRecorder,
 };
-use rfp_workload::{HistEntry, RegOp};
+use rfp_workload::{check_history, HistEntry, RegOp};
 
 use crate::inject::{install, InjectorSinks, Restart};
 use crate::plan::{FaultKind, FaultPlan};
@@ -345,15 +351,6 @@ impl ChaosState {
         }
         hist.percentile(99.0).map(SimSpan::as_nanos)
     }
-
-    /// Largest number of operations landed on any single key.
-    pub fn max_ops_per_key(&self) -> usize {
-        let mut per_key: HashMap<u64, usize> = HashMap::new();
-        for e in self.history.borrow().iter() {
-            *per_key.entry(e.key).or_default() += 1;
-        }
-        per_key.values().copied().max().unwrap_or(0)
-    }
 }
 
 /// A running chaos rig.
@@ -387,9 +384,77 @@ pub struct ChaosKv {
     pub backup_role: Rc<BackupRole>,
     /// The backup's client-facing connections, which a promotion fences.
     backup_conns: Vec<Rc<RfpServerConn>>,
+    /// The replication ack policy; `None` on a one-replica rig.
+    ack: Option<AckPolicy>,
+    /// Whether each client stops after `ops_per_client` operations.
+    bounded: bool,
 }
 
 impl ChaosKv {
+    /// The judge: one line per invariant the rig's configuration
+    /// promises that this run broke, empty when the run is sound. Each
+    /// rule holds only under the condition its contract states:
+    ///
+    /// * **stale read** — no read runs backwards; always;
+    /// * **lost acked write** — no read misses an acked PUT, unless
+    ///   replication acks `Async`, whose acked-but-unshipped tail a
+    ///   primary crash may lose;
+    /// * **unfinished client** — every client ran out its op budget,
+    ///   when the budget is bounded;
+    /// * **history** — the history fits the checker's 128-op-per-key
+    ///   capacity and linearizes, when the budget is bounded, no cold
+    ///   wipe legitimately erased acked data and acks are not `Async`;
+    /// * **apply ledger**, on a replicated rig — the primary applied
+    ///   every acked PUT, unless the backup was promoted (its applies
+    ///   are not in the primary's ledger); and no more PUTs than were
+    ///   issued, unless a write could legitimately re-execute: some
+    ///   router returned to a replica it had left (as many switches as
+    ///   replicas), or a replica restarted (the response buffer's seq
+    ///   dedups only *answered* requests, so the one caught between
+    ///   apply and respond runs again).
+    ///
+    /// It only reads: calling it changes nothing simulated.
+    pub fn violations(&self) -> Vec<String> {
+        let st = &self.state;
+        let async_ack = self.ack == Some(AckPolicy::Async);
+        let mut out = Vec::new();
+        let stale = st.stale_reads.get();
+        if stale > 0 {
+            out.push(format!("stale read: {stale} reads ran backwards"));
+        }
+        let lost = st.lost_acked.get();
+        if lost > 0 && !async_ack {
+            out.push(format!(
+                "lost acked write: {lost} reads missed an acked PUT"
+            ));
+        }
+        if self.bounded {
+            let (done, clients) = (st.done_clients.get(), st.issued.len());
+            if done < clients {
+                out.push(format!("unfinished client: {done} of {clients} finished"));
+            }
+            if st.wipes.get() == 0 && !async_ack {
+                if let Err(e) = check_history(&st.history.borrow()) {
+                    out.push(format!("history: {e}"));
+                }
+            }
+        }
+        if self.ack.is_some() {
+            let applied = self.primary_role.applied_mutations.get();
+            let (acked, issued) = (st.acked_puts.get(), st.issued_puts.get());
+            if applied < acked && st.promoted_at.get().is_none() {
+                out.push(format!("apply ledger: {applied} applied < {acked} acked"));
+            }
+            // A replicated rig is a pair: a router's second switch
+            // took it back to the replica it first left.
+            let returned = self.routers.iter().any(|r| r.failovers() >= 2);
+            if applied > issued && !returned && st.restarts.get() == 0 {
+                out.push(format!("apply ledger: {applied} applied > {issued} issued"));
+            }
+        }
+        out
+    }
+
     /// Maximum time from a fault's onset to a client's next completed
     /// call, if a fault fired.
     pub fn max_recovery_time(&self) -> Option<SimSpan> {
@@ -811,6 +876,8 @@ pub fn spawn_chaos_kv(
         primary_role,
         backup_role,
         backup_conns,
+        ack: cfg.replication.as_ref().map(|r| r.ack),
+        bounded: cfg.ops_per_client != usize::MAX,
     }
 }
 
@@ -830,5 +897,57 @@ mod tests {
         // Only the GETs started at or after 1 ns count: nine samples
         // are too few.
         assert_eq!(st.read_p99_since(SimTime::from_nanos(1)), None);
+    }
+
+    /// A bounded, replicated, fault-free run is sound, and each breach
+    /// planted into its evidence makes the judge name exactly that
+    /// rule.
+    #[test]
+    fn the_judge_names_each_planted_violation() {
+        let cfg = ChaosConfig {
+            seed: 41,
+            ..ChaosConfig::failover()
+        };
+        let mut sim = Simulation::new(cfg.seed);
+        let rig = spawn_chaos_kv(&mut sim, &cfg, None);
+        sim.run_for(SimSpan::millis(30));
+        assert_eq!(rig.violations(), Vec::<String>::new());
+
+        let (st, applied) = (&rig.state, &rig.primary_role.applied_mutations);
+        let names = |rule: &str| {
+            let found = rig.violations();
+            assert!(
+                found.len() == 1 && found[0].starts_with(rule),
+                "{rule}: judged {found:?}"
+            );
+        };
+        st.stale_reads.set(1);
+        names("stale read");
+        st.stale_reads.set(0);
+        st.lost_acked.set(1);
+        names("lost acked write");
+        st.lost_acked.set(0);
+        st.done_clients.set(cfg.clients - 1);
+        names("unfinished client");
+        st.done_clients.set(cfg.clients);
+        // A read of a value no client ever wrote.
+        st.history.borrow_mut().push(HistEntry {
+            key: 0,
+            client: 0,
+            start: 0,
+            end: Some(1),
+            op: RegOp::Read(Some(u64::MAX)),
+        });
+        names("history");
+        st.history.borrow_mut().pop();
+        let sound = applied.get();
+        applied.set(st.issued_puts.get() + 1);
+        names("apply ledger: ");
+        assert!(rig.violations()[0].contains("issued"));
+        applied.set(st.acked_puts.get() - 1);
+        names("apply ledger: ");
+        assert!(rig.violations()[0].contains("acked"));
+        applied.set(sound);
+        assert_eq!(rig.violations(), Vec::<String>::new());
     }
 }

@@ -11,9 +11,11 @@
 //! under chaos replays under a debugger, fault for fault.
 //!
 //! The bundled rig drives a Jakiro-style key-value store through
-//! [`rfp_core::ReplicaClient`] routers and checks the recovery
+//! [`rfp_core::ReplicaClient`] routers and books the recovery
 //! invariants online (no acked write lost, no stale read) while
-//! recording linearizability-checkable histories. Its one-replica
+//! recording linearizability-checkable histories; its one judge,
+//! [`ChaosKv::violations`], holds a run to every invariant the rig's
+//! configuration promises. Its one-replica
 //! preset carries the `chaos` and `doctor` sweeps; its primary/backup
 //! presets, [`ChaosConfig::failover`] and [`ChaosConfig::grayfail`],
 //! carry the `failover` and `grayfail` sweeps.

@@ -46,16 +46,9 @@ fn warm_restart_under_stealing_loses_no_acked_put() {
     sim.run_for(SimSpan::millis(6));
 
     assert_eq!(rig.state.restarts.get(), 1, "exactly one restart cycle");
-    assert_eq!(
-        rig.state.lost_acked.get(),
-        0,
-        "an acked PUT vanished across a warm restart under stealing"
-    );
-    assert_eq!(
-        rig.state.stale_reads.get(),
-        0,
-        "a GET surfaced a version older than the last acked PUT"
-    );
+    // No acked PUT vanished across the warm restart under stealing, and
+    // no GET ran backwards.
+    assert_eq!(rig.violations(), Vec::<String>::new());
     assert!(
         rig.state.completed.get() > before,
         "clients must make progress after the restart"
@@ -99,8 +92,7 @@ fn stealing_rig_actually_steals_and_stays_linearizable() {
         steals > 0,
         "the cores chaos workload must exercise the steal path"
     );
-    assert_eq!(rig.state.lost_acked.get(), 0);
-    assert_eq!(rig.state.stale_reads.get(), 0);
+    assert_eq!(rig.violations(), Vec::<String>::new());
     assert_eq!(rig.state.failed_calls.get(), 0);
     assert!(rig.state.acked_puts.get() > 0);
 }

@@ -20,7 +20,6 @@ use proptest::prelude::*;
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::FailoverConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
-use rfp_workload::check_history;
 
 /// Faults strike early enough to overlap the short proptest workload
 /// (~300 ops/client at a few µs per op); the rig captures its healthy
@@ -76,39 +75,14 @@ proptest! {
         let rig = spawn_chaos_kv(&mut sim, &cfg, Some(&plan));
         rig.capture_baselines_at(FAULT_AT);
         sim.run_for(WINDOW);
-        let st = &rig.state;
-        prop_assert_eq!(
-            st.lost_acked.get(), 0,
-            "family {} machine {}: lost an acked write", family, machine
-        );
-        prop_assert_eq!(
-            st.stale_reads.get(), 0,
-            "family {} machine {}: a read ran backwards", family, machine
-        );
-        let applied = rig.primary_role.applied_mutations.get();
-        // The strict apply ledger pins retry dedup: while the
-        // server process lives, no issued PUT may execute twice. A
-        // crash can legitimately re-execute the one request caught
-        // between apply and respond (at-least-once across restart —
-        // the response-buffer seq only dedups *answered* requests;
-        // exactly-once across crash is the epoch-fenced failover
-        // protocol's job). The linearizability check below still pins
-        // crash-family safety: re-executing the same write is
-        // value-idempotent.
-        if family != 0 {
-            prop_assert!(
-                applied <= st.issued_puts.get(),
-                "family {family}: duplicate-applied mutation ({applied} applied, {} issued)",
-                st.issued_puts.get()
-            );
-        }
+        // The judge holds the apply ledger strictly — no issued PUT
+        // executes twice — unless a router came back to a replica it
+        // had left; re-executing the same full-version write there is
+        // value-idempotent, which the history check still pins.
+        let violations = rig.violations();
         prop_assert!(
-            applied >= st.acked_puts.get(),
-            "family {family}: acked more than applied"
-        );
-        prop_assert!(
-            check_history(&st.history()).is_ok(),
-            "family {family} machine {machine}: history failed linearizability"
+            violations.is_empty(),
+            "family {} machine {}: {:?}", family, machine, violations
         );
     }
 }
@@ -159,6 +133,5 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         rig.routers.iter().all(|r| !r.is_demoted(0)),
         "primary still demoted long after the fault healed"
     );
-    assert_eq!(rig.state.lost_acked.get(), 0);
-    assert!(check_history(&rig.state.history()).is_ok());
+    assert_eq!(rig.violations(), Vec::<String>::new());
 }

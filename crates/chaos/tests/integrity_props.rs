@@ -25,8 +25,8 @@ fn integrity_rig_cfg(seed: u64) -> ChaosConfig {
 }
 
 proptest! {
-    /// Random fault windows, random probabilities: the invariant
-    /// counters stay at zero and the rig keeps making progress.
+    /// Random fault windows, random probabilities: the rig's judge
+    /// finds nothing and the rig keeps making progress.
     #[test]
     fn no_ok_call_surfaces_corrupt_data(
         seed in 0u64..1_000,
@@ -54,8 +54,8 @@ proptest! {
         let rig = spawn_chaos_kv(&mut sim, &cfg, Some(&plan));
         sim.run_for(SimSpan::micros(600));
         prop_assert!(rig.state.completed.get() > 0, "rig made no progress");
-        prop_assert_eq!(rig.state.lost_acked.get(), 0, "acked write lost");
-        prop_assert_eq!(rig.state.stale_reads.get(), 0, "stale data surfaced");
+        let violations = rig.violations();
+        prop_assert!(violations.is_empty(), "{:?}", violations);
     }
 }
 
@@ -75,8 +75,7 @@ fn heavy_windows_fire_and_are_absorbed() {
     sim.run_for(SimSpan::millis(3));
 
     assert!(rig.state.completed.get() > 0);
-    assert_eq!(rig.state.lost_acked.get(), 0);
-    assert_eq!(rig.state.stale_reads.get(), 0);
+    assert_eq!(rig.violations(), Vec::<String>::new());
     let names = rig.registry.names();
     assert!(
         names.iter().any(|n| n == "fault.torn_dma"),
