@@ -89,6 +89,18 @@ impl InjectorSinks {
     }
 }
 
+/// One fault window as [`install`] delivers it: `set(true)` arms the
+/// fault and `set(false)` reverts it; `counter` names its `fault.*`
+/// counter, `root` its `chaos.*` root event, and `opened` / `ended`
+/// are the details of that root and of its `chaos.fault_end` event.
+struct Window<'a> {
+    set: Box<dyn Fn(bool) + 'a>,
+    counter: &'static str,
+    root: &'static str,
+    opened: String,
+    ended: String,
+}
+
 /// Spawns the plan's controller tasks into `sim`.
 ///
 /// Overlapping windows of the *same* fault kind on the same target are
@@ -100,174 +112,124 @@ impl InjectorSinks {
 ///
 /// Panics if an event targets a machine index outside the cluster.
 pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks: InjectorSinks) {
-    for event in plan.events() {
-        if let FaultKind::LossBurst { machine, .. }
-        | FaultKind::Straggler { machine, .. }
-        | FaultKind::QpError { machine }
-        | FaultKind::Crash { machine, .. }
-        | FaultKind::TornDma { machine, .. }
-        | FaultKind::BitFlip { machine, .. }
-        | FaultKind::SlowLink { machine, .. } = &event.kind
-        {
-            assert!(
-                *machine < cluster.len(),
-                "fault targets machine {machine} outside the {}-machine cluster",
-                cluster.len()
-            );
-        }
-        if let FaultKind::Partition { from, to } = &event.kind {
-            assert!(
-                *from < cluster.len() && *to < cluster.len(),
-                "partition {from} -> {to} exceeds the {}-machine cluster",
-                cluster.len()
-            );
-            assert_ne!(from, to, "a machine cannot be partitioned from itself");
-        }
-    }
-
+    let machines = cluster.len();
     for event in plan.events().iter().cloned() {
-        let handle = cluster.handle().clone();
-        let fabric = Rc::clone(cluster.fabric());
-        let target = match &event.kind {
+        // The machine a fault acts on: a partition's source, whose NIC
+        // blocks the cut direction; a link degradation acts on the
+        // fabric instead.
+        let machine = match event.kind {
+            FaultKind::LinkDegrade { .. } => None,
+            FaultKind::Partition { from, to } => {
+                assert!(
+                    to < machines,
+                    "partition {from} -> {to} exceeds the {machines}-machine cluster"
+                );
+                assert_ne!(from, to, "a machine cannot be partitioned from itself");
+                Some(from)
+            }
             FaultKind::LossBurst { machine, .. }
             | FaultKind::Straggler { machine, .. }
             | FaultKind::QpError { machine }
             | FaultKind::Crash { machine, .. }
             | FaultKind::TornDma { machine, .. }
             | FaultKind::BitFlip { machine, .. }
-            | FaultKind::SlowLink { machine, .. } => Some(cluster.machine(*machine)),
-            FaultKind::Partition { from, .. } => Some(cluster.machine(*from)),
-            FaultKind::LinkDegrade { .. } => None,
+            | FaultKind::SlowLink { machine, .. } => Some(machine),
         };
+        let target = machine.map(|m| {
+            assert!(
+                m < machines,
+                "fault targets machine {m} outside the {machines}-machine cluster"
+            );
+            cluster.machine(m)
+        });
+        let handle = cluster.handle().clone();
+        let fabric = Rc::clone(cluster.fabric());
         let sinks = sinks.clone();
         sim.spawn(async move {
-            let now = handle.now();
-            if event.at > now {
-                handle.sleep(event.at.since(now)).await;
-            }
+            handle.sleep_until(event.at).await;
             let at = handle.now();
-            match event.kind {
-                FaultKind::LossBurst { machine, loss } => {
-                    let m = target.expect("loss burst has a target");
-                    m.faults().set_extra_loss(loss);
-                    sinks.count("fault.loss_bursts");
-                    sinks.flight(
-                        at,
-                        "chaos.loss_burst",
-                        format!("machine {machine}: loss burst {loss:.3}"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().set_extra_loss(0.0);
-                    sinks.ended(handle.now(), format!("machine {machine}: loss burst over"));
-                }
-                FaultKind::LinkDegrade { factor } => {
-                    fabric.set_link_factor(factor);
-                    sinks.count("fault.link_degrades");
-                    sinks.flight(
-                        at,
-                        "chaos.link_degrade",
-                        format!("fabric: link degraded {factor:.2}x"),
-                    );
-                    handle.sleep(event.duration).await;
-                    fabric.set_link_factor(1.0);
-                    sinks.ended(handle.now(), "fabric: link restored".to_string());
-                }
-                FaultKind::Straggler { machine, factor } => {
-                    let m = target.expect("straggler has a target");
-                    m.faults().set_cpu_factor(factor);
-                    sinks.count("fault.stragglers");
-                    sinks.flight(
-                        at,
-                        "chaos.straggler",
-                        format!("machine {machine}: straggling {factor:.2}x"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().set_cpu_factor(1.0);
-                    sinks.ended(handle.now(), format!("machine {machine}: straggler over"));
-                }
-                FaultKind::TornDma { machine, p } => {
-                    let m = target.expect("torn dma has a target");
-                    m.faults().set_torn_dma(p);
-                    sinks.count("fault.torn_dma");
-                    sinks.flight(
-                        at,
-                        "chaos.torn_dma",
-                        format!("machine {machine}: torn-DMA window p={p:.3}"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().set_torn_dma(0.0);
-                    sinks.ended(handle.now(), format!("machine {machine}: torn-DMA over"));
-                }
-                FaultKind::BitFlip { machine, p } => {
-                    let m = target.expect("bit flip has a target");
-                    m.faults().set_bitflip(p);
-                    sinks.count("fault.bit_flips");
-                    sinks.flight(
-                        at,
-                        "chaos.bit_flip",
-                        format!("machine {machine}: bit-flip window p={p:.3}"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().set_bitflip(0.0);
-                    sinks.ended(handle.now(), format!("machine {machine}: bit-flip over"));
-                }
-                FaultKind::SlowLink { machine, lag_ns } => {
-                    let m = target.expect("slow link has a target");
-                    m.faults().set_wire_lag(lag_ns);
-                    sinks.count("fault.slow_links");
-                    sinks.flight(
-                        at,
-                        "chaos.slow_link",
-                        format!("machine {machine}: slow link +{lag_ns}ns/leg"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().set_wire_lag(0);
-                    sinks.ended(handle.now(), format!("machine {machine}: slow link over"));
-                }
-                FaultKind::Partition { from, to } => {
-                    let m = target.expect("partition has a source");
-                    m.faults().block_to(to);
-                    sinks.count("fault.partition");
-                    sinks.flight(
-                        at,
-                        "chaos.partition",
-                        format!("partition: {from} -> {to} cut (one direction)"),
-                    );
-                    handle.sleep(event.duration).await;
-                    m.faults().unblock_to(to);
-                    sinks.ended(handle.now(), format!("partition: {from} -> {to} healed"));
-                }
+            let m = || target.as_deref().expect("a machine fault has a target");
+            let window = match event.kind {
+                FaultKind::LossBurst { machine, loss } => Window {
+                    set: Box::new(move |on| {
+                        m().faults().set_extra_loss(if on { loss } else { 0.0 })
+                    }),
+                    counter: "fault.loss_bursts",
+                    root: "chaos.loss_burst",
+                    opened: format!("machine {machine}: loss burst {loss:.3}"),
+                    ended: format!("machine {machine}: loss burst over"),
+                },
+                FaultKind::LinkDegrade { factor } => Window {
+                    set: Box::new(move |on| fabric.set_link_factor(if on { factor } else { 1.0 })),
+                    counter: "fault.link_degrades",
+                    root: "chaos.link_degrade",
+                    opened: format!("fabric: link degraded {factor:.2}x"),
+                    ended: "fabric: link restored".to_string(),
+                },
+                FaultKind::Straggler { machine, factor } => Window {
+                    set: Box::new(move |on| {
+                        m().faults().set_cpu_factor(if on { factor } else { 1.0 })
+                    }),
+                    counter: "fault.stragglers",
+                    root: "chaos.straggler",
+                    opened: format!("machine {machine}: straggling {factor:.2}x"),
+                    ended: format!("machine {machine}: straggler over"),
+                },
+                FaultKind::TornDma { machine, p } => Window {
+                    set: Box::new(move |on| m().faults().set_torn_dma(if on { p } else { 0.0 })),
+                    counter: "fault.torn_dma",
+                    root: "chaos.torn_dma",
+                    opened: format!("machine {machine}: torn-DMA window p={p:.3}"),
+                    ended: format!("machine {machine}: torn-DMA over"),
+                },
+                FaultKind::BitFlip { machine, p } => Window {
+                    set: Box::new(move |on| m().faults().set_bitflip(if on { p } else { 0.0 })),
+                    counter: "fault.bit_flips",
+                    root: "chaos.bit_flip",
+                    opened: format!("machine {machine}: bit-flip window p={p:.3}"),
+                    ended: format!("machine {machine}: bit-flip over"),
+                },
+                FaultKind::SlowLink { machine, lag_ns } => Window {
+                    set: Box::new(move |on| m().faults().set_wire_lag(if on { lag_ns } else { 0 })),
+                    counter: "fault.slow_links",
+                    root: "chaos.slow_link",
+                    opened: format!("machine {machine}: slow link +{lag_ns}ns/leg"),
+                    ended: format!("machine {machine}: slow link over"),
+                },
+                FaultKind::Partition { from, to } => Window {
+                    set: Box::new(move |on| {
+                        if on {
+                            m().faults().block_to(to)
+                        } else {
+                            m().faults().unblock_to(to)
+                        }
+                    }),
+                    counter: "fault.partition",
+                    root: "chaos.partition",
+                    opened: format!("partition: {from} -> {to} cut (one direction)"),
+                    ended: format!("partition: {from} -> {to} healed"),
+                },
                 FaultKind::QpError { machine } => {
-                    let m = target.expect("qp error has a target");
-                    m.faults().bump_qp_epoch();
+                    m().faults().bump_qp_epoch();
                     sinks.count("fault.qp_errors");
-                    sinks.flight(
-                        at,
-                        "chaos.qp_error",
-                        format!("machine {machine}: QPs transitioned to error"),
-                    );
+                    let what = format!("machine {machine}: QPs transitioned to error");
+                    sinks.flight(at, "chaos.qp_error", what);
+                    return;
                 }
                 FaultKind::Crash { machine, warm } => {
-                    let m = target.expect("crash has a target");
-                    m.faults().set_crashed(true);
-                    sinks.count(if warm {
-                        "fault.crashes_warm"
-                    } else {
-                        "fault.crashes_cold"
-                    });
+                    let how = if warm { "warm" } else { "cold" };
+                    m().faults().set_crashed(true);
+                    sinks.count(&format!("fault.crashes_{how}"));
                     sinks.flight(
                         at,
                         "chaos.crash",
-                        format!(
-                            "machine {machine}: crashed ({})",
-                            if warm { "warm" } else { "cold" }
-                        ),
+                        format!("machine {machine}: crashed ({how})"),
                     );
                     handle.sleep(event.duration).await;
                     if !warm {
                         // Registered memory did not survive: the machine
                         // comes back with zeroed regions.
-                        m.wipe_memory();
+                        m().wipe_memory();
                     }
                     let restart = Restart {
                         machine,
@@ -278,16 +240,18 @@ pub fn install(sim: &mut Simulation, cluster: &Cluster, plan: &FaultPlan, sinks:
                     if let Some(hook) = &sinks.on_restart {
                         hook(&restart);
                     }
-                    m.faults().set_crashed(false);
-                    sinks.ended(
-                        restart.restored_at,
-                        format!(
-                            "machine {machine}: restarted ({})",
-                            if warm { "warm" } else { "cold" }
-                        ),
-                    );
+                    m().faults().set_crashed(false);
+                    let what = format!("machine {machine}: restarted ({how})");
+                    sinks.ended(restart.restored_at, what);
+                    return;
                 }
-            }
+            };
+            (window.set)(true);
+            sinks.count(window.counter);
+            sinks.flight(at, window.root, window.opened);
+            handle.sleep(event.duration).await;
+            (window.set)(false);
+            sinks.ended(handle.now(), window.ended);
         });
     }
 }
