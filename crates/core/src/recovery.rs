@@ -8,8 +8,8 @@
 //!
 //! * a **deadline** on each attempt's response wait — a server that
 //!   stops answering turns into a retryable failure instead of a hang,
-//! * **jittered exponential backoff** between attempts (shared
-//!   [`RetryPolicy`] machinery, also used by HERD's retransmit loop),
+//! * **jittered exponential backoff** between attempts (the schedule
+//!   of a [`RetryPolicy`]),
 //! * **QP re-establishment** (with buffer re-registration cost) when
 //!   the QP is in the error state, via a factory installed with
 //!   [`RfpClient::set_reconnect`](crate::RfpClient::set_reconnect),

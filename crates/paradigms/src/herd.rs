@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use rfp_core::{ReqHeader, REQ_HDR};
 use rfp_rnic::{Machine, MemRegion, Qp, ThreadCtx, Transport};
-use rfp_simnet::{retry, timeout, RetryPolicy, SimSpan};
+use rfp_simnet::{timeout, SimSpan};
 
 /// How long the client waits for a response before retransmitting.
 const RETRANSMIT_AFTER: SimSpan = SimSpan::micros(100);
@@ -169,21 +169,13 @@ impl HerdClient {
         let total = REQ_HDR + req.len();
         // HERD retransmits immediately on timeout: zero backoff, one
         // initial transmission plus `MAX_RETRANSMITS` resends.
-        let policy = RetryPolicy::immediate(MAX_RETRANSMITS + 1);
-        match retry(
-            thread.handle(),
-            &policy,
-            || 0.0,
-            |n| self.attempt(thread, seq, total, n),
-        )
-        .await
-        {
-            Ok(payload) => {
+        for n in 0..=MAX_RETRANSMITS {
+            if let Ok(payload) = self.attempt(thread, seq, total, n).await {
                 self.calls.set(self.calls.get() + 1);
-                Some(payload)
+                return Some(payload);
             }
-            Err(_) => None,
         }
+        None
     }
 }
 

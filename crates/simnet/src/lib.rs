@@ -69,7 +69,7 @@ pub use health::{
 pub use metrics::{Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightEvent, FlightRecorder, Severity};
 pub use resource::FifoServer;
-pub use retry::{retry, RetryExhausted, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use slab::{Slab, SlabKey};
 pub use span::{Phase, RequestTrace, SpanRecorder};
 pub use stats::{BusyClock, Counter, Histogram};
