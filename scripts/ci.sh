@@ -98,8 +98,14 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Sweep smokes. Every binary asserts its own bars and exits non-zero on
-# a violation:
-#   chaos      zero lost acked writes and zero stale reads per scenario,
+# a violation. The four chaos-rig sweeps (chaos, doctor, failover,
+# grayfail) hold every run to the rig's one judge, ChaosKv::violations:
+# no stale read; no lost acked write unless acks are async; with bounded
+# ops, every client finishes and (no cold wipe, no async) the history
+# linearizes; on a replica pair, the primary applied every acked PUT and
+# no PUT twice, save where a promotion, a return failover or a restart
+# excuses it. Their own bars:
+#   chaos      the judge in every scenario, the mixed plan included;
 #              more NotFound GETs after a cold restart than a warm one
 #   overload   shed cost (2 in-bound, 0 out-bound NIC ops per shed) and
 #              the goodput plateau (controlled goodput at 4x saturation
@@ -110,7 +116,8 @@ trap 'rm -rf "$tmp"' EXIT
 #              W >= 8), monotone doorbell-batched issue-cost decay,
 #              adaptive idle backoff free at saturation, its two payloads
 #              on either side of the in-bound knee
-#   doctor     the fault-class detection matrix (every injected class
+#   doctor     the judge's safety invariants on every chaos-rig row;
+#              the fault-class detection matrix (every injected class
 #              surfaces as its signature anomaly with an intact cause
 #              chain; the clean baseline raises nothing)
 #   fleet      10^5 logical clients within the 64-QP-endpoint budget,
@@ -118,16 +125,14 @@ trap 'rm -rf "$tmp"' EXIT
 #              hot one (that idle logical clients cost nothing is a
 #              kvstore test: the run is byte-identical at 10^5 and at
 #              one logical client per driver)
-#   failover   sync mode loses no acked write, reads never run
-#              backwards, histories linearize, failover time inside
-#              budget, sync replication tax on the 32 B bar under 5%
+#   failover   the judge (async cells included: no read runs
+#              backwards), failover time inside budget, sync
+#              replication tax on the 32 B bar under 5%
 #   grayfail   each fail-slow fault inflates the unmitigated read p99
 #              past 3x clean while scored routing stays within it and
-#              leaves a recorded routing.demote chain; no acked write
-#              lost, no read runs backwards, histories linearize, no
-#              mutation applied twice, retry amplification under the
-#              budget bound (0 tokens here: no fail-slow call exhausts;
-#              core's failover test
+#              leaves a recorded routing.demote chain; the judge; retry
+#              amplification under the budget bound (0 tokens here: no
+#              fail-slow call exhausts; core's failover test
 #              retry_budget_bounds_a_storm_against_dead_replicas proves
 #              the bound on a real storm)
 #   cores      uniform 4-core throughput >= 3x one core, the skewed worst
