@@ -35,9 +35,7 @@ use rand::{Rng, SeedableRng};
 use rfp_bench::{cells, emit_bench_json, seed_arg};
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, FaultPlan};
 use rfp_core::{connect, serve_loop, RfpConfig};
-use rfp_kvstore::replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
-};
+use rfp_kvstore::replica::{AckPolicy, ReplicaPair};
 use rfp_kvstore::{kv_handler, KvRequest, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{derive_seed, SimSpan, SimTime, Simulation};
@@ -97,7 +95,7 @@ fn run_scenario(seed: u64, &(scenario, ack, clients): &(&'static str, AckPolicy,
     let mut sim = Simulation::new(seed);
     let cfg = ChaosConfig {
         clients,
-        replication: Some(ReplicationConfig { ack }),
+        replication: Some(ack),
         seed,
         ..ChaosConfig::failover()
     };
@@ -181,19 +179,7 @@ fn tax_run(seed: u64, &repl: &Option<AckPolicy>) -> (u64, u64) {
         (cluster.machine(0), cluster.machine(1), cluster.machine(2));
     let partition = Rc::new(RefCell::new(Partition::new(1024)));
     let backup_part = Rc::new(RefCell::new(Partition::new(1024)));
-    let plain = || RfpConfig {
-        enable_mode_switch: false,
-        ..RfpConfig::default()
-    };
-
-    let (ship, repl_conn) = connect(
-        &primary_m,
-        &backup_m,
-        cluster.qp(0, 1),
-        cluster.qp(1, 0),
-        plain(),
-    );
-    ship.set_reconnect(cluster.qp_factory(0, 1));
+    let pair = ReplicaPair::link(&cluster, false);
 
     let completed = Rc::new(Cell::new(0u64));
     let mut conns = Vec::with_capacity(TAX_WORKERS);
@@ -203,7 +189,10 @@ fn tax_run(seed: u64, &repl: &Option<AckPolicy>) -> (u64, u64) {
             &primary_m,
             cluster.qp(2, 0),
             cluster.qp(0, 2),
-            plain(),
+            RfpConfig {
+                enable_mode_switch: false,
+                ..RfpConfig::default()
+            },
         );
         conns.push(Rc::new(sc));
         let thread = client_m.thread(format!("tax-w{w}"));
@@ -237,18 +226,9 @@ fn tax_run(seed: u64, &repl: &Option<AckPolicy>) -> (u64, u64) {
 
     // Replication off is the absent stage: the plain serve loop over
     // the same store handler.
-    let role = Rc::new(PrimaryRole::default());
     let (thread, spin) = (primary_m.thread("tax-primary"), SimSpan::nanos(100));
     match repl {
-        Some(ack) => sim.spawn(primary_serve_loop(
-            thread,
-            conns,
-            Rc::clone(&partition),
-            Rc::new(ship),
-            ReplicationConfig { ack },
-            Rc::clone(&role),
-            spin,
-        )),
+        Some(ack) => sim.spawn(pair.primary_loop(thread, conns, Rc::clone(&partition), ack, spin)),
         None => sim.spawn(serve_loop(
             thread,
             conns,
@@ -256,16 +236,10 @@ fn tax_run(seed: u64, &repl: &Option<AckPolicy>) -> (u64, u64) {
             spin,
         )),
     };
-    sim.spawn(backup_serve_loop(
-        backup_m.thread("tax-backup"),
-        Rc::new(repl_conn),
-        Vec::new(),
-        backup_part,
-        Rc::new(BackupRole::default()),
-        SimSpan::nanos(100),
-    ));
+    sim.spawn(pair.backup_loop(backup_m.thread("tax-backup"), Vec::new(), backup_part, spin));
 
     sim.run_for(TAX_WINDOW);
+    let role = &pair.primary;
     assert!(!role.solo.get(), "tax rig lost its backup mid-measurement");
     (completed.get(), role.shipped_entries.get())
 }

@@ -24,10 +24,9 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rfp_bench::{cells, emit_bench_json, seed_arg};
-use rfp_core::{connect, serve_loop, RfpConfig, RfpTelemetry};
-use rfp_rnic::{Cluster, ClusterProfile};
-use rfp_simnet::{MetricsRegistry, SimSpan, Simulation, SpanRecorder};
+use rfp_bench::{cells, echo_rig, emit_bench_json, seed_arg};
+use rfp_core::{IdlePolicy, RfpConfig, RfpTelemetry};
+use rfp_simnet::{MetricsRegistry, SimSpan, SpanRecorder};
 
 /// Per-READ fault probabilities swept (applied to torn-DMA and bit-flip
 /// both). Zero is the baseline point shared with the integrity-off run.
@@ -52,9 +51,6 @@ struct Row {
 /// `rate`, returning the measured row. Panics (deliberately) if the rig
 /// wedges before finishing.
 fn run_point(seed: u64, &(rate, integrity): &(f64, bool)) -> Row {
-    let mut sim = Simulation::new(seed);
-    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
-    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
     let registry = MetricsRegistry::new();
     let cfg = RfpConfig {
         integrity,
@@ -66,19 +62,11 @@ fn run_point(seed: u64, &(rate, integrity): &(f64, bool)) -> Row {
         }),
         ..RfpConfig::default()
     };
-    let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
-    sm.faults().set_torn_dma(rate);
-    sm.faults().set_bitflip(rate);
-
-    let st = sm.thread("server");
-    sim.spawn(serve_loop(
-        st,
-        vec![Rc::new(conn)],
-        |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
-        SimSpan::nanos(100),
-    ));
-
-    let ct = cm.thread("client");
+    let rig = echo_rig(seed, cfg, IdlePolicy::fixed(SimSpan::nanos(100)));
+    let faults = rig.server_thread.machine().faults();
+    faults.set_torn_dma(rate);
+    faults.set_bitflip(rate);
+    let (mut sim, client, ct) = (rig.sim, rig.client, rig.client_thread);
     let done = Rc::new(Cell::new(0u64));
     let mismatches = Rc::new(Cell::new(0u64));
     let retries = Rc::new(Cell::new(0u64));

@@ -20,11 +20,10 @@
 
 use std::rc::Rc;
 
-use rfp_bench::{cells, emit_bench_json, seed_arg};
-use rfp_core::{connect, serve_loop, OverloadConfig, RespStatus, RfpConfig};
+use rfp_bench::{cells, echo_rig, emit_bench_json, seed_arg};
+use rfp_core::{IdlePolicy, OverloadConfig, RespStatus, RfpConfig};
 use rfp_kvstore::systems::spawn_jakiro;
 use rfp_kvstore::SystemConfig;
-use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{RetryPolicy, SimSpan, Simulation};
 
 /// Closed-loop clients at 1× offered load (calibrated so the server CPU
@@ -117,25 +116,15 @@ fn run_point(seed: u64, &(mult, controlled): &(f64, bool)) -> Row {
 /// server NIC must account exactly 2 in-bound ops (request WRITE +
 /// verdict fetch READ) and 0 out-bound ops for it.
 fn shed_cost_check(seed: u64) -> (u64, u64) {
-    let mut sim = Simulation::new(seed);
-    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
-    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
     let cfg = RfpConfig {
         overload: Some(OverloadConfig {
             ..OverloadConfig::default()
         }),
         ..RfpConfig::default()
     };
-    let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
-    let st = sm.thread("server");
-    sim.spawn(serve_loop(
-        st,
-        vec![Rc::new(conn)],
-        |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
-        SimSpan::nanos(100),
-    ));
-    let ct = cm.thread("client");
-    let server_m = Rc::clone(&sm);
+    let rig = echo_rig(seed, cfg, IdlePolicy::fixed(SimSpan::nanos(100)));
+    let (mut sim, client, ct) = (rig.sim, rig.client, rig.client_thread);
+    let server_m = Rc::clone(rig.server_thread.machine());
     let counted = Rc::new(std::cell::Cell::new((0u64, 0u64)));
     let out_counts = Rc::clone(&counted);
     sim.spawn(async move {

@@ -34,10 +34,10 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use rfp_bench::{cells, emit_bench_json, seed_arg};
-use rfp_core::{connect, serve_loop, IdlePolicy, RfpClient, RfpConfig, REQ_HDR, RESP_HDR};
-use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
-use rfp_simnet::{SimSpan, Simulation};
+use rfp_bench::{cells, echo_rig, emit_bench_json, seed_arg, EchoRig};
+use rfp_core::{IdlePolicy, RfpConfig, REQ_HDR, RESP_HDR};
+use rfp_rnic::ClusterProfile;
+use rfp_simnet::SimSpan;
 
 /// Request/response payload sizes swept (bytes), each with its ring
 /// windows (powers of two; 1 = the sequential layout): the 32 B echo
@@ -70,19 +70,9 @@ struct Row {
     host: Duration,
 }
 
-struct Rig {
-    sim: Simulation,
-    client: Rc<RfpClient>,
-    client_thread: Rc<ThreadCtx>,
-    server_thread: Rc<ThreadCtx>,
-}
-
-/// One client machine, one server machine, one connection with ring
-/// window `w`, one echoing server thread paced by `idle`.
-fn rig(seed: u64, w: usize, payload: usize, idle: IdlePolicy) -> Rig {
-    let mut sim = Simulation::new(seed);
-    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
-    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+/// The echo rig with ring window `w`, its server thread paced by
+/// `idle`.
+fn rig(seed: u64, w: usize, payload: usize, idle: IdlePolicy) -> EchoRig {
     let cfg = RfpConfig {
         window: w,
         // Whole response (header + echoed payload) in one READ: the
@@ -91,20 +81,7 @@ fn rig(seed: u64, w: usize, payload: usize, idle: IdlePolicy) -> Rig {
         enable_mode_switch: false,
         ..RfpConfig::default()
     };
-    let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
-    let server_thread = sm.thread("server");
-    sim.spawn(serve_loop(
-        Rc::clone(&server_thread),
-        vec![Rc::new(conn)],
-        |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
-        idle,
-    ));
-    Rig {
-        sim,
-        client: Rc::new(client),
-        client_thread: cm.thread("client"),
-        server_thread,
-    }
+    echo_rig(seed, cfg, idle)
 }
 
 /// Closed-loop pipelined echo sweep point; returns `(row, mops)` with

@@ -36,10 +36,14 @@ use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
-use rfp_core::{ParamSelector, Params, WorkloadSample};
+use rfp_core::{
+    connect, serve_loop, IdlePolicy, ParamSelector, Params, RfpClient, RfpConfig, WorkloadSample,
+};
 use rfp_kvstore::SystemConfig;
-use rfp_simnet::{MetricValue, MetricsSnapshot, SimSpan};
+use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
+use rfp_simnet::{MetricValue, MetricsSnapshot, SimSpan, Simulation};
 use rfp_workload::{ValueSize, WorkloadSpec};
 
 use figures::ExperimentFn;
@@ -147,6 +151,40 @@ fn kv_cfg() -> SystemConfig {
             ..WorkloadSpec::paper_default()
         },
         ..SystemConfig::default()
+    }
+}
+
+/// A one-connection echo rig on the paper testbed: the client on
+/// machine 0, and on machine 1 one server thread that answers every
+/// request with its own bytes.
+pub struct EchoRig {
+    pub sim: Simulation,
+    pub client: Rc<RfpClient>,
+    pub client_thread: Rc<ThreadCtx>,
+    pub server_thread: Rc<ThreadCtx>,
+}
+
+/// Builds an [`EchoRig`] whose connection is tuned by `cfg` and whose
+/// server thread is paced by `idle`. The serve loop is spawned, not
+/// run: the caller adds its client task (and any fault rates) before
+/// running `sim`.
+pub fn echo_rig(seed: u64, cfg: RfpConfig, idle: IdlePolicy) -> EchoRig {
+    let mut sim = Simulation::new(seed);
+    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 2);
+    let (cm, sm) = (cluster.machine(0), cluster.machine(1));
+    let (client, conn) = connect(&cm, &sm, cluster.qp(0, 1), cluster.qp(1, 0), cfg);
+    let server_thread = sm.thread("server");
+    sim.spawn(serve_loop(
+        Rc::clone(&server_thread),
+        vec![Rc::new(conn)],
+        |req: &[u8]| (req.to_vec(), SimSpan::ZERO),
+        idle,
+    ));
+    EchoRig {
+        sim,
+        client: Rc::new(client),
+        client_thread: cm.thread("client"),
+        server_thread,
     }
 }
 

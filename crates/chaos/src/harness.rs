@@ -37,9 +37,8 @@
 //! * **read latencies** — every GET's `(start, latency)`, so a bench
 //!   can take the read p99 over a measurement phase;
 //! * **a duplicate-apply ledger** — the primary counts mutations it
-//!   applied and the standby those it refused; with
-//!   [`issued_puts`](ChaosState::issued_puts) they prove that neither
-//!   retries nor failover double-apply a write.
+//!   applied; with [`issued_puts`](ChaosState::issued_puts) that proves
+//!   that neither retries nor failover double-apply a write.
 //!
 //! One judge, [`ChaosKv::violations`], reads that evidence and names
 //! every invariant the rig's configuration promises that the run broke.
@@ -75,9 +74,7 @@ use rfp_core::{
     connect, CoreSpec, FailoverConfig, FailureCause, OverloadConfig, Reactor, ReactorConfig,
     RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn, RfpTelemetry,
 };
-use rfp_kvstore::replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
-};
+use rfp_kvstore::replica::{AckPolicy, BackupRole, PrimaryRole, ReplicaPair};
 use rfp_kvstore::{kv_handler, partition_of, KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{
@@ -124,10 +121,10 @@ pub struct ChaosConfig {
     /// recovery call is deadline-stamped and the server sheds or
     /// busy-rejects instead of queueing without bound.
     pub overload: Option<OverloadConfig>,
-    /// Primary/backup replication (`Sync` ack by default — standby
-    /// reads lean on acked ⇒ applied-at-backup); `None` runs one
-    /// replica.
-    pub replication: Option<ReplicationConfig>,
+    /// Primary/backup replication with this ack policy (`Sync` in the
+    /// presets — standby reads lean on acked ⇒ applied-at-backup);
+    /// `None` runs one replica.
+    pub replication: Option<AckPolicy>,
     /// Client-side router policy: the recovery policy per replica, and
     /// `gray`, the gray-failure subsystem. Its `recovery.seed` salts
     /// the clients' jitter streams: client `c` draws from
@@ -187,7 +184,7 @@ impl ChaosConfig {
             keys_per_client: 4,
             ops_per_client: 60,
             own_key_reads: false,
-            replication: Some(ReplicationConfig::default()),
+            replication: Some(AckPolicy::Sync),
             failover: short_retry(4, 0xFA11),
             seed: 11,
             ..ChaosConfig::default()
@@ -568,13 +565,6 @@ pub fn spawn_chaos_kv(
                 .collect()
         })
         .collect();
-    let primary_role = Rc::new(PrimaryRole::default());
-    let backup_role = Rc::new(BackupRole::default());
-    // Standby reads power scored routing: they come with the gray
-    // subsystem.
-    let standby_reads = cfg.failover.gray;
-    backup_role.standby_reads.set(standby_reads);
-
     let state = Rc::new(ChaosState::new(cfg.clients, cfg.keys_per_client));
     let integrity = plan.is_some_and(|p| {
         p.events().iter().any(|e| {
@@ -585,25 +575,19 @@ pub fn spawn_chaos_kv(
         })
     });
 
-    // The dedicated replication link, primary -> backup. Plain RFP: the
-    // log channel is deliberately outside the client-facing epoch fence
-    // (see the `replica` module docs). The primary fetches the backup's
-    // acks out of memory the same integrity faults corrupt.
-    let repl = cfg.replication.as_ref().map(|replication| {
-        let (ship, repl_conn) = connect(
-            &servers[0],
-            &servers[1],
-            cluster.qp(0, 1),
-            cluster.qp(1, 0),
-            RfpConfig {
-                enable_mode_switch: false,
-                integrity,
-                ..RfpConfig::default()
-            },
-        );
-        ship.set_reconnect(cluster.qp_factory(0, 1));
-        (replication.clone(), Rc::new(ship), Rc::new(repl_conn))
-    });
+    // The log link, primary -> backup. The primary fetches the
+    // backup's acks out of memory the same integrity faults corrupt.
+    let pair = cfg
+        .replication
+        .map(|_| ReplicaPair::link(&cluster, integrity));
+    let (primary_role, backup_role) = match &pair {
+        Some(p) => (Rc::clone(&p.primary), Rc::clone(&p.backup)),
+        None => Default::default(),
+    };
+    // Standby reads power scored routing: they come with the gray
+    // subsystem.
+    let standby_reads = cfg.failover.gray;
+    backup_role.standby_reads.set(standby_reads);
 
     // server_conns[replica][partition]: the connections each core polls.
     let mut server_conns = vec![vec![Vec::new(); parts]; replicas];
@@ -769,7 +753,22 @@ pub fn spawn_chaos_kv(
 
     // The servers: one reactor core per partition on the one replica,
     // or the primary and its standby.
-    match &repl {
+    match pair.as_ref().zip(cfg.replication) {
+        Some((pair, ack)) => {
+            sim.spawn(pair.primary_loop(
+                servers[0].thread("chaos-primary"),
+                server_conns[0][0].clone(),
+                Rc::clone(&stores[0][0]),
+                ack,
+                SPIN,
+            ));
+            sim.spawn(pair.backup_loop(
+                servers[1].thread("chaos-backup"),
+                server_conns[1][0].clone(),
+                Rc::clone(&stores[1][0]),
+                SPIN,
+            ));
+        }
         None => {
             let specs = server_conns[0]
                 .iter()
@@ -790,25 +789,6 @@ pub fn spawn_chaos_kv(
             for p in 0..parts {
                 sim.spawn(reactor.run_core(p));
             }
-        }
-        Some((replication, ship, repl_conn)) => {
-            sim.spawn(primary_serve_loop(
-                servers[0].thread("chaos-primary"),
-                server_conns[0][0].clone(),
-                Rc::clone(&stores[0][0]),
-                Rc::clone(ship),
-                replication.clone(),
-                Rc::clone(&primary_role),
-                SPIN,
-            ));
-            sim.spawn(backup_serve_loop(
-                servers[1].thread("chaos-backup"),
-                Rc::clone(repl_conn),
-                server_conns[1][0].clone(),
-                Rc::clone(&stores[1][0]),
-                Rc::clone(&backup_role),
-                SPIN,
-            ));
         }
     }
 
@@ -840,7 +820,7 @@ pub fn spawn_chaos_kv(
         // that never fires leaves the already-spawned tasks' scheduling
         // untouched.
         let st = Rc::clone(&state);
-        let recv_end = repl.map(|(_, _, conn)| conn);
+        let recv_end = pair.map(|p| p.log);
         let on_restart = move |restart: &Restart| {
             let Some(conns) = server_conns.get(restart.machine) else {
                 return;
@@ -876,7 +856,7 @@ pub fn spawn_chaos_kv(
         primary_role,
         backup_role,
         backup_conns,
-        ack: cfg.replication.as_ref().map(|r| r.ack),
+        ack: cfg.replication,
         bounded: cfg.ops_per_client != usize::MAX,
     }
 }

@@ -2,6 +2,7 @@
 //! replication invariants and leave linearizable histories.
 
 use rfp_chaos::{spawn_chaos_kv, ChaosConfig, ChaosKv, FaultPlan};
+use rfp_kvstore::replica::AckPolicy;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 
 const FAULT_AT: SimTime = SimTime::from_nanos(40_000);
@@ -72,6 +73,38 @@ fn partition_without_promotion_costs_availability_not_consistency() {
     // Consistency holds even though calls may have failed and the
     // router may have probed the (unpromoted) backup.
     assert_eq!(rig.violations(), Vec::<String>::new());
+}
+
+/// The pair's solo path. A backup down for less than the primary's ship
+/// budget leaves the pair replicating, every shipped entry applied; one
+/// down for longer demotes the primary to solo. Either way, under both
+/// ack policies, every call completes and the judge is clean.
+#[test]
+fn a_backup_restart_past_the_ship_budget_leaves_the_primary_solo() {
+    for ack in [AckPolicy::Sync, AckPolicy::Async] {
+        for (down, solo) in [(SimSpan::micros(20), false), (SimSpan::micros(100), true)] {
+            let mut sim = Simulation::new(42);
+            let cfg = ChaosConfig {
+                replication: Some(ack),
+                ..cfg(42)
+            };
+            let plan = FaultPlan::new(42).crash(FAULT_AT, down, 1, true);
+            let rig = spawn(&mut sim, &cfg, Some(&plan), None);
+            sim.run_for(SimSpan::millis(40));
+            let case = format!("{ack:?}, backup down {down:?}");
+            assert_eq!(rig.violations(), Vec::<String>::new(), "{case}");
+            let calls = (cfg.clients * cfg.ops_per_client) as u64;
+            assert_eq!(rig.state.completed.get(), calls, "{case}");
+            assert_eq!(rig.primary_role.solo.get(), solo, "{case}");
+            if !solo {
+                assert_eq!(
+                    rig.backup_role.applied.get(),
+                    rig.primary_role.shipped_entries.get(),
+                    "{case}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -38,9 +38,7 @@ pub use hopscotch::{FarmStore, FarmView, HopscotchError, NEIGHBORHOOD};
 pub use lru::LruCache;
 pub use mcd::{McdStore, McdThreadView};
 pub use proto::{KvRequest, KvResponse, KvResponseRef, ProtoError};
-pub use replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
-};
+pub use replica::{AckPolicy, BackupRole, PrimaryRole, ReplicaPair};
 pub use rig::{kv_handler, preload_partitions, BypassStore, KvStats, KvSystem};
 pub use systems::{
     spawn_farm, spawn_fleet_kv, spawn_herd, spawn_jakiro, spawn_jakiro_shared, spawn_memcached,

@@ -3,14 +3,15 @@
 //! The primary applies every request to its own partition and ships the
 //! **ordered mutation log** — its PUTs, as their encoded requests,
 //! stamped with a monotone log sequence number (LSN) — to the
-//! backup over a dedicated RFP connection. The backup applies entries
+//! backup over a dedicated RFP connection, the log link that
+//! [`ReplicaPair`] wires with both roles. The backup applies entries
 //! in LSN order and acks with the next LSN it expects, so the log
 //! channel inherits RFP's exactly-once delivery (seq dedup on the
 //! replication connection makes a re-shipped batch harmless).
 //!
 //! Two ack policies ([`AckPolicy`]):
 //!
-//! * **`Sync`** (default) — a client's mutating request is answered
+//! * **`Sync`** — a client's mutating request is answered
 //!   only after the backup acked the log batch carrying it:
 //!   *acked-write = replicated-write*, the invariant the failover bench
 //!   asserts. Entries picked up in the same scan share one batch, so
@@ -44,12 +45,14 @@
 //! [`kv_handler`](crate::kv_handler).
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use rfp_core::{
-    Commit, Reactor, RecoveryConfig, Reply, RespStatus, RfpClient, RfpServerConn, ScanHandler,
+    connect, Commit, Reactor, RecoveryConfig, Reply, RespStatus, RfpClient, RfpConfig,
+    RfpServerConn, ScanHandler,
 };
-use rfp_rnic::ThreadCtx;
+use rfp_rnic::{Cluster, ThreadCtx};
 use rfp_simnet::{RetryPolicy, SimSpan};
 
 use crate::bucket::Partition;
@@ -77,21 +80,6 @@ fn ship_recovery() -> RecoveryConfig {
     RecoveryConfig {
         retry: RetryPolicy::exponential(4, SimSpan::micros(10), SimSpan::micros(200), 0.2),
         ..RecoveryConfig::default()
-    }
-}
-
-/// Tunables of the primary's replication path.
-#[derive(Clone, Debug)]
-pub struct ReplicationConfig {
-    /// Ack policy for mutating requests.
-    pub ack: AckPolicy,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            ack: AckPolicy::Sync,
-        }
     }
 }
 
@@ -153,8 +141,6 @@ fn decode_ack(buf: &[u8]) -> Result<u64, ProtoError> {
 pub struct PrimaryRole {
     /// Log entries acked by the backup.
     pub shipped_entries: Cell<u64>,
-    /// Replication calls that carried them.
-    pub shipped_batches: Cell<u64>,
     /// Set when the backup stopped acking and the primary fell back to
     /// serving solo.
     pub solo: Cell<bool>,
@@ -184,8 +170,6 @@ pub struct BackupRole {
     pub standby_reads: Cell<bool>,
     /// GETs served while in standby.
     pub served_reads: Cell<u64>,
-    /// Mutations refused (`Busy`, unexecuted) while in standby.
-    pub refused_mutations: Cell<u64>,
     expected_lsn: Cell<u64>,
 }
 
@@ -239,7 +223,6 @@ impl Shipper {
             role.next_lsn.set(base + chunk.len() as u64);
             role.shipped_entries
                 .set(role.shipped_entries.get() + chunk.len() as u64);
-            role.shipped_batches.set(role.shipped_batches.get() + 1);
         }
         true
     }
@@ -294,37 +277,6 @@ impl ScanHandler for PrimaryHandler {
     }
 }
 
-/// Runs the primary forever: the one-core serve reactor (ring windows,
-/// admission if the connections carry overload control, fixed `spin`
-/// idle pacing) over a handler that applies every request to
-/// `partition`, ships each scan's mutations to the backup over `ship`,
-/// and answers clients per the ack policy.
-pub async fn primary_serve_loop(
-    thread: Rc<ThreadCtx>,
-    conns: Vec<Rc<RfpServerConn>>,
-    partition: Rc<RefCell<Partition>>,
-    ship: Rc<RfpClient>,
-    cfg: ReplicationConfig,
-    role: Rc<PrimaryRole>,
-    spin: SimSpan,
-) {
-    let shipper = Rc::new(Shipper {
-        thread: Rc::clone(&thread),
-        ship,
-        ack: cfg.ack,
-        recovery: ship_recovery(),
-        role,
-    });
-    let handler = PrimaryHandler {
-        partition,
-        shipper,
-        log: Vec::new(),
-    };
-    Reactor::single(thread, conns, handler, spin)
-        .run_core(0)
-        .await
-}
-
 /// The backup's client-facing handler, gated by role. Promoted, it
 /// serves everything from the replicated partition. In standby it
 /// answers GETs and refuses every mutation with `Busy` *without
@@ -342,7 +294,6 @@ impl ScanHandler for BackupHandler {
         let role = &self.role;
         if !role.promoted.get() {
             if matches!(parsed, KvRequest::Put { .. }) {
-                role.refused_mutations.set(role.refused_mutations.get() + 1);
                 return (Reply::Refuse(RespStatus::Busy), SimSpan::ZERO);
             }
             role.served_reads.set(role.served_reads.get() + 1);
@@ -390,52 +341,136 @@ async fn drain_log(
     drained
 }
 
-/// Runs the backup forever. In **standby** it drains the replication
-/// connection, applies log batches in LSN order and acks them. The
-/// client-facing connections are left unpolled (a client that fails
-/// over early finds no service and bounces back) — unless
-/// [`BackupRole::standby_reads`] is set, in which case standby also
-/// answers GETs from the replicated partition and refuses mutations
-/// with `Busy` without executing them. After [`BackupRole::promote`]
-/// it flips: the log channel is ignored and the client connections are
-/// served fully from the replicated partition. Either way the client
-/// connections are drained by the serve reactor's scan; only the log
-/// channel is polled here.
-pub async fn backup_serve_loop(
-    thread: Rc<ThreadCtx>,
-    repl_conn: Rc<RfpServerConn>,
-    client_conns: Vec<Rc<RfpServerConn>>,
-    partition: Rc<RefCell<Partition>>,
-    role: Rc<BackupRole>,
-    spin: SimSpan,
-) {
-    // A pure log sink (no client connections) has nothing to scan.
-    let clients = (!client_conns.is_empty()).then(|| {
-        let handler = BackupHandler {
-            partition: Rc::clone(&partition),
-            role: Rc::clone(&role),
+/// A primary/backup pair: the log link from machine 0 (the primary) to
+/// machine 1 (the backup) and both roles. Every replicated rig wires
+/// its pair here, so how the primary reaches its backup is decided in
+/// this one place.
+pub struct ReplicaPair {
+    /// The primary's end of the log link.
+    ship: Rc<RfpClient>,
+    /// The backup's end of the log link, which a backup restart
+    /// rebuilds.
+    pub log: Rc<RfpServerConn>,
+    /// The primary's replication state.
+    pub primary: Rc<PrimaryRole>,
+    /// The backup's replication state.
+    pub backup: Rc<BackupRole>,
+}
+
+impl ReplicaPair {
+    /// Connects the log link from machine 0 to machine 1 of `cluster`.
+    /// Plain RFP: remote fetch only, with a reconnect factory so a
+    /// restarted backup can be reached again. The log channel stays
+    /// outside the client-facing epoch fence (see the module docs);
+    /// `integrity` arms the checksums that guard the acks the primary
+    /// fetches out of the backup's memory.
+    pub fn link(cluster: &Cluster, integrity: bool) -> Self {
+        let cfg = RfpConfig {
+            enable_mode_switch: false,
+            integrity,
+            ..RfpConfig::default()
         };
-        Reactor::single(Rc::clone(&thread), client_conns, handler, spin)
-    });
-    loop {
-        if crashed(&thread) {
-            thread
-                .idle_wait(thread.handle().sleep(spin.max(SimSpan::micros(1))))
-                .await;
-            continue;
+        let (ship, log) = connect(
+            &cluster.machine(0),
+            &cluster.machine(1),
+            cluster.qp(0, 1),
+            cluster.qp(1, 0),
+            cfg,
+        );
+        ship.set_reconnect(cluster.qp_factory(0, 1));
+        ReplicaPair {
+            ship: Rc::new(ship),
+            log: Rc::new(log),
+            primary: Rc::default(),
+            backup: Rc::default(),
         }
-        // What this iteration polls follows the role as read here: a
-        // promotion that lands mid-drain starts the promoted scan at
-        // the next one. (What a scan serves follows the live flag.)
-        let standby = !role.promoted.get();
-        let mut served_any = standby && drain_log(&thread, &repl_conn, &partition, &role).await;
-        if !standby || role.standby_reads.get() {
-            if let Some(clients) = &clients {
-                served_any |= clients.turn(0).await;
+    }
+
+    /// The primary, forever: the one-core serve reactor (ring windows,
+    /// admission if the connections carry overload control, fixed
+    /// `spin` idle pacing) over a handler that applies every request to
+    /// `partition`, ships each scan's mutations over the log link, and
+    /// answers clients per `ack`. The reactor is built on first poll.
+    pub fn primary_loop(
+        &self,
+        thread: Rc<ThreadCtx>,
+        conns: Vec<Rc<RfpServerConn>>,
+        partition: Rc<RefCell<Partition>>,
+        ack: AckPolicy,
+        spin: SimSpan,
+    ) -> impl Future<Output = ()> {
+        let (ship, role) = (Rc::clone(&self.ship), Rc::clone(&self.primary));
+        async move {
+            let shipper = Rc::new(Shipper {
+                thread: Rc::clone(&thread),
+                ship,
+                ack,
+                recovery: ship_recovery(),
+                role,
+            });
+            let handler = PrimaryHandler {
+                partition,
+                shipper,
+                log: Vec::new(),
+            };
+            Reactor::single(thread, conns, handler, spin)
+                .run_core(0)
+                .await
+        }
+    }
+
+    /// The backup, forever. In **standby** it drains the log link,
+    /// applies log batches in LSN order and acks them. The
+    /// client-facing connections are left unpolled (a client that
+    /// fails over early finds no service and bounces back) — unless
+    /// [`BackupRole::standby_reads`] is set, in which case standby also
+    /// answers GETs from the replicated partition and refuses mutations
+    /// with `Busy` without executing them. After
+    /// [`BackupRole::promote`] it flips: the log link is ignored and the
+    /// client connections are served fully from the replicated
+    /// partition. Either way the client connections are drained by the
+    /// serve reactor's scan, built on first poll; only the log link is
+    /// polled here.
+    pub fn backup_loop(
+        &self,
+        thread: Rc<ThreadCtx>,
+        client_conns: Vec<Rc<RfpServerConn>>,
+        partition: Rc<RefCell<Partition>>,
+        spin: SimSpan,
+    ) -> impl Future<Output = ()> {
+        let (repl_conn, role) = (Rc::clone(&self.log), Rc::clone(&self.backup));
+        async move {
+            // A pure log sink (no client connections) has nothing to scan.
+            let clients = (!client_conns.is_empty()).then(|| {
+                let handler = BackupHandler {
+                    partition: Rc::clone(&partition),
+                    role: Rc::clone(&role),
+                };
+                Reactor::single(Rc::clone(&thread), client_conns, handler, spin)
+            });
+            loop {
+                if crashed(&thread) {
+                    thread
+                        .idle_wait(thread.handle().sleep(spin.max(SimSpan::micros(1))))
+                        .await;
+                    continue;
+                }
+                // What this iteration polls follows the role as read
+                // here: a promotion that lands mid-drain starts the
+                // promoted scan at the next one. (What a scan serves
+                // follows the live flag.)
+                let standby = !role.promoted.get();
+                let mut served_any =
+                    standby && drain_log(&thread, &repl_conn, &partition, &role).await;
+                if !standby || role.standby_reads.get() {
+                    if let Some(clients) = &clients {
+                        served_any |= clients.turn(0).await;
+                    }
+                }
+                if !served_any {
+                    thread.busy(spin).await;
+                }
             }
-        }
-        if !served_any {
-            thread.busy(spin).await;
         }
     }
 }
@@ -443,11 +478,6 @@ pub async fn backup_serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_acks_sync() {
-        assert_eq!(ReplicationConfig::default().ack, AckPolicy::Sync);
-    }
 
     #[test]
     fn batch_codec_round_trips() {

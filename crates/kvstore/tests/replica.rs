@@ -8,9 +8,7 @@ use rfp_core::{
     connect, CallPolicy, CallResult, FailoverConfig, OverloadConfig, RecoveryConfig, ReplicaClient,
     RespStatus, RfpClient, RfpConfig, RfpServerConn, RfpTelemetry, RpcError,
 };
-use rfp_kvstore::replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
-};
+use rfp_kvstore::replica::{AckPolicy, BackupRole, PrimaryRole, ReplicaPair};
 use rfp_kvstore::{KvRequest, KvResponse, Partition};
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{MetricsRegistry, RetryPolicy, SimSpan, SimTime, Simulation, SpanRecorder};
@@ -60,18 +58,7 @@ fn rig_with(ack: AckPolicy, client_cfg: RfpConfig, clients: usize) -> Rig {
 
     let primary_part = Rc::new(RefCell::new(Partition::new(256)));
     let backup_part = Rc::new(RefCell::new(Partition::new(256)));
-    let primary_role = Rc::new(PrimaryRole::default());
-    let backup_role = Rc::new(BackupRole::default());
-
-    // The dedicated replication link, primary -> backup.
-    let (ship, repl_conn) = connect(
-        &primary_m,
-        &backup_m,
-        cluster.qp(0, 1),
-        cluster.qp(1, 0),
-        plain_cfg(),
-    );
-    ship.set_reconnect(cluster.qp_factory(0, 1));
+    let pair = ReplicaPair::link(&cluster, false);
 
     // Client links to both replicas.
     let mut primary_clients = Vec::new();
@@ -108,22 +95,19 @@ fn rig_with(ack: AckPolicy, client_cfg: RfpConfig, clients: usize) -> Rig {
     let replicas = vec![Rc::clone(&primary_clients[0].0), Rc::new(cl_b)];
     let backup_client_conns = vec![Rc::new(backup_conn)];
 
-    sim.spawn(primary_serve_loop(
+    let spin = SimSpan::nanos(100);
+    sim.spawn(pair.primary_loop(
         primary_m.thread("primary"),
         primary_conns.clone(),
         Rc::clone(&primary_part),
-        Rc::new(ship),
-        ReplicationConfig { ack },
-        Rc::clone(&primary_role),
-        SimSpan::nanos(100),
+        ack,
+        spin,
     ));
-    sim.spawn(backup_serve_loop(
+    sim.spawn(pair.backup_loop(
         backup_m.thread("backup"),
-        Rc::new(repl_conn),
         backup_client_conns.clone(),
         Rc::clone(&backup_part),
-        Rc::clone(&backup_role),
-        SimSpan::nanos(100),
+        spin,
     ));
 
     let router = Rc::new(ReplicaClient::new(
@@ -140,8 +124,8 @@ fn rig_with(ack: AckPolicy, client_cfg: RfpConfig, clients: usize) -> Rig {
         router,
         primary_part,
         backup_part,
-        primary_role,
-        backup_role,
+        primary_role: pair.primary,
+        backup_role: pair.backup,
         backup_client_conns,
         primary_clients,
         primary_conns,
